@@ -8,6 +8,7 @@
 use crate::sha1::sha1_u32;
 use macedon_net::NodeId;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point on the 2^32 identifier ring.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -25,11 +26,49 @@ pub enum Addressing {
     Ip,
 }
 
+/// log2 of the slot count of the process-wide node-key memo (1 MiB).
+const MEMO_BITS: u32 = 17;
+
+/// Direct-mapped memo of `sha1_u32(node id)`, indexed by the low
+/// [`MEMO_BITS`] bits of the id. An entry is `(tag << 32) | key` with
+/// `tag = (id >> MEMO_BITS) + 1`, so the all-zero word means "empty" and
+/// the table lives in `.bss`: untouched pages cost nothing, at start-up
+/// or ever.
+///
+/// The memoised function is pure (a SHA-1 of four bytes), so which
+/// thread filled a slot, or whether a colliding id evicted it, can never
+/// change a returned key — only whether it was recomputed. That is what
+/// lets every shard, sweep worker and `World` in the process share one
+/// table without touching the determinism contracts.
+static NODE_KEY_MEMO: [AtomicU64; 1 << MEMO_BITS] = {
+    #[allow(clippy::declare_interior_mutable_const)]
+    const EMPTY: AtomicU64 = AtomicU64::new(0);
+    [EMPTY; 1 << MEMO_BITS]
+};
+
+/// `sha1_u32` of a node id through [`NODE_KEY_MEMO`]. A miss or a
+/// collision recomputes and overwrites the slot.
+fn hashed_node_key(id: u32) -> u32 {
+    let slot = &NODE_KEY_MEMO[(id & ((1 << MEMO_BITS) - 1)) as usize];
+    let tag = (id >> MEMO_BITS) as u64 + 1;
+    // Relaxed: the word carries its own tag and publishes no other
+    // memory, so a reader acts on either a complete entry or a miss.
+    let entry = slot.load(Ordering::Relaxed);
+    if entry >> 32 == tag {
+        return entry as u32;
+    }
+    let key = sha1_u32(&id.to_be_bytes());
+    slot.store(tag << 32 | key as u64, Ordering::Relaxed);
+    key
+}
+
 impl MacedonKey {
-    /// Key of a node under the given addressing mode.
+    /// Key of a node under the given addressing mode. Hash keys are
+    /// memoised process-wide: specs compare node keys hundreds of times
+    /// per routing callback.
     pub fn of_node(node: NodeId, mode: Addressing) -> MacedonKey {
         match mode {
-            Addressing::Hash => MacedonKey(sha1_u32(&node.0.to_be_bytes())),
+            Addressing::Hash => MacedonKey(hashed_node_key(node.0)),
             Addressing::Ip => MacedonKey(node.0),
         }
     }
@@ -197,6 +236,49 @@ mod tests {
         assert_ne!(h, MacedonKey(42));
         // Deterministic.
         assert_eq!(h, MacedonKey::of_node(n, Addressing::Hash));
+    }
+
+    fn reference(id: u32) -> MacedonKey {
+        MacedonKey(sha1_u32(&id.to_be_bytes()))
+    }
+
+    #[test]
+    fn memoised_node_keys_equal_plain_sha1() {
+        let hash = |id: u32| MacedonKey::of_node(NodeId(id), Addressing::Hash);
+        // Two ids that share a slot evict each other and still read
+        // back their own key, in either order and repeatedly.
+        let (a, b) = (12_345, 12_345 + (1 << MEMO_BITS));
+        for id in [a, b, a, a, b, 0, u32::MAX, u32::MAX - (1 << MEMO_BITS)] {
+            assert_eq!(hash(id), reference(id), "id {id}");
+        }
+        let mut rng = macedon_sim::SimRng::new(17);
+        for _ in 0..2_000 {
+            let id = rng.next_u64() as u32;
+            assert_eq!(hash(id), reference(id), "id {id}");
+            assert_eq!(hash(id), reference(id), "id {id}, memo hit");
+        }
+    }
+
+    #[test]
+    fn two_threads_fill_the_memo_concurrently() {
+        // Both threads hit the same slots at once, with colliding ids
+        // interleaved so entries are evicted under the other's feet.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u32 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..4u32 {
+                        for i in 0..5_000u32 {
+                            let id = 70_000 + i + ((round + t) % 2) * (1 << MEMO_BITS);
+                            let got = MacedonKey::of_node(NodeId(id), Addressing::Hash);
+                            assert_eq!(got, reference(id), "id {id}");
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

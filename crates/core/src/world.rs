@@ -269,6 +269,10 @@ struct Shard {
     tsink_pool: Vec<TransportSink>,
     /// Reusable stack-effect buffers.
     fx_pool: Vec<Vec<StackEffect>>,
+    /// Reusable `fd_sweep` buffers (every node sweeps every tick): the
+    /// monitored peers in id order, and the ones to probe.
+    fd_peers: Vec<NodeId>,
+    fd_probe: Vec<NodeId>,
     /// Self-profiling counters (only touched when `cfg.profile`).
     profile: ShardProfile,
 }
@@ -717,37 +721,34 @@ impl Shard {
 
     fn fd_sweep(&mut self, now: Time, node: NodeId) {
         let (g, f, tick) = (self.cfg.fd_g, self.cfg.fd_f, self.cfg.fd_tick);
-        let mut failed: Vec<(NodeId, Vec<usize>)> = Vec::new();
-        let mut probe: Vec<NodeId> = Vec::new();
-        match self.ns_mut(node) {
-            Some(ns) if ns.alive => {
-                let mon = &mut ns.monitors;
-                // Walk peers in id order, not map order: probe and
-                // failure events must not depend on hasher state, or
-                // seeded runs stop being reproducible across builds.
-                let mut peers: Vec<NodeId> = mon.keys().copied().collect();
-                peers.sort_unstable_by_key(|p| p.0);
-                let mut dead: Vec<NodeId> = Vec::new();
-                for peer in peers {
-                    let (layers, st) = mon.get_mut(&peer).expect("collected above");
-                    let silent = now.saturating_since(st.last_heard);
-                    if silent >= f {
-                        failed.push((peer, layers.clone()));
-                        dead.push(peer);
-                    } else if silent >= g && !st.hb_pending {
-                        st.hb_pending = true;
-                        probe.push(peer);
-                    }
-                }
-                for peer in dead {
-                    mon.remove(&peer);
-                }
-            }
-            _ => return,
+        if !self.ns(node).is_some_and(|ns| ns.alive) {
+            return;
         }
-        for peer in probe {
+        let mut failed: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        let mut peers = std::mem::take(&mut self.fd_peers);
+        let mut probe = std::mem::take(&mut self.fd_probe);
+        let mon = &mut self.ns_mut(node).expect("alive above").monitors;
+        // Walk peers in id order, not map order: probe and failure
+        // events must not depend on hasher state, or seeded runs stop
+        // being reproducible across builds.
+        peers.extend(mon.keys().copied());
+        peers.sort_unstable_by_key(|p| p.0);
+        for peer in peers.drain(..) {
+            let st = &mut mon.get_mut(&peer).expect("collected above").1;
+            let silent = now.saturating_since(st.last_heard);
+            if silent >= f {
+                let (layers, _) = mon.remove(&peer).expect("collected above");
+                failed.push((peer, layers));
+            } else if silent >= g && !st.hb_pending {
+                st.hb_pending = true;
+                probe.push(peer);
+            }
+        }
+        self.fd_peers = peers;
+        for peer in probe.drain(..) {
             self.send_engine(now, node, peer, HB_REQ);
         }
+        self.fd_probe = probe;
         for (peer, layers) in failed {
             // The peer's measurements describe a dead incarnation.
             if let Some(ns) = self.ns_mut(node) {
@@ -943,6 +944,8 @@ impl World {
                 nsink_pool: Vec::new(),
                 tsink_pool: Vec::new(),
                 fx_pool: Vec::new(),
+                fd_peers: Vec::new(),
+                fd_probe: Vec::new(),
                 profile: ShardProfile::default(),
             });
         }

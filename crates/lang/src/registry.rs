@@ -21,7 +21,7 @@ use crate::ir::IrSpec;
 use macedon_core::{Agent, ChannelSpec, NodeId, TraceLevel};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why a `uses` chain failed to resolve.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,11 +71,28 @@ impl SpecRegistry {
     }
 
     /// Registry preloaded with the nine bundled `.mac` specs.
+    ///
+    /// The roster is lexed, parsed, analysed and lowered at most once per
+    /// process: the first call pays the whole compile (about a
+    /// millisecond), every later one — each sweep cell asks for its own
+    /// registry — clones nine `Arc` pairs into a fresh registry. The
+    /// registries are independent: [`SpecRegistry::insert`] over a
+    /// bundled name replaces it in that registry only.
     pub fn bundled() -> SpecRegistry {
+        static ROSTER: OnceLock<Vec<(Arc<Spec>, Arc<IrSpec>)>> = OnceLock::new();
+        let roster = ROSTER.get_or_init(|| {
+            crate::bundled_specs()
+                .into_iter()
+                .map(|(_, src)| {
+                    let spec = Arc::new(crate::compile(src).expect("bundled spec compiles"));
+                    let ir = Arc::new(lower(&spec));
+                    (spec, ir)
+                })
+                .collect()
+        });
         let mut r = SpecRegistry::new();
-        for (_, src) in crate::bundled_specs() {
-            let spec = crate::compile(src).expect("bundled spec compiles");
-            r.insert(Arc::new(spec));
+        for (spec, ir) in roster {
+            r.insert_lowered(spec.clone(), ir.clone());
         }
         r
     }
@@ -87,13 +104,12 @@ impl SpecRegistry {
     /// Panics if the spec fails IR lowering — only possible when it
     /// never passed [`crate::sema::analyze`] (use [`crate::compile`]).
     pub fn insert(&mut self, spec: Arc<Spec>) {
-        let ir = IrSpec::lower(&spec).unwrap_or_else(|e| {
-            panic!(
-                "spec '{}' cannot be registered: {e} (was it sema-analyzed?)",
-                spec.name
-            )
-        });
-        self.irs.insert(spec.name.clone(), Arc::new(ir));
+        let ir = Arc::new(lower(&spec));
+        self.insert_lowered(spec, ir);
+    }
+
+    fn insert_lowered(&mut self, spec: Arc<Spec>, ir: Arc<IrSpec>) {
+        self.irs.insert(spec.name.clone(), ir);
         self.specs.insert(spec.name.clone(), spec);
     }
 
@@ -199,6 +215,17 @@ impl SpecRegistry {
     }
 }
 
+/// Lower a sema-analysed spec, panicking with a registration diagnostic
+/// otherwise.
+fn lower(spec: &Spec) -> IrSpec {
+    IrSpec::lower(spec).unwrap_or_else(|e| {
+        panic!(
+            "spec '{}' cannot be registered: {e} (was it sema-analyzed?)",
+            spec.name
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,15 +318,47 @@ mod tests {
     }
 
     #[test]
+    fn bundled_registries_share_one_compiled_roster() {
+        let (a, b) = (SpecRegistry::bundled(), SpecRegistry::bundled());
+        let mut names: Vec<&str> = a.names().collect();
+        names.sort_unstable();
+        let bundled: Vec<&str> = crate::bundled_specs().iter().map(|&(n, _)| n).collect();
+        assert_eq!(names, bundled);
+        for name in names {
+            assert!(Arc::ptr_eq(a.get(name).unwrap(), b.get(name).unwrap()));
+            assert!(Arc::ptr_eq(a.ir(name).unwrap(), b.ir(name).unwrap()));
+        }
+    }
+
+    #[test]
+    fn insert_over_a_bundled_name_stays_in_that_registry() {
+        let mut mine = SpecRegistry::bundled();
+        let bundled_ir = mine.ir("chord").unwrap().clone();
+        mine.insert(spec_of(
+            "protocol chord; addressing ip; transports { UDP ONLY; }",
+        ));
+        assert!(!Arc::ptr_eq(mine.ir("chord").unwrap(), &bundled_ir));
+        assert_eq!(mine.channel_table_for("chord").unwrap()[0].name, "ONLY");
+        // The next registry still gets the bundled chord, and every
+        // other name in `mine` is still the shared one.
+        let next = SpecRegistry::bundled();
+        assert!(Arc::ptr_eq(next.ir("chord").unwrap(), &bundled_ir));
+        assert_ne!(next.channel_table_for("chord").unwrap()[0].name, "ONLY");
+        assert!(Arc::ptr_eq(
+            mine.ir("pastry").unwrap(),
+            next.ir("pastry").unwrap()
+        ));
+    }
+
+    #[test]
     fn stacks_share_one_ir_per_spec() {
         let r = SpecRegistry::bundled();
         let ir = r.ir("pastry").expect("lowered at registration").clone();
-        let base_refs = Arc::strong_count(&ir);
+        // Identity by pointer: the bundled IR's reference count also
+        // moves with every other test's registries and stacks.
         let stacks: Vec<_> = (0..4)
             .map(|_| r.build_stack("scribe", None).unwrap())
             .collect();
-        // Four stacks added four handles to the registry's single IR.
-        assert_eq!(Arc::strong_count(&ir), base_refs + stacks.len());
         for s in &stacks {
             let a: &InterpretedAgent = s[0].as_any().downcast_ref().unwrap();
             assert!(Arc::ptr_eq(a.ir(), &ir));

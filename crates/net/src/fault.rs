@@ -9,17 +9,58 @@ use crate::topology::NodeId;
 use macedon_sim::mix64;
 use std::collections::HashSet;
 
+/// A growable set of small integers, one bit each. The pipeline asks
+/// "is this node down / on that side?" several times per packet; a word
+/// load and a shift answer it, and iteration is in ascending order by
+/// construction (no hasher state to leak into results).
+#[derive(Clone, Debug, Default)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    fn insert(&mut self, i: u32) {
+        let w = (i / 64) as usize;
+        if self.words.len() <= w {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: u32) {
+        if let Some(w) = self.words.get_mut((i / 64) as usize) {
+            *w &= !(1 << (i % 64));
+        }
+    }
+
+    #[inline]
+    fn contains(&self, i: u32) -> bool {
+        self.words
+            .get((i / 64) as usize)
+            .is_some_and(|w| w >> (i % 64) & 1 != 0)
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.words.len() * 64)
+            .map(|i| i as u32)
+            .filter(|&i| self.contains(i))
+    }
+}
+
 /// Mutable fault state consulted by the packet pipeline.
 #[derive(Clone, Debug, Default)]
 pub struct Faults {
     drop_probability: f64,
-    links_down: HashSet<u32>,
-    nodes_down: HashSet<NodeId>,
+    /// Failed physical links, by phys id.
+    links_down: BitSet,
+    /// Crashed nodes, by node id.
+    nodes_down: BitSet,
     /// Active network partition: one side's node set (the other side is
     /// the complement). Packets whose endpoints straddle the cut are
     /// dropped at every hop. At most one partition is active at a time —
     /// scenario validation rejects overlapping partitions.
-    partition: Option<HashSet<NodeId>>,
+    partition: Option<BitSet>,
 }
 
 impl Faults {
@@ -40,28 +81,29 @@ impl Faults {
     }
 
     pub fn heal_link(&mut self, phys: u32) {
-        self.links_down.remove(&phys);
+        self.links_down.remove(phys);
     }
 
     pub fn link_is_down(&self, phys: u32) -> bool {
-        self.links_down.contains(&phys)
+        self.links_down.contains(phys)
     }
 
     /// Crash a node: all packets to, from or through it are dropped.
     pub fn fail_node(&mut self, n: NodeId) {
-        self.nodes_down.insert(n);
+        self.nodes_down.insert(n.0);
     }
 
     pub fn heal_node(&mut self, n: NodeId) {
-        self.nodes_down.remove(&n);
+        self.nodes_down.remove(n.0);
     }
 
     pub fn node_is_down(&self, n: NodeId) -> bool {
-        self.nodes_down.contains(&n)
+        self.nodes_down.contains(n.0)
     }
 
+    /// Crashed nodes, in ascending id order.
     pub fn failed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes_down.iter().copied()
+        self.nodes_down.iter().map(NodeId)
     }
 
     /// Loss decision for one hop, keyed by packet/hop identity instead
@@ -94,7 +136,11 @@ impl Faults {
     /// Install a network partition: `side` vs everyone else. Replaces
     /// any previous partition.
     pub fn set_partition(&mut self, side: HashSet<NodeId>) {
-        self.partition = Some(side);
+        let mut bits = BitSet::default();
+        for n in side {
+            bits.insert(n.0);
+        }
+        self.partition = Some(bits);
     }
 
     /// Remove the active partition (heal).
@@ -109,7 +155,7 @@ impl Faults {
     /// Do `a` and `b` sit on opposite sides of the active partition?
     pub fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
         match &self.partition {
-            Some(side) => side.contains(&a) != side.contains(&b),
+            Some(side) => side.contains(a.0) != side.contains(b.0),
             None => false,
         }
     }
@@ -138,6 +184,19 @@ mod tests {
         assert_eq!(f.failed_nodes().count(), 1);
         f.heal_node(n);
         assert!(!f.node_is_down(n));
+    }
+
+    #[test]
+    fn failed_nodes_iterate_in_ascending_id_order() {
+        // Insertion order, word boundaries and a healed node in between
+        // must not show: the order is a function of the set alone.
+        let mut f = Faults::default();
+        for id in [900, 3, 64, 63, 0, 128, 65] {
+            f.fail_node(NodeId(id));
+        }
+        f.heal_node(NodeId(64));
+        let got: Vec<u32> = f.failed_nodes().map(|n| n.0).collect();
+        assert_eq!(got, [0, 3, 63, 65, 128, 900]);
     }
 
     #[test]

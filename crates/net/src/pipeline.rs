@@ -154,56 +154,118 @@ impl Default for NetworkConfig {
     }
 }
 
-#[derive(Clone, Default)]
+/// One directed half-link's serialization calendar: the future
+/// `(start, end)` slots packets have reserved on it.
+///
+/// Invariants, kept by [`Reservations::reserve`] and relied on by it:
+/// slots are **sorted by start and disjoint** (`end[i] <= start[i + 1]`),
+/// hence also sorted by end.
+///
+/// Links are charged in *send* order, so a packet can be charged after
+/// one that reaches the link later; placing each packet in the earliest
+/// idle gap at or after its arrival (instead of chaining behind a scalar
+/// `busy_until`) keeps late-charged-but-early-arriving packets from
+/// queueing behind traffic that is not actually there yet. For in-order
+/// charges this degenerates to exact FIFO serialization chaining.
+#[derive(Clone, Debug, Default)]
+pub struct Reservations {
+    slots: VecDeque<(Time, Time)>,
+}
+
+impl Reservations {
+    /// Expired slots are pruned only beyond this depth. The engine
+    /// charges links in monotone `now` order, where an expired slot can
+    /// never matter again and pruning is exact at any depth; callers that
+    /// batch `send`s out of order (tests, drills) stay exact as long as a
+    /// link holds fewer than this many slots.
+    pub const PRUNE_KEEP: usize = 256;
+
+    /// Reserve `ser` of serialization time at or after `t`, in the
+    /// earliest gap that fits. Returns the reserved start time and the
+    /// slot's index (for [`Reservations::cancel`]). The wait `start - t`
+    /// is the packet's queueing delay: everything serializing between its
+    /// arrival and its own slot is ahead of it in the queue.
+    ///
+    /// The gap search starts at the first slot ending after `t`, found by
+    /// bisection: a slot ending at or before `t` can neither host the new
+    /// one nor push `start` past `t`, and by the ordering invariant every
+    /// such slot precedes every other. The kept-but-expired prefix is
+    /// therefore never walked.
+    pub fn reserve(&mut self, now: Time, t: Time, ser: Duration) -> (Time, usize) {
+        while self.slots.len() > Self::PRUNE_KEEP {
+            match self.slots.front() {
+                Some(&(_, end)) if end <= now => self.slots.pop_front(),
+                _ => break,
+            };
+        }
+        let mut start = t;
+        let mut at = self.slots.partition_point(|&(_, e)| e <= t);
+        while let Some(&(s, e)) = self.slots.get(at) {
+            if start + ser <= s {
+                break;
+            }
+            start = start.max(e);
+            at += 1;
+        }
+        self.slots.insert(at, (start, start + ser));
+        (start, at)
+    }
+
+    /// Undo the reservation `reserve` just placed at index `at` (the
+    /// packet was dropped before it could serialize).
+    pub fn cancel(&mut self, at: usize) {
+        self.slots.remove(at);
+    }
+
+    /// The held slots, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (Time, Time)> + '_ {
+        self.slots.iter().copied()
+    }
+}
+
+#[derive(Default)]
 struct LinkState {
-    /// Future serialization reservations `(start, end)`, sorted by
-    /// start, non-overlapping. Links are charged in *send* order, so a
-    /// packet can be charged after one that reaches the link later;
-    /// placing each packet in the earliest idle gap at or after its
-    /// arrival (instead of chaining behind a scalar `busy_until`)
-    /// keeps late-charged-but-early-arriving packets from queueing
-    /// behind traffic that is not actually there yet. For in-order
-    /// charges this degenerates to exact FIFO serialization chaining.
-    /// Expired reservations are pruned against the sender's `now`,
-    /// which is monotone across `transit` calls.
-    resv: VecDeque<(Time, Time)>,
+    resv: Reservations,
     // Counters for link-stress metrics.
     pkts: u64,
     bytes: u64,
     drops: u64,
 }
 
-impl LinkState {
-    /// Reserve `ser` of serialization time at or after `t`, in the
-    /// earliest gap that fits. Returns the reserved start time. The
-    /// wait `start - t` is the packet's queueing delay: everything
-    /// serializing between its arrival and its own slot is ahead of it
-    /// in the queue.
-    ///
-    /// Expired reservations are pruned against the sender's `now`, but
-    /// only beyond a generous keep-depth: the engine charges links in
-    /// monotone time order (pruning is exact there), while tests that
-    /// batch `send` calls out of order stay exact as long as a link
-    /// holds fewer than `PRUNE_KEEP` live reservations.
-    fn reserve(&mut self, now: Time, t: Time, ser: Duration) -> Time {
-        const PRUNE_KEEP: usize = 256;
-        while self.resv.len() > PRUNE_KEEP {
-            match self.resv.front() {
-                Some(&(_, end)) if end <= now => self.resv.pop_front(),
-                _ => break,
-            };
+/// Per-half-link state, materialised on first use: a run touches a few
+/// thousand of an INET graph's ~80,000 half-links, so the table is a
+/// zero-initialised index (`0` = never used, else 1 + position in
+/// `pool`) over a dense pool that grows with the links actually
+/// carrying traffic.
+struct LinkTable {
+    slot: Vec<u32>,
+    pool: Vec<LinkState>,
+}
+
+impl LinkTable {
+    fn new(num_links: usize) -> LinkTable {
+        LinkTable {
+            slot: vec![0; num_links],
+            pool: Vec::new(),
         }
-        let mut start = t;
-        let mut at = self.resv.len();
-        for (i, &(s, e)) in self.resv.iter().enumerate() {
-            if start + ser <= s {
-                at = i;
-                break;
-            }
-            start = start.max(e);
+    }
+
+    fn state_mut(&mut self, l: LinkId) -> &mut LinkState {
+        let slot = &mut self.slot[l.index()];
+        if *slot == 0 {
+            self.pool.push(LinkState::default());
+            *slot = self.pool.len() as u32;
         }
-        self.resv.insert(at, (start, start + ser));
-        start
+        &mut self.pool[*slot as usize - 1]
+    }
+
+    /// Every half-link that has state, with it.
+    fn used(&self) -> impl Iterator<Item = (LinkId, &LinkState)> {
+        self.slot
+            .iter()
+            .enumerate()
+            .filter(|(_, &slot)| slot != 0)
+            .map(|(l, &slot)| (LinkId(l as u32), &self.pool[slot as usize - 1]))
     }
 }
 
@@ -211,7 +273,7 @@ impl LinkState {
 pub struct Network<P> {
     topo: Topology,
     router: Router,
-    links: Vec<LinkState>,
+    links: LinkTable,
     faults: Faults,
     /// Seed for keyed per-hop loss decisions (order-free, unlike an RNG
     /// stream: every shard replica computes identical verdicts).
@@ -236,7 +298,7 @@ pub struct Network<P> {
 
 impl<P> Network<P> {
     pub fn new(topo: Topology, cfg: NetworkConfig) -> Network<P> {
-        let links = vec![LinkState::default(); topo.num_links()];
+        let links = LinkTable::new(topo.num_links());
         Network {
             topo,
             router: Router::new(),
@@ -321,8 +383,8 @@ impl<P> Network<P> {
     /// into the same slot.
     pub fn link_counters(&self) -> Vec<(u64, u64, u64)> {
         let mut out = vec![(0u64, 0u64, 0u64); self.topo.num_phys_links()];
-        for (i, st) in self.links.iter().enumerate() {
-            let phys = self.topo.link(LinkId(i as u32)).phys as usize;
+        for (l, st) in self.links.used() {
+            let phys = self.topo.link(l).phys as usize;
             out[phys].0 += st.pkts;
             out[phys].1 += st.bytes;
             out[phys].2 += st.drops;
@@ -519,26 +581,26 @@ impl<P> Network<P> {
             }
             if self.faults.link_is_down(link.phys) {
                 self.arena.release(pkt);
-                self.links[lid.index()].drops += 1;
+                self.links.state_mut(lid).drops += 1;
                 self.dropped += 1;
                 out.dropped.push((DropReason::LinkDown, node));
                 return;
             }
             if loss_p > 0.0 && Faults::hop_drops_at(loss_p, loss_key ^ hop as u64) {
                 self.arena.release(pkt);
-                self.links[lid.index()].drops += 1;
+                self.links.state_mut(lid).drops += 1;
                 self.dropped += 1;
                 out.dropped.push((DropReason::RandomLoss, node));
                 return;
             }
-            let st = &mut self.links[lid.index()];
+            let st = self.links.state_mut(lid);
             let ser = serialization_time(wire, link.bandwidth_bps);
-            let start = st.reserve(now, t, ser);
+            let (start, slot) = st.resv.reserve(now, t, ser);
             // Drop-tail: the packet's wait before its own serialization
             // slot is exactly the traffic ahead of it in the queue,
             // converted back to bytes at line rate.
             if backlog_bytes(start, t, link.bandwidth_bps) + wire as u64 > link.queue_bytes as u64 {
-                st.resv.retain(|&r| r != (start, start + ser));
+                st.resv.cancel(slot);
                 self.arena.release(pkt);
                 st.drops += 1;
                 self.dropped += 1;
@@ -587,16 +649,19 @@ impl<P> Network<P> {
 /// serializing at `start`: its wait converted back to bytes at line
 /// rate.
 fn backlog_bytes(start: Time, arrival: Time, bandwidth_bps: u64) -> u64 {
-    let left = start.saturating_since(arrival);
-    (left.as_micros() as u128 * bandwidth_bps as u128 / 8_000_000) as u64
+    let wait_us = start.saturating_since(arrival).as_micros();
+    match wait_us.checked_mul(bandwidth_bps) {
+        Some(bit_us) => bit_us / 8_000_000,
+        None => (wait_us as u128 * bandwidth_bps as u128 / 8_000_000) as u64,
+    }
 }
 
 /// Time to clock `wire` bytes onto a link of the given capacity.
 pub fn serialization_time(wire: u32, bandwidth_bps: u64) -> Duration {
     debug_assert!(bandwidth_bps > 0);
-    let bits = wire as u128 * 8;
-    let us = (bits * 1_000_000).div_ceil(bandwidth_bps as u128);
-    Duration::from_micros(us as u64)
+    // 2^32 bytes × 8 × 10^6 < 2^55: the product always fits a u64.
+    let bit_us = wire as u64 * 8 * 1_000_000;
+    Duration::from_micros(bit_us.div_ceil(bandwidth_bps))
 }
 
 #[cfg(test)]

@@ -51,12 +51,20 @@ pub struct Link {
 }
 
 /// An immutable network topology.
+///
+/// Adjacency is stored flat (compressed sparse row): node `n`'s outgoing
+/// half-links are `adj[adj_off[n]..adj_off[n + 1]]`, in the order the
+/// links were added. Four allocations hold the whole graph, however many
+/// nodes it has, so building and cloning one is a handful of `memcpy`s.
 #[derive(Clone, Debug)]
 pub struct Topology {
     nodes: Vec<NodeKind>,
     links: Vec<Link>,
-    /// Outgoing links per node.
-    adj: Vec<Vec<LinkId>>,
+    /// `nodes.len() + 1` offsets into `adj`.
+    adj_off: Vec<u32>,
+    /// Outgoing half-links, grouped by source node, each group in link
+    /// creation order (Dijkstra's tie-breaking depends on that order).
+    adj: Vec<LinkId>,
     hosts: Vec<NodeId>,
     phys_count: u32,
 }
@@ -89,7 +97,8 @@ impl Topology {
 
     /// Outgoing half-links of a node.
     pub fn outgoing(&self, n: NodeId) -> &[LinkId] {
-        &self.adj[n.index()]
+        let i = n.index();
+        &self.adj[self.adj_off[i] as usize..self.adj_off[i + 1] as usize]
     }
 
     /// The opposite-direction half of the same physical link. The
@@ -113,13 +122,14 @@ impl Topology {
 
     /// Degree (outgoing link count) of a node.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.index()].len()
+        self.outgoing(n).len()
     }
 
     /// Physical (undirected) link ids incident to a node — e.g. a
     /// host's access link(s), the usual target of runtime degradation.
     pub fn phys_links_of(&self, n: NodeId) -> Vec<u32> {
-        let mut out: Vec<u32> = self.adj[n.index()]
+        let mut out: Vec<u32> = self
+            .outgoing(n)
             .iter()
             .map(|&l| self.links[l.index()].phys)
             .collect();
@@ -164,7 +174,9 @@ impl Topology {
 pub struct TopologyBuilder {
     nodes: Vec<NodeKind>,
     links: Vec<Link>,
-    adj: Vec<Vec<LinkId>>,
+    /// Outgoing half-links per node so far; [`TopologyBuilder::build`]
+    /// turns the counts into the CSR offsets.
+    degree: Vec<u32>,
     hosts: Vec<NodeId>,
     phys_count: u32,
 }
@@ -208,6 +220,17 @@ impl TopologyBuilder {
         TopologyBuilder::default()
     }
 
+    /// A builder sized for `nodes` nodes and `phys_links` full-duplex
+    /// links, for generators that know their totals up front.
+    pub fn with_capacity(nodes: usize, phys_links: usize) -> TopologyBuilder {
+        TopologyBuilder {
+            nodes: Vec::with_capacity(nodes),
+            links: Vec::with_capacity(2 * phys_links),
+            degree: Vec::with_capacity(nodes),
+            ..TopologyBuilder::default()
+        }
+    }
+
     pub fn add_router(&mut self) -> NodeId {
         self.add_node(NodeKind::Router)
     }
@@ -219,7 +242,7 @@ impl TopologyBuilder {
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(kind);
-        self.adj.push(Vec::new());
+        self.degree.push(0);
         if kind == NodeKind::Host {
             self.hosts.push(id);
         }
@@ -233,8 +256,9 @@ impl TopologyBuilder {
         assert!(spec.bandwidth_bps > 0, "zero-bandwidth link");
         let phys = self.phys_count;
         self.phys_count += 1;
+        // Both halves are pushed back to back: `Topology::reverse` is
+        // `id ^ 1`.
         for (from, to) in [(a, b), (b, a)] {
-            let id = LinkId(self.links.len() as u32);
             self.links.push(Link {
                 from,
                 to,
@@ -243,19 +267,44 @@ impl TopologyBuilder {
                 queue_bytes: spec.queue_bytes,
                 phys,
             });
-            self.adj[from.index()].push(id);
+            self.degree[from.index()] += 1;
         }
+    }
+
+    /// Outgoing half-links `n` has so far.
+    pub fn degree(&self, n: NodeId) -> usize {
+        self.degree[n.index()] as usize
     }
 
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
+    /// Freeze the graph. Adjacency is laid out by a stable counting sort
+    /// of the half-links on their source node, so every node's links
+    /// keep creation order.
     pub fn build(self) -> Topology {
+        let mut adj_off = Vec::with_capacity(self.nodes.len() + 1);
+        let mut total = 0u32;
+        adj_off.push(0);
+        for d in &self.degree {
+            total += d;
+            adj_off.push(total);
+        }
+        // `degree` becomes each node's write cursor.
+        let mut cursor = self.degree;
+        cursor.copy_from_slice(&adj_off[..self.nodes.len()]);
+        let mut adj = vec![LinkId(0); self.links.len()];
+        for (id, link) in self.links.iter().enumerate() {
+            let at = &mut cursor[link.from.index()];
+            adj[*at as usize] = LinkId(id as u32);
+            *at += 1;
+        }
         Topology {
             nodes: self.nodes,
             links: self.links,
-            adj: self.adj,
+            adj_off,
+            adj,
             hosts: self.hosts,
             phys_count: self.phys_count,
         }
@@ -325,7 +374,15 @@ impl InetParams {
 pub fn inet(params: &InetParams, rng: &mut SimRng) -> Topology {
     assert!(params.routers >= 3, "need at least 3 routers");
     assert!(params.edges_per_router >= 1);
-    let mut b = TopologyBuilder::new();
+    let m = params.edges_per_router;
+    /// Target draws a new router gets before it settles for fewer links.
+    const MAX_DRAWS: usize = 64;
+    // Capacity only: a router never gets more links than draws.
+    let core_links = 3 + (params.routers - 3) * m.min(MAX_DRAWS);
+    let mut b = TopologyBuilder::with_capacity(
+        params.routers + params.clients,
+        core_links + params.clients,
+    );
 
     let mut routers = Vec::with_capacity(params.routers);
     // Seed triangle.
@@ -345,15 +402,17 @@ pub fn inet(params: &InetParams, rng: &mut SimRng) -> Topology {
     b.add_link(routers[2], routers[0], core(rng, params));
 
     // Degree-weighted target list: node appears once per incident edge.
-    let mut endpoints: Vec<NodeId> = vec![
+    let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * core_links);
+    endpoints.extend([
         routers[0], routers[1], routers[1], routers[2], routers[2], routers[0],
-    ];
+    ]);
 
+    let mut chosen: Vec<NodeId> = Vec::new();
     while routers.len() < params.routers {
         let r = b.add_router();
-        let mut chosen: Vec<NodeId> = Vec::with_capacity(params.edges_per_router);
+        chosen.clear();
         let mut guard = 0;
-        while chosen.len() < params.edges_per_router && guard < 64 {
+        while chosen.len() < m && guard < MAX_DRAWS {
             let t = *rng.choose(&endpoints);
             if !chosen.contains(&t) {
                 chosen.push(t);
@@ -376,7 +435,7 @@ pub fn inet(params: &InetParams, rng: &mut SimRng) -> Topology {
         let mut best = routers[rng.index(routers.len())];
         for _ in 0..3 {
             let cand = routers[rng.index(routers.len())];
-            if b.adj[cand.index()].len() < b.adj[best.index()].len() {
+            if b.degree(cand) < b.degree(best) {
                 best = cand;
             }
         }
@@ -486,7 +545,7 @@ pub mod canned {
 
     /// `n` hosts hanging off one central router.
     pub fn star(n: usize, spec: LinkSpec) -> Topology {
-        let mut b = TopologyBuilder::new();
+        let mut b = TopologyBuilder::with_capacity(n + 1, n);
         let hub = b.add_router();
         for _ in 0..n {
             let h = b.add_host();
@@ -626,6 +685,59 @@ mod tests {
         assert_eq!(t.kind(r), NodeKind::Router);
         assert!(t.is_host(h1));
         assert_eq!(t.degree(r), 2);
+    }
+
+    /// The flat adjacency must read exactly as the per-node lists it
+    /// replaced: each node's half-links in creation order, and the two
+    /// halves of a cable at ids `l` and `l ^ 1`.
+    fn assert_csr_matches_insertion_order(t: &Topology) {
+        let mut model: Vec<Vec<LinkId>> = vec![Vec::new(); t.num_nodes()];
+        for (id, l) in t.links().iter().enumerate() {
+            model[l.from.index()].push(LinkId(id as u32));
+        }
+        for (n, expect) in model.iter().enumerate() {
+            let n = NodeId(n as u32);
+            assert_eq!(t.outgoing(n), &expect[..], "{n:?}");
+            assert_eq!(t.degree(n), expect.len());
+        }
+        for id in 0..t.num_links() as u32 {
+            let (l, r) = (LinkId(id), t.reverse(LinkId(id)));
+            assert_eq!(r, LinkId(id ^ 1));
+            assert_eq!(t.link(r).from, t.link(l).to);
+            assert_eq!(t.link(r).to, t.link(l).from);
+            assert_eq!(t.link(r).phys, t.link(l).phys);
+        }
+    }
+
+    #[test]
+    fn csr_adjacency_keeps_insertion_order() {
+        assert_csr_matches_insertion_order(&inet(&InetParams::test_scale(25), &mut SimRng::new(7)));
+        assert_csr_matches_insertion_order(&canned::star(9, LinkSpec::lan()));
+        assert_csr_matches_insertion_order(&canned::dumbbell(
+            3,
+            LinkSpec::lan(),
+            LinkSpec::wan(Duration::from_millis(10)),
+        ));
+        // A multigraph: parallel cables, links added in an order that
+        // interleaves sources, and an isolated node in the middle.
+        let mut b = TopologyBuilder::new();
+        let r0 = b.add_router();
+        let h0 = b.add_host();
+        let _isolated = b.add_router();
+        let r1 = b.add_router();
+        b.add_link(r1, r0, LinkSpec::lan());
+        b.add_link(h0, r0, LinkSpec::lan());
+        b.add_link(r0, r1, LinkSpec::wan(Duration::from_millis(3)));
+        b.add_link(r1, r0, LinkSpec::lan());
+        assert_eq!(b.degree(r0), 4);
+        let t = b.build();
+        assert_eq!(
+            t.outgoing(r0),
+            &[LinkId(1), LinkId(3), LinkId(4), LinkId(7)]
+        );
+        assert!(t.outgoing(NodeId(2)).is_empty());
+        assert_csr_matches_insertion_order(&t);
+        assert_csr_matches_insertion_order(&TopologyBuilder::new().build());
     }
 
     #[test]

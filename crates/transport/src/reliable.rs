@@ -228,7 +228,7 @@ impl ReliableConn {
     ) {
         let before = self.rcv_nxt;
         if seq >= self.rcv_nxt && self.ooo.len() < OOO_CAP {
-            self.ooo.entry(seq).or_insert(SegBuf {
+            let sb = SegBuf {
                 msg,
                 frag,
                 frags,
@@ -236,11 +236,20 @@ impl ReliableConn {
                 span,
                 sent_at: None,
                 retransmitted: false,
-            });
-            // Advance the in-order frontier.
-            while let Some(sb) = self.ooo.remove(&self.rcv_nxt) {
+            };
+            if seq == self.rcv_nxt && self.ooo.is_empty() {
+                // The common case, the next segment with nothing
+                // buffered: accept it without a round trip through the
+                // out-of-order map.
                 self.rcv_nxt += 1;
                 self.accept_in_order(sb, out);
+            } else {
+                self.ooo.entry(seq).or_insert(sb);
+                // Advance the in-order frontier.
+                while let Some(sb) = self.ooo.remove(&self.rcv_nxt) {
+                    self.rcv_nxt += 1;
+                    self.accept_in_order(sb, out);
+                }
             }
         }
         let advanced = (self.rcv_nxt - before) as u32;

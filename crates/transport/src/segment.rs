@@ -64,21 +64,14 @@ impl Segment {
     }
 }
 
-/// Split a message into MSS-sized fragments.
-pub fn fragment(msg: &Bytes) -> Vec<Bytes> {
-    let mut out = Vec::with_capacity(fragment_count(msg.len()));
-    for_each_fragment(msg, |b| out.push(b));
-    out
-}
-
-/// Number of fragments [`fragment`] produces for a message of `len`
-/// bytes (an empty message still rides one empty fragment).
+/// Number of fragments [`for_each_fragment`] visits for a message of
+/// `len` bytes (an empty message still rides one empty fragment).
 pub fn fragment_count(len: usize) -> usize {
     len.div_ceil(MSS as usize).max(1)
 }
 
-/// Visit each MSS-sized fragment (zero-copy slices) without collecting
-/// them — the hot send path's allocation-free variant of [`fragment`].
+/// Visit each MSS-sized fragment of a message in order (zero-copy
+/// slices, nothing collected).
 pub fn for_each_fragment(msg: &Bytes, mut f: impl FnMut(Bytes)) {
     if msg.is_empty() {
         f(Bytes::new());
@@ -95,6 +88,13 @@ pub fn for_each_fragment(msg: &Bytes, mut f: impl FnMut(Bytes)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fragment(msg: &Bytes) -> Vec<Bytes> {
+        let mut out = Vec::new();
+        for_each_fragment(msg, |b| out.push(b));
+        assert_eq!(out.len(), fragment_count(msg.len()));
+        out
+    }
 
     #[test]
     fn fragment_small_message_is_single() {

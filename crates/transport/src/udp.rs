@@ -5,7 +5,7 @@
 //! by message id and delivers only complete messages. Any lost fragment
 //! loses the whole message — exactly UDP+IP-fragmentation semantics.
 
-use crate::segment::{fragment, ChannelId, SegKind, Segment};
+use crate::segment::{for_each_fragment, fragment_count, ChannelId, SegKind, Segment};
 use bytes::Bytes;
 use std::collections::HashMap;
 
@@ -39,23 +39,24 @@ impl UdpConn {
     /// Emit the fragments of one datagram. `span` is the causal trace
     /// span riding with the message (zero when untraced).
     pub fn send(&mut self, msg: Bytes, span: u64, tx: &mut Vec<Segment>) {
-        let parts = fragment(&msg);
-        let frags = parts.len() as u16;
+        let frags = fragment_count(msg.len()) as u16;
         let id = self.next_msg;
         self.next_msg += 1;
-        for (i, bytes) in parts.into_iter().enumerate() {
+        let mut frag = 0u16;
+        for_each_fragment(&msg, |bytes| {
             self.frags_sent += 1;
             tx.push(Segment {
                 channel: ChannelId(0), // endpoint rewrites
                 span,
                 kind: SegKind::Datagram {
                     msg: id,
-                    frag: i as u16,
+                    frag,
                     frags,
                     bytes,
                 },
             });
-        }
+            frag += 1;
+        });
     }
 
     /// Accept an inbound fragment; returns a complete message (with its
