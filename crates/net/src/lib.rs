@@ -10,11 +10,10 @@
 //!
 //! * [`topology`] — graph model plus generators: an INET-like
 //!   preferential-attachment AS topology (the paper uses 20,000-node INET
-//!   graphs), a GT-ITM-style transit-stub generator, and canned shapes for
-//!   tests.
+//!   graphs) and canned shapes for tests.
 //! * [`routing`] — shortest-path (latency-weighted Dijkstra) hop-by-hop
-//!   routing with per-destination next-hop caches, plus the latency oracle
-//!   used to compute stretch/RDP.
+//!   routing with lazy per-anchor next-hop tables over the non-leaf
+//!   nodes, plus the latency oracle used to compute stretch/RDP.
 //! * [`pipeline`] — per-link FIFO drop-tail queues with bandwidth
 //!   serialization and propagation delay; the [`pipeline::Network`] object
 //!   is driven by scheduler events.

@@ -353,18 +353,27 @@ impl<P> Network<P> {
     }
 
     /// Mutate a physical link's bandwidth and/or delay at runtime (the
-    /// scenario engine's degradation primitive). Routing trees and the
-    /// latency oracle are recomputed lazily — a big delay change can
-    /// re-route, exactly as an IGP would eventually do.
+    /// scenario engine's degradation primitive). A new delay on a
+    /// core-to-core link drops the routing tables, which are recomputed
+    /// lazily — a big delay change can re-route, exactly as an IGP would
+    /// eventually do. Bandwidth, and anything about an access link, is
+    /// in no table.
     pub fn set_phys_link(
         &mut self,
         phys: u32,
         bandwidth_bps: Option<u64>,
         delay: Option<Duration>,
     ) {
+        let Some(&link) = self.topo.phys_link(phys) else {
+            return;
+        };
         self.topo.set_phys_link(phys, bandwidth_bps, delay);
-        self.router.invalidate();
-        self.min_delay = None;
+        if delay.is_some_and(|d| d != link.delay) {
+            self.min_delay = None;
+            if Router::routes_over(&self.topo, &link) {
+                self.router.invalidate();
+            }
+        }
     }
 
     /// Uncongested one-way IP latency between two nodes (the latency
@@ -527,8 +536,8 @@ impl<P> Network<P> {
     /// Walk the packet's whole route at send time, charging each link's
     /// queue occupancy and serialization slot as the packet would reach
     /// it, and schedule a single arrival event at the destination. Per
-    /// hop this costs a routing lookup and a couple of adds instead of
-    /// a departure event plus an arrival event through the scheduler.
+    /// hop this costs a routing-table read and a couple of adds instead
+    /// of a departure event plus an arrival event through the scheduler.
     ///
     /// When sharded, the walk stops at the first link owned by another
     /// shard (or at a destination owned by another shard) and emits a
@@ -555,8 +564,11 @@ impl<P> Network<P> {
         let mut node = at;
         let mut t = start_t;
         let mut hop = hop0;
+        // Reachability, anchor and routing table are resolved once; each
+        // hop below is then a slice read.
+        let route = self.router.route(&self.topo, at, dst);
         loop {
-            let Some(lid) = self.router.next_hop(&self.topo, node, dst) else {
+            let Some(lid) = route.as_ref().and_then(|r| r.next(&self.topo, node)) else {
                 self.arena.release(pkt);
                 self.dropped += 1;
                 out.dropped.push((DropReason::NoRoute, node));
@@ -921,6 +933,66 @@ mod tests {
         // 1040 B at 10 kbps = 832 ms serialization on the first hop alone.
         assert!(slow_lat.as_micros() > 10 * fast_lat.as_micros());
         assert!(slow_lat >= Duration::from_millis(800));
+    }
+
+    /// Two routers joined by a 10 ms cable and by a 2 × 3 ms detour, a
+    /// host on each.
+    fn detour() -> Topology {
+        let mut b = crate::topology::TopologyBuilder::new();
+        let (a, z) = (b.add_host(), b.add_host());
+        let (ra, rz, via) = (b.add_router(), b.add_router(), b.add_router());
+        b.add_link(a, ra, LinkSpec::lan());
+        b.add_link(z, rz, LinkSpec::lan());
+        b.add_link(ra, rz, LinkSpec::wan(ms(10))); // phys 2
+        b.add_link(ra, via, LinkSpec::wan(ms(3)));
+        b.add_link(via, rz, LinkSpec::wan(ms(3)));
+        b.build()
+    }
+
+    #[test]
+    fn core_delay_change_reroutes() {
+        let t = detour();
+        let (a, z) = (t.hosts()[0], t.hosts()[1]);
+        let mut net: Network<u32> = Network::new(t, NetworkConfig::default());
+        assert_eq!(net.oracle_latency(a, z), Some(ms(8)));
+        assert_eq!(net.oracle_hops(a, z), Some(4));
+        assert_eq!(net.router.cached_destinations(), 1);
+        // The direct cable gets faster than the detour: tables drop and
+        // the next walk takes it.
+        net.set_phys_link(2, None, Some(ms(1)));
+        assert_eq!(net.router.cached_destinations(), 0);
+        assert_eq!(net.oracle_latency(a, z), Some(ms(3)));
+        assert_eq!(net.oracle_hops(a, z), Some(3));
+        let mut out = Sink::new();
+        net.send(Time::ZERO, Packet::new(a, z, 100, 1), &mut out);
+        let counters = net.link_counters();
+        assert_eq!(counters[2].0, 1, "the packet crossed the direct cable");
+        assert_eq!(counters[3].0 + counters[4].0, 0);
+    }
+
+    #[test]
+    fn only_a_core_delay_change_drops_the_tables() {
+        let t = detour();
+        let (a, z) = (t.hosts()[0], t.hosts()[1]);
+        let access = t.phys_links_of(a)[0];
+        let mut net: Network<u32> = Network::new(t, NetworkConfig::default());
+        net.oracle_latency(a, z);
+        net.oracle_latency(z, a);
+        assert_eq!(net.router.cached_destinations(), 2);
+        assert_eq!(net.min_link_delay(), Some(ms(1)));
+        // What the scenario grammar's `degrade` does: an access link's
+        // bandwidth and delay. It is in no table.
+        net.set_phys_link(access, Some(64_000), Some(ms(50)));
+        assert_eq!(net.router.cached_destinations(), 2);
+        assert_eq!(net.oracle_latency(a, z), Some(ms(57)), "the oracle sees it");
+        // A core link's bandwidth, or its delay set to what it is.
+        net.set_phys_link(2, Some(1_000_000), None);
+        net.set_phys_link(2, None, Some(ms(10)));
+        assert_eq!(net.router.cached_destinations(), 2);
+        // An unknown cable is ignored.
+        net.set_phys_link(99, Some(1), Some(ms(1)));
+        assert_eq!(net.router.cached_destinations(), 2);
+        assert_eq!(net.min_link_delay(), Some(ms(1)));
     }
 
     #[test]

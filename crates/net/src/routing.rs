@@ -1,56 +1,276 @@
 //! Shortest-path routing over the topology.
 //!
-//! Packets are forwarded hop-by-hop: at each node the router consults a
-//! per-destination next-hop table. Tables are computed lazily by running
-//! Dijkstra *from the destination* over reversed edges (link delays are
-//! symmetric here, so forward and reverse trees coincide), then cached.
+//! Packets are forwarded hop-by-hop along latency-weighted shortest
+//! paths. Routing state is one **next-hop table per anchor**, computed
+//! lazily by running Dijkstra *from the destination* over reversed edges
+//! (link delays are symmetric here, so forward and reverse trees
+//! coincide), then cached.
 //!
-//! Per-destination trees cost O(nodes) memory each, which stops scaling
-//! once the overlay reaches 10⁴–10⁵ hosts, so two structural fast paths
-//! keep leaf traffic out of the cache entirely:
+//! **Leaves are not in the tables.** A degree-1 node has exactly one way
+//! out and exactly one way in, so
 //!
-//! * **degree-1 source**: a host with a single access link has exactly
-//!   one way out — no table lookup at all;
-//! * **leaf destination**: every path to a degree-1 node enters through
-//!   its sole neighbor (its *gateway*), so routing toward the leaf is
-//!   routing toward the gateway plus the final access hop
-//!   ([`Topology::reverse`] of the leaf's uplink — O(1) by the
-//!   half-link layout invariant). Trees are therefore only ever built
-//!   for multi-degree *anchor* nodes (routers), of which a star keeps
-//!   exactly zero and a transit-stub graph a handful.
+//! * a walk that *starts* at one takes its sole link — no lookup;
+//! * a walk that *ends* at one is a walk to its sole neighbor (its
+//!   *gateway*, the **anchor** of the walk) plus the final access hop
+//!   ([`Topology::reverse`] of the leaf's uplink — O(1) by the half-link
+//!   layout invariant);
+//! * and it can never be an interior hop, nor can Dijkstra ever relax
+//!   anything through it.
 //!
-//! A lazily built connected-components labelling answers reachability in
-//! O(1) so the degree-1 shortcut can never bounce a packet destined to
-//! another component.
+//! Tables are therefore built for, and indexed by, **core nodes** only —
+//! degree ≥ 2, whatever their kind (a host of a full mesh is core) — and
+//! a star never builds one. A table is a `Box<[u32]>` of next-hop
+//! [`LinkId`]s, one per core node: memory is 4 B × core nodes × anchors
+//! (22.9 MiB for 300 clients on a 20,000-router INET graph). Distances
+//! are not stored: [`Router::dist`] sums the link delays of the walk,
+//! which *is* the Dijkstra distance.
+//!
+//! **What is built when.** [`Router::new`] allocates nothing. The first
+//! walk labels connected components (so the leaf shortcut can never
+//! bounce a packet destined to another component). The first walk that
+//! crosses a core node other than its anchor builds the `Core` — the
+//! node → core index, a packed core-to-core adjacency and the Dijkstra
+//! scratch — and from then on each new anchor costs one Dijkstra over
+//! the packed adjacency with that scratch reused. A walk resolves
+//! reachability, anchor and table **once** (`Router::route`) and then
+//! follows the slice.
+//!
+//! **The tie-break invariant.** Core delays are whole milliseconds, so
+//! equal-cost paths are the norm, and which one a packet takes decides
+//! every queue it meets. The trees are defined by: settle nodes in
+//! `(distance ascending, node id descending)` order among those queued,
+//! relax with strict `<`, scan each node's links in the topology's CSR
+//! (creation) order. The packed adjacency keeps CSR order and core
+//! indices ascend with node ids, so the queue key `(distance, !core)`
+//! reproduces it; `tests/prop.rs` holds the dense all-nodes Dijkstra
+//! this replaced and requires equality with it, ties included.
+//!
+//! Queue keys carry the distance in 32 bits of microseconds. A path
+//! longer than that (71 minutes of propagation) is not wrapped: it is
+//! never relaxed, so the far side reads as unreachable.
 //!
 //! The same machinery doubles as the **latency oracle** used by the
 //! evaluation framework to compute stretch and RDP: `dist(src, dst)` is
 //! the uncongested one-way propagation latency of the best IP path.
 
-use crate::topology::{LinkId, NodeId, Topology};
+use crate::topology::{Link, LinkId, NodeId, Topology};
 use macedon_sim::Duration;
-use macedon_sim::FxHashMap;
 use std::collections::BinaryHeap;
 
-/// Per-destination routing state: for every node, the outgoing link on the
-/// shortest path toward `dst`, and the total path latency.
-struct DestTree {
-    next_hop: Vec<Option<LinkId>>,
-    dist_us: Vec<u64>,
-}
+/// "No entry" in the `u32` tables: not a core node, no next hop, not
+/// reached.
+const NONE: u32 = u32::MAX;
 
-/// Hop-by-hop router with lazy per-destination caches.
+/// Hop-by-hop router with lazy per-anchor next-hop tables.
 pub struct Router {
-    trees: FxHashMap<NodeId, DestTree>,
     /// Connected-component label per node, built lazily (None = stale).
     comps: Option<Vec<u32>>,
+    /// Everything tree-shaped, built on the first tree miss.
+    core: Option<Box<Core>>,
+}
+
+/// The core graph (nodes of degree ≥ 2), its next-hop tables and the
+/// scratch they are built with.
+struct Core {
+    /// Node → core index ([`NONE`] for degree ≤ 1). Ascends with node id.
+    of_node: Vec<u32>,
+    /// Anchor's core index → 1 + position in `trees` (0 = not built),
+    /// the `pipeline::LinkTable` idiom.
+    tree_of: Vec<u32>,
+    /// Per anchor: every core node's next-hop `LinkId` toward it
+    /// ([`NONE`] at the anchor itself and where unreachable).
+    trees: Vec<Box<[u32]>>,
+    /// Packed core-to-core adjacency, CSR: core node `c`'s half-links are
+    /// `half[off[c]..off[c + 1]]`, in the topology's order.
+    off: Vec<u32>,
+    half: Vec<Half>,
+    /// Dijkstra scratch, reused across trees.
+    dist: Vec<u32>,
+    queue: Queue,
+}
+
+/// One core-to-core half-link as Dijkstra needs it.
+#[derive(Clone, Copy)]
+struct Half {
+    to: u32,
+    /// Microseconds, saturated (a saturated link is never relaxed).
+    delay: u32,
+    /// The opposite half's `LinkId`: the next hop *from* `to`.
+    rev: u32,
+}
+
+/// Dijkstra's queue, exact on the key `(distance, !core index)`. Every
+/// queued distance lies within one maximum link delay of the last
+/// popped one, so distances are cut into `width`-wide bands on a circle
+/// of `BANDS` (a push lands at most `BANDS - 1` bands ahead: bands never
+/// alias). Only the current band is kept as a heap; a later band is an
+/// unordered `Vec`, heapified in one pass when the circle reaches it.
+/// With whole-millisecond delays a band is one distance, a few dozen
+/// nodes; at worst (one band) this is a plain binary heap.
+struct Queue {
+    /// The current band. Keys are stored complemented, so the max-heap
+    /// pops the smallest.
+    heap: BinaryHeap<u64>,
+    /// The bands, indexed modulo `BANDS`; the current one's slot is empty.
+    later: Vec<Vec<u64>>,
+    width: u32,
+    /// The current band, not reduced modulo `BANDS`.
+    cur: usize,
+    len: usize,
+}
+
+impl Queue {
+    const BANDS: usize = 64;
+
+    fn new(max_delay: u32) -> Queue {
+        Queue {
+            heap: BinaryHeap::new(),
+            later: vec![Vec::new(); Self::BANDS],
+            // max_delay / width <= BANDS - 2.
+            width: max_delay / (Self::BANDS as u32 - 1) + 1,
+            cur: 0,
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, dist: u32, core: u32) {
+        let key = !((dist as u64) << 32 | !core as u64);
+        let band = (dist / self.width) as usize % Self::BANDS;
+        if band == self.cur % Self::BANDS {
+            self.heap.push(key);
+        } else {
+            self.later[band].push(key);
+        }
+        self.len += 1;
+    }
+
+    /// The queued `(distance, core index)` with the smallest distance,
+    /// then the largest index. An emptied queue is ready for the next
+    /// tree.
+    fn pop(&mut self) -> Option<(u32, u32)> {
+        if self.len == 0 {
+            self.cur = 0;
+            return None;
+        }
+        self.len -= 1;
+        loop {
+            if let Some(key) = self.heap.pop() {
+                let key = !key;
+                return Some(((key >> 32) as u32, !(key as u32)));
+            }
+            // Hand the drained heap's buffer back to its slot and take
+            // the next band's.
+            let drained = std::mem::take(&mut self.heap).into_vec();
+            self.later[self.cur % Self::BANDS] = drained;
+            self.cur += 1;
+            self.heap = std::mem::take(&mut self.later[self.cur % Self::BANDS]).into();
+        }
+    }
+}
+
+impl Core {
+    fn new(topo: &Topology) -> Core {
+        let mut of_node = vec![NONE; topo.num_nodes()];
+        let mut cores = 0u32;
+        for (n, slot) in of_node.iter_mut().enumerate() {
+            if topo.degree(NodeId(n as u32)) >= 2 {
+                *slot = cores;
+                cores += 1;
+            }
+        }
+        let mut off = Vec::with_capacity(cores as usize + 1);
+        let mut half = Vec::with_capacity(topo.num_links());
+        let mut max_delay = 0;
+        off.push(0);
+        for (n, _) in of_node.iter().enumerate().filter(|(_, &c)| c != NONE) {
+            for &lid in topo.outgoing(NodeId(n as u32)) {
+                let link = topo.link(lid);
+                let to = of_node[link.to.index()];
+                if to != NONE {
+                    let delay = u32::try_from(link.delay.as_micros()).unwrap_or(u32::MAX);
+                    max_delay = max_delay.max(delay);
+                    half.push(Half {
+                        to,
+                        delay,
+                        rev: topo.reverse(lid).0,
+                    });
+                }
+            }
+            off.push(half.len() as u32);
+        }
+        Core {
+            of_node,
+            tree_of: vec![0; cores as usize],
+            trees: Vec::new(),
+            off,
+            half,
+            dist: vec![NONE; cores as usize],
+            queue: Queue::new(max_delay),
+        }
+    }
+
+    /// Dijkstra rooted at core node `root`: because every link is
+    /// materialized in both directions with equal delay, relaxing over
+    /// *outgoing* links from the root yields distances valid in both
+    /// directions; the next hop at `v` is the reverse half-link of the
+    /// tree edge that relaxed `v`.
+    fn dijkstra_to(&mut self, root: u32) -> Box<[u32]> {
+        let mut next_hop = vec![NONE; self.dist.len()].into_boxed_slice();
+        self.dist.fill(NONE);
+        self.dist[root as usize] = 0;
+        self.queue.push(0, root);
+        while let Some((d, u)) = self.queue.pop() {
+            if d > self.dist[u as usize] {
+                continue;
+            }
+            let links = self.off[u as usize] as usize..self.off[u as usize + 1] as usize;
+            for h in &self.half[links] {
+                // A sum past the key width fails this test against even
+                // the NONE sentinel: never wrapped, never relaxed.
+                let nd = d as u64 + h.delay as u64;
+                if nd < self.dist[h.to as usize] as u64 {
+                    self.dist[h.to as usize] = nd as u32;
+                    next_hop[h.to as usize] = h.rev;
+                    self.queue.push(nd as u32, h.to);
+                }
+            }
+        }
+        next_hop
+    }
+}
+
+/// A walk toward one destination with everything resolved: follow it
+/// with [`Route::next`], one slice read per core hop.
+pub(crate) struct Route<'r> {
+    anchor: NodeId,
+    /// The access hop from the anchor to a leaf destination.
+    last_hop: Option<LinkId>,
+    /// The core index and the anchor's table; both empty when the walk
+    /// is leaf → anchor → leaf and needs neither.
+    of_node: &'r [u32],
+    tree: &'r [u32],
+}
+
+impl Route<'_> {
+    /// Next outgoing link from `at`, or `None` at the destination (or
+    /// where the table has no path).
+    pub(crate) fn next(&self, topo: &Topology, at: NodeId) -> Option<LinkId> {
+        if at == self.anchor {
+            return self.last_hop;
+        }
+        if let [only] = *topo.outgoing(at) {
+            return Some(only);
+        }
+        let hop = self.tree[self.of_node[at.index()] as usize];
+        (hop != NONE).then_some(LinkId(hop))
+    }
 }
 
 impl Router {
     pub fn new() -> Router {
         Router {
-            trees: FxHashMap::default(),
             comps: None,
+            core: None,
         }
     }
 
@@ -61,96 +281,125 @@ impl Router {
         comps[a.index()] == comps[b.index()]
     }
 
-    /// Resolve a leaf destination to its anchor: `(anchor, final hop,
-    /// access delay)`. A degree-1 node is entered through its gateway;
-    /// multi-degree nodes are their own anchor.
-    fn anchor(topo: &Topology, dst: NodeId) -> Option<(NodeId, Option<LinkId>, u64)> {
+    /// Resolve a leaf destination to its anchor: `(anchor, final hop)`.
+    /// A degree-1 node is entered through its gateway; multi-degree
+    /// nodes are their own anchor.
+    fn anchor(topo: &Topology, dst: NodeId) -> Option<(NodeId, Option<LinkId>)> {
         match *topo.outgoing(dst) {
-            [up] => {
-                let l = topo.link(up);
-                Some((l.to, Some(topo.reverse(up)), l.delay.as_micros()))
-            }
+            [up] => Some((topo.link(up).to, Some(topo.reverse(up)))),
             [] => None, // isolated: unreachable unless src == dst
-            _ => Some((dst, None, 0)),
+            _ => Some((dst, None)),
         }
     }
 
-    /// Next outgoing link from `at` toward `dst`, or `None` if unreachable
-    /// (or already there).
-    pub fn next_hop(&mut self, topo: &Topology, at: NodeId, dst: NodeId) -> Option<LinkId> {
+    /// Resolve a walk from `at` to `dst`: `None` if there is none to
+    /// make (already there, or another component). The anchor's table is
+    /// fetched — built, on a miss — only if the walk will read it: a
+    /// walk that begins at the anchor, or at a leaf hanging off it,
+    /// never does.
+    pub(crate) fn route(&mut self, topo: &Topology, at: NodeId, dst: NodeId) -> Option<Route<'_>> {
         if at == dst || !self.connected(topo, at, dst) {
             return None;
         }
-        // Degree-1 host: the only way out. (The reachability check above
-        // guarantees this can't bounce an undeliverable packet forever.)
-        if topo.is_host(at) {
-            if let [only] = *topo.outgoing(at) {
-                return Some(only);
-            }
-        }
-        let (anchor, last_hop, _) = Self::anchor(topo, dst)?;
-        if at == anchor {
-            return last_hop;
-        }
-        self.tree(topo, anchor).next_hop[at.index()]
-    }
-
-    /// Uncongested one-way latency of the IP shortest path, or `None` if
-    /// unreachable.
-    pub fn dist(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Duration> {
-        if src == dst {
-            return Some(Duration::ZERO);
-        }
-        let (anchor, _, tail_us) = Self::anchor(topo, dst)?;
-        if src == anchor {
-            return Some(Duration::from_micros(tail_us));
-        }
-        let d = self.tree(topo, anchor).dist_us[src.index()];
-        if d == u64::MAX {
-            None
+        let (anchor, last_hop) = Self::anchor(topo, dst)?;
+        let enters_at = match *topo.outgoing(at) {
+            [only] if at != anchor => topo.link(only).to,
+            _ => at,
+        };
+        let (of_node, tree): (&[u32], &[u32]) = if enters_at == anchor {
+            (&[], &[])
         } else {
-            Some(Duration::from_micros(d + tail_us))
-        }
+            // The anchor is core: were it a leaf, its component would be
+            // it and `dst` alone, and `at` one of the two.
+            let core = self.core.get_or_insert_with(|| Box::new(Core::new(topo)));
+            let a = core.of_node[anchor.index()];
+            if core.tree_of[a as usize] == 0 {
+                let tree = core.dijkstra_to(a);
+                core.trees.push(tree);
+                core.tree_of[a as usize] = core.trees.len() as u32;
+            }
+            (
+                &core.of_node,
+                &core.trees[core.tree_of[a as usize] as usize - 1],
+            )
+        };
+        Some(Route {
+            anchor,
+            last_hop,
+            of_node,
+            tree,
+        })
     }
 
-    /// The full IP path from `src` to `dst` as a sequence of links.
-    pub fn path(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+    /// Walk from `src` to `dst`, handing every link crossed to `visit`.
+    /// `None` if unreachable.
+    fn walk(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        mut visit: impl FnMut(LinkId),
+    ) -> Option<()> {
         if src == dst {
-            return Some(Vec::new());
+            return Some(());
         }
-        let mut out = Vec::new();
-        let mut cur = src;
+        let route = self.route(topo, src, dst)?;
+        let mut at = src;
         // Path length is bounded by node count on a shortest-path tree.
         for _ in 0..topo.num_nodes() {
-            let hop = self.next_hop(topo, cur, dst)?;
-            out.push(hop);
-            cur = topo.link(hop).to;
-            if cur == dst {
-                return Some(out);
+            let hop = route.next(topo, at)?;
+            visit(hop);
+            at = topo.link(hop).to;
+            if at == dst {
+                return Some(());
             }
         }
         None // cycle would indicate a bug; report unreachable
     }
 
-    /// Number of router hops on the IP path.
-    pub fn hop_count(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<usize> {
-        self.path(topo, src, dst).map(|p| p.len())
+    /// Next outgoing link from `at` toward `dst`, or `None` if unreachable
+    /// (or already there).
+    pub fn next_hop(&mut self, topo: &Topology, at: NodeId, dst: NodeId) -> Option<LinkId> {
+        self.route(topo, at, dst)?.next(topo, at)
     }
 
-    /// Drop all cached trees (call after topology faults change routing).
+    /// Uncongested one-way latency of the IP shortest path, or `None` if
+    /// unreachable.
+    pub fn dist(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Duration> {
+        let mut us = 0;
+        self.walk(topo, src, dst, |hop| us += topo.link(hop).delay.as_micros())?;
+        Some(Duration::from_micros(us))
+    }
+
+    /// The full IP path from `src` to `dst` as a sequence of links.
+    pub fn path(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+        let mut out = Vec::new();
+        self.walk(topo, src, dst, |hop| out.push(hop))?;
+        Some(out)
+    }
+
+    /// Number of router hops on the IP path.
+    pub fn hop_count(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<usize> {
+        let mut hops = 0;
+        self.walk(topo, src, dst, |_| hops += 1)?;
+        Some(hops)
+    }
+
+    /// Can changing this link's delay change a table? Only core-to-core
+    /// links are in the packed adjacency; bandwidth is in neither.
+    pub(crate) fn routes_over(topo: &Topology, link: &Link) -> bool {
+        topo.degree(link.from) >= 2 && topo.degree(link.to) >= 2
+    }
+
+    /// Drop all cached tables and the core they index (call after a
+    /// core link's delay changes).
     pub fn invalidate(&mut self) {
-        self.trees.clear();
+        self.core = None;
         self.comps = None;
     }
 
     pub fn cached_destinations(&self) -> usize {
-        self.trees.len()
-    }
-
-    fn tree(&mut self, topo: &Topology, dst: NodeId) -> &DestTree {
-        self.trees
-            .entry(dst)
-            .or_insert_with(|| dijkstra_to(topo, dst))
+        self.core.as_ref().map_or(0, |c| c.trees.len())
     }
 }
 
@@ -158,40 +407,6 @@ impl Default for Router {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Dijkstra rooted at `dst`: because every link is materialized in both
-/// directions with equal delay, relaxing over *outgoing* links from `dst`
-/// yields distances valid in both directions; the next hop at node `v` is
-/// the reverse half-link of the tree edge that relaxed `v`.
-fn dijkstra_to(topo: &Topology, dst: NodeId) -> DestTree {
-    let n = topo.num_nodes();
-    let mut dist_us = vec![u64::MAX; n];
-    let mut next_hop: Vec<Option<LinkId>> = vec![None; n];
-    let mut heap: BinaryHeap<(std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
-    dist_us[dst.index()] = 0;
-    heap.push((std::cmp::Reverse(0), dst.0));
-
-    while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
-        let u = NodeId(u);
-        if d > dist_us[u.index()] {
-            continue;
-        }
-        for &lid in topo.outgoing(u) {
-            let link = topo.link(lid);
-            let v = link.to;
-            let nd = d + link.delay.as_micros();
-            if nd < dist_us[v.index()] {
-                dist_us[v.index()] = nd;
-                // The next hop from v toward dst is the reverse of `lid`:
-                // the half-link from v to u — O(1) by layout invariant.
-                next_hop[v.index()] = Some(topo.reverse(lid));
-                heap.push((std::cmp::Reverse(nd), v.0));
-            }
-        }
-    }
-
-    DestTree { next_hop, dist_us }
 }
 
 /// Minimum propagation delay over every directed link — the conservative
@@ -351,16 +566,20 @@ mod tests {
 
     #[test]
     fn cache_grows_lazily_and_invalidates() {
-        let t = canned::star(4, LinkSpec::lan());
+        let t = canned::dumbbell(2, LinkSpec::lan(), LinkSpec::wan(Duration::from_millis(5)));
         let mut r = Router::new();
         assert_eq!(r.cached_destinations(), 0);
-        let hs = t.hosts().to_vec();
+        let hs = t.hosts().to_vec(); // two left, then two right
         r.dist(&t, hs[0], hs[1]);
-        assert_eq!(r.cached_destinations(), 1);
-        // Every leaf destination resolves to the same hub anchor — the
-        // cache must NOT grow per host.
+        assert_eq!(r.cached_destinations(), 0, "same gateway: no table");
         r.dist(&t, hs[0], hs[2]);
         assert_eq!(r.cached_destinations(), 1);
+        // Every leaf destination resolves to the same gateway anchor —
+        // the cache must NOT grow per host.
+        r.dist(&t, hs[0], hs[3]);
+        assert_eq!(r.cached_destinations(), 1);
+        r.dist(&t, hs[2], hs[0]);
+        assert_eq!(r.cached_destinations(), 2);
         r.invalidate();
         assert_eq!(r.cached_destinations(), 0);
     }

@@ -138,13 +138,19 @@ impl Topology {
         out
     }
 
+    /// One directed half of a physical link (`None` if there is no such
+    /// link). The builder pushes a cable's two halves back to back, so
+    /// cable `phys` is half-links `2·phys` and `2·phys + 1`.
+    pub fn phys_link(&self, phys: u32) -> Option<&Link> {
+        let half = self.links.get(2 * phys as usize)?;
+        debug_assert_eq!(half.phys, phys);
+        Some(half)
+    }
+
     /// Current `(delay, bandwidth)` of a physical link (both directed
     /// halves always agree).
     pub fn phys_link_props(&self, phys: u32) -> Option<(Duration, u64)> {
-        self.links
-            .iter()
-            .find(|l| l.phys == phys)
-            .map(|l| (l.delay, l.bandwidth_bps))
+        self.phys_link(phys).map(|l| (l.delay, l.bandwidth_bps))
     }
 
     /// Mutate a physical link's properties at runtime (both directed
@@ -157,7 +163,9 @@ impl Topology {
         bandwidth_bps: Option<u64>,
         delay: Option<Duration>,
     ) {
-        for l in self.links.iter_mut().filter(|l| l.phys == phys) {
+        let first = 2 * phys as usize;
+        for l in self.links.iter_mut().skip(first).take(2) {
+            debug_assert_eq!(l.phys, phys);
             if let Some(bw) = bandwidth_bps {
                 assert!(bw > 0, "zero-bandwidth link");
                 l.bandwidth_bps = bw;
@@ -447,87 +455,6 @@ pub fn inet(params: &InetParams, rng: &mut SimRng) -> Topology {
     b.build()
 }
 
-/// Parameters for the GT-ITM-style transit-stub generator.
-#[derive(Clone, Debug)]
-pub struct TransitStubParams {
-    pub transit_domains: usize,
-    pub routers_per_transit: usize,
-    pub stubs_per_transit_router: usize,
-    pub routers_per_stub: usize,
-    pub hosts_per_stub: usize,
-}
-
-impl Default for TransitStubParams {
-    fn default() -> Self {
-        TransitStubParams {
-            transit_domains: 2,
-            routers_per_transit: 4,
-            stubs_per_transit_router: 2,
-            routers_per_stub: 3,
-            hosts_per_stub: 2,
-        }
-    }
-}
-
-/// Generate a transit-stub topology: a ring of transit domains, each
-/// transit router sponsoring several stub domains; hosts live in stubs.
-pub fn transit_stub(p: &TransitStubParams, rng: &mut SimRng) -> Topology {
-    let mut b = TopologyBuilder::new();
-    let mut transit_routers: Vec<Vec<NodeId>> = Vec::new();
-
-    for _ in 0..p.transit_domains {
-        let rs: Vec<NodeId> = (0..p.routers_per_transit).map(|_| b.add_router()).collect();
-        // Intra-transit: ring + one chord for redundancy.
-        for i in 0..rs.len() {
-            let j = (i + 1) % rs.len();
-            if rs.len() > 1 && i < j {
-                b.add_link(rs[i], rs[j], LinkSpec::wan(Duration::from_millis(5)));
-            }
-        }
-        if rs.len() > 3 {
-            b.add_link(
-                rs[0],
-                rs[rs.len() / 2],
-                LinkSpec::wan(Duration::from_millis(5)),
-            );
-        }
-        transit_routers.push(rs);
-    }
-    // Inter-transit ring.
-    for d in 0..transit_routers.len() {
-        let e = (d + 1) % transit_routers.len();
-        if transit_routers.len() > 1 && d < e {
-            let a = transit_routers[d][0];
-            let c = transit_routers[e][0];
-            let delay = Duration::from_millis(20 + rng.gen_range(30));
-            b.add_link(a, c, LinkSpec::wan(delay));
-        }
-    }
-
-    for domain in &transit_routers {
-        for &tr in domain {
-            for _ in 0..p.stubs_per_transit_router {
-                let stub: Vec<NodeId> = (0..p.routers_per_stub).map(|_| b.add_router()).collect();
-                // Stub is a line; gateway is stub[0].
-                for w in stub.windows(2) {
-                    b.add_link(w[0], w[1], LinkSpec::lan());
-                }
-                b.add_link(
-                    stub[0],
-                    tr,
-                    LinkSpec::wan(Duration::from_millis(2 + rng.gen_range(8))),
-                );
-                for i in 0..p.hosts_per_stub {
-                    let h = b.add_host();
-                    let attach = stub[i % stub.len()];
-                    b.add_link(h, attach, LinkSpec::access(5_000_000));
-                }
-            }
-        }
-    }
-    b.build()
-}
-
 /// Canned topologies for tests and examples.
 pub mod canned {
     use super::*;
@@ -809,21 +736,6 @@ mod tests {
         assert!(max >= media_floor(median), "max={max} median={median}");
         fn media_floor(m: usize) -> usize {
             m * 4
-        }
-    }
-
-    #[test]
-    fn transit_stub_shape() {
-        let mut rng = SimRng::new(5);
-        let p = TransitStubParams::default();
-        let t = transit_stub(&p, &mut rng);
-        let expected_hosts = p.transit_domains
-            * p.routers_per_transit
-            * p.stubs_per_transit_router
-            * p.hosts_per_stub;
-        assert_eq!(t.hosts().len(), expected_hosts);
-        for i in 0..t.num_nodes() {
-            assert!(t.degree(NodeId(i as u32)) >= 1);
         }
     }
 

@@ -2,11 +2,13 @@
 
 use macedon_net::fault::Faults;
 use macedon_net::pipeline::{serialization_time, Reservations};
-use macedon_net::topology::{inet, InetParams};
-use macedon_net::{Network, NetworkConfig, NodeId, Packet, Router, Sink};
+use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
+use macedon_net::{
+    LinkId, Network, NetworkConfig, NodeId, Packet, Router, Sink, Topology, TopologyBuilder,
+};
 use macedon_sim::{Duration, Scheduler, SimRng, Time};
 use proptest::prelude::*;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 /// The link-reservation search as it was before it was indexed: prune,
 /// then walk *every* held slot from the front. Kept here as the
@@ -29,6 +31,296 @@ fn reserve_linear(resv: &mut VecDeque<(Time, Time)>, now: Time, t: Time, ser: Du
     }
     resv.insert(at, (start, start + ser));
     start
+}
+
+/// The routing tables as they were before they were compacted: one
+/// dense Dijkstra tree over *every* node per anchor, distances stored.
+/// Kept here as the reference [`Router`] must agree with — next hops,
+/// equal-cost ties included, and distances.
+struct DenseTree {
+    next_hop: Vec<Option<LinkId>>,
+    dist_us: Vec<u64>,
+}
+
+/// `order` maps a node id to its rank among equal distances (the node
+/// with the larger rank settles first) and back; the reference is the
+/// identity, i.e. descending node id.
+fn dijkstra_to(topo: &Topology, dst: NodeId, order: fn(u32) -> u32) -> DenseTree {
+    let n = topo.num_nodes();
+    let mut dist_us = vec![u64::MAX; n];
+    let mut next_hop: Vec<Option<LinkId>> = vec![None; n];
+    let mut heap: BinaryHeap<(std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
+    dist_us[dst.index()] = 0;
+    heap.push((std::cmp::Reverse(0), order(dst.0)));
+
+    while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
+        let u = NodeId(order(u));
+        if d > dist_us[u.index()] {
+            continue;
+        }
+        for &lid in topo.outgoing(u) {
+            let link = topo.link(lid);
+            let v = link.to;
+            let nd = d + link.delay.as_micros();
+            if nd < dist_us[v.index()] {
+                dist_us[v.index()] = nd;
+                // The next hop from v toward dst is the reverse of `lid`:
+                // the half-link from v to u — O(1) by layout invariant.
+                next_hop[v.index()] = Some(topo.reverse(lid));
+                heap.push((std::cmp::Reverse(nd), order(v.0)));
+            }
+        }
+    }
+
+    DenseTree { next_hop, dist_us }
+}
+
+/// The old `Router`'s lookups over [`DenseTree`]s (reachability came
+/// from a component labelling; an infinite distance says the same).
+struct DenseRouter<'t> {
+    topo: &'t Topology,
+    order: fn(u32) -> u32,
+    trees: HashMap<NodeId, DenseTree>,
+}
+
+impl<'t> DenseRouter<'t> {
+    fn new(topo: &'t Topology, order: fn(u32) -> u32) -> DenseRouter<'t> {
+        DenseRouter {
+            topo,
+            order,
+            trees: HashMap::new(),
+        }
+    }
+
+    fn anchor(&self, dst: NodeId) -> Option<(NodeId, Option<LinkId>, u64)> {
+        match *self.topo.outgoing(dst) {
+            [up] => {
+                let l = self.topo.link(up);
+                Some((l.to, Some(self.topo.reverse(up)), l.delay.as_micros()))
+            }
+            [] => None,
+            _ => Some((dst, None, 0)),
+        }
+    }
+
+    fn tree(&mut self, dst: NodeId) -> &DenseTree {
+        let (topo, order) = (self.topo, self.order);
+        self.trees
+            .entry(dst)
+            .or_insert_with(|| dijkstra_to(topo, dst, order))
+    }
+
+    fn next_hop(&mut self, at: NodeId, dst: NodeId) -> Option<LinkId> {
+        if at == dst || self.dist(at, dst).is_none() {
+            return None;
+        }
+        if self.topo.is_host(at) {
+            if let [only] = *self.topo.outgoing(at) {
+                return Some(only);
+            }
+        }
+        let (anchor, last_hop, _) = self.anchor(dst)?;
+        if at == anchor {
+            return last_hop;
+        }
+        self.tree(anchor).next_hop[at.index()]
+    }
+
+    fn dist(&mut self, src: NodeId, dst: NodeId) -> Option<Duration> {
+        if src == dst {
+            return Some(Duration::ZERO);
+        }
+        let (anchor, _, tail_us) = self.anchor(dst)?;
+        if src == anchor {
+            return Some(Duration::from_micros(tail_us));
+        }
+        let d = self.tree(anchor).dist_us[src.index()];
+        if d == u64::MAX {
+            None
+        } else {
+            Some(Duration::from_micros(d + tail_us))
+        }
+    }
+}
+
+/// HEAD's settle order among equal distances: descending node id.
+fn descending(id: u32) -> u32 {
+    id
+}
+
+/// A deliberately wrong one: ascending node id.
+fn ascending(id: u32) -> u32 {
+    !id
+}
+
+/// The first `(at, dst)` — over *every* ordered pair of nodes: core
+/// nodes toward every anchor, hosts, leaves, isolated nodes — where a
+/// fresh [`Router`] and the dense reference settling ties by `order`
+/// disagree on the next hop or the distance.
+fn first_disagreement(topo: &Topology, order: fn(u32) -> u32) -> Option<String> {
+    let mut router = Router::new();
+    let mut dense = DenseRouter::new(topo, order);
+    let nodes = || (0..topo.num_nodes() as u32).map(NodeId);
+    for dst in nodes() {
+        for at in nodes() {
+            let (hop, want_hop) = (router.next_hop(topo, at, dst), dense.next_hop(at, dst));
+            if hop != want_hop {
+                return Some(format!(
+                    "next_hop({at:?}, {dst:?}) = {hop:?}, reference {want_hop:?}"
+                ));
+            }
+            let (d, want_d) = (router.dist(topo, at, dst), dense.dist(at, dst));
+            if d != want_d {
+                return Some(format!(
+                    "dist({at:?}, {dst:?}) = {d:?}, reference {want_d:?}"
+                ));
+            }
+        }
+    }
+    None
+}
+
+/// A random multigraph built to hit every special case of the core
+/// index at once: hosts and routers of any degree (isolated, degree-1
+/// routers, hosts that are interior hops), parallel cables, several
+/// components, and delays drawn from {0, 1, 2} ms so that zero-delay
+/// links and equal-cost paths are everywhere.
+fn tangle(rng: &mut SimRng) -> Topology {
+    let mut b = TopologyBuilder::new();
+    let n = 2 + rng.gen_range(14) as usize;
+    let nodes: Vec<NodeId> = (0..n)
+        .map(|_| match rng.gen_range(3) {
+            0 => b.add_host(),
+            _ => b.add_router(),
+        })
+        .collect();
+    for _ in 0..rng.gen_range(2 * n as u64 + 1) {
+        let (x, y) = (*rng.choose(&nodes), *rng.choose(&nodes));
+        if x != y {
+            let spec = LinkSpec::wan(Duration::from_millis(rng.gen_range(3)));
+            b.add_link(x, y, spec);
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn compact_tables_match_the_dense_reference_on_canned_shapes() {
+    let lan = LinkSpec::lan();
+    // Equal delays throughout: every choice below is a tie.
+    for (name, topo) in [
+        (
+            "full mesh (hosts are core nodes)",
+            canned::full_mesh(5, lan),
+        ),
+        ("grid", canned::grid(4, 3, lan)),
+        ("ring", canned::ring(6, lan)),
+        ("star", canned::star(4, lan)),
+        ("line", canned::line(3, lan)),
+        ("empty", TopologyBuilder::new().build()),
+    ] {
+        assert_eq!(first_disagreement(&topo, descending), None, "{name}");
+    }
+    // Two components, one of them two leaves on one cable; parallel
+    // cables; a degree-1 router; a zero-delay cable.
+    let mut b = TopologyBuilder::new();
+    let (h0, h1, h2, h3) = (b.add_host(), b.add_host(), b.add_host(), b.add_host());
+    let (r0, r1, r2, stub) = (
+        b.add_router(),
+        b.add_router(),
+        b.add_router(),
+        b.add_router(),
+    );
+    b.add_link(h0, r0, lan);
+    b.add_link(r0, r1, lan);
+    b.add_link(r1, r0, lan);
+    b.add_link(r1, r2, LinkSpec::wan(Duration::ZERO));
+    b.add_link(r2, r0, lan);
+    b.add_link(r2, h1, lan);
+    b.add_link(stub, r1, lan);
+    b.add_link(h2, h3, lan);
+    assert_eq!(first_disagreement(&b.build(), descending), None);
+}
+
+/// The property has teeth: settle equal distances in ascending instead
+/// of descending node-id order and it fails.
+#[test]
+fn a_wrong_tie_break_is_caught() {
+    let grid = canned::grid(4, 3, LinkSpec::lan());
+    assert_eq!(first_disagreement(&grid, descending), None);
+    assert!(first_disagreement(&grid, ascending).is_some());
+    let topo = inet(&InetParams::test_scale(10), &mut SimRng::new(2004));
+    assert_eq!(first_disagreement(&topo, descending), None);
+    assert!(first_disagreement(&topo, ascending).is_some());
+}
+
+/// Queue keys hold 32 bits of microseconds. A longer path is neither
+/// wrapped into a short one nor allowed to corrupt the order: it is
+/// unreachable, and everything nearer is exact.
+#[test]
+fn path_sums_past_the_key_width_are_unreachable_not_wrapped() {
+    let half_hour = LinkSpec::wan(Duration::from_secs(30 * 60)); // 1.8e9 µs
+    let topo = canned::line(4, half_hour); // a - r0 - r1 - r2 - r3 - z
+    let (a, z) = (topo.hosts()[0], topo.hosts()[1]);
+    let r = |i: u32| NodeId(i);
+    let mut router = Router::new();
+    let mut dense = DenseRouter::new(&topo, descending);
+    // Two core links fit (3.6e9 < 2^32), three do not (5.4e9).
+    for (at, dst) in [(r(0), r(2)), (r(1), r(3)), (a, r(1)), (a, r(2)), (r(1), z)] {
+        assert_eq!(router.dist(&topo, at, dst), dense.dist(at, dst));
+        assert_eq!(router.next_hop(&topo, at, dst), dense.next_hop(at, dst));
+    }
+    for (at, dst) in [(r(0), r(3)), (r(3), r(0)), (a, z), (r(0), z)] {
+        assert!(dense.dist(at, dst).unwrap() > Duration::from_micros(u32::MAX as u64));
+        assert_eq!(router.dist(&topo, at, dst), None, "{at:?} -> {dst:?}");
+        assert_eq!(router.path(&topo, at, dst), None);
+    }
+    // One link wider than the key on a triangle: routed around, exactly.
+    let mut b = TopologyBuilder::new();
+    let (x, y, w) = (b.add_router(), b.add_router(), b.add_router());
+    b.add_link(x, y, LinkSpec::wan(Duration::from_secs(2 * 60 * 60)));
+    b.add_link(y, w, LinkSpec::lan());
+    b.add_link(w, x, LinkSpec::lan());
+    assert_eq!(first_disagreement(&b.build(), descending), None);
+}
+
+/// The benchmark's own graph, every table a 300-client run builds:
+/// all ~6 M `(core node, anchor)` next hops against the dense reference.
+/// Seconds in release, minutes unoptimised — CI runs it with
+/// `cargo test --release -p macedon-net -- --ignored`.
+#[test]
+#[ignore = "full scale: run in release"]
+fn full_scale_inet_tables_are_identical_to_the_dense_reference() {
+    let params = InetParams {
+        routers: 20_000,
+        clients: 300,
+        ..Default::default()
+    };
+    let topo = inet(&params, &mut SimRng::new(2004));
+    let mut router = Router::new();
+    let mut checked = 0u64;
+    let mut anchors = HashSet::new();
+    for &host in topo.hosts() {
+        let anchor = topo.link(topo.outgoing(host)[0]).to;
+        if !anchors.insert(anchor) {
+            continue;
+        }
+        let dense = dijkstra_to(&topo, anchor, descending);
+        for at in (0..topo.num_nodes() as u32).map(NodeId) {
+            if at != anchor && topo.degree(at) >= 2 {
+                assert_eq!(
+                    router.next_hop(&topo, at, anchor),
+                    dense.next_hop[at.index()],
+                    "{at:?} -> {anchor:?}"
+                );
+                checked += 1;
+            }
+        }
+        let d = router.dist(&topo, topo.hosts()[0], anchor).unwrap();
+        assert_eq!(d.as_micros(), dense.dist_us[topo.hosts()[0].index()]);
+    }
+    assert_eq!(router.cached_destinations(), anchors.len());
+    assert!(checked > 5_900_000, "{checked} pairs");
 }
 
 proptest! {
@@ -73,6 +365,26 @@ proptest! {
         let path = r.path(&topo, a, b).unwrap();
         let sum: u64 = path.iter().map(|&l| topo.link(l).delay.as_micros()).sum();
         prop_assert_eq!(sum, total.as_micros());
+    }
+
+    /// The compact core-only tables agree with the dense all-nodes
+    /// Dijkstra they replaced on every next hop and every distance, over
+    /// INET graphs whose whole-millisecond delays make equal-cost paths
+    /// the norm.
+    #[test]
+    fn compact_tables_match_the_dense_reference_on_inet(seed in any::<u64>()) {
+        let mut rng = SimRng::new(seed);
+        let topo = inet(&InetParams { routers: 40, clients: 6, ..Default::default() }, &mut rng);
+        prop_assert_eq!(first_disagreement(&topo, descending), None);
+    }
+
+    /// …and over random multigraphs: parallel cables, several
+    /// components, isolated nodes, degree-1 routers, hosts that are
+    /// interior hops, zero-delay links.
+    #[test]
+    fn compact_tables_match_the_dense_reference_on_tangles(seed in any::<u64>()) {
+        let topo = tangle(&mut SimRng::new(seed));
+        prop_assert_eq!(first_disagreement(&topo, descending), None);
     }
 
     /// Every injected packet is either delivered or dropped — none lost
