@@ -12,8 +12,9 @@
 //!
 //! 2. **Scaling curve** — one seeded run of the `bench-scale` scenario
 //!    (staggered full-population join, random-route stream, crash wave)
-//!    at 1k/10k/100k nodes, reporting events fired, events/sec, and
-//!    wall time. The stream is `route`-shaped so deliveries stay O(1)
+//!    at 1k/10k/100k nodes, reporting events fired, events/sec, wall
+//!    time and the process's peak resident set (`VmHWM`, reset before
+//!    each point). The stream is `route`-shaped so deliveries stay O(1)
 //!    in node count and the curve isolates scheduler cost. The 10k run
 //!    must finish under a generous wall-time ceiling (60 s) — a
 //!    regression tripwire, not a tight bound.
@@ -69,6 +70,22 @@ fn arg_value(name: &str) -> Option<String> {
     None
 }
 
+/// Restart the kernel's resident-set high-water mark at the current
+/// resident set, so the next [`peak_rss_mb`] is this curve point's own.
+/// Where the kernel refuses, the mark stays the process's, which is
+/// still the point's while sizes ascend.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// `VmHWM` in MiB; `None` off Linux.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn main() {
     let sizes: Vec<usize> = arg_value("--sizes")
         .map(|v| {
@@ -118,13 +135,15 @@ fn main() {
     let mut curve = Vec::new();
     let mut eps_by_nodes: Vec<(usize, f64)> = Vec::new();
     for &n in &sizes {
+        reset_peak_rss();
         let start = Instant::now();
         let s = scenario_scale_run(n);
         let secs = start.elapsed().as_secs_f64();
         let eps = s.events as f64 / secs;
+        let rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
         println!(
             "scale: {n} nodes, {} events, {} delivered, {} alive, \
-             {secs:.2} s wall, {eps:.0} events/sec",
+             {secs:.2} s wall, {eps:.0} events/sec, peak RSS {rss} MiB",
             s.events, s.delivered, s.alive
         );
         assert!(s.delivered > 0, "{n}-node scale run must deliver traffic");
@@ -137,7 +156,8 @@ fn main() {
         eps_by_nodes.push((n, eps));
         curve.push(format!(
             "    {{ \"nodes\": {n}, \"events\": {}, \"delivered\": {}, \"alive\": {}, \
-             \"wall_secs\": {secs:.2}, \"events_per_sec\": {eps:.0} }}",
+             \"wall_secs\": {secs:.2}, \"events_per_sec\": {eps:.0}, \
+             \"peak_rss_mb\": {rss} }}",
             s.events, s.delivered, s.alive
         ));
     }
@@ -209,10 +229,7 @@ fn main() {
          \"baseline_events_per_delivered\": {BASELINE_EVENTS_PER_DELIVERED}, \
          \"reduction\": {reduction:.2}, \"wall_ms\": {wall_ms:.0},\n    \
          \"breakdown\": {{ \"net\": {}, \"conn_timer\": {}, \"agent_timer\": {}, \
-         \"fd_tick\": {}, \"control\": {} }},\n    \
-         \"dip_note\": \"100k dip was six global FxHashMap node-state tables \
-         falling out of cache; dense per-shard Vec node state removed the hash \
-         walks (seed ratio 0.61)\"\n  }},\n  \"curve\": [\n{}\n  ],\n  \
+         \"fd_tick\": {}, \"control\": {} }}\n  }},\n  \"curve\": [\n{}\n  ],\n  \
          \"eps_ratio_100k_over_10k\": {dip_json},\n  \"threads\": [\n{}\n  ],\n  \
          \"parallel_gate\": {{ \"armed\": {gate_armed}, \"cores\": {cores}, \
          \"required_speedup_at_8\": {REQUIRED_SPEEDUP_8W} }}\n}}\n",

@@ -1156,27 +1156,31 @@ impl World {
         self.shards.iter().map(|s| s.net.total_drops()).sum()
     }
 
+    /// The state of `node`, if it is spawned. These accessors take ids
+    /// from outside the engine, so one beyond the topology is `None`,
+    /// not an index panic.
+    fn ns(&self, node: NodeId) -> Option<&NodeState> {
+        let sid = self.smap.checked_shard_of(node)?;
+        self.shards[sid as usize].ns(node)
+    }
+
     pub fn stack(&self, node: NodeId) -> Option<&Stack> {
-        self.shards[self.smap.shard_of(node) as usize]
-            .ns(node)
-            .map(|ns| &ns.stack)
+        self.ns(node).map(|ns| &ns.stack)
     }
 
     pub fn stack_mut(&mut self, node: NodeId) -> Option<&mut Stack> {
-        let sid = self.smap.shard_of(node) as usize;
-        self.shards[sid].ns_mut(node).map(|ns| &mut ns.stack)
+        let sid = self.smap.checked_shard_of(node)?;
+        self.shards[sid as usize]
+            .ns_mut(node)
+            .map(|ns| &mut ns.stack)
     }
 
     pub fn endpoint(&self, node: NodeId) -> Option<&Endpoint> {
-        self.shards[self.smap.shard_of(node) as usize]
-            .ns(node)
-            .map(|ns| &ns.endpoint)
+        self.ns(node).map(|ns| &ns.endpoint)
     }
 
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.shards[self.smap.shard_of(node) as usize]
-            .ns(node)
-            .is_some_and(|ns| ns.alive)
+        self.ns(node).is_some_and(|ns| ns.alive)
     }
 
     pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -1538,6 +1542,28 @@ mod tests {
             .unwrap();
         assert_eq!(pb.pings, 1);
         assert_eq!(pa.pongs, 1);
+    }
+
+    #[test]
+    fn lookups_beyond_the_topology_are_absent_not_a_panic() {
+        for shards in [1, 2] {
+            let topo = canned::two_hosts(LinkSpec::lan());
+            let (a, past_end) = (topo.hosts()[0], NodeId(topo.num_nodes() as u32));
+            let cfg = WorldConfig {
+                shards,
+                ..WorldConfig::default()
+            };
+            let mut w = World::new(topo, cfg);
+            w.spawn_at(Time::ZERO, a, vec![pp(None)], Box::new(NullApp));
+            w.run_until(Time::from_secs(1));
+            assert!(w.is_alive(a) && w.stack(a).is_some() && w.endpoint(a).is_some());
+            for n in [past_end, NodeId(u32::MAX)] {
+                assert!(w.stack(n).is_none());
+                assert!(w.stack_mut(n).is_none());
+                assert!(w.endpoint(n).is_none());
+                assert!(!w.is_alive(n));
+            }
+        }
     }
 
     #[test]

@@ -154,12 +154,13 @@ impl Default for NetworkConfig {
     }
 }
 
-/// One directed half-link's serialization calendar: the future
-/// `(start, end)` slots packets have reserved on it.
+/// One directed half-link's serialization calendar: the `(start, end)`
+/// slots packets have reserved on it that have not ended yet.
 ///
 /// Invariants, kept by [`Reservations::reserve`] and relied on by it:
 /// slots are **sorted by start and disjoint** (`end[i] <= start[i + 1]`),
-/// hence also sorted by end.
+/// hence also sorted by end; after a `reserve(now, ..)` no held slot has
+/// `end <= now`.
 ///
 /// Links are charged in *send* order, so a packet can be charged after
 /// one that reaches the link later; placing each packet in the earliest
@@ -173,30 +174,32 @@ pub struct Reservations {
 }
 
 impl Reservations {
-    /// Expired slots are pruned only beyond this depth. The engine
-    /// charges links in monotone `now` order, where an expired slot can
-    /// never matter again and pruning is exact at any depth; callers that
-    /// batch `send`s out of order (tests, drills) stay exact as long as a
-    /// link holds fewer than this many slots.
-    pub const PRUNE_KEEP: usize = 256;
-
     /// Reserve `ser` of serialization time at or after `t`, in the
     /// earliest gap that fits. Returns the reserved start time and the
     /// slot's index (for [`Reservations::cancel`]). The wait `start - t`
     /// is the packet's queueing delay: everything serializing between its
     /// arrival and its own slot is ahead of it in the queue.
     ///
-    /// The gap search starts at the first slot ending after `t`, found by
-    /// bisection: a slot ending at or before `t` can neither host the new
-    /// one nor push `start` past `t`, and by the ordering invariant every
-    /// such slot precedes every other. The kept-but-expired prefix is
-    /// therefore never walked.
+    /// **Contract:** `now` never decreases from one call to the next and
+    /// `t >= now` ([`Network`] asserts the first in debug builds; the
+    /// second is how a walk works — a packet reaches a link no earlier
+    /// than it was sent). Under it a slot with `end <= now` can neither
+    /// host a later reservation nor push its `start` past `t`, so every
+    /// such slot is dropped first and the result is exactly what a
+    /// calendar that never forgets would give.
+    ///
+    /// A link whose last slot ends at or before `t` is idle when the
+    /// packet arrives: by the ordering invariant every other slot ends
+    /// earlier still, so the slot goes at the back and starts at `t`.
+    /// Otherwise the gap search starts at the first slot ending after
+    /// `t`, found by bisection over what is live.
     pub fn reserve(&mut self, now: Time, t: Time, ser: Duration) -> (Time, usize) {
-        while self.slots.len() > Self::PRUNE_KEEP {
-            match self.slots.front() {
-                Some(&(_, end)) if end <= now => self.slots.pop_front(),
-                _ => break,
-            };
+        while self.slots.front().is_some_and(|&(_, end)| end <= now) {
+            self.slots.pop_front();
+        }
+        if self.slots.back().map_or(true, |&(_, end)| end <= t) {
+            self.slots.push_back((t, t + ser));
+            return (t, self.slots.len() - 1);
         }
         let mut start = t;
         let mut at = self.slots.partition_point(|&(_, e)| e <= t);
@@ -294,6 +297,10 @@ pub struct Network<P> {
     /// Packets dropped anywhere, for any reason (link counters only see
     /// link-attributable drops; partitions and dead nodes land here too).
     dropped: u64,
+    /// The latest `now` a route walk charged links at. Walks must come
+    /// in non-decreasing `now` order — what makes dropping expired
+    /// reservations exact — and `transit` asserts it in debug builds.
+    clock: Time,
 }
 
 impl<P> Network<P> {
@@ -310,6 +317,7 @@ impl<P> Network<P> {
             min_delay: None,
             arena: PacketArena::default(),
             dropped: 0,
+            clock: Time::ZERO,
         }
     }
 
@@ -466,8 +474,10 @@ impl<P> Network<P> {
     }
 
     /// Resume a route walk suspended at this shard's boundary. `now` is
-    /// the barrier time (a safe monotone lower bound for reservation
-    /// pruning); the walk itself continues at `h.t`.
+    /// the shard's clock at the barrier (its scheduler's `now()`): no
+    /// earlier than any walk this replica has charged, no later than its
+    /// next event or than `h.t`, so the charging clock stays monotone.
+    /// The walk itself continues at `h.t`.
     pub fn resume(&mut self, now: Time, h: Handoff<P>, out: &mut Sink<P>) {
         let done = h.at_node == h.pkt.dst;
         let pkt = self.arena.alloc(h.pkt);
@@ -544,6 +554,11 @@ impl<P> Network<P> {
     /// [`Handoff`] instead — no fault checks are performed for the
     /// foreign portion here; the owning shard runs exactly the checks
     /// the sequential walk would, in `resume`.
+    ///
+    /// `now` is the charging clock and must not decrease from one walk
+    /// to the next on this `Network` (see [`Reservations::reserve`]);
+    /// the engine's event loop and barriers guarantee it, and a caller
+    /// that batches sends must batch them in time order.
     #[allow(clippy::too_many_arguments)]
     fn transit(
         &mut self,
@@ -557,6 +572,16 @@ impl<P> Network<P> {
         loss_p: f64,
         out: &mut Sink<P>,
     ) {
+        debug_assert!(
+            self.clock <= now,
+            "charging clock ran backwards: walk at {now:?} after one at {:?}",
+            self.clock
+        );
+        debug_assert!(
+            now <= start_t,
+            "walk continues at {start_t:?}, before it is charged at {now:?}"
+        );
+        self.clock = now;
         let (dst, wire) = {
             let p = self.arena.get(pkt);
             (p.dst, p.wire_size())
@@ -1044,6 +1069,21 @@ mod tests {
         assert_eq!(serialization_time(1, 8_000_000), Duration::from_micros(1));
     }
 
+    /// Dropping expired reservations is exact only while the charging
+    /// clock is monotone; a caller that breaks that is stopped in debug
+    /// builds instead of getting quietly different queueing.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "charging clock ran backwards")]
+    fn a_send_before_the_previous_one_is_refused() {
+        let t = canned::two_hosts(LinkSpec::lan());
+        let (a, b) = (t.hosts()[0], t.hosts()[1]);
+        let mut net: Network<u32> = Network::new(t, NetworkConfig::default());
+        let mut out = Sink::new();
+        net.send(Time::from_millis(20), Packet::new(a, b, 1000, 0), &mut out);
+        net.send(Time::from_millis(19), Packet::new(a, b, 1000, 1), &mut out);
+    }
+
     #[test]
     fn congestion_on_dumbbell_bottleneck() {
         // Many flows share a 1 Mbps bottleneck: aggregate goodput must be
@@ -1058,10 +1098,11 @@ mod tests {
         let mut sched = Scheduler::new();
         let mut out = Sink::new();
         // Left hosts 0..4, right hosts 4..8. Each left host sends 50 pkts
-        // of 1000 B over one virtual second.
+        // of 1000 B over one virtual second, all four at each instant in
+        // turn: the charging clock never runs backwards.
         let mut sent = 0;
-        for i in 0..4usize {
-            for k in 0..50u64 {
+        for k in 0..50u64 {
+            for i in 0..4usize {
                 net.send(
                     Time::from_millis(k * 20),
                     Packet::new(hosts[i], hosts[4 + i], 1000, sent),

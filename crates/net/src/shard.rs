@@ -70,6 +70,12 @@ impl ShardMap {
         self.of_node[n.index()]
     }
 
+    /// [`ShardMap::shard_of`] for an id that may name no node of the
+    /// topology (a lookup from outside the engine): `None` beyond it.
+    pub fn checked_shard_of(&self, n: NodeId) -> Option<u16> {
+        self.of_node.get(n.index()).copied()
+    }
+
     /// The shard whose link-state replica charges this directed
     /// half-link.
     ///

@@ -8,18 +8,13 @@ use macedon_net::{
 };
 use macedon_sim::{Duration, Scheduler, SimRng, Time};
 use proptest::prelude::*;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
-/// The link-reservation search as it was before it was indexed: prune,
-/// then walk *every* held slot from the front. Kept here as the
-/// reference [`Reservations::reserve`] must agree with bit for bit.
-fn reserve_linear(resv: &mut VecDeque<(Time, Time)>, now: Time, t: Time, ser: Duration) -> Time {
-    while resv.len() > Reservations::PRUNE_KEEP {
-        match resv.front() {
-            Some(&(_, end)) if end <= now => resv.pop_front(),
-            _ => break,
-        };
-    }
+/// The link calendar that never forgets: no slot is ever dropped, and
+/// every held slot is walked from the front. Kept here as the reference
+/// [`Reservations::reserve`] must agree with bit for bit — it proves
+/// that dropping expired slots changes no answer.
+fn reserve_linear(resv: &mut Vec<(Time, Time)>, t: Time, ser: Duration) -> Time {
     let mut start = t;
     let mut at = resv.len();
     for (i, &(s, e)) in resv.iter().enumerate() {
@@ -422,31 +417,31 @@ proptest! {
         prop_assert_eq!(out.delivered.len() + out.dropped.len(), n);
     }
 
-    /// The indexed reservation search returns the same start and leaves
-    /// the same calendar as the linear scan it replaced, whatever the
-    /// charge order: monotone traffic deep past `PRUNE_KEEP`, batches
-    /// charged out of arrival order, zero-length slots, and drop-tail
-    /// undo of the slot just placed.
+    /// The live-only calendar returns the same start as one that never
+    /// drops a slot, and holds exactly that one's unexpired suffix, under
+    /// the engine's charge pattern: `now` only moves forward while
+    /// arrivals scatter up to 20 ms ahead of it (links are charged in
+    /// send order), with zero-length slots and drop-tail undo of the slot
+    /// just placed.
     #[test]
     fn indexed_reserve_matches_linear_scan(
         seed in any::<u64>(),
-        out_of_order in any::<bool>(),
+        scatter in any::<bool>(),
         zero_ser in any::<bool>(),
         ops in 1usize..700,
     ) {
         let mut rng = SimRng::new(seed);
         let mut fast = Reservations::default();
-        let mut slow: VecDeque<(Time, Time)> = VecDeque::new();
+        let mut slow: Vec<(Time, Time)> = Vec::new();
         let mut now = Time::ZERO;
         // Drop-tail stand-in: a wait above this is "queue full".
         let max_wait = Duration::from_micros(4_000);
         for _ in 0..ops {
-            // `now` only moves forward, as in the engine; a batch keeps
-            // it still while arrivals scatter ahead of it.
-            if !out_of_order || rng.gen_range(8) == 0 {
+            // A batch keeps `now` still while arrivals scatter ahead.
+            if !scatter || rng.gen_range(8) == 0 {
                 now += Duration::from_micros(rng.gen_range(3_000));
             }
-            let t = if out_of_order {
+            let t = if scatter {
                 now + Duration::from_micros(rng.gen_range(20_000))
             } else {
                 now
@@ -456,18 +451,22 @@ proptest! {
                 _ => Duration::from_micros(1 + rng.gen_range(1_500)),
             };
             let (start, at) = fast.reserve(now, t, ser);
-            let expect = reserve_linear(&mut slow, now, t, ser);
+            let expect = reserve_linear(&mut slow, t, ser);
             prop_assert_eq!(start, expect);
             // The pipeline never reserves zero time, and a zero-length
-            // slot is the only kind that can repeat (the old undo removed
-            // every copy), so undo is driven with real slots only.
+            // slot is the only kind that can repeat, so undo is driven
+            // with real slots only.
             if ser > Duration::ZERO && start.saturating_since(t) > max_wait {
                 fast.cancel(at);
                 slow.retain(|&r| r != (start, start + ser));
             }
-            prop_assert!(fast.iter().eq(slow.iter().copied()), "calendars diverged");
+            // Held: every reference slot still running — and nothing
+            // else, bar a zero-length slot just placed at `now` itself.
+            let live = slow.iter().copied().filter(|&(_, e)| e > now);
+            prop_assert!(fast.iter().filter(|&(_, e)| e > now).eq(live), "calendars diverged");
+            prop_assert!(fast.iter().all(|r| r.1 > now || r == (now, now)), "expired slot kept");
         }
-        // The invariant the bisection rests on.
+        // The invariant the bisection and the idle path rest on.
         let held: Vec<(Time, Time)> = fast.iter().collect();
         prop_assert!(held.iter().all(|&(s, e)| s <= e));
         prop_assert!(held.windows(2).all(|w| w[0].1 <= w[1].0), "sorted and disjoint");

@@ -112,6 +112,11 @@ impl TransportSink {
     }
 }
 
+// Only ever lives behind the `Box` in `Endpoint::conns`, so the size
+// gap costs a `Udp` connection its allocation's slack, not every table
+// bucket; boxing the large variant too would put a second pointer hop on
+// every reliable segment.
+#[allow(clippy::large_enum_variant)]
 enum Conn {
     Reliable(ReliableConn),
     Udp(UdpConn),
@@ -121,7 +126,11 @@ enum Conn {
 pub struct Endpoint {
     node: NodeId,
     channels: Vec<ChannelSpec>,
-    conns: FxHashMap<(NodeId, ChannelId), Conn>,
+    /// Boxed: a connection is ~300 B, and a hash table pays for its
+    /// *empty* buckets too (and for both copies while it grows), so the
+    /// table holds a pointer per bucket and only live connections cost
+    /// their size.
+    conns: FxHashMap<(NodeId, ChannelId), Box<Conn>>,
     /// Reusable connection-output buffer (cleared between operations;
     /// kept for its capacity so the per-segment hot path never
     /// allocates).
@@ -245,7 +254,8 @@ impl Endpoint {
     pub fn on_timer(&mut self, now: Time, key: TimerKey, out: &mut TransportSink) {
         debug_assert_eq!(key.node, self.node);
         let mut co = std::mem::take(&mut self.scratch);
-        if let Some(Conn::Reliable(r)) = self.conns.get_mut(&(key.peer, key.channel)) {
+        let conn = self.conns.get_mut(&(key.peer, key.channel));
+        if let Some(Conn::Reliable(r)) = conn.map(Box::as_mut) {
             match key.kind {
                 TimerKind::Rto => r.on_rto(now, key.gen, &mut co),
                 TimerKind::DelayedAck => r.on_ack_timeout(&mut co),
@@ -260,7 +270,7 @@ impl Endpoint {
         let mut total = ConnStats::default();
         for ((_, c), conn) in &self.conns {
             if *c == ch {
-                if let Conn::Reliable(r) = conn {
+                if let Conn::Reliable(r) = &**conn {
                     let s = r.stats;
                     total.segments_sent += s.segments_sent;
                     total.retransmissions += s.retransmissions;
@@ -278,7 +288,7 @@ impl Endpoint {
     pub fn total_bytes_sent(&self) -> u64 {
         self.conns
             .values()
-            .map(|c| match c {
+            .map(|c| match &**c {
                 Conn::Reliable(r) => r.stats.bytes_sent,
                 Conn::Udp(_) => 0, // accounted at send time by callers
             })
@@ -290,12 +300,14 @@ impl Endpoint {
     }
 
     fn conn(&mut self, peer: NodeId, ch: ChannelId, kind: TransportKind) -> &mut Conn {
-        self.conns.entry((peer, ch)).or_insert_with(|| match kind {
-            TransportKind::Udp => Conn::Udp(UdpConn::new()),
-            TransportKind::Tcp => Conn::Reliable(ReliableConn::new(WindowPolicy::Tcp)),
-            TransportKind::Swp { window } => {
-                Conn::Reliable(ReliableConn::new(WindowPolicy::Swp { window }))
-            }
+        self.conns.entry((peer, ch)).or_insert_with(|| {
+            Box::new(match kind {
+                TransportKind::Udp => Conn::Udp(UdpConn::new()),
+                TransportKind::Tcp => Conn::Reliable(ReliableConn::new(WindowPolicy::Tcp)),
+                TransportKind::Swp { window } => {
+                    Conn::Reliable(ReliableConn::new(WindowPolicy::Swp { window }))
+                }
+            })
         })
     }
 
@@ -347,6 +359,20 @@ mod tests {
 
     fn ep(node: u32) -> Endpoint {
         Endpoint::new(NodeId(node), ChannelSpec::default_table())
+    }
+
+    /// The table's buckets hold pointers: inline connections would make
+    /// every empty bucket cost a connection's size again.
+    #[test]
+    fn connection_table_values_are_pointer_sized() {
+        fn value_size<K, V, S>(_: &std::collections::HashMap<K, V, S>) -> usize {
+            std::mem::size_of::<V>()
+        }
+        assert_eq!(
+            value_size(&ep(0).conns),
+            std::mem::size_of::<usize>(),
+            "Endpoint::conns stores connections inline"
+        );
     }
 
     #[test]

@@ -312,6 +312,16 @@ impl ReliableConn {
                 "interleaved message fragments"
             );
             self.partial.clear();
+            if sb.frags == 1 {
+                // Single-fragment message: the fragment *is* the whole
+                // message (a zero-copy slice of the sender's buffer) and
+                // never passes through `partial`, which a connection that
+                // only carries small messages therefore never allocates.
+                self.partial_msg = None;
+                self.stats.messages_delivered += 1;
+                out.delivered.push((sb.bytes, sb.span));
+                return;
+            }
             self.partial_msg = Some(sb.msg);
             self.partial_span = sb.span;
         }
@@ -319,19 +329,12 @@ impl ReliableConn {
         if self.partial.len() == sb.frags as usize {
             self.partial_msg = None;
             self.stats.messages_delivered += 1;
-            let msg = if self.partial.len() == 1 {
-                // Single-fragment message: the fragment *is* the whole
-                // message (a zero-copy slice of the sender's buffer).
-                self.partial.pop().expect("one fragment")
-            } else {
-                let total: usize = self.partial.iter().map(|b| b.len()).sum();
-                let mut buf = Vec::with_capacity(total);
-                for part in self.partial.drain(..) {
-                    buf.extend_from_slice(&part);
-                }
-                Bytes::from(buf)
-            };
-            out.delivered.push((msg, self.partial_span));
+            let total: usize = self.partial.iter().map(|b| b.len()).sum();
+            let mut buf = Vec::with_capacity(total);
+            for part in self.partial.drain(..) {
+                buf.extend_from_slice(&part);
+            }
+            out.delivered.push((Bytes::from(buf), self.partial_span));
         }
     }
 
@@ -584,6 +587,48 @@ mod tests {
             "{acks} acks for {} segments",
             out.tx.len()
         );
+    }
+
+    /// Hand every data segment in `tx` to `rx`, in order.
+    fn deliver_all(tx: &ConnOut, rx: &mut ReliableConn, out: &mut ConnOut) {
+        for seg in &tx.tx {
+            let (seq, msg, frag, frags, bytes) = data_fields(seg);
+            rx.on_data(t(1), seq, msg, frag, frags, bytes, seg.span, out);
+        }
+    }
+
+    #[test]
+    fn single_fragment_messages_never_touch_the_reassembly_buffer() {
+        let swp = WindowPolicy::Swp { window: 4096 };
+        let (mut a, mut b) = (ReliableConn::new(swp), ReliableConn::new(swp));
+        let small = |i: u64| Bytes::from(i.to_le_bytes().to_vec());
+        let mut tx = ConnOut::default();
+        let mut sent = Vec::new();
+        for i in 0..1000u64 {
+            sent.push((small(i), i + 1));
+            a.send(t(0), small(i), i + 1, &mut tx);
+        }
+        let mut rx = ConnOut::default();
+        deliver_all(&tx, &mut b, &mut rx);
+        assert_eq!(b.partial.capacity(), 0, "nothing was ever buffered");
+        assert_eq!(b.stats.messages_delivered, 1000);
+        assert_eq!(rx.delivered, sent, "same bytes, same spans, same order");
+
+        // A 3-fragment message between two small ones falls through to
+        // reassembly and comes out in its place, under its own span.
+        let big: Bytes = (0..crate::segment::MSS as usize * 2 + 5)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mixed = vec![(small(7), 70), (big, 80), (small(9), 90)];
+        let mut tx = ConnOut::default();
+        for (m, span) in &mixed {
+            a.send(t(2), m.clone(), *span, &mut tx);
+        }
+        assert_eq!(tx.tx.len(), 5);
+        let mut rx = ConnOut::default();
+        deliver_all(&tx, &mut b, &mut rx);
+        assert_eq!(rx.delivered, mixed);
+        assert!(b.partial.is_empty() && b.partial_msg.is_none());
     }
 
     #[test]

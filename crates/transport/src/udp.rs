@@ -4,10 +4,16 @@
 //! Messages larger than the MSS are fragmented; the receiver reassembles
 //! by message id and delivers only complete messages. Any lost fragment
 //! loses the whole message — exactly UDP+IP-fragmentation semantics.
+//!
+//! The reassembly maps use the workspace's one hasher
+//! ([`macedon_sim::FxHashMap`], as every other engine map). Neither is
+//! ever iterated: fragments are read back by index and eviction order
+//! comes from the `insertion` vector, so no hash order can leak into a
+//! run.
 
 use crate::segment::{for_each_fragment, fragment_count, ChannelId, SegKind, Segment};
 use bytes::Bytes;
-use std::collections::HashMap;
+use macedon_sim::FxHashMap;
 
 /// Bound on concurrent partially-reassembled messages; oldest evicted.
 const REASSEMBLY_CAP: usize = 64;
@@ -16,7 +22,7 @@ const REASSEMBLY_CAP: usize = 64;
 #[derive(Default)]
 pub struct UdpConn {
     next_msg: u64,
-    partial: HashMap<u64, PartialMsg>,
+    partial: FxHashMap<u64, PartialMsg>,
     insertion: Vec<u64>,
     /// Datagrams sent (fragments).
     pub frags_sent: u64,
@@ -26,7 +32,7 @@ pub struct UdpConn {
 
 struct PartialMsg {
     frags: u16,
-    parts: HashMap<u16, Bytes>,
+    parts: FxHashMap<u16, Bytes>,
     /// Causal trace span of the message (out-of-band metadata).
     span: u64,
 }
@@ -75,7 +81,7 @@ impl UdpConn {
         }
         let entry = self.partial.entry(msg).or_insert_with(|| PartialMsg {
             frags,
-            parts: HashMap::new(),
+            parts: FxHashMap::default(),
             span,
         });
         if self.insertion.last() != Some(&msg) && !self.insertion.contains(&msg) {
