@@ -1082,6 +1082,55 @@ pub fn interp_macro_run(nodes: usize, converge_s: u64, stream_s: u64) -> (usize,
     (delivered, transitions)
 }
 
+/// One-node pastry stack (node 7, the designated root, so `joined`
+/// after `init`) — interpreted from the bundled spec, or the generated
+/// agent — ready for direct `Stack::recv` injection.
+pub fn pastry_stack(generated: bool) -> macedon_core::Stack {
+    let agents = if generated {
+        macedon_generated::build_stack("pastry", None).expect("generated pastry")
+    } else {
+        macedon_lang::SpecRegistry::bundled()
+            .build_stack("pastry", None)
+            .expect("bundled pastry")
+    };
+    let me = NodeId(7);
+    let mut stack = macedon_core::Stack::new(
+        me,
+        MacedonKey::of_node(me, macedon_core::Addressing::Hash),
+        agents,
+        Box::new(macedon_core::NullApp),
+        SimRng::new(42),
+    );
+    stack.set_trace_level(TraceLevel::Off);
+    stack.init(Time::ZERO, &mut Vec::new());
+    stack
+}
+
+/// Two pastry `state_push` frames from node 3 carrying disjoint leaf
+/// sets (8 nodes) and route rows (16): fed alternately, every push
+/// brings leaf candidates the receiver does not hold, so each one runs
+/// the leaf-set eviction scan — the nested `foreach` / `ring_dist` work
+/// behind the interpreted scale run's costliest transition.
+pub fn state_push_frames() -> Vec<(NodeId, Bytes)> {
+    use macedon_core::WireWriter;
+    let proto = macedon_lang::interp::protocol_id_of("pastry");
+    let registry = macedon_lang::SpecRegistry::bundled();
+    let id = registry
+        .ir("pastry")
+        .and_then(|ir| ir.messages.iter().position(|m| m.name == "state_push"))
+        .expect("pastry declares state_push") as u16;
+    (0..2u32)
+        .map(|k| {
+            let leaves: Vec<NodeId> = (0..8).map(|i| NodeId(100 + 100 * k + i)).collect();
+            let rows: Vec<NodeId> = (0..16).map(|i| NodeId(1_000 + 100 * k + i)).collect();
+            let mut w = WireWriter::new();
+            w.u16(proto).u16(id);
+            w.nodes(&leaves).nodes(&rows);
+            (NodeId(3), w.finish())
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]

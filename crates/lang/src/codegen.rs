@@ -23,6 +23,7 @@
 //! [`CodegenError`] — never silently skipped.
 
 use crate::ast::*;
+use crate::ir::typed::{EqCase, IntFrom, KeyOptFrom, Truth, Ty};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -43,24 +44,6 @@ impl fmt::Display for CodegenError {
 }
 
 impl std::error::Error for CodegenError {}
-
-/// Static type of a rendered action-language expression.
-///
-/// The DSL is dynamically typed (the interpreter's `Value`); generated
-/// code is statically typed, so every expression is assigned one of
-/// these. `Node` renders as `Option<NodeId>` because node values are
-/// nullable throughout the language (`null`, absent message fields,
-/// empty `neighbor_random`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Ty {
-    Int,
-    Bool,
-    Key,
-    Node,
-    Payload,
-    List,
-    Null,
-}
 
 /// Rust keywords that cannot appear as generated identifiers.
 const RUST_KEYWORDS: &[&str] = &[
@@ -305,10 +288,11 @@ const PAYLOAD_APIS: &[&str] = &["route", "routeIP", "multicast", "anycast", "col
 impl<'a> Gen<'a> {
     // ---- expression rendering -------------------------------------------
     //
-    // Every render mirrors the interpreter's `eval`: same name-resolution
-    // order, both operands of a binary op always evaluated (`&`/`|`, not
-    // `&&`/`||`), `neighbor_random` draws from `ctx.rng` exactly when the
-    // interpreter would.
+    // Every render mirrors the interpreter's typed evaluators: the same
+    // `Ty` per expression and coercion tables (`crate::ir::typed`), same
+    // name-resolution order, both operands of a binary op always
+    // evaluated (`&`/`|`, not `&&`/`||`), `neighbor_random` draws from
+    // `ctx.rng` exactly when the interpreter would.
 
     fn expr(&self, cx: &Cx, e: &Expr) -> Result<(String, Ty), CodegenError> {
         Ok(match e {
@@ -426,19 +410,19 @@ impl<'a> Gen<'a> {
     }
 
     /// Render as an `Option<MacedonKey>`, the key builtins' operand
-    /// coercion (the interpreter's `Value::as_key_opt`): keys pass
-    /// through, nodes hash under the world's addressing mode, ints
-    /// truncate onto the ring, null stays null.
+    /// coercion ([`Ty::key_opt`]): keys pass through, nodes hash under
+    /// the world's addressing mode, ints truncate onto the ring, null
+    /// stays null.
     fn key_opt(&self, cx: &Cx, e: &Expr) -> Result<String, CodegenError> {
         let (s, ty) = self.expr(cx, e)?;
-        match ty {
-            Ty::Key => Ok(format!("Some({s})")),
-            Ty::Node => Ok(format!(
+        match ty.key_opt() {
+            Some(KeyOptFrom::Key) => Ok(format!("Some({s})")),
+            Some(KeyOptFrom::Node) => Ok(format!(
                 "({s}).map(|__n| MacedonKey::of_node(__n, ctx.addressing))"
             )),
-            Ty::Int => Ok(format!("Some(MacedonKey(({s}) as u32))")),
-            Ty::Null => Ok(format!("{{ let _ = {s}; None::<MacedonKey> }}")),
-            other => Err(self.err(format!("expected key, got {other:?} ({s})"))),
+            Some(KeyOptFrom::Int) => Ok(format!("Some(MacedonKey(({s}) as u32))")),
+            Some(KeyOptFrom::Null) => Ok(format!("{{ let _ = {s}; None::<MacedonKey> }}")),
+            None => Err(self.err(format!("expected key, got {ty:?} ({s})"))),
         }
     }
 
@@ -607,37 +591,32 @@ impl<'a> Gen<'a> {
         })
     }
 
-    /// Equality following the interpreter's `values_eq`: int/bool compare
-    /// by truthiness, node and key compare by raw id, null equals only
-    /// null.
+    /// Equality per [`Ty::eq_case`]: int/bool compare by truthiness,
+    /// node and key compare by raw id, null equals only null.
     fn eq_expr(&self, cx: &Cx, a: &Expr, b: &Expr, negate: bool) -> Result<String, CodegenError> {
         let (sa, ta) = self.expr(cx, a)?;
         let (sb, tb) = self.expr(cx, b)?;
-        let eq = match (ta, tb) {
-            (Ty::Int, Ty::Int) | (Ty::Bool, Ty::Bool) | (Ty::Key, Ty::Key) => {
-                format!("({sa} == {sb})")
-            }
-            (Ty::Int, Ty::Bool) => format!("(({sa} != 0) == {sb})"),
-            (Ty::Bool, Ty::Int) => format!("({sa} == ({sb} != 0))"),
-            (Ty::Node, Ty::Node) => format!("({sa} == {sb})"),
-            (Ty::Node, Ty::Null) => format!("({sa}).is_none()"),
-            (Ty::Null, Ty::Node) => format!("({sb}).is_none()"),
-            (Ty::Null, Ty::Null) => "true".to_string(),
-            (Ty::Key, Ty::Node) => {
+        let eq = match Ty::eq_case(ta, tb) {
+            EqCase::Same if ta == Ty::Null => "true".to_string(),
+            EqCase::Same if ta != Ty::List => format!("({sa} == {sb})"),
+            EqCase::IntBool => format!("(({sa} != 0) == {sb})"),
+            EqCase::BoolInt => format!("({sa} == ({sb} != 0))"),
+            EqCase::NodeNull => format!("({sa}).is_none()"),
+            EqCase::NullNode => format!("({sb}).is_none()"),
+            EqCase::KeyNode => {
                 format!("(match ({sa}, {sb}) {{ (__k, Some(__n)) => __n.0 == __k.0, _ => false }})")
             }
-            (Ty::Node, Ty::Key) => {
+            EqCase::NodeKey => {
                 format!("(match ({sa}, {sb}) {{ (Some(__n), __k) => __n.0 == __k.0, _ => false }})")
             }
-            (Ty::Payload, Ty::Payload) => format!("({sa} == {sb})"),
-            (Ty::Payload, Ty::Null) | (Ty::Null, Ty::Payload) => {
-                // `values_eq(Null, Bytes(_))` is false even for empty
-                // payloads.
+            EqCase::PayloadNull | EqCase::NullPayload => {
+                // A generated payload is never null, so never equal to
+                // `null` — even when empty.
                 format!("{{ let _ = ({sa}, {sb}); false }}")
             }
-            (ta, tb) => {
+            EqCase::Same | EqCase::Unrelated => {
                 return Err(self.err(format!(
-                    "cannot compare {ta:?} with {tb:?} (values_eq has no such case)"
+                    "cannot compare {ta:?} with {tb:?} (no equality case)"
                 )))
             }
         };
@@ -646,10 +625,10 @@ impl<'a> Gen<'a> {
 
     fn as_int(&self, cx: &Cx, e: &Expr) -> Result<String, CodegenError> {
         let (s, ty) = self.expr(cx, e)?;
-        match ty {
-            Ty::Int => Ok(s),
-            Ty::Bool => Ok(format!("({s} as i64)")),
-            other => Err(self.err(format!("expected int, got {other:?} ({s})"))),
+        match ty.as_int() {
+            Some(IntFrom::Int) => Ok(s),
+            Some(IntFrom::Bool) => Ok(format!("({s} as i64)")),
+            None => Err(self.err(format!("expected int, got {ty:?} ({s})"))),
         }
     }
 
@@ -658,15 +637,15 @@ impl<'a> Gen<'a> {
         Ok(self.truthy_of(&s, ty))
     }
 
-    /// Truthiness of a rendered value, mirroring `Value::truthy`.
+    /// Truthiness of a rendered value ([`Ty::truthiness`]).
     fn truthy_of(&self, s: &str, ty: Ty) -> String {
-        match ty {
-            Ty::Int => format!("({s} != 0)"),
-            Ty::Bool => s.to_string(),
-            Ty::Node => format!("({s}).is_some()"),
-            Ty::Key | Ty::List => format!("{{ let _ = &{s}; true }}"),
-            Ty::Payload => format!("(!({s}).is_empty())"),
-            Ty::Null => format!("{{ let _ = {s}; false }}"),
+        match ty.truthiness() {
+            Truth::Int => format!("({s} != 0)"),
+            Truth::Bool => s.to_string(),
+            Truth::Node => format!("({s}).is_some()"),
+            Truth::Always => format!("{{ let _ = &{s}; true }}"),
+            Truth::Payload => format!("(!({s}).is_empty())"),
+            Truth::Never => format!("{{ let _ = {s}; false }}"),
         }
     }
 

@@ -9,16 +9,37 @@
 //! against the hand-written agents in `macedon-overlays`.
 //!
 //! The interpreter does not walk the AST. [`InterpretedAgent`] executes
-//! the slot-indexed IR of [`crate::ir`]: every variable, neighbor list,
-//! timer, FSM state, message, and message field was resolved to a dense
-//! index when the spec was lowered (once, shared as an `Arc<IrSpec>`
-//! across all nodes and layers interpreting it), so the per-event path
-//! is jump-table dispatch plus `Vec` slot access — no string hashing,
-//! no per-message declaration clones, and no `HashMap` frames. The IR
-//! is purely a faster representation: execution order, RNG draw points,
-//! wire bytes, and engine op order are identical to AST semantics, so
-//! interpreted agents stay bit-for-bit cross-validatable against the
-//! generated ones (`tests/integration_generated.rs`).
+//! the slot-indexed, typed IR of [`crate::ir`], lowered once per spec
+//! and shared as an `Arc<IrSpec>` across all nodes and layers
+//! interpreting it:
+//!
+//! * **Resolved at lowering:** every variable, neighbor list, timer,
+//!   FSM state, message, and message field is a dense index, and
+//!   transition dispatch is a jump table — no string hashing, no
+//!   declaration clones, no `HashMap` frames.
+//! * **Typed at lowering:** every expression is evaluated at its static
+//!   type ([`crate::ir::typed`]) — ints as `i64`, conditions as `bool`,
+//!   nodes as `Option<NodeId>`, keys as `MacedonKey` — and so is every
+//!   variable slot, `foreach` binding, and decoded message field. A send
+//!   encodes each argument straight into its wire frame; a `downcall`,
+//!   `deliver` or neighbor-list operation takes its operands at the
+//!   types it needs. No `Value` is built, cloned or matched, outside
+//!   `trace(..)` records.
+//! * **Dynamic:** only what the event brings — which transition the
+//!   current FSM state admits, the null-ness of node values (a null
+//!   where a value is required faults), zero divisors, and the heap
+//!   values (payloads and neighbor lists, read by reference). An
+//!   ill-typed construct, which only an ad-hoc spec can contain, faults
+//!   when evaluated ([`crate::IrSpec::type_faults`] lists them).
+//!
+//! A runtime fault unwinds the transition and traces
+//! `"<spec>: runtime error: <what>"` at `Low` — for a null value, the
+//! very line the generated agent traces. The IR is purely a faster
+//! representation: execution order, RNG draw points, wire bytes, and
+//! engine op order are identical to AST semantics, so interpreted agents stay
+//! bit-for-bit cross-validatable against the generated ones
+//! (`tests/integration_generated.rs`). [`Value`] survives only at the
+//! edges: variable introspection and `trace(..)` records.
 //!
 //! Interpretation covers the whole roster, layered specs included. An
 //! [`InterpretedAgent`] is a first-class citizen of the engine's
@@ -48,11 +69,15 @@
 //! `IrSpec` per protocol).
 
 use crate::ast::{Spec, TransportKindDecl};
-use crate::ir::{ApiArgKind, ApiKind, FieldKind, IrDown, IrExpr, IrMessage, IrSpec, IrStmt, Table};
+use crate::ir::typed::{ArithOp, CmpOp, KeyOptExpr};
+use crate::ir::{
+    AnyExpr, ApiKind, BoolExpr, FieldKind, IntExpr, IrDown, IrMessage, IrSpec, IrStmt, KeyArg,
+    KeyExpr, ListExpr, NodeExpr, PayloadExpr, SendArg, SendDest, Slots, Table, Ty, TypeFault,
+};
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel_ref, WireRef};
 use macedon_core::{
-    Addressing, Agent, Bytes, ChannelId, ChannelSpec, Ctx, DownCall, Duration, ForwardInfo,
+    Agent, Bytes, ChannelId, ChannelSpec, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
     MacedonKey, NodeId, ProtocolId, TraceLevel, TransportKind, UpCall, WireWriter,
     DEFAULT_PRIORITY,
 };
@@ -60,7 +85,8 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::ast::BinOp;
+#[cfg(test)]
+mod reference;
 
 /// Pseudo protocol id framing payloads a lowest layer tunnels on behalf
 /// of the layers above (the native engine's `macedon_routeIP` service).
@@ -69,7 +95,8 @@ use crate::ast::BinOp;
 /// can tunnel for each other inside mixed stacks.
 pub use macedon_core::TUNNEL_PROTOCOL;
 
-/// Runtime values of the action language.
+/// A value of the action language, as [`InterpretedAgent::var`] reports
+/// a variable and a `trace(..)` record prints one.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Int(i64),
@@ -82,57 +109,106 @@ pub enum Value {
 }
 
 impl Value {
-    fn truthy(&self) -> bool {
-        match self {
-            Value::Int(v) => *v != 0,
-            Value::Bool(b) => *b,
-            Value::Node(_) | Value::Key(_) | Value::List(_) => true,
-            Value::Bytes(b) => !b.is_empty(),
-            Value::Null => false,
-        }
+    fn of_node(n: Option<NodeId>) -> Value {
+        n.map_or(Value::Null, Value::Node)
     }
 
-    fn as_int(&self) -> Result<i64, String> {
-        match self {
-            Value::Int(v) => Ok(*v),
-            Value::Bool(b) => Ok(*b as i64),
-            other => Err(format!("expected int, got {other:?}")),
-        }
+    fn of_payload(p: Option<&Bytes>) -> Value {
+        p.map_or(Value::Null, |b| Value::Bytes(b.clone()))
     }
+}
 
-    fn as_node(&self) -> Result<NodeId, String> {
-        match self {
-            Value::Node(n) => Ok(*n),
-            other => Err(format!("expected node, got {other:?}")),
-        }
-    }
+/// Why a transition unwound.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Fault {
+    /// A null node where a value is required: `neighbor_add(l, null)`,
+    /// a null routing key or `routeIP` destination, a null-destination
+    /// layered send with no key to route toward.
+    Null,
+    DivZero,
+    ModZero,
+    /// An ill-typed construct: diagnostic number `n` of
+    /// [`IrSpec::type_faults`].
+    Type(u16),
+}
 
-    /// Coerce to an optional key, the way every key-typed position does
-    /// (message key fields, `route` destinations, the key builtins):
-    /// keys pass through, nodes hash under the world's addressing mode,
-    /// ints truncate onto the ring, null stays null.
-    fn as_key_opt(&self, mode: Addressing) -> Result<Option<MacedonKey>, String> {
+impl Fault {
+    /// The text after `"<spec>: runtime error: "`; a null fault reads
+    /// exactly as the generated agents' (`codegen`'s `bail`).
+    fn text(self, ir: &IrSpec) -> &str {
         match self {
-            Value::Key(k) => Ok(Some(*k)),
-            Value::Node(n) => Ok(Some(MacedonKey::of_node(*n, mode))),
-            Value::Int(v) => Ok(Some(MacedonKey(*v as u32))),
-            Value::Null => Ok(None),
-            other => Err(format!("expected key, got {other:?}")),
+            Fault::Null => "null where a value is required",
+            Fault::DivZero => "division by zero",
+            Fault::ModZero => "modulo by zero",
+            Fault::Type(n) => &ir.type_faults[n as usize],
         }
     }
 }
 
-/// Per-transition bindings (decoded message fields by slot, `from`,
-/// `payload`, API arguments).
+/// Per-transition bindings: the decoded message fields, `from`,
+/// `payload`, and the API arguments. Each agent keeps one and refills
+/// it in place for every event, so its storage is reused.
 #[derive(Default)]
 struct Frame {
-    fields: Vec<Value>,
+    /// Scalar fields, by slot ([`crate::ir::IrField::at`]).
+    fields: Slots,
+    /// List fields, in declaration order (past the triggering
+    /// message's count: spare buffers).
+    lists: Vec<Vec<NodeId>>,
     from: Option<NodeId>,
     payload: Option<Bytes>,
-    api_dest: Option<Value>,
-    api_group: Option<Value>,
+    /// `dest` of a `route` transition, or `group` of a group API's.
+    api_key: MacedonKey,
+    /// `dest` of a `routeIP` transition.
+    api_dest: Option<NodeId>,
     /// Set by `quash();` inside a `forward` transition.
     quash: bool,
+}
+
+impl Frame {
+    /// Ready the frame for an event from `from`.
+    fn reset(&mut self, from: Option<NodeId>) {
+        self.fields.clear();
+        self.from = from;
+        self.payload = None;
+        self.api_dest = None;
+        self.quash = false;
+    }
+
+    /// Decode one message's fields, in declaration order, for an event
+    /// from `from`.
+    fn decode(
+        &mut self,
+        decl: &IrMessage,
+        r: &mut WireRef,
+        from: NodeId,
+        node_pool: &mut Vec<Vec<NodeId>>,
+    ) -> Result<(), DecodeError> {
+        self.reset(Some(from));
+        let mut lists = 0;
+        for f in &decl.fields {
+            match f.kind {
+                FieldKind::Int => self.fields.push_int(r.u64()? as i64),
+                FieldKind::Bool => self.fields.push_bool(r.u8()? != 0),
+                FieldKind::Node => {
+                    let n = r.node()?;
+                    self.fields.push_node((n != NodeId(u32::MAX)).then_some(n));
+                }
+                FieldKind::Key => self.fields.push_key(r.key()?),
+                FieldKind::Payload => self.fields.push_payload(r.bytes()?),
+                FieldKind::Nodes => {
+                    if self.lists.len() == lists {
+                        self.lists.push(node_pool.pop().unwrap_or_default());
+                    }
+                    let l = &mut self.lists[lists];
+                    l.clear();
+                    r.nodes_into(l)?;
+                    lists += 1;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 enum Flow {
@@ -194,6 +270,7 @@ pub fn protocol_id_of(name: &str) -> ProtocolId {
 pub struct InterpretedAgent {
     ir: Arc<IrSpec>,
     core: Core,
+    frame: Frame,
     /// Transitions fired, per trigger kind (observability / tests).
     pub transitions_fired: u64,
 }
@@ -207,8 +284,9 @@ struct Core {
     layered: bool,
     /// Index into `ir.states`.
     state: u16,
-    /// Scalar slots (constants, declared scalars, `foreach` bindings).
-    vars: Vec<Value>,
+    /// Typed variable slots (constants, declared scalars, `foreach`
+    /// bindings).
+    vars: Slots,
     /// Neighbor-list slots.
     lists: Vec<Vec<NodeId>>,
     /// Number of transport channels of this spec (lowest layers only;
@@ -222,11 +300,9 @@ struct Core {
     /// Encoded sends awaiting their forward-query verdict, FIFO (the
     /// dispatcher resolves queries in emission order).
     pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,
-    /// Recycled field buffer: decoded message values live here between
-    /// events instead of a fresh allocation per decode.
-    fields_pool: Vec<Value>,
-    /// Recycled node-list buffers for decoded `Value::List` fields and
-    /// replaced neighbor lists (bounded; see [`NODE_POOL_MAX`]).
+    /// Recycled node-list buffers for decoded list fields, `foreach`
+    /// snapshots and replaced neighbor lists (bounded; see
+    /// [`NODE_POOL_MAX`]).
     node_pool: Vec<Vec<NodeId>>,
 }
 
@@ -258,7 +334,6 @@ impl InterpretedAgent {
     /// Instantiate from an already-lowered spec, sharing the `IrSpec`
     /// with every other node interpreting the same protocol.
     pub fn from_ir(ir: Arc<IrSpec>, bootstrap: Option<NodeId>) -> InterpretedAgent {
-        let vars = ir.vars.iter().map(|v| v.init.clone()).collect();
         let lists = vec![Vec::new(); ir.lists.len()];
         InterpretedAgent {
             core: Core {
@@ -266,14 +341,14 @@ impl InterpretedAgent {
                 layered: ir.layered,
                 bootstrap,
                 state: 0,
-                vars,
+                vars: ir.slots.clone(),
                 lists,
                 num_channels: ir.num_channels,
                 msg_prio: vec![DEFAULT_PRIORITY; ir.messages.len()],
                 pending_fwd: VecDeque::new(),
-                fields_pool: Vec::new(),
                 node_pool: Vec::new(),
             },
+            frame: Frame::default(),
             transitions_fired: 0,
             ir,
         }
@@ -319,16 +394,26 @@ impl InterpretedAgent {
             .map(|s| &self.core.lists[s as usize])
     }
 
-    pub fn var(&self, name: &str) -> Option<&Value> {
-        self.ir.var_slot(name).map(|s| &self.core.vars[s as usize])
+    /// The current value of a declared constant or scalar variable.
+    pub fn var(&self, name: &str) -> Option<Value> {
+        let var = &self.ir.vars[self.ir.var_slot(name)? as usize];
+        let (vars, s) = (&self.core.vars, var.slot);
+        Some(match var.ty {
+            Ty::Int => Value::Int(vars.int(s)),
+            Ty::Bool => Value::Bool(vars.bool(s)),
+            Ty::Node => Value::of_node(vars.node(s)),
+            Ty::Key => Value::Key(vars.key(s)),
+            Ty::Payload => Value::of_payload(vars.payload(s)),
+            Ty::List | Ty::Null => Value::Null,
+        })
     }
 
     // ---- dispatch --------------------------------------------------------
 
     /// Fire the transition matching the dispatch point in the current
-    /// state, if any; returns the frame's quash flag (only `forward`
-    /// transitions set it).
-    fn fire(&mut self, ctx: &mut Ctx, at: At, mut frame: Frame) -> bool {
+    /// state, if any, over the prepared frame; returns the frame's quash
+    /// flag (only `forward` transitions set it).
+    fn fire(&mut self, ctx: &mut Ctx, at: At) -> bool {
         let ir = &*self.ir;
         let core = &mut self.core;
         let hit = table_of(ir, at)
@@ -338,7 +423,6 @@ impl InterpretedAgent {
             // No trace here: the generated back end cannot observe a
             // missed dispatch either, and the two trace streams must
             // stay byte-identical.
-            core.recycle(frame);
             return false;
         };
         let t = &ir.transitions[tidx as usize];
@@ -346,33 +430,45 @@ impl InterpretedAgent {
             ctx.locking_read();
         }
         self.transitions_fired += 1;
-        if let Err(e) = core.exec_block(ir, ctx, &mut frame, &t.body) {
+        if let Err(fault) = core.exec_block(ir, ctx, &mut self.frame, &t.body) {
             if ctx.trace_on(TraceLevel::Low) {
-                ctx.trace(TraceLevel::Low, format!("{}: runtime error: {e}", ir.name));
+                ctx.trace(
+                    TraceLevel::Low,
+                    format!("{}: runtime error: {}", ir.name, fault.text(ir)),
+                );
             }
-            debug_assert!(false, "interpreter runtime error: {e}");
         }
-        let quash = frame.quash;
-        core.recycle(frame);
-        quash
+        self.frame.quash
+    }
+
+    /// Decode message `id`'s fields from `r` into the frame.
+    fn decode(&mut self, id: u16, r: &mut WireRef, from: NodeId) -> Result<(), DecodeError> {
+        let decl = &self.ir.messages[id as usize];
+        self.frame.decode(decl, r, from, &mut self.core.node_pool)
+    }
+
+    /// If `bytes` is one of this protocol's messages, decode it into the
+    /// frame and return its id; otherwise (foreign protocol, malformed,
+    /// truncated) `None`. Borrows the buffer — no clone.
+    fn decode_own(&mut self, bytes: &Bytes, from: NodeId) -> Option<u16> {
+        let mut r = WireRef::new(bytes);
+        let (Ok(proto), Ok(id)) = (r.u16(), r.u16()) else {
+            return None;
+        };
+        if proto != self.core.proto || id as usize >= self.ir.messages.len() {
+            return None;
+        }
+        self.decode(id, &mut r, from).ok().map(|()| id)
     }
 }
 
-impl Core {
-    /// Return a frame's field buffer (and any node-list values still in
-    /// it) to the pools so the next decode reuses the allocations.
-    fn recycle(&mut self, frame: Frame) {
-        let mut fields = frame.fields;
-        for v in fields.drain(..) {
-            if let Value::List(l) = v {
-                self.pool_nodes(l);
-            }
-        }
-        if fields.capacity() > self.fields_pool.capacity() {
-            self.fields_pool = fields;
-        }
-    }
+/// A send's evaluated destination.
+enum Dest {
+    Node(Option<NodeId>),
+    Key(MacedonKey),
+}
 
+impl Core {
     fn pool_nodes(&mut self, mut l: Vec<NodeId>) {
         if self.node_pool.len() < NODE_POOL_MAX && l.capacity() > 0 {
             l.clear();
@@ -386,7 +482,7 @@ impl Core {
         ctx: &mut Ctx,
         frame: &mut Frame,
         stmts: &[IrStmt],
-    ) -> Result<Flow, String> {
+    ) -> Result<Flow, Fault> {
         for s in stmts {
             match self.exec(ir, ctx, frame, s)? {
                 Flow::Return => return Ok(Flow::Return),
@@ -396,38 +492,27 @@ impl Core {
         Ok(Flow::Continue)
     }
 
+    /// One statement. The statements of a protocol's inner loops are
+    /// handled here; the rest, and loops themselves, out of line, which
+    /// keeps this frame — entered once per statement — small.
     fn exec(
         &mut self,
         ir: &IrSpec,
         ctx: &mut Ctx,
         frame: &mut Frame,
         stmt: &IrStmt,
-    ) -> Result<Flow, String> {
+    ) -> Result<Flow, Fault> {
         match stmt {
             IrStmt::If { cond, then, els } => {
-                if self.eval(ctx, frame, cond)?.truthy() {
+                return if self.eval_bool(ctx, frame, cond)? {
                     self.exec_block(ir, ctx, frame, then)
                 } else {
                     self.exec_block(ir, ctx, frame, els)
-                }
+                };
             }
-            IrStmt::Return => Ok(Flow::Return),
-            IrStmt::StateChange(s) => {
-                ctx.trace_fsm(&ir.states[self.state as usize], &ir.states[*s as usize]);
-                self.state = *s;
-                Ok(Flow::Continue)
-            }
-            IrStmt::TimerResched(id, e) => {
-                let ms = self.eval(ctx, frame, e)?.as_int()?;
-                ctx.timer_set(*id, Duration::from_millis(ms.max(0) as u64));
-                Ok(Flow::Continue)
-            }
-            IrStmt::TimerCancel(id) => {
-                ctx.timer_cancel(*id);
-                Ok(Flow::Continue)
-            }
+            IrStmt::Return => return Ok(Flow::Return),
             IrStmt::NeighborAdd(slot, e) => {
-                let node = self.eval(ctx, frame, e)?.as_node()?;
+                let node = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
                 let decl = &ir.lists[*slot as usize];
                 let l = &mut self.lists[*slot as usize];
                 if !l.contains(&node) && l.len() < decl.max {
@@ -436,15 +521,82 @@ impl Core {
                         ctx.monitor(node);
                     }
                 }
-                Ok(Flow::Continue)
             }
+            IrStmt::AssignInt(slot, e) => {
+                let v = self.eval_int(ctx, frame, e)?;
+                self.vars.set_int(*slot, v);
+            }
+            IrStmt::AssignBool(slot, e) => {
+                let v = self.eval_bool(ctx, frame, e)?;
+                self.vars.set_bool(*slot, v);
+            }
+            IrStmt::AssignNode(slot, e) => {
+                let v = self.eval_node(ctx, frame, e)?;
+                self.vars.set_node(*slot, v);
+            }
+            IrStmt::AssignKey(slot, e) => {
+                let v = self.eval_key(ctx, frame, e)?;
+                self.vars.set_key(*slot, v);
+            }
+            IrStmt::ForEach { var, list, body } => {
+                return self.exec_foreach(ir, ctx, frame, *var, *list, body)
+            }
+            _ => return self.exec_rest(ir, ctx, frame, stmt),
+        }
+        Ok(Flow::Continue)
+    }
+
+    #[inline(never)]
+    fn exec_foreach(
+        &mut self,
+        ir: &IrSpec,
+        ctx: &mut Ctx,
+        frame: &mut Frame,
+        var: u16,
+        list: u16,
+        body: &[IrStmt],
+    ) -> Result<Flow, Fault> {
+        // Snapshot (into a pooled buffer) so the body may mutate the
+        // list; the loop variable owns a dedicated slot, so no
+        // save/restore.
+        let mut snapshot = self.node_pool.pop().unwrap_or_default();
+        snapshot.extend_from_slice(&self.lists[list as usize]);
+        let mut flow = Ok(Flow::Continue);
+        for &n in &snapshot {
+            self.vars.set_node(var, Some(n));
+            flow = self.exec_block(ir, ctx, frame, body);
+            if !matches!(flow, Ok(Flow::Continue)) {
+                break;
+            }
+        }
+        self.pool_nodes(snapshot);
+        flow
+    }
+
+    #[inline(never)]
+    fn exec_rest(
+        &mut self,
+        ir: &IrSpec,
+        ctx: &mut Ctx,
+        frame: &mut Frame,
+        stmt: &IrStmt,
+    ) -> Result<Flow, Fault> {
+        match stmt {
+            IrStmt::StateChange(s) => {
+                ctx.trace_fsm(&ir.states[self.state as usize], &ir.states[*s as usize]);
+                self.state = *s;
+            }
+            IrStmt::TimerResched(id, e) => {
+                let ms = self.eval_int(ctx, frame, e)?;
+                ctx.timer_set(*id, Duration::from_millis(ms.max(0) as u64));
+            }
+            IrStmt::TimerCancel(id) => ctx.timer_cancel(*id),
             IrStmt::NeighborRemove(slot, e) => {
-                let node = self.eval(ctx, frame, e)?.as_node()?;
+                let node = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
                 self.lists[*slot as usize].retain(|&n| n != node);
                 if ir.lists[*slot as usize].fail_detect {
                     ctx.unmonitor(node);
                 }
-                Ok(Flow::Continue)
             }
             IrStmt::NeighborClear(slot) => {
                 let fd = ir.lists[*slot as usize].fail_detect;
@@ -453,124 +605,90 @@ impl Core {
                         ctx.unmonitor(n);
                     }
                 }
-                Ok(Flow::Continue)
             }
-            IrStmt::Send { msg, dest, args } => {
-                let dest = self.eval(ctx, frame, dest)?;
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.eval(ctx, frame, a)?);
-                }
-                self.send_message(ir, ctx, frame.from, *msg, dest, values)?;
-                Ok(Flow::Continue)
-            }
-            IrStmt::Quash => {
-                frame.quash = true;
-                Ok(Flow::Continue)
-            }
+            IrStmt::Send { msg, dest, args } => self.send(ir, ctx, frame, *msg, dest, args)?,
+            IrStmt::Quash => frame.quash = true,
             IrStmt::DownCall(down) => {
-                let call = self.build_downcall(ctx, frame, down)?;
+                let call = self.downcall(ctx, frame, down)?;
                 ctx.down(call);
-                Ok(Flow::Continue)
             }
             IrStmt::UpcallNotify(slot, e) => {
-                let ty = self.eval(ctx, frame, e)?.as_int()? as u32;
+                let ty = self.eval_int(ctx, frame, e)? as u32;
                 ctx.up(UpCall::Notify {
                     nbr_type: ty,
                     neighbors: self.lists[*slot as usize].clone(),
                 });
-                Ok(Flow::Continue)
             }
             IrStmt::Deliver { src, payload } => {
-                let src = match self.eval(ctx, frame, src)? {
-                    Value::Key(k) => k,
-                    Value::Node(n) => MacedonKey(n.0),
-                    other => return Err(format!("deliver src must be key/node, got {other:?}")),
-                };
-                let payload = match self.eval(ctx, frame, payload)? {
-                    Value::Bytes(b) => b,
-                    Value::Null => Bytes::new(),
-                    other => return Err(format!("deliver payload must be bytes, got {other:?}")),
-                };
+                let src = self.eval_key_arg(ctx, frame, src)?;
+                let payload = self.payload_value(ctx, frame, payload)?;
                 let from = frame.from.unwrap_or(ctx.me);
                 ctx.up(UpCall::Deliver { src, from, payload });
-                Ok(Flow::Continue)
             }
             IrStmt::Monitor(e) => {
-                let n = self.eval(ctx, frame, e)?.as_node()?;
+                let n = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
                 ctx.monitor(n);
-                Ok(Flow::Continue)
             }
             IrStmt::Unmonitor(e) => {
-                let n = self.eval(ctx, frame, e)?.as_node()?;
+                let n = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
                 ctx.unmonitor(n);
-                Ok(Flow::Continue)
             }
-            IrStmt::ForEach { var, list, body } => {
-                // Snapshot (into a pooled buffer) so the body may mutate
-                // the list; the loop variable owns a dedicated slot, so
-                // no save/restore.
-                let mut snapshot = self.node_pool.pop().unwrap_or_default();
-                snapshot.extend_from_slice(&self.lists[*list as usize]);
-                let mut i = 0;
-                while i < snapshot.len() {
-                    self.vars[*var as usize] = Value::Node(snapshot[i]);
-                    i += 1;
-                    if let Flow::Return = self.exec_block(ir, ctx, frame, body)? {
-                        self.pool_nodes(snapshot);
-                        return Ok(Flow::Return);
-                    }
-                }
-                self.pool_nodes(snapshot);
-                Ok(Flow::Continue)
-            }
-            IrStmt::AssignVar(slot, e) => {
-                let v = self.eval(ctx, frame, e)?;
-                self.vars[*slot as usize] = v;
-                Ok(Flow::Continue)
+            IrStmt::AssignPayload(slot, e) => {
+                let v = self.eval_payload(ctx, frame, e)?.cloned();
+                self.vars.set_payload(*slot, v);
             }
             IrStmt::AssignList(slot, e) => {
-                let v = self.eval(ctx, frame, e)?;
-                self.assign_list(ir, ctx, *slot, v)?;
-                Ok(Flow::Continue)
+                let mut ns = self.node_pool.pop().unwrap_or_default();
+                match self.eval_list(ctx, frame, e) {
+                    Ok(l) => ns.extend_from_slice(l),
+                    Err(f) => {
+                        self.pool_nodes(ns);
+                        return Err(f);
+                    }
+                }
+                let old = self.assign_list(ir, ctx, *slot, ns);
+                self.pool_nodes(old);
             }
-            IrStmt::AssignVarTakeField(slot, i) => {
-                self.vars[*slot as usize] = take_field(frame, *i)?;
-                Ok(Flow::Continue)
-            }
-            IrStmt::AssignListTakeField(slot, i) => {
-                let v = take_field(frame, *i)?;
-                self.assign_list(ir, ctx, *slot, v)?;
-                Ok(Flow::Continue)
+            IrStmt::AssignListTakeField(slot, at) => {
+                // The replaced list's buffer takes the field's place, for
+                // the next decode to fill.
+                let field = &mut frame.lists[*at as usize];
+                let ns = std::mem::take(field);
+                *field = self.assign_list(ir, ctx, *slot, ns);
             }
             IrStmt::Trace(e) => {
                 // Always evaluate — the expression may draw from the RNG
                 // (`trace(neighbor_random(..))`); only the formatting is
                 // gated on the trace threshold.
-                let v = self.eval(ctx, frame, e)?;
+                let v = self.eval_any(ctx, frame, e)?;
                 if ctx.trace_on(TraceLevel::Med) {
                     ctx.trace(TraceLevel::Med, format!("{}: trace {v:?}", ir.name));
                 }
-                Ok(Flow::Continue)
             }
+            IrStmt::Fault(f) => return Err(self.raise(ctx, frame, f)),
+            IrStmt::If { .. }
+            | IrStmt::Return
+            | IrStmt::NeighborAdd(..)
+            | IrStmt::AssignInt(..)
+            | IrStmt::AssignBool(..)
+            | IrStmt::AssignNode(..)
+            | IrStmt::AssignKey(..)
+            | IrStmt::ForEach { .. } => unreachable!("handled by exec"),
         }
+        Ok(Flow::Continue)
     }
 
     /// Whole-list assignment (e.g. `brothers = field(sibs);`):
-    /// replaces contents; own id is filtered out.
+    /// replaces contents; own id is filtered out. Returns the replaced
+    /// list's buffer.
+    #[inline(never)]
     fn assign_list(
         &mut self,
         ir: &IrSpec,
         ctx: &mut Ctx,
         slot: u16,
-        v: Value,
-    ) -> Result<(), String> {
-        let Value::List(mut ns) = v else {
-            return Err(format!(
-                "assigning non-list to neighbor list '{}'",
-                ir.lists[slot as usize].name
-            ));
-        };
+        mut ns: Vec<NodeId>,
+    ) -> Vec<NodeId> {
         ns.retain(|&n| n != ctx.me);
         let decl = &ir.lists[slot as usize];
         ns.truncate(decl.max);
@@ -583,139 +701,127 @@ impl Core {
                 ctx.monitor(*n);
             }
         }
-        let old = std::mem::replace(l, ns);
-        self.pool_nodes(old);
-        Ok(())
+        std::mem::replace(l, ns)
     }
 
     /// Translate a lowered `downcall(<api>, args...)` into the engine
-    /// API call it names (value shapes checked here; name and arity were
-    /// resolved at lowering).
-    fn build_downcall(
-        &mut self,
-        ctx: &mut Ctx,
-        frame: &Frame,
-        down: &IrDown,
-    ) -> Result<DownCall, String> {
-        let api = down.api();
-        let as_key = |v: &Value| match v {
-            Value::Key(k) => Ok(*k),
-            Value::Node(n) => Ok(MacedonKey(n.0)),
-            other => Err(format!("downcall({api}, ..): expected key, got {other:?}")),
-        };
-        let as_payload = |v: Value| match v {
-            Value::Bytes(b) => Ok(b),
-            Value::Null => Ok(Bytes::new()),
-            other => Err(format!(
-                "downcall({api}, ..): expected payload, got {other:?}"
-            )),
-        };
+    /// API call it names, evaluating its arguments in order.
+    fn downcall(&self, ctx: &mut Ctx, frame: &Frame, down: &IrDown) -> Result<DownCall, Fault> {
         Ok(match down {
             IrDown::Join(g) => DownCall::Join {
-                group: as_key(&self.eval(ctx, frame, g)?)?,
+                group: self.eval_key_arg(ctx, frame, g)?,
             },
             IrDown::Leave(g) => DownCall::Leave {
-                group: as_key(&self.eval(ctx, frame, g)?)?,
+                group: self.eval_key_arg(ctx, frame, g)?,
             },
             IrDown::CreateGroup(g) => DownCall::CreateGroup {
-                group: as_key(&self.eval(ctx, frame, g)?)?,
+                group: self.eval_key_arg(ctx, frame, g)?,
             },
             IrDown::Multicast(g, p) => DownCall::Multicast {
-                group: as_key(&self.eval(ctx, frame, g)?)?,
-                payload: as_payload(self.eval(ctx, frame, p)?)?,
+                group: self.eval_key_arg(ctx, frame, g)?,
+                payload: self.payload_value(ctx, frame, p)?,
                 priority: DEFAULT_PRIORITY,
             },
             IrDown::Anycast(g, p) => DownCall::Anycast {
-                group: as_key(&self.eval(ctx, frame, g)?)?,
-                payload: as_payload(self.eval(ctx, frame, p)?)?,
+                group: self.eval_key_arg(ctx, frame, g)?,
+                payload: self.payload_value(ctx, frame, p)?,
                 priority: DEFAULT_PRIORITY,
             },
             IrDown::Collect(g, p) => DownCall::Collect {
-                group: as_key(&self.eval(ctx, frame, g)?)?,
-                payload: as_payload(self.eval(ctx, frame, p)?)?,
+                group: self.eval_key_arg(ctx, frame, g)?,
+                payload: self.payload_value(ctx, frame, p)?,
                 priority: DEFAULT_PRIORITY,
             },
             IrDown::Route(d, p) => DownCall::Route {
-                dest: as_key(&self.eval(ctx, frame, d)?)?,
-                payload: as_payload(self.eval(ctx, frame, p)?)?,
+                dest: self.eval_key_arg(ctx, frame, d)?,
+                payload: self.payload_value(ctx, frame, p)?,
                 priority: DEFAULT_PRIORITY,
             },
-            IrDown::RouteIp(d, p) => match self.eval(ctx, frame, d)? {
-                Value::Node(n) => DownCall::RouteIp {
-                    dest: n,
-                    payload: as_payload(self.eval(ctx, frame, p)?)?,
-                    priority: DEFAULT_PRIORITY,
-                },
-                other => {
-                    return Err(format!(
-                        "downcall(routeIP, ..): expected node, got {other:?}"
-                    ))
-                }
+            IrDown::RouteIp(d, p) => DownCall::RouteIp {
+                dest: self.eval_node(ctx, frame, d)?.ok_or(Fault::Null)?,
+                payload: self.payload_value(ctx, frame, p)?,
+                priority: DEFAULT_PRIORITY,
             },
         })
     }
 
-    fn send_message(
+    /// The transmission primitive. The destination is evaluated first,
+    /// then each argument in order, encoded into the frame as it is
+    /// produced; an argument (or destination) that cannot be encoded
+    /// faults only once every argument has been evaluated.
+    fn send(
         &mut self,
         ir: &IrSpec,
         ctx: &mut Ctx,
-        from: Option<NodeId>,
+        frame: &Frame,
         msg: u16,
-        dest: Value,
-        values: Vec<Value>,
-    ) -> Result<(), String> {
-        let decl = &ir.messages[msg as usize];
-        debug_assert_eq!(values.len(), decl.fields.len(), "lowering checked arity");
+        dest: &SendDest,
+        args: &[SendArg],
+    ) -> Result<(), Fault> {
+        let mut dest_fault = None;
+        let dest = match dest {
+            SendDest::Node(e) => Dest::Node(self.eval_node(ctx, frame, e)?),
+            SendDest::Key(e) => Dest::Key(self.eval_key(ctx, frame, e)?),
+            SendDest::Mismatch(f) => {
+                self.operands(ctx, frame, f)?;
+                dest_fault = Some(Fault::Type(f.msg));
+                Dest::Node(None)
+            }
+        };
         let mut w = WireWriter::new();
         w.u16(self.proto).u16(msg);
-        for (f, v) in decl.fields.iter().zip(&values) {
-            match (f.kind, v) {
-                (FieldKind::Int, v) => {
-                    w.u64(v.as_int()? as u64);
+        let mut encode_fault = None;
+        // The first key field is the routing destination of a message
+        // that addresses a key rather than a host; the first non-empty
+        // payload field is tunneled upper-layer data.
+        let mut route_key = None;
+        let mut tunneled = None;
+        for arg in args {
+            match arg {
+                SendArg::Int(e) => {
+                    w.u64(self.eval_int(ctx, frame, e)? as u64);
                 }
-                (FieldKind::Bool, v) => {
-                    w.u8(v.truthy() as u8);
+                SendArg::Bool(e) => {
+                    w.u8(self.eval_bool(ctx, frame, e)? as u8);
                 }
-                (FieldKind::Node, Value::Node(n)) => {
-                    w.node(*n);
+                SendArg::Node(e) => {
+                    w.node(self.eval_node(ctx, frame, e)?.unwrap_or(NodeId(u32::MAX)));
                 }
-                (FieldKind::Node, Value::Null) => {
-                    w.node(NodeId(u32::MAX));
+                SendArg::Key(e) => match self.eval_key_arg(ctx, frame, e) {
+                    Ok(k) => {
+                        w.key(k);
+                        route_key.get_or_insert(k);
+                    }
+                    // Only the coercion of a null node faults `Null`.
+                    Err(Fault::Null) => {
+                        encode_fault.get_or_insert(Fault::Null);
+                    }
+                    Err(f) => return Err(f),
+                },
+                SendArg::Payload(e) => match self.eval_payload(ctx, frame, e)? {
+                    Some(b) => {
+                        if tunneled.is_none() && !b.is_empty() {
+                            tunneled = Some(b.clone());
+                        }
+                        w.bytes(b);
+                    }
+                    None => {
+                        w.bytes(&[]);
+                    }
+                },
+                SendArg::List(e) => {
+                    w.nodes(self.eval_list(ctx, frame, e)?);
                 }
-                (FieldKind::Key, Value::Key(k)) => {
-                    w.key(*k);
-                }
-                (FieldKind::Key, Value::Node(n)) => {
-                    w.key(MacedonKey(n.0));
-                }
-                (FieldKind::Payload, Value::Bytes(b)) => {
-                    w.bytes(b);
-                }
-                (FieldKind::Payload, Value::Null) => {
-                    w.bytes(&[]);
-                }
-                (FieldKind::Nodes, Value::List(ns)) => {
-                    w.nodes(ns);
-                }
-                (kind, v) => {
-                    return Err(format!("field {}: cannot encode {v:?} as {kind:?}", f.name))
+                SendArg::Mismatch(f) => {
+                    self.operands(ctx, frame, f)?;
+                    encode_fault.get_or_insert(Fault::Type(f.msg));
                 }
             }
         }
+        if let Some(f) = encode_fault.or(dest_fault) {
+            return Err(f);
+        }
         let bytes = w.finish();
-
-        // First key field holding a key/node value, if any: the routing
-        // destination when the message addresses a key rather than a
-        // host. Candidate positions were precomputed at lowering.
-        let key_of = |decl: &IrMessage, values: &[Value]| {
-            decl.key_fields
-                .iter()
-                .find_map(|&i| match &values[i as usize] {
-                    Value::Key(k) => Some(*k),
-                    Value::Node(n) => Some(MacedonKey(n.0)),
-                    _ => None,
-                })
-        };
 
         if self.layered {
             // Layered specs never touch the wire: sends tunnel through
@@ -726,61 +832,45 @@ impl Core {
             // transport class maps onto (see `set_base_transports`).
             let priority = self.msg_prio[msg as usize];
             let call = match dest {
-                Value::Node(n) => DownCall::RouteIp {
+                Dest::Node(Some(n)) => DownCall::RouteIp {
                     dest: n,
                     payload: bytes,
                     priority,
                 },
-                Value::Key(k) => DownCall::Route {
+                Dest::Key(k) => DownCall::Route {
                     dest: k,
                     payload: bytes,
                     priority,
                 },
-                Value::Null => {
-                    let Some(k) = key_of(decl, &values) else {
-                        return Err(format!(
-                            "message {}: null destination needs a key field to route toward",
-                            decl.name
-                        ));
-                    };
-                    DownCall::Route {
-                        dest: k,
-                        payload: bytes,
-                        priority,
-                    }
-                }
-                other => return Err(format!("message dest must be node/key, got {other:?}")),
+                Dest::Node(None) => DownCall::Route {
+                    dest: route_key.ok_or(Fault::Null)?,
+                    payload: bytes,
+                    priority,
+                },
             };
             ctx.down(call);
             return Ok(());
         }
 
-        let dest = match dest {
-            Value::Node(n) => n,
-            Value::Null => return Ok(()), // sending to nobody is a no-op
-            other => return Err(format!("message dest must be a node, got {other:?}")),
+        let Dest::Node(dest) = dest else {
+            unreachable!("a lowest-layer send's destination is a node")
         };
-        let ch = decl.channel;
+        let Some(dest) = dest else {
+            return Ok(()); // sending to nobody is a no-op
+        };
+        let ch = ir.messages[msg as usize].channel;
         // A send carrying tunneled upper-layer data is an in-transit
         // forwarding decision: when layers are stacked above, vet it
         // through the engine's forward query (they may redirect or
         // quash) and transmit in `forward_resolved`, as native routers
         // do. Single-layer stacks transmit directly.
-        let tunneled = decl
-            .payload_fields
-            .iter()
-            .find_map(|&i| match &values[i as usize] {
-                Value::Bytes(b) if !b.is_empty() => Some(b.clone()),
-                _ => None,
-            });
         match tunneled {
             Some(payload) if !ctx.is_top_layer() => {
-                let dest_key = key_of(decl, &values).unwrap_or(ctx.my_key);
                 self.pending_fwd.push_back((dest, ch, bytes));
                 ctx.forward_query(ForwardInfo {
                     src: ctx.my_key,
-                    dest: dest_key,
-                    prev_hop: from.unwrap_or(ctx.me),
+                    dest: route_key.unwrap_or(ctx.my_key),
+                    prev_hop: frame.from.unwrap_or(ctx.me),
                     next_hop: dest,
                     payload,
                     quash: false,
@@ -812,223 +902,362 @@ impl Core {
         ctx.send(dest, ch, frame);
     }
 
-    /// If `bytes` is one of this protocol's messages, decode it into
-    /// slot-ordered field values (in a pooled buffer); otherwise
-    /// (foreign protocol, malformed, truncated) `None`. Borrows the
-    /// buffer — no clone.
-    fn decode_own(&mut self, ir: &IrSpec, bytes: &Bytes) -> Option<(u16, Vec<Value>)> {
-        let mut r = WireRef::new(bytes);
-        let (Ok(proto), Ok(id)) = (r.u16(), r.u16()) else {
-            return None;
-        };
-        if proto != self.proto || id as usize >= ir.messages.len() {
-            return None;
-        }
-        let mut fields = std::mem::take(&mut self.fields_pool);
-        match decode_fields_into(
-            &ir.messages[id as usize],
-            &mut r,
-            &mut fields,
-            &mut self.node_pool,
-        ) {
-            Ok(()) => Some((id, fields)),
-            Err(_) => {
-                fields.clear();
-                self.fields_pool = fields;
-                None
-            }
+    // ---- typed evaluation --------------------------------------------------
+    //
+    // One evaluator per static type. Operands are evaluated left to
+    // right, both operands of a binary operator before either is used,
+    // and `neighbor_random` draws from `ctx.rng` exactly where the
+    // generated agents do.
+    //
+    // `eval_int`, `eval_bool`, `eval_node` and `eval_key` are inlined
+    // fronts: a leaf (a slot, a field, a builtin) — and, for conditions,
+    // a comparison or null test of leaves — is read in place, with no
+    // call; anything else goes to the out-of-line `*_tree` evaluator.
+
+    /// Evaluate an ill-typed construct's operands, in order.
+    fn operands(&self, ctx: &mut Ctx, f: &Frame, t: &TypeFault) -> Result<(), Fault> {
+        t.operands
+            .iter()
+            .try_for_each(|op| self.effects(ctx, f, op))
+    }
+
+    /// Evaluate an ill-typed construct's operands, then fault (with the
+    /// first fault an operand raised, if any).
+    fn raise(&self, ctx: &mut Ctx, f: &Frame, t: &TypeFault) -> Fault {
+        match self.operands(ctx, f, t) {
+            Err(fault) => fault,
+            Ok(()) => Fault::Type(t.msg),
         }
     }
 
-    fn eval(&mut self, ctx: &mut Ctx, frame: &Frame, e: &IrExpr) -> Result<Value, String> {
+    #[inline(always)]
+    fn eval_int(&self, ctx: &mut Ctx, f: &Frame, e: &IntExpr) -> Result<i64, Fault> {
+        match e {
+            IntExpr::Lit(v) => Ok(*v),
+            IntExpr::Var(s) => Ok(self.vars.int(*s)),
+            IntExpr::Field(at) => Ok(f.fields.int(*at)),
+            IntExpr::NeighborSize(l) => Ok(self.lists[*l as usize].len() as i64),
+            IntExpr::RingDist(ab) => {
+                let a = self.eval_key_opt(ctx, f, &ab[0])?;
+                Ok(key::dsl_ring_dist(a, self.eval_key_opt(ctx, f, &ab[1])?))
+            }
+            IntExpr::PrefixLen(ab) => {
+                let a = self.eval_key_opt(ctx, f, &ab[0])?;
+                Ok(key::dsl_prefix_len(a, self.eval_key_opt(ctx, f, &ab[1])?))
+            }
+            _ => self.int_tree(ctx, f, e),
+        }
+    }
+
+    fn int_tree(&self, ctx: &mut Ctx, f: &Frame, e: &IntExpr) -> Result<i64, Fault> {
         Ok(match e {
-            IrExpr::Int(v) => Value::Int(*v),
-            IrExpr::From => frame.from.map(Value::Node).unwrap_or(Value::Null),
-            IrExpr::Me => Value::Node(ctx.me),
-            IrExpr::MyKey => Value::Key(ctx.my_key),
-            IrExpr::Bootstrap => self.bootstrap.map(Value::Node).unwrap_or(Value::Null),
-            IrExpr::Payload => frame
-                .payload
-                .clone()
-                .map(Value::Bytes)
-                .unwrap_or(Value::Null),
-            IrExpr::Null => Value::Null,
-            IrExpr::True => Value::Bool(true),
-            IrExpr::False => Value::Bool(false),
-            IrExpr::ApiArg { which, fallback } => {
-                let bound = match which {
-                    ApiArgKind::Dest => &frame.api_dest,
-                    ApiArgKind::Group => &frame.api_group,
-                };
-                bound
-                    .clone()
-                    .or_else(|| fallback.map(|s| self.vars[s as usize].clone()))
-                    .unwrap_or(Value::Null)
+            IntExpr::Lit(v) => *v,
+            IntExpr::Var(s) => self.vars.int(*s),
+            IntExpr::Field(at) => f.fields.int(*at),
+            IntExpr::OfBool(b) => self.eval_bool(ctx, f, b)? as i64,
+            IntExpr::NeighborSize(l) => self.lists[*l as usize].len() as i64,
+            IntExpr::Rtt(n) => self.eval_node(ctx, f, n)?.map_or(0, |p| ctx.rtt_ms(p)),
+            IntExpr::Goodput(n) => self
+                .eval_node(ctx, f, n)?
+                .map_or(0, |p| ctx.goodput_kbps(p)),
+            IntExpr::RingDist(ab) => {
+                let a = self.eval_key_opt(ctx, f, &ab[0])?;
+                key::dsl_ring_dist(a, self.eval_key_opt(ctx, f, &ab[1])?)
             }
-            IrExpr::Var(slot) => self.vars[*slot as usize].clone(),
-            IrExpr::ListValue(slot) => {
-                let mut v = self.node_pool.pop().unwrap_or_default();
-                v.extend_from_slice(&self.lists[*slot as usize]);
-                Value::List(v)
+            IntExpr::Digit(k, i, base) => {
+                let k = self.eval_key_opt(ctx, f, k)?;
+                let i = self.eval_int(ctx, f, i)?;
+                key::dsl_digit(k, i, self.eval_int(ctx, f, base)?)
             }
-            IrExpr::Field(i) => frame
-                .fields
-                .get(*i as usize)
-                .cloned()
-                .ok_or_else(|| format!("unknown message field #{i}"))?,
-            IrExpr::NeighborSize(slot) => Value::Int(self.lists[*slot as usize].len() as i64),
-            IrExpr::NeighborQuery(slot, e) => {
-                let n = self.eval(ctx, frame, e)?;
-                let l = &self.lists[*slot as usize];
-                match n {
-                    Value::Node(n) => Value::Bool(l.contains(&n)),
-                    Value::Null => Value::Bool(false),
-                    other => return Err(format!("neighbor_query needs node, got {other:?}")),
-                }
+            IntExpr::PrefixLen(ab) => {
+                let a = self.eval_key_opt(ctx, f, &ab[0])?;
+                key::dsl_prefix_len(a, self.eval_key_opt(ctx, f, &ab[1])?)
             }
-            IrExpr::NeighborRandom(slot) => {
-                let l = &self.lists[*slot as usize];
-                if l.is_empty() {
-                    Value::Null
-                } else {
-                    Value::Node(l[ctx.rng.index(l.len())])
-                }
-            }
-            IrExpr::Rtt(e) => match self.eval(ctx, frame, e)? {
-                Value::Node(n) => Value::Int(ctx.rtt_ms(n)),
-                Value::Null => Value::Int(0),
-                other => return Err(format!("rtt(..) needs a node, got {other:?}")),
-            },
-            IrExpr::Goodput(e) => match self.eval(ctx, frame, e)? {
-                Value::Node(n) => Value::Int(ctx.goodput_kbps(n)),
-                Value::Null => Value::Int(0),
-                other => return Err(format!("goodput(..) needs a node, got {other:?}")),
-            },
-            IrExpr::RingDist(a, b) => {
-                let a = self.eval(ctx, frame, a)?.as_key_opt(ctx.addressing)?;
-                let b = self.eval(ctx, frame, b)?.as_key_opt(ctx.addressing)?;
-                Value::Int(key::dsl_ring_dist(a, b))
-            }
-            IrExpr::RingBetween(x, lo, hi) => {
-                let x = self.eval(ctx, frame, x)?.as_key_opt(ctx.addressing)?;
-                let lo = self.eval(ctx, frame, lo)?.as_key_opt(ctx.addressing)?;
-                let hi = self.eval(ctx, frame, hi)?.as_key_opt(ctx.addressing)?;
-                Value::Bool(key::dsl_ring_between(x, lo, hi))
-            }
-            IrExpr::Digit(k, i, base) => {
-                let k = self.eval(ctx, frame, k)?.as_key_opt(ctx.addressing)?;
-                let i = self.eval(ctx, frame, i)?.as_int()?;
-                let base = self.eval(ctx, frame, base)?.as_int()?;
-                Value::Int(key::dsl_digit(k, i, base))
-            }
-            IrExpr::PrefixLen(a, b) => {
-                let a = self.eval(ctx, frame, a)?.as_key_opt(ctx.addressing)?;
-                let b = self.eval(ctx, frame, b)?.as_key_opt(ctx.addressing)?;
-                Value::Int(key::dsl_prefix_len(a, b))
-            }
-            IrExpr::OwnerOf(k, slot) => {
-                let k = self.eval(ctx, frame, k)?.as_key_opt(ctx.addressing)?;
-                match key::dsl_owner_of(k, &self.lists[*slot as usize], ctx.addressing) {
-                    Some(n) => Value::Node(n),
-                    None => Value::Null,
-                }
-            }
-            IrExpr::Not(e) => Value::Bool(!self.eval(ctx, frame, e)?.truthy()),
-            IrExpr::Neg(e) => Value::Int(-self.eval(ctx, frame, e)?.as_int()?),
-            IrExpr::Bin(op, a, b) => {
-                let a = self.eval(ctx, frame, a)?;
-                let b = self.eval(ctx, frame, b)?;
+            IntExpr::Neg(x) => -self.eval_int(ctx, f, x)?,
+            IntExpr::Arith(op, ab) => {
+                let a = self.eval_int(ctx, f, &ab[0])?;
+                let b = self.eval_int(ctx, f, &ab[1])?;
                 match op {
-                    BinOp::And => Value::Bool(a.truthy() && b.truthy()),
-                    BinOp::Or => Value::Bool(a.truthy() || b.truthy()),
-                    BinOp::Eq => Value::Bool(values_eq(&a, &b)),
-                    BinOp::Ne => Value::Bool(!values_eq(&a, &b)),
-                    BinOp::Lt => Value::Bool(a.as_int()? < b.as_int()?),
-                    BinOp::Gt => Value::Bool(a.as_int()? > b.as_int()?),
-                    BinOp::Le => Value::Bool(a.as_int()? <= b.as_int()?),
-                    BinOp::Ge => Value::Bool(a.as_int()? >= b.as_int()?),
-                    // Key ± int wraps on the 2^32 ring (Chord's
-                    // `my_key + pow2` finger targets).
-                    BinOp::Add => match &a {
-                        Value::Key(k) => Value::Key(key::dsl_key_add(*k, b.as_int()?)),
-                        _ => Value::Int(a.as_int()? + b.as_int()?),
-                    },
-                    BinOp::Sub => match &a {
-                        Value::Key(k) => Value::Key(key::dsl_key_add(*k, -b.as_int()?)),
-                        _ => Value::Int(a.as_int()? - b.as_int()?),
-                    },
-                    BinOp::Mul => Value::Int(a.as_int()? * b.as_int()?),
-                    BinOp::Div => {
-                        let d = b.as_int()?;
-                        if d == 0 {
-                            return Err("division by zero".into());
-                        }
-                        Value::Int(a.as_int()? / d)
-                    }
-                    BinOp::Mod => {
-                        let d = b.as_int()?;
-                        if d == 0 {
-                            return Err("modulo by zero".into());
-                        }
-                        Value::Int(a.as_int()? % d)
-                    }
+                    ArithOp::Add => a + b,
+                    ArithOp::Sub => a - b,
+                    ArithOp::Mul => a * b,
+                    ArithOp::Div if b == 0 => return Err(Fault::DivZero),
+                    ArithOp::Div => a / b,
+                    ArithOp::Mod if b == 0 => return Err(Fault::ModZero),
+                    ArithOp::Mod => a % b,
                 }
             }
+            IntExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
+        })
+    }
+
+    #[inline(always)]
+    fn eval_bool(&self, ctx: &mut Ctx, f: &Frame, e: &BoolExpr) -> Result<bool, Fault> {
+        match e {
+            BoolExpr::Lit(b) => Ok(*b),
+            BoolExpr::Var(s) => Ok(self.vars.bool(*s)),
+            BoolExpr::Field(at) => Ok(f.fields.bool(*at)),
+            BoolExpr::Cmp(op, ab) => {
+                let a = self.eval_int(ctx, f, &ab[0])?;
+                Ok(compare(*op, a, self.eval_int(ctx, f, &ab[1])?))
+            }
+            BoolExpr::IsSome(x) => Ok(self.eval_node(ctx, f, x)?.is_some()),
+            BoolExpr::IsNull(x) => Ok(self.eval_node(ctx, f, x)?.is_none()),
+            BoolExpr::EqNode(a, b) => {
+                let a = self.eval_node(ctx, f, a)?;
+                Ok(a == self.eval_node(ctx, f, b)?)
+            }
+            BoolExpr::NeighborQuery(l, n) => Ok(self
+                .eval_node(ctx, f, n)?
+                .is_some_and(|n| self.lists[*l as usize].contains(&n))),
+            _ => self.bool_tree(ctx, f, e),
+        }
+    }
+
+    fn bool_tree(&self, ctx: &mut Ctx, f: &Frame, e: &BoolExpr) -> Result<bool, Fault> {
+        Ok(match e {
+            BoolExpr::Lit(b) => *b,
+            BoolExpr::Var(s) => self.vars.bool(*s),
+            BoolExpr::Field(at) => f.fields.bool(*at),
+            BoolExpr::Not(x) => !self.eval_bool(ctx, f, x)?,
+            BoolExpr::And(a, b) => {
+                let a = self.eval_bool(ctx, f, a)?;
+                self.eval_bool(ctx, f, b)? && a
+            }
+            BoolExpr::Or(a, b) => {
+                let a = self.eval_bool(ctx, f, a)?;
+                self.eval_bool(ctx, f, b)? || a
+            }
+            BoolExpr::Cmp(op, ab) => {
+                let a = self.eval_int(ctx, f, &ab[0])?;
+                compare(*op, a, self.eval_int(ctx, f, &ab[1])?)
+            }
+            BoolExpr::NonZero(x) => self.eval_int(ctx, f, x)? != 0,
+            BoolExpr::IsSome(x) => self.eval_node(ctx, f, x)?.is_some(),
+            BoolExpr::IsNull(x) => self.eval_node(ctx, f, x)?.is_none(),
+            BoolExpr::NonEmpty(x) => self.eval_payload(ctx, f, x)?.is_some_and(|b| !b.is_empty()),
+            BoolExpr::IsNullPayload(x) => self.eval_payload(ctx, f, x)?.is_none(),
+            BoolExpr::EqBool(a, b) => {
+                let a = self.eval_bool(ctx, f, a)?;
+                a == self.eval_bool(ctx, f, b)?
+            }
+            BoolExpr::EqNode(a, b) => {
+                let a = self.eval_node(ctx, f, a)?;
+                a == self.eval_node(ctx, f, b)?
+            }
+            BoolExpr::EqKey(a, b) => {
+                let a = self.eval_key(ctx, f, a)?;
+                a == self.eval_key(ctx, f, b)?
+            }
+            BoolExpr::EqKeyNode {
+                key,
+                node,
+                key_first,
+            } => {
+                let (k, n) = if *key_first {
+                    let k = self.eval_key(ctx, f, key)?;
+                    (k, self.eval_node(ctx, f, node)?)
+                } else {
+                    let n = self.eval_node(ctx, f, node)?;
+                    (self.eval_key(ctx, f, key)?, n)
+                };
+                n.is_some_and(|n| n.0 == k.0)
+            }
+            BoolExpr::EqPayload(a, b) => {
+                let a = self.eval_payload(ctx, f, a)?;
+                a == self.eval_payload(ctx, f, b)?
+            }
+            BoolExpr::EqList(a, b) => {
+                let a = self.eval_list(ctx, f, a)?;
+                a == self.eval_list(ctx, f, b)?
+            }
+            BoolExpr::NeighborQuery(l, n) => self
+                .eval_node(ctx, f, n)?
+                .is_some_and(|n| self.lists[*l as usize].contains(&n)),
+            BoolExpr::RingBetween(x, lo, hi) => {
+                let x = self.eval_key_opt(ctx, f, x)?;
+                let lo = self.eval_key_opt(ctx, f, lo)?;
+                key::dsl_ring_between(x, lo, self.eval_key_opt(ctx, f, hi)?)
+            }
+            BoolExpr::Const(operands, v) => {
+                for op in operands {
+                    self.effects(ctx, f, op)?;
+                }
+                *v
+            }
+            BoolExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
+        })
+    }
+
+    #[inline(always)]
+    fn eval_node(&self, ctx: &mut Ctx, f: &Frame, e: &NodeExpr) -> Result<Option<NodeId>, Fault> {
+        match e {
+            NodeExpr::Null => Ok(None),
+            NodeExpr::From => Ok(f.from),
+            NodeExpr::Me => Ok(Some(ctx.me)),
+            NodeExpr::Var(s) => Ok(self.vars.node(*s)),
+            NodeExpr::Field(at) => Ok(f.fields.node(*at)),
+            _ => self.node_tree(ctx, f, e),
+        }
+    }
+
+    fn node_tree(&self, ctx: &mut Ctx, f: &Frame, e: &NodeExpr) -> Result<Option<NodeId>, Fault> {
+        Ok(match e {
+            NodeExpr::Null => None,
+            NodeExpr::From => f.from,
+            NodeExpr::Me => Some(ctx.me),
+            NodeExpr::Bootstrap => self.bootstrap,
+            NodeExpr::ApiDest => f.api_dest,
+            NodeExpr::Var(s) => self.vars.node(*s),
+            NodeExpr::Field(at) => f.fields.node(*at),
+            NodeExpr::NeighborRandom(l) => {
+                let l = &self.lists[*l as usize];
+                if l.is_empty() {
+                    None
+                } else {
+                    Some(l[ctx.rng.index(l.len())])
+                }
+            }
+            NodeExpr::OwnerOf(k, l) => {
+                let k = self.eval_key_opt(ctx, f, k)?;
+                key::dsl_owner_of(k, &self.lists[*l as usize], ctx.addressing)
+            }
+            NodeExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
+        })
+    }
+
+    #[inline(always)]
+    fn eval_key(&self, ctx: &mut Ctx, f: &Frame, e: &KeyExpr) -> Result<MacedonKey, Fault> {
+        match e {
+            KeyExpr::MyKey => Ok(ctx.my_key),
+            KeyExpr::ApiKey => Ok(f.api_key),
+            KeyExpr::Var(s) => Ok(self.vars.key(*s)),
+            KeyExpr::Field(at) => Ok(f.fields.key(*at)),
+            _ => self.key_tree(ctx, f, e),
+        }
+    }
+
+    fn key_tree(&self, ctx: &mut Ctx, f: &Frame, e: &KeyExpr) -> Result<MacedonKey, Fault> {
+        Ok(match e {
+            KeyExpr::MyKey => ctx.my_key,
+            KeyExpr::ApiKey => f.api_key,
+            KeyExpr::Var(s) => self.vars.key(*s),
+            KeyExpr::Field(at) => f.fields.key(*at),
+            // Key ± int wraps on the 2^32 ring (Chord's `my_key + pow2`
+            // finger targets).
+            KeyExpr::Offset { key, by, negate } => {
+                let k = self.eval_key(ctx, f, key)?;
+                let by = self.eval_int(ctx, f, by)?;
+                key::dsl_key_add(k, if *negate { -by } else { by })
+            }
+            KeyExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
+        })
+    }
+
+    /// A key-builtin operand: keys pass through, nodes hash under the
+    /// world's addressing mode, ints truncate onto the ring, null stays
+    /// null.
+    #[inline(always)]
+    fn eval_key_opt(
+        &self,
+        ctx: &mut Ctx,
+        f: &Frame,
+        e: &KeyOptExpr,
+    ) -> Result<Option<MacedonKey>, Fault> {
+        Ok(match e {
+            KeyOptExpr::Key(k) => Some(self.eval_key(ctx, f, k)?),
+            KeyOptExpr::Node(n) => self
+                .eval_node(ctx, f, n)?
+                .map(|n| MacedonKey::of_node(n, ctx.addressing)),
+            KeyOptExpr::Int(i) => Some(MacedonKey(self.eval_int(ctx, f, i)? as u32)),
+            KeyOptExpr::Null => None,
+            KeyOptExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
+        })
+    }
+
+    /// A routing key: a node becomes the key with its raw id; a null
+    /// node faults.
+    fn eval_key_arg(&self, ctx: &mut Ctx, f: &Frame, e: &KeyArg) -> Result<MacedonKey, Fault> {
+        match e {
+            KeyArg::Key(k) => self.eval_key(ctx, f, k),
+            KeyArg::Node(n) => self
+                .eval_node(ctx, f, n)?
+                .map(|n| MacedonKey(n.0))
+                .ok_or(Fault::Null),
+            KeyArg::Fault(t) => Err(self.raise(ctx, f, t)),
+        }
+    }
+
+    fn eval_payload<'s>(
+        &'s self,
+        ctx: &mut Ctx,
+        f: &'s Frame,
+        e: &PayloadExpr,
+    ) -> Result<Option<&'s Bytes>, Fault> {
+        Ok(match e {
+            PayloadExpr::Null => None,
+            PayloadExpr::Api => f.payload.as_ref(),
+            PayloadExpr::Var(s) => self.vars.payload(*s),
+            PayloadExpr::Field(at) => f.fields.payload(*at),
+            PayloadExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
+        })
+    }
+
+    /// A payload argument: null is the empty payload.
+    fn payload_value(&self, ctx: &mut Ctx, f: &Frame, e: &PayloadExpr) -> Result<Bytes, Fault> {
+        Ok(self
+            .eval_payload(ctx, f, e)?
+            .cloned()
+            .unwrap_or_else(Bytes::new))
+    }
+
+    fn eval_list<'s>(
+        &'s self,
+        ctx: &mut Ctx,
+        f: &'s Frame,
+        e: &ListExpr,
+    ) -> Result<&'s [NodeId], Fault> {
+        Ok(match e {
+            ListExpr::List(l) => &self.lists[*l as usize],
+            ListExpr::Field(at) => &f.lists[*at as usize],
+            ListExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
+        })
+    }
+
+    /// Evaluate for effects (RNG draws, faults) only.
+    fn effects(&self, ctx: &mut Ctx, f: &Frame, e: &AnyExpr) -> Result<(), Fault> {
+        match e {
+            AnyExpr::Int(e) => self.eval_int(ctx, f, e).map(drop),
+            AnyExpr::Bool(e) => self.eval_bool(ctx, f, e).map(drop),
+            AnyExpr::Key(e) => self.eval_key(ctx, f, e).map(drop),
+            AnyExpr::Node(e) => self.eval_node(ctx, f, e).map(drop),
+            AnyExpr::Payload(e) => self.eval_payload(ctx, f, e).map(drop),
+            AnyExpr::List(e) => self.eval_list(ctx, f, e).map(drop),
+            AnyExpr::Null => Ok(()),
+        }
+    }
+
+    /// Evaluate into a [`Value`] (`trace(..)` records).
+    fn eval_any(&self, ctx: &mut Ctx, f: &Frame, e: &AnyExpr) -> Result<Value, Fault> {
+        Ok(match e {
+            AnyExpr::Int(e) => Value::Int(self.eval_int(ctx, f, e)?),
+            AnyExpr::Bool(e) => Value::Bool(self.eval_bool(ctx, f, e)?),
+            AnyExpr::Key(e) => Value::Key(self.eval_key(ctx, f, e)?),
+            AnyExpr::Node(e) => Value::of_node(self.eval_node(ctx, f, e)?),
+            AnyExpr::Payload(e) => Value::of_payload(self.eval_payload(ctx, f, e)?),
+            AnyExpr::List(e) => Value::List(self.eval_list(ctx, f, e)?.to_vec()),
+            AnyExpr::Null => Value::Null,
         })
     }
 }
-/// Decode one message's fields into a slot-ordered buffer (`out` must
-/// be empty; pooled by the caller), drawing node-list buffers from
-/// `node_pool`.
-fn decode_fields_into(
-    decl: &IrMessage,
-    r: &mut WireRef,
-    out: &mut Vec<Value>,
-    node_pool: &mut Vec<Vec<NodeId>>,
-) -> Result<(), String> {
-    debug_assert!(out.is_empty());
-    out.reserve(decl.fields.len());
-    for f in &decl.fields {
-        let v = match f.kind {
-            FieldKind::Int => Value::Int(r.u64().map_err(|e| e.to_string())? as i64),
-            FieldKind::Bool => Value::Bool(r.u8().map_err(|e| e.to_string())? != 0),
-            FieldKind::Node => {
-                let n = r.node().map_err(|e| e.to_string())?;
-                if n == NodeId(u32::MAX) {
-                    Value::Null
-                } else {
-                    Value::Node(n)
-                }
-            }
-            FieldKind::Key => Value::Key(r.key().map_err(|e| e.to_string())?),
-            FieldKind::Payload => Value::Bytes(r.bytes().map_err(|e| e.to_string())?),
-            FieldKind::Nodes => {
-                let mut l = node_pool.pop().unwrap_or_default();
-                r.nodes_into(&mut l).map_err(|e| e.to_string())?;
-                Value::List(l)
-            }
-        };
-        out.push(v);
-    }
-    Ok(())
-}
 
-/// Move a single-use field value out of the frame (leaving `Null`; the
-/// lowering guarantees no later read).
-fn take_field(frame: &mut Frame, i: u16) -> Result<Value, String> {
-    frame
-        .fields
-        .get_mut(i as usize)
-        .map(|f| std::mem::replace(f, Value::Null))
-        .ok_or_else(|| format!("unknown message field #{i}"))
-}
-
-fn values_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Int(x), Value::Bool(y)) => (*x != 0) == *y,
-        (Value::Bool(x), Value::Int(y)) => *x == (*y != 0),
-        (Value::Node(n), Value::Key(k)) | (Value::Key(k), Value::Node(n)) => n.0 == k.0,
-        _ => a == b,
+fn compare(op: CmpOp, a: i64, b: i64) -> bool {
+    match op {
+        CmpOp::Eq => a == b,
+        CmpOp::Lt => a < b,
+        CmpOp::Gt => a > b,
+        CmpOp::Le => a <= b,
+        CmpOp::Ge => a >= b,
     }
 }
 
@@ -1057,7 +1286,8 @@ impl Agent for InterpretedAgent {
                 ctx.timer_periodic(id as u16, Duration::from_millis(ms as u64));
             }
         }
-        self.fire(ctx, At::Api(ApiKind::Init), Frame::default());
+        self.frame.reset(None);
+        self.fire(ctx, At::Api(ApiKind::Init));
     }
 
     fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
@@ -1073,30 +1303,31 @@ impl Agent for InterpretedAgent {
             DownCall::Ext { .. } => ApiKind::Ext,
         };
         if !self.ir.tables.api[kind as usize].is_empty() {
-            let mut f = Frame::default();
+            let f = &mut self.frame;
+            f.reset(None);
             match call {
                 DownCall::Route { dest, payload, .. } => {
-                    f.api_dest = Some(Value::Key(dest));
+                    f.api_key = dest;
                     f.payload = Some(payload);
                 }
                 DownCall::RouteIp { dest, payload, .. } => {
-                    f.api_dest = Some(Value::Node(dest));
+                    f.api_dest = Some(dest);
                     f.payload = Some(payload);
                 }
                 DownCall::Multicast { group, payload, .. }
                 | DownCall::Anycast { group, payload, .. }
                 | DownCall::Collect { group, payload, .. } => {
-                    f.api_group = Some(Value::Key(group));
+                    f.api_key = group;
                     f.payload = Some(payload);
                 }
                 DownCall::CreateGroup { group }
                 | DownCall::Join { group }
                 | DownCall::Leave { group } => {
-                    f.api_group = Some(Value::Key(group));
+                    f.api_key = group;
                 }
                 DownCall::Ext { .. } => {}
             }
-            self.fire(ctx, At::Api(kind), f);
+            self.fire(ctx, At::Api(kind));
             return;
         }
         if self.core.layered {
@@ -1129,13 +1360,8 @@ impl Agent for InterpretedAgent {
             UpCall::Deliver { src, from, payload } => {
                 // Demultiplex by protocol id: our own tunneled messages
                 // fire `recv` transitions, anything else continues up.
-                if let Some((id, fields)) = self.core.decode_own(&self.ir, &payload) {
-                    let frame = Frame {
-                        fields,
-                        from: Some(from),
-                        ..Default::default()
-                    };
-                    self.fire(ctx, At::Recv(id), frame);
+                if let Some(id) = self.decode_own(&payload, from) {
+                    self.fire(ctx, At::Recv(id));
                 } else {
                     ctx.up(UpCall::Deliver { src, from, payload });
                 }
@@ -1160,25 +1386,10 @@ impl Agent for InterpretedAgent {
         {
             return;
         }
-        let mut fields = std::mem::take(&mut self.core.fields_pool);
-        if decode_fields_into(
-            &self.ir.messages[id as usize],
-            &mut r,
-            &mut fields,
-            &mut self.core.node_pool,
-        )
-        .is_err()
-        {
-            fields.clear();
-            self.core.fields_pool = fields;
+        if self.decode(id, &mut r, fwd.prev_hop).is_err() {
             return;
         }
-        let frame = Frame {
-            fields,
-            from: Some(fwd.prev_hop),
-            ..Default::default()
-        };
-        if self.fire(ctx, At::Forward(id), frame) {
+        if self.fire(ctx, At::Forward(id)) {
             fwd.quash = true;
         }
     }
@@ -1215,36 +1426,27 @@ impl Agent for InterpretedAgent {
         if proto != self.core.proto || id as usize >= self.ir.messages.len() {
             return;
         }
-        let mut fields = std::mem::take(&mut self.core.fields_pool);
-        if let Err(e) = decode_fields_into(
-            &self.ir.messages[id as usize],
-            &mut r,
-            &mut fields,
-            &mut self.core.node_pool,
-        ) {
-            if ctx.trace_on(TraceLevel::Low) {
-                ctx.trace(
-                    TraceLevel::Low,
-                    format!("{}: decode error: {e}", self.ir.name),
-                );
+        match self.decode(id, &mut r, from) {
+            Ok(()) => {
+                self.fire(ctx, At::Recv(id));
             }
-            fields.clear();
-            self.core.fields_pool = fields;
-            return;
+            Err(e) => {
+                if ctx.trace_on(TraceLevel::Low) {
+                    ctx.trace(
+                        TraceLevel::Low,
+                        format!("{}: decode error: {e}", self.ir.name),
+                    );
+                }
+            }
         }
-        let frame = Frame {
-            fields,
-            from: Some(from),
-            ..Default::default()
-        };
-        self.fire(ctx, At::Recv(id), frame);
     }
 
     fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
         if (timer as usize) >= self.ir.timers.len() {
             return;
         }
-        self.fire(ctx, At::Timer(timer), Frame::default());
+        self.frame.reset(None);
+        self.fire(ctx, At::Timer(timer));
     }
 
     fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
@@ -1255,11 +1457,8 @@ impl Agent for InterpretedAgent {
                 self.core.lists[slot].retain(|&n| n != peer);
             }
         }
-        let frame = Frame {
-            from: Some(peer),
-            ..Default::default()
-        };
-        self.fire(ctx, At::Error, frame);
+        self.frame.reset(Some(peer));
+        self.fire(ctx, At::Error);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1274,7 +1473,7 @@ impl Agent for InterpretedAgent {
 mod tests {
     use super::*;
     use crate::compile;
-    use macedon_core::{NullApp, Time, World, WorldConfig};
+    use macedon_core::{Addressing, NullApp, Time, World, WorldConfig};
     use macedon_net::topology::{canned, LinkSpec};
 
     /// A toy protocol: everyone joins a star around the bootstrap.
@@ -1352,7 +1551,7 @@ mod tests {
         }
         // The bootstrap heard from everyone.
         let boot = agent_of(&w, hosts[0]);
-        assert_eq!(boot.var("hellos"), Some(&Value::Int(5)));
+        assert_eq!(boot.var("hellos"), Some(Value::Int(5)));
         assert_eq!(boot.list("members").unwrap().len(), 5);
     }
 
@@ -1400,6 +1599,7 @@ mod tests {
 
     #[test]
     fn value_semantics() {
+        use super::reference::values_eq;
         assert!(Value::Int(1).truthy());
         assert!(!Value::Int(0).truthy());
         assert!(!Value::Null.truthy());
@@ -1496,7 +1696,7 @@ mod tests {
             .as_any()
             .downcast_ref()
             .unwrap();
-        assert_eq!(boot.var("hellos"), Some(&Value::Int(4)));
+        assert_eq!(boot.var("hellos"), Some(Value::Int(4)));
         assert_eq!(boot.list("members").unwrap().len(), 4);
     }
 
@@ -1528,7 +1728,7 @@ mod tests {
         );
         w.run_until(Time::from_secs(1));
         let a = agent_of(&w, hosts[0]);
-        let Some(&Value::Int(n)) = a.var("n") else {
+        let Some(Value::Int(n)) = a.var("n") else {
             panic!()
         };
         assert!((8..=10).contains(&n), "ticked ~10 times in 1s, got {n}");
@@ -1603,11 +1803,11 @@ mod tests {
         // The sender sees a sub-5ms LAN RTT (>= 1 ms after rounding may
         // floor to 0, so only assert the goodput side is positive and
         // the rtt is small).
-        let Some(&Value::Int(rtt)) = a.var("last_rtt") else {
+        let Some(Value::Int(rtt)) = a.var("last_rtt") else {
             panic!()
         };
         assert!((0..50).contains(&rtt), "LAN rtt_ms, got {rtt}");
-        let Some(&Value::Int(gp)) = a.var("last_goodput") else {
+        let Some(Value::Int(gp)) = a.var("last_goodput") else {
             panic!()
         };
         // 28-byte messages every 100 ms ≈ 2.2 kbit/s inbound.
@@ -1661,7 +1861,7 @@ mod tests {
         // `neighbor_add(kids, me)` filters nothing here (me is allowed
         // in adds), so the loop ran once; afterwards `n` reads the
         // declared scalar (me) again: 1 + 100.
-        assert_eq!(a.var("count"), Some(&Value::Int(101)));
+        assert_eq!(a.var("count"), Some(Value::Int(101)));
     }
 
     #[test]
@@ -1713,27 +1913,122 @@ mod tests {
         let target = key::dsl_key_add(me_key, 10);
         assert_eq!(
             a.var("dist"),
-            Some(&Value::Int(key::dsl_ring_dist(
-                Some(me_key),
-                Some(boot_key)
-            )))
+            Some(Value::Int(key::dsl_ring_dist(Some(me_key), Some(boot_key))))
         );
         // Degenerate interval (lo == hi) is the full ring.
-        assert_eq!(a.var("between"), Some(&Value::Bool(true)));
-        assert_eq!(a.var("dig"), Some(&Value::Int((hosts[1].0 & 0xF) as i64)));
+        assert_eq!(a.var("between"), Some(Value::Bool(true)));
+        assert_eq!(a.var("dig"), Some(Value::Int((hosts[1].0 & 0xF) as i64)));
         assert_eq!(
             a.var("plen"),
-            Some(&Value::Int(key::dsl_prefix_len(Some(me_key), Some(target))))
+            Some(Value::Int(key::dsl_prefix_len(Some(me_key), Some(target))))
         );
-        assert_eq!(a.var("target"), Some(&Value::Key(target)));
+        assert_eq!(a.var("target"), Some(Value::Key(target)));
         // The only ring member is the bootstrap, so it owns everything.
-        assert_eq!(a.var("owner"), Some(&Value::Node(hosts[0])));
+        assert_eq!(a.var("owner"), Some(Value::Node(hosts[0])));
 
         // Without a bootstrap the null-operand sentinels apply: RING
         // distance, false interval test, null owner.
         let b = agent_of(&w, hosts[0]);
-        assert_eq!(b.var("dist"), Some(&Value::Int(key::RING as i64)));
-        assert_eq!(b.var("between"), Some(&Value::Bool(false)));
-        assert_eq!(b.var("owner"), Some(&Value::Null));
+        assert_eq!(b.var("dist"), Some(Value::Int(key::RING as i64)));
+        assert_eq!(b.var("between"), Some(Value::Bool(false)));
+        assert_eq!(b.var("owner"), Some(Value::Null));
+    }
+
+    /// Run one wire message through a single-layer stack at trace level
+    /// `Low`; the agent and the `Low` records the event left.
+    fn recv_low_records(spec: Arc<Spec>, msg: Bytes) -> (macedon_core::Stack, Vec<String>) {
+        use macedon_core::{SimRng, SpanId, Stack, StackEffect, TraceEvent};
+        let agent = InterpretedAgent::new(spec, None);
+        let mut stack = Stack::new(
+            NodeId(1),
+            MacedonKey(1),
+            vec![Box::new(agent)],
+            Box::new(NullApp),
+            SimRng::new(1),
+        );
+        stack.set_trace_level(TraceLevel::Low);
+        let mut fx = Vec::new();
+        stack.init(Time::ZERO, &mut fx);
+        stack.recv(Time::ZERO, NodeId(2), msg, SpanId::NONE, &mut fx);
+        let lows = fx
+            .iter()
+            .filter_map(|e| match e {
+                StackEffect::Trace {
+                    level: TraceLevel::Low,
+                    event: TraceEvent::Custom { msg },
+                    ..
+                } => Some(msg.clone()),
+                _ => None,
+            })
+            .collect();
+        (stack, lows)
+    }
+
+    #[test]
+    fn a_null_value_fault_traces_the_generated_agents_line() {
+        const NULL_WHO: &str = r#"
+            protocol nullwho;
+            addressing hash;
+            neighbor_types { member 8 { } }
+            transports { TCP C; }
+            messages { C hello { node who; } }
+            state_variables { member members; int after; }
+            transitions {
+                any recv hello {
+                    neighbor_add(members, field(who));
+                    after = 1;
+                }
+            }
+        "#;
+        let spec = Arc::new(compile(NULL_WHO).unwrap());
+        // The line the generated agent traces for this fault.
+        let code = crate::codegen::generate(&spec).unwrap();
+        let at = code
+            .find("\"nullwho: runtime error: ")
+            .expect("generated bail");
+        let want = code[at + 1..].split('"').next().unwrap();
+        let mut w = WireWriter::new();
+        w.u16(protocol_id_of("nullwho"))
+            .u16(0)
+            .node(NodeId(u32::MAX));
+        let (stack, lows) = recv_low_records(spec, w.finish());
+        assert_eq!(lows, [want]);
+        let a: &InterpretedAgent = stack.agent(0).as_any().downcast_ref().unwrap();
+        assert_eq!(a.transitions_fired, 1);
+        assert_eq!(a.var("after"), Some(Value::Int(0)), "unwound at the fault");
+    }
+
+    #[test]
+    fn an_ill_typed_construct_lowers_to_a_fault_raised_when_reached() {
+        const ILL: &str = r#"
+            protocol ill;
+            addressing hash;
+            transports { TCP C; }
+            messages { C ping { } }
+            state_variables { int n; int after; }
+            transitions {
+                any recv ping {
+                    n = me;
+                    after = 1;
+                }
+            }
+        "#;
+        let spec = Arc::new(compile(ILL).unwrap());
+        // The generator rejects what the interpreter lowers to a fault.
+        assert!(crate::codegen::generate(&spec).is_err());
+        let ir = IrSpec::lower(&spec).unwrap();
+        assert_eq!(
+            ir.type_faults,
+            ["cannot assign node to 'n' of declared type int"]
+        );
+        let mut w = WireWriter::new();
+        w.u16(protocol_id_of("ill")).u16(0);
+        let (stack, lows) = recv_low_records(spec, w.finish());
+        assert_eq!(
+            lows,
+            ["ill: runtime error: cannot assign node to 'n' of declared type int"]
+        );
+        let a: &InterpretedAgent = stack.agent(0).as_any().downcast_ref().unwrap();
+        assert_eq!(a.var("after"), Some(Value::Int(0)));
     }
 }

@@ -1,4 +1,5 @@
-//! Slot-indexed intermediate representation of a compiled [`Spec`].
+//! Slot-indexed, typed intermediate representation of a compiled
+//! [`Spec`].
 //!
 //! The interpreter used to walk the AST directly, resolving every
 //! variable, list, timer, message, and field *by string name* on every
@@ -13,18 +14,31 @@
 //! in declaration order, so firing an event is an array index plus a
 //! bitmask test instead of a linear scan with `String` comparisons.
 //!
+//! Lowering also **types** every expression ([`typed`]): each
+//! name-resolved [`IrExpr`] gets its static [`Ty`] and becomes a tree
+//! that evaluates at that type — an `i64`, a `bool`, an
+//! `Option<NodeId>`, a key — so no value is boxed into a dynamically
+//! typed variant and matched back out at run time. Variables live in
+//! typed slots ([`Slots`]), and decoded message fields too.
+//!
 //! One `Arc<IrSpec>` is shared by every node interpreting the spec
 //! (see [`crate::registry::SpecRegistry`], which lowers each spec once
 //! at registration). Lowering is purely a change of representation:
 //! execution order, RNG draw points, wire bytes, and engine op order
-//! are identical to the AST-walking interpreter, which is what keeps
-//! the interpreted/generated exact-equality cross-validation intact.
+//! are identical to the AST semantics, which is what keeps the
+//! interpreted/generated exact-equality cross-validation intact.
+
+pub mod typed;
 
 use crate::ast::*;
-use crate::interp::{protocol_id_of, Value};
-use macedon_core::{ChannelId, MacedonKey, ProtocolId};
+use crate::interp::protocol_id_of;
+use macedon_core::{ChannelId, ProtocolId};
 use std::collections::HashMap;
 use std::fmt;
+pub use typed::{
+    AnyExpr, BoolExpr, IntExpr, KeyArg, KeyExpr, ListExpr, NodeExpr, PayloadExpr, SendArg,
+    SendDest, Slots, Ty, TypeFault, Typer,
+};
 
 /// A spec that cannot be lowered — either it never passed
 /// [`crate::sema::analyze`] (unresolved names) or it exceeds an IR
@@ -55,12 +69,17 @@ impl StateMask {
     }
 }
 
-/// One scalar variable slot (constants, declared scalars, and one
-/// dedicated slot per `foreach` binding site).
+/// One scalar variable (constants, declared scalars, and one dedicated
+/// variable per `foreach` binding site), stored in a [`Slots`] slot
+/// of its type.
 #[derive(Clone, Debug)]
 pub struct IrVar {
     pub name: String,
-    pub init: Value,
+    pub ty: Ty,
+    /// The slot ([`Ty::Null`]: no storage).
+    pub slot: u16,
+    /// A constant's value (constants are never assigned).
+    pub constant: Option<i64>,
 }
 
 /// One neighbor-list slot.
@@ -91,7 +110,7 @@ pub enum FieldKind {
 }
 
 impl FieldKind {
-    fn of(ty: &TypeName) -> FieldKind {
+    pub fn of(ty: &TypeName) -> FieldKind {
         match ty {
             TypeName::Int => FieldKind::Int,
             TypeName::Bool => FieldKind::Bool,
@@ -107,6 +126,9 @@ impl FieldKind {
 pub struct IrField {
     pub name: String,
     pub kind: FieldKind,
+    /// The field's slot in a decoded frame: a [`Slots`] slot, or the
+    /// index among the message's list fields for `Nodes`.
+    pub at: u16,
 }
 
 /// One message declaration, field order fixed; the message id is the
@@ -121,12 +143,6 @@ pub struct IrMessage {
     /// [`crate::interp::InterpretedAgent::set_base_transports`].
     pub transport: Option<String>,
     pub fields: Vec<IrField>,
-    /// Positions of `key`-typed fields (routing destination candidates
-    /// for `null`-destination layered sends).
-    pub key_fields: Vec<u16>,
-    /// Positions of `payload`-typed fields (tunneled-data candidates
-    /// for the forward-query vetting of lowest-layer sends).
-    pub payload_fields: Vec<u16>,
 }
 
 /// A lowered transition body.
@@ -215,7 +231,9 @@ pub enum ApiArgKind {
     Group,
 }
 
-/// Lowered expression: every name is a slot.
+/// A name-resolved, untyped expression: every name is a slot. The
+/// lowering's first stage; [`Typer`] turns each one into the typed tree
+/// the interpreter evaluates.
 #[derive(Clone, Debug)]
 pub enum IrExpr {
     Int(i64),
@@ -233,8 +251,9 @@ pub enum IrExpr {
         which: ApiArgKind,
         fallback: Option<u16>,
     },
+    /// Index into [`IrSpec::vars`].
     Var(u16),
-    /// A neighbor list read as a value (`Value::List` clone).
+    /// A neighbor list read as a value.
     ListValue(u16),
     /// Field of the triggering message, by position.
     Field(u16),
@@ -264,79 +283,73 @@ pub enum IrExpr {
     Bin(BinOp, Box<IrExpr>, Box<IrExpr>),
 }
 
-/// Lowered `downcall(<api>, args..)` — name and arity resolved.
+/// Lowered `downcall(<api>, args..)` — name and arity resolved, every
+/// argument typed.
 #[derive(Clone, Debug)]
 pub enum IrDown {
-    Join(IrExpr),
-    Leave(IrExpr),
-    CreateGroup(IrExpr),
-    Multicast(IrExpr, IrExpr),
-    Anycast(IrExpr, IrExpr),
-    Collect(IrExpr, IrExpr),
-    Route(IrExpr, IrExpr),
-    RouteIp(IrExpr, IrExpr),
+    Join(KeyArg),
+    Leave(KeyArg),
+    CreateGroup(KeyArg),
+    Multicast(KeyArg, PayloadExpr),
+    Anycast(KeyArg, PayloadExpr),
+    Collect(KeyArg, PayloadExpr),
+    Route(KeyArg, PayloadExpr),
+    RouteIp(NodeExpr, PayloadExpr),
 }
 
-impl IrDown {
-    /// The API name, for runtime value-shape diagnostics.
-    pub fn api(&self) -> &'static str {
-        match self {
-            IrDown::Join(_) => "join",
-            IrDown::Leave(_) => "leave",
-            IrDown::CreateGroup(_) => "create_group",
-            IrDown::Multicast(..) => "multicast",
-            IrDown::Anycast(..) => "anycast",
-            IrDown::Collect(..) => "collect",
-            IrDown::Route(..) => "route",
-            IrDown::RouteIp(..) => "routeIP",
-        }
-    }
-}
-
-/// Lowered statement: every name is a slot.
+/// Lowered statement: every name is a slot, every expression typed.
+/// The slot of a typed assignment or a `foreach` binding indexes the
+/// [`Slots`] slot of its type.
 #[derive(Clone, Debug)]
 pub enum IrStmt {
     If {
-        cond: IrExpr,
+        cond: BoolExpr,
         then: Vec<IrStmt>,
         els: Vec<IrStmt>,
     },
     Return,
     StateChange(u16),
-    TimerResched(u16, IrExpr),
+    TimerResched(u16, IntExpr),
     TimerCancel(u16),
-    NeighborAdd(u16, IrExpr),
-    NeighborRemove(u16, IrExpr),
+    NeighborAdd(u16, NodeExpr),
+    NeighborRemove(u16, NodeExpr),
     NeighborClear(u16),
+    /// Encoded argument by argument into the wire frame.
     Send {
         msg: u16,
-        dest: IrExpr,
-        args: Vec<IrExpr>,
+        dest: SendDest,
+        args: Vec<SendArg>,
     },
     Quash,
     DownCall(IrDown),
-    UpcallNotify(u16, IrExpr),
+    UpcallNotify(u16, IntExpr),
     Deliver {
-        src: IrExpr,
-        payload: IrExpr,
+        src: KeyArg,
+        payload: PayloadExpr,
     },
-    Monitor(IrExpr),
-    Unmonitor(IrExpr),
+    Monitor(NodeExpr),
+    Unmonitor(NodeExpr),
+    /// `var` is a node slot.
     ForEach {
         var: u16,
         list: u16,
         body: Vec<IrStmt>,
     },
-    AssignVar(u16, IrExpr),
-    AssignList(u16, IrExpr),
-    /// `x = field(f);` where the field is read exactly once in the
-    /// body: the decoded value is moved out of the frame instead of
-    /// cloned (for list fields that skips a whole `Vec` copy). Emitted
-    /// by the lowering's single-use analysis; never inside a `foreach`.
-    AssignVarTakeField(u16, u16),
-    /// `list = field(f);`, single-use — move instead of clone.
+    AssignInt(u16, IntExpr),
+    AssignBool(u16, BoolExpr),
+    AssignNode(u16, NodeExpr),
+    AssignKey(u16, KeyExpr),
+    AssignPayload(u16, PayloadExpr),
+    AssignList(u16, ListExpr),
+    /// `list = field(f);` where the field is read exactly once in the
+    /// body: the decoded list is moved out of the frame instead of
+    /// copied. Emitted by the lowering's single-use analysis; never
+    /// inside a `foreach`.
     AssignListTakeField(u16, u16),
-    Trace(IrExpr),
+    Trace(AnyExpr),
+    /// A statement that does not type-check (an assignment of the wrong
+    /// type): evaluate, then fault.
+    Fault(Box<TypeFault>),
 }
 
 /// A fully lowered specification, shared (`Arc`) by every interpreting
@@ -354,6 +367,13 @@ pub struct IrSpec {
     /// `priority` values the engine-served `routeIP` tunnel honors.
     pub num_channels: u16,
     pub vars: Vec<IrVar>,
+    /// Initial image of the typed variable slots (constants hold their
+    /// values, everything else its type's default).
+    pub slots: Slots,
+    /// Diagnostics of the constructs that do not type-check, each
+    /// lowered to a [`TypeFault`] raised when evaluated. Empty for every
+    /// bundled spec.
+    pub type_faults: Vec<String>,
     pub lists: Vec<IrList>,
     pub timers: Vec<IrTimer>,
     pub messages: Vec<IrMessage>,
@@ -396,6 +416,7 @@ struct Lowerer<'s> {
     spec: &'s Spec,
     states: Vec<String>,
     vars: Vec<IrVar>,
+    slots: Slots,
     var_index: HashMap<String, u16>,
     lists: Vec<IrList>,
     list_index: HashMap<String, u16>,
@@ -403,10 +424,17 @@ struct Lowerer<'s> {
     timer_index: HashMap<String, u16>,
     messages: Vec<IrMessage>,
     msg_index: HashMap<String, u16>,
-    /// Active `foreach` bindings, innermost last: (name, var slot).
+    type_faults: Vec<String>,
+    /// Active `foreach` bindings, innermost last: (name, var index).
     fe_stack: Vec<(String, u16)>,
     /// Message supplying `field(..)` in the transition being lowered.
     trigger_msg: Option<u16>,
+    /// API of the transition being lowered (binds `dest`/`group`/
+    /// `payload`).
+    trigger_api: Option<ApiKind>,
+    /// Reads of each field in the transition being lowered, a read
+    /// inside a `foreach` counting twice (see [`count_field_reads`]).
+    field_reads: HashMap<String, u32>,
 }
 
 impl<'s> Lowerer<'s> {
@@ -422,17 +450,22 @@ impl<'s> Lowerer<'s> {
             )));
         }
 
-        // Variable slots: constants first, then declared scalars — the
-        // same insertion order the AST interpreter used for its map, so
-        // a name collision resolves identically (latest declaration
-        // shadows, both slots exist).
+        // Variables: constants first, then declared scalars — the same
+        // insertion order the AST interpreter used for its map, so a
+        // name collision resolves identically (latest declaration
+        // shadows, both variables exist).
         let mut vars = Vec::new();
+        let mut slots = Slots::default();
         let mut var_index = HashMap::new();
         for (name, v) in &spec.constants {
             var_index.insert(name.clone(), vars.len() as u16);
+            let slot = slots.push(Ty::Int);
+            slots.set_int(slot, *v);
             vars.push(IrVar {
                 name: name.clone(),
-                init: Value::Int(*v),
+                ty: Ty::Int,
+                slot,
+                constant: Some(*v),
             });
         }
         let mut lists = Vec::new();
@@ -461,18 +494,18 @@ impl<'s> Lowerer<'s> {
                     });
                 }
                 StateVar::Scalar { ty, name } => {
-                    let init = match ty {
-                        TypeName::Int => Value::Int(0),
-                        TypeName::Bool => Value::Bool(false),
-                        TypeName::Node => Value::Null,
-                        TypeName::Key => Value::Key(MacedonKey(0)),
-                        TypeName::Payload => Value::Null,
-                        TypeName::Neighbor(_) => Value::Null,
+                    // A scalar of a neighbor type holds nothing and reads
+                    // as null.
+                    let ty = match ty {
+                        TypeName::Neighbor(_) => Ty::Null,
+                        other => Ty::of_field(FieldKind::of(other)),
                     };
                     var_index.insert(name.clone(), vars.len() as u16);
                     vars.push(IrVar {
                         name: name.clone(),
-                        init,
+                        ty,
+                        slot: slots.push(ty),
+                        constant: None,
                     });
                 }
             }
@@ -486,29 +519,33 @@ impl<'s> Lowerer<'s> {
                 .as_ref()
                 .and_then(|t| spec.transports.iter().position(|d| &d.name == t))
                 .unwrap_or(0);
+            // A decoded frame fills its slots in declaration order; `at`
+            // is the field's slot there.
+            let mut shape = Slots::default();
+            let mut list_fields = 0;
             let fields: Vec<IrField> = m
                 .fields
                 .iter()
-                .map(|f| IrField {
-                    name: f.name.clone(),
-                    kind: FieldKind::of(&f.ty),
+                .map(|f| {
+                    let kind = FieldKind::of(&f.ty);
+                    let at = if kind == FieldKind::Nodes {
+                        list_fields += 1;
+                        list_fields - 1
+                    } else {
+                        shape.push(Ty::of_field(kind))
+                    };
+                    IrField {
+                        name: f.name.clone(),
+                        kind,
+                        at,
+                    }
                 })
                 .collect();
-            let pos_of = |k: FieldKind| {
-                fields
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, f)| f.kind == k)
-                    .map(|(i, _)| i as u16)
-                    .collect::<Vec<u16>>()
-            };
             msg_index.insert(m.name.clone(), messages.len() as u16);
             messages.push(IrMessage {
                 name: m.name.clone(),
                 channel: ChannelId(channel as u16),
                 transport: m.transport.clone(),
-                key_fields: pos_of(FieldKind::Key),
-                payload_fields: pos_of(FieldKind::Payload),
                 fields,
             });
         }
@@ -517,6 +554,7 @@ impl<'s> Lowerer<'s> {
             spec,
             states,
             vars,
+            slots,
             var_index,
             lists,
             list_index,
@@ -524,8 +562,11 @@ impl<'s> Lowerer<'s> {
             timer_index,
             messages,
             msg_index,
+            type_faults: Vec::new(),
             fe_stack: Vec::new(),
             trigger_msg: None,
+            trigger_api: None,
+            field_reads: HashMap::new(),
         })
     }
 
@@ -544,9 +585,14 @@ impl<'s> Lowerer<'s> {
                 Trigger::Recv(m) | Trigger::Forward(m) => Some(self.msg(m)?),
                 _ => None,
             };
+            self.trigger_api = match &t.trigger {
+                Trigger::Api(name) => ApiKind::from_name(name),
+                _ => None,
+            };
+            self.field_reads.clear();
+            count_field_reads(&t.body, 1, &mut self.field_reads);
             let tidx = transitions.len() as u16;
-            let mut body = self.stmts(&t.body)?;
-            steal_single_use_fields(&mut body);
+            let body = self.stmts(&t.body)?;
             transitions.push(IrTransition {
                 read_locked: t.locking == LockingOpt::Read,
                 body,
@@ -581,6 +627,8 @@ impl<'s> Lowerer<'s> {
             num_channels: self.spec.transports.len() as u16,
             states: self.states,
             vars: self.vars,
+            slots: self.slots,
+            type_faults: self.type_faults,
             lists: self.lists,
             timers: self.timers,
             messages: self.messages,
@@ -634,17 +682,33 @@ impl<'s> Lowerer<'s> {
             .or_else(|| self.var_index.get(name).copied())
     }
 
+    /// A typer for the transition being lowered.
+    fn typer(&mut self) -> Typer<'_> {
+        Typer {
+            vars: &self.vars,
+            fields: match self.trigger_msg {
+                Some(m) => &self.messages[m as usize].fields,
+                None => &[],
+            },
+            api: self.trigger_api,
+            faults: &mut self.type_faults,
+        }
+    }
+
     fn stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<IrStmt>, LowerError> {
         stmts.iter().map(|s| self.stmt(s)).collect()
     }
 
     fn stmt(&mut self, s: &Stmt) -> Result<IrStmt, LowerError> {
         Ok(match s {
-            Stmt::If { cond, then, els } => IrStmt::If {
-                cond: self.expr(cond)?,
-                then: self.stmts(then)?,
-                els: self.stmts(els)?,
-            },
+            Stmt::If { cond, then, els } => {
+                let cond = self.expr(cond)?;
+                IrStmt::If {
+                    cond: self.typer().cond(&cond),
+                    then: self.stmts(then)?,
+                    els: self.stmts(els)?,
+                }
+            }
             Stmt::Return => IrStmt::Return,
             Stmt::StateChange(name) => {
                 let idx = self
@@ -654,10 +718,22 @@ impl<'s> Lowerer<'s> {
                     .ok_or_else(|| err(format!("state_change to unknown state '{name}'")))?;
                 IrStmt::StateChange(idx as u16)
             }
-            Stmt::TimerResched(name, e) => IrStmt::TimerResched(self.timer(name)?, self.expr(e)?),
+            Stmt::TimerResched(name, e) => {
+                let id = self.timer(name)?;
+                let e = self.expr(e)?;
+                IrStmt::TimerResched(id, self.typer().int_arg(&e))
+            }
             Stmt::TimerCancel(name) => IrStmt::TimerCancel(self.timer(name)?),
-            Stmt::NeighborAdd(l, e) => IrStmt::NeighborAdd(self.list(l)?, self.expr(e)?),
-            Stmt::NeighborRemove(l, e) => IrStmt::NeighborRemove(self.list(l)?, self.expr(e)?),
+            Stmt::NeighborAdd(l, e) => {
+                let l = self.list(l)?;
+                let e = self.expr(e)?;
+                IrStmt::NeighborAdd(l, self.typer().node_arg(&e, "neighbor_add"))
+            }
+            Stmt::NeighborRemove(l, e) => {
+                let l = self.list(l)?;
+                let e = self.expr(e)?;
+                IrStmt::NeighborRemove(l, self.typer().node_arg(&e, "neighbor_remove"))
+            }
             Stmt::NeighborClear(l) => IrStmt::NeighborClear(self.list(l)?),
             Stmt::Send {
                 message,
@@ -672,18 +748,31 @@ impl<'s> Lowerer<'s> {
                         args.len()
                     )));
                 }
+                let dest = self.expr(dest)?;
+                let args = args
+                    .iter()
+                    .map(|a| self.expr(a))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let shape: Vec<(FieldKind, String)> = self.messages[msg as usize]
+                    .fields
+                    .iter()
+                    .map(|f| (f.kind, f.name.clone()))
+                    .collect();
+                let layered = self.spec.uses.is_some();
+                let mut t = self.typer();
                 IrStmt::Send {
                     msg,
-                    dest: self.expr(dest)?,
+                    dest: t.send_dest(&dest, layered),
                     args: args
                         .iter()
-                        .map(|a| self.expr(a))
-                        .collect::<Result<_, _>>()?,
+                        .zip(&shape)
+                        .map(|(a, (kind, name))| t.send_arg(a, *kind, name))
+                        .collect(),
                 }
             }
             Stmt::Quash => IrStmt::Quash,
             Stmt::DownCallApi { api, args } => {
-                let mut lowered: Vec<IrExpr> = args
+                let lowered: Vec<IrExpr> = args
                     .iter()
                     .map(|a| self.expr(a))
                     .collect::<Result<_, _>>()?;
@@ -695,56 +784,65 @@ impl<'s> Lowerer<'s> {
                         lowered.len()
                     )));
                 }
-                let two = |l: &mut Vec<IrExpr>| {
-                    let b = l.pop().expect("arity 2");
-                    let a = l.pop().expect("arity 2");
-                    (a, b)
-                };
+                let what = format!("downcall({api}, ..)");
+                let mut t = self.typer();
+                let l = &lowered;
                 IrStmt::DownCall(match api.as_str() {
-                    "join" => IrDown::Join(lowered.pop().expect("arity 1")),
-                    "leave" => IrDown::Leave(lowered.pop().expect("arity 1")),
-                    "create_group" => IrDown::CreateGroup(lowered.pop().expect("arity 1")),
+                    "join" => IrDown::Join(t.key_arg(&l[0], &what)),
+                    "leave" => IrDown::Leave(t.key_arg(&l[0], &what)),
+                    "create_group" => IrDown::CreateGroup(t.key_arg(&l[0], &what)),
                     "multicast" => {
-                        let (a, b) = two(&mut lowered);
-                        IrDown::Multicast(a, b)
+                        IrDown::Multicast(t.key_arg(&l[0], &what), t.payload_arg(&l[1], &what))
                     }
                     "anycast" => {
-                        let (a, b) = two(&mut lowered);
-                        IrDown::Anycast(a, b)
+                        IrDown::Anycast(t.key_arg(&l[0], &what), t.payload_arg(&l[1], &what))
                     }
                     "collect" => {
-                        let (a, b) = two(&mut lowered);
-                        IrDown::Collect(a, b)
+                        IrDown::Collect(t.key_arg(&l[0], &what), t.payload_arg(&l[1], &what))
                     }
-                    "route" => {
-                        let (a, b) = two(&mut lowered);
-                        IrDown::Route(a, b)
-                    }
+                    "route" => IrDown::Route(t.key_arg(&l[0], &what), t.payload_arg(&l[1], &what)),
                     "routeIP" => {
-                        let (a, b) = two(&mut lowered);
-                        IrDown::RouteIp(a, b)
+                        IrDown::RouteIp(t.node_arg(&l[0], &what), t.payload_arg(&l[1], &what))
                     }
                     other => return Err(err(format!("unknown downcall API '{other}'"))),
                 })
             }
-            Stmt::UpcallNotify(l, e) => IrStmt::UpcallNotify(self.list(l)?, self.expr(e)?),
-            Stmt::Deliver { src, payload } => IrStmt::Deliver {
-                src: self.expr(src)?,
-                payload: self.expr(payload)?,
-            },
-            Stmt::Monitor(e) => IrStmt::Monitor(self.expr(e)?),
-            Stmt::Unmonitor(e) => IrStmt::Unmonitor(self.expr(e)?),
+            Stmt::UpcallNotify(l, e) => {
+                let l = self.list(l)?;
+                let e = self.expr(e)?;
+                IrStmt::UpcallNotify(l, self.typer().int_arg(&e))
+            }
+            Stmt::Deliver { src, payload } => {
+                let src = self.expr(src)?;
+                let payload = self.expr(payload)?;
+                let mut t = self.typer();
+                IrStmt::Deliver {
+                    src: t.key_arg(&src, "deliver src"),
+                    payload: t.payload_arg(&payload, "deliver payload"),
+                }
+            }
+            Stmt::Monitor(e) => {
+                let e = self.expr(e)?;
+                IrStmt::Monitor(self.typer().node_arg(&e, "monitor"))
+            }
+            Stmt::Unmonitor(e) => {
+                let e = self.expr(e)?;
+                IrStmt::Unmonitor(self.typer().node_arg(&e, "unmonitor"))
+            }
             Stmt::ForEach { var, list, body } => {
                 let list = self.list(list)?;
-                // A dedicated slot per binding site: lexical resolution
-                // replaces the AST interpreter's insert/save/restore
-                // dance over one shared map.
-                let slot = self.vars.len() as u16;
+                // A dedicated node variable per binding site: lexical
+                // resolution replaces the AST interpreter's
+                // insert/save/restore dance over one shared map.
+                let index = self.vars.len() as u16;
+                let slot = self.slots.push(Ty::Node);
                 self.vars.push(IrVar {
                     name: var.clone(),
-                    init: Value::Null,
+                    ty: Ty::Node,
+                    slot,
+                    constant: None,
                 });
-                self.fe_stack.push((var.clone(), slot));
+                self.fe_stack.push((var.clone(), index));
                 let body = self.stmts(body);
                 self.fe_stack.pop();
                 IrStmt::ForEach {
@@ -754,20 +852,41 @@ impl<'s> Lowerer<'s> {
                 }
             }
             Stmt::Assign(name, e) => {
-                let e = self.expr(e)?;
+                let lowered = self.expr(e)?;
                 // Mirror the AST interpreter's order: a neighbor list
                 // wins over a scalar of the same name as an assignment
                 // target (while reads resolve scalar-first).
-                if let Some(slot) = self.list_index.get(name) {
-                    IrStmt::AssignList(*slot, e)
-                } else if let Some(slot) = self.var_index.get(name) {
-                    IrStmt::AssignVar(*slot, e)
+                if let Some(&slot) = self.list_index.get(name) {
+                    if let Some(at) = self.single_use_list_field(e, &lowered) {
+                        IrStmt::AssignListTakeField(slot, at)
+                    } else {
+                        IrStmt::AssignList(slot, self.typer().list_arg(&lowered, name))
+                    }
+                } else if let Some(&var) = self.var_index.get(name) {
+                    self.typer().assign(var, &lowered)
                 } else {
                     return Err(err(format!("assignment to undeclared variable '{name}'")));
                 }
             }
-            Stmt::Trace(e) => IrStmt::Trace(self.expr(e)?),
+            Stmt::Trace(e) => {
+                let e = self.expr(e)?;
+                IrStmt::Trace(self.typer().any(&e))
+            }
         })
+    }
+
+    /// `list = field(f);` outside any loop, where `f` is a list field
+    /// read exactly once in the transition: its frame index, so the
+    /// decoded list is moved out instead of copied.
+    fn single_use_list_field(&self, e: &Expr, lowered: &IrExpr) -> Option<u16> {
+        let (Expr::Field(name), IrExpr::Field(i)) = (e, lowered) else {
+            return None;
+        };
+        let field = &self.messages[self.trigger_msg? as usize].fields[*i as usize];
+        (self.fe_stack.is_empty()
+            && field.kind == FieldKind::Nodes
+            && self.field_reads.get(name) == Some(&1))
+        .then_some(field.at)
     }
 
     fn expr(&mut self, e: &Expr) -> Result<IrExpr, LowerError> {
@@ -853,127 +972,57 @@ impl<'s> Lowerer<'s> {
 // Single-use field analysis
 // ---------------------------------------------------------------------------
 
-fn bump_field(counts: &mut Vec<u32>, idx: u16, weight: u32) {
-    let i = idx as usize;
-    if counts.len() <= i {
-        counts.resize(i + 1, 0);
-    }
-    counts[i] = counts[i].saturating_add(weight);
-}
-
-fn count_expr_fields(e: &IrExpr, weight: u32, counts: &mut Vec<u32>) {
-    match e {
-        IrExpr::Field(i) => bump_field(counts, *i, weight),
-        IrExpr::NeighborQuery(_, e)
-        | IrExpr::Rtt(e)
-        | IrExpr::Goodput(e)
-        | IrExpr::OwnerOf(e, _)
-        | IrExpr::Not(e)
-        | IrExpr::Neg(e) => count_expr_fields(e, weight, counts),
-        IrExpr::Bin(_, a, b) | IrExpr::RingDist(a, b) | IrExpr::PrefixLen(a, b) => {
-            count_expr_fields(a, weight, counts);
-            count_expr_fields(b, weight, counts);
-        }
-        IrExpr::RingBetween(a, b, c) | IrExpr::Digit(a, b, c) => {
-            count_expr_fields(a, weight, counts);
-            count_expr_fields(b, weight, counts);
-            count_expr_fields(c, weight, counts);
-        }
-        _ => {}
-    }
-}
-
-fn count_down_fields(d: &IrDown, weight: u32, counts: &mut Vec<u32>) {
-    match d {
-        IrDown::Join(a) | IrDown::Leave(a) | IrDown::CreateGroup(a) => {
-            count_expr_fields(a, weight, counts)
-        }
-        IrDown::Multicast(a, b)
-        | IrDown::Anycast(a, b)
-        | IrDown::Collect(a, b)
-        | IrDown::Route(a, b)
-        | IrDown::RouteIp(a, b) => {
-            count_expr_fields(a, weight, counts);
-            count_expr_fields(b, weight, counts);
-        }
-    }
-}
-
-fn count_stmt_fields(s: &IrStmt, weight: u32, counts: &mut Vec<u32>) {
-    match s {
-        IrStmt::If { cond, then, els } => {
-            count_expr_fields(cond, weight, counts);
-            for t in then.iter().chain(els) {
-                count_stmt_fields(t, weight, counts);
+/// Count the `field(..)` reads of a transition body by field name. A
+/// read inside a `foreach` counts twice: the loop re-reads it on every
+/// iteration, so moving it out of the frame there would null it for
+/// the later ones.
+fn count_field_reads(stmts: &[Stmt], weight: u32, counts: &mut HashMap<String, u32>) {
+    let expr = |e: &Expr, counts: &mut HashMap<String, u32>| {
+        e.walk(&mut |sub| {
+            if let Expr::Field(name) = sub {
+                let n = counts.entry(name.clone()).or_default();
+                *n = n.saturating_add(weight);
             }
-        }
-        // A loop body re-reads its fields every iteration: weight 2
-        // disqualifies anything inside from the single-use rewrite.
-        IrStmt::ForEach { body, .. } => {
-            for t in body {
-                count_stmt_fields(t, 2, counts);
-            }
-        }
-        IrStmt::TimerResched(_, e)
-        | IrStmt::NeighborAdd(_, e)
-        | IrStmt::NeighborRemove(_, e)
-        | IrStmt::UpcallNotify(_, e)
-        | IrStmt::Monitor(e)
-        | IrStmt::Unmonitor(e)
-        | IrStmt::AssignVar(_, e)
-        | IrStmt::AssignList(_, e)
-        | IrStmt::Trace(e) => count_expr_fields(e, weight, counts),
-        IrStmt::Send { dest, args, .. } => {
-            count_expr_fields(dest, weight, counts);
-            for a in args {
-                count_expr_fields(a, weight, counts);
-            }
-        }
-        IrStmt::DownCall(d) => count_down_fields(d, weight, counts),
-        IrStmt::Deliver { src, payload } => {
-            count_expr_fields(src, weight, counts);
-            count_expr_fields(payload, weight, counts);
-        }
-        IrStmt::Return
-        | IrStmt::Quash
-        | IrStmt::StateChange(_)
-        | IrStmt::TimerCancel(_)
-        | IrStmt::NeighborClear(_)
-        | IrStmt::AssignVarTakeField(..)
-        | IrStmt::AssignListTakeField(..) => {}
-    }
-}
-
-fn apply_field_steals(stmts: &mut [IrStmt], counts: &[u32]) {
+        })
+    };
     for s in stmts {
         match s {
-            IrStmt::If { then, els, .. } => {
-                apply_field_steals(then, counts);
-                apply_field_steals(els, counts);
+            Stmt::If { cond, then, els } => {
+                expr(cond, counts);
+                count_field_reads(then, weight, counts);
+                count_field_reads(els, weight, counts);
             }
-            // Deliberately not descending into ForEach: a loop body
-            // executes repeatedly, so a steal there would null the
-            // field for later iterations.
-            IrStmt::AssignVar(slot, IrExpr::Field(i)) if counts.get(*i as usize) == Some(&1) => {
-                *s = IrStmt::AssignVarTakeField(*slot, *i);
+            Stmt::ForEach { body, .. } => count_field_reads(body, 2, counts),
+            Stmt::TimerResched(_, e)
+            | Stmt::NeighborAdd(_, e)
+            | Stmt::NeighborRemove(_, e)
+            | Stmt::UpcallNotify(_, e)
+            | Stmt::Monitor(e)
+            | Stmt::Unmonitor(e)
+            | Stmt::Assign(_, e)
+            | Stmt::Trace(e) => expr(e, counts),
+            Stmt::Send { dest, args, .. } => {
+                expr(dest, counts);
+                for a in args {
+                    expr(a, counts);
+                }
             }
-            IrStmt::AssignList(slot, IrExpr::Field(i)) if counts.get(*i as usize) == Some(&1) => {
-                *s = IrStmt::AssignListTakeField(*slot, *i);
+            Stmt::Deliver { src, payload } => {
+                expr(src, counts);
+                expr(payload, counts);
             }
-            _ => {}
+            Stmt::DownCallApi { args, .. } => {
+                for a in args {
+                    expr(a, counts);
+                }
+            }
+            Stmt::Return
+            | Stmt::Quash
+            | Stmt::StateChange(_)
+            | Stmt::TimerCancel(_)
+            | Stmt::NeighborClear(_) => {}
         }
     }
-}
-
-/// Rewrite `x = field(f);` into a move when `f` is read exactly once in
-/// the transition body — semantics identical, one clone (for list
-/// fields, one `Vec` allocation) cheaper per firing.
-fn steal_single_use_fields(body: &mut [IrStmt]) {
-    let mut counts = Vec::new();
-    for s in body.iter() {
-        count_stmt_fields(s, 1, &mut counts);
-    }
-    apply_field_steals(body, &counts);
 }
 
 #[cfg(test)]
@@ -1000,7 +1049,10 @@ mod tests {
         assert_eq!(ir.states, ["init", "a", "b"]);
         assert_eq!(ir.var_slot("K"), Some(0));
         assert_eq!(ir.var_slot("n"), Some(1));
-        assert_eq!(ir.vars[0].init, Value::Int(7));
+        assert_eq!((ir.vars[0].ty, ir.vars[0].slot), (Ty::Int, 0));
+        assert_eq!(ir.slots.int(0), 7, "K holds its value");
+        assert_eq!((ir.vars[1].ty, ir.vars[1].slot), (Ty::Int, 1));
+        assert_eq!(ir.slots.int(1), 0, "n holds the default");
         assert_eq!(ir.list_slot("kids"), Some(0));
         assert_eq!(ir.lists[0].max, 4);
         assert_eq!(ir.timers.len(), 2);
@@ -1063,8 +1115,11 @@ mod tests {
         let IrStmt::Send { dest, .. } = &inner[0] else {
             panic!("expected send");
         };
-        assert!(matches!(dest, IrExpr::Var(1)), "body reads the loop slot");
-        let IrStmt::AssignVar(slot, _) = &body[1] else {
+        assert!(
+            matches!(dest, SendDest::Node(NodeExpr::Var(1))),
+            "body reads the loop slot"
+        );
+        let IrStmt::AssignNode(slot, NodeExpr::Null) = &body[1] else {
             panic!("expected assignment");
         };
         assert_eq!(*slot, 0, "after the loop the declared scalar is back");
@@ -1072,12 +1127,30 @@ mod tests {
 
     #[test]
     fn key_and_payload_field_positions_precomputed() {
+        // Each field's slot in a decoded frame: scalar words, payloads
+        // and lists are numbered apart, in declaration order.
         let ir = lower(
             "protocol p uses base; addressing hash;
-             messages { m { int a; key g; payload d; key h; } }",
+             neighbor_types { kid 4 { } }
+             messages { m { int a; key g; payload d; kid ks; key h; payload e; } }",
         );
-        assert_eq!(ir.messages[0].key_fields, [1, 3]);
-        assert_eq!(ir.messages[0].payload_fields, [2]);
+        let at: Vec<(FieldKind, u16)> = ir.messages[0]
+            .fields
+            .iter()
+            .map(|f| (f.kind, f.at))
+            .collect();
+        use FieldKind::*;
+        assert_eq!(
+            at,
+            [
+                (Int, 0),
+                (Key, 1),
+                (Payload, 0),
+                (Nodes, 0),
+                (Key, 2),
+                (Payload, 1)
+            ]
+        );
         assert!(ir.layered);
     }
 
