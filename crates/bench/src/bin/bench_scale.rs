@@ -13,11 +13,14 @@
 //! 2. **Scaling curve** — one seeded run of the `bench-scale` scenario
 //!    (staggered full-population join, random-route stream, crash wave)
 //!    at 1k/10k/100k nodes, reporting events fired, events/sec, wall
-//!    time and the process's peak resident set (`VmHWM`, reset before
-//!    each point). The stream is `route`-shaped so deliveries stay O(1)
-//!    in node count and the curve isolates scheduler cost. The 10k run
-//!    must finish under a generous wall-time ceiling (60 s) — a
-//!    regression tripwire, not a tight bound.
+//!    time, the process's peak resident set (`VmHWM`, reset before
+//!    each point) and heap bytes per node by owner at the end of the
+//!    run (reliable connections, datagram reassembly, route tables).
+//!    The stream is `route`-shaped so deliveries stay O(1) in node count
+//!    and the curve isolates scheduler cost. The 10k run must finish
+//!    under a generous wall-time ceiling (60 s) and peak resident set
+//!    ceiling (twice its measured reading) — regression tripwires, not
+//!    tight bounds.
 //!
 //!    The curve previously dipped at 100k nodes (81k -> 50k events/sec
 //!    from 10k to 100k): per-event node-state lookups went through six
@@ -57,6 +60,9 @@ const BASELINE_EVENTS_PER_DELIVERED: f64 = 32.33;
 const REQUIRED_REDUCTION: f64 = 3.0;
 /// Generous ceiling for the 10k-node curve point, seconds.
 const CEILING_10K_SECS: f64 = 60.0;
+/// Peak resident set ceiling for the 10k-node curve point, MiB: twice
+/// the reading measured when it was set.
+const CEILING_10K_RSS_MB: f64 = 470.0;
 /// Required parallel speedup at 8 workers — armed only on >= 8 cores.
 const REQUIRED_SPEEDUP_8W: f64 = 3.0;
 
@@ -140,11 +146,14 @@ fn main() {
         let s = scenario_scale_run(n);
         let secs = start.elapsed().as_secs_f64();
         let eps = s.events as f64 / secs;
-        let rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
+        let peak = peak_rss_mb();
+        let rss = peak.map_or("null".to_string(), |mb| format!("{mb:.1}"));
+        let m = &s.bytes_per_node;
         println!(
             "scale: {n} nodes, {} events, {} delivered, {} alive, \
-             {secs:.2} s wall, {eps:.0} events/sec, peak RSS {rss} MiB",
-            s.events, s.delivered, s.alive
+             {secs:.2} s wall, {eps:.0} events/sec, peak RSS {rss} MiB, bytes/node: \
+             reliable conns {:.0}, datagram reassembly {:.0}, route tables {:.0}",
+            s.events, s.delivered, s.alive, m.reliable_conns, m.datagram_reassembly, m.route_tables
         );
         assert!(s.delivered > 0, "{n}-node scale run must deliver traffic");
         if n == 10_000 {
@@ -152,13 +161,20 @@ fn main() {
                 secs < CEILING_10K_SECS,
                 "10k-node run took {secs:.1} s, ceiling is {CEILING_10K_SECS} s"
             );
+            if let Some(mb) = peak {
+                assert!(
+                    mb < CEILING_10K_RSS_MB,
+                    "10k-node run peaked at {mb:.1} MiB, ceiling is {CEILING_10K_RSS_MB} MiB"
+                );
+            }
         }
         eps_by_nodes.push((n, eps));
         curve.push(format!(
             "    {{ \"nodes\": {n}, \"events\": {}, \"delivered\": {}, \"alive\": {}, \
              \"wall_secs\": {secs:.2}, \"events_per_sec\": {eps:.0}, \
-             \"peak_rss_mb\": {rss} }}",
-            s.events, s.delivered, s.alive
+             \"peak_rss_mb\": {rss},\n      \"bytes_per_node\": {{ \"reliable_conns\": {:.0}, \
+             \"datagram_reassembly\": {:.0}, \"route_tables\": {:.0} }} }}",
+            s.events, s.delivered, s.alive, m.reliable_conns, m.datagram_reassembly, m.route_tables
         ));
     }
     // The dip tracker: events/sec at 100k over events/sec at 10k. Flat

@@ -725,6 +725,36 @@ pub struct ChurnRunStats {
     pub events: u64,
     /// The same total broken down by event class.
     pub breakdown: macedon_core::EventClassCounts,
+    /// Heap bytes per node at the end of the run, by owner.
+    pub bytes_per_node: BytesPerNode,
+}
+
+/// Heap bytes per node by owner, counted by capacity: what each layer
+/// holds, not what it last used.
+pub struct BytesPerNode {
+    /// Reliable connections: table buckets, boxed connections, buffers.
+    pub reliable_conns: f64,
+    /// Datagram reassembly (zero unless a multi-fragment datagram is
+    /// partial).
+    pub datagram_reassembly: f64,
+    /// Routing: component labels, core adjacency and next-hop tables.
+    pub route_tables: f64,
+}
+
+impl BytesPerNode {
+    fn census(world: &macedon_core::World, hosts: &[macedon_core::NodeId]) -> BytesPerNode {
+        let (mut conns, mut reassembly) = (0, 0);
+        for ep in hosts.iter().filter_map(|&h| world.endpoint(h)) {
+            conns += ep.conn_bytes();
+            reassembly += ep.reassembly_bytes();
+        }
+        let per_node = |bytes: usize| bytes as f64 / hosts.len().max(1) as f64;
+        BytesPerNode {
+            reliable_conns: per_node(conns),
+            datagram_reassembly: per_node(reassembly),
+            route_tables: per_node(world.route_table_bytes()),
+        }
+    }
 }
 
 impl ChurnRunStats {
@@ -851,6 +881,7 @@ fn run_scenario_script_on(
         alive: outcome.report.alive,
         events: outcome.world.events_fired(),
         breakdown: outcome.world.event_counts(),
+        bytes_per_node: BytesPerNode::census(&outcome.world, &outcome.hosts),
     }
 }
 

@@ -70,8 +70,9 @@ const HB_RESP: u16 = 2;
 pub struct WorldConfig {
     pub seed: u64,
     pub addressing: Addressing,
-    /// Named transport instances available to stacks (an engine-internal
-    /// UDP heartbeat channel is appended automatically).
+    /// Named transport instances available to stacks. The world's table
+    /// ([`World::channels`]) appends an engine-internal UDP heartbeat
+    /// channel.
     pub channels: Vec<ChannelSpec>,
     pub trace_level: TraceLevel,
     /// Silence threshold before soliciting a heartbeat (`g`).
@@ -887,6 +888,9 @@ fn shard_worker(
 /// The complete simulated deployment.
 pub struct World {
     cfg: Arc<WorldConfig>,
+    /// `cfg.channels` plus the heartbeat channel, shared by every
+    /// node's endpoint.
+    channels: Arc<[ChannelSpec]>,
     smap: Arc<ShardMap>,
     shards: Vec<Shard>,
     rng: SimRng,
@@ -905,11 +909,13 @@ pub struct World {
 
 impl World {
     pub fn new(topo: Topology, cfg: WorldConfig) -> World {
-        let mut cfg = cfg;
-        let mut channels = std::mem::take(&mut cfg.channels);
-        let engine_ch = ChannelId(channels.len() as u16);
-        channels.push(ChannelSpec::new("__ENGINE_HB", TransportKind::Udp));
-        cfg.channels = channels;
+        let engine_ch = ChannelId(cfg.channels.len() as u16);
+        let channels: Arc<[ChannelSpec]> = cfg
+            .channels
+            .iter()
+            .cloned()
+            .chain([ChannelSpec::new("__ENGINE_HB", TransportKind::Udp)])
+            .collect();
         let smap = Arc::new(ShardMap::partition_hosts(&topo, cfg.shards.max(1)));
         let p = smap.shards() as usize;
         let mut net_cfg = cfg.net.clone();
@@ -951,6 +957,7 @@ impl World {
         }
         World {
             cfg,
+            channels,
             smap,
             shards,
             rng,
@@ -1013,7 +1020,7 @@ impl World {
         }
         let ns = NodeState {
             stack,
-            endpoint: Endpoint::new(node, self.cfg.channels.clone()),
+            endpoint: Endpoint::new(node, self.channels.clone()),
             alive: false,
             timers: FxHashMap::default(),
             conn_timers: FxHashMap::default(),
@@ -1156,6 +1163,11 @@ impl World {
         self.shards.iter().map(|s| s.net.total_drops()).sum()
     }
 
+    /// Heap bytes held by routing tables, summed across shards.
+    pub fn route_table_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.net.route_table_bytes()).sum()
+    }
+
     /// The state of `node`, if it is spawned. These accessors take ids
     /// from outside the engine, so one beyond the topology is `None`,
     /// not an index panic.
@@ -1266,10 +1278,14 @@ impl World {
         MacedonKey::of_node(node, self.cfg.addressing)
     }
 
+    /// Every transport instance, the engine's heartbeat channel last.
+    pub fn channels(&self) -> &[ChannelSpec] {
+        &self.channels
+    }
+
     /// Resolve a named transport instance.
     pub fn channel(&self, name: &str) -> Option<ChannelId> {
-        self.cfg
-            .channels
+        self.channels
             .iter()
             .position(|c| c.name == name)
             .map(|i| ChannelId(i as u16))

@@ -139,20 +139,18 @@ impl<P> Default for Sink<P> {
 /// Tunables for the emulator.
 #[derive(Clone, Debug)]
 pub struct NetworkConfig {
-    /// Latency charged on a host-to-itself send (kernel loopback).
-    pub loopback_delay: Duration,
     /// RNG seed for loss decisions.
     pub seed: u64,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        NetworkConfig {
-            loopback_delay: Duration::from_micros(50),
-            seed: 0x6d61_6365,
-        }
+        NetworkConfig { seed: 0x6d61_6365 }
     }
 }
+
+/// Latency charged on a host-to-itself send (kernel loopback): 50 µs.
+const LOOPBACK_DELAY: Duration = Duration(50);
 
 /// One directed half-link's serialization calendar: the `(start, end)`
 /// slots packets have reserved on it that have not ended yet.
@@ -390,6 +388,11 @@ impl<P> Network<P> {
         self.router.dist(&self.topo, a, b)
     }
 
+    /// Heap bytes held by the routing tables ([`Router::table_bytes`]).
+    pub fn route_table_bytes(&self) -> usize {
+        self.router.table_bytes()
+    }
+
     /// IP hop count between two nodes.
     pub fn oracle_hops(&mut self, a: NodeId, b: NodeId) -> Option<usize> {
         self.router.hop_count(&self.topo, a, b)
@@ -438,10 +441,9 @@ impl<P> Network<P> {
         if src == dst {
             // Loopback: deliver after a small constant delay (touches
             // no link state, so it never needs the deferred path).
-            let cfg_delay = Duration::from_micros(50);
             let pkt = self.arena.alloc(pkt);
             out.schedule.push((
-                now + cfg_delay,
+                now + LOOPBACK_DELAY,
                 NetEvent::Arrive {
                     node: dst,
                     pkt,

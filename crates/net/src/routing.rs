@@ -19,11 +19,15 @@
 //!
 //! Tables are therefore built for, and indexed by, **core nodes** only —
 //! degree ≥ 2, whatever their kind (a host of a full mesh is core) — and
-//! a star never builds one. A table is a `Box<[u32]>` of next-hop
-//! [`LinkId`]s, one per core node: memory is 4 B × core nodes × anchors
-//! (22.9 MiB for 300 clients on a 20,000-router INET graph). Distances
-//! are not stored: [`Router::dist`] sums the link delays of the walk,
-//! which *is* the Dijkstra distance.
+//! a star never builds one. A table is a `Box<[u16]>` with one entry per
+//! core node: the position of its next-hop half-link within its own
+//! [`Topology::outgoing`] slice. Memory is 2 B × core nodes × anchors
+//! (11.4 MiB for 300 clients on a 20,000-router INET graph). `u16::MAX`
+//! is the "no next hop" entry, so a core half-link at position 65,535 or
+//! beyond is refused when the core is built; a star hub has no core
+//! neighbours at all. Distances are not stored:
+//! [`Router::dist`] sums the link delays of the walk, which *is* the
+//! Dijkstra distance.
 //!
 //! **What is built when.** [`Router::new`] allocates nothing. The first
 //! walk labels connected components (so the leaf shortcut can never
@@ -57,9 +61,10 @@ use crate::topology::{Link, LinkId, NodeId, Topology};
 use macedon_sim::Duration;
 use std::collections::BinaryHeap;
 
-/// "No entry" in the `u32` tables: not a core node, no next hop, not
-/// reached.
+/// "No entry" in the `u32` tables: not a core node, not reached.
 const NONE: u32 = u32::MAX;
+/// "No next hop" in a route tree: the anchor itself, or unreachable.
+const NO_HOP: u16 = u16::MAX;
 
 /// Hop-by-hop router with lazy per-anchor next-hop tables.
 pub struct Router {
@@ -77,9 +82,10 @@ struct Core {
     /// Anchor's core index → 1 + position in `trees` (0 = not built),
     /// the `pipeline::LinkTable` idiom.
     tree_of: Vec<u32>,
-    /// Per anchor: every core node's next-hop `LinkId` toward it
-    /// ([`NONE`] at the anchor itself and where unreachable).
-    trees: Vec<Box<[u32]>>,
+    /// Per anchor: every core node's next hop toward it, as a position
+    /// in that node's `Topology::outgoing` ([`NO_HOP`] at the anchor
+    /// itself and where unreachable).
+    trees: Vec<Box<[u16]>>,
     /// Packed core-to-core adjacency, CSR: core node `c`'s half-links are
     /// `half[off[c]..off[c + 1]]`, in the topology's order.
     off: Vec<u32>,
@@ -95,8 +101,9 @@ struct Half {
     to: u32,
     /// Microseconds, saturated (a saturated link is never relaxed).
     delay: u32,
-    /// The opposite half's `LinkId`: the next hop *from* `to`.
-    rev: u32,
+    /// The opposite half's position in `to`'s `Topology::outgoing`: the
+    /// next hop *from* `to`.
+    rev: u16,
 }
 
 /// Dijkstra's queue, exact on the key `(distance, !core index)`. Every
@@ -178,21 +185,42 @@ impl Core {
                 cores += 1;
             }
         }
+        let core_nodes = || {
+            of_node
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c != NONE)
+                .map(|(n, _)| NodeId(n as u32))
+        };
+        // Each core half-link's position in its node's `outgoing()`
+        // ([`NO_HOP`] for every other half-link).
+        let mut pos = vec![NO_HOP; topo.num_links()];
+        for n in core_nodes() {
+            for (p, &lid) in topo.outgoing(n).iter().enumerate() {
+                if of_node[topo.link(lid).to.index()] != NONE {
+                    assert!(
+                        p < NO_HOP as usize,
+                        "core node {n:?} has a core half-link at position {p}, \
+                         past what a u16 route-table entry can index",
+                    );
+                    pos[lid.index()] = p as u16;
+                }
+            }
+        }
         let mut off = Vec::with_capacity(cores as usize + 1);
         let mut half = Vec::with_capacity(topo.num_links());
         let mut max_delay = 0;
         off.push(0);
-        for (n, _) in of_node.iter().enumerate().filter(|(_, &c)| c != NONE) {
-            for &lid in topo.outgoing(NodeId(n as u32)) {
-                let link = topo.link(lid);
-                let to = of_node[link.to.index()];
-                if to != NONE {
-                    let delay = u32::try_from(link.delay.as_micros()).unwrap_or(u32::MAX);
+        for n in core_nodes() {
+            for &lid in topo.outgoing(n) {
+                if pos[lid.index()] != NO_HOP {
+                    let l = topo.link(lid);
+                    let delay = u32::try_from(l.delay.as_micros()).unwrap_or(u32::MAX);
                     max_delay = max_delay.max(delay);
                     half.push(Half {
-                        to,
+                        to: of_node[l.to.index()],
                         delay,
-                        rev: topo.reverse(lid).0,
+                        rev: pos[topo.reverse(lid).index()],
                     });
                 }
             }
@@ -214,8 +242,8 @@ impl Core {
     /// *outgoing* links from the root yields distances valid in both
     /// directions; the next hop at `v` is the reverse half-link of the
     /// tree edge that relaxed `v`.
-    fn dijkstra_to(&mut self, root: u32) -> Box<[u32]> {
-        let mut next_hop = vec![NONE; self.dist.len()].into_boxed_slice();
+    fn dijkstra_to(&mut self, root: u32) -> Box<[u16]> {
+        let mut next_hop = vec![NO_HOP; self.dist.len()].into_boxed_slice();
         self.dist.fill(NONE);
         self.dist[root as usize] = 0;
         self.queue.push(0, root);
@@ -240,15 +268,14 @@ impl Core {
 }
 
 /// A walk toward one destination with everything resolved: follow it
-/// with [`Route::next`], one slice read per core hop.
+/// with [`Route::next`].
 pub(crate) struct Route<'r> {
     anchor: NodeId,
     /// The access hop from the anchor to a leaf destination.
     last_hop: Option<LinkId>,
-    /// The core index and the anchor's table; both empty when the walk
-    /// is leaf → anchor → leaf and needs neither.
-    of_node: &'r [u32],
-    tree: &'r [u32],
+    /// The core and the anchor's table; `None` when the walk is leaf →
+    /// anchor → leaf and needs neither.
+    tree: Option<(&'r Core, &'r [u16])>,
 }
 
 impl Route<'_> {
@@ -258,11 +285,13 @@ impl Route<'_> {
         if at == self.anchor {
             return self.last_hop;
         }
-        if let [only] = *topo.outgoing(at) {
+        let out = topo.outgoing(at);
+        if let [only] = *out {
             return Some(only);
         }
-        let hop = self.tree[self.of_node[at.index()] as usize];
-        (hop != NONE).then_some(LinkId(hop))
+        let (core, tree) = self.tree?;
+        let hop = tree[core.of_node[at.index()] as usize];
+        (hop != NO_HOP).then(|| out[hop as usize])
     }
 }
 
@@ -306,8 +335,8 @@ impl Router {
             [only] if at != anchor => topo.link(only).to,
             _ => at,
         };
-        let (of_node, tree): (&[u32], &[u32]) = if enters_at == anchor {
-            (&[], &[])
+        let tree = if enters_at == anchor {
+            None
         } else {
             // The anchor is core: were it a leaf, its component would be
             // it and `dst` alone, and `at` one of the two.
@@ -318,15 +347,12 @@ impl Router {
                 core.trees.push(tree);
                 core.tree_of[a as usize] = core.trees.len() as u32;
             }
-            (
-                &core.of_node,
-                &core.trees[core.tree_of[a as usize] as usize - 1],
-            )
+            let tree = &core.trees[core.tree_of[a as usize] as usize - 1];
+            Some((&**core, &tree[..]))
         };
         Some(Route {
             anchor,
             last_hop,
-            of_node,
             tree,
         })
     }
@@ -401,6 +427,32 @@ impl Router {
     pub fn cached_destinations(&self) -> usize {
         self.core.as_ref().map_or(0, |c| c.trees.len())
     }
+
+    /// Heap bytes held: component labels, the core index and adjacency,
+    /// every built table and the Dijkstra scratch, by capacity.
+    pub fn table_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        self.comps.as_ref().map_or(0, bytes)
+            + self.core.as_ref().map_or(0, |c| {
+                let q = &c.queue;
+                std::mem::size_of::<Core>()
+                    + bytes(&c.of_node)
+                    + bytes(&c.tree_of)
+                    + bytes(&c.trees)
+                    + c.trees
+                        .iter()
+                        .map(|t| std::mem::size_of_val(&**t))
+                        .sum::<usize>()
+                    + bytes(&c.off)
+                    + bytes(&c.half)
+                    + bytes(&c.dist)
+                    + q.heap.capacity() * std::mem::size_of::<u64>()
+                    + bytes(&q.later)
+                    + q.later.iter().map(bytes).sum::<usize>()
+            })
+    }
 }
 
 impl Default for Router {
@@ -466,6 +518,119 @@ mod tests {
     use super::*;
     use crate::topology::{canned, LinkSpec, TopologyBuilder};
     use macedon_sim::SimRng;
+
+    /// Every node's next hop toward `dst` from a plain Dijkstra over all
+    /// nodes with the same tie-break (settle by distance, then by
+    /// descending node id; relax with strict `<` in CSR order).
+    fn dense_next_hops(t: &Topology, dst: NodeId) -> Vec<Option<LinkId>> {
+        let mut dist = vec![u64::MAX; t.num_nodes()];
+        let mut next = vec![None; t.num_nodes()];
+        let mut heap = BinaryHeap::new();
+        dist[dst.index()] = 0;
+        heap.push((std::cmp::Reverse(0u64), dst.0));
+        while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            for &lid in t.outgoing(NodeId(u)) {
+                let l = t.link(lid);
+                let nd = d + l.delay.as_micros();
+                if nd < dist[l.to.index()] {
+                    dist[l.to.index()] = nd;
+                    next[l.to.index()] = Some(t.reverse(lid));
+                    heap.push((std::cmp::Reverse(nd), l.to.0));
+                }
+            }
+        }
+        next
+    }
+
+    /// The link a packed tree entry names at node `v`.
+    fn entry_link(t: &Topology, core: &Core, tree: &[u16], v: NodeId) -> Option<LinkId> {
+        let hop = tree[core.of_node[v.index()] as usize];
+        (hop != NO_HOP).then(|| t.outgoing(v)[hop as usize])
+    }
+
+    fn ms(x: u64) -> LinkSpec {
+        LinkSpec::new(Duration::from_millis(x), 1_000_000, 32_000)
+    }
+
+    #[test]
+    fn packed_entries_map_back_to_dense_next_hops_over_parallel_links() {
+        // A ring of routers with chords and parallel cables: equal-delay
+        // twins (the tie goes to the first in CSR order) and unequal ones
+        // (the faster is not the first).
+        let mut b = TopologyBuilder::new();
+        let r: Vec<NodeId> = (0..6).map(|_| b.add_router()).collect();
+        for (x, y, d) in [
+            (0, 1, 1),
+            (0, 1, 1),
+            (1, 2, 2),
+            (1, 2, 1),
+            (2, 3, 1),
+            (3, 4, 1),
+            (4, 3, 1),
+            (3, 4, 1),
+            (4, 5, 2),
+            (5, 0, 1),
+            (0, 3, 3),
+            (3, 0, 3),
+        ] {
+            b.add_link(r[x], r[y], ms(d));
+        }
+        for &x in &r[..3] {
+            let h = b.add_host();
+            b.add_link(h, x, ms(1));
+        }
+        let t = b.build();
+        let mut core = Core::new(&t);
+        for &anchor in &r {
+            let tree = core.dijkstra_to(core.of_node[anchor.index()]);
+            let dense = dense_next_hops(&t, anchor);
+            for &v in &r {
+                let got = entry_link(&t, &core, &tree, v);
+                assert_eq!(got, dense[v.index()], "{v:?} toward {anchor:?}");
+                if (v, anchor) == (r[2], r[1]) {
+                    let hop = t.link(got.unwrap());
+                    assert_eq!(hop.delay, Duration::from_millis(1), "the faster twin");
+                }
+            }
+        }
+    }
+
+    /// A hub router whose spokes are routers on parallel cables, so every
+    /// cable is core-to-core: `halves` core half-links at the hub.
+    fn hub_with_core_halves(halves: usize) -> Topology {
+        let mut b = TopologyBuilder::new();
+        let hub = b.add_router();
+        for i in 0..halves / 2 {
+            let spoke = b.add_router();
+            let cables = if i == 0 { 2 + halves % 2 } else { 2 };
+            for _ in 0..cables {
+                b.add_link(hub, spoke, LinkSpec::lan());
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn core_node_below_the_u16_entry_range_is_routed() {
+        // Positions 0..=65,534: the last is the largest entry that is
+        // not `NO_HOP`.
+        let t = hub_with_core_halves(65_535);
+        let mut core = Core::new(&t);
+        let far = NodeId(t.num_nodes() as u32 - 1);
+        let tree = core.dijkstra_to(core.of_node[far.index()]);
+        let hop = entry_link(&t, &core, &tree, NodeId(0)).expect("hub reaches the spoke");
+        assert_eq!(t.link(hop).to, far);
+        assert_eq!(Some(hop), dense_next_hops(&t, far)[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "core node NodeId(0) has a core half-link at position 65535")]
+    fn core_node_past_the_u16_entry_range_is_refused() {
+        Core::new(&hub_with_core_halves(65_536));
+    }
 
     #[test]
     fn two_hosts_route_through_router() {

@@ -618,8 +618,7 @@ impl<'a> ScenarioRunner<'a> {
         // still hold their endpoint (rejoins reset their counters).
         let channel_names: Vec<String> = self
             .world
-            .config()
-            .channels
+            .channels()
             .iter()
             .map(|c| c.name.clone())
             .collect();

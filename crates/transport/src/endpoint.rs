@@ -1,17 +1,19 @@
-//! Per-host transport endpoint: the mux that owns one connection per
-//! (peer, named transport instance) pair.
+//! Per-host transport endpoint: the mux that owns one reliable
+//! connection per (peer, named transport instance) pair.
 //!
 //! The paper's engine gives each declared transport instance its own
 //! blocking channel so that, e.g., `TCP LOW` being congestion-limited
-//! never delays `SWP HIGHEST` — here each `(peer, channel)` pair maps to
-//! an independent [`ReliableConn`] or [`UdpConn`].
+//! never delays `SWP HIGHEST` — here each reliable `(peer, channel)` pair
+//! maps to an independent [`ReliableConn`]. Datagram channels need no
+//! connection: see [`crate::udp`].
 
 use crate::reliable::{ConnOut, ConnStats, ReliableConn, WindowPolicy};
 use crate::segment::{SegKind, Segment};
-use crate::udp::UdpConn;
+use crate::udp::{self, Reassembly};
 use bytes::Bytes;
 use macedon_net::{NodeId, Packet};
 use macedon_sim::{Duration, FxHashMap, Time};
+use std::sync::Arc;
 
 pub use crate::segment::ChannelId;
 
@@ -112,25 +114,20 @@ impl TransportSink {
     }
 }
 
-// Only ever lives behind the `Box` in `Endpoint::conns`, so the size
-// gap costs a `Udp` connection its allocation's slack, not every table
-// bucket; boxing the large variant too would put a second pointer hop on
-// every reliable segment.
-#[allow(clippy::large_enum_variant)]
-enum Conn {
-    Reliable(ReliableConn),
-    Udp(UdpConn),
-}
-
 /// Per-host transport state.
 pub struct Endpoint {
     node: NodeId,
-    channels: Vec<ChannelSpec>,
-    /// Boxed: a connection is ~300 B, and a hash table pays for its
-    /// *empty* buckets too (and for both copies while it grows), so the
-    /// table holds a pointer per bucket and only live connections cost
-    /// their size.
-    conns: FxHashMap<(NodeId, ChannelId), Box<Conn>>,
+    /// The world's channel table, shared by every endpoint.
+    channels: Arc<[ChannelSpec]>,
+    /// Reliable connections only. Boxed: a connection is ~300 B, and a
+    /// hash table pays for its *empty* buckets too (and for both copies
+    /// while it grows), so the table holds a pointer per bucket and only
+    /// live connections cost their size.
+    conns: FxHashMap<(NodeId, ChannelId), Box<ReliableConn>>,
+    /// Inbound datagrams with fragments still missing.
+    reassembly: Reassembly,
+    /// Id of the next datagram sent, to any peer on any channel.
+    next_datagram: u64,
     /// Reusable connection-output buffer (cleared between operations;
     /// kept for its capacity so the per-segment hot path never
     /// allocates).
@@ -138,7 +135,8 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    pub fn new(node: NodeId, channels: Vec<ChannelSpec>) -> Endpoint {
+    pub fn new(node: NodeId, channels: impl Into<Arc<[ChannelSpec]>>) -> Endpoint {
+        let channels = channels.into();
         assert!(
             !channels.is_empty(),
             "at least one transport instance required"
@@ -147,12 +145,10 @@ impl Endpoint {
             node,
             channels,
             conns: FxHashMap::default(),
+            reassembly: Reassembly::default(),
+            next_datagram: 0,
             scratch: ConnOut::default(),
         }
-    }
-
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     pub fn channels(&self) -> &[ChannelSpec] {
@@ -179,16 +175,17 @@ impl Endpoint {
         span: u64,
         out: &mut TransportSink,
     ) {
-        let kind = self.kind_of(ch);
+        let Some(policy) = self.policy_of(ch) else {
+            let id = self.next_datagram;
+            self.next_datagram += 1;
+            udp::fragments(ch, id, &msg, span, |seg| {
+                out.packets
+                    .push(Packet::new(self.node, dst, seg.size(), seg));
+            });
+            return;
+        };
         let mut co = std::mem::take(&mut self.scratch);
-        match self.conn(dst, ch, kind) {
-            Conn::Udp(u) => {
-                u.send(msg, span, &mut co.tx);
-            }
-            Conn::Reliable(r) => {
-                r.send(now, msg, span, &mut co);
-            }
-        }
+        self.conn(dst, ch, policy).send(now, msg, span, &mut co);
         self.flush_conn_out(dst, ch, &mut co, out);
         self.scratch = co;
     }
@@ -199,54 +196,52 @@ impl Endpoint {
         if ch.0 as usize >= self.channels.len() {
             return; // unknown channel: drop
         }
-        let kind = self.kind_of(ch);
-        let span = seg.span;
-        let mut co = std::mem::take(&mut self.scratch);
-        match (seg.kind, self.conn(from, ch, kind)) {
-            (
-                SegKind::Datagram {
-                    msg,
-                    frag,
-                    frags,
-                    bytes,
-                },
-                Conn::Udp(u),
-            ) => {
-                if let Some((full, sp)) = u.on_datagram(msg, frag, frags, bytes, span) {
-                    out.delivered.push((from, ch, full, sp));
+        // A segment whose kind does not match its channel's is dropped.
+        let Some(policy) = self.policy_of(ch) else {
+            if let SegKind::Datagram {
+                msg,
+                frag,
+                frags,
+                bytes,
+            } = seg.kind
+            {
+                let whole = self
+                    .reassembly
+                    .accept((from, ch), msg, frag, frags, bytes, seg.span);
+                if let Some((full, span)) = whole {
+                    out.delivered.push((from, ch, full, span));
                 }
             }
-            (
-                SegKind::Data {
-                    seq,
-                    msg,
-                    frag,
-                    frags,
-                    bytes,
-                },
-                Conn::Reliable(r),
-            ) => {
-                r.on_data(now, seq, msg, frag, frags, bytes, span, &mut co);
+            return;
+        };
+        let mut co = std::mem::take(&mut self.scratch);
+        match seg.kind {
+            SegKind::Data {
+                seq,
+                msg,
+                frag,
+                frags,
+                bytes,
+            } => {
+                let conn = self.conn(from, ch, policy);
+                conn.on_data(now, seq, msg, frag, frags, bytes, seg.span, &mut co);
             }
-            (SegKind::Ack { cum }, Conn::Reliable(r)) => {
-                r.on_ack(now, cum, &mut co);
-            }
-            _ => {
-                // Segment kind mismatched with channel kind: drop.
-            }
+            SegKind::Ack { cum } => self.conn(from, ch, policy).on_ack(now, cum, &mut co),
+            SegKind::Datagram { .. } => {}
         }
         self.flush_conn_out(from, ch, &mut co, out);
         self.scratch = co;
     }
 
-    /// Drop all connection state toward `peer` (sequence numbers,
-    /// send/receive buffers, RTT estimates). The world calls this on
-    /// every endpoint when `peer` is despawned for a rejoin: the next
-    /// incarnation is a different host as far as transport state goes,
-    /// and stale sequence numbers would otherwise wedge the fresh
-    /// endpoint's reliable channels forever.
+    /// Drop all transport state toward `peer` (sequence numbers,
+    /// send/receive buffers, RTT estimates, partial datagrams). The world
+    /// calls this on every endpoint when `peer` is despawned for a
+    /// rejoin: the next incarnation is a different host as far as
+    /// transport state goes, and stale sequence numbers would otherwise
+    /// wedge the fresh endpoint's reliable channels forever.
     pub fn reset_peer(&mut self, peer: NodeId) {
         self.conns.retain(|&(p, _), _| p != peer);
+        self.reassembly.reset_peer(peer);
     }
 
     /// Handle a connection timer previously emitted via
@@ -254,8 +249,7 @@ impl Endpoint {
     pub fn on_timer(&mut self, now: Time, key: TimerKey, out: &mut TransportSink) {
         debug_assert_eq!(key.node, self.node);
         let mut co = std::mem::take(&mut self.scratch);
-        let conn = self.conns.get_mut(&(key.peer, key.channel));
-        if let Some(Conn::Reliable(r)) = conn.map(Box::as_mut) {
+        if let Some(r) = self.conns.get_mut(&(key.peer, key.channel)) {
             match key.kind {
                 TimerKind::Rto => r.on_rto(now, key.gen, &mut co),
                 TimerKind::DelayedAck => r.on_ack_timeout(&mut co),
@@ -268,47 +262,52 @@ impl Endpoint {
     /// Aggregate reliable-connection stats across peers of one channel.
     pub fn channel_stats(&self, ch: ChannelId) -> ConnStats {
         let mut total = ConnStats::default();
-        for ((_, c), conn) in &self.conns {
+        for ((_, c), r) in &self.conns {
             if *c == ch {
-                if let Conn::Reliable(r) = &**conn {
-                    let s = r.stats;
-                    total.segments_sent += s.segments_sent;
-                    total.retransmissions += s.retransmissions;
-                    total.acks_sent += s.acks_sent;
-                    total.messages_delivered += s.messages_delivered;
-                    total.bytes_sent += s.bytes_sent;
-                }
+                let s = r.stats;
+                total.segments_sent += s.segments_sent;
+                total.retransmissions += s.retransmissions;
+                total.acks_sent += s.acks_sent;
+                total.messages_delivered += s.messages_delivered;
+                total.bytes_sent += s.bytes_sent;
             }
         }
         total
     }
 
-    /// Total bytes handed to the network across all connections
-    /// (the "communication overhead" input).
+    /// Total bytes handed to the network across all reliable
+    /// connections (the "communication overhead" input; datagrams are
+    /// accounted at send time by callers).
     pub fn total_bytes_sent(&self) -> u64 {
+        self.conns.values().map(|r| r.stats.bytes_sent).sum()
+    }
+
+    /// Heap bytes held by reliable connections: the table's buckets,
+    /// each boxed connection and its buffers.
+    pub fn conn_bytes(&self) -> usize {
+        let table =
+            self.conns.capacity() * std::mem::size_of::<((NodeId, ChannelId), Box<ReliableConn>)>();
+        table + self.conns.values().map(|r| r.heap_bytes()).sum::<usize>()
+    }
+
+    /// Heap bytes held by datagram reassembly.
+    pub fn reassembly_bytes(&self) -> usize {
+        self.reassembly.heap_bytes()
+    }
+
+    /// The window policy of a reliable channel; `None` for a datagram one.
+    fn policy_of(&self, ch: ChannelId) -> Option<WindowPolicy> {
+        match self.channels[ch.0 as usize].kind {
+            TransportKind::Udp => None,
+            TransportKind::Tcp => Some(WindowPolicy::Tcp),
+            TransportKind::Swp { window } => Some(WindowPolicy::Swp { window }),
+        }
+    }
+
+    fn conn(&mut self, peer: NodeId, ch: ChannelId, policy: WindowPolicy) -> &mut ReliableConn {
         self.conns
-            .values()
-            .map(|c| match &**c {
-                Conn::Reliable(r) => r.stats.bytes_sent,
-                Conn::Udp(_) => 0, // accounted at send time by callers
-            })
-            .sum()
-    }
-
-    fn kind_of(&self, ch: ChannelId) -> TransportKind {
-        self.channels[ch.0 as usize].kind
-    }
-
-    fn conn(&mut self, peer: NodeId, ch: ChannelId, kind: TransportKind) -> &mut Conn {
-        self.conns.entry((peer, ch)).or_insert_with(|| {
-            Box::new(match kind {
-                TransportKind::Udp => Conn::Udp(UdpConn::new()),
-                TransportKind::Tcp => Conn::Reliable(ReliableConn::new(WindowPolicy::Tcp)),
-                TransportKind::Swp { window } => {
-                    Conn::Reliable(ReliableConn::new(WindowPolicy::Swp { window }))
-                }
-            })
-        })
+            .entry((peer, ch))
+            .or_insert_with(|| Box::new(ReliableConn::new(policy)))
     }
 
     /// Drain a connection's outputs into the transport sink, leaving
@@ -375,6 +374,76 @@ mod tests {
         );
     }
 
+    /// Send `msg` from `e` to node 1 at time zero on the named channel.
+    fn send(e: &mut Endpoint, ch: &str, msg: &'static [u8], out: &mut TransportSink) -> ChannelId {
+        let ch = e.channel_by_name(ch).unwrap();
+        e.send(Time::ZERO, NodeId(1), ch, Bytes::from_static(msg), 42, out);
+        ch
+    }
+
+    /// Hand packets to `to`, collecting what it delivers.
+    fn carry(
+        pkts: impl IntoIterator<Item = Packet<Segment>>,
+        to: &mut Endpoint,
+    ) -> Vec<(Bytes, u64)> {
+        let mut out = TransportSink::new();
+        for pkt in pkts {
+            to.on_packet(Time::ZERO, pkt.src, pkt.payload, &mut out);
+        }
+        out.delivered
+            .into_iter()
+            .map(|(_, _, m, s)| (m, s))
+            .collect()
+    }
+
+    #[test]
+    fn single_fragment_datagrams_leave_no_connection_state() {
+        let mut eps = [ep(0), ep(1)];
+        let ch = eps[0].channel_by_name("BEST_EFFORT").unwrap();
+        let sent: Vec<(Bytes, u64)> = (0..1_000u32)
+            .map(|i| (Bytes::from(i.to_be_bytes().to_vec()), i as u64 + 1))
+            .collect();
+        for (x, y) in [(0, 1), (1, 0)] {
+            let mut out = TransportSink::new();
+            for (msg, span) in &sent {
+                let peer = NodeId(y as u32);
+                eps[x].send(Time::ZERO, peer, ch, msg.clone(), *span, &mut out);
+            }
+            assert_eq!(carry(out.packets, &mut eps[y]), sent);
+        }
+        for e in &eps {
+            assert_eq!(e.conns.len(), 0, "no connection entries");
+            assert_eq!(e.reassembly.len(), 0, "no reassembly entries");
+        }
+    }
+
+    #[test]
+    fn partial_datagram_state_lives_only_while_partial() {
+        let (mut a, mut b) = (ep(0), ep(1));
+        let ch = a.channel_by_name("BEST_EFFORT").unwrap();
+        let payload = Bytes::from(vec![3u8; crate::segment::MSS as usize * 2 + 1]);
+        let mut out = TransportSink::new();
+        a.send(Time::ZERO, NodeId(1), ch, payload.clone(), 5, &mut out);
+        let mut frags = std::mem::take(&mut out.packets);
+        let last = frags.pop().unwrap();
+        assert_eq!(frags.len(), 2);
+        for pkt in frags {
+            assert!(carry([pkt], &mut b).is_empty());
+            assert_eq!(b.reassembly.len(), 1, "partial while fragments are missing");
+        }
+        assert_eq!(carry([last], &mut b), vec![(payload.clone(), 5)]);
+        assert_eq!(b.reassembly.len(), 0, "gone once the message is whole");
+
+        // A partial from a peer that is reset is dropped with it.
+        a.send(Time::ZERO, NodeId(1), ch, payload, 6, &mut out);
+        assert!(carry(out.packets.drain(..1), &mut b).is_empty());
+        b.reset_peer(NodeId(2));
+        assert_eq!(b.reassembly.len(), 1, "another peer's reset keeps it");
+        b.reset_peer(NodeId(0));
+        assert_eq!(b.reassembly.len(), 0);
+        assert_eq!(a.conns.len() + b.conns.len(), 0);
+    }
+
     #[test]
     fn channel_lookup_by_name() {
         let e = ep(0);
@@ -385,17 +454,8 @@ mod tests {
 
     #[test]
     fn udp_send_produces_datagram_packet() {
-        let mut e = ep(0);
         let mut out = TransportSink::new();
-        let ch = e.channel_by_name("BEST_EFFORT").unwrap();
-        e.send(
-            Time::ZERO,
-            NodeId(1),
-            ch,
-            Bytes::from_static(b"hi"),
-            0,
-            &mut out,
-        );
+        send(&mut ep(0), "BEST_EFFORT", b"hi", &mut out);
         assert_eq!(out.packets.len(), 1);
         assert!(matches!(
             out.packets[0].payload.kind,
@@ -406,17 +466,8 @@ mod tests {
 
     #[test]
     fn tcp_send_arms_rto() {
-        let mut e = ep(0);
         let mut out = TransportSink::new();
-        let ch = e.channel_by_name("HIGH").unwrap();
-        e.send(
-            Time::ZERO,
-            NodeId(1),
-            ch,
-            Bytes::from_static(b"hi"),
-            0,
-            &mut out,
-        );
+        let ch = send(&mut ep(0), "HIGH", b"hi", &mut out);
         assert_eq!(out.packets.len(), 1);
         assert_eq!(out.timers.len(), 1);
         let key = out.timers[0].1;
@@ -428,16 +479,8 @@ mod tests {
     fn end_to_end_between_two_endpoints() {
         let mut a = ep(0);
         let mut b = ep(1);
-        let ch = a.channel_by_name("HIGH").unwrap();
         let mut out_a = TransportSink::new();
-        a.send(
-            Time::ZERO,
-            NodeId(1),
-            ch,
-            Bytes::from_static(b"payload"),
-            42,
-            &mut out_a,
-        );
+        let ch = send(&mut a, "HIGH", b"payload", &mut out_a);
         // Hand a's packets to b.
         let mut out_b = TransportSink::new();
         for pkt in out_a.packets.drain(..) {
@@ -475,25 +518,9 @@ mod tests {
     #[test]
     fn channels_are_independent() {
         let mut a = ep(0);
-        let hi = a.channel_by_name("HIGH").unwrap();
-        let lo = a.channel_by_name("LOW").unwrap();
         let mut out = TransportSink::new();
-        a.send(
-            Time::ZERO,
-            NodeId(1),
-            hi,
-            Bytes::from_static(b"h"),
-            0,
-            &mut out,
-        );
-        a.send(
-            Time::ZERO,
-            NodeId(1),
-            lo,
-            Bytes::from_static(b"l"),
-            0,
-            &mut out,
-        );
+        let hi = send(&mut a, "HIGH", b"h", &mut out);
+        let lo = send(&mut a, "LOW", b"l", &mut out);
         assert_eq!(a.channel_stats(hi).segments_sent, 1);
         assert_eq!(a.channel_stats(lo).segments_sent, 1);
         // Independent sequence spaces (both start at 0): fine because they

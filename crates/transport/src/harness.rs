@@ -10,6 +10,7 @@ use bytes::Bytes;
 use macedon_net::{NetEvent, Network, NetworkConfig, NodeId, Sink, Topology};
 use macedon_sim::{EventId, Scheduler, Time};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Events in the transport test world.
 pub enum Ev {
@@ -33,6 +34,7 @@ impl TransportWorld {
     pub fn new(topo: Topology, channels: Vec<ChannelSpec>) -> TransportWorld {
         let hosts = topo.hosts().to_vec();
         let net = Network::new(topo, NetworkConfig::default());
+        let channels: Arc<[ChannelSpec]> = channels.into();
         let endpoints = hosts
             .into_iter()
             .map(|h| (h, Endpoint::new(h, channels.clone())))
@@ -74,7 +76,7 @@ impl TransportWorld {
             .get_mut(&src)
             .expect("unknown src host")
             .send(now, dst, ch, msg, 0, &mut tout);
-        self.absorb(now, tout);
+        self.absorb(now, src, tout);
     }
 
     /// Run until the queue drains or `deadline` passes.
@@ -84,7 +86,7 @@ impl TransportWorld {
                 Ev::Net(nev) => {
                     let mut nout = Sink::new();
                     self.net.handle(now, nev, &mut nout);
-                    self.absorb_net(now, nout);
+                    self.absorb_net(nout);
                 }
                 Ev::Rto(key) => {
                     self.timers.remove(&key.slot());
@@ -92,49 +94,37 @@ impl TransportWorld {
                     if let Some(ep) = self.endpoints.get_mut(&key.node) {
                         ep.on_timer(now, key, &mut tout);
                     }
-                    self.absorb(now, tout);
+                    self.absorb(now, key.node, tout);
                 }
             }
         }
         self.sched.fast_forward(deadline);
     }
 
-    fn absorb(&mut self, now: Time, mut tout: TransportSink) {
+    /// Apply what `node`'s endpoint asked for at `now`.
+    fn absorb(&mut self, now: Time, node: NodeId, mut tout: TransportSink) {
         let mut nout = Sink::new();
         for pkt in tout.packets.drain(..) {
             self.net.send(now, pkt, &mut nout);
         }
         self.absorb_timers(&mut tout);
         for (from, ch, msg, _span) in tout.delivered.drain(..) {
-            // Delivered synchronously during absorb (e.g. loopback).
-            self.inbox.push((now, NodeId(u32::MAX), from, ch, msg));
+            self.inbox.push((now, node, from, ch, msg));
         }
-        self.absorb_net(now, nout);
+        self.absorb_net(nout);
     }
 
-    fn absorb_net(&mut self, _now: Time, mut nout: Sink<Segment>) {
+    fn absorb_net(&mut self, mut nout: Sink<Segment>) {
         for (t, ev) in nout.schedule.drain(..) {
             self.sched.schedule(t, Ev::Net(ev));
         }
         for d in nout.delivered.drain(..) {
             let to = d.pkt.dst;
-            let from = d.pkt.src;
             let mut tout = TransportSink::new();
             if let Some(ep) = self.endpoints.get_mut(&to) {
-                ep.on_packet(d.at, from, d.pkt.payload, &mut tout);
+                ep.on_packet(d.at, d.pkt.src, d.pkt.payload, &mut tout);
             }
-            self.absorb_timers(&mut tout);
-            let mut nout2 = Sink::new();
-            for pkt in tout.packets.drain(..) {
-                self.net.send(d.at, pkt, &mut nout2);
-            }
-            for (src, ch, msg, _span) in tout.delivered.drain(..) {
-                self.inbox.push((d.at, to, src, ch, msg));
-            }
-            for (t, ev) in nout2.schedule.drain(..) {
-                self.sched.schedule(t, Ev::Net(ev));
-            }
-            debug_assert!(nout2.delivered.is_empty());
+            self.absorb(d.at, to, tout);
         }
     }
 }

@@ -161,19 +161,14 @@ impl ReliableConn {
         }
     }
 
-    /// Congestion window (TCP) for observability.
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// Segments queued but not yet acknowledged.
-    pub fn backlog(&self) -> usize {
-        self.segs.len()
-    }
-
-    /// Smoothed RTT estimate, if any samples were taken.
-    pub fn srtt(&self) -> Option<Duration> {
-        self.est.srtt()
+    /// Bytes this connection holds: itself plus its buffers' capacity
+    /// (payloads are shared with the packets, not counted).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<ReliableConn>()
+            + self.segs.capacity() * size_of::<SegBuf>()
+            + self.ooo.len() * size_of::<(u64, SegBuf)>()
+            + self.partial.capacity() * size_of::<Bytes>()
     }
 
     /// Enqueue a message; transmits whatever the window allows. `span`
@@ -293,13 +288,7 @@ impl ReliableConn {
     pub fn on_ack_timeout(&mut self, out: &mut ConnOut) {
         self.ack_timer_armed = false;
         if self.ack_pending > 0 {
-            self.ack_pending = 0;
-            self.stats.acks_sent += 1;
-            out.tx.push(Segment {
-                channel: ChannelId(0),
-                span: 0,
-                kind: SegKind::Ack { cum: self.rcv_nxt },
-            });
+            self.flush_ack(out);
         }
     }
 
@@ -421,23 +410,7 @@ impl ReliableConn {
         let window = self.window() as u64;
         let had_flight = self.in_flight() > 0;
         while self.snd_nxt < self.next_assign && self.in_flight() < window {
-            let seq = self.snd_nxt;
-            let i = (seq - self.snd_una) as usize;
-            let sb = self.segs.get_mut(i).expect("segment missing");
-            sb.sent_at = Some(now);
-            self.stats.segments_sent += 1;
-            self.stats.bytes_sent += sb.bytes.len() as u64;
-            out.tx.push(Segment {
-                channel: ChannelId(0),
-                span: sb.span,
-                kind: SegKind::Data {
-                    seq,
-                    msg: sb.msg,
-                    frag: sb.frag,
-                    frags: sb.frags,
-                    bytes: sb.bytes.clone(),
-                },
-            });
+            self.transmit((self.snd_nxt - self.snd_una) as usize, now, false, out);
             self.snd_nxt += 1;
         }
         if !had_flight && self.in_flight() > 0 {
@@ -446,49 +419,36 @@ impl ReliableConn {
     }
 
     fn retransmit_window(&mut self, now: Time, out: &mut ConnOut) {
-        for i in 0..(self.snd_nxt - self.snd_una) as usize {
-            let seq = self.snd_una + i as u64;
-            if let Some(sb) = self.segs.get_mut(i) {
-                sb.retransmitted = true;
-                sb.sent_at = Some(now);
-                self.stats.segments_sent += 1;
-                self.stats.retransmissions += 1;
-                self.stats.bytes_sent += sb.bytes.len() as u64;
-                out.tx.push(Segment {
-                    channel: ChannelId(0),
-                    span: sb.span,
-                    kind: SegKind::Data {
-                        seq,
-                        msg: sb.msg,
-                        frag: sb.frag,
-                        frags: sb.frags,
-                        bytes: sb.bytes.clone(),
-                    },
-                });
-            }
+        for i in 0..(self.in_flight() as usize).min(self.segs.len()) {
+            self.transmit(i, now, true, out);
         }
     }
 
     fn retransmit_front(&mut self, now: Time, out: &mut ConnOut) {
-        let seq = self.snd_una;
-        if let Some(sb) = self.segs.get_mut(0) {
-            sb.retransmitted = true;
-            sb.sent_at = Some(now);
-            self.stats.segments_sent += 1;
-            self.stats.retransmissions += 1;
-            self.stats.bytes_sent += sb.bytes.len() as u64;
-            out.tx.push(Segment {
-                channel: ChannelId(0),
-                span: sb.span,
-                kind: SegKind::Data {
-                    seq,
-                    msg: sb.msg,
-                    frag: sb.frag,
-                    frags: sb.frags,
-                    bytes: sb.bytes.clone(),
-                },
-            });
+        if !self.segs.is_empty() {
+            self.transmit(0, now, true, out);
         }
+    }
+
+    /// Put `segs[i]` (sequence number `snd_una + i`) on the wire.
+    fn transmit(&mut self, i: usize, now: Time, retransmit: bool, out: &mut ConnOut) {
+        let sb = &mut self.segs[i];
+        sb.retransmitted |= retransmit;
+        sb.sent_at = Some(now);
+        self.stats.segments_sent += 1;
+        self.stats.retransmissions += retransmit as u64;
+        self.stats.bytes_sent += sb.bytes.len() as u64;
+        out.tx.push(Segment {
+            channel: ChannelId(0),
+            span: sb.span,
+            kind: SegKind::Data {
+                seq: self.snd_una + i as u64,
+                msg: sb.msg,
+                frag: sb.frag,
+                frags: sb.frags,
+                bytes: sb.bytes.clone(),
+            },
+        });
     }
 
     fn rearm(&mut self, now: Time, out: &mut ConnOut) {
@@ -511,17 +471,35 @@ mod tests {
         Time::from_millis(ms)
     }
 
-    fn data_fields(seg: &Segment) -> (u64, u64, u16, u16, Bytes) {
-        match &seg.kind {
-            SegKind::Data {
-                seq,
-                msg,
-                frag,
-                frags,
-                bytes,
-            } => (*seq, *msg, *frag, *frags, bytes.clone()),
-            other => panic!("expected data, got {other:?}"),
+    /// Hand data segment `seg` to `rx` at `at`.
+    fn feed(rx: &mut ReliableConn, at: Time, seg: &Segment, out: &mut ConnOut) {
+        let SegKind::Data {
+            seq,
+            msg,
+            frag,
+            frags,
+            ref bytes,
+        } = seg.kind
+        else {
+            panic!("expected data, got {:?}", seg.kind)
+        };
+        rx.on_data(at, seq, msg, frag, frags, bytes.clone(), seg.span, out);
+    }
+
+    /// Hand every data segment in `tx` to `rx`, in order.
+    fn deliver_all(tx: &ConnOut, rx: &mut ReliableConn, out: &mut ConnOut) {
+        for seg in &tx.tx {
+            feed(rx, t(1), seg, out);
         }
+    }
+
+    /// The cumulative points of the acks in `out`, in order.
+    fn acks(out: &ConnOut) -> Vec<u64> {
+        let cum = |s: &Segment| match s.kind {
+            SegKind::Ack { cum } => Some(cum),
+            _ => None,
+        };
+        out.tx.iter().filter_map(cum).collect()
     }
 
     #[test]
@@ -531,18 +509,8 @@ mod tests {
         let mut out = ConnOut::default();
         a.send(t(0), Bytes::from_static(b"hello"), 7, &mut out);
         assert_eq!(out.tx.len(), 1);
-        let (seq, msg, frag, frags, bytes) = data_fields(&out.tx[0]);
         let mut out_b = ConnOut::default();
-        b.on_data(
-            t(5),
-            seq,
-            msg,
-            frag,
-            frags,
-            bytes,
-            out.tx[0].span,
-            &mut out_b,
-        );
+        feed(&mut b, t(5), &out.tx[0], &mut out_b);
         assert_eq!(out_b.delivered.len(), 1);
         assert_eq!(&out_b.delivered[0].0[..], b"hello");
         assert_eq!(out_b.delivered[0].1, 7, "span rides to delivery");
@@ -556,8 +524,8 @@ mod tests {
         assert_eq!(cum, 1);
         let mut out_a = ConnOut::default();
         a.on_ack(t(16), cum, &mut out_a);
-        assert_eq!(a.backlog(), 0);
-        assert_eq!(a.srtt(), Some(Duration::from_millis(16)));
+        assert_eq!(a.segs.len(), 0);
+        assert_eq!(a.est.srtt(), Some(Duration::from_millis(16)));
         assert!(out_a.cancel_rto, "drained window cancels the RTO");
     }
 
@@ -570,31 +538,16 @@ mod tests {
         a.send(t(0), Bytes::from(payload.clone()), 0, &mut out);
         assert!(out.tx.len() >= 4);
         let mut out_b = ConnOut::default();
-        for seg in &out.tx {
-            let (seq, msg, frag, frags, bytes) = data_fields(seg);
-            b.on_data(t(1), seq, msg, frag, frags, bytes, 0, &mut out_b);
-        }
+        deliver_all(&out, &mut b, &mut out_b);
         assert_eq!(out_b.delivered.len(), 1);
         assert_eq!(&out_b.delivered[0].0[..], &payload[..]);
         // In-order stream: one coalesced ack per ACK_EVERY segments.
-        let acks = out_b
-            .tx
-            .iter()
-            .filter(|s| matches!(s.kind, SegKind::Ack { .. }))
-            .count();
+        let acks = acks(&out_b).len();
         assert!(
             acks <= out.tx.len().div_ceil(ACK_EVERY as usize),
             "{acks} acks for {} segments",
             out.tx.len()
         );
-    }
-
-    /// Hand every data segment in `tx` to `rx`, in order.
-    fn deliver_all(tx: &ConnOut, rx: &mut ReliableConn, out: &mut ConnOut) {
-        for seg in &tx.tx {
-            let (seq, msg, frag, frags, bytes) = data_fields(seg);
-            rx.on_data(t(1), seq, msg, frag, frags, bytes, seg.span, out);
-        }
     }
 
     #[test]
@@ -639,11 +592,9 @@ mod tests {
         for m in ["one", "two", "three"] {
             a.send(t(0), Bytes::from(m.as_bytes().to_vec()), 0, &mut out);
         }
-        let mut segs: Vec<_> = out.tx.iter().map(data_fields).collect();
-        segs.reverse(); // deliver in reverse order
         let mut out_b = ConnOut::default();
-        for (seq, msg, frag, frags, bytes) in segs {
-            b.on_data(t(1), seq, msg, frag, frags, bytes, 0, &mut out_b);
+        for seg in out.tx.iter().rev() {
+            feed(&mut b, t(1), seg, &mut out_b);
         }
         let got: Vec<&[u8]> = out_b.delivered.iter().map(|(b, _)| &b[..]).collect();
         assert_eq!(
@@ -658,11 +609,10 @@ mod tests {
         let mut b = ReliableConn::new(WindowPolicy::Tcp);
         let mut out = ConnOut::default();
         a.send(t(0), Bytes::from_static(b"dup"), 0, &mut out);
-        let (seq, msg, frag, frags, bytes) = data_fields(&out.tx[0]);
         let mut out_b = ConnOut::default();
-        b.on_data(t(1), seq, msg, frag, frags, bytes.clone(), 0, &mut out_b);
+        feed(&mut b, t(1), &out.tx[0], &mut out_b);
         assert_eq!(out_b.tx.len(), 1, "sparse in-order segment acks at once");
-        b.on_data(t(2), seq, msg, frag, frags, bytes, 0, &mut out_b);
+        feed(&mut b, t(2), &out.tx[0], &mut out_b);
         assert_eq!(out_b.delivered.len(), 1);
         assert_eq!(out_b.tx.len(), 2, "duplicate forces an immediate ack");
     }
@@ -675,19 +625,16 @@ mod tests {
         for i in 0..3u8 {
             a.send(t(0), Bytes::from(vec![i]), 0, &mut out);
         }
-        let segs: Vec<_> = out.tx.iter().map(data_fields).collect();
         let mut out_b = ConnOut::default();
         // Seg 0 on a quiet conn: immediate ack. Seg 1 arrives 1 ms later
         // (dense): deferred, timer armed.
-        let (seq, msg, frag, frags, bytes) = segs[0].clone();
-        b.on_data(t(1), seq, msg, frag, frags, bytes.clone(), 0, &mut out_b);
+        feed(&mut b, t(1), &out.tx[0], &mut out_b);
         assert_eq!(out_b.tx.len(), 1);
-        let (seq1, msg1, frag1, frags1, bytes1) = segs[1].clone();
-        b.on_data(t(2), seq1, msg1, frag1, frags1, bytes1, 0, &mut out_b);
+        feed(&mut b, t(2), &out.tx[1], &mut out_b);
         assert_eq!(out_b.tx.len(), 1, "dense arrival defers its ack");
         assert!(out_b.arm_ack_timer.is_some());
         // A duplicate of seg 0 flushes immediately and cancels the timer.
-        b.on_data(t(3), seq, msg, frag, frags, bytes, 0, &mut out_b);
+        feed(&mut b, t(3), &out.tx[0], &mut out_b);
         assert_eq!(out_b.tx.len(), 2);
         assert!(
             out_b.cancel_ack_timer,
@@ -704,21 +651,14 @@ mod tests {
             a.send(t(0), Bytes::from(vec![i]), 0, &mut out);
         }
         let mut out_b = ConnOut::default();
-        for seg in &out.tx {
-            let (seq, msg, frag, frags, bytes) = data_fields(seg);
-            b.on_data(t(1), seq, msg, frag, frags, bytes, 0, &mut out_b);
-        }
-        let acks: Vec<u64> = out_b
-            .tx
-            .iter()
-            .filter_map(|s| match s.kind {
-                SegKind::Ack { cum } => Some(cum),
-                _ => None,
-            })
-            .collect();
+        deliver_all(&out, &mut b, &mut out_b);
         // The first segment (quiet conn) acks at once; from then on the
         // dense stream coalesces one cumulative ack per ACK_EVERY.
-        assert_eq!(acks, vec![1, 3, 5, 7], "one cumulative ack per {ACK_EVERY}");
+        assert_eq!(
+            acks(&out_b),
+            vec![1, 3, 5, 7],
+            "one cumulative ack per {ACK_EVERY}"
+        );
         assert_eq!(b.stats.acks_sent, 4);
         // Segment 8 is still pending under the armed delayed-ack timer.
         assert!(out_b.arm_ack_timer.is_some());
@@ -737,26 +677,15 @@ mod tests {
         for i in 0..5u8 {
             a.send(t(0), Bytes::from(vec![i]), 0, &mut out);
         }
-        let segs: Vec<_> = out.tx.iter().map(data_fields).collect();
         let mut out_b = ConnOut::default();
         // Deliver 0, then skip 1: every gapped arrival duplicates cum=1.
-        let (seq, msg, frag, frags, bytes) = segs[0].clone();
-        b.on_data(t(1), seq, msg, frag, frags, bytes, 0, &mut out_b);
+        feed(&mut b, t(1), &out.tx[0], &mut out_b);
         b.on_ack_timeout(&mut out_b); // flush the delayed ack for seg 0
-        for s in &segs[2..] {
-            let (seq, msg, frag, frags, bytes) = s.clone();
-            b.on_data(t(1), seq, msg, frag, frags, bytes, 0, &mut out_b);
+        for seg in &out.tx[2..] {
+            feed(&mut b, t(1), seg, &mut out_b);
         }
-        let acks: Vec<u64> = out_b
-            .tx
-            .iter()
-            .filter_map(|s| match s.kind {
-                SegKind::Ack { cum } => Some(cum),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            acks,
+            acks(&out_b),
             vec![1, 1, 1, 1],
             "gapped arrivals each ack immediately (dup-ack signal)"
         );
@@ -796,7 +725,7 @@ mod tests {
     fn tcp_slow_start_grows_cwnd() {
         let mut a = ReliableConn::new(WindowPolicy::Tcp);
         let mut out = ConnOut::default();
-        let start = a.cwnd();
+        let start = a.cwnd;
         for i in 0..8u8 {
             a.send(t(0), Bytes::from(vec![i]), 0, &mut out);
         }
@@ -806,7 +735,7 @@ mod tests {
             let mut o = ConnOut::default();
             a.on_ack(t(round * 10), acked, &mut o);
         }
-        assert!(a.cwnd() > start, "cwnd grew: {} -> {}", start, a.cwnd());
+        assert!(a.cwnd > start, "cwnd grew: {} -> {}", start, a.cwnd);
     }
 
     #[test]
@@ -820,7 +749,7 @@ mod tests {
         assert_eq!(out2.tx.len(), 1, "front segment retransmitted");
         assert_eq!(out2.tx[0].span, 5, "retransmission reuses the span");
         assert_eq!(a.stats.retransmissions, 1);
-        assert_eq!(a.cwnd() as u32, 1);
+        assert_eq!(a.cwnd as u32, 1);
         assert!(out2.arm_timer.is_some(), "timer re-armed with backoff");
     }
 

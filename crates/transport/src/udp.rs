@@ -5,70 +5,72 @@
 //! by message id and delivers only complete messages. Any lost fragment
 //! loses the whole message — exactly UDP+IP-fragmentation semantics.
 //!
-//! The reassembly maps use the workspace's one hasher
-//! ([`macedon_sim::FxHashMap`], as every other engine map). Neither is
-//! ever iterated: fragments are read back by index and eviction order
-//! comes from the `insertion` vector, so no hash order can leak into a
-//! run.
+//! A datagram keeps no per-peer state: a single-fragment one (every
+//! datagram the roster sends) goes out and comes in without a table
+//! lookup, and a `Reassembly` entry exists only while a
+//! multi-fragment message is partial. Message ids come from one counter
+//! per sending endpoint, so they are unique per `(peer, channel)` at the
+//! receiver, which is all reassembly needs.
 
 use crate::segment::{for_each_fragment, fragment_count, ChannelId, SegKind, Segment};
 use bytes::Bytes;
+use macedon_net::NodeId;
 use macedon_sim::FxHashMap;
 
-/// Bound on concurrent partially-reassembled messages; oldest evicted.
+/// Bound on concurrent partially-reassembled messages per `(peer,
+/// channel)`; oldest evicted.
 const REASSEMBLY_CAP: usize = 64;
 
-/// Per-peer datagram state.
+/// Hand each fragment of datagram `id` to `emit`, in order. `span` is
+/// the causal trace span riding with the message (zero when untraced).
+pub(crate) fn fragments(
+    ch: ChannelId,
+    id: u64,
+    msg: &Bytes,
+    span: u64,
+    mut emit: impl FnMut(Segment),
+) {
+    let frags = fragment_count(msg.len()) as u16;
+    let mut frag = 0u16;
+    for_each_fragment(msg, |bytes| {
+        emit(Segment {
+            channel: ch,
+            span,
+            kind: SegKind::Datagram {
+                msg: id,
+                frag,
+                frags,
+                bytes,
+            },
+        });
+        frag += 1;
+    });
+}
+
+/// Inbound multi-fragment datagrams still missing fragments, by source
+/// and channel: a never-empty list in order of first arrival (the
+/// eviction order).
 #[derive(Default)]
-pub struct UdpConn {
-    next_msg: u64,
-    partial: FxHashMap<u64, PartialMsg>,
-    insertion: Vec<u64>,
-    /// Datagrams sent (fragments).
-    pub frags_sent: u64,
-    /// Complete messages delivered.
-    pub messages_delivered: u64,
+pub(crate) struct Reassembly {
+    partial: FxHashMap<(NodeId, ChannelId), Vec<PartialMsg>>,
 }
 
 struct PartialMsg {
-    frags: u16,
-    parts: FxHashMap<u16, Bytes>,
+    id: u64,
+    /// Fragment `i` once it has arrived.
+    parts: Vec<Option<Bytes>>,
+    arrived: u16,
     /// Causal trace span of the message (out-of-band metadata).
     span: u64,
 }
 
-impl UdpConn {
-    pub fn new() -> UdpConn {
-        UdpConn::default()
-    }
-
-    /// Emit the fragments of one datagram. `span` is the causal trace
-    /// span riding with the message (zero when untraced).
-    pub fn send(&mut self, msg: Bytes, span: u64, tx: &mut Vec<Segment>) {
-        let frags = fragment_count(msg.len()) as u16;
-        let id = self.next_msg;
-        self.next_msg += 1;
-        let mut frag = 0u16;
-        for_each_fragment(&msg, |bytes| {
-            self.frags_sent += 1;
-            tx.push(Segment {
-                channel: ChannelId(0), // endpoint rewrites
-                span,
-                kind: SegKind::Datagram {
-                    msg: id,
-                    frag,
-                    frags,
-                    bytes,
-                },
-            });
-            frag += 1;
-        });
-    }
-
-    /// Accept an inbound fragment; returns a complete message (with its
-    /// causal span) when the last fragment arrives.
-    pub fn on_datagram(
+impl Reassembly {
+    /// Accept an inbound fragment from `from = (peer, channel)`; returns
+    /// a complete message (with its causal span) when the last fragment
+    /// arrives.
+    pub(crate) fn accept(
         &mut self,
+        from: (NodeId, ChannelId),
         msg: u64,
         frag: u16,
         frags: u16,
@@ -76,34 +78,61 @@ impl UdpConn {
         span: u64,
     ) -> Option<(Bytes, u64)> {
         if frags == 1 {
-            self.messages_delivered += 1;
             return Some((bytes, span));
         }
-        let entry = self.partial.entry(msg).or_insert_with(|| PartialMsg {
-            frags,
-            parts: FxHashMap::default(),
-            span,
+        let msgs = self.partial.entry(from).or_default();
+        let i = msgs.iter().position(|m| m.id == msg).unwrap_or_else(|| {
+            msgs.push(PartialMsg {
+                id: msg,
+                parts: vec![None; frags as usize],
+                arrived: 0,
+                span,
+            });
+            msgs.len() - 1
         });
-        if self.insertion.last() != Some(&msg) && !self.insertion.contains(&msg) {
-            self.insertion.push(msg);
+        let m = &mut msgs[i];
+        if let Some(slot @ None) = m.parts.get_mut(frag as usize) {
+            *slot = Some(bytes);
+            m.arrived += 1;
         }
-        entry.parts.insert(frag, bytes);
-        if entry.parts.len() == entry.frags as usize {
-            let done = self.partial.remove(&msg).expect("just inserted");
-            self.insertion.retain(|&m| m != msg);
-            let mut buf = Vec::new();
-            for i in 0..done.frags {
-                buf.extend_from_slice(&done.parts[&i]);
+        if m.arrived as usize == m.parts.len() {
+            let done = msgs.remove(i);
+            if msgs.is_empty() {
+                self.partial.remove(&from);
             }
-            self.messages_delivered += 1;
+            let mut buf = Vec::new();
+            for part in done.parts.iter().flatten() {
+                buf.extend_from_slice(part);
+            }
             return Some((Bytes::from(buf), done.span));
         }
-        // Evict oldest partials beyond the cap.
-        while self.partial.len() > REASSEMBLY_CAP {
-            let oldest = self.insertion.remove(0);
-            self.partial.remove(&oldest);
+        if msgs.len() > REASSEMBLY_CAP {
+            msgs.remove(0);
         }
         None
+    }
+
+    /// Drop every partial message from `peer`.
+    pub(crate) fn reset_peer(&mut self, peer: NodeId) {
+        self.partial.retain(|&(p, _), _| p != peer);
+    }
+
+    /// `(peer, channel)` pairs with a partial message.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.partial.len()
+    }
+
+    /// Heap bytes held: table capacity plus every partial's buffers
+    /// (fragment payloads are shared with the packets, not counted).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let msgs = |v: &Vec<PartialMsg>| {
+            let parts: usize = v.iter().map(|m| m.parts.capacity()).sum();
+            v.capacity() * size_of::<PartialMsg>() + parts * size_of::<Option<Bytes>>()
+        };
+        let table = size_of::<((NodeId, ChannelId), Vec<PartialMsg>)>();
+        self.partial.capacity() * table + self.partial.values().map(msgs).sum::<usize>()
     }
 }
 
@@ -112,30 +141,48 @@ mod tests {
     use super::*;
     use crate::segment::MSS;
 
-    fn dg(seg: &Segment) -> (u64, u16, u16, Bytes) {
+    const PEER: NodeId = NodeId(7);
+    const CH: ChannelId = ChannelId(4);
+
+    fn segments(id: u64, msg: &Bytes, span: u64) -> Vec<Segment> {
+        let mut tx = Vec::new();
+        fragments(CH, id, msg, span, |s| tx.push(s));
+        tx
+    }
+
+    fn accept(r: &mut Reassembly, seg: &Segment) -> Option<(Bytes, u64)> {
         match &seg.kind {
             SegKind::Datagram {
                 msg,
                 frag,
                 frags,
                 bytes,
-            } => (*msg, *frag, *frags, bytes.clone()),
+            } => r.accept((PEER, CH), *msg, *frag, *frags, bytes.clone(), seg.span),
             other => panic!("expected datagram, got {other:?}"),
         }
     }
 
+    fn part(
+        r: &mut Reassembly,
+        msg: u64,
+        frag: u16,
+        frags: u16,
+        b: &'static [u8],
+    ) -> Option<Bytes> {
+        r.accept((PEER, CH), msg, frag, frags, Bytes::from_static(b), 0)
+            .map(|(full, _)| full)
+    }
+
     #[test]
     fn small_datagram_single_fragment() {
-        let mut a = UdpConn::new();
-        let mut tx = Vec::new();
-        a.send(Bytes::from_static(b"ping"), 9, &mut tx);
+        let tx = segments(0, &Bytes::from_static(b"ping"), 9);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].span, 9);
-        let mut b = UdpConn::new();
-        let (m, f, fs, by) = dg(&tx[0]);
-        let (got, span) = b.on_datagram(m, f, fs, by, tx[0].span).unwrap();
+        let mut b = Reassembly::default();
+        let (got, span) = accept(&mut b, &tx[0]).unwrap();
         assert_eq!(&got[..], b"ping");
         assert_eq!(span, 9, "span rides to delivery");
+        assert_eq!(b.len(), 0, "a whole datagram leaves no entry");
     }
 
     #[test]
@@ -143,84 +190,69 @@ mod tests {
         let payload: Vec<u8> = (0..(MSS as usize * 3 + 5))
             .map(|i| (i % 256) as u8)
             .collect();
-        let mut a = UdpConn::new();
-        let mut tx = Vec::new();
-        a.send(Bytes::from(payload.clone()), 3, &mut tx);
+        let tx = segments(0, &Bytes::from(payload.clone()), 3);
         assert_eq!(tx.len(), 4);
-        let mut b = UdpConn::new();
+        let mut b = Reassembly::default();
         let mut got = None;
         for seg in &tx {
-            let (m, f, fs, by) = dg(seg);
-            if let Some(full) = b.on_datagram(m, f, fs, by, seg.span) {
+            if let Some(full) = accept(&mut b, seg) {
                 got = Some(full);
             }
         }
         let (full, span) = got.unwrap();
         assert_eq!(&full[..], &payload[..]);
         assert_eq!(span, 3, "multi-fragment reassembly keeps the span");
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
     fn out_of_order_fragments_still_reassemble() {
         let payload = vec![9u8; MSS as usize * 2];
-        let mut a = UdpConn::new();
-        let mut tx = Vec::new();
-        a.send(Bytes::from(payload.clone()), 0, &mut tx);
+        let mut tx = segments(0, &Bytes::from(payload.clone()), 0);
         tx.reverse();
-        let mut b = UdpConn::new();
+        let mut b = Reassembly::default();
         let mut got = None;
         for seg in &tx {
-            let (m, f, fs, by) = dg(seg);
-            if let Some(full) = b.on_datagram(m, f, fs, by, seg.span) {
+            if let Some(full) = accept(&mut b, seg) {
                 got = Some(full);
             }
         }
         assert_eq!(got.unwrap().0.len(), payload.len());
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
     fn lost_fragment_loses_message() {
-        let payload = vec![1u8; MSS as usize * 2];
-        let mut a = UdpConn::new();
-        let mut tx = Vec::new();
-        a.send(Bytes::from(payload), 0, &mut tx);
-        let mut b = UdpConn::new();
+        let tx = segments(0, &Bytes::from(vec![1u8; MSS as usize * 2]), 0);
+        let mut b = Reassembly::default();
         // Deliver only the first fragment.
-        let (m, f, fs, by) = dg(&tx[0]);
-        assert!(b.on_datagram(m, f, fs, by, 0).is_none());
-        assert_eq!(b.messages_delivered, 0);
+        assert!(accept(&mut b, &tx[0]).is_none());
+        assert_eq!(b.len(), 1, "the partial waits for its missing fragment");
     }
 
     #[test]
     fn reassembly_cap_evicts_oldest() {
-        let mut b = UdpConn::new();
+        let mut b = Reassembly::default();
         // Feed first fragments of many two-fragment messages.
         for m in 0..(REASSEMBLY_CAP as u64 + 10) {
-            assert!(b
-                .on_datagram(m, 0, 2, Bytes::from_static(b"a"), 0)
-                .is_none());
+            assert!(part(&mut b, m, 0, 2, b"a").is_none());
         }
+        assert_eq!(b.partial[&(PEER, CH)].len(), REASSEMBLY_CAP);
         // Completing an evicted early message must not complete (its
         // first fragment was dropped by the cap) and must not panic.
-        assert!(b
-            .on_datagram(0, 1, 2, Bytes::from_static(b"b"), 0)
-            .is_none());
+        assert!(part(&mut b, 0, 1, 2, b"b").is_none());
         // ...but a recent one completes.
         let recent = REASSEMBLY_CAP as u64 + 9;
-        let got = b.on_datagram(recent, 1, 2, Bytes::from_static(b"b"), 0);
-        assert!(got.is_some());
+        assert!(part(&mut b, recent, 1, 2, b"b").is_some());
     }
 
     #[test]
     fn duplicate_fragment_ignored() {
-        let mut b = UdpConn::new();
-        assert!(b
-            .on_datagram(5, 0, 2, Bytes::from_static(b"x"), 0)
-            .is_none());
-        assert!(b
-            .on_datagram(5, 0, 2, Bytes::from_static(b"x"), 0)
-            .is_none());
-        let (got, _) = b.on_datagram(5, 1, 2, Bytes::from_static(b"y"), 0).unwrap();
+        let mut b = Reassembly::default();
+        assert!(part(&mut b, 5, 0, 2, b"x").is_none());
+        assert!(part(&mut b, 5, 0, 2, b"x").is_none());
+        let got = part(&mut b, 5, 1, 2, b"y").unwrap();
         assert_eq!(&got[..], b"xy");
+        assert_eq!(b.len(), 0);
     }
 }
