@@ -1,84 +1,64 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out:
+//! Ablation benches for the design choices the paper's §3 calls out,
+//! each one a parameterisation or a one-line variant of a bundled spec:
 //!
-//! 1. static vs dynamic fix-fingers period (Fig 10's own question),
-//! 2. one shared transport vs multiple priority transports (§3.1),
-//! 3. control/data locking classification (read-share opportunity),
-//! 4. location-cache lifetime sweep (Fig 12's knob),
-//! 5. failure-detector g/f thresholds (detection latency trade-off).
+//! 1. static vs dynamic fix-fingers period (Fig 10's own question):
+//!    `chord.mac`'s fix-fingers constants,
+//! 2. one shared transport vs multiple priority transports (§3.1): an
+//!    `overcast.mac` variant whose control messages ride the data class,
+//! 3. control/data locking classification (read-share opportunity): a
+//!    `chord.mac` variant that marks its query handlers read-locked,
+//! 4. failure-detector g/f thresholds (detection latency trade-off).
 //!
-//! These report *virtual-run outcomes* through Criterion's timing of
-//! fixed-size simulations, and print the protocol-level metric so the
-//! ablation's effect is visible in the bench log.
+//! Each times a fixed-size simulation and returns its protocol-level
+//! outcome; the locking and failure-detector ablations assert theirs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use macedon_core::app::{shared_deliveries, CollectorApp};
-use macedon_core::Bytes;
-use macedon_core::{DownCall, Duration, MacedonKey, NodeId, Time, World, WorldConfig};
-use macedon_overlays::chord::{Chord, ChordConfig};
-use macedon_overlays::overcast::{Overcast, OvercastConfig};
-use macedon_overlays::testutil::{collect_ring, star_topology};
+use macedon_bench::experiments::{correct_fingers, spec_world, stack_world};
+use macedon_bench::lsd::{chord_registry, LSD};
+use macedon_core::{Bytes, DownCall, Duration, MacedonKey, NodeId, Time, World, WorldConfig};
+use macedon_lang::{bundled_specs, compile, InterpretedAgent, SpecRegistry};
+use macedon_net::topology::{canned, LinkSpec};
+use std::sync::Arc;
+
+fn star(n: usize) -> macedon_net::Topology {
+    canned::star(n, LinkSpec::lan())
+}
+
+fn agent(w: &World, node: NodeId) -> &InterpretedAgent {
+    w.stack(node)
+        .unwrap()
+        .agent(0)
+        .as_any()
+        .downcast_ref()
+        .unwrap()
+}
+
+/// The bundled roster with `name` replaced by its source after `edit`.
+fn variant(name: &str, edit: impl Fn(&str) -> String) -> SpecRegistry {
+    let (_, src) = bundled_specs()
+        .into_iter()
+        .find(|&(n, _)| n == name)
+        .expect("bundled spec");
+    let mut registry = SpecRegistry::bundled();
+    registry.insert(Arc::new(compile(&edit(src)).expect("variant compiles")));
+    registry
+}
 
 /// 1. Chord fix-fingers timer ablation: correct entries at t=40 s.
 fn ablation_chord_timer(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/chord-fix-fingers");
-    for (label, period_s, dynamic) in [
-        ("static-1s", 1u64, false),
-        ("static-20s", 20, false),
-        ("lsd-dynamic", 4, true),
-    ] {
+    let flavors: [(&str, &[(&str, i64)]); 3] = [
+        ("static-1s", &[("FIX_FINGERS_MS", 1_000)]),
+        ("static-20s", &[("FIX_FINGERS_MS", 20_000)]),
+        ("lsd-dynamic", &LSD),
+    ];
+    for (label, constants) in flavors {
+        let registry = chord_registry(constants);
         group.bench_function(label, |b| {
             b.iter(|| {
-                let topo = star_topology(12);
-                let hosts = topo.hosts().to_vec();
-                let mut w = World::new(
-                    topo,
-                    WorldConfig {
-                        seed: 5,
-                        ..Default::default()
-                    },
-                );
-                let sink = shared_deliveries();
-                for (i, &h) in hosts.iter().enumerate() {
-                    let cfg = ChordConfig {
-                        bootstrap: (i > 0).then(|| hosts[0]),
-                        fix_fingers_period: Duration::from_secs(period_s),
-                        fix_fingers_dynamic: dynamic
-                            .then(|| (Duration::from_millis(500), Duration::from_secs(32))),
-                        ..Default::default()
-                    };
-                    w.spawn_at(
-                        Time::from_millis(i as u64 * 100),
-                        h,
-                        vec![Box::new(Chord::new(cfg))],
-                        Box::new(CollectorApp::new(sink.clone())),
-                    );
-                }
+                let (mut w, hosts, _sink) = spec_world(&registry, "chord", star(12), 5, 100);
                 w.run_until(Time::from_secs(40));
-                let ring = collect_ring(&w, &hosts);
-                let owner = |k: MacedonKey| {
-                    ring.iter()
-                        .copied()
-                        .min_by_key(|&(_, rk)| k.distance_to(rk))
-                        .unwrap()
-                        .0
-                };
-                let mut good = 0usize;
-                for &h in &hosts {
-                    let ch: &Chord = w
-                        .stack(h)
-                        .unwrap()
-                        .agent(0)
-                        .as_any()
-                        .downcast_ref()
-                        .unwrap();
-                    let me = w.key_of(h);
-                    for (i, f) in ch.fingers().iter().enumerate() {
-                        if matches!(f, Some((n, _)) if *n == owner(me.plus_pow2(i as u32))) {
-                            good += 1;
-                        }
-                    }
-                }
-                good
+                correct_fingers(&w, &hosts)
             })
         });
     }
@@ -89,35 +69,18 @@ fn ablation_chord_timer(c: &mut Criterion) {
 ///    hogs the shared (or separate) transport.
 fn ablation_transport_classes(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/transport-classes");
-    for (label, shared) in [("separate-priorities", false), ("single-shared-tcp", true)] {
+    // Every control message declared on the data class (TCP `HIGH`).
+    let shared = variant("overcast", |src| {
+        src.replace("    HIGHEST ", "    HIGH ")
+            .replace("    BEST_EFFORT ", "    HIGH ")
+    });
+    for (label, registry) in [
+        ("separate-priorities", SpecRegistry::bundled()),
+        ("single-shared-tcp", shared),
+    ] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let topo = star_topology(8);
-                let hosts = topo.hosts().to_vec();
-                let mut w = World::new(
-                    topo,
-                    WorldConfig {
-                        seed: 6,
-                        ..Default::default()
-                    },
-                );
-                let sink = shared_deliveries();
-                for (i, &h) in hosts.iter().enumerate() {
-                    let mut cfg = OvercastConfig {
-                        bootstrap: (i > 0).then(|| hosts[0]),
-                        ..Default::default()
-                    };
-                    if shared {
-                        // Control rides the same TCP channel as bulk data.
-                        cfg.control_ch = cfg.data_ch;
-                    }
-                    w.spawn_at(
-                        Time::from_millis(i as u64 * 100),
-                        h,
-                        vec![Box::new(Overcast::new(cfg))],
-                        Box::new(CollectorApp::new(sink.clone())),
-                    );
-                }
+                let (mut w, hosts, _sink) = spec_world(&registry, "overcast", star(8), 6, 100);
                 // Bulk pressure on the data channel throughout.
                 for k in 0..40u64 {
                     w.api_at(
@@ -131,65 +94,52 @@ fn ablation_transport_classes(c: &mut Criterion) {
                     );
                 }
                 w.run_until(Time::from_secs(30));
-                let joined = hosts
+                hosts[1..]
                     .iter()
-                    .filter(|&&h| {
-                        let o: &Overcast = w
-                            .stack(h)
-                            .unwrap()
-                            .agent(0)
-                            .as_any()
-                            .downcast_ref()
-                            .unwrap();
-                        o.parent().is_some() || o.is_root()
-                    })
-                    .count();
-                joined
+                    .filter(|&&h| agent(&w, h).list("papa").is_some_and(|p| !p.is_empty()))
+                    .count()
             })
         });
     }
     group.finish();
 }
 
-/// 3. Locking classification: measure the read-share the data/control
-///    split exposes on a routing-heavy workload.
+/// 3. Locking classification: the read share a routing-heavy workload
+///    exposes once the query handlers are declared read-locked.
 fn ablation_locking_classes(c: &mut Criterion) {
-    c.bench_function("ablation/locking read-share", |b| {
-        b.iter(|| {
-            let topo = star_topology(10);
-            let hosts = topo.hosts().to_vec();
-            let mut w = World::new(
-                topo,
-                WorldConfig {
-                    seed: 7,
-                    ..Default::default()
-                },
-            );
-            let sink = shared_deliveries();
-            for (i, &h) in hosts.iter().enumerate() {
-                let cfg = ChordConfig {
-                    bootstrap: (i > 0).then(|| hosts[0]),
-                    ..Default::default()
-                };
-                w.spawn_at(
-                    Time::from_millis(i as u64 * 100),
-                    h,
-                    vec![Box::new(Chord::new(cfg))],
-                    Box::new(CollectorApp::new(sink.clone())),
-                );
-            }
-            w.run_until(Time::from_secs(40));
-            let (r, wr) = w.transition_counts();
-            // The data/control split must expose real parallelism.
-            assert!(r > 0, "read transitions observed");
-            (r, wr)
+    let mut group = c.benchmark_group("ablation/locking read-share");
+    let read_locked = variant("chord", |src| {
+        [
+            "joined recv find_succ",
+            "joined recv get_pred",
+            "any recv ping",
+        ]
+        .iter()
+        .fold(src.to_string(), |s, t| {
+            s.replace(&format!("{t} {{"), &format!("{t} [locking read;] {{"))
         })
     });
+    for (label, registry, expect_reads) in [
+        ("all-write", SpecRegistry::bundled(), false),
+        ("queries-read", read_locked, true),
+    ] {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let (mut w, _hosts, _sink) = spec_world(&registry, "chord", star(10), 7, 100);
+                w.run_until(Time::from_secs(40));
+                let (r, wr) = w.transition_counts();
+                assert_eq!(r > 0, expect_reads, "{label}: read transitions");
+                (r, wr)
+            })
+        });
+    }
+    group.finish();
 }
 
-/// 5. Failure-detector thresholds: detection latency under g/f choices.
+/// 4. Failure-detector thresholds: detection latency under g/f choices.
 fn ablation_fd_thresholds(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/failure-detector");
+    let registry = SpecRegistry::bundled();
     for (label, g_s, f_s) in [
         ("aggressive-2s-6s", 2u64, 6u64),
         ("paper-5s-15s", 5, 15),
@@ -197,44 +147,32 @@ fn ablation_fd_thresholds(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let topo = star_topology(6);
-                let hosts = topo.hosts().to_vec();
-                let mut cfg = WorldConfig {
+                let cfg = WorldConfig {
                     seed: 8,
+                    channels: registry.channel_table_for("chord").unwrap(),
+                    fd_g: Duration::from_secs(g_s),
+                    fd_f: Duration::from_secs(f_s),
                     ..Default::default()
                 };
-                cfg.fd_g = Duration::from_secs(g_s);
-                cfg.fd_f = Duration::from_secs(f_s);
-                let mut w = World::new(topo, cfg);
-                let sink = shared_deliveries();
-                for (i, &h) in hosts.iter().enumerate() {
-                    let ccfg = ChordConfig {
-                        bootstrap: (i > 0).then(|| hosts[0]),
-                        ..Default::default()
-                    };
-                    w.spawn_at(
-                        Time::from_millis(i as u64 * 100),
-                        h,
-                        vec![Box::new(Chord::new(ccfg))],
-                        Box::new(CollectorApp::new(sink.clone())),
-                    );
-                }
+                let (mut w, hosts, _sink) = stack_world(star(6), cfg, 100, |bootstrap| {
+                    registry.build_stack("chord", bootstrap).unwrap()
+                });
                 w.run_until(Time::from_secs(30));
                 let victim = hosts[3];
                 w.crash_at(Time::from_secs(30), victim);
                 // Run until the ring heals; shorter f heals sooner.
                 w.run_until(Time::from_secs(30 + 4 * f_s + 20));
-                let alive: Vec<NodeId> = hosts.iter().copied().filter(|&h| h != victim).collect();
-                let ring = collect_ring(&w, &alive);
-                let healed = ring.iter().enumerate().all(|(i, &(node, _))| {
-                    let ch: &Chord = w
-                        .stack(node)
+                let mut ring: Vec<NodeId> = hosts.into_iter().filter(|&h| h != victim).collect();
+                ring.sort_by_key(|&h| w.key_of(h));
+                let healed = ring.iter().enumerate().all(|(i, &node)| {
+                    let me = w.key_of(node);
+                    let succ = agent(&w, node)
+                        .list("succs")
                         .unwrap()
-                        .agent(0)
-                        .as_any()
-                        .downcast_ref()
-                        .unwrap();
-                    ch.successor().map(|(n, _)| n) == Some(ring[(i + 1) % ring.len()].0)
+                        .iter()
+                        .copied()
+                        .min_by_key(|&s| me.distance_to(w.key_of(s)));
+                    succ == Some(ring[(i + 1) % ring.len()])
                 });
                 assert!(healed, "{label}: ring healed");
             })

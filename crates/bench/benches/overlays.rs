@@ -1,38 +1,19 @@
-//! End-to-end overlay benchmarks: full virtual runs measured in host
-//! time (how fast the reproduction simulates, not protocol quality).
+//! End-to-end overlay benchmarks: full virtual runs of registry-built
+//! spec stacks measured in host time (how fast the reproduction
+//! simulates, not protocol quality).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use macedon_core::app::{shared_deliveries, CollectorApp};
-use macedon_core::{Bytes, DownCall, Duration, MacedonKey, Time, World, WorldConfig};
-use macedon_overlays::chord::{Chord, ChordConfig};
-use macedon_overlays::pastry::{Pastry, PastryConfig};
-use macedon_overlays::testutil::star_topology;
+use macedon_bench::experiments::spec_world;
+use macedon_core::{Bytes, DownCall, Duration, MacedonKey, Time};
+use macedon_lang::SpecRegistry;
+use macedon_net::topology::{canned, LinkSpec};
 
 fn bench_chord_convergence(c: &mut Criterion) {
+    let registry = SpecRegistry::bundled();
     c.bench_function("overlay/chord 16-ring to 60 virtual s", |b| {
         b.iter(|| {
-            let topo = star_topology(16);
-            let hosts = topo.hosts().to_vec();
-            let mut w = World::new(
-                topo,
-                WorldConfig {
-                    seed: 1,
-                    ..Default::default()
-                },
-            );
-            let sink = shared_deliveries();
-            for (i, &h) in hosts.iter().enumerate() {
-                let cfg = ChordConfig {
-                    bootstrap: (i > 0).then(|| hosts[0]),
-                    ..Default::default()
-                };
-                w.spawn_at(
-                    Time::from_millis(i as u64 * 100),
-                    h,
-                    vec![Box::new(Chord::new(cfg))],
-                    Box::new(CollectorApp::new(sink.clone())),
-                );
-            }
+            let topo = canned::star(16, LinkSpec::lan());
+            let (mut w, _hosts, _sink) = spec_world(&registry, "chord", topo, 1, 100);
             w.run_until(Time::from_secs(60));
             w.events_fired()
         })
@@ -42,28 +23,8 @@ fn bench_chord_convergence(c: &mut Criterion) {
 fn bench_pastry_lookups(c: &mut Criterion) {
     // Converge once, then measure lookup batches on the same world.
     c.bench_function("overlay/pastry 20 lookups on converged 16-mesh", |b| {
-        let topo = star_topology(16);
-        let hosts = topo.hosts().to_vec();
-        let mut w = World::new(
-            topo,
-            WorldConfig {
-                seed: 2,
-                ..Default::default()
-            },
-        );
-        let sink = shared_deliveries();
-        for (i, &h) in hosts.iter().enumerate() {
-            let cfg = PastryConfig {
-                bootstrap: (i > 0).then(|| hosts[0]),
-                ..Default::default()
-            };
-            w.spawn_at(
-                Time::from_millis(i as u64 * 100),
-                h,
-                vec![Box::new(Pastry::new(cfg))],
-                Box::new(CollectorApp::new(sink.clone())),
-            );
-        }
+        let topo = canned::star(16, LinkSpec::lan());
+        let (mut w, hosts, _sink) = spec_world(&SpecRegistry::bundled(), "pastry", topo, 2, 100);
         w.run_until(Time::from_secs(60));
         let mut epoch = 60u64;
         b.iter(|| {

@@ -86,7 +86,7 @@ fn main() {
             &cells,
         );
         println!(
-            "\nFrom-spec run mean: {:.0} Kbps (flooding dissemination; see scribe.mac)",
+            "\nFrom-spec run mean: {:.0} Kbps (16 nodes at 200 kbit/s, no location cache)",
             avg(&obs.series)
         );
         if let (Some(path), Some(json)) = (&trace_out, &obs.perfetto) {

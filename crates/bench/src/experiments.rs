@@ -1,23 +1,72 @@
 //! The experiment implementations behind the `fig*` binaries.
 //!
 //! Each function reproduces one figure of the paper's §4 and returns the
-//! rows/series to print; EXPERIMENTS.md records paper-vs-measured.
+//! rows/series to print; the README's "Figures" section records
+//! paper-vs-measured.
 
+use crate::freepastry::{RmiModel, RmiQueue};
+use crate::lsd::{chord_registry, LSD};
 use crate::Scale;
-use macedon_baselines::{lsd_chord_config, FreePastry, RmiModel};
-use macedon_core::app::{shared_deliveries, CollectorApp, StreamKind, StreamerApp};
+use macedon_core::app::{
+    shared_deliveries, CollectorApp, SharedDeliveries, StreamKind, StreamerApp,
+};
 use macedon_core::{
     Agent, Bytes, DownCall, Duration, MacedonKey, NodeId, TelemetryReport, Time, TraceLevel, World,
     WorldConfig,
 };
+use macedon_lang::{InterpretedAgent, SpecRegistry};
 use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
-use macedon_overlays::chord::{Chord, ChordConfig};
+use macedon_net::Topology;
 use macedon_overlays::nice::{Nice, NiceConfig};
 use macedon_overlays::pastry::{Pastry, PastryConfig};
 use macedon_overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon_overlays::splitstream::{SplitStream, SplitStreamConfig};
-use macedon_overlays::testutil::collect_ring;
+use macedon_overlays::testutil::{collect_ring, correct_owner};
 use macedon_sim::SimRng;
+
+/// A world over `topo`, built from `cfg`, whose every host runs the
+/// stack `build(bootstrap)` returns — joins `stagger_ms` apart through
+/// the first host — with every app collecting into one sink.
+pub fn stack_world(
+    topo: Topology,
+    cfg: WorldConfig,
+    stagger_ms: u64,
+    mut build: impl FnMut(Option<NodeId>) -> Vec<Box<dyn Agent>>,
+) -> (World, Vec<NodeId>, SharedDeliveries) {
+    let hosts = topo.hosts().to_vec();
+    let mut w = World::new(topo, cfg);
+    let sink = shared_deliveries();
+    for (i, &h) in hosts.iter().enumerate() {
+        w.spawn_at(
+            Time::from_millis(i as u64 * stagger_ms),
+            h,
+            build((i > 0).then(|| hosts[0])),
+            Box::new(CollectorApp::new(sink.clone())),
+        );
+    }
+    (w, hosts, sink)
+}
+
+/// [`stack_world`] running `proto`'s interpreted stack from `registry`,
+/// in a world seeded with `seed` and given the stack's channel table.
+pub fn spec_world(
+    registry: &SpecRegistry,
+    proto: &str,
+    topo: Topology,
+    seed: u64,
+    stagger_ms: u64,
+) -> (World, Vec<NodeId>, SharedDeliveries) {
+    let cfg = WorldConfig {
+        seed,
+        channels: registry.channel_table_for(proto).expect("chain resolves"),
+        ..Default::default()
+    };
+    stack_world(topo, cfg, stagger_ms, |bootstrap| {
+        registry
+            .build_stack(proto, bootstrap)
+            .expect("stack builds")
+    })
+}
 
 // ---------------------------------------------------------------------------
 // Figure 7 — specification lines of code
@@ -216,18 +265,36 @@ pub struct Fig10Series {
     pub macedon_20s: Vec<(f64, f64)>,
 }
 
-#[derive(Clone, Copy)]
-enum ChordFlavor {
-    Static(u64),
-    Lsd,
+/// Correct finger entries summed over the `hosts` running `chord.mac`
+/// at layer 0 (a host not yet spawned counts zero): entry `i` of node
+/// `n` is correct when the owner of `key(n) + 2^i` — global knowledge
+/// over `hosts` — is among `n`'s fingers.
+pub fn correct_fingers(w: &World, hosts: &[NodeId]) -> usize {
+    let ring = collect_ring(w, hosts);
+    hosts
+        .iter()
+        .filter_map(|&h| {
+            let chord: &InterpretedAgent = w.stack(h)?.agent(0).as_any().downcast_ref()?;
+            let fingers = chord.list("fingers")?;
+            let me = w.key_of(h);
+            Some(
+                (0..32)
+                    .filter(|&i| fingers.contains(&correct_owner(&ring, me.plus_pow2(i))))
+                    .count(),
+            )
+        })
+        .sum()
 }
 
+/// The three flavors are one spec, `chord.mac`, under three constant
+/// sets: static 1 s and 20 s `fix_fingers` periods, and lsd's adaptive
+/// policy ([`LSD`]).
 pub fn fig10(scale: Scale) -> Fig10Series {
     let (routers, clients, run_s) = match scale {
         Scale::Quick => (200, 48, 120),
         Scale::Paper => (20_000, 1_000, 120),
     };
-    let run = |flavor: ChordFlavor| -> Vec<(f64, f64)> {
+    let run = |constants: &[(&str, i64)]| -> Vec<(f64, f64)> {
         let mut rng = SimRng::new(10);
         let topo = inet(
             &InetParams {
@@ -237,108 +304,41 @@ pub fn fig10(scale: Scale) -> Fig10Series {
             },
             &mut rng,
         );
-        let hosts = topo.hosts().to_vec();
-        let mut w = World::new(
-            topo,
-            WorldConfig {
-                seed: 10,
-                ..Default::default()
-            },
-        );
-        let sink = shared_deliveries();
         // Staggered joins across the first third of the run, as in the
         // paper ("routing tables converge steadily as nodes join").
-        let join_window_ms = (run_s * 1000) / 3;
-        for (i, &h) in hosts.iter().enumerate() {
-            let cfg = match flavor {
-                ChordFlavor::Static(secs) => ChordConfig {
-                    bootstrap: (i > 0).then(|| hosts[0]),
-                    fix_fingers_period: Duration::from_secs(secs),
-                    ..Default::default()
-                },
-                ChordFlavor::Lsd => lsd_chord_config((i > 0).then(|| hosts[0])),
-            };
-            let at = Time::from_millis(i as u64 * join_window_ms / hosts.len() as u64);
-            w.spawn_at(
-                at,
-                h,
-                vec![Box::new(Chord::new(cfg))],
-                Box::new(CollectorApp::new(sink.clone())),
-            );
-        }
-        let ring = collect_ring(&w, &hosts);
-        let correct_owner = |k: MacedonKey| {
-            ring.iter()
-                .copied()
-                .min_by_key(|&(_, rk)| k.distance_to(rk))
-                .unwrap()
-                .0
-        };
+        let stagger_ms = run_s * 1000 / 3 / clients as u64;
+        let registry = chord_registry(constants);
+        let (mut w, hosts, _sink) = spec_world(&registry, "chord", topo, 10, stagger_ms);
         // Dump "routing tables every two seconds" and count correct
         // entries against global knowledge.
-        let mut series = Vec::new();
-        let mut t = 0u64;
-        while t <= run_s {
-            w.run_until(Time::from_secs(t));
-            let mut total = 0usize;
-            let mut alive = 0usize;
-            for &h in &hosts {
-                if !w.is_alive(h) {
-                    continue;
-                }
-                alive += 1;
-                let c: &Chord = w
-                    .stack(h)
-                    .unwrap()
-                    .agent(0)
-                    .as_any()
-                    .downcast_ref()
-                    .unwrap();
-                let me = w.key_of(h);
-                for (i, f) in c.fingers().iter().enumerate() {
-                    if let Some((n, _)) = f {
-                        if *n == correct_owner(me.plus_pow2(i as u32)) {
-                            total += 1;
-                        }
-                    }
-                }
-            }
-            let avg = if alive == 0 {
-                0.0
-            } else {
-                total as f64 / hosts.len() as f64
-            };
-            series.push((t as f64, avg));
-            t += 2;
-        }
-        series
+        (0..=run_s)
+            .step_by(2)
+            .map(|t| {
+                w.run_until(Time::from_secs(t));
+                let avg = correct_fingers(&w, &hosts) as f64 / hosts.len() as f64;
+                (t as f64, avg)
+            })
+            .collect()
     };
     // The three flavors are independent worlds: sweep them in parallel
     // (the harness equivalent of the paper farming runs across machines).
-    let mut out: Vec<(usize, Vec<(f64, f64)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = [
-            ChordFlavor::Static(1),
-            ChordFlavor::Lsd,
-            ChordFlavor::Static(20),
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, flavor)| {
-            let run = &run;
-            scope.spawn(move || (i, run(flavor)))
-        })
-        .collect();
-        handles
-            .into_iter()
+    let flavors: [&[(&str, i64)]; 3] = [
+        &[("FIX_FINGERS_MS", 1_000)],
+        &LSD,
+        &[("FIX_FINGERS_MS", 20_000)],
+    ];
+    let [macedon_1s, lsd, macedon_20s] = std::thread::scope(|scope| {
+        flavors
+            .map(|constants| {
+                let run = &run;
+                scope.spawn(move || run(constants))
+            })
             .map(|h| h.join().expect("flavor run"))
-            .collect()
     });
-    out.sort_by_key(|&(i, _)| i);
-    let mut it = out.into_iter().map(|(_, v)| v);
     Fig10Series {
-        macedon_1s: it.next().expect("three runs"),
-        lsd: it.next().expect("three runs"),
-        macedon_20s: it.next().expect("three runs"),
+        macedon_1s,
+        lsd,
+        macedon_20s,
     }
 }
 
@@ -386,24 +386,24 @@ fn fig11_run(routers: usize, n: usize, converge_s: u64, stream_s: u64, rmi: bool
         &mut rng,
     );
     let hosts = topo.hosts().to_vec();
+    let registry = SpecRegistry::bundled();
     let mut w = World::new(
         topo,
         WorldConfig {
             seed: 11,
+            channels: registry.channel_table_for("pastry").expect("bundled"),
             ..Default::default()
         },
     );
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let cfg = PastryConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        let agent: Box<dyn Agent> = if rmi {
-            Box::new(FreePastry::new(cfg, RmiModel::default()))
-        } else {
-            Box::new(Pastry::new(cfg))
-        };
+        let mut stack = registry
+            .build_stack("pastry", (i > 0).then(|| hosts[0]))
+            .expect("bundled stack builds");
+        if rmi {
+            let pastry = stack.pop().expect("pastry is one layer");
+            stack.push(Box::new(RmiQueue::new(pastry, RmiModel::default())));
+        }
         // "we allowed routing tables to converge for 300 seconds before
         // streaming data": the streamer app starts after convergence.
         let app = StreamerApp::new(
@@ -414,12 +414,7 @@ fn fig11_run(routers: usize, n: usize, converge_s: u64, stream_s: u64, rmi: bool
             Time::from_secs(converge_s + stream_s),
             sink.clone(),
         );
-        w.spawn_at(
-            Time::from_millis(i as u64 * 50),
-            h,
-            vec![agent],
-            Box::new(app),
-        );
+        w.spawn_at(Time::from_millis(i as u64 * 50), h, stack, Box::new(app));
     }
     w.run_until(Time::from_secs(converge_s + stream_s + 10));
     // Average per-packet delay. Send times are reconstructed from each
@@ -578,12 +573,13 @@ fn bin_goodput(
 
 /// Figure 12, from-spec mode: the same streaming scenario over the
 /// fully interpreted `splitstream.mac` → `scribe.mac` → `pastry.mac`
-/// stack — the whole paper roster running from specifications. The
-/// interpreted Scribe disseminates by duplicate-suppressed flooding
-/// rather than a rooted tree (see `scribe.mac`), so absolute goodput is
-/// not comparable to the native series; what the mode demonstrates is
-/// the paper's spec → running-overlay → measurement loop with zero
-/// native protocol code.
+/// stack — the whole paper roster running from specifications.
+/// `scribe.mac` builds the same rendezvous-rooted reverse-path trees as
+/// the native Scribe, but `pastry.mac` has no location cache, so the
+/// cache-lifetime contrast of the native series has no spec
+/// counterpart, and the run is smaller (16 nodes at 200 kbit/s); what
+/// the mode demonstrates is the paper's spec → running-overlay →
+/// measurement loop with zero native protocol code.
 ///
 /// The experiment itself is a scenario: a `ScenarioBuilder` declaration
 /// (staggered joins + one multicast stream) compiled by the scenario

@@ -6,19 +6,19 @@
 //! FreePastry could not be run "beyond 100 participants ... due to
 //! insufficient memory on our hardware".
 //!
-//! Model: the same Pastry agent behind a serial **RMI dispatch queue** —
-//! each inbound message waits for a fixed marshal+dispatch delay
-//! (reflective serialization, proxy dispatch) and is processed one at a
-//! time, so load compounds the per-hop penalty exactly the way a
-//! synchronous RMI thread does. The memory cap is surfaced as
-//! [`RmiModel::max_nodes`], which the Fig 11 harness enforces when
-//! placing FreePastry runs (it refuses configurations the real system
-//! could not host).
+//! Model: the same Pastry agent behind a serial **RMI dispatch queue**
+//! ([`RmiQueue`]) — each inbound message waits for a fixed
+//! marshal+dispatch delay (reflective serialization, proxy dispatch) and
+//! is processed one at a time, so load compounds the per-hop penalty
+//! exactly the way a synchronous RMI thread does. The queue decorates
+//! any agent; Figure 11 wraps the interpreted `pastry.mac`. The memory
+//! cap is surfaced as [`RmiModel::max_nodes`], which the Fig 11 harness
+//! enforces when placing FreePastry runs (it refuses configurations the
+//! real system could not host).
 
 use macedon_core::{
     Agent, Bytes, Ctx, DownCall, Duration, ForwardInfo, NodeId, ProtocolId, UpCall,
 };
-use macedon_overlays::pastry::{Pastry, PastryConfig};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -45,43 +45,33 @@ impl Default for RmiModel {
     }
 }
 
-const TIMER_DISPATCH: u16 = 1000; // above Pastry's own timer ids
+/// Timer id of the dispatch queue: above any wrapped agent's own ids
+/// (an interpreted agent numbers its timers from 0 in declaration
+/// order).
+const TIMER_DISPATCH: u16 = 1000;
 
-/// Pastry behind an RMI dispatch queue.
-pub struct FreePastry {
-    inner: Pastry,
+/// An agent behind an RMI dispatch queue: every inbound message waits
+/// its turn and the model's dispatch delay before the wrapped agent
+/// sees it; everything else passes straight through.
+pub struct RmiQueue {
+    inner: Box<dyn Agent>,
     model: RmiModel,
     queue: VecDeque<(NodeId, Bytes)>,
     busy: bool,
-    /// Messages processed through the RMI queue.
-    pub dispatched: u64,
 }
 
-impl FreePastry {
-    pub fn new(cfg: PastryConfig, model: RmiModel) -> FreePastry {
-        FreePastry {
-            inner: Pastry::new(cfg),
+impl RmiQueue {
+    pub fn new(inner: Box<dyn Agent>, model: RmiModel) -> RmiQueue {
+        RmiQueue {
+            inner,
             model,
             queue: VecDeque::new(),
             busy: false,
-            dispatched: 0,
         }
-    }
-
-    pub fn inner(&self) -> &Pastry {
-        &self.inner
-    }
-
-    pub fn model(&self) -> RmiModel {
-        self.model
-    }
-
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
     }
 }
 
-impl Agent for FreePastry {
+impl Agent for RmiQueue {
     fn protocol_id(&self) -> ProtocolId {
         self.inner.protocol_id()
     }
@@ -125,7 +115,6 @@ impl Agent for FreePastry {
             return;
         }
         if let Some((from, msg)) = self.queue.pop_front() {
-            self.dispatched += 1;
             self.inner.recv(ctx, from, msg);
         }
         if self.queue.is_empty() {
@@ -150,39 +139,29 @@ impl Agent for FreePastry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
+    use crate::experiments::stack_world;
+    use macedon_core::app::SharedDeliveries;
     use macedon_core::{MacedonKey, Time, World, WorldConfig};
-    use macedon_overlays::testutil::star_topology;
+    use macedon_lang::SpecRegistry;
+    use macedon_net::topology::{canned, LinkSpec};
 
+    /// An `n`-node `pastry.mac` mesh on a star LAN, each agent behind
+    /// the RMI queue when `rmi` is set.
     fn mesh(n: usize, rmi: bool, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries) {
-        let topo = star_topology(n);
-        let hosts = topo.hosts().to_vec();
-        let mut w = World::new(
-            topo,
-            WorldConfig {
-                seed,
-                ..Default::default()
-            },
-        );
-        let sink = shared_deliveries();
-        for (i, &h) in hosts.iter().enumerate() {
-            let cfg = PastryConfig {
-                bootstrap: (i > 0).then(|| hosts[0]),
-                ..Default::default()
-            };
-            let agent: Box<dyn Agent> = if rmi {
-                Box::new(FreePastry::new(cfg, RmiModel::default()))
-            } else {
-                Box::new(macedon_overlays::pastry::Pastry::new(cfg))
-            };
-            w.spawn_at(
-                Time::from_millis(i as u64 * 100),
-                h,
-                vec![agent],
-                Box::new(CollectorApp::new(sink.clone())),
-            );
-        }
-        (w, hosts, sink)
+        let registry = SpecRegistry::bundled();
+        let cfg = WorldConfig {
+            seed,
+            channels: registry.channel_table_for("pastry").unwrap(),
+            ..Default::default()
+        };
+        stack_world(canned::star(n, LinkSpec::lan()), cfg, 100, |bootstrap| {
+            let pastry = registry.build_stack("pastry", bootstrap).unwrap();
+            if !rmi {
+                return pastry;
+            }
+            let queue = RmiQueue::new(pastry.into_iter().next().unwrap(), RmiModel::default());
+            vec![Box::new(queue)]
+        })
     }
 
     fn run_workload(w: &mut World, hosts: &[NodeId], sink: &SharedDeliveries) -> f64 {
@@ -232,7 +211,7 @@ mod tests {
         let rmi = run_workload(&mut w2, &h2, &s2);
         assert!(
             rmi > native * 2.0,
-            "RMI model should dominate latency: native={native:.6}s rmi={rmi:.6}s"
+            "RMI model should dominate latency: macedon={native:.6}s rmi={rmi:.6}s"
         );
     }
 

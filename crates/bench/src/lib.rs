@@ -7,10 +7,12 @@
 //! Every binary accepts `--paper` to run at the paper's full scale
 //! (20,000-router INET topologies, hundreds of overlay nodes, multi-
 //! hundred-second runs); the default is a laptop-scale configuration
-//! that preserves every qualitative shape. EXPERIMENTS.md records
-//! paper-reported vs measured values for both.
+//! that preserves every qualitative shape. The README's "Figures"
+//! section records paper-reported vs measured values at Quick scale.
 
 pub mod experiments;
+pub mod freepastry;
+pub mod lsd;
 pub mod table;
 
 /// Common CLI scale switch.

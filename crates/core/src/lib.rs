@@ -30,7 +30,6 @@ pub mod export;
 pub mod key;
 pub mod measure;
 pub mod neighbors;
-pub mod report;
 pub mod sha1;
 pub mod stack;
 pub mod telemetry;
@@ -44,7 +43,6 @@ pub use export::perfetto_json;
 pub use key::{Addressing, MacedonKey};
 pub use measure::{MeasureLedger, MeasureSummary};
 pub use neighbors::NeighborList;
-pub use report::RunReport;
 pub use stack::{Stack, StackEffect};
 pub use telemetry::{Telemetry, TelemetryReport, TelemetrySample, TELEMETRY_COLUMNS};
 pub use trace::{SpanId, TraceEvent, TraceLevel, TraceRecord, TraceSink};

@@ -376,7 +376,9 @@ impl Ammo {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
             self.kids.retain(|&__x| __x != __n);
-            ctx.unmonitor(__n);
+            if !(self.papa.contains(&__n)) {
+                ctx.unmonitor(__n);
+            }
         } else { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
     }
 
@@ -422,7 +424,9 @@ impl Ammo {
                         }
                     }
                     for __n in self.papa.drain(..) {
-                        ctx.unmonitor(__n);
+                        if !(self.kids.contains(&__n)) {
+                            ctx.unmonitor(__n);
+                        }
                     }
                     {
                         let __dest = self.best_node;

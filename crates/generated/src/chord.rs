@@ -52,6 +52,8 @@ const RETRY_MS: i64 = 5000;
 const NFINGERS: i64 = 32;
 const NSUCC: i64 = 4;
 const FINGER_MAX: i64 = 2147483648;
+const FF_MIN_MS: i64 = 0;
+const FF_MAX_MS: i64 = 0;
 
 /// FSM states of `chord` (`init` is implicit).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -169,6 +171,8 @@ pub struct Chord {
     pred: Vec<NodeId>,
     fingers: Vec<NodeId>,
     finger_step: i64,
+    ff_period: i64,
+    ff_changed: i64,
     lookups: i64,
     finger_target: MacedonKey,
     cand: Option<NodeId>,
@@ -189,6 +193,8 @@ impl Chord {
             pred: Vec::new(),
             fingers: Vec::new(),
             finger_step: 0,
+            ff_period: 0,
+            ff_changed: 0,
             lookups: 0,
             finger_target: MacedonKey(0),
             cand: None,
@@ -221,6 +227,8 @@ impl Chord {
             self.transitions_fired += 1;
             self.lookups = (0i64);
             self.finger_step = (1i64);
+            self.ff_period = FIX_FINGERS_MS;
+            self.ff_changed = (0i64);
             if (self.bootstrap).is_none() {
                 ctx.trace_fsm(self.state_name(), "joined");
                 self.state = ChordState::Joined;
@@ -506,9 +514,13 @@ impl Chord {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
             if (!(m.succ == Some(ctx.me))) {
+                if (!(m.succ).map_or(false, |__q| self.fingers.contains(&__q))) {
+                    self.ff_changed = (1i64);
+                }
                 if let Some(__n) = m.succ {
                     if !self.fingers.contains(&__n) && self.fingers.len() < 32usize {
                         self.fingers.push(__n);
+                        ctx.monitor(__n);
                     }
                 } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             }
@@ -548,7 +560,9 @@ impl Chord {
                 __ns.retain(|&__n| __n != ctx.me);
                 __ns.truncate(4usize);
                 for __n in self.succs.iter() {
-                    ctx.unmonitor(*__n);
+                    if !(self.pred.contains(&*__n) || self.fingers.contains(&*__n)) {
+                        ctx.unmonitor(*__n);
+                    }
                 }
                 for __n in __ns.iter() {
                     ctx.monitor(*__n);
@@ -577,7 +591,9 @@ impl Chord {
                     if key::dsl_ring_between((Some(from)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
                         if let Some(__n) = self.worst {
                             self.succs.retain(|&__x| __x != __n);
-                            ctx.unmonitor(__n);
+                            if !(self.pred.contains(&__n) || self.fingers.contains(&__n)) {
+                                ctx.unmonitor(__n);
+                            }
                         } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                         if let Some(__n) = Some(from) {
                             if !self.succs.contains(&__n) && self.succs.len() < 4usize {
@@ -612,7 +628,9 @@ impl Chord {
                             if key::dsl_ring_between((m.pred).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
                                 if let Some(__n) = self.worst {
                                     self.succs.retain(|&__x| __x != __n);
-                                    ctx.unmonitor(__n);
+                                    if !(self.pred.contains(&__n) || self.fingers.contains(&__n)) {
+                                        ctx.unmonitor(__n);
+                                    }
                                 } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                                 if let Some(__n) = m.pred {
                                     if !self.succs.contains(&__n) && self.succs.len() < 4usize {
@@ -675,7 +693,9 @@ impl Chord {
         if key::dsl_ring_between((m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (self.pfirst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) {
             if let Some(__n) = self.pfirst {
                 self.pred.retain(|&__x| __x != __n);
-                ctx.unmonitor(__n);
+                if !(self.succs.contains(&__n) || self.fingers.contains(&__n)) {
+                    ctx.unmonitor(__n);
+                }
             } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             if let Some(__n) = m.who {
                 if !self.pred.contains(&__n) && self.pred.len() < 1usize {
@@ -810,6 +830,20 @@ impl Chord {
     fn t_timer_fix_fingers(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
+            if (FF_MIN_MS < FF_MAX_MS) {
+                if (self.ff_changed == (1i64)) {
+                    self.ff_period = (self.ff_period / (2i64));
+                    if (self.ff_period < FF_MIN_MS) {
+                        self.ff_period = FF_MIN_MS;
+                    }
+                } else {
+                    self.ff_period = (self.ff_period * (2i64));
+                    if (self.ff_period > FF_MAX_MS) {
+                        self.ff_period = FF_MAX_MS;
+                    }
+                }
+                self.ff_changed = (0i64);
+            }
             self.finger_target = key::dsl_key_add(ctx.my_key, self.finger_step);
             self.finger_step = (self.finger_step * (2i64));
             if (self.finger_step > FINGER_MAX) {
@@ -842,7 +876,7 @@ impl Chord {
                     }
                 }
             }
-            ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((FIX_FINGERS_MS).max(0) as u64));
+            ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((self.ff_period).max(0) as u64));
             return;
         }
     }
@@ -891,9 +925,6 @@ impl Chord {
 
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
-        if let Some(__n) = Some(from) {
-            self.fingers.retain(|&__x| __x != __n);
-        } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
         if ((self.succs.len() as i64) == (0i64)) {
             if (!(self.bootstrap).is_none()) {
                 ctx.trace_fsm(self.state_name(), "joining");
@@ -1019,6 +1050,7 @@ impl Agent for Chord {
     fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.succs.retain(|&__n| __n != peer);
         self.pred.retain(|&__n| __n != peer);
+        self.fingers.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
     }
 

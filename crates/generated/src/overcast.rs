@@ -452,7 +452,9 @@ impl Overcast {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
             self.kids.retain(|&__x| __x != __n);
-            ctx.unmonitor(__n);
+            if !(self.papa.contains(&__n)) {
+                ctx.unmonitor(__n);
+            }
         } else { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
     }
 
@@ -522,7 +524,9 @@ impl Overcast {
                     }
                 }
                 for __n in self.papa.drain(..) {
-                    ctx.unmonitor(__n);
+                    if !(self.kids.contains(&__n)) {
+                        ctx.unmonitor(__n);
+                    }
                 }
                 self.grandpa.clear();
                 self.target = self.best;

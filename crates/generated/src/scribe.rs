@@ -253,7 +253,9 @@ impl Scribe {
                     }
                 }
                 for __n in self.rp_parent.drain(..) {
-                    ctx.unmonitor(__n);
+                    if !(self.members.contains(&__n)) {
+                        ctx.unmonitor(__n);
+                    }
                 }
                 ctx.trace_fsm(self.state_name(), "init");
                 self.state = ScribeState::Init;
@@ -351,7 +353,9 @@ impl Scribe {
             self.transitions_fired += 1;
             if let Some(__n) = Some(from) {
                 self.members.retain(|&__x| __x != __n);
-                ctx.unmonitor(__n);
+                if !(self.rp_parent.contains(&__n)) {
+                    ctx.unmonitor(__n);
+                }
             } else { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
             if (self.member == (0i64)) {
                 if ((self.members.len() as i64) == (0i64)) {
@@ -376,7 +380,9 @@ impl Scribe {
                         }
                     }
                     for __n in self.rp_parent.drain(..) {
-                        ctx.unmonitor(__n);
+                        if !(self.members.contains(&__n)) {
+                            ctx.unmonitor(__n);
+                        }
                     }
                     ctx.trace_fsm(self.state_name(), "init");
                     self.state = ScribeState::Init;
@@ -390,7 +396,9 @@ impl Scribe {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
             self.members.retain(|&__x| __x != __n);
-            ctx.unmonitor(__n);
+            if !(self.rp_parent.contains(&__n)) {
+                ctx.unmonitor(__n);
+            }
         } else { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
     }
 

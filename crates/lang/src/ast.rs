@@ -134,10 +134,12 @@ pub enum StateVar {
     },
     /// `timer <name> <period>?;` — period in milliseconds, given either
     /// as an integer literal or as the name of a previously declared
-    /// constant (the parser resolves the name).
+    /// constant (the parser resolves the name and keeps it in
+    /// `period_const`, so an overridden constant re-resolves the period).
     Timer {
         name: String,
         period_ms: Option<i64>,
+        period_const: Option<String>,
     },
     /// `int <name>;` etc.
     Scalar { ty: TypeName, name: String },

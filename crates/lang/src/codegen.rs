@@ -634,7 +634,7 @@ impl Gen<'_> {
                 let _ = writeln!(out, "{p}if let Some(__n) = {} {{", self.node(cx, n)?);
                 let _ = writeln!(out, "{p}    self.{}.retain(|&__x| __x != __n);", list.name);
                 if list.fail_detect {
-                    let _ = writeln!(out, "{p}    ctx.unmonitor(__n);");
+                    self.emit_release(out, ind + 4, *l, "__n");
                 }
                 let _ = writeln!(out, "{p}}} else {}", self.bail(cx));
             }
@@ -642,7 +642,7 @@ impl Gen<'_> {
                 let list = &self.ir.lists[*l as usize];
                 if list.fail_detect {
                     let _ = writeln!(out, "{p}for __n in self.{}.drain(..) {{", list.name);
-                    let _ = writeln!(out, "{p}    ctx.unmonitor(__n);");
+                    self.emit_release(out, ind + 4, *l, "__n");
                     let _ = writeln!(out, "{p}}}");
                 } else {
                     let _ = writeln!(out, "{p}self.{}.clear();", list.name);
@@ -742,7 +742,7 @@ impl Gen<'_> {
         let _ = writeln!(out, "{p}    __ns.truncate({}usize);", list.max);
         if list.fail_detect {
             let _ = writeln!(out, "{p}    for __n in self.{name}.iter() {{");
-            let _ = writeln!(out, "{p}        ctx.unmonitor(*__n);");
+            self.emit_release(out, ind + 8, l, "*__n");
             let _ = writeln!(out, "{p}    }}");
             let _ = writeln!(out, "{p}    for __n in __ns.iter() {{");
             let _ = writeln!(out, "{p}        ctx.monitor(*__n);");
@@ -750,6 +750,24 @@ impl Gen<'_> {
         }
         let _ = writeln!(out, "{p}    self.{name} = __ns;");
         let _ = writeln!(out, "{p}}}");
+    }
+
+    /// `ctx.unmonitor(n)` for a peer leaving fail_detect list `l`,
+    /// guarded, as the interpreter does, by the spec's other fail_detect
+    /// lists: the engine keeps one registration per peer and layer.
+    fn emit_release(&self, out: &mut String, ind: usize, l: u16, n: &str) {
+        let p = " ".repeat(ind);
+        let held: Vec<String> = (self.ir.lists.iter().enumerate())
+            .filter(|&(i, d)| i != l as usize && d.fail_detect)
+            .map(|(_, d)| format!("self.{}.contains(&{n})", d.name))
+            .collect();
+        if held.is_empty() {
+            let _ = writeln!(out, "{p}ctx.unmonitor({n});");
+        } else {
+            let _ = writeln!(out, "{p}if !({}) {{", held.join(" || "));
+            let _ = writeln!(out, "{p}    ctx.unmonitor({n});");
+            let _ = writeln!(out, "{p}}}");
+        }
     }
 
     /// `let {tmp} = <routing key>;` — a node becomes the key with its raw

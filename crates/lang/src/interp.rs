@@ -594,17 +594,21 @@ impl Core {
             IrStmt::NeighborRemove(slot, e) => {
                 let node = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
                 self.lists[*slot as usize].retain(|&n| n != node);
-                if ir.lists[*slot as usize].fail_detect {
+                if ir.lists[*slot as usize].fail_detect && !self.fd_elsewhere(ir, *slot, node) {
                     ctx.unmonitor(node);
                 }
             }
             IrStmt::NeighborClear(slot) => {
-                let fd = ir.lists[*slot as usize].fail_detect;
-                for n in self.lists[*slot as usize].drain(..) {
-                    if fd {
-                        ctx.unmonitor(n);
+                let mut l = std::mem::take(&mut self.lists[*slot as usize]);
+                if ir.lists[*slot as usize].fail_detect {
+                    for &n in &l {
+                        if !self.fd_elsewhere(ir, *slot, n) {
+                            ctx.unmonitor(n);
+                        }
                     }
                 }
+                l.clear();
+                self.lists[*slot as usize] = l;
             }
             IrStmt::Send { msg, dest, args } => self.send(ir, ctx, frame, *msg, dest, args)?,
             IrStmt::Quash => frame.quash = true,
@@ -692,16 +696,28 @@ impl Core {
         ns.retain(|&n| n != ctx.me);
         let decl = &ir.lists[slot as usize];
         ns.truncate(decl.max);
-        let l = &mut self.lists[slot as usize];
         if decl.fail_detect {
-            for n in l.iter() {
-                ctx.unmonitor(*n);
+            for &n in &self.lists[slot as usize] {
+                if !self.fd_elsewhere(ir, slot, n) {
+                    ctx.unmonitor(n);
+                }
             }
             for n in &ns {
                 ctx.monitor(*n);
             }
         }
-        std::mem::replace(l, ns)
+        std::mem::replace(&mut self.lists[slot as usize], ns)
+    }
+
+    /// Does a `fail_detect` list other than `slot` hold `n`? Such a peer
+    /// stays monitored when it leaves `slot`: the engine keeps one
+    /// registration per peer and layer, not one per list.
+    fn fd_elsewhere(&self, ir: &IrSpec, slot: u16, n: NodeId) -> bool {
+        ir.lists
+            .iter()
+            .zip(&self.lists)
+            .enumerate()
+            .any(|(i, (d, l))| i != slot as usize && d.fail_detect && l.contains(&n))
     }
 
     /// Translate a lowered `downcall(<api>, args...)` into the engine

@@ -489,7 +489,9 @@ impl<'s> Lowerer<'s> {
                         fail_detect: *fail_detect,
                     });
                 }
-                StateVar::Timer { name, period_ms } => {
+                StateVar::Timer {
+                    name, period_ms, ..
+                } => {
                     timer_index.insert(name.clone(), timers.len() as u16);
                     timers.push(IrTimer {
                         name: name.clone(),

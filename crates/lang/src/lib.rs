@@ -51,12 +51,31 @@ pub mod parser;
 pub mod registry;
 pub mod sema;
 
+// Behaviour tests of the bundled roster, one module per protocol, each
+// running its spec interpreted in small seeded worlds.
+#[cfg(test)]
+#[path = "roster/ammo.rs"]
+mod ammo;
+#[cfg(test)]
+#[path = "roster/chord.rs"]
+mod chord;
+#[cfg(test)]
+#[path = "roster/overcast.rs"]
+mod overcast;
+#[cfg(test)]
+#[path = "roster/randtree.rs"]
+mod randtree;
+#[cfg(test)]
+mod roster {
+    pub(crate) mod testworld;
+}
+
 pub use ast::Spec;
 pub use interp::InterpretedAgent;
 pub use ir::IrSpec;
 pub use lexer::{Lexer, ParseError, Token, TokenKind};
 pub use parser::parse;
-pub use registry::{ChainError, SpecRegistry};
+pub use registry::{ChainError, ConstantError, SpecRegistry};
 pub use sema::analyze;
 
 /// Parse + semantically check a specification in one call.

@@ -266,17 +266,17 @@ impl Parser {
         while !self.eat(&TokenKind::RBrace) {
             if self.eat_word("timer") {
                 let name = self.ident()?;
-                let period_ms = match self.peek().kind.clone() {
+                let (period_ms, period_const) = match self.peek().kind.clone() {
                     TokenKind::Int(v) => {
                         self.bump();
-                        Some(v)
+                        (Some(v), None)
                     }
                     // A constant name in declaration position: resolve it
                     // against the constants declared so far.
                     TokenKind::Ident(c) => {
                         self.bump();
                         match spec.constants.iter().find(|(n, _)| *n == c) {
-                            Some(&(_, v)) => Some(v),
+                            Some(&(_, v)) => (Some(v), Some(c)),
                             None => {
                                 return Err(self.err(format!(
                                     "timer '{name}' period references unknown constant '{c}' \
@@ -285,10 +285,14 @@ impl Parser {
                             }
                         }
                     }
-                    _ => None,
+                    _ => (None, None),
                 };
                 self.expect(TokenKind::Semi)?;
-                spec.state_vars.push(StateVar::Timer { name, period_ms });
+                spec.state_vars.push(StateVar::Timer {
+                    name,
+                    period_ms,
+                    period_const,
+                });
                 continue;
             }
             let fail_detect = self.eat_word("fail_detect");

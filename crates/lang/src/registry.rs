@@ -15,7 +15,7 @@
 //! while [`SpecRegistry::build_stack`] is the all-interpreted
 //! convenience path.
 
-use crate::ast::{Spec, TraceMode};
+use crate::ast::{Spec, StateVar, TraceMode};
 use crate::interp::{channel_table, InterpretedAgent};
 use crate::ir::IrSpec;
 use macedon_core::{Agent, ChannelSpec, NodeId, TraceLevel};
@@ -52,6 +52,30 @@ impl fmt::Display for ChainError {
 }
 
 impl std::error::Error for ChainError {}
+
+/// Why [`SpecRegistry::set_constants`] refused an override.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConstantError {
+    /// The named protocol is not in the registry.
+    UnknownSpec(String),
+    /// `spec` declares no constant named `constant`.
+    UnknownConstant { spec: String, constant: String },
+}
+
+impl fmt::Display for ConstantError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConstantError::UnknownSpec(name) => {
+                write!(f, "no specification named '{name}' in the registry")
+            }
+            ConstantError::UnknownConstant { spec, constant } => {
+                write!(f, "'{spec}' declares no constant '{constant}'")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConstantError {}
 
 /// A set of compiled specifications addressable by protocol name.
 ///
@@ -106,6 +130,52 @@ impl SpecRegistry {
     pub fn insert(&mut self, spec: Arc<Spec>) {
         let ir = Arc::new(lower(&spec));
         self.insert_lowered(spec, ir);
+    }
+
+    /// Instantiate `name` with some of its `constants` overridden: the
+    /// registered spec is cloned, the named constants (and any timer
+    /// period declared by one of them) take the given values, and the
+    /// copy is lowered once and registered under the same name — in this
+    /// registry only. Every other registry, [`SpecRegistry::bundled`]'s
+    /// included, keeps sharing the original. Generated agents are not
+    /// affected: their constants stay the spec's.
+    pub fn set_constants(
+        &mut self,
+        name: &str,
+        overrides: &[(&str, i64)],
+    ) -> Result<(), ConstantError> {
+        let mut spec = Spec::clone(
+            self.specs
+                .get(name)
+                .ok_or_else(|| ConstantError::UnknownSpec(name.to_string()))?,
+        );
+        for &(constant, value) in overrides {
+            let mut found = false;
+            for (_, v) in spec.constants.iter_mut().filter(|(n, _)| n == constant) {
+                *v = value;
+                found = true;
+            }
+            if !found {
+                return Err(ConstantError::UnknownConstant {
+                    spec: name.to_string(),
+                    constant: constant.to_string(),
+                });
+            }
+            for var in &mut spec.state_vars {
+                if let StateVar::Timer {
+                    period_ms,
+                    period_const: Some(c),
+                    ..
+                } = var
+                {
+                    if c == constant {
+                        *period_ms = Some(value);
+                    }
+                }
+            }
+        }
+        self.insert(Arc::new(spec));
+        Ok(())
     }
 
     fn insert_lowered(&mut self, spec: Arc<Spec>, ir: Arc<IrSpec>) {
@@ -348,6 +418,113 @@ mod tests {
             mine.ir("pastry").unwrap(),
             next.ir("pastry").unwrap()
         ));
+    }
+
+    #[test]
+    fn unknown_spec_or_constant_override_is_a_typed_error() {
+        let mut r = SpecRegistry::bundled();
+        assert_eq!(
+            r.set_constants("ghost", &[("X", 1)]),
+            Err(ConstantError::UnknownSpec("ghost".into()))
+        );
+        let e = r.set_constants("chord", &[("FIX_FINGERS_MS", 5), ("NOPE", 1)]);
+        assert_eq!(
+            e,
+            Err(ConstantError::UnknownConstant {
+                spec: "chord".into(),
+                constant: "NOPE".into()
+            })
+        );
+        // A refused override registers nothing.
+        assert!(Arc::ptr_eq(
+            r.ir("chord").unwrap(),
+            SpecRegistry::bundled().ir("chord").unwrap()
+        ));
+    }
+
+    #[test]
+    fn set_constants_stays_in_its_registry() {
+        let roster = SpecRegistry::bundled();
+        let mut lsd = SpecRegistry::bundled();
+        lsd.set_constants("chord", &[("FIX_FINGERS_MS", 4000), ("FF_MIN_MS", 500)])
+            .unwrap();
+        let fix = |r: &SpecRegistry| {
+            r.ir("chord")
+                .unwrap()
+                .vars
+                .iter()
+                .find(|v| v.name == "FIX_FINGERS_MS")
+                .and_then(|v| v.constant)
+        };
+        assert_eq!(fix(&lsd), Some(4000));
+        let next = SpecRegistry::bundled();
+        assert_eq!(fix(&next), Some(1000));
+        assert!(Arc::ptr_eq(
+            next.ir("chord").unwrap(),
+            roster.ir("chord").unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            next.get("chord").unwrap(),
+            roster.get("chord").unwrap()
+        ));
+        // Untouched specs of the overridden registry are the roster's.
+        for name in roster.names().filter(|&n| n != "chord") {
+            assert!(Arc::ptr_eq(lsd.ir(name).unwrap(), roster.ir(name).unwrap()));
+        }
+    }
+
+    #[test]
+    fn overridden_constant_re_resolves_a_timer_period() {
+        let mut r = SpecRegistry::bundled();
+        r.set_constants("bullet", &[("RANSUB_MS", 750)]).unwrap();
+        let ir = r.ir("bullet").unwrap();
+        let period = |name: &str| ir.timers.iter().find(|t| t.name == name).unwrap().period_ms;
+        assert_eq!(period("ransub_t"), Some(750));
+        assert_eq!(period("recover_t"), Some(1000));
+    }
+
+    #[test]
+    fn overridden_fix_fingers_period_drives_the_timer() {
+        use crate::interp::Value;
+        use macedon_core::{NullApp, Time, World, WorldConfig};
+        use macedon_net::topology::{canned, LinkSpec};
+        // `finger_step` doubles on every `fix_fingers` firing.
+        let step_at = |r: &SpecRegistry, ms: u64| {
+            let topo = canned::star(2, LinkSpec::lan());
+            let hosts = topo.hosts().to_vec();
+            let cfg = WorldConfig {
+                channels: r.channel_table_for("chord").unwrap(),
+                ..Default::default()
+            };
+            let mut w = World::new(topo, cfg);
+            for (i, &h) in hosts.iter().enumerate() {
+                let stack = r.build_stack("chord", (i > 0).then(|| hosts[0])).unwrap();
+                w.spawn_at(
+                    Time::from_millis(i as u64 * 100),
+                    h,
+                    stack,
+                    Box::new(NullApp),
+                );
+            }
+            w.run_until(Time::from_millis(ms));
+            let root: &InterpretedAgent = w
+                .stack(hosts[0])
+                .unwrap()
+                .agent(0)
+                .as_any()
+                .downcast_ref()
+                .unwrap();
+            root.var("finger_step")
+        };
+        let mut slow = SpecRegistry::bundled();
+        slow.set_constants("chord", &[("FIX_FINGERS_MS", 20_000)])
+            .unwrap();
+        assert_eq!(step_at(&slow, 19_900), Some(Value::Int(1)));
+        assert_eq!(step_at(&slow, 20_100), Some(Value::Int(2)));
+        assert_eq!(
+            step_at(&SpecRegistry::bundled(), 1_100),
+            Some(Value::Int(2))
+        );
     }
 
     #[test]

@@ -8,24 +8,23 @@
 //! ```
 //! use macedon::prelude::*;
 //!
-//! // Build a small emulated network and run a Chord ring on it.
+//! // Build a small emulated network and run the bundled Chord spec on it.
+//! let registry = SpecRegistry::bundled();
 //! let topo = macedon::net::topology::canned::star(8, macedon::net::topology::LinkSpec::lan());
 //! let hosts = topo.hosts().to_vec();
-//! let mut world = World::new(topo, WorldConfig::default());
+//! let cfg = WorldConfig {
+//!     channels: registry.channel_table_for("chord").unwrap(),
+//!     ..Default::default()
+//! };
+//! let mut world = World::new(topo, cfg);
 //! for (i, &h) in hosts.iter().enumerate() {
-//!     let cfg = ChordConfig { bootstrap: (i > 0).then(|| hosts[0]), ..Default::default() };
-//!     world.spawn_at(
-//!         Time::from_millis(i as u64 * 100),
-//!         h,
-//!         vec![Box::new(Chord::new(cfg))],
-//!         Box::new(NullApp),
-//!     );
+//!     let stack = registry.build_stack("chord", (i > 0).then(|| hosts[0])).unwrap();
+//!     world.spawn_at(Time::from_millis(i as u64 * 100), h, stack, Box::new(NullApp));
 //! }
 //! world.run_until(Time::from_secs(30));
 //! assert!(hosts.iter().all(|&h| world.stack(h).is_some()));
 //! ```
 
-pub use macedon_baselines as baselines;
 pub use macedon_core as core;
 pub use macedon_lang as lang;
 pub use macedon_net as net;
@@ -57,9 +56,9 @@ pub mod prelude {
         ForwardInfo, MacedonKey, NodeId, NullApp, ProtocolId, Time, TraceLevel, UpCall, World,
         WorldConfig,
     };
+    pub use macedon_lang::{InterpretedAgent, SpecRegistry};
     pub use macedon_overlays::{
-        Ammo, AmmoConfig, Bullet, BulletConfig, Chord, ChordConfig, Nice, NiceConfig, Overcast,
-        OvercastConfig, Pastry, PastryConfig, RandTree, RandTreeConfig, Scribe, ScribeConfig,
+        Bullet, BulletConfig, Nice, NiceConfig, Pastry, PastryConfig, Scribe, ScribeConfig,
         SplitStream, SplitStreamConfig,
     };
     pub use macedon_scenario::{

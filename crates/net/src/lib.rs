@@ -32,6 +32,6 @@ pub mod topology;
 
 pub use packet::{Packet, PacketArena, PacketRef};
 pub use pipeline::{Delivery, DropReason, Handoff, NetEvent, Network, NetworkConfig, Sink};
-pub use routing::{min_cross_shard_delay, min_link_delay, Router};
+pub use routing::{min_link_delay, Router};
 pub use shard::ShardMap;
 pub use topology::{LinkId, NodeId, NodeKind, Topology, TopologyBuilder};

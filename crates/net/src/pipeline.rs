@@ -334,12 +334,6 @@ impl<P> Network<P> {
             .get_or_insert_with(|| crate::routing::min_link_delay(&self.topo))
     }
 
-    /// Minimum delay over links crossing `smap`'s shard boundaries (see
-    /// [`crate::routing::min_cross_shard_delay`]).
-    pub fn min_cross_shard_delay(&self, smap: &ShardMap) -> Option<Duration> {
-        crate::routing::min_cross_shard_delay(&self.topo, smap)
-    }
-
     /// The in-flight packet arena (capacity is the high-water mark of
     /// simultaneously in-flight packets).
     pub fn packet_arena(&self) -> &PacketArena<P> {
@@ -391,11 +385,6 @@ impl<P> Network<P> {
     /// Heap bytes held by the routing tables ([`Router::table_bytes`]).
     pub fn route_table_bytes(&self) -> usize {
         self.router.table_bytes()
-    }
-
-    /// IP hop count between two nodes.
-    pub fn oracle_hops(&mut self, a: NodeId, b: NodeId) -> Option<usize> {
-        self.router.hop_count(&self.topo, a, b)
     }
 
     /// Per-physical-link (packets, bytes, drops) counters, for stress
@@ -982,14 +971,14 @@ mod tests {
         let (a, z) = (t.hosts()[0], t.hosts()[1]);
         let mut net: Network<u32> = Network::new(t, NetworkConfig::default());
         assert_eq!(net.oracle_latency(a, z), Some(ms(8)));
-        assert_eq!(net.oracle_hops(a, z), Some(4));
+        assert_eq!(net.router.hop_count(&net.topo, a, z), Some(4));
         assert_eq!(net.router.cached_destinations(), 1);
         // The direct cable gets faster than the detour: tables drop and
         // the next walk takes it.
         net.set_phys_link(2, None, Some(ms(1)));
         assert_eq!(net.router.cached_destinations(), 0);
         assert_eq!(net.oracle_latency(a, z), Some(ms(3)));
-        assert_eq!(net.oracle_hops(a, z), Some(3));
+        assert_eq!(net.router.hop_count(&net.topo, a, z), Some(3));
         let mut out = Sink::new();
         net.send(Time::ZERO, Packet::new(a, z, 100, 1), &mut out);
         let counters = net.link_counters();

@@ -473,20 +473,6 @@ pub fn min_link_delay(topo: &Topology) -> Option<Duration> {
     topo.links().iter().map(|l| l.delay).min()
 }
 
-/// Minimum delay over links whose endpoints live on different shards of
-/// `smap` — the *cross-shard* lookahead. Always ≥ the global minimum;
-/// the windowed engine uses the global bound (a handoff can be emitted
-/// after traversing intra-shard links only), but per-partition bounds
-/// are the observable that tells you how much lookahead a better
-/// partitioning could buy. `None` when no link crosses the partition.
-pub fn min_cross_shard_delay(topo: &Topology, smap: &crate::shard::ShardMap) -> Option<Duration> {
-    topo.links()
-        .iter()
-        .filter(|l| smap.shard_of(l.from) != smap.shard_of(l.to))
-        .map(|l| l.delay)
-        .min()
-}
-
 /// Label connected components with an iterative flood fill.
 fn components(topo: &Topology) -> Vec<u32> {
     let n = topo.num_nodes();
@@ -822,21 +808,6 @@ mod tests {
         let slower = Duration::from_micros(before.as_micros() * 4);
         t.set_phys_link(phys, None, Some(slower));
         assert_eq!(min_link_delay(&t), Some(before), "other links now bound it");
-    }
-
-    #[test]
-    fn cross_shard_delay_bounds_global() {
-        use crate::shard::ShardMap;
-        let t = canned::star(8, LinkSpec::lan());
-        let solo = ShardMap::solo(&t);
-        assert_eq!(
-            min_cross_shard_delay(&t, &solo),
-            None,
-            "one shard has no crossing links"
-        );
-        let m = ShardMap::partition_hosts(&t, 4);
-        let cross = min_cross_shard_delay(&t, &m).unwrap();
-        assert!(cross >= min_link_delay(&t).unwrap());
     }
 
     /// Cross-check Dijkstra against Floyd-Warshall on small random graphs.

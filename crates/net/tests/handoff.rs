@@ -2,7 +2,7 @@
 //! middle of the core, not at a star's hub.
 
 use macedon_net::topology::{inet, InetParams};
-use macedon_net::{NetEvent, Network, NetworkConfig, Packet, ShardMap, Sink};
+use macedon_net::{NetEvent, Network, NetworkConfig, Packet, Router, ShardMap, Sink};
 use macedon_sim::{SimRng, Time};
 use std::sync::Arc;
 
@@ -17,6 +17,7 @@ fn walk_resumed_at_a_mid_path_router_matches_the_sequential_walk() {
     let smap = Arc::new(ShardMap::partition_hosts(&topo, 2));
     let hosts = topo.hosts().to_vec();
     let sent = Time::from_millis(5);
+    let mut router = Router::new();
     let mut mid_path_handoffs = 0;
     for &src in &hosts {
         for &dst in hosts.iter().filter(|&&d| d != src) {
@@ -42,7 +43,7 @@ fn walk_resumed_at_a_mid_path_router_matches_the_sequential_walk() {
             while let Some(h) = out.handoffs.pop() {
                 let at = h.at_node;
                 if at != dst && !topo.is_host(at) {
-                    let next = whole.oracle_hops(at, dst).unwrap();
+                    let next = router.hop_count(&topo, at, dst).unwrap();
                     mid_path_handoffs += (next > 1) as u32;
                 }
                 assert!(h.t > sent, "a handoff follows at least one link");

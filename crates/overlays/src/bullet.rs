@@ -2,12 +2,13 @@
 //!
 //! "Bullet creates a mesh where nodes exchange summary tickets that are
 //! used to select data peers. Nodes with disjoint data peer with one
-//! another" (§5). In this reproduction Bullet sits above [`crate::RandTree`]
-//! (its baseline distribution tree, as in Figure 2): the tree delivers
-//! whatever bandwidth it can, while Bullet recovers the remainder through
-//! the mesh — each epoch a node gossips a *summary ticket* (the packet
-//! ids it holds plus a sample of nodes it knows) to a few random peers;
-//! peers with disjoint data request what they miss, directly over IP.
+//! another" (§5). In this reproduction Bullet sits above the interpreted
+//! `randtree.mac` (its baseline distribution tree, as in Figure 2): the
+//! tree delivers whatever bandwidth it can, while Bullet recovers the
+//! remainder through the mesh — each epoch a node gossips a *summary
+//! ticket* (the packet ids it holds plus a sample of nodes it knows) to a
+//! few random peers; peers with disjoint data request what they miss,
+//! directly over IP.
 //!
 //! The headline behaviour to reproduce: Bullet's delivered bandwidth
 //! exceeds a pure tree under constrained/lossy conditions (the paper's

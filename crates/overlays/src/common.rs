@@ -16,15 +16,11 @@ pub const APP_PROTOCOL: ProtocolId = 0xFFFE;
 /// protocol values in IP").
 pub mod proto {
     use macedon_core::ProtocolId;
-    pub const RANDTREE: ProtocolId = 1;
-    pub const OVERCAST: ProtocolId = 2;
-    pub const CHORD: ProtocolId = 3;
     pub const PASTRY: ProtocolId = 4;
     pub const SCRIBE: ProtocolId = 5;
     pub const SPLITSTREAM: ProtocolId = 6;
     pub const NICE: ProtocolId = 7;
     pub const BULLET: ProtocolId = 8;
-    pub const AMMO: ProtocolId = 9;
 }
 
 /// Read the leading protocol id without consuming the buffer.
@@ -60,9 +56,9 @@ mod tests {
     #[test]
     fn peek_proto_reads_header() {
         let mut w = WireWriter::new();
-        w.u16(proto::CHORD).u16(3);
+        w.u16(proto::PASTRY).u16(3);
         let b = w.finish();
-        assert_eq!(peek_proto(&b), Some(proto::CHORD));
+        assert_eq!(peek_proto(&b), Some(proto::PASTRY));
         assert_eq!(peek_proto(&Bytes::from_static(b"\x01")), None);
     }
 
@@ -84,15 +80,11 @@ mod tests {
     #[test]
     fn proto_ids_unique() {
         let ids = [
-            proto::RANDTREE,
-            proto::OVERCAST,
-            proto::CHORD,
             proto::PASTRY,
             proto::SCRIBE,
             proto::SPLITSTREAM,
             proto::NICE,
             proto::BULLET,
-            proto::AMMO,
         ];
         let set: std::collections::HashSet<_> = ids.iter().collect();
         assert_eq!(set.len(), ids.len());

@@ -1,36 +1,35 @@
 //! # macedon-overlays
 //!
-//! Native Rust implementations of every overlay the paper implements in
-//! MACEDON (§4.1): **RandTree, Overcast, Chord, Pastry, Scribe,
-//! SplitStream, NICE, Bullet and AMMO** — each as an
-//! [`macedon_core::Agent`], i.e. exactly the artifact the MACEDON code
-//! generator would emit from the corresponding `.mac` specification (the
-//! specs themselves live in `crates/lang/specs/` and drive the Figure 7
-//! line-count experiment; two of them also run under the interpreter for
-//! cross-validation).
+//! The hand-written agents that remain beside the `.mac` roster (the
+//! specs live in `crates/lang/specs/` and run interpreted or generated),
+//! each as a [`macedon_core::Agent`] — kept only where a spec cannot yet
+//! reproduce what the native agent measures:
 //!
-//! Layering follows Figure 2: Scribe runs over Pastry *or* Chord (the
-//! paper's one-line `uses` switch), SplitStream over Scribe, Bullet over
-//! RandTree.
+//! * **Pastry, Scribe, SplitStream** — Figure 12's cache-lifetime
+//!   comparison needs Pastry's location cache
+//!   ([`PastryConfig::cache_lifetime`], [`scribe::DataPath::LocationCache`]),
+//!   which `pastry.mac` does not have.
+//! * **NICE** — Figures 8 and 9 need latency-aware clustering; `nice.mac`
+//!   attaches to a random candidate, never splits a cluster (its list
+//!   capacity equals `MAX_CLUSTER`), and its multicast flood has no
+//!   duplicate suppression.
+//! * **Bullet** — mesh recovery needs a store of received packets keyed
+//!   by sequence number, which the DSL cannot declare; the native layer
+//!   runs over the interpreted `randtree.mac`.
+//!
+//! Layering follows Figure 2: Scribe runs over Pastry, SplitStream over
+//! Scribe, Bullet over RandTree.
 
-pub mod ammo;
 pub mod bullet;
-pub mod chord;
 pub mod common;
 pub mod nice;
-pub mod overcast;
 pub mod pastry;
-pub mod randtree;
 pub mod scribe;
 pub mod splitstream;
 pub mod testutil;
 
-pub use ammo::{Ammo, AmmoConfig};
 pub use bullet::{Bullet, BulletConfig};
-pub use chord::{Chord, ChordConfig};
 pub use nice::{Nice, NiceConfig};
-pub use overcast::{Overcast, OvercastConfig};
 pub use pastry::{Pastry, PastryConfig};
-pub use randtree::{RandTree, RandTreeConfig};
 pub use scribe::{Scribe, ScribeConfig};
 pub use splitstream::{SplitStream, SplitStreamConfig};

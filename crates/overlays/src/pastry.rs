@@ -182,7 +182,7 @@ impl Pastry {
             ctx.monitor(node);
         }
         // Routing table: first writer wins per slot (no proximity
-        // re-selection; see DESIGN.md).
+        // re-selection; see the README's "Figures" section).
         let row = me.shared_prefix_len(key, DIGIT_BITS) as usize;
         if row < ROWS {
             let col = key.digit(row as u32, DIGIT_BITS) as usize;

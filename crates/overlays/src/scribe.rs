@@ -6,7 +6,7 @@
 //! MACEDON specification". This agent makes no assumption about the
 //! layer below beyond `route`/`routeIP` downcalls and
 //! `forward`/`deliver` upcalls — stack it over [`crate::Pastry`] or
-//! [`crate::Chord`] interchangeably.
+//! over an interpreted DHT spec such as `chord.mac` interchangeably.
 //!
 //! Tree construction is reverse-path: a member routes a JOIN toward the
 //! group key; every node the DHT route traverses intercepts it in its

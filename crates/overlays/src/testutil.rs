@@ -1,10 +1,9 @@
 //! World-building helpers shared by this crate's unit tests, the
 //! workspace integration tests and the figure-regeneration harness.
 
-use crate::chord::{Chord, ChordConfig};
 use crate::pastry::{Pastry, PastryConfig};
 use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
-use macedon_core::{Duration, MacedonKey, NodeId, Time, World, WorldConfig};
+use macedon_core::{MacedonKey, NodeId, Time, World, WorldConfig};
 use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
 use macedon_net::Topology;
 use macedon_sim::SimRng;
@@ -25,40 +24,6 @@ pub fn inet_topology(routers: usize, clients: usize, seed: u64) -> Topology {
         },
         &mut rng,
     )
-}
-
-/// Spawn a Chord ring of `n` nodes on a star LAN, joins staggered 100 ms
-/// apart through `hosts[0]`. Returns the world, hosts, and a shared
-/// delivery sink wired into every node's app.
-pub fn chord_ring(
-    n: usize,
-    seed: u64,
-    fix_fingers: Duration,
-) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let topo = star_topology(n);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            fix_fingers_period: fix_fingers,
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
 }
 
 /// Spawn a Pastry mesh of `n` nodes on a star LAN.

@@ -610,6 +610,30 @@ index,node,alive,delivered,bytes,mean_latency_us,max_latency_us,goodput_bps
         assert_eq!(got, want);
     }
 
+    /// A crashed node shows up dead in the report; the survivors alive.
+    #[test]
+    fn report_reflects_crashes() {
+        use macedon_core::WorldConfig;
+        use macedon_net::topology::{canned, LinkSpec};
+        let reg = macedon_lang::SpecRegistry::bundled();
+        let script = "scenario crash\nnodes 3\nend 5s\nat 0s join 0..3 over 1s\nat 2s crash 0\n";
+        let cfg = WorldConfig {
+            channels: reg.channel_table_for("randtree").unwrap(),
+            ..Default::default()
+        };
+        let runner = crate::ScenarioRunner::new(
+            crate::script::parse(script).unwrap(),
+            canned::star(3, LinkSpec::lan()),
+            cfg,
+            Box::new(|_idx, _host, bootstrap| reg.build_stack("randtree", bootstrap).unwrap()),
+        )
+        .unwrap();
+        let report = runner.run().report;
+        assert_eq!(report.alive, 2);
+        let alive: Vec<bool> = report.nodes.iter().map(|n| n.alive).collect();
+        assert_eq!(alive, [false, true, true]);
+    }
+
     #[test]
     fn nearest_rank_percentiles() {
         let sorted: Vec<u64> = (1..=100).collect();

@@ -1,13 +1,14 @@
-//! Quickstart: build an emulated network, run a Chord ring on it, and
-//! route messages through the overlay — the MACEDON development loop in
-//! ~50 lines.
+//! Quickstart: build an emulated network, run the bundled `chord.mac`
+//! specification on it, and route messages through the overlay — the
+//! MACEDON development loop in ~50 lines.
 //!
 //! ```sh
 //! cargo run --release -p macedon --example quickstart
 //! ```
 
+use macedon::core::DEFAULT_PRIORITY;
+use macedon::lang::SpecRegistry;
 use macedon::net::topology::{inet, InetParams};
-use macedon::overlays::chord::Chord;
 use macedon::prelude::*;
 use macedon::sim::SimRng;
 
@@ -24,21 +25,26 @@ fn main() {
     );
     let hosts = topo.hosts().to_vec();
 
-    // 2. A world: deterministic event loop + transports + engine.
-    let mut world = World::new(topo, WorldConfig::default());
+    // 2. The spec roster, and a world (deterministic event loop +
+    //    transports + engine) with the channels chord.mac declares.
+    let registry = SpecRegistry::bundled();
+    let cfg = WorldConfig {
+        channels: registry.channel_table_for("chord").unwrap(),
+        ..Default::default()
+    };
+    let mut world = World::new(topo, cfg);
 
-    // 3. One Chord agent per host, joining through hosts[0], with a
-    //    delivery-collecting application on top.
+    // 3. One interpreted Chord agent per host, joining through hosts[0],
+    //    with a delivery-collecting application on top.
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
+        let stack = registry
+            .build_stack("chord", (i > 0).then(|| hosts[0]))
+            .unwrap();
         world.spawn_at(
             Time::from_millis(i as u64 * 100),
             h,
-            vec![Box::new(Chord::new(cfg))],
+            stack,
             Box::new(CollectorApp::new(sink.clone())),
         );
     }
@@ -76,6 +82,3 @@ fn main() {
         );
     }
 }
-
-use macedon::core::DEFAULT_PRIORITY;
-use macedon::overlays::chord::ChordConfig;

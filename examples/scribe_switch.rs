@@ -1,56 +1,49 @@
-//! The paper's one-line layering switch: run Scribe application-layer
-//! multicast over **Pastry**, then over **Chord**, changing nothing but
-//! the DHT layer in the stack (§1: "the Scribe application-layer
-//! multicast protocol can be switched from using Pastry to Chord by
-//! changing a single line in its MACEDON specification").
+//! The paper's one-line layering switch: run `scribe.mac` application-
+//! layer multicast over **Pastry**, then over **Chord**, changing
+//! nothing but the `uses` line of the spec (§1: "the Scribe
+//! application-layer multicast protocol can be switched from using
+//! Pastry to Chord by changing a single line in its MACEDON
+//! specification").
 //!
 //! ```sh
 //! cargo run --release -p macedon --example scribe_switch
 //! ```
 
-use macedon::overlays::chord::{Chord, ChordConfig};
-use macedon::overlays::pastry::{Pastry, PastryConfig};
-use macedon::overlays::scribe::{Scribe, ScribeConfig};
+use macedon::lang::{bundled_specs, compile, SpecRegistry};
 use macedon::prelude::*;
+use std::sync::Arc;
 
-/// Which DHT carries Scribe — the "single line".
-#[derive(Clone, Copy, Debug)]
-enum Dht {
-    Pastry,
-    Chord,
-}
+fn run(dht: &str) -> usize {
+    // The single line: `protocol scribe uses pastry;` → `uses <dht>;`.
+    let (_, scribe) = bundled_specs()
+        .into_iter()
+        .find(|&(name, _)| name == "scribe")
+        .unwrap();
+    let scribe = scribe.replace(
+        "protocol scribe uses pastry;",
+        &format!("protocol scribe uses {dht};"),
+    );
+    let mut registry = SpecRegistry::bundled();
+    registry.insert(Arc::new(compile(&scribe).unwrap()));
 
-fn run(dht: Dht) -> usize {
     let topo = macedon::net::topology::canned::star(12, macedon::net::topology::LinkSpec::lan());
     let hosts = topo.hosts().to_vec();
-    let mut world = World::new(
-        topo,
-        WorldConfig {
-            seed: 7,
-            ..Default::default()
-        },
-    );
+    let cfg = WorldConfig {
+        seed: 7,
+        channels: registry.channel_table_for("scribe").unwrap(),
+        ..Default::default()
+    };
+    let mut world = World::new(topo, cfg);
     let sink = shared_deliveries();
     let group = MacedonKey::of_name("demo-group");
-
     for (i, &h) in hosts.iter().enumerate() {
-        let bootstrap = (i > 0).then(|| hosts[0]);
-        // protocol scribe uses pastry;   |   protocol scribe uses chord;
-        let lower: Box<dyn Agent> = match dht {
-            Dht::Pastry => Box::new(Pastry::new(PastryConfig {
-                bootstrap,
-                ..Default::default()
-            })),
-            Dht::Chord => Box::new(Chord::new(ChordConfig {
-                bootstrap,
-                ..Default::default()
-            })),
-        };
-        let scribe = Box::new(Scribe::new(ScribeConfig::default()));
+        let stack = registry
+            .build_stack("scribe", (i > 0).then(|| hosts[0]))
+            .unwrap();
         world.spawn_at(
             Time::from_millis(i as u64 * 100),
             h,
-            vec![lower, scribe],
+            stack,
             Box::new(CollectorApp::new(sink.clone())),
         );
     }
@@ -77,17 +70,17 @@ fn run(dht: Dht) -> usize {
     world.run_until(Time::from_secs(90));
     let n = sink.lock().len();
     println!(
-        "Scribe over {dht:?}: {n} deliveries across {} receivers",
+        "scribe.mac over {dht}: {n} deliveries across {} receivers",
         hosts.len() - 1
     );
     n
 }
 
 fn main() {
-    let over_pastry = run(Dht::Pastry);
-    let over_chord = run(Dht::Chord);
+    let over_pastry = run("pastry");
+    let over_chord = run("chord");
     println!(
-        "\nSame Scribe agent, two DHTs: pastry={over_pastry} chord={over_chord} deliveries — \
+        "\nSame Scribe spec, two DHTs: pastry={over_pastry} chord={over_chord} deliveries — \
          the MACEDON API makes the substrate interchangeable."
     );
 }

@@ -1,40 +1,41 @@
 //! Cross-crate integration: Bullet's headline behavior — mesh recovery
 //! delivers data the base tree loses (§5: "Bullet nodes receive much
-//! higher bandwidth relative to tree-based overlays").
+//! higher bandwidth relative to tree-based overlays"). The native Bullet
+//! layer runs over `randtree.mac`, interpreted, as in Figure 2; its tree
+//! data rides the spec's UDP channel, so tree losses are real losses.
 
+use macedon::lang::SpecRegistry;
 use macedon::overlays::bullet::{Bullet, BulletConfig};
-use macedon::overlays::randtree::{RandTree, RandTreeConfig};
 use macedon::prelude::*;
 
-/// Build a RandTree world, optionally with Bullet layered on top, on a
-/// lossy network, and stream packets from the root. Returns the mean
-/// fraction of the stream each receiver got.
-fn run(with_bullet: bool, loss: f64, seed: u64) -> f64 {
-    let n = 14usize;
+/// An `n`-host star LAN whose nodes run `randtree.mac` with at most
+/// `max_kids` children, Bullet on top when `bullet` is given, joining
+/// through `hosts[0]` 100 ms apart.
+fn tree_world(
+    n: usize,
+    seed: u64,
+    max_kids: i64,
+    bullet: Option<BulletConfig>,
+) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
+    let mut registry = SpecRegistry::bundled();
+    registry
+        .set_constants("randtree", &[("MAXKIDS", max_kids)])
+        .unwrap();
     let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
     let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
-        },
-    );
+    let cfg = WorldConfig {
+        seed,
+        channels: registry.channel_table_for("randtree").unwrap(),
+        ..Default::default()
+    };
+    let mut w = World::new(topo, cfg);
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let tree = RandTree::new(RandTreeConfig {
-            root: (i > 0).then(|| hosts[0]),
-            max_children: 3,
-            // Data over the UDP channel: tree losses are real losses.
-            data_ch: ChannelId(4),
-            ..Default::default()
-        });
-        let mut stack: Vec<Box<dyn Agent>> = vec![Box::new(tree)];
-        if with_bullet {
-            stack.push(Box::new(Bullet::new(BulletConfig {
-                epoch: Duration::from_millis(300),
-                ..Default::default()
-            })));
+        let mut stack = registry
+            .build_stack("randtree", (i > 0).then(|| hosts[0]))
+            .unwrap();
+        if let Some(cfg) = &bullet {
+            stack.push(Box::new(Bullet::new(cfg.clone())));
         }
         w.spawn_at(
             Time::from_millis(i as u64 * 100),
@@ -43,6 +44,18 @@ fn run(with_bullet: bool, loss: f64, seed: u64) -> f64 {
             Box::new(CollectorApp::new(sink.clone())),
         );
     }
+    (w, hosts, sink)
+}
+
+/// Build a RandTree world, optionally with Bullet layered on top, on a
+/// lossy network, and stream packets from the root. Returns the mean
+/// fraction of the stream each receiver got.
+fn run(with_bullet: bool, loss: f64, seed: u64) -> f64 {
+    let bullet = with_bullet.then(|| BulletConfig {
+        epoch: Duration::from_millis(300),
+        ..Default::default()
+    });
+    let (mut w, hosts, sink) = tree_world(14, seed, 3, bullet);
     w.run_until(Time::from_secs(20));
     // Now add loss and stream 80 packets over 16 s.
     w.net_mut().faults_mut().set_drop_probability(loss);
@@ -101,32 +114,7 @@ fn bullet_recovers_what_the_lossy_tree_drops() {
 
 #[test]
 fn bullet_mesh_actually_exchanges_data() {
-    let n = 10usize;
-    let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 9,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let tree = RandTree::new(RandTreeConfig {
-            root: (i > 0).then(|| hosts[0]),
-            max_children: 2,
-            data_ch: ChannelId(4),
-            ..Default::default()
-        });
-        let bullet = Bullet::new(BulletConfig::default());
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(tree), Box::new(bullet)],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, _sink) = tree_world(10, 9, 2, Some(BulletConfig::default()));
     w.run_until(Time::from_secs(15));
     w.net_mut().faults_mut().set_drop_probability(0.1);
     for i in 0..60u64 {

@@ -1,104 +1,91 @@
-//! Cross-crate integration: Chord over the full stack (INET topology →
-//! packet pipeline → transports → engine → agent), validating the ring
-//! and routing properties the Fig 10 experiment relies on.
+//! Cross-crate integration: `chord.mac` over the full stack (INET
+//! topology → packet pipeline → transports → engine → interpreted
+//! agent), validating the ring and routing properties the Fig 10
+//! experiment relies on.
 
-use macedon::net::topology::{inet, InetParams};
-use macedon::overlays::chord::{Chord, ChordConfig};
-use macedon::overlays::testutil::{collect_ring, correct_owner};
+mod common;
+
+use common::{seeded, spec_world, stamped, successor};
+use macedon::core::TraceEvent;
+use macedon::lang::SpecRegistry;
+use macedon::overlays::testutil::{collect_ring, correct_owner, inet_topology};
 use macedon::prelude::*;
-use macedon::sim::SimRng;
 
 fn chord_world(
     clients: usize,
     seed: u64,
+    trace_level: TraceLevel,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    let mut rng = SimRng::new(seed);
-    let topo = inet(
-        &InetParams {
-            routers: 150,
-            clients,
-            ..Default::default()
-        },
-        &mut rng,
-    );
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 200),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
+    let topo = inet_topology(150, clients, seed);
+    let cfg = WorldConfig {
+        trace_level,
+        ..seeded(seed)
+    };
+    spec_world(&SpecRegistry::bundled(), "chord", topo, cfg, 200)
 }
 
-fn chord_of(w: &World, h: NodeId) -> &Chord {
-    w.stack(h)
-        .unwrap()
-        .agent(0)
-        .as_any()
-        .downcast_ref()
-        .unwrap()
+fn route(w: &mut World, at: Time, from: NodeId, dest: MacedonKey, seq: u64, len: usize) {
+    w.api_at(
+        at,
+        from,
+        DownCall::Route {
+            dest,
+            payload: stamped(seq, len),
+            priority: -1,
+        },
+    );
 }
 
 #[test]
 fn ring_converges_on_realistic_topology() {
-    let (mut w, hosts, _sink) = chord_world(20, 1);
+    let (mut w, hosts, _sink) = chord_world(20, 1, TraceLevel::Off);
     w.run_until(Time::from_secs(120));
     let ring = collect_ring(&w, &hosts);
     for (i, &(node, _)) in ring.iter().enumerate() {
         assert_eq!(
-            chord_of(&w, node).successor().unwrap().0,
-            ring[(i + 1) % ring.len()].0,
+            successor(&w, node),
+            Some(ring[(i + 1) % ring.len()].0),
             "ring position {i}"
         );
     }
 }
 
+/// Hops are the sends of the (large) routed packets on the data
+/// channel, read off the trace.
 #[test]
 fn lookups_land_on_owners_with_log_hops() {
-    let (mut w, hosts, sink) = chord_world(24, 3);
+    let (mut w, hosts, sink) = chord_world(24, 3, TraceLevel::Med);
     w.run_until(Time::from_secs(150));
     let ring = collect_ring(&w, &hosts);
-    let before: u64 = hosts.iter().map(|&h| chord_of(&w, h).forwarded).sum();
+    let start = Time::from_secs(150);
     let n = 40u64;
+    let key = |i: u64| MacedonKey((i as u32).wrapping_mul(0x85EB_CA6B));
     for i in 0..n {
-        let mut p = vec![0u8; 32];
-        p[..8].copy_from_slice(&i.to_be_bytes());
-        w.api_at(
-            Time::from_secs(150) + Duration::from_millis(i * 25),
-            hosts[(i % 24) as usize],
-            DownCall::Route {
-                dest: MacedonKey((i as u32).wrapping_mul(0x85EB_CA6B)),
-                payload: Bytes::from(p),
-                priority: -1,
-            },
-        );
+        let at = start + Duration::from_millis(i * 25);
+        route(&mut w, at, hosts[(i % 24) as usize], key(i), i, 1000);
     }
     w.run_until(Time::from_secs(200));
     let log = sink.lock();
     assert_eq!(log.len() as u64, n, "every lookup delivered");
     for rec in log.iter() {
         let seq = rec.seqno.unwrap();
-        let dest = MacedonKey((seq as u32).wrapping_mul(0x85EB_CA6B));
-        assert_eq!(rec.node, correct_owner(&ring, dest), "lookup {seq} owner");
+        assert_eq!(
+            rec.node,
+            correct_owner(&ring, key(seq)),
+            "lookup {seq} owner"
+        );
     }
-    drop(log);
-    let after: u64 = hosts.iter().map(|&h| chord_of(&w, h).forwarded).sum();
-    let avg_hops = (after - before) as f64 / n as f64;
+    let data = w.channel("DATA").unwrap();
+    let hops = w
+        .merged_trace()
+        .iter()
+        .filter(|r| {
+            r.at >= start
+                && matches!(r.event, TraceEvent::Send { channel, bytes, .. }
+                    if channel == data && bytes >= 1000)
+        })
+        .count();
+    let avg_hops = hops as f64 / n as f64;
     assert!(avg_hops <= 7.0, "O(log 24) routing, got {avg_hops}");
 }
 
@@ -106,12 +93,12 @@ fn lookups_land_on_owners_with_log_hops() {
 fn overhead_accounting_via_transport_stats() {
     // The "communication overhead" evaluation metric: engine-level
     // counters must reflect maintenance traffic even when idle.
-    let (mut w, hosts, _sink) = chord_world(8, 5);
+    let (mut w, hosts, _sink) = chord_world(8, 5, TraceLevel::Off);
     w.run_until(Time::from_secs(60));
-    let mut total = 0u64;
-    for &h in &hosts {
-        total += w.endpoint(h).unwrap().total_bytes_sent();
-    }
+    let total: u64 = hosts
+        .iter()
+        .map(|&h| w.endpoint(h).unwrap().total_bytes_sent())
+        .sum();
     assert!(total > 0, "stabilization traffic accounted");
 }
 
@@ -119,20 +106,16 @@ fn overhead_accounting_via_transport_stats() {
 fn rdp_of_overlay_routing_bounded() {
     // Overlay routing pays a delay penalty but not an absurd one once
     // fingers converge (spot check of the metrics machinery).
-    let (mut w, hosts, sink) = chord_world(16, 7);
+    let (mut w, hosts, sink) = chord_world(16, 7, TraceLevel::Off);
     w.run_until(Time::from_secs(150));
     let src = hosts[0];
-    let mut p = vec![0u8; 32];
-    p[..8].copy_from_slice(&1u64.to_be_bytes());
-    let dest = MacedonKey(0x7777_7777);
-    w.api_at(
+    route(
+        &mut w,
         Time::from_secs(150),
         src,
-        DownCall::Route {
-            dest,
-            payload: Bytes::from(p),
-            priority: -1,
-        },
+        MacedonKey(0x7777_7777),
+        1,
+        32,
     );
     w.run_until(Time::from_secs(160));
     let log = sink.lock();

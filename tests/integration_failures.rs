@@ -2,40 +2,41 @@
 //! the overlays must detect (engine g/f heartbeat failure detector) and
 //! repair.
 
-use macedon::overlays::chord::{Chord, ChordConfig};
+mod common;
+
+use common::{seeded, spec_world, stamped, star, successor};
+use macedon::lang::SpecRegistry;
 use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{Scribe, ScribeConfig};
-use macedon::overlays::testutil::collect_ring;
+use macedon::overlays::testutil::{collect_ring, correct_owner};
 use macedon::prelude::*;
 
-fn star(n: usize) -> macedon::net::Topology {
-    macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
+/// An `n`-node `chord.mac` ring on a star LAN, joins 100 ms apart.
+fn chord_ring(n: usize, seed: u64) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
+    spec_world(
+        &SpecRegistry::bundled(),
+        "chord",
+        star(n),
+        seeded(seed),
+        100,
+    )
+}
+
+/// Every one of `nodes`, in ring order, points at the next one.
+fn assert_ring_closed(w: &World, nodes: &[NodeId]) {
+    let ring = collect_ring(w, nodes);
+    for (i, &(node, _)) in ring.iter().enumerate() {
+        assert_eq!(
+            successor(w, node),
+            Some(ring[(i + 1) % ring.len()].0),
+            "ring position {i}"
+        );
+    }
 }
 
 #[test]
 fn chord_survives_cascading_crashes() {
-    let topo = star(12);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 1,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, _sink) = chord_ring(12, 1);
     w.run_until(Time::from_secs(60));
     // Crash three non-bootstrap nodes, staggered.
     let victims = [hosts[3], hosts[6], hosts[9]];
@@ -48,63 +49,26 @@ fn chord_survives_cascading_crashes() {
         .copied()
         .filter(|h| !victims.contains(h))
         .collect();
-    let ring = collect_ring(&w, &alive);
-    for (i, &(node, _)) in ring.iter().enumerate() {
-        let c: &Chord = w
-            .stack(node)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        assert_eq!(
-            c.successor().unwrap().0,
-            ring[(i + 1) % ring.len()].0,
-            "healed ring at {i}"
-        );
-        assert!(!victims.contains(&c.successor().unwrap().0));
-    }
+    assert_ring_closed(&w, &alive);
 }
 
 #[test]
 fn chord_routes_correctly_after_heal() {
-    let topo = star(10);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 3,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) = chord_ring(10, 3);
     w.run_until(Time::from_secs(60));
     let victim = hosts[5];
     w.crash_at(Time::from_secs(60), victim);
     w.run_until(Time::from_secs(150));
     let alive: Vec<NodeId> = hosts.iter().copied().filter(|&h| h != victim).collect();
     let ring = collect_ring(&w, &alive);
+    let key = |i: u64| MacedonKey((i as u32).wrapping_mul(0x9E37_79B9));
     for i in 0..15u64 {
-        let mut p = vec![0u8; 32];
-        p[..8].copy_from_slice(&i.to_be_bytes());
         w.api_at(
             Time::from_secs(150) + Duration::from_millis(i * 40),
             alive[(i % alive.len() as u64) as usize],
             DownCall::Route {
-                dest: MacedonKey((i as u32).wrapping_mul(0x9E37_79B9)),
-                payload: Bytes::from(p),
+                dest: key(i),
+                payload: stamped(i, 32),
                 priority: -1,
             },
         );
@@ -118,9 +82,7 @@ fn chord_routes_correctly_after_heal() {
     assert_eq!(delivered.len(), 15, "all post-heal lookups delivered");
     for rec in &delivered {
         assert_ne!(rec.node, victim, "nothing delivered at the dead node");
-        let dest = MacedonKey((rec.seqno.unwrap() as u32).wrapping_mul(0x9E37_79B9));
-        let owner = macedon::overlays::testutil::correct_owner(&ring, dest);
-        assert_eq!(rec.node, owner);
+        assert_eq!(rec.node, correct_owner(&ring, key(rec.seqno.unwrap())));
     }
 }
 
@@ -207,44 +169,13 @@ fn scribe_tree_repairs_after_forwarder_crash() {
 
 #[test]
 fn random_loss_does_not_break_chord_maintenance() {
-    let topo = star(8);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 7,
-            ..Default::default()
-        },
-    );
+    let (mut w, hosts, _sink) = chord_ring(8, 7);
     w.net_mut().faults_mut().set_drop_probability(0.05);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
     w.run_until(Time::from_secs(180));
     let ring = collect_ring(&w, &hosts);
-    let mut correct = 0;
-    for (i, &(node, _)) in ring.iter().enumerate() {
-        let c: &Chord = w
-            .stack(node)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        if c.successor().map(|(n, _)| n) == Some(ring[(i + 1) % ring.len()].0) {
-            correct += 1;
-        }
-    }
+    let correct = (0..ring.len())
+        .filter(|&i| successor(&w, ring[i].0) == Some(ring[(i + 1) % ring.len()].0))
+        .count();
     assert!(
         correct >= ring.len() - 1,
         "ring nearly perfect under 5% loss: {correct}/{}",
@@ -254,32 +185,11 @@ fn random_loss_does_not_break_chord_maintenance() {
 
 #[test]
 fn link_failure_and_heal_recovers_traffic() {
-    let topo = star(4);
-    let hosts = topo.hosts().to_vec();
+    let (mut w, hosts, _sink) = chord_ring(4, 9);
     let phys0 = {
-        let h = hosts[1];
-        topo.link(topo.outgoing(h)[0]).phys
+        let topo = w.net().topology();
+        topo.link(topo.outgoing(hosts[1])[0]).phys
     };
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 9,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
     w.run_until(Time::from_secs(40));
     // Take hosts[1]'s access link down briefly; TCP retransmission and
     // engine heartbeats must ride it out.
@@ -287,15 +197,5 @@ fn link_failure_and_heal_recovers_traffic() {
     w.run_until(Time::from_secs(44));
     w.net_mut().faults_mut().heal_link(phys0);
     w.run_until(Time::from_secs(120));
-    let ring = collect_ring(&w, &hosts);
-    for (i, &(node, _)) in ring.iter().enumerate() {
-        let c: &Chord = w
-            .stack(node)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        assert_eq!(c.successor().unwrap().0, ring[(i + 1) % ring.len()].0);
-    }
+    assert_ring_closed(&w, &hosts);
 }

@@ -1,22 +1,16 @@
 //! Cross-crate integration: application-layer multicast — Scribe over
 //! both DHTs (the paper's layering switch) and SplitStream striping.
 
-use macedon::overlays::chord::{Chord, ChordConfig};
+mod common;
+
+use macedon::lang::{bundled_specs, compile, SpecRegistry};
 use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon::overlays::splitstream::{stripe_key, SplitStream, SplitStreamConfig};
 use macedon::prelude::*;
+use std::sync::Arc;
 
-enum Dht {
-    Pastry,
-    Chord,
-}
-
-fn scribe_world(
-    n: usize,
-    dht: Dht,
-    seed: u64,
-) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
+fn scribe_world(n: usize, seed: u64) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
     let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
     let hosts = topo.hosts().to_vec();
     let mut w = World::new(
@@ -28,21 +22,17 @@ fn scribe_world(
     );
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let bootstrap = (i > 0).then(|| hosts[0]);
-        let lower: Box<dyn Agent> = match dht {
-            Dht::Pastry => Box::new(Pastry::new(PastryConfig {
-                bootstrap,
-                ..Default::default()
-            })),
-            Dht::Chord => Box::new(Chord::new(ChordConfig {
-                bootstrap,
-                ..Default::default()
-            })),
-        };
+        let pastry = Pastry::new(PastryConfig {
+            bootstrap: (i > 0).then(|| hosts[0]),
+            ..Default::default()
+        });
         w.spawn_at(
             Time::from_millis(i as u64 * 100),
             h,
-            vec![lower, Box::new(Scribe::new(ScribeConfig::default()))],
+            vec![
+                Box::new(pastry),
+                Box::new(Scribe::new(ScribeConfig::default())),
+            ],
             Box::new(CollectorApp::new(sink.clone())),
         );
     }
@@ -73,7 +63,7 @@ fn run_multicast(w: &mut World, hosts: &[NodeId], group: MacedonKey, n_pkts: u64
 
 #[test]
 fn scribe_over_pastry_reaches_all_members() {
-    let (mut w, hosts, sink) = scribe_world(12, Dht::Pastry, 1);
+    let (mut w, hosts, sink) = scribe_world(12, 1);
     let group = MacedonKey::of_name("g1");
     run_multicast(&mut w, &hosts, group, 5);
     let log = sink.lock();
@@ -94,9 +84,27 @@ fn scribe_over_pastry_reaches_all_members() {
     }
 }
 
+/// The paper's one-line layering switch: `scribe.mac` re-declared
+/// `uses chord` and inserted over the bundled `chord.mac`.
 #[test]
 fn scribe_over_chord_reaches_all_members() {
-    let (mut w, hosts, sink) = scribe_world(12, Dht::Chord, 2);
+    let (_, src) = bundled_specs()
+        .into_iter()
+        .find(|&(name, _)| name == "scribe")
+        .expect("scribe is bundled");
+    let src = src.replace(
+        "protocol scribe uses pastry;",
+        "protocol scribe uses chord;",
+    );
+    let mut registry = SpecRegistry::bundled();
+    registry.insert(Arc::new(compile(&src).expect("scribe over chord compiles")));
+    let (mut w, hosts, sink) = common::spec_world(
+        &registry,
+        "scribe",
+        common::star(12),
+        common::seeded(2),
+        100,
+    );
     let group = MacedonKey::of_name("g2");
     run_multicast(&mut w, &hosts, group, 5);
     let log = sink.lock();
@@ -117,7 +125,7 @@ fn scribe_over_chord_reaches_all_members() {
 
 #[test]
 fn scribe_trees_are_rooted_at_group_owner() {
-    let (mut w, hosts, _sink) = scribe_world(10, Dht::Pastry, 3);
+    let (mut w, hosts, _sink) = scribe_world(10, 3);
     let group = MacedonKey::of_name("g3");
     run_multicast(&mut w, &hosts, group, 1);
     // Exactly one root, and it is the Pastry owner of the group key.
@@ -235,7 +243,7 @@ fn splitstream_stripes_spread_over_distinct_trees() {
 
 #[test]
 fn anycast_reaches_exactly_one_member() {
-    let (mut w, hosts, sink) = scribe_world(10, Dht::Pastry, 9);
+    let (mut w, hosts, sink) = scribe_world(10, 9);
     let group = MacedonKey::of_name("anycast-group");
     w.run_until(Time::from_secs(40));
     for &h in &hosts[1..] {
@@ -265,7 +273,7 @@ fn anycast_reaches_exactly_one_member() {
 
 #[test]
 fn leave_prunes_the_tree() {
-    let (mut w, hosts, sink) = scribe_world(8, Dht::Pastry, 13);
+    let (mut w, hosts, sink) = scribe_world(8, 13);
     let group = MacedonKey::of_name("leavers");
     w.run_until(Time::from_secs(40));
     for &h in &hosts[1..] {

@@ -1,70 +1,67 @@
-//! Cross-crate integration: the tree overlays (Overcast, RandTree, AMMO)
-//! and NICE on realistic topologies, plus the global evaluation metrics
-//! (§4.3: link stress, stretch).
+//! Cross-crate integration: the tree overlays (`overcast.mac`,
+//! `randtree.mac`, `ammo.mac`, each interpreted) and native NICE on
+//! realistic topologies, plus the global evaluation metrics (§4.3: link
+//! stress, stretch). Every tree test checks that everyone joins one tree
+//! rooted at the bootstrap and that a multicast reaches every member.
 
+mod common;
+
+use common::{only, receivers, seeded, spec_world, stamped};
+use macedon::lang::SpecRegistry;
 use macedon::net::metrics::{link_stress, tree_stretch};
-use macedon::net::topology::{inet, InetParams};
-use macedon::overlays::ammo::{Ammo, AmmoConfig};
 use macedon::overlays::nice::{Nice, NiceConfig};
-use macedon::overlays::overcast::{Overcast, OvercastConfig};
-use macedon::overlays::randtree::{RandTree, RandTreeConfig};
+use macedon::overlays::testutil::inet_topology;
 use macedon::prelude::*;
-use macedon::sim::SimRng;
 use std::collections::HashMap;
 
-fn inet_world(clients: usize, seed: u64) -> (World, Vec<NodeId>) {
-    let mut rng = SimRng::new(seed);
-    let topo = inet(
-        &InetParams {
-            routers: 120,
-            clients,
-            ..Default::default()
+/// `proto` from the bundled roster with `constants` overridden, on a
+/// 120-router INET graph with `clients` hosts.
+fn inet_tree(
+    proto: &str,
+    constants: &[(&str, i64)],
+    clients: usize,
+    seed: u64,
+    stagger_ms: u64,
+) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
+    let topo = inet_topology(120, clients, seed);
+    let mut registry = SpecRegistry::bundled();
+    registry.set_constants(proto, constants).unwrap();
+    spec_world(&registry, proto, topo, seeded(seed), stagger_ms)
+}
+
+/// Every non-root host's `papa`, asserting each one reaches the root.
+fn parents(w: &World, hosts: &[NodeId]) -> HashMap<NodeId, NodeId> {
+    let mut parents = HashMap::new();
+    for &h in &hosts[1..] {
+        let (mut cur, mut steps) = (h, 0);
+        while cur != hosts[0] {
+            let p = only(w, cur, "papa").unwrap_or_else(|| panic!("{cur:?} has no parent"));
+            parents.entry(cur).or_insert(p);
+            cur = p;
+            steps += 1;
+            assert!(steps <= hosts.len(), "parent cycle through {h:?}");
+        }
+    }
+    parents
+}
+
+fn multicast(w: &mut World, at: Time, from: NodeId, seq: u64) {
+    w.api_at(
+        at,
+        from,
+        DownCall::Multicast {
+            group: MacedonKey(0),
+            payload: stamped(seq, 512),
+            priority: -1,
         },
-        &mut rng,
     );
-    let hosts = topo.hosts().to_vec();
-    let w = World::new(
-        topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    (w, hosts)
 }
 
 #[test]
 fn overcast_tree_on_inet_with_stretch_metric() {
-    let (mut w, hosts) = inet_world(14, 1);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = OvercastConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            max_children: 4,
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 200),
-            h,
-            vec![Box::new(Overcast::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) = inet_tree("overcast", &[("MAXKIDS", 4)], 14, 1, 200);
     w.run_until(Time::from_secs(90));
-    // Extract the overlay tree and compute stretch via the oracle.
-    let mut parents: HashMap<NodeId, NodeId> = HashMap::new();
-    for &h in &hosts[1..] {
-        let o: &Overcast = w
-            .stack(h)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        if let Some(p) = o.parent() {
-            parents.insert(h, p);
-        }
-    }
+    let parents = parents(&w, &hosts);
     assert_eq!(parents.len(), hosts.len() - 1, "everyone attached");
     let stretch = tree_stretch(w.net_mut(), hosts[0], &parents);
     assert!(!stretch.is_empty());
@@ -72,49 +69,30 @@ fn overcast_tree_on_inet_with_stretch_metric() {
         assert!(s >= 1.0 - 1e-9, "stretch below 1 at {n:?}");
         assert!(s < 50.0, "unreasonable stretch {s} at {n:?}");
     }
+    multicast(&mut w, Time::from_secs(90), hosts[0], 3);
+    w.run_until(Time::from_secs(100));
+    assert_eq!(receivers(&sink, 3).len(), hosts.len() - 1);
 }
 
 #[test]
 fn randtree_multicast_link_stress_bounded_by_fanout() {
-    let (mut w, hosts) = inet_world(12, 3);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = RandTreeConfig {
-            root: (i > 0).then(|| hosts[0]),
-            max_children: 3,
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(RandTree::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) = inet_tree("randtree", &[("MAXKIDS", 3)], 12, 3, 100);
     w.run_until(Time::from_secs(60));
+    parents(&w, &hosts);
     let baseline = w.net().link_counters();
-    let mut p = vec![0u8; 512];
-    p[..8].copy_from_slice(&1u64.to_be_bytes());
-    w.api_at(
-        Time::from_secs(60),
-        hosts[0],
-        DownCall::Multicast {
-            group: MacedonKey(0),
-            payload: Bytes::from(p),
-            priority: -1,
-        },
-    );
+    multicast(&mut w, Time::from_secs(60), hosts[0], 1);
     // A narrow measurement window keeps engine heartbeats out of the
     // stress accounting (a LAN flood completes in tens of ms).
     w.run_until(Time::from_secs(61));
-    let log = sink.lock();
-    let got = log.iter().filter(|r| r.seqno == Some(1)).count();
-    assert_eq!(got, hosts.len() - 1, "flood reached everyone");
-    drop(log);
+    assert_eq!(
+        receivers(&sink, 1).len(),
+        hosts.len() - 1,
+        "flood reached everyone"
+    );
     // Link stress of a single multicast: a tree with fanout 3 puts at
-    // most a handful of copies on any physical link (TCP ACKs and the
-    // odd heartbeat share the access links, so allow headroom — but the
-    // bound must stay far below a naive unicast-to-all's n copies).
+    // most a handful of copies on any physical link (heartbeats share
+    // the access links, so allow headroom — but the bound must stay far
+    // below a naive unicast-to-all's n copies).
     let stress = link_stress(w.net(), &baseline);
     assert!(stress.max > 0);
     assert!(
@@ -124,60 +102,23 @@ fn randtree_multicast_link_stress_bounded_by_fanout() {
     );
 }
 
+/// AMMO's probe epochs (the first at 8 s) move nodes between parents;
+/// after many of them the tree still spans everyone.
 #[test]
 fn ammo_adapts_without_partition_on_inet() {
-    let (mut w, hosts) = inet_world(14, 5);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = AmmoConfig {
-            root: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 150),
-            h,
-            vec![Box::new(Ammo::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) = inet_tree("ammo", &[], 14, 5, 150);
+    w.run_until(Time::from_secs(5));
+    let early = parents(&w, &hosts);
     w.run_until(Time::from_secs(180));
-    // The tree stays connected after many adaptation epochs.
-    let mut p = vec![0u8; 256];
-    p[..8].copy_from_slice(&2u64.to_be_bytes());
-    w.api_at(
-        Time::from_secs(180),
-        hosts[0],
-        DownCall::Multicast {
-            group: MacedonKey(0),
-            payload: Bytes::from(p),
-            priority: -1,
-        },
-    );
+    let late = parents(&w, &hosts);
+    assert_ne!(early, late, "AMMO actually moved a node");
+    multicast(&mut w, Time::from_secs(180), hosts[0], 2);
     w.run_until(Time::from_secs(200));
-    let log = sink.lock();
-    let got = log.iter().filter(|r| r.seqno == Some(2)).count();
-    assert!(
-        got >= hosts.len() - 2,
-        "post-adaptation multicast reached {got}/{}",
-        hosts.len() - 1
-    );
-    drop(log);
-    let reloc: u32 = hosts
-        .iter()
-        .map(|&h| {
-            let a: &Ammo = w
-                .stack(h)
-                .unwrap()
-                .agent(0)
-                .as_any()
-                .downcast_ref()
-                .unwrap();
-            a.relocations
-        })
-        .sum();
-    assert!(
-        reloc > 0,
-        "AMMO actually adapted on a heterogeneous topology"
+    let got = receivers(&sink, 2).len();
+    assert_eq!(
+        got,
+        hosts.len() - 1,
+        "post-adaptation multicast reached {got}"
     );
 }
 
