@@ -3,12 +3,15 @@
 //! execution — driven through a real `macedon_core::Stack` exactly the
 //! way the world's event loop drives it.
 //!
-//! The companion macro benchmark (`cargo run -p macedon-bench --bin
-//! bench_interp`) runs a whole from-spec splitstream world and records
-//! the trajectory in `BENCH_interp.json`.
+//! The two `state_push` benches feed pastry's costliest transition the
+//! same frames through an interpreted and a generated stack; their
+//! ratio is the interpreter's cost over generated code. Whole-run
+//! timings live in `benchmark/` (`bash benchmark/run.sh`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use macedon_bench::experiments::{dispatch_frames, dispatch_stack, DISPATCH_SPEC};
+use macedon_bench::experiments::{
+    dispatch_frames, dispatch_stack, pastry_stack, state_push_frames, DISPATCH_SPEC,
+};
 use macedon_core::{SpanId, Time};
 
 fn bench_recv_dispatch(c: &mut Criterion) {
@@ -42,10 +45,32 @@ fn bench_compile_to_runnable(c: &mut Criterion) {
     });
 }
 
+fn bench_state_push(c: &mut Criterion) {
+    let frames = state_push_frames();
+    let mut group = c.benchmark_group("interp/pastry state_push (2 msgs)");
+    // The shim has no warm-up and reports the minimum: enough samples
+    // that both back ends reach their steady state.
+    group.sample_size(5_000);
+    for (name, generated) in [("interpreted", false), ("generated", true)] {
+        let mut stack = pastry_stack(generated);
+        let mut fx = Vec::new();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for (from, frame) in &frames {
+                    stack.recv(Time::ZERO, *from, frame.clone(), SpanId::NONE, &mut fx);
+                }
+                fx.clear();
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_recv_dispatch,
     bench_timer_dispatch,
-    bench_compile_to_runnable
+    bench_compile_to_runnable,
+    bench_state_push
 );
 criterion_main!(benches);

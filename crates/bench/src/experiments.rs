@@ -684,7 +684,7 @@ pub fn fig12_from_spec_observed(
 }
 
 // ---------------------------------------------------------------------------
-// Scenario harness (bin/bench_scenario and the CI smoke test)
+// Scenario harness (bin/bench_scale)
 // ---------------------------------------------------------------------------
 
 /// The benchmark churn script: staggered joins, one multicast stream,
@@ -770,17 +770,10 @@ impl ChurnRunStats {
 /// real work happened and report per-event cost; wall-clock is the
 /// caller's to measure.
 pub fn scenario_churn_run(nodes: usize) -> ChurnRunStats {
-    run_scenario_script(&scenario_churn_script(nodes), nodes)
-}
-
-/// The churn run sharded across `workers` cores (windowed parallel
-/// execution; `1` is the classic sequential engine).
-pub fn scenario_churn_run_workers(nodes: usize, workers: usize) -> ChurnRunStats {
     run_scenario_script_on(
         &scenario_churn_script(nodes),
         nodes,
         LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-        workers,
     )
 }
 
@@ -813,39 +806,14 @@ pub fn scenario_scale_script(nodes: usize) -> String {
 /// storm and the overlay would never converge. The curve is meant to
 /// measure the *scheduler* under population growth, not hub congestion.
 pub fn scenario_scale_run(nodes: usize) -> ChurnRunStats {
-    scenario_scale_run_workers(nodes, 1)
-}
-
-/// The scale-scenario run sharded across `workers` cores (windowed
-/// parallel execution; `1` is the classic sequential engine). The
-/// shard count follows the worker count, so rows of the threads axis
-/// may differ in same-microsecond tie ordering (the star here is
-/// symmetric); at a *fixed* shard count results are identical for
-/// every worker count (see `tests/prop.rs`).
-pub fn scenario_scale_run_workers(nodes: usize, workers: usize) -> ChurnRunStats {
     run_scenario_script_on(
         &scenario_scale_script(nodes),
         nodes,
         LinkSpec::new(Duration::from_millis(2), 100_000_000, 1024 * 1024),
-        workers,
     )
 }
 
-fn run_scenario_script(script: &str, nodes: usize) -> ChurnRunStats {
-    run_scenario_script_on(
-        script,
-        nodes,
-        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-        1,
-    )
-}
-
-fn run_scenario_script_on(
-    script: &str,
-    nodes: usize,
-    link: LinkSpec,
-    workers: usize,
-) -> ChurnRunStats {
+fn run_scenario_script_on(script: &str, nodes: usize, link: LinkSpec) -> ChurnRunStats {
     let registry = macedon_lang::SpecRegistry::bundled();
     let scenario = macedon_scenario::script::parse(script).expect("script parses");
     let topo = canned::star(nodes, link);
@@ -856,10 +824,9 @@ fn run_scenario_script_on(
             .expect("bundled chain resolves"),
         fd_g: Duration::from_secs(2),
         fd_f: Duration::from_secs(6),
-        shards: workers,
         ..Default::default()
     };
-    let mut runner = macedon_scenario::ScenarioRunner::new(
+    let outcome = macedon_scenario::ScenarioRunner::new(
         scenario,
         topo,
         cfg,
@@ -869,9 +836,8 @@ fn run_scenario_script_on(
                 .expect("bundled stack builds")
         }),
     )
-    .expect("scenario binds");
-    runner.set_workers(workers);
-    let outcome = runner.run();
+    .expect("scenario binds")
+    .run();
     ChurnRunStats {
         delivered: outcome.report.total_delivered as usize,
         alive: outcome.report.alive,
@@ -882,83 +848,7 @@ fn run_scenario_script_on(
 }
 
 // ---------------------------------------------------------------------------
-// Sweep harness (bin/bench_sweep and the churn example's `sweep` command)
-// ---------------------------------------------------------------------------
-
-/// The benchmark sweep template: the churn scenario of
-/// [`scenario_churn_script`] made scale-generic with `{nodes}`
-/// arithmetic, plus a `{loss}` grid axis injecting network-wide packet
-/// loss before the stream starts.
-pub const SWEEP_CHURN_TEMPLATE: &str = "scenario sweep-churn\nnodes {nodes}\nend 80s\n\
-     at 0s join 0..{nodes/4} over 2s\n\
-     at 4s join {nodes/4}..{nodes} over 8s\n\
-     at 10s drop {loss}\n\
-     at 20s stream 0 rate 200kbps size 1000 for 50s multicast\n\
-     at 35s crash {nodes/3} {nodes/2}\n\
-     at 45s rejoin {nodes/3}\n\
-     at 55s partition half {nodes/2}..{nodes}\n\
-     at 65s heal half\n";
-
-/// The benchmark sweep: [`SWEEP_CHURN_TEMPLATE`] × seeds × node counts
-/// × a loss-rate axis.
-pub fn sweep_churn_spec(
-    seeds: Vec<u64>,
-    node_counts: Vec<usize>,
-    losses: &[&str],
-    workers: Option<usize>,
-) -> macedon_scenario::SweepSpec {
-    macedon_scenario::SweepSpec {
-        name: "churn-loss".into(),
-        template: SWEEP_CHURN_TEMPLATE.into(),
-        seeds,
-        node_counts,
-        grid: vec![macedon_scenario::GridAxis::new(
-            "loss",
-            losses.iter().copied(),
-        )],
-        workers,
-    }
-}
-
-/// Run one sweep cell: the from-spec splitstream stack on a star
-/// topology (the churn benchmark's constrained links), world seeded
-/// with the cell's derived seed. `Sync`-safe — each call builds its own
-/// [`macedon_lang::SpecRegistry`], so workers share nothing.
-pub fn sweep_churn_cell(cell: &macedon_scenario::SweepCell) -> macedon_scenario::MetricsReport {
-    let registry = macedon_lang::SpecRegistry::bundled();
-    let topo = canned::star(
-        cell.nodes,
-        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-    );
-    let cfg = WorldConfig {
-        seed: cell.derived_seed,
-        channels: registry
-            .channel_table_for("splitstream")
-            .expect("bundled chain resolves"),
-        fd_g: Duration::from_secs(2),
-        fd_f: Duration::from_secs(6),
-        ..Default::default()
-    };
-    let mut runner = macedon_scenario::ScenarioRunner::new(
-        cell.scenario.clone(),
-        topo,
-        cfg,
-        Box::new(|_idx, _host, bootstrap| {
-            registry
-                .build_stack("splitstream", bootstrap)
-                .expect("bundled stack builds")
-        }),
-    )
-    .expect("sweep cell binds");
-    // Sample engine counters once per simulated second — feeds the
-    // sweep's telemetry_samples / peak_pending_events columns (and is
-    // read-only, so cell results are unchanged).
-    runner.enable_telemetry(Duration::from_secs(1));
-    runner.run().report
-}
-
-// ---------------------------------------------------------------------------
-// Interpreter dispatch harness (benches/interp.rs and bin/bench_interp)
+// Interpreter dispatch harness (benches/interp.rs)
 // ---------------------------------------------------------------------------
 
 /// A compact protocol exercising the interpreter's per-event hot path
@@ -1047,68 +937,6 @@ pub fn dispatch_frames() -> Vec<(NodeId, Bytes)> {
     frames
 }
 
-/// The macro benchmark behind `bin/bench_interp`: a seeded `nodes`-node
-/// from-spec splitstream world — interpreted splitstream → scribe →
-/// pastry on every node — joined at t≈6s and streamed from `converge_s`
-/// for `stream_s` seconds. Returns (packets delivered, transitions
-/// fired) so callers can sanity-check the run did real work; wall-clock
-/// is the caller's to measure.
-pub fn interp_macro_run(nodes: usize, converge_s: u64, stream_s: u64) -> (usize, u64) {
-    let registry = macedon_lang::SpecRegistry::bundled();
-    let topo = canned::star(
-        nodes,
-        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-    );
-    let hosts = topo.hosts().to_vec();
-    let mut cfg = WorldConfig {
-        seed: 12,
-        ..Default::default()
-    };
-    cfg.channels = registry
-        .channel_table_for("splitstream")
-        .expect("bundled chain resolves");
-    let mut w = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    let group = MacedonKey::of_name("bench-interp-stream");
-    for (i, &h) in hosts.iter().enumerate() {
-        let stack = registry
-            .build_stack("splitstream", (i > 0).then(|| hosts[0]))
-            .expect("bundled stack builds");
-        if i == 0 {
-            let app = StreamerApp::new(
-                StreamKind::Multicast { group },
-                200_000,
-                1_000,
-                Time::from_secs(converge_s),
-                Time::from_secs(converge_s + stream_s),
-                sink.clone(),
-            );
-            w.spawn_at(Time::ZERO, h, stack, Box::new(app));
-        } else {
-            w.spawn_at(
-                Time::from_millis(i as u64 * 50),
-                h,
-                stack,
-                Box::new(CollectorApp::new(sink.clone())),
-            );
-        }
-    }
-    for (i, &h) in hosts.iter().enumerate() {
-        w.api_at(
-            Time::from_secs(6) + Duration::from_millis(i as u64 * 50),
-            h,
-            DownCall::Join { group },
-        );
-    }
-    w.run_until(Time::from_secs(converge_s + stream_s + 10));
-    let delivered = sink.lock().len();
-    let transitions = {
-        let (r, wr) = w.transition_counts();
-        r + wr
-    };
-    (delivered, transitions)
-}
-
 /// One-node pastry stack (node 7, the designated root, so `joined`
 /// after `init`) — interpreted from the bundled spec, or the generated
 /// agent — ready for direct `Stack::recv` injection.
@@ -1163,6 +991,7 @@ pub fn state_push_frames() -> Vec<(NodeId, Bytes)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use macedon_core::SpanId;
 
     #[test]
     fn fig7_rows_complete() {
@@ -1198,5 +1027,40 @@ mod tests {
     fn mean_helper() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
+    }
+
+    #[test]
+    fn state_push_effects_match_across_back_ends() {
+        // The two `state_push` benches compare like with like only while
+        // both back ends do the same work per push: the same effects and
+        // the same leaf set and route rows after it.
+        let frames = state_push_frames();
+        let (mut interp, mut gen) = (pastry_stack(false), pastry_stack(true));
+        let mut fx = Vec::new();
+        let mut push = |stack: &mut macedon_core::Stack| {
+            for (from, frame) in &frames {
+                stack.recv(Time::ZERO, *from, frame.clone(), SpanId::NONE, &mut fx);
+            }
+            std::mem::take(&mut fx)
+        };
+        for round in 0..4 {
+            assert_eq!(
+                format!("{:?}", push(&mut interp)),
+                format!("{:?}", push(&mut gen)),
+                "round {round}: both back ends emit the same effects"
+            );
+            let i: &InterpretedAgent = interp.agent(0).as_any().downcast_ref().unwrap();
+            let g: &macedon_generated::pastry::Pastry =
+                gen.agent(0).as_any().downcast_ref().unwrap();
+            for list in ["leaves", "rows"] {
+                let held = i.list(list).unwrap();
+                assert!(!held.is_empty(), "round {round}: the push filled {list}");
+                assert_eq!(
+                    held[..],
+                    g.neighbor_list(list).unwrap()[..],
+                    "round {round}: {list}"
+                );
+            }
+        }
     }
 }

@@ -77,11 +77,6 @@ pub struct Stack {
     /// configured collection level, letting agents skip building
     /// records the sink would drop.
     trace_level: TraceLevel,
-    /// Master observability switch: when false every engine emission
-    /// branch is skipped and transitions observe `trace_on == false`
-    /// regardless of `trace_level` — the honest untraced baseline the
-    /// bench overhead gate compares against.
-    observability: bool,
     /// Causal context of the event currently dispatching: the span of
     /// the inbound message, or `NONE` for timers/API/engine entries.
     current_span: SpanId,
@@ -122,7 +117,6 @@ impl Stack {
             app,
             rng,
             trace_level: TraceLevel::High,
-            observability: true,
             current_span: SpanId::NONE,
             sends_minted: 0,
             queue: VecDeque::new(),
@@ -136,14 +130,6 @@ impl Stack {
     /// [`Ctx::trace_on`] (the world sets its configured level here).
     pub fn set_trace_level(&mut self, level: TraceLevel) {
         self.trace_level = level;
-    }
-
-    /// Disable (or re-enable) the whole observability machinery for
-    /// this stack. Span minting stays on — spans are part of message
-    /// identity and must not depend on trace settings — but no trace
-    /// effects are emitted and transitions observe `trace_on == false`.
-    pub fn set_observability(&mut self, on: bool) {
-        self.observability = on;
     }
 
     /// Set the addressing mode the node's key was derived under (the
@@ -207,12 +193,12 @@ impl Stack {
         &mut self.measures
     }
 
-    /// Push an engine trace event if observability is on and `level`
-    /// clears the stack's verbosity threshold (the [`Ctx::trace_on`]
-    /// predicate, evaluated engine-side).
+    /// Push an engine trace event if `level` clears the stack's
+    /// verbosity threshold (the [`Ctx::trace_on`] predicate, evaluated
+    /// engine-side).
     #[inline]
     fn emit(&self, fx: &mut Vec<StackEffect>, layer: usize, level: TraceLevel, event: TraceEvent) {
-        if self.observability && level != TraceLevel::Off && level <= self.trace_level {
+        if level != TraceLevel::Off && level <= self.trace_level {
             fx.push(StackEffect::Trace {
                 layer,
                 level,
@@ -486,11 +472,7 @@ impl Stack {
             measures: &self.measures,
             ops: queue,
             locking: Locking::Write,
-            trace_level: if self.observability {
-                self.trace_level
-            } else {
-                TraceLevel::Off
-            },
+            trace_level: self.trace_level,
         };
         f(self.agents[layer].as_mut(), &mut ctx);
         match ctx.locking() {
@@ -518,11 +500,7 @@ impl Stack {
             measures: &self.measures,
             ops: queue,
             locking: Locking::Write,
-            trace_level: if self.observability {
-                self.trace_level
-            } else {
-                TraceLevel::Off
-            },
+            trace_level: self.trace_level,
         };
         f(self.app.as_mut(), &mut ctx);
         match ctx.locking() {
@@ -1018,8 +996,10 @@ mod tests {
 
     #[test]
     fn observability_off_emits_nothing_but_still_mints_spans() {
+        // Trace level Off silences every engine emission; span minting
+        // is message identity and must not depend on it.
         let mut s = make_stack();
-        s.set_observability(false);
+        s.set_trace_level(TraceLevel::Off);
         let mut fx = Vec::new();
         s.api(
             Time::ZERO,
@@ -1032,7 +1012,7 @@ mod tests {
         );
         assert!(
             fx.iter().all(|e| !matches!(e, StackEffect::Trace { .. })),
-            "no trace effects with observability off"
+            "no trace effects at trace level Off"
         );
         assert!(matches!(
             &fx[..],

@@ -9,6 +9,7 @@
 //! variant the lowering can produce for a well-typed spec.
 
 #[path = "roundtrip/agent.rs"]
+#[allow(unreachable_pub)]
 mod agent;
 
 use macedon_core::{

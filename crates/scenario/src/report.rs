@@ -450,7 +450,7 @@ impl MetricsReport {
 
 /// Quote and escape a string for JSON output (control characters,
 /// quotes and backslashes; everything else passes through as UTF-8).
-fn json_string(s: &str) -> String {
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -44,7 +44,7 @@
 //! ```
 
 use crate::model::{Scenario, ScenarioError, Span};
-use crate::report::{percentile_us, LatencySummary, MetricsReport};
+use crate::report::{json_string, percentile_us, LatencySummary, MetricsReport};
 use crate::script;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -793,26 +793,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@
 //!
 //! The paper evaluated MACEDON on the ModelNet cluster emulator; this crate
 //! provides the substrate for our laptop-scale substitute: a virtual clock,
-//! a cancellable priority event queue, a seedable from-scratch PRNG and the
-//! statistics containers the evaluation harness records into.
+//! a cancellable priority event queue and a seedable from-scratch PRNG.
 //!
 //! Everything here is intentionally runtime-agnostic: higher layers
 //! (network emulation, transports, the MACEDON engine) define their own
@@ -16,11 +15,9 @@
 pub mod event;
 pub mod hash;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use event::{EventId, Scheduler};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use rng::{mix64, SimRng};
-pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::{Duration, Time};

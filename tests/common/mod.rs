@@ -12,7 +12,7 @@ use macedon::prelude::*;
 /// built from `cfg` with the stack's channel table; joins start
 /// `stagger_ms` apart through `hosts[0]`, and every app collects into
 /// one sink.
-pub fn spec_world(
+pub(crate) fn spec_world(
     registry: &SpecRegistry,
     proto: &str,
     topo: Topology,
@@ -41,7 +41,7 @@ pub fn spec_world(
 }
 
 /// The default world configuration with `seed`.
-pub fn seeded(seed: u64) -> WorldConfig {
+pub(crate) fn seeded(seed: u64) -> WorldConfig {
     WorldConfig {
         seed,
         ..Default::default()
@@ -49,12 +49,12 @@ pub fn seeded(seed: u64) -> WorldConfig {
 }
 
 /// A star LAN of `n` hosts.
-pub fn star(n: usize) -> Topology {
+pub(crate) fn star(n: usize) -> Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
 }
 
 /// The interpreted agent at layer 0 of `node`'s stack.
-pub fn agent(w: &World, node: NodeId) -> &InterpretedAgent {
+pub(crate) fn agent(w: &World, node: NodeId) -> &InterpretedAgent {
     w.stack(node)
         .expect("spawned")
         .agent(0)
@@ -65,19 +65,19 @@ pub fn agent(w: &World, node: NodeId) -> &InterpretedAgent {
 
 /// The single entry of a one-slot neighbor list (`parent`-style) of the
 /// agent at layer 0.
-pub fn only(w: &World, node: NodeId, list: &str) -> Option<NodeId> {
+pub(crate) fn only(w: &World, node: NodeId, list: &str) -> Option<NodeId> {
     agent(w, node).list(list).and_then(|l| l.first().copied())
 }
 
 /// A `len`-byte payload stamped with sequence number `seq`.
-pub fn stamped(seq: u64, len: usize) -> Bytes {
+pub(crate) fn stamped(seq: u64, len: usize) -> Bytes {
     let mut p = vec![0u8; len.max(8)];
     p[..8].copy_from_slice(&seq.to_be_bytes());
     Bytes::from(p)
 }
 
 /// Nodes that delivered packet `seq`.
-pub fn receivers(sink: &SharedDeliveries, seq: u64) -> std::collections::HashSet<NodeId> {
+pub(crate) fn receivers(sink: &SharedDeliveries, seq: u64) -> std::collections::HashSet<NodeId> {
     sink.lock()
         .iter()
         .filter(|r| r.seqno == Some(seq))
@@ -87,7 +87,7 @@ pub fn receivers(sink: &SharedDeliveries, seq: u64) -> std::collections::HashSet
 
 /// A chord node's successor: the clockwise-nearest entry of its
 /// `succs` (chord at layer 0).
-pub fn successor(w: &World, node: NodeId) -> Option<NodeId> {
+pub(crate) fn successor(w: &World, node: NodeId) -> Option<NodeId> {
     let me = w.key_of(node);
     agent(w, node)
         .list("succs")?
