@@ -10,6 +10,7 @@
 use crate::key::MacedonKey;
 use bytes::Bytes;
 use macedon_net::NodeId;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 
 /// Frame a payload for direct host-to-host tunneling on behalf of the
@@ -60,9 +61,33 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Append-only message writer.
+thread_local! {
+    /// The encode buffer a finished or dropped writer hands back, so the
+    /// next message on this thread appends into warm capacity.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+    /// The last frame [`WireWriter::finish`] returned on this thread.
+    /// Fan-out (one publish to each child, one keepalive to each leaf)
+    /// encodes the same bytes back to back; an equal frame is returned
+    /// as a clone of this handle instead of a new allocation.
+    static LAST: RefCell<Option<Bytes>> = const { RefCell::new(None) };
+}
+
+/// Append-only message writer. Encodes into a per-thread reusable
+/// buffer; [`WireWriter::finish`] allocates one exactly-sized frame, or
+/// none when the bytes equal the previous frame finished on this thread.
 pub struct WireWriter {
     buf: Vec<u8>,
+}
+
+impl Drop for WireWriter {
+    /// Give the buffer back; when a nested writer took a fresh one, the
+    /// larger of the two is kept. `try_with`, because `Drop` must not
+    /// panic: during thread teardown the buffer is simply freed.
+    fn drop(&mut self) {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        let _ = SCRATCH.try_with(|s| s.set(std::cmp::max_by_key(s.take(), buf, Vec::capacity)));
+    }
 }
 
 impl Default for WireWriter {
@@ -74,9 +99,7 @@ impl Default for WireWriter {
 impl WireWriter {
     pub fn new() -> WireWriter {
         WireWriter {
-            // Most protocol messages fit a cache line or two; one
-            // up-front allocation beats the doubling crawl from empty.
-            buf: Vec::with_capacity(128),
+            buf: SCRATCH.with(Cell::take),
         }
     }
 
@@ -138,8 +161,14 @@ impl WireWriter {
         self.buf.is_empty()
     }
 
+    /// The encoded frame. Shares the previous frame's allocation when
+    /// the bytes are equal (compared by content), else copies them into
+    /// one exactly-sized `Bytes`.
     pub fn finish(self) -> Bytes {
-        Bytes::from(self.buf)
+        LAST.with_borrow_mut(|last| match last {
+            Some(prev) if prev[..] == self.buf[..] => prev.clone(),
+            _ => last.insert(Bytes::copy_from_slice(&self.buf)).clone(),
+        })
     }
 }
 
@@ -457,6 +486,66 @@ mod tests {
         let buf = w.finish();
         let mut r = WireRef::new(&buf);
         assert!(r.bytes().is_err());
+    }
+
+    #[test]
+    fn short_frame_after_long_one_is_exact_size() {
+        let mut w = WireWriter::new();
+        w.bytes(&[0xAB; 1_196]);
+        assert_eq!(w.finish().len(), 1_200);
+        let mut w = WireWriter::new();
+        w.u32(1).u64(2);
+        let short = w.finish();
+        assert_eq!(short.len(), 12);
+        let mut r = WireReader::new(short);
+        assert_eq!((r.u32().unwrap(), r.u64().unwrap()), (1, 2));
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn identical_consecutive_frames_share_one_buffer() {
+        let a = tunnel_frame(MacedonKey(7), b"publish");
+        let b = tunnel_frame(MacedonKey(7), b"publish");
+        assert_eq!(a, b);
+        assert_eq!(a.as_ptr(), b.as_ptr());
+    }
+
+    #[test]
+    fn different_frames_do_not_share() {
+        let a = tunnel_frame(MacedonKey(7), b"publish");
+        let b = tunnel_frame(MacedonKey(8), b"publish");
+        assert_ne!(a, b);
+        assert_ne!(a.as_ptr(), b.as_ptr());
+    }
+
+    #[test]
+    fn writer_dropped_mid_encode_leaves_next_frame_correct() {
+        let mut w = WireWriter::new();
+        w.u64(u64::MAX).bytes(b"abandoned");
+        drop(w);
+        let mut w = WireWriter::new();
+        assert!(w.is_empty());
+        w.u16(5);
+        assert_eq!(&w.finish()[..], &[0, 5]);
+    }
+
+    #[test]
+    fn nested_writers_both_encode_correctly() {
+        let mut outer = WireWriter::new();
+        outer.u16(crate::api::TUNNEL_PROTOCOL).u16(0);
+        let mut inner = WireWriter::new();
+        inner.u32(0xDEAD_BEEF);
+        outer.key(MacedonKey(3));
+        let inner = inner.finish();
+        outer.bytes(&inner);
+        let frame = outer.finish();
+        assert_eq!(&inner[..], &[0xDE, 0xAD, 0xBE, 0xEF]);
+        let mut r = WireReader::new(frame);
+        assert_eq!(r.u16().unwrap(), crate::api::TUNNEL_PROTOCOL);
+        assert_eq!(r.u16().unwrap(), 0);
+        let (src, payload) = read_tunnel(&mut r).unwrap();
+        assert_eq!((src, &payload[..]), (MacedonKey(3), &inner[..]));
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

@@ -164,6 +164,54 @@ proptest! {
         prop_assert_eq!(r.remaining(), 0);
     }
 
+    /// Any interleaving of up to three live writers — appends, finishes
+    /// and mid-encode drops — yields exactly the bytes a fresh-`Vec`
+    /// big-endian encoder produces, and every finished frame keeps them.
+    /// Values come from a tiny domain so equal back-to-back frames (the
+    /// shared-frame case) are common.
+    #[test]
+    fn interleaved_writers_match_fresh_vec_encoder(
+        ops in proptest::collection::vec((0usize..3, 0u8..8, 0u64..3, 0usize..1300), 0..60),
+    ) {
+        let mut live: Vec<(WireWriter, Vec<u8>)> =
+            (0..3).map(|_| (WireWriter::new(), Vec::new())).collect();
+        let mut finished = Vec::new();
+        for (slot, action, v, len) in ops {
+            let (w, reference) = &mut live[slot];
+            match action {
+                0 => { w.u8(v as u8); reference.push(v as u8); }
+                1 => { w.u16(v as u16); reference.extend_from_slice(&(v as u16).to_be_bytes()); }
+                2 => { w.u32(v as u32); reference.extend_from_slice(&(v as u32).to_be_bytes()); }
+                3 => { w.u64(v); reference.extend_from_slice(&v.to_be_bytes()); }
+                4 => {
+                    let blob = vec![v as u8; len];
+                    w.bytes(&blob);
+                    reference.extend_from_slice(&(len as u32).to_be_bytes());
+                    reference.extend_from_slice(&blob);
+                }
+                5 => {
+                    let ns = vec![NodeId(v as u32); len % 4];
+                    w.nodes(&ns);
+                    reference.extend_from_slice(&(ns.len() as u16).to_be_bytes());
+                    for n in &ns { reference.extend_from_slice(&n.0.to_be_bytes()); }
+                }
+                6 => {
+                    let (w, reference) =
+                        std::mem::replace(&mut live[slot], (WireWriter::new(), Vec::new()));
+                    let frame = w.finish();
+                    prop_assert_eq!(&frame[..], &reference[..]);
+                    finished.push((frame, reference));
+                }
+                _ => live[slot] = (WireWriter::new(), Vec::new()),
+            }
+            let (w, reference) = &live[slot];
+            prop_assert_eq!(w.len(), reference.len());
+        }
+        for (frame, reference) in &finished {
+            prop_assert_eq!(&frame[..], &reference[..]);
+        }
+    }
+
     /// Truncating any wire buffer yields an error, never a panic.
     #[test]
     fn wire_truncation_safe(blob in proptest::collection::vec(any::<u8>(), 0..64), cut in 0usize..64) {

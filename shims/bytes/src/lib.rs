@@ -3,8 +3,9 @@
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors the minimal `Bytes` surface it actually uses: a
 //! cheaply cloneable, immutable byte buffer with O(1) `slice`. The
-//! representation is an `Arc<[u8]>` plus a window, which preserves the
-//! real crate's semantics (clones and slices share the same allocation).
+//! representation is an `Arc<Vec<u8>>` plus a window, which preserves
+//! the real crate's semantics (clones and slices share the same
+//! allocation).
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -13,9 +14,12 @@ use std::sync::{Arc, OnceLock};
 
 /// A cheaply cloneable, immutable slice of bytes.
 ///
-/// Backed by `Arc<Vec<u8>>` so `Bytes::from(Vec<u8>)` takes over the
-/// allocation without copying — the same zero-copy promise the real
-/// crate makes, and the construction path every wire message takes.
+/// Backed by `Arc<Vec<u8>>` plus a `start..end` window, so a `Bytes`
+/// costs two allocations: the `Vec`'s data and the `Arc`'s box around
+/// the `Vec` header. `Bytes::from(Vec<u8>)` takes over the `Vec`'s
+/// allocation without copying, as the real crate does; the wire codec
+/// instead builds each frame with `copy_from_slice`, which sizes the data
+/// exactly to the frame.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
