@@ -6,8 +6,8 @@
 //!    reported as *scheduler events fired per delivered application
 //!    packet*. The growth seed measured 32.33 events/delivered on this
 //!    exact run (752044 events, 23260 deliveries); the event-machinery
-//!    rework (fused one-event packet transit, timer wheel, adaptive
-//!    delayed acks) must hold at least a 3x reduction, i.e. <= 10.78.
+//!    rework (fused one-event packet transit, adaptive delayed acks)
+//!    must hold at least a 3x reduction, i.e. <= 10.78.
 //!    The run aborts if it slips.
 //!
 //! 2. **Scaling curve** — one seeded run of the `bench-scale` scenario

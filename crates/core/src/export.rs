@@ -17,10 +17,14 @@
 
 use crate::trace::{TraceEvent, TraceRecord};
 use crate::world::ShardProfile;
+use std::fmt::Write;
 
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Quote and escape a string for JSON output (control characters,
+/// quotes and backslashes; everything else passes through as UTF-8).
+/// The one escaper behind every JSON document the workspace writes.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -28,10 +32,13 @@ fn esc(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -73,13 +80,13 @@ pub fn perfetto_json(records: &[&TraceRecord], profile: &[ShardProfile]) -> Stri
             "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
              \"tid\":{tid},\"ts\":{ts},\"args\":{{\"layer\":{layer},\
              \"level\":\"{level:?}\",\"ctx\":\"{ctx:016x}\",\
-             \"details\":\"{details}\"}}}}",
+             \"details\":{details}}}}}",
             tid = r.node.0,
             ts = r.at.as_micros(),
             layer = r.layer,
             level = r.level,
             ctx = r.span.0,
-            details = esc(&r.event.render()),
+            details = json_string(&r.event.render()),
         ));
         match &r.event {
             // A send opens the flow arrow under the *minted* span id...
@@ -193,6 +200,15 @@ mod tests {
         );
         let json = perfetto_json(&[&a], &[]);
         assert!(json.contains("say \\\"hi\\\"\\npath\\\\x"), "{json}");
+    }
+
+    #[test]
+    fn custom_details_use_the_shared_escaper() {
+        // The bytes `json_string` is pinned to in the scenario reports.
+        let msg = "a\"b\\c\nd\u{1}".to_string();
+        let a = rec(1, 0, SpanId::NONE, TraceEvent::Custom { msg });
+        let json = perfetto_json(&[&a], &[]);
+        assert!(json.contains(r#""details":"a\"b\\c\nd\u0001"}"#), "{json}");
     }
 
     #[test]

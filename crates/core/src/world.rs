@@ -216,9 +216,9 @@ struct NodeState {
     endpoint: Endpoint,
     alive: bool,
     timers: FxHashMap<(u16, u16), TimerSlot>,
-    /// Live scheduler entry per connection timer class. Re-arms cancel
-    /// the superseded entry instead of tombstoning it, so the timer
-    /// wheel never accumulates dead RTO events.
+    /// Live scheduler entry per connection timer class. A re-arm
+    /// cancels the superseded entry: its payload is freed at once, and
+    /// its key stays in the queue until it reaches the head.
     conn_timers: FxHashMap<ConnTimerSlot, EventId>,
     /// peer → (monitoring layers, state)
     monitors: FxHashMap<NodeId, (Vec<usize>, MonitorState)>,
@@ -349,7 +349,7 @@ impl Shard {
                         return; // superseded or cancelled
                     }
                     if let Some(period) = slot.period {
-                        slot.event = sched.schedule_timer(
+                        slot.event = sched.schedule(
                             now + period,
                             WorldEvent::AgentTimer {
                                 node,
@@ -377,7 +377,7 @@ impl Shard {
                 }
                 self.process_effects(now, node, fx);
                 self.sched
-                    .schedule_timer(now + self.cfg.fd_tick, WorldEvent::FdTick { node });
+                    .schedule(now + self.cfg.fd_tick, WorldEvent::FdTick { node });
             }
             WorldEvent::Api { node, call } => {
                 let mut fx = self.take_fx();
@@ -549,7 +549,7 @@ impl Shard {
                 }
                 for (at, key) in tsink.timers.drain(..) {
                     let slot = key.slot();
-                    let ev = sched.schedule_timer(at, WorldEvent::ConnTimer(key));
+                    let ev = sched.schedule(at, WorldEvent::ConnTimer(key));
                     if let Some(old) = ns.conn_timers.insert(slot, ev) {
                         // Re-arm: the superseded entry dies here instead
                         // of tombstoning the queue.
@@ -647,7 +647,7 @@ impl Shard {
                         slot.gen += 1;
                         slot.period = periodic.then_some(delay);
                         let gen = slot.gen;
-                        slot.event = sched.schedule_timer(
+                        slot.event = sched.schedule(
                             now + delay,
                             WorldEvent::AgentTimer {
                                 node,

@@ -1750,6 +1750,44 @@ mod tests {
         assert!((8..=10).contains(&n), "ticked ~10 times in 1s, got {n}");
     }
 
+    #[test]
+    fn a_far_future_timer_never_fires() {
+        // Both periods overflow `u64` µs; virtual time saturates instead
+        // of wrapping. Wrapped, 10^17 ms lands ~250,000 years out, and
+        // 18446744073709552 ms (the first count past 2^64 µs) at 384 µs.
+        const NEVER: &str = r#"
+            protocol never;
+            addressing ip;
+            transports { UDP U; }
+            messages { U noop { } }
+            state_variables { timer later; timer wraps; int fired; }
+            transitions {
+                any API init {
+                    timer_resched(later, 100000000000000000);
+                    timer_resched(wraps, 18446744073709552);
+                }
+                any timer later { fired = fired + 1; }
+                any timer wraps { fired = fired + 1; }
+            }
+        "#;
+        let spec = Arc::new(compile(NEVER).unwrap());
+        let topo = canned::star(1, LinkSpec::lan());
+        let hosts = topo.hosts().to_vec();
+        let cfg = WorldConfig {
+            channels: channel_table(&spec),
+            ..Default::default()
+        };
+        let mut w = World::new(topo, cfg);
+        w.spawn_at(
+            Time::ZERO,
+            hosts[0],
+            vec![Box::new(InterpretedAgent::new(spec, None))],
+            Box::new(NullApp),
+        );
+        w.run_until(Time::from_secs(10));
+        assert_eq!(agent_of(&w, hosts[0]).var("fired"), Some(Value::Int(0)));
+    }
+
     /// Peers blast traffic at each other; a timer snapshots the engine
     /// measurements through the `rtt()`/`goodput()` builtins.
     const METERED: &str = r#"

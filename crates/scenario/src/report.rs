@@ -7,6 +7,7 @@
 //! internals, so the same report shape works for interpreted, generated
 //! and native stacks alike.
 
+use macedon_core::export::json_string;
 use macedon_core::{Duration, NodeId, TelemetryReport, Time};
 use std::fmt::Write as _;
 
@@ -446,28 +447,6 @@ impl MetricsReport {
         }
         out
     }
-}
-
-/// Quote and escape a string for JSON output (control characters,
-/// quotes and backslashes; everything else passes through as UTF-8).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -44,8 +44,9 @@
 //! ```
 
 use crate::model::{Scenario, ScenarioError, Span};
-use crate::report::{json_string, percentile_us, LatencySummary, MetricsReport};
+use crate::report::{percentile_us, LatencySummary, MetricsReport};
 use crate::script;
+use macedon_core::export::json_string;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

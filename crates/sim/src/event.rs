@@ -1,31 +1,19 @@
-//! Cancellable discrete-event scheduler with two event classes.
+//! Cancellable discrete-event scheduler: one 4-ary min-heap.
 //!
 //! Events fire in exact `(time, sequence)` order: ties at the same
 //! instant fire in scheduling order, which gives the deterministic FIFO
-//! semantics the MACEDON engine's timer subsystem relies on. Both
-//! classes share one sequence counter, so the pop order is a pure
-//! function of the schedule calls — independent of which internal
-//! structure carries an event.
+//! semantics the MACEDON engine's timer subsystem relies on. Every
+//! event — packet departures and arrivals, RTOs, failure-detector
+//! sweeps, spec timers — goes through [`Scheduler::schedule`] into one
+//! 4-ary min-heap of 24-byte `(time, seq, slot)` keys; the payload lives
+//! in a slab at `slot`, so the heap's sift loops move keys only.
 //!
-//! **Packet class** ([`Scheduler::schedule`]): a 4-ary min-heap of
-//! 16-byte `(time, seq, slot)` keys. Packet motion (link departures and
-//! arrivals) is schedule-once/fire-once, so a heap is the right shape.
-//!
-//! **Timer class** ([`Scheduler::schedule_timer`]): a hierarchical
-//! timer wheel (64-slot levels, 1.024 ms ticks). RTO re-arms,
-//! failure-detector sweeps, and spec timers are cancelled or re-armed
-//! far more often than they fire; the wheel gives O(1) insert and keeps
-//! that churn out of the heap's sift paths. Expired wheel slots drain
-//! into a small staging heap ordered by exact `(time, seq)`, so wheel
-//! bucketing is unobservable.
-//!
-//! **Cancellation** is O(1) and exact for both classes: the payload
-//! slab stores each slot's owning sequence number, [`Scheduler::cancel`]
-//! frees the slab slot immediately, and the structures drop the stale
-//! 24-byte key when they next meet it (heap: skipped during pop; wheel:
-//! dropped during cascade). There is no tombstone side-set to purge —
-//! a long run with steady cancellations reclaims everything amortized
-//! during pop and holds no high-water memory.
+//! **Cancellation** is O(1) and exact: the payload slab stores each
+//! slot's owning sequence number, [`Scheduler::cancel`] frees the slab
+//! slot immediately, and the heap drops the stale key when it reaches
+//! the top. There is no tombstone side-set to purge — a long run with
+//! steady cancellations reclaims its payloads at once and its keys
+//! amortized during pop.
 
 use crate::time::Time;
 
@@ -46,10 +34,10 @@ impl EventId {
     };
 }
 
-/// Heap/wheel key: payload stays in the slab at `slot`. `(at, seq)` is
-/// unique and totally ordered, so the pop sequence is independent of
-/// the carrying structure; the comparison is written branchless for
-/// the sift loops.
+/// Heap key: payload stays in the slab at `slot`. `(at, seq)` is
+/// unique and totally ordered, so the pop sequence is a pure function
+/// of the schedule calls; the comparison is written branchless for the
+/// sift loops.
 #[derive(Clone, Copy)]
 struct Entry {
     at_us: u64,
@@ -83,8 +71,7 @@ impl Entry {
 /// 4-ary min-heap over [`Entry`] keys: half the levels of a binary
 /// heap, and each sift-down touches four children sitting in at most
 /// two cache lines — measurably cheaper pops on the large heaps a
-/// many-node world builds (one entry per in-flight packet hop).
-#[derive(Default)]
+/// many-node world builds (one key per in-flight packet and timer).
 struct MinHeap {
     v: Vec<Entry>,
 }
@@ -149,39 +136,9 @@ impl MinHeap {
     }
 }
 
-/// log2 of the wheel tick: 1024 µs ≈ 1 ms, fine enough that transport
-/// timers (RTO ≥ 50 ms, delayed acks ~10 ms, FD sweeps ~1 s) span many
-/// ticks. Bucketing granularity never affects fire order — expired
-/// slots drain through an exact `(time, seq)` staging heap.
-const TICK_SHIFT: u32 = 10;
-/// log2 of the slots per wheel level.
-const WHEEL_BITS: u32 = 6;
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-/// Levels: 64^6 ticks × 1.024 ms ≈ 2.2 years of virtual time before a
-/// timer must clamp into the top level and re-cascade.
-const WHEEL_LEVELS: usize = 6;
-/// Ticks spanned by the whole wheel; farther timers clamp to the edge.
-const WHEEL_SPAN: u64 = 1 << (WHEEL_BITS * WHEEL_LEVELS as u32);
-
-/// One wheel level: 64 slots of unordered entries plus an occupancy
-/// bitmap so cursor jumps skip empty slots in O(1).
-struct WheelLevel {
-    slots: Vec<Vec<Entry>>,
-    occupied: u64,
-}
-
-impl WheelLevel {
-    fn new() -> WheelLevel {
-        WheelLevel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-        }
-    }
-}
-
-/// Payload slab cell. `seq` identifies the owning event; a heap/wheel
-/// key whose seq no longer matches (or whose payload is gone) is
-/// stale — its event was cancelled — and is dropped on contact.
+/// Payload slab cell. `seq` identifies the owning event; a heap key
+/// whose seq no longer matches (or whose payload is gone) is stale —
+/// its event was cancelled — and is dropped on contact.
 struct Slot<E> {
     seq: u64,
     payload: Option<E>,
@@ -189,20 +146,8 @@ struct Slot<E> {
 
 /// A virtual-time event queue generic over the event payload type.
 pub struct Scheduler<E> {
-    /// Packet-class events.
+    /// Every pending key, plus stale ones not yet reached.
     heap: MinHeap,
-    /// Timer-class events, bucketed by tick.
-    wheel: Vec<WheelLevel>,
-    /// Wheel entries whose slot the cursor passed, in exact order.
-    expired: MinHeap,
-    /// First tick the wheel has not yet drained. Inserts behind it go
-    /// straight to `expired` (they are already due or nearly so).
-    cursor: u64,
-    /// Exact start time (µs) of the earliest occupied wheel slot, or
-    /// `u64::MAX` — lets packet pops skip the level scan entirely.
-    wheel_soonest_us: u64,
-    /// Entries currently bucketed in the wheel (incl. stale ones).
-    wheel_len: usize,
     /// Payload slab indexed by `Entry::slot`.
     slab: Vec<Slot<E>>,
     /// Free slots available for reuse.
@@ -223,12 +168,13 @@ impl<E> Default for Scheduler<E> {
 impl<E> Scheduler<E> {
     pub fn new() -> Scheduler<E> {
         Scheduler {
-            heap: MinHeap::default(),
-            wheel: (0..WHEEL_LEVELS).map(|_| WheelLevel::new()).collect(),
-            expired: MinHeap::default(),
-            cursor: 0,
-            wheel_soonest_us: u64::MAX,
-            wheel_len: 0,
+            // Room for the first 64 keys. Measured, not derived: without
+            // this block, repeating a two-shard world's set-up (as
+            // `benchmark/` does for `setup_s`) made glibc trim and
+            // re-fault ~250 KiB of heap on every repetition.
+            heap: MinHeap {
+                v: Vec::with_capacity(64),
+            },
             slab: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -278,7 +224,7 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Schedule a packet-class event at absolute time `at`.
+    /// Schedule an event at absolute time `at`.
     ///
     /// Scheduling in the past is a logic error; it panics in debug builds
     /// and clamps to `now` in release builds.
@@ -297,41 +243,21 @@ impl<E> Scheduler<E> {
         EventId { seq, slot }
     }
 
-    /// Schedule a packet-class event `delay` after the current time.
+    /// Schedule an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: crate::time::Duration, payload: E) -> EventId {
         let at = self.now + delay;
         self.schedule(at, payload)
     }
 
-    /// Schedule a timer-class event at absolute time `at`. Identical
-    /// fire semantics to [`Scheduler::schedule`] — same clock, same
-    /// global FIFO tie-break — but carried by the timer wheel, which
-    /// keeps cancellation-heavy traffic (RTO re-arms, periodic sweeps)
-    /// out of the packet heap.
-    pub fn schedule_timer(&mut self, at: Time, payload: E) -> EventId {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = self.alloc(seq, payload);
-        self.wheel_insert(Entry::new(at, seq, slot));
-        self.live += 1;
-        EventId { seq, slot }
-    }
-
-    /// Schedule a timer-class event `delay` after the current time.
+    /// Same as [`Scheduler::schedule_in`]; kept only because
+    /// `benchmark/src/drills.rs` calls it.
     pub fn schedule_timer_in(&mut self, delay: crate::time::Duration, payload: E) -> EventId {
-        let at = self.now + delay;
-        self.schedule_timer(at, payload)
+        self.schedule_in(delay, payload)
     }
 
     /// Cancel a scheduled event. Returns `true` if the event had not yet
     /// fired (or been cancelled). O(1): the payload is freed here; the
-    /// stale key is dropped when its structure next touches it.
+    /// stale key is dropped when it reaches the top of the heap.
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.slab.get_mut(id.slot as usize) {
             Some(cell) if cell.seq == id.seq && cell.payload.is_some() => {
@@ -346,13 +272,8 @@ impl<E> Scheduler<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.settle(u64::MAX);
-        match (self.expired.peek(), self.heap.peek()) {
-            (Some(a), Some(b)) => Some(if a.before(b) { a.at() } else { b.at() }),
-            (Some(a), None) => Some(a.at()),
-            (None, Some(b)) => Some(b.at()),
-            (None, None) => None,
-        }
+        self.settle();
+        self.heap.peek().map(Entry::at)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -366,26 +287,11 @@ impl<E> Scheduler<E> {
     }
 
     fn pop_bounded(&mut self, limit_us: u64) -> Option<(Time, E)> {
-        self.settle(limit_us);
-        let take_expired = match (self.expired.peek(), self.heap.peek()) {
-            (Some(a), Some(b)) => a.before(b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let head = if take_expired {
-            *self.expired.peek().expect("peeked")
-        } else {
-            *self.heap.peek().expect("peeked")
-        };
-        if head.at_us > limit_us {
+        self.settle();
+        if self.heap.peek()?.at_us > limit_us {
             return None;
         }
-        let entry = if take_expired {
-            self.expired.pop().expect("peeked")
-        } else {
-            self.heap.pop().expect("peeked")
-        };
+        let entry = self.heap.pop().expect("peeked");
         let at = entry.at();
         debug_assert!(at >= self.now);
         self.now = at;
@@ -420,134 +326,12 @@ impl<E> Scheduler<E> {
         cell.seq != e.seq || cell.payload.is_none()
     }
 
-    /// Establish that the exact earliest pending event (if it fires at
-    /// or before `limit_us`) sits at the top of `heap` or `expired`:
-    /// drop stale heads, then drain every wheel slot whose start could
-    /// precede the current candidate.
-    fn settle(&mut self, limit_us: u64) {
-        while let Some(top) = self.heap.peek() {
-            if self.stale(top) {
-                self.heap.pop();
-            } else {
-                break;
-            }
+    /// Drop stale keys off the top of the heap, so its head (if any) is
+    /// the earliest pending event.
+    fn settle(&mut self) {
+        while self.heap.peek().is_some_and(|top| self.stale(top)) {
+            self.heap.pop();
         }
-        while let Some(top) = self.expired.peek() {
-            if self.stale(top) {
-                self.expired.pop();
-            } else {
-                break;
-            }
-        }
-        if self.wheel_len == 0 {
-            return;
-        }
-        let mut bound = limit_us;
-        if let Some(e) = self.heap.peek() {
-            bound = bound.min(e.at_us);
-        }
-        if let Some(e) = self.expired.peek() {
-            bound = bound.min(e.at_us);
-        }
-        // Any slot with start ≤ bound may hold an entry earlier than the
-        // candidate; slots with start > bound cannot (entries fire no
-        // earlier than their slot start). Draining can only move the true
-        // minimum into `expired`, never past it. The `wheel_len` guard
-        // terminates the `bound == u64::MAX` case once the wheel empties
-        // (`wheel_soonest_us` parks at `u64::MAX` then).
-        while self.wheel_len > 0 && self.wheel_soonest_us <= bound {
-            self.drain_next_slot();
-        }
-    }
-
-    /// Bucket one wheel entry relative to the cursor.
-    fn wheel_insert(&mut self, e: Entry) {
-        let tick = e.at_us >> TICK_SHIFT;
-        if tick < self.cursor {
-            // The cursor already passed this tick; the exact staging
-            // heap restores precise ordering.
-            self.expired.push(e);
-            return;
-        }
-        // Clamp far-future ticks to the wheel edge; they re-cascade.
-        let tick = tick.min(self.cursor + (WHEEL_SPAN - 1));
-        let masked = tick ^ self.cursor;
-        let level = if masked == 0 {
-            0
-        } else {
-            ((63 - masked.leading_zeros()) / WHEEL_BITS) as usize
-        };
-        let shift = WHEEL_BITS * level as u32;
-        let idx = ((tick >> shift) & (WHEEL_SLOTS as u64 - 1)) as usize;
-        let lvl = &mut self.wheel[level];
-        lvl.slots[idx].push(e);
-        lvl.occupied |= 1 << idx;
-        self.wheel_len += 1;
-        let start_us = self.slot_start_tick(level, idx) << TICK_SHIFT;
-        self.wheel_soonest_us = self.wheel_soonest_us.min(start_us);
-    }
-
-    /// First tick covered by `(level, idx)` relative to the cursor's
-    /// position (replace the cursor's level digit, zero the lower ones).
-    fn slot_start_tick(&self, level: usize, idx: usize) -> u64 {
-        let shift = WHEEL_BITS * level as u32;
-        let upper = self.cursor >> (shift + WHEEL_BITS);
-        ((upper << WHEEL_BITS) | idx as u64) << shift
-    }
-
-    /// `(level, idx)` of the earliest occupied slot. Occupied slots at
-    /// level 0 are at or after the cursor's slot within the current
-    /// window; at higher levels strictly after it (the current slot
-    /// cascades on entry) — so the lowest occupied level is earliest.
-    fn wheel_next(&self) -> Option<(usize, usize)> {
-        for (l, lvl) in self.wheel.iter().enumerate() {
-            if lvl.occupied == 0 {
-                continue;
-            }
-            let shift = WHEEL_BITS * l as u32;
-            let cl = ((self.cursor >> shift) & (WHEEL_SLOTS as u64 - 1)) as u32;
-            let from = if l == 0 { cl } else { cl + 1 };
-            let mask = (!0u64).checked_shl(from).unwrap_or(0);
-            let hit = lvl.occupied & mask;
-            if hit != 0 {
-                return Some((l, hit.trailing_zeros() as usize));
-            }
-        }
-        None
-    }
-
-    /// Drain the earliest occupied wheel slot: level 0 expires into the
-    /// staging heap; higher levels cascade down. Stale (cancelled)
-    /// entries are dropped here — this is where timer-cancellation
-    /// memory is reclaimed, amortized into normal popping.
-    fn drain_next_slot(&mut self) {
-        let Some((level, idx)) = self.wheel_next() else {
-            self.wheel_soonest_us = u64::MAX;
-            return;
-        };
-        let start_tick = self.slot_start_tick(level, idx);
-        // Jump the cursor to the slot being drained. Skipped slots are
-        // empty (this was the earliest), and slot starts never collide
-        // across levels, so no higher-level slot is entered unseen.
-        self.cursor = start_tick;
-        let lvl = &mut self.wheel[level];
-        lvl.occupied &= !(1 << idx);
-        let entries = std::mem::take(&mut lvl.slots[idx]);
-        self.wheel_len -= entries.len();
-        for e in entries {
-            if self.stale(&e) {
-                continue;
-            }
-            if level == 0 {
-                self.expired.push(e);
-            } else {
-                self.wheel_insert(e);
-            }
-        }
-        self.wheel_soonest_us = match self.wheel_next() {
-            Some((l, i)) => self.slot_start_tick(l, i) << TICK_SHIFT,
-            None => u64::MAX,
-        };
     }
 }
 
@@ -582,11 +366,14 @@ mod tests {
 
     #[test]
     fn ties_across_classes_fire_in_insertion_order() {
+        // The engine's event classes (packet hops, connection timers,
+        // spec timers) share one queue and one sequence counter, so a
+        // tie fires in scheduling order whichever call scheduled it.
         let mut s = Scheduler::new();
         s.schedule(t(5), 0);
-        s.schedule_timer(t(5), 1);
+        s.schedule_in(Duration::from_millis(5), 1);
         s.schedule(t(5), 2);
-        s.schedule_timer(t(5), 3);
+        s.schedule_in(Duration::from_millis(5), 3);
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
     }
@@ -594,9 +381,9 @@ mod tests {
     #[test]
     fn timer_and_packet_classes_interleave_in_time_order() {
         let mut s = Scheduler::new();
-        s.schedule_timer(t(50), "rto");
+        s.schedule(t(50), "rto");
         s.schedule(t(10), "depart");
-        s.schedule_timer(t(20), "sweep");
+        s.schedule(t(20), "sweep");
         s.schedule(t(30), "arrive");
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["depart", "sweep", "arrive", "rto"]);
@@ -628,32 +415,35 @@ mod tests {
 
     #[test]
     fn timer_cancellation() {
+        // The engine's re-arm: cancel the superseded firing, schedule
+        // its replacement; only the replacement fires.
         let mut s = Scheduler::new();
-        let a = s.schedule_timer(t(10), "a");
-        s.schedule_timer(t(20), "b");
+        let a = s.schedule(t(10), "first");
+        s.schedule(t(20), "other");
         assert!(s.cancel(a));
         assert!(!s.cancel(a), "double cancel reports false");
-        let (_, e) = s.pop().unwrap();
-        assert_eq!(e, "b");
-        assert!(s.pop().is_none());
+        let b = s.schedule(t(30), "rearmed");
+        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["other", "rearmed"]);
+        assert!(!s.cancel(b), "fired event cannot be cancelled");
     }
 
     #[test]
     fn cancel_after_fire_reports_false() {
         let mut s = Scheduler::new();
         let a = s.schedule(t(1), "a");
-        let b = s.schedule_timer(t(2), "b");
+        let b = s.schedule(t(2), "b");
         assert!(s.pop().is_some());
         assert!(s.pop().is_some());
-        assert!(!s.cancel(a), "fired packet event cannot be cancelled");
-        assert!(!s.cancel(b), "fired timer event cannot be cancelled");
+        assert!(!s.cancel(a), "fired event cannot be cancelled");
+        assert!(!s.cancel(b), "fired event cannot be cancelled");
     }
 
     #[test]
     fn pending_accounts_for_cancelled() {
         let mut s = Scheduler::new();
         let a = s.schedule(t(1), ());
-        s.schedule_timer(t(2), ());
+        s.schedule(t(2), ());
         assert_eq!(s.pending(), 2);
         s.cancel(a);
         assert_eq!(s.pending(), 1);
@@ -672,6 +462,7 @@ mod tests {
         assert_eq!(at, t(150));
     }
 
+    /// Covers the forward `benchmark/src/drills.rs` calls.
     #[test]
     fn schedule_timer_in_is_relative() {
         let mut s = Scheduler::new();
@@ -694,12 +485,15 @@ mod tests {
 
     #[test]
     fn pop_before_respects_deadline_for_timers() {
+        // A timer re-armed past the deadline: its cancelled first
+        // firing sits before the deadline and must not leak through.
         let mut s = Scheduler::new();
-        s.schedule_timer(t(10), "a");
-        s.schedule_timer(t(30), "b");
-        assert!(s.pop_before(t(20)).is_some());
+        let a = s.schedule(t(10), "a");
+        s.cancel(a);
+        s.schedule(t(30), "a'");
         assert!(s.pop_before(t(20)).is_none());
-        assert!(s.pop_before(t(30)).is_some());
+        assert_eq!(s.now(), Time::ZERO, "a refused pop leaves the clock");
+        assert_eq!(s.pop_before(t(30)).map(|(_, e)| e), Some("a'"));
     }
 
     #[test]
@@ -715,7 +509,7 @@ mod tests {
     fn peek_sees_earliest_across_classes() {
         let mut s = Scheduler::new();
         s.schedule(t(9), "pkt");
-        s.schedule_timer(t(5), "tmr");
+        s.schedule(t(5), "tmr");
         assert_eq!(s.peek_time(), Some(t(5)));
     }
 
@@ -752,7 +546,7 @@ mod tests {
             if round == 0 {
                 s.schedule(t(10_000_000), 0);
             }
-            let a = s.schedule_timer(t(round + 1_000), 1);
+            let a = s.schedule(t(round + 1_000), 1);
             let b = s.schedule(t(round + 1_000), 2);
             s.cancel(a);
             s.cancel(b);
@@ -766,6 +560,11 @@ mod tests {
             s.slab.len() <= 8,
             "slab bounded by live population, got {}",
             s.slab.len()
+        );
+        assert!(
+            s.heap.v.len() <= 16,
+            "stale keys dropped on contact, got {}",
+            s.heap.v.len()
         );
     }
 
@@ -784,42 +583,39 @@ mod tests {
     }
 
     #[test]
-    fn timer_wheel_cascades_across_levels() {
-        let mut s = Scheduler::new();
-        // Spread timers across wheel levels: sub-tick, one slot, one
-        // level-1 window, one level-2 window, plus a far-future clamp.
+    fn far_future_times_pop_in_order() {
+        // Scheduled out of order, from 3 ms to 10^10 ms plus one key a
+        // microsecond short of the end of time: the heap orders any
+        // `u64` key exactly.
         let times = [
-            3u64,           // 3 ms: level 0
-            200,            // level 1
-            7_000,          // level 2 (> 64 * 64 ticks ≈ 4.2 s)
-            500_000,        // level 3
-            40_000_000,     // deep wheel
-            10_000_000_000, // beyond everything sane
+            Time::from_millis(3),
+            Time::from_millis(200),
+            Time::from_millis(7_000),
+            Time::from_millis(500_000),
+            Time::from_millis(40_000_000),
+            Time::from_millis(10_000_000_000),
+            Time(u64::MAX - 1),
         ];
-        for (i, &ms) in times.iter().enumerate() {
-            s.schedule_timer(t(ms), i);
+        let mut s = Scheduler::new();
+        for i in [4, 0, 6, 2, 5, 1, 3] {
+            s.schedule(times[i], i);
         }
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
-        let expect: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &ms)| (t(ms), i))
-            .collect();
+        let expect: Vec<_> = times.iter().copied().zip(0..).collect();
         assert_eq!(order, expect);
     }
 
     #[test]
-    fn timer_scheduled_behind_cursor_still_fires_in_order() {
+    fn event_scheduled_at_now_beats_an_earlier_scheduled_later_one() {
         let mut s = Scheduler::new();
-        s.schedule_timer(t(100), "far");
-        // Advance deep into the wheel.
+        s.schedule(t(100), "far");
         s.schedule(t(50), "pkt");
         assert_eq!(s.pop().unwrap().1, "pkt");
-        // now = 50 ms; the cursor sits at 50 ms's tick. A timer at
-        // now lands at/behind the cursor and must still beat "far".
-        s.schedule_timer(s.now(), "immediate");
-        assert_eq!(s.pop().unwrap().1, "immediate");
-        assert_eq!(s.pop().unwrap().1, "far");
+        // now = 50 ms: an event at `now` fires before "far", which was
+        // scheduled first but for later.
+        s.schedule(s.now(), "immediate");
+        assert_eq!(s.pop().unwrap(), (t(50), "immediate"));
+        assert_eq!(s.pop().unwrap(), (t(100), "far"));
     }
 
     #[test]
@@ -836,7 +632,7 @@ mod tests {
     fn cancelled_events_never_count_as_fired() {
         let mut s = Scheduler::new();
         for i in 0..10u64 {
-            let id = s.schedule_timer(t(i + 1), i);
+            let id = s.schedule(t(i + 1), i);
             if i % 2 == 0 {
                 s.cancel(id);
             }

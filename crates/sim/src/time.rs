@@ -5,6 +5,10 @@
 //! serialization delays of single packets on gigabit links (a 1500-byte
 //! frame takes 12 µs at 1 Gbps) while leaving headroom for half a million
 //! years of virtual time.
+//!
+//! Construction from seconds or milliseconds and `Time + Duration`
+//! saturate at `u64::MAX`: a spec's "never" (a timer period of 10^17 ms)
+//! stays the farthest instant instead of wrapping round to a near one.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -21,14 +25,14 @@ impl Time {
     /// The beginning of the simulation.
     pub const ZERO: Time = Time(0);
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds, saturating at the end of time.
     pub fn from_secs(s: u64) -> Time {
-        Time(s * 1_000_000)
+        Time(s.saturating_mul(1_000_000))
     }
 
-    /// Construct from milliseconds.
+    /// Construct from milliseconds, saturating at the end of time.
     pub fn from_millis(ms: u64) -> Time {
-        Time(ms * 1_000)
+        Time(ms.saturating_mul(1_000))
     }
 
     /// Construct from microseconds.
@@ -61,11 +65,11 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     pub fn from_secs(s: u64) -> Duration {
-        Duration(s * 1_000_000)
+        Duration(s.saturating_mul(1_000_000))
     }
 
     pub fn from_millis(ms: u64) -> Duration {
-        Duration(ms * 1_000)
+        Duration(ms.saturating_mul(1_000))
     }
 
     pub fn from_micros(us: u64) -> Duration {
@@ -122,13 +126,13 @@ impl std::ops::Div<u64> for Duration {
 impl Add<Duration> for Time {
     type Output = Time;
     fn add(self, d: Duration) -> Time {
-        Time(self.0 + d.0)
+        Time(self.0.saturating_add(d.0))
     }
 }
 
 impl AddAssign<Duration> for Time {
     fn add_assign(&mut self, d: Duration) {
-        self.0 += d.0;
+        *self = *self + d;
     }
 }
 
@@ -224,6 +228,25 @@ mod tests {
         assert_eq!(
             Duration::from_secs(1).saturating_sub(Duration::from_secs(2)),
             Duration::ZERO
+        );
+    }
+
+    #[test]
+    fn construction_and_addition_saturate() {
+        let end = Time(u64::MAX);
+        assert_eq!(Duration::from_millis(100_000_000_000_000_000).0, u64::MAX);
+        assert_eq!(Duration::from_secs(u64::MAX / 1000).0, u64::MAX);
+        assert_eq!(Time::from_millis(u64::MAX), end);
+        assert_eq!(Time::from_secs(1 << 60), end);
+        assert_eq!(Time::from_secs(5) + Duration(u64::MAX), end);
+        let mut t = Time::from_millis(1);
+        t += Duration::from_millis(u64::MAX / 2);
+        assert_eq!(t, end);
+        // Exact below the edge.
+        assert_eq!(Time(u64::MAX - 1) + Duration(1), end);
+        assert_eq!(
+            Duration::from_secs(18_446_744_073_709).0,
+            18_446_744_073_709_000_000
         );
     }
 

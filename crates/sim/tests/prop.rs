@@ -51,10 +51,10 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// Random interleavings of schedule/schedule_timer/cancel/pop agree
-    /// with a naive sorted-vec model: exact (time, seq) order across
-    /// both event classes, stable FIFO tie-break, no resurrection of
-    /// cancelled ids, exact `pending()` accounting.
+    /// Random interleavings of schedule/schedule_in/cancel/pop agree
+    /// with a naive sorted-vec model: exact (time, seq) order whichever
+    /// call scheduled the event, stable FIFO tie-break, no resurrection
+    /// of cancelled ids, exact `pending()` accounting.
     #[test]
     fn scheduler_matches_sorted_vec_model(
         ops in proptest::collection::vec((0u8..8, 0u64..50_000, any::<usize>()), 1..400),
@@ -67,8 +67,9 @@ proptest! {
         let mut now = 0u64;
         for (i, &(kind, dt, pick)) in ops.iter().enumerate() {
             match kind {
-                // Both classes must behave identically w.r.t. order, so
-                // the model doesn't distinguish them.
+                // Absolute and relative scheduling must behave
+                // identically w.r.t. order, so the model doesn't
+                // distinguish them.
                 0..=2 => {
                     let at = now + dt;
                     let id = s.schedule(Time::from_micros(at), i);
@@ -77,7 +78,7 @@ proptest! {
                 }
                 3..=5 => {
                     let at = now + dt;
-                    let id = s.schedule_timer(Time::from_micros(at), i);
+                    let id = s.schedule_in(Duration::from_micros(dt), i);
                     model.push((at, i));
                     ids.push((i, id));
                 }

@@ -56,7 +56,7 @@ impl TransportWorld {
         }
         for (at, key) in tout.timers.drain(..) {
             let slot = key.slot();
-            let ev = self.sched.schedule_timer(at, Ev::Rto(key));
+            let ev = self.sched.schedule(at, Ev::Rto(key));
             if let Some(old) = self.timers.insert(slot, ev) {
                 self.sched.cancel(old);
             }
