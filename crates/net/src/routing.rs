@@ -19,13 +19,17 @@
 //!
 //! Tables are therefore built for, and indexed by, **core nodes** only —
 //! degree ≥ 2, whatever their kind (a host of a full mesh is core) — and
-//! a star never builds one. A table is a `Box<[u16]>` with one entry per
-//! core node: the position of its next-hop half-link within its own
-//! [`Topology::outgoing`] slice. Memory is 2 B × core nodes × anchors
-//! (11.4 MiB for 300 clients on a 20,000-router INET graph). `u16::MAX`
-//! is the "no next hop" entry, so a core half-link at position 65,535 or
-//! beyond is refused when the core is built; a star hub has no core
-//! neighbours at all. Distances are not stored:
+//! a star never builds one. A table is one `Box<[u8]>` holding a 4-bit
+//! entry per core node, two to a byte: the position of its next-hop
+//! half-link within its own [`Topology::outgoing`] slice, 0–14, or 15,
+//! the *escape*. A core node with more than 15 outgoing positions is a
+//! **hub**; every hub also has a `u16` entry (its position, or `u16::MAX`
+//! for none) in a side array at the end of the same allocation, read when
+//! its nibble escapes. An escape at a non-hub means no next hop. On a
+//! 20,000-router INET graph 465 routers are hubs, so a table is 10,930 B
+//! and 300 clients' tables weigh 3.1 MiB. A hub's half-link at position
+//! 65,535 or beyond is refused when the core is built; a star hub has no
+//! core neighbours at all. Distances are not stored:
 //! [`Router::dist`] sums the link delays of the walk, which *is* the
 //! Dijkstra distance.
 //!
@@ -33,9 +37,10 @@
 //! walk labels connected components (so the leaf shortcut can never
 //! bounce a packet destined to another component). The first walk that
 //! crosses a core node other than its anchor builds the `Core` — the
-//! node → core index, a packed core-to-core adjacency and the Dijkstra
-//! scratch — and from then on each new anchor costs one Dijkstra over
-//! the packed adjacency with that scratch reused. A walk resolves
+//! node → core index, the hub ranks, a packed core-to-core adjacency and
+//! the Dijkstra scratch — and from then on each new anchor costs one
+//! Dijkstra over the packed adjacency with that scratch reused, then one
+//! pass packing its `u16` next hops into nibbles. A walk resolves
 //! reachability, anchor and table **once** (`Router::route`) and then
 //! follows the slice.
 //!
@@ -59,12 +64,17 @@
 
 use crate::topology::{Link, LinkId, NodeId, Topology};
 use macedon_sim::Duration;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// "No entry" in the `u32` tables: not a core node, not reached.
+/// "No entry" in the `u32` tables: not a core node, not reached, not a
+/// hub.
 const NONE: u32 = u32::MAX;
-/// "No next hop" in a route tree: the anchor itself, or unreachable.
+/// "No next hop" in a `u16` entry: the anchor itself, or unreachable.
 const NO_HOP: u16 = u16::MAX;
+/// The nibble that defers to a hub's side entry, and at a non-hub means
+/// no next hop. Positions below it are stored as they are.
+const ESCAPE: u8 = 15;
 
 /// Hop-by-hop router with lazy per-anchor next-hop tables.
 pub struct Router {
@@ -79,19 +89,25 @@ pub struct Router {
 struct Core {
     /// Node → core index ([`NONE`] for degree ≤ 1). Ascends with node id.
     of_node: Vec<u32>,
+    /// Core index → rank among the hubs, i.e. where its `u16` entry sits
+    /// in a table's side array ([`NONE`] for a non-hub).
+    hub_of: Vec<u32>,
+    hubs: usize,
     /// Anchor's core index → 1 + position in `trees` (0 = not built),
     /// the `pipeline::LinkTable` idiom.
     tree_of: Vec<u32>,
-    /// Per anchor: every core node's next hop toward it, as a position
-    /// in that node's `Topology::outgoing` ([`NO_HOP`] at the anchor
-    /// itself and where unreachable).
-    trees: Vec<Box<[u16]>>,
+    /// Per anchor: every core node's next hop toward it, packed by
+    /// [`Core::pack`] and read by [`Core::entry`].
+    trees: Vec<Box<[u8]>>,
     /// Packed core-to-core adjacency, CSR: core node `c`'s half-links are
     /// `half[off[c]..off[c + 1]]`, in the topology's order.
     off: Vec<u32>,
     half: Vec<Half>,
-    /// Dijkstra scratch, reused across trees.
+    /// Dijkstra scratch, reused across trees: distances, and each core
+    /// node's next hop as a position in its `Topology::outgoing`
+    /// ([`NO_HOP`] at the root and where unreachable).
     dist: Vec<u32>,
+    hop: Vec<u16>,
     queue: Queue,
 }
 
@@ -110,16 +126,19 @@ struct Half {
 /// queued distance lies within one maximum link delay of the last
 /// popped one, so distances are cut into `width`-wide bands on a circle
 /// of `BANDS` (a push lands at most `BANDS - 1` bands ahead: bands never
-/// alias). Only the current band is kept as a heap; a later band is an
-/// unordered `Vec`, heapified in one pass when the circle reaches it.
-/// With whole-millisecond delays a band is one distance, a few dozen
-/// nodes; at worst (one band) this is a plain binary heap.
+/// alias). A band is an unordered `Vec` until the circle reaches it; it
+/// is then sorted once and popped from its end. A push into the current
+/// band — along a link shorter than a band, zero-delay ones included —
+/// goes to a heap beside it, and a pop takes the smaller of the two
+/// heads. With whole-millisecond delays of at most 63 ms (INET's are
+/// 2–40) a band is one distance, a few dozen nodes, and only the root
+/// and zero-delay links use the heap.
 struct Queue {
-    /// The current band. Keys are stored complemented, so the max-heap
-    /// pops the smallest.
-    heap: BinaryHeap<u64>,
-    /// The bands, indexed modulo `BANDS`; the current one's slot is empty.
-    later: Vec<Vec<u64>>,
+    /// The bands, indexed modulo `BANDS`; the current one is sorted
+    /// descending. Every buffer stays in its own slot across trees.
+    bands: Vec<Vec<u64>>,
+    /// Keys pushed into the current band after it was sorted.
+    heap: BinaryHeap<Reverse<u64>>,
     width: u32,
     /// The current band, not reduced modulo `BANDS`.
     cur: usize,
@@ -131,8 +150,8 @@ impl Queue {
 
     fn new(max_delay: u32) -> Queue {
         Queue {
+            bands: vec![Vec::new(); Self::BANDS],
             heap: BinaryHeap::new(),
-            later: vec![Vec::new(); Self::BANDS],
             // max_delay / width <= BANDS - 2.
             width: max_delay / (Self::BANDS as u32 - 1) + 1,
             cur: 0,
@@ -141,12 +160,12 @@ impl Queue {
     }
 
     fn push(&mut self, dist: u32, core: u32) {
-        let key = !((dist as u64) << 32 | !core as u64);
+        let key = (dist as u64) << 32 | !core as u64;
         let band = (dist / self.width) as usize % Self::BANDS;
         if band == self.cur % Self::BANDS {
-            self.heap.push(key);
+            self.heap.push(Reverse(key));
         } else {
-            self.later[band].push(key);
+            self.bands[band].push(key);
         }
         self.len += 1;
     }
@@ -161,16 +180,19 @@ impl Queue {
         }
         self.len -= 1;
         loop {
-            if let Some(key) = self.heap.pop() {
-                let key = !key;
-                return Some(((key >> 32) as u32, !(key as u32)));
-            }
-            // Hand the drained heap's buffer back to its slot and take
-            // the next band's.
-            let drained = std::mem::take(&mut self.heap).into_vec();
-            self.later[self.cur % Self::BANDS] = drained;
-            self.cur += 1;
-            self.heap = std::mem::take(&mut self.later[self.cur % Self::BANDS]).into();
+            let band = &mut self.bands[self.cur % Self::BANDS];
+            let key = match (band.last(), self.heap.peek()) {
+                (None, None) => {
+                    self.cur += 1;
+                    self.bands[self.cur % Self::BANDS].sort_unstable_by(|a, b| b.cmp(a));
+                    continue;
+                }
+                (Some(&b), Some(&Reverse(h))) if h < b => self.heap.pop().map(|Reverse(h)| h),
+                (Some(_), _) => band.pop(),
+                (None, Some(_)) => self.heap.pop().map(|Reverse(h)| h),
+            };
+            let key = key.expect("a head was seen");
+            return Some(((key >> 32) as u32, !(key as u32)));
         }
     }
 }
@@ -192,8 +214,19 @@ impl Core {
                 .filter(|(_, &c)| c != NONE)
                 .map(|(n, _)| NodeId(n as u32))
         };
+        let mut hub_of = Vec::with_capacity(cores as usize);
+        let mut hubs = 0;
+        for n in core_nodes() {
+            hub_of.push(if topo.degree(n) > ESCAPE as usize {
+                hubs += 1;
+                hubs - 1
+            } else {
+                NONE
+            });
+        }
         // Each core half-link's position in its node's `outgoing()`
-        // ([`NO_HOP`] for every other half-link).
+        // ([`NO_HOP`] for every other half-link). Past position 14 only
+        // a hub's `u16` entry can hold it.
         let mut pos = vec![NO_HOP; topo.num_links()];
         for n in core_nodes() {
             for (p, &lid) in topo.outgoing(n).iter().enumerate() {
@@ -201,7 +234,7 @@ impl Core {
                     assert!(
                         p < NO_HOP as usize,
                         "core node {n:?} has a core half-link at position {p}, \
-                         past what a u16 route-table entry can index",
+                         past what a hub's u16 route-table entry can index",
                     );
                     pos[lid.index()] = p as u16;
                 }
@@ -228,11 +261,14 @@ impl Core {
         }
         Core {
             of_node,
+            hub_of,
+            hubs: hubs as usize,
             tree_of: vec![0; cores as usize],
             trees: Vec::new(),
             off,
             half,
             dist: vec![NONE; cores as usize],
+            hop: vec![NO_HOP; cores as usize],
             queue: Queue::new(max_delay),
         }
     }
@@ -242,9 +278,9 @@ impl Core {
     /// *outgoing* links from the root yields distances valid in both
     /// directions; the next hop at `v` is the reverse half-link of the
     /// tree edge that relaxed `v`.
-    fn dijkstra_to(&mut self, root: u32) -> Box<[u16]> {
-        let mut next_hop = vec![NO_HOP; self.dist.len()].into_boxed_slice();
+    fn dijkstra_to(&mut self, root: u32) -> Box<[u8]> {
         self.dist.fill(NONE);
+        self.hop.fill(NO_HOP);
         self.dist[root as usize] = 0;
         self.queue.push(0, root);
         while let Some((d, u)) = self.queue.pop() {
@@ -258,12 +294,56 @@ impl Core {
                 let nd = d as u64 + h.delay as u64;
                 if nd < self.dist[h.to as usize] as u64 {
                     self.dist[h.to as usize] = nd as u32;
-                    next_hop[h.to as usize] = h.rev;
+                    self.hop[h.to as usize] = h.rev;
                     self.queue.push(nd as u32, h.to);
                 }
             }
         }
-        next_hop
+        self.pack()
+    }
+
+    /// The tree in `hop` as a table: a nibble per core node, the low one
+    /// first, then a little-endian `u16` per hub in rank order.
+    fn pack(&self) -> Box<[u8]> {
+        let nibbles = self.hop.len().div_ceil(2);
+        let mut table = vec![0; nibbles + 2 * self.hubs].into_boxed_slice();
+        let (packed, side) = table.split_at_mut(nibbles);
+        let nibble = |hop: u16| hop.min(ESCAPE as u16) as u8;
+        for (byte, pair) in packed.iter_mut().zip(self.hop.chunks(2)) {
+            *byte = pair.iter().rev().fold(0, |b, &hop| b << 4 | nibble(hop));
+        }
+        for (&hop, &hub) in self.hop.iter().zip(&self.hub_of) {
+            if hub != NONE {
+                let at = 2 * hub as usize;
+                side[at..at + 2].copy_from_slice(&hop.to_le_bytes());
+            }
+        }
+        table
+    }
+
+    /// Core node `c`'s next hop in `table`, as a position in its
+    /// `Topology::outgoing`; `None` at the root and where unreachable.
+    fn entry(&self, table: &[u8], c: u32) -> Option<usize> {
+        let c = c as usize;
+        let nibble = (table[c / 2] >> (c % 2 * 4)) & ESCAPE;
+        if nibble != ESCAPE {
+            return Some(nibble as usize);
+        }
+        self.side_entry(table, c)
+    }
+
+    /// [`Core::entry`] past an escape. Kept out of line: inlined, it
+    /// made the route-once walk over the 20,000-router INET graph's
+    /// 300 tables about 1.5× slower per hop (2-core Xeon VM).
+    #[inline(never)]
+    fn side_entry(&self, table: &[u8], c: usize) -> Option<usize> {
+        let hub = self.hub_of[c];
+        if hub == NONE {
+            return None;
+        }
+        let at = self.hub_of.len().div_ceil(2) + 2 * hub as usize;
+        let hop = u16::from_le_bytes([table[at], table[at + 1]]);
+        (hop != NO_HOP).then_some(hop as usize)
     }
 }
 
@@ -275,7 +355,7 @@ pub(crate) struct Route<'r> {
     last_hop: Option<LinkId>,
     /// The core and the anchor's table; `None` when the walk is leaf →
     /// anchor → leaf and needs neither.
-    tree: Option<(&'r Core, &'r [u16])>,
+    tree: Option<(&'r Core, &'r [u8])>,
 }
 
 impl Route<'_> {
@@ -290,8 +370,8 @@ impl Route<'_> {
             return Some(only);
         }
         let (core, tree) = self.tree?;
-        let hop = tree[core.of_node[at.index()] as usize];
-        (hop != NO_HOP).then(|| out[hop as usize])
+        core.entry(tree, core.of_node[at.index()])
+            .map(|hop| out[hop])
     }
 }
 
@@ -428,8 +508,9 @@ impl Router {
         self.core.as_ref().map_or(0, |c| c.trees.len())
     }
 
-    /// Heap bytes held: component labels, the core index and adjacency,
-    /// every built table and the Dijkstra scratch, by capacity.
+    /// Heap bytes held: component labels, the core index, hub ranks and
+    /// adjacency, every built table and the Dijkstra scratch, by
+    /// capacity.
     pub fn table_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
@@ -439,6 +520,7 @@ impl Router {
                 let q = &c.queue;
                 std::mem::size_of::<Core>()
                     + bytes(&c.of_node)
+                    + bytes(&c.hub_of)
                     + bytes(&c.tree_of)
                     + bytes(&c.trees)
                     + c.trees
@@ -448,9 +530,10 @@ impl Router {
                     + bytes(&c.off)
                     + bytes(&c.half)
                     + bytes(&c.dist)
+                    + bytes(&c.hop)
                     + q.heap.capacity() * std::mem::size_of::<u64>()
-                    + bytes(&q.later)
-                    + q.later.iter().map(bytes).sum::<usize>()
+                    + bytes(&q.bands)
+                    + q.bands.iter().map(bytes).sum::<usize>()
             })
     }
 }
@@ -532,9 +615,9 @@ mod tests {
     }
 
     /// The link a packed tree entry names at node `v`.
-    fn entry_link(t: &Topology, core: &Core, tree: &[u16], v: NodeId) -> Option<LinkId> {
-        let hop = tree[core.of_node[v.index()] as usize];
-        (hop != NO_HOP).then(|| t.outgoing(v)[hop as usize])
+    fn entry_link(t: &Topology, core: &Core, tree: &[u8], v: NodeId) -> Option<LinkId> {
+        core.entry(tree, core.of_node[v.index()])
+            .map(|hop| t.outgoing(v)[hop])
     }
 
     fn ms(x: u64) -> LinkSpec {
@@ -616,6 +699,29 @@ mod tests {
     #[should_panic(expected = "core node NodeId(0) has a core half-link at position 65535")]
     fn core_node_past_the_u16_entry_range_is_refused() {
         Core::new(&hub_with_core_halves(65_536));
+    }
+
+    #[test]
+    fn rebuilding_a_tree_regrows_no_queue_buffer() {
+        // Every band buffer stays in its own slot, the last band's too
+        // when the queue empties: a second build of the same tree finds
+        // each one already grown.
+        let t = crate::topology::inet(
+            &crate::topology::InetParams::test_scale(10),
+            &mut SimRng::new(2004),
+        );
+        // Each buffer by address and capacity, the heap's last.
+        let buffers = |q: &Queue| -> Vec<(*const u64, usize)> {
+            let bands = q.bands.iter().map(|b| (b.as_ptr(), b.capacity()));
+            let heap = (q.heap.as_slice().as_ptr().cast(), q.heap.capacity());
+            bands.chain([heap]).collect()
+        };
+        let mut core = Core::new(&t);
+        let first = core.dijkstra_to(0);
+        let grown = buffers(&core.queue);
+        assert!(grown.iter().filter(|b| b.1 > 0).count() > 2, "{grown:?}");
+        assert_eq!(core.dijkstra_to(0), first);
+        assert_eq!(buffers(&core.queue), grown);
     }
 
     #[test]

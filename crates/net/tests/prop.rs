@@ -121,6 +121,23 @@ impl<'t> DenseRouter<'t> {
         self.tree(anchor).next_hop[at.index()]
     }
 
+    /// Does the walk from `at` to `dst` have a core part — from where
+    /// `at` enters the core to `dst`'s anchor — that the router's 32-bit
+    /// queue keys cannot hold (2^32 − 1 µs or longer)? The router then
+    /// has no table entry for it, though a leaf `at` still takes its
+    /// sole link.
+    fn past_key_width(&mut self, at: NodeId, dst: NodeId) -> bool {
+        let Some((anchor, _, _)) = self.anchor(dst) else {
+            return false;
+        };
+        let enters = match *self.topo.outgoing(at) {
+            [only] if at != anchor => self.topo.link(only).to,
+            _ => at,
+        };
+        let d = self.tree(anchor).dist_us[enters.index()];
+        d >= u32::MAX as u64 && d != u64::MAX
+    }
+
     fn dist(&mut self, src: NodeId, dst: NodeId) -> Option<Duration> {
         if src == dst {
             return Some(Duration::ZERO);
@@ -151,20 +168,29 @@ fn ascending(id: u32) -> u32 {
 /// The first `(at, dst)` — over *every* ordered pair of nodes: core
 /// nodes toward every anchor, hosts, leaves, isolated nodes — where a
 /// fresh [`Router`] and the dense reference settling ties by `order`
-/// disagree on the next hop or the distance.
+/// disagree on the next hop or the distance. A pair
+/// [past the key width](DenseRouter::past_key_width) must read as
+/// unreachable, bar a leaf's sole link.
 fn first_disagreement(topo: &Topology, order: fn(u32) -> u32) -> Option<String> {
     let mut router = Router::new();
     let mut dense = DenseRouter::new(topo, order);
     let nodes = || (0..topo.num_nodes() as u32).map(NodeId);
     for dst in nodes() {
         for at in nodes() {
-            let (hop, want_hop) = (router.next_hop(topo, at, dst), dense.next_hop(at, dst));
+            let past = dense.past_key_width(at, dst);
+            let want_hop = match *topo.outgoing(at) {
+                [only] if past => Some(only),
+                _ if past => None,
+                _ => dense.next_hop(at, dst),
+            };
+            let hop = router.next_hop(topo, at, dst);
             if hop != want_hop {
                 return Some(format!(
                     "next_hop({at:?}, {dst:?}) = {hop:?}, reference {want_hop:?}"
                 ));
             }
-            let (d, want_d) = (router.dist(topo, at, dst), dense.dist(at, dst));
+            let want_d = if past { None } else { dense.dist(at, dst) };
+            let d = router.dist(topo, at, dst);
             if d != want_d {
                 return Some(format!(
                     "dist({at:?}, {dst:?}) = {d:?}, reference {want_d:?}"
@@ -279,6 +305,62 @@ fn path_sums_past_the_key_width_are_unreachable_not_wrapped() {
     assert_eq!(first_disagreement(&b.build(), descending), None);
 }
 
+/// A router whose `spokes` outgoing positions each lead to a router of
+/// their own with a host behind it: toward spoke `i`'s router, the
+/// hub's next hop is position `i`.
+fn wheel(spokes: usize) -> TopologyBuilder {
+    let mut b = TopologyBuilder::new();
+    let hub = b.add_router();
+    for _ in 0..spokes {
+        let (r, h) = (b.add_router(), b.add_host());
+        b.add_link(hub, r, LinkSpec::lan());
+        b.add_link(r, h, LinkSpec::lan());
+    }
+    b
+}
+
+/// The edges of the 4-bit encoding: positions 0–14 are nibbles, 15
+/// escapes, and a router with more than 15 positions (a hub) keeps a
+/// `u16` side entry.
+#[test]
+fn route_entries_at_the_encoding_edges_match_the_dense_reference() {
+    let hub = NodeId(0);
+    // 15 positions: position 14 is the last plain nibble, no hub.
+    // 16: the first hub, its position 15 the first side entry. 40: a
+    // hub choosing positions up to 39, and below 15 as well.
+    for spokes in [15, 16, 40] {
+        let topo = wheel(spokes).build();
+        assert_eq!(topo.degree(hub), spokes);
+        assert_eq!(first_disagreement(&topo, descending), None, "{spokes}");
+        let last = NodeId(2 * spokes as u32 - 1);
+        let hop = Router::new().next_hop(&topo, hub, last).unwrap();
+        assert_eq!(
+            topo.outgoing(hub).iter().position(|&l| l == hop),
+            Some(spokes - 1)
+        );
+    }
+    // Past the hub's position 15, a 40-minute cable to `far` and another
+    // to `farther`: 80 minutes overflows the 32-bit key, 40 do not. So
+    // the non-hub `farther` has no next hop toward the hub (an escape
+    // nibble), nor has the hub toward it (a side entry of none).
+    let mut b = wheel(16);
+    let forty = LinkSpec::wan(Duration::from_secs(40 * 60));
+    let (far, farther) = (b.add_router(), b.add_router());
+    let spoke_15 = NodeId(31);
+    b.add_link(spoke_15, far, forty);
+    b.add_link(far, farther, forty);
+    let host = b.add_host();
+    b.add_link(farther, host, LinkSpec::lan());
+    let topo = b.build();
+    assert_eq!(topo.degree(farther), 2, "not a hub");
+    let mut router = Router::new();
+    assert_eq!(router.next_hop(&topo, farther, hub), None);
+    assert_eq!(router.next_hop(&topo, hub, farther), None);
+    assert!(router.next_hop(&topo, far, hub).is_some());
+    assert!(router.next_hop(&topo, hub, far).is_some());
+    assert_eq!(first_disagreement(&topo, descending), None);
+}
+
 /// The benchmark's own graph, every table a 300-client run builds:
 /// all ~6 M `(core node, anchor)` next hops against the dense reference.
 /// Seconds in release, minutes unoptimised — CI runs it with
@@ -316,6 +398,13 @@ fn full_scale_inet_tables_are_identical_to_the_dense_reference() {
     }
     assert_eq!(router.cached_destinations(), anchors.len());
     assert!(checked > 5_900_000, "{checked} pairs");
+    // 4-bit entries with `u16` side entries for the hubs: 10,930 B a
+    // table here, where `u16` entries took 40,000 B (13.2 MiB in all).
+    let bytes = router.table_bytes();
+    assert!(
+        bytes <= 5_767_168,
+        "{bytes} B of tables and scratch, over 5.5 MiB"
+    );
 }
 
 proptest! {
