@@ -1,8 +1,9 @@
-//! DSL pipeline benchmarks: lexing, parsing, semantic analysis, code
-//! generation, and interpreted-agent dispatch.
+//! DSL pipeline benchmarks: parsing, lowering (the checker), code
+//! generation, and compiling the whole roster.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use macedon_lang::{analyze, bundled_specs, codegen, compile, parse, IrSpec};
+use macedon_lang::{bundled_specs, codegen, compile, parse, IrSpec};
+use std::sync::Arc;
 
 fn overcast_src() -> &'static str {
     bundled_specs()
@@ -17,15 +18,15 @@ fn bench_parse(c: &mut Criterion) {
     c.bench_function("dsl/parse overcast.mac", |b| b.iter(|| parse(src).unwrap()));
 }
 
-fn bench_analyze(c: &mut Criterion) {
-    let spec = parse(overcast_src()).unwrap();
-    c.bench_function("dsl/analyze overcast.mac", |b| {
-        b.iter(|| analyze(&spec).unwrap())
+fn bench_lower(c: &mut Criterion) {
+    let spec = Arc::new(parse(overcast_src()).unwrap());
+    c.bench_function("dsl/lower overcast.mac", |b| {
+        b.iter(|| IrSpec::lower(spec.clone()).unwrap())
     });
 }
 
 fn bench_codegen(c: &mut Criterion) {
-    let ir = IrSpec::lower(&compile(overcast_src()).unwrap()).unwrap();
+    let ir = compile(overcast_src()).unwrap();
     c.bench_function("dsl/codegen overcast.mac", |b| {
         b.iter(|| codegen::generate(&ir, None).unwrap().len())
     });
@@ -44,7 +45,7 @@ fn bench_compile_all(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_parse,
-    bench_analyze,
+    bench_lower,
     bench_codegen,
     bench_compile_all
 );

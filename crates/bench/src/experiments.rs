@@ -103,13 +103,13 @@ pub fn fig7() -> Vec<Fig7Row> {
         .into_iter()
         .filter(|(name, _)| paper.iter().any(|(n, _)| n == name))
         .map(|(name, src)| {
-            let ir = registry.ir(name).expect("bundled spec is registered");
+            let ir = registry.get(name).expect("bundled spec is registered");
             let chain = registry
                 .resolve_chain(name)
                 .expect("bundled chain resolves");
             // The checked-in artifact of a layered spec is generated
             // against its chain's base transport table.
-            let base = ir.layered.then(|| chain[0].transports.as_slice());
+            let base = ir.layered.then(|| chain[0].spec.transports.as_slice());
             Fig7Row {
                 name,
                 loc: macedon_lang::loc::spec_loc(src),
@@ -971,7 +971,7 @@ pub fn state_push_frames() -> Vec<(NodeId, Bytes)> {
     let proto = macedon_lang::interp::protocol_id_of("pastry");
     let registry = macedon_lang::SpecRegistry::bundled();
     let id = registry
-        .ir("pastry")
+        .get("pastry")
         .and_then(|ir| ir.messages.iter().position(|m| m.name == "state_push"))
         .expect("pastry declares state_push") as u16;
     (0..2u32)

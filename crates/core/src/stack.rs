@@ -171,16 +171,8 @@ impl Stack {
         self.agents[layer].as_ref()
     }
 
-    pub fn agent_mut(&mut self, layer: usize) -> &mut dyn Agent {
-        self.agents[layer].as_mut()
-    }
-
     pub fn app(&self) -> &dyn AppHandler {
         self.app.as_ref()
-    }
-
-    pub fn app_mut(&mut self) -> &mut dyn AppHandler {
-        self.app.as_mut()
     }
 
     /// This node's measurement ledger (read side).

@@ -1099,11 +1099,6 @@ impl World {
         &self.cfg
     }
 
-    /// Number of shards the world was partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Worker threads `run_until` uses for windowed execution.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
@@ -1349,23 +1344,11 @@ impl World {
             }
             s.sched.fast_forward(deadline);
         } else {
-            self.run_windows(Some(deadline), self.workers);
+            self.run_windows(deadline, self.workers);
         }
     }
 
-    /// Process every remaining event (tests on quiescent protocols).
-    pub fn run_to_quiescence(&mut self) {
-        if self.shards.len() == 1 {
-            let s = &mut self.shards[0];
-            while let Some((now, ev)) = s.sched.pop() {
-                s.handle(now, ev);
-            }
-        } else {
-            self.run_windows(None, self.workers);
-        }
-    }
-
-    fn run_windows(&mut self, deadline: Option<Time>, workers: usize) {
+    fn run_windows(&mut self, deadline: Time, workers: usize) {
         let p = self.shards.len();
         let la = self.shards[0]
             .net
@@ -1376,16 +1359,12 @@ impl World {
             la_us > 0,
             "windowed execution requires a nonzero minimum link delay; use shards = 1"
         );
-        let deadline_us = deadline.map(|d| d.as_micros());
-        let dl_us = deadline_us.unwrap_or(u64::MAX);
-        let ctrl: Vec<(u64, Vec<ControlOp>)> = match deadline_us {
-            Some(d) => self
-                .control
-                .range(..=d)
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            None => self.control.iter().map(|(k, v)| (*k, v.clone())).collect(),
-        };
+        let dl_us = deadline.as_micros();
+        let ctrl: Vec<(u64, Vec<ControlOp>)> = self
+            .control
+            .range(..=dl_us)
+            .map(|(k, v)| (*k, v.clone()))
+            .collect();
         let workers_eff = workers.clamp(1, p);
         let chunk = p.div_ceil(workers_eff);
         let nchunks = p.div_ceil(chunk);
@@ -1414,26 +1393,10 @@ impl World {
                 );
             });
         }
-        match deadline {
-            Some(d) => {
-                for s in &mut self.shards {
-                    s.sched.fast_forward(d);
-                }
-                self.control = self.control.split_off(&dl_us.saturating_add(1));
-            }
-            None => {
-                let m = self
-                    .shards
-                    .iter()
-                    .map(|s| s.sched.now())
-                    .max()
-                    .unwrap_or(Time::ZERO);
-                for s in &mut self.shards {
-                    s.sched.fast_forward(m);
-                }
-                self.control.clear();
-            }
+        for s in &mut self.shards {
+            s.sched.fast_forward(deadline);
         }
+        self.control = self.control.split_off(&dl_us.saturating_add(1));
     }
 }
 
@@ -1976,7 +1939,7 @@ mod tests {
     }
 
     #[test]
-    fn run_to_quiescence_sharded_matches_sequential() {
+    fn run_until_sharded_matches_sequential() {
         let n = 10;
         // No FD traffic keeps the event set finite: ping once, done.
         let build = |shards: usize| {

@@ -165,7 +165,7 @@ impl StateExpr {
         }
     }
 
-    /// All state names referenced (for semantic checking).
+    /// All state names referenced (the lowering checks each is declared).
     pub fn names(&self, out: &mut Vec<String>) {
         match self {
             StateExpr::Any => {}
@@ -274,8 +274,8 @@ pub enum Stmt {
 }
 
 /// Argument count of a `downcall(<api>, args...)` statement, or `None`
-/// for an unknown API name. Single source of truth for the semantic
-/// checker and the interpreter's call builder.
+/// for an unknown API name. Single source of truth for the lowering's
+/// check and call builder.
 pub fn downcall_arity(api: &str) -> Option<usize> {
     match api {
         "join" | "leave" | "create_group" => Some(1),
@@ -331,9 +331,8 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Visit this expression and every subexpression, preorder. Shared
-    /// by the semantic checker and the code generator so both resolve
-    /// names over the same traversal.
+    /// Visit this expression and every subexpression, preorder (the
+    /// lowering counts `field(..)` reads with it).
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
@@ -358,23 +357,6 @@ impl Expr {
             | Expr::NeighborSize(_)
             | Expr::NeighborRandom(_) => {}
         }
-    }
-}
-
-impl Spec {
-    /// Message declaration by name.
-    pub fn message(&self, name: &str) -> Option<&MessageDecl> {
-        self.messages.iter().find(|m| m.name == name)
-    }
-
-    /// Declared maximum size of a neighbor list state variable (the
-    /// neighbor type's `max`), defaulting to 1 as the interpreter does.
-    pub fn list_max(&self, ty: &str) -> usize {
-        self.neighbor_types
-            .iter()
-            .find(|n| n.name == ty)
-            .map(|n| n.max)
-            .unwrap_or(1)
     }
 }
 

@@ -1963,12 +1963,12 @@ pub fn generate_bundled_crate() -> Result<Vec<(String, String)>, CodegenError> {
     let mut names = Vec::new();
     for (name, _) in crate::bundled_specs() {
         let ir = reg
-            .ir(name)
+            .get(name)
             .expect("the bundled registry holds every bundled spec");
         // Layered specs resolve their message classes against the
         // chain's lowest (tunneling) layer at generation time.
         let chain = reg.resolve_chain(name).map_err(|e| chain_err(name, e))?;
-        let base = ir.layered.then(|| chain[0].transports.as_slice());
+        let base = ir.layered.then(|| chain[0].spec.transports.as_slice());
         files.push((format!("{name}.rs"), generate(ir, base)?));
         names.push(name);
     }
@@ -2059,7 +2059,7 @@ pub fn generate_bundled_crate() -> Result<Vec<(String, String)>, CodegenError> {
     for name in &names {
         let chain = reg.resolve_chain(name).map_err(|e| chain_err(name, e))?;
         let _ = writeln!(w, "        \"{name}\" => vec![");
-        for t in &chain[0].transports {
+        for t in &chain[0].spec.transports {
             let kind = match t.kind {
                 TransportKindDecl::Tcp => "TransportKind::Tcp".to_string(),
                 TransportKindDecl::Udp => "TransportKind::Udp".to_string(),
@@ -2089,7 +2089,7 @@ pub const ROUNDTRIP_SPEC: &str = include_str!("../tests/roundtrip/roundtrip.mac"
 /// to this crate's manifest directory.
 pub const ROUNDTRIP_MODULE: &str = "tests/roundtrip/agent.rs";
 
-/// The round-trip spec's generated module: compile, lower, generate.
+/// The round-trip spec's generated module: compile, then generate.
 /// `regen` writes it to [`ROUNDTRIP_MODULE`]; the `golden` test checks
 /// the file against it.
 pub fn generate_roundtrip() -> Result<String, CodegenError> {
@@ -2097,8 +2097,7 @@ pub fn generate_roundtrip() -> Result<String, CodegenError> {
         spec: "roundtrip".into(),
         detail,
     };
-    let spec = crate::compile(ROUNDTRIP_SPEC).map_err(|e| err(e.to_string()))?;
-    let ir = IrSpec::lower(&spec).map_err(|e| err(e.to_string()))?;
+    let ir = crate::compile(ROUNDTRIP_SPEC).map_err(|e| err(e.to_string()))?;
     generate(&ir, None)
 }
 
@@ -2122,12 +2121,8 @@ mod tests {
         }
     "#;
 
-    fn lower(src: &str) -> IrSpec {
-        IrSpec::lower(&compile(src).unwrap()).unwrap()
-    }
-
     fn gen(src: &str) -> Out {
-        generate(&lower(src), None)
+        generate(&compile(src).unwrap(), None)
     }
 
     #[test]
@@ -2185,7 +2180,7 @@ mod tests {
     fn generated_loc_exceeds_spec_loc() {
         // The paper's point: a few hundred spec lines expand considerably.
         let spec_loc = SRC.lines().filter(|l| !l.trim().is_empty()).count();
-        assert!(generated_loc(&lower(SRC), None) > 3 * spec_loc);
+        assert!(generated_loc(&compile(SRC).unwrap(), None) > 3 * spec_loc);
     }
 
     #[test]

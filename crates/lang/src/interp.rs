@@ -1,5 +1,5 @@
-//! The specification interpreter: runs a compiled [`Spec`] as a live
-//! [`macedon_core::Agent`].
+//! The specification interpreter: runs a compiled spec ([`IrSpec`]) as
+//! a live [`macedon_core::Agent`].
 //!
 //! The paper's `macedon` tool translates specs to C++ compiled against
 //! the engine. This interpreter is the equivalent executable semantics —
@@ -68,7 +68,7 @@
 //! chain and assemble the ready-to-run stack (sharing one lowered
 //! `IrSpec` per protocol).
 
-use crate::ast::{Spec, TransportKindDecl};
+use crate::ast::TransportKindDecl;
 use crate::ir::typed::{ArithOp, CmpOp, KeyOptExpr};
 use crate::ir::{
     AnyExpr, ApiKind, BoolExpr, FieldKind, IntExpr, IrDown, IrMessage, IrSpec, IrStmt, KeyArg,
@@ -237,8 +237,9 @@ fn table_of(ir: &IrSpec, at: At) -> &Table {
 }
 
 /// Derive the channel table a world must be built with to host this spec.
-pub fn channel_table(spec: &Spec) -> Vec<ChannelSpec> {
-    spec.transports
+pub fn channel_table(ir: &IrSpec) -> Vec<ChannelSpec> {
+    ir.spec
+        .transports
         .iter()
         .map(|t| {
             let kind = match t.kind {
@@ -310,30 +311,14 @@ struct Core {
 const NODE_POOL_MAX: usize = 8;
 
 impl InterpretedAgent {
-    /// Instantiate a compiled spec as one layer of a stack, lowering it
-    /// to IR on the spot. `bootstrap` is bound to the variable
-    /// `bootstrap` inside transitions (`Null` for the designated root).
-    /// Specs with a `uses` clause must be stacked above an agent serving
-    /// their base protocol's API — interpreted or native;
-    /// [`crate::registry::SpecRegistry`] builds whole chains **and
-    /// shares one lowered `Arc<IrSpec>` across every node**, which this
-    /// convenience constructor cannot.
-    ///
-    /// Panics if the spec fails IR lowering — only possible when it
-    /// never passed [`crate::sema::analyze`] (use [`crate::compile`]).
-    pub fn new(spec: Arc<Spec>, bootstrap: Option<NodeId>) -> InterpretedAgent {
-        let ir = IrSpec::lower(&spec).unwrap_or_else(|e| {
-            panic!(
-                "spec '{}' cannot be interpreted: {e} (was it sema-analyzed?)",
-                spec.name
-            )
-        });
-        InterpretedAgent::from_ir(Arc::new(ir), bootstrap)
-    }
-
-    /// Instantiate from an already-lowered spec, sharing the `IrSpec`
-    /// with every other node interpreting the same protocol.
-    pub fn from_ir(ir: Arc<IrSpec>, bootstrap: Option<NodeId>) -> InterpretedAgent {
+    /// Instantiate a compiled spec as one layer of a stack, sharing the
+    /// `IrSpec` with every other node interpreting the same protocol.
+    /// `bootstrap` is bound to the variable `bootstrap` inside
+    /// transitions (`Null` for the designated root). Specs with a `uses`
+    /// clause must be stacked above an agent serving their base
+    /// protocol's API — interpreted or native;
+    /// [`crate::registry::SpecRegistry`] builds whole chains.
+    pub fn new(ir: Arc<IrSpec>, bootstrap: Option<NodeId>) -> InterpretedAgent {
         let lists = vec![Vec::new(); ir.lists.len()];
         InterpretedAgent {
             core: Core {
@@ -1527,7 +1512,7 @@ mod tests {
         }
     "#;
 
-    fn star_world(n: usize) -> (World, Vec<NodeId>, Arc<Spec>) {
+    fn star_world(n: usize) -> (World, Vec<NodeId>, Arc<IrSpec>) {
         let spec = Arc::new(compile(STAR).unwrap());
         let topo = canned::star(n, LinkSpec::lan());
         let hosts = topo.hosts().to_vec();
@@ -1586,10 +1571,9 @@ mod tests {
     #[test]
     fn shared_ir_instance_across_agents() {
         // The registry path: every node executes the same Arc<IrSpec>.
-        let spec = Arc::new(compile(STAR).unwrap());
-        let ir = Arc::new(IrSpec::lower(&spec).unwrap());
-        let a = InterpretedAgent::from_ir(ir.clone(), None);
-        let b = InterpretedAgent::from_ir(ir.clone(), Some(NodeId(1)));
+        let ir = Arc::new(compile(STAR).unwrap());
+        let a = InterpretedAgent::new(ir.clone(), None);
+        let b = InterpretedAgent::new(ir.clone(), Some(NodeId(1)));
         assert!(Arc::ptr_eq(a.ir(), b.ir()));
         assert_eq!(Arc::strong_count(&ir), 3);
         assert_eq!(a.state(), "init");
@@ -1990,7 +1974,7 @@ mod tests {
 
     /// Run one wire message through a single-layer stack at trace level
     /// `Low`; the agent and the `Low` records the event left.
-    fn recv_low_records(spec: Arc<Spec>, msg: Bytes) -> (macedon_core::Stack, Vec<String>) {
+    fn recv_low_records(spec: Arc<IrSpec>, msg: Bytes) -> (macedon_core::Stack, Vec<String>) {
         use macedon_core::{SimRng, SpanId, Stack, StackEffect, TraceEvent};
         let agent = InterpretedAgent::new(spec, None);
         let mut stack = Stack::new(
@@ -2036,7 +2020,7 @@ mod tests {
         "#;
         let spec = Arc::new(compile(NULL_WHO).unwrap());
         // The line the generated agent traces for this fault.
-        let code = crate::codegen::generate(&IrSpec::lower(&spec).unwrap(), None).unwrap();
+        let code = crate::codegen::generate(&spec, None).unwrap();
         let at = code
             .find("\"nullwho: runtime error: ")
             .expect("generated bail");
@@ -2069,10 +2053,9 @@ mod tests {
         "#;
         let spec = Arc::new(compile(ILL).unwrap());
         // The generator rejects what the interpreter lowers to a fault.
-        let ir = IrSpec::lower(&spec).unwrap();
-        assert!(crate::codegen::generate(&ir, None).is_err());
+        assert!(crate::codegen::generate(&spec, None).is_err());
         assert_eq!(
-            ir.type_faults,
+            spec.type_faults,
             ["cannot assign node to 'n' of declared type int"]
         );
         let mut w = WireWriter::new();

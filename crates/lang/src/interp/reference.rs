@@ -521,7 +521,7 @@ impl Gen<'_> {
 
 /// The typed side of one case: slots and frame loaded from `env`.
 fn typed_state(ir: &Arc<IrSpec>, env: &Env) -> (Core, Frame) {
-    let mut core = InterpretedAgent::from_ir(ir.clone(), env.bootstrap).core;
+    let mut core = InterpretedAgent::new(ir.clone(), env.bootstrap).core;
     for (var, v) in ir.vars.iter().zip(&env.vars) {
         let s = var.slot;
         match v {
@@ -627,7 +627,7 @@ fn cover(typer: &Typer, e: &IrExpr, seen: &mut BTreeSet<String>) {
 /// Run `cases` random expressions through both evaluators: what they
 /// exercised, or the first disagreement.
 fn differential(seed: u64, cases: usize, le_as_lt: bool) -> Result<BTreeSet<String>, String> {
-    let ir = Arc::new(IrSpec::lower(&compile(DIFF).unwrap()).unwrap());
+    let ir = Arc::new(compile(DIFF).unwrap());
     let (tx, rx) = std::sync::mpsc::channel();
     with_ctx(move |ctx| {
         let mut gen = Gen {

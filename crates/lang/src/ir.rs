@@ -1,18 +1,20 @@
-//! Slot-indexed, typed intermediate representation of a compiled
-//! [`Spec`].
+//! Slot-indexed, typed intermediate representation of a parsed
+//! [`Spec`] — and the front end's one checker.
 //!
 //! The interpreter used to walk the AST directly, resolving every
 //! variable, list, timer, message, and field *by string name* on every
 //! event — a `HashMap<String, Value>` lookup (and often a `String`
 //! allocation) per step of every transition. [`IrSpec::lower`] performs
-//! that name resolution **once per spec**: sema has already proven every
-//! name resolves, so each one collapses to a dense index — `u16` slots
-//! into plain `Vec`s for variables, neighbor lists, timers, messages,
-//! and message fields, and FSM states become indices checked against
-//! per-transition [`StateMask`] bitsets. Transition dispatch becomes a
-//! per-trigger jump table: `(trigger kind, id) → [(state mask, body)]`
-//! in declaration order, so firing an event is an array index plus a
-//! bitmask test instead of a linear scan with `String` comparisons.
+//! that name resolution **once per spec**, and rejects the spec with a
+//! diagnostic at the first name that does not resolve or is declared
+//! twice (the checks are listed on [`IrSpec::lower`]). Each name
+//! collapses to a dense index — `u16` slots into plain `Vec`s for
+//! variables, neighbor lists, timers, messages, and message fields, and
+//! FSM states become indices checked against per-transition
+//! [`StateMask`] bitsets. Transition dispatch becomes a per-trigger jump
+//! table: `(trigger kind, id) → [(state mask, body)]` in declaration
+//! order, so firing an event is an array index plus a bitmask test
+//! instead of a linear scan with `String` comparisons.
 //!
 //! Lowering also **types** every expression ([`typed`]): each
 //! name-resolved [`IrExpr`] gets its static [`Ty`] and becomes a tree
@@ -21,41 +23,41 @@
 //! typed variant and matched back out at run time. Variables live in
 //! typed slots ([`Slots`]), and decoded message fields too.
 //!
-//! One `Arc<IrSpec>` is shared by every node interpreting the spec
-//! (see [`crate::registry::SpecRegistry`], which lowers each spec once
-//! at registration), and [`crate::codegen`] prints the same lowered
-//! spec as Rust: one lowering serves both back ends. Lowering is purely
-//! a change of representation: execution order, RNG draw points, wire
-//! bytes, and engine op order are identical to the AST semantics.
+//! [`crate::compile`] is parse, then lower. One `Arc<IrSpec>` is shared
+//! by every node interpreting the spec (see
+//! [`crate::registry::SpecRegistry`]), and [`crate::codegen`] prints the
+//! same lowered spec as Rust: one lowering serves both back ends.
+//! Lowering is purely a change of representation: execution order, RNG
+//! draw points, wire bytes, and engine op order are identical to the
+//! AST semantics.
 
 pub mod typed;
 
 use crate::ast::*;
 use crate::interp::protocol_id_of;
+use crate::lexer::ParseError;
 use macedon_core::{ChannelId, ProtocolId};
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 pub use typed::{
     AnyExpr, BoolExpr, IntExpr, KeyArg, KeyExpr, ListExpr, NodeExpr, PayloadExpr, SendArg,
     SendDest, Slots, Ty, TypeFault, Typer,
 };
 
-/// A spec that cannot be lowered — either it never passed
-/// [`crate::sema::analyze`] (unresolved names) or it exceeds an IR
-/// capacity bound (more than 128 FSM states).
-#[derive(Clone, Debug)]
-pub struct LowerError(pub String);
-
-impl fmt::Display for LowerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "IR lowering: {}", self.0)
+/// A diagnostic of the lowering. It names no source position: the AST
+/// keeps none.
+fn err(msg: impl Into<String>) -> ParseError {
+    ParseError {
+        line: 0,
+        col: 0,
+        msg: msg.into(),
     }
 }
 
-impl std::error::Error for LowerError {}
-
-fn err(msg: impl Into<String>) -> LowerError {
-    LowerError(msg.into())
+/// The first name that repeats an earlier one.
+fn duplicate<'a>(names: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+    let mut seen = HashSet::new();
+    names.into_iter().find(|n| !seen.insert(*n))
 }
 
 /// Set of FSM states (by index) a transition's scope admits.
@@ -161,8 +163,8 @@ pub type Table = Vec<(StateMask, u16)>;
 
 /// The MACEDON API calls a transition can be keyed on. The fixed-arity
 /// `downcall(..)` surface plus `init` and the extension hook — the only
-/// API triggers the engine can ever deliver (sema rejects any other API
-/// name).
+/// API triggers the engine can ever deliver (lowering rejects any other
+/// API name).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ApiKind {
     Init,
@@ -359,6 +361,9 @@ pub enum IrStmt {
 /// node.
 #[derive(Clone, Debug)]
 pub struct IrSpec {
+    /// The parsed spec this was lowered from (its transports, trace
+    /// mode and constants as written).
+    pub spec: Arc<Spec>,
     pub name: String,
     pub uses: Option<String>,
     pub proto: ProtocolId,
@@ -398,16 +403,34 @@ impl IrSpec {
         self.list_index.get(name).copied()
     }
 
-    /// Index of a declared FSM state.
-    pub fn state_index(&self, name: &str) -> Option<u16> {
-        self.states.iter().position(|s| s == name).map(|i| i as u16)
-    }
-
-    /// Lower an analyzed spec. Fails only on specs that never passed
-    /// [`crate::sema::analyze`] (unresolved names) or that exceed the
-    /// 128-state capacity of [`StateMask`].
-    pub fn lower(spec: &Spec) -> Result<IrSpec, LowerError> {
-        Lowerer::new(spec)?.run()
+    /// Check and lower a parsed spec. Rejects, with the first
+    /// violation found:
+    ///
+    /// * duplicate declarations (states, neighbor types, transports,
+    ///   messages, timers, neighbor lists, scalar variables), a
+    ///   redeclared `init`, more than 128 states, and a spec that `uses`
+    ///   itself (longer `uses` cycles are a registry matter:
+    ///   [`crate::registry::SpecRegistry::resolve_chain`]);
+    /// * message transports that are not declared (lowest layer only —
+    ///   layered specs name their base's classes), and neighbor types
+    ///   of message fields and list variables that are not declared;
+    /// * in transition *i* (reported as `transition {i}: …`): unknown
+    ///   scope states, trigger messages, timers and API names; unknown
+    ///   lists, timers, messages and states in statements; sends and
+    ///   downcalls with the wrong number of arguments; assignments to
+    ///   anything but a declared scalar or list (a constant, a timer, a
+    ///   `foreach` variable); variable names that resolve to no builtin
+    ///   (`from`, `me`, `my_key`, `bootstrap`, `payload`, `null`,
+    ///   `true`, `false`, `dest`, `group`), constant, scalar, list or
+    ///   enclosing `foreach` variable; `field(..)` outside a
+    ///   `recv`/`forward` transition or naming no field of its message;
+    ///   `quash()` outside a `forward` transition; and `downcall(..)` in
+    ///   a spec without `uses`.
+    ///
+    /// Whatever passes, both back ends run: an ill-typed construct is
+    /// not rejected but lowered to a fault ([`IrSpec::type_faults`]).
+    pub fn lower(spec: Arc<Spec>) -> Result<IrSpec, ParseError> {
+        Lowerer::new(&spec)?.run()
     }
 }
 
@@ -416,7 +439,7 @@ impl IrSpec {
 // ---------------------------------------------------------------------------
 
 struct Lowerer<'s> {
-    spec: &'s Spec,
+    spec: &'s Arc<Spec>,
     states: Vec<String>,
     vars: Vec<IrVar>,
     slots: Slots,
@@ -435,13 +458,28 @@ struct Lowerer<'s> {
     /// API of the transition being lowered (binds `dest`/`group`/
     /// `payload`).
     trigger_api: Option<ApiKind>,
+    /// The transition being lowered is a `forward` one (admits
+    /// `quash()`).
+    in_forward: bool,
     /// Reads of each field in the transition being lowered, a read
     /// inside a `foreach` counting twice (see [`count_field_reads`]).
     field_reads: HashMap<String, u32>,
 }
 
 impl<'s> Lowerer<'s> {
-    fn new(spec: &'s Spec) -> Result<Lowerer<'s>, LowerError> {
+    fn new(spec: &'s Arc<Spec>) -> Result<Lowerer<'s>, ParseError> {
+        if spec.uses.as_deref() == Some(spec.name.as_str()) {
+            return Err(err(format!(
+                "protocol '{}' cannot use itself as its base layer",
+                spec.name
+            )));
+        }
+        if spec.states.iter().any(|s| s == "init") {
+            return Err(err("the 'init' state is implicit; do not redeclare it"));
+        }
+        if let Some(s) = duplicate(spec.states.iter().map(String::as_str)) {
+            return Err(err(format!("duplicate state '{s}'")));
+        }
         let mut states = Vec::with_capacity(spec.states.len() + 1);
         states.push("init".to_string());
         states.extend(spec.states.iter().cloned());
@@ -451,6 +489,71 @@ impl<'s> Lowerer<'s> {
                 spec.name,
                 states.len()
             )));
+        }
+        if let Some(n) = duplicate(spec.neighbor_types.iter().map(|n| n.name.as_str())) {
+            return Err(err(format!("duplicate neighbor type '{n}'")));
+        }
+        if let Some(t) = duplicate(spec.transports.iter().map(|t| t.name.as_str())) {
+            return Err(err(format!("duplicate transport '{t}'")));
+        }
+        let neighbor_type = |ty: &str| spec.neighbor_types.iter().find(|n| n.name == ty);
+
+        let mut messages = Vec::new();
+        let mut msg_index = HashMap::new();
+        for m in &spec.messages {
+            if msg_index
+                .insert(m.name.clone(), messages.len() as u16)
+                .is_some()
+            {
+                return Err(err(format!("duplicate message '{}'", m.name)));
+            }
+            let declared = m
+                .transport
+                .as_ref()
+                .map(|t| (t, spec.transports.iter().position(|d| &d.name == t)));
+            let channel = match declared {
+                Some((t, None)) if spec.uses.is_none() => {
+                    return Err(err(format!(
+                        "message '{}' uses undeclared transport '{t}'",
+                        m.name
+                    )));
+                }
+                Some((_, Some(channel))) => channel,
+                _ => 0,
+            };
+            // A decoded frame fills its slots in declaration order; `at`
+            // is the field's slot there.
+            let mut shape = Slots::default();
+            let mut list_fields = 0;
+            let mut fields = Vec::with_capacity(m.fields.len());
+            for f in &m.fields {
+                if let TypeName::Neighbor(t) = &f.ty {
+                    if neighbor_type(t).is_none() {
+                        return Err(err(format!(
+                            "message '{}' field '{}' has unknown type '{t}'",
+                            m.name, f.name
+                        )));
+                    }
+                }
+                let kind = FieldKind::of(&f.ty);
+                let at = if kind == FieldKind::Nodes {
+                    list_fields += 1;
+                    list_fields - 1
+                } else {
+                    shape.push(Ty::of_field(kind))
+                };
+                fields.push(IrField {
+                    name: f.name.clone(),
+                    kind,
+                    at,
+                });
+            }
+            messages.push(IrMessage {
+                name: m.name.clone(),
+                channel: ChannelId(channel as u16),
+                transport: m.transport.clone(),
+                fields,
+            });
         }
 
         // Variables: constants first, then declared scalars — the same
@@ -482,17 +585,32 @@ impl<'s> Lowerer<'s> {
                     name,
                     fail_detect,
                 } => {
-                    list_index.insert(name.clone(), lists.len() as u16);
+                    let Some(nt) = neighbor_type(ty) else {
+                        return Err(err(format!(
+                            "state variable '{name}' has undeclared neighbor type '{ty}'"
+                        )));
+                    };
+                    if list_index
+                        .insert(name.clone(), lists.len() as u16)
+                        .is_some()
+                    {
+                        return Err(err(format!("duplicate neighbor list '{name}'")));
+                    }
                     lists.push(IrList {
                         name: name.clone(),
-                        max: spec.list_max(ty),
+                        max: nt.max,
                         fail_detect: *fail_detect,
                     });
                 }
                 StateVar::Timer {
                     name, period_ms, ..
                 } => {
-                    timer_index.insert(name.clone(), timers.len() as u16);
+                    if timer_index
+                        .insert(name.clone(), timers.len() as u16)
+                        .is_some()
+                    {
+                        return Err(err(format!("duplicate timer '{name}'")));
+                    }
                     timers.push(IrTimer {
                         name: name.clone(),
                         period_ms: *period_ms,
@@ -505,7 +623,10 @@ impl<'s> Lowerer<'s> {
                         TypeName::Neighbor(_) => Ty::Null,
                         other => Ty::of_field(FieldKind::of(other)),
                     };
-                    var_index.insert(name.clone(), vars.len() as u16);
+                    let shadowed = var_index.insert(name.clone(), vars.len() as u16);
+                    if shadowed.is_some_and(|i| vars[i as usize].constant.is_none()) {
+                        return Err(err(format!("duplicate variable '{name}'")));
+                    }
                     vars.push(IrVar {
                         name: name.clone(),
                         ty,
@@ -514,45 +635,6 @@ impl<'s> Lowerer<'s> {
                     });
                 }
             }
-        }
-
-        let mut messages = Vec::new();
-        let mut msg_index = HashMap::new();
-        for m in &spec.messages {
-            let channel = m
-                .transport
-                .as_ref()
-                .and_then(|t| spec.transports.iter().position(|d| &d.name == t))
-                .unwrap_or(0);
-            // A decoded frame fills its slots in declaration order; `at`
-            // is the field's slot there.
-            let mut shape = Slots::default();
-            let mut list_fields = 0;
-            let fields: Vec<IrField> = m
-                .fields
-                .iter()
-                .map(|f| {
-                    let kind = FieldKind::of(&f.ty);
-                    let at = if kind == FieldKind::Nodes {
-                        list_fields += 1;
-                        list_fields - 1
-                    } else {
-                        shape.push(Ty::of_field(kind))
-                    };
-                    IrField {
-                        name: f.name.clone(),
-                        kind,
-                        at,
-                    }
-                })
-                .collect();
-            msg_index.insert(m.name.clone(), messages.len() as u16);
-            messages.push(IrMessage {
-                name: m.name.clone(),
-                channel: ChannelId(channel as u16),
-                transport: m.transport.clone(),
-                fields,
-            });
         }
 
         Ok(Lowerer {
@@ -571,11 +653,12 @@ impl<'s> Lowerer<'s> {
             fe_stack: Vec::new(),
             trigger_msg: None,
             trigger_api: None,
+            in_forward: false,
             field_reads: HashMap::new(),
         })
     }
 
-    fn run(mut self) -> Result<IrSpec, LowerError> {
+    fn run(mut self) -> Result<IrSpec, ParseError> {
         let mut tables = Tables {
             recv: vec![Vec::new(); self.messages.len()],
             forward: vec![Vec::new(); self.messages.len()],
@@ -584,44 +667,15 @@ impl<'s> Lowerer<'s> {
             error: Vec::new(),
         };
         let mut transitions = Vec::with_capacity(self.spec.transitions.len());
-        for t in &self.spec.transitions {
-            let mask = self.scope_mask(&t.scope)?;
-            self.trigger_msg = match &t.trigger {
-                Trigger::Recv(m) | Trigger::Forward(m) => Some(self.msg(m)?),
-                _ => None,
-            };
-            self.trigger_api = match &t.trigger {
-                Trigger::Api(name) => ApiKind::from_name(name),
-                _ => None,
-            };
-            self.field_reads.clear();
-            count_field_reads(&t.body, 1, &mut self.field_reads);
-            let tidx = transitions.len() as u16;
-            let body = self.stmts(&t.body)?;
-            transitions.push(IrTransition {
-                scope: t.scope.clone(),
-                read_locked: t.locking == LockingOpt::Read,
-                body,
-            });
-            match &t.trigger {
-                Trigger::Recv(m) => tables.recv[self.msg(m)? as usize].push((mask, tidx)),
-                Trigger::Forward(m) => tables.forward[self.msg(m)? as usize].push((mask, tidx)),
-                Trigger::Timer(name) => {
-                    let id = *self
-                        .timer_index
-                        .get(name)
-                        .ok_or_else(|| err(format!("unknown timer '{name}'")))?;
-                    tables.timer[id as usize].push((mask, tidx));
-                }
-                Trigger::Api(name) => {
-                    let kind = ApiKind::from_name(name)
-                        .ok_or_else(|| err(format!("unknown API '{name}'")))?;
-                    tables.api[kind as usize].push((mask, tidx));
-                }
-                Trigger::Error => tables.error.push((mask, tidx)),
-            }
+        for (i, t) in self.spec.transitions.iter().enumerate() {
+            let (table, mask, lowered) = self
+                .transition(t, &mut tables)
+                .map_err(|e| err(format!("transition {i}: {}", e.msg)))?;
+            table.push((mask, i as u16));
+            transitions.push(lowered);
         }
         Ok(IrSpec {
+            spec: Arc::clone(self.spec),
             name: self.spec.name.clone(),
             uses: self.spec.uses.clone(),
             proto: protocol_id_of(&self.spec.name),
@@ -641,7 +695,55 @@ impl<'s> Lowerer<'s> {
         })
     }
 
-    fn scope_mask(&self, scope: &StateExpr) -> Result<StateMask, LowerError> {
+    /// Lower one transition: its scope mask, the dispatch table its
+    /// trigger keys it into, and its body.
+    fn transition<'t>(
+        &mut self,
+        t: &Transition,
+        tables: &'t mut Tables,
+    ) -> Result<(&'t mut Table, StateMask, IrTransition), ParseError> {
+        let mask = self.scope_mask(&t.scope)?;
+        self.trigger_msg = None;
+        self.trigger_api = None;
+        self.in_forward = false;
+        let table = match &t.trigger {
+            Trigger::Recv(m) => {
+                let id = self.msg(m)?;
+                self.trigger_msg = Some(id);
+                &mut tables.recv[id as usize]
+            }
+            Trigger::Forward(m) => {
+                let id = self.msg(m)?;
+                self.trigger_msg = Some(id);
+                self.in_forward = true;
+                &mut tables.forward[id as usize]
+            }
+            Trigger::Timer(name) => &mut tables.timer[self.timer(name)? as usize],
+            Trigger::Api(name) => {
+                let kind =
+                    ApiKind::from_name(name).ok_or_else(|| err(format!("unknown API '{name}'")))?;
+                self.trigger_api = Some(kind);
+                &mut tables.api[kind as usize]
+            }
+            Trigger::Error => &mut tables.error,
+        };
+        self.field_reads.clear();
+        count_field_reads(&t.body, 1, &mut self.field_reads);
+        let body = self.stmts(&t.body)?;
+        let lowered = IrTransition {
+            scope: t.scope.clone(),
+            read_locked: t.locking == LockingOpt::Read,
+            body,
+        };
+        Ok((table, mask, lowered))
+    }
+
+    fn scope_mask(&self, scope: &StateExpr) -> Result<StateMask, ParseError> {
+        let mut names = Vec::new();
+        scope.names(&mut names);
+        if let Some(n) = names.iter().find(|n| !self.states.contains(n)) {
+            return Err(err(format!("unknown state '{n}' in scope")));
+        }
         let mut bits = 0u128;
         for (i, s) in self.states.iter().enumerate() {
             if scope.matches(s) {
@@ -651,25 +753,31 @@ impl<'s> Lowerer<'s> {
         Ok(StateMask(bits))
     }
 
-    fn msg(&self, name: &str) -> Result<u16, LowerError> {
+    fn msg(&self, name: &str) -> Result<u16, ParseError> {
         self.msg_index
             .get(name)
             .copied()
             .ok_or_else(|| err(format!("unknown message '{name}'")))
     }
 
-    fn list(&self, name: &str) -> Result<u16, LowerError> {
+    fn list(&self, name: &str) -> Result<u16, ParseError> {
         self.list_index
             .get(name)
             .copied()
             .ok_or_else(|| err(format!("unknown neighbor list '{name}'")))
     }
 
-    fn timer(&self, name: &str) -> Result<u16, LowerError> {
+    fn timer(&self, name: &str) -> Result<u16, ParseError> {
         self.timer_index
             .get(name)
             .copied()
             .ok_or_else(|| err(format!("unknown timer '{name}'")))
+    }
+
+    /// The declared scalar `name` names: constants are not assignable.
+    fn scalar(&self, name: &str) -> Option<u16> {
+        let var = *self.var_index.get(name)?;
+        self.vars[var as usize].constant.is_none().then_some(var)
     }
 
     /// Resolve a value name through the lexical scope the AST
@@ -697,11 +805,11 @@ impl<'s> Lowerer<'s> {
         }
     }
 
-    fn stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<IrStmt>, LowerError> {
+    fn stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<IrStmt>, ParseError> {
         stmts.iter().map(|s| self.stmt(s)).collect()
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<IrStmt, LowerError> {
+    fn stmt(&mut self, s: &Stmt) -> Result<IrStmt, ParseError> {
         Ok(match s {
             Stmt::If { cond, then, els } => {
                 let cond = self.expr(cond)?;
@@ -717,7 +825,7 @@ impl<'s> Lowerer<'s> {
                     .states
                     .iter()
                     .position(|s| s == name)
-                    .ok_or_else(|| err(format!("state_change to unknown state '{name}'")))?;
+                    .ok_or_else(|| err(format!("state_change to unknown '{name}'")))?;
                 IrStmt::StateChange(idx as u16)
             }
             Stmt::TimerResched(name, e) => {
@@ -742,10 +850,13 @@ impl<'s> Lowerer<'s> {
                 dest,
                 args,
             } => {
-                let msg = self.msg(message)?;
+                let msg = *self
+                    .msg_index
+                    .get(message)
+                    .ok_or_else(|| err(format!("send of unknown message '{message}'")))?;
                 if args.len() != self.messages[msg as usize].fields.len() {
                     return Err(err(format!(
-                        "message '{message}' takes {} field(s), got {}",
+                        "message '{message}' takes {} argument(s), got {}",
                         self.messages[msg as usize].fields.len(),
                         args.len()
                     )));
@@ -772,20 +883,28 @@ impl<'s> Lowerer<'s> {
                         .collect(),
                 }
             }
+            Stmt::Quash if !self.in_forward => {
+                return Err(err("quash() is only valid in a 'forward' transition"));
+            }
             Stmt::Quash => IrStmt::Quash,
+            Stmt::DownCallApi { api, .. } if self.spec.uses.is_none() => {
+                return Err(err(format!(
+                    "downcall({api}, ..) requires a 'uses' base layer"
+                )));
+            }
             Stmt::DownCallApi { api, args } => {
+                let arity = crate::ast::downcall_arity(api)
+                    .ok_or_else(|| err(format!("unknown downcall API '{api}'")))?;
+                if args.len() != arity {
+                    return Err(err(format!(
+                        "downcall({api}, ..) takes {arity} argument(s), got {}",
+                        args.len()
+                    )));
+                }
                 let lowered: Vec<IrExpr> = args
                     .iter()
                     .map(|a| self.expr(a))
                     .collect::<Result<_, _>>()?;
-                let arity = crate::ast::downcall_arity(api)
-                    .ok_or_else(|| err(format!("unknown downcall API '{api}'")))?;
-                if lowered.len() != arity {
-                    return Err(err(format!(
-                        "downcall({api}, ..) takes {arity} argument(s), got {}",
-                        lowered.len()
-                    )));
-                }
                 let what = format!("downcall({api}, ..)");
                 let mut t = self.typer();
                 let l = &lowered;
@@ -832,7 +951,10 @@ impl<'s> Lowerer<'s> {
                 IrStmt::Unmonitor(self.typer().node_arg(&e, "unmonitor"))
             }
             Stmt::ForEach { var, list, body } => {
-                let list = self.list(list)?;
+                let list = *self
+                    .list_index
+                    .get(list)
+                    .ok_or_else(|| err(format!("foreach over unknown list '{list}'")))?;
                 // A dedicated node variable per binding site: lexical
                 // resolution replaces the AST interpreter's
                 // insert/save/restore dance over one shared map.
@@ -853,6 +975,9 @@ impl<'s> Lowerer<'s> {
                     body: body?,
                 }
             }
+            Stmt::Assign(name, _) if self.fe_stack.iter().any(|(n, _)| n == name) => {
+                return Err(err(format!("cannot assign to foreach variable '{name}'")));
+            }
             Stmt::Assign(name, e) => {
                 let lowered = self.expr(e)?;
                 // Mirror the AST interpreter's order: a neighbor list
@@ -864,7 +989,7 @@ impl<'s> Lowerer<'s> {
                     } else {
                         IrStmt::AssignList(slot, self.typer().list_arg(&lowered, name))
                     }
-                } else if let Some(&var) = self.var_index.get(name) {
+                } else if let Some(var) = self.scalar(name) {
                     self.typer().assign(var, &lowered)
                 } else {
                     return Err(err(format!("assignment to undeclared variable '{name}'")));
@@ -891,7 +1016,7 @@ impl<'s> Lowerer<'s> {
         .then_some(field.at)
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<IrExpr, LowerError> {
+    fn expr(&mut self, e: &Expr) -> Result<IrExpr, ParseError> {
         Ok(match e {
             Expr::Int(v) => IrExpr::Int(*v),
             Expr::Var(name) => match name.as_str() {
@@ -1033,7 +1158,7 @@ mod tests {
     use crate::compile;
 
     fn lower(src: &str) -> IrSpec {
-        IrSpec::lower(&compile(src).unwrap()).unwrap()
+        compile(src).unwrap()
     }
 
     #[test]
@@ -1159,8 +1284,8 @@ mod tests {
     #[test]
     fn all_bundled_specs_lower() {
         for (name, src) in crate::bundled_specs() {
-            let spec = compile(src).unwrap();
-            let ir = IrSpec::lower(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let ir = compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let spec = &ir.spec;
             assert_eq!(ir.name, name);
             assert_eq!(ir.messages.len(), spec.messages.len());
             assert_eq!(ir.transitions.len(), spec.transitions.len());
@@ -1174,7 +1299,7 @@ mod tests {
              transitions { any API init { ghost = 1; } }",
         )
         .unwrap();
-        let e = IrSpec::lower(&spec).unwrap_err();
+        let e = IrSpec::lower(Arc::new(spec)).unwrap_err();
         assert!(e.to_string().contains("undeclared variable 'ghost'"));
     }
 
@@ -1185,7 +1310,7 @@ mod tests {
             src.push_str(&format!("s{i}; "));
         }
         src.push('}');
-        let e = IrSpec::lower(&compile(&src).unwrap()).unwrap_err();
+        let e = compile(&src).unwrap_err();
         assert!(e.to_string().contains("at most 128"));
     }
 }

@@ -17,8 +17,8 @@
 //! operand. Only [`PayloadExpr`] and [`ListExpr`] values live on the
 //! heap, and both are read by reference.
 //!
-//! The interpreter runs every spec sema accepts, well-typed or not. A
-//! construct the tables reject (`neighbor_query(l, 5)`, an `int`
+//! The interpreter runs every spec the lowering accepts, well-typed or
+//! not. A construct the tables reject (`neighbor_query(l, 5)`, an `int`
 //! variable assigned a node) lowers to a [`TypeFault`]: evaluating it
 //! evaluates its operands in the order the language defines, then
 //! faults with a static diagnostic, which [`crate::IrSpec::type_faults`]

@@ -1,7 +1,8 @@
 //! # macedon-lang
 //!
 //! The MACEDON domain-specific language (Figure 4 of the paper): lexer,
-//! recursive-descent parser, semantic analysis, an **interpreter** that
+//! recursive-descent parser, the lowering to a checked, slot-indexed IR
+//! ([`ir`], the front end's one checker), an **interpreter** that
 //! executes `.mac` specifications as live [`macedon_core::Agent`]s, and a
 //! **code generator** that emits the Rust agent source the paper's
 //! `macedon` translator would produce (it emitted C++; the artifact here
@@ -49,7 +50,6 @@ pub mod lexer;
 pub mod loc;
 pub mod parser;
 pub mod registry;
-pub mod sema;
 
 // Behaviour tests of the bundled roster, one module per protocol, each
 // running its spec interpreted in small seeded worlds.
@@ -69,6 +69,12 @@ mod randtree;
 mod roster {
     pub(crate) mod testworld;
 }
+// The front end's diagnostics, one test per rejected construct. The
+// module keeps the name of the checker the lowering absorbed, so the
+// test ids survive.
+#[cfg(test)]
+#[path = "diagnostics.rs"]
+mod sema;
 
 pub use ast::Spec;
 pub use interp::InterpretedAgent;
@@ -76,13 +82,10 @@ pub use ir::IrSpec;
 pub use lexer::{Lexer, ParseError, Token, TokenKind};
 pub use parser::parse;
 pub use registry::{ChainError, ConstantError, SpecRegistry};
-pub use sema::analyze;
 
-/// Parse + semantically check a specification in one call.
-pub fn compile(source: &str) -> Result<Spec, ParseError> {
-    let spec = parse(source)?;
-    analyze(&spec)?;
-    Ok(spec)
+/// Parse a specification, then check and lower it ([`IrSpec::lower`]).
+pub fn compile(source: &str) -> Result<IrSpec, ParseError> {
+    IrSpec::lower(std::sync::Arc::new(parse(source)?))
 }
 
 /// The bundled specifications (name, source): the eight overlays of the

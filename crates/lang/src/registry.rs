@@ -79,14 +79,12 @@ impl std::error::Error for ConstantError {}
 
 /// A set of compiled specifications addressable by protocol name.
 ///
-/// Each spec is lowered to its slot-indexed [`IrSpec`] once, at
-/// registration; every stack the registry assembles shares that one
-/// `Arc<IrSpec>` across all nodes and layers (instead of re-deriving
-/// per-agent name tables, as the pre-IR interpreter did).
+/// A spec is registered already lowered ([`crate::compile`] returns
+/// the [`IrSpec`]); every stack the registry assembles shares that one
+/// `Arc<IrSpec>` across all nodes and layers.
 #[derive(Default)]
 pub struct SpecRegistry {
-    specs: HashMap<String, Arc<Spec>>,
-    irs: HashMap<String, Arc<IrSpec>>,
+    specs: HashMap<String, Arc<IrSpec>>,
 }
 
 impl SpecRegistry {
@@ -96,58 +94,52 @@ impl SpecRegistry {
 
     /// Registry preloaded with the nine bundled `.mac` specs.
     ///
-    /// The roster is lexed, parsed, analysed and lowered at most once per
+    /// The roster is lexed, parsed and lowered at most once per
     /// process: the first call pays the whole compile (about a
     /// millisecond), every later one — each sweep cell asks for its own
-    /// registry — clones nine `Arc` pairs into a fresh registry. The
+    /// registry — clones nine `Arc`s into a fresh registry. The
     /// registries are independent: [`SpecRegistry::insert`] over a
     /// bundled name replaces it in that registry only.
     pub fn bundled() -> SpecRegistry {
-        static ROSTER: OnceLock<Vec<(Arc<Spec>, Arc<IrSpec>)>> = OnceLock::new();
+        static ROSTER: OnceLock<Vec<Arc<IrSpec>>> = OnceLock::new();
         let roster = ROSTER.get_or_init(|| {
             crate::bundled_specs()
                 .into_iter()
-                .map(|(_, src)| {
-                    let spec = Arc::new(crate::compile(src).expect("bundled spec compiles"));
-                    let ir = Arc::new(lower(&spec));
-                    (spec, ir)
-                })
+                .map(|(_, src)| Arc::new(crate::compile(src).expect("bundled spec compiles")))
                 .collect()
         });
         let mut r = SpecRegistry::new();
-        for (spec, ir) in roster {
-            r.insert_lowered(spec.clone(), ir.clone());
+        for ir in roster {
+            r.insert(ir.clone());
         }
         r
     }
 
-    /// Register a compiled spec under its protocol name (replacing any
-    /// previous spec of the same name), lowering it to IR once for all
-    /// future stacks.
-    ///
-    /// Panics if the spec fails IR lowering — only possible when it
-    /// never passed [`crate::sema::analyze`] (use [`crate::compile`]).
-    pub fn insert(&mut self, spec: Arc<Spec>) {
-        let ir = Arc::new(lower(&spec));
-        self.insert_lowered(spec, ir);
+    /// Register a compiled spec under its protocol name, replacing any
+    /// previous spec of the same name.
+    pub fn insert(&mut self, ir: Arc<IrSpec>) {
+        self.specs.insert(ir.name.clone(), ir);
     }
 
     /// Instantiate `name` with some of its `constants` overridden: the
-    /// registered spec is cloned, the named constants (and any timer
-    /// period declared by one of them) take the given values, and the
-    /// copy is lowered once and registered under the same name — in this
-    /// registry only. Every other registry, [`SpecRegistry::bundled`]'s
-    /// included, keeps sharing the original. Generated agents are not
-    /// affected: their constants stay the spec's.
+    /// registered spec's parsed form is cloned, the named constants (and
+    /// any timer period declared by one of them) take the given values,
+    /// and the copy is lowered once and registered under the same name —
+    /// in this registry only. Every other registry,
+    /// [`SpecRegistry::bundled`]'s included, keeps sharing the original.
+    /// Generated agents are not affected: their constants stay the
+    /// spec's.
     pub fn set_constants(
         &mut self,
         name: &str,
         overrides: &[(&str, i64)],
     ) -> Result<(), ConstantError> {
         let mut spec = Spec::clone(
-            self.specs
+            &self
+                .specs
                 .get(name)
-                .ok_or_else(|| ConstantError::UnknownSpec(name.to_string()))?,
+                .ok_or_else(|| ConstantError::UnknownSpec(name.to_string()))?
+                .spec,
         );
         for &(constant, value) in overrides {
             let mut found = false;
@@ -174,22 +166,15 @@ impl SpecRegistry {
                 }
             }
         }
-        self.insert(Arc::new(spec));
+        // Values change no name, so the copy lowers as the original did.
+        let ir = IrSpec::lower(Arc::new(spec)).expect("a constant override lowers");
+        self.insert(Arc::new(ir));
         Ok(())
     }
 
-    fn insert_lowered(&mut self, spec: Arc<Spec>, ir: Arc<IrSpec>) {
-        self.irs.insert(spec.name.clone(), ir);
-        self.specs.insert(spec.name.clone(), spec);
-    }
-
-    pub fn get(&self, name: &str) -> Option<&Arc<Spec>> {
-        self.specs.get(name)
-    }
-
     /// The shared lowered form of a registered spec.
-    pub fn ir(&self, name: &str) -> Option<&Arc<IrSpec>> {
-        self.irs.get(name)
+    pub fn get(&self, name: &str) -> Option<&Arc<IrSpec>> {
+        self.specs.get(name)
     }
 
     pub fn names(&self) -> impl Iterator<Item = &str> {
@@ -199,7 +184,7 @@ impl SpecRegistry {
     /// Resolve `name`'s transitive `uses` chain. Returns the specs
     /// **lowest layer first** (`splitstream` → `[pastry, scribe,
     /// splitstream]`), or a diagnostic for dangling or cyclic chains.
-    pub fn resolve_chain(&self, name: &str) -> Result<Vec<Arc<Spec>>, ChainError> {
+    pub fn resolve_chain(&self, name: &str) -> Result<Vec<Arc<IrSpec>>, ChainError> {
         let mut chain = Vec::new(); // top-first while walking
         let mut walked: Vec<String> = Vec::new();
         let mut cur = self
@@ -244,16 +229,15 @@ impl SpecRegistry {
         bootstrap: Option<NodeId>,
     ) -> Result<Vec<Box<dyn Agent>>, ChainError> {
         let chain = self.resolve_chain(name)?;
-        let base_transports = chain[0].transports.clone();
+        let base_transports = &chain[0].spec.transports;
         Ok(chain
-            .into_iter()
-            .map(|spec| {
-                let ir = self.irs[&spec.name].clone();
-                let mut agent = InterpretedAgent::from_ir(ir, bootstrap);
-                if spec.uses.is_some() {
+            .iter()
+            .map(|ir| {
+                let mut agent = InterpretedAgent::new(ir.clone(), bootstrap);
+                if ir.layered {
                     // Layered message classes resolve against the
                     // lowest (tunneling) layer's transport table.
-                    agent.set_base_transports(&base_transports);
+                    agent.set_base_transports(base_transports);
                 }
                 Box::new(agent) as Box<dyn Agent>
             })
@@ -272,11 +256,11 @@ impl SpecRegistry {
     /// the **top** spec of the chain decides (it names the deployment;
     /// its bases keep whatever verbosity the stack runs at).
     pub fn trace_level_for(&self, name: &str) -> Result<TraceLevel, ChainError> {
-        let spec = self
+        let ir = self
             .specs
             .get(name)
             .ok_or_else(|| ChainError::UnknownSpec(name.to_string()))?;
-        Ok(match spec.trace {
+        Ok(match ir.spec.trace {
             TraceMode::Off => TraceLevel::Off,
             TraceMode::Low => TraceLevel::Low,
             TraceMode::Med => TraceLevel::Med,
@@ -285,23 +269,12 @@ impl SpecRegistry {
     }
 }
 
-/// Lower a sema-analysed spec, panicking with a registration diagnostic
-/// otherwise.
-fn lower(spec: &Spec) -> IrSpec {
-    IrSpec::lower(spec).unwrap_or_else(|e| {
-        panic!(
-            "spec '{}' cannot be registered: {e} (was it sema-analyzed?)",
-            spec.name
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile;
 
-    fn spec_of(src: &str) -> Arc<Spec> {
+    fn spec_of(src: &str) -> Arc<IrSpec> {
         Arc::new(compile(src).unwrap())
     }
 
@@ -396,27 +369,26 @@ mod tests {
         assert_eq!(names, bundled);
         for name in names {
             assert!(Arc::ptr_eq(a.get(name).unwrap(), b.get(name).unwrap()));
-            assert!(Arc::ptr_eq(a.ir(name).unwrap(), b.ir(name).unwrap()));
         }
     }
 
     #[test]
     fn insert_over_a_bundled_name_stays_in_that_registry() {
         let mut mine = SpecRegistry::bundled();
-        let bundled_ir = mine.ir("chord").unwrap().clone();
+        let bundled_ir = mine.get("chord").unwrap().clone();
         mine.insert(spec_of(
             "protocol chord; addressing ip; transports { UDP ONLY; }",
         ));
-        assert!(!Arc::ptr_eq(mine.ir("chord").unwrap(), &bundled_ir));
+        assert!(!Arc::ptr_eq(mine.get("chord").unwrap(), &bundled_ir));
         assert_eq!(mine.channel_table_for("chord").unwrap()[0].name, "ONLY");
         // The next registry still gets the bundled chord, and every
         // other name in `mine` is still the shared one.
         let next = SpecRegistry::bundled();
-        assert!(Arc::ptr_eq(next.ir("chord").unwrap(), &bundled_ir));
+        assert!(Arc::ptr_eq(next.get("chord").unwrap(), &bundled_ir));
         assert_ne!(next.channel_table_for("chord").unwrap()[0].name, "ONLY");
         assert!(Arc::ptr_eq(
-            mine.ir("pastry").unwrap(),
-            next.ir("pastry").unwrap()
+            mine.get("pastry").unwrap(),
+            next.get("pastry").unwrap()
         ));
     }
 
@@ -437,8 +409,8 @@ mod tests {
         );
         // A refused override registers nothing.
         assert!(Arc::ptr_eq(
-            r.ir("chord").unwrap(),
-            SpecRegistry::bundled().ir("chord").unwrap()
+            r.get("chord").unwrap(),
+            SpecRegistry::bundled().get("chord").unwrap()
         ));
     }
 
@@ -449,7 +421,7 @@ mod tests {
         lsd.set_constants("chord", &[("FIX_FINGERS_MS", 4000), ("FF_MIN_MS", 500)])
             .unwrap();
         let fix = |r: &SpecRegistry| {
-            r.ir("chord")
+            r.get("chord")
                 .unwrap()
                 .vars
                 .iter()
@@ -460,16 +432,15 @@ mod tests {
         let next = SpecRegistry::bundled();
         assert_eq!(fix(&next), Some(1000));
         assert!(Arc::ptr_eq(
-            next.ir("chord").unwrap(),
-            roster.ir("chord").unwrap()
-        ));
-        assert!(Arc::ptr_eq(
             next.get("chord").unwrap(),
             roster.get("chord").unwrap()
         ));
         // Untouched specs of the overridden registry are the roster's.
         for name in roster.names().filter(|&n| n != "chord") {
-            assert!(Arc::ptr_eq(lsd.ir(name).unwrap(), roster.ir(name).unwrap()));
+            assert!(Arc::ptr_eq(
+                lsd.get(name).unwrap(),
+                roster.get(name).unwrap()
+            ));
         }
     }
 
@@ -477,7 +448,7 @@ mod tests {
     fn overridden_constant_re_resolves_a_timer_period() {
         let mut r = SpecRegistry::bundled();
         r.set_constants("bullet", &[("RANSUB_MS", 750)]).unwrap();
-        let ir = r.ir("bullet").unwrap();
+        let ir = r.get("bullet").unwrap();
         let period = |name: &str| ir.timers.iter().find(|t| t.name == name).unwrap().period_ms;
         assert_eq!(period("ransub_t"), Some(750));
         assert_eq!(period("recover_t"), Some(1000));
@@ -530,7 +501,7 @@ mod tests {
     #[test]
     fn stacks_share_one_ir_per_spec() {
         let r = SpecRegistry::bundled();
-        let ir = r.ir("pastry").expect("lowered at registration").clone();
+        let ir = r.get("pastry").expect("lowered at registration").clone();
         // Identity by pointer: the bundled IR's reference count also
         // moves with every other test's registries and stacks.
         let stacks: Vec<_> = (0..4)

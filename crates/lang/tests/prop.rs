@@ -2,7 +2,7 @@
 
 use macedon_lang::ast::StateExpr;
 use macedon_lang::registry::{ChainError, SpecRegistry};
-use macedon_lang::{compile, parse, Lexer};
+use macedon_lang::{bundled_specs, compile, parse, Lexer, TokenKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -154,7 +154,7 @@ proptest! {
         back_frac in 0u64..1000,
     ) {
         // Close the chain anywhere except onto the last spec itself
-        // (sema already rejects `p uses p` at compile time).
+        // (`compile` already rejects `p uses p`).
         let back = (back_frac as usize) % (k - 1);
         let mut reg = SpecRegistry::new();
         for i in 0..k {
@@ -170,5 +170,56 @@ proptest! {
         let back_name = format!("p{back}");
         prop_assert_eq!(names.first().unwrap().as_str(), back_name.as_str());
         prop_assert_eq!(names.len(), k - back + 1);
+    }
+}
+
+/// `src` with its `pick`-th identifier token (modulo their number)
+/// replaced by `zz`.
+fn rename_one_identifier(src: &str, pick: u64) -> String {
+    let line_starts: Vec<usize> = std::iter::once(0)
+        .chain(src.match_indices('\n').map(|(i, _)| i + 1))
+        .collect();
+    let idents: Vec<(usize, usize)> = Lexer::new(src)
+        .tokenize()
+        .unwrap()
+        .into_iter()
+        .filter_map(|t| match t.kind {
+            TokenKind::Ident(name) => {
+                let at = line_starts[t.line as usize - 1] + t.col as usize - 1;
+                assert_eq!(&src[at..at + name.len()], name, "token position");
+                Some((at, name.len()))
+            }
+            _ => None,
+        })
+        .collect();
+    let (at, len) = idents[(pick % idents.len() as u64) as usize];
+    format!("{}zz{}", &src[..at], &src[at + len..])
+}
+
+proptest! {
+    // Most renames leave a name unresolved; the cases are cheap, so run
+    // enough that some dozen mutants compile.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A bundled spec with one identifier renamed either fails to
+    /// compile with a diagnostic or, compiled, registers and builds its
+    /// stack: nothing `compile` accepts panics downstream.
+    #[test]
+    fn a_renamed_identifier_is_rejected_or_runs(
+        spec in 0usize..9,
+        pick in 0u64..u64::MAX,
+    ) {
+        let (_, src) = bundled_specs()[spec];
+        let Ok(ir) = compile(&rename_one_identifier(src, pick)) else {
+            return Ok(());
+        };
+        let name = ir.name.clone();
+        let mut reg = SpecRegistry::bundled();
+        reg.insert(Arc::new(ir));
+        // A renamed base is a chain diagnostic, not a stack.
+        if let Ok(stack) = reg.build_stack(&name, None) {
+            prop_assert!(!stack.is_empty());
+            prop_assert!(reg.channel_table_for(&name).is_ok());
+        }
     }
 }

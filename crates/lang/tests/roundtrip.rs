@@ -395,8 +395,7 @@ impl Seen {
 }
 
 fn roundtrip_ir() -> IrSpec {
-    IrSpec::lower(&compile(ROUNDTRIP_SPEC).expect("the round-trip spec compiles"))
-        .expect("the round-trip spec lowers")
+    compile(ROUNDTRIP_SPEC).expect("the round-trip spec compiles")
 }
 
 #[test]
@@ -406,7 +405,7 @@ fn the_roster_and_the_roundtrip_spec_print_every_typed_variant() {
     let roundtrip = roundtrip_ir();
     let irs = registry
         .names()
-        .map(|n| registry.ir(n).unwrap().as_ref())
+        .map(|n| registry.get(n).unwrap().as_ref())
         .chain(std::iter::once(&roundtrip));
     for ir in irs {
         for t in &ir.transitions {
@@ -615,7 +614,7 @@ fn fire(stack: &mut Stack, e: &Event) -> Vec<StackEffect> {
 #[test]
 fn generated_and_interpreted_agents_agree_event_by_event() {
     let ir = Arc::new(roundtrip_ir());
-    let mut interpreted = stack(Box::new(InterpretedAgent::from_ir(ir, Some(NodeId(1)))));
+    let mut interpreted = stack(Box::new(InterpretedAgent::new(ir, Some(NodeId(1)))));
     let mut generated = stack(Box::new(agent::Roundtrip::new(Some(NodeId(1)))));
     let mut traced = Vec::new();
     for (i, e) in events().iter().enumerate() {

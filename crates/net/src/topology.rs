@@ -359,15 +359,6 @@ impl Default for InetParams {
 }
 
 impl InetParams {
-    /// The paper's full-scale configuration: 20,000 routers.
-    pub fn paper_scale(clients: usize) -> InetParams {
-        InetParams {
-            routers: 20_000,
-            clients,
-            ..Default::default()
-        }
-    }
-
     /// A smaller configuration for unit and integration tests.
     pub fn test_scale(clients: usize) -> InetParams {
         InetParams {

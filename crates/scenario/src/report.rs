@@ -85,6 +85,19 @@ impl LatencySummary {
             max: Duration(*sorted.last().unwrap()),
         })
     }
+
+    /// The summary as the JSON object the run and sweep reports embed,
+    /// times in integer microseconds.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"samples\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
+            self.samples,
+            self.p50.as_micros(),
+            self.p95.as_micros(),
+            self.p99.as_micros(),
+            self.max.as_micros(),
+        )
+    }
 }
 
 /// Nearest-rank percentile of a *sorted* sample set: the smallest value
@@ -181,18 +194,7 @@ impl MetricsReport {
             Some(d) => d.as_micros().to_string(),
             None => "null".into(),
         };
-        let latency = match &self.latency {
-            Some(l) => format!(
-                "{{\"samples\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-                 \"max_us\": {}}}",
-                l.samples,
-                l.p50.as_micros(),
-                l.p95.as_micros(),
-                l.p99.as_micros(),
-                l.max.as_micros(),
-            ),
-            None => "null".into(),
-        };
+        let latency = self.latency.map_or_else(|| "null".into(), |l| l.to_json());
         let mut out = String::new();
         let _ = write!(
             out,

@@ -603,18 +603,7 @@ impl SweepReport {
         }
         let _ = write!(out, "\n  ],\n  \"cells\": [");
         for (i, c) in self.cells.iter().enumerate() {
-            let latency = match &c.latency {
-                Some(l) => format!(
-                    "{{\"samples\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-                     \"max_us\": {}}}",
-                    l.samples,
-                    l.p50.as_micros(),
-                    l.p95.as_micros(),
-                    l.p99.as_micros(),
-                    l.max.as_micros(),
-                ),
-                None => "null".into(),
-            };
+            let latency = c.latency.map_or_else(|| "null".into(), |l| l.to_json());
             let _ = write!(
                 out,
                 "{}\n    {{\"cell\": {}, \"nodes\": {}, \"seed\": {}, \"derived_seed\": {}, \

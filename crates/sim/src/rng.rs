@@ -110,12 +110,6 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Uniform f64 in `[lo, hi)`.
-    pub fn f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi);
-        lo + self.f64() * (hi - lo)
-    }
-
     /// Exponentially distributed value with the given mean (for Poisson
     /// inter-arrival workloads).
     pub fn exp(&mut self, mean: f64) -> f64 {

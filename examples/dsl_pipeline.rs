@@ -8,7 +8,7 @@
 //! ```
 
 use macedon::lang::interp::{channel_table, InterpretedAgent};
-use macedon::lang::{bundled_specs, codegen, compile, loc, IrSpec, SpecRegistry};
+use macedon::lang::{bundled_specs, codegen, compile, loc, SpecRegistry};
 use macedon::prelude::*;
 use std::sync::Arc;
 
@@ -18,18 +18,17 @@ fn main() {
         .into_iter()
         .find(|(n, _)| *n == "overcast")
         .expect("overcast.mac is bundled");
-    let spec = Arc::new(compile(src).expect("spec compiles"));
+    let ir = Arc::new(compile(src).expect("spec compiles"));
     println!(
         "compiled overcast.mac: {} states, {} messages, {} transitions, {} LoC",
-        spec.states.len(),
-        spec.messages.len(),
-        spec.transitions.len(),
+        ir.spec.states.len(),
+        ir.messages.len(),
+        ir.transitions.len(),
         loc::spec_loc(src),
     );
 
     // 2. Code generation: what the paper's translator emits — the same
     //    text checked in (and compiled) under crates/generated.
-    let ir = IrSpec::lower(&spec).expect("overcast.mac lowers");
     let generated = codegen::generate(&ir, None).expect("overcast.mac generates");
     println!(
         "generated agent source: {} lines (spec expands ~{:.1}x)",
@@ -44,10 +43,10 @@ fn main() {
         seed: 5,
         ..Default::default()
     };
-    cfg.channels = channel_table(&spec);
+    cfg.channels = channel_table(&ir);
     let mut world = World::new(topo, cfg);
     for (i, &h) in hosts.iter().enumerate() {
-        let agent = InterpretedAgent::new(spec.clone(), (i > 0).then(|| hosts[0]));
+        let agent = InterpretedAgent::new(ir.clone(), (i > 0).then(|| hosts[0]));
         world.spawn_at(
             Time::from_millis(i as u64 * 150),
             h,

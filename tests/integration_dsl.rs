@@ -9,7 +9,7 @@ use macedon::lang::{bundled_specs, codegen, compile, IrSpec};
 use macedon::prelude::*;
 use std::sync::Arc;
 
-fn spec(name: &str) -> Arc<macedon::lang::Spec> {
+fn spec(name: &str) -> Arc<IrSpec> {
     let (_, src) = bundled_specs()
         .into_iter()
         .find(|(n, _)| *n == name)
@@ -127,7 +127,7 @@ fn codegen_emits_full_agents_for_all_specs() {
     // and cross-validated in integration_generated.rs; here we assert the
     // structural contract of the emitted text.
     for (name, src) in bundled_specs() {
-        let ir = IrSpec::lower(&compile(src).unwrap()).unwrap();
+        let ir = compile(src).unwrap();
         let code = codegen::generate(&ir, None).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             code.contains("impl Agent for"),

@@ -242,7 +242,7 @@ fn render_run(
     w: &World,
     hosts: &[NodeId],
     sink: &macedon::core::app::SharedDeliveries,
-    spec: &macedon::lang::Spec,
+    ir: &macedon::lang::IrSpec,
 ) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -259,14 +259,6 @@ fn render_run(
         )
         .unwrap();
     }
-    let list_names: Vec<&str> = spec
-        .state_vars
-        .iter()
-        .filter_map(|v| match v {
-            macedon::lang::ast::StateVar::Neighbor { name, .. } => Some(name.as_str()),
-            _ => None,
-        })
-        .collect();
     for &h in hosts {
         let a: &InterpretedAgent = w
             .stack(h)
@@ -276,7 +268,7 @@ fn render_run(
             .downcast_ref()
             .unwrap();
         write!(out, "s {} {}", h.0, a.state()).unwrap();
-        for l in &list_names {
+        for l in ir.lists.iter().map(|l| &l.name) {
             let ns: Vec<String> = a.list(l).unwrap().iter().map(|n| n.0.to_string()).collect();
             write!(out, " {}={}", l, ns.join(",")).unwrap();
         }

@@ -1,5 +1,6 @@
-//! Roster smoke: every bundled `.mac` spec parses, sema-checks,
-//! resolves its `uses` chain, and instantiates as a live agent stack.
+//! Roster smoke: every bundled `.mac` spec compiles (parses, then
+//! passes the lowering's checks), resolves its `uses` chain, and
+//! instantiates as a live agent stack.
 //! This is the CI tripwire against spec or resolver rot — a spec that
 //! stops compiling or a chain that stops resolving fails here even if
 //! no behavioral test happens to exercise it.
@@ -38,8 +39,8 @@ fn all_nine_specs_lower_to_ir() {
     // both back ends key their wire format and timers on.
     let reg = SpecRegistry::bundled();
     for (name, src) in bundled_specs() {
-        let spec = compile(src).unwrap();
-        let ir = macedon::lang::IrSpec::lower(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let ir = compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let spec = &ir.spec;
         assert_eq!(ir.name, name);
         assert_eq!(ir.proto, macedon::lang::interp::protocol_id_of(name));
         assert_eq!(ir.messages.len(), spec.messages.len());
@@ -49,9 +50,9 @@ fn all_nine_specs_lower_to_ir() {
         }
         assert_eq!(ir.transitions.len(), spec.transitions.len());
         assert_eq!(ir.states[0], "init");
-        // The registry lowered the same spec once at registration and
-        // shares that instance with every stack it builds.
-        assert!(reg.ir(name).is_some(), "{name}: registry holds shared IR");
+        // The registry holds the lowered spec and shares that instance
+        // with every stack it builds.
+        assert!(reg.get(name).is_some(), "{name}: registry holds shared IR");
     }
 }
 
@@ -62,7 +63,7 @@ fn all_nine_specs_lower_fully_typed() {
     // to a type fault, raised whenever it is reached — no bundled spec
     // may contain one.
     for (name, src) in bundled_specs() {
-        let ir = macedon::lang::IrSpec::lower(&compile(src).unwrap()).unwrap();
+        let ir = compile(src).unwrap();
         assert!(
             ir.type_faults.is_empty(),
             "{name}: untyped constructs {:?}",
@@ -70,14 +71,13 @@ fn all_nine_specs_lower_fully_typed() {
         );
     }
     // The guard sees one when there is one.
-    let ill = compile(
+    let ir = compile(
         "protocol ill; addressing hash;
          neighbor_types { peer 4 { } }
          state_variables { peer peers; bool b; }
          transitions { any API init { b = neighbor_query(peers, 5); } }",
     )
     .unwrap();
-    let ir = macedon::lang::IrSpec::lower(&ill).unwrap();
     assert_eq!(ir.type_faults, ["neighbor_query needs a node, got int"]);
 }
 
