@@ -28,7 +28,7 @@ fn bench_lower(c: &mut Criterion) {
 fn bench_codegen(c: &mut Criterion) {
     let ir = compile(overcast_src()).unwrap();
     c.bench_function("dsl/codegen overcast.mac", |b| {
-        b.iter(|| codegen::generate(&ir, None).unwrap().len())
+        b.iter(|| codegen::generate(&ir, None).len())
     });
 }
 

@@ -16,7 +16,6 @@
 use macedon_lang::codegen;
 use std::fs;
 use std::path::Path;
-use std::process::exit;
 
 /// Write `contents` to `path` unless it already holds them; report it.
 fn write(path: &Path, contents: &str) -> usize {
@@ -38,15 +37,8 @@ fn write(path: &Path, contents: &str) -> usize {
 fn main() {
     let lang_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../lang");
     let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../generated/src");
-    let (files, roundtrip) = match codegen::generate_bundled_crate()
-        .and_then(|f| Ok((f, codegen::generate_roundtrip()?)))
-    {
-        Ok(generated) => generated,
-        Err(e) => {
-            eprintln!("regen: {e}");
-            exit(1);
-        }
-    };
+    let files = codegen::generate_bundled_crate();
+    let roundtrip = codegen::generate_roundtrip();
     fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("create {}: {e}", out_dir.display()));
     // Drop stale modules left over from renamed or removed specs.
     let keep: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();

@@ -23,8 +23,11 @@
 //! on seeded worlds and asserts identical delivery logs (see
 //! `crates/generated`).
 //!
-//! Anything the generator cannot express is reported as a
-//! [`CodegenError`] — never silently skipped.
+//! Every spec [`crate::compile`] accepts generates: what the printer
+//! cannot express (a type error, a Rust keyword as an identifier, a
+//! divisor that is not a nonzero constant, a layered send to `null`
+//! with no key field) the lowering rejects, so [`generate`] cannot
+//! fail.
 
 use crate::ast::{map_class_to_channel, StateExpr, TransportDecl, TransportKindDecl};
 use crate::ir::typed::{ArithOp, CmpOp, KeyOptExpr, Truth};
@@ -32,36 +35,7 @@ use crate::ir::{
     AnyExpr, ApiKind, BoolExpr, FieldKind, IntExpr, IrDown, IrMessage, IrSpec, IrStmt, IrVar,
     KeyArg, KeyExpr, ListExpr, NodeExpr, PayloadExpr, SendArg, SendDest, Table, Ty,
 };
-use std::fmt;
 use std::fmt::Write as _;
-
-/// A construct the code generator cannot express (or a spec that does
-/// not type-check).
-#[derive(Clone, Debug)]
-pub struct CodegenError {
-    /// Protocol the error was found in.
-    pub spec: String,
-    /// Human-readable diagnostic.
-    pub detail: String,
-}
-
-impl fmt::Display for CodegenError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "codegen '{}': {}", self.spec, self.detail)
-    }
-}
-
-impl std::error::Error for CodegenError {}
-
-type Out = Result<String, CodegenError>;
-
-/// Rust keywords that cannot appear as generated identifiers.
-const RUST_KEYWORDS: &[&str] = &[
-    "as", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "false", "fn",
-    "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
-    "return", "self", "static", "struct", "super", "trait", "true", "type", "unsafe", "use",
-    "where", "while", "async", "await", "box", "priv", "try", "union", "yield",
-];
 
 /// Generate the Rust agent module for a lowered spec. `base` is the
 /// base (tunneling) layer's transport table, when known: a layered
@@ -71,19 +45,20 @@ const RUST_KEYWORDS: &[&str] = &[
 /// [`crate::interp::InterpretedAgent::set_base_transports`]. With `None`,
 /// layered message classes stay at the default priority, as a standalone
 /// [`crate::interp::InterpretedAgent::new`] would run them.
-pub fn generate(ir: &IrSpec, base: Option<&[TransportDecl]>) -> Out {
-    Gen::new(ir, base)?.file()
+pub fn generate(ir: &IrSpec, base: Option<&[TransportDecl]>) -> String {
+    Gen {
+        ir,
+        name: camel(&ir.name),
+        base,
+    }
+    .file()
 }
 
 /// Lines of generated code (the paper's "generated C++ is over 2500
 /// LoC" comparison, Figure 7). Counts the full compilable output — the
-/// same text `crates/generated` builds — and panics loudly if the spec
-/// stops being generatable (bundled specs are covered by tests).
+/// same text `crates/generated` builds.
 pub fn generated_loc(ir: &IrSpec, base: Option<&[TransportDecl]>) -> usize {
-    match generate(ir, base) {
-        Ok(code) => code.lines().count(),
-        Err(e) => panic!("{e}"),
-    }
+    generate(ir, base).lines().count()
 }
 
 /// Per-handler context: what the trigger binds and how `return;` leaves
@@ -120,55 +95,6 @@ struct Gen<'a> {
 }
 
 impl<'a> Gen<'a> {
-    fn new(ir: &'a IrSpec, base: Option<&'a [TransportDecl]>) -> Result<Gen<'a>, CodegenError> {
-        let g = Gen {
-            ir,
-            name: camel(&ir.name),
-            base,
-        };
-        g.preflight()?;
-        Ok(g)
-    }
-
-    fn err(&self, detail: impl Into<String>) -> CodegenError {
-        CodegenError {
-            spec: self.ir.name.clone(),
-            detail: detail.into(),
-        }
-    }
-
-    /// Refuse specs that do not type-check, and identifiers the emitter
-    /// cannot name.
-    fn preflight(&self) -> Result<(), CodegenError> {
-        if !self.ir.type_faults.is_empty() {
-            return Err(self.err(format!(
-                "spec does not type-check: {}",
-                self.ir.type_faults.join("; ")
-            )));
-        }
-        let ir = self.ir;
-        let idents = ir
-            .messages
-            .iter()
-            .flat_map(|m| std::iter::once(&m.name).chain(m.fields.iter().map(|f| &f.name)))
-            .chain(ir.lists.iter().map(|l| &l.name))
-            .chain(ir.timers.iter().map(|t| &t.name))
-            .chain(self.declared().map(|v| &v.name));
-        for i in idents {
-            if RUST_KEYWORDS.contains(&i.as_str()) {
-                return Err(self.err(format!("identifier '{i}' is a Rust keyword")));
-            }
-        }
-        if let Some(v) = self.declared().find(|v| v.ty == Ty::Null) {
-            return Err(self.err(format!(
-                "scalar state variable '{}' of a neighbor type is not supported; declare it \
-                 as a neighbor list",
-                v.name
-            )));
-        }
-        Ok(())
-    }
-
     // ---- IR lookups ------------------------------------------------------
 
     fn state_enum(&self) -> String {
@@ -200,11 +126,7 @@ impl<'a> Gen<'a> {
             .vars
             .iter()
             .enumerate()
-            .find(|(_, v)| {
-                v.slot == slot
-                    && (v.ty == Ty::Payload) == payload
-                    && !matches!(v.ty, Ty::List | Ty::Null)
-            })
+            .find(|(_, v)| v.slot == slot && (v.ty == Ty::Payload) == payload)
             .expect("every typed slot belongs to a variable")
     }
 
@@ -273,16 +195,6 @@ fn test(truth: Truth, s: &str) -> String {
     }
 }
 
-/// Constant-fold a divisor (literals, constants, unary minus) — proves
-/// it non-zero at generation time.
-fn const_int(e: &IntExpr) -> Option<i64> {
-    match e {
-        IntExpr::Lit(v) | IntExpr::Const(v, _) => Some(*v),
-        IntExpr::Neg(x) => const_int(x).map(|v| -v),
-        _ => None,
-    }
-}
-
 /// The static type of a node-position expression: `null` or a node.
 fn node_ty(n: &NodeExpr) -> Ty {
     match n {
@@ -290,10 +202,6 @@ fn node_ty(n: &NodeExpr) -> Ty {
         _ => Ty::Node,
     }
 }
-
-/// Why no `Fault` (or `Mismatch`) node reaches a printer: each one
-/// records a type fault, and [`Gen::new`] refuses a spec that has any.
-const FAULT: &str = "a spec with type faults is refused before printing";
 
 impl Gen<'_> {
     // ---- typed expressions ------------------------------------------------
@@ -303,39 +211,39 @@ impl Gen<'_> {
     // evaluated (`&`/`|`, not `&&`/`||`), `neighbor_random` drawing from
     // `ctx.rng` where the interpreter draws.
 
-    fn int(&self, cx: &Cx, e: &IntExpr) -> Out {
-        Ok(match e {
+    fn int(&self, cx: &Cx, e: &IntExpr) -> String {
+        match e {
             IntExpr::Lit(v) => format!("({v}i64)"),
             IntExpr::Const(_, var) => self.ir.vars[*var as usize].name.clone(),
             IntExpr::Var(s) => self.var(*s),
             IntExpr::Field(at) => self.field(cx, FieldKind::Int, *at),
-            IntExpr::OfBool(b) => format!("({} as i64)", self.bool(cx, b)?),
+            IntExpr::OfBool(b) => format!("({} as i64)", self.bool(cx, b)),
             IntExpr::NeighborSize(l) => format!("(self.{}.len() as i64)", self.list_name(*l)),
             IntExpr::Rtt(n) => format!(
                 "(({}).map_or(0i64, |__p| ctx.rtt_ms(__p)))",
-                self.node(cx, n)?
+                self.node(cx, n)
             ),
             IntExpr::Goodput(n) => format!(
                 "(({}).map_or(0i64, |__p| ctx.goodput_kbps(__p)))",
-                self.node(cx, n)?
+                self.node(cx, n)
             ),
             IntExpr::RingDist(ab) => format!(
                 "key::dsl_ring_dist({}, {})",
-                self.key_opt(cx, &ab[0])?,
-                self.key_opt(cx, &ab[1])?
+                self.key_opt(cx, &ab[0]),
+                self.key_opt(cx, &ab[1])
             ),
             IntExpr::Digit(k, i, base) => format!(
                 "key::dsl_digit({}, {}, {})",
-                self.key_opt(cx, k)?,
-                self.int(cx, i)?,
-                self.int(cx, base)?
+                self.key_opt(cx, k),
+                self.int(cx, i),
+                self.int(cx, base)
             ),
             IntExpr::PrefixLen(ab) => format!(
                 "key::dsl_prefix_len({}, {})",
-                self.key_opt(cx, &ab[0])?,
-                self.key_opt(cx, &ab[1])?
+                self.key_opt(cx, &ab[0]),
+                self.key_opt(cx, &ab[1])
             ),
-            IntExpr::Neg(x) => format!("(-{})", self.int(cx, x)?),
+            IntExpr::Neg(x) => format!("(-{})", self.int(cx, x)),
             IntExpr::Arith(op, ab) => {
                 let sym = match op {
                     ArithOp::Add => "+",
@@ -344,50 +252,33 @@ impl Gen<'_> {
                     ArithOp::Div => "/",
                     ArithOp::Mod => "%",
                 };
-                if matches!(op, ArithOp::Div | ArithOp::Mod) {
-                    match const_int(&ab[1]) {
-                        Some(0) => return Err(self.err("division by constant zero")),
-                        Some(_) => {}
-                        None => {
-                            return Err(self.err(
-                                "division/modulo by a non-constant divisor is not supported by \
-                                 codegen (the interpreter would fault at runtime on zero)",
-                            ))
-                        }
-                    }
-                }
-                format!(
-                    "({} {sym} {})",
-                    self.int(cx, &ab[0])?,
-                    self.int(cx, &ab[1])?
-                )
+                format!("({} {sym} {})", self.int(cx, &ab[0]), self.int(cx, &ab[1]))
             }
-            IntExpr::Fault(_) => unreachable!("{FAULT}"),
-        })
+        }
     }
 
     /// A truthiness coercion: its operand rendered at the operand's own
     /// type, and the test to apply. Any other condition is its own
     /// operand, tested as a bool.
-    fn coerced(&self, cx: &Cx, e: &BoolExpr) -> Result<(String, Truth), CodegenError> {
-        Ok(match e {
-            BoolExpr::NonZero(x) => (self.int(cx, x)?, Truth::Int),
-            BoolExpr::IsSome(x) => (self.node(cx, x)?, Truth::Node),
+    fn coerced(&self, cx: &Cx, e: &BoolExpr) -> (String, Truth) {
+        match e {
+            BoolExpr::NonZero(x) => (self.int(cx, x), Truth::Int),
+            BoolExpr::IsSome(x) => (self.node(cx, x), Truth::Node),
             BoolExpr::NonEmpty(x) => (self.payload(cx, x), Truth::Payload),
-            BoolExpr::Const(ops, true) if ops.len() == 1 => (self.any(cx, &ops[0])?, Truth::Always),
-            _ => (self.bool(cx, e)?, Truth::Bool),
-        })
+            BoolExpr::Const(ops, true) if ops.len() == 1 => (self.any(cx, &ops[0]), Truth::Always),
+            _ => (self.bool(cx, e), Truth::Bool),
+        }
     }
 
-    fn bool(&self, cx: &Cx, e: &BoolExpr) -> Out {
+    fn bool(&self, cx: &Cx, e: &BoolExpr) -> String {
         let eq = |a: String, b: String| format!("({a} == {b})");
-        Ok(match e {
+        match e {
             BoolExpr::Lit(b) => b.to_string(),
             BoolExpr::Var(s) => self.var(*s),
             BoolExpr::Field(at) => self.field(cx, FieldKind::Bool, *at),
-            BoolExpr::Not(x) => format!("(!{})", self.bool(cx, x)?),
-            BoolExpr::And(a, b) => format!("({} & {})", self.bool(cx, a)?, self.bool(cx, b)?),
-            BoolExpr::Or(a, b) => format!("({} | {})", self.bool(cx, a)?, self.bool(cx, b)?),
+            BoolExpr::Not(x) => format!("(!{})", self.bool(cx, x)),
+            BoolExpr::And(a, b) => format!("({} & {})", self.bool(cx, a), self.bool(cx, b)),
+            BoolExpr::Or(a, b) => format!("({} | {})", self.bool(cx, a), self.bool(cx, b)),
             BoolExpr::Cmp(op, ab) => {
                 let sym = match op {
                     CmpOp::Eq => "==",
@@ -396,28 +287,18 @@ impl Gen<'_> {
                     CmpOp::Le => "<=",
                     CmpOp::Ge => ">=",
                 };
-                format!(
-                    "({} {sym} {})",
-                    self.int(cx, &ab[0])?,
-                    self.int(cx, &ab[1])?
-                )
+                format!("({} {sym} {})", self.int(cx, &ab[0]), self.int(cx, &ab[1]))
             }
             BoolExpr::NonZero(_) | BoolExpr::IsSome(_) | BoolExpr::NonEmpty(_) => {
-                let (s, truth) = self.coerced(cx, e)?;
+                let (s, truth) = self.coerced(cx, e);
                 test(truth, &s)
             }
-            BoolExpr::IsNull(x) => format!("({}).is_none()", self.node(cx, x)?),
-            BoolExpr::IsNullPayload(x) if matches!(**x, PayloadExpr::Var(_)) => {
-                return Err(self.err(
-                    "comparing a payload variable with null: the interpreter holds it as null \
-                     until assigned, a generated agent as an empty payload",
-                ))
-            }
-            // An API payload or a message field is never null.
+            BoolExpr::IsNull(x) => format!("({}).is_none()", self.node(cx, x)),
+            // No payload is null.
             BoolExpr::IsNullPayload(x) => format!("{{ let _ = {}; false }}", self.payload(cx, x)),
-            BoolExpr::EqBool(a, b) => eq(self.bool(cx, a)?, self.bool(cx, b)?),
-            BoolExpr::EqNode(a, b) => eq(self.node(cx, a)?, self.node(cx, b)?),
-            BoolExpr::EqKey(a, b) => eq(self.key(cx, a)?, self.key(cx, b)?),
+            BoolExpr::EqBool(a, b) => eq(self.bool(cx, a), self.bool(cx, b)),
+            BoolExpr::EqNode(a, b) => eq(self.node(cx, a), self.node(cx, b)),
+            BoolExpr::EqKey(a, b) => eq(self.key(cx, a), self.key(cx, b)),
             BoolExpr::EqPayload(a, b) => eq(self.payload(cx, a), self.payload(cx, b)),
             BoolExpr::EqList(a, b) => eq(self.list(cx, a), self.list(cx, b)),
             BoolExpr::EqKeyNode {
@@ -426,41 +307,40 @@ impl Gen<'_> {
                 key_first: true,
             } => format!(
                 "(match ({}, {}) {{ (__k, Some(__n)) => __n.0 == __k.0, _ => false }})",
-                self.key(cx, key)?,
-                self.node(cx, node)?
+                self.key(cx, key),
+                self.node(cx, node)
             ),
             BoolExpr::EqKeyNode { key, node, .. } => format!(
                 "(match ({}, {}) {{ (Some(__n), __k) => __n.0 == __k.0, _ => false }})",
-                self.node(cx, node)?,
-                self.key(cx, key)?
+                self.node(cx, node),
+                self.key(cx, key)
             ),
             BoolExpr::NeighborQuery(l, n) => format!(
                 "({}).map_or(false, |__q| self.{}.contains(&__q))",
-                self.node(cx, n)?,
+                self.node(cx, n),
                 self.list_name(*l)
             ),
             BoolExpr::RingBetween(x, lo, hi) => format!(
                 "key::dsl_ring_between({}, {}, {})",
-                self.key_opt(cx, x)?,
-                self.key_opt(cx, lo)?,
-                self.key_opt(cx, hi)?
+                self.key_opt(cx, x),
+                self.key_opt(cx, lo),
+                self.key_opt(cx, hi)
             ),
             BoolExpr::Const(ops, v) => match &ops[..] {
-                [op] if *v => test(Truth::Always, &self.any(cx, op)?),
+                [op] if *v => test(Truth::Always, &self.any(cx, op)),
                 _ => {
-                    let ops = ops
+                    let ops: Vec<String> = ops
                         .iter()
-                        .map(|op| Ok(format!("&{}", self.any(cx, op)?)))
-                        .collect::<Result<Vec<_>, CodegenError>>()?;
+                        .map(|op| format!("&{}", self.any(cx, op)))
+                        .collect();
                     format!("{{ let _ = ({}); {v} }}", ops.join(", "))
                 }
             },
-            BoolExpr::Fault(_) => unreachable!("{FAULT}"),
-        })
+        }
     }
 
-    fn node(&self, cx: &Cx, e: &NodeExpr) -> Out {
-        Ok(match e {
+    fn node(&self, cx: &Cx, e: &NodeExpr) -> String {
+        match e {
             NodeExpr::Null => "None::<NodeId>".into(),
             NodeExpr::From if cx.has_from => "Some(from)".into(),
             NodeExpr::From => "None::<NodeId>".into(),
@@ -478,15 +358,14 @@ impl Gen<'_> {
             }
             NodeExpr::OwnerOf(k, l) => format!(
                 "key::dsl_owner_of({}, &self.{}, ctx.addressing)",
-                self.key_opt(cx, k)?,
+                self.key_opt(cx, k),
                 self.list_name(*l)
             ),
-            NodeExpr::Fault(_) => unreachable!("{FAULT}"),
-        })
+        }
     }
 
-    fn key(&self, cx: &Cx, e: &KeyExpr) -> Out {
-        Ok(match e {
+    fn key(&self, cx: &Cx, e: &KeyExpr) -> String {
+        match e {
             KeyExpr::MyKey => "ctx.my_key".into(),
             KeyExpr::ApiKey if cx.api == Some(ApiKind::Route) => "dest".into(),
             KeyExpr::ApiKey => "group".into(),
@@ -494,28 +373,26 @@ impl Gen<'_> {
             KeyExpr::Field(at) => self.field(cx, FieldKind::Key, *at),
             // Key ± int wraps on the 2^32 ring.
             KeyExpr::Offset { key, by, negate } => {
-                let by = self.int(cx, by)?;
+                let by = self.int(cx, by);
                 let by = if *negate { format!("-({by})") } else { by };
-                format!("key::dsl_key_add({}, {by})", self.key(cx, key)?)
+                format!("key::dsl_key_add({}, {by})", self.key(cx, key))
             }
-            KeyExpr::Fault(_) => unreachable!("{FAULT}"),
-        })
+        }
     }
 
     /// An `Option<MacedonKey>` key-builtin operand ([`Ty::key_opt`]):
     /// keys pass through, nodes hash under the world's addressing mode,
     /// ints truncate onto the ring, null stays null.
-    fn key_opt(&self, cx: &Cx, e: &KeyOptExpr) -> Out {
-        Ok(match e {
-            KeyOptExpr::Key(k) => format!("Some({})", self.key(cx, k)?),
+    fn key_opt(&self, cx: &Cx, e: &KeyOptExpr) -> String {
+        match e {
+            KeyOptExpr::Key(k) => format!("Some({})", self.key(cx, k)),
             KeyOptExpr::Node(n) => format!(
                 "({}).map(|__n| MacedonKey::of_node(__n, ctx.addressing))",
-                self.node(cx, n)?
+                self.node(cx, n)
             ),
-            KeyOptExpr::Int(i) => format!("Some(MacedonKey(({}) as u32))", self.int(cx, i)?),
+            KeyOptExpr::Int(i) => format!("Some(MacedonKey(({}) as u32))", self.int(cx, i)),
             KeyOptExpr::Null => "None::<MacedonKey>".into(),
-            KeyOptExpr::Fault(_) => unreachable!("{FAULT}"),
-        })
+        }
     }
 
     /// A payload; null (only ever in a payload position) is the empty
@@ -528,7 +405,6 @@ impl Gen<'_> {
             PayloadExpr::Field(at) => {
                 format!("{}.clone()", self.field(cx, FieldKind::Payload, *at))
             }
-            PayloadExpr::Fault(_) => unreachable!("{FAULT}"),
         }
     }
 
@@ -536,51 +412,43 @@ impl Gen<'_> {
         match e {
             ListExpr::List(l) => format!("self.{}", self.list_name(*l)),
             ListExpr::Field(at) => self.field(cx, FieldKind::Nodes, *at),
-            ListExpr::Fault(_) => unreachable!("{FAULT}"),
         }
     }
 
-    fn any(&self, cx: &Cx, e: &AnyExpr) -> Out {
-        Ok(match e {
-            AnyExpr::Int(e) => self.int(cx, e)?,
-            AnyExpr::Bool(e) => self.bool(cx, e)?,
-            AnyExpr::Key(e) => self.key(cx, e)?,
-            AnyExpr::Node(e) => self.node(cx, e)?,
+    fn any(&self, cx: &Cx, e: &AnyExpr) -> String {
+        match e {
+            AnyExpr::Int(e) => self.int(cx, e),
+            AnyExpr::Bool(e) => self.bool(cx, e),
+            AnyExpr::Key(e) => self.key(cx, e),
+            AnyExpr::Node(e) => self.node(cx, e),
             AnyExpr::Payload(e) => self.payload(cx, e),
             AnyExpr::List(e) => self.list(cx, e),
             AnyExpr::Null => "None::<NodeId>".into(),
-        })
+        }
     }
 }
 
 impl Gen<'_> {
     // ---- statements ------------------------------------------------------
 
-    fn body(
-        &self,
-        out: &mut String,
-        ind: usize,
-        cx: &Cx,
-        stmts: &[IrStmt],
-    ) -> Result<(), CodegenError> {
+    fn body(&self, out: &mut String, ind: usize, cx: &Cx, stmts: &[IrStmt]) {
         for s in stmts {
-            self.stmt(out, ind, cx, s)?;
+            self.stmt(out, ind, cx, s);
         }
-        Ok(())
     }
 
-    fn stmt(&self, out: &mut String, ind: usize, cx: &Cx, s: &IrStmt) -> Result<(), CodegenError> {
+    fn stmt(&self, out: &mut String, ind: usize, cx: &Cx, s: &IrStmt) {
         let p = " ".repeat(ind);
         let assign = |out: &mut String, slot: u16, rhs: String| {
             let _ = writeln!(out, "{p}{} = {rhs};", self.var(slot));
         };
         match s {
             IrStmt::If { cond, then, els } => {
-                let _ = writeln!(out, "{p}if {} {{", self.bool(cx, cond)?);
-                self.body(out, ind + 4, cx, then)?;
+                let _ = writeln!(out, "{p}if {} {{", self.bool(cx, cond));
+                self.body(out, ind + 4, cx, then);
                 if !els.is_empty() {
                     let _ = writeln!(out, "{p}}} else {{");
-                    self.body(out, ind + 4, cx, els)?;
+                    self.body(out, ind + 4, cx, els);
                 }
                 let _ = writeln!(out, "{p}}}");
             }
@@ -608,7 +476,7 @@ impl Gen<'_> {
                     out,
                     "{p}ctx.timer_set({}, Duration::from_millis(({}).max(0) as u64));",
                     self.timer_const(*id),
-                    self.int(cx, e)?
+                    self.int(cx, e)
                 );
             }
             IrStmt::TimerCancel(id) => {
@@ -617,7 +485,7 @@ impl Gen<'_> {
             IrStmt::NeighborAdd(l, n) => {
                 let list = &self.ir.lists[*l as usize];
                 let (l, max) = (&list.name, list.max);
-                let _ = writeln!(out, "{p}if let Some(__n) = {} {{", self.node(cx, n)?);
+                let _ = writeln!(out, "{p}if let Some(__n) = {} {{", self.node(cx, n));
                 let _ = writeln!(
                     out,
                     "{p}    if !self.{l}.contains(&__n) && self.{l}.len() < {max}usize {{"
@@ -631,7 +499,7 @@ impl Gen<'_> {
             }
             IrStmt::NeighborRemove(l, n) => {
                 let list = &self.ir.lists[*l as usize];
-                let _ = writeln!(out, "{p}if let Some(__n) = {} {{", self.node(cx, n)?);
+                let _ = writeln!(out, "{p}if let Some(__n) = {} {{", self.node(cx, n));
                 let _ = writeln!(out, "{p}    self.{}.retain(|&__x| __x != __n);", list.name);
                 if list.fail_detect {
                     self.emit_release(out, ind + 4, *l, "__n");
@@ -648,11 +516,11 @@ impl Gen<'_> {
                     let _ = writeln!(out, "{p}self.{}.clear();", list.name);
                 }
             }
-            IrStmt::Send { msg, dest, args } => self.emit_send(out, ind, cx, *msg, dest, args)?,
-            IrStmt::DownCall(down) => self.emit_downcall(out, ind, cx, down)?,
+            IrStmt::Send { msg, dest, args } => self.emit_send(out, ind, cx, *msg, dest, args),
+            IrStmt::DownCall(down) => self.emit_downcall(out, ind, cx, down),
             IrStmt::UpcallNotify(l, e) => {
                 let _ = writeln!(out, "{p}{{");
-                let _ = writeln!(out, "{p}    let __t = {};", self.int(cx, e)?);
+                let _ = writeln!(out, "{p}    let __t = {};", self.int(cx, e));
                 let _ = writeln!(
                     out,
                     "{p}    ctx.up(UpCall::Notify {{ nbr_type: __t as u32, neighbors: \
@@ -663,7 +531,7 @@ impl Gen<'_> {
             }
             IrStmt::Deliver { src, payload } => {
                 let _ = writeln!(out, "{p}{{");
-                self.key_let(out, ind + 4, cx, "__src", src)?;
+                self.key_let(out, ind + 4, cx, "__src", src);
                 let _ = writeln!(out, "{p}    let __pl = {};", self.payload(cx, payload));
                 let from = if cx.has_from { "from" } else { "ctx.me" };
                 let _ = writeln!(
@@ -678,7 +546,7 @@ impl Gen<'_> {
                     IrStmt::Monitor(_) => "monitor",
                     _ => "unmonitor",
                 };
-                let _ = writeln!(out, "{p}if let Some(__n) = {} {{", self.node(cx, n)?);
+                let _ = writeln!(out, "{p}if let Some(__n) = {} {{", self.node(cx, n));
                 let _ = writeln!(out, "{p}    ctx.{op}(__n);");
                 let _ = writeln!(out, "{p}}} else {}", self.bail(cx));
             }
@@ -689,13 +557,13 @@ impl Gen<'_> {
                     self.var_at(*var, false).1.name,
                     self.list_name(*list)
                 );
-                self.body(out, ind + 4, cx, body)?;
+                self.body(out, ind + 4, cx, body);
                 let _ = writeln!(out, "{p}}}");
             }
-            IrStmt::AssignInt(slot, e) => assign(out, *slot, self.int(cx, e)?),
-            IrStmt::AssignBool(slot, e) => assign(out, *slot, self.bool(cx, e)?),
-            IrStmt::AssignNode(slot, e) => assign(out, *slot, self.node(cx, e)?),
-            IrStmt::AssignKey(slot, e) => assign(out, *slot, self.key(cx, e)?),
+            IrStmt::AssignInt(slot, e) => assign(out, *slot, self.int(cx, e)),
+            IrStmt::AssignBool(slot, e) => assign(out, *slot, self.bool(cx, e)),
+            IrStmt::AssignNode(slot, e) => assign(out, *slot, self.node(cx, e)),
+            IrStmt::AssignKey(slot, e) => assign(out, *slot, self.key(cx, e)),
             IrStmt::AssignPayload(slot, e) => {
                 let name = &self.var_at(*slot, true).1.name;
                 let _ = writeln!(out, "{p}self.{name} = {};", self.payload(cx, e));
@@ -707,7 +575,7 @@ impl Gen<'_> {
             }
             IrStmt::Trace(e) => {
                 // Each value prints as the interpreter's `Value` does.
-                let v = self.any(cx, e)?;
+                let v = self.any(cx, e);
                 let name = &self.ir.name;
                 let msg = match e {
                     AnyExpr::Int(_) => format!("format!(\"{name}: trace Int({{:?}})\", {v})"),
@@ -725,9 +593,7 @@ impl Gen<'_> {
                 };
                 let _ = writeln!(out, "{p}ctx.trace(TraceLevel::Med, {msg});");
             }
-            IrStmt::Fault(_) => unreachable!("{FAULT}"),
         }
-        Ok(())
     }
 
     /// `list = value;`: filter self, truncate to capacity, swap
@@ -772,41 +638,26 @@ impl Gen<'_> {
 
     /// `let {tmp} = <routing key>;` — a node becomes the key with its raw
     /// id; a null node aborts the transition.
-    fn key_let(
-        &self,
-        out: &mut String,
-        ind: usize,
-        cx: &Cx,
-        tmp: &str,
-        e: &KeyArg,
-    ) -> Result<(), CodegenError> {
+    fn key_let(&self, out: &mut String, ind: usize, cx: &Cx, tmp: &str, e: &KeyArg) {
         let p = " ".repeat(ind);
         match e {
             KeyArg::Key(k) => {
-                let _ = writeln!(out, "{p}let {tmp} = {};", self.key(cx, k)?);
+                let _ = writeln!(out, "{p}let {tmp} = {};", self.key(cx, k));
             }
             KeyArg::Node(n) => {
-                let n = self.node(cx, n)?;
+                let n = self.node(cx, n);
                 let _ = writeln!(out, "{p}let Some(__kn) = {n} else {};", self.bail(cx));
                 let _ = writeln!(out, "{p}let {tmp} = MacedonKey(__kn.0);");
             }
-            KeyArg::Fault(_) => unreachable!("{FAULT}"),
         }
-        Ok(())
     }
 
-    fn emit_downcall(
-        &self,
-        out: &mut String,
-        ind: usize,
-        cx: &Cx,
-        down: &IrDown,
-    ) -> Result<(), CodegenError> {
+    fn emit_downcall(&self, out: &mut String, ind: usize, cx: &Cx, down: &IrDown) {
         let p = " ".repeat(ind);
         let _ = writeln!(out, "{p}{{");
         match down {
             IrDown::Join(g) | IrDown::Leave(g) | IrDown::CreateGroup(g) => {
-                self.key_let(out, ind + 4, cx, "__g", g)?;
+                self.key_let(out, ind + 4, cx, "__g", g);
                 let variant = match down {
                     IrDown::Join(_) => "Join",
                     IrDown::Leave(_) => "Leave",
@@ -818,7 +669,7 @@ impl Gen<'_> {
                 );
             }
             IrDown::Multicast(g, pl) | IrDown::Anycast(g, pl) | IrDown::Collect(g, pl) => {
-                self.key_let(out, ind + 4, cx, "__g", g)?;
+                self.key_let(out, ind + 4, cx, "__g", g);
                 let _ = writeln!(out, "{p}    let __pl = {};", self.payload(cx, pl));
                 let variant = match down {
                     IrDown::Multicast(..) => "Multicast",
@@ -832,7 +683,7 @@ impl Gen<'_> {
                 );
             }
             IrDown::Route(d, pl) => {
-                self.key_let(out, ind + 4, cx, "__d", d)?;
+                self.key_let(out, ind + 4, cx, "__d", d);
                 let _ = writeln!(out, "{p}    let __pl = {};", self.payload(cx, pl));
                 let _ = writeln!(
                     out,
@@ -841,7 +692,7 @@ impl Gen<'_> {
                 );
             }
             IrDown::RouteIp(d, pl) => {
-                let d = self.node(cx, d)?;
+                let d = self.node(cx, d);
                 let _ = writeln!(out, "{p}    let Some(__d) = {d} else {};", self.bail(cx));
                 let _ = writeln!(out, "{p}    let __pl = {};", self.payload(cx, pl));
                 let _ = writeln!(
@@ -852,7 +703,6 @@ impl Gen<'_> {
             }
         }
         let _ = writeln!(out, "{p}}}");
-        Ok(())
     }
 
     // ---- the transmission primitive -------------------------------------
@@ -888,7 +738,7 @@ impl Gen<'_> {
         msg: u16,
         dest: &SendDest,
         args: &[SendArg],
-    ) -> Result<(), CodegenError> {
+    ) {
         let decl = &self.ir.messages[msg as usize];
         let p = " ".repeat(ind);
         let q = " ".repeat(ind + 4);
@@ -897,9 +747,8 @@ impl Gen<'_> {
         // Evaluation order is the interpreter's: destination first, then
         // every field argument, then encoding, then the dispatch decision.
         let (ds, dty) = match dest {
-            SendDest::Node(n) => (self.node(cx, n)?, node_ty(n)),
-            SendDest::Key(k) => (self.key(cx, k)?, Ty::Key),
-            SendDest::Mismatch(_) => unreachable!("{FAULT}"),
+            SendDest::Node(n) => (self.node(cx, n), node_ty(n)),
+            SendDest::Key(k) => (self.key(cx, k), Ty::Key),
         };
         let _ = writeln!(out, "{q}let __dest = {ds};");
         let mut encode = Vec::with_capacity(args.len());
@@ -908,29 +757,29 @@ impl Gen<'_> {
             let value = match a {
                 SendArg::Int(IntExpr::OfBool(b)) => {
                     encode.push(format!("__w.u64(({a_i} as i64) as u64);"));
-                    self.bool(cx, b)?
+                    self.bool(cx, b)
                 }
                 SendArg::Int(e) => {
                     encode.push(format!("__w.u64({a_i} as u64);"));
-                    self.int(cx, e)?
+                    self.int(cx, e)
                 }
                 SendArg::Bool(b) => {
-                    let (s, truth) = self.coerced(cx, b)?;
+                    let (s, truth) = self.coerced(cx, b);
                     encode.push(format!("__w.u8(({}) as u8);", test(truth, &a_i)));
                     s
                 }
                 SendArg::Node(n) => {
                     encode.push(format!("__w.node({a_i}.unwrap_or(NodeId(u32::MAX)));"));
-                    self.node(cx, n)?
+                    self.node(cx, n)
                 }
                 SendArg::Key(KeyArg::Key(k)) => {
                     encode.push(format!("__w.key({a_i});"));
-                    self.key(cx, k)?
+                    self.key(cx, k)
                 }
                 SendArg::Key(KeyArg::Node(n)) => {
                     encode.push(format!("let Some(__kn{i}) = {a_i} else {};", self.bail(cx)));
                     encode.push(format!("__w.key(MacedonKey(__kn{i}.0));"));
-                    self.node(cx, n)?
+                    self.node(cx, n)
                 }
                 SendArg::Payload(pl) => {
                     encode.push(format!("__w.bytes(&{a_i});"));
@@ -940,7 +789,6 @@ impl Gen<'_> {
                     encode.push(format!("__w.nodes({a_i});"));
                     format!("&{}", self.list(cx, l))
                 }
-                SendArg::Key(KeyArg::Fault(_)) | SendArg::Mismatch(_) => unreachable!("{FAULT}"),
             };
             let _ = writeln!(out, "{q}let {a_i} = {value};");
         }
@@ -956,12 +804,11 @@ impl Gen<'_> {
         let _ = writeln!(out, "{q}let __bytes = __w.finish();");
 
         if self.ir.layered {
-            self.emit_layered_dispatch(out, ind + 4, cx, decl, args, dty)?;
+            self.emit_layered_dispatch(out, ind + 4, cx, decl, args, dty);
         } else {
             self.emit_wire_dispatch(out, ind + 4, cx, decl, args);
         }
         let _ = writeln!(out, "{p}}}");
-        Ok(())
     }
 
     /// Layered specs never touch the wire: a node destination is a
@@ -975,7 +822,7 @@ impl Gen<'_> {
         decl: &IrMessage,
         args: &[SendArg],
         dty: Ty,
-    ) -> Result<(), CodegenError> {
+    ) {
         let p = " ".repeat(ind);
         let message = &decl.name;
         let prio = format!("PRIO_{}", message.to_uppercase());
@@ -985,7 +832,7 @@ impl Gen<'_> {
                 "{p}ctx.down(DownCall::Route {{ dest: __dest, payload: __bytes, priority: \
                  {prio} }});"
             );
-            return Ok(());
+            return;
         }
         let (opts, terminal) = Self::key_field_opts(args);
         let _ = writeln!(out, "{p}match __dest {{");
@@ -996,11 +843,8 @@ impl Gen<'_> {
         );
         let _ = writeln!(out, "{p}    None => {{");
         if opts.is_empty() {
-            if dty == Ty::Null {
-                return Err(self.err(format!(
-                    "message '{message}': null destination needs a key field to route toward"
-                )));
-            }
+            // A literal `null` destination always has a key field
+            // (the lowering rejects it otherwise).
             let _ = writeln!(out, "{p}        {}", self.bail(cx));
         } else if terminal {
             let inner = opts[0].trim_start_matches("Some(").trim_end_matches(')');
@@ -1023,7 +867,6 @@ impl Gen<'_> {
         }
         let _ = writeln!(out, "{p}    }}");
         let _ = writeln!(out, "{p}}}");
-        Ok(())
     }
 
     /// Lowest-layer dispatch: direct transmission, except that a send
@@ -1127,7 +970,7 @@ impl Gen<'_> {
         is_forward: bool,
         cx: Cx,
         arms: &Table,
-    ) -> Result<(), CodegenError> {
+    ) {
         let cx = Cx {
             ret: if is_forward {
                 "return quash;"
@@ -1153,7 +996,7 @@ impl Gen<'_> {
                 if t.read_locked {
                     let _ = writeln!(out, "        ctx.locking_read();");
                 }
-                self.body(out, 8, &cx, &t.body)?;
+                self.body(out, 8, &cx, &t.body);
                 break;
             }
             let _ = writeln!(out, "        if {cond} {{");
@@ -1161,7 +1004,7 @@ impl Gen<'_> {
             if t.read_locked {
                 let _ = writeln!(out, "            ctx.locking_read();");
             }
-            self.body(out, 12, &cx, &t.body)?;
+            self.body(out, 12, &cx, &t.body);
             let _ = writeln!(out, "            {}", cx.ret);
             let _ = writeln!(out, "        }}");
         }
@@ -1170,7 +1013,6 @@ impl Gen<'_> {
         }
         let _ = writeln!(out, "    }}");
         let _ = writeln!(out);
-        Ok(())
     }
 
     /// APIs with at least one transition, in first-appearance order.
@@ -1226,13 +1068,13 @@ fn rust_ty(ty: Ty) -> &'static str {
         Ty::Key => "MacedonKey",
         Ty::Payload => "Bytes",
         Ty::List => "Vec<NodeId>",
-        Ty::Null => unreachable!("rejected in preflight"),
+        Ty::Null => unreachable!("the lowering rejects a neighbor-typed scalar"),
     }
 }
 impl Gen<'_> {
     // ---- module assembly -------------------------------------------------
 
-    fn file(&self) -> Result<String, CodegenError> {
+    fn file(&self) -> String {
         let mut out = String::new();
         let w = &mut out;
         let name = &self.name;
@@ -1414,16 +1256,16 @@ impl Gen<'_> {
         let _ = writeln!(w, "}}");
         let _ = writeln!(w);
 
-        self.emit_inherent_impl(w)?;
-        self.emit_agent_impl(w)?;
+        self.emit_inherent_impl(w);
+        self.emit_agent_impl(w);
         let _ = writeln!(w);
         let _ = writeln!(w, "}}");
         let _ = writeln!(w);
         let _ = writeln!(w, "pub use generated::*;");
-        Ok(out)
+        out
     }
 
-    fn emit_inherent_impl(&self, w: &mut String) -> Result<(), CodegenError> {
+    fn emit_inherent_impl(&self, w: &mut String) {
         let name = &self.name;
         let senum = self.state_enum();
         let spec = self.ir;
@@ -1494,7 +1336,7 @@ impl Gen<'_> {
                 ..Cx::plain()
             };
             let (name, params) = (Self::api_fn_name(api), Self::api_params(api));
-            self.emit_transition_fn(w, &name, params, false, cx, &tables.api[api as usize])?;
+            self.emit_transition_fn(w, &name, params, false, cx, &tables.api[api as usize]);
         }
         for (i, m) in spec.messages.iter().enumerate() {
             let params = format!(", from: NodeId, m: &Msg{}", camel(&m.name));
@@ -1505,17 +1347,17 @@ impl Gen<'_> {
             };
             if !tables.recv[i].is_empty() {
                 let name = format!("t_recv_{}", m.name);
-                self.emit_transition_fn(w, &name, &params, false, cx, &tables.recv[i])?;
+                self.emit_transition_fn(w, &name, &params, false, cx, &tables.recv[i]);
             }
             if !tables.forward[i].is_empty() {
                 let name = format!("t_fwd_{}", m.name);
-                self.emit_transition_fn(w, &name, &params, true, cx, &tables.forward[i])?;
+                self.emit_transition_fn(w, &name, &params, true, cx, &tables.forward[i]);
             }
         }
         for (t, arms) in spec.timers.iter().zip(&tables.timer) {
             if !arms.is_empty() {
                 let name = format!("t_timer_{}", t.name);
-                self.emit_transition_fn(w, &name, "", false, Cx::plain(), arms)?;
+                self.emit_transition_fn(w, &name, "", false, Cx::plain(), arms);
             }
         }
         if !tables.error.is_empty() {
@@ -1523,16 +1365,15 @@ impl Gen<'_> {
                 has_from: true,
                 ..Cx::plain()
             };
-            self.emit_transition_fn(w, "t_error", ", from: NodeId", false, cx, &tables.error)?;
+            self.emit_transition_fn(w, "t_error", ", from: NodeId", false, cx, &tables.error);
         }
         let _ = writeln!(w, "}}");
         let _ = writeln!(w);
-        Ok(())
     }
 }
 
 impl Gen<'_> {
-    fn emit_agent_impl(&self, w: &mut String) -> Result<(), CodegenError> {
+    fn emit_agent_impl(&self, w: &mut String) {
         let name = &self.name;
         let spec = self.ir;
         let _ = writeln!(w, "impl Agent for {name} {{");
@@ -1927,7 +1768,6 @@ impl Gen<'_> {
         let _ = writeln!(w, "        self");
         let _ = writeln!(w, "    }}");
         let _ = writeln!(w, "}}");
-        Ok(())
     }
 }
 
@@ -1953,11 +1793,11 @@ fn camel(s: &str) -> String {
 /// tables). Returns `(file name, contents)` pairs — the `regen` tool
 /// writes them to disk, and the `golden` test fails on any difference
 /// from the checked-in files.
-pub fn generate_bundled_crate() -> Result<Vec<(String, String)>, CodegenError> {
+pub fn generate_bundled_crate() -> Vec<(String, String)> {
     let reg = crate::registry::SpecRegistry::bundled();
-    let chain_err = |name: &str, e: crate::registry::ChainError| CodegenError {
-        spec: name.to_string(),
-        detail: format!("uses chain: {e}"),
+    let chain = |name: &str| {
+        reg.resolve_chain(name)
+            .expect("every bundled uses chain resolves")
     };
     let mut files = Vec::new();
     let mut names = Vec::new();
@@ -1967,9 +1807,9 @@ pub fn generate_bundled_crate() -> Result<Vec<(String, String)>, CodegenError> {
             .expect("the bundled registry holds every bundled spec");
         // Layered specs resolve their message classes against the
         // chain's lowest (tunneling) layer at generation time.
-        let chain = reg.resolve_chain(name).map_err(|e| chain_err(name, e))?;
+        let chain = chain(name);
         let base = ir.layered.then(|| chain[0].spec.transports.as_slice());
-        files.push((format!("{name}.rs"), generate(ir, base)?));
+        files.push((format!("{name}.rs"), generate(ir, base)));
         names.push(name);
     }
     let mut w = String::new();
@@ -2029,7 +1869,7 @@ pub fn generate_bundled_crate() -> Result<Vec<(String, String)>, CodegenError> {
     );
     let _ = writeln!(w, "    Some(match proto {{");
     for name in &names {
-        let chain = reg.resolve_chain(name).map_err(|e| chain_err(name, e))?;
+        let chain = chain(name);
         let _ = writeln!(w, "        \"{name}\" => vec![");
         for layer in &chain {
             let _ = writeln!(
@@ -2057,7 +1897,7 @@ pub fn generate_bundled_crate() -> Result<Vec<(String, String)>, CodegenError> {
     );
     let _ = writeln!(w, "    Some(match proto {{");
     for name in &names {
-        let chain = reg.resolve_chain(name).map_err(|e| chain_err(name, e))?;
+        let chain = chain(name);
         let _ = writeln!(w, "        \"{name}\" => vec![");
         for t in &chain[0].spec.transports {
             let kind = match t.kind {
@@ -2077,7 +1917,7 @@ pub fn generate_bundled_crate() -> Result<Vec<(String, String)>, CodegenError> {
     let _ = writeln!(w);
     let _ = writeln!(w, "pub use assembly::*;");
     files.push(("lib.rs".to_string(), w));
-    Ok(files)
+    files
 }
 
 /// The round-trip spec: an ad-hoc spec outside the bundled roster, so
@@ -2092,12 +1932,8 @@ pub const ROUNDTRIP_MODULE: &str = "tests/roundtrip/agent.rs";
 /// The round-trip spec's generated module: compile, then generate.
 /// `regen` writes it to [`ROUNDTRIP_MODULE`]; the `golden` test checks
 /// the file against it.
-pub fn generate_roundtrip() -> Result<String, CodegenError> {
-    let err = |detail: String| CodegenError {
-        spec: "roundtrip".into(),
-        detail,
-    };
-    let ir = crate::compile(ROUNDTRIP_SPEC).map_err(|e| err(e.to_string()))?;
+pub fn generate_roundtrip() -> String {
+    let ir = crate::compile(ROUNDTRIP_SPEC).expect("the round-trip spec compiles");
     generate(&ir, None)
 }
 
@@ -2121,13 +1957,13 @@ mod tests {
         }
     "#;
 
-    fn gen(src: &str) -> Out {
+    fn gen(src: &str) -> String {
         generate(&compile(src).unwrap(), None)
     }
 
     #[test]
     fn generates_struct_and_state_enum() {
-        let code = gen(SRC).unwrap();
+        let code = gen(SRC);
         assert!(code.contains("pub struct ToyProto"), "{code}");
         assert!(code.contains("pub enum ToyProtoState"));
         assert!(code.contains("    Init,"));
@@ -2137,7 +1973,7 @@ mod tests {
 
     #[test]
     fn generates_message_constants_and_demux() {
-        let code = gen(SRC).unwrap();
+        let code = gen(SRC);
         assert!(code.contains("const MSG_PING: u16 = 0;"));
         assert!(code.contains("const MSG_PONG: u16 = 1;"));
         assert!(
@@ -2149,14 +1985,14 @@ mod tests {
 
     #[test]
     fn scope_conditions_translated() {
-        let code = gen(SRC).unwrap();
+        let code = gen(SRC);
         assert!(code.contains("!(self.state == ToyProtoState::Joined)"));
         assert!(code.contains("|| self.state == ToyProtoState::Waiting"));
     }
 
     #[test]
     fn timer_dispatch_generated() {
-        let code = gen(SRC).unwrap();
+        let code = gen(SRC);
         assert!(code.contains("const TIMER_BEAT: u16 = 0;"));
         assert!(code.contains("TIMER_BEAT => self.t_timer_beat(ctx)"));
         assert!(code.contains("ctx.timer_periodic(TIMER_BEAT, Duration::from_millis(500))"));
@@ -2164,7 +2000,7 @@ mod tests {
 
     #[test]
     fn transition_bodies_are_full_code_not_comments() {
-        let code = gen(SRC).unwrap();
+        let code = gen(SRC);
         assert!(
             code.contains("self.count = (self.count + (1i64));"),
             "{code}"
@@ -2192,15 +2028,13 @@ mod tests {
     #[test]
     fn all_bundled_specs_generate() {
         for (name, src) in crate::bundled_specs() {
-            if let Err(e) = gen(src) {
-                panic!("{name}.mac no longer generates: {e}");
-            }
+            assert!(gen(src).contains("impl Agent for"), "{name}.mac");
         }
     }
 
     #[test]
     fn bundled_crate_has_one_module_per_spec_plus_root() {
-        let files = generate_bundled_crate().unwrap();
+        let files = generate_bundled_crate();
         assert_eq!(files.len(), crate::bundled_specs().len() + 1);
         assert!(files.iter().any(|(n, _)| n == "lib.rs"));
         let (_, lib) = files.iter().find(|(n, _)| n == "lib.rs").unwrap();
@@ -2218,71 +2052,8 @@ mod tests {
              transitions { any API init {
                 r = rtt(papa);
                 g = goodput(neighbor_random(kids));
-             } }")
-        .unwrap();
+             } }");
         assert!(code.contains("ctx.rtt_ms(__p)"), "{code}");
         assert!(code.contains("ctx.goodput_kbps(__p)"), "{code}");
-    }
-
-    #[test]
-    fn rtt_of_non_node_diagnosed() {
-        let e = gen("protocol p; addressing hash; transports { TCP C; }
-             messages { C ping { } }
-             state_variables { int n; }
-             transitions { any API init { n = rtt(n); } }")
-        .unwrap_err();
-        assert!(e.to_string().contains("rtt(..) needs a node"), "{e}");
-    }
-
-    #[test]
-    fn non_constant_divisor_diagnosed() {
-        let e = gen("protocol p; addressing ip;
-             state_variables { int n; }
-             transitions { any API init { n = n / n; } }")
-        .unwrap_err();
-        assert!(e.to_string().contains("non-constant divisor"), "{e}");
-    }
-
-    #[test]
-    fn keyword_identifier_diagnosed() {
-        let e = gen("protocol p; addressing ip;
-             state_variables { int loop; }")
-        .unwrap_err();
-        assert!(e.to_string().contains("Rust keyword"), "{e}");
-    }
-
-    #[test]
-    fn layered_null_dest_without_key_field_diagnosed() {
-        let e = gen("protocol upper uses base; addressing hash;
-             messages { hello { node who; } }
-             transitions { any API init { hello(null, me); } }")
-        .unwrap_err();
-        assert!(e.to_string().contains("needs a key field"), "{e}");
-    }
-
-    #[test]
-    fn payload_variable_compared_with_null_diagnosed() {
-        let e = gen("protocol p; addressing hash;
-             state_variables { payload kept; bool empty; }
-             transitions { any API init { empty = kept == null; } }")
-        .unwrap_err();
-        assert!(e.to_string().contains("payload variable with null"), "{e}");
-        // An unbound `payload` is null in both back ends.
-        let code = gen("protocol p; addressing hash;
-             state_variables { bool empty; }
-             transitions { any API init { empty = payload == null; } }")
-        .unwrap();
-        assert!(code.contains("self.empty = true;"), "{code}");
-    }
-
-    #[test]
-    fn type_faults_are_listed() {
-        let e = gen("protocol p; addressing hash;
-             state_variables { int n; bool b; }
-             transitions { any API init { n = me; b = digit(b, 0, 16) == 1; } }")
-        .unwrap_err();
-        let e = e.to_string();
-        assert!(e.contains("cannot assign node to 'n'"), "{e}");
-        assert!(e.contains("expected key, got bool"), "{e}");
     }
 }

@@ -1,10 +1,12 @@
 //! What [`crate::compile`] rejects: one invalid spec per diagnostic of
-//! the lowering ([`crate::IrSpec::lower`]), and the valid specs next to
-//! them that must still pass.
+//! the lowering ([`crate::IrSpec::lower`]), type errors and what the
+//! code generator could not print included, and the valid specs next to
+//! them that must still pass — and run alike on both back ends.
 
 #[cfg(test)]
 mod tests {
-    use crate::{compile, ParseError, SpecRegistry};
+    use crate::registry::ConstantError;
+    use crate::{bundled_specs, codegen, compile, ParseError, SpecRegistry};
     use std::sync::Arc;
 
     fn check(src: &str) -> Result<(), ParseError> {
@@ -303,5 +305,232 @@ mod tests {
         // One more is a compile error, not a panic at registration.
         let e = compile(&states_spec(128)).unwrap_err();
         assert!(e.msg.contains("at most 128"), "{e}");
+    }
+
+    #[test]
+    fn rtt_of_non_node_diagnosed() {
+        let e = compile(
+            "protocol p; addressing hash; transports { TCP C; }
+             messages { C ping { } }
+             state_variables { int n; }
+             transitions { any API init { n = rtt(n); } }",
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("rtt(..) needs a node"), "{e}");
+    }
+
+    #[test]
+    fn non_constant_divisor_diagnosed() {
+        let e = compile(
+            "protocol p; addressing ip;
+             state_variables { int n; }
+             transitions { any API init { n = n / n; } }",
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("non-constant divisor"), "{e}");
+    }
+
+    #[test]
+    fn constant_zero_divisor_diagnosed() {
+        for divisor in ["0", "Z", "-Z"] {
+            let e = compile(&format!(
+                "protocol p; addressing ip; constants {{ Z = 0; }}
+                 state_variables {{ int n; }}
+                 transitions {{ any API init {{ n = n % {divisor}; }} }}"
+            ))
+            .unwrap_err();
+            assert_eq!(
+                e.msg, "transition 0: division by constant zero",
+                "{divisor}"
+            );
+        }
+        // A nonzero literal or constant divides.
+        compile(
+            "protocol p; addressing ip; constants { K = 3; }
+             state_variables { int n; }
+             transitions { any API init { n = n / K + n % -2; } }",
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn a_constant_overridden_to_a_zero_divisor_is_a_typed_error() {
+        let mut r = SpecRegistry::new();
+        r.insert(Arc::new(
+            compile(
+                "protocol p; addressing ip; constants { K = 3; }
+                 state_variables { int n; }
+                 transitions { any API init { n = n / K; } }",
+            )
+            .unwrap(),
+        ));
+        let before = r.get("p").unwrap().clone();
+        let Err(ConstantError::Rejected { spec, error }) = r.set_constants("p", &[("K", 0)]) else {
+            panic!("a zero divisor compiled");
+        };
+        assert_eq!(spec, "p");
+        assert_eq!(error.msg, "transition 0: division by constant zero");
+        // A refused override registers nothing.
+        assert!(Arc::ptr_eq(r.get("p").unwrap(), &before));
+    }
+
+    #[test]
+    fn keyword_identifier_diagnosed() {
+        let e = compile(
+            "protocol p; addressing ip;
+             state_variables { int loop; }",
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("Rust keyword"), "{e}");
+    }
+
+    #[test]
+    fn neighbor_typed_scalar_diagnosed() {
+        // The parser reads a neighbor-typed declaration as a list, so
+        // only a spec built as an AST can hold a neighbor-typed scalar.
+        let mut spec =
+            crate::parse("protocol p; addressing ip; neighbor_types { kid 4 { } }").unwrap();
+        spec.state_vars.push(crate::ast::StateVar::Scalar {
+            ty: crate::ast::TypeName::Neighbor("kid".into()),
+            name: "papa".into(),
+        });
+        let e = crate::IrSpec::lower(Arc::new(spec)).unwrap_err();
+        assert_eq!(
+            e.msg,
+            "scalar state variable 'papa' of a neighbor type is not supported; declare it as a \
+             neighbor list"
+        );
+    }
+
+    #[test]
+    fn layered_null_dest_without_key_field_diagnosed() {
+        let e = compile(
+            "protocol upper uses base; addressing hash;
+             messages { hello { node who; } }
+             transitions { any API init { hello(null, me); } }",
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("needs a key field"), "{e}");
+    }
+
+    #[test]
+    fn payload_variable_compared_with_null_is_false() {
+        const SRC: &str = "protocol p; addressing hash;
+             state_variables { payload kept; bool empty; bool unset; }
+             transitions { any API init { unset = kept == null; kept = null; empty = kept == null; } }";
+        let ir = Arc::new(compile(SRC).unwrap());
+        // Generated: a payload is never null.
+        let code = codegen::generate(&ir, None);
+        assert!(
+            code.contains("self.unset = { let _ = self.kept.clone(); false };"),
+            "{code}"
+        );
+        assert!(
+            code.contains("self.empty = { let _ = self.kept.clone(); false };"),
+            "{code}"
+        );
+        // Interpreted: the variable starts as, and is assigned `null` as,
+        // the empty payload.
+        use crate::interp::{InterpretedAgent, Value};
+        use macedon_core::{Bytes, MacedonKey, NodeId, NullApp, SimRng, Stack, Time};
+        let mut stack = Stack::new(
+            NodeId(1),
+            MacedonKey(1),
+            vec![Box::new(InterpretedAgent::new(ir, None))],
+            Box::new(NullApp),
+            SimRng::new(1),
+        );
+        stack.init(Time::ZERO, &mut Vec::new());
+        let a: &InterpretedAgent = stack.agent(0).as_any().downcast_ref().unwrap();
+        assert_eq!(a.var("unset"), Some(Value::Bool(false)));
+        assert_eq!(a.var("empty"), Some(Value::Bool(false)));
+        assert_eq!(a.var("kept"), Some(Value::Bytes(Bytes::new())));
+        // An unbound `payload` is null in both back ends.
+        let code = codegen::generate(
+            &compile(
+                "protocol p; addressing hash;
+                 state_variables { bool empty; }
+                 transitions { any API init { empty = payload == null; } }",
+            )
+            .unwrap(),
+            None,
+        );
+        assert!(code.contains("self.empty = true;"), "{code}");
+    }
+
+    #[test]
+    fn type_errors_are_compile_errors() {
+        let e = compile(
+            "protocol p; addressing hash;
+             state_variables { int n; bool b; }
+             transitions { any API init { n = me; } }",
+        )
+        .unwrap_err();
+        let e = e.to_string();
+        assert!(e.contains("cannot assign node to 'n'"), "{e}");
+        let e = compile(
+            "protocol p; addressing hash;
+             state_variables { int n; bool b; }
+             transitions { any API init { b = digit(b, 0, 16) == 1; } }",
+        )
+        .unwrap_err();
+        let e = e.to_string();
+        assert!(e.contains("expected key, got bool"), "{e}");
+    }
+
+    #[test]
+    fn an_ill_typed_construct_is_a_compile_error() {
+        const ILL: &str = r#"
+            protocol ill;
+            addressing hash;
+            transports { TCP C; }
+            messages { C ping { } }
+            state_variables { int n; int after; }
+            transitions {
+                any recv ping {
+                    n = me;
+                    after = 1;
+                }
+            }
+        "#;
+        let e = compile(ILL).unwrap_err();
+        assert_eq!(
+            e.msg,
+            "transition 0: cannot assign node to 'n' of declared type int"
+        );
+        // The full text, position included.
+        let e = compile(
+            "protocol p; addressing hash; state_variables { int n; } \
+             transitions { any API init { n = me; } }",
+        )
+        .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "0:0: transition 0: cannot assign node to 'n' of declared type int"
+        );
+    }
+
+    #[test]
+    fn all_nine_specs_lower_fully_typed() {
+        // Lowering types every expression, so the interpreter evaluates
+        // each at its static type, and a type error is a compile error:
+        // every bundled spec compiles.
+        for (name, src) in bundled_specs() {
+            if let Err(e) = compile(src) {
+                panic!("{name}: {e}");
+            }
+        }
+        // The check sees a type error when there is one.
+        let e = compile(
+            "protocol ill; addressing hash;
+             neighbor_types { peer 4 { } }
+             state_variables { peer peers; bool b; }
+             transitions { any API init { b = neighbor_query(peers, 5); } }",
+        )
+        .unwrap_err();
+        assert!(
+            e.msg.contains("neighbor_query needs a node, got int"),
+            "{e}"
+        );
     }
 }

@@ -26,15 +26,15 @@
 //!   types it needs. No `Value` is built, cloned or matched, outside
 //!   `trace(..)` records.
 //! * **Dynamic:** only what the event brings — which transition the
-//!   current FSM state admits, the null-ness of node values (a null
-//!   where a value is required faults), zero divisors, and the heap
-//!   values (payloads and neighbor lists, read by reference). An
-//!   ill-typed construct, which only an ad-hoc spec can contain, faults
-//!   when evaluated ([`crate::IrSpec::type_faults`] lists them).
+//!   current FSM state admits, the null-ness of node values, and the
+//!   heap values (payloads and neighbor lists, read by reference). A
+//!   spec with a type error, or with a divisor that is not a nonzero
+//!   constant, does not compile, so no expression faults.
 //!
-//! A runtime fault unwinds the transition and traces
-//! `"<spec>: runtime error: <what>"` at `Low` — for a null value, the
-//! very line the generated agent traces. The IR is purely a faster
+//! The one runtime fault is a null node where a statement requires a
+//! value: it unwinds the transition and traces
+//! `"<spec>: runtime error: null where a value is required"` at `Low`,
+//! the very line the generated agent traces. The IR is purely a faster
 //! representation: execution order, RNG draw points, wire bytes, and
 //! engine op order are identical to AST semantics, so interpreted agents stay
 //! bit-for-bit cross-validatable against the generated ones
@@ -72,7 +72,7 @@ use crate::ast::TransportKindDecl;
 use crate::ir::typed::{ArithOp, CmpOp, KeyOptExpr};
 use crate::ir::{
     AnyExpr, ApiKind, BoolExpr, FieldKind, IntExpr, IrDown, IrMessage, IrSpec, IrStmt, KeyArg,
-    KeyExpr, ListExpr, NodeExpr, PayloadExpr, SendArg, SendDest, Slots, Table, Ty, TypeFault,
+    KeyExpr, ListExpr, NodeExpr, PayloadExpr, SendArg, SendDest, Slots, Table, Ty,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel_ref, WireRef};
@@ -118,31 +118,17 @@ impl Value {
     }
 }
 
-/// Why a transition unwound.
+/// Why a transition unwound, the one runtime fault: a null node where
+/// a value is required (`neighbor_add(l, null)`, a null routing key or
+/// `routeIP` destination, a null-destination layered send with no key
+/// to route toward).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Fault {
-    /// A null node where a value is required: `neighbor_add(l, null)`,
-    /// a null routing key or `routeIP` destination, a null-destination
-    /// layered send with no key to route toward.
-    Null,
-    DivZero,
-    ModZero,
-    /// An ill-typed construct: diagnostic number `n` of
-    /// [`IrSpec::type_faults`].
-    Type(u16),
-}
+struct Fault;
 
 impl Fault {
-    /// The text after `"<spec>: runtime error: "`; a null fault reads
-    /// exactly as the generated agents' (`codegen`'s `bail`).
-    fn text(self, ir: &IrSpec) -> &str {
-        match self {
-            Fault::Null => "null where a value is required",
-            Fault::DivZero => "division by zero",
-            Fault::ModZero => "modulo by zero",
-            Fault::Type(n) => &ir.type_faults[n as usize],
-        }
-    }
+    /// The text after `"<spec>: runtime error: "`, exactly as the
+    /// generated agents trace it (`codegen`'s `bail`).
+    const TEXT: &'static str = "null where a value is required";
 }
 
 /// Per-transition bindings: the decoded message fields, `from`,
@@ -388,7 +374,7 @@ impl InterpretedAgent {
             Ty::Bool => Value::Bool(vars.bool(s)),
             Ty::Node => Value::of_node(vars.node(s)),
             Ty::Key => Value::Key(vars.key(s)),
-            Ty::Payload => Value::of_payload(vars.payload(s)),
+            Ty::Payload => Value::Bytes(vars.payload(s).clone()),
             Ty::List | Ty::Null => Value::Null,
         })
     }
@@ -415,13 +401,13 @@ impl InterpretedAgent {
             ctx.locking_read();
         }
         self.transitions_fired += 1;
-        if let Err(fault) = core.exec_block(ir, ctx, &mut self.frame, &t.body) {
-            if ctx.trace_on(TraceLevel::Low) {
-                ctx.trace(
-                    TraceLevel::Low,
-                    format!("{}: runtime error: {}", ir.name, fault.text(ir)),
-                );
-            }
+        if core.exec_block(ir, ctx, &mut self.frame, &t.body).is_err()
+            && ctx.trace_on(TraceLevel::Low)
+        {
+            ctx.trace(
+                TraceLevel::Low,
+                format!("{}: runtime error: {}", ir.name, Fault::TEXT),
+            );
         }
         self.frame.quash
     }
@@ -489,7 +475,7 @@ impl Core {
     ) -> Result<Flow, Fault> {
         match stmt {
             IrStmt::If { cond, then, els } => {
-                return if self.eval_bool(ctx, frame, cond)? {
+                return if self.eval_bool(ctx, frame, cond) {
                     self.exec_block(ir, ctx, frame, then)
                 } else {
                     self.exec_block(ir, ctx, frame, els)
@@ -497,7 +483,7 @@ impl Core {
             }
             IrStmt::Return => return Ok(Flow::Return),
             IrStmt::NeighborAdd(slot, e) => {
-                let node = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
+                let node = self.eval_node(ctx, frame, e).ok_or(Fault)?;
                 let decl = &ir.lists[*slot as usize];
                 let l = &mut self.lists[*slot as usize];
                 if !l.contains(&node) && l.len() < decl.max {
@@ -508,19 +494,19 @@ impl Core {
                 }
             }
             IrStmt::AssignInt(slot, e) => {
-                let v = self.eval_int(ctx, frame, e)?;
+                let v = self.eval_int(ctx, frame, e);
                 self.vars.set_int(*slot, v);
             }
             IrStmt::AssignBool(slot, e) => {
-                let v = self.eval_bool(ctx, frame, e)?;
+                let v = self.eval_bool(ctx, frame, e);
                 self.vars.set_bool(*slot, v);
             }
             IrStmt::AssignNode(slot, e) => {
-                let v = self.eval_node(ctx, frame, e)?;
+                let v = self.eval_node(ctx, frame, e);
                 self.vars.set_node(*slot, v);
             }
             IrStmt::AssignKey(slot, e) => {
-                let v = self.eval_key(ctx, frame, e)?;
+                let v = self.eval_key(ctx, frame, e);
                 self.vars.set_key(*slot, v);
             }
             IrStmt::ForEach { var, list, body } => {
@@ -572,12 +558,12 @@ impl Core {
                 self.state = *s;
             }
             IrStmt::TimerResched(id, e) => {
-                let ms = self.eval_int(ctx, frame, e)?;
+                let ms = self.eval_int(ctx, frame, e);
                 ctx.timer_set(*id, Duration::from_millis(ms.max(0) as u64));
             }
             IrStmt::TimerCancel(id) => ctx.timer_cancel(*id),
             IrStmt::NeighborRemove(slot, e) => {
-                let node = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
+                let node = self.eval_node(ctx, frame, e).ok_or(Fault)?;
                 self.lists[*slot as usize].retain(|&n| n != node);
                 if ir.lists[*slot as usize].fail_detect && !self.fd_elsewhere(ir, *slot, node) {
                     ctx.unmonitor(node);
@@ -602,7 +588,7 @@ impl Core {
                 ctx.down(call);
             }
             IrStmt::UpcallNotify(slot, e) => {
-                let ty = self.eval_int(ctx, frame, e)? as u32;
+                let ty = self.eval_int(ctx, frame, e) as u32;
                 ctx.up(UpCall::Notify {
                     nbr_type: ty,
                     neighbors: self.lists[*slot as usize].clone(),
@@ -610,31 +596,25 @@ impl Core {
             }
             IrStmt::Deliver { src, payload } => {
                 let src = self.eval_key_arg(ctx, frame, src)?;
-                let payload = self.payload_value(ctx, frame, payload)?;
+                let payload = self.payload_value(frame, payload);
                 let from = frame.from.unwrap_or(ctx.me);
                 ctx.up(UpCall::Deliver { src, from, payload });
             }
             IrStmt::Monitor(e) => {
-                let n = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
+                let n = self.eval_node(ctx, frame, e).ok_or(Fault)?;
                 ctx.monitor(n);
             }
             IrStmt::Unmonitor(e) => {
-                let n = self.eval_node(ctx, frame, e)?.ok_or(Fault::Null)?;
+                let n = self.eval_node(ctx, frame, e).ok_or(Fault)?;
                 ctx.unmonitor(n);
             }
             IrStmt::AssignPayload(slot, e) => {
-                let v = self.eval_payload(ctx, frame, e)?.cloned();
+                let v = self.payload_value(frame, e);
                 self.vars.set_payload(*slot, v);
             }
             IrStmt::AssignList(slot, e) => {
                 let mut ns = self.node_pool.pop().unwrap_or_default();
-                match self.eval_list(ctx, frame, e) {
-                    Ok(l) => ns.extend_from_slice(l),
-                    Err(f) => {
-                        self.pool_nodes(ns);
-                        return Err(f);
-                    }
-                }
+                ns.extend_from_slice(self.eval_list(frame, e));
                 let old = self.assign_list(ir, ctx, *slot, ns);
                 self.pool_nodes(old);
             }
@@ -649,12 +629,11 @@ impl Core {
                 // Always evaluate — the expression may draw from the RNG
                 // (`trace(neighbor_random(..))`); only the formatting is
                 // gated on the trace threshold.
-                let v = self.eval_any(ctx, frame, e)?;
+                let v = self.eval_any(ctx, frame, e);
                 if ctx.trace_on(TraceLevel::Med) {
                     ctx.trace(TraceLevel::Med, format!("{}: trace {v:?}", ir.name));
                 }
             }
-            IrStmt::Fault(f) => return Err(self.raise(ctx, frame, f)),
             IrStmt::If { .. }
             | IrStmt::Return
             | IrStmt::NeighborAdd(..)
@@ -720,27 +699,27 @@ impl Core {
             },
             IrDown::Multicast(g, p) => DownCall::Multicast {
                 group: self.eval_key_arg(ctx, frame, g)?,
-                payload: self.payload_value(ctx, frame, p)?,
+                payload: self.payload_value(frame, p),
                 priority: DEFAULT_PRIORITY,
             },
             IrDown::Anycast(g, p) => DownCall::Anycast {
                 group: self.eval_key_arg(ctx, frame, g)?,
-                payload: self.payload_value(ctx, frame, p)?,
+                payload: self.payload_value(frame, p),
                 priority: DEFAULT_PRIORITY,
             },
             IrDown::Collect(g, p) => DownCall::Collect {
                 group: self.eval_key_arg(ctx, frame, g)?,
-                payload: self.payload_value(ctx, frame, p)?,
+                payload: self.payload_value(frame, p),
                 priority: DEFAULT_PRIORITY,
             },
             IrDown::Route(d, p) => DownCall::Route {
                 dest: self.eval_key_arg(ctx, frame, d)?,
-                payload: self.payload_value(ctx, frame, p)?,
+                payload: self.payload_value(frame, p),
                 priority: DEFAULT_PRIORITY,
             },
             IrDown::RouteIp(d, p) => DownCall::RouteIp {
-                dest: self.eval_node(ctx, frame, d)?.ok_or(Fault::Null)?,
-                payload: self.payload_value(ctx, frame, p)?,
+                dest: self.eval_node(ctx, frame, d).ok_or(Fault)?,
+                payload: self.payload_value(frame, p),
                 priority: DEFAULT_PRIORITY,
             },
         })
@@ -748,8 +727,8 @@ impl Core {
 
     /// The transmission primitive. The destination is evaluated first,
     /// then each argument in order, encoded into the frame as it is
-    /// produced; an argument (or destination) that cannot be encoded
-    /// faults only once every argument has been evaluated.
+    /// produced; a null node in a key field faults only once every
+    /// argument has been evaluated.
     fn send(
         &mut self,
         ir: &IrSpec,
@@ -759,15 +738,9 @@ impl Core {
         dest: &SendDest,
         args: &[SendArg],
     ) -> Result<(), Fault> {
-        let mut dest_fault = None;
         let dest = match dest {
-            SendDest::Node(e) => Dest::Node(self.eval_node(ctx, frame, e)?),
-            SendDest::Key(e) => Dest::Key(self.eval_key(ctx, frame, e)?),
-            SendDest::Mismatch(f) => {
-                self.operands(ctx, frame, f)?;
-                dest_fault = Some(Fault::Type(f.msg));
-                Dest::Node(None)
-            }
+            SendDest::Node(e) => Dest::Node(self.eval_node(ctx, frame, e)),
+            SendDest::Key(e) => Dest::Key(self.eval_key(ctx, frame, e)),
         };
         let mut w = WireWriter::new();
         w.u16(self.proto).u16(msg);
@@ -780,26 +753,24 @@ impl Core {
         for arg in args {
             match arg {
                 SendArg::Int(e) => {
-                    w.u64(self.eval_int(ctx, frame, e)? as u64);
+                    w.u64(self.eval_int(ctx, frame, e) as u64);
                 }
                 SendArg::Bool(e) => {
-                    w.u8(self.eval_bool(ctx, frame, e)? as u8);
+                    w.u8(self.eval_bool(ctx, frame, e) as u8);
                 }
                 SendArg::Node(e) => {
-                    w.node(self.eval_node(ctx, frame, e)?.unwrap_or(NodeId(u32::MAX)));
+                    w.node(self.eval_node(ctx, frame, e).unwrap_or(NodeId(u32::MAX)));
                 }
                 SendArg::Key(e) => match self.eval_key_arg(ctx, frame, e) {
                     Ok(k) => {
                         w.key(k);
                         route_key.get_or_insert(k);
                     }
-                    // Only the coercion of a null node faults `Null`.
-                    Err(Fault::Null) => {
-                        encode_fault.get_or_insert(Fault::Null);
+                    Err(f) => {
+                        encode_fault.get_or_insert(f);
                     }
-                    Err(f) => return Err(f),
                 },
-                SendArg::Payload(e) => match self.eval_payload(ctx, frame, e)? {
+                SendArg::Payload(e) => match self.eval_payload(frame, e) {
                     Some(b) => {
                         if tunneled.is_none() && !b.is_empty() {
                             tunneled = Some(b.clone());
@@ -811,15 +782,11 @@ impl Core {
                     }
                 },
                 SendArg::List(e) => {
-                    w.nodes(self.eval_list(ctx, frame, e)?);
-                }
-                SendArg::Mismatch(f) => {
-                    self.operands(ctx, frame, f)?;
-                    encode_fault.get_or_insert(Fault::Type(f.msg));
+                    w.nodes(self.eval_list(frame, e));
                 }
             }
         }
-        if let Some(f) = encode_fault.or(dest_fault) {
+        if let Some(f) = encode_fault {
             return Err(f);
         }
         let bytes = w.finish();
@@ -844,7 +811,7 @@ impl Core {
                     priority,
                 },
                 Dest::Node(None) => DownCall::Route {
-                    dest: route_key.ok_or(Fault::Null)?,
+                    dest: route_key.ok_or(Fault)?,
                     payload: bytes,
                     priority,
                 },
@@ -908,147 +875,127 @@ impl Core {
     // One evaluator per static type. Operands are evaluated left to
     // right, both operands of a binary operator before either is used,
     // and `neighbor_random` draws from `ctx.rng` exactly where the
-    // generated agents do.
+    // generated agents do. A typed tree is well typed and every divisor a
+    // nonzero constant, so no expression faults.
     //
     // `eval_int`, `eval_bool`, `eval_node` and `eval_key` are inlined
     // fronts: a leaf (a slot, a field, a builtin) — and, for conditions,
     // a comparison or null test of leaves — is read in place, with no
     // call; anything else goes to the out-of-line `*_tree` evaluator.
 
-    /// Evaluate an ill-typed construct's operands, in order.
-    fn operands(&self, ctx: &mut Ctx, f: &Frame, t: &TypeFault) -> Result<(), Fault> {
-        t.operands
-            .iter()
-            .try_for_each(|op| self.effects(ctx, f, op))
-    }
-
-    /// Evaluate an ill-typed construct's operands, then fault (with the
-    /// first fault an operand raised, if any).
-    fn raise(&self, ctx: &mut Ctx, f: &Frame, t: &TypeFault) -> Fault {
-        match self.operands(ctx, f, t) {
-            Err(fault) => fault,
-            Ok(()) => Fault::Type(t.msg),
-        }
-    }
-
     #[inline(always)]
-    fn eval_int(&self, ctx: &mut Ctx, f: &Frame, e: &IntExpr) -> Result<i64, Fault> {
+    fn eval_int(&self, ctx: &mut Ctx, f: &Frame, e: &IntExpr) -> i64 {
         match e {
-            IntExpr::Lit(v) | IntExpr::Const(v, _) => Ok(*v),
-            IntExpr::Var(s) => Ok(self.vars.int(*s)),
-            IntExpr::Field(at) => Ok(f.fields.int(*at)),
-            IntExpr::NeighborSize(l) => Ok(self.lists[*l as usize].len() as i64),
+            IntExpr::Lit(v) | IntExpr::Const(v, _) => *v,
+            IntExpr::Var(s) => self.vars.int(*s),
+            IntExpr::Field(at) => f.fields.int(*at),
+            IntExpr::NeighborSize(l) => self.lists[*l as usize].len() as i64,
             IntExpr::RingDist(ab) => {
-                let a = self.eval_key_opt(ctx, f, &ab[0])?;
-                Ok(key::dsl_ring_dist(a, self.eval_key_opt(ctx, f, &ab[1])?))
+                let a = self.eval_key_opt(ctx, f, &ab[0]);
+                key::dsl_ring_dist(a, self.eval_key_opt(ctx, f, &ab[1]))
             }
             IntExpr::PrefixLen(ab) => {
-                let a = self.eval_key_opt(ctx, f, &ab[0])?;
-                Ok(key::dsl_prefix_len(a, self.eval_key_opt(ctx, f, &ab[1])?))
+                let a = self.eval_key_opt(ctx, f, &ab[0]);
+                key::dsl_prefix_len(a, self.eval_key_opt(ctx, f, &ab[1]))
             }
             _ => self.int_tree(ctx, f, e),
         }
     }
 
-    fn int_tree(&self, ctx: &mut Ctx, f: &Frame, e: &IntExpr) -> Result<i64, Fault> {
-        Ok(match e {
+    fn int_tree(&self, ctx: &mut Ctx, f: &Frame, e: &IntExpr) -> i64 {
+        match e {
             IntExpr::Lit(v) | IntExpr::Const(v, _) => *v,
             IntExpr::Var(s) => self.vars.int(*s),
             IntExpr::Field(at) => f.fields.int(*at),
-            IntExpr::OfBool(b) => self.eval_bool(ctx, f, b)? as i64,
+            IntExpr::OfBool(b) => self.eval_bool(ctx, f, b) as i64,
             IntExpr::NeighborSize(l) => self.lists[*l as usize].len() as i64,
-            IntExpr::Rtt(n) => self.eval_node(ctx, f, n)?.map_or(0, |p| ctx.rtt_ms(p)),
-            IntExpr::Goodput(n) => self
-                .eval_node(ctx, f, n)?
-                .map_or(0, |p| ctx.goodput_kbps(p)),
+            IntExpr::Rtt(n) => self.eval_node(ctx, f, n).map_or(0, |p| ctx.rtt_ms(p)),
+            IntExpr::Goodput(n) => self.eval_node(ctx, f, n).map_or(0, |p| ctx.goodput_kbps(p)),
             IntExpr::RingDist(ab) => {
-                let a = self.eval_key_opt(ctx, f, &ab[0])?;
-                key::dsl_ring_dist(a, self.eval_key_opt(ctx, f, &ab[1])?)
+                let a = self.eval_key_opt(ctx, f, &ab[0]);
+                key::dsl_ring_dist(a, self.eval_key_opt(ctx, f, &ab[1]))
             }
             IntExpr::Digit(k, i, base) => {
-                let k = self.eval_key_opt(ctx, f, k)?;
-                let i = self.eval_int(ctx, f, i)?;
-                key::dsl_digit(k, i, self.eval_int(ctx, f, base)?)
+                let k = self.eval_key_opt(ctx, f, k);
+                let i = self.eval_int(ctx, f, i);
+                key::dsl_digit(k, i, self.eval_int(ctx, f, base))
             }
             IntExpr::PrefixLen(ab) => {
-                let a = self.eval_key_opt(ctx, f, &ab[0])?;
-                key::dsl_prefix_len(a, self.eval_key_opt(ctx, f, &ab[1])?)
+                let a = self.eval_key_opt(ctx, f, &ab[0]);
+                key::dsl_prefix_len(a, self.eval_key_opt(ctx, f, &ab[1]))
             }
-            IntExpr::Neg(x) => -self.eval_int(ctx, f, x)?,
+            IntExpr::Neg(x) => -self.eval_int(ctx, f, x),
             IntExpr::Arith(op, ab) => {
-                let a = self.eval_int(ctx, f, &ab[0])?;
-                let b = self.eval_int(ctx, f, &ab[1])?;
+                let a = self.eval_int(ctx, f, &ab[0]);
+                let b = self.eval_int(ctx, f, &ab[1]);
                 match op {
                     ArithOp::Add => a + b,
                     ArithOp::Sub => a - b,
                     ArithOp::Mul => a * b,
-                    ArithOp::Div if b == 0 => return Err(Fault::DivZero),
                     ArithOp::Div => a / b,
-                    ArithOp::Mod if b == 0 => return Err(Fault::ModZero),
                     ArithOp::Mod => a % b,
                 }
             }
-            IntExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
-        })
+        }
     }
 
     #[inline(always)]
-    fn eval_bool(&self, ctx: &mut Ctx, f: &Frame, e: &BoolExpr) -> Result<bool, Fault> {
+    fn eval_bool(&self, ctx: &mut Ctx, f: &Frame, e: &BoolExpr) -> bool {
         match e {
-            BoolExpr::Lit(b) => Ok(*b),
-            BoolExpr::Var(s) => Ok(self.vars.bool(*s)),
-            BoolExpr::Field(at) => Ok(f.fields.bool(*at)),
+            BoolExpr::Lit(b) => *b,
+            BoolExpr::Var(s) => self.vars.bool(*s),
+            BoolExpr::Field(at) => f.fields.bool(*at),
             BoolExpr::Cmp(op, ab) => {
-                let a = self.eval_int(ctx, f, &ab[0])?;
-                Ok(compare(*op, a, self.eval_int(ctx, f, &ab[1])?))
+                let a = self.eval_int(ctx, f, &ab[0]);
+                compare(*op, a, self.eval_int(ctx, f, &ab[1]))
             }
-            BoolExpr::IsSome(x) => Ok(self.eval_node(ctx, f, x)?.is_some()),
-            BoolExpr::IsNull(x) => Ok(self.eval_node(ctx, f, x)?.is_none()),
+            BoolExpr::IsSome(x) => self.eval_node(ctx, f, x).is_some(),
+            BoolExpr::IsNull(x) => self.eval_node(ctx, f, x).is_none(),
             BoolExpr::EqNode(a, b) => {
-                let a = self.eval_node(ctx, f, a)?;
-                Ok(a == self.eval_node(ctx, f, b)?)
+                let a = self.eval_node(ctx, f, a);
+                a == self.eval_node(ctx, f, b)
             }
-            BoolExpr::NeighborQuery(l, n) => Ok(self
-                .eval_node(ctx, f, n)?
-                .is_some_and(|n| self.lists[*l as usize].contains(&n))),
+            BoolExpr::NeighborQuery(l, n) => self
+                .eval_node(ctx, f, n)
+                .is_some_and(|n| self.lists[*l as usize].contains(&n)),
             _ => self.bool_tree(ctx, f, e),
         }
     }
 
-    fn bool_tree(&self, ctx: &mut Ctx, f: &Frame, e: &BoolExpr) -> Result<bool, Fault> {
-        Ok(match e {
+    fn bool_tree(&self, ctx: &mut Ctx, f: &Frame, e: &BoolExpr) -> bool {
+        match e {
             BoolExpr::Lit(b) => *b,
             BoolExpr::Var(s) => self.vars.bool(*s),
             BoolExpr::Field(at) => f.fields.bool(*at),
-            BoolExpr::Not(x) => !self.eval_bool(ctx, f, x)?,
+            BoolExpr::Not(x) => !self.eval_bool(ctx, f, x),
             BoolExpr::And(a, b) => {
-                let a = self.eval_bool(ctx, f, a)?;
-                self.eval_bool(ctx, f, b)? && a
+                let a = self.eval_bool(ctx, f, a);
+                self.eval_bool(ctx, f, b) && a
             }
             BoolExpr::Or(a, b) => {
-                let a = self.eval_bool(ctx, f, a)?;
-                self.eval_bool(ctx, f, b)? || a
+                let a = self.eval_bool(ctx, f, a);
+                self.eval_bool(ctx, f, b) || a
             }
             BoolExpr::Cmp(op, ab) => {
-                let a = self.eval_int(ctx, f, &ab[0])?;
-                compare(*op, a, self.eval_int(ctx, f, &ab[1])?)
+                let a = self.eval_int(ctx, f, &ab[0]);
+                compare(*op, a, self.eval_int(ctx, f, &ab[1]))
             }
-            BoolExpr::NonZero(x) => self.eval_int(ctx, f, x)? != 0,
-            BoolExpr::IsSome(x) => self.eval_node(ctx, f, x)?.is_some(),
-            BoolExpr::IsNull(x) => self.eval_node(ctx, f, x)?.is_none(),
-            BoolExpr::NonEmpty(x) => self.eval_payload(ctx, f, x)?.is_some_and(|b| !b.is_empty()),
-            BoolExpr::IsNullPayload(x) => self.eval_payload(ctx, f, x)?.is_none(),
+            BoolExpr::NonZero(x) => self.eval_int(ctx, f, x) != 0,
+            BoolExpr::IsSome(x) => self.eval_node(ctx, f, x).is_some(),
+            BoolExpr::IsNull(x) => self.eval_node(ctx, f, x).is_none(),
+            BoolExpr::NonEmpty(x) => self.eval_payload(f, x).is_some_and(|b| !b.is_empty()),
+            BoolExpr::IsNullPayload(x) => self.eval_payload(f, x).is_none(),
             BoolExpr::EqBool(a, b) => {
-                let a = self.eval_bool(ctx, f, a)?;
-                a == self.eval_bool(ctx, f, b)?
+                let a = self.eval_bool(ctx, f, a);
+                a == self.eval_bool(ctx, f, b)
             }
             BoolExpr::EqNode(a, b) => {
-                let a = self.eval_node(ctx, f, a)?;
-                a == self.eval_node(ctx, f, b)?
+                let a = self.eval_node(ctx, f, a);
+                a == self.eval_node(ctx, f, b)
             }
             BoolExpr::EqKey(a, b) => {
-                let a = self.eval_key(ctx, f, a)?;
-                a == self.eval_key(ctx, f, b)?
+                let a = self.eval_key(ctx, f, a);
+                a == self.eval_key(ctx, f, b)
             }
             BoolExpr::EqKeyNode {
                 key,
@@ -1056,54 +1003,47 @@ impl Core {
                 key_first,
             } => {
                 let (k, n) = if *key_first {
-                    let k = self.eval_key(ctx, f, key)?;
-                    (k, self.eval_node(ctx, f, node)?)
+                    let k = self.eval_key(ctx, f, key);
+                    (k, self.eval_node(ctx, f, node))
                 } else {
-                    let n = self.eval_node(ctx, f, node)?;
-                    (self.eval_key(ctx, f, key)?, n)
+                    let n = self.eval_node(ctx, f, node);
+                    (self.eval_key(ctx, f, key), n)
                 };
                 n.is_some_and(|n| n.0 == k.0)
             }
-            BoolExpr::EqPayload(a, b) => {
-                let a = self.eval_payload(ctx, f, a)?;
-                a == self.eval_payload(ctx, f, b)?
-            }
-            BoolExpr::EqList(a, b) => {
-                let a = self.eval_list(ctx, f, a)?;
-                a == self.eval_list(ctx, f, b)?
-            }
+            BoolExpr::EqPayload(a, b) => self.eval_payload(f, a) == self.eval_payload(f, b),
+            BoolExpr::EqList(a, b) => self.eval_list(f, a) == self.eval_list(f, b),
             BoolExpr::NeighborQuery(l, n) => self
-                .eval_node(ctx, f, n)?
+                .eval_node(ctx, f, n)
                 .is_some_and(|n| self.lists[*l as usize].contains(&n)),
             BoolExpr::RingBetween(x, lo, hi) => {
-                let x = self.eval_key_opt(ctx, f, x)?;
-                let lo = self.eval_key_opt(ctx, f, lo)?;
-                key::dsl_ring_between(x, lo, self.eval_key_opt(ctx, f, hi)?)
+                let x = self.eval_key_opt(ctx, f, x);
+                let lo = self.eval_key_opt(ctx, f, lo);
+                key::dsl_ring_between(x, lo, self.eval_key_opt(ctx, f, hi))
             }
             BoolExpr::Const(operands, v) => {
                 for op in operands {
-                    self.effects(ctx, f, op)?;
+                    self.effects(ctx, f, op);
                 }
                 *v
             }
-            BoolExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
-        })
+        }
     }
 
     #[inline(always)]
-    fn eval_node(&self, ctx: &mut Ctx, f: &Frame, e: &NodeExpr) -> Result<Option<NodeId>, Fault> {
+    fn eval_node(&self, ctx: &mut Ctx, f: &Frame, e: &NodeExpr) -> Option<NodeId> {
         match e {
-            NodeExpr::Null => Ok(None),
-            NodeExpr::From => Ok(f.from),
-            NodeExpr::Me => Ok(Some(ctx.me)),
-            NodeExpr::Var(s) => Ok(self.vars.node(*s)),
-            NodeExpr::Field(at) => Ok(f.fields.node(*at)),
+            NodeExpr::Null => None,
+            NodeExpr::From => f.from,
+            NodeExpr::Me => Some(ctx.me),
+            NodeExpr::Var(s) => self.vars.node(*s),
+            NodeExpr::Field(at) => f.fields.node(*at),
             _ => self.node_tree(ctx, f, e),
         }
     }
 
-    fn node_tree(&self, ctx: &mut Ctx, f: &Frame, e: &NodeExpr) -> Result<Option<NodeId>, Fault> {
-        Ok(match e {
+    fn node_tree(&self, ctx: &mut Ctx, f: &Frame, e: &NodeExpr) -> Option<NodeId> {
+        match e {
             NodeExpr::Null => None,
             NodeExpr::From => f.from,
             NodeExpr::Me => Some(ctx.me),
@@ -1120,26 +1060,25 @@ impl Core {
                 }
             }
             NodeExpr::OwnerOf(k, l) => {
-                let k = self.eval_key_opt(ctx, f, k)?;
+                let k = self.eval_key_opt(ctx, f, k);
                 key::dsl_owner_of(k, &self.lists[*l as usize], ctx.addressing)
             }
-            NodeExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
-        })
+        }
     }
 
     #[inline(always)]
-    fn eval_key(&self, ctx: &mut Ctx, f: &Frame, e: &KeyExpr) -> Result<MacedonKey, Fault> {
+    fn eval_key(&self, ctx: &mut Ctx, f: &Frame, e: &KeyExpr) -> MacedonKey {
         match e {
-            KeyExpr::MyKey => Ok(ctx.my_key),
-            KeyExpr::ApiKey => Ok(f.api_key),
-            KeyExpr::Var(s) => Ok(self.vars.key(*s)),
-            KeyExpr::Field(at) => Ok(f.fields.key(*at)),
+            KeyExpr::MyKey => ctx.my_key,
+            KeyExpr::ApiKey => f.api_key,
+            KeyExpr::Var(s) => self.vars.key(*s),
+            KeyExpr::Field(at) => f.fields.key(*at),
             _ => self.key_tree(ctx, f, e),
         }
     }
 
-    fn key_tree(&self, ctx: &mut Ctx, f: &Frame, e: &KeyExpr) -> Result<MacedonKey, Fault> {
-        Ok(match e {
+    fn key_tree(&self, ctx: &mut Ctx, f: &Frame, e: &KeyExpr) -> MacedonKey {
+        match e {
             KeyExpr::MyKey => ctx.my_key,
             KeyExpr::ApiKey => f.api_key,
             KeyExpr::Var(s) => self.vars.key(*s),
@@ -1147,108 +1086,93 @@ impl Core {
             // Key ± int wraps on the 2^32 ring (Chord's `my_key + pow2`
             // finger targets).
             KeyExpr::Offset { key, by, negate } => {
-                let k = self.eval_key(ctx, f, key)?;
-                let by = self.eval_int(ctx, f, by)?;
+                let k = self.eval_key(ctx, f, key);
+                let by = self.eval_int(ctx, f, by);
                 key::dsl_key_add(k, if *negate { -by } else { by })
             }
-            KeyExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
-        })
+        }
     }
 
     /// A key-builtin operand: keys pass through, nodes hash under the
     /// world's addressing mode, ints truncate onto the ring, null stays
     /// null.
     #[inline(always)]
-    fn eval_key_opt(
-        &self,
-        ctx: &mut Ctx,
-        f: &Frame,
-        e: &KeyOptExpr,
-    ) -> Result<Option<MacedonKey>, Fault> {
-        Ok(match e {
-            KeyOptExpr::Key(k) => Some(self.eval_key(ctx, f, k)?),
+    fn eval_key_opt(&self, ctx: &mut Ctx, f: &Frame, e: &KeyOptExpr) -> Option<MacedonKey> {
+        match e {
+            KeyOptExpr::Key(k) => Some(self.eval_key(ctx, f, k)),
             KeyOptExpr::Node(n) => self
-                .eval_node(ctx, f, n)?
+                .eval_node(ctx, f, n)
                 .map(|n| MacedonKey::of_node(n, ctx.addressing)),
-            KeyOptExpr::Int(i) => Some(MacedonKey(self.eval_int(ctx, f, i)? as u32)),
+            KeyOptExpr::Int(i) => Some(MacedonKey(self.eval_int(ctx, f, i) as u32)),
             KeyOptExpr::Null => None,
-            KeyOptExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
-        })
+        }
     }
 
     /// A routing key: a node becomes the key with its raw id; a null
     /// node faults.
     fn eval_key_arg(&self, ctx: &mut Ctx, f: &Frame, e: &KeyArg) -> Result<MacedonKey, Fault> {
         match e {
-            KeyArg::Key(k) => self.eval_key(ctx, f, k),
+            KeyArg::Key(k) => Ok(self.eval_key(ctx, f, k)),
             KeyArg::Node(n) => self
-                .eval_node(ctx, f, n)?
+                .eval_node(ctx, f, n)
                 .map(|n| MacedonKey(n.0))
-                .ok_or(Fault::Null),
-            KeyArg::Fault(t) => Err(self.raise(ctx, f, t)),
+                .ok_or(Fault),
         }
     }
 
-    fn eval_payload<'s>(
-        &'s self,
-        ctx: &mut Ctx,
-        f: &'s Frame,
-        e: &PayloadExpr,
-    ) -> Result<Option<&'s Bytes>, Fault> {
-        Ok(match e {
+    /// A payload; `None` only for the `null` literal.
+    fn eval_payload<'s>(&'s self, f: &'s Frame, e: &PayloadExpr) -> Option<&'s Bytes> {
+        match e {
             PayloadExpr::Null => None,
             PayloadExpr::Api => f.payload.as_ref(),
-            PayloadExpr::Var(s) => self.vars.payload(*s),
-            PayloadExpr::Field(at) => f.fields.payload(*at),
-            PayloadExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
-        })
+            PayloadExpr::Var(s) => Some(self.vars.payload(*s)),
+            PayloadExpr::Field(at) => Some(f.fields.payload(*at)),
+        }
     }
 
     /// A payload argument: null is the empty payload.
-    fn payload_value(&self, ctx: &mut Ctx, f: &Frame, e: &PayloadExpr) -> Result<Bytes, Fault> {
-        Ok(self
-            .eval_payload(ctx, f, e)?
-            .cloned()
-            .unwrap_or_else(Bytes::new))
+    fn payload_value(&self, f: &Frame, e: &PayloadExpr) -> Bytes {
+        self.eval_payload(f, e).cloned().unwrap_or_else(Bytes::new)
     }
 
-    fn eval_list<'s>(
-        &'s self,
-        ctx: &mut Ctx,
-        f: &'s Frame,
-        e: &ListExpr,
-    ) -> Result<&'s [NodeId], Fault> {
-        Ok(match e {
+    fn eval_list<'s>(&'s self, f: &'s Frame, e: &ListExpr) -> &'s [NodeId] {
+        match e {
             ListExpr::List(l) => &self.lists[*l as usize],
             ListExpr::Field(at) => &f.lists[*at as usize],
-            ListExpr::Fault(t) => return Err(self.raise(ctx, f, t)),
-        })
+        }
     }
 
-    /// Evaluate for effects (RNG draws, faults) only.
-    fn effects(&self, ctx: &mut Ctx, f: &Frame, e: &AnyExpr) -> Result<(), Fault> {
+    /// Evaluate for effects (RNG draws) only: payloads and lists have
+    /// none.
+    fn effects(&self, ctx: &mut Ctx, f: &Frame, e: &AnyExpr) {
         match e {
-            AnyExpr::Int(e) => self.eval_int(ctx, f, e).map(drop),
-            AnyExpr::Bool(e) => self.eval_bool(ctx, f, e).map(drop),
-            AnyExpr::Key(e) => self.eval_key(ctx, f, e).map(drop),
-            AnyExpr::Node(e) => self.eval_node(ctx, f, e).map(drop),
-            AnyExpr::Payload(e) => self.eval_payload(ctx, f, e).map(drop),
-            AnyExpr::List(e) => self.eval_list(ctx, f, e).map(drop),
-            AnyExpr::Null => Ok(()),
+            AnyExpr::Int(e) => {
+                self.eval_int(ctx, f, e);
+            }
+            AnyExpr::Bool(e) => {
+                self.eval_bool(ctx, f, e);
+            }
+            AnyExpr::Key(e) => {
+                self.eval_key(ctx, f, e);
+            }
+            AnyExpr::Node(e) => {
+                self.eval_node(ctx, f, e);
+            }
+            AnyExpr::Payload(_) | AnyExpr::List(_) | AnyExpr::Null => {}
         }
     }
 
     /// Evaluate into a [`Value`] (`trace(..)` records).
-    fn eval_any(&self, ctx: &mut Ctx, f: &Frame, e: &AnyExpr) -> Result<Value, Fault> {
-        Ok(match e {
-            AnyExpr::Int(e) => Value::Int(self.eval_int(ctx, f, e)?),
-            AnyExpr::Bool(e) => Value::Bool(self.eval_bool(ctx, f, e)?),
-            AnyExpr::Key(e) => Value::Key(self.eval_key(ctx, f, e)?),
-            AnyExpr::Node(e) => Value::of_node(self.eval_node(ctx, f, e)?),
-            AnyExpr::Payload(e) => Value::of_payload(self.eval_payload(ctx, f, e)?),
-            AnyExpr::List(e) => Value::List(self.eval_list(ctx, f, e)?.to_vec()),
+    fn eval_any(&self, ctx: &mut Ctx, f: &Frame, e: &AnyExpr) -> Value {
+        match e {
+            AnyExpr::Int(e) => Value::Int(self.eval_int(ctx, f, e)),
+            AnyExpr::Bool(e) => Value::Bool(self.eval_bool(ctx, f, e)),
+            AnyExpr::Key(e) => Value::Key(self.eval_key(ctx, f, e)),
+            AnyExpr::Node(e) => Value::of_node(self.eval_node(ctx, f, e)),
+            AnyExpr::Payload(e) => Value::of_payload(self.eval_payload(f, e)),
+            AnyExpr::List(e) => Value::List(self.eval_list(f, e).to_vec()),
             AnyExpr::Null => Value::Null,
-        })
+        }
     }
 }
 
@@ -2020,7 +1944,7 @@ mod tests {
         "#;
         let spec = Arc::new(compile(NULL_WHO).unwrap());
         // The line the generated agent traces for this fault.
-        let code = crate::codegen::generate(&spec, None).unwrap();
+        let code = crate::codegen::generate(&spec, None);
         let at = code
             .find("\"nullwho: runtime error: ")
             .expect("generated bail");
@@ -2034,38 +1958,5 @@ mod tests {
         let a: &InterpretedAgent = stack.agent(0).as_any().downcast_ref().unwrap();
         assert_eq!(a.transitions_fired, 1);
         assert_eq!(a.var("after"), Some(Value::Int(0)), "unwound at the fault");
-    }
-
-    #[test]
-    fn an_ill_typed_construct_lowers_to_a_fault_raised_when_reached() {
-        const ILL: &str = r#"
-            protocol ill;
-            addressing hash;
-            transports { TCP C; }
-            messages { C ping { } }
-            state_variables { int n; int after; }
-            transitions {
-                any recv ping {
-                    n = me;
-                    after = 1;
-                }
-            }
-        "#;
-        let spec = Arc::new(compile(ILL).unwrap());
-        // The generator rejects what the interpreter lowers to a fault.
-        assert!(crate::codegen::generate(&spec, None).is_err());
-        assert_eq!(
-            spec.type_faults,
-            ["cannot assign node to 'n' of declared type int"]
-        );
-        let mut w = WireWriter::new();
-        w.u16(protocol_id_of("ill")).u16(0);
-        let (stack, lows) = recv_low_records(spec, w.finish());
-        assert_eq!(
-            lows,
-            ["ill: runtime error: cannot assign node to 'n' of declared type int"]
-        );
-        let a: &InterpretedAgent = stack.agent(0).as_any().downcast_ref().unwrap();
-        assert_eq!(a.var("after"), Some(Value::Int(0)));
     }
 }

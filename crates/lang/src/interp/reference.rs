@@ -1,8 +1,8 @@
 //! The dynamically typed `Value` evaluator the interpreter ran before
 //! expressions were typed at lowering, kept as the reference the typed
 //! evaluators must equal: random well-typed expression trees over
-//! random variables, fields and lists give the same value, the same
-//! fault-or-no-fault and the same RNG draws from both.
+//! random variables, fields and lists give the same value and the same
+//! RNG draws from both, and the reference never faults on one.
 
 use super::*;
 use crate::ast::BinOp;
@@ -198,7 +198,7 @@ const DIFF: &str = r#"
     constants { K = 3; }
     neighbor_types { peer 8 { } }
     transports { TCP C; }
-    messages { C m { int fi; bool fb; node fn; key fk; payload fp; peer fl; node fn2; key fk2; } }
+    messages { C m { int fi; bool fb; node fn1; key fk; payload fp; peer fl; node fn2; key fk2; } }
     state_variables { peer l0; peer l1; int vi; int vj; bool vb; node vn; node vm; key vk; payload vp; }
     transitions { any recv m { } }
 "#;
@@ -303,10 +303,8 @@ impl Gen<'_> {
             Ty::Bool => Value::Bool(self.rng.index(2) == 0),
             Ty::Node => Value::of_node(self.node_or_null()),
             Ty::Key => Value::Key(self.key()),
-            Ty::Payload => match self.rng.index(3) {
-                0 => Value::Null,
-                _ => Value::Bytes(self.bytes()),
-            },
+            // No payload value is null.
+            Ty::Payload => Value::Bytes(self.bytes()),
             Ty::List => Value::List((0..self.rng.index(4)).map(|_| self.node()).collect()),
             Ty::Null => Value::Null,
         }
@@ -325,11 +323,7 @@ impl Gen<'_> {
         let fields = ir.messages[0]
             .fields
             .iter()
-            .map(|f| match f.kind {
-                // A decoded payload field is never null.
-                FieldKind::Payload => Value::Bytes(self.bytes()),
-                kind => self.value(Ty::of_field(kind)),
-            })
+            .map(|f| self.value(Ty::of_field(f.kind)))
             .collect();
         let lists = (0..ir.lists.len())
             .map(|_| (0..self.rng.index(5)).map(|_| self.node()).collect())
@@ -475,9 +469,18 @@ impl Gen<'_> {
                 5 => IrExpr::Neg(self.int_like(d)),
                 // Products of leaves only: nothing overflows.
                 6 => IrExpr::Bin(BinOp::Mul, self.int_like(0), self.int_like(0)),
-                _ => {
-                    let op = self.pick(&[BinOp::Add, BinOp::Sub, BinOp::Div, BinOp::Mod]);
+                7 => {
+                    let op = self.pick(&[BinOp::Add, BinOp::Sub]);
                     IrExpr::Bin(op, self.int_like(d), self.int_like(d))
+                }
+                // A divisor is a nonzero literal or the constant `K`.
+                _ => {
+                    let op = self.pick(&[BinOp::Div, BinOp::Mod]);
+                    let by = match self.rng.index(4) {
+                        0 => IrExpr::Var(self.ir.var_slot("K").expect("DIFF declares K")),
+                        _ => IrExpr::Int(self.pick(&[-3, -2, -1, 1, 2, 5, 7])),
+                    };
+                    IrExpr::Bin(op, self.int_like(d), Box::new(by))
                 }
             },
             Ty::Bool => match self.rng.index(6) {
@@ -529,7 +532,7 @@ fn typed_state(ir: &Arc<IrSpec>, env: &Env) -> (Core, Frame) {
             Value::Bool(b) => core.vars.set_bool(s, *b),
             Value::Node(n) if var.ty == Ty::Node => core.vars.set_node(s, Some(*n)),
             Value::Key(k) => core.vars.set_key(s, *k),
-            Value::Bytes(b) => core.vars.set_payload(s, Some(b.clone())),
+            Value::Bytes(b) => core.vars.set_payload(s, b.clone()),
             Value::Null | Value::Node(_) | Value::List(_) => {}
         }
     }
@@ -641,28 +644,26 @@ fn differential(seed: u64, cases: usize, le_as_lt: bool) -> Result<BTreeSet<Stri
             let want_ty = gen.any_ty();
             let e = gen.expr(want_ty, 4);
             let env = gen.env();
-            let mut faults = Vec::new();
-            let mut typer = Typer {
+            let typer = Typer {
                 vars: &ir.vars,
                 fields: &ir.messages[0].fields,
                 api: gen.api,
-                faults: &mut faults,
             };
             cover(&typer, &e, &mut seen);
             let ty = typer.ty(&e);
-            let typed = typer.any(&e);
             let before = ctx.rng.clone();
             let want = eval(&env, ctx, &e, le_as_lt);
             let after_reference = std::mem::replace(ctx.rng, before);
-            let (core, frame) = typed_state(&ir, &env);
-            let got = core.eval_any(ctx, &frame, &typed);
-            let got = got.map_err(|f| f.text(&ir).to_string());
+            let got = typer.any(&e).map(|typed| {
+                let (core, frame) = typed_state(&ir, &env);
+                core.eval_any(ctx, &frame, &typed)
+            });
             let same_rng = after_reference.clone().next_u64() == ctx.rng.clone().next_u64();
-            if ty != want_ty || !faults.is_empty() || want != got || !same_rng {
+            if ty != want_ty || want != got || !same_rng {
                 let _ = tx.send(Err(format!(
-                    "case {case} under {:?}: {e:?}\n  typed as {ty:?} (wanted {want_ty:?}), \
-                     type faults {faults:?}\n  env {env:?}\n  reference {want:?}\n  typed     \
-                     {got:?}\n  same RNG draws: {same_rng}",
+                    "case {case} under {:?}: {e:?}\n  typed as {ty:?} (wanted {want_ty:?})\n  \
+                     env {env:?}\n  reference {want:?}\n  typed     {got:?}\n  same RNG \
+                     draws: {same_rng}",
                     gen.api
                 )));
                 return;

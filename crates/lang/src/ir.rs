@@ -7,7 +7,8 @@
 //! allocation) per step of every transition. [`IrSpec::lower`] performs
 //! that name resolution **once per spec**, and rejects the spec with a
 //! diagnostic at the first name that does not resolve or is declared
-//! twice (the checks are listed on [`IrSpec::lower`]). Each name
+//! twice, or at the first type error (the checks are listed on
+//! [`IrSpec::lower`]). Each name
 //! collapses to a dense index — `u16` slots into plain `Vec`s for
 //! variables, neighbor lists, timers, messages, and message fields, and
 //! FSM states become indices checked against per-transition
@@ -41,7 +42,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 pub use typed::{
     AnyExpr, BoolExpr, IntExpr, KeyArg, KeyExpr, ListExpr, NodeExpr, PayloadExpr, SendArg,
-    SendDest, Slots, Ty, TypeFault, Typer,
+    SendDest, Slots, Ty, Typer,
 };
 
 /// A diagnostic of the lowering. It names no source position: the AST
@@ -53,6 +54,15 @@ fn err(msg: impl Into<String>) -> ParseError {
         msg: msg.into(),
     }
 }
+
+/// Rust keywords, which no name the code generator prints as an
+/// identifier may be.
+const RUST_KEYWORDS: &[&str] = &[
+    "as", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "false", "fn",
+    "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
+    "return", "self", "static", "struct", "super", "trait", "true", "type", "unsafe", "use",
+    "where", "while", "async", "await", "box", "priv", "try", "union", "yield",
+];
 
 /// The first name that repeats an earlier one.
 fn duplicate<'a>(names: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
@@ -352,9 +362,6 @@ pub enum IrStmt {
     /// inside a `foreach`.
     AssignListTakeField(u16, u16),
     Trace(AnyExpr),
-    /// A statement that does not type-check (an assignment of the wrong
-    /// type): evaluate, then fault.
-    Fault(Box<TypeFault>),
 }
 
 /// A fully lowered specification, shared (`Arc`) by every interpreting
@@ -378,10 +385,6 @@ pub struct IrSpec {
     /// Initial image of the typed variable slots (constants hold their
     /// values, everything else its type's default).
     pub slots: Slots,
-    /// Diagnostics of the constructs that do not type-check, each
-    /// lowered to a [`TypeFault`] raised when evaluated. Empty for every
-    /// bundled spec.
-    pub type_faults: Vec<String>,
     pub lists: Vec<IrList>,
     pub timers: Vec<IrTimer>,
     pub messages: Vec<IrMessage>,
@@ -414,6 +417,9 @@ impl IrSpec {
     /// * message transports that are not declared (lowest layer only —
     ///   layered specs name their base's classes), and neighbor types
     ///   of message fields and list variables that are not declared;
+    /// * a scalar variable of a neighbor type, and a message, message
+    ///   field, neighbor list, timer, constant or scalar named by a Rust
+    ///   keyword (the code generator prints each as an identifier);
     /// * in transition *i* (reported as `transition {i}: …`): unknown
     ///   scope states, trigger messages, timers and API names; unknown
     ///   lists, timers, messages and states in statements; sends and
@@ -424,11 +430,13 @@ impl IrSpec {
     ///   `true`, `false`, `dest`, `group`), constant, scalar, list or
     ///   enclosing `foreach` variable; `field(..)` outside a
     ///   `recv`/`forward` transition or naming no field of its message;
-    ///   `quash()` outside a `forward` transition; and `downcall(..)` in
-    ///   a spec without `uses`.
+    ///   `quash()` outside a `forward` transition; `downcall(..)` in a
+    ///   spec without `uses`; every type error ([`Typer`]), a `/` or `%`
+    ///   whose divisor is not a nonzero literal or constant included; and
+    ///   a layered send to a literal `null` with no key field to route
+    ///   toward.
     ///
-    /// Whatever passes, both back ends run: an ill-typed construct is
-    /// not rejected but lowered to a fault ([`IrSpec::type_faults`]).
+    /// Whatever passes, both back ends run, and run alike.
     pub fn lower(spec: Arc<Spec>) -> Result<IrSpec, ParseError> {
         Lowerer::new(&spec)?.run()
     }
@@ -450,7 +458,6 @@ struct Lowerer<'s> {
     timer_index: HashMap<String, u16>,
     messages: Vec<IrMessage>,
     msg_index: HashMap<String, u16>,
-    type_faults: Vec<String>,
     /// Active `foreach` bindings, innermost last: (name, var index).
     fe_stack: Vec<(String, u16)>,
     /// Message supplying `field(..)` in the transition being lowered.
@@ -617,12 +624,13 @@ impl<'s> Lowerer<'s> {
                     });
                 }
                 StateVar::Scalar { ty, name } => {
-                    // A scalar of a neighbor type holds nothing and reads
-                    // as null.
-                    let ty = match ty {
-                        TypeName::Neighbor(_) => Ty::Null,
-                        other => Ty::of_field(FieldKind::of(other)),
-                    };
+                    if let TypeName::Neighbor(_) = ty {
+                        return Err(err(format!(
+                            "scalar state variable '{name}' of a neighbor type is not \
+                             supported; declare it as a neighbor list"
+                        )));
+                    }
+                    let ty = Ty::of_field(FieldKind::of(ty));
                     let shadowed = var_index.insert(name.clone(), vars.len() as u16);
                     if shadowed.is_some_and(|i| vars[i as usize].constant.is_none()) {
                         return Err(err(format!("duplicate variable '{name}'")));
@@ -634,6 +642,19 @@ impl<'s> Lowerer<'s> {
                         constant: None,
                     });
                 }
+            }
+        }
+
+        // Every name the code generator prints as a Rust identifier.
+        let idents = messages
+            .iter()
+            .flat_map(|m| std::iter::once(&m.name).chain(m.fields.iter().map(|f| &f.name)))
+            .chain(lists.iter().map(|l| &l.name))
+            .chain(timers.iter().map(|t| &t.name))
+            .chain(vars.iter().map(|v| &v.name));
+        for i in idents {
+            if RUST_KEYWORDS.contains(&i.as_str()) {
+                return Err(err(format!("identifier '{i}' is a Rust keyword")));
             }
         }
 
@@ -649,7 +670,6 @@ impl<'s> Lowerer<'s> {
             timer_index,
             messages,
             msg_index,
-            type_faults: Vec::new(),
             fe_stack: Vec::new(),
             trigger_msg: None,
             trigger_api: None,
@@ -684,7 +704,6 @@ impl<'s> Lowerer<'s> {
             states: self.states,
             vars: self.vars,
             slots: self.slots,
-            type_faults: self.type_faults,
             lists: self.lists,
             timers: self.timers,
             messages: self.messages,
@@ -793,7 +812,7 @@ impl<'s> Lowerer<'s> {
     }
 
     /// A typer for the transition being lowered.
-    fn typer(&mut self) -> Typer<'_> {
+    fn typer(&self) -> Typer<'_> {
         Typer {
             vars: &self.vars,
             fields: match self.trigger_msg {
@@ -801,7 +820,6 @@ impl<'s> Lowerer<'s> {
                 None => &[],
             },
             api: self.trigger_api,
-            faults: &mut self.type_faults,
         }
     }
 
@@ -814,7 +832,7 @@ impl<'s> Lowerer<'s> {
             Stmt::If { cond, then, els } => {
                 let cond = self.expr(cond)?;
                 IrStmt::If {
-                    cond: self.typer().cond(&cond),
+                    cond: self.typer().cond(&cond).map_err(err)?,
                     then: self.stmts(then)?,
                     els: self.stmts(els)?,
                 }
@@ -831,18 +849,19 @@ impl<'s> Lowerer<'s> {
             Stmt::TimerResched(name, e) => {
                 let id = self.timer(name)?;
                 let e = self.expr(e)?;
-                IrStmt::TimerResched(id, self.typer().int_arg(&e))
+                IrStmt::TimerResched(id, self.typer().int_arg(&e).map_err(err)?)
             }
             Stmt::TimerCancel(name) => IrStmt::TimerCancel(self.timer(name)?),
             Stmt::NeighborAdd(l, e) => {
                 let l = self.list(l)?;
                 let e = self.expr(e)?;
-                IrStmt::NeighborAdd(l, self.typer().node_arg(&e, "neighbor_add"))
+                IrStmt::NeighborAdd(l, self.typer().node_arg(&e, "neighbor_add").map_err(err)?)
             }
             Stmt::NeighborRemove(l, e) => {
                 let l = self.list(l)?;
                 let e = self.expr(e)?;
-                IrStmt::NeighborRemove(l, self.typer().node_arg(&e, "neighbor_remove"))
+                let n = self.typer().node_arg(&e, "neighbor_remove").map_err(err)?;
+                IrStmt::NeighborRemove(l, n)
             }
             Stmt::NeighborClear(l) => IrStmt::NeighborClear(self.list(l)?),
             Stmt::Send {
@@ -872,16 +891,28 @@ impl<'s> Lowerer<'s> {
                     .map(|f| (f.kind, f.name.clone()))
                     .collect();
                 let layered = self.spec.uses.is_some();
-                let mut t = self.typer();
-                IrStmt::Send {
-                    msg,
-                    dest: t.send_dest(&dest, layered),
-                    args: args
-                        .iter()
-                        .zip(&shape)
-                        .map(|(a, (kind, name))| t.send_arg(a, *kind, name))
-                        .collect(),
+                let t = self.typer();
+                let dest = t.send_dest(&dest, layered).map_err(err)?;
+                let args = args
+                    .iter()
+                    .zip(&shape)
+                    .map(|(a, (kind, name))| t.send_arg(a, *kind, name))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(err)?;
+                // A layered send to `null` routes toward its first key
+                // field whose argument is not itself `null`; a literal
+                // `null` destination needs one.
+                let routable = args.iter().any(|a| match a {
+                    SendArg::Key(KeyArg::Key(_)) => true,
+                    SendArg::Key(KeyArg::Node(n)) => !matches!(n, NodeExpr::Null),
+                    _ => false,
+                });
+                if layered && matches!(dest, SendDest::Node(NodeExpr::Null)) && !routable {
+                    return Err(err(format!(
+                        "message '{message}': null destination needs a key field to route toward"
+                    )));
                 }
+                IrStmt::Send { msg, dest, args }
             }
             Stmt::Quash if !self.in_forward => {
                 return Err(err("quash() is only valid in a 'forward' transition"));
@@ -906,24 +937,20 @@ impl<'s> Lowerer<'s> {
                     .map(|a| self.expr(a))
                     .collect::<Result<_, _>>()?;
                 let what = format!("downcall({api}, ..)");
-                let mut t = self.typer();
+                let t = self.typer();
                 let l = &lowered;
+                let key = || t.key_arg(&l[0], &what).map_err(err);
+                let payload = || t.payload_arg(&l[1], &what).map_err(err);
                 IrStmt::DownCall(match api.as_str() {
-                    "join" => IrDown::Join(t.key_arg(&l[0], &what)),
-                    "leave" => IrDown::Leave(t.key_arg(&l[0], &what)),
-                    "create_group" => IrDown::CreateGroup(t.key_arg(&l[0], &what)),
-                    "multicast" => {
-                        IrDown::Multicast(t.key_arg(&l[0], &what), t.payload_arg(&l[1], &what))
-                    }
-                    "anycast" => {
-                        IrDown::Anycast(t.key_arg(&l[0], &what), t.payload_arg(&l[1], &what))
-                    }
-                    "collect" => {
-                        IrDown::Collect(t.key_arg(&l[0], &what), t.payload_arg(&l[1], &what))
-                    }
-                    "route" => IrDown::Route(t.key_arg(&l[0], &what), t.payload_arg(&l[1], &what)),
+                    "join" => IrDown::Join(key()?),
+                    "leave" => IrDown::Leave(key()?),
+                    "create_group" => IrDown::CreateGroup(key()?),
+                    "multicast" => IrDown::Multicast(key()?, payload()?),
+                    "anycast" => IrDown::Anycast(key()?, payload()?),
+                    "collect" => IrDown::Collect(key()?, payload()?),
+                    "route" => IrDown::Route(key()?, payload()?),
                     "routeIP" => {
-                        IrDown::RouteIp(t.node_arg(&l[0], &what), t.payload_arg(&l[1], &what))
+                        IrDown::RouteIp(t.node_arg(&l[0], &what).map_err(err)?, payload()?)
                     }
                     other => return Err(err(format!("unknown downcall API '{other}'"))),
                 })
@@ -931,24 +958,24 @@ impl<'s> Lowerer<'s> {
             Stmt::UpcallNotify(l, e) => {
                 let l = self.list(l)?;
                 let e = self.expr(e)?;
-                IrStmt::UpcallNotify(l, self.typer().int_arg(&e))
+                IrStmt::UpcallNotify(l, self.typer().int_arg(&e).map_err(err)?)
             }
             Stmt::Deliver { src, payload } => {
                 let src = self.expr(src)?;
                 let payload = self.expr(payload)?;
-                let mut t = self.typer();
+                let t = self.typer();
                 IrStmt::Deliver {
-                    src: t.key_arg(&src, "deliver src"),
-                    payload: t.payload_arg(&payload, "deliver payload"),
+                    src: t.key_arg(&src, "deliver src").map_err(err)?,
+                    payload: t.payload_arg(&payload, "deliver payload").map_err(err)?,
                 }
             }
             Stmt::Monitor(e) => {
                 let e = self.expr(e)?;
-                IrStmt::Monitor(self.typer().node_arg(&e, "monitor"))
+                IrStmt::Monitor(self.typer().node_arg(&e, "monitor").map_err(err)?)
             }
             Stmt::Unmonitor(e) => {
                 let e = self.expr(e)?;
-                IrStmt::Unmonitor(self.typer().node_arg(&e, "unmonitor"))
+                IrStmt::Unmonitor(self.typer().node_arg(&e, "unmonitor").map_err(err)?)
             }
             Stmt::ForEach { var, list, body } => {
                 let list = *self
@@ -987,17 +1014,20 @@ impl<'s> Lowerer<'s> {
                     if let Some(at) = self.single_use_list_field(e, &lowered) {
                         IrStmt::AssignListTakeField(slot, at)
                     } else {
-                        IrStmt::AssignList(slot, self.typer().list_arg(&lowered, name))
+                        IrStmt::AssignList(
+                            slot,
+                            self.typer().list_arg(&lowered, name).map_err(err)?,
+                        )
                     }
                 } else if let Some(var) = self.scalar(name) {
-                    self.typer().assign(var, &lowered)
+                    self.typer().assign(var, &lowered).map_err(err)?
                 } else {
                     return Err(err(format!("assignment to undeclared variable '{name}'")));
                 }
             }
             Stmt::Trace(e) => {
                 let e = self.expr(e)?;
-                IrStmt::Trace(self.typer().any(&e))
+                IrStmt::Trace(self.typer().any(&e).map_err(err)?)
             }
         })
     }

@@ -17,13 +17,12 @@
 //! operand. Only [`PayloadExpr`] and [`ListExpr`] values live on the
 //! heap, and both are read by reference.
 //!
-//! The interpreter runs every spec the lowering accepts, well-typed or
-//! not. A construct the tables reject (`neighbor_query(l, 5)`, an `int`
-//! variable assigned a node) lowers to a [`TypeFault`]: evaluating it
-//! evaluates its operands in the order the language defines, then
-//! faults with a static diagnostic, which [`crate::IrSpec::type_faults`]
-//! also lists. The code generator refuses a spec with any type fault;
-//! no bundled spec contains one.
+//! A construct the tables reject (`neighbor_query(l, 5)`, an `int`
+//! variable assigned a node) is a type error, and so is a `/` or `%`
+//! whose divisor is not a nonzero literal or constant: each [`Typer`]
+//! method returns the diagnostic, and the lowering rejects the spec
+//! with it. Every tree that exists is well typed, so no expression
+//! faults when evaluated.
 
 use super::{ApiArgKind, ApiKind, FieldKind, IrExpr, IrField, IrStmt, IrVar};
 use crate::ast::BinOp;
@@ -35,8 +34,8 @@ use macedon_core::{Bytes, MacedonKey, NodeId};
 /// message fields, an empty `neighbor_random`), so a `Node` evaluates
 /// to `Option<NodeId>`; `Null` is the type of the `null` literal and of
 /// unbound API arguments (`payload` included). A `Payload` value is
-/// null only when it is a variable not yet assigned; see
-/// [`EqCase::PayloadNull`].
+/// never null: a payload variable starts as, and is assigned `null` as,
+/// the empty payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Ty {
     Int,
@@ -104,13 +103,8 @@ pub enum EqCase {
     /// equals no key.
     KeyNode,
     NodeKey,
-    /// `payload == null`: is the payload null? Only a payload variable
-    /// can be: the interpreter holds it as null until it is assigned,
-    /// a generated agent as an empty `Bytes`. So the code generator
-    /// refuses this comparison over a variable; over an API payload or
-    /// a message field it is `false` in both back ends. (Before the
-    /// variable's first assignment, `trace(p)` and `p == q` with an
-    /// empty `q` still tell the back ends apart.)
+    /// `payload == null`: always `false`, since no payload value (API
+    /// payload, message field or variable) is null.
     PayloadNull,
     NullPayload,
     /// No rule relates the two types: always false.
@@ -202,15 +196,6 @@ impl Ty {
 // Typed trees
 // ---------------------------------------------------------------------------
 
-/// An ill-typed construct: evaluate `operands` in order (for their
-/// effects and their own faults), then fault with diagnostic number
-/// `msg` of [`crate::IrSpec::type_faults`].
-#[derive(Clone, Debug)]
-pub struct TypeFault {
-    pub operands: Vec<AnyExpr>,
-    pub msg: u16,
-}
-
 /// Arithmetic on ints.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ArithOp {
@@ -256,7 +241,6 @@ pub enum IntExpr {
     Neg(Box<IntExpr>),
     /// Both operands are evaluated before either is used.
     Arith(ArithOp, Box<[IntExpr; 2]>),
-    Fault(Box<TypeFault>),
 }
 
 /// An expression of static type `bool`. `Var` and `Field` name a
@@ -297,7 +281,6 @@ pub enum BoolExpr {
     /// Evaluate the operands for their effects, then yield a constant
     /// (truthiness of a key or list, equality of unrelated types).
     Const(Vec<AnyExpr>, bool),
-    Fault(Box<TypeFault>),
 }
 
 /// An expression of static type `node` or `null`: `Option<NodeId>`.
@@ -314,7 +297,6 @@ pub enum NodeExpr {
     Field(u16),
     NeighborRandom(u16),
     OwnerOf(Box<KeyOptExpr>, u16),
-    Fault(Box<TypeFault>),
 }
 
 /// An expression of static type `key`. `Var` and `Field` name a
@@ -333,7 +315,6 @@ pub enum KeyExpr {
         by: Box<IntExpr>,
         negate: bool,
     },
-    Fault(Box<TypeFault>),
 }
 
 /// A key-builtin operand: `Option<MacedonKey>` per [`KeyOptFrom`].
@@ -343,21 +324,19 @@ pub enum KeyOptExpr {
     Node(NodeExpr),
     Int(IntExpr),
     Null,
-    Fault(Box<TypeFault>),
 }
 
 /// A key in a routing position (`deliver` source, `downcall` group or
 /// destination, `key` message field): keys pass through, a node becomes
-/// the key with its raw id, and a null node faults.
+/// the key with its raw id, and a null node faults the statement.
 #[derive(Clone, Debug)]
 pub enum KeyArg {
     Key(KeyExpr),
     Node(NodeExpr),
-    Fault(Box<TypeFault>),
 }
 
 /// An expression of static type `payload` (or `null` in a payload
-/// position): `Option<Bytes>`, read by reference. `Var` and `Field`
+/// position, the empty payload), read by reference. `Var` and `Field`
 /// name a [`Slots`] payload slot.
 #[derive(Clone, Debug)]
 pub enum PayloadExpr {
@@ -367,7 +346,6 @@ pub enum PayloadExpr {
     Api,
     Var(u16),
     Field(u16),
-    Fault(Box<TypeFault>),
 }
 
 /// A neighbor-list value, read by reference.
@@ -377,11 +355,10 @@ pub enum ListExpr {
     List(u16),
     /// A list field of the triggering message.
     Field(u16),
-    Fault(Box<TypeFault>),
 }
 
 /// An expression of any type, for positions that accept every type
-/// (`trace`, the operands of a fault or a constant).
+/// (`trace`, the operands of a constant).
 #[derive(Clone, Debug)]
 pub enum AnyExpr {
     Int(IntExpr),
@@ -403,9 +380,6 @@ pub enum SendArg {
     Key(KeyArg),
     Payload(PayloadExpr),
     List(ListExpr),
-    /// The argument cannot be encoded at the field's shape: evaluated
-    /// with the others, its fault is raised once all are evaluated.
-    Mismatch(Box<TypeFault>),
 }
 
 /// A send's destination.
@@ -416,8 +390,6 @@ pub enum SendDest {
     Node(NodeExpr),
     /// A key (layered specs only).
     Key(KeyExpr),
-    /// Neither: the fault is raised after the arguments are encoded.
-    Mismatch(Box<TypeFault>),
 }
 
 // ---------------------------------------------------------------------------
@@ -463,16 +435,28 @@ enum ApiArgTy {
 
 /// Types name-resolved [`IrExpr`]s into typed trees, in one transition
 /// context: the variable slots, the triggering message's fields, and
-/// the triggering API (which binds `dest`, `group` and `payload`).
+/// the triggering API (which binds `dest`, `group` and `payload`). Each
+/// method returns the typed tree, or the diagnostic of the first type
+/// error it meets.
 pub struct Typer<'a> {
     pub vars: &'a [IrVar],
     /// Fields of the triggering message (empty outside `recv`/`forward`).
     pub fields: &'a [IrField],
     /// The triggering API, for `API` transitions.
     pub api: Option<ApiKind>,
-    /// Diagnostics of the ill-typed constructs met so far; a
-    /// [`TypeFault`] names one by index.
-    pub faults: &'a mut Vec<String>,
+}
+
+/// A typed tree, or a type error's diagnostic.
+type Typed<T> = Result<T, String>;
+
+/// Constant-fold an int (literals, constants, unary minus): how a
+/// divisor is proved nonzero.
+fn const_int(e: &IntExpr) -> Option<i64> {
+    match e {
+        IntExpr::Lit(v) | IntExpr::Const(v, _) => Some(*v),
+        IntExpr::Neg(x) => const_int(x).map(|v| -v),
+        _ => None,
+    }
 }
 
 impl Typer<'_> {
@@ -524,177 +508,129 @@ impl Typer<'_> {
         }
     }
 
-    /// Record a diagnostic and build the fault evaluating `operands`.
-    fn fault(&mut self, operands: Vec<AnyExpr>, msg: String) -> Box<TypeFault> {
-        let idx = self.faults.len() as u16;
-        self.faults.push(msg);
-        Box::new(TypeFault { operands, msg: idx })
-    }
-
     /// `e` in a position of any type.
-    pub fn any(&mut self, e: &IrExpr) -> AnyExpr {
-        match self.ty(e) {
-            Ty::Int => AnyExpr::Int(self.int(e)),
-            Ty::Bool => AnyExpr::Bool(self.bool(e)),
-            Ty::Key => AnyExpr::Key(self.key(e)),
-            Ty::Node => AnyExpr::Node(self.node(e)),
+    pub fn any(&self, e: &IrExpr) -> Typed<AnyExpr> {
+        Ok(match self.ty(e) {
+            Ty::Int => AnyExpr::Int(self.int(e)?),
+            Ty::Bool => AnyExpr::Bool(self.bool(e)?),
+            Ty::Key => AnyExpr::Key(self.key(e)?),
+            Ty::Node => AnyExpr::Node(self.node(e)?),
             Ty::Payload => AnyExpr::Payload(self.payload(e)),
             Ty::List => AnyExpr::List(self.list(e)),
             Ty::Null => AnyExpr::Null,
-        }
+        })
     }
 
     /// `e` in an `int` position ([`Ty::as_int`]).
-    pub fn int_arg(&mut self, e: &IrExpr) -> IntExpr {
+    pub fn int_arg(&self, e: &IrExpr) -> Typed<IntExpr> {
         let ty = self.ty(e);
         match ty.as_int() {
             Some(IntFrom::Int) => self.int(e),
-            Some(IntFrom::Bool) => IntExpr::OfBool(Box::new(self.bool(e))),
-            None => {
-                let operand = self.any(e);
-                IntExpr::Fault(
-                    self.fault(vec![operand], format!("expected int, got {}", ty.name())),
-                )
-            }
+            Some(IntFrom::Bool) => Ok(IntExpr::OfBool(Box::new(self.bool(e)?))),
+            None => Err(format!("expected int, got {}", ty.name())),
         }
     }
 
     /// `e` as a condition ([`Ty::truthiness`]).
-    pub fn cond(&mut self, e: &IrExpr) -> BoolExpr {
-        match self.ty(e).truthiness() {
-            Truth::Int => BoolExpr::NonZero(Box::new(self.int(e))),
-            Truth::Bool => self.bool(e),
-            Truth::Node => BoolExpr::IsSome(Box::new(self.node(e))),
+    pub fn cond(&self, e: &IrExpr) -> Typed<BoolExpr> {
+        Ok(match self.ty(e).truthiness() {
+            Truth::Int => BoolExpr::NonZero(Box::new(self.int(e)?)),
+            Truth::Bool => self.bool(e)?,
+            Truth::Node => BoolExpr::IsSome(Box::new(self.node(e)?)),
             Truth::Payload => BoolExpr::NonEmpty(Box::new(self.payload(e))),
-            Truth::Always => BoolExpr::Const(vec![self.any(e)], true),
+            Truth::Always => BoolExpr::Const(vec![self.any(e)?], true),
             Truth::Never => BoolExpr::Lit(false),
-        }
+        })
     }
 
     /// `e` in a node position (`neighbor_add`, `monitor`, `rtt`, ...).
-    pub fn node_arg(&mut self, e: &IrExpr, what: &str) -> NodeExpr {
+    pub fn node_arg(&self, e: &IrExpr, what: &str) -> Typed<NodeExpr> {
         let ty = self.ty(e);
-        if ty.is_node_like() {
-            self.node(e)
-        } else {
-            let operand = self.any(e);
-            NodeExpr::Fault(self.fault(
-                vec![operand],
-                format!("{what} needs a node, got {}", ty.name()),
-            ))
+        if !ty.is_node_like() {
+            return Err(format!("{what} needs a node, got {}", ty.name()));
         }
+        self.node(e)
     }
 
     /// `e` as a key-builtin operand ([`Ty::key_opt`]).
-    pub fn key_opt(&mut self, e: &IrExpr) -> KeyOptExpr {
+    pub fn key_opt(&self, e: &IrExpr) -> Typed<KeyOptExpr> {
         let ty = self.ty(e);
-        match ty.key_opt() {
-            Some(KeyOptFrom::Key) => KeyOptExpr::Key(self.key(e)),
-            Some(KeyOptFrom::Node) => KeyOptExpr::Node(self.node(e)),
-            Some(KeyOptFrom::Int) => KeyOptExpr::Int(self.int(e)),
+        Ok(match ty.key_opt() {
+            Some(KeyOptFrom::Key) => KeyOptExpr::Key(self.key(e)?),
+            Some(KeyOptFrom::Node) => KeyOptExpr::Node(self.node(e)?),
+            Some(KeyOptFrom::Int) => KeyOptExpr::Int(self.int(e)?),
             Some(KeyOptFrom::Null) => KeyOptExpr::Null,
-            None => {
-                let operand = self.any(e);
-                KeyOptExpr::Fault(
-                    self.fault(vec![operand], format!("expected key, got {}", ty.name())),
-                )
-            }
-        }
+            None => return Err(format!("expected key, got {}", ty.name())),
+        })
     }
 
     /// `e` in a routing-key position ([`KeyArg`]).
-    pub fn key_arg(&mut self, e: &IrExpr, what: &str) -> KeyArg {
+    pub fn key_arg(&self, e: &IrExpr, what: &str) -> Typed<KeyArg> {
         let ty = self.ty(e);
-        match ty {
-            Ty::Key => KeyArg::Key(self.key(e)),
-            Ty::Node | Ty::Null => KeyArg::Node(self.node(e)),
-            _ => {
-                let operand = self.any(e);
-                KeyArg::Fault(self.fault(
-                    vec![operand],
-                    format!("{what}: expected key, got {}", ty.name()),
-                ))
-            }
-        }
+        Ok(match ty {
+            Ty::Key => KeyArg::Key(self.key(e)?),
+            Ty::Node | Ty::Null => KeyArg::Node(self.node(e)?),
+            _ => return Err(format!("{what}: expected key, got {}", ty.name())),
+        })
     }
 
     /// `e` in a payload position (null is the empty payload).
-    pub fn payload_arg(&mut self, e: &IrExpr, what: &str) -> PayloadExpr {
+    pub fn payload_arg(&self, e: &IrExpr, what: &str) -> Typed<PayloadExpr> {
         let ty = self.ty(e);
         match ty {
-            Ty::Payload | Ty::Null => self.payload(e),
-            _ => {
-                let operand = self.any(e);
-                PayloadExpr::Fault(self.fault(
-                    vec![operand],
-                    format!("{what}: expected payload, got {}", ty.name()),
-                ))
-            }
+            Ty::Payload | Ty::Null => Ok(self.payload(e)),
+            _ => Err(format!("{what}: expected payload, got {}", ty.name())),
         }
     }
 
     /// `e` in a neighbor-list position (a whole-list assignment).
-    pub fn list_arg(&mut self, e: &IrExpr, list: &str) -> ListExpr {
+    pub fn list_arg(&self, e: &IrExpr, list: &str) -> Typed<ListExpr> {
         let ty = self.ty(e);
-        if ty == Ty::List {
-            self.list(e)
-        } else {
-            let operand = self.any(e);
-            ListExpr::Fault(self.fault(
-                vec![operand],
-                format!("assigning {} to neighbor list '{list}'", ty.name()),
-            ))
+        if ty != Ty::List {
+            return Err(format!("assigning {} to neighbor list '{list}'", ty.name()));
         }
-    }
-
-    /// A fault carrying `e` as its only operand.
-    fn mismatch(&mut self, e: &IrExpr, msg: String) -> Box<TypeFault> {
-        let operand = self.any(e);
-        self.fault(vec![operand], msg)
+        Ok(self.list(e))
     }
 
     /// `var = e;` for variable `var` (an index into `vars`). An `int`
-    /// variable takes a `bool` as 0/1; any other type change is a fault.
-    pub fn assign(&mut self, var: u16, e: &IrExpr) -> IrStmt {
+    /// variable takes a `bool` as 0/1; any other type change is an
+    /// error.
+    pub fn assign(&self, var: u16, e: &IrExpr) -> Typed<IrStmt> {
         let (vty, slot) = (self.vars[var as usize].ty, self.vars[var as usize].slot);
         let ty = self.ty(e);
-        match (vty, ty) {
-            (Ty::Int, _) if ty.as_int().is_some() => IrStmt::AssignInt(slot, self.int_arg(e)),
-            (Ty::Bool, Ty::Bool) => IrStmt::AssignBool(slot, self.bool(e)),
-            (Ty::Node, Ty::Node | Ty::Null) => IrStmt::AssignNode(slot, self.node(e)),
-            (Ty::Key, Ty::Key) => IrStmt::AssignKey(slot, self.key(e)),
+        Ok(match (vty, ty) {
+            (Ty::Int, _) if ty.as_int().is_some() => IrStmt::AssignInt(slot, self.int_arg(e)?),
+            (Ty::Bool, Ty::Bool) => IrStmt::AssignBool(slot, self.bool(e)?),
+            (Ty::Node, Ty::Node | Ty::Null) => IrStmt::AssignNode(slot, self.node(e)?),
+            (Ty::Key, Ty::Key) => IrStmt::AssignKey(slot, self.key(e)?),
             (Ty::Payload, Ty::Payload | Ty::Null) => IrStmt::AssignPayload(slot, self.payload(e)),
             _ => {
-                let msg = format!(
+                return Err(format!(
                     "cannot assign {} to '{}' of declared type {}",
                     ty.name(),
                     self.vars[var as usize].name,
                     vty.name()
-                );
-                IrStmt::Fault(self.mismatch(e, msg))
+                ))
             }
-        }
+        })
     }
 
     /// A send's destination: a node (or null) for every spec, a key for
     /// a layered one.
-    pub fn send_dest(&mut self, e: &IrExpr, layered: bool) -> SendDest {
+    pub fn send_dest(&self, e: &IrExpr, layered: bool) -> Typed<SendDest> {
         let ty = self.ty(e);
-        match ty {
-            Ty::Node | Ty::Null => SendDest::Node(self.node(e)),
-            Ty::Key if layered => SendDest::Key(self.key(e)),
+        Ok(match ty {
+            Ty::Node | Ty::Null => SendDest::Node(self.node(e)?),
+            Ty::Key if layered => SendDest::Key(self.key(e)?),
             _ => {
                 let wanted = if layered { "node/key" } else { "a node" };
-                SendDest::Mismatch(self.mismatch(
-                    e,
-                    format!("message dest must be {wanted}, got {}", ty.name()),
-                ))
+                return Err(format!("message dest must be {wanted}, got {}", ty.name()));
             }
-        }
+        })
     }
 
     /// `e` as the argument for a message field of shape `kind`.
-    pub fn send_arg(&mut self, e: &IrExpr, kind: FieldKind, field: &str) -> SendArg {
+    pub fn send_arg(&self, e: &IrExpr, kind: FieldKind, field: &str) -> Typed<SendArg> {
         let ty = self.ty(e);
         let fits = match kind {
             FieldKind::Int => ty.as_int().is_some(),
@@ -705,19 +641,19 @@ impl Typer<'_> {
             FieldKind::Nodes => ty == Ty::List,
         };
         if !fits {
-            return SendArg::Mismatch(self.mismatch(
-                e,
-                format!("field {field}: cannot encode {} as {kind:?}", ty.name()),
+            return Err(format!(
+                "field {field}: cannot encode {} as {kind:?}",
+                ty.name()
             ));
         }
-        match kind {
-            FieldKind::Int => SendArg::Int(self.int_arg(e)),
-            FieldKind::Bool => SendArg::Bool(self.cond(e)),
-            FieldKind::Node => SendArg::Node(self.node(e)),
-            FieldKind::Key => SendArg::Key(self.key_arg(e, field)),
+        Ok(match kind {
+            FieldKind::Int => SendArg::Int(self.int_arg(e)?),
+            FieldKind::Bool => SendArg::Bool(self.cond(e)?),
+            FieldKind::Node => SendArg::Node(self.node(e)?),
+            FieldKind::Key => SendArg::Key(self.key_arg(e, field)?),
             FieldKind::Payload => SendArg::Payload(self.payload(e)),
             FieldKind::Nodes => SendArg::List(self.list(e)),
-        }
+        })
     }
 
     // ---- one constructor per static type -------------------------------
@@ -725,8 +661,8 @@ impl Typer<'_> {
     // Each is called only on an expression of its own type (`node` and
     // `payload` also on `null`).
 
-    fn int(&mut self, e: &IrExpr) -> IntExpr {
-        match e {
+    fn int(&self, e: &IrExpr) -> Typed<IntExpr> {
+        Ok(match e {
             IrExpr::Int(v) => IntExpr::Lit(*v),
             IrExpr::Var(slot) => self.int_var(*slot),
             IrExpr::ApiArg { which, fallback } => match self.api_arg(*which, *fallback) {
@@ -737,12 +673,11 @@ impl Typer<'_> {
             IrExpr::NeighborSize(l) => IntExpr::NeighborSize(*l),
             IrExpr::Rtt(p) | IrExpr::Goodput(p) => {
                 let rtt = matches!(e, IrExpr::Rtt(_));
-                let ty = self.ty(p);
-                if ty == Ty::Null {
-                    return IntExpr::Lit(0);
+                if self.ty(p) == Ty::Null {
+                    return Ok(IntExpr::Lit(0));
                 }
                 let what = if rtt { "rtt(..)" } else { "goodput(..)" };
-                let peer = Box::new(self.node_arg(p, what));
+                let peer = Box::new(self.node_arg(p, what)?);
                 if rtt {
                     IntExpr::Rtt(peer)
                 } else {
@@ -750,17 +685,17 @@ impl Typer<'_> {
                 }
             }
             IrExpr::RingDist(a, b) => {
-                IntExpr::RingDist(Box::new([self.key_opt(a), self.key_opt(b)]))
+                IntExpr::RingDist(Box::new([self.key_opt(a)?, self.key_opt(b)?]))
             }
             IrExpr::Digit(k, i, base) => IntExpr::Digit(
-                Box::new(self.key_opt(k)),
-                Box::new(self.int_arg(i)),
-                Box::new(self.int_arg(base)),
+                Box::new(self.key_opt(k)?),
+                Box::new(self.int_arg(i)?),
+                Box::new(self.int_arg(base)?),
             ),
             IrExpr::PrefixLen(a, b) => {
-                IntExpr::PrefixLen(Box::new([self.key_opt(a), self.key_opt(b)]))
+                IntExpr::PrefixLen(Box::new([self.key_opt(a)?, self.key_opt(b)?]))
             }
-            IrExpr::Neg(x) => IntExpr::Neg(Box::new(self.int_arg(x))),
+            IrExpr::Neg(x) => IntExpr::Neg(Box::new(self.int_arg(x)?)),
             IrExpr::Bin(op, a, b) => {
                 let op = match op {
                     BinOp::Add => ArithOp::Add,
@@ -770,31 +705,31 @@ impl Typer<'_> {
                     BinOp::Mod => ArithOp::Mod,
                     other => unreachable!("{other:?} is not arithmetic"),
                 };
-                match self.both_int(a, b) {
-                    Ok(ab) => IntExpr::Arith(op, Box::new(ab)),
-                    Err(f) => IntExpr::Fault(f),
+                let ab = self.both_int(a, b)?;
+                if matches!(op, ArithOp::Div | ArithOp::Mod) {
+                    match const_int(&ab[1]) {
+                        Some(0) => return Err("division by constant zero".into()),
+                        Some(_) => {}
+                        None => {
+                            return Err(
+                                "division/modulo by a non-constant divisor is not supported".into(),
+                            )
+                        }
+                    }
                 }
+                IntExpr::Arith(op, Box::new(ab))
             }
             other => unreachable!("not an int expression: {other:?}"),
-        }
+        })
     }
 
-    /// Both operands of a binary int operator, which evaluates both
-    /// before coercing either: a type error becomes one fault over both.
-    fn both_int(&mut self, a: &IrExpr, b: &IrExpr) -> Result<[IntExpr; 2], Box<TypeFault>> {
-        let (ta, tb) = (self.ty(a), self.ty(b));
-        match (ta.as_int(), tb.as_int()) {
-            (Some(_), Some(_)) => Ok([self.int_arg(a), self.int_arg(b)]),
-            (fa, _) => {
-                let bad = if fa.is_none() { ta } else { tb };
-                let operands = vec![self.any(a), self.any(b)];
-                Err(self.fault(operands, format!("expected int, got {}", bad.name())))
-            }
-        }
+    /// Both operands of a binary int operator.
+    fn both_int(&self, a: &IrExpr, b: &IrExpr) -> Typed<[IntExpr; 2]> {
+        Ok([self.int_arg(a)?, self.int_arg(b)?])
     }
 
-    fn bool(&mut self, e: &IrExpr) -> BoolExpr {
-        match e {
+    fn bool(&self, e: &IrExpr) -> Typed<BoolExpr> {
+        Ok(match e {
             IrExpr::True => BoolExpr::Lit(true),
             IrExpr::False => BoolExpr::Lit(false),
             IrExpr::Var(slot) => BoolExpr::Var(self.vars[*slot as usize].slot),
@@ -805,19 +740,19 @@ impl Typer<'_> {
             IrExpr::Field(i) => BoolExpr::Field(self.fields[*i as usize].at),
             IrExpr::NeighborQuery(l, n) => match self.ty(n) {
                 Ty::Null => BoolExpr::Lit(false),
-                _ => BoolExpr::NeighborQuery(*l, Box::new(self.node_arg(n, "neighbor_query"))),
+                _ => BoolExpr::NeighborQuery(*l, Box::new(self.node_arg(n, "neighbor_query")?)),
             },
             IrExpr::RingBetween(x, lo, hi) => BoolExpr::RingBetween(
-                Box::new(self.key_opt(x)),
-                Box::new(self.key_opt(lo)),
-                Box::new(self.key_opt(hi)),
+                Box::new(self.key_opt(x)?),
+                Box::new(self.key_opt(lo)?),
+                Box::new(self.key_opt(hi)?),
             ),
-            IrExpr::Not(x) => BoolExpr::Not(Box::new(self.cond(x))),
+            IrExpr::Not(x) => BoolExpr::Not(Box::new(self.cond(x)?)),
             IrExpr::Bin(op, a, b) => match op {
-                BinOp::And => BoolExpr::And(Box::new(self.cond(a)), Box::new(self.cond(b))),
-                BinOp::Or => BoolExpr::Or(Box::new(self.cond(a)), Box::new(self.cond(b))),
-                BinOp::Eq => self.eq(a, b),
-                BinOp::Ne => BoolExpr::Not(Box::new(self.eq(a, b))),
+                BinOp::And => BoolExpr::And(Box::new(self.cond(a)?), Box::new(self.cond(b)?)),
+                BinOp::Or => BoolExpr::Or(Box::new(self.cond(a)?), Box::new(self.cond(b)?)),
+                BinOp::Eq => self.eq(a, b)?,
+                BinOp::Ne => BoolExpr::Not(Box::new(self.eq(a, b)?)),
                 BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => {
                     let op = match op {
                         BinOp::Lt => CmpOp::Lt,
@@ -825,26 +760,23 @@ impl Typer<'_> {
                         BinOp::Le => CmpOp::Le,
                         _ => CmpOp::Ge,
                     };
-                    match self.both_int(a, b) {
-                        Ok(ab) => BoolExpr::Cmp(op, Box::new(ab)),
-                        Err(f) => BoolExpr::Fault(f),
-                    }
+                    BoolExpr::Cmp(op, Box::new(self.both_int(a, b)?))
                 }
                 other => unreachable!("{other:?} is not boolean"),
             },
             other => unreachable!("not a bool expression: {other:?}"),
-        }
+        })
     }
 
     /// `a == b` per [`Ty::eq_case`].
-    fn eq(&mut self, a: &IrExpr, b: &IrExpr) -> BoolExpr {
+    fn eq(&self, a: &IrExpr, b: &IrExpr) -> Typed<BoolExpr> {
         let (ta, tb) = (self.ty(a), self.ty(b));
-        match Ty::eq_case(ta, tb) {
+        Ok(match Ty::eq_case(ta, tb) {
             EqCase::Same => match ta {
-                Ty::Int => BoolExpr::Cmp(CmpOp::Eq, Box::new([self.int(a), self.int(b)])),
-                Ty::Bool => BoolExpr::EqBool(Box::new(self.bool(a)), Box::new(self.bool(b))),
-                Ty::Key => BoolExpr::EqKey(Box::new(self.key(a)), Box::new(self.key(b))),
-                Ty::Node => BoolExpr::EqNode(Box::new(self.node(a)), Box::new(self.node(b))),
+                Ty::Int => BoolExpr::Cmp(CmpOp::Eq, Box::new([self.int(a)?, self.int(b)?])),
+                Ty::Bool => BoolExpr::EqBool(Box::new(self.bool(a)?), Box::new(self.bool(b)?)),
+                Ty::Key => BoolExpr::EqKey(Box::new(self.key(a)?), Box::new(self.key(b)?)),
+                Ty::Node => BoolExpr::EqNode(Box::new(self.node(a)?), Box::new(self.node(b)?)),
                 Ty::Payload => {
                     BoolExpr::EqPayload(Box::new(self.payload(a)), Box::new(self.payload(b)))
                 }
@@ -852,49 +784,49 @@ impl Typer<'_> {
                 Ty::Null => BoolExpr::Lit(true),
             },
             EqCase::IntBool => BoolExpr::EqBool(
-                Box::new(BoolExpr::NonZero(Box::new(self.int(a)))),
-                Box::new(self.bool(b)),
+                Box::new(BoolExpr::NonZero(Box::new(self.int(a)?))),
+                Box::new(self.bool(b)?),
             ),
             EqCase::BoolInt => BoolExpr::EqBool(
-                Box::new(self.bool(a)),
-                Box::new(BoolExpr::NonZero(Box::new(self.int(b)))),
+                Box::new(self.bool(a)?),
+                Box::new(BoolExpr::NonZero(Box::new(self.int(b)?))),
             ),
-            EqCase::NodeNull => BoolExpr::IsNull(Box::new(self.node(a))),
-            EqCase::NullNode => BoolExpr::IsNull(Box::new(self.node(b))),
+            EqCase::NodeNull => BoolExpr::IsNull(Box::new(self.node(a)?)),
+            EqCase::NullNode => BoolExpr::IsNull(Box::new(self.node(b)?)),
             EqCase::KeyNode => BoolExpr::EqKeyNode {
-                key: Box::new(self.key(a)),
-                node: Box::new(self.node(b)),
+                key: Box::new(self.key(a)?),
+                node: Box::new(self.node(b)?),
                 key_first: true,
             },
             EqCase::NodeKey => BoolExpr::EqKeyNode {
-                key: Box::new(self.key(b)),
-                node: Box::new(self.node(a)),
+                key: Box::new(self.key(b)?),
+                node: Box::new(self.node(a)?),
                 key_first: false,
             },
             EqCase::PayloadNull => BoolExpr::IsNullPayload(Box::new(self.payload(a))),
             EqCase::NullPayload => BoolExpr::IsNullPayload(Box::new(self.payload(b))),
-            EqCase::Unrelated => BoolExpr::Const(vec![self.any(a), self.any(b)], false),
-        }
+            EqCase::Unrelated => BoolExpr::Const(vec![self.any(a)?, self.any(b)?], false),
+        })
     }
 
-    fn node(&mut self, e: &IrExpr) -> NodeExpr {
-        match e {
+    fn node(&self, e: &IrExpr) -> Typed<NodeExpr> {
+        Ok(match e {
             IrExpr::Null | IrExpr::Payload => NodeExpr::Null,
             IrExpr::From => NodeExpr::From,
             IrExpr::Me => NodeExpr::Me,
             IrExpr::Bootstrap => NodeExpr::Bootstrap,
-            IrExpr::Var(slot) => self.node_var(*slot),
+            IrExpr::Var(slot) => NodeExpr::Var(self.vars[*slot as usize].slot),
             IrExpr::ApiArg { which, fallback } => match self.api_arg(*which, *fallback) {
                 ApiArgTy::Node => NodeExpr::ApiDest,
-                ApiArgTy::Var(slot) => self.node_var(slot),
+                ApiArgTy::Var(slot) => NodeExpr::Var(self.vars[slot as usize].slot),
                 ApiArgTy::Null => NodeExpr::Null,
                 ApiArgTy::Key => unreachable!("a key API argument is not a node"),
             },
             IrExpr::Field(i) => NodeExpr::Field(self.fields[*i as usize].at),
             IrExpr::NeighborRandom(l) => NodeExpr::NeighborRandom(*l),
-            IrExpr::OwnerOf(k, l) => NodeExpr::OwnerOf(Box::new(self.key_opt(k)), *l),
+            IrExpr::OwnerOf(k, l) => NodeExpr::OwnerOf(Box::new(self.key_opt(k)?), *l),
             other => unreachable!("not a node expression: {other:?}"),
-        }
+        })
     }
 
     /// An int variable; a constant (never assigned) reads as its value.
@@ -906,17 +838,8 @@ impl Typer<'_> {
         }
     }
 
-    /// A node-or-null variable (a neighbor-typed scalar is always null).
-    fn node_var(&self, slot: u16) -> NodeExpr {
-        let var = &self.vars[slot as usize];
-        match var.ty {
-            Ty::Node => NodeExpr::Var(var.slot),
-            _ => NodeExpr::Null,
-        }
-    }
-
-    fn key(&mut self, e: &IrExpr) -> KeyExpr {
-        match e {
+    fn key(&self, e: &IrExpr) -> Typed<KeyExpr> {
+        Ok(match e {
             IrExpr::MyKey => KeyExpr::MyKey,
             IrExpr::Var(slot) => KeyExpr::Var(self.vars[*slot as usize].slot),
             IrExpr::ApiArg { which, fallback } => match self.api_arg(*which, *fallback) {
@@ -925,30 +848,21 @@ impl Typer<'_> {
                 _ => unreachable!("not a key API argument"),
             },
             IrExpr::Field(i) => KeyExpr::Field(self.fields[*i as usize].at),
-            IrExpr::Bin(op @ (BinOp::Add | BinOp::Sub), k, by) => {
-                let tb = self.ty(by);
-                if tb.as_int().is_none() {
-                    let operands = vec![self.any(k), self.any(by)];
-                    return KeyExpr::Fault(
-                        self.fault(operands, format!("expected int, got {}", tb.name())),
-                    );
-                }
-                KeyExpr::Offset {
-                    key: Box::new(self.key(k)),
-                    by: Box::new(self.int_arg(by)),
-                    negate: *op == BinOp::Sub,
-                }
-            }
+            IrExpr::Bin(op @ (BinOp::Add | BinOp::Sub), k, by) => KeyExpr::Offset {
+                key: Box::new(self.key(k)?),
+                by: Box::new(self.int_arg(by)?),
+                negate: *op == BinOp::Sub,
+            },
             other => unreachable!("not a key expression: {other:?}"),
-        }
+        })
     }
 
-    fn payload(&mut self, e: &IrExpr) -> PayloadExpr {
+    fn payload(&self, e: &IrExpr) -> PayloadExpr {
         match e {
             IrExpr::Payload if binds_payload(self.api) => PayloadExpr::Api,
-            IrExpr::Var(slot) => self.payload_var(*slot),
+            IrExpr::Var(slot) => PayloadExpr::Var(self.vars[*slot as usize].slot),
             IrExpr::ApiArg { which, fallback } => match self.api_arg(*which, *fallback) {
-                ApiArgTy::Var(slot) => self.payload_var(slot),
+                ApiArgTy::Var(slot) => PayloadExpr::Var(self.vars[slot as usize].slot),
                 _ => PayloadExpr::Null,
             },
             IrExpr::Field(i) => PayloadExpr::Field(self.fields[*i as usize].at),
@@ -956,15 +870,7 @@ impl Typer<'_> {
         }
     }
 
-    fn payload_var(&self, slot: u16) -> PayloadExpr {
-        let var = &self.vars[slot as usize];
-        match var.ty {
-            Ty::Payload => PayloadExpr::Var(var.slot),
-            _ => PayloadExpr::Null,
-        }
-    }
-
-    fn list(&mut self, e: &IrExpr) -> ListExpr {
+    fn list(&self, e: &IrExpr) -> ListExpr {
         match e {
             IrExpr::ListValue(l) => ListExpr::List(*l),
             IrExpr::Field(i) => ListExpr::Field(self.fields[*i as usize].at),
@@ -985,7 +891,7 @@ const NULL_NODE: u64 = u64::MAX;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Slots {
     words: Vec<u64>,
-    payloads: Vec<Option<Bytes>>,
+    payloads: Vec<Bytes>,
 }
 
 impl Slots {
@@ -1012,8 +918,8 @@ impl Slots {
 
     /// Payload slots are numbered apart from the word slots.
     #[inline]
-    pub fn payload(&self, s: u16) -> Option<&Bytes> {
-        self.payloads[s as usize].as_ref()
+    pub fn payload(&self, s: u16) -> &Bytes {
+        &self.payloads[s as usize]
     }
 
     pub fn set_int(&mut self, s: u16, v: i64) {
@@ -1032,17 +938,17 @@ impl Slots {
         self.words[s as usize] = v.0 as u64;
     }
 
-    pub fn set_payload(&mut self, s: u16, v: Option<Bytes>) {
+    pub fn set_payload(&mut self, s: u16, v: Bytes) {
         self.payloads[s as usize] = v;
     }
 
     /// Append a slot of type `ty` holding its default — 0, `false`,
-    /// null, key 0, null payload — and return its index. `List` and
+    /// null, key 0, the empty payload — and return its index. `List` and
     /// `Null` have no scalar storage (index 0, never read).
     pub fn push(&mut self, ty: Ty) -> u16 {
         let (index, word) = match ty {
             Ty::Payload => {
-                self.payloads.push(None);
+                self.payloads.push(Bytes::new());
                 return (self.payloads.len() - 1) as u16;
             }
             Ty::List | Ty::Null => return 0,
@@ -1072,7 +978,7 @@ impl Slots {
     }
 
     pub fn push_payload(&mut self, v: Bytes) {
-        self.payloads.push(Some(v));
+        self.payloads.push(v);
     }
 
     /// Empty the storage, keeping the allocations.

@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// Lexical or syntactic error with position information.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     pub line: u32,
     pub col: u32,

@@ -1,12 +1,14 @@
 //! # macedon-lang
 //!
 //! The MACEDON domain-specific language (Figure 4 of the paper): lexer,
-//! recursive-descent parser, the lowering to a checked, slot-indexed IR
-//! ([`ir`], the front end's one checker), an **interpreter** that
-//! executes `.mac` specifications as live [`macedon_core::Agent`]s, and a
-//! **code generator** that emits the Rust agent source the paper's
-//! `macedon` translator would produce (it emitted C++; the artifact here
-//! is the idiomatic equivalent).
+//! recursive-descent parser, the lowering to a checked, typed,
+//! slot-indexed IR ([`ir`], the front end's one checker), an
+//! **interpreter** that executes `.mac` specifications as live
+//! [`macedon_core::Agent`]s, and a **code generator** that emits the Rust
+//! agent source the paper's `macedon` translator would produce (it
+//! emitted C++; the artifact here is the idiomatic equivalent). The
+//! lowering alone decides the language: whatever [`compile`] accepts,
+//! both back ends run, and run alike.
 //!
 //! A protocol specification has the shape:
 //!

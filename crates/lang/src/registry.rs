@@ -18,6 +18,7 @@
 use crate::ast::{Spec, StateVar, TraceMode};
 use crate::interp::{channel_table, InterpretedAgent};
 use crate::ir::IrSpec;
+use crate::lexer::ParseError;
 use macedon_core::{Agent, ChannelSpec, NodeId, TraceLevel};
 use std::collections::HashMap;
 use std::fmt;
@@ -60,6 +61,9 @@ pub enum ConstantError {
     UnknownSpec(String),
     /// `spec` declares no constant named `constant`.
     UnknownConstant { spec: String, constant: String },
+    /// `spec` with the overrides does not compile (a constant divisor
+    /// overridden to zero).
+    Rejected { spec: String, error: ParseError },
 }
 
 impl fmt::Display for ConstantError {
@@ -70,6 +74,9 @@ impl fmt::Display for ConstantError {
             }
             ConstantError::UnknownConstant { spec, constant } => {
                 write!(f, "'{spec}' declares no constant '{constant}'")
+            }
+            ConstantError::Rejected { spec, error } => {
+                write!(f, "'{spec}' with the overrides does not compile: {error}")
             }
         }
     }
@@ -127,6 +134,8 @@ impl SpecRegistry {
     /// and the copy is lowered once and registered under the same name —
     /// in this registry only. Every other registry,
     /// [`SpecRegistry::bundled`]'s included, keeps sharing the original.
+    /// A copy that no longer compiles (a constant divisor set to zero)
+    /// is refused and registers nothing.
     /// Generated agents are not affected: their constants stay the
     /// spec's.
     pub fn set_constants(
@@ -166,8 +175,10 @@ impl SpecRegistry {
                 }
             }
         }
-        // Values change no name, so the copy lowers as the original did.
-        let ir = IrSpec::lower(Arc::new(spec)).expect("a constant override lowers");
+        let ir = IrSpec::lower(Arc::new(spec)).map_err(|error| ConstantError::Rejected {
+            spec: name.to_string(),
+            error,
+        })?;
         self.insert(Arc::new(ir));
         Ok(())
     }

@@ -50,11 +50,11 @@ fn assert_fresh(path: &Path, got: &str) {
 
 #[test]
 fn generated_code_matches_golden_snapshots() {
-    let files = codegen::generate_bundled_crate().expect("bundled specs generate");
+    let files = codegen::generate_bundled_crate();
     for (name, got) in &files {
         assert_fresh(&generated_dir().join(name), got);
     }
-    let roundtrip = codegen::generate_roundtrip().expect("the round-trip spec generates");
+    let roundtrip = codegen::generate_roundtrip();
     assert_fresh(
         &Path::new(env!("CARGO_MANIFEST_DIR")).join(codegen::ROUNDTRIP_MODULE),
         &roundtrip,
@@ -71,7 +71,6 @@ fn golden_snapshots_cover_exactly_the_bundled_roster() {
         .collect();
     on_disk.sort();
     let mut expected: Vec<String> = codegen::generate_bundled_crate()
-        .expect("bundled specs generate")
         .into_iter()
         .map(|(n, _)| n)
         .collect();

@@ -2,7 +2,7 @@
 
 use macedon_lang::ast::StateExpr;
 use macedon_lang::registry::{ChainError, SpecRegistry};
-use macedon_lang::{bundled_specs, compile, parse, Lexer, TokenKind};
+use macedon_lang::{bundled_specs, codegen, compile, parse, Lexer, TokenKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -174,8 +174,8 @@ proptest! {
 }
 
 /// `src` with its `pick`-th identifier token (modulo their number)
-/// replaced by `zz`.
-fn rename_one_identifier(src: &str, pick: u64) -> String {
+/// replaced by `to`.
+fn rename_one_identifier(src: &str, pick: u64, to: &str) -> String {
     let line_starts: Vec<usize> = std::iter::once(0)
         .chain(src.match_indices('\n').map(|(i, _)| i + 1))
         .collect();
@@ -193,7 +193,7 @@ fn rename_one_identifier(src: &str, pick: u64) -> String {
         })
         .collect();
     let (at, len) = idents[(pick % idents.len() as u64) as usize];
-    format!("{}zz{}", &src[..at], &src[at + len..])
+    format!("{}{to}{}", &src[..at], &src[at + len..])
 }
 
 proptest! {
@@ -201,18 +201,22 @@ proptest! {
     // enough that some dozen mutants compile.
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// A bundled spec with one identifier renamed either fails to
-    /// compile with a diagnostic or, compiled, registers and builds its
-    /// stack: nothing `compile` accepts panics downstream.
+    /// A bundled spec with one identifier renamed — to a fresh name or
+    /// to a Rust keyword — either fails to compile with a diagnostic
+    /// or, compiled, generates code and registers and builds its
+    /// stack: nothing `compile` accepts panics downstream, in either
+    /// back end.
     #[test]
     fn a_renamed_identifier_is_rejected_or_runs(
         spec in 0usize..9,
         pick in 0u64..u64::MAX,
+        to in proptest::sample::select(vec!["zz", "loop", "type", "fn"]),
     ) {
         let (_, src) = bundled_specs()[spec];
-        let Ok(ir) = compile(&rename_one_identifier(src, pick)) else {
+        let Ok(ir) = compile(&rename_one_identifier(src, pick, to)) else {
             return Ok(());
         };
+        prop_assert!(!codegen::generate(&ir, None).is_empty());
         let name = ir.name.clone();
         let mut reg = SpecRegistry::bundled();
         reg.insert(Arc::new(ir));

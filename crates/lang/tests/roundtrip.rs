@@ -6,7 +6,7 @@
 //! bytes, trace lines and RNG draws must be equal.
 //!
 //! The roster and this spec together also print every typed-tree
-//! variant the lowering can produce for a well-typed spec.
+//! variant the lowering can produce.
 
 #[path = "roundtrip/agent.rs"]
 #[allow(unreachable_pub)]
@@ -67,7 +67,6 @@ variants!(stmt_tag, STMTS, IrStmt {
     IrStmt::AssignList(..) => "IrStmt::AssignList",
     IrStmt::AssignListTakeField(..) => "IrStmt::AssignListTakeField",
     IrStmt::Trace(_) => "IrStmt::Trace",
-    IrStmt::Fault(_) => "IrStmt::Fault",
 });
 
 variants!(down_tag, DOWNS, IrDown {
@@ -95,7 +94,6 @@ variants!(int_tag, INTS, IntExpr {
     IntExpr::PrefixLen(_) => "IntExpr::PrefixLen",
     IntExpr::Neg(_) => "IntExpr::Neg",
     IntExpr::Arith(..) => "IntExpr::Arith",
-    IntExpr::Fault(_) => "IntExpr::Fault",
 });
 
 variants!(bool_tag, BOOLS, BoolExpr {
@@ -120,7 +118,6 @@ variants!(bool_tag, BOOLS, BoolExpr {
     BoolExpr::NeighborQuery(..) => "BoolExpr::NeighborQuery",
     BoolExpr::RingBetween(..) => "BoolExpr::RingBetween",
     BoolExpr::Const(..) => "BoolExpr::Const",
-    BoolExpr::Fault(_) => "BoolExpr::Fault",
 });
 
 variants!(node_tag, NODES, NodeExpr {
@@ -133,7 +130,6 @@ variants!(node_tag, NODES, NodeExpr {
     NodeExpr::Field(_) => "NodeExpr::Field",
     NodeExpr::NeighborRandom(_) => "NodeExpr::NeighborRandom",
     NodeExpr::OwnerOf(..) => "NodeExpr::OwnerOf",
-    NodeExpr::Fault(_) => "NodeExpr::Fault",
 });
 
 variants!(key_tag, KEYS, KeyExpr {
@@ -142,7 +138,6 @@ variants!(key_tag, KEYS, KeyExpr {
     KeyExpr::Var(_) => "KeyExpr::Var",
     KeyExpr::Field(_) => "KeyExpr::Field",
     KeyExpr::Offset { .. } => "KeyExpr::Offset",
-    KeyExpr::Fault(_) => "KeyExpr::Fault",
 });
 
 variants!(key_opt_tag, KEY_OPTS, KeyOptExpr {
@@ -150,13 +145,11 @@ variants!(key_opt_tag, KEY_OPTS, KeyOptExpr {
     KeyOptExpr::Node(_) => "KeyOptExpr::Node",
     KeyOptExpr::Int(_) => "KeyOptExpr::Int",
     KeyOptExpr::Null => "KeyOptExpr::Null",
-    KeyOptExpr::Fault(_) => "KeyOptExpr::Fault",
 });
 
 variants!(key_arg_tag, KEY_ARGS, KeyArg {
     KeyArg::Key(_) => "KeyArg::Key",
     KeyArg::Node(_) => "KeyArg::Node",
-    KeyArg::Fault(_) => "KeyArg::Fault",
 });
 
 variants!(payload_tag, PAYLOADS, PayloadExpr {
@@ -164,13 +157,11 @@ variants!(payload_tag, PAYLOADS, PayloadExpr {
     PayloadExpr::Api => "PayloadExpr::Api",
     PayloadExpr::Var(_) => "PayloadExpr::Var",
     PayloadExpr::Field(_) => "PayloadExpr::Field",
-    PayloadExpr::Fault(_) => "PayloadExpr::Fault",
 });
 
 variants!(list_tag, LISTS, ListExpr {
     ListExpr::List(_) => "ListExpr::List",
     ListExpr::Field(_) => "ListExpr::Field",
-    ListExpr::Fault(_) => "ListExpr::Fault",
 });
 
 variants!(any_tag, ANYS, AnyExpr {
@@ -190,13 +181,11 @@ variants!(send_arg_tag, SEND_ARGS, SendArg {
     SendArg::Key(_) => "SendArg::Key",
     SendArg::Payload(_) => "SendArg::Payload",
     SendArg::List(_) => "SendArg::List",
-    SendArg::Mismatch(_) => "SendArg::Mismatch",
 });
 
 variants!(send_dest_tag, SEND_DESTS, SendDest {
     SendDest::Node(_) => "SendDest::Node",
     SendDest::Key(_) => "SendDest::Key",
-    SendDest::Mismatch(_) => "SendDest::Mismatch",
 });
 
 /// The variants met in a walk over transition bodies.
@@ -226,7 +215,6 @@ impl Seen {
                     match dest {
                         SendDest::Node(n) => self.node(n),
                         SendDest::Key(k) => self.key(k),
-                        SendDest::Mismatch(_) => {}
                     }
                     for a in args {
                         self.0.insert(send_arg_tag(a));
@@ -237,7 +225,6 @@ impl Seen {
                             SendArg::Key(e) => self.key_arg(e),
                             SendArg::Payload(e) => self.payload(e),
                             SendArg::List(e) => self.list(e),
-                            SendArg::Mismatch(_) => {}
                         }
                     }
                 }
@@ -368,7 +355,6 @@ impl Seen {
         match e {
             KeyArg::Key(k) => self.key(k),
             KeyArg::Node(n) => self.node(n),
-            KeyArg::Fault(_) => {}
         }
     }
 
@@ -419,7 +405,6 @@ fn the_roster_and_the_roundtrip_spec_print_every_typed_variant() {
     let missing: Vec<&str> = all
         .concat()
         .into_iter()
-        .filter(|v| !v.ends_with("::Fault") && !v.ends_with("::Mismatch"))
         .filter(|v| !seen.0.contains(v))
         .collect();
     assert!(missing.is_empty(), "never printed: {missing:?}");

@@ -149,10 +149,6 @@ impl Nice {
             .unwrap_or_default()
     }
 
-    pub fn cluster_leader(&self, layer: usize) -> Option<NodeId> {
-        self.clusters.get(layer).map(|c| c.leader)
-    }
-
     fn rtt_of(&self, n: NodeId) -> u64 {
         let raw = self.rtt.get(&n).copied().unwrap_or(u64::MAX / 4);
         if self.cfg.probe_binning {

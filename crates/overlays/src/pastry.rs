@@ -124,14 +124,6 @@ impl Pastry {
         v
     }
 
-    pub fn routing_table(&self) -> &[[Option<(NodeId, MacedonKey)>; COLS]] {
-        &self.rtable
-    }
-
-    pub fn location_cache_len(&self) -> usize {
-        self.location_cache.len()
-    }
-
     /// Everyone this node knows about.
     fn known(&self) -> Vec<(NodeId, MacedonKey)> {
         let mut v = self.leaf_set();

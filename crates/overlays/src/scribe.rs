@@ -111,14 +111,6 @@ impl Scribe {
             .unwrap_or_default()
     }
 
-    pub fn group_parent(&self, group: MacedonKey) -> Option<NodeId> {
-        self.groups.get(&group).and_then(|g| g.parent)
-    }
-
-    pub fn is_member(&self, group: MacedonKey) -> bool {
-        self.groups.get(&group).map(|g| g.member).unwrap_or(false)
-    }
-
     pub fn is_root(&self, group: MacedonKey) -> bool {
         self.groups.get(&group).map(|g| g.root).unwrap_or(false)
     }

@@ -166,39 +166,27 @@ fn probe_missing(protocol: &str) -> Violation {
 /// successor is what the spec itself uses everywhere —
 /// `owner_of(my_key, succs)`, the clockwise-nearest entry of the
 /// successor list — so a list still containing a fresher entry counts.
-pub struct ChordOracle {
-    protocol: String,
-}
+#[derive(Default)]
+pub struct ChordOracle;
 
 impl ChordOracle {
+    /// The protocol layer the oracle reads.
+    const PROTOCOL: &'static str = "chord";
+
     pub fn new() -> ChordOracle {
-        ChordOracle {
-            protocol: "chord".into(),
-        }
-    }
-
-    pub fn for_protocol(protocol: impl Into<String>) -> ChordOracle {
-        ChordOracle {
-            protocol: protocol.into(),
-        }
-    }
-}
-
-impl Default for ChordOracle {
-    fn default() -> Self {
-        Self::new()
+        ChordOracle
     }
 }
 
 impl ConvergenceOracle for ChordOracle {
     fn name(&self) -> &str {
-        "chord"
+        Self::PROTOCOL
     }
 
     fn check(&self, snap: &Snapshot) -> Vec<Violation> {
-        let members: Vec<(&NodeSnapshot, &AgentView)> = snap.live_with(&self.protocol).collect();
+        let members: Vec<(&NodeSnapshot, &AgentView)> = snap.live_with(Self::PROTOCOL).collect();
         if members.is_empty() {
-            return vec![probe_missing(&self.protocol)];
+            return vec![probe_missing(Self::PROTOCOL)];
         }
         let mut out = Vec::new();
         for &(n, layer) in &members {
@@ -256,23 +244,15 @@ const PASTRY_MAX_HOPS: usize = 16;
 /// deliver each probe key at a node whose ring distance to the key is
 /// minimal among live joined nodes, starting from *every* live node.
 pub struct PastryRouteOracle {
-    protocol: String,
     probes: Vec<MacedonKey>,
 }
 
 impl PastryRouteOracle {
-    pub fn new(probes: Vec<MacedonKey>) -> PastryRouteOracle {
-        PastryRouteOracle {
-            protocol: "pastry".into(),
-            probes,
-        }
-    }
+    /// The protocol layer the oracle reads.
+    const PROTOCOL: &'static str = "pastry";
 
-    pub fn for_protocol(protocol: impl Into<String>, probes: Vec<MacedonKey>) -> PastryRouteOracle {
-        PastryRouteOracle {
-            protocol: protocol.into(),
-            probes,
-        }
+    pub fn new(probes: Vec<MacedonKey>) -> PastryRouteOracle {
+        PastryRouteOracle { probes }
     }
 
     /// One §2.1 routing step at `cur` toward `dst`: the forwarding
@@ -326,13 +306,13 @@ impl PastryRouteOracle {
 
 impl ConvergenceOracle for PastryRouteOracle {
     fn name(&self) -> &str {
-        "pastry"
+        Self::PROTOCOL
     }
 
     fn check(&self, snap: &Snapshot) -> Vec<Violation> {
-        let members: Vec<(&NodeSnapshot, &AgentView)> = snap.live_with(&self.protocol).collect();
+        let members: Vec<(&NodeSnapshot, &AgentView)> = snap.live_with(Self::PROTOCOL).collect();
         if members.is_empty() {
-            return vec![probe_missing(&self.protocol)];
+            return vec![probe_missing(Self::PROTOCOL)];
         }
         let joined: Vec<&NodeSnapshot> = members
             .iter()
@@ -346,7 +326,7 @@ impl ConvergenceOracle for PastryRouteOracle {
             };
             for &origin in &joined {
                 let mut cur = origin;
-                let mut cur_view = origin.layer(&self.protocol).expect("member has layer");
+                let mut cur_view = origin.layer(Self::PROTOCOL).expect("member has layer");
                 let mut path = vec![origin.node];
                 let violation = loop {
                     if path.len() > PASTRY_MAX_HOPS {
@@ -388,9 +368,9 @@ impl ConvergenceOracle for PastryRouteOracle {
                                     format!("path {}", ids(&path)),
                                 ));
                             };
-                            let Some(view) = ns.layer(&self.protocol) else {
+                            let Some(view) = ns.layer(Self::PROTOCOL) else {
                                 break Some((
-                                    format!("key {dst} routed via '{}' nodes", self.protocol),
+                                    format!("key {dst} routed via '{}' nodes", Self::PROTOCOL),
                                     format!("next hop n{} has no such layer", next.0),
                                     format!("path {}", ids(&path)),
                                 ));
@@ -425,37 +405,29 @@ impl ConvergenceOracle for PastryRouteOracle {
 /// the group's rendezvous — a live node whose key is numerically
 /// closest to the group key (where Pastry delivers the subscribes).
 pub struct ScribeTreeOracle {
-    protocol: String,
     group: MacedonKey,
 }
 
 impl ScribeTreeOracle {
-    pub fn new(group: MacedonKey) -> ScribeTreeOracle {
-        ScribeTreeOracle {
-            protocol: "scribe".into(),
-            group,
-        }
-    }
+    /// The protocol layer the oracle reads.
+    const PROTOCOL: &'static str = "scribe";
 
-    pub fn for_protocol(protocol: impl Into<String>, group: MacedonKey) -> ScribeTreeOracle {
-        ScribeTreeOracle {
-            protocol: protocol.into(),
-            group,
-        }
+    pub fn new(group: MacedonKey) -> ScribeTreeOracle {
+        ScribeTreeOracle { group }
     }
 }
 
 impl ConvergenceOracle for ScribeTreeOracle {
     fn name(&self) -> &str {
-        "scribe"
+        Self::PROTOCOL
     }
 
     fn check(&self, snap: &Snapshot) -> Vec<Violation> {
-        if snap.live_with(&self.protocol).next().is_none() {
-            return vec![probe_missing(&self.protocol)];
+        if snap.live_with(Self::PROTOCOL).next().is_none() {
+            return vec![probe_missing(Self::PROTOCOL)];
         }
         let subscribed: Vec<(&NodeSnapshot, &AgentView)> = snap
-            .live_with(&self.protocol)
+            .live_with(Self::PROTOCOL)
             .filter(|(_, l)| l.state == "subscribed")
             .collect();
         let Some(min_d) = subscribed

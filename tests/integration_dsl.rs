@@ -128,7 +128,7 @@ fn codegen_emits_full_agents_for_all_specs() {
     // structural contract of the emitted text.
     for (name, src) in bundled_specs() {
         let ir = compile(src).unwrap();
-        let code = codegen::generate(&ir, None).unwrap_or_else(|e| panic!("{e}"));
+        let code = codegen::generate(&ir, None);
         assert!(
             code.contains("impl Agent for"),
             "{name} generates an Agent impl"

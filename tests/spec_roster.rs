@@ -57,31 +57,6 @@ fn all_nine_specs_lower_to_ir() {
 }
 
 #[test]
-fn all_nine_specs_lower_fully_typed() {
-    // Lowering types every expression, so the interpreter evaluates each
-    // at its static type. A construct the typing rejects lowers instead
-    // to a type fault, raised whenever it is reached — no bundled spec
-    // may contain one.
-    for (name, src) in bundled_specs() {
-        let ir = compile(src).unwrap();
-        assert!(
-            ir.type_faults.is_empty(),
-            "{name}: untyped constructs {:?}",
-            ir.type_faults
-        );
-    }
-    // The guard sees one when there is one.
-    let ir = compile(
-        "protocol ill; addressing hash;
-         neighbor_types { peer 4 { } }
-         state_variables { peer peers; bool b; }
-         transitions { any API init { b = neighbor_query(peers, 5); } }",
-    )
-    .unwrap();
-    assert_eq!(ir.type_faults, ["neighbor_query needs a node, got int"]);
-}
-
-#[test]
 fn all_nine_specs_resolve_and_instantiate() {
     let reg = SpecRegistry::bundled();
     for &(name, depth) in ROSTER {
