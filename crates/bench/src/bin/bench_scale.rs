@@ -15,7 +15,10 @@
 //!    at 1k/10k/100k nodes, reporting events fired, events/sec, wall
 //!    time, the process's peak resident set (`VmHWM`, reset before
 //!    each point) and heap bytes per node by owner at the end of the
-//!    run (reliable connections, datagram reassembly, route tables).
+//!    run (reliable connections and their free list, datagram
+//!    reassembly, the engine's per-node record and maps, measurement
+//!    ledgers, route tables), with `coverage`: the counted bytes over
+//!    the peak resident set.
 //!    The stream is `route`-shaped so deliveries stay O(1) in node count
 //!    and the curve isolates scheduler cost. The 10k run must stay under
 //!    a peak resident set ceiling (twice its measured reading) — a
@@ -118,11 +121,27 @@ fn main() {
         let peak = peak_rss_mb();
         let rss = peak.map_or("null".to_string(), |mb| format!("{mb:.1}"));
         let m = &s.bytes_per_node;
+        // The share of the peak resident set the census accounts for.
+        let coverage = peak.map(|mb| m.counted * n as f64 / (mb * 1024.0 * 1024.0));
+        let coverage = coverage.map_or("null".to_string(), |c| format!("{c:.3}"));
         println!(
             "scale: {n} nodes, {} events, {} delivered, {} alive, \
-             {secs:.2} s wall, {eps:.0} events/sec, peak RSS {rss} MiB, bytes/node: \
-             reliable conns {:.0}, datagram reassembly {:.0}, route tables {:.0}",
-            s.events, s.delivered, s.alive, m.reliable_conns, m.datagram_reassembly, m.route_tables
+             {secs:.2} s wall, {eps:.0} events/sec, peak RSS {rss} MiB",
+            s.events, s.delivered, s.alive
+        );
+        println!(
+            "  bytes/node: reliable conns {:.0} ({:.1} conns, {:.2} busy), conn free list {:.0}, \
+             datagram reassembly {:.0}, engine maps {:.0}, measure ledger {:.0}, \
+             route tables {:.0}; counted {:.0}, coverage {coverage} of peak RSS",
+            m.reliable_conns,
+            m.conns,
+            m.busy_conns,
+            m.conn_free_list,
+            m.datagram_reassembly,
+            m.engine_maps,
+            m.measure_ledger,
+            m.route_tables,
+            m.counted
         );
         assert!(s.delivered > 0, "{n}-node scale run must deliver traffic");
         if let (10_000, Some(mb)) = (n, peak) {
@@ -135,9 +154,23 @@ fn main() {
         curve.push(format!(
             "    {{ \"nodes\": {n}, \"events\": {}, \"delivered\": {}, \"alive\": {}, \
              \"wall_secs\": {secs:.2}, \"events_per_sec\": {eps:.0}, \
-             \"peak_rss_mb\": {rss},\n      \"bytes_per_node\": {{ \"reliable_conns\": {:.0}, \
-             \"datagram_reassembly\": {:.0}, \"route_tables\": {:.0} }} }}",
-            s.events, s.delivered, s.alive, m.reliable_conns, m.datagram_reassembly, m.route_tables
+             \"peak_rss_mb\": {rss}, \"coverage\": {coverage},\n      \
+             \"conns_per_node\": {:.2}, \"busy_conns_per_node\": {:.3},\n      \
+             \"bytes_per_node\": {{ \"reliable_conns\": {:.0}, \"conn_free_list\": {:.0}, \
+             \"datagram_reassembly\": {:.0}, \"engine_maps\": {:.0}, \"measure_ledger\": {:.0}, \
+             \"route_tables\": {:.0}, \"counted\": {:.0} }} }}",
+            s.events,
+            s.delivered,
+            s.alive,
+            m.conns,
+            m.busy_conns,
+            m.reliable_conns,
+            m.conn_free_list,
+            m.datagram_reassembly,
+            m.engine_maps,
+            m.measure_ledger,
+            m.route_tables,
+            m.counted
         ));
     }
     // The dip tracker: events/sec at 100k over events/sec at 10k. Flat

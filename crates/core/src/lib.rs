@@ -48,7 +48,7 @@ pub use telemetry::{Telemetry, TelemetryReport, TelemetrySample, TELEMETRY_COLUM
 pub use trace::{SpanId, TraceEvent, TraceLevel, TraceRecord, TraceSink};
 pub use wire::{DecodeError, WireReader, WireRef, WireWriter};
 pub use world::{
-    proto_header, EventClassCounts, ShardProfile, World, WorldConfig, WorldEvent,
+    proto_header, EventClassCounts, HeapCensus, ShardProfile, World, WorldConfig, WorldEvent,
     PROFILE_SAMPLE_CAP,
 };
 

@@ -96,6 +96,11 @@ impl MeasureLedger {
         MeasureLedger::default()
     }
 
+    /// Heap bytes the ledger holds: its per-peer table.
+    pub fn heap_bytes(&self) -> usize {
+        macedon_sim::table_bytes(&self.peers)
+    }
+
     /// A reliable-transport acknowledgement from `peer` advanced the
     /// send window: `rtt` is the Karn-filtered sample (None when only
     /// retransmitted segments were acked).

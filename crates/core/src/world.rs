@@ -49,7 +49,7 @@ use crate::wire::{WireRef, WireWriter};
 use bytes::Bytes;
 use macedon_net::fault::Faults;
 use macedon_net::{Handoff, NetEvent, Network, NetworkConfig, NodeId, ShardMap, Sink, Topology};
-use macedon_sim::{Duration, EventId, FxHashMap, Scheduler, SimRng, Time};
+use macedon_sim::{table_bytes, Duration, EventId, FxHashMap, Scheduler, SimRng, Time};
 use macedon_transport::{
     ChannelId, ChannelSpec, Endpoint, Segment, TimerKey, TimerKind, TransportKind, TransportSink,
 };
@@ -222,6 +222,60 @@ struct NodeState {
     conn_timers: FxHashMap<ConnTimerSlot, EventId>,
     /// peer → (monitoring layers, state)
     monitors: FxHashMap<NodeId, (Vec<usize>, MonitorState)>,
+}
+
+impl NodeState {
+    /// The boxed record itself (stack and endpoint inline) and the
+    /// engine's per-node maps.
+    fn engine_bytes(&self) -> usize {
+        let layers: usize = self.monitors.values().map(|(l, _)| l.capacity()).sum();
+        std::mem::size_of::<NodeState>()
+            + table_bytes(&self.timers)
+            + table_bytes(&self.conn_timers)
+            + table_bytes(&self.monitors)
+            + layers * std::mem::size_of::<usize>()
+    }
+}
+
+/// Heap bytes the engine holds, by owner, over every spawned node (see
+/// [`World::heap_census`]). Counted by capacity: what each owner holds,
+/// not what it last used.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HeapCensus {
+    /// Reliable connections.
+    pub conns: usize,
+    /// Reliable connections holding buffers (something unacknowledged,
+    /// out of order or half reassembled).
+    pub busy_conns: usize,
+    /// Reliable connections: tables, boxed connections, the buffers
+    /// busy ones hold, output buffers.
+    pub reliable_conns: usize,
+    /// Connection buffers idle connections gave back, waiting in this
+    /// thread's free list.
+    pub conn_free_list: usize,
+    /// Datagram reassembly (zero unless a multi-fragment datagram is
+    /// partial).
+    pub datagram_reassembly: usize,
+    /// Each node's boxed engine record (stack and endpoint inline) and
+    /// its maps: agent timers, connection timers, failure-detector
+    /// monitors.
+    pub engine_maps: usize,
+    /// Per-peer measurement ledgers.
+    pub measure_ledgers: usize,
+    /// Routing: component labels, core adjacency and next-hop tables.
+    pub route_tables: usize,
+}
+
+impl HeapCensus {
+    /// Every owner's bytes together.
+    pub fn total(&self) -> usize {
+        self.reliable_conns
+            + self.conn_free_list
+            + self.datagram_reassembly
+            + self.engine_maps
+            + self.measure_ledgers
+            + self.route_tables
+    }
 }
 
 /// A scripted fault mutation every shard's replica must apply at the
@@ -1158,9 +1212,24 @@ impl World {
         self.shards.iter().map(|s| s.net.total_drops()).sum()
     }
 
-    /// Heap bytes held by routing tables, summed across shards.
-    pub fn route_table_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.net.route_table_bytes()).sum()
+    /// Heap bytes held by the engine, by owner, over every spawned
+    /// node; the connection free list is the calling thread's.
+    pub fn heap_census(&self) -> HeapCensus {
+        let mut c = HeapCensus {
+            conn_free_list: macedon_transport::pooled_bytes(),
+            route_tables: self.shards.iter().map(|s| s.net.route_table_bytes()).sum(),
+            ..HeapCensus::default()
+        };
+        let nodes = self.shards.iter().flat_map(|s| s.nodes.iter().flatten());
+        for ns in nodes {
+            c.conns += ns.endpoint.conn_count();
+            c.busy_conns += ns.endpoint.busy_conns();
+            c.reliable_conns += ns.endpoint.conn_bytes();
+            c.datagram_reassembly += ns.endpoint.reassembly_bytes();
+            c.engine_maps += ns.engine_bytes();
+            c.measure_ledgers += ns.stack.measures().heap_bytes();
+        }
+        c
     }
 
     /// The state of `node`, if it is spawned. These accessors take ids

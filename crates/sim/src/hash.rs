@@ -23,6 +23,28 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with the deterministic [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// Heap bytes `map` holds: its bucket array plus control bytes, as the
+/// swiss table behind `std`'s `HashMap` lays them out. `capacity()`
+/// alone undercounts: the table keeps an eighth of its buckets empty.
+pub fn table_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    /// Control bytes are probed a SIMD group at a time (SSE2 on x86).
+    const GROUP: usize = if cfg!(all(
+        target_feature = "sse2",
+        any(target_arch = "x86", target_arch = "x86_64")
+    )) {
+        16
+    } else {
+        8
+    };
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let buckets = if cap < 8 { cap + 1 } else { cap / 7 * 8 };
+    let align = std::mem::align_of::<(K, V)>().max(GROUP);
+    (buckets * std::mem::size_of::<(K, V)>()).next_multiple_of(align) + buckets + GROUP
+}
+
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// The Fx multiply-rotate hasher (deterministic, not DoS-resistant).

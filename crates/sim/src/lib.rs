@@ -18,6 +18,6 @@ pub mod rng;
 pub mod time;
 
 pub use event::{EventId, Scheduler};
-pub use hash::{FxHashMap, FxHashSet, FxHasher};
+pub use hash::{table_bytes, FxHashMap, FxHashSet, FxHasher};
 pub use rng::{mix64, SimRng};
 pub use time::{Duration, Time};

@@ -12,7 +12,7 @@ use crate::segment::{SegKind, Segment};
 use crate::udp::{self, Reassembly};
 use bytes::Bytes;
 use macedon_net::{NodeId, Packet};
-use macedon_sim::{Duration, FxHashMap, Time};
+use macedon_sim::{table_bytes, Duration, FxHashMap, Time};
 use std::sync::Arc;
 
 pub use crate::segment::ChannelId;
@@ -119,10 +119,13 @@ pub struct Endpoint {
     node: NodeId,
     /// The world's channel table, shared by every endpoint.
     channels: Arc<[ChannelSpec]>,
-    /// Reliable connections only. Boxed: a connection is ~300 B, and a
+    /// Reliable connections only. Boxed: a connection is 192 B, and a
     /// hash table pays for its *empty* buckets too (and for both copies
     /// while it grows), so the table holds a pointer per bucket and only
-    /// live connections cost their size.
+    /// live connections cost their size. An idle connection holds no
+    /// buffers: they come from a per-thread free list while it has
+    /// something in flight, out of order or half reassembled (see
+    /// [`crate::reliable`]).
     conns: FxHashMap<(NodeId, ChannelId), Box<ReliableConn>>,
     /// Inbound datagrams with fragments still missing.
     reassembly: Reassembly,
@@ -282,12 +285,25 @@ impl Endpoint {
         self.conns.values().map(|r| r.stats.bytes_sent).sum()
     }
 
-    /// Heap bytes held by reliable connections: the table's buckets,
-    /// each boxed connection and its buffers.
+    /// Heap bytes held by reliable connections: the table, each boxed
+    /// connection, the buffers the busy ones hold, and the reusable
+    /// output buffer. Buffers idle connections gave back are the
+    /// thread's, not the endpoint's: see [`crate::reliable::pooled_bytes`].
     pub fn conn_bytes(&self) -> usize {
-        let table =
-            self.conns.capacity() * std::mem::size_of::<((NodeId, ChannelId), Box<ReliableConn>)>();
-        table + self.conns.values().map(|r| r.heap_bytes()).sum::<usize>()
+        table_bytes(&self.conns)
+            + self.conns.values().map(|r| r.heap_bytes()).sum::<usize>()
+            + self.scratch.heap_bytes()
+    }
+
+    /// Reliable connections, idle or busy.
+    pub fn conn_count(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// Reliable connections holding buffers: something unacknowledged,
+    /// out of order or half reassembled. An idle connection holds none.
+    pub fn busy_conns(&self) -> usize {
+        self.conns.values().filter(|r| r.holds_buffers()).count()
     }
 
     /// Heap bytes held by datagram reassembly.

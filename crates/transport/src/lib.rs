@@ -42,4 +42,5 @@ pub mod udp;
 pub use endpoint::{
     ChannelId, ChannelSpec, Endpoint, TimerKey, TimerKind, TransportKind, TransportSink,
 };
+pub use reliable::pooled_bytes;
 pub use segment::{SegKind, Segment};

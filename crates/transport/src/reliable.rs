@@ -9,12 +9,22 @@
 //!   (congestion-*friendly*, like the paper's TCP transports);
 //! * **SWP** — a fixed-size sliding window with go-to-front retransmit
 //!   and **no** congestion response (reliable, congestion-*unfriendly*).
+//!
+//! A connection keeps its sequence numbers, window and RTT estimate
+//! for life, but holds buffers only while it has something in them:
+//! its `ConnBufs` come from a per-thread free list on the first send,
+//! out-of-order arrival or multi-fragment arrival, and go back to it as
+//! soon as the send ring, the out-of-order queue and the reassembly
+//! buffer are all empty again. Capacity is never observable, so where
+//! the buffers come from cannot change what the connection does.
 
 use crate::rtt::RttEstimator;
 use crate::segment::{ChannelId, SegKind, Segment};
 use bytes::Bytes;
 use macedon_sim::{Duration, Time};
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::mem::size_of;
 
 /// Window policy for a reliable connection.
 #[derive(Clone, Copy, Debug)]
@@ -48,15 +58,73 @@ pub struct ConnStats {
     pub bytes_sent: u64,
 }
 
-/// One direction pair (sender+receiver state) of a reliable channel to a
-/// single peer.
-pub struct ReliableConn {
-    policy: WindowPolicy,
-    // --- sender ---
+/// The buffers of a connection that has something in flight, out of
+/// order or half reassembled.
+#[derive(Default)]
+struct ConnBufs {
     /// Unacknowledged + unsent segments; `segs[i]` carries sequence
     /// number `snd_una + i` (the sender range is always contiguous, so
     /// a deque beats a tree: O(1) push, pop, and seek).
     segs: VecDeque<SegBuf>,
+    /// Segments received beyond a gap, ascending by sequence number,
+    /// every one above `rcv_nxt`. Gaps fill at the front and new
+    /// arrivals mostly land at the back, and a deque keeps its
+    /// capacity when it empties.
+    ooo: VecDeque<(u64, SegBuf)>,
+    partial: Vec<Bytes>,
+    partial_msg: Option<u64>,
+    /// Span of the message currently reassembling in `partial`.
+    partial_span: u64,
+}
+
+impl ConnBufs {
+    fn is_idle(&self) -> bool {
+        self.segs.is_empty() && self.ooo.is_empty() && self.partial.is_empty()
+    }
+
+    /// The box and its buffers' capacity (payloads are shared with the
+    /// packets, not counted).
+    fn heap_bytes(&self) -> usize {
+        size_of::<ConnBufs>()
+            + self.segs.capacity() * size_of::<SegBuf>()
+            + self.ooo.capacity() * size_of::<(u64, SegBuf)>()
+            + self.partial.capacity() * size_of::<Bytes>()
+    }
+}
+
+thread_local! {
+    /// Buffers that drained connections gave back, cleared with their
+    /// capacity kept. Never capped: it holds at most this thread's
+    /// high-water mark of simultaneously busy connections. Boxed, so a
+    /// buffer set moves between the list and a connection without
+    /// being reallocated.
+    #[allow(clippy::vec_box)]
+    static FREE: RefCell<Vec<Box<ConnBufs>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Buffers for a connection that has something to hold: from this
+/// thread's free list when it has any.
+fn take_bufs() -> Box<ConnBufs> {
+    FREE.with_borrow_mut(Vec::pop).unwrap_or_default()
+}
+
+/// Heap bytes in this thread's free list of connection buffers: the
+/// list itself plus every buffer set waiting in it.
+pub fn pooled_bytes() -> usize {
+    FREE.with_borrow(|free| {
+        free.capacity() * size_of::<Box<ConnBufs>>()
+            + free.iter().map(|b| b.heap_bytes()).sum::<usize>()
+    })
+}
+
+/// One direction pair (sender+receiver state) of a reliable channel to a
+/// single peer.
+pub struct ReliableConn {
+    policy: WindowPolicy,
+    /// Held only while a buffer in it is non-empty (see the module
+    /// docs).
+    bufs: Option<Box<ConnBufs>>,
+    // --- sender ---
     snd_una: u64,
     snd_nxt: u64,
     next_assign: u64,
@@ -68,11 +136,6 @@ pub struct ReliableConn {
     timer_gen: u64,
     // --- receiver ---
     rcv_nxt: u64,
-    ooo: BTreeMap<u64, SegBuf>,
-    partial: Vec<Bytes>,
-    partial_msg: Option<u64>,
-    /// Span of the message currently reassembling in `partial`.
-    partial_span: u64,
     /// In-order data segments received but not yet acknowledged
     /// (delayed-ack state).
     ack_pending: u32,
@@ -114,6 +177,14 @@ pub struct ConnOut {
     pub ack_rtt: Option<Option<Duration>>,
 }
 
+impl ConnOut {
+    /// Capacity of the output buffers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.tx.capacity() * size_of::<Segment>()
+            + self.delivered.capacity() * size_of::<(Bytes, u64)>()
+    }
+}
+
 const INITIAL_CWND: f64 = 2.0;
 const INITIAL_SSTHRESH: f64 = 64.0;
 /// Cap on out-of-order buffering at the receiver (segments); beyond this
@@ -131,7 +202,7 @@ impl ReliableConn {
     pub fn new(policy: WindowPolicy) -> ReliableConn {
         ReliableConn {
             policy,
-            segs: VecDeque::new(),
+            bufs: None,
             snd_una: 0,
             snd_nxt: 0,
             next_assign: 0,
@@ -142,10 +213,6 @@ impl ReliableConn {
             est: RttEstimator::new(),
             timer_gen: 0,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            partial: Vec::new(),
-            partial_msg: None,
-            partial_span: 0,
             ack_pending: 0,
             ack_timer_armed: false,
             last_data_at: None,
@@ -161,14 +228,44 @@ impl ReliableConn {
         }
     }
 
-    /// Bytes this connection holds: itself plus its buffers' capacity
-    /// (payloads are shared with the packets, not counted).
+    /// Bytes this connection holds: itself, plus its buffers while it
+    /// holds them (payloads are shared with the packets, not counted).
     pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<ReliableConn>()
-            + self.segs.capacity() * size_of::<SegBuf>()
-            + self.ooo.len() * size_of::<(u64, SegBuf)>()
-            + self.partial.capacity() * size_of::<Bytes>()
+        size_of::<ReliableConn>() + self.bufs.as_ref().map_or(0, |b| b.heap_bytes())
+    }
+
+    /// Whether the connection holds buffers (it does exactly while one
+    /// of them is non-empty).
+    pub(crate) fn holds_buffers(&self) -> bool {
+        self.bufs.is_some()
+    }
+
+    /// Give the buffers back to the free list once all of them are
+    /// empty.
+    fn release_if_idle(&mut self) {
+        if self.bufs.as_ref().is_some_and(|b| b.is_idle()) {
+            let mut bufs = self.bufs.take().expect("checked above");
+            bufs.partial_msg = None;
+            bufs.partial_span = 0;
+            FREE.with_borrow_mut(|free| free.push(bufs));
+        }
+    }
+
+    fn segs_len(&self) -> usize {
+        self.bufs.as_ref().map_or(0, |b| b.segs.len())
+    }
+
+    fn ooo_is_empty(&self) -> bool {
+        self.bufs.as_ref().map_or(true, |b| b.ooo.is_empty())
+    }
+
+    /// Pop the buffered segment that carries `rcv_nxt`, if it is here.
+    fn next_buffered(&mut self) -> Option<SegBuf> {
+        let ooo = &mut self.bufs.as_mut()?.ooo;
+        if ooo.front()?.0 != self.rcv_nxt {
+            return None;
+        }
+        ooo.pop_front().map(|(_, sb)| sb)
     }
 
     /// Enqueue a message; transmits whatever the window allows. `span`
@@ -178,10 +275,11 @@ impl ReliableConn {
         let frags = crate::segment::fragment_count(msg.len()) as u16;
         let msg_id = self.next_msg;
         self.next_msg += 1;
+        let segs = &mut self.bufs.get_or_insert_with(take_bufs).segs;
         let mut i = 0u16;
         crate::segment::for_each_fragment(&msg, |bytes| {
             self.next_assign += 1;
-            self.segs.push_back(SegBuf {
+            segs.push_back(SegBuf {
                 msg: msg_id,
                 frag: i,
                 frags,
@@ -222,7 +320,8 @@ impl ReliableConn {
         out: &mut ConnOut,
     ) {
         let before = self.rcv_nxt;
-        if seq >= self.rcv_nxt && self.ooo.len() < OOO_CAP {
+        let buffered = self.bufs.as_ref().map_or(0, |b| b.ooo.len());
+        if seq >= self.rcv_nxt && buffered < OOO_CAP {
             let sb = SegBuf {
                 msg,
                 frag,
@@ -232,23 +331,26 @@ impl ReliableConn {
                 sent_at: None,
                 retransmitted: false,
             };
-            if seq == self.rcv_nxt && self.ooo.is_empty() {
+            if seq == self.rcv_nxt && buffered == 0 {
                 // The common case, the next segment with nothing
                 // buffered: accept it without a round trip through the
-                // out-of-order map.
+                // out-of-order queue.
                 self.rcv_nxt += 1;
                 self.accept_in_order(sb, out);
             } else {
-                self.ooo.entry(seq).or_insert(sb);
+                let ooo = &mut self.bufs.get_or_insert_with(take_bufs).ooo;
+                if let Err(at) = ooo.binary_search_by_key(&seq, |&(s, _)| s) {
+                    ooo.insert(at, (seq, sb));
+                }
                 // Advance the in-order frontier.
-                while let Some(sb) = self.ooo.remove(&self.rcv_nxt) {
+                while let Some(sb) = self.next_buffered() {
                     self.rcv_nxt += 1;
                     self.accept_in_order(sb, out);
                 }
             }
         }
         let advanced = (self.rcv_nxt - before) as u32;
-        let clean = advanced > 0 && self.ooo.is_empty();
+        let clean = advanced > 0 && self.ooo_is_empty();
         let burst = frag + 1 < frags
             || self
                 .last_data_at
@@ -267,6 +369,7 @@ impl ReliableConn {
                 out.arm_ack_timer = Some(now + DELAYED_ACK);
             }
         }
+        self.release_if_idle();
     }
 
     /// Emit a cumulative ack now, clearing delayed-ack state.
@@ -293,37 +396,42 @@ impl ReliableConn {
     }
 
     fn accept_in_order(&mut self, sb: SegBuf, out: &mut ConnOut) {
-        if self.partial_msg != Some(sb.msg) {
+        if self.bufs.as_ref().and_then(|b| b.partial_msg) != Some(sb.msg) {
             // A new message begins; any unfinished previous partial is a
             // framing bug (in-order delivery makes fragments contiguous).
-            debug_assert!(
-                self.partial.is_empty() || self.partial_msg.is_none(),
-                "interleaved message fragments"
-            );
-            self.partial.clear();
+            if let Some(b) = self.bufs.as_mut() {
+                debug_assert!(
+                    b.partial.is_empty() || b.partial_msg.is_none(),
+                    "interleaved message fragments"
+                );
+                b.partial.clear();
+                b.partial_msg = None;
+            }
             if sb.frags == 1 {
                 // Single-fragment message: the fragment *is* the whole
                 // message (a zero-copy slice of the sender's buffer) and
-                // never passes through `partial`, which a connection that
-                // only carries small messages therefore never allocates.
-                self.partial_msg = None;
+                // never passes through `partial`, so a connection that
+                // only carries small messages in order never takes
+                // buffers to receive.
                 self.stats.messages_delivered += 1;
                 out.delivered.push((sb.bytes, sb.span));
                 return;
             }
-            self.partial_msg = Some(sb.msg);
-            self.partial_span = sb.span;
+            let b = self.bufs.get_or_insert_with(take_bufs);
+            b.partial_msg = Some(sb.msg);
+            b.partial_span = sb.span;
         }
-        self.partial.push(sb.bytes);
-        if self.partial.len() == sb.frags as usize {
-            self.partial_msg = None;
+        let b = self.bufs.as_mut().expect("a message is reassembling");
+        b.partial.push(sb.bytes);
+        if b.partial.len() == sb.frags as usize {
+            b.partial_msg = None;
             self.stats.messages_delivered += 1;
-            let total: usize = self.partial.iter().map(|b| b.len()).sum();
+            let total: usize = b.partial.iter().map(|b| b.len()).sum();
             let mut buf = Vec::with_capacity(total);
-            for part in self.partial.drain(..) {
+            for part in b.partial.drain(..) {
                 buf.extend_from_slice(&part);
             }
-            out.delivered.push((Bytes::from(buf), self.partial_span));
+            out.delivered.push((Bytes::from(buf), b.partial_span));
         }
     }
 
@@ -336,7 +444,7 @@ impl ReliableConn {
             let mut n_acked = 0u32;
             while self.snd_una < cum {
                 self.snd_una += 1;
-                let Some(sb) = self.segs.pop_front() else {
+                let Some(sb) = self.bufs.as_mut().and_then(|b| b.segs.pop_front()) else {
                     continue;
                 };
                 n_acked += 1;
@@ -365,6 +473,7 @@ impl ReliableConn {
             }
             self.pump(now, out);
             self.rearm(now, out);
+            self.release_if_idle();
         } else if cum == self.snd_una && self.in_flight() > 0 {
             self.dup_acks += 1;
             if self.dup_acks == 3 {
@@ -419,20 +528,20 @@ impl ReliableConn {
     }
 
     fn retransmit_window(&mut self, now: Time, out: &mut ConnOut) {
-        for i in 0..(self.in_flight() as usize).min(self.segs.len()) {
+        for i in 0..(self.in_flight() as usize).min(self.segs_len()) {
             self.transmit(i, now, true, out);
         }
     }
 
     fn retransmit_front(&mut self, now: Time, out: &mut ConnOut) {
-        if !self.segs.is_empty() {
+        if self.segs_len() > 0 {
             self.transmit(0, now, true, out);
         }
     }
 
     /// Put `segs[i]` (sequence number `snd_una + i`) on the wire.
     fn transmit(&mut self, i: usize, now: Time, retransmit: bool, out: &mut ConnOut) {
-        let sb = &mut self.segs[i];
+        let sb = &mut self.bufs.as_mut().expect("segment i is buffered").segs[i];
         sb.retransmitted |= retransmit;
         sb.sent_at = Some(now);
         self.stats.segments_sent += 1;
@@ -524,7 +633,7 @@ mod tests {
         assert_eq!(cum, 1);
         let mut out_a = ConnOut::default();
         a.on_ack(t(16), cum, &mut out_a);
-        assert_eq!(a.segs.len(), 0);
+        assert!(a.bufs.is_none(), "drained sender gives its buffers back");
         assert_eq!(a.est.srtt(), Some(Duration::from_millis(16)));
         assert!(out_a.cancel_rto, "drained window cancels the RTO");
     }
@@ -563,7 +672,11 @@ mod tests {
         }
         let mut rx = ConnOut::default();
         deliver_all(&tx, &mut b, &mut rx);
-        assert_eq!(b.partial.capacity(), 0, "nothing was ever buffered");
+        // Buffers `b` had taken would now wait in the free list.
+        assert!(
+            b.bufs.is_none() && pooled_bytes() == 0,
+            "nothing was ever buffered"
+        );
         assert_eq!(b.stats.messages_delivered, 1000);
         assert_eq!(rx.delivered, sent, "same bytes, same spans, same order");
 
@@ -581,7 +694,53 @@ mod tests {
         let mut rx = ConnOut::default();
         deliver_all(&tx, &mut b, &mut rx);
         assert_eq!(rx.delivered, mixed);
-        assert!(b.partial.is_empty() && b.partial_msg.is_none());
+        assert!(b.bufs.is_none(), "reassembly done, buffers given back");
+    }
+
+    #[test]
+    fn reliable_conn_fits_in_200_bytes() {
+        assert!(
+            size_of::<ReliableConn>() <= 200,
+            "ReliableConn is {} B",
+            size_of::<ReliableConn>()
+        );
+    }
+
+    #[test]
+    fn drained_connection_keeps_its_state_across_buffer_retake() {
+        let (mut a, mut b) = (
+            ReliableConn::new(WindowPolicy::Tcp),
+            ReliableConn::new(WindowPolicy::Tcp),
+        );
+        let mut tx = ConnOut::default();
+        a.send(t(0), Bytes::from_static(b"one"), 1, &mut tx);
+        let mut rx = ConnOut::default();
+        feed(&mut b, t(20), &tx.tx[0], &mut rx);
+        let mut back = ConnOut::default();
+        a.on_ack(t(40), 1, &mut back);
+        assert!(a.bufs.is_none() && b.bufs.is_none(), "both sides drained");
+        let (cwnd, rto) = (a.cwnd, a.est.rto());
+        assert_eq!(cwnd, INITIAL_CWND + 1.0, "slow start counted the ack");
+        assert_eq!(a.est.srtt(), Some(Duration::from_millis(40)));
+        assert_ne!(rto, RttEstimator::new().rto(), "the RTO was learned");
+
+        let mut tx = ConnOut::default();
+        a.send(t(500), Bytes::from_static(b"two"), 2, &mut tx);
+        assert!(a.bufs.is_some(), "sending takes buffers again");
+        assert_eq!((a.snd_una, a.next_msg, a.cwnd), (1, 2, cwnd));
+        let SegKind::Data { seq, msg, .. } = tx.tx[0].kind else {
+            panic!("expected data")
+        };
+        assert_eq!((seq, msg), (1, 1), "sequence numbers carry on");
+        assert_eq!(
+            tx.arm_timer,
+            Some((t(500) + rto, a.timer_gen)),
+            "the RTO guarding it is the learned one"
+        );
+        let mut rx = ConnOut::default();
+        feed(&mut b, t(520), &tx.tx[0], &mut rx);
+        assert_eq!(rx.delivered, vec![(Bytes::from_static(b"two"), 2)]);
+        assert_eq!(b.rcv_nxt, 2);
     }
 
     #[test]

@@ -131,8 +131,7 @@ impl Reassembly {
             let parts: usize = v.iter().map(|m| m.parts.capacity()).sum();
             v.capacity() * size_of::<PartialMsg>() + parts * size_of::<Option<Bytes>>()
         };
-        let table = size_of::<((NodeId, ChannelId), Vec<PartialMsg>)>();
-        self.partial.capacity() * table + self.partial.values().map(msgs).sum::<usize>()
+        macedon_sim::table_bytes(&self.partial) + self.partial.values().map(msgs).sum::<usize>()
     }
 }
 
