@@ -41,6 +41,8 @@
 //! output file).
 
 use macedon_bench::experiments::{scenario_churn_run, scenario_scale_run};
+use macedon_core::json::{self, Fixed};
+use macedon_core::json_fields;
 use std::time::Instant;
 
 /// Seed-measured efficiency on the 200-node churn run, fixed at the
@@ -111,7 +113,6 @@ fn main() {
 
     // -- scaling curve: events/sec at each population -----------------------
     let mut curve = Vec::new();
-    let mut eps_by_nodes: Vec<(usize, f64)> = Vec::new();
     for &n in &sizes {
         reset_peak_rss();
         let start = Instant::now();
@@ -119,20 +120,22 @@ fn main() {
         let secs = start.elapsed().as_secs_f64();
         let eps = s.events as f64 / secs;
         let peak = peak_rss_mb();
-        let rss = peak.map_or("null".to_string(), |mb| format!("{mb:.1}"));
         let m = &s.bytes_per_node;
         // The share of the peak resident set the census accounts for.
         let coverage = peak.map(|mb| m.counted * n as f64 / (mb * 1024.0 * 1024.0));
-        let coverage = coverage.map_or("null".to_string(), |c| format!("{c:.3}"));
+        let or_dash = |v: Option<f64>, digits| v.map_or("-".into(), |v| format!("{v:.digits$}"));
         println!(
             "scale: {n} nodes, {} events, {} delivered, {} alive, \
-             {secs:.2} s wall, {eps:.0} events/sec, peak RSS {rss} MiB",
-            s.events, s.delivered, s.alive
+             {secs:.2} s wall, {eps:.0} events/sec, peak RSS {} MiB",
+            s.events,
+            s.delivered,
+            s.alive,
+            or_dash(peak, 1)
         );
         println!(
             "  bytes/node: reliable conns {:.0} ({:.1} conns, {:.2} busy), conn free list {:.0}, \
              datagram reassembly {:.0}, engine maps {:.0}, measure ledger {:.0}, \
-             route tables {:.0}; counted {:.0}, coverage {coverage} of peak RSS",
+             route tables {:.0}; counted {:.0}, coverage {} of peak RSS",
             m.reliable_conns,
             m.conns,
             m.busy_conns,
@@ -141,7 +144,8 @@ fn main() {
             m.engine_maps,
             m.measure_ledger,
             m.route_tables,
-            m.counted
+            m.counted,
+            or_dash(coverage, 3)
         );
         assert!(s.delivered > 0, "{n}-node scale run must deliver traffic");
         if let (10_000, Some(mb)) = (n, peak) {
@@ -150,33 +154,12 @@ fn main() {
                 "10k-node run peaked at {mb:.1} MiB, ceiling is {CEILING_10K_RSS_MB} MiB"
             );
         }
-        eps_by_nodes.push((n, eps));
-        curve.push(format!(
-            "    {{ \"nodes\": {n}, \"events\": {}, \"delivered\": {}, \"alive\": {}, \
-             \"wall_secs\": {secs:.2}, \"events_per_sec\": {eps:.0}, \
-             \"peak_rss_mb\": {rss}, \"coverage\": {coverage},\n      \
-             \"conns_per_node\": {:.2}, \"busy_conns_per_node\": {:.3},\n      \
-             \"bytes_per_node\": {{ \"reliable_conns\": {:.0}, \"conn_free_list\": {:.0}, \
-             \"datagram_reassembly\": {:.0}, \"engine_maps\": {:.0}, \"measure_ledger\": {:.0}, \
-             \"route_tables\": {:.0}, \"counted\": {:.0} }} }}",
-            s.events,
-            s.delivered,
-            s.alive,
-            m.conns,
-            m.busy_conns,
-            m.reliable_conns,
-            m.conn_free_list,
-            m.datagram_reassembly,
-            m.engine_maps,
-            m.measure_ledger,
-            m.route_tables,
-            m.counted
-        ));
+        curve.push((n, s, secs, eps, peak, coverage));
     }
     // The dip tracker: events/sec at 100k over events/sec at 10k. Flat
     // scheduler cost keeps this near 1.0; the pre-dense-state engine
     // measured 0.61 here.
-    let eps_at = |n: usize| eps_by_nodes.iter().find(|&&(m, _)| m == n).map(|&(_, e)| e);
+    let eps_at = |n: usize| curve.iter().find(|p| p.0 == n).map(|p| p.3);
     let dip_ratio = match (eps_at(100_000), eps_at(10_000)) {
         (Some(big), Some(mid)) if mid > 0.0 => Some(big / mid),
         _ => None,
@@ -185,26 +168,35 @@ fn main() {
         println!("scale: 100k/10k events-per-sec ratio {r:.2} (seed engine: 0.61)");
     }
 
-    let dip_json = dip_ratio
-        .map(|r| format!("{r:.2}"))
-        .unwrap_or_else(|| "null".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"efficiency\": {{\n    \"nodes\": 200, \
-         \"events\": {}, \"delivered\": {}, \"events_per_delivered\": {epd:.2},\n    \
-         \"baseline_events_per_delivered\": {BASELINE_EVENTS_PER_DELIVERED}, \
-         \"reduction\": {reduction:.2},\n    \
-         \"breakdown\": {{ \"net\": {}, \"conn_timer\": {}, \"agent_timer\": {}, \
-         \"fd_tick\": {}, \"control\": {} }}\n  }},\n  \"curve\": [\n{}\n  ],\n  \
-         \"eps_ratio_100k_over_10k\": {dip_json}\n}}\n",
-        stats.events,
-        stats.delivered,
-        b.net,
-        b.conn_timer,
-        b.agent_timer,
-        b.fd_tick,
-        b.control,
-        curve.join(",\n"),
-    );
+    let mut json = String::new();
+    json::document(&mut json, json::DOCUMENT, |o| {
+        o.field("bench", "scale");
+        o.object("efficiency", |o| {
+            json_fields!(o; nodes: 200, events: stats.events, delivered: stats.delivered,
+                events_per_delivered: Fixed(epd, 2),
+                baseline_events_per_delivered: Fixed(BASELINE_EVENTS_PER_DELIVERED, 2),
+                reduction: Fixed(reduction, 2));
+            o.object("breakdown", |o| {
+                json_fields!(o; net: b.net, conn_timer: b.conn_timer, agent_timer: b.agent_timer,
+                    fd_tick: b.fd_tick, control: b.control);
+            });
+        });
+        o.records("curve", &curve, |o, (n, s, secs, eps, peak, coverage)| {
+            let m = &s.bytes_per_node;
+            json_fields!(o; nodes: n, events: s.events, delivered: s.delivered, alive: s.alive,
+                wall_secs: Fixed(*secs, 2), events_per_sec: Fixed(*eps, 0),
+                peak_rss_mb: peak.map(|mb| Fixed(mb, 1)), coverage: coverage.map(|c| Fixed(c, 3)),
+                conns_per_node: Fixed(m.conns, 2), busy_conns_per_node: Fixed(m.busy_conns, 3));
+            o.object("bytes_per_node", |o| {
+                json_fields!(o; reliable_conns: Fixed(m.reliable_conns, 0),
+                    conn_free_list: Fixed(m.conn_free_list, 0),
+                    datagram_reassembly: Fixed(m.datagram_reassembly, 0),
+                    engine_maps: Fixed(m.engine_maps, 0), measure_ledger: Fixed(m.measure_ledger, 0),
+                    route_tables: Fixed(m.route_tables, 0), counted: Fixed(m.counted, 0));
+            });
+        });
+        o.field("eps_ratio_100k_over_10k", dip_ratio.map(|r| Fixed(r, 2)));
+    });
     match std::fs::write(&out, &json) {
         Ok(()) => println!("(wrote {out})"),
         Err(e) => eprintln!("{out}: {e}"),

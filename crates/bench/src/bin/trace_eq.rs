@@ -10,19 +10,19 @@
 //!    cross-layer delivery path: application send at the origin,
 //!    a forwarding hop that minted a child span under the inbound
 //!    context, and a top-layer deliver at the destination,
-//! 4. a Perfetto-loadable export (pass `--out trace.json` to keep it).
+//! 4. a Perfetto export with a line for every record (pass
+//!    `--out trace.json` to keep it).
 //!
 //! Exits non-zero on any violation. Scale down with `--nodes N` for
 //! quick local runs; CI runs the full 200.
 
 use macedon_core::app::{shared_deliveries, CollectorApp};
 use macedon_core::{
-    perfetto_json, Bytes, DownCall, Duration, MacedonKey, SpanId, Time, TraceEvent, TraceLevel,
-    TraceRecord, World, WorldConfig,
+    perfetto_json, Bytes, DownCall, Duration, MacedonKey, SpanForest, SpanId, Time, TraceEvent,
+    TraceLevel, TraceRecord, World, WorldConfig,
 };
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, LinkSpec};
-use std::collections::HashMap;
 
 fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -96,34 +96,17 @@ fn build_world(kind: &Kind, n: usize, seed: u64, shards: usize, workers: usize) 
     w
 }
 
-fn stream(w: &World) -> String {
-    let records = w.merged_trace();
-    let mut out = String::with_capacity(records.len() * 64);
-    for r in records {
-        out.push_str(&r.render());
-        out.push('\n');
-    }
-    out
+/// The run's span forest; a trace that is not one fails the gate.
+fn forest(w: &World) -> SpanForest {
+    SpanForest::build(&w.merged_trace()).unwrap_or_else(|e| {
+        println!("FAIL: {e}");
+        std::process::exit(1)
+    })
 }
 
-/// Walk the forest and reconstruct one multi-hop cross-layer delivery
-/// path; returns its description or an error.
-fn find_delivery_path(records: &[&TraceRecord]) -> Result<String, String> {
-    // span -> (minting record index, parent context at mint time)
-    let mut mints: HashMap<u64, (usize, SpanId)> = HashMap::new();
-    for (i, r) in records.iter().enumerate() {
-        if !r.span.is_none() && !mints.contains_key(&r.span.0) {
-            return Err(format!(
-                "context {:016x} referenced before mint at index {i}",
-                r.span.0
-            ));
-        }
-        if let TraceEvent::Send { span, .. } = &r.event {
-            if mints.insert(span.0, (i, r.span)).is_some() {
-                return Err(format!("span {:016x} minted twice", span.0));
-            }
-        }
-    }
+/// Search the forest for one multi-hop cross-layer delivery path;
+/// returns its description or an error.
+fn find_delivery_path(records: &[&TraceRecord], forest: &SpanForest) -> Result<String, String> {
     // A complete path: a Deliver above the transport layer whose context
     // chains through at least one forwarding Send back to a root
     // application send, crossing at least three distinct nodes.
@@ -134,27 +117,20 @@ fn find_delivery_path(records: &[&TraceRecord]) -> Result<String, String> {
         if r.layer == 0 || r.span.is_none() {
             continue;
         }
-        // Walk mint parentage back to the root.
-        let mut hops = Vec::new(); // (record, minted span) oldest-last
-        let mut cur = r.span;
-        while !cur.is_none() {
-            let &(idx, parent) = mints.get(&cur.0).unwrap();
-            hops.push((records[idx], cur));
-            cur = parent;
-        }
+        // (minting record, minted span), oldest last.
+        let mut hops: Vec<(&TraceRecord, SpanId)> = forest
+            .lineage(r.span)
+            .into_iter()
+            .map(|(idx, span)| (records[idx], span))
+            .collect();
         if hops.len() < 2 {
             continue; // single-hop: delivered straight from the origin
         }
         let mut nodes: Vec<u32> = hops.iter().map(|(m, _)| m.node.0).collect();
         nodes.push(r.node.0);
+        nodes.sort_unstable();
         nodes.dedup();
-        let distinct = {
-            let mut s = nodes.clone();
-            s.sort_unstable();
-            s.dedup();
-            s.len()
-        };
-        if distinct < 3 {
+        if nodes.len() < 3 {
             continue;
         }
         hops.reverse();
@@ -188,7 +164,7 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let interp_1w = build_world(&Kind::Interpreted, nodes, seed, 4, 1);
-    let want = stream(&interp_1w);
+    let want = forest(&interp_1w);
     println!(
         "interpreted 4-shard/1-worker: {} records ({} dropped) in {:.2}s",
         interp_1w.trace_records_total(),
@@ -206,8 +182,8 @@ fn main() {
     ] {
         let t = std::time::Instant::now();
         let w = build_world(&kind, nodes, seed, 4, workers);
-        let got = stream(&w);
-        let ok = got == want;
+        let got = forest(&w).stream;
+        let ok = got == want.stream;
         println!(
             "{label}: {} records in {:.2}s -> {}",
             w.trace_records_total(),
@@ -215,7 +191,7 @@ fn main() {
             if ok { "byte-identical" } else { "DIVERGED" }
         );
         if !ok {
-            for (i, (a, b)) in want.lines().zip(got.lines()).enumerate() {
+            for (i, (a, b)) in want.stream.lines().zip(got.lines()).enumerate() {
                 if a != b {
                     println!("  first divergence at line {i}:\n  - {a}\n  + {b}");
                     break;
@@ -225,7 +201,8 @@ fn main() {
         }
     }
 
-    match find_delivery_path(&interp_1w.merged_trace()) {
+    let records = interp_1w.merged_trace();
+    match find_delivery_path(&records, &want) {
         Ok(path) => println!("delivery path: {path}"),
         Err(e) => {
             println!("FAIL: {e}");
@@ -233,9 +210,12 @@ fn main() {
         }
     }
 
-    let json = perfetto_json(&interp_1w.merged_trace(), &interp_1w.profile());
-    if !(json.starts_with("{\"traceEvents\":[") && json.ends_with("]}\n")) {
-        println!("FAIL: perfetto export malformed");
+    // The export's bytes are pinned in `macedon_core::export`; here it
+    // must carry every record, one line each between the document's
+    // first and last lines.
+    let json = perfetto_json(&records, &interp_1w.profile());
+    if json.lines().count() < records.len() + 2 {
+        println!("FAIL: perfetto export lost records");
         failed = true;
     }
     if let Some(path) = arg_value("--out") {

@@ -1,5 +1,7 @@
 //! Minimal aligned-table printer for experiment output.
 
+use macedon_core::json;
+
 /// Print a header and aligned rows of (label, values...).
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
@@ -30,24 +32,17 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// Write rows as CSV next to stdout output when `--csv <path>` is given.
 pub fn maybe_write_csv(headers: &[&str], rows: &[Vec<String>]) {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--csv" {
-            if let Some(path) = args.next() {
-                let mut out = String::new();
-                out.push_str(&headers.join(","));
-                out.push('\n');
-                for row in rows {
-                    out.push_str(&row.join(","));
-                    out.push('\n');
-                }
-                match std::fs::write(&path, out) {
-                    Ok(()) => println!("(wrote {path})"),
-                    Err(e) => eprintln!("--csv {path}: {e}"),
-                }
-            }
-            return;
-        }
+    let Some(path) = std::env::args().skip_while(|a| a != "--csv").nth(1) else {
+        return;
+    };
+    let mut out = String::new();
+    json::csv_row(&mut out, |r| r.cells(headers));
+    for row in rows {
+        json::csv_row(&mut out, |r| r.cells(row));
+    }
+    match std::fs::write(&path, out) {
+        Ok(()) => println!("(wrote {path})"),
+        Err(e) => eprintln!("--csv {path}: {e}"),
     }
 }
 

@@ -17,30 +17,7 @@
 
 use crate::trace::{TraceEvent, TraceRecord};
 use crate::world::ShardProfile;
-use std::fmt::Write;
-
-/// Quote and escape a string for JSON output (control characters,
-/// quotes and backslashes; everything else passes through as UTF-8).
-/// The one escaper behind every JSON document the workspace writes.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use crate::{json, json_fields};
 
 fn event_name(e: &TraceEvent) -> &'static str {
     match e {
@@ -60,80 +37,58 @@ fn event_name(e: &TraceEvent) -> &'static str {
 /// Render the merged trace (plus optional worker profiles) as a
 /// Perfetto-loadable JSON document.
 pub fn perfetto_json(records: &[&TraceRecord], profile: &[ShardProfile]) -> String {
-    let mut ev: Vec<String> = Vec::with_capacity(records.len() + 16);
-    // Process/thread labels so lanes read as "node 3" / "shard 1".
-    ev.push(
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"virtual time (nodes)\"}}"
-            .to_string(),
-    );
-    if profile.iter().any(|p| !p.samples.is_empty()) {
-        ev.push(
-            "{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"wall clock (shard workers)\"}}"
-                .to_string(),
-        );
-    }
-    for r in records {
-        let name = event_name(&r.event);
-        ev.push(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
-             \"tid\":{tid},\"ts\":{ts},\"args\":{{\"layer\":{layer},\
-             \"level\":\"{level:?}\",\"ctx\":\"{ctx:016x}\",\
-             \"details\":{details}}}}}",
-            tid = r.node.0,
-            ts = r.at.as_micros(),
-            layer = r.layer,
-            level = r.level,
-            ctx = r.span.0,
-            details = json_string(&r.event.render()),
-        ));
-        match &r.event {
-            // A send opens the flow arrow under the *minted* span id...
-            TraceEvent::Send { span, .. } => {
-                ev.push(format!(
-                    "{{\"name\":\"span\",\"cat\":\"causal\",\"ph\":\"s\",\
-                     \"pid\":1,\"tid\":{tid},\"ts\":{ts},\"id\":{id}}}",
-                    tid = r.node.0,
-                    ts = r.at.as_micros(),
-                    id = span.0,
-                ));
+    let mut out = String::with_capacity(records.len() * 160 + 256);
+    json::document(&mut out, json::COMPACT, |doc| {
+        doc.lines("traceEvents", |ev| {
+            // Process labels, so lanes read as "node 3" / "shard 1".
+            let mut process = |pid: u32, name: &str| {
+                ev.record(|e| {
+                    json_fields!(e; ph: "M", pid: pid, name: "process_name");
+                    e.object("args", |a| a.field("name", name));
+                })
+            };
+            process(1, "virtual time (nodes)");
+            if profile.iter().any(|p| !p.samples.is_empty()) {
+                process(2, "wall clock (shard workers)");
             }
-            // ...and the delivery dispatching under that span closes it.
-            TraceEvent::Deliver { .. } if !r.span.is_none() => {
-                ev.push(format!(
-                    "{{\"name\":\"span\",\"cat\":\"causal\",\"ph\":\"f\",\
-                     \"bp\":\"e\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\
-                     \"id\":{id}}}",
-                    tid = r.node.0,
-                    ts = r.at.as_micros(),
-                    id = r.span.0,
-                ));
+            for r in records {
+                let (tid, ts) = (r.node.0, r.at.as_micros());
+                ev.record(|e| {
+                    json_fields!(e; name: event_name(&r.event), ph: "i", s: "t", pid: 1, tid: tid,
+                        ts: ts);
+                    e.object("args", |a| {
+                        json_fields!(a; layer: r.layer, level: r.level.name(),
+                            ctx: format!("{:016x}", r.span.0), details: r.event.render());
+                    });
+                });
+                let (ph, id) = match &r.event {
+                    // A send opens the flow arrow under the *minted* span id...
+                    TraceEvent::Send { span, .. } => ("s", span.0),
+                    // ...and the delivery dispatching under that span closes it.
+                    TraceEvent::Deliver { .. } if !r.span.is_none() => ("f", r.span.0),
+                    _ => continue,
+                };
+                ev.record(|e| {
+                    json_fields!(e; name: "span", cat: "causal", ph: ph);
+                    if ph == "f" {
+                        e.field("bp", "e");
+                    }
+                    json_fields!(e; pid: 1, tid: tid, ts: ts, id: id);
+                });
             }
-            _ => {}
-        }
-    }
-    for (sid, p) in profile.iter().enumerate() {
-        for &(window_start_us, drain_ns) in &p.samples {
-            ev.push(format!(
-                "{{\"name\":\"window drain\",\"ph\":\"X\",\"pid\":2,\
-                 \"tid\":{sid},\"ts\":{window_start_us},\"dur\":{dur},\
-                 \"args\":{{\"wall_ns\":{drain_ns}}}}}",
-                // Duration axis is wall µs plotted on the virtual
-                // timeline: long slices mark expensive windows.
-                dur = (drain_ns / 1000).max(1),
-            ));
-        }
-    }
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, e) in ev.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(e);
-    }
-    out.push_str("\n]}\n");
+            for (sid, p) in profile.iter().enumerate() {
+                for &(window_start_us, drain_ns) in &p.samples {
+                    ev.record(|e| {
+                        // Duration axis is wall µs plotted on the virtual
+                        // timeline: long slices mark expensive windows.
+                        json_fields!(e; name: "window drain", ph: "X", pid: 2, tid: sid,
+                            ts: window_start_us, dur: (drain_ns / 1000).max(1));
+                        e.object("args", |a| a.field("wall_ns", drain_ns));
+                    });
+                }
+            }
+        });
+    });
     out
 }
 
@@ -209,6 +164,48 @@ mod tests {
         let a = rec(1, 0, SpanId::NONE, TraceEvent::Custom { msg });
         let json = perfetto_json(&[&a], &[]);
         assert!(json.contains(r#""details":"a\"b\\c\nd\u0001"}"#), "{json}");
+    }
+
+    /// Pins every byte of the document: metadata, instant, flow and
+    /// wall-lane records, escaping, separators and the closing newline.
+    #[test]
+    fn perfetto_document_is_pinned() {
+        let span = SpanId::mint(NodeId(1), 1);
+        let send = TraceEvent::Send {
+            span,
+            dst: NodeId(2),
+            channel: crate::ChannelId(0),
+            bytes: 8,
+        };
+        let deliver = TraceEvent::Deliver {
+            from: NodeId(1),
+            bytes: 8,
+        };
+        let custom = TraceEvent::Custom {
+            msg: "say \"hi\"\u{1}".to_string(),
+        };
+        let (a, b, c) = (
+            rec(100, 1, SpanId::NONE, send),
+            rec(250, 2, span, deliver),
+            rec(300, 2, span, custom),
+        );
+        let p = ShardProfile {
+            samples: vec![(400, 5_000)],
+            ..Default::default()
+        };
+        let got = perfetto_json(&[&a, &b, &c], &[p]);
+        let want = r#"{"traceEvents":[
+{"ph":"M","pid":1,"name":"process_name","args":{"name":"virtual time (nodes)"}},
+{"ph":"M","pid":2,"name":"process_name","args":{"name":"wall clock (shard workers)"}},
+{"name":"send","ph":"i","s":"t","pid":1,"tid":1,"ts":100,"args":{"layer":0,"level":"Med","ctx":"0000000000000000","details":"send span=0000000100000001 dst=n2 ch=0 b=8"}},
+{"name":"span","cat":"causal","ph":"s","pid":1,"tid":1,"ts":100,"id":4294967297},
+{"name":"deliver","ph":"i","s":"t","pid":1,"tid":2,"ts":250,"args":{"layer":0,"level":"Med","ctx":"0000000100000001","details":"deliver from=n1 b=8"}},
+{"name":"span","cat":"causal","ph":"f","bp":"e","pid":1,"tid":2,"ts":250,"id":4294967297},
+{"name":"custom","ph":"i","s":"t","pid":1,"tid":2,"ts":300,"args":{"layer":0,"level":"Med","ctx":"0000000100000001","details":"say \"hi\"\u0001"}},
+{"name":"window drain","ph":"X","pid":2,"tid":0,"ts":400,"dur":5,"args":{"wall_ns":5000}}
+]}
+"#;
+        assert_eq!(got, want);
     }
 
     #[test]

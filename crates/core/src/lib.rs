@@ -27,6 +27,7 @@ pub mod agent;
 pub mod api;
 pub mod app;
 pub mod export;
+pub mod json;
 pub mod key;
 pub mod measure;
 pub mod neighbors;
@@ -45,7 +46,7 @@ pub use measure::{MeasureLedger, MeasureSummary};
 pub use neighbors::NeighborList;
 pub use stack::{Stack, StackEffect};
 pub use telemetry::{Telemetry, TelemetryReport, TelemetrySample, TELEMETRY_COLUMNS};
-pub use trace::{SpanId, TraceEvent, TraceLevel, TraceRecord, TraceSink};
+pub use trace::{SpanForest, SpanId, TraceEvent, TraceLevel, TraceRecord, TraceSink};
 pub use wire::{DecodeError, WireReader, WireRef, WireWriter};
 pub use world::{
     proto_header, EventClassCounts, HeapCensus, ShardProfile, World, WorldConfig, WorldEvent,

@@ -12,6 +12,7 @@
 //! simulation state, so a run with telemetry enabled produces exactly
 //! the same results as one without.
 
+use crate::json;
 use crate::world::World;
 use macedon_sim::{Duration, Time};
 
@@ -97,17 +98,11 @@ impl TelemetrySample {
         ]
     }
 
-    /// One JSON object, keys in [`TELEMETRY_COLUMNS`] order.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (k, v)) in TELEMETRY_COLUMNS.iter().zip(self.values()).enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{k}\":{v}"));
+    /// Write the sample's members, keys in [`TELEMETRY_COLUMNS`] order.
+    pub fn write_json(&self, o: &mut json::Obj) {
+        for (k, v) in TELEMETRY_COLUMNS.iter().zip(self.values()) {
+            o.field(k, v);
         }
-        s.push('}');
-        s
     }
 }
 
@@ -209,20 +204,17 @@ impl TelemetryReport {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in &self.samples {
-            out.push_str(&s.to_json());
-            out.push('\n');
+            json::document(&mut out, json::COMPACT, |o| s.write_json(o));
         }
         out
     }
 
     /// CSV with the [`TELEMETRY_COLUMNS`] header.
     pub fn to_csv(&self) -> String {
-        let mut out = TELEMETRY_COLUMNS.join(",");
-        out.push('\n');
+        let mut out = String::new();
+        json::csv_row(&mut out, |r| r.cells(TELEMETRY_COLUMNS));
         for s in &self.samples {
-            let row: Vec<String> = s.values().iter().map(|v| v.to_string()).collect();
-            out.push_str(&row.join(","));
-            out.push('\n');
+            json::csv_row(&mut out, |r| r.cells(s.values()));
         }
         out
     }

@@ -21,7 +21,7 @@
 use macedon_net::{DropReason, NodeId};
 use macedon_sim::Time;
 use macedon_transport::ChannelId;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Automatic tracing level (paper: `trace_ off|low|med|high`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
@@ -31,6 +31,13 @@ pub enum TraceLevel {
     Low,
     Med,
     High,
+}
+
+impl TraceLevel {
+    /// The level's name in exported traces.
+    pub fn name(self) -> &'static str {
+        ["Off", "Low", "Med", "High"][self as usize]
+    }
 }
 
 /// A causal span identifier: `node.0 << 32 | per-stack counter`, minted
@@ -148,6 +155,58 @@ impl TraceRecord {
             self.span.0,
             self.event.render()
         )
+    }
+}
+
+/// A merged trace checked as a span forest: every record's causal
+/// context is `NONE` (a root) or a span some strictly earlier `Send`
+/// minted, and no span is minted twice.
+pub struct SpanForest {
+    /// One [`TraceRecord::render`] line per record, in stream order: the
+    /// byte-equality surface the cross-backend and cross-worker gates
+    /// compare.
+    pub stream: String,
+    /// span -> (index of the `Send` record that minted it, the context
+    /// it was minted under).
+    mints: HashMap<u64, (usize, SpanId)>,
+}
+
+impl SpanForest {
+    /// Render `records` (a merged stream, in order) and check that they
+    /// form a span forest; the error names the first record that breaks it.
+    pub fn build(records: &[&TraceRecord]) -> Result<SpanForest, String> {
+        let mut stream = String::with_capacity(records.len() * 64);
+        let mut mints = HashMap::new();
+        for (i, r) in records.iter().enumerate() {
+            stream.push_str(&r.render());
+            stream.push('\n');
+            // The record's own context must already exist (for a Send,
+            // the parent context, checked before its mint below).
+            if !r.span.is_none() && !mints.contains_key(&r.span.0) {
+                let span = r.span.0;
+                return Err(format!(
+                    "context {span:016x} referenced before mint at index {i}"
+                ));
+            }
+            if let TraceEvent::Send { span, .. } = r.event {
+                if mints.insert(span.0, (i, r.span)).is_some() {
+                    return Err(format!("span {:016x} minted twice at index {i}", span.0));
+                }
+            }
+        }
+        Ok(SpanForest { stream, mints })
+    }
+
+    /// `span`'s mint parentage back to its root: the index of each
+    /// minting `Send` record with the span it minted, `span`'s own mint
+    /// first. Empty for `NONE`.
+    pub fn lineage(&self, mut span: SpanId) -> Vec<(usize, SpanId)> {
+        let mut hops = Vec::new();
+        while let Some(&(i, parent)) = self.mints.get(&span.0) {
+            hops.push((i, span));
+            span = parent;
+        }
+        hops
     }
 }
 
@@ -418,6 +477,63 @@ mod tests {
             "      1500 n3    L1 Med ctx=0000000200000009 \
              send span=0000000300000001 dst=n4 ch=2 b=128"
         );
+    }
+
+    fn at(us: u64, span: SpanId, event: TraceEvent) -> TraceRecord {
+        TraceRecord {
+            at: Time::from_micros(us),
+            node: span.minted_by(),
+            layer: 0,
+            level: TraceLevel::High,
+            span,
+            seq: 0,
+            event,
+        }
+    }
+
+    fn send(parent: SpanId, minted: SpanId) -> TraceRecord {
+        let event = TraceEvent::Send {
+            span: minted,
+            dst: NodeId(9),
+            channel: ChannelId(0),
+            bytes: 1,
+        };
+        at(0, parent, event)
+    }
+
+    #[test]
+    fn span_forest_renders_and_walks_parentage() {
+        let (a, b) = (SpanId::mint(NodeId(1), 1), SpanId::mint(NodeId(2), 1));
+        let recs = [
+            send(SpanId::NONE, a),
+            send(a, b),
+            at(5, b, custom("delivered")),
+        ];
+        let refs: Vec<&TraceRecord> = recs.iter().collect();
+        let f = SpanForest::build(&refs).unwrap();
+        assert_eq!(f.stream.lines().count(), 3);
+        assert!(f.stream.ends_with("ctx=0000000200000001 delivered\n"));
+        assert_eq!(f.lineage(b), vec![(1, b), (0, a)]);
+        assert!(f.lineage(SpanId::NONE).is_empty());
+    }
+
+    #[test]
+    fn span_forest_rejects_a_context_referenced_before_its_mint() {
+        let a = SpanId::mint(NodeId(1), 1);
+        let (early, mint) = (at(0, a, custom("early")), send(SpanId::NONE, a));
+        let e = SpanForest::build(&[&early, &mint]).err().unwrap();
+        assert_eq!(
+            e,
+            "context 0000000100000001 referenced before mint at index 0"
+        );
+    }
+
+    #[test]
+    fn span_forest_rejects_a_span_minted_twice() {
+        let a = SpanId::mint(NodeId(1), 1);
+        let (first, again) = (send(SpanId::NONE, a), send(SpanId::NONE, a));
+        let e = SpanForest::build(&[&first, &again]).err().unwrap();
+        assert_eq!(e, "span 0000000100000001 minted twice at index 1");
     }
 
     #[test]

@@ -61,6 +61,9 @@ use std::sync::{Arc, Barrier, Mutex};
 /// have (RTO or delayed-ack, per (owner, peer, channel)).
 type ConnTimerSlot = (NodeId, NodeId, ChannelId, TimerKind);
 
+/// Failure-detector sweep period.
+const FD_TICK: Duration = Duration::from_secs(1);
+
 /// Engine heartbeat message types.
 const HB_REQ: u16 = 1;
 const HB_RESP: u16 = 2;
@@ -79,8 +82,6 @@ pub struct WorldConfig {
     pub fd_g: Duration,
     /// Silence threshold before declaring failure (`f`).
     pub fd_f: Duration,
-    /// Failure-detector sweep period.
-    pub fd_tick: Duration,
     pub net: NetworkConfig,
     /// Number of shards the world is partitioned into (clamped to the
     /// host count). `1` is the classic sequential engine; `> 1` enables
@@ -105,7 +106,6 @@ impl Default for WorldConfig {
             trace_level: TraceLevel::Off,
             fd_g: Duration::from_secs(5),
             fd_f: Duration::from_secs(15),
-            fd_tick: Duration::from_secs(1),
             net: NetworkConfig::default(),
             shards: 1,
             profile: false,
@@ -431,7 +431,7 @@ impl Shard {
                 }
                 self.process_effects(now, node, fx);
                 self.sched
-                    .schedule(now + self.cfg.fd_tick, WorldEvent::FdTick { node });
+                    .schedule(now + FD_TICK, WorldEvent::FdTick { node });
             }
             WorldEvent::Api { node, call } => {
                 let mut fx = self.take_fx();
@@ -775,7 +775,7 @@ impl Shard {
     }
 
     fn fd_sweep(&mut self, now: Time, node: NodeId) {
-        let (g, f, tick) = (self.cfg.fd_g, self.cfg.fd_f, self.cfg.fd_tick);
+        let (g, f) = (self.cfg.fd_g, self.cfg.fd_f);
         if !self.ns(node).is_some_and(|ns| ns.alive) {
             return;
         }
@@ -818,7 +818,8 @@ impl Shard {
                 self.process_effects(now, node, fx);
             }
         }
-        self.sched.schedule(now + tick, WorldEvent::FdTick { node });
+        self.sched
+            .schedule(now + FD_TICK, WorldEvent::FdTick { node });
     }
 }
 
@@ -2010,7 +2011,6 @@ mod tests {
     #[test]
     fn run_until_sharded_matches_sequential() {
         let n = 10;
-        // No FD traffic keeps the event set finite: ping once, done.
         let build = |shards: usize| {
             let topo = canned::star(n, LinkSpec::lan());
             let hosts = topo.hosts().to_vec();
@@ -2018,7 +2018,6 @@ mod tests {
                 topo,
                 WorldConfig {
                     shards,
-                    fd_tick: Duration::from_secs(3600),
                     ..WorldConfig::default()
                 },
             );

@@ -42,6 +42,7 @@ pub struct NeighborType {
     pub name: String,
     /// Maximum entries (`MAX_CHILDREN` style); default 1.
     pub max: usize,
+    /// Entry fields; the lowering rejects any, since nothing reads them.
     pub fields: Vec<Field>,
 }
 
@@ -50,6 +51,8 @@ pub struct NeighborType {
 pub struct Field {
     pub ty: TypeName,
     pub name: String,
+    /// Source line and column of the field.
+    pub at: (u32, u32),
 }
 
 /// Surface types of the language.

@@ -25,6 +25,18 @@ mod tests {
     }
 
     #[test]
+    fn neighbor_entry_fields_rejected_at_the_field() {
+        let e = check(
+            "protocol p; addressing ip;
+             neighbor_types { parent 1 { } kids 4 { int delay; } }",
+        )
+        .unwrap_err();
+        assert_eq!((e.line, e.col), (2, 53), "{e}");
+        assert!(e.msg.contains("neighbor type 'kids' declares entry fields"));
+        assert!(e.msg.contains("ROADMAP item 2"), "{}", e.msg);
+    }
+
+    #[test]
     fn duplicate_state_rejected() {
         let e = check("protocol p; addressing ip; states { a; a; }").unwrap_err();
         assert!(e.msg.contains("duplicate state"));

@@ -500,6 +500,17 @@ impl<'s> Lowerer<'s> {
         if let Some(n) = duplicate(spec.neighbor_types.iter().map(|n| n.name.as_str())) {
             return Err(err(format!("duplicate neighbor type '{n}'")));
         }
+        for n in &spec.neighbor_types {
+            if let Some(f) = n.fields.first() {
+                let msg = format!(
+                    "neighbor type '{}' declares entry fields, which nothing can read: \
+                     keyed neighbor state is ROADMAP item 2",
+                    n.name
+                );
+                let (line, col) = f.at;
+                return Err(ParseError { line, col, msg });
+            }
+        }
         if let Some(t) = duplicate(spec.transports.iter().map(|t| t.name.as_str())) {
             return Err(err(format!("duplicate transport '{t}'")));
         }

@@ -19,7 +19,7 @@
 //!
 //! constants { PINT = 10000; }
 //! states { joining; probing; probed; joined; }
-//! neighbor_types { oparent 1 { } ochildren 8 { int delay; } }
+//! neighbor_types { oparent 1 { } ochildren 8 { } }
 //! transports { SWP HIGHEST; TCP HIGH; UDP BEST_EFFORT; }
 //! messages { BEST_EFFORT join { node who; } HIGHEST join_reply { int response; } }
 //! state_variables {

@@ -200,10 +200,11 @@ impl Parser {
         self.expect(TokenKind::LBrace)?;
         let mut out = Vec::new();
         while !self.eat(&TokenKind::RBrace) {
+            let at = (self.peek().line, self.peek().col);
             let ty = self.type_name()?;
             let name = self.ident()?;
             self.expect(TokenKind::Semi)?;
-            out.push(Field { ty, name });
+            out.push(Field { ty, name, at });
         }
         Ok(out)
     }

@@ -7,8 +7,9 @@
 //! internals, so the same report shape works for interpreted, generated
 //! and native stacks alike.
 
-use macedon_core::export::json_string;
-use macedon_core::{Duration, NodeId, TelemetryReport, Time};
+#[cfg(test)]
+use macedon_core::json::json_string;
+use macedon_core::{json, json_fields, Duration, NodeId, TelemetryReport, Time};
 use std::fmt::Write as _;
 
 /// Per-node delivery metrics.
@@ -86,17 +87,12 @@ impl LatencySummary {
         })
     }
 
-    /// The summary as the JSON object the run and sweep reports embed,
-    /// times in integer microseconds.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"samples\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-            self.samples,
-            self.p50.as_micros(),
-            self.p95.as_micros(),
-            self.p99.as_micros(),
-            self.max.as_micros(),
-        )
+    /// Write the members of the JSON object the run and sweep reports
+    /// embed, times in integer microseconds.
+    pub(crate) fn write_json(&self, o: &mut json::Obj) {
+        json_fields!(o; samples: self.samples, p50_us: self.p50.as_micros(),
+            p95_us: self.p95.as_micros(), p99_us: self.p99.as_micros(),
+            max_us: self.max.as_micros());
     }
 }
 
@@ -190,110 +186,41 @@ impl MetricsReport {
     /// locale-independent, and optional latencies/convergences render
     /// as `null`.
     pub fn to_json(&self) -> String {
-        let opt_us = |d: Option<Duration>| match d {
-            Some(d) => d.as_micros().to_string(),
-            None => "null".into(),
-        };
-        let latency = self.latency.map_or_else(|| "null".into(), |l| l.to_json());
+        let us = |d: Option<Duration>| d.map(|d| d.as_micros());
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"scenario\": {},\n  \"end_us\": {},\n  \"alive\": {},\n  \
-             \"total_delivered\": {},\n  \"total_bytes\": {},\n  \"net_drops\": {},\n  \
-             \"mean_goodput_bps\": {},\n  \"asserts_passed\": {},\n  \"latency\": {},\n  \
-             \"nodes\": [",
-            json_string(&self.scenario),
-            self.end.as_micros(),
-            self.alive,
-            self.total_delivered,
-            self.total_bytes,
-            self.net_drops,
-            self.mean_goodput_bps(),
-            self.asserts_passed(),
-            latency,
-        );
-        for (i, n) in self.nodes.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"index\": {}, \"node\": {}, \"alive\": {}, \"delivered\": {}, \
-                 \"bytes\": {}, \"mean_latency_us\": {}, \"max_latency_us\": {}, \
-                 \"goodput_bps\": {}}}",
-                if i == 0 { "" } else { "," },
-                n.index,
-                n.node.0,
-                n.alive,
-                n.delivered,
-                n.bytes,
-                opt_us(n.mean_latency),
-                opt_us(n.max_latency),
-                n.goodput_bps,
-            );
-        }
-        let _ = write!(out, "\n  ],\n  \"perturbations\": [");
-        for (i, p) in self.perturbations.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"at_us\": {}, \"what\": {}, \"convergence_us\": {}, \
-                 \"deliveries_during\": {}}}",
-                if i == 0 { "" } else { "," },
-                p.at.as_micros(),
-                json_string(&p.what),
-                opt_us(p.convergence),
-                p.deliveries_during,
-            );
-        }
-        let _ = write!(out, "\n  ],\n  \"channels\": [");
-        for (i, c) in self.channels.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"channel\": {}, \"segments\": {}, \"retransmissions\": {}, \
-                 \"acks\": {}, \"messages\": {}, \"bytes\": {}}}",
-                if i == 0 { "" } else { "," },
-                json_string(&c.channel),
-                c.segments,
-                c.retransmissions,
-                c.acks,
-                c.messages,
-                c.bytes,
-            );
-        }
-        let _ = write!(out, "\n  ],\n  \"oracle_checks\": [");
-        for (i, c) in self.oracle_checks.iter().enumerate() {
-            let violations: Vec<String> = c.violations.iter().map(|v| json_string(v)).collect();
-            let _ = write!(
-                out,
-                "{}\n    {{\"at_us\": {}, \"oracle\": {}, \"expect_converged\": {}, \
-                 \"converged\": {}, \"passed\": {}, \"violations\": [{}]}}",
-                if i == 0 { "" } else { "," },
-                c.at.as_micros(),
-                json_string(&c.oracle),
-                c.expect_converged,
-                c.converged,
-                c.passed,
-                violations.join(", "),
-            );
-        }
-        match &self.telemetry {
-            None => {
-                let _ = write!(out, "\n  ],\n  \"telemetry\": null\n}}\n");
-            }
-            Some(t) => {
-                let _ = write!(
-                    out,
-                    "\n  ],\n  \"telemetry\": {{\"every_us\": {}, \"samples\": [",
-                    t.every_us
-                );
-                for (i, s) in t.samples.iter().enumerate() {
-                    let _ = write!(
-                        out,
-                        "{}\n    {}",
-                        if i == 0 { "" } else { "," },
-                        s.to_json()
-                    );
-                }
-                let _ = write!(out, "\n  ]}}\n}}\n");
-            }
-        }
+        json::document(&mut out, json::DOCUMENT, |o| {
+            json_fields!(o; scenario: self.scenario, end_us: self.end.as_micros(),
+                alive: self.alive, total_delivered: self.total_delivered,
+                total_bytes: self.total_bytes, net_drops: self.net_drops,
+                mean_goodput_bps: self.mean_goodput_bps(), asserts_passed: self.asserts_passed());
+            o.opt_object("latency", self.latency, |o, l| l.write_json(o));
+            o.records("nodes", &self.nodes, |o, n| {
+                json_fields!(o; index: n.index, node: n.node.0, alive: n.alive,
+                    delivered: n.delivered, bytes: n.bytes, mean_latency_us: us(n.mean_latency),
+                    max_latency_us: us(n.max_latency), goodput_bps: n.goodput_bps);
+            });
+            o.records("perturbations", &self.perturbations, |o, p| {
+                json_fields!(o; at_us: p.at.as_micros(), what: p.what,
+                    convergence_us: us(p.convergence), deliveries_during: p.deliveries_during);
+            });
+            o.records("channels", &self.channels, |o, c| {
+                json_fields!(o; channel: c.channel, segments: c.segments,
+                    retransmissions: c.retransmissions, acks: c.acks, messages: c.messages,
+                    bytes: c.bytes);
+            });
+            o.records("oracle_checks", &self.oracle_checks, |o, c| {
+                json_fields!(o; at_us: c.at.as_micros(), oracle: c.oracle,
+                    expect_converged: c.expect_converged, converged: c.converged,
+                    passed: c.passed, violations: c.violations[..]);
+            });
+            o.opt_object("telemetry", self.telemetry.as_ref(), |o, t| {
+                o.field("every_us", t.every_us);
+                o.records("samples", &t.samples, |o, s| {
+                    o.compact();
+                    s.write_json(o);
+                });
+            });
+        });
         out
     }
 
@@ -301,26 +228,21 @@ impl MetricsReport {
     /// first) for figure pipelines. Optional latencies render as empty
     /// cells; the schema is pinned by `tests::csv_schema_is_pinned`.
     pub fn to_csv(&self) -> String {
-        let opt_us = |d: Option<Duration>| match d {
-            Some(d) => d.as_micros().to_string(),
-            None => String::new(),
-        };
-        let mut out = String::from(
-            "index,node,alive,delivered,bytes,mean_latency_us,max_latency_us,goodput_bps\n",
-        );
+        let us = |d: Option<Duration>| d.map(|d| d.as_micros());
+        let mut out = String::new();
+        let header = "index,node,alive,delivered,bytes,mean_latency_us,max_latency_us,goodput_bps";
+        json::csv_row(&mut out, |r| r.cells(header.split(',')));
         for n in &self.nodes {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{}",
-                n.index,
-                n.node.0,
-                n.alive,
-                n.delivered,
-                n.bytes,
-                opt_us(n.mean_latency),
-                opt_us(n.max_latency),
-                n.goodput_bps,
-            );
+            json::csv_row(&mut out, |r| {
+                r.cell(n.index);
+                r.cell(n.node.0);
+                r.cell(n.alive);
+                r.cell(n.delivered);
+                r.cell(n.bytes);
+                r.opt(us(n.mean_latency));
+                r.opt(us(n.max_latency));
+                r.cell(n.goodput_bps);
+            });
         }
         out
     }
@@ -572,6 +494,61 @@ mod tests {
         assert!(got.contains("\"telemetry\": {\"every_us\": 1000000, \"samples\": ["));
         assert!(got.contains("{\"at_us\":1000000,\"events_net\":5,"));
         assert!(got.ends_with("  ]}\n}\n"));
+    }
+
+    /// Every byte of a sampled report's telemetry tail: the inline
+    /// object, one compact sample per line, and the closing brackets.
+    #[test]
+    fn json_with_telemetry_is_pinned() {
+        use macedon_core::TelemetrySample;
+        let mut r = sample();
+        r.nodes.clear();
+        r.perturbations.clear();
+        r.channels.clear();
+        r.oracle_checks.clear();
+        r.latency = None;
+        r.telemetry = Some(TelemetryReport {
+            every_us: 500_000,
+            samples: vec![
+                TelemetrySample {
+                    at_us: 500_000,
+                    events_net: 5,
+                    alive_nodes: 2,
+                    ..Default::default()
+                },
+                TelemetrySample {
+                    at_us: 1_000_000,
+                    pending_events: 9,
+                    mean_goodput_bps: 64_000,
+                    ..Default::default()
+                },
+            ],
+        });
+        let want = r#"{
+  "scenario": "pin \"quotes\"",
+  "end_us": 80000000,
+  "alive": 2,
+  "total_delivered": 7,
+  "total_bytes": 7000,
+  "net_drops": 3,
+  "mean_goodput_bps": 0,
+  "asserts_passed": true,
+  "latency": null,
+  "nodes": [
+  ],
+  "perturbations": [
+  ],
+  "channels": [
+  ],
+  "oracle_checks": [
+  ],
+  "telemetry": {"every_us": 500000, "samples": [
+    {"at_us":500000,"events_net":5,"events_conn_timer":0,"events_agent_timer":0,"events_fd_tick":0,"events_control":0,"pending_events":0,"net_drops":0,"link_stress_max":0,"link_stress_mean_milli":0,"links_used":0,"trace_records":0,"trace_dropped":0,"alive_nodes":2,"mean_rtt_us":0,"mean_goodput_bps":0},
+    {"at_us":1000000,"events_net":0,"events_conn_timer":0,"events_agent_timer":0,"events_fd_tick":0,"events_control":0,"pending_events":9,"net_drops":0,"link_stress_max":0,"link_stress_mean_milli":0,"links_used":0,"trace_records":0,"trace_dropped":0,"alive_nodes":0,"mean_rtt_us":0,"mean_goodput_bps":64000}
+  ]}
+}
+"#;
+        assert_eq!(r.to_json(), want);
     }
 
     #[test]

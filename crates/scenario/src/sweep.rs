@@ -46,7 +46,7 @@
 use crate::model::{Scenario, ScenarioError, Span};
 use crate::report::{percentile_us, LatencySummary, MetricsReport};
 use crate::script;
-use macedon_core::export::json_string;
+use macedon_core::{json, json_fields, Duration};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -566,151 +566,89 @@ impl SweepReport {
     /// tests; the output is a pure function of the cell results, so two
     /// runs of the same sweep are byte-identical.
     pub fn to_json(&self) -> String {
-        let dist = |d: &DistStat| {
-            format!(
-                "{{\"min\": {}, \"mean\": {}, \"max\": {}}}",
-                d.min, d.mean, d.max
-            )
+        let params = |o: &mut json::Obj, ps: &[(String, String)]| {
+            ps.iter().for_each(|(k, v)| o.field(k, v));
         };
-        let opt_dist = |d: &Option<DistStat>| match d {
-            Some(d) => dist(d),
-            None => "null".into(),
-        };
-        let params = |ps: &[(String, String)]| {
-            let fields: Vec<String> = ps
-                .iter()
-                .map(|(k, v)| format!("{}: {}", json_string(k), json_string(v)))
-                .collect();
-            format!("{{{}}}", fields.join(", "))
+        let dist = |o: &mut json::Obj, key: &str, d: Option<&DistStat>| {
+            o.opt_object(key, d, |o, d| {
+                json_fields!(o; min: d.min, mean: d.mean, max: d.max);
+            });
         };
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"sweep\": {},\n  \"seeds\": {:?},\n  \"node_counts\": {:?},\n  \"axes\": [",
-            json_string(&self.sweep),
-            self.seeds,
-            self.node_counts,
-        );
-        for (i, a) in self.axes.iter().enumerate() {
-            let values: Vec<String> = a.values.iter().map(|v| json_string(v)).collect();
-            let _ = write!(
-                out,
-                "{}\n    {{\"name\": {}, \"values\": [{}]}}",
-                if i == 0 { "" } else { "," },
-                json_string(&a.name),
-                values.join(", "),
-            );
-        }
-        let _ = write!(out, "\n  ],\n  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let latency = c.latency.map_or_else(|| "null".into(), |l| l.to_json());
-            let _ = write!(
-                out,
-                "{}\n    {{\"cell\": {}, \"nodes\": {}, \"seed\": {}, \"derived_seed\": {}, \
-                 \"params\": {}, \"alive\": {}, \"delivered\": {}, \"bytes\": {}, \
-                 \"net_drops\": {}, \"mean_goodput_bps\": {}, \"latency\": {}, \
-                 \"convergences_us\": {:?}, \"asserts_passed\": {}, \
-                 \"telemetry_samples\": {}, \"peak_pending_events\": {}}}",
-                if i == 0 { "" } else { "," },
-                c.index,
-                c.nodes,
-                c.seed,
-                c.derived_seed,
-                params(&c.params),
-                c.alive,
-                c.delivered,
-                c.bytes,
-                c.net_drops,
-                c.mean_goodput_bps,
-                latency,
-                c.convergences_us,
-                c.asserts_passed,
-                c.telemetry_samples,
-                c.peak_pending_events,
-            );
-        }
-        let _ = write!(out, "\n  ],\n  \"configs\": [");
-        for (i, s) in self.configs.iter().enumerate() {
-            let convergence = match &s.convergence {
-                Some(c) => format!(
-                    "{{\"samples\": {}, \"p50_us\": {}, \"p95_us\": {}, \"max_us\": {}}}",
-                    c.samples, c.p50_us, c.p95_us, c.max_us
-                ),
-                None => "null".into(),
-            };
-            let _ = write!(
-                out,
-                "{}\n    {{\"nodes\": {}, \"params\": {}, \"cells\": {}, \
-                 \"delivered\": {}, \"net_drops\": {}, \"goodput_bps\": {}, \
-                 \"latency_p50_us\": {}, \"latency_p95_us\": {}, \"latency_p99_us\": {}, \
-                 \"convergence\": {}, \"all_asserts_passed\": {}}}",
-                if i == 0 { "" } else { "," },
-                s.nodes,
-                params(&s.params),
-                s.cells,
-                dist(&s.delivered),
-                dist(&s.net_drops),
-                dist(&s.goodput_bps),
-                opt_dist(&s.latency_p50_us),
-                opt_dist(&s.latency_p95_us),
-                opt_dist(&s.latency_p99_us),
-                convergence,
-                s.all_asserts_passed,
-            );
-        }
-        let _ = write!(out, "\n  ]\n}}\n");
+        json::document(&mut out, json::DOCUMENT, |o| {
+            json_fields!(o; sweep: self.sweep, seeds: self.seeds[..],
+                node_counts: self.node_counts[..]);
+            o.records("axes", &self.axes, |o, a| {
+                json_fields!(o; name: a.name, values: a.values[..]);
+            });
+            o.records("cells", &self.cells, |o, c| {
+                json_fields!(o; cell: c.index, nodes: c.nodes, seed: c.seed,
+                    derived_seed: c.derived_seed);
+                o.object("params", |o| params(o, &c.params));
+                json_fields!(o; alive: c.alive, delivered: c.delivered, bytes: c.bytes,
+                    net_drops: c.net_drops, mean_goodput_bps: c.mean_goodput_bps);
+                o.opt_object("latency", c.latency, |o, l| l.write_json(o));
+                json_fields!(o; convergences_us: c.convergences_us[..],
+                    asserts_passed: c.asserts_passed, telemetry_samples: c.telemetry_samples,
+                    peak_pending_events: c.peak_pending_events);
+            });
+            o.records("configs", &self.configs, |o, s| {
+                o.field("nodes", s.nodes);
+                o.object("params", |o| params(o, &s.params));
+                o.field("cells", s.cells);
+                dist(o, "delivered", Some(&s.delivered));
+                dist(o, "net_drops", Some(&s.net_drops));
+                dist(o, "goodput_bps", Some(&s.goodput_bps));
+                dist(o, "latency_p50_us", s.latency_p50_us.as_ref());
+                dist(o, "latency_p95_us", s.latency_p95_us.as_ref());
+                dist(o, "latency_p99_us", s.latency_p99_us.as_ref());
+                o.opt_object("convergence", s.convergence, |o, c| {
+                    json_fields!(o; samples: c.samples, p50_us: c.p50_us, p95_us: c.p95_us,
+                        max_us: c.max_us);
+                });
+                o.field("all_asserts_passed", s.all_asserts_passed);
+            });
+        });
         out
     }
 
     /// Render the cells as CSV (one row per cell, axes as columns) for
     /// figure pipelines. Optional latency/convergence cells are empty.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("cell,nodes,seed,derived_seed");
-        for a in &self.axes {
-            let _ = write!(out, ",{}", csv_field(&a.name));
-        }
-        out.push_str(
-            ",alive,delivered,bytes,net_drops,mean_goodput_bps,latency_samples,\
-             latency_p50_us,latency_p95_us,latency_p99_us,latency_max_us,\
-             convergences,convergence_p50_us,asserts_passed,telemetry_samples,\
-             peak_pending_events\n",
-        );
+        let mut out = String::new();
+        json::csv_row(&mut out, |r| {
+            r.cells("cell,nodes,seed,derived_seed".split(','));
+            r.cells(self.axes.iter().map(|a| &a.name));
+            r.cells(
+                "alive,delivered,bytes,net_drops,mean_goodput_bps,latency_samples,\
+                 latency_p50_us,latency_p95_us,latency_p99_us,latency_max_us,\
+                 convergences,convergence_p50_us,asserts_passed,telemetry_samples,\
+                 peak_pending_events"
+                    .split(','),
+            );
+        });
         for c in &self.cells {
-            let _ = write!(out, "{},{},{},{}", c.index, c.nodes, c.seed, c.derived_seed);
-            for (_, v) in &c.params {
-                let _ = write!(out, ",{}", csv_field(v));
-            }
-            let _ = write!(
-                out,
-                ",{},{},{},{},{}",
-                c.alive, c.delivered, c.bytes, c.net_drops, c.mean_goodput_bps
-            );
-            match &c.latency {
-                Some(l) => {
-                    let _ = write!(
-                        out,
-                        ",{},{},{},{},{}",
-                        l.samples,
-                        l.p50.as_micros(),
-                        l.p95.as_micros(),
-                        l.p99.as_micros(),
-                        l.max.as_micros(),
-                    );
+            let mut conv = c.convergences_us.clone();
+            conv.sort_unstable();
+            let lat = c.latency.map(|l| {
+                let us = |d: Duration| d.as_micros();
+                [l.samples, us(l.p50), us(l.p95), us(l.p99), us(l.max)]
+            });
+            json::csv_row(&mut out, |r| {
+                r.cells([c.index, c.nodes]);
+                r.cells([c.seed, c.derived_seed]);
+                r.cells(c.params.iter().map(|(_, v)| v));
+                r.cell(c.alive);
+                r.cells([c.delivered, c.bytes, c.net_drops, c.mean_goodput_bps]);
+                match lat {
+                    Some(lat) => r.cells(lat),
+                    None => r.cells([""; 5]),
                 }
-                None => out.push_str(",,,,,"),
-            }
-            if c.convergences_us.is_empty() {
-                out.push_str(",0,");
-            } else {
-                let mut conv = c.convergences_us.clone();
-                conv.sort_unstable();
-                let _ = write!(out, ",{},{}", conv.len(), percentile_us(&conv, 50));
-            }
-            let _ = writeln!(
-                out,
-                ",{},{},{}",
-                c.asserts_passed, c.telemetry_samples, c.peak_pending_events
-            );
+                r.cell(conv.len());
+                r.opt((!conv.is_empty()).then(|| percentile_us(&conv, 50)));
+                r.cell(c.asserts_passed);
+                r.cells([c.telemetry_samples, c.peak_pending_events]);
+            });
         }
         out
     }
@@ -773,15 +711,6 @@ impl SweepReport {
             );
         }
         out
-    }
-}
-
-/// Quote a CSV field only when it needs it (comma, quote, newline).
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
     }
 }
 

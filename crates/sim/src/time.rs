@@ -64,7 +64,7 @@ impl Time {
 impl Duration {
     pub const ZERO: Duration = Duration(0);
 
-    pub fn from_secs(s: u64) -> Duration {
+    pub const fn from_secs(s: u64) -> Duration {
         Duration(s.saturating_mul(1_000_000))
     }
 

@@ -20,11 +20,10 @@
 //! engine traffic) or a span some strictly earlier `Send` record
 //! minted, and no span is minted twice.
 
-use macedon::core::{SpanId, TraceEvent};
+use macedon::core::{SpanForest, TraceEvent};
 use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
 use macedon_generated as gen;
-use std::collections::HashSet;
 
 fn star_topo(n: usize) -> macedon::net::Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
@@ -102,45 +101,16 @@ fn drive(w: &mut World, hosts: &[NodeId], group: MacedonKey) {
     w.run_until(Time::from_secs(100));
 }
 
-/// The byte-equality surface: every merged record's canonical render.
+/// The byte-equality surface: every merged record's canonical render,
+/// from a stream that must form a span forest.
 fn trace_stream(w: &World) -> String {
-    let records = w.merged_trace();
-    let mut out = String::with_capacity(records.len() * 64);
-    for r in records {
-        out.push_str(&r.render());
-        out.push('\n');
-    }
-    out
+    span_forest(w).stream
 }
 
-/// Walk the merged stream asserting the span forest: unique mints, and
-/// every causal context resolved by a strictly earlier `Send`.
-fn assert_span_forest(w: &World) -> (usize, usize) {
-    let mut minted: HashSet<u64> = HashSet::new();
-    let (mut sends, mut contextual) = (0usize, 0usize);
-    for r in w.merged_trace() {
-        // The record's own context must already exist (for a Send, the
-        // parent context — checked before the mint below).
-        if r.span != SpanId::NONE {
-            contextual += 1;
-            assert!(
-                minted.contains(&r.span.0),
-                "record at {} on n{} references span {:016x} before any Send minted it",
-                r.at.as_micros(),
-                r.node.0,
-                r.span.0
-            );
-        }
-        if let TraceEvent::Send { span, .. } = &r.event {
-            sends += 1;
-            assert!(
-                minted.insert(span.0),
-                "span {:016x} minted twice — parentage would be a DAG, not a forest",
-                span.0
-            );
-        }
-    }
-    (sends, contextual)
+/// The merged stream as a span forest: unique mints, and every causal
+/// context resolved by a strictly earlier `Send`.
+fn span_forest(w: &World) -> SpanForest {
+    SpanForest::build(&w.merged_trace()).unwrap_or_else(|e| panic!("not a span forest: {e}"))
 }
 
 #[test]
@@ -221,10 +191,15 @@ fn span_parentage_forms_a_forest() {
             workers,
         );
         drive(&mut w, &hosts, group);
-        let (sends, contextual) = assert_span_forest(&w);
+        span_forest(&w);
+        let records = w.merged_trace();
+        let sends = records
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::Send { .. }))
+            .count();
         assert!(sends > 0, "run minted spans");
         assert!(
-            contextual > 0,
+            records.iter().any(|r| !r.span.is_none()),
             "run emitted records inside a causal context"
         );
     }
