@@ -2,15 +2,14 @@
 //! location-cache policies (no eviction vs 1 s lifetime). With
 //! `--from-spec`, the same streaming scenario additionally runs over
 //! the fully interpreted `splitstream.mac` → `scribe.mac` →
-//! `pastry.mac` stack. `--workers N` runs both policy worlds sharded
-//! N ways on the windowed parallel engine and reports events/sec.
+//! `pastry.mac` stack.
 //!
 //! Observability (both imply `--from-spec`): `--trace-out trace.json`
 //! writes the from-spec run's causal trace as Chrome/Perfetto trace
 //! events (open at <https://ui.perfetto.dev>); `--sample-every 500`
 //! samples engine counters every 500 sim-ms and writes them as JSONL
 //! (`--telemetry-out`, default `fig12_telemetry.jsonl`).
-use macedon_bench::experiments::{fig12_from_spec_observed, fig12_workers};
+use macedon_bench::experiments::{fig12, fig12_from_spec_observed};
 use macedon_bench::table::{f1, maybe_write_csv, print_table};
 use macedon_bench::Scale;
 use macedon_core::Duration;
@@ -27,20 +26,10 @@ fn arg_value(name: &str) -> Option<String> {
 
 fn main() {
     let scale = Scale::from_args();
-    let workers: usize = arg_value("--workers")
-        .map(|v| v.parse().expect("--workers takes a count"))
-        .unwrap_or(1);
     let trace_out = arg_value("--trace-out");
     let sample_every_ms: Option<u64> =
         arg_value("--sample-every").map(|v| v.parse().expect("--sample-every takes milliseconds"));
-    let start = std::time::Instant::now();
-    let s = fig12_workers(scale, workers);
-    let secs = start.elapsed().as_secs_f64();
-    println!(
-        "fig12: {} events in {secs:.2}s wall on {workers} worker(s) ({:.0} events/sec)",
-        s.events,
-        s.events as f64 / secs
-    );
+    let s = fig12(scale);
     let cells: Vec<Vec<String>> = s
         .no_eviction
         .iter()
@@ -86,8 +75,9 @@ fn main() {
             &cells,
         );
         println!(
-            "\nFrom-spec run mean: {:.0} Kbps (16 nodes at 200 kbit/s, no location cache)",
-            avg(&obs.series)
+            "\nFrom-spec run mean: {:.0} Kbps ({} nodes at 200 kbit/s, no location cache)",
+            avg(&obs.series),
+            obs.nodes
         );
         if let (Some(path), Some(json)) = (&trace_out, &obs.perfetto) {
             std::fs::write(path, json).expect("write perfetto trace");

@@ -441,22 +441,14 @@ pub struct Fig12Series {
     /// (seconds since stream start, mean per-node goodput in Kbps).
     pub no_eviction: Vec<(f64, f64)>,
     pub with_eviction: Vec<(f64, f64)>,
-    /// Scheduler events fired across both runs (for events/sec).
-    pub events: u64,
 }
 
 pub fn fig12(scale: Scale) -> Fig12Series {
-    fig12_workers(scale, 1)
-}
-
-/// [`fig12`] on the sharded windowed engine: `workers` shards driven
-/// by `workers` threads (1 = the sequential engine).
-pub fn fig12_workers(scale: Scale, workers: usize) -> Fig12Series {
     let (nodes, converge_s, stream_s, rate_bps) = match scale {
         Scale::Quick => (32usize, 60u64, 90u64, 600_000u64),
         Scale::Paper => (300, 300, 300, 600_000),
     };
-    let run = |cache_lifetime: Option<Duration>| -> (Vec<(f64, f64)>, u64) {
+    let run = |cache_lifetime: Option<Duration>| -> Vec<(f64, f64)> {
         // Paper-era constrained access links: the stream plus forwarding
         // load runs close to capacity, so the extra bandwidth consumed
         // re-establishing evicted cache entries costs real goodput.
@@ -469,11 +461,9 @@ pub fn fig12_workers(scale: Scale, workers: usize) -> Fig12Series {
             topo,
             WorldConfig {
                 seed: 12,
-                shards: workers,
                 ..Default::default()
             },
         );
-        w.set_workers(workers);
         let sink = shared_deliveries();
         let group = MacedonKey::of_name("fig12-stream");
         for (i, &h) in hosts.iter().enumerate() {
@@ -523,15 +513,11 @@ pub fn fig12_workers(scale: Scale, workers: usize) -> Fig12Series {
             );
         }
         w.run_until(Time::from_secs(converge_s + stream_s + 10));
-        let series = bin_goodput(&sink, hosts[0], converge_s, stream_s, nodes - 1);
-        (series, w.events_fired())
+        bin_goodput(&sink, hosts[0], converge_s, stream_s, nodes - 1)
     };
-    let (no_eviction, ev_a) = run(None);
-    let (with_eviction, ev_b) = run(Some(Duration::from_secs(1)));
     Fig12Series {
-        no_eviction,
-        with_eviction,
-        events: ev_a + ev_b,
+        no_eviction: run(None),
+        with_eviction: run(Some(Duration::from_secs(1))),
     }
 }
 
@@ -571,25 +557,11 @@ fn bin_goodput(
         .collect()
 }
 
-/// Figure 12, from-spec mode: the same streaming scenario over the
-/// fully interpreted `splitstream.mac` → `scribe.mac` → `pastry.mac`
-/// stack — the whole paper roster running from specifications.
-/// `scribe.mac` builds the same rendezvous-rooted reverse-path trees as
-/// the native Scribe, but `pastry.mac` has no location cache, so the
-/// cache-lifetime contrast of the native series has no spec
-/// counterpart, and the run is smaller (16 nodes at 200 kbit/s); what
-/// the mode demonstrates is the paper's spec → running-overlay →
-/// measurement loop with zero native protocol code.
-///
-/// The experiment itself is a scenario: a `ScenarioBuilder` declaration
-/// (staggered joins + one multicast stream) compiled by the scenario
-/// runner, instead of a bespoke spawn/api loop.
-pub fn fig12_from_spec(scale: Scale) -> Vec<(f64, f64)> {
-    fig12_from_spec_observed(scale, false, None).series
-}
-
-/// Observability artifacts riding along a [`fig12_from_spec`] run.
+/// A [`fig12_from_spec_observed`] run's series and the observability
+/// artifacts riding along it.
 pub struct Fig12Observed {
+    /// Overlay nodes in the run.
+    pub nodes: usize,
     pub series: Vec<(f64, f64)>,
     /// Chrome/Perfetto trace-event JSON, when tracing was requested.
     pub perfetto: Option<String>,
@@ -597,11 +569,26 @@ pub struct Fig12Observed {
     pub telemetry: Option<TelemetryReport>,
 }
 
-/// [`fig12_from_spec`] with the observability stack switched on: the
-/// stacks run at the trace level `splitstream.mac`'s `trace_` header
-/// asks for — raised to High when `trace` is set, so the exported
-/// timeline carries the full causal span forest — and `sample_every`
-/// snapshots engine counters on that virtual-time cadence.
+/// Figure 12, from-spec mode: the same streaming scenario over the
+/// fully interpreted `splitstream.mac` → `scribe.mac` → `pastry.mac`
+/// stack — the whole paper roster running from specifications.
+/// `scribe.mac` builds the same rendezvous-rooted reverse-path trees as
+/// the native Scribe, but `pastry.mac` has no location cache, so the
+/// cache-lifetime contrast of the native series has no spec
+/// counterpart, and the run is smaller (16 nodes at 200 kbit/s, 64
+/// under [`Scale::Paper`]); what the mode demonstrates is the paper's
+/// spec → running-overlay → measurement loop with zero native protocol
+/// code.
+///
+/// The experiment itself is a scenario: a `ScenarioBuilder` declaration
+/// (staggered joins + one multicast stream) compiled by the scenario
+/// runner, instead of a bespoke spawn/api loop.
+///
+/// The stacks run at the trace level `splitstream.mac`'s `trace_`
+/// header asks for — raised to High when `trace` is set, so the
+/// exported timeline carries the full causal span forest — and
+/// `sample_every` snapshots engine counters on that virtual-time
+/// cadence.
 pub fn fig12_from_spec_observed(
     scale: Scale,
     trace: bool,
@@ -675,6 +662,7 @@ pub fn fig12_from_spec_observed(
         nodes - 1,
     );
     Fig12Observed {
+        nodes,
         series,
         perfetto: trace.then(|| {
             macedon_core::perfetto_json(&outcome.world.merged_trace(), &outcome.world.profile())
@@ -865,94 +853,8 @@ fn run_scenario_script_on(script: &str, nodes: usize, link: LinkSpec) -> ChurnRu
 }
 
 // ---------------------------------------------------------------------------
-// Interpreter dispatch harness (benches/interp.rs)
+// Pastry `state_push` dispatch harness (benches/interp.rs)
 // ---------------------------------------------------------------------------
-
-/// A compact protocol exercising the interpreter's per-event hot path
-/// with roster-representative message shapes (pastry's `join_req` /
-/// `state_push` / `route_msg`): wire decode of every field shape,
-/// neighbor-list and scalar updates, state-scoped dispatch, and a
-/// periodic timer.
-pub const DISPATCH_SPEC: &str = r#"
-    protocol dispatch;
-    addressing hash;
-    states { joined; }
-    neighbor_types { member 32 { } }
-    transports { TCP CTRL; UDP DATA; }
-    messages {
-        CTRL hello { node who; int round; }
-        CTRL roster { member sibs; member others; }
-        DATA chunk { key group; node origin; int seqno; payload data; }
-    }
-    state_variables {
-        member members;
-        member backups;
-        timer tick 1000;
-        node origin;
-        int rounds;
-        int seen;
-    }
-    transitions {
-        init API init { state_change(joined); }
-        any recv hello {
-            rounds = rounds + field(round);
-            neighbor_add(members, field(who));
-        }
-        any recv roster { members = field(sibs); backups = field(others); }
-        joined recv chunk {
-            if (field(seqno) > seen) { seen = field(seqno); origin = field(origin); }
-        }
-        any timer tick { rounds = rounds + 1; }
-    }
-"#;
-
-/// One-node stack running [`DISPATCH_SPEC`] interpreted, ready for
-/// direct `Stack::recv`/`Stack::timer` event injection.
-pub fn dispatch_stack() -> macedon_core::Stack {
-    let spec =
-        std::sync::Arc::new(macedon_lang::compile(DISPATCH_SPEC).expect("dispatch spec compiles"));
-    let agent = macedon_lang::InterpretedAgent::new(spec, Some(NodeId(1)));
-    let mut stack = macedon_core::Stack::new(
-        NodeId(7),
-        MacedonKey(7),
-        vec![Box::new(agent)],
-        Box::new(macedon_core::NullApp),
-        SimRng::new(42),
-    );
-    // Measure under the world's default trace configuration (Off), not
-    // the bare-stack default of emit-everything.
-    stack.set_trace_level(macedon_core::TraceLevel::Off);
-    // Fire init transitions (state joined) so every injected event
-    // dispatches — the steady-state hot path.
-    let mut fx = Vec::new();
-    stack.init(Time::ZERO, &mut fx);
-    stack
-}
-
-/// Pre-encoded wire frames for the three [`DISPATCH_SPEC`] messages
-/// (hello, roster, chunk), paired with their sender.
-pub fn dispatch_frames() -> Vec<(NodeId, Bytes)> {
-    use macedon_core::WireWriter;
-    let proto = macedon_lang::interp::protocol_id_of("dispatch");
-    let mut frames = Vec::new();
-    let mut w = WireWriter::new();
-    w.u16(proto).u16(0).node(NodeId(3)).u64(2);
-    frames.push((NodeId(3), w.finish()));
-    let mut w = WireWriter::new();
-    w.u16(proto).u16(1);
-    w.nodes(&[NodeId(2), NodeId(3), NodeId(4), NodeId(5)]);
-    w.nodes(&[NodeId(6), NodeId(8), NodeId(9)]);
-    frames.push((NodeId(2), w.finish()));
-    let mut w = WireWriter::new();
-    w.u16(proto)
-        .u16(2)
-        .key(MacedonKey(0xBEEF))
-        .node(NodeId(9))
-        .u64(9);
-    w.bytes(&[0u8; 64]);
-    frames.push((NodeId(4), w.finish()));
-    frames
-}
 
 /// One-node pastry stack (node 7, the designated root, so `joined`
 /// after `init`) — interpreted from the bundled spec, or the generated

@@ -1,8 +1,9 @@
 //! # macedon-bench
 //!
 //! The figure-regeneration harness: one binary per evaluation figure of
-//! the paper (`fig7_loc` … `fig12_splitstream_bandwidth`), plus Criterion
-//! microbenches on the substrates.
+//! the paper (`fig7_loc` … `fig12_splitstream_bandwidth`). Its tests
+//! assert the design-choice ablations, and its one bench prints the
+//! interpreted/generated cost ratio of pastry's `state_push`.
 //!
 //! Every binary accepts `--paper` to run at the paper's full scale
 //! (20,000-router INET topologies, hundreds of overlay nodes, multi-

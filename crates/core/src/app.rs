@@ -180,57 +180,6 @@ impl AppHandler for StreamerApp {
     }
 }
 
-/// Issues a fixed sequence of API calls at given times relative to app
-/// start (joins, group creation, leaves) then collects deliveries.
-pub struct ScriptedApp {
-    pub script: Vec<(Duration, DownCall)>,
-    pub sink: SharedDeliveries,
-    next: usize,
-}
-
-impl ScriptedApp {
-    pub fn new(script: Vec<(Duration, DownCall)>, sink: SharedDeliveries) -> ScriptedApp {
-        ScriptedApp {
-            script,
-            sink,
-            next: 0,
-        }
-    }
-}
-
-impl AppHandler for ScriptedApp {
-    fn start(&mut self, ctx: &mut Ctx) {
-        if let Some((d, _)) = self.script.first() {
-            ctx.timer_set(TICK, *d);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, _timer: u16) {
-        if let Some((at, call)) = self.script.get(self.next).cloned() {
-            ctx.down(call);
-            self.next += 1;
-            if let Some((next_at, _)) = self.script.get(self.next) {
-                ctx.timer_set(
-                    TICK,
-                    next_at.saturating_sub(at).max(Duration::from_micros(1)),
-                );
-            }
-        }
-    }
-
-    fn on_deliver(&mut self, ctx: &mut Ctx, src: MacedonKey, from: NodeId, payload: Bytes) {
-        ctx.locking_read();
-        record(&self.sink, ctx, src, from, &payload);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

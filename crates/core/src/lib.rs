@@ -15,7 +15,6 @@
 //!   [`agent::Ctx`].
 //! * [`stack`] — per-node protocol layering (Figure 2/5) with the effect
 //!   dispatcher.
-//! * [`neighbors`] — neighbor-list primitives (§3.3.2).
 //! * [`trace`] — the four-level tracing subsystem and locking-class
 //!   accounting.
 //! * [`app`] — reusable workload applications (streamers, collectors).
@@ -30,7 +29,6 @@ pub mod export;
 pub mod json;
 pub mod key;
 pub mod measure;
-pub mod neighbors;
 pub mod sha1;
 pub mod stack;
 pub mod telemetry;
@@ -43,7 +41,6 @@ pub use api::{DownCall, ForwardInfo, ProtocolId, UpCall, DEFAULT_PRIORITY, TUNNE
 pub use export::perfetto_json;
 pub use key::{Addressing, MacedonKey};
 pub use measure::{MeasureLedger, MeasureSummary};
-pub use neighbors::NeighborList;
 pub use stack::{Stack, StackEffect};
 pub use telemetry::{Telemetry, TelemetryReport, TelemetrySample, TELEMETRY_COLUMNS};
 pub use trace::{SpanForest, SpanId, TraceEvent, TraceLevel, TraceRecord, TraceSink};

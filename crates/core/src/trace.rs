@@ -318,22 +318,6 @@ impl TraceSink {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Records emitted by one node (debug helper).
-    pub fn for_node(&self, node: NodeId) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter().filter(move |r| r.node == node)
-    }
-
-    /// Fraction of transitions that were read-locked — the parallelism
-    /// opportunity the paper's data/control split exposes.
-    pub fn read_share(&self) -> f64 {
-        let total = self.read_transitions + self.write_transitions;
-        if total == 0 {
-            0.0
-        } else {
-            self.read_transitions as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -397,28 +381,6 @@ mod tests {
             custom("y"),
         );
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn per_node_filter() {
-        let mut t = TraceSink::new(TraceLevel::High);
-        t.record(
-            Time::ZERO,
-            NodeId(1),
-            0,
-            TraceLevel::Low,
-            SpanId::NONE,
-            custom("a"),
-        );
-        t.record(
-            Time::ZERO,
-            NodeId(2),
-            0,
-            TraceLevel::Low,
-            SpanId::NONE,
-            custom("b"),
-        );
-        assert_eq!(t.for_node(NodeId(1)).count(), 1);
     }
 
     #[test]
@@ -534,14 +496,5 @@ mod tests {
         let (first, again) = (send(SpanId::NONE, a), send(SpanId::NONE, a));
         let e = SpanForest::build(&[&first, &again]).err().unwrap();
         assert_eq!(e, "span 0000000100000001 minted twice at index 1");
-    }
-
-    #[test]
-    fn read_share_math() {
-        let mut t = TraceSink::new(TraceLevel::Off);
-        assert_eq!(t.read_share(), 0.0);
-        t.read_transitions = 3;
-        t.write_transitions = 1;
-        assert_eq!(t.read_share(), 0.75);
     }
 }

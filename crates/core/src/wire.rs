@@ -224,22 +224,6 @@ impl WireReader {
         bytes -> Bytes,
         nodes -> Vec<NodeId>,
     }
-
-    /// Length-prefixed byte blob as a borrowed slice — no `Bytes`
-    /// handle, no refcount traffic. (Hand-rolled: the returned borrow
-    /// of `self.buf` cannot outlive a delegating `WireRef`.)
-    pub fn bytes_slice(&mut self) -> Result<&[u8], DecodeError> {
-        let n = self.u32()? as usize;
-        if self.remaining() < n {
-            return Err(DecodeError {
-                needed: n,
-                remaining: self.remaining(),
-            });
-        }
-        let start = self.pos;
-        self.pos += n;
-        Ok(&self.buf[start..start + n])
-    }
 }
 
 /// Borrowing message reader: the zero-clone counterpart of
@@ -247,7 +231,7 @@ impl WireReader {
 /// handle (forcing callers that only hold a reference to clone it
 /// first), `WireRef` reads straight out of a `&Bytes`. [`WireRef::bytes`]
 /// still returns a zero-copy sub-`Bytes` sharing the underlying
-/// allocation; [`WireRef::bytes_slice`] borrows outright.
+/// allocation.
 pub struct WireRef<'a> {
     src: &'a Bytes,
     /// The buffer contents, dereferenced once at construction — every
@@ -327,12 +311,6 @@ impl<'a> WireRef<'a> {
         let b = self.src.slice(self.pos..self.pos + n);
         self.pos += n;
         Ok(b)
-    }
-
-    /// Length-prefixed byte blob as a borrowed slice.
-    pub fn bytes_slice(&mut self) -> Result<&'a [u8], DecodeError> {
-        let n = self.u32()? as usize;
-        self.take(n)
     }
 
     pub fn nodes(&mut self) -> Result<Vec<NodeId>, DecodeError> {
@@ -452,19 +430,6 @@ mod tests {
         assert_eq!(r.nodes().unwrap(), vec![NodeId(1), NodeId(2)]);
         assert_eq!(r.remaining(), 0);
         assert!(r.u8().is_err(), "exhausted reader errors");
-    }
-
-    #[test]
-    fn bytes_slice_borrows() {
-        let mut w = WireWriter::new();
-        w.bytes(b"abc").u8(9);
-        let buf = w.finish();
-        let mut r = WireRef::new(&buf);
-        assert_eq!(r.bytes_slice().unwrap(), b"abc");
-        assert_eq!(r.u8().unwrap(), 9);
-        let mut own = WireReader::new(buf.clone());
-        assert_eq!(own.bytes_slice().unwrap(), b"abc");
-        assert_eq!(own.u8().unwrap(), 9);
     }
 
     #[test]

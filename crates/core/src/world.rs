@@ -1245,13 +1245,6 @@ impl World {
         self.ns(node).map(|ns| &ns.stack)
     }
 
-    pub fn stack_mut(&mut self, node: NodeId) -> Option<&mut Stack> {
-        let sid = self.smap.checked_shard_of(node)?;
-        self.shards[sid as usize]
-            .ns_mut(node)
-            .map(|ns| &mut ns.stack)
-    }
-
     pub fn endpoint(&self, node: NodeId) -> Option<&Endpoint> {
         self.ns(node).map(|ns| &ns.endpoint)
     }
@@ -1595,7 +1588,6 @@ mod tests {
             assert!(w.is_alive(a) && w.stack(a).is_some() && w.endpoint(a).is_some());
             for n in [past_end, NodeId(u32::MAX)] {
                 assert!(w.stack(n).is_none());
-                assert!(w.stack_mut(n).is_none());
                 assert!(w.endpoint(n).is_none());
                 assert!(!w.is_alive(n));
             }

@@ -33,11 +33,6 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// Everything on shard 0 (the sequential engine's trivial map).
-    pub fn solo(topo: &Topology) -> ShardMap {
-        Self::partition_hosts(topo, 1)
-    }
-
     /// Partition the topology's hosts into `shards` contiguous chunks
     /// (clamped to the host count). Routers are hashed onto shards; only
     /// the link-ownership rule ever consults a router's shard.
@@ -103,16 +98,6 @@ impl ShardMap {
 mod tests {
     use super::*;
     use crate::topology::{canned, LinkSpec};
-
-    #[test]
-    fn solo_owns_everything() {
-        let t = canned::star(8, LinkSpec::lan());
-        let m = ShardMap::solo(&t);
-        assert_eq!(m.shards(), 1);
-        for l in t.links() {
-            assert_eq!(m.owner_of_link(l), 0);
-        }
-    }
 
     #[test]
     fn partition_is_contiguous_and_balanced() {

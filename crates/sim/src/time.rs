@@ -76,12 +76,6 @@ impl Duration {
         Duration(us)
     }
 
-    /// Duration from fractional seconds, rounding to the nearest µs.
-    pub fn from_secs_f64(s: f64) -> Duration {
-        assert!(s >= 0.0 && s.is_finite(), "negative or non-finite duration");
-        Duration((s * 1e6).round() as u64)
-    }
-
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -92,12 +86,6 @@ impl Duration {
 
     pub fn as_millis(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// Multiply by a non-negative float (used for jitter and backoff).
-    pub fn mul_f64(self, k: f64) -> Duration {
-        assert!(k >= 0.0 && k.is_finite(), "negative or non-finite factor");
-        Duration((self.0 as f64 * k).round() as u64)
     }
 
     pub fn saturating_sub(self, other: Duration) -> Duration {
@@ -205,15 +193,13 @@ mod tests {
 
     #[test]
     fn fractional_seconds() {
-        let d = Duration::from_secs_f64(0.5);
-        assert_eq!(d.as_millis(), 500);
+        assert_eq!(Duration::from_millis(500).as_secs_f64(), 0.5);
         assert!((Time::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-9);
     }
 
     #[test]
     fn mul_and_div() {
         let d = Duration::from_secs(10);
-        assert_eq!(d.mul_f64(0.5).as_secs_f64(), 5.0);
         assert_eq!((d / 4).as_millis(), 2_500);
         // division by zero clamps to 1
         assert_eq!((d / 0).as_secs_f64(), 10.0);
@@ -254,11 +240,5 @@ mod tests {
     fn ordering() {
         assert!(Time::from_millis(1) < Time::from_millis(2));
         assert!(Duration::from_micros(999) < Duration::from_millis(1));
-    }
-
-    #[test]
-    #[should_panic]
-    fn negative_duration_from_f64_panics() {
-        let _ = Duration::from_secs_f64(-1.0);
     }
 }
