@@ -16,12 +16,11 @@
 //! Exits non-zero on any violation. Scale down with `--nodes N` for
 //! quick local runs; CI runs the full 200.
 
-use macedon_core::app::{shared_deliveries, CollectorApp};
+use macedon_bench::experiments::Backend;
 use macedon_core::{
     perfetto_json, Bytes, DownCall, Duration, MacedonKey, SpanForest, SpanId, Time, TraceEvent,
     TraceLevel, TraceRecord, World, WorldConfig,
 };
-use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, LinkSpec};
 
 fn arg_value(name: &str) -> Option<String> {
@@ -34,44 +33,20 @@ fn arg_value(name: &str) -> Option<String> {
     None
 }
 
-enum Kind {
-    Interpreted,
-    Generated,
-}
-
-fn build_world(kind: &Kind, n: usize, seed: u64, shards: usize, workers: usize) -> World {
-    let topo = canned::star(n, LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
-    let reg = SpecRegistry::bundled();
-    let mut cfg = WorldConfig {
+fn build_world(backend: Backend, n: usize, seed: u64, shards: usize, workers: usize) -> World {
+    let cfg = WorldConfig {
         seed,
         shards,
+        trace_level: TraceLevel::High,
         fd_g: Duration::from_secs(2),
         fd_f: Duration::from_secs(6),
         ..Default::default()
     };
-    cfg.channels = match kind {
-        Kind::Interpreted => reg.channel_table_for("splitstream").unwrap(),
-        Kind::Generated => macedon_generated::channel_table("splitstream").unwrap(),
-    };
-    let mut w = World::new(topo, cfg);
+    let topo = canned::star(n, LinkSpec::lan());
+    let stagger = Duration::from_millis(50);
+    let (mut w, hosts, _sink) = backend.world("splitstream", topo, cfg, stagger);
     w.set_workers(workers);
     w.set_trace_capacity(1 << 22);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let bootstrap = (i > 0).then(|| hosts[0]);
-        let stack = match kind {
-            Kind::Interpreted => reg.build_stack("splitstream", bootstrap).unwrap(),
-            Kind::Generated => macedon_generated::build_stack("splitstream", bootstrap).unwrap(),
-        };
-        w.spawn_at_traced(
-            Time::from_millis(i as u64 * 50),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-            TraceLevel::High,
-        );
-    }
     // Join, settle, stream five multicast packets from hosts[1].
     let group = MacedonKey::of_name("trace-eq");
     w.run_until(Time::from_secs(40));
@@ -163,7 +138,7 @@ fn main() {
     let mut failed = false;
 
     let t0 = std::time::Instant::now();
-    let interp_1w = build_world(&Kind::Interpreted, nodes, seed, 4, 1);
+    let interp_1w = build_world(Backend::Interpreted, nodes, seed, 4, 1);
     let want = forest(&interp_1w);
     println!(
         "interpreted 4-shard/1-worker: {} records ({} dropped) in {:.2}s",
@@ -176,12 +151,12 @@ fn main() {
         failed = true;
     }
 
-    for (label, kind, workers) in [
-        ("interpreted 4-shard/4-worker", Kind::Interpreted, 4usize),
-        ("generated   4-shard/1-worker", Kind::Generated, 1),
+    for (label, backend, workers) in [
+        ("interpreted 4-shard/4-worker", Backend::Interpreted, 4usize),
+        ("generated   4-shard/1-worker", Backend::Generated, 1),
     ] {
         let t = std::time::Instant::now();
-        let w = build_world(&kind, nodes, seed, 4, workers);
+        let w = build_world(backend, nodes, seed, 4, workers);
         let got = forest(&w).stream;
         let ok = got == want.stream;
         println!(

@@ -11,61 +11,118 @@ use macedon_core::app::{
     shared_deliveries, CollectorApp, SharedDeliveries, StreamKind, StreamerApp,
 };
 use macedon_core::{
-    Agent, Bytes, DownCall, Duration, MacedonKey, NodeId, TelemetryReport, Time, TraceLevel, World,
-    WorldConfig,
+    Agent, AppHandler, Bytes, ChannelSpec, DownCall, Duration, MacedonKey, NodeId, TelemetryReport,
+    Time, TraceLevel, World, WorldConfig,
 };
 use macedon_lang::{InterpretedAgent, SpecRegistry};
 use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
 use macedon_net::Topology;
-use macedon_overlays::nice::{Nice, NiceConfig};
+use macedon_overlays::nice::Nice;
 use macedon_overlays::pastry::{Pastry, PastryConfig};
 use macedon_overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon_overlays::splitstream::{SplitStream, SplitStreamConfig};
 use macedon_overlays::testutil::{collect_ring, correct_owner};
 use macedon_sim::SimRng;
+use std::sync::OnceLock;
 
 /// A world over `topo`, built from `cfg`, whose every host runs the
-/// stack `build(bootstrap)` returns — joins `stagger_ms` apart through
-/// the first host — with every app collecting into one sink.
+/// stack `build(bootstrap)` returns — joins `stagger` apart through the
+/// first host ([`World::spawn_each`]) — with every app collecting into
+/// one sink.
 pub fn stack_world(
     topo: Topology,
     cfg: WorldConfig,
-    stagger_ms: u64,
+    stagger: Duration,
     mut build: impl FnMut(Option<NodeId>) -> Vec<Box<dyn Agent>>,
 ) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let hosts = topo.hosts().to_vec();
     let mut w = World::new(topo, cfg);
     let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        w.spawn_at(
-            Time::from_millis(i as u64 * stagger_ms),
-            h,
-            build((i > 0).then(|| hosts[0])),
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let hosts = w.spawn_each(stagger, |_, bootstrap| {
+        (build(bootstrap), Box::new(CollectorApp::new(sink.clone())))
+    });
     (w, hosts, sink)
 }
 
 /// [`stack_world`] running `proto`'s interpreted stack from `registry`,
-/// in a world seeded with `seed` and given the stack's channel table.
+/// in a world built from `cfg` with the stack's channel table.
 pub fn spec_world(
     registry: &SpecRegistry,
     proto: &str,
     topo: Topology,
-    seed: u64,
-    stagger_ms: u64,
+    cfg: WorldConfig,
+    stagger: Duration,
 ) -> (World, Vec<NodeId>, SharedDeliveries) {
     let cfg = WorldConfig {
-        seed,
         channels: registry.channel_table_for(proto).expect("chain resolves"),
-        ..Default::default()
+        ..cfg
     };
-    stack_world(topo, cfg, stagger_ms, |bootstrap| {
+    stack_world(topo, cfg, stagger, |bootstrap| {
         registry
             .build_stack(proto, bootstrap)
             .expect("stack builds")
     })
+}
+
+/// The default world configuration with `seed`.
+pub fn seeded(seed: u64) -> WorldConfig {
+    WorldConfig {
+        seed,
+        ..Default::default()
+    }
+}
+
+/// The two back ends a bundled protocol runs on: its spec interpreted
+/// from the bundled roster, or the agents generated from that spec.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    Interpreted,
+    Generated,
+}
+
+impl Backend {
+    /// `proto`'s stack, lowest layer first.
+    pub fn build_stack(self, proto: &str, bootstrap: Option<NodeId>) -> Vec<Box<dyn Agent>> {
+        match self {
+            Backend::Interpreted => bundled()
+                .build_stack(proto, bootstrap)
+                .expect("stack builds"),
+            Backend::Generated => {
+                macedon_generated::build_stack(proto, bootstrap).expect("generated stack")
+            }
+        }
+    }
+
+    /// The channel table `proto`'s stack expects.
+    pub fn channel_table(self, proto: &str) -> Vec<ChannelSpec> {
+        match self {
+            Backend::Interpreted => bundled().channel_table_for(proto).expect("chain resolves"),
+            Backend::Generated => macedon_generated::channel_table(proto).expect("generated table"),
+        }
+    }
+
+    /// [`stack_world`] running `proto` on this back end, in a world built
+    /// from `cfg` with the stack's channel table.
+    pub fn world(
+        self,
+        proto: &str,
+        topo: Topology,
+        cfg: WorldConfig,
+        stagger: Duration,
+    ) -> (World, Vec<NodeId>, SharedDeliveries) {
+        let cfg = WorldConfig {
+            channels: self.channel_table(proto),
+            ..cfg
+        };
+        stack_world(topo, cfg, stagger, |bootstrap| {
+            self.build_stack(proto, bootstrap)
+        })
+    }
+}
+
+/// The bundled roster, compiled once per process.
+fn bundled() -> &'static SpecRegistry {
+    static BUNDLED: OnceLock<SpecRegistry> = OnceLock::new();
+    BUNDLED.get_or_init(SpecRegistry::bundled)
 }
 
 // ---------------------------------------------------------------------------
@@ -168,27 +225,10 @@ pub fn fig8_9(scale: Scale) -> Vec<NiceSiteRow> {
     let lat = nice_site_latencies();
     let sites = lat.len();
     let topo = canned::sites(&lat, members_per_site, LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 8,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = NiceConfig {
-            rendezvous: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 400),
-            h,
-            vec![Box::new(Nice::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) =
+        stack_world(topo, seeded(8), Duration::from_millis(400), |rendezvous| {
+            vec![Box::new(Nice::new(rendezvous))]
+        });
     w.run_until(Time::from_secs(converge_s));
 
     // Stream 40 packets at 10/s from the first member.
@@ -306,9 +346,9 @@ pub fn fig10(scale: Scale) -> Fig10Series {
         );
         // Staggered joins across the first third of the run, as in the
         // paper ("routing tables converge steadily as nodes join").
-        let stagger_ms = run_s * 1000 / 3 / clients as u64;
+        let stagger = Duration::from_millis(run_s * 1000 / 3 / clients as u64);
         let registry = chord_registry(constants);
-        let (mut w, hosts, _sink) = spec_world(&registry, "chord", topo, 10, stagger_ms);
+        let (mut w, hosts, _sink) = spec_world(&registry, "chord", topo, seeded(10), stagger);
         // Dump "routing tables every two seconds" and count correct
         // entries against global knowledge.
         (0..=run_s)
@@ -385,7 +425,6 @@ fn fig11_run(routers: usize, n: usize, converge_s: u64, stream_s: u64, rmi: bool
         },
         &mut rng,
     );
-    let hosts = topo.hosts().to_vec();
     let registry = SpecRegistry::bundled();
     let mut w = World::new(
         topo,
@@ -396,9 +435,9 @@ fn fig11_run(routers: usize, n: usize, converge_s: u64, stream_s: u64, rmi: bool
         },
     );
     let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
+    w.spawn_each(Duration::from_millis(50), |_, bootstrap| {
         let mut stack = registry
-            .build_stack("pastry", (i > 0).then(|| hosts[0]))
+            .build_stack("pastry", bootstrap)
             .expect("bundled stack builds");
         if rmi {
             let pastry = stack.pop().expect("pastry is one layer");
@@ -414,8 +453,8 @@ fn fig11_run(routers: usize, n: usize, converge_s: u64, stream_s: u64, rmi: bool
             Time::from_secs(converge_s + stream_s),
             sink.clone(),
         );
-        w.spawn_at(Time::from_millis(i as u64 * 50), h, stack, Box::new(app));
-    }
+        (stack, Box::new(app))
+    });
     w.run_until(Time::from_secs(converge_s + stream_s + 10));
     // Average per-packet delay. Send times are reconstructed from each
     // streamer's fixed 0.8 s interval; since every node streams at the
@@ -456,21 +495,13 @@ pub fn fig12(scale: Scale) -> Fig12Series {
             nodes,
             LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
         );
-        let hosts = topo.hosts().to_vec();
-        let mut w = World::new(
-            topo,
-            WorldConfig {
-                seed: 12,
-                ..Default::default()
-            },
-        );
+        let mut w = World::new(topo, seeded(12));
         let sink = shared_deliveries();
         let group = MacedonKey::of_name("fig12-stream");
-        for (i, &h) in hosts.iter().enumerate() {
+        let hosts = w.spawn_each(Duration::from_millis(100), |i, bootstrap| {
             let pastry = Pastry::new(PastryConfig {
-                bootstrap: (i > 0).then(|| hosts[0]),
+                bootstrap,
                 cache_lifetime,
-                ..Default::default()
             });
             let scribe = Scribe::new(ScribeConfig {
                 data_path: DataPath::LocationCache,
@@ -479,26 +510,21 @@ pub fn fig12(scale: Scale) -> Fig12Series {
             let split = SplitStream::new(SplitStreamConfig::default());
             let stack: Vec<Box<dyn Agent>> =
                 vec![Box::new(pastry), Box::new(scribe), Box::new(split)];
-            if i == 0 {
+            let app: Box<dyn AppHandler> = if i == 0 {
                 // The source streams after convergence.
-                let app = StreamerApp::new(
+                Box::new(StreamerApp::new(
                     StreamKind::Multicast { group },
                     rate_bps,
                     1_000,
                     Time::from_secs(converge_s),
                     Time::from_secs(converge_s + stream_s),
                     sink.clone(),
-                );
-                w.spawn_at(Time::ZERO, h, stack, Box::new(app));
+                ))
             } else {
-                w.spawn_at(
-                    Time::from_millis(i as u64 * 100),
-                    h,
-                    stack,
-                    Box::new(CollectorApp::new(sink.clone())),
-                );
-            }
-        }
+                Box::new(CollectorApp::new(sink.clone()))
+            };
+            (stack, app)
+        });
         // "all other nodes join the multicast session as receivers".
         w.api_at(
             Time::from_secs(5),

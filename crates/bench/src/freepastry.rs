@@ -154,7 +154,8 @@ mod tests {
             channels: registry.channel_table_for("pastry").unwrap(),
             ..Default::default()
         };
-        stack_world(canned::star(n, LinkSpec::lan()), cfg, 100, |bootstrap| {
+        let topo = canned::star(n, LinkSpec::lan());
+        stack_world(topo, cfg, Duration::from_millis(100), |bootstrap| {
             let pastry = registry.build_stack("pastry", bootstrap).unwrap();
             if !rmi {
                 return pastry;

@@ -37,14 +37,16 @@ pub fn chord_registry(constants: &[(&str, i64)]) -> SpecRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{correct_fingers, spec_world};
-    use macedon_core::{NodeId, Time, World};
+    use crate::experiments::{correct_fingers, seeded, spec_world};
+    use macedon_core::{Duration, NodeId, Time, World};
     use macedon_net::topology::{canned, LinkSpec};
     use macedon_overlays::testutil::collect_ring;
 
     fn ring(constants: &[(&str, i64)], n: usize, seed: u64) -> (World, Vec<NodeId>) {
         let topo = canned::star(n, LinkSpec::lan());
-        let (w, hosts, _sink) = spec_world(&chord_registry(constants), "chord", topo, seed, 100);
+        let registry = chord_registry(constants);
+        let stagger = Duration::from_millis(100);
+        let (w, hosts, _sink) = spec_world(&registry, "chord", topo, seeded(seed), stagger);
         (w, hosts)
     }
 

@@ -10,13 +10,16 @@
 //!
 //! Every run is seeded, so each outcome is deterministic.
 
-use macedon_bench::experiments::{correct_fingers, spec_world, stack_world};
+use macedon_bench::experiments::{correct_fingers, seeded, spec_world};
 use macedon_bench::lsd::{chord_registry, LSD};
 use macedon_core::{Duration, NodeId, Time, World, WorldConfig};
 use macedon_lang::{bundled_specs, compile, InterpretedAgent, SpecRegistry};
 use macedon_net::topology::{canned, LinkSpec};
 use macedon_net::Topology;
 use std::sync::Arc;
+
+/// Joins start this far apart.
+const STAGGER: Duration = Duration::from_millis(100);
 
 fn star(n: usize) -> Topology {
     canned::star(n, LinkSpec::lan())
@@ -60,7 +63,7 @@ fn locking_read_classification_changes_no_behaviour() {
         })
     });
     let run = |registry: &SpecRegistry| {
-        let (mut w, _hosts, _sink) = spec_world(registry, "chord", star(10), 7, 100);
+        let (mut w, _hosts, _sink) = spec_world(registry, "chord", star(10), seeded(7), STAGGER);
         w.run_until(Time::from_secs(40));
         let (reads, writes) = w.transition_counts();
         (reads, writes, w.events_fired())
@@ -120,14 +123,11 @@ fn failure_detector_heal_time_grows_with_f() {
         .map(|(g_s, f_s)| {
             let cfg = WorldConfig {
                 seed: 8,
-                channels: registry.channel_table_for("chord").unwrap(),
                 fd_g: Duration::from_secs(g_s),
                 fd_f: Duration::from_secs(f_s),
                 ..Default::default()
             };
-            let (mut w, hosts, _sink) = stack_world(star(6), cfg, 100, |bootstrap| {
-                registry.build_stack("chord", bootstrap).unwrap()
-            });
+            let (mut w, hosts, _sink) = spec_world(&registry, "chord", star(6), cfg, STAGGER);
             heal_time(&mut w, &hosts, hosts[3], 30, 30 + 4 * f_s + 20)
                 .unwrap_or_else(|| panic!("g/f = {g_s}/{f_s} s: the ring heals"))
         })
@@ -144,8 +144,8 @@ fn failure_detector_heal_time_grows_with_f() {
 #[test]
 fn one_second_fix_fingers_beats_lsd_and_twenty_seconds() {
     let correct = |constants: &[(&str, i64)]| {
-        let (mut w, hosts, _sink) =
-            spec_world(&chord_registry(constants), "chord", star(12), 5, 100);
+        let registry = chord_registry(constants);
+        let (mut w, hosts, _sink) = spec_world(&registry, "chord", star(12), seeded(5), STAGGER);
         w.run_until(Time::from_secs(40));
         correct_fingers(&w, &hosts)
     };

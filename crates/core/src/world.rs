@@ -82,7 +82,6 @@ pub struct WorldConfig {
     pub fd_g: Duration,
     /// Silence threshold before declaring failure (`f`).
     pub fd_f: Duration,
-    pub net: NetworkConfig,
     /// Number of shards the world is partitioned into (clamped to the
     /// host count). `1` is the classic sequential engine; `> 1` enables
     /// windowed execution, which [`World::run_until`] drives with any
@@ -106,7 +105,6 @@ impl Default for WorldConfig {
             trace_level: TraceLevel::Off,
             fd_g: Duration::from_secs(5),
             fd_f: Duration::from_secs(15),
-            net: NetworkConfig::default(),
             shards: 1,
             profile: false,
         }
@@ -973,8 +971,9 @@ impl World {
             .collect();
         let smap = Arc::new(ShardMap::partition_hosts(&topo, cfg.shards.max(1)));
         let p = smap.shards() as usize;
-        let mut net_cfg = cfg.net.clone();
-        net_cfg.seed = cfg.seed ^ 0x6e65_7477;
+        let net_cfg = NetworkConfig {
+            seed: cfg.seed ^ 0x6e65_7477,
+        };
         let rng = SimRng::new(cfg.seed);
         let cfg = Arc::new(cfg);
         let num_nodes = topo.num_nodes();
@@ -1091,6 +1090,24 @@ impl World {
                 .or_default()
                 .push(ControlOp::Heal(node));
         }
+    }
+
+    /// Put a stack on every host, in host order: host `i` starts at
+    /// `i × stagger`, and every host after the first joins through the
+    /// first. `build(i, bootstrap)` returns host `i`'s layers and app.
+    /// Returns the hosts.
+    pub fn spawn_each(
+        &mut self,
+        stagger: Duration,
+        mut build: impl FnMut(usize, Option<NodeId>) -> (Vec<Box<dyn Agent>>, Box<dyn AppHandler>),
+    ) -> Vec<NodeId> {
+        let hosts = self.shards[0].net.topology().hosts().to_vec();
+        for (i, &h) in hosts.iter().enumerate() {
+            let (agents, app) = build(i, (i > 0).then(|| hosts[0]));
+            let at = Time::from_micros(i as u64 * stagger.as_micros());
+            self.spawn_at(at, h, agents, app);
+        }
+        hosts
     }
 
     /// Schedule an application-level API call on a node.
@@ -1874,15 +1891,10 @@ mod tests {
                 ..WorldConfig::default()
             },
         );
-        for (i, &h) in hosts.iter().enumerate() {
+        w.spawn_each(Duration::from_millis(1), |i, _| {
             let peer = hosts[(i + 1) % hosts.len()];
-            w.spawn_at(
-                Time::from_millis(i as u64),
-                h,
-                vec![pp(Some(peer))],
-                Box::new(NullApp),
-            );
-        }
+            (vec![pp(Some(peer))], Box::new(NullApp))
+        });
         w
     }
 
@@ -2003,30 +2015,9 @@ mod tests {
     #[test]
     fn run_until_sharded_matches_sequential() {
         let n = 10;
-        let build = |shards: usize| {
-            let topo = canned::star(n, LinkSpec::lan());
-            let hosts = topo.hosts().to_vec();
-            let mut w = World::new(
-                topo,
-                WorldConfig {
-                    shards,
-                    ..WorldConfig::default()
-                },
-            );
-            for (i, &h) in hosts.iter().enumerate() {
-                let peer = hosts[(i + 1) % hosts.len()];
-                w.spawn_at(
-                    Time::from_millis(i as u64),
-                    h,
-                    vec![pp(Some(peer))],
-                    Box::new(NullApp),
-                );
-            }
-            w
-        };
-        let mut seq = build(1);
+        let mut seq = ring_ping_world(n, 1);
         seq.run_until(Time::from_secs(2));
-        let mut par = build(3);
+        let mut par = ring_ping_world(n, 3);
         par.run_until(Time::from_secs(2));
         assert_eq!(fingerprint(&par, n), fingerprint(&seq, n));
     }

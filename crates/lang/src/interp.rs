@@ -5,8 +5,9 @@
 //! the engine. This interpreter is the equivalent executable semantics —
 //! the same FSM dispatch (transition = (event, state-scope) → actions),
 //! the same primitives (§3.3), over the same engine — without a compile
-//! step, which lets the test suite cross-validate the bundled specs
-//! against the hand-written agents in `macedon-overlays`.
+//! step. Its semantics are the reference the generated agents are held
+//! to: the test suite runs both on identically seeded worlds and
+//! requires equal results.
 //!
 //! The interpreter does not walk the AST. [`InterpretedAgent`] executes
 //! the slot-indexed, typed IR of [`crate::ir`], lowered once per spec
@@ -1438,23 +1439,16 @@ mod tests {
 
     fn star_world(n: usize) -> (World, Vec<NodeId>, Arc<IrSpec>) {
         let spec = Arc::new(compile(STAR).unwrap());
-        let topo = canned::star(n, LinkSpec::lan());
-        let hosts = topo.hosts().to_vec();
-        let mut cfg = WorldConfig {
+        let cfg = WorldConfig {
             seed: 5,
+            channels: channel_table(&spec),
             ..Default::default()
         };
-        cfg.channels = channel_table(&spec);
-        let mut w = World::new(topo, cfg);
-        for (i, &h) in hosts.iter().enumerate() {
-            let agent = InterpretedAgent::new(spec.clone(), (i > 0).then(|| hosts[0]));
-            w.spawn_at(
-                Time::from_millis(i as u64 * 10),
-                h,
-                vec![Box::new(agent)],
-                Box::new(NullApp),
-            );
-        }
+        let mut w = World::new(canned::star(n, LinkSpec::lan()), cfg);
+        let hosts = w.spawn_each(Duration::from_millis(10), |_, bootstrap| {
+            let agent = InterpretedAgent::new(spec.clone(), bootstrap);
+            (vec![Box::new(agent)], Box::new(NullApp))
+        });
         (w, hosts, spec)
     }
 
@@ -1582,26 +1576,19 @@ mod tests {
     fn layered_spec_runs_above_interpreted_base() {
         let base = Arc::new(compile(BASE).unwrap());
         let upper = Arc::new(compile(STAR_OVER_BASE).unwrap());
-        let topo = canned::star(5, LinkSpec::lan());
-        let hosts = topo.hosts().to_vec();
-        let mut cfg = WorldConfig {
+        let cfg = WorldConfig {
             seed: 9,
+            channels: channel_table(&base),
             ..Default::default()
         };
-        cfg.channels = channel_table(&base);
-        let mut w = World::new(topo, cfg);
-        for (i, &h) in hosts.iter().enumerate() {
-            let boot = (i > 0).then(|| hosts[0]);
-            w.spawn_at(
-                Time::from_millis(i as u64 * 10),
-                h,
-                vec![
-                    Box::new(InterpretedAgent::new(base.clone(), boot)),
-                    Box::new(InterpretedAgent::new(upper.clone(), boot)),
-                ],
-                Box::new(NullApp),
-            );
-        }
+        let mut w = World::new(canned::star(5, LinkSpec::lan()), cfg);
+        let hosts = w.spawn_each(Duration::from_millis(10), |_, boot| {
+            let stack: Vec<Box<dyn Agent>> = vec![
+                Box::new(InterpretedAgent::new(base.clone(), boot)),
+                Box::new(InterpretedAgent::new(upper.clone(), boot)),
+            ];
+            (stack, Box::new(NullApp))
+        });
         w.run_until(Time::from_secs(10));
         for &h in &hosts {
             let a: &InterpretedAgent = w
@@ -1855,18 +1842,16 @@ mod tests {
             }
         "#;
         let spec = Arc::new(compile(KEYS).unwrap());
-        let topo = canned::star(3, LinkSpec::lan());
-        let hosts = topo.hosts().to_vec();
         let cfg = WorldConfig {
             addressing: Addressing::Ip,
             channels: channel_table(&spec),
             ..Default::default()
         };
-        let mut w = World::new(topo, cfg);
-        for (i, &h) in hosts.iter().enumerate() {
-            let agent = InterpretedAgent::new(spec.clone(), (i > 0).then(|| hosts[0]));
-            w.spawn_at(Time::ZERO, h, vec![Box::new(agent)], Box::new(NullApp));
-        }
+        let mut w = World::new(canned::star(3, LinkSpec::lan()), cfg);
+        let hosts = w.spawn_each(Duration::ZERO, |_, bootstrap| {
+            let agent = InterpretedAgent::new(spec.clone(), bootstrap);
+            (vec![Box::new(agent)], Box::new(NullApp))
+        });
         w.run_until(Time::from_secs(1));
 
         let boot_key = MacedonKey(hosts[0].0);

@@ -1,15 +1,14 @@
 //! Slot-indexed, typed intermediate representation of a parsed
 //! [`Spec`] — and the front end's one checker.
 //!
-//! The interpreter used to walk the AST directly, resolving every
-//! variable, list, timer, message, and field *by string name* on every
-//! event — a `HashMap<String, Value>` lookup (and often a `String`
-//! allocation) per step of every transition. [`IrSpec::lower`] performs
-//! that name resolution **once per spec**, and rejects the spec with a
-//! diagnostic at the first name that does not resolve or is declared
-//! twice, or at the first type error (the checks are listed on
-//! [`IrSpec::lower`]). Each name
-//! collapses to a dense index — `u16` slots into plain `Vec`s for
+//! Resolving every variable, list, timer, message, and field *by string
+//! name* on every event would cost a `HashMap<String, Value>` lookup
+//! (and often a `String` allocation) per step of every transition.
+//! [`IrSpec::lower`] performs that name resolution **once per spec**,
+//! and rejects the spec with a diagnostic at the first name that does
+//! not resolve or is declared twice, or at the first type error (the
+//! checks are listed on [`IrSpec::lower`]). Each name collapses to a
+//! dense index — `u16` slots into plain `Vec`s for
 //! variables, neighbor lists, timers, messages, and message fields, and
 //! FSM states become indices checked against per-transition
 //! [`StateMask`] bitsets. Transition dispatch becomes a per-trigger jump

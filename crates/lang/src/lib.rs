@@ -41,8 +41,8 @@
 //! ones included — runs under the interpreter: [`registry::SpecRegistry`]
 //! resolves a spec's `uses` chain (splitstream → scribe → pastry) and
 //! assembles the interpreted layers into a ready-to-run stack, and the
-//! integration suite cross-validates interpreted overlays against the
-//! native agents.
+//! integration suite checks that a spec's interpreted stack and the
+//! agents [`codegen`] generates from it run identically.
 
 pub mod ast;
 pub mod codegen;

@@ -468,26 +468,21 @@ mod tests {
     #[test]
     fn overridden_fix_fingers_period_drives_the_timer() {
         use crate::interp::Value;
-        use macedon_core::{NullApp, Time, World, WorldConfig};
+        use macedon_core::{Duration, NullApp, Time, World, WorldConfig};
         use macedon_net::topology::{canned, LinkSpec};
         // `finger_step` doubles on every `fix_fingers` firing.
         let step_at = |r: &SpecRegistry, ms: u64| {
-            let topo = canned::star(2, LinkSpec::lan());
-            let hosts = topo.hosts().to_vec();
             let cfg = WorldConfig {
                 channels: r.channel_table_for("chord").unwrap(),
                 ..Default::default()
             };
-            let mut w = World::new(topo, cfg);
-            for (i, &h) in hosts.iter().enumerate() {
-                let stack = r.build_stack("chord", (i > 0).then(|| hosts[0])).unwrap();
-                w.spawn_at(
-                    Time::from_millis(i as u64 * 100),
-                    h,
-                    stack,
+            let mut w = World::new(canned::star(2, LinkSpec::lan()), cfg);
+            let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
+                (
+                    r.build_stack("chord", bootstrap).unwrap(),
                     Box::new(NullApp),
-                );
-            }
+                )
+            });
             w.run_until(Time::from_millis(ms));
             let root: &InterpretedAgent = w
                 .stack(hosts[0])

@@ -1,7 +1,7 @@
 //! `ammo.mac`, interpreted: the degree-bounded tree, multicast over it,
 //! and parent swaps that keep the tree acyclic.
 
-use crate::roster::testworld::{seeded, spec_world};
+use crate::roster::testworld::{roster_world, seeded};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
 use macedon_core::{NodeId, World};
@@ -13,7 +13,7 @@ pub(crate) fn tree(n: usize, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries
     let mut r = SpecRegistry::bundled();
     r.set_constants("ammo", &[("MAXDEG", 3)])
         .expect("ammo declares MAXDEG");
-    spec_world(
+    roster_world(
         &r,
         "ammo",
         canned::star(n, LinkSpec::lan()),

@@ -2,7 +2,7 @@
 //! repair, key routing to the owner in O(log n) hops, `routeIP`, and
 //! crash repair.
 
-use crate::roster::testworld::{agent, seeded, spec_world};
+use crate::roster::testworld::{agent, roster_world, seeded};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
 use macedon_core::{MacedonKey, NodeId, World, WorldConfig};
@@ -26,7 +26,7 @@ fn ring_in(
     let mut r = SpecRegistry::bundled();
     r.set_constants("chord", &[("FIX_FINGERS_MS", fix_fingers_ms)])
         .expect("chord declares FIX_FINGERS_MS");
-    spec_world(&r, "chord", canned::star(n, LinkSpec::lan()), cfg, 100)
+    roster_world(&r, "chord", canned::star(n, LinkSpec::lan()), cfg, 100)
 }
 
 /// `nodes` in ring (key) order: global knowledge.

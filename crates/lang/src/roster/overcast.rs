@@ -2,7 +2,7 @@
 //! fan-out-capped tree, root-flooded multicast, goodput-driven
 //! relocation and orphan rejoin through the grandparent.
 
-use crate::roster::testworld::{seeded, spec_world};
+use crate::roster::testworld::{roster_world, seeded};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
 use macedon_core::{NodeId, World};
@@ -14,7 +14,7 @@ pub(crate) fn tree(n: usize, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries
     let mut r = SpecRegistry::bundled();
     r.set_constants("overcast", &[("MAXKIDS", 3)])
         .expect("overcast declares MAXKIDS");
-    spec_world(
+    roster_world(
         &r,
         "overcast",
         canned::star(n, LinkSpec::lan()),
@@ -94,7 +94,7 @@ mod tests {
         b.add_link(x, hub, LinkSpec::access(100_000_000));
         let mut r = SpecRegistry::bundled();
         r.set_constants("overcast", &[("PINT", 5000)]).unwrap();
-        let (mut w, _hosts, _s) = spec_world(&r, "overcast", b.build(), seeded(11), 100);
+        let (mut w, _hosts, _s) = roster_world(&r, "overcast", b.build(), seeded(11), 100);
         w.run_until(Time::from_secs(120));
         assert_eq!(
             only(&w, x, "papa"),

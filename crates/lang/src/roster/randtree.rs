@@ -1,7 +1,7 @@
 //! `randtree.mac`, interpreted: one tree rooted at the bootstrap with
 //! the fan-out cap held, floods from any member, and orphan rejoin.
 
-use crate::roster::testworld::{seeded, spec_world};
+use crate::roster::testworld::{roster_world, seeded};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
 use macedon_core::{NodeId, World};
@@ -13,7 +13,7 @@ pub(crate) fn tree(n: usize, max_kids: i64, seed: u64) -> (World, Vec<NodeId>, S
     let mut r = SpecRegistry::bundled();
     r.set_constants("randtree", &[("MAXKIDS", max_kids)])
         .expect("randtree declares MAXKIDS");
-    spec_world(
+    roster_world(
         &r,
         "randtree",
         canned::star(n, LinkSpec::lan()),

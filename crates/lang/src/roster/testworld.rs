@@ -3,39 +3,33 @@
 
 use crate::{InterpretedAgent, SpecRegistry};
 use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
-use macedon_core::{Bytes, DownCall, MacedonKey, NodeId, Time, World, WorldConfig};
+use macedon_core::{Bytes, DownCall, Duration, MacedonKey, NodeId, Time, World, WorldConfig};
 use macedon_net::Topology;
 use std::collections::HashSet;
 
 /// `proto`'s stack from `registry` on every host of `topo`, in a world
 /// built from `cfg` with the stack's channel table; joins start
-/// `stagger_ms` apart through `hosts[0]`, and every app collects into one
-/// sink.
-pub(crate) fn spec_world(
+/// `stagger_ms` apart through the first host, and every app collects
+/// into one sink.
+pub(crate) fn roster_world(
     registry: &SpecRegistry,
     proto: &str,
     topo: Topology,
     cfg: WorldConfig,
     stagger_ms: u64,
 ) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let hosts = topo.hosts().to_vec();
     let cfg = WorldConfig {
         channels: registry.channel_table_for(proto).expect("chain resolves"),
         ..cfg
     };
     let mut w = World::new(topo, cfg);
     let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
+    let hosts = w.spawn_each(Duration::from_millis(stagger_ms), |_, bootstrap| {
         let stack = registry
-            .build_stack(proto, (i > 0).then(|| hosts[0]))
+            .build_stack(proto, bootstrap)
             .expect("stack builds");
-        w.spawn_at(
-            Time::from_millis(i as u64 * stagger_ms),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+        (stack, Box::new(CollectorApp::new(sink.clone())))
+    });
     (w, hosts, sink)
 }
 

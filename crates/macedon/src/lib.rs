@@ -11,16 +11,17 @@
 //! // Build a small emulated network and run the bundled Chord spec on it.
 //! let registry = SpecRegistry::bundled();
 //! let topo = macedon::net::topology::canned::star(8, macedon::net::topology::LinkSpec::lan());
-//! let hosts = topo.hosts().to_vec();
 //! let cfg = WorldConfig {
 //!     channels: registry.channel_table_for("chord").unwrap(),
 //!     ..Default::default()
 //! };
 //! let mut world = World::new(topo, cfg);
-//! for (i, &h) in hosts.iter().enumerate() {
-//!     let stack = registry.build_stack("chord", (i > 0).then(|| hosts[0])).unwrap();
-//!     world.spawn_at(Time::from_millis(i as u64 * 100), h, stack, Box::new(NullApp));
-//! }
+//! // Every host runs the stack, joining 100 ms after the previous one
+//! // through the first host.
+//! let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
+//!     let stack = registry.build_stack("chord", bootstrap).unwrap();
+//!     (stack, Box::new(NullApp))
+//! });
 //! world.run_until(Time::from_secs(30));
 //! assert!(hosts.iter().all(|&h| world.stack(h).is_some()));
 //! ```
@@ -58,8 +59,8 @@ pub mod prelude {
     };
     pub use macedon_lang::{InterpretedAgent, SpecRegistry};
     pub use macedon_overlays::{
-        Bullet, BulletConfig, Nice, NiceConfig, Pastry, PastryConfig, Scribe, ScribeConfig,
-        SplitStream, SplitStreamConfig,
+        Bullet, BulletConfig, Nice, Pastry, PastryConfig, Scribe, ScribeConfig, SplitStream,
+        SplitStreamConfig,
     };
     pub use macedon_scenario::{
         run_sweep, AgentView, ChordOracle, ConvergenceOracle, GridAxis, LatencySummary,

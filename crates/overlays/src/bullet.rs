@@ -29,15 +29,16 @@ const MSG_RECOVER: u16 = 3;
 
 const TIMER_EPOCH: u16 = 1;
 
+/// Summary tickets sent per epoch.
+const PEERS_PER_EPOCH: usize = 2;
+/// Known-population sample size carried in each ticket.
+const GOSSIP_SAMPLE: usize = 8;
+
 /// Configuration of one Bullet instance.
 #[derive(Clone, Debug)]
 pub struct BulletConfig {
     /// Gossip epoch length (RanSub rounds in the original).
     pub epoch: Duration,
-    /// Summary tickets sent per epoch.
-    pub peers_per_epoch: usize,
-    /// Known-population sample size carried in each ticket.
-    pub gossip_sample: usize,
     /// Cap on packets buffered for recovery service.
     pub store_cap: usize,
 }
@@ -46,8 +47,6 @@ impl Default for BulletConfig {
     fn default() -> Self {
         BulletConfig {
             epoch: Duration::from_millis(500),
-            peers_per_epoch: 2,
-            gossip_sample: 8,
             store_cap: 4_096,
         }
     }
@@ -142,7 +141,7 @@ impl Bullet {
         // Gossip a sample of known nodes (RanSub's random subsets).
         let mut sample = self.known.clone();
         ctx.rng.shuffle(&mut sample);
-        sample.truncate(self.cfg.gossip_sample);
+        sample.truncate(GOSSIP_SAMPLE);
         w.nodes(&sample);
         w
     }
@@ -228,7 +227,7 @@ impl Agent for Bullet {
         // Send summary tickets to a few random peers.
         let mut peers = self.known.clone();
         ctx.rng.shuffle(&mut peers);
-        peers.truncate(self.cfg.peers_per_epoch);
+        peers.truncate(PEERS_PER_EPOCH);
         for p in peers {
             let w = self.ticket(ctx);
             self.send_direct(ctx, p, w);

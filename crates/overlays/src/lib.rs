@@ -29,7 +29,7 @@ pub mod splitstream;
 pub mod testutil;
 
 pub use bullet::{Bullet, BulletConfig};
-pub use nice::{Nice, NiceConfig};
+pub use nice::Nice;
 pub use pastry::{Pastry, PastryConfig};
 pub use scribe::{Scribe, ScribeConfig};
 pub use splitstream::{SplitStream, SplitStreamConfig};

@@ -18,10 +18,9 @@
 //! toward the closest leader), RTT measurement by in-protocol
 //! ping/pong, leader heartbeats with membership dissemination,
 //! center-based leader re-election, cluster split at `3k-1` / merge
-//! below `k`, and the NICE data-forwarding rule. The probe-time
-//! "binning" refinement the paper notes it lacks is available behind
-//! [`NiceConfig::probe_binning`] (it coarsens RTTs into bins before
-//! comparisons, damping leader oscillation).
+//! below `k`, and the NICE data-forwarding rule. Like the MACEDON
+//! authors' NICE, it compares raw RTTs: the NICE paper's probe-time
+//! "binning" refinement is not implemented.
 
 use crate::common::proto;
 use macedon_core::api::NBR_TYPE_PEERS;
@@ -48,39 +47,14 @@ const TIMER_PING: u16 = 2;
 const TIMER_JOIN_RETRY: u16 = 3;
 const TIMER_MAINTAIN: u16 = 4;
 
-/// Configuration of one NICE instance.
-#[derive(Clone, Debug)]
-pub struct NiceConfig {
-    /// Rendezvous point; `None` if this node is the RP.
-    pub rendezvous: Option<NodeId>,
-    /// Cluster size parameter `k`: sizes stay within `[k, 3k-1]`.
-    pub k: usize,
-    pub heartbeat_period: Duration,
-    pub ping_period: Duration,
-    /// Invariant-check period (split/merge/re-center).
-    pub maintain_period: Duration,
-    /// The probe-binning refinement from the NICE paper (coarsen RTTs to
-    /// 30 ms bins before comparing); off by default to match what the
-    /// MACEDON authors actually ran.
-    pub probe_binning: bool,
-    pub control_ch: ChannelId,
-    pub data_ch: ChannelId,
-}
-
-impl Default for NiceConfig {
-    fn default() -> Self {
-        NiceConfig {
-            rendezvous: None,
-            k: 3,
-            heartbeat_period: Duration::from_secs(1),
-            ping_period: Duration::from_secs(2),
-            maintain_period: Duration::from_secs(5),
-            probe_binning: false,
-            control_ch: ChannelId(1),
-            data_ch: ChannelId(2),
-        }
-    }
-}
+/// Cluster size parameter `k`: sizes stay within `[k, 3k-1]`.
+const K: usize = 3;
+const HEARTBEAT_PERIOD: Duration = Duration::from_secs(1);
+const PING_PERIOD: Duration = Duration::from_secs(2);
+/// Invariant-check period (split/merge/re-center).
+const MAINTAIN_PERIOD: Duration = Duration::from_secs(5);
+const CONTROL_CH: ChannelId = ChannelId(1);
+const DATA_CH: ChannelId = ChannelId(2);
 
 #[derive(Clone, Debug)]
 struct Cluster {
@@ -99,7 +73,8 @@ impl Default for Cluster {
 
 /// The NICE agent.
 pub struct Nice {
-    cfg: NiceConfig,
+    /// Rendezvous point; `None` if this node is the RP.
+    rendezvous: Option<NodeId>,
     /// `clusters[i]` = my cluster at layer `i` (present while I'm a
     /// member there; `i > 0` implies I lead `clusters[i-1]`).
     clusters: Vec<Cluster>,
@@ -118,9 +93,9 @@ pub struct Nice {
 }
 
 impl Nice {
-    pub fn new(cfg: NiceConfig) -> Nice {
+    pub fn new(rendezvous: Option<NodeId>) -> Nice {
         Nice {
-            cfg,
+            rendezvous,
             clusters: Vec::new(),
             rtt: HashMap::new(),
             reports: HashMap::new(),
@@ -150,13 +125,7 @@ impl Nice {
     }
 
     fn rtt_of(&self, n: NodeId) -> u64 {
-        let raw = self.rtt.get(&n).copied().unwrap_or(u64::MAX / 4);
-        if self.cfg.probe_binning {
-            // 30 ms bins.
-            (raw / 30_000) * 30_000
-        } else {
-            raw
-        }
+        self.rtt.get(&n).copied().unwrap_or(u64::MAX / 4)
     }
 
     fn send(&self, ctx: &mut Ctx, to: NodeId, ch: ChannelId, w: WireWriter) {
@@ -166,7 +135,7 @@ impl Nice {
     }
 
     fn start_join(&mut self, ctx: &mut Ctx) {
-        match self.cfg.rendezvous {
+        match self.rendezvous {
             None => {
                 // The RP seeds the hierarchy as a singleton L0 cluster.
                 self.clusters = vec![Cluster {
@@ -178,7 +147,7 @@ impl Nice {
             Some(rp) => {
                 let mut w = proto_header(proto::NICE, MSG_QUERY);
                 w.u32(u32::MAX); // "your top layer"
-                self.send(ctx, rp, self.cfg.control_ch, w);
+                self.send(ctx, rp, CONTROL_CH, w);
                 ctx.timer_set(TIMER_JOIN_RETRY, Duration::from_secs(8));
             }
         }
@@ -196,7 +165,7 @@ impl Nice {
             }
             let mut w = proto_header(proto::NICE, MSG_CLUSTER_UPDATE);
             w.u32(layer as u32).node(leader).nodes(&members);
-            self.send(ctx, m, self.cfg.control_ch, w);
+            self.send(ctx, m, CONTROL_CH, w);
         }
     }
 
@@ -252,9 +221,8 @@ impl Nice {
             return;
         }
         let members = self.clusters[layer].members.clone();
-        let k = self.cfg.k;
         // --- split ---
-        if members.len() > 3 * k - 1 {
+        if members.len() > 3 * K - 1 {
             self.splits += 1;
             let (a, b) = self.partition(&members);
             let la = self.center_of(&a);
@@ -273,13 +241,13 @@ impl Nice {
             // Hand the other half to its center.
             let mut w = proto_header(proto::NICE, MSG_LEADER_TRANSFER);
             w.u32(layer as u32).nodes(&other);
-            self.send(ctx, other_leader, self.cfg.control_ch, w);
+            self.send(ctx, other_leader, CONTROL_CH, w);
             // Introduce the new leader into my upper-layer cluster.
             self.add_to_upper(ctx, layer + 1, other_leader);
             return;
         }
         // --- merge ---
-        if members.len() < k && layer + 1 < self.clusters.len() {
+        if members.len() < K && layer + 1 < self.clusters.len() {
             let peers: Vec<NodeId> = self.clusters[layer + 1]
                 .members
                 .iter()
@@ -294,14 +262,14 @@ impl Nice {
                 for &m in &members {
                     let mut w = proto_header(proto::NICE, MSG_JOIN_REQ);
                     w.u32(layer as u32).node(m);
-                    self.send(ctx, target, self.cfg.control_ch, w);
+                    self.send(ctx, target, CONTROL_CH, w);
                 }
                 // Leave the upper layer: I no longer lead anything here.
                 let upper_leader = self.clusters[layer + 1].leader;
                 if upper_leader != me {
                     let mut lw = proto_header(proto::NICE, MSG_LEAVE_LAYER);
                     lw.u32(layer as u32 + 1).node(me);
-                    self.send(ctx, upper_leader, self.cfg.control_ch, lw);
+                    self.send(ctx, upper_leader, CONTROL_CH, lw);
                 }
                 self.clusters.truncate(layer + 1);
                 if let Some(c) = self.clusters.get_mut(layer) {
@@ -315,7 +283,7 @@ impl Nice {
         if center != me && members.len() >= 2 {
             let mut w = proto_header(proto::NICE, MSG_LEADER_TRANSFER);
             w.u32(layer as u32).nodes(&members);
-            self.send(ctx, center, self.cfg.control_ch, w);
+            self.send(ctx, center, CONTROL_CH, w);
             self.clusters[layer].leader = center;
             self.broadcast_update_with_leader(ctx, layer, center);
             // Hand off my seat in the upper-layer cluster to the new
@@ -336,10 +304,10 @@ impl Nice {
                     }
                     let mut tw = proto_header(proto::NICE, MSG_LEADER_TRANSFER);
                     tw.u32(layer as u32 + 1).nodes(&upper_members);
-                    self.send(ctx, center, self.cfg.control_ch, tw);
+                    self.send(ctx, center, CONTROL_CH, tw);
                 } else {
-                    self.send(ctx, upper_leader, self.cfg.control_ch, jw);
-                    self.send(ctx, upper_leader, self.cfg.control_ch, lw);
+                    self.send(ctx, upper_leader, CONTROL_CH, jw);
+                    self.send(ctx, upper_leader, CONTROL_CH, lw);
                 }
             }
             self.clusters.truncate(layer + 1);
@@ -357,7 +325,7 @@ impl Nice {
             }
             let mut w = proto_header(proto::NICE, MSG_CLUSTER_UPDATE);
             w.u32(layer as u32).node(leader).nodes(&members);
-            self.send(ctx, m, self.cfg.control_ch, w);
+            self.send(ctx, m, CONTROL_CH, w);
         }
     }
 
@@ -373,7 +341,7 @@ impl Nice {
                 let leader = self.clusters[upper].leader;
                 let mut w = proto_header(proto::NICE, MSG_JOIN_REQ);
                 w.u32(upper as u32).node(node);
-                self.send(ctx, leader, self.cfg.control_ch, w);
+                self.send(ctx, leader, CONTROL_CH, w);
             }
         } else {
             // I was the top: create a new top layer for the two of us.
@@ -482,7 +450,7 @@ impl Nice {
                 let mut w = proto_header(proto::NICE, MSG_DATA);
                 w.key(src).u32(0);
                 w.bytes(payload);
-                self.send(ctx, m, self.cfg.data_ch, w);
+                self.send(ctx, m, DATA_CH, w);
             }
         }
     }
@@ -503,9 +471,9 @@ impl Agent for Nice {
     }
 
     fn init(&mut self, ctx: &mut Ctx) {
-        ctx.timer_periodic(TIMER_HB, self.cfg.heartbeat_period);
-        ctx.timer_periodic(TIMER_PING, self.cfg.ping_period);
-        ctx.timer_periodic(TIMER_MAINTAIN, self.cfg.maintain_period);
+        ctx.timer_periodic(TIMER_HB, HEARTBEAT_PERIOD);
+        ctx.timer_periodic(TIMER_PING, PING_PERIOD);
+        ctx.timer_periodic(TIMER_MAINTAIN, MAINTAIN_PERIOD);
         self.start_join(ctx);
     }
 
@@ -542,7 +510,7 @@ impl Agent for Nice {
                 };
                 let mut w = proto_header(proto::NICE, MSG_QUERY_RESP);
                 w.u32(layer as u32).node(c.leader).nodes(&c.members);
-                self.send(ctx, from, self.cfg.control_ch, w);
+                self.send(ctx, from, CONTROL_CH, w);
             }
             MSG_QUERY_RESP => {
                 let (Ok(layer), Ok(leader), Ok(members)) = (r.u32(), r.node(), r.nodes()) else {
@@ -558,7 +526,7 @@ impl Agent for Nice {
                 for &m in &members {
                     let mut w = proto_header(proto::NICE, MSG_PING);
                     w.u64(ctx.now.as_micros());
-                    self.send(ctx, m, self.cfg.control_ch, w);
+                    self.send(ctx, m, CONTROL_CH, w);
                 }
                 // Give pings a moment, then descend (reuse join retry).
                 ctx.timer_set(TIMER_JOIN_RETRY, Duration::from_millis(500));
@@ -574,7 +542,7 @@ impl Agent for Nice {
                         let mut w = proto_header(proto::NICE, MSG_JOIN_REQ);
                         w.u32(layer as u32).node(who);
                         let leader = c.leader;
-                        self.send(ctx, leader, self.cfg.control_ch, w);
+                        self.send(ctx, leader, CONTROL_CH, w);
                     }
                     return;
                 }
@@ -594,7 +562,7 @@ impl Agent for Nice {
                 let Ok(ts) = r.u64() else { return };
                 let mut w = proto_header(proto::NICE, MSG_PONG);
                 w.u64(ts);
-                self.send(ctx, from, self.cfg.control_ch, w);
+                self.send(ctx, from, CONTROL_CH, w);
             }
             MSG_PONG => {
                 let Ok(ts) = r.u64() else { return };
@@ -672,7 +640,7 @@ impl Agent for Nice {
                             .expect("non-empty");
                         let mut w = proto_header(proto::NICE, MSG_JOIN_REQ);
                         w.u32(0).node(ctx.me);
-                        self.send(ctx, best, self.cfg.control_ch, w);
+                        self.send(ctx, best, CONTROL_CH, w);
                         ctx.timer_set(TIMER_JOIN_RETRY, Duration::from_secs(8));
                     }
                     (false, Some(level)) => {
@@ -683,7 +651,7 @@ impl Agent for Nice {
                             .expect("non-empty");
                         let mut w = proto_header(proto::NICE, MSG_QUERY);
                         w.u32(level.saturating_sub(1));
-                        self.send(ctx, best, self.cfg.control_ch, w);
+                        self.send(ctx, best, CONTROL_CH, w);
                         ctx.timer_set(TIMER_JOIN_RETRY, Duration::from_secs(8));
                     }
                     _ => self.start_join(ctx),
@@ -702,7 +670,7 @@ impl Agent for Nice {
                 for m in peers {
                     let mut w = proto_header(proto::NICE, MSG_PING);
                     w.u64(ctx.now.as_micros());
-                    self.send(ctx, m, self.cfg.control_ch, w);
+                    self.send(ctx, m, CONTROL_CH, w);
                 }
             }
             TIMER_HB => {
@@ -722,7 +690,7 @@ impl Agent for Nice {
                         for (n, v) in entries {
                             w.node(n).u64(v);
                         }
-                        self.send(ctx, leader, self.cfg.control_ch, w);
+                        self.send(ctx, leader, CONTROL_CH, w);
                     }
                 }
                 // Leaders push updates for the layers they lead.
@@ -761,7 +729,7 @@ impl Agent for Nice {
         }
         self.rtt.remove(&peer);
         self.reports.remove(&peer);
-        if rejoin && self.cfg.rendezvous.is_some() {
+        if rejoin && self.rendezvous.is_some() {
             self.joined = false;
             self.clusters.clear();
             self.start_join(ctx);
@@ -802,7 +770,6 @@ mod tests {
             })
             .collect();
         let topo = canned::sites(&lat, per_site, LinkSpec::lan());
-        let hosts = topo.hosts().to_vec();
         let mut w = World::new(
             topo,
             WorldConfig {
@@ -811,18 +778,12 @@ mod tests {
             },
         );
         let sink = shared_deliveries();
-        for (i, &h) in hosts.iter().enumerate() {
-            let cfg = NiceConfig {
-                rendezvous: (i > 0).then(|| hosts[0]),
-                ..Default::default()
-            };
-            w.spawn_at(
-                Time::from_millis(i as u64 * 300),
-                h,
-                vec![Box::new(Nice::new(cfg))],
+        let hosts = w.spawn_each(Duration::from_millis(300), |_, rendezvous| {
+            (
+                vec![Box::new(Nice::new(rendezvous))],
                 Box::new(CollectorApp::new(sink.clone())),
-            );
-        }
+            )
+        });
         (w, hosts, sink)
     }
 
@@ -850,12 +811,11 @@ mod tests {
     fn cluster_sizes_respect_bounds_eventually() {
         let (mut w, hosts, _s) = nice_world(3, 5, 3);
         w.run_until(Time::from_secs(240));
-        let k = 3;
         for &h in &hosts {
             let n = nice_of(&w, h);
             let size = n.cluster_members(0).len();
             assert!(
-                size <= 3 * k + 2,
+                size <= 3 * K + 2,
                 "{h:?} cluster size {size} way out of bounds"
             );
         }
@@ -897,21 +857,8 @@ mod tests {
     }
 
     #[test]
-    fn rtt_binning_rounds_down() {
-        let mut n = Nice::new(NiceConfig {
-            probe_binning: true,
-            ..Default::default()
-        });
-        n.rtt.insert(NodeId(1), 44_000); // 44 ms → 30 ms bin
-        assert_eq!(n.rtt_of(NodeId(1)), 30_000);
-        let mut n2 = Nice::new(NiceConfig::default());
-        n2.rtt.insert(NodeId(1), 44_000);
-        assert_eq!(n2.rtt_of(NodeId(1)), 44_000);
-    }
-
-    #[test]
     fn partition_separates_far_groups() {
-        let mut n = Nice::new(NiceConfig::default());
+        let mut n = Nice::new(None);
         // Two latency islands: {1,2,3} and {4,5,6}.
         for a in 1..=3u32 {
             for b in 1..=3u32 {
@@ -954,7 +901,7 @@ mod tests {
 
     #[test]
     fn center_minimizes_max_distance() {
-        let mut n = Nice::new(NiceConfig::default());
+        let mut n = Nice::new(None);
         // 2 is the middle of a line 1-2-3.
         let d = |a: u32, b: u32, v: u64, n: &mut Nice| {
             n.reports.entry(NodeId(a)).or_default().insert(NodeId(b), v);

@@ -42,32 +42,20 @@ pub const COLS: usize = 16;
 /// path (the paper's `macedon_routeIP` usage by Scribe/SplitStream).
 pub const EXT_ROUTE_DIRECT: u32 = 1;
 
+/// Leaf-set half-size (this many on each side).
+const LEAF_HALF: usize = 4;
+/// Period of leaf-set gossip.
+const LEAF_EXCHANGE_PERIOD: Duration = Duration::from_secs(1);
+const CONTROL_CH: ChannelId = ChannelId(1);
+const DATA_CH: ChannelId = ChannelId(2);
+
 /// Configuration of one Pastry instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PastryConfig {
     pub bootstrap: Option<NodeId>,
-    /// Leaf-set half-size (this many on each side).
-    pub leaf_half: usize,
-    /// Period of leaf-set gossip.
-    pub leaf_exchange_period: Duration,
     /// Location-cache entry lifetime; `None` disables eviction
     /// (Fig 12's two flavors).
     pub cache_lifetime: Option<Duration>,
-    pub control_ch: ChannelId,
-    pub data_ch: ChannelId,
-}
-
-impl Default for PastryConfig {
-    fn default() -> Self {
-        PastryConfig {
-            bootstrap: None,
-            leaf_half: 4,
-            leaf_exchange_period: Duration::from_secs(1),
-            cache_lifetime: None,
-            control_ch: ChannelId(1),
-            data_ch: ChannelId(2),
-        }
-    }
 }
 
 /// The Pastry agent.
@@ -143,7 +131,7 @@ impl Pastry {
             return;
         }
         let me = ctx.my_key;
-        // Leaf sets: keep the closest `leaf_half` on each side.
+        // Leaf sets: keep the closest `LEAF_HALF` on each side.
         let insert = |list: &mut Vec<(NodeId, MacedonKey)>,
                       dist: fn(MacedonKey, MacedonKey) -> u64,
                       me: MacedonKey,
@@ -158,18 +146,8 @@ impl Pastry {
             list.truncate(half);
             grew
         };
-        let cw_new = insert(
-            &mut self.leaf_cw,
-            |me, k| me.distance_to(k),
-            me,
-            self.cfg.leaf_half,
-        );
-        let ccw_new = insert(
-            &mut self.leaf_ccw,
-            |me, k| k.distance_to(me),
-            me,
-            self.cfg.leaf_half,
-        );
+        let cw_new = insert(&mut self.leaf_cw, |me, k| me.distance_to(k), me, LEAF_HALF);
+        let ccw_new = insert(&mut self.leaf_ccw, |me, k| k.distance_to(me), me, LEAF_HALF);
         if cw_new || ccw_new {
             ctx.monitor(node);
         }
@@ -306,7 +284,7 @@ impl Pastry {
         if wants_location && self.next_hop(me, dest).is_none() {
             let mut w = proto_header(proto::PASTRY, MSG_LOCATION);
             w.key(dest).key(me);
-            ctx.send(origin, self.cfg.control_ch, w.finish());
+            ctx.send(origin, CONTROL_CH, w.finish());
             ctx.up(UpCall::Deliver {
                 src,
                 from: prev_hop,
@@ -340,7 +318,7 @@ impl Pastry {
         for (n, _) in self.known() {
             let mut w = proto_header(proto::PASTRY, MSG_ANNOUNCE);
             w.key(me_key);
-            ctx.send(n, self.cfg.control_ch, w.finish());
+            ctx.send(n, CONTROL_CH, w.finish());
         }
     }
 
@@ -348,7 +326,7 @@ impl Pastry {
         if let Some(b) = self.cfg.bootstrap.filter(|&b| b != ctx.me) {
             let mut w = proto_header(proto::PASTRY, MSG_JOIN);
             w.node(ctx.me).key(ctx.my_key);
-            ctx.send(b, self.cfg.control_ch, w.finish());
+            ctx.send(b, CONTROL_CH, w.finish());
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_secs(5));
         } else {
             self.joined = true;
@@ -374,7 +352,7 @@ impl Pastry {
             let mut w = proto_header(proto::PASTRY, MSG_DATA_IP);
             w.key(ctx.my_key);
             w.bytes(&payload);
-            ctx.send(ip, self.cfg.data_ch, w.finish());
+            ctx.send(ip, DATA_CH, w.finish());
         } else {
             self.cache_misses += 1;
             let me = ctx.me;
@@ -394,7 +372,7 @@ impl Agent for Pastry {
     }
 
     fn init(&mut self, ctx: &mut Ctx) {
-        ctx.timer_periodic(TIMER_LEAF_EXCHANGE, self.cfg.leaf_exchange_period);
+        ctx.timer_periodic(TIMER_LEAF_EXCHANGE, LEAF_EXCHANGE_PERIOD);
         self.start_join(ctx);
     }
 
@@ -413,7 +391,7 @@ impl Agent for Pastry {
                 let mut w = proto_header(proto::PASTRY, MSG_DATA_IP);
                 w.key(ctx.my_key);
                 w.bytes(&payload);
-                ctx.send(dest, self.cfg.data_ch, w.finish());
+                ctx.send(dest, DATA_CH, w.finish());
             }
             DownCall::Ext {
                 op: EXT_ROUTE_DIRECT,
@@ -448,7 +426,7 @@ impl Agent for Pastry {
             .key(fwd.dest)
             .u8(self.next_wants_location as u8);
         w.bytes(&fwd.payload);
-        ctx.send(fwd.next_hop, self.cfg.data_ch, w.finish());
+        ctx.send(fwd.next_hop, DATA_CH, w.finish());
     }
 
     fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
@@ -474,14 +452,14 @@ impl Agent for Pastry {
                 for (n, k) in &entries {
                     w.node(*n).key(*k);
                 }
-                ctx.send(joiner, self.cfg.control_ch, w.finish());
+                ctx.send(joiner, CONTROL_CH, w.finish());
                 // Learn the joiner ourselves and propagate the join.
                 self.add_node(ctx, joiner, jkey);
                 if let Some((n, _)) = next {
                     if n != joiner {
                         let mut jw = proto_header(proto::PASTRY, MSG_JOIN);
                         jw.node(joiner).key(jkey);
-                        ctx.send(n, self.cfg.control_ch, jw.finish());
+                        ctx.send(n, CONTROL_CH, jw.finish());
                     }
                 }
             }
@@ -557,7 +535,7 @@ impl Agent for Pastry {
                     for &(ln, lk) in &leafs {
                         w.node(ln).key(lk);
                     }
-                    ctx.send(n, self.cfg.control_ch, w.finish());
+                    ctx.send(n, CONTROL_CH, w.finish());
                 }
             }
             TIMER_RETRY_JOIN if !self.joined => {
@@ -732,29 +710,24 @@ mod tests {
 
     #[test]
     fn cache_lifetime_evicts() {
-        let topo = crate::testutil::star_topology(6);
-        let hosts = topo.hosts().to_vec();
         let mut w = World::new(
-            topo,
+            crate::testutil::star_topology(6),
             macedon_core::WorldConfig {
                 seed: 77,
                 ..Default::default()
             },
         );
         let sink = macedon_core::app::shared_deliveries();
-        for (i, &h) in hosts.iter().enumerate() {
+        let hosts = w.spawn_each(Duration::from_millis(50), |_, bootstrap| {
             let cfg = PastryConfig {
-                bootstrap: (i > 0).then(|| hosts[0]),
+                bootstrap,
                 cache_lifetime: Some(Duration::from_secs(2)),
-                ..Default::default()
             };
-            w.spawn_at(
-                Time::from_millis(i as u64 * 50),
-                h,
+            (
                 vec![Box::new(Pastry::new(cfg))],
                 Box::new(macedon_core::app::CollectorApp::new(sink.clone())),
-            );
-        }
+            )
+        });
         w.run_until(Time::from_secs(20));
         let target_key = w.key_of(hosts[3]);
         let mut pw = WireWriter::new();

@@ -3,7 +3,7 @@
 
 use crate::pastry::{Pastry, PastryConfig};
 use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
-use macedon_core::{MacedonKey, NodeId, Time, World, WorldConfig};
+use macedon_core::{Duration, MacedonKey, NodeId, World, WorldConfig};
 use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
 use macedon_net::Topology;
 use macedon_sim::SimRng;
@@ -28,28 +28,24 @@ pub fn inet_topology(routers: usize, clients: usize, seed: u64) -> Topology {
 
 /// Spawn a Pastry mesh of `n` nodes on a star LAN.
 pub fn pastry_mesh(n: usize, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let topo = star_topology(n);
-    let hosts = topo.hosts().to_vec();
     let mut w = World::new(
-        topo,
+        star_topology(n),
         WorldConfig {
             seed,
             ..Default::default()
         },
     );
     let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
+    let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
         let cfg = PastryConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
+            bootstrap,
             ..Default::default()
         };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
+        (
             vec![Box::new(Pastry::new(cfg))],
             Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+        )
+    });
     (w, hosts, sink)
 }
 

@@ -47,6 +47,7 @@ use crate::model::{Scenario, ScenarioError, Span};
 use crate::report::{percentile_us, LatencySummary, MetricsReport};
 use crate::script;
 use macedon_core::{json, json_fields, Duration};
+use macedon_sim::mix64;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -268,14 +269,6 @@ fn grid_points(grid: &[GridAxis]) -> Vec<Vec<(String, String)>> {
         points = next;
     }
     points
-}
-
-/// SplitMix64 step (same construction the simulator's RNG seeds with).
-fn mix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn fnv64(s: &str) -> u64 {
@@ -819,6 +812,20 @@ mod tests {
         assert_eq!(
             cells[3].derived_seed,
             derive_seed(2, 4, &[("loss".into(), "0.5".into())])
+        );
+        // And pinned, so a refactor of the mixing cannot move a cell's
+        // stream.
+        let p = |k: &str, v: &str| (k.to_string(), v.to_string());
+        assert_eq!(derive_seed(0, 0, &[]), 0x9185_8a1e_1e04_67d2);
+        assert_eq!(derive_seed(7, 50, &[]), 0xd03c_e7f8_8b4e_1cb0);
+        assert_eq!(derive_seed(7, 100, &[]), 0x67ad_ca71_d9f2_a22b);
+        assert_eq!(
+            derive_seed(77, 200, &[p("loss", "0.05")]),
+            0x6345_99e1_fab9_a624
+        );
+        assert_eq!(
+            derive_seed(2004, 1000, &[p("loss", "0.5"), p("mode", "fast")]),
+            0xaabc_6583_ee1c_595f
         );
     }
 

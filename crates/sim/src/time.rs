@@ -68,11 +68,11 @@ impl Duration {
         Duration(s.saturating_mul(1_000_000))
     }
 
-    pub fn from_millis(ms: u64) -> Duration {
+    pub const fn from_millis(ms: u64) -> Duration {
         Duration(ms.saturating_mul(1_000))
     }
 
-    pub fn from_micros(us: u64) -> Duration {
+    pub const fn from_micros(us: u64) -> Duration {
         Duration(us)
     }
 

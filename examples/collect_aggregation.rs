@@ -50,7 +50,6 @@ impl AppHandler for Aggregator {
 
 fn main() {
     let topo = macedon::net::topology::canned::star(10, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
     let mut world = World::new(
         topo,
         WorldConfig {
@@ -61,21 +60,17 @@ fn main() {
     let group = MacedonKey::of_name("sensors");
     let observed = Arc::new(Mutex::new(Vec::new()));
 
-    for (i, &h) in hosts.iter().enumerate() {
+    let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
         let pastry = Pastry::new(PastryConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
+            bootstrap,
             ..Default::default()
         });
         let scribe = Scribe::new(ScribeConfig::default());
-        world.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(pastry), Box::new(scribe)],
-            Box::new(Aggregator {
-                observed: observed.clone(),
-            }),
-        );
-    }
+        let app = Aggregator {
+            observed: observed.clone(),
+        };
+        (vec![Box::new(pastry), Box::new(scribe)], Box::new(app))
+    });
 
     // Build the tree, then every member reports a reading via collect.
     world.run_until(Time::from_secs(30));

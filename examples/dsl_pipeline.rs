@@ -38,22 +38,16 @@ fn main() {
 
     // 3. Interpretation: run the very same spec as live agents.
     let topo = macedon::net::topology::canned::star(10, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
-    let mut cfg = WorldConfig {
+    let cfg = WorldConfig {
         seed: 5,
+        channels: channel_table(&ir),
         ..Default::default()
     };
-    cfg.channels = channel_table(&ir);
     let mut world = World::new(topo, cfg);
-    for (i, &h) in hosts.iter().enumerate() {
-        let agent = InterpretedAgent::new(ir.clone(), (i > 0).then(|| hosts[0]));
-        world.spawn_at(
-            Time::from_millis(i as u64 * 150),
-            h,
-            vec![Box::new(agent)],
-            Box::new(NullApp),
-        );
-    }
+    let hosts = world.spawn_each(Duration::from_millis(150), |_, bootstrap| {
+        let agent = InterpretedAgent::new(ir.clone(), bootstrap);
+        (vec![Box::new(agent)], Box::new(NullApp))
+    });
     world.run_until(Time::from_secs(60));
 
     println!("\nOvercast FSM state after 60 virtual seconds:");
@@ -90,25 +84,17 @@ fn main() {
             .join(" <- ")
     );
     let topo = macedon::net::topology::canned::star(8, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
-    let mut cfg = WorldConfig {
+    let cfg = WorldConfig {
         seed: 6,
+        channels: registry.channel_table_for("splitstream").unwrap(),
         ..Default::default()
     };
-    cfg.channels = registry.channel_table_for("splitstream").unwrap();
     let mut world = World::new(topo, cfg);
     let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let stack = registry
-            .build_stack("splitstream", (i > 0).then(|| hosts[0]))
-            .unwrap();
-        world.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
+        let stack = registry.build_stack("splitstream", bootstrap).unwrap();
+        (stack, Box::new(CollectorApp::new(sink.clone())))
+    });
     let group = MacedonKey::of_name("demo");
     world.run_until(Time::from_secs(30));
     for &h in &hosts {

@@ -23,7 +23,6 @@ fn main() {
         },
         &mut rng,
     );
-    let hosts = topo.hosts().to_vec();
 
     // 2. The spec roster, and a world (deterministic event loop +
     //    transports + engine) with the channels chord.mac declares.
@@ -34,20 +33,14 @@ fn main() {
     };
     let mut world = World::new(topo, cfg);
 
-    // 3. One interpreted Chord agent per host, joining through hosts[0],
-    //    with a delivery-collecting application on top.
+    // 3. One interpreted Chord agent per host, each joining 100 ms
+    //    after the previous one through the first host, with a
+    //    delivery-collecting application on top.
     let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let stack = registry
-            .build_stack("chord", (i > 0).then(|| hosts[0]))
-            .unwrap();
-        world.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
+        let stack = registry.build_stack("chord", bootstrap).unwrap();
+        (stack, Box::new(CollectorApp::new(sink.clone())))
+    });
 
     // 4. Let the ring converge, then route ten messages to random keys.
     world.run_until(Time::from_secs(60));

@@ -27,7 +27,6 @@ fn run(dht: &str) -> usize {
     registry.insert(Arc::new(compile(&scribe).unwrap()));
 
     let topo = macedon::net::topology::canned::star(12, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
     let cfg = WorldConfig {
         seed: 7,
         channels: registry.channel_table_for("scribe").unwrap(),
@@ -36,17 +35,10 @@ fn run(dht: &str) -> usize {
     let mut world = World::new(topo, cfg);
     let sink = shared_deliveries();
     let group = MacedonKey::of_name("demo-group");
-    for (i, &h) in hosts.iter().enumerate() {
-        let stack = registry
-            .build_stack("scribe", (i > 0).then(|| hosts[0]))
-            .unwrap();
-        world.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
+        let stack = registry.build_stack("scribe", bootstrap).unwrap();
+        (stack, Box::new(CollectorApp::new(sink.clone())))
+    });
 
     // Everyone joins; the source multicasts after convergence.
     world.run_until(Time::from_secs(40));

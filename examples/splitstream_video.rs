@@ -17,7 +17,6 @@ fn run(cache_lifetime: Option<Duration>) -> f64 {
         nodes,
         macedon::net::topology::LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
     );
-    let hosts = topo.hosts().to_vec();
     let mut world = World::new(
         topo,
         WorldConfig {
@@ -28,11 +27,10 @@ fn run(cache_lifetime: Option<Duration>) -> f64 {
     let sink = shared_deliveries();
     let group = MacedonKey::of_name("video");
 
-    for (i, &h) in hosts.iter().enumerate() {
+    let hosts = world.spawn_each(Duration::from_millis(100), |i, bootstrap| {
         let pastry = Pastry::new(PastryConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
+            bootstrap,
             cache_lifetime,
-            ..Default::default()
         });
         let scribe = Scribe::new(ScribeConfig {
             data_path: DataPath::LocationCache,
@@ -40,26 +38,21 @@ fn run(cache_lifetime: Option<Duration>) -> f64 {
         });
         let split = SplitStream::new(SplitStreamConfig::default());
         let stack: Vec<Box<dyn Agent>> = vec![Box::new(pastry), Box::new(scribe), Box::new(split)];
-        if i == 0 {
+        let app: Box<dyn AppHandler> = if i == 0 {
             // The source streams 600 Kbps of 1000-byte packets.
-            let app = StreamerApp::new(
+            Box::new(StreamerApp::new(
                 StreamKind::Multicast { group },
                 600_000,
                 1_000,
                 Time::from_secs(40),
                 Time::from_secs(100),
                 sink.clone(),
-            );
-            world.spawn_at(Time::ZERO, h, stack, Box::new(app));
+            ))
         } else {
-            world.spawn_at(
-                Time::from_millis(i as u64 * 100),
-                h,
-                stack,
-                Box::new(CollectorApp::new(sink.clone())),
-            );
-        }
-    }
+            Box::new(CollectorApp::new(sink.clone()))
+        };
+        (stack, app)
+    });
     world.api_at(
         Time::from_secs(5),
         hosts[0],

@@ -1,52 +1,12 @@
-//! Helpers shared by the workspace integration tests: worlds that run a
-//! registry-built spec stack on every host, and readers of the agents'
-//! state.
+//! Helpers shared by the workspace integration tests: readers of the
+//! agents' state, payloads, and the golden-file check. Worlds come from
+//! `macedon_bench::experiments`.
 #![allow(dead_code)]
 
 use macedon::core::app::SharedDeliveries;
-use macedon::lang::{InterpretedAgent, SpecRegistry};
+use macedon::lang::InterpretedAgent;
 use macedon::net::Topology;
 use macedon::prelude::*;
-
-/// `proto`'s stack from `registry` on every host of `topo`, in a world
-/// built from `cfg` with the stack's channel table; joins start
-/// `stagger_ms` apart through `hosts[0]`, and every app collects into
-/// one sink.
-pub(crate) fn spec_world(
-    registry: &SpecRegistry,
-    proto: &str,
-    topo: Topology,
-    cfg: WorldConfig,
-    stagger_ms: u64,
-) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let hosts = topo.hosts().to_vec();
-    let cfg = WorldConfig {
-        channels: registry.channel_table_for(proto).expect("chain resolves"),
-        ..cfg
-    };
-    let mut w = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let stack = registry
-            .build_stack(proto, (i > 0).then(|| hosts[0]))
-            .expect("stack builds");
-        w.spawn_at(
-            Time::from_millis(i as u64 * stagger_ms),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
-}
-
-/// The default world configuration with `seed`.
-pub(crate) fn seeded(seed: u64) -> WorldConfig {
-    WorldConfig {
-        seed,
-        ..Default::default()
-    }
-}
 
 /// A star LAN of `n` hosts.
 pub(crate) fn star(n: usize) -> Topology {
@@ -94,4 +54,25 @@ pub(crate) fn successor(w: &World, node: NodeId) -> Option<NodeId> {
         .iter()
         .copied()
         .min_by_key(|&s| me.distance_to(w.key_of(s)))
+}
+
+/// Compare `rendered` with the checked-in fixture `tests/golden/{name}.log`,
+/// or rewrite the fixture when `UPDATE_GOLDEN` is set (only for an
+/// intentional change of behaviour).
+pub(crate) fn assert_matches_golden(name: &str, rendered: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.log"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, rendered).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e} (run with UPDATE_GOLDEN=1 to create)",
+            path.display()
+        )
+    });
+    assert_eq!(rendered, want, "seeded run diverged from golden {name}.log");
 }

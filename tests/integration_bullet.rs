@@ -7,6 +7,7 @@
 use macedon::lang::SpecRegistry;
 use macedon::overlays::bullet::{Bullet, BulletConfig};
 use macedon::prelude::*;
+use macedon_bench::experiments::{seeded, stack_world};
 
 /// An `n`-host star LAN whose nodes run `randtree.mac` with at most
 /// `max_kids` children, Bullet on top when `bullet` is given, joining
@@ -22,29 +23,17 @@ fn tree_world(
         .set_constants("randtree", &[("MAXKIDS", max_kids)])
         .unwrap();
     let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
     let cfg = WorldConfig {
-        seed,
         channels: registry.channel_table_for("randtree").unwrap(),
-        ..Default::default()
+        ..seeded(seed)
     };
-    let mut w = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let mut stack = registry
-            .build_stack("randtree", (i > 0).then(|| hosts[0]))
-            .unwrap();
+    stack_world(topo, cfg, Duration::from_millis(100), |bootstrap| {
+        let mut stack = registry.build_stack("randtree", bootstrap).unwrap();
         if let Some(cfg) = &bullet {
             stack.push(Box::new(Bullet::new(cfg.clone())));
         }
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
+        stack
+    })
 }
 
 /// Build a RandTree world, optionally with Bullet layered on top, on a

@@ -5,11 +5,12 @@
 
 mod common;
 
-use common::{seeded, spec_world, stamped, successor};
+use common::{stamped, successor};
 use macedon::core::TraceEvent;
 use macedon::lang::SpecRegistry;
 use macedon::overlays::testutil::{collect_ring, correct_owner, inet_topology};
 use macedon::prelude::*;
+use macedon_bench::experiments::{seeded, spec_world};
 
 fn chord_world(
     clients: usize,
@@ -21,7 +22,8 @@ fn chord_world(
         trace_level,
         ..seeded(seed)
     };
-    spec_world(&SpecRegistry::bundled(), "chord", topo, cfg, 200)
+    let stagger = Duration::from_millis(200);
+    spec_world(&SpecRegistry::bundled(), "chord", topo, cfg, stagger)
 }
 
 fn route(w: &mut World, at: Time, from: NodeId, dest: MacedonKey, seq: u64, len: usize) {

@@ -24,23 +24,16 @@ fn star_hosts(n: usize) -> macedon::net::Topology {
 #[test]
 fn interpreted_randtree_forms_a_tree() {
     let spec = spec("randtree");
-    let topo = star_hosts(12);
-    let hosts = topo.hosts().to_vec();
-    let mut cfg = WorldConfig {
+    let cfg = WorldConfig {
         seed: 1,
+        channels: channel_table(&spec),
         ..Default::default()
     };
-    cfg.channels = channel_table(&spec);
-    let mut w = World::new(topo, cfg);
-    for (i, &h) in hosts.iter().enumerate() {
-        let a = InterpretedAgent::new(spec.clone(), (i > 0).then(|| hosts[0]));
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(a)],
-            Box::new(NullApp),
-        );
-    }
+    let mut w = World::new(star_hosts(12), cfg);
+    let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
+        let a = InterpretedAgent::new(spec.clone(), bootstrap);
+        (vec![Box::new(a)], Box::new(NullApp))
+    });
     w.run_until(Time::from_secs(60));
     // Everyone joined; parent pointers reach the root without cycles.
     let parent_of = |w: &World, h: NodeId| -> Option<NodeId> {
@@ -81,23 +74,16 @@ fn interpreted_randtree_forms_a_tree() {
 #[test]
 fn interpreted_overcast_follows_the_figure_1_fsm() {
     let spec = spec("overcast");
-    let topo = star_hosts(8);
-    let hosts = topo.hosts().to_vec();
-    let mut cfg = WorldConfig {
+    let cfg = WorldConfig {
         seed: 3,
+        channels: channel_table(&spec),
         ..Default::default()
     };
-    cfg.channels = channel_table(&spec);
-    let mut w = World::new(topo, cfg);
-    for (i, &h) in hosts.iter().enumerate() {
-        let a = InterpretedAgent::new(spec.clone(), (i > 0).then(|| hosts[0]));
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(a)],
-            Box::new(NullApp),
-        );
-    }
+    let mut w = World::new(star_hosts(8), cfg);
+    let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
+        let a = InterpretedAgent::new(spec.clone(), bootstrap);
+        (vec![Box::new(a)], Box::new(NullApp))
+    });
     w.run_until(Time::from_secs(90));
     // All nodes cycle back to joined (probe epochs pass through
     // probed/probing); tree edges total n-1.

@@ -4,22 +4,19 @@
 
 mod common;
 
-use common::{seeded, spec_world, stamped, star, successor};
-use macedon::lang::SpecRegistry;
+use common::{stamped, star, successor};
 use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{Scribe, ScribeConfig};
 use macedon::overlays::testutil::{collect_ring, correct_owner};
 use macedon::prelude::*;
+use macedon_bench::experiments::{seeded, stack_world, Backend};
+
+/// Joins start this far apart.
+const STAGGER: Duration = Duration::from_millis(100);
 
 /// An `n`-node `chord.mac` ring on a star LAN, joins 100 ms apart.
 fn chord_ring(n: usize, seed: u64) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    spec_world(
-        &SpecRegistry::bundled(),
-        "chord",
-        star(n),
-        seeded(seed),
-        100,
-    )
+    Backend::Interpreted.world("chord", star(n), seeded(seed), STAGGER)
 }
 
 /// Every one of `nodes`, in ring order, points at the next one.
@@ -88,29 +85,16 @@ fn chord_routes_correctly_after_heal() {
 
 #[test]
 fn scribe_tree_repairs_after_forwarder_crash() {
-    let topo = star(12);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 5,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
+    let (mut w, hosts, sink) = stack_world(star(12), seeded(5), STAGGER, |bootstrap| {
         let pastry = Pastry::new(PastryConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
+            bootstrap,
             ..Default::default()
         });
-        let scribe = Scribe::new(ScribeConfig::default());
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(pastry), Box::new(scribe)],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+        vec![
+            Box::new(pastry),
+            Box::new(Scribe::new(ScribeConfig::default())),
+        ]
+    });
     let group = MacedonKey::of_name("resilient");
     w.run_until(Time::from_secs(40));
     for &h in &hosts[1..] {

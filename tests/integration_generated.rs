@@ -11,7 +11,11 @@
 use macedon::lang::interp::InterpretedAgent;
 use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
+use macedon_bench::experiments::{seeded, stack_world, Backend};
 use macedon_generated as gen;
+
+/// Joins start this far apart.
+const STAGGER: Duration = Duration::from_millis(100);
 
 fn star_topo(n: usize) -> macedon::net::Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
@@ -28,49 +32,15 @@ fn log_of(sink: &macedon::core::app::SharedDeliveries) -> Log {
         .collect()
 }
 
-enum Kind {
-    Interpreted,
-    Generated,
-}
-
-/// Build a world running `proto` as an all-interpreted or all-generated
-/// stack — everything else (topology, seed, channels, spawn schedule,
-/// app) identical.
+/// `proto` on `backend` on an `n`-host star — everything else
+/// (topology, seed, channels, spawn schedule, app) identical.
 fn world_of(
-    kind: &Kind,
+    backend: Backend,
     proto: &str,
     n: usize,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    let topo = star_topo(n);
-    let hosts = topo.hosts().to_vec();
-    let mut cfg = WorldConfig {
-        seed,
-        ..Default::default()
-    };
-    cfg.channels = match kind {
-        Kind::Interpreted => SpecRegistry::bundled()
-            .channel_table_for(proto)
-            .expect("chain resolves"),
-        Kind::Generated => gen::channel_table(proto).expect("generated table"),
-    };
-    let mut w = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    let reg = SpecRegistry::bundled();
-    for (i, &h) in hosts.iter().enumerate() {
-        let bootstrap = (i > 0).then(|| hosts[0]);
-        let stack = match kind {
-            Kind::Interpreted => reg.build_stack(proto, bootstrap).expect("stack builds"),
-            Kind::Generated => gen::build_stack(proto, bootstrap).expect("generated stack"),
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
+    backend.world(proto, star_topo(n), seeded(seed), STAGGER)
 }
 
 /// Stream `n_pkts` multicast packets from `hosts[1]` after a join+settle
@@ -122,10 +92,10 @@ fn drive_routes(w: &mut World, hosts: &[NodeId], n_pkts: u64) {
 
 /// Route-driven analogue of [`run_twins`].
 fn run_route_twins(proto: &str, n: usize, seed: u64, n_pkts: u64) -> ((World, Log), (World, Log)) {
-    let (mut iw, ihosts, isink) = world_of(&Kind::Interpreted, proto, n, seed);
+    let (mut iw, ihosts, isink) = world_of(Backend::Interpreted, proto, n, seed);
     drive_routes(&mut iw, &ihosts, n_pkts);
     let ilog = log_of(&isink);
-    let (mut gw, ghosts, gsink) = world_of(&Kind::Generated, proto, n, seed);
+    let (mut gw, ghosts, gsink) = world_of(Backend::Generated, proto, n, seed);
     assert_eq!(ihosts, ghosts);
     drive_routes(&mut gw, &ghosts, n_pkts);
     let glog = log_of(&gsink);
@@ -136,10 +106,10 @@ fn run_route_twins(proto: &str, n: usize, seed: u64, n_pkts: u64) -> ((World, Lo
 /// logs plus the finished worlds for state inspection.
 fn run_twins(proto: &str, n: usize, seed: u64, join: bool) -> ((World, Log), (World, Log)) {
     let group = MacedonKey::of_name("xval");
-    let (mut iw, ihosts, isink) = world_of(&Kind::Interpreted, proto, n, seed);
+    let (mut iw, ihosts, isink) = world_of(Backend::Interpreted, proto, n, seed);
     drive_multicast(&mut iw, &ihosts, group, 5, join);
     let ilog = log_of(&isink);
-    let (mut gw, ghosts, gsink) = world_of(&Kind::Generated, proto, n, seed);
+    let (mut gw, ghosts, gsink) = world_of(Backend::Generated, proto, n, seed);
     assert_eq!(ihosts, ghosts);
     drive_multicast(&mut gw, &ghosts, group, 5, join);
     let glog = log_of(&gsink);
@@ -274,17 +244,11 @@ fn generated_pastry_interoperates_under_interpreted_scribe() {
 
     let mut logs = Vec::new();
     for mixed in [false, true] {
-        let topo = star_topo(n);
-        let hosts = topo.hosts().to_vec();
-        let mut cfg = WorldConfig {
-            seed,
-            ..Default::default()
+        let cfg = WorldConfig {
+            channels: reg.channel_table_for("scribe").expect("chain resolves"),
+            ..seeded(seed)
         };
-        cfg.channels = reg.channel_table_for("scribe").expect("chain resolves");
-        let mut w = World::new(topo, cfg);
-        let sink = shared_deliveries();
-        for (i, &h) in hosts.iter().enumerate() {
-            let bootstrap = (i > 0).then(|| hosts[0]);
+        let (mut w, hosts, sink) = stack_world(star_topo(n), cfg, STAGGER, |bootstrap| {
             let lowest: Box<dyn Agent> = if mixed {
                 Box::new(gen::pastry::Pastry::new(bootstrap))
             } else {
@@ -293,16 +257,11 @@ fn generated_pastry_interoperates_under_interpreted_scribe() {
                     bootstrap,
                 ))
             };
-            w.spawn_at(
-                Time::from_millis(i as u64 * 100),
-                h,
-                vec![
-                    lowest,
-                    Box::new(InterpretedAgent::new(scribe_spec.clone(), bootstrap)),
-                ],
-                Box::new(CollectorApp::new(sink.clone())),
-            );
-        }
+            vec![
+                lowest,
+                Box::new(InterpretedAgent::new(scribe_spec.clone(), bootstrap)),
+            ]
+        });
         drive_multicast(&mut w, &hosts, group, 5, true);
         logs.push(log_of(&sink));
     }
@@ -316,7 +275,7 @@ fn all_nine_generated_stacks_instantiate_and_run() {
     // fires transitions without wedging the world (the spec_roster.rs
     // analogue for the generated artifact).
     for proto in gen::PROTOCOLS {
-        let (mut w, hosts, _sink) = world_of(&Kind::Generated, proto, 6, 21);
+        let (mut w, hosts, _sink) = world_of(Backend::Generated, proto, 6, 21);
         w.run_until(Time::from_secs(30));
         for &h in &hosts {
             let stack = w.stack(h).unwrap();

@@ -5,14 +5,20 @@
 //! (native Pastry under interpreted `scribe.mac`) exercises the claim
 //! that interpreted and native agents compose through the same API.
 
+mod common;
+
+use common::assert_matches_golden;
 use macedon::lang::interp::InterpretedAgent;
 use macedon::lang::SpecRegistry;
 use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{Scribe, ScribeConfig};
 use macedon::overlays::splitstream::{SplitStream, SplitStreamConfig};
 use macedon::prelude::*;
-use macedon_generated as gen;
+use macedon_bench::experiments::{seeded, stack_world, Backend};
 use std::collections::HashSet;
+
+/// Joins start this far apart.
+const STAGGER: Duration = Duration::from_millis(100);
 
 fn star_topo(n: usize) -> macedon::net::Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
@@ -60,28 +66,7 @@ fn interpreted_world(
     n: usize,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    let reg = SpecRegistry::bundled();
-    let topo = star_topo(n);
-    let hosts = topo.hosts().to_vec();
-    let mut cfg = WorldConfig {
-        seed,
-        ..Default::default()
-    };
-    cfg.channels = reg.channel_table_for(proto).expect("chain resolves");
-    let mut w = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let stack = reg
-            .build_stack(proto, (i > 0).then(|| hosts[0]))
-            .expect("stack builds");
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
+    Backend::Interpreted.world(proto, star_topo(n), seeded(seed), STAGGER)
 }
 
 fn native_world(
@@ -89,18 +74,7 @@ fn native_world(
     n: usize,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    let topo = star_topo(n);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let bootstrap = (i > 0).then(|| hosts[0]);
+    stack_world(star_topo(n), seeded(seed), STAGGER, |bootstrap| {
         let mut stack: Vec<Box<dyn Agent>> = vec![
             Box::new(Pastry::new(PastryConfig {
                 bootstrap,
@@ -111,14 +85,8 @@ fn native_world(
         if layers == 3 {
             stack.push(Box::new(SplitStream::new(SplitStreamConfig::default())));
         }
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
+        stack
+    })
 }
 
 #[test]
@@ -188,31 +156,15 @@ fn mixed_stack_native_pastry_under_interpreted_scribe() {
     let scribe_spec = chain[1].clone();
 
     let n = 12;
-    let topo = star_topo(n);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 9,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let bootstrap = (i > 0).then(|| hosts[0]);
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![
-                Box::new(Pastry::new(PastryConfig {
-                    bootstrap,
-                    ..Default::default()
-                })),
-                Box::new(InterpretedAgent::new(scribe_spec.clone(), bootstrap)),
-            ],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) = stack_world(star_topo(n), seeded(9), STAGGER, |bootstrap| {
+        vec![
+            Box::new(Pastry::new(PastryConfig {
+                bootstrap,
+                ..Default::default()
+            })),
+            Box::new(InterpretedAgent::new(scribe_spec.clone(), bootstrap)),
+        ]
+    });
     let group = MacedonKey::of_name("lg3");
     drive_multicast(&mut w, &hosts, group, 3);
     let cov = coverage(&sink, 3);
@@ -277,51 +229,12 @@ fn render_run(
     out
 }
 
-fn assert_matches_golden(name: &str, rendered: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.log"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e} (run with UPDATE_GOLDEN=1 to create)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, want,
-        "seeded interpreted run diverged from golden {name}.log — the \
-         interpreter's behavior must stay bit-for-bit stable"
-    );
-}
-
 /// Seeded single-layer run (overcast/randtree): multicast traffic from
 /// hosts[1] without explicit joins, the generated-twin scenario.
 fn golden_single_layer(proto: &str, seed: u64) {
     let reg = SpecRegistry::bundled();
     let spec = reg.resolve_chain(proto).unwrap()[0].clone();
-    let topo = star_topo(10);
-    let hosts = topo.hosts().to_vec();
-    let mut cfg = WorldConfig {
-        seed,
-        ..Default::default()
-    };
-    cfg.channels = reg.channel_table_for(proto).unwrap();
-    let mut w = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let stack = reg.build_stack(proto, (i > 0).then(|| hosts[0])).unwrap();
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) = interpreted_world(proto, 10, seed);
     let group = MacedonKey::of_name("golden");
     w.run_until(Time::from_secs(40));
     w.run_until(Time::from_secs(80));
@@ -395,37 +308,10 @@ fn route_transition_honors_declared_transport_class() {
     // stats, while the routed run demonstrably delivers. A back end
     // that misrouted `route_data` onto CTRL would inflate messages and
     // bytes there immediately. Asserted for both translator back ends.
-    for backend in ["interpreted", "generated"] {
+    for backend in [Backend::Interpreted, Backend::Generated] {
         let run = |routes: bool| {
-            let topo = star_topo(10);
-            let hosts = topo.hosts().to_vec();
-            let mut cfg = WorldConfig {
-                seed: 27,
-                ..Default::default()
-            };
-            cfg.channels = match backend {
-                "interpreted" => SpecRegistry::bundled().channel_table_for("chord").unwrap(),
-                _ => gen::channel_table("chord").unwrap(),
-            };
-            let ctrl =
-                ChannelId(cfg.channels.iter().position(|c| c.name == "CTRL").unwrap() as u16);
-            let mut w = World::new(topo, cfg);
-            let sink = shared_deliveries();
-            for (i, &h) in hosts.iter().enumerate() {
-                let bootstrap = (i > 0).then(|| hosts[0]);
-                let stack = match backend {
-                    "interpreted" => SpecRegistry::bundled()
-                        .build_stack("chord", bootstrap)
-                        .unwrap(),
-                    _ => gen::build_stack("chord", bootstrap).unwrap(),
-                };
-                w.spawn_at(
-                    Time::from_millis(i as u64 * 100),
-                    h,
-                    stack,
-                    Box::new(CollectorApp::new(sink.clone())),
-                );
-            }
+            let (mut w, hosts, sink) = backend.world("chord", star_topo(10), seeded(27), STAGGER);
+            let ctrl = w.channel("CTRL").unwrap();
             w.run_until(Time::from_secs(60));
             if routes {
                 for i in 0..6u64 {
@@ -455,18 +341,18 @@ fn route_transition_honors_declared_transport_class() {
         };
         let (idle_ctrl, idle_deliveries) = run(false);
         let (routed_ctrl, routed_deliveries) = run(true);
-        assert_eq!(idle_deliveries, 0, "{backend}: idle run must not deliver");
+        assert_eq!(idle_deliveries, 0, "{backend:?}: idle run must not deliver");
         assert!(
             routed_deliveries > 0,
-            "{backend}: routed packets must reach their key owners"
+            "{backend:?}: routed packets must reach their key owners"
         );
         assert!(
             idle_ctrl.iter().any(|&(m, b)| m > 0 && b > 0),
-            "{backend}: ring maintenance rides CTRL"
+            "{backend:?}: ring maintenance rides CTRL"
         );
         assert_eq!(
             idle_ctrl, routed_ctrl,
-            "{backend}: route traffic leaked onto the reliable CTRL \
+            "{backend:?}: route traffic leaked onto the reliable CTRL \
              channel — route_data is declared DATA (UDP)"
         );
     }

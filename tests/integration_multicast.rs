@@ -8,35 +8,23 @@ use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon::overlays::splitstream::{stripe_key, SplitStream, SplitStreamConfig};
 use macedon::prelude::*;
+use macedon_bench::experiments::{seeded, spec_world, stack_world};
 use std::sync::Arc;
 
+/// Joins start this far apart.
+const STAGGER: Duration = Duration::from_millis(100);
+
 fn scribe_world(n: usize, seed: u64) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
+    stack_world(common::star(n), seeded(seed), STAGGER, |bootstrap| {
         let pastry = Pastry::new(PastryConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
+            bootstrap,
             ..Default::default()
         });
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![
-                Box::new(pastry),
-                Box::new(Scribe::new(ScribeConfig::default())),
-            ],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
+        vec![
+            Box::new(pastry),
+            Box::new(Scribe::new(ScribeConfig::default())),
+        ]
+    })
 }
 
 fn run_multicast(w: &mut World, hosts: &[NodeId], group: MacedonKey, n_pkts: u64) {
@@ -98,13 +86,8 @@ fn scribe_over_chord_reaches_all_members() {
     );
     let mut registry = SpecRegistry::bundled();
     registry.insert(Arc::new(compile(&src).expect("scribe over chord compiles")));
-    let (mut w, hosts, sink) = common::spec_world(
-        &registry,
-        "scribe",
-        common::star(12),
-        common::seeded(2),
-        100,
-    );
+    let (mut w, hosts, sink) =
+        spec_world(&registry, "scribe", common::star(12), seeded(2), STAGGER);
     let group = MacedonKey::of_name("g2");
     run_multicast(&mut w, &hosts, group, 5);
     let log = sink.lock();
@@ -156,19 +139,9 @@ fn scribe_trees_are_rooted_at_group_owner() {
 
 #[test]
 fn splitstream_stripes_spread_over_distinct_trees() {
-    let topo = macedon::net::topology::canned::star(16, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 4,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
+    let (mut w, hosts, sink) = stack_world(common::star(16), seeded(4), STAGGER, |bootstrap| {
         let pastry = Pastry::new(PastryConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
+            bootstrap,
             ..Default::default()
         });
         let scribe = Scribe::new(ScribeConfig {
@@ -176,13 +149,8 @@ fn splitstream_stripes_spread_over_distinct_trees() {
             max_children: Some(4),
         });
         let split = SplitStream::new(SplitStreamConfig { stripes: 8 });
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(pastry), Box::new(scribe), Box::new(split)],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+        vec![Box::new(pastry), Box::new(scribe), Box::new(split)]
+    });
     let group = MacedonKey::of_name("forest");
     w.run_until(Time::from_secs(40));
     for &h in &hosts[1..] {

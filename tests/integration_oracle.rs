@@ -10,21 +10,18 @@
 //! ring), asserts divergence, heals, churns one node, and pins the
 //! whole oracle trace plus the final ring as a golden fixture.
 
+mod common;
+
+use common::assert_matches_golden;
 use macedon::core::Stack;
 use macedon::lang::interp::InterpretedAgent;
-use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
 use macedon::scenario::{script, AgentView, ChordOracle, ScenarioOutcome, ScenarioRunner};
+use macedon_bench::experiments::Backend;
 use macedon_generated as gen;
 
 fn star_topo(n: usize) -> macedon::net::Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Kind {
-    Interpreted,
-    Generated,
 }
 
 const CHORD_LISTS: [&str; 3] = ["succs", "pred", "fingers"];
@@ -61,16 +58,12 @@ fn chord_view(stack: &Stack) -> AgentView {
 
 /// Run `scenario_src` with an all-interpreted or all-generated chord
 /// stack, the Chord oracle registered, and the chord probe installed.
-fn run_chord(kind: Kind, scenario_src: &str, seed: u64) -> ScenarioOutcome {
+fn run_chord(backend: Backend, scenario_src: &str, seed: u64) -> ScenarioOutcome {
     let scenario = script::parse(scenario_src).expect("scenario parses");
-    let reg = SpecRegistry::bundled();
     let topo = star_topo(scenario.nodes);
     let cfg = WorldConfig {
         seed,
-        channels: match kind {
-            Kind::Interpreted => reg.channel_table_for("chord").unwrap(),
-            Kind::Generated => gen::channel_table("chord").unwrap(),
-        },
+        channels: backend.channel_table("chord"),
         fd_g: Duration::from_secs(2),
         fd_f: Duration::from_secs(6),
         ..Default::default()
@@ -79,10 +72,7 @@ fn run_chord(kind: Kind, scenario_src: &str, seed: u64) -> ScenarioOutcome {
         scenario,
         topo,
         cfg,
-        Box::new(move |_idx, _host, bootstrap| match kind {
-            Kind::Interpreted => reg.build_stack("chord", bootstrap).unwrap(),
-            Kind::Generated => gen::build_stack("chord", bootstrap).unwrap(),
-        }),
+        Box::new(move |_idx, _host, bootstrap| backend.build_stack("chord", bootstrap)),
     )
     .expect("runner binds");
     runner.register_oracle(Box::new(ChordOracle::new()));
@@ -103,8 +93,8 @@ const CHURN: &str = "scenario chord-churn\nnodes 50\nend 150s\n\
 
 #[test]
 fn chord_oracle_fails_at_perturbation_and_passes_at_end() {
-    let i_out = run_chord(Kind::Interpreted, CHURN, 61);
-    let g_out = run_chord(Kind::Generated, CHURN, 61);
+    let i_out = run_chord(Backend::Interpreted, CHURN, 61);
+    let g_out = run_chord(Backend::Generated, CHURN, 61);
     for (which, r) in [("interpreted", &i_out.report), ("generated", &g_out.report)] {
         assert_eq!(r.oracle_checks.len(), 2, "{which}: both checkpoints ran");
         // One second after the crash the failure detectors have not
@@ -148,7 +138,7 @@ fn chord_oracle_fails_at_perturbation_and_passes_at_end() {
 fn violations_print_expected_vs_actual_successor() {
     // Satellite of the CI story: an oracle failure must be debuggable
     // from the log alone — node id, expected and actual successor.
-    let out = run_chord(Kind::Interpreted, CHURN, 61);
+    let out = run_chord(Backend::Interpreted, CHURN, 61);
     let diverged = &out.report.oracle_checks[0];
     assert!(!diverged.violations.is_empty());
     for v in &diverged.violations {
@@ -171,7 +161,7 @@ fn violations_print_expected_vs_actual_successor() {
 fn unregistered_oracle_fails_the_checkpoint() {
     let src = "scenario no-oracle\nnodes 4\nend 20s\n\
          at 0s join 0..4\nat 19s assert converged pastry\n";
-    let out = run_chord(Kind::Interpreted, src, 9);
+    let out = run_chord(Backend::Interpreted, src, 9);
     assert!(!out.report.asserts_passed());
     assert!(out.report.oracle_checks[0].violations[0].contains("no oracle registered"));
 }
@@ -196,7 +186,7 @@ const ADVERSARIAL: &str = "scenario adversarial-start\nnodes 16\nend 120s\n\
 #[test]
 fn golden_adversarial_start_converges_after_heal() {
     use std::fmt::Write;
-    let out = run_chord(Kind::Interpreted, ADVERSARIAL, 77);
+    let out = run_chord(Backend::Interpreted, ADVERSARIAL, 77);
     let r = &out.report;
     assert!(r.asserts_passed(), "{}", r.render());
     assert!(
@@ -259,22 +249,5 @@ fn golden_adversarial_start_converges_after_heal() {
         .unwrap();
     }
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join("oracle_adversarial.log");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &text).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e} (run with UPDATE_GOLDEN=1 to create)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        text, want,
-        "adversarial-start oracle trace diverged from golden oracle_adversarial.log"
-    );
+    assert_matches_golden("oracle_adversarial", &text);
 }

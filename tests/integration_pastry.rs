@@ -6,6 +6,7 @@ use macedon::net::topology::{inet, InetParams};
 use macedon::overlays::pastry::{Pastry, PastryConfig, EXT_ROUTE_DIRECT};
 use macedon::prelude::*;
 use macedon::sim::SimRng;
+use macedon_bench::experiments::{seeded, stack_world};
 
 fn pastry_world(
     clients: usize,
@@ -21,29 +22,17 @@ fn pastry_world(
         },
         &mut rng,
     );
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
+    stack_world(
         topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
+        seeded(seed),
+        Duration::from_millis(150),
+        |bootstrap| {
+            vec![Box::new(Pastry::new(PastryConfig {
+                bootstrap,
+                cache_lifetime,
+            }))]
         },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = PastryConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            cache_lifetime,
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 150),
-            h,
-            vec![Box::new(Pastry::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
+    )
 }
 
 fn pastry_of(w: &World, h: NodeId) -> &Pastry {

@@ -4,35 +4,28 @@
 //! degraded parent via the `goodput()` builtin, with interpreted and
 //! generated agents producing exactly equal seeded runs.
 
+mod common;
+
+use common::assert_matches_golden;
 use macedon::lang::interp::InterpretedAgent;
-use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
 use macedon::scenario::{script, ScenarioOutcome, ScenarioRunner};
+use macedon_bench::experiments::Backend;
 use macedon_generated as gen;
 
 fn star_topo(n: usize) -> macedon::net::Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Kind {
-    Interpreted,
-    Generated,
-}
-
 /// Run `scenario_src` with an all-interpreted or all-generated overcast
 /// stack on every node (fast failure detection so churn aftermath fits
 /// the scripted windows).
-fn run_overcast(kind: Kind, scenario_src: &str, seed: u64) -> ScenarioOutcome {
+fn run_overcast(backend: Backend, scenario_src: &str, seed: u64) -> ScenarioOutcome {
     let scenario = script::parse(scenario_src).expect("scenario parses");
-    let reg = SpecRegistry::bundled();
     let topo = star_topo(scenario.nodes);
     let cfg = WorldConfig {
         seed,
-        channels: match kind {
-            Kind::Interpreted => reg.channel_table_for("overcast").unwrap(),
-            Kind::Generated => gen::channel_table("overcast").unwrap(),
-        },
+        channels: backend.channel_table("overcast"),
         fd_g: Duration::from_secs(2),
         fd_f: Duration::from_secs(6),
         ..Default::default()
@@ -41,10 +34,7 @@ fn run_overcast(kind: Kind, scenario_src: &str, seed: u64) -> ScenarioOutcome {
         scenario,
         topo,
         cfg,
-        Box::new(move |_idx, _host, bootstrap| match kind {
-            Kind::Interpreted => reg.build_stack("overcast", bootstrap).unwrap(),
-            Kind::Generated => gen::build_stack("overcast", bootstrap).unwrap(),
-        }),
+        Box::new(move |_idx, _host, bootstrap| backend.build_stack("overcast", bootstrap)),
     )
     .expect("runner binds");
     runner.run()
@@ -115,7 +105,7 @@ const DEGRADE_PREFIX: &str = "scenario degrade\nnodes 10\nend 75s\n\
 fn overcast_relocates_children_off_a_degraded_parent() {
     // Control: same seed and schedule, no degradation — learn the tree
     // and pin down a depth-2 parent C.
-    let control = run_overcast(Kind::Interpreted, DEGRADE_PREFIX, DEGRADE_SEED);
+    let control = run_overcast(Backend::Interpreted, DEGRADE_PREFIX, DEGRADE_SEED);
     let control_tree = interp_tree(&control);
     let root = control.hosts[0];
     let c_idx = control_tree
@@ -130,8 +120,8 @@ fn overcast_relocates_children_off_a_degraded_parent() {
     // (and forwarded stream data) arrive slowly, goodput(C) collapses
     // at its children, and the next probe epochs relocate them.
     let degraded_src = format!("{DEGRADE_PREFIX}at 25s degrade {c_idx} bw 4kbps\n");
-    let i_out = run_overcast(Kind::Interpreted, &degraded_src, DEGRADE_SEED);
-    let g_out = run_overcast(Kind::Generated, &degraded_src, DEGRADE_SEED);
+    let i_out = run_overcast(Backend::Interpreted, &degraded_src, DEGRADE_SEED);
+    let g_out = run_overcast(Backend::Generated, &degraded_src, DEGRADE_SEED);
 
     // The two translator back ends agree exactly: identical delivery
     // logs (timestamps included) and identical final FSM/neighbor state.
@@ -176,7 +166,7 @@ const CHURN_GOLDEN: &str = "scenario churn-golden\nnodes 10\nend 80s\n\
 #[test]
 fn golden_churn_partition_scenario() {
     use std::fmt::Write;
-    let outcome = run_overcast(Kind::Interpreted, CHURN_GOLDEN, 35);
+    let outcome = run_overcast(Backend::Interpreted, CHURN_GOLDEN, 35);
     let mut out = String::new();
     for r in outcome.deliveries.lock().iter() {
         writeln!(
@@ -229,26 +219,7 @@ fn golden_churn_partition_scenario() {
     assert!(out.lines().any(|l| l.starts_with('d')), "run delivered");
     assert!(out.contains("alive"), "alive set rendered");
 
-    // Compare against (or refresh) the checked-in fixture.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join("scenario_churn.log");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &out).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e} (run with UPDATE_GOLDEN=1 to create)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        out, want,
-        "seeded churn+partition scenario diverged from golden scenario_churn.log — \
-         perturbations must stay deterministic across builds"
-    );
+    assert_matches_golden("scenario_churn", &out);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,8 +229,8 @@ fn golden_churn_partition_scenario() {
 
 #[test]
 fn churn_scenario_backends_agree() {
-    let i_out = run_overcast(Kind::Interpreted, CHURN_GOLDEN, 36);
-    let g_out = run_overcast(Kind::Generated, CHURN_GOLDEN, 36);
+    let i_out = run_overcast(Backend::Interpreted, CHURN_GOLDEN, 36);
+    let g_out = run_overcast(Backend::Generated, CHURN_GOLDEN, 36);
     let (ilog, glog) = (log_of(&i_out), log_of(&g_out));
     assert!(!ilog.is_empty());
     assert_eq!(ilog, glog, "churn scenario logs diverged across back ends");

@@ -6,12 +6,13 @@
 
 mod common;
 
-use common::{only, receivers, seeded, spec_world, stamped};
+use common::{only, receivers, stamped};
 use macedon::lang::SpecRegistry;
 use macedon::net::metrics::{link_stress, tree_stretch};
-use macedon::overlays::nice::{Nice, NiceConfig};
+use macedon::overlays::nice::Nice;
 use macedon::overlays::testutil::inet_topology;
 use macedon::prelude::*;
+use macedon_bench::experiments::{seeded, spec_world, stack_world};
 use std::collections::HashMap;
 
 /// `proto` from the bundled roster with `constants` overridden, on a
@@ -26,7 +27,8 @@ fn inet_tree(
     let topo = inet_topology(120, clients, seed);
     let mut registry = SpecRegistry::bundled();
     registry.set_constants(proto, constants).unwrap();
-    spec_world(&registry, proto, topo, seeded(seed), stagger_ms)
+    let stagger = Duration::from_millis(stagger_ms);
+    spec_world(&registry, proto, topo, seeded(seed), stagger)
 }
 
 /// Every non-root host's `papa`, asserting each one reaches the root.
@@ -133,27 +135,10 @@ fn nice_clusters_respect_latency_locality() {
     ];
     let topo =
         macedon::net::topology::canned::sites(&lat, 3, macedon::net::topology::LinkSpec::lan());
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = NiceConfig {
-            rendezvous: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 400),
-            h,
-            vec![Box::new(Nice::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, _sink) =
+        stack_world(topo, seeded(7), Duration::from_millis(400), |rendezvous| {
+            vec![Box::new(Nice::new(rendezvous))]
+        });
     w.run_until(Time::from_secs(240));
     // Count cross-island L0 cluster edges; locality should dominate.
     let island = |n: NodeId| hosts.iter().position(|&h| h == n).unwrap() / 6; // 2 sites/island

@@ -87,21 +87,14 @@ fn every_spec_stack_spawns_in_a_world() {
     let reg = SpecRegistry::bundled();
     for &(name, _) in ROSTER {
         let topo = macedon::net::topology::canned::star(2, macedon::net::topology::LinkSpec::lan());
-        let hosts = topo.hosts().to_vec();
         let cfg = WorldConfig {
             channels: reg.channel_table_for(name).unwrap(),
             ..Default::default()
         };
         let mut w = World::new(topo, cfg);
-        for (i, &h) in hosts.iter().enumerate() {
-            let stack = reg.build_stack(name, (i > 0).then(|| hosts[0])).unwrap();
-            w.spawn_at(
-                Time::from_millis(i as u64 * 10),
-                h,
-                stack,
-                Box::new(NullApp),
-            );
-        }
+        let hosts = w.spawn_each(Duration::from_millis(10), |_, bootstrap| {
+            (reg.build_stack(name, bootstrap).unwrap(), Box::new(NullApp))
+        });
         w.run_until(Time::from_secs(5));
         for &h in &hosts {
             let s = w.stack(h).unwrap();

@@ -21,23 +21,17 @@
 //! minted, and no span is minted twice.
 
 use macedon::core::{SpanForest, TraceEvent};
-use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
-use macedon_generated as gen;
+use macedon_bench::experiments::Backend;
 
 fn star_topo(n: usize) -> macedon::net::Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
 }
 
-enum Kind {
-    Interpreted,
-    Generated,
-}
-
 /// Build a world running `proto` with every stack traced at `level`,
 /// partitioned into `shards` and driven by `workers` threads.
 fn traced_world(
-    kind: &Kind,
+    backend: Backend,
     proto: &str,
     n: usize,
     seed: u64,
@@ -45,35 +39,15 @@ fn traced_world(
     shards: usize,
     workers: usize,
 ) -> (World, Vec<NodeId>) {
-    let topo = star_topo(n);
-    let hosts = topo.hosts().to_vec();
-    let reg = SpecRegistry::bundled();
-    let mut cfg = WorldConfig {
+    let cfg = WorldConfig {
         seed,
         shards,
+        trace_level: level,
         ..Default::default()
     };
-    cfg.channels = match kind {
-        Kind::Interpreted => reg.channel_table_for(proto).expect("chain resolves"),
-        Kind::Generated => gen::channel_table(proto).expect("generated table"),
-    };
-    let mut w = World::new(topo, cfg);
+    let stagger = Duration::from_millis(100);
+    let (mut w, hosts, _sink) = backend.world(proto, star_topo(n), cfg, stagger);
     w.set_workers(workers);
-    let sink = macedon::core::app::shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let bootstrap = (i > 0).then(|| hosts[0]);
-        let stack = match kind {
-            Kind::Interpreted => reg.build_stack(proto, bootstrap).expect("stack builds"),
-            Kind::Generated => gen::build_stack(proto, bootstrap).expect("generated stack"),
-        };
-        w.spawn_at_traced(
-            Time::from_millis(i as u64 * 100),
-            h,
-            stack,
-            Box::new(CollectorApp::new(sink.clone())),
-            level,
-        );
-    }
     (w, hosts)
 }
 
@@ -117,7 +91,7 @@ fn span_forest(w: &World) -> SpanForest {
 fn trace_stream_identical_across_backends() {
     let group = MacedonKey::of_name("xval");
     let (mut iw, ihosts) = traced_world(
-        &Kind::Interpreted,
+        Backend::Interpreted,
         "splitstream",
         10,
         13,
@@ -127,7 +101,7 @@ fn trace_stream_identical_across_backends() {
     );
     drive(&mut iw, &ihosts, group);
     let (mut gw, ghosts) = traced_world(
-        &Kind::Generated,
+        Backend::Generated,
         "splitstream",
         10,
         13,
@@ -159,7 +133,7 @@ fn trace_stream_identical_across_worker_counts() {
     let mut streams = Vec::new();
     for workers in [1usize, 4] {
         let (mut w, hosts) = traced_world(
-            &Kind::Interpreted,
+            Backend::Interpreted,
             "splitstream",
             12,
             7,
@@ -182,7 +156,7 @@ fn span_parentage_forms_a_forest() {
     let group = MacedonKey::of_name("xval");
     for (shards, workers) in [(1usize, 1usize), (4, 4)] {
         let (mut w, hosts) = traced_world(
-            &Kind::Interpreted,
+            Backend::Interpreted,
             "splitstream",
             10,
             13,
@@ -211,7 +185,7 @@ fn tracing_is_pure_observation() {
     let group = MacedonKey::of_name("xval");
     let mut logs = Vec::new();
     for level in [TraceLevel::Off, TraceLevel::High] {
-        let (mut w, hosts) = traced_world(&Kind::Interpreted, "splitstream", 10, 13, level, 1, 1);
+        let (mut w, hosts) = traced_world(Backend::Interpreted, "splitstream", 10, 13, level, 1, 1);
         drive(&mut w, &hosts, group);
         logs.push((w.events_fired(), w.total_net_drops()));
         if level == TraceLevel::Off {
