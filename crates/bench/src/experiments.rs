@@ -14,7 +14,7 @@ use macedon_core::{
     Agent, AppHandler, Bytes, ChannelSpec, DownCall, Duration, MacedonKey, NodeId, TelemetryReport,
     Time, TraceLevel, World, WorldConfig,
 };
-use macedon_lang::{InterpretedAgent, SpecRegistry};
+use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
 use macedon_net::Topology;
 use macedon_overlays::nice::Nice;
@@ -314,8 +314,7 @@ pub fn correct_fingers(w: &World, hosts: &[NodeId]) -> usize {
     hosts
         .iter()
         .filter_map(|&h| {
-            let chord: &InterpretedAgent = w.stack(h)?.agent(0).as_any().downcast_ref()?;
-            let fingers = chord.list("fingers")?;
+            let fingers = w.stack(h)?.agent(0).view()?.list("fingers")?;
             let me = w.key_of(h);
             Some(
                 (0..32)
@@ -606,9 +605,9 @@ pub struct Fig12Observed {
 /// spec → running-overlay → measurement loop with zero native protocol
 /// code.
 ///
-/// The experiment itself is a scenario: a `ScenarioBuilder` declaration
-/// (staggered joins + one multicast stream) compiled by the scenario
-/// runner, instead of a bespoke spawn/api loop.
+/// The experiment itself is a scenario script (staggered joins + one
+/// multicast stream) compiled by the scenario runner, instead of a
+/// bespoke spawn/api loop.
 ///
 /// The stacks run at the trace level `splitstream.mac`'s `trace_`
 /// header asks for — raised to High when `trace` is set, so the
@@ -625,23 +624,14 @@ pub fn fig12_from_spec_observed(
         Scale::Paper => (64, 120, 120, 200_000),
     };
     let registry = macedon_lang::SpecRegistry::bundled();
-    let scenario = macedon_scenario::ScenarioBuilder::new("fig12-from-spec", nodes)
-        .end(Time::from_secs(converge_s + stream_s + 10))
-        .join(
-            Time::ZERO,
-            0..nodes,
-            Duration::from_millis(nodes as u64 * 100),
-        )
-        .stream(
-            Time::from_secs(converge_s),
-            0,
-            rate_bps,
-            1_000,
-            Duration::from_secs(stream_s),
-            macedon_scenario::StreamShape::Multicast,
-        )
-        .build()
-        .expect("fig12 scenario validates");
+    let scenario = macedon_scenario::script::parse(&format!(
+        "scenario fig12-from-spec\nnodes {nodes}\nend {end}s\n\
+         at 0s join 0..{nodes} over {stagger}ms\n\
+         at {converge_s}s stream 0 rate {rate_bps}bps size 1000 for {stream_s}s multicast\n",
+        end = converge_s + stream_s + 10,
+        stagger = nodes * 100,
+    ))
+    .expect("fig12 scenario validates");
     let topo = canned::star(
         nodes,
         LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
@@ -994,18 +984,12 @@ mod tests {
                 format!("{:?}", push(&mut gen)),
                 "round {round}: both back ends emit the same effects"
             );
-            let i: &InterpretedAgent = interp.agent(0).as_any().downcast_ref().unwrap();
-            let g: &macedon_generated::pastry::Pastry =
-                gen.agent(0).as_any().downcast_ref().unwrap();
+            let (i, g) = (interp.agent(0).view(), gen.agent(0).view());
             for list in ["leaves", "rows"] {
-                let held = i.list(list).unwrap();
+                let held = i.as_ref().and_then(|v| v.list(list)).unwrap();
                 assert!(!held.is_empty(), "round {round}: the push filled {list}");
-                assert_eq!(
-                    held[..],
-                    g.neighbor_list(list).unwrap()[..],
-                    "round {round}: {list}"
-                );
             }
+            assert_eq!(i, g, "round {round}: state and lists");
         }
     }
 }

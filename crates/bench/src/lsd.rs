@@ -40,7 +40,7 @@ mod tests {
     use crate::experiments::{correct_fingers, seeded, spec_world};
     use macedon_core::{Duration, NodeId, Time, World};
     use macedon_net::topology::{canned, LinkSpec};
-    use macedon_overlays::testutil::collect_ring;
+    use macedon_scenario::{ChordOracle, ConvergenceOracle, Snapshot};
 
     fn ring(constants: &[(&str, i64)], n: usize, seed: u64) -> (World, Vec<NodeId>) {
         let topo = canned::star(n, LinkSpec::lan());
@@ -50,31 +50,13 @@ mod tests {
         (w, hosts)
     }
 
-    /// Every node's clockwise-nearest successor is the next node in key
-    /// order.
     #[test]
     fn lsd_ring_converges() {
         let (mut w, hosts) = ring(&LSD, 12, 3);
         w.run_until(Time::from_secs(90));
-        let ring = collect_ring(&w, &hosts);
-        for (i, &(node, _)) in ring.iter().enumerate() {
-            let chord: &macedon_lang::InterpretedAgent = w
-                .stack(node)
-                .unwrap()
-                .agent(0)
-                .as_any()
-                .downcast_ref()
-                .unwrap();
-            assert_eq!(chord.state(), "joined");
-            let me = w.key_of(node);
-            let succ = chord
-                .list("succs")
-                .unwrap()
-                .iter()
-                .copied()
-                .min_by_key(|&s| me.distance_to(w.key_of(s)));
-            assert_eq!(succ, Some(ring[(i + 1) % ring.len()].0), "ring at {i}");
-        }
+        let snap = Snapshot::of(&w, &hosts);
+        let violations = ChordOracle.check(&snap);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     /// The headline shape of Fig 10: static 1 s converges fingers faster

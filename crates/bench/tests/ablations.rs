@@ -13,26 +13,13 @@
 use macedon_bench::experiments::{correct_fingers, seeded, spec_world};
 use macedon_bench::lsd::{chord_registry, LSD};
 use macedon_core::{Duration, NodeId, Time, World, WorldConfig};
-use macedon_lang::{bundled_specs, compile, InterpretedAgent, SpecRegistry};
+use macedon_lang::{bundled_specs, compile, SpecRegistry};
 use macedon_net::topology::{canned, LinkSpec};
-use macedon_net::Topology;
+use macedon_scenario::{ChordOracle, ConvergenceOracle, Snapshot};
 use std::sync::Arc;
 
 /// Joins start this far apart.
 const STAGGER: Duration = Duration::from_millis(100);
-
-fn star(n: usize) -> Topology {
-    canned::star(n, LinkSpec::lan())
-}
-
-fn agent(w: &World, node: NodeId) -> &InterpretedAgent {
-    w.stack(node)
-        .unwrap()
-        .agent(0)
-        .as_any()
-        .downcast_ref()
-        .unwrap()
-}
 
 /// The bundled roster with `chord.mac` replaced by its source after
 /// `edit`.
@@ -63,7 +50,13 @@ fn locking_read_classification_changes_no_behaviour() {
         })
     });
     let run = |registry: &SpecRegistry| {
-        let (mut w, _hosts, _sink) = spec_world(registry, "chord", star(10), seeded(7), STAGGER);
+        let (mut w, _hosts, _sink) = spec_world(
+            registry,
+            "chord",
+            canned::star(10, LinkSpec::lan()),
+            seeded(7),
+            STAGGER,
+        );
         w.run_until(Time::from_secs(40));
         let (reads, writes) = w.transition_counts();
         (reads, writes, w.events_fired())
@@ -77,9 +70,9 @@ fn locking_read_classification_changes_no_behaviour() {
 }
 
 /// Crashes `victim` at `crash_s` and returns the first second from
-/// which every survivor's nearest successor stays the next survivor in
-/// key order, checked once a second up to `end`; `None` if the ring is
-/// not healed at `end`.
+/// which the [`ChordOracle`] stays satisfied with the survivors' ring,
+/// checked once a second up to `end`; `None` if the ring is not healed
+/// at `end`.
 fn heal_time(
     w: &mut World,
     hosts: &[NodeId],
@@ -89,21 +82,10 @@ fn heal_time(
 ) -> Option<u64> {
     w.run_until(Time::from_secs(crash_s));
     w.crash_at(Time::from_secs(crash_s), victim);
-    let mut ring: Vec<NodeId> = hosts.iter().copied().filter(|&h| h != victim).collect();
-    ring.sort_by_key(|&h| w.key_of(h));
     let mut healed_since = None;
     for t in crash_s + 1..=end {
         w.run_until(Time::from_secs(t));
-        let healed = ring.iter().enumerate().all(|(i, &node)| {
-            let me = w.key_of(node);
-            let succ = agent(w, node)
-                .list("succs")
-                .unwrap()
-                .iter()
-                .copied()
-                .min_by_key(|&s| me.distance_to(w.key_of(s)));
-            succ == Some(ring[(i + 1) % ring.len()])
-        });
+        let healed = ChordOracle.check(&Snapshot::of(w, hosts)).is_empty();
         healed_since = if healed {
             healed_since.or(Some(t))
         } else {
@@ -127,7 +109,13 @@ fn failure_detector_heal_time_grows_with_f() {
                 fd_f: Duration::from_secs(f_s),
                 ..Default::default()
             };
-            let (mut w, hosts, _sink) = spec_world(&registry, "chord", star(6), cfg, STAGGER);
+            let (mut w, hosts, _sink) = spec_world(
+                &registry,
+                "chord",
+                canned::star(6, LinkSpec::lan()),
+                cfg,
+                STAGGER,
+            );
             heal_time(&mut w, &hosts, hosts[3], 30, 30 + 4 * f_s + 20)
                 .unwrap_or_else(|| panic!("g/f = {g_s}/{f_s} s: the ring heals"))
         })
@@ -136,6 +124,7 @@ fn failure_detector_heal_time_grows_with_f() {
         heals.windows(2).all(|p| p[0] < p[1]),
         "heal time grows with f: {heals:?}"
     );
+    assert_eq!(heals, [37, 46, 61], "the seeded heal times");
 }
 
 /// At t = 40 s on a 12-node star, the static 1 s fix-fingers period
@@ -145,7 +134,13 @@ fn failure_detector_heal_time_grows_with_f() {
 fn one_second_fix_fingers_beats_lsd_and_twenty_seconds() {
     let correct = |constants: &[(&str, i64)]| {
         let registry = chord_registry(constants);
-        let (mut w, hosts, _sink) = spec_world(&registry, "chord", star(12), seeded(5), STAGGER);
+        let (mut w, hosts, _sink) = spec_world(
+            &registry,
+            "chord",
+            canned::star(12, LinkSpec::lan()),
+            seeded(5),
+            STAGGER,
+        );
         w.run_until(Time::from_secs(40));
         correct_fingers(&w, &hosts)
     };

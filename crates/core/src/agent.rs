@@ -261,6 +261,24 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// A spec agent's protocol state as an observer reads it, the same way
+/// on both translator back ends: the spec's protocol name, its current
+/// FSM state and every neighbor list in declaration order.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AgentState<'a> {
+    pub protocol: &'a str,
+    pub state: &'a str,
+    pub lists: Vec<(&'a str, &'a [NodeId])>,
+}
+
+impl<'a> AgentState<'a> {
+    /// A neighbor list by declared name; `None` if the spec declares
+    /// no such list.
+    pub fn list(&self, name: &str) -> Option<&'a [NodeId]> {
+        self.lists.iter().find(|(n, _)| *n == name).map(|&(_, l)| l)
+    }
+}
+
 /// A protocol layer instance — what generated code implements.
 ///
 /// All methods receive the [`Ctx`] for buffering effects. Default bodies
@@ -302,9 +320,15 @@ pub trait Agent: Any + Send {
     /// The engine failure detector declared `peer` dead (the `error` API).
     fn neighbor_failed(&mut self, _ctx: &mut Ctx, _peer: NodeId) {}
 
-    /// Downcast support so tests and experiment harnesses can inspect
-    /// protocol state (the paper's equivalent: debug dumps of routing
-    /// tables).
+    /// The protocol state of a spec agent, interpreted or generated
+    /// (the paper's equivalent: debug dumps of routing tables). `None`
+    /// for agents not built from a spec.
+    fn view(&self) -> Option<AgentState<'_>> {
+        None
+    }
+
+    /// Downcast support for harnesses that need a concrete agent type
+    /// (native overlays, a decorator's inner agent).
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }

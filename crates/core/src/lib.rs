@@ -36,7 +36,7 @@ pub mod trace;
 pub mod wire;
 pub mod world;
 
-pub use agent::{Agent, AppHandler, Ctx, Locking, NullApp};
+pub use agent::{Agent, AgentState, AppHandler, Ctx, Locking, NullApp};
 pub use api::{DownCall, ForwardInfo, ProtocolId, UpCall, DEFAULT_PRIORITY, TUNNEL_PROTOCOL};
 pub use export::perfetto_json;
 pub use key::{Addressing, MacedonKey};

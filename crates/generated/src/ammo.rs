@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -55,6 +55,18 @@ pub enum AmmoState {
     Joining,
     Joined,
     Evaluating,
+}
+
+impl AmmoState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            AmmoState::Init => "init",
+            AmmoState::Joining => "joining",
+            AmmoState::Joined => "joined",
+            AmmoState::Evaluating => "evaluating",
+        }
+    }
 }
 
 /// Decoded fields of `join`.
@@ -172,32 +184,12 @@ impl Ammo {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            AmmoState::Init => "init",
-            AmmoState::Joining => "joining",
-            AmmoState::Joined => "joined",
-            AmmoState::Evaluating => "evaluating",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "papa" => Some(&self.papa),
-            "kids" => Some(&self.kids),
-            "probeset" => Some(&self.probeset),
-            _ => None,
-        }
-    }
-
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == AmmoState::Init {
             self.transitions_fired += 1;
             self.epoch = (0i64);
             if (self.bootstrap).is_none() {
-                ctx.trace_fsm(self.state_name(), "joined");
+                ctx.trace_fsm(self.state.name(), "joined");
                 self.state = AmmoState::Joined;
                 ctx.timer_set(TIMER_EPOCH_T, Duration::from_millis((EPOCH_MS).max(0) as u64));
             } else {
@@ -212,7 +204,7 @@ impl Ammo {
                         ctx.send(__d, ChannelId(0), __bytes);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = AmmoState::Joining;
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -344,7 +336,7 @@ impl Ammo {
                 self.probeset = __ns;
             }
             ctx.timer_cancel(TIMER_RETRY_JOIN);
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = AmmoState::Joined;
             ctx.timer_set(TIMER_EPOCH_T, Duration::from_millis((EPOCH_MS).max(0) as u64));
             return;
@@ -387,7 +379,7 @@ impl Ammo {
         {
             let __dest = Some(from);
             let __a0 = m.epoch;
-            let __a1 = ((self.kids.len() as i64) + (1i64));
+            let __a1 = (self.kids.len() as i64).wrapping_add((1i64));
             let mut __w = WireWriter::new();
             __w.u16(PROTOCOL_ID).u16(MSG_METRIC_REPLY);
             __w.u64(__a0 as u64);
@@ -405,8 +397,8 @@ impl Ammo {
             if (!(m.epoch == self.epoch)) {
                 return;
             }
-            self.replies_due = (self.replies_due - (1i64));
-            if (m.score > (self.best_score + SWAP_MARGIN)) {
+            self.replies_due = self.replies_due.wrapping_sub((1i64));
+            if (m.score > self.best_score.wrapping_add(SWAP_MARGIN)) {
                 self.best_score = m.score;
                 self.best_node = Some(from);
             }
@@ -439,11 +431,11 @@ impl Ammo {
                             ctx.send(__d, ChannelId(0), __bytes);
                         }
                     }
-                    ctx.trace_fsm(self.state_name(), "joining");
+                    ctx.trace_fsm(self.state.name(), "joining");
                     self.state = AmmoState::Joining;
                     ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
                 } else {
-                    ctx.trace_fsm(self.state_name(), "joined");
+                    ctx.trace_fsm(self.state.name(), "joined");
                     self.state = AmmoState::Joined;
                 }
             }
@@ -527,8 +519,8 @@ impl Ammo {
     fn t_timer_epoch_t(&mut self, ctx: &mut Ctx) {
         if self.state == AmmoState::Joined {
             self.transitions_fired += 1;
-            self.epoch = (self.epoch + (1i64));
-            self.best_score = ((0i64) - (1i64));
+            self.epoch = self.epoch.wrapping_add((1i64));
+            self.best_score = (0i64).wrapping_sub((1i64));
             self.best_node = None::<NodeId>;
             self.replies_due = (self.probeset.len() as i64);
             if (self.replies_due == (0i64)) {
@@ -548,7 +540,7 @@ impl Ammo {
                     }
                 }
             }
-            ctx.trace_fsm(self.state_name(), "evaluating");
+            ctx.trace_fsm(self.state.name(), "evaluating");
             self.state = AmmoState::Evaluating;
             ctx.timer_set(TIMER_EPOCH_T, Duration::from_millis((EPOCH_MS).max(0) as u64));
             return;
@@ -556,7 +548,7 @@ impl Ammo {
         if self.state == AmmoState::Evaluating {
             self.transitions_fired += 1;
             self.replies_due = (0i64);
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = AmmoState::Joined;
             ctx.timer_set(TIMER_EPOCH_T, Duration::from_millis((EPOCH_MS).max(0) as u64));
             return;
@@ -600,7 +592,7 @@ impl Ammo {
                         ctx.send(__d, ChannelId(0), __bytes);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = AmmoState::Joining;
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -703,6 +695,14 @@ impl Agent for Ammo {
         self.papa.retain(|&__n| __n != peer);
         self.kids.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "ammo",
+            state: self.state.name(),
+            lists: vec![("papa", self.papa.as_slice()), ("kids", self.kids.as_slice()), ("probeset", self.probeset.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -59,6 +59,16 @@ const MAX_MESH: i64 = 6;
 pub enum BulletState {
     Init,
     Active,
+}
+
+impl BulletState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            BulletState::Init => "init",
+            BulletState::Active => "active",
+        }
+    }
 }
 
 /// Decoded fields of `ransub_collect`.
@@ -167,29 +177,12 @@ impl Bullet {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            BulletState::Init => "init",
-            BulletState::Active => "active",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "mesh" => Some(&self.mesh),
-            "sample" => Some(&self.sample),
-            _ => None,
-        }
-    }
-
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == BulletState::Init {
             self.transitions_fired += 1;
             self.blocks_seen = (0i64);
             self.blocks_recovered = (0i64);
-            ctx.trace_fsm(self.state_name(), "active");
+            ctx.trace_fsm(self.state.name(), "active");
             self.state = BulletState::Active;
             return;
         }
@@ -270,7 +263,7 @@ impl Bullet {
             if (m.block > self.blocks_seen) {
                 {
                     let __dest = Some(from);
-                    let __a0 = (self.blocks_seen + (1i64));
+                    let __a0 = self.blocks_seen.wrapping_add((1i64));
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_WANT);
                     __w.u64(__a0 as u64);
@@ -315,8 +308,8 @@ impl Bullet {
     fn t_recv_block_data(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgBlockData) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
-            self.blocks_seen = (self.blocks_seen + (1i64));
-            self.blocks_recovered = (self.blocks_recovered + (1i64));
+            self.blocks_seen = self.blocks_seen.wrapping_add((1i64));
+            self.blocks_recovered = self.blocks_recovered.wrapping_add((1i64));
             {
                 let __src = m.src;
                 let __pl = m.body.clone();
@@ -330,7 +323,7 @@ impl Bullet {
         let mut quash = false;
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
-            self.blocks_seen = (self.blocks_seen + (1i64));
+            self.blocks_seen = self.blocks_seen.wrapping_add((1i64));
             {
                 let __src = m.src;
                 let __pl = m.body.clone();
@@ -515,6 +508,14 @@ impl Agent for Bullet {
     fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.mesh.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "bullet",
+            state: self.state.name(),
+            lists: vec![("mesh", self.mesh.as_slice()), ("sample", self.sample.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -61,6 +61,17 @@ pub enum ChordState {
     Init,
     Joining,
     Joined,
+}
+
+impl ChordState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            ChordState::Init => "init",
+            ChordState::Joining => "joining",
+            ChordState::Joined => "joined",
+        }
+    }
 }
 
 /// Decoded fields of `find_succ`.
@@ -203,25 +214,6 @@ impl Chord {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            ChordState::Init => "init",
-            ChordState::Joining => "joining",
-            ChordState::Joined => "joined",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "succs" => Some(&self.succs),
-            "pred" => Some(&self.pred),
-            "fingers" => Some(&self.fingers),
-            _ => None,
-        }
-    }
-
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Init {
             self.transitions_fired += 1;
@@ -230,7 +222,7 @@ impl Chord {
             self.ff_period = FIX_FINGERS_MS;
             self.ff_changed = (0i64);
             if (self.bootstrap).is_none() {
-                ctx.trace_fsm(self.state_name(), "joined");
+                ctx.trace_fsm(self.state.name(), "joined");
                 self.state = ChordState::Joined;
                 ctx.timer_set(TIMER_STABILIZE, Duration::from_millis((STABILIZE_MS).max(0) as u64));
                 ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((FIX_FINGERS_MS).max(0) as u64));
@@ -251,7 +243,7 @@ impl Chord {
                         ctx.send(__d, ChannelId(0), __bytes);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = ChordState::Joining;
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -262,7 +254,7 @@ impl Chord {
     fn t_api_route(&mut self, ctx: &mut Ctx, dest: MacedonKey, payload: Bytes) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
-            self.lookups = (self.lookups + (1i64));
+            self.lookups = self.lookups.wrapping_add((1i64));
             self.pfirst = None::<NodeId>;
             for fe_p in self.pred.clone() {
                 self.pfirst = Some(fe_p);
@@ -444,7 +436,7 @@ impl Chord {
                 let __dest = self.cand;
                 let __a0 = m.target;
                 let __a1 = m.origin;
-                let __a2 = (m.hop + (1i64));
+                let __a2 = m.hop.wrapping_add((1i64));
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_FIND_SUCC);
                 __w.key(__a0);
@@ -464,7 +456,7 @@ impl Chord {
                     let __dest = self.bootstrap;
                     let __a0 = m.target;
                     let __a1 = m.origin;
-                    let __a2 = (m.hop + (1i64));
+                    let __a2 = m.hop.wrapping_add((1i64));
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_FIND_SUCC);
                     __w.key(__a0);
@@ -493,7 +485,7 @@ impl Chord {
                 }
             } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             ctx.timer_cancel(TIMER_RETRY_JOIN);
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = ChordState::Joined;
             ctx.timer_set(TIMER_STABILIZE, Duration::from_millis((STABILIZE_MS).max(0) as u64));
             ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((FIX_FINGERS_MS).max(0) as u64));
@@ -775,7 +767,7 @@ impl Chord {
                 let __dest = self.cand;
                 let __a0 = m.dst;
                 let __a1 = m.origin;
-                let __a2 = (m.hop + (1i64));
+                let __a2 = m.hop.wrapping_add((1i64));
                 let __a3 = m.body.clone();
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_ROUTE_DATA);
@@ -832,12 +824,12 @@ impl Chord {
             self.transitions_fired += 1;
             if (FF_MIN_MS < FF_MAX_MS) {
                 if (self.ff_changed == (1i64)) {
-                    self.ff_period = (self.ff_period / (2i64));
+                    self.ff_period = self.ff_period.wrapping_div((2i64));
                     if (self.ff_period < FF_MIN_MS) {
                         self.ff_period = FF_MIN_MS;
                     }
                 } else {
-                    self.ff_period = (self.ff_period * (2i64));
+                    self.ff_period = self.ff_period.wrapping_mul((2i64));
                     if (self.ff_period > FF_MAX_MS) {
                         self.ff_period = FF_MAX_MS;
                     }
@@ -845,7 +837,7 @@ impl Chord {
                 self.ff_changed = (0i64);
             }
             self.finger_target = key::dsl_key_add(ctx.my_key, self.finger_step);
-            self.finger_step = (self.finger_step * (2i64));
+            self.finger_step = self.finger_step.wrapping_mul((2i64));
             if (self.finger_step > FINGER_MAX) {
                 self.finger_step = (1i64);
             }
@@ -927,7 +919,7 @@ impl Chord {
         self.transitions_fired += 1;
         if ((self.succs.len() as i64) == (0i64)) {
             if (!(self.bootstrap).is_none()) {
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = ChordState::Joining;
                 {
                     let __dest = self.bootstrap;
@@ -1052,6 +1044,14 @@ impl Agent for Chord {
         self.pred.retain(|&__n| __n != peer);
         self.fingers.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "chord",
+            state: self.state.name(),
+            lists: vec![("succs", self.succs.as_slice()), ("pred", self.pred.as_slice()), ("fingers", self.fingers.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

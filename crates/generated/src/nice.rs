@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -63,6 +63,18 @@ pub enum NiceState {
     ProbingLayer,
     Member,
     Leader,
+}
+
+impl NiceState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            NiceState::Init => "init",
+            NiceState::ProbingLayer => "probing_layer",
+            NiceState::Member => "member",
+            NiceState::Leader => "leader",
+        }
+    }
 }
 
 /// Decoded fields of `join_query`.
@@ -215,33 +227,13 @@ impl Nice {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            NiceState::Init => "init",
-            NiceState::ProbingLayer => "probing_layer",
-            NiceState::Member => "member",
-            NiceState::Leader => "leader",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "peers" => Some(&self.peers),
-            "uppeers" => Some(&self.uppeers),
-            "candidates" => Some(&self.candidates),
-            _ => None,
-        }
-    }
-
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == NiceState::Init {
             self.transitions_fired += 1;
             self.layer = (0i64);
             self.hb_seen = (0i64);
             if (self.bootstrap).is_none() {
-                ctx.trace_fsm(self.state_name(), "leader");
+                ctx.trace_fsm(self.state.name(), "leader");
                 self.state = NiceState::Leader;
                 ctx.timer_set(TIMER_HEARTBEAT_T, Duration::from_millis((HEARTBEAT_MS).max(0) as u64));
                 ctx.timer_set(TIMER_REFINE_T, Duration::from_millis((REFINE_MS).max(0) as u64));
@@ -259,7 +251,7 @@ impl Nice {
                         ctx.send(__d, ChannelId(0), __bytes);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "probing_layer");
+                ctx.trace_fsm(self.state.name(), "probing_layer");
                 self.state = NiceState::ProbingLayer;
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -489,7 +481,7 @@ impl Nice {
                 ctx.monitor(__n);
             } else { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
             ctx.timer_cancel(TIMER_RETRY_JOIN);
-            ctx.trace_fsm(self.state_name(), "member");
+            ctx.trace_fsm(self.state.name(), "member");
             self.state = NiceState::Member;
             ctx.timer_set(TIMER_HEARTBEAT_T, Duration::from_millis((HEARTBEAT_MS).max(0) as u64));
             return;
@@ -499,7 +491,7 @@ impl Nice {
     fn t_recv_leader_is(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgLeaderIs) {
         self.transitions_fired += 1;
         if (m.who == Some(ctx.me)) {
-            ctx.trace_fsm(self.state_name(), "leader");
+            ctx.trace_fsm(self.state.name(), "leader");
             self.state = NiceState::Leader;
             self.layer = m.layer;
             ctx.timer_set(TIMER_REFINE_T, Duration::from_millis((REFINE_MS).max(0) as u64));
@@ -522,7 +514,7 @@ impl Nice {
             }
             self.peers = __ns;
         }
-        ctx.trace_fsm(self.state_name(), "leader");
+        ctx.trace_fsm(self.state.name(), "leader");
         self.state = NiceState::Leader;
         {
             let __dest = (if self.peers.is_empty() { None } else { Some(self.peers[ctx.rng.index(self.peers.len())]) });
@@ -553,14 +545,14 @@ impl Nice {
                     ctx.send(__d, ChannelId(0), __bytes);
                 }
             }
-            ctx.trace_fsm(self.state_name(), "probing_layer");
+            ctx.trace_fsm(self.state.name(), "probing_layer");
             self.state = NiceState::ProbingLayer;
         }
     }
 
     fn t_recv_heartbeat(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgHeartbeat) {
         self.transitions_fired += 1;
-        self.hb_seen = (self.hb_seen + (1i64));
+        self.hb_seen = self.hb_seen.wrapping_add((1i64));
         if let Some(__n) = Some(from) {
             if !self.peers.contains(&__n) && self.peers.len() < 9usize {
                 self.peers.push(__n);
@@ -674,7 +666,7 @@ impl Nice {
             for fe_u in self.uppeers.clone() {
                 {
                     let __dest = Some(fe_u);
-                    let __a0 = (self.layer + (1i64));
+                    let __a0 = self.layer.wrapping_add((1i64));
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_HEARTBEAT);
                     __w.u64(__a0 as u64);
@@ -790,7 +782,7 @@ impl Nice {
         } else { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
         if (self.my_leader == Some(from)) {
             self.my_leader = None::<NodeId>;
-            ctx.trace_fsm(self.state_name(), "probing_layer");
+            ctx.trace_fsm(self.state.name(), "probing_layer");
             self.state = NiceState::ProbingLayer;
             {
                 let __dest = self.bootstrap;
@@ -918,6 +910,14 @@ impl Agent for Nice {
     fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.peers.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "nice",
+            state: self.state.name(),
+            lists: vec![("peers", self.peers.as_slice()), ("uppeers", self.uppeers.as_slice()), ("candidates", self.candidates.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

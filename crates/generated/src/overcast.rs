@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -61,6 +61,19 @@ pub enum OvercastState {
     Joined,
     Probing,
     Probed,
+}
+
+impl OvercastState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            OvercastState::Init => "init",
+            OvercastState::Joining => "joining",
+            OvercastState::Joined => "joined",
+            OvercastState::Probing => "probing",
+            OvercastState::Probed => "probed",
+        }
+    }
 }
 
 /// Decoded fields of `join`.
@@ -220,33 +233,11 @@ impl Overcast {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            OvercastState::Init => "init",
-            OvercastState::Joining => "joining",
-            OvercastState::Joined => "joined",
-            OvercastState::Probing => "probing",
-            OvercastState::Probed => "probed",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "papa" => Some(&self.papa),
-            "grandpa" => Some(&self.grandpa),
-            "brothers" => Some(&self.brothers),
-            "kids" => Some(&self.kids),
-            _ => None,
-        }
-    }
-
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == OvercastState::Init {
             self.transitions_fired += 1;
             if (self.bootstrap).is_none() {
-                ctx.trace_fsm(self.state_name(), "joined");
+                ctx.trace_fsm(self.state.name(), "joined");
                 self.state = OvercastState::Joined;
             } else {
                 self.target = self.bootstrap;
@@ -261,7 +252,7 @@ impl Overcast {
                         ctx.send(__d, ChannelId(2), __bytes);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = OvercastState::Joining;
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -420,7 +411,7 @@ impl Overcast {
                 self.brothers = __ns;
             }
             ctx.timer_cancel(TIMER_RETRY_JOIN);
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = OvercastState::Joined;
             return;
         }
@@ -463,7 +454,7 @@ impl Overcast {
             self.transitions_fired += 1;
             self.prober = Some(from);
             self.probes_left = NPROBES;
-            ctx.trace_fsm(self.state_name(), "probing");
+            ctx.trace_fsm(self.state.name(), "probing");
             self.state = OvercastState::Probing;
             ctx.timer_set(TIMER_KEEP_PROBING, Duration::from_millis((ZMS).max(0) as u64));
             return;
@@ -479,19 +470,19 @@ impl Overcast {
 
     fn t_recv_probe(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgProbe) {
         self.transitions_fired += 1;
-        self.probes_seen = (self.probes_seen + (1i64));
+        self.probes_seen = self.probes_seen.wrapping_add((1i64));
     }
 
     fn t_recv_probe_reply(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgProbeReply) {
         if self.state == OvercastState::Probed {
             self.transitions_fired += 1;
-            self.count = (self.count - (1i64));
+            self.count = self.count.wrapping_sub((1i64));
             if (self.count > (0i64)) {
                 return;
             }
             self.count = (0i64);
             ctx.timer_cancel(TIMER_PROBE_TIMEOUT);
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = OvercastState::Joined;
             self.pargp = (0i64);
             for fe_p in self.papa.clone() {
@@ -511,7 +502,7 @@ impl Overcast {
                     self.best = Some(fe_b);
                 }
             }
-            if (((!(self.best).is_none()) & (self.pargp > (0i64))) & ((self.bestgp * (4i64)) >= (self.pargp * (5i64)))) {
+            if (((!(self.best).is_none()) & (self.pargp > (0i64))) & (self.bestgp.wrapping_mul((4i64)) >= self.pargp.wrapping_mul((5i64)))) {
                 for fe_p in self.papa.clone() {
                     {
                         let __dest = Some(fe_p);
@@ -541,7 +532,7 @@ impl Overcast {
                         ctx.send(__d, ChannelId(2), __bytes);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = OvercastState::Joining;
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -669,7 +660,7 @@ impl Overcast {
     fn t_timer_probe_requester(&mut self, ctx: &mut Ctx) {
         if self.state == OvercastState::Joined {
             self.transitions_fired += 1;
-            self.count = (((self.brothers.len() as i64) + (self.grandpa.len() as i64)) + (self.papa.len() as i64));
+            self.count = (self.brothers.len() as i64).wrapping_add((self.grandpa.len() as i64)).wrapping_add((self.papa.len() as i64));
             if (self.count < (2i64)) {
                 self.count = (0i64);
                 return;
@@ -707,7 +698,7 @@ impl Overcast {
                     }
                 }
             }
-            ctx.trace_fsm(self.state_name(), "probed");
+            ctx.trace_fsm(self.state.name(), "probed");
             self.state = OvercastState::Probed;
             ctx.timer_set(TIMER_PROBE_TIMEOUT, Duration::from_millis((PROBE_TIMEOUT_MS).max(0) as u64));
             return;
@@ -718,12 +709,12 @@ impl Overcast {
         if self.state == OvercastState::Probing {
             self.transitions_fired += 1;
             if (self.prober).is_none() {
-                ctx.trace_fsm(self.state_name(), "joined");
+                ctx.trace_fsm(self.state.name(), "joined");
                 self.state = OvercastState::Joined;
                 return;
             }
             if (self.probes_left > (0i64)) {
-                self.probes_left = (self.probes_left - (1i64));
+                self.probes_left = self.probes_left.wrapping_sub((1i64));
                 {
                     let __dest = self.prober;
                     let __a0 = self.probes_left;
@@ -759,7 +750,7 @@ impl Overcast {
                     }
                 }
                 self.prober = None::<NodeId>;
-                ctx.trace_fsm(self.state_name(), "joined");
+                ctx.trace_fsm(self.state.name(), "joined");
                 self.state = OvercastState::Joined;
             }
             return;
@@ -770,7 +761,7 @@ impl Overcast {
                 return;
             }
             if (self.probes_left > (0i64)) {
-                self.probes_left = (self.probes_left - (1i64));
+                self.probes_left = self.probes_left.wrapping_sub((1i64));
                 {
                     let __dest = self.prober;
                     let __a0 = self.probes_left;
@@ -815,7 +806,7 @@ impl Overcast {
         if self.state == OvercastState::Probed {
             self.transitions_fired += 1;
             self.count = (0i64);
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = OvercastState::Joined;
             return;
         }
@@ -864,7 +855,7 @@ impl Overcast {
                         ctx.send(__d, ChannelId(2), __bytes);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = OvercastState::Joining;
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -978,6 +969,14 @@ impl Agent for Overcast {
         self.papa.retain(|&__n| __n != peer);
         self.kids.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "overcast",
+            state: self.state.name(),
+            lists: vec![("papa", self.papa.as_slice()), ("grandpa", self.grandpa.as_slice()), ("brothers", self.brothers.as_slice()), ("kids", self.kids.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

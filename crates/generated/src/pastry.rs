@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -58,6 +58,17 @@ pub enum PastryState {
     Init,
     Joining,
     Joined,
+}
+
+impl PastryState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            PastryState::Init => "init",
+            PastryState::Joining => "joining",
+            PastryState::Joined => "joined",
+        }
+    }
 }
 
 /// Decoded fields of `join_req`.
@@ -196,34 +207,13 @@ impl Pastry {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            PastryState::Init => "init",
-            PastryState::Joining => "joining",
-            PastryState::Joined => "joined",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "leaves" => Some(&self.leaves),
-            "rows" => Some(&self.rows),
-            "near" => Some(&self.near),
-            "lscratch" => Some(&self.lscratch),
-            "rscratch" => Some(&self.rscratch),
-            _ => None,
-        }
-    }
-
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == PastryState::Init {
             self.transitions_fired += 1;
             self.joins_forwarded = (0i64);
             self.msgs_routed = (0i64);
             if (self.bootstrap).is_none() {
-                ctx.trace_fsm(self.state_name(), "joined");
+                ctx.trace_fsm(self.state.name(), "joined");
                 self.state = PastryState::Joined;
                 ctx.timer_set(TIMER_KEEPALIVE_T, Duration::from_millis((KEEPALIVE_MS).max(0) as u64));
                 ctx.timer_set(TIMER_REPAIR_T, Duration::from_millis((REPAIR_MS).max(0) as u64));
@@ -241,7 +231,7 @@ impl Pastry {
                         ctx.send(__d, ChannelId(0), __bytes);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = PastryState::Joining;
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -252,7 +242,7 @@ impl Pastry {
     fn t_api_route(&mut self, ctx: &mut Ctx, dest: MacedonKey, payload: Bytes) {
         if self.state == PastryState::Joined {
             self.transitions_fired += 1;
-            self.msgs_routed = (self.msgs_routed + (1i64));
+            self.msgs_routed = self.msgs_routed.wrapping_add((1i64));
             self.plen = key::dsl_prefix_len(Some(ctx.my_key), Some(dest));
             self.cand = None::<NodeId>;
             for fe_r in self.rows.clone() {
@@ -355,7 +345,7 @@ impl Pastry {
             if (m.who == Some(ctx.me)) {
                 return;
             }
-            self.joins_forwarded = (self.joins_forwarded + (1i64));
+            self.joins_forwarded = self.joins_forwarded.wrapping_add((1i64));
             {
                 let __dest = m.who;
                 let __a0 = &self.leaves;
@@ -502,7 +492,7 @@ impl Pastry {
             {
                 let __dest = self.cand;
                 let __a0 = m.who;
-                let __a1 = (m.hop + (1i64));
+                let __a1 = m.hop.wrapping_add((1i64));
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN_REQ);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
@@ -612,7 +602,7 @@ impl Pastry {
                 }
             }
             ctx.timer_cancel(TIMER_RETRY_JOIN);
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = PastryState::Joined;
             ctx.timer_set(TIMER_KEEPALIVE_T, Duration::from_millis((KEEPALIVE_MS).max(0) as u64));
             ctx.timer_set(TIMER_REPAIR_T, Duration::from_millis((REPAIR_MS).max(0) as u64));
@@ -877,7 +867,7 @@ impl Pastry {
                 let __dest = self.cand;
                 let __a0 = m.dst;
                 let __a1 = m.origin;
-                let __a2 = (m.hop + (1i64));
+                let __a2 = m.hop.wrapping_add((1i64));
                 let __a3 = m.body.clone();
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_ROUTE_MSG);
@@ -980,7 +970,7 @@ impl Pastry {
         } else { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
         if ((self.leaves.len() as i64) == (0i64)) {
             if (!(self.bootstrap).is_none()) {
-                ctx.trace_fsm(self.state_name(), "joining");
+                ctx.trace_fsm(self.state.name(), "joining");
                 self.state = PastryState::Joining;
                 {
                     let __dest = self.bootstrap;
@@ -1100,6 +1090,14 @@ impl Agent for Pastry {
     fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.leaves.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "pastry",
+            state: self.state.name(),
+            lists: vec![("leaves", self.leaves.as_slice()), ("rows", self.rows.as_slice()), ("near", self.near.as_slice()), ("lscratch", self.lscratch.as_slice()), ("rscratch", self.rscratch.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

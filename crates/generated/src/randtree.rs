@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -45,6 +45,16 @@ const RETRY_MS: i64 = 5000;
 pub enum RandtreeState {
     Init,
     Joined,
+}
+
+impl RandtreeState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            RandtreeState::Init => "init",
+            RandtreeState::Joined => "joined",
+        }
+    }
 }
 
 /// Decoded fields of `join`.
@@ -106,28 +116,11 @@ impl Randtree {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            RandtreeState::Init => "init",
-            RandtreeState::Joined => "joined",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "papa" => Some(&self.papa),
-            "kids" => Some(&self.kids),
-            _ => None,
-        }
-    }
-
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == RandtreeState::Init {
             self.transitions_fired += 1;
             if (self.bootstrap).is_none() {
-                ctx.trace_fsm(self.state_name(), "joined");
+                ctx.trace_fsm(self.state.name(), "joined");
                 self.state = RandtreeState::Joined;
             } else {
                 {
@@ -272,7 +265,7 @@ impl Randtree {
                 }
             } else { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
             ctx.timer_cancel(TIMER_RETRY_JOIN);
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = RandtreeState::Joined;
             return;
         }
@@ -375,7 +368,7 @@ impl Randtree {
             self.transitions_fired += 1;
             if ((self.papa.len() as i64) == (0i64)) {
                 if (!(self.bootstrap).is_none()) {
-                    ctx.trace_fsm(self.state_name(), "init");
+                    ctx.trace_fsm(self.state.name(), "init");
                     self.state = RandtreeState::Init;
                     {
                         let __dest = self.bootstrap;
@@ -474,6 +467,14 @@ impl Agent for Randtree {
         self.papa.retain(|&__n| __n != peer);
         self.kids.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "randtree",
+            state: self.state.name(),
+            lists: vec![("papa", self.papa.as_slice()), ("kids", self.kids.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -52,6 +52,16 @@ const MAX_CHILDREN: i64 = 16;
 pub enum ScribeState {
     Init,
     Subscribed,
+}
+
+impl ScribeState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            ScribeState::Init => "init",
+            ScribeState::Subscribed => "subscribed",
+        }
+    }
 }
 
 /// Decoded fields of `subscribe`.
@@ -150,29 +160,12 @@ impl Scribe {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            ScribeState::Init => "init",
-            ScribeState::Subscribed => "subscribed",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "rp_parent" => Some(&self.rp_parent),
-            "members" => Some(&self.members),
-            _ => None,
-        }
-    }
-
     fn t_api_join(&mut self, ctx: &mut Ctx, group: MacedonKey) {
         if self.state == ScribeState::Init {
             self.transitions_fired += 1;
             self.group_key = group;
             self.member = (1i64);
-            ctx.trace_fsm(self.state_name(), "subscribed");
+            ctx.trace_fsm(self.state.name(), "subscribed");
             self.state = ScribeState::Subscribed;
             {
                 let __dest = None::<NodeId>;
@@ -202,7 +195,7 @@ impl Scribe {
     fn t_api_multicast(&mut self, ctx: &mut Ctx, group: MacedonKey, payload: Bytes) {
         if self.state == ScribeState::Subscribed {
             self.transitions_fired += 1;
-            self.pub_seq = (self.pub_seq + (1i64));
+            self.pub_seq = self.pub_seq.wrapping_add((1i64));
             {
                 let __dest = None::<NodeId>;
                 let __a0 = group;
@@ -257,7 +250,7 @@ impl Scribe {
                         ctx.unmonitor(__n);
                     }
                 }
-                ctx.trace_fsm(self.state_name(), "init");
+                ctx.trace_fsm(self.state.name(), "init");
                 self.state = ScribeState::Init;
             }
             return;
@@ -277,7 +270,7 @@ impl Scribe {
                     ctx.monitor(__n);
                 }
             } else { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
-            ctx.trace_fsm(self.state_name(), "subscribed");
+            ctx.trace_fsm(self.state.name(), "subscribed");
             self.state = ScribeState::Subscribed;
             return;
         }
@@ -310,7 +303,7 @@ impl Scribe {
                     ctx.monitor(__n);
                 }
             } else { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return quash; }
-            ctx.trace_fsm(self.state_name(), "subscribed");
+            ctx.trace_fsm(self.state.name(), "subscribed");
             self.state = ScribeState::Subscribed;
             quash = true;
             {
@@ -384,7 +377,7 @@ impl Scribe {
                             ctx.unmonitor(__n);
                         }
                     }
-                    ctx.trace_fsm(self.state_name(), "init");
+                    ctx.trace_fsm(self.state.name(), "init");
                     self.state = ScribeState::Init;
                 }
             }
@@ -577,7 +570,7 @@ impl Scribe {
                             }
                         }
                     } else {
-                        ctx.trace_fsm(self.state_name(), "init");
+                        ctx.trace_fsm(self.state.name(), "init");
                         self.state = ScribeState::Init;
                     }
                 }
@@ -691,6 +684,14 @@ impl Agent for Scribe {
         self.rp_parent.retain(|&__n| __n != peer);
         self.members.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "scribe",
+            state: self.state.name(),
+            lists: vec![("rp_parent", self.rp_parent.as_slice()), ("members", self.members.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

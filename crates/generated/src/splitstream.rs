@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -47,6 +47,16 @@ const SPARE_CAP: i64 = 4;
 pub enum SplitstreamState {
     Init,
     Striped,
+}
+
+impl SplitstreamState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            SplitstreamState::Init => "init",
+            SplitstreamState::Striped => "striped",
+        }
+    }
 }
 
 /// Decoded fields of `stripe_join`.
@@ -113,22 +123,6 @@ impl Splitstream {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            SplitstreamState::Init => "init",
-            SplitstreamState::Striped => "striped",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "spare" => Some(&self.spare),
-            _ => None,
-        }
-    }
-
     fn t_api_join(&mut self, ctx: &mut Ctx, group: MacedonKey) {
         if self.state == SplitstreamState::Init {
             self.transitions_fired += 1;
@@ -153,7 +147,7 @@ impl Splitstream {
                     }
                 }
             }
-            ctx.trace_fsm(self.state_name(), "striped");
+            ctx.trace_fsm(self.state.name(), "striped");
             self.state = SplitstreamState::Striped;
             return;
         }
@@ -311,6 +305,14 @@ impl Agent for Splitstream {
     fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.spare.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "splitstream",
+            state: self.state.name(),
+            lists: vec![("spare", self.spare.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

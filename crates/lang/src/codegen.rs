@@ -243,16 +243,19 @@ impl Gen<'_> {
                 self.key_opt(cx, &ab[0]),
                 self.key_opt(cx, &ab[1])
             ),
-            IntExpr::Neg(x) => format!("(-{})", self.int(cx, x)),
+            // Spec integers are wrapping two's complement, as in the
+            // interpreter.
+            IntExpr::Neg(x) => format!("{}.wrapping_neg()", self.int(cx, x)),
             IntExpr::Arith(op, ab) => {
-                let sym = match op {
-                    ArithOp::Add => "+",
-                    ArithOp::Sub => "-",
-                    ArithOp::Mul => "*",
-                    ArithOp::Div => "/",
-                    ArithOp::Mod => "%",
+                let method = match op {
+                    ArithOp::Add => "wrapping_add",
+                    ArithOp::Sub => "wrapping_sub",
+                    ArithOp::Mul => "wrapping_mul",
+                    ArithOp::Div => "wrapping_div",
+                    ArithOp::Mod => "wrapping_rem",
                 };
-                format!("({} {sym} {})", self.int(cx, &ab[0]), self.int(cx, &ab[1]))
+                let (a, b) = (self.int(cx, &ab[0]), self.int(cx, &ab[1]));
+                format!("{a}.{method}({b})")
             }
         }
     }
@@ -374,7 +377,11 @@ impl Gen<'_> {
             // Key ± int wraps on the 2^32 ring.
             KeyExpr::Offset { key, by, negate } => {
                 let by = self.int(cx, by);
-                let by = if *negate { format!("-({by})") } else { by };
+                let by = if *negate {
+                    format!("{by}.wrapping_neg()")
+                } else {
+                    by
+                };
                 format!("key::dsl_key_add({}, {by})", self.key(cx, key))
             }
         }
@@ -463,7 +470,7 @@ impl Gen<'_> {
                 // Record the FSM edge before the assignment, as the
                 // interpreter does, so both back ends trace identical
                 // streams.
-                let _ = writeln!(out, "{p}ctx.trace_fsm(self.state_name(), \"{name}\");");
+                let _ = writeln!(out, "{p}ctx.trace_fsm(self.state.name(), \"{name}\");");
                 let _ = writeln!(
                     out,
                     "{p}self.state = {}::{};",
@@ -1124,13 +1131,13 @@ impl Gen<'_> {
         let _ = writeln!(w, "use macedon_core::{{");
         let _ = writeln!(
             w,
-            "    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,"
+            "    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,"
         );
         let _ = writeln!(
             w,
-            "    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,"
+            "    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,"
         );
-        let _ = writeln!(w, "    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,");
+        let _ = writeln!(w, "    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,");
         let _ = writeln!(w, "}};");
         let _ = writeln!(w, "use macedon_core::key;");
         let _ = writeln!(w, "use macedon_core::wire::{{read_tunnel, tunnel_frame}};");
@@ -1190,6 +1197,18 @@ impl Gen<'_> {
         for s in &spec.states[1..] {
             let _ = writeln!(w, "    {},", camel(s));
         }
+        let _ = writeln!(w, "}}");
+        let _ = writeln!(w);
+        let _ = writeln!(w, "impl {senum} {{");
+        let _ = writeln!(w, "    /// The state's name in the spec.");
+        let _ = writeln!(w, "    pub fn name(self) -> &'static str {{");
+        let _ = writeln!(w, "        match self {{");
+        let _ = writeln!(w, "            {senum}::Init => \"init\",");
+        for s in &spec.states[1..] {
+            let _ = writeln!(w, "            {senum}::{} => \"{s}\",", camel(s));
+        }
+        let _ = writeln!(w, "        }}");
+        let _ = writeln!(w, "    }}");
         let _ = writeln!(w, "}}");
         let _ = writeln!(w);
 
@@ -1297,34 +1316,6 @@ impl Gen<'_> {
             let _ = writeln!(w, "            {}: {init},", v.name);
         }
         let _ = writeln!(w, "        }}");
-        let _ = writeln!(w, "    }}");
-        let _ = writeln!(w);
-        let _ = writeln!(w, "    /// Current FSM state name.");
-        let _ = writeln!(w, "    pub fn state_name(&self) -> &'static str {{");
-        let _ = writeln!(w, "        match self.state {{");
-        let _ = writeln!(w, "            {senum}::Init => \"init\",");
-        for s in &spec.states[1..] {
-            let _ = writeln!(w, "            {senum}::{} => \"{s}\",", camel(s));
-        }
-        let _ = writeln!(w, "        }}");
-        let _ = writeln!(w, "    }}");
-        let _ = writeln!(w);
-        let _ = writeln!(w, "    /// Neighbor list contents by declared name.");
-        let _ = writeln!(
-            w,
-            "    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {{"
-        );
-        if spec.lists.is_empty() {
-            let _ = writeln!(w, "        let _ = name;");
-            let _ = writeln!(w, "        None");
-        } else {
-            let _ = writeln!(w, "        match name {{");
-            for l in &spec.lists {
-                let _ = writeln!(w, "            \"{0}\" => Some(&self.{0}),", l.name);
-            }
-            let _ = writeln!(w, "            _ => None,");
-            let _ = writeln!(w, "        }}");
-        }
         let _ = writeln!(w, "    }}");
         let _ = writeln!(w);
 
@@ -1760,6 +1751,19 @@ impl Gen<'_> {
             let _ = writeln!(w);
         }
 
+        let _ = writeln!(w, "    fn view(&self) -> Option<AgentState<'_>> {{");
+        let _ = writeln!(w, "        Some(AgentState {{");
+        let _ = writeln!(w, "            protocol: \"{}\",", spec.name);
+        let _ = writeln!(w, "            state: self.state.name(),");
+        let lists: Vec<String> = spec
+            .lists
+            .iter()
+            .map(|l| format!("(\"{0}\", self.{0}.as_slice())", l.name))
+            .collect();
+        let _ = writeln!(w, "            lists: vec![{}],", lists.join(", "));
+        let _ = writeln!(w, "        }})");
+        let _ = writeln!(w, "    }}");
+        let _ = writeln!(w);
         let _ = writeln!(w, "    fn as_any(&self) -> &dyn Any {{");
         let _ = writeln!(w, "        self");
         let _ = writeln!(w, "    }}");
@@ -2002,7 +2006,7 @@ mod tests {
     fn transition_bodies_are_full_code_not_comments() {
         let code = gen(SRC);
         assert!(
-            code.contains("self.count = (self.count + (1i64));"),
+            code.contains("self.count = self.count.wrapping_add((1i64));"),
             "{code}"
         );
         assert!(

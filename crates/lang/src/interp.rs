@@ -78,8 +78,8 @@ use crate::ir::{
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel_ref, WireRef};
 use macedon_core::{
-    Agent, Bytes, ChannelId, ChannelSpec, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, TransportKind, UpCall, WireWriter,
+    Agent, AgentState, Bytes, ChannelId, ChannelSpec, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, TransportKind, UpCall, WireWriter,
     DEFAULT_PRIORITY,
 };
 use std::any::Any;
@@ -354,16 +354,6 @@ impl InterpretedAgent {
                 }
             }
         }
-    }
-
-    pub fn state(&self) -> &str {
-        &self.ir.states[self.core.state as usize]
-    }
-
-    pub fn list(&self, name: &str) -> Option<&Vec<NodeId>> {
-        self.ir
-            .list_slot(name)
-            .map(|s| &self.core.lists[s as usize])
     }
 
     /// The current value of a declared constant or scalar variable.
@@ -925,16 +915,16 @@ impl Core {
                 let a = self.eval_key_opt(ctx, f, &ab[0]);
                 key::dsl_prefix_len(a, self.eval_key_opt(ctx, f, &ab[1]))
             }
-            IntExpr::Neg(x) => -self.eval_int(ctx, f, x),
+            IntExpr::Neg(x) => self.eval_int(ctx, f, x).wrapping_neg(),
             IntExpr::Arith(op, ab) => {
                 let a = self.eval_int(ctx, f, &ab[0]);
                 let b = self.eval_int(ctx, f, &ab[1]);
                 match op {
-                    ArithOp::Add => a + b,
-                    ArithOp::Sub => a - b,
-                    ArithOp::Mul => a * b,
-                    ArithOp::Div => a / b,
-                    ArithOp::Mod => a % b,
+                    ArithOp::Add => a.wrapping_add(b),
+                    ArithOp::Sub => a.wrapping_sub(b),
+                    ArithOp::Mul => a.wrapping_mul(b),
+                    ArithOp::Div => a.wrapping_div(b),
+                    ArithOp::Mod => a.wrapping_rem(b),
                 }
             }
         }
@@ -1089,7 +1079,7 @@ impl Core {
             KeyExpr::Offset { key, by, negate } => {
                 let k = self.eval_key(ctx, f, key);
                 let by = self.eval_int(ctx, f, by);
-                key::dsl_key_add(k, if *negate { -by } else { by })
+                key::dsl_key_add(k, if *negate { by.wrapping_neg() } else { by })
             }
         }
     }
@@ -1387,6 +1377,20 @@ impl Agent for InterpretedAgent {
         self.fire(ctx, At::Error);
     }
 
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: &self.ir.name,
+            state: &self.ir.states[self.core.state as usize],
+            lists: self
+                .ir
+                .lists
+                .iter()
+                .zip(&self.core.lists)
+                .map(|(decl, list)| (decl.name.as_str(), list.as_slice()))
+                .collect(),
+        })
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -1461,17 +1465,23 @@ mod tests {
             .unwrap()
     }
 
+    /// The state of layer `layer` of `n`'s stack, as observers read it.
+    fn view_of(w: &World, n: NodeId, layer: usize) -> AgentState<'_> {
+        w.stack(n).unwrap().agent(layer).view().unwrap()
+    }
+
     #[test]
     fn interpreted_protocol_runs_end_to_end() {
         let (mut w, hosts, _) = star_world(6);
         w.run_until(Time::from_secs(10));
         for &h in &hosts {
-            assert_eq!(agent_of(&w, h).state(), "joined", "{h:?}");
+            assert_eq!(view_of(&w, h, 0).state, "joined", "{h:?}");
         }
         // The bootstrap heard from everyone.
         let boot = agent_of(&w, hosts[0]);
         assert_eq!(boot.var("hellos"), Some(Value::Int(5)));
-        assert_eq!(boot.list("members").unwrap().len(), 5);
+        let members = view_of(&w, hosts[0], 0).list("members").unwrap();
+        assert_eq!(members.len(), 5);
     }
 
     #[test]
@@ -1479,8 +1489,8 @@ mod tests {
         // `init recv welcome` must not fire once joined.
         let (mut w, hosts, _) = star_world(3);
         w.run_until(Time::from_secs(10));
-        let a = agent_of(&w, hosts[1]);
-        assert_eq!(a.state(), "joined");
+        let a = view_of(&w, hosts[1], 0);
+        assert_eq!(a.state, "joined");
         // Joined members got exactly one welcome each (scoped transition
         // consumed it once).
         assert_eq!(a.list("members").unwrap().len(), 1);
@@ -1494,7 +1504,7 @@ mod tests {
         let b = InterpretedAgent::new(ir.clone(), Some(NodeId(1)));
         assert!(Arc::ptr_eq(a.ir(), b.ir()));
         assert_eq!(Arc::strong_count(&ir), 3);
-        assert_eq!(a.state(), "init");
+        assert_eq!(a.view().unwrap().state, "init");
     }
 
     #[test]
@@ -1591,14 +1601,7 @@ mod tests {
         });
         w.run_until(Time::from_secs(10));
         for &h in &hosts {
-            let a: &InterpretedAgent = w
-                .stack(h)
-                .unwrap()
-                .agent(1)
-                .as_any()
-                .downcast_ref()
-                .unwrap();
-            assert_eq!(a.state(), "joined", "{h:?}");
+            assert_eq!(view_of(&w, h, 1).state, "joined", "{h:?}");
         }
         let boot: &InterpretedAgent = w
             .stack(hosts[0])
@@ -1608,7 +1611,8 @@ mod tests {
             .downcast_ref()
             .unwrap();
         assert_eq!(boot.var("hellos"), Some(Value::Int(4)));
-        assert_eq!(boot.list("members").unwrap().len(), 4);
+        let members = view_of(&w, hosts[0], 1).list("members").unwrap();
+        assert_eq!(members.len(), 4);
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn eval(env: &Env, ctx: &mut Ctx, e: &IrExpr, le_as_lt: bool) -> Result<Value, S
             }
         }
         IrExpr::Not(e) => Value::Bool(!ev(e, ctx)?.truthy()),
-        IrExpr::Neg(e) => Value::Int(-ev(e, ctx)?.as_int()?),
+        IrExpr::Neg(e) => Value::Int(ev(e, ctx)?.as_int()?.wrapping_neg()),
         IrExpr::Bin(op, a, b) => {
             let a = ev(a, ctx)?;
             let b = ev(b, ctx)?;
@@ -161,26 +161,26 @@ fn eval(env: &Env, ctx: &mut Ctx, e: &IrExpr, le_as_lt: bool) -> Result<Value, S
                 BinOp::Ge => Value::Bool(a.as_int()? >= b.as_int()?),
                 BinOp::Add => match &a {
                     Value::Key(k) => Value::Key(key::dsl_key_add(*k, b.as_int()?)),
-                    _ => Value::Int(a.as_int()? + b.as_int()?),
+                    _ => Value::Int(a.as_int()?.wrapping_add(b.as_int()?)),
                 },
                 BinOp::Sub => match &a {
-                    Value::Key(k) => Value::Key(key::dsl_key_add(*k, -b.as_int()?)),
-                    _ => Value::Int(a.as_int()? - b.as_int()?),
+                    Value::Key(k) => Value::Key(key::dsl_key_add(*k, b.as_int()?.wrapping_neg())),
+                    _ => Value::Int(a.as_int()?.wrapping_sub(b.as_int()?)),
                 },
-                BinOp::Mul => Value::Int(a.as_int()? * b.as_int()?),
+                BinOp::Mul => Value::Int(a.as_int()?.wrapping_mul(b.as_int()?)),
                 BinOp::Div => {
                     let d = b.as_int()?;
                     if d == 0 {
                         return Err("division by zero".into());
                     }
-                    Value::Int(a.as_int()? / d)
+                    Value::Int(a.as_int()?.wrapping_div(d))
                 }
                 BinOp::Mod => {
                     let d = b.as_int()?;
                     if d == 0 {
                         return Err("modulo by zero".into());
                     }
-                    Value::Int(a.as_int()? % d)
+                    Value::Int(a.as_int()?.wrapping_rem(d))
                 }
             }
         }

@@ -393,16 +393,11 @@ pub struct IrSpec {
     /// `foreach` slots are deliberately absent, as the AST interpreter
     /// removed those bindings after each loop).
     var_index: HashMap<String, u16>,
-    list_index: HashMap<String, u16>,
 }
 
 impl IrSpec {
     pub fn var_slot(&self, name: &str) -> Option<u16> {
         self.var_index.get(name).copied()
-    }
-
-    pub fn list_slot(&self, name: &str) -> Option<u16> {
-        self.list_index.get(name).copied()
     }
 
     /// Check and lower a parsed spec. Rejects, with the first
@@ -720,7 +715,6 @@ impl<'s> Lowerer<'s> {
             transitions,
             tables,
             var_index: self.var_index,
-            list_index: self.list_index,
         })
     }
 
@@ -1220,7 +1214,7 @@ mod tests {
         assert_eq!(ir.slots.int(0), 7, "K holds its value");
         assert_eq!((ir.vars[1].ty, ir.vars[1].slot), (Ty::Int, 1));
         assert_eq!(ir.slots.int(1), 0, "n holds the default");
-        assert_eq!(ir.list_slot("kids"), Some(0));
+        assert_eq!(ir.lists[0].name, "kids");
         assert_eq!(ir.lists[0].max, 4);
         assert_eq!(ir.timers.len(), 2);
         assert_eq!(ir.timers[1].name, "t2");

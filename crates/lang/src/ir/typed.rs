@@ -454,7 +454,7 @@ type Typed<T> = Result<T, String>;
 fn const_int(e: &IntExpr) -> Option<i64> {
     match e {
         IntExpr::Lit(v) | IntExpr::Const(v, _) => Some(*v),
-        IntExpr::Neg(x) => const_int(x).map(|v| -v),
+        IntExpr::Neg(x) => const_int(x).map(i64::wrapping_neg),
         _ => None,
     }
 }

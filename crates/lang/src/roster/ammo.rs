@@ -25,7 +25,7 @@ pub(crate) fn tree(n: usize, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::roster::testworld::{agent, multicast, only, reaches_root, receivers};
+    use crate::roster::testworld::{list, multicast, only, reaches_root, receivers, view};
     use macedon_core::Time;
 
     #[test]
@@ -33,8 +33,8 @@ mod tests {
         let (mut w, hosts, _s) = tree(12, 1);
         w.run_until(Time::from_secs(60));
         for &h in &hosts {
-            assert_ne!(agent(&w, h).state(), "joining", "{h:?}");
-            assert!(agent(&w, h).list("kids").unwrap().len() <= 3);
+            assert_ne!(view(&w, h).state, "joining", "{h:?}");
+            assert!(list(&w, h, "kids").len() <= 3);
             assert!(reaches_root(&w, &hosts, h), "{h:?}");
         }
     }

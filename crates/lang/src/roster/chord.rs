@@ -2,11 +2,12 @@
 //! repair, key routing to the owner in O(log n) hops, `routeIP`, and
 //! crash repair.
 
-use crate::roster::testworld::{agent, roster_world, seeded};
+use crate::roster::testworld::{list, only, roster_world, seeded, view};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
 use macedon_core::{MacedonKey, NodeId, World, WorldConfig};
 use macedon_net::topology::{canned, LinkSpec};
+use macedon_scenario::{ChordOracle, ConvergenceOracle, Snapshot};
 
 /// An `n`-node ring on a star LAN, joins 100 ms apart, `fix_fingers`
 /// every `fix_fingers_ms`.
@@ -45,26 +46,11 @@ pub(crate) fn owner(w: &World, ring: &[NodeId], key: MacedonKey) -> NodeId {
         .expect("non-empty ring")
 }
 
-/// `node`'s successor: the clockwise-nearest entry of its `succs`.
-pub(crate) fn successor(w: &World, node: NodeId) -> Option<NodeId> {
-    let me = w.key_of(node);
-    agent(w, node)
-        .list("succs")?
-        .iter()
-        .copied()
-        .min_by_key(|&s| me.distance_to(w.key_of(s)))
-}
-
-/// Every node of `ring` (in ring order) points at the next one.
-pub(crate) fn assert_ring_closed(w: &World, ring: &[NodeId]) {
-    for (i, &node) in ring.iter().enumerate() {
-        assert_eq!(agent(w, node).state(), "joined", "{node:?}");
-        assert_eq!(
-            successor(w, node),
-            Some(ring[(i + 1) % ring.len()]),
-            "successor of ring position {i}"
-        );
-    }
+/// The ring over `hosts` is correct: the [`ChordOracle`] finds no
+/// fault in it.
+pub(crate) fn assert_ring_closed(w: &World, hosts: &[NodeId]) {
+    let violations = ChordOracle.check(&Snapshot::of(w, hosts));
+    assert!(violations.is_empty(), "{violations:#?}");
 }
 
 #[cfg(test)]
@@ -89,7 +75,7 @@ mod tests {
     fn singleton_ring_owns_everything() {
         let (mut w, hosts, sink) = ring(1, 42, 1000);
         w.run_until(Time::from_secs(5));
-        assert_eq!(agent(&w, hosts[0]).state(), "joined");
+        assert_eq!(view(&w, hosts[0]).state, "joined");
         route(&mut w, Time::from_secs(5), hosts[0], MacedonKey(7), 1, 16);
         w.run_until(Time::from_secs(6));
         let log = sink.lock();
@@ -101,7 +87,7 @@ mod tests {
     fn ring_forms_correctly() {
         let (mut w, hosts, _sink) = ring(16, 7, 1000);
         w.run_until(Time::from_secs(60));
-        assert_ring_closed(&w, &ring_order(&w, &hosts));
+        assert_ring_closed(&w, &hosts);
     }
 
     #[test]
@@ -110,7 +96,7 @@ mod tests {
         w.run_until(Time::from_secs(60));
         let ring = ring_order(&w, &hosts);
         for (i, &node) in ring.iter().enumerate() {
-            let pred = agent(&w, node).list("pred").unwrap().first().copied();
+            let pred = only(&w, node, "pred");
             assert_eq!(
                 pred,
                 Some(ring[(i + ring.len() - 1) % ring.len()]),
@@ -187,8 +173,7 @@ mod tests {
         assert_ne!(victim, hosts[0]);
         w.crash_at(Time::from_secs(61), victim);
         w.run_until(Time::from_secs(140));
-        let alive: Vec<NodeId> = hosts.iter().copied().filter(|&h| h != victim).collect();
-        assert_ring_closed(&w, &ring_order(&w, &alive));
+        assert_ring_closed(&w, &hosts);
     }
 
     /// Entry `i` of node `n` is correct when the owner of
@@ -200,7 +185,7 @@ mod tests {
         let ring = ring_order(&w, &hosts);
         let mut good = 0usize;
         for &h in &hosts {
-            let fingers = agent(&w, h).list("fingers").unwrap();
+            let fingers = list(&w, h, "fingers");
             good += (0..32)
                 .filter(|&i| fingers.contains(&owner(&w, &ring, w.key_of(h).plus_pow2(i))))
                 .count();

@@ -26,7 +26,7 @@ pub(crate) fn tree(n: usize, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::roster::testworld::{agent, multicast, only, reaches_root, receivers};
+    use crate::roster::testworld::{multicast, only, reaches_root, receivers, view};
     use macedon_core::Time;
     use macedon_net::topology::TopologyBuilder;
 
@@ -34,7 +34,7 @@ mod tests {
     fn bootstrap_starts_joined() {
         let (mut w, hosts, _s) = tree(2, 1);
         w.run_until(Time::from_secs(1));
-        assert_eq!(agent(&w, hosts[0]).state(), "joined");
+        assert_eq!(view(&w, hosts[0]).state, "joined");
         assert_eq!(
             only(&w, hosts[0], "papa"),
             None,
@@ -47,11 +47,11 @@ mod tests {
         let (mut w, hosts, _s) = tree(12, 3);
         w.run_until(Time::from_secs(60));
         for &h in &hosts {
-            let a = agent(&w, h);
+            let a = view(&w, h);
             assert!(
-                matches!(a.state(), "joined" | "probed" | "probing"),
+                matches!(a.state, "joined" | "probed" | "probing"),
                 "{h:?} in {}",
-                a.state()
+                a.state
             );
             assert!(a.list("kids").unwrap().len() <= 3);
             assert!(reaches_root(&w, &hosts, h), "{h:?} reaches the root");

@@ -25,7 +25,7 @@ pub(crate) fn tree(n: usize, max_kids: i64, seed: u64) -> (World, Vec<NodeId>, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::roster::testworld::{agent, multicast, reaches_root, receivers};
+    use crate::roster::testworld::{list, multicast, only, reaches_root, receivers, view};
     use macedon_core::Time;
 
     #[test]
@@ -33,7 +33,7 @@ mod tests {
         let (mut w, hosts, _sink) = tree(20, 3, 1);
         w.run_until(Time::from_secs(30));
         for &h in &hosts {
-            assert_eq!(agent(&w, h).state(), "joined", "{h:?}");
+            assert_eq!(view(&w, h).state, "joined", "{h:?}");
             assert!(reaches_root(&w, &hosts, h), "{h:?} reaches the root");
         }
     }
@@ -43,7 +43,7 @@ mod tests {
         let (mut w, hosts, _sink) = tree(30, 2, 3);
         w.run_until(Time::from_secs(30));
         for &h in &hosts {
-            assert!(agent(&w, h).list("kids").unwrap().len() <= 2);
+            assert!(list(&w, h, "kids").len() <= 2);
         }
     }
 
@@ -79,13 +79,13 @@ mod tests {
         let interior = hosts[1..]
             .iter()
             .copied()
-            .find(|&h| !agent(&w, h).list("kids").unwrap().is_empty())
+            .find(|&h| !list(&w, h, "kids").is_empty())
             .expect("a tree of 10 with fan-out 2 has interior nodes");
-        let orphan = agent(&w, interior).list("kids").unwrap()[0];
+        let orphan = list(&w, interior, "kids")[0];
         w.crash_at(Time::from_secs(31), interior);
         w.run_until(Time::from_secs(120));
-        assert_eq!(agent(&w, orphan).state(), "joined", "orphan rejoined");
-        let parent = agent(&w, orphan).list("papa").unwrap().first().copied();
+        assert_eq!(view(&w, orphan).state, "joined", "orphan rejoined");
+        let parent = only(&w, orphan, "papa");
         assert!(
             parent.is_some_and(|p| p != interior),
             "orphan found a live parent"

@@ -1,9 +1,11 @@
 //! Seeded worlds running one registered spec, interpreted, on every host
 //! of a topology: the fixture of the per-protocol behaviour tests.
 
-use crate::{InterpretedAgent, SpecRegistry};
+use crate::SpecRegistry;
 use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
-use macedon_core::{Bytes, DownCall, Duration, MacedonKey, NodeId, Time, World, WorldConfig};
+use macedon_core::{
+    AgentState, Bytes, DownCall, Duration, MacedonKey, NodeId, Time, World, WorldConfig,
+};
 use macedon_net::Topology;
 use std::collections::HashSet;
 
@@ -41,19 +43,23 @@ pub(crate) fn seeded(seed: u64) -> WorldConfig {
     }
 }
 
-/// The interpreted agent at layer 0 of `node`'s stack.
-pub(crate) fn agent(w: &World, node: NodeId) -> &InterpretedAgent {
+/// The state of the spec agent at layer 0 of `node`'s stack.
+pub(crate) fn view(w: &World, node: NodeId) -> AgentState<'_> {
     w.stack(node)
         .expect("spawned")
         .agent(0)
-        .as_any()
-        .downcast_ref()
-        .expect("interpreted")
+        .view()
+        .expect("a spec agent")
+}
+
+/// A neighbor list of the agent at layer 0.
+pub(crate) fn list<'w>(w: &'w World, node: NodeId, name: &str) -> &'w [NodeId] {
+    view(w, node).list(name).expect("declared list")
 }
 
 /// The single entry of a one-slot neighbor list (`parent`-style).
-pub(crate) fn only(w: &World, node: NodeId, list: &str) -> Option<NodeId> {
-    agent(w, node).list(list).and_then(|l| l.first().copied())
+pub(crate) fn only(w: &World, node: NodeId, name: &str) -> Option<NodeId> {
+    list(w, node, name).first().copied()
 }
 
 /// A `len`-byte payload stamped with sequence number `seq`.

@@ -513,14 +513,14 @@ enum Event {
     Failed(NodeId),
 }
 
-fn hello(who: u32, fresh: bool, round: u64, peers: &[u32]) -> Bytes {
+fn hello(who: u32, fresh: bool, round: i64, peers: &[u32]) -> Bytes {
     let peers: Vec<NodeId> = peers.iter().map(|&n| NodeId(n)).collect();
     let mut w = WireWriter::new();
     w.u16(protocol_id_of("roundtrip"))
         .u16(0)
         .node(NodeId(who))
         .u8(fresh as u8)
-        .u64(round)
+        .u64(round as u64)
         .key(MacedonKey(0x5eed))
         .bytes(b"body")
         .nodes(&peers);
@@ -580,6 +580,17 @@ fn events() -> Vec<Event> {
     ]
 }
 
+/// The free-form trace lines among `fx`, in order.
+fn custom_traces(fx: Vec<StackEffect>) -> impl Iterator<Item = String> {
+    fx.into_iter().filter_map(|fx| match fx {
+        StackEffect::Trace {
+            event: TraceEvent::Custom { msg },
+            ..
+        } => Some(msg),
+        _ => None,
+    })
+}
+
 fn fire(stack: &mut Stack, e: &Event) -> Vec<StackEffect> {
     let mut fx = Vec::new();
     let now = Time::ZERO;
@@ -610,13 +621,7 @@ fn generated_and_interpreted_agents_agree_event_by_event() {
             format!("{got:#?}"),
             "event {i}: the back ends disagree"
         );
-        traced.extend(want.into_iter().filter_map(|fx| match fx {
-            StackEffect::Trace {
-                event: TraceEvent::Custom { msg },
-                ..
-            } => Some(msg),
-            _ => None,
-        }));
+        traced.extend(custom_traces(want));
     }
     let record = |s: &Stack| {
         let app: &Recorder = s.app().as_any().downcast_ref().unwrap();
@@ -640,4 +645,41 @@ fn generated_and_interpreted_agents_agree_event_by_event() {
         traced.iter().any(|t| t.contains("runtime error")),
         "the null `who` faulted in both"
     );
+}
+
+/// Spec integers are wrapping two's complement in both back ends and in
+/// every build profile. Hello rounds at and next to `i64::MIN` and
+/// `i64::MAX` go through `+ - * / %` and unary minus (`/` and `%` by
+/// the constant −1 included), and two fresh `i64::MIN`-ish rounds
+/// overflow the accumulated `n`.
+#[test]
+fn wire_ints_wrap_alike_near_the_extremes() {
+    let ir = Arc::new(roundtrip_ir());
+    let mut interpreted = stack(Box::new(InterpretedAgent::new(ir, Some(NodeId(1)))));
+    let mut generated = stack(Box::new(agent::Roundtrip::new(Some(NodeId(1)))));
+    fire(&mut interpreted, &Event::Init);
+    fire(&mut generated, &Event::Init);
+    let rounds = [i64::MIN, i64::MIN + 1, -2, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    for r in rounds {
+        let e = Event::Recv(NodeId(3), hello(3, true, r, &[2]));
+        let want = fire(&mut interpreted, &e);
+        let got = fire(&mut generated, &e);
+        assert_eq!(
+            format!("{want:#?}"),
+            format!("{got:#?}"),
+            "round {r}: the back ends disagree"
+        );
+        // The `forward hello` transition traces first.
+        let traced: Vec<String> = custom_traces(want).take(6).collect();
+        let expect = [
+            r.wrapping_add(3),
+            r.wrapping_sub(3),
+            r.wrapping_mul(3),
+            r.wrapping_div(-1),
+            r.wrapping_rem(-1),
+            r.wrapping_neg(),
+        ]
+        .map(|v| format!("roundtrip: trace Int({v})"));
+        assert_eq!(traced, expect, "round {r}");
+    }
 }

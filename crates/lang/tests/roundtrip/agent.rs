@@ -19,9 +19,9 @@
 mod generated {
 
 use macedon_core::{
-    Agent, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader, WireWriter,
-    DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
+    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
+    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
 };
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel, tunnel_frame};
@@ -41,12 +41,23 @@ const TIMER_TICK: u16 = 0;
 const TIMER_RETRY: u16 = 1;
 const RETRY_MS: i64 = 250;
 const FANOUT: i64 = 3;
+const FLIP: i64 = -1;
 
 /// FSM states of `roundtrip` (`init` is implicit).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RoundtripState {
     Init,
     Joined,
+}
+
+impl RoundtripState {
+    /// The state's name in the spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            RoundtripState::Init => "init",
+            RoundtripState::Joined => "joined",
+        }
+    }
 }
 
 /// Decoded fields of `hello`.
@@ -116,23 +127,6 @@ impl Roundtrip {
         }
     }
 
-    /// Current FSM state name.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            RoundtripState::Init => "init",
-            RoundtripState::Joined => "joined",
-        }
-    }
-
-    /// Neighbor list contents by declared name.
-    pub fn neighbor_list(&self, name: &str) -> Option<&[NodeId]> {
-        match name {
-            "kids" => Some(&self.kids),
-            "backup" => Some(&self.backup),
-            _ => None,
-        }
-    }
-
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == RoundtripState::Init {
             self.transitions_fired += 1;
@@ -148,7 +142,7 @@ impl Roundtrip {
             ctx.trace(TraceLevel::Med, format!("roundtrip: trace Bool({:?})", (self.kids == self.backup)));
             ctx.trace(TraceLevel::Med, format!("roundtrip: trace Bool({:?})", { let _ = (&self.kids, &FANOUT); false }));
             ctx.timer_set(TIMER_RETRY, Duration::from_millis((RETRY_MS).max(0) as u64));
-            ctx.trace_fsm(self.state_name(), "joined");
+            ctx.trace_fsm(self.state.name(), "joined");
             self.state = RoundtripState::Joined;
             return;
         }
@@ -168,7 +162,7 @@ impl Roundtrip {
                 let __dest = dest;
                 let __a0 = Some(ctx.me);
                 let __a1 = true;
-                let __a2 = (self.n + (1i64));
+                let __a2 = self.n.wrapping_add((1i64));
                 let __a3 = key::dsl_key_add(ctx.my_key, FANOUT);
                 let __a4 = payload.clone();
                 let __a5 = &self.kids;
@@ -286,7 +280,7 @@ impl Roundtrip {
             }
         } else { ctx.trace(TraceLevel::Low, "roundtrip: runtime error: null where a value is required"); return; }
         if (m.fresh | (self.n != 0)) {
-            self.n = (self.n + m.round);
+            self.n = self.n.wrapping_add(m.round);
         }
         ctx.trace(TraceLevel::Med, format!("roundtrip: trace List({:?})", m.peers));
         {
@@ -311,8 +305,8 @@ impl Roundtrip {
         if (match (ctx.my_key, Some(from)) { (__k, Some(__n)) => __n.0 == __k.0, _ => false }) {
             ctx.trace(TraceLevel::Med, format!("roundtrip: trace {}", (Some(from)).map_or(String::from("Null"), |__n| format!("Node({:?})", __n))));
         }
-        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", (key::dsl_digit(Some(ctx.my_key), (0i64), (16i64)) + (-self.n))));
-        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", (key::dsl_ring_dist(Some(MacedonKey((self.n) as u32)), Some(ctx.my_key)) + key::dsl_ring_dist(None::<MacedonKey>, Some(ctx.my_key)))));
+        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", key::dsl_digit(Some(ctx.my_key), (0i64), (16i64)).wrapping_add(self.n.wrapping_neg())));
+        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", key::dsl_ring_dist(Some(MacedonKey((self.n) as u32)), Some(ctx.my_key)).wrapping_add(key::dsl_ring_dist(None::<MacedonKey>, Some(ctx.my_key)))));
         ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", ((Some(from)).map_or(0i64, |__p| ctx.rtt_ms(__p)))));
         self.cand = (if self.kids.is_empty() { None } else { Some(self.kids[ctx.rng.index(self.kids.len())]) });
         {
@@ -336,6 +330,12 @@ impl Roundtrip {
     fn t_fwd_hello(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgHello) -> bool {
         let mut quash = false;
         self.transitions_fired += 1;
+        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", m.round.wrapping_add(FANOUT)));
+        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", m.round.wrapping_sub(FANOUT)));
+        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", m.round.wrapping_mul(FANOUT)));
+        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", m.round.wrapping_div(FLIP)));
+        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", m.round.wrapping_rem(FLIP)));
+        ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", m.round.wrapping_neg()));
         if (m.round > (5i64)) {
             quash = true;
         }
@@ -360,7 +360,7 @@ impl Roundtrip {
             } else { ctx.trace(TraceLevel::Low, "roundtrip: runtime error: null where a value is required"); return; }
             self.flag = (self.flag == (self.n > (2i64)));
             if { let _ = &ctx.my_key; true } {
-                self.n = (self.n / FANOUT);
+                self.n = self.n.wrapping_div(FANOUT);
             }
             return;
         }
@@ -374,7 +374,7 @@ impl Roundtrip {
 
     fn t_timer_retry(&mut self, ctx: &mut Ctx) {
         self.transitions_fired += 1;
-        ctx.timer_set(TIMER_RETRY, Duration::from_millis(((RETRY_MS * (2i64))).max(0) as u64));
+        ctx.timer_set(TIMER_RETRY, Duration::from_millis((RETRY_MS.wrapping_mul((2i64))).max(0) as u64));
         ctx.trace(TraceLevel::Med, format!("roundtrip: trace Bool({:?})", key::dsl_ring_between(Some(ctx.my_key), Some(self.last), (self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))));
     }
 
@@ -476,6 +476,14 @@ impl Agent for Roundtrip {
     fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.kids.retain(|&__n| __n != peer);
         self.t_error(ctx, peer);
+    }
+
+    fn view(&self) -> Option<AgentState<'_>> {
+        Some(AgentState {
+            protocol: "roundtrip",
+            state: self.state.name(),
+            lists: vec![("kids", self.kids.as_slice()), ("backup", self.backup.as_slice())],
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -53,9 +53,9 @@ pub use macedon_transport as transport;
 pub mod prelude {
     pub use macedon_core::app::{shared_deliveries, CollectorApp, StreamKind, StreamerApp};
     pub use macedon_core::{
-        Addressing, Agent, AppHandler, Bytes, ChannelId, ChannelSpec, Ctx, DownCall, Duration,
-        ForwardInfo, MacedonKey, NodeId, NullApp, ProtocolId, Time, TraceLevel, UpCall, World,
-        WorldConfig,
+        Addressing, Agent, AgentState, AppHandler, Bytes, ChannelId, ChannelSpec, Ctx, DownCall,
+        Duration, ForwardInfo, MacedonKey, NodeId, NullApp, ProtocolId, Time, TraceLevel, UpCall,
+        World, WorldConfig,
     };
     pub use macedon_lang::{InterpretedAgent, SpecRegistry};
     pub use macedon_overlays::{
@@ -63,9 +63,9 @@ pub mod prelude {
         SplitStreamConfig,
     };
     pub use macedon_scenario::{
-        run_sweep, AgentView, ChordOracle, ConvergenceOracle, GridAxis, LatencySummary,
-        MetricsReport, OracleCheckReport, PastryRouteOracle, Scenario, ScenarioBuilder,
-        ScenarioError, ScenarioOutcome, ScenarioRunner, ScribeTreeOracle, Snapshot, StreamShape,
-        SweepCell, SweepReport, SweepSpec, Violation,
+        run_sweep, ChordOracle, ConvergenceOracle, GridAxis, LatencySummary, MetricsReport,
+        OracleCheckReport, PastryRouteOracle, Scenario, ScenarioError, ScenarioOutcome,
+        ScenarioRunner, ScribeTreeOracle, Snapshot, StreamShape, SweepCell, SweepReport, SweepSpec,
+        Violation,
     };
 }

@@ -711,7 +711,7 @@ mod tests {
     #[test]
     fn cache_lifetime_evicts() {
         let mut w = World::new(
-            crate::testutil::star_topology(6),
+            macedon_net::topology::canned::star(6, macedon_net::topology::LinkSpec::lan()),
             macedon_core::WorldConfig {
                 seed: 77,
                 ..Default::default()

@@ -8,11 +8,6 @@ use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
 use macedon_net::Topology;
 use macedon_sim::SimRng;
 
-/// A modest star LAN for protocol-logic tests (topology effects off).
-pub fn star_topology(n: usize) -> Topology {
-    canned::star(n, LinkSpec::lan())
-}
-
 /// An INET-like topology with `clients` hosts for realism-sensitive tests.
 pub fn inet_topology(routers: usize, clients: usize, seed: u64) -> Topology {
     let mut rng = SimRng::new(seed);
@@ -29,7 +24,7 @@ pub fn inet_topology(routers: usize, clients: usize, seed: u64) -> Topology {
 /// Spawn a Pastry mesh of `n` nodes on a star LAN.
 pub fn pastry_mesh(n: usize, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries) {
     let mut w = World::new(
-        star_topology(n),
+        canned::star(n, LinkSpec::lan()),
         WorldConfig {
             seed,
             ..Default::default()
@@ -74,7 +69,7 @@ mod tests {
 
     #[test]
     fn ring_order_is_sorted_and_complete() {
-        let topo = star_topology(5);
+        let topo = canned::star(5, LinkSpec::lan());
         let hosts = topo.hosts().to_vec();
         let w = World::new(topo, WorldConfig::default());
         let ring = collect_ring(&w, &hosts);

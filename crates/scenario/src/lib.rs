@@ -7,10 +7,9 @@
 //! RTT, goodput, overhead and convergence. This crate makes those
 //! experiments declarative:
 //!
-//! * [`model`] — the [`Scenario`] event model, validation, and the
-//!   [`ScenarioBuilder`] Rust API;
-//! * [`script`] — a small text format (`at 30s crash 3 5 7`) with
-//!   spanned diagnostics, for experiments-as-files;
+//! * [`model`] — the [`Scenario`] event model and its validation;
+//! * [`script`] — the one way to declare a scenario: a small text format
+//!   (`at 30s crash 3 5 7`) with spanned diagnostics;
 //! * [`runner`] — the [`ScenarioRunner`], which compiles events onto a
 //!   [`macedon_core::World`] (spawns, crashes, partitions, runtime link
 //!   mutation) and installs the workload applications;
@@ -19,9 +18,10 @@
 //!   transport channel, and post-perturbation convergence times;
 //! * [`oracle`] — convergence oracles: global structural invariants
 //!   (Chord ring correctness, Pastry route optimality, Scribe tree
-//!   shape) evaluated on engine snapshots at scripted
-//!   `assert converged <oracle>` checkpoints, gating runs on overlay
-//!   correctness rather than delivery counts alone;
+//!   shape) evaluated on a [`Snapshot`] of any world's spec agents,
+//!   interpreted or generated, at scripted `assert converged <oracle>`
+//!   checkpoints, gating runs on overlay correctness rather than
+//!   delivery counts alone;
 //! * [`sweep`] — the parallel sweep driver: a [`sweep::SweepSpec`]
 //!   (template × seeds × node counts × parameter grid) expanded into
 //!   independent cells, run on a worker pool, and merged in cell order
@@ -55,10 +55,10 @@ pub mod runner;
 pub mod script;
 pub mod sweep;
 
-pub use model::{Event, Scenario, ScenarioBuilder, ScenarioError, Span, StreamShape, TimedEvent};
+pub use model::{Event, Scenario, ScenarioError, Span, StreamShape, TimedEvent};
 pub use oracle::{
-    AgentView, ChordOracle, ConvergenceOracle, NodeSnapshot, PastryRouteOracle, ScribeTreeOracle,
-    Snapshot, StateProbe, Violation,
+    ChordOracle, ConvergenceOracle, NodeSnapshot, PastryRouteOracle, ScribeTreeOracle, Snapshot,
+    Violation,
 };
 pub use report::{
     ChannelReport, LatencySummary, MetricsReport, NodeMetrics, OracleCheckReport,

@@ -1,21 +1,19 @@
-//! The scenario model: timed perturbation events, validation, and the
-//! Rust builder API.
+//! The scenario model: timed perturbation events and their validation.
 //!
 //! A [`Scenario`] is a declarative description of one experiment run —
 //! who joins when (including staggered flash crowds), who crashes and
 //! rejoins, which partitions open and heal, which links degrade, and
 //! what traffic streams. It is *data*: the
 //! [`crate::runner::ScenarioRunner`] compiles it into scheduled world
-//! actions. Scripts parse into this model
-//! ([`crate::script::parse`]), and [`ScenarioBuilder`] constructs it
-//! programmatically; both funnel through [`Scenario::validate`], so a
-//! malformed experiment is a spanned diagnostic, never a mid-run panic.
+//! actions. Scripts parse into this model ([`crate::script::parse`])
+//! and funnel through [`Scenario::validate`], so a malformed experiment
+//! is a spanned diagnostic, never a mid-run panic.
 
 use macedon_sim::{Duration, Time};
 use std::fmt;
 
-/// Source position of an event (line/column in a script; `0:0` for
-/// builder-constructed scenarios).
+/// Source position of an event (line/column in a script; `0:0` for a
+/// scenario constructed by hand).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Span {
     pub line: u32,
@@ -176,8 +174,8 @@ enum Phase {
 impl Scenario {
     /// Semantic validation: every event references known nodes, the
     /// join/crash/rejoin lifecycle is consistent, partitions never
-    /// overlap, and every parameter is in range. Both the script parser
-    /// and the builder call this; errors carry the event's span.
+    /// overlap, and every parameter is in range. The script parser and
+    /// the runner call this; errors carry the event's span.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         let top = Span::default();
         if self.nodes == 0 {
@@ -195,7 +193,7 @@ impl Scenario {
                 w[1].span,
                 format!(
                     "events are not sorted by time ({}s after {}s); \
-                     sort them or use ScenarioBuilder::build",
+                     sort them, as the script parser does",
                     w[1].at.as_secs_f64(),
                     w[0].at.as_secs_f64()
                 ),
@@ -379,162 +377,6 @@ impl Scenario {
     }
 }
 
-/// Fluent construction of a [`Scenario`] from Rust (the experiment
-/// harness path; scripts cover the declarative path).
-pub struct ScenarioBuilder {
-    name: String,
-    nodes: usize,
-    end: Time,
-    events: Vec<TimedEvent>,
-}
-
-impl ScenarioBuilder {
-    pub fn new(name: impl Into<String>, nodes: usize) -> ScenarioBuilder {
-        ScenarioBuilder {
-            name: name.into(),
-            nodes,
-            end: Time::ZERO,
-            events: Vec::new(),
-        }
-    }
-
-    /// Set the run end (required).
-    pub fn end(mut self, end: Time) -> Self {
-        self.end = end;
-        self
-    }
-
-    /// Add a raw event.
-    pub fn event(mut self, at: Time, event: Event) -> Self {
-        self.events.push(TimedEvent {
-            at,
-            event,
-            span: Span::default(),
-        });
-        self
-    }
-
-    /// Spawn `nodes` at `at`, staggered across `over`.
-    pub fn join(self, at: Time, nodes: impl IntoIterator<Item = usize>, over: Duration) -> Self {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        self.event(at, Event::Join { nodes, over })
-    }
-
-    pub fn crash(self, at: Time, nodes: impl IntoIterator<Item = usize>) -> Self {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        self.event(at, Event::Crash { nodes })
-    }
-
-    pub fn rejoin(self, at: Time, nodes: impl IntoIterator<Item = usize>, over: Duration) -> Self {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        self.event(at, Event::Rejoin { nodes, over })
-    }
-
-    pub fn partition(
-        self,
-        at: Time,
-        name: impl Into<String>,
-        side: impl IntoIterator<Item = usize>,
-    ) -> Self {
-        let side: Vec<usize> = side.into_iter().collect();
-        self.event(
-            at,
-            Event::Partition {
-                name: name.into(),
-                side,
-            },
-        )
-    }
-
-    pub fn heal(self, at: Time, name: impl Into<String>) -> Self {
-        self.event(at, Event::Heal { name: name.into() })
-    }
-
-    pub fn degrade(
-        self,
-        at: Time,
-        nodes: impl IntoIterator<Item = usize>,
-        bandwidth_bps: Option<u64>,
-        delay: Option<Duration>,
-    ) -> Self {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        self.event(
-            at,
-            Event::Degrade {
-                nodes,
-                bandwidth_bps,
-                delay,
-            },
-        )
-    }
-
-    pub fn restore(self, at: Time, nodes: impl IntoIterator<Item = usize>) -> Self {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        self.event(at, Event::Restore { nodes })
-    }
-
-    pub fn drop_probability(self, at: Time, probability: f64) -> Self {
-        self.event(at, Event::Drop { probability })
-    }
-
-    pub fn stream(
-        self,
-        at: Time,
-        node: usize,
-        rate_bps: u64,
-        packet_bytes: usize,
-        duration: Duration,
-        shape: StreamShape,
-    ) -> Self {
-        self.event(
-            at,
-            Event::Stream {
-                node,
-                rate_bps,
-                packet_bytes,
-                duration,
-                shape,
-            },
-        )
-    }
-
-    /// Checkpoint: assert the named oracle reports zero violations.
-    pub fn assert_converged(self, at: Time, oracle: impl Into<String>) -> Self {
-        self.event(
-            at,
-            Event::Assert {
-                oracle: oracle.into(),
-                converged: true,
-            },
-        )
-    }
-
-    /// Checkpoint: assert the named oracle reports at least one
-    /// violation (the overlay is demonstrably *not* converged here).
-    pub fn assert_diverged(self, at: Time, oracle: impl Into<String>) -> Self {
-        self.event(
-            at,
-            Event::Assert {
-                oracle: oracle.into(),
-                converged: false,
-            },
-        )
-    }
-
-    /// Sort, validate, and hand back the scenario.
-    pub fn build(mut self) -> Result<Scenario, ScenarioError> {
-        self.events.sort_by_key(|te| te.at);
-        let s = Scenario {
-            name: self.name,
-            nodes: self.nodes,
-            end: self.end,
-            events: self.events,
-        };
-        s.validate()?;
-        Ok(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,85 +385,41 @@ mod tests {
         Time::from_secs(secs)
     }
 
-    #[test]
-    fn builder_produces_sorted_valid_scenario() {
-        let sc = ScenarioBuilder::new("t", 10)
-            .end(s(60))
-            .crash(s(30), [3])
-            .join(s(0), 0..10, Duration::from_secs(5))
-            .rejoin(s(40), [3], Duration::ZERO)
-            .partition(s(45), "cut", 0..5)
-            .heal(s(50), "cut")
-            .build()
-            .unwrap();
-        assert_eq!(sc.events.len(), 5);
-        assert!(sc.events.windows(2).all(|w| w[0].at <= w[1].at));
+    /// The validation message `src` is rejected with.
+    fn rejects(src: &str) -> String {
+        crate::script::parse(src).unwrap_err().msg
     }
 
     #[test]
     fn lifecycle_violations_diagnosed() {
-        let e = ScenarioBuilder::new("t", 4)
-            .end(s(10))
-            .crash(s(1), [0])
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("not alive"), "{e}");
-
-        let e = ScenarioBuilder::new("t", 4)
-            .end(s(10))
-            .join(s(0), 0..4, Duration::ZERO)
-            .join(s(2), [1], Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("joins twice"), "{e}");
-
-        let e = ScenarioBuilder::new("t", 4)
-            .end(s(10))
-            .join(s(0), 0..4, Duration::ZERO)
-            .rejoin(s(2), [1], Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("never crashed"), "{e}");
+        let e = rejects("nodes 4\nend 10s\nat 1s crash 0\n");
+        assert!(e.contains("not alive"), "{e}");
+        let e = rejects("nodes 4\nend 10s\nat 0s join 0..4\nat 2s join 1\n");
+        assert!(e.contains("joins twice"), "{e}");
+        let e = rejects("nodes 4\nend 10s\nat 0s join 0..4\nat 2s rejoin 1\n");
+        assert!(e.contains("never crashed"), "{e}");
     }
 
     #[test]
     fn unknown_node_diagnosed() {
-        let e = ScenarioBuilder::new("t", 4)
-            .end(s(10))
-            .join(s(0), [7], Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("unknown node 7"), "{e}");
+        let e = rejects("nodes 4\nend 10s\nat 0s join 7\n");
+        assert!(e.contains("unknown node 7"), "{e}");
     }
 
     #[test]
     fn overlapping_partitions_diagnosed() {
-        let e = ScenarioBuilder::new("t", 6)
-            .end(s(20))
-            .join(s(0), 0..6, Duration::ZERO)
-            .partition(s(5), "a", [0, 1])
-            .partition(s(8), "b", [2])
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("overlaps"), "{e}");
-
-        let e = ScenarioBuilder::new("t", 6)
-            .end(s(20))
-            .join(s(0), 0..6, Duration::ZERO)
-            .heal(s(5), "ghost")
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("no open partition"), "{e}");
+        let e = rejects(
+            "nodes 6\nend 20s\nat 0s join 0..6\nat 5s partition a 0 1\nat 8s partition b 2\n",
+        );
+        assert!(e.contains("overlaps"), "{e}");
+        let e = rejects("nodes 6\nend 20s\nat 0s join 0..6\nat 5s heal ghost\n");
+        assert!(e.contains("no open partition"), "{e}");
     }
 
     #[test]
     fn event_after_end_diagnosed() {
-        let e = ScenarioBuilder::new("t", 2)
-            .end(s(10))
-            .join(s(11), [0], Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("after the scenario end"), "{e}");
+        let e = rejects("nodes 2\nend 10s\nat 11s join 0\n");
+        assert!(e.contains("after the scenario end"), "{e}");
     }
 
     #[test]
@@ -655,44 +453,18 @@ mod tests {
 
     #[test]
     fn second_stream_on_one_node_rejected() {
-        let e = ScenarioBuilder::new("t", 2)
-            .end(s(60))
-            .join(s(0), 0..2, Duration::ZERO)
-            .stream(
-                s(5),
-                0,
-                100_000,
-                1000,
-                Duration::from_secs(5),
-                StreamShape::Multicast,
-            )
-            .stream(
-                s(20),
-                0,
-                100_000,
-                1000,
-                Duration::from_secs(5),
-                StreamShape::Multicast,
-            )
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("streams twice"), "{e}");
+        let e = rejects(
+            "nodes 2\nend 60s\nat 0s join 0..2\n\
+             at 5s stream 0 rate 100kbps size 1000 for 5s multicast\n\
+             at 20s stream 0 rate 100kbps size 1000 for 5s multicast\n",
+        );
+        assert!(e.contains("streams twice"), "{e}");
     }
 
     #[test]
     fn stream_requires_live_node() {
-        let e = ScenarioBuilder::new("t", 2)
-            .end(s(30))
-            .stream(
-                s(5),
-                0,
-                100_000,
-                1000,
-                Duration::from_secs(5),
-                StreamShape::Multicast,
-            )
-            .build()
-            .unwrap_err();
-        assert!(e.msg.contains("before joining"), "{e}");
+        let e =
+            rejects("nodes 2\nend 30s\nat 5s stream 0 rate 100kbps size 1000 for 5s multicast\n");
+        assert!(e.contains("before joining"), "{e}");
     }
 }

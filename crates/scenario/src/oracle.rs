@@ -2,15 +2,14 @@
 //! engine snapshots at scripted checkpoints.
 //!
 //! A scenario can carry `assert converged <oracle>` / `assert diverged
-//! <oracle>` events (script verb `assert`, builder methods
-//! [`crate::ScenarioBuilder::assert_converged`] /
-//! [`crate::ScenarioBuilder::assert_diverged`]). At each checkpoint the
-//! runner freezes a [`Snapshot`] of every node's protocol state —
-//! extracted by a caller-supplied [`StateProbe`], since only the test
-//! harness knows the concrete agent types — and hands it to the named
-//! [`ConvergenceOracle`]. The oracle returns [`Violation`]s; an `assert
-//! converged` checkpoint passes when there are none, `assert diverged`
-//! when there is at least one. Results land in the
+//! <oracle>` events (script verb `assert`). At each checkpoint the
+//! runner takes a [`Snapshot`] of every node's protocol state — each
+//! spec layer's [`AgentState`], which interpreted and generated agents
+//! expose alike through [`macedon_core::Agent::view`] — and hands it to
+//! the named [`ConvergenceOracle`]. Tests take the same snapshot of any
+//! [`World`] with [`Snapshot::of`]. The oracle returns [`Violation`]s;
+//! an `assert converged` checkpoint passes when there are none, `assert
+//! diverged` when there is at least one. Results land in the
 //! [`crate::MetricsReport`] as per-checkpoint rows plus a
 //! time-to-first-convergence per oracle, so CI can gate on overlay
 //! correctness, not just delivery counts.
@@ -29,57 +28,66 @@
 //!   numerically closest to the group key).
 
 use macedon_core::key::dsl_owner_of;
-use macedon_core::{Addressing, MacedonKey, NodeId, Stack, Time};
+use macedon_core::{Addressing, AgentState, MacedonKey, NodeId, Time, World};
 use std::collections::HashSet;
 use std::fmt;
 
-/// One protocol layer of one node, as an oracle sees it: the FSM state
-/// and the neighbor lists by name. Built by the [`StateProbe`].
-#[derive(Clone, Debug)]
-pub struct AgentView {
-    pub protocol: String,
-    pub state: String,
-    pub lists: Vec<(String, Vec<NodeId>)>,
-}
-
-impl AgentView {
-    /// A named neighbor list; absent lists read as empty.
-    pub fn list(&self, name: &str) -> &[NodeId] {
-        self.lists
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_slice())
-            .unwrap_or(&[])
-    }
-}
-
 /// One node at the checkpoint instant.
 #[derive(Clone, Debug)]
-pub struct NodeSnapshot {
+pub struct NodeSnapshot<'w> {
     pub index: usize,
     pub node: NodeId,
     pub key: MacedonKey,
     pub alive: bool,
-    /// Layer views, lowest first; empty for dead nodes (and when no
-    /// probe is registered).
-    pub layers: Vec<AgentView>,
+    /// The spec layers' states, lowest first; empty for dead nodes.
+    pub layers: Vec<AgentState<'w>>,
 }
 
-impl NodeSnapshot {
-    pub fn layer(&self, protocol: &str) -> Option<&AgentView> {
+impl<'w> NodeSnapshot<'w> {
+    pub fn layer(&self, protocol: &str) -> Option<&AgentState<'w>> {
         self.layers.iter().find(|l| l.protocol == protocol)
     }
 }
 
-/// The frozen world state an oracle judges.
+/// The world state an oracle judges, borrowed from the [`World`].
 #[derive(Clone, Debug)]
-pub struct Snapshot {
+pub struct Snapshot<'w> {
     pub at: Time,
     pub addressing: Addressing,
-    pub nodes: Vec<NodeSnapshot>,
+    pub nodes: Vec<NodeSnapshot<'w>>,
 }
 
-impl Snapshot {
+impl<'w> Snapshot<'w> {
+    /// The protocol state of `hosts` (node `i` of the snapshot is
+    /// `hosts[i]`) in `world`, at the world's current time.
+    pub fn of(world: &'w World, hosts: &[NodeId]) -> Snapshot<'w> {
+        let nodes = hosts
+            .iter()
+            .enumerate()
+            .map(|(index, &host)| {
+                let alive = world.is_alive(host);
+                let layers = match world.stack(host) {
+                    Some(stack) if alive => (0..stack.num_layers())
+                        .filter_map(|l| stack.agent(l).view())
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                NodeSnapshot {
+                    index,
+                    node: host,
+                    key: world.key_of(host),
+                    alive,
+                    layers,
+                }
+            })
+            .collect();
+        Snapshot {
+            at: world.now(),
+            addressing: world.config().addressing,
+            nodes,
+        }
+    }
+
     fn key_of(&self, n: NodeId) -> MacedonKey {
         MacedonKey::of_node(n, self.addressing)
     }
@@ -91,23 +99,22 @@ impl Snapshot {
     fn live_with<'a>(
         &'a self,
         protocol: &'a str,
-    ) -> impl Iterator<Item = (&'a NodeSnapshot, &'a AgentView)> + 'a {
+    ) -> impl Iterator<Item = (&'a NodeSnapshot<'w>, &'a AgentState<'w>)> + 'a {
         self.nodes
             .iter()
             .filter(|n| n.alive)
             .filter_map(move |n| n.layer(protocol).map(|l| (n, l)))
     }
 
-    fn by_node(&self, n: NodeId) -> Option<&NodeSnapshot> {
+    fn by_node(&self, n: NodeId) -> Option<&NodeSnapshot<'w>> {
         self.nodes.iter().find(|s| s.node == n)
     }
 }
 
-/// Extracts the oracle-visible layer views from one node's stack. The
-/// harness downcasts each layer (`stack.agent(i).as_any()`) to its
-/// concrete agent type — interpreted, generated or native — and reads
-/// out state name and neighbor lists.
-pub type StateProbe<'a> = Box<dyn Fn(&Stack) -> Vec<AgentView> + 'a>;
+/// A named neighbor list of `layer`; an undeclared list reads as empty.
+fn list<'w>(layer: &AgentState<'w>, name: &str) -> &'w [NodeId] {
+    layer.list(name).unwrap_or_default()
+}
 
 /// One divergence from an oracle's correctness condition, carrying
 /// enough of the offending snapshot to debug a CI failure from the log
@@ -135,7 +142,7 @@ impl fmt::Display for Violation {
 /// every place the condition fails; an empty vec means converged.
 pub trait ConvergenceOracle {
     fn name(&self) -> &str;
-    fn check(&self, snap: &Snapshot) -> Vec<Violation>;
+    fn check(&self, snap: &Snapshot<'_>) -> Vec<Violation>;
 }
 
 fn ids(ns: &[NodeId]) -> String {
@@ -143,16 +150,17 @@ fn ids(ns: &[NodeId]) -> String {
     format!("[{}]", v.join(" "))
 }
 
-/// A snapshot in which no live node exposes the protocol at all is a
-/// harness bug (missing probe), not convergence — report it as such so
-/// `assert converged` cannot pass vacuously.
+/// A snapshot in which no live node runs the protocol at all is a
+/// harness bug (wrong oracle or a stack of non-spec agents), not
+/// convergence — report it as such so `assert converged` cannot pass
+/// vacuously.
 fn probe_missing(protocol: &str) -> Violation {
     Violation {
         index: 0,
         node: NodeId(0),
         expected: format!("at least one live '{protocol}' layer in the snapshot"),
         actual: "none".into(),
-        detail: "no StateProbe registered, or it exposes no such protocol".into(),
+        detail: "no live spec agent runs this protocol".into(),
     }
 }
 
@@ -183,8 +191,8 @@ impl ConvergenceOracle for ChordOracle {
         Self::PROTOCOL
     }
 
-    fn check(&self, snap: &Snapshot) -> Vec<Violation> {
-        let members: Vec<(&NodeSnapshot, &AgentView)> = snap.live_with(Self::PROTOCOL).collect();
+    fn check(&self, snap: &Snapshot<'_>) -> Vec<Violation> {
+        let members: Vec<(&NodeSnapshot, &AgentState)> = snap.live_with(Self::PROTOCOL).collect();
         if members.is_empty() {
             return vec![probe_missing(Self::PROTOCOL)];
         }
@@ -210,7 +218,7 @@ impl ConvergenceOracle for ChordOracle {
             else {
                 continue; // singleton ring is vacuously correct
             };
-            let succs = layer.list("succs");
+            let succs = list(layer, "succs");
             let actual = dsl_owner_of(Some(n.key), succs, snap.addressing);
             if actual != Some(exp.node) {
                 out.push(Violation {
@@ -262,17 +270,12 @@ impl PastryRouteOracle {
     fn step(
         &self,
         snap: &Snapshot,
-        cur: &AgentView,
+        cur: &AgentState,
         my: MacedonKey,
         dst: MacedonKey,
     ) -> Option<NodeId> {
         let plen = my.shared_prefix_len(dst, 4);
-        let entries = || {
-            cur.list("rows")
-                .iter()
-                .chain(cur.list("leaves").iter())
-                .copied()
-        };
+        let entries = || list(cur, "rows").iter().chain(list(cur, "leaves")).copied();
         let mut cand: Option<NodeId> = None;
         for r in entries() {
             let rp = snap.key_of(r).shared_prefix_len(dst, 4);
@@ -309,8 +312,8 @@ impl ConvergenceOracle for PastryRouteOracle {
         Self::PROTOCOL
     }
 
-    fn check(&self, snap: &Snapshot) -> Vec<Violation> {
-        let members: Vec<(&NodeSnapshot, &AgentView)> = snap.live_with(Self::PROTOCOL).collect();
+    fn check(&self, snap: &Snapshot<'_>) -> Vec<Violation> {
+        let members: Vec<(&NodeSnapshot, &AgentState)> = snap.live_with(Self::PROTOCOL).collect();
         if members.is_empty() {
             return vec![probe_missing(Self::PROTOCOL)];
         }
@@ -422,11 +425,11 @@ impl ConvergenceOracle for ScribeTreeOracle {
         Self::PROTOCOL
     }
 
-    fn check(&self, snap: &Snapshot) -> Vec<Violation> {
+    fn check(&self, snap: &Snapshot<'_>) -> Vec<Violation> {
         if snap.live_with(Self::PROTOCOL).next().is_none() {
             return vec![probe_missing(Self::PROTOCOL)];
         }
-        let subscribed: Vec<(&NodeSnapshot, &AgentView)> = snap
+        let subscribed: Vec<(&NodeSnapshot, &AgentState)> = snap
             .live_with(Self::PROTOCOL)
             .filter(|(_, l)| l.state == "subscribed")
             .collect();
@@ -443,7 +446,7 @@ impl ConvergenceOracle for ScribeTreeOracle {
             let mut cur = n;
             let mut cur_layer = layer;
             let violation = loop {
-                match cur_layer.list("rp_parent").first().copied() {
+                match list(cur_layer, "rp_parent").first().copied() {
                     None => {
                         // A root: must be the rendezvous.
                         if cur.key.ring_distance(self.group) != min_d {
@@ -513,19 +516,29 @@ impl ConvergenceOracle for ScribeTreeOracle {
 mod tests {
     use super::*;
 
-    fn view(protocol: &str, state: &str, lists: &[(&str, &[u32])]) -> AgentView {
-        AgentView {
-            protocol: protocol.into(),
-            state: state.into(),
+    /// A layer state over fixture lists; each test builds a handful, so
+    /// the lists are leaked to give them the snapshot's lifetime.
+    fn view(
+        protocol: &'static str,
+        state: &'static str,
+        lists: &[(&'static str, &[u32])],
+    ) -> AgentState<'static> {
+        AgentState {
+            protocol,
+            state,
             lists: lists
                 .iter()
-                .map(|&(n, ids)| (n.to_string(), ids.iter().map(|&i| NodeId(i)).collect()))
+                .map(|&(n, ids)| {
+                    let ids: &'static [NodeId] =
+                        ids.iter().map(|&i| NodeId(i)).collect::<Vec<_>>().leak();
+                    (n, ids)
+                })
                 .collect(),
         }
     }
 
     /// Ip addressing: a node's key is its id, so rings are legible.
-    fn snap(nodes: Vec<(u32, bool, Vec<AgentView>)>) -> Snapshot {
+    fn snap(nodes: Vec<(u32, bool, Vec<AgentState<'static>>)>) -> Snapshot<'static> {
         Snapshot {
             at: Time::ZERO,
             addressing: Addressing::Ip,
@@ -619,7 +632,7 @@ mod tests {
         assert_eq!(ScribeTreeOracle::new(MacedonKey(5)).check(&s).len(), 1);
     }
 
-    fn pastry_view(state: &str, rows: &[u32], leaves: &[u32]) -> AgentView {
+    fn pastry_view(state: &'static str, rows: &[u32], leaves: &[u32]) -> AgentState<'static> {
         view("pastry", state, &[("rows", rows), ("leaves", leaves)])
     }
 
@@ -691,7 +704,7 @@ mod tests {
         assert!(vs.iter().any(|v| v.actual.contains("dead")), "{vs:?}");
     }
 
-    fn scribe_view(state: &str, parent: &[u32]) -> AgentView {
+    fn scribe_view(state: &'static str, parent: &[u32]) -> AgentState<'static> {
         view("scribe", state, &[("rp_parent", parent)])
     }
 

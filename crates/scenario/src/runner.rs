@@ -9,10 +9,12 @@
 //! runner's: stream sources get a
 //! [`macedon_core::app::StreamerApp`], everyone else a
 //! [`macedon_core::app::CollectorApp`], so every run produces one
-//! delivery log the metrics derive from.
+//! delivery log the metrics derive from. At an `assert` checkpoint the
+//! runner hands the registered oracle a [`Snapshot::of`] the world,
+//! which reads every spec layer on either back end.
 
 use crate::model::{Event, Scenario, ScenarioError, Span, StreamShape};
-use crate::oracle::{ConvergenceOracle, NodeSnapshot, Snapshot, StateProbe};
+use crate::oracle::{ConvergenceOracle, Snapshot};
 use crate::report::{
     ChannelReport, LatencySummary, MetricsReport, NodeMetrics, OracleCheckReport,
     PerturbationReport,
@@ -97,8 +99,6 @@ pub struct ScenarioRunner<'a> {
     /// Convergence oracles by registration order; `assert` checkpoints
     /// resolve them by [`ConvergenceOracle::name`].
     oracles: Vec<Box<dyn ConvergenceOracle + 'a>>,
-    /// How to read protocol state out of a stack for the oracles.
-    probe: Option<StateProbe<'a>>,
     /// Engine-wide time-series sampler ([`Self::enable_telemetry`]);
     /// `run` slices the world's advance at its sampling boundaries.
     telemetry: Option<Telemetry>,
@@ -138,7 +138,6 @@ impl<'a> ScenarioRunner<'a> {
             group,
             originals: FxHashMap::default(),
             oracles: Vec::new(),
-            probe: None,
             telemetry: None,
             trace_level: None,
         })
@@ -159,11 +158,6 @@ impl<'a> ScenarioRunner<'a> {
     /// Register a convergence oracle for `assert` checkpoints.
     pub fn register_oracle(&mut self, oracle: Box<dyn ConvergenceOracle + 'a>) {
         self.oracles.push(oracle);
-    }
-
-    /// Install the state probe the oracles' snapshots are built with.
-    pub fn set_probe(&mut self, probe: StateProbe<'a>) {
-        self.probe = Some(probe);
     }
 
     /// Snapshot engine counters every `every` of virtual time; the
@@ -194,33 +188,6 @@ impl<'a> ScenarioRunner<'a> {
             }
         }
         self.world.run_until(to);
-    }
-
-    /// Freeze the oracle-visible world state at `at`.
-    fn snapshot(&self, at: Time) -> Snapshot {
-        let addressing = self.world.config().addressing;
-        let nodes = (0..self.scenario.nodes)
-            .map(|index| {
-                let host = self.hosts[index];
-                let alive = self.world.is_alive(host);
-                let layers = match (alive, self.world.stack(host), &self.probe) {
-                    (true, Some(stack), Some(probe)) => probe(stack),
-                    _ => Vec::new(),
-                };
-                NodeSnapshot {
-                    index,
-                    node: host,
-                    key: self.world.key_of(host),
-                    alive,
-                    layers,
-                }
-            })
-            .collect();
-        Snapshot {
-            at,
-            addressing,
-            nodes,
-        }
     }
 
     /// Expand the scenario into `(time, Action)` pairs, stable-sorted.
@@ -424,7 +391,10 @@ impl<'a> ScenarioRunner<'a> {
             };
         };
         let violations: Vec<String> = o
-            .check(&self.snapshot(at))
+            .check(&Snapshot::of(
+                &self.world,
+                &self.hosts[..self.scenario.nodes],
+            ))
             .iter()
             .map(|v| v.to_string())
             .collect();

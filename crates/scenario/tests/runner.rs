@@ -2,10 +2,10 @@
 //! partition, degradation and rejoin all compile onto the world and
 //! produce engine-measured metrics.
 
-use macedon_core::{Time, WorldConfig};
+use macedon_core::WorldConfig;
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, LinkSpec};
-use macedon_scenario::{script, ScenarioRunner, StreamShape};
+use macedon_scenario::{script, ScenarioRunner};
 use macedon_sim::Duration;
 
 fn runner_for<'a>(
@@ -136,20 +136,11 @@ fn seeded_runs_are_reproducible() {
 #[test]
 fn builder_scenario_runs_with_random_route_stream() {
     let reg = SpecRegistry::bundled();
-    let scenario = macedon_scenario::ScenarioBuilder::new("builder", 6)
-        .end(Time::from_secs(50))
-        .join(Time::ZERO, 0..6, Duration::from_secs(1))
-        .stream(
-            Time::from_secs(15),
-            1,
-            50_000,
-            256,
-            Duration::from_secs(20),
-            StreamShape::Multicast,
-        )
-        .crash(Time::from_secs(40), [5])
-        .build()
-        .unwrap();
+    let scenario = script::parse(
+        "scenario builder\nnodes 6\nend 50s\nat 0s join 0..6 over 1s\n\
+         at 15s stream 1 rate 50kbps size 256 for 20s multicast\nat 40s crash 5\n",
+    )
+    .unwrap();
     let outcome = runner_for(&reg, scenario, 6, 33).run();
     assert_eq!(outcome.report.alive, 5);
     assert!(outcome.report.total_delivered > 0);

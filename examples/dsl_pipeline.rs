@@ -52,21 +52,13 @@ fn main() {
 
     println!("\nOvercast FSM state after 60 virtual seconds:");
     for &h in &hosts {
-        let a: &InterpretedAgent = world
-            .stack(h)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
+        let a = world.stack(h).unwrap().agent(0).view().unwrap();
         println!(
             "  {:?}: state={:<8} parent={:?} children={:?}",
             h,
-            a.state(),
-            a.list("papa")
-                .map(|l| l.as_slice().to_vec())
-                .unwrap_or_default(),
-            a.list("kids").map(|l| l.len()).unwrap_or(0),
+            a.state,
+            a.list("papa").unwrap(),
+            a.list("kids").unwrap().len(),
         );
     }
 

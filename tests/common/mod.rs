@@ -1,10 +1,9 @@
-//! Helpers shared by the workspace integration tests: readers of the
-//! agents' state, payloads, and the golden-file check. Worlds come from
-//! `macedon_bench::experiments`.
+//! Helpers shared by the workspace integration tests: a star LAN, a
+//! reader of the agents' state, payloads, and the golden-file check.
+//! Worlds come from `macedon_bench::experiments`.
 #![allow(dead_code)]
 
 use macedon::core::app::SharedDeliveries;
-use macedon::lang::InterpretedAgent;
 use macedon::net::Topology;
 use macedon::prelude::*;
 
@@ -13,20 +12,20 @@ pub(crate) fn star(n: usize) -> Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
 }
 
-/// The interpreted agent at layer 0 of `node`'s stack.
-pub(crate) fn agent(w: &World, node: NodeId) -> &InterpretedAgent {
+/// The state of the spec agent at layer `layer` of `node`'s stack,
+/// interpreted or generated.
+pub(crate) fn view(w: &World, node: NodeId, layer: usize) -> AgentState<'_> {
     w.stack(node)
         .expect("spawned")
-        .agent(0)
-        .as_any()
-        .downcast_ref()
-        .expect("interpreted")
+        .agent(layer)
+        .view()
+        .expect("a spec agent")
 }
 
 /// The single entry of a one-slot neighbor list (`parent`-style) of the
 /// agent at layer 0.
 pub(crate) fn only(w: &World, node: NodeId, list: &str) -> Option<NodeId> {
-    agent(w, node).list(list).and_then(|l| l.first().copied())
+    view(w, node, 0).list(list)?.first().copied()
 }
 
 /// A `len`-byte payload stamped with sequence number `seq`.
@@ -45,15 +44,11 @@ pub(crate) fn receivers(sink: &SharedDeliveries, seq: u64) -> std::collections::
         .collect()
 }
 
-/// A chord node's successor: the clockwise-nearest entry of its
-/// `succs` (chord at layer 0).
-pub(crate) fn successor(w: &World, node: NodeId) -> Option<NodeId> {
-    let me = w.key_of(node);
-    agent(w, node)
-        .list("succs")?
-        .iter()
-        .copied()
-        .min_by_key(|&s| me.distance_to(w.key_of(s)))
+/// The Chord ring over `hosts` (chord at layer 0) is correct: the
+/// [`ChordOracle`] finds no fault in it.
+pub(crate) fn assert_ring_closed(w: &World, hosts: &[NodeId]) {
+    let violations = ChordOracle.check(&Snapshot::of(w, hosts));
+    assert!(violations.is_empty(), "{violations:#?}");
 }
 
 /// Compare `rendered` with the checked-in fixture `tests/golden/{name}.log`,

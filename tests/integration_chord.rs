@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{stamped, successor};
+use common::{assert_ring_closed, stamped};
 use macedon::core::TraceEvent;
 use macedon::lang::SpecRegistry;
 use macedon::overlays::testutil::{collect_ring, correct_owner, inet_topology};
@@ -42,14 +42,7 @@ fn route(w: &mut World, at: Time, from: NodeId, dest: MacedonKey, seq: u64, len:
 fn ring_converges_on_realistic_topology() {
     let (mut w, hosts, _sink) = chord_world(20, 1, TraceLevel::Off);
     w.run_until(Time::from_secs(120));
-    let ring = collect_ring(&w, &hosts);
-    for (i, &(node, _)) in ring.iter().enumerate() {
-        assert_eq!(
-            successor(&w, node),
-            Some(ring[(i + 1) % ring.len()].0),
-            "ring position {i}"
-        );
-    }
+    assert_ring_closed(&w, &hosts);
 }
 
 /// Hops are the sends of the (large) routed packets on the data

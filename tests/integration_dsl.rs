@@ -4,6 +4,9 @@
 //! generated is gated in `integration_generated.rs`; the layered roster
 //! (scribe, splitstream, bullet) runs in `integration_layered.rs`.
 
+mod common;
+
+use common::{only, star, view};
 use macedon::lang::interp::{channel_table, InterpretedAgent};
 use macedon::lang::{bundled_specs, codegen, compile, IrSpec};
 use macedon::prelude::*;
@@ -17,10 +20,6 @@ fn spec(name: &str) -> Arc<IrSpec> {
     Arc::new(compile(src).unwrap())
 }
 
-fn star_hosts(n: usize) -> macedon::net::Topology {
-    macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
-}
-
 #[test]
 fn interpreted_randtree_forms_a_tree() {
     let spec = spec("randtree");
@@ -29,42 +28,23 @@ fn interpreted_randtree_forms_a_tree() {
         channels: channel_table(&spec),
         ..Default::default()
     };
-    let mut w = World::new(star_hosts(12), cfg);
+    let mut w = World::new(star(12), cfg);
     let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
         let a = InterpretedAgent::new(spec.clone(), bootstrap);
         (vec![Box::new(a)], Box::new(NullApp))
     });
     w.run_until(Time::from_secs(60));
     // Everyone joined; parent pointers reach the root without cycles.
-    let parent_of = |w: &World, h: NodeId| -> Option<NodeId> {
-        let a: &InterpretedAgent = w
-            .stack(h)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        a.list("papa").and_then(|l| l.first().copied())
-    };
     for &h in &hosts {
-        let a: &InterpretedAgent = w
-            .stack(h)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        assert_eq!(a.state(), "joined", "{h:?}");
-        assert!(
-            a.list("kids").map(|l| l.len() <= 4).unwrap_or(true),
-            "fanout respected"
-        );
+        let a = view(&w, h, 0);
+        assert_eq!(a.state, "joined", "{h:?}");
+        assert!(a.list("kids").unwrap().len() <= 4, "fanout respected");
     }
     for &h in &hosts[1..] {
         let mut cur = h;
         let mut steps = 0;
         while cur != hosts[0] {
-            cur = parent_of(&w, cur).expect("joined node has parent");
+            cur = only(&w, cur, "papa").expect("joined node has parent");
             steps += 1;
             assert!(steps <= hosts.len(), "cycle");
         }
@@ -79,7 +59,7 @@ fn interpreted_overcast_follows_the_figure_1_fsm() {
         channels: channel_table(&spec),
         ..Default::default()
     };
-    let mut w = World::new(star_hosts(8), cfg);
+    let mut w = World::new(star(8), cfg);
     let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
         let a = InterpretedAgent::new(spec.clone(), bootstrap);
         (vec![Box::new(a)], Box::new(NullApp))
@@ -89,20 +69,21 @@ fn interpreted_overcast_follows_the_figure_1_fsm() {
     // probed/probing); tree edges total n-1.
     let mut edges = 0usize;
     for &h in &hosts {
-        let a: &InterpretedAgent = w
+        let a = view(&w, h, 0);
+        assert!(
+            ["joined", "probed", "probing"].contains(&a.state),
+            "{h:?} in FSM state {}",
+            a.state
+        );
+        edges += a.list("kids").unwrap().len();
+        let agent: &InterpretedAgent = w
             .stack(h)
             .unwrap()
             .agent(0)
             .as_any()
             .downcast_ref()
             .unwrap();
-        assert!(
-            ["joined", "probed", "probing"].contains(&a.state()),
-            "{h:?} in FSM state {}",
-            a.state()
-        );
-        edges += a.list("kids").map(|l| l.len()).unwrap_or(0);
-        assert!(a.transitions_fired > 0);
+        assert!(agent.transitions_fired > 0);
     }
     assert_eq!(edges, hosts.len() - 1);
 }

@@ -8,6 +8,9 @@
 //! This is the cross-validation loop the paper's translator had, closed
 //! end to end (specs → generated agents → running protocol).
 
+mod common;
+
+use common::star;
 use macedon::lang::interp::InterpretedAgent;
 use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
@@ -16,10 +19,6 @@ use macedon_generated as gen;
 
 /// Joins start this far apart.
 const STAGGER: Duration = Duration::from_millis(100);
-
-fn star_topo(n: usize) -> macedon::net::Topology {
-    macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
-}
 
 /// A delivery log reduced to comparable tuples (time, node, src, from,
 /// size, seqno) in arrival order.
@@ -40,12 +39,13 @@ fn world_of(
     n: usize,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    backend.world(proto, star_topo(n), seeded(seed), STAGGER)
+    backend.world(proto, star(n), seeded(seed), STAGGER)
 }
 
 /// Stream `n_pkts` multicast packets from `hosts[1]` after a join+settle
 /// phase (the schedule the layered integration suite uses).
-fn drive_multicast(w: &mut World, hosts: &[NodeId], group: MacedonKey, n_pkts: u64, join: bool) {
+fn drive_multicast(w: &mut World, hosts: &[NodeId], n_pkts: u64, join: bool) {
+    let group = MacedonKey::of_name("xval");
     w.run_until(Time::from_secs(40));
     if join {
         for &h in &hosts[1..] {
@@ -90,74 +90,37 @@ fn drive_routes(w: &mut World, hosts: &[NodeId], n_pkts: u64) {
     w.run_until(Time::from_secs(100));
 }
 
-/// Route-driven analogue of [`run_twins`].
-fn run_route_twins(proto: &str, n: usize, seed: u64, n_pkts: u64) -> ((World, Log), (World, Log)) {
-    let (mut iw, ihosts, isink) = world_of(Backend::Interpreted, proto, n, seed);
-    drive_routes(&mut iw, &ihosts, n_pkts);
-    let ilog = log_of(&isink);
-    let (mut gw, ghosts, gsink) = world_of(Backend::Generated, proto, n, seed);
-    assert_eq!(ihosts, ghosts);
-    drive_routes(&mut gw, &ghosts, n_pkts);
-    let glog = log_of(&gsink);
-    ((iw, ilog), (gw, glog))
+/// Run `proto` on both back ends under the same schedule `drive`, and
+/// return each finished world (for state inspection) with its log.
+fn run_twins(
+    proto: &str,
+    n: usize,
+    seed: u64,
+    drive: impl Fn(&mut World, &[NodeId]),
+) -> ((World, Log), (World, Log)) {
+    let run = |backend| {
+        let (mut w, hosts, sink) = world_of(backend, proto, n, seed);
+        drive(&mut w, &hosts);
+        (w, log_of(&sink))
+    };
+    (run(Backend::Interpreted), run(Backend::Generated))
 }
 
-/// Run both twins of `proto` under the same schedule and return their
-/// logs plus the finished worlds for state inspection.
-fn run_twins(proto: &str, n: usize, seed: u64, join: bool) -> ((World, Log), (World, Log)) {
-    let group = MacedonKey::of_name("xval");
-    let (mut iw, ihosts, isink) = world_of(Backend::Interpreted, proto, n, seed);
-    drive_multicast(&mut iw, &ihosts, group, 5, join);
-    let ilog = log_of(&isink);
-    let (mut gw, ghosts, gsink) = world_of(Backend::Generated, proto, n, seed);
-    assert_eq!(ihosts, ghosts);
-    drive_multicast(&mut gw, &ghosts, group, 5, join);
-    let glog = log_of(&gsink);
-    ((iw, ilog), (gw, glog))
-}
-
-/// Assert identical FSM state and neighbor lists on every node's layer 0.
-fn assert_layer0_state_eq(iw: &World, gw: &World, hosts: &[NodeId], lists: &[&str]) {
-    for &h in hosts {
-        let ia: &InterpretedAgent = iw
-            .stack(h)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        let ga = gw.stack(h).unwrap().agent(0);
-        // Downcast per concrete generated type via the introspection
-        // surface every generated agent carries; extend the type list as
-        // more protocols join the state-equality assertions.
-        macro_rules! introspect {
-            ($($ty:ty),+) => {
-                'found: {
-                    $(if let Some(a) = ga.as_any().downcast_ref::<$ty>() {
-                        break 'found (
-                            a.state_name(),
-                            lists
-                                .iter()
-                                .map(|l| a.neighbor_list(l).unwrap().to_vec())
-                                .collect(),
-                        );
-                    })+
-                    panic!("unexpected generated agent type at layer 0 of {h:?}");
-                }
-            };
-        }
-        let (gstate, glists): (&str, Vec<Vec<NodeId>>) = introspect!(
-            gen::overcast::Overcast,
-            gen::randtree::Randtree,
-            gen::chord::Chord,
-            gen::pastry::Pastry
-        );
-        assert_eq!(ia.state(), gstate, "FSM state diverged on {h:?}");
-        for (l, gl) in lists.iter().zip(glists) {
+/// Assert the same live nodes, with identical FSM state and neighbor
+/// lists on every layer of every stack.
+fn assert_state_eq(iw: &World, gw: &World) {
+    let hosts: Vec<NodeId> = iw.alive_nodes().collect();
+    assert!(!hosts.is_empty());
+    assert_eq!(hosts, gw.alive_nodes().collect::<Vec<_>>());
+    for h in hosts {
+        let (is, gs) = (iw.stack(h).unwrap(), gw.stack(h).unwrap());
+        assert_eq!(is.num_layers(), gs.num_layers(), "{h:?}");
+        for l in 0..is.num_layers() {
+            let want = is.agent(l).view().expect("interpreted spec agent");
             assert_eq!(
-                ia.list(l).unwrap(),
-                &gl,
-                "neighbor list '{l}' diverged on {h:?}"
+                Some(want),
+                gs.agent(l).view(),
+                "layer {l} of {h:?} diverged"
             );
         }
     }
@@ -165,20 +128,20 @@ fn assert_layer0_state_eq(iw: &World, gw: &World, hosts: &[NodeId], lists: &[&st
 
 #[test]
 fn generated_overcast_matches_interpreted_exactly() {
-    let ((iw, ilog), (gw, glog)) = run_twins("overcast", 10, 11, false);
+    let ((iw, ilog), (gw, glog)) =
+        run_twins("overcast", 10, 11, |w, h| drive_multicast(w, h, 5, false));
     assert!(!ilog.is_empty(), "interpreted overcast delivered packets");
     assert_eq!(ilog, glog, "delivery logs diverged (overcast)");
-    let hosts: Vec<NodeId> = star_topo(10).hosts().to_vec();
-    assert_layer0_state_eq(&iw, &gw, &hosts, &["papa", "kids", "brothers"]);
+    assert_state_eq(&iw, &gw);
 }
 
 #[test]
 fn generated_randtree_matches_interpreted_exactly() {
-    let ((iw, ilog), (gw, glog)) = run_twins("randtree", 10, 12, false);
+    let ((iw, ilog), (gw, glog)) =
+        run_twins("randtree", 10, 12, |w, h| drive_multicast(w, h, 5, false));
     assert!(!ilog.is_empty(), "interpreted randtree delivered packets");
     assert_eq!(ilog, glog, "delivery logs diverged (randtree)");
-    let hosts: Vec<NodeId> = star_topo(10).hosts().to_vec();
-    assert_layer0_state_eq(&iw, &gw, &hosts, &["papa", "kids"]);
+    assert_state_eq(&iw, &gw);
 }
 
 #[test]
@@ -186,26 +149,24 @@ fn generated_chord_matches_interpreted_exactly() {
     // Paper-faithful Chord serves `route`, not `multicast`: key-routed
     // packets from rotating origins, then exact ring-state equality —
     // successor lists, predecessor, and every finger.
-    let ((iw, ilog), (gw, glog)) = run_route_twins("chord", 12, 16, 8);
+    let ((iw, ilog), (gw, glog)) = run_twins("chord", 12, 16, |w, h| drive_routes(w, h, 8));
     assert!(
         !ilog.is_empty(),
         "interpreted chord delivered routed packets"
     );
     assert_eq!(ilog, glog, "delivery logs diverged (chord)");
-    let hosts: Vec<NodeId> = star_topo(12).hosts().to_vec();
-    assert_layer0_state_eq(&iw, &gw, &hosts, &["succs", "pred", "fingers"]);
+    assert_state_eq(&iw, &gw);
 }
 
 #[test]
 fn generated_pastry_matches_interpreted_exactly() {
-    let ((iw, ilog), (gw, glog)) = run_route_twins("pastry", 12, 17, 8);
+    let ((iw, ilog), (gw, glog)) = run_twins("pastry", 12, 17, |w, h| drive_routes(w, h, 8));
     assert!(
         !ilog.is_empty(),
         "interpreted pastry delivered routed packets"
     );
     assert_eq!(ilog, glog, "delivery logs diverged (pastry)");
-    let hosts: Vec<NodeId> = star_topo(12).hosts().to_vec();
-    assert_layer0_state_eq(&iw, &gw, &hosts, &["leaves", "rows", "near"]);
+    assert_state_eq(&iw, &gw);
 }
 
 #[test]
@@ -213,22 +174,41 @@ fn generated_splitstream_stack_matches_interpreted_exactly() {
     // The acceptance scenario: splitstream → scribe → pastry, all three
     // layers generated, versus the same stack interpreted — identical
     // seeded runs must produce identical delivery logs.
-    let ((_iw, ilog), (_gw, glog)) = run_twins("splitstream", 12, 13, true);
+    let ((iw, ilog), (gw, glog)) =
+        run_twins("splitstream", 12, 13, |w, h| drive_multicast(w, h, 5, true));
     assert!(
         !ilog.is_empty(),
         "interpreted splitstream stack delivered packets"
     );
     assert_eq!(ilog, glog, "delivery logs diverged (splitstream stack)");
+    assert_state_eq(&iw, &gw);
 }
 
 #[test]
 fn generated_scribe_stack_matches_interpreted_exactly() {
-    let ((_iw, ilog), (_gw, glog)) = run_twins("scribe", 12, 14, true);
+    let ((iw, ilog), (gw, glog)) =
+        run_twins("scribe", 12, 14, |w, h| drive_multicast(w, h, 5, true));
     assert!(
         !ilog.is_empty(),
         "interpreted scribe stack delivered packets"
     );
     assert_eq!(ilog, glog, "delivery logs diverged (scribe stack)");
+    assert_state_eq(&iw, &gw);
+}
+
+#[test]
+fn every_roster_spec_ends_in_equal_state_on_every_layer() {
+    // The tests above drive six specs under schedules each serves; this
+    // one compares every layer of every stack of the whole roster after
+    // the joins alone. It streams nothing: `nice.mac` re-floods every
+    // `mdata` to its peers with no duplicate check, so one packet
+    // multiplies without end.
+    for proto in gen::PROTOCOLS {
+        let ((iw, ilog), (gw, glog)) =
+            run_twins(proto, 8, 22, |w, h| drive_multicast(w, h, 0, true));
+        assert_eq!(ilog, glog, "delivery logs diverged ({proto})");
+        assert_state_eq(&iw, &gw);
+    }
 }
 
 #[test]
@@ -240,7 +220,6 @@ fn generated_pastry_interoperates_under_interpreted_scribe() {
     let scribe_spec = reg.resolve_chain("scribe").expect("chain")[1].clone();
     let n = 12;
     let seed = 15;
-    let group = MacedonKey::of_name("xval");
 
     let mut logs = Vec::new();
     for mixed in [false, true] {
@@ -248,7 +227,7 @@ fn generated_pastry_interoperates_under_interpreted_scribe() {
             channels: reg.channel_table_for("scribe").expect("chain resolves"),
             ..seeded(seed)
         };
-        let (mut w, hosts, sink) = stack_world(star_topo(n), cfg, STAGGER, |bootstrap| {
+        let (mut w, hosts, sink) = stack_world(star(n), cfg, STAGGER, |bootstrap| {
             let lowest: Box<dyn Agent> = if mixed {
                 Box::new(gen::pastry::Pastry::new(bootstrap))
             } else {
@@ -262,7 +241,7 @@ fn generated_pastry_interoperates_under_interpreted_scribe() {
                 Box::new(InterpretedAgent::new(scribe_spec.clone(), bootstrap)),
             ]
         });
-        drive_multicast(&mut w, &hosts, group, 5, true);
+        drive_multicast(&mut w, &hosts, 5, true);
         logs.push(log_of(&sink));
     }
     assert!(!logs[0].is_empty(), "baseline stack delivered packets");

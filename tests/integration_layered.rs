@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::assert_matches_golden;
+use common::{assert_matches_golden, star, view};
 use macedon::lang::interp::InterpretedAgent;
 use macedon::lang::SpecRegistry;
 use macedon::overlays::pastry::{Pastry, PastryConfig};
@@ -19,10 +19,6 @@ use std::collections::HashSet;
 
 /// Joins start this far apart.
 const STAGGER: Duration = Duration::from_millis(100);
-
-fn star_topo(n: usize) -> macedon::net::Topology {
-    macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
-}
 
 /// Join everyone at t=40s, stream `n_pkts` from `hosts[1]` from t=80s,
 /// run to t=120s — the same schedule the native multicast suite uses.
@@ -66,7 +62,7 @@ fn interpreted_world(
     n: usize,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    Backend::Interpreted.world(proto, star_topo(n), seeded(seed), STAGGER)
+    Backend::Interpreted.world(proto, star(n), seeded(seed), STAGGER)
 }
 
 fn native_world(
@@ -74,7 +70,7 @@ fn native_world(
     n: usize,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    stack_world(star_topo(n), seeded(seed), STAGGER, |bootstrap| {
+    stack_world(star(n), seeded(seed), STAGGER, |bootstrap| {
         let mut stack: Vec<Box<dyn Agent>> = vec![
             Box::new(Pastry::new(PastryConfig {
                 bootstrap,
@@ -156,7 +152,7 @@ fn mixed_stack_native_pastry_under_interpreted_scribe() {
     let scribe_spec = chain[1].clone();
 
     let n = 12;
-    let (mut w, hosts, sink) = stack_world(star_topo(n), seeded(9), STAGGER, |bootstrap| {
+    let (mut w, hosts, sink) = stack_world(star(n), seeded(9), STAGGER, |bootstrap| {
         vec![
             Box::new(Pastry::new(PastryConfig {
                 bootstrap,
@@ -190,12 +186,7 @@ fn mixed_stack_native_pastry_under_interpreted_scribe() {
 /// Render a finished run as stable text: one `d` line per delivery in
 /// arrival order, then one `s` line per node with the layer-0 FSM state
 /// and every declared neighbor list.
-fn render_run(
-    w: &World,
-    hosts: &[NodeId],
-    sink: &macedon::core::app::SharedDeliveries,
-    ir: &macedon::lang::IrSpec,
-) -> String {
+fn render_run(w: &World, hosts: &[NodeId], sink: &macedon::core::app::SharedDeliveries) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     for r in sink.lock().iter() {
@@ -212,16 +203,10 @@ fn render_run(
         .unwrap();
     }
     for &h in hosts {
-        let a: &InterpretedAgent = w
-            .stack(h)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        write!(out, "s {} {}", h.0, a.state()).unwrap();
-        for l in ir.lists.iter().map(|l| &l.name) {
-            let ns: Vec<String> = a.list(l).unwrap().iter().map(|n| n.0.to_string()).collect();
+        let a = view(w, h, 0);
+        write!(out, "s {} {}", h.0, a.state).unwrap();
+        for (l, list) in &a.lists {
+            let ns: Vec<String> = list.iter().map(|n| n.0.to_string()).collect();
             write!(out, " {}={}", l, ns.join(",")).unwrap();
         }
         writeln!(out).unwrap();
@@ -232,8 +217,6 @@ fn render_run(
 /// Seeded single-layer run (overcast/randtree): multicast traffic from
 /// hosts[1] without explicit joins, the generated-twin scenario.
 fn golden_single_layer(proto: &str, seed: u64) {
-    let reg = SpecRegistry::bundled();
-    let spec = reg.resolve_chain(proto).unwrap()[0].clone();
     let (mut w, hosts, sink) = interpreted_world(proto, 10, seed);
     let group = MacedonKey::of_name("golden");
     w.run_until(Time::from_secs(40));
@@ -252,7 +235,7 @@ fn golden_single_layer(proto: &str, seed: u64) {
         );
     }
     w.run_until(Time::from_secs(120));
-    let rendered = render_run(&w, &hosts, &sink, &spec);
+    let rendered = render_run(&w, &hosts, &sink);
     assert!(
         rendered.lines().any(|l| l.starts_with('d')),
         "{proto}: golden run delivered packets"
@@ -264,12 +247,10 @@ fn golden_single_layer(proto: &str, seed: u64) {
 /// schedule of the cross-validation suite, logged against the top spec's
 /// base layer.
 fn golden_layered(proto: &str, seed: u64) {
-    let reg = SpecRegistry::bundled();
-    let lowest = reg.resolve_chain(proto).unwrap()[0].clone();
     let (mut w, hosts, sink) = interpreted_world(proto, 12, seed);
     let group = MacedonKey::of_name("golden");
     drive_multicast(&mut w, &hosts, group, 5);
-    let rendered = render_run(&w, &hosts, &sink, &lowest);
+    let rendered = render_run(&w, &hosts, &sink);
     assert!(
         rendered.lines().any(|l| l.starts_with('d')),
         "{proto}: golden run delivered packets"
@@ -310,7 +291,7 @@ fn route_transition_honors_declared_transport_class() {
     // bytes there immediately. Asserted for both translator back ends.
     for backend in [Backend::Interpreted, Backend::Generated] {
         let run = |routes: bool| {
-            let (mut w, hosts, sink) = backend.world("chord", star_topo(10), seeded(27), STAGGER);
+            let (mut w, hosts, sink) = backend.world("chord", star(10), seeded(27), STAGGER);
             let ctrl = w.channel("CTRL").unwrap();
             w.run_until(Time::from_secs(60));
             if routes {
@@ -368,10 +349,9 @@ fn interpreted_bullet_stack_instantiates_and_runs() {
     for &h in &hosts {
         let stack = w.stack(h).unwrap();
         assert_eq!(stack.num_layers(), 2);
-        let tree: &InterpretedAgent = stack.agent(0).as_any().downcast_ref().unwrap();
-        assert_eq!(tree.state(), "joined", "{h:?} randtree joined");
+        assert_eq!(view(&w, h, 0).state, "joined", "{h:?} randtree joined");
+        assert_eq!(view(&w, h, 1).state, "active", "{h:?} bullet active");
         let bullet: &InterpretedAgent = stack.agent(1).as_any().downcast_ref().unwrap();
-        assert_eq!(bullet.state(), "active", "{h:?} bullet active");
         assert!(bullet.transitions_fired > 0);
     }
 }

@@ -6,23 +6,17 @@
 
 mod common;
 
-use common::assert_matches_golden;
-use macedon::lang::interp::InterpretedAgent;
+use common::{assert_matches_golden, star};
 use macedon::prelude::*;
-use macedon::scenario::{script, ScenarioOutcome, ScenarioRunner};
+use macedon::scenario::script;
 use macedon_bench::experiments::Backend;
-use macedon_generated as gen;
-
-fn star_topo(n: usize) -> macedon::net::Topology {
-    macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
-}
 
 /// Run `scenario_src` with an all-interpreted or all-generated overcast
 /// stack on every node (fast failure detection so churn aftermath fits
 /// the scripted windows).
 fn run_overcast(backend: Backend, scenario_src: &str, seed: u64) -> ScenarioOutcome {
     let scenario = script::parse(scenario_src).expect("scenario parses");
-    let topo = star_topo(scenario.nodes);
+    let topo = star(scenario.nodes);
     let cfg = WorldConfig {
         seed,
         channels: backend.channel_table("overcast"),
@@ -40,38 +34,16 @@ fn run_overcast(backend: Backend, scenario_src: &str, seed: u64) -> ScenarioOutc
     runner.run()
 }
 
-/// `(state, papa, kids)` per node, interpreted back end.
-fn interp_tree(outcome: &ScenarioOutcome) -> Vec<(String, Vec<NodeId>, Vec<NodeId>)> {
+/// `(state, papa, kids)` per node, either back end.
+fn tree(outcome: &ScenarioOutcome) -> Vec<(String, Vec<NodeId>, Vec<NodeId>)> {
     outcome
         .hosts
         .iter()
         .map(|&h| match outcome.world.stack(h) {
             Some(stack) => {
-                let a: &InterpretedAgent = stack.agent(0).as_any().downcast_ref().unwrap();
-                (
-                    a.state().to_string(),
-                    a.list("papa").unwrap().clone(),
-                    a.list("kids").unwrap().clone(),
-                )
-            }
-            None => ("<despawned>".into(), vec![], vec![]),
-        })
-        .collect()
-}
-
-/// `(state, papa, kids)` per node, generated back end.
-fn gen_tree(outcome: &ScenarioOutcome) -> Vec<(String, Vec<NodeId>, Vec<NodeId>)> {
-    outcome
-        .hosts
-        .iter()
-        .map(|&h| match outcome.world.stack(h) {
-            Some(stack) => {
-                let a: &gen::overcast::Overcast = stack.agent(0).as_any().downcast_ref().unwrap();
-                (
-                    a.state_name().to_string(),
-                    a.neighbor_list("papa").unwrap().to_vec(),
-                    a.neighbor_list("kids").unwrap().to_vec(),
-                )
+                let a = stack.agent(0).view().expect("overcast.mac");
+                let list = |name| a.list(name).unwrap().to_vec();
+                (a.state.to_string(), list("papa"), list("kids"))
             }
             None => ("<despawned>".into(), vec![], vec![]),
         })
@@ -106,7 +78,7 @@ fn overcast_relocates_children_off_a_degraded_parent() {
     // Control: same seed and schedule, no degradation — learn the tree
     // and pin down a depth-2 parent C.
     let control = run_overcast(Backend::Interpreted, DEGRADE_PREFIX, DEGRADE_SEED);
-    let control_tree = interp_tree(&control);
+    let control_tree = tree(&control);
     let root = control.hosts[0];
     let c_idx = control_tree
         .iter()
@@ -129,14 +101,14 @@ fn overcast_relocates_children_off_a_degraded_parent() {
     assert!(!ilog.is_empty(), "stream delivered packets");
     assert_eq!(ilog, glog, "interpreted vs generated logs diverged");
     assert_eq!(
-        interp_tree(&i_out),
-        gen_tree(&g_out),
+        tree(&i_out),
+        tree(&g_out),
         "interpreted vs generated end state diverged"
     );
 
     // At least one of C's children relocated away (driven by the new
     // goodput() builtin — the only relocation trigger in the spec).
-    let degraded_tree = interp_tree(&i_out);
+    let degraded_tree = tree(&i_out);
     let c_kids_after = &degraded_tree[c_idx].2;
     assert!(
         c_kids.iter().any(|k| !c_kids_after.contains(k)),
@@ -181,7 +153,7 @@ fn golden_churn_partition_scenario() {
         )
         .unwrap();
     }
-    for (i, (state, papa, kids)) in interp_tree(&outcome).iter().enumerate() {
+    for (i, (state, papa, kids)) in tree(&outcome).iter().enumerate() {
         let fmt = |l: &[NodeId]| {
             l.iter()
                 .map(|n| n.0.to_string())
@@ -234,7 +206,7 @@ fn churn_scenario_backends_agree() {
     let (ilog, glog) = (log_of(&i_out), log_of(&g_out));
     assert!(!ilog.is_empty());
     assert_eq!(ilog, glog, "churn scenario logs diverged across back ends");
-    assert_eq!(interp_tree(&i_out), gen_tree(&g_out));
+    assert_eq!(tree(&i_out), tree(&g_out));
     // The crashed-and-rejoined node is alive in both.
     assert!(i_out.world.is_alive(i_out.hosts[7]));
     assert!(g_out.world.is_alive(g_out.hosts[7]));

@@ -20,13 +20,12 @@
 //! engine traffic) or a span some strictly earlier `Send` record
 //! minted, and no span is minted twice.
 
+mod common;
+
+use common::star;
 use macedon::core::{SpanForest, TraceEvent};
 use macedon::prelude::*;
 use macedon_bench::experiments::Backend;
-
-fn star_topo(n: usize) -> macedon::net::Topology {
-    macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
-}
 
 /// Build a world running `proto` with every stack traced at `level`,
 /// partitioned into `shards` and driven by `workers` threads.
@@ -46,7 +45,7 @@ fn traced_world(
         ..Default::default()
     };
     let stagger = Duration::from_millis(100);
-    let (mut w, hosts, _sink) = backend.world(proto, star_topo(n), cfg, stagger);
+    let (mut w, hosts, _sink) = backend.world(proto, star(n), cfg, stagger);
     w.set_workers(workers);
     (w, hosts)
 }
