@@ -26,8 +26,8 @@ pub const ENGINE_PROTOCOL: ProtocolId = 0xFFFF;
 
 /// Reserved protocol id framing payloads a lowest layer tunnels on
 /// behalf of the layers above (the engine's `macedon_routeIP` service).
-/// Shared by the spec interpreter and the generated agents so that both
-/// artifacts speak one wire format; see [`crate::wire::tunnel_frame`].
+/// Every spec agent, interpreted or generated, frames and unwraps it in
+/// [`crate::spec`]; see [`crate::wire::tunnel_frame`].
 pub const TUNNEL_PROTOCOL: ProtocolId = 0xFFFD;
 
 /// Default priority: "the -1 priority requests use of the message's

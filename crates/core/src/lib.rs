@@ -13,6 +13,10 @@
 //! * [`agent`] — the [`agent::Agent`] trait generated code implements,
 //!   the [`agent::AppHandler`] application interface, and the transition
 //!   [`agent::Ctx`].
+//! * [`spec`] — the engine-facing half of every spec agent: one
+//!   [`Agent`] implementation over [`spec::SpecBody`], which the spec
+//!   interpreter and each generated agent implement with a spec's facts
+//!   and transitions.
 //! * [`stack`] — per-node protocol layering (Figure 2/5) with the effect
 //!   dispatcher.
 //! * [`trace`] — the four-level tracing subsystem and locking-class
@@ -30,6 +34,7 @@ pub mod json;
 pub mod key;
 pub mod measure;
 pub mod sha1;
+pub mod spec;
 pub mod stack;
 pub mod telemetry;
 pub mod trace;

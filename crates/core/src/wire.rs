@@ -16,9 +16,10 @@ use std::fmt;
 /// Frame a payload for direct host-to-host tunneling on behalf of the
 /// layers above (the engine service behind `macedon_routeIP`): protocol
 /// header [`crate::api::TUNNEL_PROTOCOL`], message type 0, the sender's
-/// key, then the length-prefixed payload. The interpreter and the
-/// generated agents both emit and parse this frame, which is what lets
-/// them tunnel for each other inside one mixed stack.
+/// key, then the length-prefixed payload. Every spec agent emits and
+/// parses this frame through [`crate::spec`], which is what lets
+/// interpreted and generated agents tunnel for each other inside one
+/// mixed stack.
 pub fn tunnel_frame(src: MacedonKey, payload: &[u8]) -> Bytes {
     let mut w = WireWriter::new();
     w.u16(crate::api::TUNNEL_PROTOCOL).u16(0).key(src);
@@ -28,15 +29,7 @@ pub fn tunnel_frame(src: MacedonKey, payload: &[u8]) -> Bytes {
 
 /// Parse the body of a [`tunnel_frame`]; the reader must be positioned
 /// just past the 4-byte protocol header. Returns `(source key, payload)`.
-pub fn read_tunnel(r: &mut WireReader) -> Result<(MacedonKey, Bytes), DecodeError> {
-    let src = r.key()?;
-    let payload = r.bytes()?;
-    Ok((src, payload))
-}
-
-/// [`read_tunnel`] over the borrowing reader — the interpreter's decode
-/// path, which never clones the incoming buffer handle.
-pub fn read_tunnel_ref(r: &mut WireRef<'_>) -> Result<(MacedonKey, Bytes), DecodeError> {
+pub fn read_tunnel(r: &mut WireRef<'_>) -> Result<(MacedonKey, Bytes), DecodeError> {
     let src = r.key()?;
     let payload = r.bytes()?;
     Ok((src, payload))
@@ -400,13 +393,13 @@ mod tests {
 
     #[test]
     fn tunnel_frame_roundtrip() {
+        // The frame's layout, field by field.
         let frame = tunnel_frame(MacedonKey(42), b"inner");
         let mut r = WireReader::new(frame);
         assert_eq!(r.u16().unwrap(), crate::api::TUNNEL_PROTOCOL);
         assert_eq!(r.u16().unwrap(), 0);
-        let (src, payload) = read_tunnel(&mut r).unwrap();
-        assert_eq!(src, MacedonKey(42));
-        assert_eq!(&payload[..], b"inner");
+        assert_eq!(r.key().unwrap(), MacedonKey(42));
+        assert_eq!(&r.bytes().unwrap()[..], b"inner");
         assert_eq!(r.remaining(), 0);
     }
 
@@ -438,7 +431,7 @@ mod tests {
         let mut r = WireRef::new(&frame);
         assert_eq!(r.u16().unwrap(), crate::api::TUNNEL_PROTOCOL);
         assert_eq!(r.u16().unwrap(), 0);
-        let (src, payload) = read_tunnel_ref(&mut r).unwrap();
+        let (src, payload) = read_tunnel(&mut r).unwrap();
         assert_eq!(src, MacedonKey(42));
         assert_eq!(&payload[..], b"inner");
         assert_eq!(r.remaining(), 0);
@@ -505,7 +498,7 @@ mod tests {
         outer.bytes(&inner);
         let frame = outer.finish();
         assert_eq!(&inner[..], &[0xDE, 0xAD, 0xBE, 0xEF]);
-        let mut r = WireReader::new(frame);
+        let mut r = WireRef::new(&frame);
         assert_eq!(r.u16().unwrap(), crate::api::TUNNEL_PROTOCOL);
         assert_eq!(r.u16().unwrap(), 0);
         let (src, payload) = read_tunnel(&mut r).unwrap();

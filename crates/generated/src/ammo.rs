@@ -19,14 +19,11 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `ammo` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 25620;
@@ -37,9 +34,13 @@ const MSG_LEAVE: u16 = 3;
 const MSG_METRIC_PROBE: u16 = 4;
 const MSG_METRIC_REPLY: u16 = 5;
 const MSG_ADATA: u16 = 6;
-/// Declared transport channels (bounds the `priority` values the
-/// engine-served `routeIP` tunnel honors).
-const NUM_CHANNELS: u16 = 3;
+const LANE_JOIN: Lane = Lane::Wire(ChannelId(0));
+const LANE_JOIN_OK: Lane = Lane::Wire(ChannelId(0));
+const LANE_JOIN_DEFLECT: Lane = Lane::Wire(ChannelId(0));
+const LANE_LEAVE: Lane = Lane::Wire(ChannelId(0));
+const LANE_METRIC_PROBE: Lane = Lane::Wire(ChannelId(1));
+const LANE_METRIC_REPLY: Lane = Lane::Wire(ChannelId(1));
+const LANE_ADATA: Lane = Lane::Wire(ChannelId(2));
 const TIMER_EPOCH_T: u16 = 0;
 const TIMER_RETRY_JOIN: u16 = 1;
 const MAXDEG: i64 = 4;
@@ -74,7 +75,7 @@ pub struct MsgJoin {
     pub who: Option<NodeId>,
 }
 
-fn dec_join(r: &mut WireReader) -> Result<MsgJoin, DecodeError> {
+fn dec_join(r: &mut WireRef) -> Result<MsgJoin, DecodeError> {
     Ok(MsgJoin {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -85,7 +86,7 @@ pub struct MsgJoinOk {
     pub sibs: Vec<NodeId>,
 }
 
-fn dec_join_ok(r: &mut WireReader) -> Result<MsgJoinOk, DecodeError> {
+fn dec_join_ok(r: &mut WireRef) -> Result<MsgJoinOk, DecodeError> {
     Ok(MsgJoinOk {
         sibs: r.nodes()?,
     })
@@ -96,7 +97,7 @@ pub struct MsgJoinDeflect {
     pub try_next: Option<NodeId>,
 }
 
-fn dec_join_deflect(r: &mut WireReader) -> Result<MsgJoinDeflect, DecodeError> {
+fn dec_join_deflect(r: &mut WireRef) -> Result<MsgJoinDeflect, DecodeError> {
     Ok(MsgJoinDeflect {
         try_next: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -106,7 +107,7 @@ fn dec_join_deflect(r: &mut WireReader) -> Result<MsgJoinDeflect, DecodeError> {
 pub struct MsgLeave {
 }
 
-fn dec_leave(r: &mut WireReader) -> Result<MsgLeave, DecodeError> {
+fn dec_leave(r: &mut WireRef) -> Result<MsgLeave, DecodeError> {
     Ok(MsgLeave {
     })
 }
@@ -116,7 +117,7 @@ pub struct MsgMetricProbe {
     pub epoch: i64,
 }
 
-fn dec_metric_probe(r: &mut WireReader) -> Result<MsgMetricProbe, DecodeError> {
+fn dec_metric_probe(r: &mut WireRef) -> Result<MsgMetricProbe, DecodeError> {
     Ok(MsgMetricProbe {
         epoch: (r.u64()? as i64),
     })
@@ -128,7 +129,7 @@ pub struct MsgMetricReply {
     pub score: i64,
 }
 
-fn dec_metric_reply(r: &mut WireReader) -> Result<MsgMetricReply, DecodeError> {
+fn dec_metric_reply(r: &mut WireRef) -> Result<MsgMetricReply, DecodeError> {
     Ok(MsgMetricReply {
         epoch: (r.u64()? as i64),
         score: (r.u64()? as i64),
@@ -141,7 +142,7 @@ pub struct MsgAdata {
     pub body: Bytes,
 }
 
-fn dec_adata(r: &mut WireReader) -> Result<MsgAdata, DecodeError> {
+fn dec_adata(r: &mut WireRef) -> Result<MsgAdata, DecodeError> {
     Ok(MsgAdata {
         src: r.key()?,
         body: r.bytes()?,
@@ -152,8 +153,7 @@ fn dec_adata(r: &mut WireReader) -> Result<MsgAdata, DecodeError> {
 pub struct Ammo {
     state: AmmoState,
     bootstrap: Option<NodeId>,
-    /// Encoded sends awaiting their forward-query verdict, FIFO.
-    pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     papa: Vec<NodeId>,
@@ -172,7 +172,7 @@ impl Ammo {
         Ammo {
             state: AmmoState::Init,
             bootstrap,
-            pending_fwd: VecDeque::new(),
+            __port: Port::default(),
             transitions_fired: 0,
             papa: Vec::new(),
             kids: Vec::new(),
@@ -184,6 +184,7 @@ impl Ammo {
         }
     }
 
+    #[inline(never)]
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == AmmoState::Init {
             self.transitions_fired += 1;
@@ -199,10 +200,7 @@ impl Ammo {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
                 ctx.trace_fsm(self.state.name(), "joining");
                 self.state = AmmoState::Joining;
@@ -212,6 +210,7 @@ impl Ammo {
         }
     }
 
+    #[inline(never)]
     fn t_api_multicast(&mut self, ctx: &mut Ctx, group: MacedonKey, payload: Bytes) {
         if !((self.state == AmmoState::Init || self.state == AmmoState::Joining)) {
             self.transitions_fired += 1;
@@ -224,25 +223,7 @@ impl Ammo {
                     __w.u16(PROTOCOL_ID).u16(MSG_ADATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(2), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: ctx.me,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(2), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_ADATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
             }
             for fe_p in self.papa.clone() {
@@ -254,31 +235,14 @@ impl Ammo {
                     __w.u16(PROTOCOL_ID).u16(MSG_ADATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(2), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: ctx.me,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(2), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_ADATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_join(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoin) {
         if !((self.state == AmmoState::Joining || self.state == AmmoState::Init)) {
             self.transitions_fired += 1;
@@ -298,10 +262,7 @@ impl Ammo {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_OK);
                     __w.nodes(__a0);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_OK, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
             } else {
                 {
@@ -310,16 +271,14 @@ impl Ammo {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_DEFLECT);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_DEFLECT, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_join_ok(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoinOk) {
         if self.state == AmmoState::Joining {
             self.transitions_fired += 1;
@@ -343,6 +302,7 @@ impl Ammo {
         }
     }
 
+    #[inline(never)]
     fn t_recv_join_deflect(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoinDeflect) {
         if self.state == AmmoState::Joining {
             self.transitions_fired += 1;
@@ -353,10 +313,7 @@ impl Ammo {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -364,6 +321,7 @@ impl Ammo {
         }
     }
 
+    #[inline(never)]
     fn t_recv_leave(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgLeave) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -374,6 +332,7 @@ impl Ammo {
         } else { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
     }
 
+    #[inline(never)]
     fn t_recv_metric_probe(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgMetricProbe) {
         self.transitions_fired += 1;
         {
@@ -384,13 +343,11 @@ impl Ammo {
             __w.u16(PROTOCOL_ID).u16(MSG_METRIC_REPLY);
             __w.u64(__a0 as u64);
             __w.u64(__a1 as u64);
-            let __bytes = __w.finish();
-            if let Some(__d) = __dest {
-                ctx.send(__d, ChannelId(1), __bytes);
-            }
+            if self.__port.send(ctx, LANE_METRIC_REPLY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
         }
     }
 
+    #[inline(never)]
     fn t_recv_metric_reply(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgMetricReply) {
         if self.state == AmmoState::Evaluating {
             self.transitions_fired += 1;
@@ -409,10 +366,7 @@ impl Ammo {
                             let __dest = Some(fe_p);
                             let mut __w = WireWriter::new();
                             __w.u16(PROTOCOL_ID).u16(MSG_LEAVE);
-                            let __bytes = __w.finish();
-                            if let Some(__d) = __dest {
-                                ctx.send(__d, ChannelId(0), __bytes);
-                            }
+                            if self.__port.send(ctx, LANE_LEAVE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                         }
                     }
                     for __n in self.papa.drain(..) {
@@ -426,10 +380,7 @@ impl Ammo {
                         let mut __w = WireWriter::new();
                         __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                         __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                        let __bytes = __w.finish();
-                        if let Some(__d) = __dest {
-                            ctx.send(__d, ChannelId(0), __bytes);
-                        }
+                        if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                     }
                     ctx.trace_fsm(self.state.name(), "joining");
                     self.state = AmmoState::Joining;
@@ -443,6 +394,7 @@ impl Ammo {
         }
     }
 
+    #[inline(never)]
     fn t_recv_adata(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgAdata) {
         self.transitions_fired += 1;
         {
@@ -460,25 +412,7 @@ impl Ammo {
                     __w.u16(PROTOCOL_ID).u16(MSG_ADATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(2), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(2), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_ADATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
             }
         }
@@ -492,30 +426,13 @@ impl Ammo {
                     __w.u16(PROTOCOL_ID).u16(MSG_ADATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(2), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(2), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_ADATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
             }
         }
     }
 
+    #[inline(never)]
     fn t_timer_epoch_t(&mut self, ctx: &mut Ctx) {
         if self.state == AmmoState::Joined {
             self.transitions_fired += 1;
@@ -534,10 +451,7 @@ impl Ammo {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_METRIC_PROBE);
                     __w.u64(__a0 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(1), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_METRIC_PROBE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.trace_fsm(self.state.name(), "evaluating");
@@ -555,6 +469,7 @@ impl Ammo {
         }
     }
 
+    #[inline(never)]
     fn t_timer_retry_join(&mut self, ctx: &mut Ctx) {
         if self.state == AmmoState::Joining {
             self.transitions_fired += 1;
@@ -564,16 +479,14 @@ impl Ammo {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
             }
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             return;
         }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -587,10 +500,7 @@ impl Ammo {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "ammo: runtime error: null where a value is required"); return; }
                 }
                 ctx.trace_fsm(self.state.name(), "joining");
                 self.state = AmmoState::Joining;
@@ -601,116 +511,66 @@ impl Ammo {
 
 }
 
-impl Agent for Ammo {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Ammo {
+    const AGENT_NAME: &'static str = "ammo";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "ammo", proto: PROTOCOL_ID, layered: false, channels: 3, messages: 7, timers: 2 }
     }
 
-    fn name(&self) -> &'static str { "ammo" }
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
 
-    fn init(&mut self, ctx: &mut Ctx) {
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("papa", self.papa.as_slice()), ("kids", self.kids.as_slice()), ("probeset", self.probeset.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.papa);
+        f(&mut self.kids);
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.t_api_init(ctx);
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Multicast { group, payload, .. } => self.t_api_multicast(ctx, group, payload),
-            DownCall::RouteIp { dest, payload, priority } => {
-                let __ch = if priority >= 0 && (priority as u16) < NUM_CHANNELS {
-                    ChannelId(priority as u16)
-                } else {
-                    ChannelId(0)
-                };
-                ctx.send(dest, __ch, tunnel_frame(ctx.my_key, &payload));
-            }
-            __other => ctx.trace(TraceLevel::Low, format!("ammo: unhandled API call {:?}", __other)),
+            __other => return Some(__other),
         }
+        None
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let mut __r = WireReader::new(msg);
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto == TUNNEL_PROTOCOL {
-            // A frame tunneled for the layers above: unwrap, deliver up.
-            let Ok((__src, __payload)) = read_tunnel(&mut __r) else { return };
-            ctx.up(UpCall::Deliver { src: __src, from, payload: __payload });
-            return;
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_JOIN => self.t_recv_join(ctx, from, &dec_join(r)?),
+            MSG_JOIN_OK => self.t_recv_join_ok(ctx, from, &dec_join_ok(r)?),
+            MSG_JOIN_DEFLECT => self.t_recv_join_deflect(ctx, from, &dec_join_deflect(r)?),
+            MSG_LEAVE => self.t_recv_leave(ctx, from, &dec_leave(r)?),
+            MSG_METRIC_PROBE => self.t_recv_metric_probe(ctx, from, &dec_metric_probe(r)?),
+            MSG_METRIC_REPLY => self.t_recv_metric_reply(ctx, from, &dec_metric_reply(r)?),
+            MSG_ADATA => self.t_recv_adata(ctx, from, &dec_adata(r)?),
+            _ => {},
         }
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_JOIN => match dec_join(&mut __r) {
-                Ok(__m) => self.t_recv_join(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("ammo: decode error: {}", __e)),
-            },
-            MSG_JOIN_OK => match dec_join_ok(&mut __r) {
-                Ok(__m) => self.t_recv_join_ok(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("ammo: decode error: {}", __e)),
-            },
-            MSG_JOIN_DEFLECT => match dec_join_deflect(&mut __r) {
-                Ok(__m) => self.t_recv_join_deflect(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("ammo: decode error: {}", __e)),
-            },
-            MSG_LEAVE => match dec_leave(&mut __r) {
-                Ok(__m) => self.t_recv_leave(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("ammo: decode error: {}", __e)),
-            },
-            MSG_METRIC_PROBE => match dec_metric_probe(&mut __r) {
-                Ok(__m) => self.t_recv_metric_probe(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("ammo: decode error: {}", __e)),
-            },
-            MSG_METRIC_REPLY => match dec_metric_reply(&mut __r) {
-                Ok(__m) => self.t_recv_metric_reply(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("ammo: decode error: {}", __e)),
-            },
-            MSG_ADATA => match dec_adata(&mut __r) {
-                Ok(__m) => self.t_recv_adata(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("ammo: decode error: {}", __e)),
-            },
-            _ => {}
-        }
+        Ok(())
     }
 
-    fn forward_resolved(&mut self, ctx: &mut Ctx, fwd: ForwardInfo) {
-        let Some((_dest, __ch, __bytes)) = self.pending_fwd.pop_front() else {
-            debug_assert!(false, "forward_resolved without a pending send");
-            return;
-        };
-        if !fwd.quash {
-            // The layers above may have redirected the hop.
-            ctx.send(fwd.next_hop, __ch, __bytes);
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_EPOCH_T => self.t_timer_epoch_t(ctx),
             TIMER_RETRY_JOIN => self.t_timer_retry_join(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.papa.retain(|&__n| __n != peer);
-        self.kids.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "ammo",
-            state: self.state.name(),
-            lists: vec![("papa", self.papa.as_slice()), ("kids", self.kids.as_slice()), ("probeset", self.probeset.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -19,14 +19,11 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `bullet` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 41657;
@@ -37,16 +34,16 @@ const MSG_MESH_OK: u16 = 3;
 const MSG_HAVE: u16 = 4;
 const MSG_WANT: u16 = 5;
 const MSG_BLOCK_DATA: u16 = 6;
-// Per-message transport priority: each declared class resolved
-// against the base (tunneling) layer's channel table at generation
-// time; -1 = default (tunnel channel 0).
-const PRIO_RANSUB_COLLECT: i8 = 0;
-const PRIO_RANSUB_DISTRIBUTE: i8 = 0;
-const PRIO_MESH_REQUEST: i8 = 0;
-const PRIO_MESH_OK: i8 = 0;
-const PRIO_HAVE: i8 = 1;
-const PRIO_WANT: i8 = 1;
-const PRIO_BLOCK_DATA: i8 = 0;
+// Each message's priority at the base layer: its declared class
+// resolved against the base (tunneling) layer's channel table at
+// generation time; -1 = default (tunnel channel 0).
+const LANE_RANSUB_COLLECT: Lane = Lane::Base(0);
+const LANE_RANSUB_DISTRIBUTE: Lane = Lane::Base(0);
+const LANE_MESH_REQUEST: Lane = Lane::Base(0);
+const LANE_MESH_OK: Lane = Lane::Base(0);
+const LANE_HAVE: Lane = Lane::Base(1);
+const LANE_WANT: Lane = Lane::Base(1);
+const LANE_BLOCK_DATA: Lane = Lane::Base(0);
 const TIMER_RANSUB_T: u16 = 0;
 const TIMER_RECOVER_T: u16 = 1;
 const SUBSET_SIZE: i64 = 5;
@@ -76,7 +73,7 @@ pub struct MsgRansubCollect {
     pub sample: Vec<NodeId>,
 }
 
-fn dec_ransub_collect(r: &mut WireReader) -> Result<MsgRansubCollect, DecodeError> {
+fn dec_ransub_collect(r: &mut WireRef) -> Result<MsgRansubCollect, DecodeError> {
     Ok(MsgRansubCollect {
         sample: r.nodes()?,
     })
@@ -87,7 +84,7 @@ pub struct MsgRansubDistribute {
     pub sample: Vec<NodeId>,
 }
 
-fn dec_ransub_distribute(r: &mut WireReader) -> Result<MsgRansubDistribute, DecodeError> {
+fn dec_ransub_distribute(r: &mut WireRef) -> Result<MsgRansubDistribute, DecodeError> {
     Ok(MsgRansubDistribute {
         sample: r.nodes()?,
     })
@@ -98,7 +95,7 @@ pub struct MsgMeshRequest {
     pub who: Option<NodeId>,
 }
 
-fn dec_mesh_request(r: &mut WireReader) -> Result<MsgMeshRequest, DecodeError> {
+fn dec_mesh_request(r: &mut WireRef) -> Result<MsgMeshRequest, DecodeError> {
     Ok(MsgMeshRequest {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -108,7 +105,7 @@ fn dec_mesh_request(r: &mut WireReader) -> Result<MsgMeshRequest, DecodeError> {
 pub struct MsgMeshOk {
 }
 
-fn dec_mesh_ok(r: &mut WireReader) -> Result<MsgMeshOk, DecodeError> {
+fn dec_mesh_ok(r: &mut WireRef) -> Result<MsgMeshOk, DecodeError> {
     Ok(MsgMeshOk {
     })
 }
@@ -118,7 +115,7 @@ pub struct MsgHave {
     pub block: i64,
 }
 
-fn dec_have(r: &mut WireReader) -> Result<MsgHave, DecodeError> {
+fn dec_have(r: &mut WireRef) -> Result<MsgHave, DecodeError> {
     Ok(MsgHave {
         block: (r.u64()? as i64),
     })
@@ -129,7 +126,7 @@ pub struct MsgWant {
     pub block: i64,
 }
 
-fn dec_want(r: &mut WireReader) -> Result<MsgWant, DecodeError> {
+fn dec_want(r: &mut WireRef) -> Result<MsgWant, DecodeError> {
     Ok(MsgWant {
         block: (r.u64()? as i64),
     })
@@ -142,7 +139,7 @@ pub struct MsgBlockData {
     pub body: Bytes,
 }
 
-fn dec_block_data(r: &mut WireReader) -> Result<MsgBlockData, DecodeError> {
+fn dec_block_data(r: &mut WireRef) -> Result<MsgBlockData, DecodeError> {
     Ok(MsgBlockData {
         src: r.key()?,
         block: (r.u64()? as i64),
@@ -154,6 +151,7 @@ fn dec_block_data(r: &mut WireReader) -> Result<MsgBlockData, DecodeError> {
 pub struct Bullet {
     state: BulletState,
     bootstrap: Option<NodeId>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     mesh: Vec<NodeId>,
@@ -169,6 +167,7 @@ impl Bullet {
         Bullet {
             state: BulletState::Init,
             bootstrap,
+            __port: Port::default(),
             transitions_fired: 0,
             mesh: Vec::new(),
             sample: Vec::new(),
@@ -177,6 +176,7 @@ impl Bullet {
         }
     }
 
+    #[inline(never)]
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == BulletState::Init {
             self.transitions_fired += 1;
@@ -188,6 +188,7 @@ impl Bullet {
         }
     }
 
+    #[inline(never)]
     fn t_recv_ransub_collect(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgRansubCollect) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -201,6 +202,7 @@ impl Bullet {
         }
     }
 
+    #[inline(never)]
     fn t_recv_ransub_distribute(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgRansubDistribute) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -214,6 +216,7 @@ impl Bullet {
         }
     }
 
+    #[inline(never)]
     fn t_recv_mesh_request(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgMeshRequest) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -231,19 +234,14 @@ impl Bullet {
                     let __dest = m.who;
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_MESH_OK);
-                    let __bytes = __w.finish();
-                    match __dest {
-                        Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_MESH_OK }),
-                        None => {
-                            { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_MESH_OK, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_mesh_ok(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgMeshOk) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -257,6 +255,7 @@ impl Bullet {
         }
     }
 
+    #[inline(never)]
     fn t_recv_have(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgHave) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -267,19 +266,14 @@ impl Bullet {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_WANT);
                     __w.u64(__a0 as u64);
-                    let __bytes = __w.finish();
-                    match __dest {
-                        Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_WANT }),
-                        None => {
-                            { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_WANT, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_want(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgWant) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -293,18 +287,13 @@ impl Bullet {
                 __w.key(__a0);
                 __w.u64(__a1 as u64);
                 __w.bytes(&__a2);
-                let __bytes = __w.finish();
-                match __dest {
-                    Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_BLOCK_DATA }),
-                    None => {
-                        ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_BLOCK_DATA });
-                    }
-                }
+                if self.__port.send(ctx, LANE_BLOCK_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_block_data(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgBlockData) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -319,6 +308,7 @@ impl Bullet {
         }
     }
 
+    #[inline(never)]
     fn t_fwd_block_data(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgBlockData) -> bool {
         let mut quash = false;
         if self.state == BulletState::Active {
@@ -334,6 +324,7 @@ impl Bullet {
         quash
     }
 
+    #[inline(never)]
     fn t_timer_ransub_t(&mut self, ctx: &mut Ctx) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -349,13 +340,7 @@ impl Bullet {
                         let mut __w = WireWriter::new();
                         __w.u16(PROTOCOL_ID).u16(MSG_MESH_REQUEST);
                         __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                        let __bytes = __w.finish();
-                        match __dest {
-                            Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_MESH_REQUEST }),
-                            None => {
-                                { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
-                            }
-                        }
+                        if self.__port.send(ctx, LANE_MESH_REQUEST, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
                     }
                 }
             }
@@ -363,6 +348,7 @@ impl Bullet {
         }
     }
 
+    #[inline(never)]
     fn t_timer_recover_t(&mut self, ctx: &mut Ctx) {
         if self.state == BulletState::Active {
             self.transitions_fired += 1;
@@ -373,19 +359,14 @@ impl Bullet {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_HAVE);
                     __w.u64(__a0 as u64);
-                    let __bytes = __w.finish();
-                    match __dest {
-                        Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_HAVE }),
-                        None => {
-                            { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_HAVE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "bullet: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -395,135 +376,76 @@ impl Bullet {
 
 }
 
-impl Agent for Bullet {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Bullet {
+    const AGENT_NAME: &'static str = "bullet";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "bullet", proto: PROTOCOL_ID, layered: true, channels: 0, messages: 7, timers: 2 }
     }
 
-    fn name(&self) -> &'static str { "bullet" }
+    fn period_ms(&self, timer: u16) -> Option<u64> {
+        match timer {
+            TIMER_RANSUB_T => Some(5000),
+            TIMER_RECOVER_T => Some(1000),
+            _ => None,
+        }
+    }
 
-    fn init(&mut self, ctx: &mut Ctx) {
-        ctx.timer_periodic(TIMER_RANSUB_T, Duration::from_millis(5000));
-        ctx.timer_periodic(TIMER_RECOVER_T, Duration::from_millis(1000));
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
+
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("mesh", self.mesh.as_slice()), ("sample", self.sample.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.mesh);
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.t_api_init(ctx);
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
-        match call {
-            __other => ctx.down(__other),
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
+        Some(call)
+    }
+
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_RANSUB_COLLECT => self.t_recv_ransub_collect(ctx, from, &dec_ransub_collect(r)?),
+            MSG_RANSUB_DISTRIBUTE => self.t_recv_ransub_distribute(ctx, from, &dec_ransub_distribute(r)?),
+            MSG_MESH_REQUEST => self.t_recv_mesh_request(ctx, from, &dec_mesh_request(r)?),
+            MSG_MESH_OK => self.t_recv_mesh_ok(ctx, from, &dec_mesh_ok(r)?),
+            MSG_HAVE => self.t_recv_have(ctx, from, &dec_have(r)?),
+            MSG_WANT => self.t_recv_want(ctx, from, &dec_want(r)?),
+            MSG_BLOCK_DATA => self.t_recv_block_data(ctx, from, &dec_block_data(r)?),
+            _ => {},
+        }
+        Ok(())
+    }
+
+    fn fire_forward(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<bool, DecodeError> {
+        match id {
+            MSG_BLOCK_DATA => Ok(self.t_fwd_block_data(ctx, from, &dec_block_data(r)?)),
+            _ => Ok(false),
         }
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let _ = (ctx, from, msg);
-        debug_assert!(false, "layered generated agents never touch the wire");
-    }
-
-    fn upcall(&mut self, ctx: &mut Ctx, up: UpCall) {
-        match up {
-            UpCall::Deliver { src, from, payload } => {
-                let mut __r = WireReader::new(payload.clone());
-                if let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) {
-                    if __proto == PROTOCOL_ID {
-                        match __id {
-                            MSG_RANSUB_COLLECT => {
-                                if let Ok(__m) = dec_ransub_collect(&mut __r) {
-                                    self.t_recv_ransub_collect(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_RANSUB_DISTRIBUTE => {
-                                if let Ok(__m) = dec_ransub_distribute(&mut __r) {
-                                    self.t_recv_ransub_distribute(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_MESH_REQUEST => {
-                                if let Ok(__m) = dec_mesh_request(&mut __r) {
-                                    self.t_recv_mesh_request(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_MESH_OK => {
-                                if let Ok(__m) = dec_mesh_ok(&mut __r) {
-                                    self.t_recv_mesh_ok(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_HAVE => {
-                                if let Ok(__m) = dec_have(&mut __r) {
-                                    self.t_recv_have(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_WANT => {
-                                if let Ok(__m) = dec_want(&mut __r) {
-                                    self.t_recv_want(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_BLOCK_DATA => {
-                                if let Ok(__m) = dec_block_data(&mut __r) {
-                                    self.t_recv_block_data(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                // Not ours (or malformed): continue up the stack.
-                ctx.up(UpCall::Deliver { src, from, payload });
-            }
-            __other => ctx.up(__other),
-        }
-    }
-
-    fn on_forward(&mut self, ctx: &mut Ctx, fwd: &mut ForwardInfo) {
-        let mut __r = WireReader::new(fwd.payload.clone());
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_BLOCK_DATA => {
-                if let Ok(__m) = dec_block_data(&mut __r) {
-                    if self.t_fwd_block_data(ctx, fwd.prev_hop, &__m) {
-                        fwd.quash = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_RANSUB_T => self.t_timer_ransub_t(ctx),
             TIMER_RECOVER_T => self.t_timer_recover_t(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.mesh.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "bullet",
-            state: self.state.name(),
-            lists: vec![("mesh", self.mesh.as_slice()), ("sample", self.sample.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -19,14 +19,11 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `chord` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 2963;
@@ -38,9 +35,14 @@ const MSG_NOTIFY: u16 = 4;
 const MSG_PING: u16 = 5;
 const MSG_PONG: u16 = 6;
 const MSG_ROUTE_DATA: u16 = 7;
-/// Declared transport channels (bounds the `priority` values the
-/// engine-served `routeIP` tunnel honors).
-const NUM_CHANNELS: u16 = 2;
+const LANE_FIND_SUCC: Lane = Lane::Wire(ChannelId(0));
+const LANE_FOUND_SUCC: Lane = Lane::Wire(ChannelId(0));
+const LANE_GET_PRED: Lane = Lane::Wire(ChannelId(0));
+const LANE_PRED_IS: Lane = Lane::Wire(ChannelId(0));
+const LANE_NOTIFY: Lane = Lane::Wire(ChannelId(0));
+const LANE_PING: Lane = Lane::Wire(ChannelId(1));
+const LANE_PONG: Lane = Lane::Wire(ChannelId(1));
+const LANE_ROUTE_DATA: Lane = Lane::Wire(ChannelId(1));
 const TIMER_STABILIZE: u16 = 0;
 const TIMER_FIX_FINGERS: u16 = 1;
 const TIMER_CHECK_PRED: u16 = 2;
@@ -81,7 +83,7 @@ pub struct MsgFindSucc {
     pub hop: i64,
 }
 
-fn dec_find_succ(r: &mut WireReader) -> Result<MsgFindSucc, DecodeError> {
+fn dec_find_succ(r: &mut WireRef) -> Result<MsgFindSucc, DecodeError> {
     Ok(MsgFindSucc {
         target: r.key()?,
         origin: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
@@ -95,7 +97,7 @@ pub struct MsgFoundSucc {
     pub succ: Option<NodeId>,
 }
 
-fn dec_found_succ(r: &mut WireReader) -> Result<MsgFoundSucc, DecodeError> {
+fn dec_found_succ(r: &mut WireRef) -> Result<MsgFoundSucc, DecodeError> {
     Ok(MsgFoundSucc {
         target: r.key()?,
         succ: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
@@ -106,7 +108,7 @@ fn dec_found_succ(r: &mut WireReader) -> Result<MsgFoundSucc, DecodeError> {
 pub struct MsgGetPred {
 }
 
-fn dec_get_pred(r: &mut WireReader) -> Result<MsgGetPred, DecodeError> {
+fn dec_get_pred(r: &mut WireRef) -> Result<MsgGetPred, DecodeError> {
     Ok(MsgGetPred {
     })
 }
@@ -117,7 +119,7 @@ pub struct MsgPredIs {
     pub succs: Vec<NodeId>,
 }
 
-fn dec_pred_is(r: &mut WireReader) -> Result<MsgPredIs, DecodeError> {
+fn dec_pred_is(r: &mut WireRef) -> Result<MsgPredIs, DecodeError> {
     Ok(MsgPredIs {
         pred: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
         succs: r.nodes()?,
@@ -129,7 +131,7 @@ pub struct MsgNotify {
     pub who: Option<NodeId>,
 }
 
-fn dec_notify(r: &mut WireReader) -> Result<MsgNotify, DecodeError> {
+fn dec_notify(r: &mut WireRef) -> Result<MsgNotify, DecodeError> {
     Ok(MsgNotify {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -139,7 +141,7 @@ fn dec_notify(r: &mut WireReader) -> Result<MsgNotify, DecodeError> {
 pub struct MsgPing {
 }
 
-fn dec_ping(r: &mut WireReader) -> Result<MsgPing, DecodeError> {
+fn dec_ping(r: &mut WireRef) -> Result<MsgPing, DecodeError> {
     Ok(MsgPing {
     })
 }
@@ -148,7 +150,7 @@ fn dec_ping(r: &mut WireReader) -> Result<MsgPing, DecodeError> {
 pub struct MsgPong {
 }
 
-fn dec_pong(r: &mut WireReader) -> Result<MsgPong, DecodeError> {
+fn dec_pong(r: &mut WireRef) -> Result<MsgPong, DecodeError> {
     Ok(MsgPong {
     })
 }
@@ -161,7 +163,7 @@ pub struct MsgRouteData {
     pub body: Bytes,
 }
 
-fn dec_route_data(r: &mut WireReader) -> Result<MsgRouteData, DecodeError> {
+fn dec_route_data(r: &mut WireRef) -> Result<MsgRouteData, DecodeError> {
     Ok(MsgRouteData {
         dst: r.key()?,
         origin: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
@@ -174,8 +176,7 @@ fn dec_route_data(r: &mut WireReader) -> Result<MsgRouteData, DecodeError> {
 pub struct Chord {
     state: ChordState,
     bootstrap: Option<NodeId>,
-    /// Encoded sends awaiting their forward-query verdict, FIFO.
-    pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     succs: Vec<NodeId>,
@@ -198,7 +199,7 @@ impl Chord {
         Chord {
             state: ChordState::Init,
             bootstrap,
-            pending_fwd: VecDeque::new(),
+            __port: Port::default(),
             transitions_fired: 0,
             succs: Vec::new(),
             pred: Vec::new(),
@@ -214,6 +215,7 @@ impl Chord {
         }
     }
 
+    #[inline(never)]
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Init {
             self.transitions_fired += 1;
@@ -238,10 +240,7 @@ impl Chord {
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a2 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_FIND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
                 ctx.trace_fsm(self.state.name(), "joining");
                 self.state = ChordState::Joining;
@@ -251,6 +250,7 @@ impl Chord {
         }
     }
 
+    #[inline(never)]
     fn t_api_route(&mut self, ctx: &mut Ctx, dest: MacedonKey, payload: Bytes) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
@@ -304,30 +304,13 @@ impl Chord {
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a2 as u64);
                 __w.bytes(&__a3);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    let __tunneled = if !__a3.is_empty() { Some(__a3.clone()) } else { None };
-                    match __tunneled {
-                        Some(__p) if !ctx.is_top_layer() => {
-                            let __dest_key = __a0;
-                            self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                            ctx.forward_query(ForwardInfo {
-                                src: ctx.my_key,
-                                dest: __dest_key,
-                                prev_hop: ctx.me,
-                                next_hop: __d,
-                                payload: __p,
-                                quash: false,
-                            });
-                        }
-                        _ => ctx.send(__d, ChannelId(1), __bytes),
-                    }
-                }
+                if self.__port.send(ctx, LANE_ROUTE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a3.is_empty() { Some(__a3.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_find_succ(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgFindSucc) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
@@ -347,10 +330,7 @@ impl Chord {
                     __w.u16(PROTOCOL_ID).u16(MSG_FOUND_SUCC);
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_FOUND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -375,10 +355,7 @@ impl Chord {
                     __w.u16(PROTOCOL_ID).u16(MSG_FOUND_SUCC);
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_FOUND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -391,10 +368,7 @@ impl Chord {
                     __w.u16(PROTOCOL_ID).u16(MSG_FOUND_SUCC);
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_FOUND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -407,10 +381,7 @@ impl Chord {
                     __w.u16(PROTOCOL_ID).u16(MSG_FOUND_SUCC);
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_FOUND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -442,10 +413,7 @@ impl Chord {
                 __w.key(__a0);
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a2 as u64);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_FIND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             }
             return;
         }
@@ -462,16 +430,14 @@ impl Chord {
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a2 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_FIND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_found_succ(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgFoundSucc) {
         if self.state == ChordState::Joining {
             self.transitions_fired += 1;
@@ -496,10 +462,7 @@ impl Chord {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_NOTIFY);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_NOTIFY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             }
             return;
         }
@@ -520,6 +483,7 @@ impl Chord {
         }
     }
 
+    #[inline(never)]
     fn t_recv_get_pred(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgGetPred) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
@@ -535,15 +499,13 @@ impl Chord {
                 __w.u16(PROTOCOL_ID).u16(MSG_PRED_IS);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                 __w.nodes(__a1);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_PRED_IS, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_pred_is(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgPredIs) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
@@ -643,16 +605,14 @@ impl Chord {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_NOTIFY);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_NOTIFY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_notify(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgNotify) {
         self.transitions_fired += 1;
         if (m.who == Some(ctx.me)) {
@@ -698,23 +658,23 @@ impl Chord {
         }
     }
 
+    #[inline(never)]
     fn t_recv_ping(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgPing) {
         self.transitions_fired += 1;
         {
             let __dest = Some(from);
             let mut __w = WireWriter::new();
             __w.u16(PROTOCOL_ID).u16(MSG_PONG);
-            let __bytes = __w.finish();
-            if let Some(__d) = __dest {
-                ctx.send(__d, ChannelId(1), __bytes);
-            }
+            if self.__port.send(ctx, LANE_PONG, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
         }
     }
 
+    #[inline(never)]
     fn t_recv_pong(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgPong) {
         self.transitions_fired += 1;
     }
 
+    #[inline(never)]
     fn t_recv_route_data(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgRouteData) {
         if !(self.state == ChordState::Init) {
             self.transitions_fired += 1;
@@ -775,30 +735,13 @@ impl Chord {
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a2 as u64);
                 __w.bytes(&__a3);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    let __tunneled = if !__a3.is_empty() { Some(__a3.clone()) } else { None };
-                    match __tunneled {
-                        Some(__p) if !ctx.is_top_layer() => {
-                            let __dest_key = __a0;
-                            self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                            ctx.forward_query(ForwardInfo {
-                                src: ctx.my_key,
-                                dest: __dest_key,
-                                prev_hop: from,
-                                next_hop: __d,
-                                payload: __p,
-                                quash: false,
-                            });
-                        }
-                        _ => ctx.send(__d, ChannelId(1), __bytes),
-                    }
-                }
+                if self.__port.send(ctx, LANE_ROUTE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a3.is_empty() { Some(__a3.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_timer_stabilize(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
@@ -808,10 +751,7 @@ impl Chord {
                     let __dest = self.cand;
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_GET_PRED);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_GET_PRED, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.timer_set(TIMER_STABILIZE, Duration::from_millis((STABILIZE_MS).max(0) as u64));
@@ -819,6 +759,7 @@ impl Chord {
         }
     }
 
+    #[inline(never)]
     fn t_timer_fix_fingers(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
@@ -862,10 +803,7 @@ impl Chord {
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a2 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_FIND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((self.ff_period).max(0) as u64));
@@ -873,6 +811,7 @@ impl Chord {
         }
     }
 
+    #[inline(never)]
     fn t_timer_check_pred(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
@@ -881,10 +820,7 @@ impl Chord {
                     let __dest = Some(fe_p);
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PING);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(1), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PING, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.timer_set(TIMER_CHECK_PRED, Duration::from_millis((CHECK_PRED_MS).max(0) as u64));
@@ -892,6 +828,7 @@ impl Chord {
         }
     }
 
+    #[inline(never)]
     fn t_timer_retry_join(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Joining {
             self.transitions_fired += 1;
@@ -905,16 +842,14 @@ impl Chord {
                 __w.key(__a0);
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a2 as u64);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_FIND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             }
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             return;
         }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
         if ((self.succs.len() as i64) == (0i64)) {
@@ -931,10 +866,7 @@ impl Chord {
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a2 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_FIND_SUCC, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
                 }
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -943,123 +875,70 @@ impl Chord {
 
 }
 
-impl Agent for Chord {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Chord {
+    const AGENT_NAME: &'static str = "chord";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "chord", proto: PROTOCOL_ID, layered: false, channels: 2, messages: 8, timers: 4 }
     }
 
-    fn name(&self) -> &'static str { "chord" }
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
 
-    fn init(&mut self, ctx: &mut Ctx) {
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("succs", self.succs.as_slice()), ("pred", self.pred.as_slice()), ("fingers", self.fingers.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.succs);
+        f(&mut self.pred);
+        f(&mut self.fingers);
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.t_api_init(ctx);
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Route { dest, payload, .. } => self.t_api_route(ctx, dest, payload),
-            DownCall::RouteIp { dest, payload, priority } => {
-                let __ch = if priority >= 0 && (priority as u16) < NUM_CHANNELS {
-                    ChannelId(priority as u16)
-                } else {
-                    ChannelId(0)
-                };
-                ctx.send(dest, __ch, tunnel_frame(ctx.my_key, &payload));
-            }
-            __other => ctx.trace(TraceLevel::Low, format!("chord: unhandled API call {:?}", __other)),
+            __other => return Some(__other),
         }
+        None
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let mut __r = WireReader::new(msg);
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto == TUNNEL_PROTOCOL {
-            // A frame tunneled for the layers above: unwrap, deliver up.
-            let Ok((__src, __payload)) = read_tunnel(&mut __r) else { return };
-            ctx.up(UpCall::Deliver { src: __src, from, payload: __payload });
-            return;
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_FIND_SUCC => self.t_recv_find_succ(ctx, from, &dec_find_succ(r)?),
+            MSG_FOUND_SUCC => self.t_recv_found_succ(ctx, from, &dec_found_succ(r)?),
+            MSG_GET_PRED => self.t_recv_get_pred(ctx, from, &dec_get_pred(r)?),
+            MSG_PRED_IS => self.t_recv_pred_is(ctx, from, &dec_pred_is(r)?),
+            MSG_NOTIFY => self.t_recv_notify(ctx, from, &dec_notify(r)?),
+            MSG_PING => self.t_recv_ping(ctx, from, &dec_ping(r)?),
+            MSG_PONG => self.t_recv_pong(ctx, from, &dec_pong(r)?),
+            MSG_ROUTE_DATA => self.t_recv_route_data(ctx, from, &dec_route_data(r)?),
+            _ => {},
         }
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_FIND_SUCC => match dec_find_succ(&mut __r) {
-                Ok(__m) => self.t_recv_find_succ(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("chord: decode error: {}", __e)),
-            },
-            MSG_FOUND_SUCC => match dec_found_succ(&mut __r) {
-                Ok(__m) => self.t_recv_found_succ(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("chord: decode error: {}", __e)),
-            },
-            MSG_GET_PRED => match dec_get_pred(&mut __r) {
-                Ok(__m) => self.t_recv_get_pred(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("chord: decode error: {}", __e)),
-            },
-            MSG_PRED_IS => match dec_pred_is(&mut __r) {
-                Ok(__m) => self.t_recv_pred_is(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("chord: decode error: {}", __e)),
-            },
-            MSG_NOTIFY => match dec_notify(&mut __r) {
-                Ok(__m) => self.t_recv_notify(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("chord: decode error: {}", __e)),
-            },
-            MSG_PING => match dec_ping(&mut __r) {
-                Ok(__m) => self.t_recv_ping(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("chord: decode error: {}", __e)),
-            },
-            MSG_PONG => match dec_pong(&mut __r) {
-                Ok(__m) => self.t_recv_pong(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("chord: decode error: {}", __e)),
-            },
-            MSG_ROUTE_DATA => match dec_route_data(&mut __r) {
-                Ok(__m) => self.t_recv_route_data(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("chord: decode error: {}", __e)),
-            },
-            _ => {}
-        }
+        Ok(())
     }
 
-    fn forward_resolved(&mut self, ctx: &mut Ctx, fwd: ForwardInfo) {
-        let Some((_dest, __ch, __bytes)) = self.pending_fwd.pop_front() else {
-            debug_assert!(false, "forward_resolved without a pending send");
-            return;
-        };
-        if !fwd.quash {
-            // The layers above may have redirected the hop.
-            ctx.send(fwd.next_hop, __ch, __bytes);
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_STABILIZE => self.t_timer_stabilize(ctx),
             TIMER_FIX_FINGERS => self.t_timer_fix_fingers(ctx),
             TIMER_CHECK_PRED => self.t_timer_check_pred(ctx),
             TIMER_RETRY_JOIN => self.t_timer_retry_join(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.succs.retain(|&__n| __n != peer);
-        self.pred.retain(|&__n| __n != peer);
-        self.fingers.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "chord",
-            state: self.state.name(),
-            lists: vec![("succs", self.succs.as_slice()), ("pred", self.pred.as_slice()), ("fingers", self.fingers.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

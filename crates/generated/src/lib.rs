@@ -10,9 +10,13 @@
 //! `crates/lang/tests/golden.rs` regenerates every file and fails on any
 //! difference, so hand edits and stale output cannot merge.
 //!
-//! Generated agents are behaviorally identical to interpreting the same
-//! spec (same RNG draws, byte-identical wire messages, same engine op
-//! order); the integration suite cross-validates that on seeded runs.
+//! Each module holds only a spec's facts and transitions: its agent
+//! implements `macedon_core::spec::SpecBody`, and the engine-facing half
+//! (framing, tunnelling, forward vetting, demultiplexing, the send tail)
+//! is `macedon_core::spec`'s, shared with the interpreter. Generated
+//! agents are behaviorally identical to interpreting the same spec (same
+//! RNG draws, byte-identical wire messages, same engine op order); the
+//! integration suite cross-validates that on seeded runs.
 #![allow(clippy::all)]
 
 pub mod ammo;

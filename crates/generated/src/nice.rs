@@ -19,14 +19,11 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `nice` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 58762;
@@ -40,9 +37,16 @@ const MSG_MERGE_INTO: u16 = 6;
 const MSG_HEARTBEAT: u16 = 7;
 const MSG_PROBE_HB: u16 = 8;
 const MSG_MDATA: u16 = 9;
-/// Declared transport channels (bounds the `priority` values the
-/// engine-served `routeIP` tunnel honors).
-const NUM_CHANNELS: u16 = 2;
+const LANE_JOIN_QUERY: Lane = Lane::Wire(ChannelId(0));
+const LANE_CLUSTER_LIST: Lane = Lane::Wire(ChannelId(0));
+const LANE_ATTACH: Lane = Lane::Wire(ChannelId(0));
+const LANE_ATTACH_OK: Lane = Lane::Wire(ChannelId(0));
+const LANE_LEADER_IS: Lane = Lane::Wire(ChannelId(0));
+const LANE_SPLIT_HALF: Lane = Lane::Wire(ChannelId(0));
+const LANE_MERGE_INTO: Lane = Lane::Wire(ChannelId(0));
+const LANE_HEARTBEAT: Lane = Lane::Wire(ChannelId(1));
+const LANE_PROBE_HB: Lane = Lane::Wire(ChannelId(1));
+const LANE_MDATA: Lane = Lane::Wire(ChannelId(1));
 const TIMER_HEARTBEAT_T: u16 = 0;
 const TIMER_REFINE_T: u16 = 1;
 const TIMER_PROBE_T: u16 = 2;
@@ -83,7 +87,7 @@ pub struct MsgJoinQuery {
     pub layer: i64,
 }
 
-fn dec_join_query(r: &mut WireReader) -> Result<MsgJoinQuery, DecodeError> {
+fn dec_join_query(r: &mut WireRef) -> Result<MsgJoinQuery, DecodeError> {
     Ok(MsgJoinQuery {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
         layer: (r.u64()? as i64),
@@ -96,7 +100,7 @@ pub struct MsgClusterList {
     pub layer: i64,
 }
 
-fn dec_cluster_list(r: &mut WireReader) -> Result<MsgClusterList, DecodeError> {
+fn dec_cluster_list(r: &mut WireRef) -> Result<MsgClusterList, DecodeError> {
     Ok(MsgClusterList {
         members: r.nodes()?,
         layer: (r.u64()? as i64),
@@ -108,7 +112,7 @@ pub struct MsgAttach {
     pub who: Option<NodeId>,
 }
 
-fn dec_attach(r: &mut WireReader) -> Result<MsgAttach, DecodeError> {
+fn dec_attach(r: &mut WireRef) -> Result<MsgAttach, DecodeError> {
     Ok(MsgAttach {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -119,7 +123,7 @@ pub struct MsgAttachOk {
     pub members: Vec<NodeId>,
 }
 
-fn dec_attach_ok(r: &mut WireReader) -> Result<MsgAttachOk, DecodeError> {
+fn dec_attach_ok(r: &mut WireRef) -> Result<MsgAttachOk, DecodeError> {
     Ok(MsgAttachOk {
         members: r.nodes()?,
     })
@@ -131,7 +135,7 @@ pub struct MsgLeaderIs {
     pub layer: i64,
 }
 
-fn dec_leader_is(r: &mut WireReader) -> Result<MsgLeaderIs, DecodeError> {
+fn dec_leader_is(r: &mut WireRef) -> Result<MsgLeaderIs, DecodeError> {
     Ok(MsgLeaderIs {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
         layer: (r.u64()? as i64),
@@ -143,7 +147,7 @@ pub struct MsgSplitHalf {
     pub members: Vec<NodeId>,
 }
 
-fn dec_split_half(r: &mut WireReader) -> Result<MsgSplitHalf, DecodeError> {
+fn dec_split_half(r: &mut WireRef) -> Result<MsgSplitHalf, DecodeError> {
     Ok(MsgSplitHalf {
         members: r.nodes()?,
     })
@@ -154,7 +158,7 @@ pub struct MsgMergeInto {
     pub target: Option<NodeId>,
 }
 
-fn dec_merge_into(r: &mut WireReader) -> Result<MsgMergeInto, DecodeError> {
+fn dec_merge_into(r: &mut WireRef) -> Result<MsgMergeInto, DecodeError> {
     Ok(MsgMergeInto {
         target: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -165,7 +169,7 @@ pub struct MsgHeartbeat {
     pub layer: i64,
 }
 
-fn dec_heartbeat(r: &mut WireReader) -> Result<MsgHeartbeat, DecodeError> {
+fn dec_heartbeat(r: &mut WireRef) -> Result<MsgHeartbeat, DecodeError> {
     Ok(MsgHeartbeat {
         layer: (r.u64()? as i64),
     })
@@ -175,7 +179,7 @@ fn dec_heartbeat(r: &mut WireReader) -> Result<MsgHeartbeat, DecodeError> {
 pub struct MsgProbeHb {
 }
 
-fn dec_probe_hb(r: &mut WireReader) -> Result<MsgProbeHb, DecodeError> {
+fn dec_probe_hb(r: &mut WireRef) -> Result<MsgProbeHb, DecodeError> {
     Ok(MsgProbeHb {
     })
 }
@@ -186,7 +190,7 @@ pub struct MsgMdata {
     pub body: Bytes,
 }
 
-fn dec_mdata(r: &mut WireReader) -> Result<MsgMdata, DecodeError> {
+fn dec_mdata(r: &mut WireRef) -> Result<MsgMdata, DecodeError> {
     Ok(MsgMdata {
         src: r.key()?,
         body: r.bytes()?,
@@ -197,8 +201,7 @@ fn dec_mdata(r: &mut WireReader) -> Result<MsgMdata, DecodeError> {
 pub struct Nice {
     state: NiceState,
     bootstrap: Option<NodeId>,
-    /// Encoded sends awaiting their forward-query verdict, FIFO.
-    pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     peers: Vec<NodeId>,
@@ -216,7 +219,7 @@ impl Nice {
         Nice {
             state: NiceState::Init,
             bootstrap,
-            pending_fwd: VecDeque::new(),
+            __port: Port::default(),
             transitions_fired: 0,
             peers: Vec::new(),
             uppeers: Vec::new(),
@@ -227,6 +230,7 @@ impl Nice {
         }
     }
 
+    #[inline(never)]
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == NiceState::Init {
             self.transitions_fired += 1;
@@ -246,10 +250,7 @@ impl Nice {
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_QUERY);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a1 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_QUERY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
                 ctx.trace_fsm(self.state.name(), "probing_layer");
                 self.state = NiceState::ProbingLayer;
@@ -259,6 +260,7 @@ impl Nice {
         }
     }
 
+    #[inline(never)]
     fn t_api_multicast(&mut self, ctx: &mut Ctx, group: MacedonKey, payload: Bytes) {
         if !((self.state == NiceState::Init || self.state == NiceState::ProbingLayer)) {
             self.transitions_fired += 1;
@@ -271,25 +273,7 @@ impl Nice {
                     __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: ctx.me,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_MDATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             if (!(self.my_leader).is_none()) {
@@ -301,31 +285,14 @@ impl Nice {
                     __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: ctx.me,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_MDATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_join_query(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoinQuery) {
         if self.state == NiceState::Leader {
             self.transitions_fired += 1;
@@ -340,10 +307,7 @@ impl Nice {
                 __w.u16(PROTOCOL_ID).u16(MSG_CLUSTER_LIST);
                 __w.nodes(__a0);
                 __w.u64(__a1 as u64);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_CLUSTER_LIST, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
             }
             return;
         }
@@ -358,16 +322,14 @@ impl Nice {
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_QUERY);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a1 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_QUERY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_cluster_list(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgClusterList) {
         if self.state == NiceState::ProbingLayer {
             self.transitions_fired += 1;
@@ -384,10 +346,7 @@ impl Nice {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_ATTACH);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_ATTACH, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -396,10 +355,7 @@ impl Nice {
                     let __dest = Some(fe_c);
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PROBE_HB);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(1), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PROBE_HB, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.timer_set(TIMER_PROBE_T, Duration::from_millis((JOIN_PROBE_MS).max(0) as u64));
@@ -407,6 +363,7 @@ impl Nice {
         }
     }
 
+    #[inline(never)]
     fn t_recv_attach(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgAttach) {
         if self.state == NiceState::Leader {
             self.transitions_fired += 1;
@@ -422,10 +379,7 @@ impl Nice {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_ATTACH_OK);
                 __w.nodes(__a0);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_ATTACH_OK, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
             }
             if ((self.peers.len() as i64) > MAX_CLUSTER) {
                 {
@@ -434,10 +388,7 @@ impl Nice {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_SPLIT_HALF);
                     __w.nodes(__a0);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_SPLIT_HALF, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             return;
@@ -451,16 +402,14 @@ impl Nice {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_ATTACH);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_ATTACH, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_attach_ok(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgAttachOk) {
         if self.state == NiceState::ProbingLayer {
             self.transitions_fired += 1;
@@ -488,6 +437,7 @@ impl Nice {
         }
     }
 
+    #[inline(never)]
     fn t_recv_leader_is(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgLeaderIs) {
         self.transitions_fired += 1;
         if (m.who == Some(ctx.me)) {
@@ -500,6 +450,7 @@ impl Nice {
         }
     }
 
+    #[inline(never)]
     fn t_recv_split_half(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgSplitHalf) {
         self.transitions_fired += 1;
         {
@@ -524,13 +475,11 @@ impl Nice {
             __w.u16(PROTOCOL_ID).u16(MSG_LEADER_IS);
             __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
             __w.u64(__a1 as u64);
-            let __bytes = __w.finish();
-            if let Some(__d) = __dest {
-                ctx.send(__d, ChannelId(0), __bytes);
-            }
+            if self.__port.send(ctx, LANE_LEADER_IS, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
         }
     }
 
+    #[inline(never)]
     fn t_recv_merge_into(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgMergeInto) {
         self.transitions_fired += 1;
         if (!(m.target).is_none()) {
@@ -540,16 +489,14 @@ impl Nice {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_ATTACH);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_ATTACH, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
             }
             ctx.trace_fsm(self.state.name(), "probing_layer");
             self.state = NiceState::ProbingLayer;
         }
     }
 
+    #[inline(never)]
     fn t_recv_heartbeat(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgHeartbeat) {
         self.transitions_fired += 1;
         self.hb_seen = self.hb_seen.wrapping_add((1i64));
@@ -561,19 +508,18 @@ impl Nice {
         } else { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
     }
 
+    #[inline(never)]
     fn t_recv_probe_hb(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgProbeHb) {
         self.transitions_fired += 1;
         {
             let __dest = Some(from);
             let mut __w = WireWriter::new();
             __w.u16(PROTOCOL_ID).u16(MSG_PROBE_HB);
-            let __bytes = __w.finish();
-            if let Some(__d) = __dest {
-                ctx.send(__d, ChannelId(1), __bytes);
-            }
+            if self.__port.send(ctx, LANE_PROBE_HB, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
         }
     }
 
+    #[inline(never)]
     fn t_recv_mdata(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgMdata) {
         self.transitions_fired += 1;
         {
@@ -591,25 +537,7 @@ impl Nice {
                     __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_MDATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
         }
@@ -623,30 +551,13 @@ impl Nice {
                     __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_MDATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
         }
     }
 
+    #[inline(never)]
     fn t_timer_heartbeat_t(&mut self, ctx: &mut Ctx) {
         if !((self.state == NiceState::Init || self.state == NiceState::ProbingLayer)) {
             self.transitions_fired += 1;
@@ -657,10 +568,7 @@ impl Nice {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_HEARTBEAT);
                     __w.u64(__a0 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(1), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_HEARTBEAT, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             for fe_u in self.uppeers.clone() {
@@ -670,10 +578,7 @@ impl Nice {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_HEARTBEAT);
                     __w.u64(__a0 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(1), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_HEARTBEAT, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.timer_set(TIMER_HEARTBEAT_T, Duration::from_millis((HEARTBEAT_MS).max(0) as u64));
@@ -681,6 +586,7 @@ impl Nice {
         }
     }
 
+    #[inline(never)]
     fn t_timer_refine_t(&mut self, ctx: &mut Ctx) {
         if self.state == NiceState::Leader {
             self.transitions_fired += 1;
@@ -691,10 +597,7 @@ impl Nice {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_SPLIT_HALF);
                     __w.nodes(__a0);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_SPLIT_HALF, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             if ((self.peers.len() as i64) < MIN_CLUSTER) {
@@ -705,10 +608,7 @@ impl Nice {
                         let mut __w = WireWriter::new();
                         __w.u16(PROTOCOL_ID).u16(MSG_MERGE_INTO);
                         __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                        let __bytes = __w.finish();
-                        if let Some(__d) = __dest {
-                            ctx.send(__d, ChannelId(0), __bytes);
-                        }
+                        if self.__port.send(ctx, LANE_MERGE_INTO, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                     }
                 }
             }
@@ -717,6 +617,7 @@ impl Nice {
         }
     }
 
+    #[inline(never)]
     fn t_timer_probe_t(&mut self, ctx: &mut Ctx) {
         if self.state == NiceState::ProbingLayer {
             self.transitions_fired += 1;
@@ -727,10 +628,7 @@ impl Nice {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_ATTACH);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_ATTACH, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             } else {
                 {
@@ -741,16 +639,14 @@ impl Nice {
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_QUERY);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a1 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_QUERY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_timer_retry_join(&mut self, ctx: &mut Ctx) {
         if self.state == NiceState::ProbingLayer {
             self.transitions_fired += 1;
@@ -762,16 +658,14 @@ impl Nice {
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN_QUERY);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a1 as u64);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN_QUERY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
             }
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             return;
         }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -792,10 +686,7 @@ impl Nice {
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN_QUERY);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a1 as u64);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN_QUERY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "nice: runtime error: null where a value is required"); return; }
             }
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
         }
@@ -803,129 +694,70 @@ impl Nice {
 
 }
 
-impl Agent for Nice {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Nice {
+    const AGENT_NAME: &'static str = "nice";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "nice", proto: PROTOCOL_ID, layered: false, channels: 2, messages: 10, timers: 4 }
     }
 
-    fn name(&self) -> &'static str { "nice" }
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
 
-    fn init(&mut self, ctx: &mut Ctx) {
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("peers", self.peers.as_slice()), ("uppeers", self.uppeers.as_slice()), ("candidates", self.candidates.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.peers);
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.t_api_init(ctx);
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Multicast { group, payload, .. } => self.t_api_multicast(ctx, group, payload),
-            DownCall::RouteIp { dest, payload, priority } => {
-                let __ch = if priority >= 0 && (priority as u16) < NUM_CHANNELS {
-                    ChannelId(priority as u16)
-                } else {
-                    ChannelId(0)
-                };
-                ctx.send(dest, __ch, tunnel_frame(ctx.my_key, &payload));
-            }
-            __other => ctx.trace(TraceLevel::Low, format!("nice: unhandled API call {:?}", __other)),
+            __other => return Some(__other),
         }
+        None
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let mut __r = WireReader::new(msg);
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto == TUNNEL_PROTOCOL {
-            // A frame tunneled for the layers above: unwrap, deliver up.
-            let Ok((__src, __payload)) = read_tunnel(&mut __r) else { return };
-            ctx.up(UpCall::Deliver { src: __src, from, payload: __payload });
-            return;
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_JOIN_QUERY => self.t_recv_join_query(ctx, from, &dec_join_query(r)?),
+            MSG_CLUSTER_LIST => self.t_recv_cluster_list(ctx, from, &dec_cluster_list(r)?),
+            MSG_ATTACH => self.t_recv_attach(ctx, from, &dec_attach(r)?),
+            MSG_ATTACH_OK => self.t_recv_attach_ok(ctx, from, &dec_attach_ok(r)?),
+            MSG_LEADER_IS => self.t_recv_leader_is(ctx, from, &dec_leader_is(r)?),
+            MSG_SPLIT_HALF => self.t_recv_split_half(ctx, from, &dec_split_half(r)?),
+            MSG_MERGE_INTO => self.t_recv_merge_into(ctx, from, &dec_merge_into(r)?),
+            MSG_HEARTBEAT => self.t_recv_heartbeat(ctx, from, &dec_heartbeat(r)?),
+            MSG_PROBE_HB => self.t_recv_probe_hb(ctx, from, &dec_probe_hb(r)?),
+            MSG_MDATA => self.t_recv_mdata(ctx, from, &dec_mdata(r)?),
+            _ => {},
         }
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_JOIN_QUERY => match dec_join_query(&mut __r) {
-                Ok(__m) => self.t_recv_join_query(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_CLUSTER_LIST => match dec_cluster_list(&mut __r) {
-                Ok(__m) => self.t_recv_cluster_list(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_ATTACH => match dec_attach(&mut __r) {
-                Ok(__m) => self.t_recv_attach(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_ATTACH_OK => match dec_attach_ok(&mut __r) {
-                Ok(__m) => self.t_recv_attach_ok(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_LEADER_IS => match dec_leader_is(&mut __r) {
-                Ok(__m) => self.t_recv_leader_is(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_SPLIT_HALF => match dec_split_half(&mut __r) {
-                Ok(__m) => self.t_recv_split_half(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_MERGE_INTO => match dec_merge_into(&mut __r) {
-                Ok(__m) => self.t_recv_merge_into(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_HEARTBEAT => match dec_heartbeat(&mut __r) {
-                Ok(__m) => self.t_recv_heartbeat(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_PROBE_HB => match dec_probe_hb(&mut __r) {
-                Ok(__m) => self.t_recv_probe_hb(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            MSG_MDATA => match dec_mdata(&mut __r) {
-                Ok(__m) => self.t_recv_mdata(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("nice: decode error: {}", __e)),
-            },
-            _ => {}
-        }
+        Ok(())
     }
 
-    fn forward_resolved(&mut self, ctx: &mut Ctx, fwd: ForwardInfo) {
-        let Some((_dest, __ch, __bytes)) = self.pending_fwd.pop_front() else {
-            debug_assert!(false, "forward_resolved without a pending send");
-            return;
-        };
-        if !fwd.quash {
-            // The layers above may have redirected the hop.
-            ctx.send(fwd.next_hop, __ch, __bytes);
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_HEARTBEAT_T => self.t_timer_heartbeat_t(ctx),
             TIMER_REFINE_T => self.t_timer_refine_t(ctx),
             TIMER_PROBE_T => self.t_timer_probe_t(ctx),
             TIMER_RETRY_JOIN => self.t_timer_retry_join(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.peers.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "nice",
-            state: self.state.name(),
-            lists: vec![("peers", self.peers.as_slice()), ("uppeers", self.uppeers.as_slice()), ("candidates", self.candidates.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

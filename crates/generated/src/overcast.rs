@@ -19,14 +19,11 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `overcast` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 50463;
@@ -39,9 +36,15 @@ const MSG_PROBE: u16 = 5;
 const MSG_PROBE_REPLY: u16 = 6;
 const MSG_DATA: u16 = 7;
 const MSG_DATA_UP: u16 = 8;
-/// Declared transport channels (bounds the `priority` values the
-/// engine-served `routeIP` tunnel honors).
-const NUM_CHANNELS: u16 = 3;
+const LANE_JOIN: Lane = Lane::Wire(ChannelId(2));
+const LANE_JOIN_REPLY: Lane = Lane::Wire(ChannelId(0));
+const LANE_JOIN_DEFLECT: Lane = Lane::Wire(ChannelId(0));
+const LANE_REMOVE: Lane = Lane::Wire(ChannelId(0));
+const LANE_PROBE_REQUEST: Lane = Lane::Wire(ChannelId(0));
+const LANE_PROBE: Lane = Lane::Wire(ChannelId(2));
+const LANE_PROBE_REPLY: Lane = Lane::Wire(ChannelId(0));
+const LANE_DATA: Lane = Lane::Wire(ChannelId(1));
+const LANE_DATA_UP: Lane = Lane::Wire(ChannelId(1));
 const TIMER_PROBE_REQUESTER: u16 = 0;
 const TIMER_KEEP_PROBING: u16 = 1;
 const TIMER_PROBE_TIMEOUT: u16 = 2;
@@ -81,7 +84,7 @@ pub struct MsgJoin {
     pub who: Option<NodeId>,
 }
 
-fn dec_join(r: &mut WireReader) -> Result<MsgJoin, DecodeError> {
+fn dec_join(r: &mut WireRef) -> Result<MsgJoin, DecodeError> {
     Ok(MsgJoin {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -93,7 +96,7 @@ pub struct MsgJoinReply {
     pub sibs: Vec<NodeId>,
 }
 
-fn dec_join_reply(r: &mut WireReader) -> Result<MsgJoinReply, DecodeError> {
+fn dec_join_reply(r: &mut WireRef) -> Result<MsgJoinReply, DecodeError> {
     Ok(MsgJoinReply {
         gp: r.nodes()?,
         sibs: r.nodes()?,
@@ -105,7 +108,7 @@ pub struct MsgJoinDeflect {
     pub try_next: Option<NodeId>,
 }
 
-fn dec_join_deflect(r: &mut WireReader) -> Result<MsgJoinDeflect, DecodeError> {
+fn dec_join_deflect(r: &mut WireRef) -> Result<MsgJoinDeflect, DecodeError> {
     Ok(MsgJoinDeflect {
         try_next: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -115,7 +118,7 @@ fn dec_join_deflect(r: &mut WireReader) -> Result<MsgJoinDeflect, DecodeError> {
 pub struct MsgRemove {
 }
 
-fn dec_remove(r: &mut WireReader) -> Result<MsgRemove, DecodeError> {
+fn dec_remove(r: &mut WireRef) -> Result<MsgRemove, DecodeError> {
     Ok(MsgRemove {
     })
 }
@@ -124,7 +127,7 @@ fn dec_remove(r: &mut WireReader) -> Result<MsgRemove, DecodeError> {
 pub struct MsgProbeRequest {
 }
 
-fn dec_probe_request(r: &mut WireReader) -> Result<MsgProbeRequest, DecodeError> {
+fn dec_probe_request(r: &mut WireRef) -> Result<MsgProbeRequest, DecodeError> {
     Ok(MsgProbeRequest {
     })
 }
@@ -140,7 +143,7 @@ pub struct MsgProbe {
     pub pad6: i64,
 }
 
-fn dec_probe(r: &mut WireReader) -> Result<MsgProbe, DecodeError> {
+fn dec_probe(r: &mut WireRef) -> Result<MsgProbe, DecodeError> {
     Ok(MsgProbe {
         seq: (r.u64()? as i64),
         pad1: (r.u64()? as i64),
@@ -156,7 +159,7 @@ fn dec_probe(r: &mut WireReader) -> Result<MsgProbe, DecodeError> {
 pub struct MsgProbeReply {
 }
 
-fn dec_probe_reply(r: &mut WireReader) -> Result<MsgProbeReply, DecodeError> {
+fn dec_probe_reply(r: &mut WireRef) -> Result<MsgProbeReply, DecodeError> {
     Ok(MsgProbeReply {
     })
 }
@@ -167,7 +170,7 @@ pub struct MsgData {
     pub body: Bytes,
 }
 
-fn dec_data(r: &mut WireReader) -> Result<MsgData, DecodeError> {
+fn dec_data(r: &mut WireRef) -> Result<MsgData, DecodeError> {
     Ok(MsgData {
         src: r.key()?,
         body: r.bytes()?,
@@ -180,7 +183,7 @@ pub struct MsgDataUp {
     pub body: Bytes,
 }
 
-fn dec_data_up(r: &mut WireReader) -> Result<MsgDataUp, DecodeError> {
+fn dec_data_up(r: &mut WireRef) -> Result<MsgDataUp, DecodeError> {
     Ok(MsgDataUp {
         src: r.key()?,
         body: r.bytes()?,
@@ -191,8 +194,7 @@ fn dec_data_up(r: &mut WireReader) -> Result<MsgDataUp, DecodeError> {
 pub struct Overcast {
     state: OvercastState,
     bootstrap: Option<NodeId>,
-    /// Encoded sends awaiting their forward-query verdict, FIFO.
-    pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     papa: Vec<NodeId>,
@@ -216,7 +218,7 @@ impl Overcast {
         Overcast {
             state: OvercastState::Init,
             bootstrap,
-            pending_fwd: VecDeque::new(),
+            __port: Port::default(),
             transitions_fired: 0,
             papa: Vec::new(),
             grandpa: Vec::new(),
@@ -233,6 +235,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == OvercastState::Init {
             self.transitions_fired += 1;
@@ -247,10 +250,7 @@ impl Overcast {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(2), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 ctx.trace_fsm(self.state.name(), "joining");
                 self.state = OvercastState::Joining;
@@ -260,6 +260,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_api_multicast(&mut self, ctx: &mut Ctx, group: MacedonKey, payload: Bytes) {
         if !((self.state == OvercastState::Init || self.state == OvercastState::Joining)) {
             self.transitions_fired += 1;
@@ -273,25 +274,7 @@ impl Overcast {
                         __w.u16(PROTOCOL_ID).u16(MSG_DATA);
                         __w.key(__a0);
                         __w.bytes(&__a1);
-                        let __bytes = __w.finish();
-                        if let Some(__d) = __dest {
-                            let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                            match __tunneled {
-                                Some(__p) if !ctx.is_top_layer() => {
-                                    let __dest_key = __a0;
-                                    self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                    ctx.forward_query(ForwardInfo {
-                                        src: ctx.my_key,
-                                        dest: __dest_key,
-                                        prev_hop: ctx.me,
-                                        next_hop: __d,
-                                        payload: __p,
-                                        quash: false,
-                                    });
-                                }
-                                _ => ctx.send(__d, ChannelId(1), __bytes),
-                            }
-                        }
+                        if self.__port.send(ctx, LANE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                     }
                 }
             } else {
@@ -304,25 +287,7 @@ impl Overcast {
                         __w.u16(PROTOCOL_ID).u16(MSG_DATA_UP);
                         __w.key(__a0);
                         __w.bytes(&__a1);
-                        let __bytes = __w.finish();
-                        if let Some(__d) = __dest {
-                            let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                            match __tunneled {
-                                Some(__p) if !ctx.is_top_layer() => {
-                                    let __dest_key = __a0;
-                                    self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                    ctx.forward_query(ForwardInfo {
-                                        src: ctx.my_key,
-                                        dest: __dest_key,
-                                        prev_hop: ctx.me,
-                                        next_hop: __d,
-                                        payload: __p,
-                                        quash: false,
-                                    });
-                                }
-                                _ => ctx.send(__d, ChannelId(1), __bytes),
-                            }
-                        }
+                        if self.__port.send(ctx, LANE_DATA_UP, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                     }
                 }
             }
@@ -330,6 +295,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_recv_join(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoin) {
         if !((self.state == OvercastState::Joining || self.state == OvercastState::Init)) {
             self.transitions_fired += 1;
@@ -345,10 +311,7 @@ impl Overcast {
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_REPLY);
                     __w.nodes(__a0);
                     __w.nodes(__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_REPLY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -359,10 +322,7 @@ impl Overcast {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_DEFLECT);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_DEFLECT, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -380,15 +340,13 @@ impl Overcast {
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN_REPLY);
                 __w.nodes(__a0);
                 __w.nodes(__a1);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN_REPLY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_join_reply(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoinReply) {
         if self.state == OvercastState::Joining {
             self.transitions_fired += 1;
@@ -417,6 +375,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_recv_join_deflect(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoinDeflect) {
         if self.state == OvercastState::Joining {
             self.transitions_fired += 1;
@@ -429,16 +388,14 @@ impl Overcast {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(2), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
             }
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_remove(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgRemove) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -449,6 +406,7 @@ impl Overcast {
         } else { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
     }
 
+    #[inline(never)]
     fn t_recv_probe_request(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgProbeRequest) {
         if self.state == OvercastState::Joined {
             self.transitions_fired += 1;
@@ -468,11 +426,13 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_recv_probe(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgProbe) {
         self.transitions_fired += 1;
         self.probes_seen = self.probes_seen.wrapping_add((1i64));
     }
 
+    #[inline(never)]
     fn t_recv_probe_reply(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgProbeReply) {
         if self.state == OvercastState::Probed {
             self.transitions_fired += 1;
@@ -508,10 +468,7 @@ impl Overcast {
                         let __dest = Some(fe_p);
                         let mut __w = WireWriter::new();
                         __w.u16(PROTOCOL_ID).u16(MSG_REMOVE);
-                        let __bytes = __w.finish();
-                        if let Some(__d) = __dest {
-                            ctx.send(__d, ChannelId(0), __bytes);
-                        }
+                        if self.__port.send(ctx, LANE_REMOVE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                     }
                 }
                 for __n in self.papa.drain(..) {
@@ -527,10 +484,7 @@ impl Overcast {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(2), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 ctx.trace_fsm(self.state.name(), "joining");
                 self.state = OvercastState::Joining;
@@ -540,6 +494,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_recv_data(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgData) {
         self.transitions_fired += 1;
         for fe_k in self.kids.clone() {
@@ -552,25 +507,7 @@ impl Overcast {
                     __w.u16(PROTOCOL_ID).u16(MSG_DATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
             }
         }
@@ -583,6 +520,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_recv_data_up(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgDataUp) {
         self.transitions_fired += 1;
         if (self.bootstrap).is_none() {
@@ -595,25 +533,7 @@ impl Overcast {
                     __w.u16(PROTOCOL_ID).u16(MSG_DATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
             }
             if (!(m.src == ctx.my_key)) {
@@ -633,30 +553,13 @@ impl Overcast {
                     __w.u16(PROTOCOL_ID).u16(MSG_DATA_UP);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_DATA_UP, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
             }
         }
     }
 
+    #[inline(never)]
     fn t_timer_probe_requester(&mut self, ctx: &mut Ctx) {
         if self.state == OvercastState::Joined {
             self.transitions_fired += 1;
@@ -670,10 +573,7 @@ impl Overcast {
                     let __dest = Some(fe_g);
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PROBE_REQUEST);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PROBE_REQUEST, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
             }
             for fe_b in self.brothers.clone() {
@@ -681,10 +581,7 @@ impl Overcast {
                     let __dest = Some(fe_b);
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PROBE_REQUEST);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PROBE_REQUEST, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
             }
             for fe_p in self.papa.clone() {
@@ -692,10 +589,7 @@ impl Overcast {
                     let __dest = Some(fe_p);
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PROBE_REQUEST);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PROBE_REQUEST, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.trace_fsm(self.state.name(), "probed");
@@ -705,6 +599,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_timer_keep_probing(&mut self, ctx: &mut Ctx) {
         if self.state == OvercastState::Probing {
             self.transitions_fired += 1;
@@ -733,10 +628,7 @@ impl Overcast {
                     __w.u64(__a4 as u64);
                     __w.u64(__a5 as u64);
                     __w.u64(__a6 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(2), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PROBE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 ctx.timer_set(TIMER_KEEP_PROBING, Duration::from_millis((ZMS).max(0) as u64));
             } else {
@@ -744,10 +636,7 @@ impl Overcast {
                     let __dest = self.prober;
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PROBE_REPLY);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PROBE_REPLY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 self.prober = None::<NodeId>;
                 ctx.trace_fsm(self.state.name(), "joined");
@@ -780,10 +669,7 @@ impl Overcast {
                     __w.u64(__a4 as u64);
                     __w.u64(__a5 as u64);
                     __w.u64(__a6 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(2), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PROBE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 ctx.timer_set(TIMER_KEEP_PROBING, Duration::from_millis((ZMS).max(0) as u64));
             } else {
@@ -791,10 +677,7 @@ impl Overcast {
                     let __dest = self.prober;
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PROBE_REPLY);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_PROBE_REPLY, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 self.prober = None::<NodeId>;
             }
@@ -802,6 +685,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_timer_probe_timeout(&mut self, ctx: &mut Ctx) {
         if self.state == OvercastState::Probed {
             self.transitions_fired += 1;
@@ -812,6 +696,7 @@ impl Overcast {
         }
     }
 
+    #[inline(never)]
     fn t_timer_retry_join(&mut self, ctx: &mut Ctx) {
         if self.state == OvercastState::Joining {
             self.transitions_fired += 1;
@@ -821,16 +706,14 @@ impl Overcast {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(2), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
             }
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             return;
         }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -850,10 +733,7 @@ impl Overcast {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(2), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "overcast: runtime error: null where a value is required"); return; }
                 }
                 ctx.trace_fsm(self.state.name(), "joining");
                 self.state = OvercastState::Joining;
@@ -864,127 +744,77 @@ impl Overcast {
 
 }
 
-impl Agent for Overcast {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Overcast {
+    const AGENT_NAME: &'static str = "overcast";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "overcast", proto: PROTOCOL_ID, layered: false, channels: 3, messages: 9, timers: 4 }
     }
 
-    fn name(&self) -> &'static str { "overcast" }
+    fn period_ms(&self, timer: u16) -> Option<u64> {
+        match timer {
+            TIMER_PROBE_REQUESTER => Some(10000),
+            _ => None,
+        }
+    }
 
-    fn init(&mut self, ctx: &mut Ctx) {
-        ctx.timer_periodic(TIMER_PROBE_REQUESTER, Duration::from_millis(10000));
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
+
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("papa", self.papa.as_slice()), ("grandpa", self.grandpa.as_slice()), ("brothers", self.brothers.as_slice()), ("kids", self.kids.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.papa);
+        f(&mut self.kids);
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.t_api_init(ctx);
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Multicast { group, payload, .. } => self.t_api_multicast(ctx, group, payload),
-            DownCall::RouteIp { dest, payload, priority } => {
-                let __ch = if priority >= 0 && (priority as u16) < NUM_CHANNELS {
-                    ChannelId(priority as u16)
-                } else {
-                    ChannelId(0)
-                };
-                ctx.send(dest, __ch, tunnel_frame(ctx.my_key, &payload));
-            }
-            __other => ctx.trace(TraceLevel::Low, format!("overcast: unhandled API call {:?}", __other)),
+            __other => return Some(__other),
         }
+        None
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let mut __r = WireReader::new(msg);
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto == TUNNEL_PROTOCOL {
-            // A frame tunneled for the layers above: unwrap, deliver up.
-            let Ok((__src, __payload)) = read_tunnel(&mut __r) else { return };
-            ctx.up(UpCall::Deliver { src: __src, from, payload: __payload });
-            return;
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_JOIN => self.t_recv_join(ctx, from, &dec_join(r)?),
+            MSG_JOIN_REPLY => self.t_recv_join_reply(ctx, from, &dec_join_reply(r)?),
+            MSG_JOIN_DEFLECT => self.t_recv_join_deflect(ctx, from, &dec_join_deflect(r)?),
+            MSG_REMOVE => self.t_recv_remove(ctx, from, &dec_remove(r)?),
+            MSG_PROBE_REQUEST => self.t_recv_probe_request(ctx, from, &dec_probe_request(r)?),
+            MSG_PROBE => self.t_recv_probe(ctx, from, &dec_probe(r)?),
+            MSG_PROBE_REPLY => self.t_recv_probe_reply(ctx, from, &dec_probe_reply(r)?),
+            MSG_DATA => self.t_recv_data(ctx, from, &dec_data(r)?),
+            MSG_DATA_UP => self.t_recv_data_up(ctx, from, &dec_data_up(r)?),
+            _ => {},
         }
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_JOIN => match dec_join(&mut __r) {
-                Ok(__m) => self.t_recv_join(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            MSG_JOIN_REPLY => match dec_join_reply(&mut __r) {
-                Ok(__m) => self.t_recv_join_reply(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            MSG_JOIN_DEFLECT => match dec_join_deflect(&mut __r) {
-                Ok(__m) => self.t_recv_join_deflect(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            MSG_REMOVE => match dec_remove(&mut __r) {
-                Ok(__m) => self.t_recv_remove(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            MSG_PROBE_REQUEST => match dec_probe_request(&mut __r) {
-                Ok(__m) => self.t_recv_probe_request(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            MSG_PROBE => match dec_probe(&mut __r) {
-                Ok(__m) => self.t_recv_probe(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            MSG_PROBE_REPLY => match dec_probe_reply(&mut __r) {
-                Ok(__m) => self.t_recv_probe_reply(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            MSG_DATA => match dec_data(&mut __r) {
-                Ok(__m) => self.t_recv_data(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            MSG_DATA_UP => match dec_data_up(&mut __r) {
-                Ok(__m) => self.t_recv_data_up(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("overcast: decode error: {}", __e)),
-            },
-            _ => {}
-        }
+        Ok(())
     }
 
-    fn forward_resolved(&mut self, ctx: &mut Ctx, fwd: ForwardInfo) {
-        let Some((_dest, __ch, __bytes)) = self.pending_fwd.pop_front() else {
-            debug_assert!(false, "forward_resolved without a pending send");
-            return;
-        };
-        if !fwd.quash {
-            // The layers above may have redirected the hop.
-            ctx.send(fwd.next_hop, __ch, __bytes);
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_PROBE_REQUESTER => self.t_timer_probe_requester(ctx),
             TIMER_KEEP_PROBING => self.t_timer_keep_probing(ctx),
             TIMER_PROBE_TIMEOUT => self.t_timer_probe_timeout(ctx),
             TIMER_RETRY_JOIN => self.t_timer_retry_join(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.papa.retain(|&__n| __n != peer);
-        self.kids.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "overcast",
-            state: self.state.name(),
-            lists: vec![("papa", self.papa.as_slice()), ("grandpa", self.grandpa.as_slice()), ("brothers", self.brothers.as_slice()), ("kids", self.kids.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -19,14 +19,11 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `pastry` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 22012;
@@ -38,9 +35,14 @@ const MSG_KEEPALIVE: u16 = 4;
 const MSG_KEEPALIVE_ACK: u16 = 5;
 const MSG_REPAIR_REQ: u16 = 6;
 const MSG_ROUTE_MSG: u16 = 7;
-/// Declared transport channels (bounds the `priority` values the
-/// engine-served `routeIP` tunnel honors).
-const NUM_CHANNELS: u16 = 2;
+const LANE_JOIN_REQ: Lane = Lane::Wire(ChannelId(0));
+const LANE_JOIN_DONE: Lane = Lane::Wire(ChannelId(0));
+const LANE_STATE_PUSH: Lane = Lane::Wire(ChannelId(0));
+const LANE_STATE_PULL: Lane = Lane::Wire(ChannelId(0));
+const LANE_KEEPALIVE: Lane = Lane::Wire(ChannelId(1));
+const LANE_KEEPALIVE_ACK: Lane = Lane::Wire(ChannelId(1));
+const LANE_REPAIR_REQ: Lane = Lane::Wire(ChannelId(0));
+const LANE_ROUTE_MSG: Lane = Lane::Wire(ChannelId(1));
 const TIMER_KEEPALIVE_T: u16 = 0;
 const TIMER_REPAIR_T: u16 = 1;
 const TIMER_RETRY_JOIN: u16 = 2;
@@ -77,7 +79,7 @@ pub struct MsgJoinReq {
     pub hop: i64,
 }
 
-fn dec_join_req(r: &mut WireReader) -> Result<MsgJoinReq, DecodeError> {
+fn dec_join_req(r: &mut WireRef) -> Result<MsgJoinReq, DecodeError> {
     Ok(MsgJoinReq {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
         hop: (r.u64()? as i64),
@@ -90,7 +92,7 @@ pub struct MsgJoinDone {
     pub rows: Vec<NodeId>,
 }
 
-fn dec_join_done(r: &mut WireReader) -> Result<MsgJoinDone, DecodeError> {
+fn dec_join_done(r: &mut WireRef) -> Result<MsgJoinDone, DecodeError> {
     Ok(MsgJoinDone {
         leaves: r.nodes()?,
         rows: r.nodes()?,
@@ -103,7 +105,7 @@ pub struct MsgStatePush {
     pub rows: Vec<NodeId>,
 }
 
-fn dec_state_push(r: &mut WireReader) -> Result<MsgStatePush, DecodeError> {
+fn dec_state_push(r: &mut WireRef) -> Result<MsgStatePush, DecodeError> {
     Ok(MsgStatePush {
         leaves: r.nodes()?,
         rows: r.nodes()?,
@@ -114,7 +116,7 @@ fn dec_state_push(r: &mut WireReader) -> Result<MsgStatePush, DecodeError> {
 pub struct MsgStatePull {
 }
 
-fn dec_state_pull(r: &mut WireReader) -> Result<MsgStatePull, DecodeError> {
+fn dec_state_pull(r: &mut WireRef) -> Result<MsgStatePull, DecodeError> {
     Ok(MsgStatePull {
     })
 }
@@ -123,7 +125,7 @@ fn dec_state_pull(r: &mut WireReader) -> Result<MsgStatePull, DecodeError> {
 pub struct MsgKeepalive {
 }
 
-fn dec_keepalive(r: &mut WireReader) -> Result<MsgKeepalive, DecodeError> {
+fn dec_keepalive(r: &mut WireRef) -> Result<MsgKeepalive, DecodeError> {
     Ok(MsgKeepalive {
     })
 }
@@ -132,7 +134,7 @@ fn dec_keepalive(r: &mut WireReader) -> Result<MsgKeepalive, DecodeError> {
 pub struct MsgKeepaliveAck {
 }
 
-fn dec_keepalive_ack(r: &mut WireReader) -> Result<MsgKeepaliveAck, DecodeError> {
+fn dec_keepalive_ack(r: &mut WireRef) -> Result<MsgKeepaliveAck, DecodeError> {
     Ok(MsgKeepaliveAck {
     })
 }
@@ -142,7 +144,7 @@ pub struct MsgRepairReq {
     pub missing: MacedonKey,
 }
 
-fn dec_repair_req(r: &mut WireReader) -> Result<MsgRepairReq, DecodeError> {
+fn dec_repair_req(r: &mut WireRef) -> Result<MsgRepairReq, DecodeError> {
     Ok(MsgRepairReq {
         missing: r.key()?,
     })
@@ -156,7 +158,7 @@ pub struct MsgRouteMsg {
     pub body: Bytes,
 }
 
-fn dec_route_msg(r: &mut WireReader) -> Result<MsgRouteMsg, DecodeError> {
+fn dec_route_msg(r: &mut WireRef) -> Result<MsgRouteMsg, DecodeError> {
     Ok(MsgRouteMsg {
         dst: r.key()?,
         origin: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
@@ -169,8 +171,7 @@ fn dec_route_msg(r: &mut WireReader) -> Result<MsgRouteMsg, DecodeError> {
 pub struct Pastry {
     state: PastryState,
     bootstrap: Option<NodeId>,
-    /// Encoded sends awaiting their forward-query verdict, FIFO.
-    pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     leaves: Vec<NodeId>,
@@ -192,7 +193,7 @@ impl Pastry {
         Pastry {
             state: PastryState::Init,
             bootstrap,
-            pending_fwd: VecDeque::new(),
+            __port: Port::default(),
             transitions_fired: 0,
             leaves: Vec::new(),
             rows: Vec::new(),
@@ -207,6 +208,7 @@ impl Pastry {
         }
     }
 
+    #[inline(never)]
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == PastryState::Init {
             self.transitions_fired += 1;
@@ -226,10 +228,7 @@ impl Pastry {
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_REQ);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a1 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_REQ, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
                 }
                 ctx.trace_fsm(self.state.name(), "joining");
                 self.state = PastryState::Joining;
@@ -239,6 +238,7 @@ impl Pastry {
         }
     }
 
+    #[inline(never)]
     fn t_api_route(&mut self, ctx: &mut Ctx, dest: MacedonKey, payload: Bytes) {
         if self.state == PastryState::Joined {
             self.transitions_fired += 1;
@@ -315,30 +315,13 @@ impl Pastry {
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a2 as u64);
                 __w.bytes(&__a3);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    let __tunneled = if !__a3.is_empty() { Some(__a3.clone()) } else { None };
-                    match __tunneled {
-                        Some(__p) if !ctx.is_top_layer() => {
-                            let __dest_key = __a0;
-                            self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                            ctx.forward_query(ForwardInfo {
-                                src: ctx.my_key,
-                                dest: __dest_key,
-                                prev_hop: ctx.me,
-                                next_hop: __d,
-                                payload: __p,
-                                quash: false,
-                            });
-                        }
-                        _ => ctx.send(__d, ChannelId(1), __bytes),
-                    }
-                }
+                if self.__port.send(ctx, LANE_ROUTE_MSG, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a3.is_empty() { Some(__a3.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_join_req(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoinReq) {
         if self.state == PastryState::Joined {
             self.transitions_fired += 1;
@@ -354,10 +337,7 @@ impl Pastry {
                 __w.u16(PROTOCOL_ID).u16(MSG_STATE_PUSH);
                 __w.nodes(__a0);
                 __w.nodes(__a1);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_STATE_PUSH, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
             }
             self.plen = key::dsl_prefix_len(Some(ctx.my_key), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)));
             self.cand = None::<NodeId>;
@@ -466,10 +446,7 @@ impl Pastry {
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_DONE);
                     __w.nodes(__a0);
                     __w.nodes(__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_DONE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -482,10 +459,7 @@ impl Pastry {
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_DONE);
                     __w.nodes(__a0);
                     __w.nodes(__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_DONE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
                 }
                 return;
             }
@@ -497,15 +471,13 @@ impl Pastry {
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN_REQ);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a1 as u64);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN_REQ, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_join_done(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoinDone) {
         if self.state == PastryState::Joining {
             self.transitions_fired += 1;
@@ -611,16 +583,14 @@ impl Pastry {
                     let __dest = Some(fe_l);
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_STATE_PULL);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_STATE_PULL, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_state_push(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgStatePush) {
         if !(self.state == PastryState::Init) {
             self.transitions_fired += 1;
@@ -720,6 +690,7 @@ impl Pastry {
         }
     }
 
+    #[inline(never)]
     fn t_recv_state_pull(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgStatePull) {
         if self.state == PastryState::Joined {
             self.transitions_fired += 1;
@@ -731,10 +702,7 @@ impl Pastry {
                 __w.u16(PROTOCOL_ID).u16(MSG_STATE_PUSH);
                 __w.nodes(__a0);
                 __w.nodes(__a1);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_STATE_PUSH, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
             }
             if let Some(__n) = Some(from) {
                 if !self.near.contains(&__n) && self.near.len() < 8usize {
@@ -745,16 +713,14 @@ impl Pastry {
         }
     }
 
+    #[inline(never)]
     fn t_recv_keepalive(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgKeepalive) {
         self.transitions_fired += 1;
         {
             let __dest = Some(from);
             let mut __w = WireWriter::new();
             __w.u16(PROTOCOL_ID).u16(MSG_KEEPALIVE_ACK);
-            let __bytes = __w.finish();
-            if let Some(__d) = __dest {
-                ctx.send(__d, ChannelId(1), __bytes);
-            }
+            if self.__port.send(ctx, LANE_KEEPALIVE_ACK, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
         }
         if let Some(__n) = Some(from) {
             if !self.near.contains(&__n) && self.near.len() < 8usize {
@@ -763,6 +729,7 @@ impl Pastry {
         } else { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
     }
 
+    #[inline(never)]
     fn t_recv_keepalive_ack(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgKeepaliveAck) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -772,6 +739,7 @@ impl Pastry {
         } else { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
     }
 
+    #[inline(never)]
     fn t_recv_repair_req(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgRepairReq) {
         if self.state == PastryState::Joined {
             self.transitions_fired += 1;
@@ -783,15 +751,13 @@ impl Pastry {
                 __w.u16(PROTOCOL_ID).u16(MSG_STATE_PUSH);
                 __w.nodes(__a0);
                 __w.nodes(__a1);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_STATE_PUSH, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_route_msg(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgRouteMsg) {
         if !(self.state == PastryState::Init) {
             self.transitions_fired += 1;
@@ -875,30 +841,13 @@ impl Pastry {
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a2 as u64);
                 __w.bytes(&__a3);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    let __tunneled = if !__a3.is_empty() { Some(__a3.clone()) } else { None };
-                    match __tunneled {
-                        Some(__p) if !ctx.is_top_layer() => {
-                            let __dest_key = __a0;
-                            self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                            ctx.forward_query(ForwardInfo {
-                                src: ctx.my_key,
-                                dest: __dest_key,
-                                prev_hop: from,
-                                next_hop: __d,
-                                payload: __p,
-                                quash: false,
-                            });
-                        }
-                        _ => ctx.send(__d, ChannelId(1), __bytes),
-                    }
-                }
+                if self.__port.send(ctx, LANE_ROUTE_MSG, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a3.is_empty() { Some(__a3.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_timer_keepalive_t(&mut self, ctx: &mut Ctx) {
         if self.state == PastryState::Joined {
             self.transitions_fired += 1;
@@ -907,10 +856,7 @@ impl Pastry {
                     let __dest = Some(fe_l);
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_KEEPALIVE);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(1), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_KEEPALIVE, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.timer_set(TIMER_KEEPALIVE_T, Duration::from_millis((KEEPALIVE_MS).max(0) as u64));
@@ -918,6 +864,7 @@ impl Pastry {
         }
     }
 
+    #[inline(never)]
     fn t_timer_repair_t(&mut self, ctx: &mut Ctx) {
         if self.state == PastryState::Joined {
             self.transitions_fired += 1;
@@ -928,10 +875,7 @@ impl Pastry {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_REPAIR_REQ);
                     __w.key(__a0);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_REPAIR_REQ, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
                 }
             }
             ctx.timer_set(TIMER_REPAIR_T, Duration::from_millis((REPAIR_MS).max(0) as u64));
@@ -939,6 +883,7 @@ impl Pastry {
         }
     }
 
+    #[inline(never)]
     fn t_timer_retry_join(&mut self, ctx: &mut Ctx) {
         if self.state == PastryState::Joining {
             self.transitions_fired += 1;
@@ -950,16 +895,14 @@ impl Pastry {
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN_REQ);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                 __w.u64(__a1 as u64);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN_REQ, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
             }
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             return;
         }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -980,10 +923,7 @@ impl Pastry {
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN_REQ);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
                     __w.u64(__a1 as u64);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN_REQ, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "pastry: runtime error: null where a value is required"); return; }
                 }
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -992,120 +932,67 @@ impl Pastry {
 
 }
 
-impl Agent for Pastry {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Pastry {
+    const AGENT_NAME: &'static str = "pastry";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "pastry", proto: PROTOCOL_ID, layered: false, channels: 2, messages: 8, timers: 3 }
     }
 
-    fn name(&self) -> &'static str { "pastry" }
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
 
-    fn init(&mut self, ctx: &mut Ctx) {
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("leaves", self.leaves.as_slice()), ("rows", self.rows.as_slice()), ("near", self.near.as_slice()), ("lscratch", self.lscratch.as_slice()), ("rscratch", self.rscratch.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.leaves);
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.t_api_init(ctx);
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Route { dest, payload, .. } => self.t_api_route(ctx, dest, payload),
-            DownCall::RouteIp { dest, payload, priority } => {
-                let __ch = if priority >= 0 && (priority as u16) < NUM_CHANNELS {
-                    ChannelId(priority as u16)
-                } else {
-                    ChannelId(0)
-                };
-                ctx.send(dest, __ch, tunnel_frame(ctx.my_key, &payload));
-            }
-            __other => ctx.trace(TraceLevel::Low, format!("pastry: unhandled API call {:?}", __other)),
+            __other => return Some(__other),
         }
+        None
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let mut __r = WireReader::new(msg);
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto == TUNNEL_PROTOCOL {
-            // A frame tunneled for the layers above: unwrap, deliver up.
-            let Ok((__src, __payload)) = read_tunnel(&mut __r) else { return };
-            ctx.up(UpCall::Deliver { src: __src, from, payload: __payload });
-            return;
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_JOIN_REQ => self.t_recv_join_req(ctx, from, &dec_join_req(r)?),
+            MSG_JOIN_DONE => self.t_recv_join_done(ctx, from, &dec_join_done(r)?),
+            MSG_STATE_PUSH => self.t_recv_state_push(ctx, from, &dec_state_push(r)?),
+            MSG_STATE_PULL => self.t_recv_state_pull(ctx, from, &dec_state_pull(r)?),
+            MSG_KEEPALIVE => self.t_recv_keepalive(ctx, from, &dec_keepalive(r)?),
+            MSG_KEEPALIVE_ACK => self.t_recv_keepalive_ack(ctx, from, &dec_keepalive_ack(r)?),
+            MSG_REPAIR_REQ => self.t_recv_repair_req(ctx, from, &dec_repair_req(r)?),
+            MSG_ROUTE_MSG => self.t_recv_route_msg(ctx, from, &dec_route_msg(r)?),
+            _ => {},
         }
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_JOIN_REQ => match dec_join_req(&mut __r) {
-                Ok(__m) => self.t_recv_join_req(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("pastry: decode error: {}", __e)),
-            },
-            MSG_JOIN_DONE => match dec_join_done(&mut __r) {
-                Ok(__m) => self.t_recv_join_done(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("pastry: decode error: {}", __e)),
-            },
-            MSG_STATE_PUSH => match dec_state_push(&mut __r) {
-                Ok(__m) => self.t_recv_state_push(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("pastry: decode error: {}", __e)),
-            },
-            MSG_STATE_PULL => match dec_state_pull(&mut __r) {
-                Ok(__m) => self.t_recv_state_pull(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("pastry: decode error: {}", __e)),
-            },
-            MSG_KEEPALIVE => match dec_keepalive(&mut __r) {
-                Ok(__m) => self.t_recv_keepalive(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("pastry: decode error: {}", __e)),
-            },
-            MSG_KEEPALIVE_ACK => match dec_keepalive_ack(&mut __r) {
-                Ok(__m) => self.t_recv_keepalive_ack(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("pastry: decode error: {}", __e)),
-            },
-            MSG_REPAIR_REQ => match dec_repair_req(&mut __r) {
-                Ok(__m) => self.t_recv_repair_req(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("pastry: decode error: {}", __e)),
-            },
-            MSG_ROUTE_MSG => match dec_route_msg(&mut __r) {
-                Ok(__m) => self.t_recv_route_msg(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("pastry: decode error: {}", __e)),
-            },
-            _ => {}
-        }
+        Ok(())
     }
 
-    fn forward_resolved(&mut self, ctx: &mut Ctx, fwd: ForwardInfo) {
-        let Some((_dest, __ch, __bytes)) = self.pending_fwd.pop_front() else {
-            debug_assert!(false, "forward_resolved without a pending send");
-            return;
-        };
-        if !fwd.quash {
-            // The layers above may have redirected the hop.
-            ctx.send(fwd.next_hop, __ch, __bytes);
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_KEEPALIVE_T => self.t_timer_keepalive_t(ctx),
             TIMER_REPAIR_T => self.t_timer_repair_t(ctx),
             TIMER_RETRY_JOIN => self.t_timer_retry_join(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.leaves.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "pastry",
-            state: self.state.name(),
-            lists: vec![("leaves", self.leaves.as_slice()), ("rows", self.rows.as_slice()), ("near", self.near.as_slice()), ("lscratch", self.lscratch.as_slice()), ("rscratch", self.rscratch.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

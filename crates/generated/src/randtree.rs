@@ -19,23 +19,20 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `randtree` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 46294;
 const MSG_JOIN: u16 = 0;
 const MSG_JOIN_OK: u16 = 1;
 const MSG_DATA: u16 = 2;
-/// Declared transport channels (bounds the `priority` values the
-/// engine-served `routeIP` tunnel honors).
-const NUM_CHANNELS: u16 = 2;
+const LANE_JOIN: Lane = Lane::Wire(ChannelId(0));
+const LANE_JOIN_OK: Lane = Lane::Wire(ChannelId(0));
+const LANE_DATA: Lane = Lane::Wire(ChannelId(1));
 const TIMER_RETRY_JOIN: u16 = 0;
 const MAXKIDS: i64 = 4;
 const RETRY_MS: i64 = 5000;
@@ -62,7 +59,7 @@ pub struct MsgJoin {
     pub who: Option<NodeId>,
 }
 
-fn dec_join(r: &mut WireReader) -> Result<MsgJoin, DecodeError> {
+fn dec_join(r: &mut WireRef) -> Result<MsgJoin, DecodeError> {
     Ok(MsgJoin {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
     })
@@ -72,7 +69,7 @@ fn dec_join(r: &mut WireReader) -> Result<MsgJoin, DecodeError> {
 pub struct MsgJoinOk {
 }
 
-fn dec_join_ok(r: &mut WireReader) -> Result<MsgJoinOk, DecodeError> {
+fn dec_join_ok(r: &mut WireRef) -> Result<MsgJoinOk, DecodeError> {
     Ok(MsgJoinOk {
     })
 }
@@ -83,7 +80,7 @@ pub struct MsgData {
     pub body: Bytes,
 }
 
-fn dec_data(r: &mut WireReader) -> Result<MsgData, DecodeError> {
+fn dec_data(r: &mut WireRef) -> Result<MsgData, DecodeError> {
     Ok(MsgData {
         src: r.key()?,
         body: r.bytes()?,
@@ -94,8 +91,7 @@ fn dec_data(r: &mut WireReader) -> Result<MsgData, DecodeError> {
 pub struct Randtree {
     state: RandtreeState,
     bootstrap: Option<NodeId>,
-    /// Encoded sends awaiting their forward-query verdict, FIFO.
-    pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     papa: Vec<NodeId>,
@@ -109,13 +105,14 @@ impl Randtree {
         Randtree {
             state: RandtreeState::Init,
             bootstrap,
-            pending_fwd: VecDeque::new(),
+            __port: Port::default(),
             transitions_fired: 0,
             papa: Vec::new(),
             kids: Vec::new(),
         }
     }
 
+    #[inline(never)]
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == RandtreeState::Init {
             self.transitions_fired += 1;
@@ -129,10 +126,7 @@ impl Randtree {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                     __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        ctx.send(__d, ChannelId(0), __bytes);
-                    }
+                    if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
                 }
                 ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             }
@@ -140,6 +134,7 @@ impl Randtree {
         }
     }
 
+    #[inline(never)]
     fn t_api_multicast(&mut self, ctx: &mut Ctx, group: MacedonKey, payload: Bytes) {
         if self.state == RandtreeState::Joined {
             self.transitions_fired += 1;
@@ -152,25 +147,7 @@ impl Randtree {
                     __w.u16(PROTOCOL_ID).u16(MSG_DATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: ctx.me,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
                 }
             }
             for fe_p in self.papa.clone() {
@@ -182,31 +159,14 @@ impl Randtree {
                     __w.u16(PROTOCOL_ID).u16(MSG_DATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: ctx.me,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_recv_join(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoin) {
         self.transitions_fired += 1;
         if (m.who == Some(ctx.me)) {
@@ -217,10 +177,7 @@ impl Randtree {
                 let __dest = m.who;
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN_OK);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN_OK, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
             }
             return;
         }
@@ -235,10 +192,7 @@ impl Randtree {
                 let __dest = m.who;
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN_OK);
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN_OK, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
             }
         } else {
             {
@@ -247,14 +201,12 @@ impl Randtree {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
             }
         }
     }
 
+    #[inline(never)]
     fn t_recv_join_ok(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgJoinOk) {
         if self.state == RandtreeState::Init {
             self.transitions_fired += 1;
@@ -271,6 +223,7 @@ impl Randtree {
         }
     }
 
+    #[inline(never)]
     fn t_recv_data(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgData) {
         self.transitions_fired += 1;
         {
@@ -288,25 +241,7 @@ impl Randtree {
                     __w.u16(PROTOCOL_ID).u16(MSG_DATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
                 }
             }
         }
@@ -320,30 +255,13 @@ impl Randtree {
                     __w.u16(PROTOCOL_ID).u16(MSG_DATA);
                     __w.key(__a0);
                     __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
-                            }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_DATA, Dest::Node(__dest), __w.finish(), Some(__a0), if !__a1.is_empty() { Some(__a1.clone()) } else { None }).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
                 }
             }
         }
     }
 
+    #[inline(never)]
     fn t_timer_retry_join(&mut self, ctx: &mut Ctx) {
         if self.state == RandtreeState::Init {
             self.transitions_fired += 1;
@@ -353,16 +271,14 @@ impl Randtree {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                 __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                if let Some(__d) = __dest {
-                    ctx.send(__d, ChannelId(0), __bytes);
-                }
+                if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
             }
             ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
             return;
         }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         if self.state == RandtreeState::Joined {
             self.transitions_fired += 1;
@@ -376,10 +292,7 @@ impl Randtree {
                         let mut __w = WireWriter::new();
                         __w.u16(PROTOCOL_ID).u16(MSG_JOIN);
                         __w.node(__a0.unwrap_or(NodeId(u32::MAX)));
-                        let __bytes = __w.finish();
-                        if let Some(__d) = __dest {
-                            ctx.send(__d, ChannelId(0), __bytes);
-                        }
+                        if self.__port.send(ctx, LANE_JOIN, Dest::Node(__dest), __w.finish(), None, None).is_err() { ctx.trace(TraceLevel::Low, "randtree: runtime error: null where a value is required"); return; }
                     }
                     ctx.timer_set(TIMER_RETRY_JOIN, Duration::from_millis((RETRY_MS).max(0) as u64));
                 }
@@ -390,99 +303,61 @@ impl Randtree {
 
 }
 
-impl Agent for Randtree {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Randtree {
+    const AGENT_NAME: &'static str = "randtree";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "randtree", proto: PROTOCOL_ID, layered: false, channels: 2, messages: 3, timers: 1 }
     }
 
-    fn name(&self) -> &'static str { "randtree" }
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
 
-    fn init(&mut self, ctx: &mut Ctx) {
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("papa", self.papa.as_slice()), ("kids", self.kids.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.papa);
+        f(&mut self.kids);
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.t_api_init(ctx);
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Multicast { group, payload, .. } => self.t_api_multicast(ctx, group, payload),
-            DownCall::RouteIp { dest, payload, priority } => {
-                let __ch = if priority >= 0 && (priority as u16) < NUM_CHANNELS {
-                    ChannelId(priority as u16)
-                } else {
-                    ChannelId(0)
-                };
-                ctx.send(dest, __ch, tunnel_frame(ctx.my_key, &payload));
-            }
-            __other => ctx.trace(TraceLevel::Low, format!("randtree: unhandled API call {:?}", __other)),
+            __other => return Some(__other),
         }
+        None
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let mut __r = WireReader::new(msg);
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto == TUNNEL_PROTOCOL {
-            // A frame tunneled for the layers above: unwrap, deliver up.
-            let Ok((__src, __payload)) = read_tunnel(&mut __r) else { return };
-            ctx.up(UpCall::Deliver { src: __src, from, payload: __payload });
-            return;
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_JOIN => self.t_recv_join(ctx, from, &dec_join(r)?),
+            MSG_JOIN_OK => self.t_recv_join_ok(ctx, from, &dec_join_ok(r)?),
+            MSG_DATA => self.t_recv_data(ctx, from, &dec_data(r)?),
+            _ => {},
         }
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_JOIN => match dec_join(&mut __r) {
-                Ok(__m) => self.t_recv_join(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("randtree: decode error: {}", __e)),
-            },
-            MSG_JOIN_OK => match dec_join_ok(&mut __r) {
-                Ok(__m) => self.t_recv_join_ok(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("randtree: decode error: {}", __e)),
-            },
-            MSG_DATA => match dec_data(&mut __r) {
-                Ok(__m) => self.t_recv_data(ctx, from, &__m),
-                Err(__e) => ctx.trace(TraceLevel::Low, format!("randtree: decode error: {}", __e)),
-            },
-            _ => {}
-        }
+        Ok(())
     }
 
-    fn forward_resolved(&mut self, ctx: &mut Ctx, fwd: ForwardInfo) {
-        let Some((_dest, __ch, __bytes)) = self.pending_fwd.pop_front() else {
-            debug_assert!(false, "forward_resolved without a pending send");
-            return;
-        };
-        if !fwd.quash {
-            // The layers above may have redirected the hop.
-            ctx.send(fwd.next_hop, __ch, __bytes);
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_RETRY_JOIN => self.t_timer_retry_join(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.papa.retain(|&__n| __n != peer);
-        self.kids.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "randtree",
-            state: self.state.name(),
-            lists: vec![("papa", self.papa.as_slice()), ("kids", self.kids.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

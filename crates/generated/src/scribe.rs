@@ -19,14 +19,11 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `scribe` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 15891;
@@ -35,14 +32,14 @@ const MSG_UNSUBSCRIBE: u16 = 1;
 const MSG_PRUNE: u16 = 2;
 const MSG_PUBLISH: u16 = 3;
 const MSG_PARENT_HB: u16 = 4;
-// Per-message transport priority: each declared class resolved
-// against the base (tunneling) layer's channel table at generation
-// time; -1 = default (tunnel channel 0).
-const PRIO_SUBSCRIBE: i8 = 0;
-const PRIO_UNSUBSCRIBE: i8 = 0;
-const PRIO_PRUNE: i8 = 0;
-const PRIO_PUBLISH: i8 = 0;
-const PRIO_PARENT_HB: i8 = 1;
+// Each message's priority at the base layer: its declared class
+// resolved against the base (tunneling) layer's channel table at
+// generation time; -1 = default (tunnel channel 0).
+const LANE_SUBSCRIBE: Lane = Lane::Base(0);
+const LANE_UNSUBSCRIBE: Lane = Lane::Base(0);
+const LANE_PRUNE: Lane = Lane::Base(0);
+const LANE_PUBLISH: Lane = Lane::Base(0);
+const LANE_PARENT_HB: Lane = Lane::Base(1);
 const TIMER_HEARTBEAT_T: u16 = 0;
 const HEARTBEAT_MS: i64 = 4000;
 const MAX_CHILDREN: i64 = 16;
@@ -70,7 +67,7 @@ pub struct MsgSubscribe {
     pub who: Option<NodeId>,
 }
 
-fn dec_subscribe(r: &mut WireReader) -> Result<MsgSubscribe, DecodeError> {
+fn dec_subscribe(r: &mut WireRef) -> Result<MsgSubscribe, DecodeError> {
     Ok(MsgSubscribe {
         group: r.key()?,
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
@@ -82,7 +79,7 @@ pub struct MsgUnsubscribe {
     pub group: MacedonKey,
 }
 
-fn dec_unsubscribe(r: &mut WireReader) -> Result<MsgUnsubscribe, DecodeError> {
+fn dec_unsubscribe(r: &mut WireRef) -> Result<MsgUnsubscribe, DecodeError> {
     Ok(MsgUnsubscribe {
         group: r.key()?,
     })
@@ -93,7 +90,7 @@ pub struct MsgPrune {
     pub group: MacedonKey,
 }
 
-fn dec_prune(r: &mut WireReader) -> Result<MsgPrune, DecodeError> {
+fn dec_prune(r: &mut WireRef) -> Result<MsgPrune, DecodeError> {
     Ok(MsgPrune {
         group: r.key()?,
     })
@@ -107,7 +104,7 @@ pub struct MsgPublish {
     pub body: Bytes,
 }
 
-fn dec_publish(r: &mut WireReader) -> Result<MsgPublish, DecodeError> {
+fn dec_publish(r: &mut WireRef) -> Result<MsgPublish, DecodeError> {
     Ok(MsgPublish {
         group: r.key()?,
         src: r.key()?,
@@ -121,7 +118,7 @@ pub struct MsgParentHb {
     pub group: MacedonKey,
 }
 
-fn dec_parent_hb(r: &mut WireReader) -> Result<MsgParentHb, DecodeError> {
+fn dec_parent_hb(r: &mut WireRef) -> Result<MsgParentHb, DecodeError> {
     Ok(MsgParentHb {
         group: r.key()?,
     })
@@ -131,6 +128,7 @@ fn dec_parent_hb(r: &mut WireReader) -> Result<MsgParentHb, DecodeError> {
 pub struct Scribe {
     state: ScribeState,
     bootstrap: Option<NodeId>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     rp_parent: Vec<NodeId>,
@@ -149,6 +147,7 @@ impl Scribe {
         Scribe {
             state: ScribeState::Init,
             bootstrap,
+            __port: Port::default(),
             transitions_fired: 0,
             rp_parent: Vec::new(),
             members: Vec::new(),
@@ -160,6 +159,7 @@ impl Scribe {
         }
     }
 
+    #[inline(never)]
     fn t_api_join(&mut self, ctx: &mut Ctx, group: MacedonKey) {
         if self.state == ScribeState::Init {
             self.transitions_fired += 1;
@@ -175,13 +175,7 @@ impl Scribe {
                 __w.u16(PROTOCOL_ID).u16(MSG_SUBSCRIBE);
                 __w.key(__a0);
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                match __dest {
-                    Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_SUBSCRIBE }),
-                    None => {
-                        ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_SUBSCRIBE });
-                    }
-                }
+                if self.__port.send(ctx, LANE_SUBSCRIBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
             }
             return;
         }
@@ -192,6 +186,7 @@ impl Scribe {
         }
     }
 
+    #[inline(never)]
     fn t_api_multicast(&mut self, ctx: &mut Ctx, group: MacedonKey, payload: Bytes) {
         if self.state == ScribeState::Subscribed {
             self.transitions_fired += 1;
@@ -208,18 +203,13 @@ impl Scribe {
                 __w.key(__a1);
                 __w.u64(__a2 as u64);
                 __w.bytes(&__a3);
-                let __bytes = __w.finish();
-                match __dest {
-                    Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_PUBLISH }),
-                    None => {
-                        ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_PUBLISH });
-                    }
-                }
+                if self.__port.send(ctx, LANE_PUBLISH, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_api_leave(&mut self, ctx: &mut Ctx, group: MacedonKey) {
         if self.state == ScribeState::Subscribed {
             self.transitions_fired += 1;
@@ -236,13 +226,7 @@ impl Scribe {
                         let mut __w = WireWriter::new();
                         __w.u16(PROTOCOL_ID).u16(MSG_UNSUBSCRIBE);
                         __w.key(__a0);
-                        let __bytes = __w.finish();
-                        match __dest {
-                            Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_UNSUBSCRIBE }),
-                            None => {
-                                ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_UNSUBSCRIBE });
-                            }
-                        }
+                        if self.__port.send(ctx, LANE_UNSUBSCRIBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
                     }
                 }
                 for __n in self.rp_parent.drain(..) {
@@ -257,6 +241,7 @@ impl Scribe {
         }
     }
 
+    #[inline(never)]
     fn t_recv_subscribe(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgSubscribe) {
         if self.state == ScribeState::Init {
             self.transitions_fired += 1;
@@ -289,6 +274,7 @@ impl Scribe {
         }
     }
 
+    #[inline(never)]
     fn t_fwd_subscribe(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgSubscribe) -> bool {
         let mut quash = false;
         if self.state == ScribeState::Init {
@@ -314,13 +300,7 @@ impl Scribe {
                 __w.u16(PROTOCOL_ID).u16(MSG_SUBSCRIBE);
                 __w.key(__a0);
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                match __dest {
-                    Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_SUBSCRIBE }),
-                    None => {
-                        ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_SUBSCRIBE });
-                    }
-                }
+                if self.__port.send(ctx, LANE_SUBSCRIBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return quash; }
             }
             return quash;
         }
@@ -341,6 +321,7 @@ impl Scribe {
         quash
     }
 
+    #[inline(never)]
     fn t_recv_unsubscribe(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgUnsubscribe) {
         if self.state == ScribeState::Subscribed {
             self.transitions_fired += 1;
@@ -363,13 +344,7 @@ impl Scribe {
                             let mut __w = WireWriter::new();
                             __w.u16(PROTOCOL_ID).u16(MSG_UNSUBSCRIBE);
                             __w.key(__a0);
-                            let __bytes = __w.finish();
-                            match __dest {
-                                Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_UNSUBSCRIBE }),
-                                None => {
-                                    ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_UNSUBSCRIBE });
-                                }
-                            }
+                            if self.__port.send(ctx, LANE_UNSUBSCRIBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
                         }
                     }
                     for __n in self.rp_parent.drain(..) {
@@ -385,6 +360,7 @@ impl Scribe {
         }
     }
 
+    #[inline(never)]
     fn t_recv_prune(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgPrune) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -395,6 +371,7 @@ impl Scribe {
         } else { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
     }
 
+    #[inline(never)]
     fn t_recv_publish(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgPublish) {
         if self.state == ScribeState::Subscribed {
             self.transitions_fired += 1;
@@ -415,13 +392,7 @@ impl Scribe {
                     __w.key(__a1);
                     __w.u64(__a2 as u64);
                     __w.bytes(&__a3);
-                    let __bytes = __w.finish();
-                    match __dest {
-                        Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_PUBLISH }),
-                        None => {
-                            ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_PUBLISH });
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_PUBLISH, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
                 }
             }
             if (self.member > (0i64)) {
@@ -435,6 +406,7 @@ impl Scribe {
         }
     }
 
+    #[inline(never)]
     fn t_recv_parent_hb(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgParentHb) {
         if self.state == ScribeState::Subscribed {
             self.transitions_fired += 1;
@@ -458,13 +430,7 @@ impl Scribe {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PRUNE);
                     __w.key(__a0);
-                    let __bytes = __w.finish();
-                    match __dest {
-                        Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_PRUNE }),
-                        None => {
-                            ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_PRUNE });
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_PRUNE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
                 }
             }
             return;
@@ -477,18 +443,13 @@ impl Scribe {
                 let mut __w = WireWriter::new();
                 __w.u16(PROTOCOL_ID).u16(MSG_PRUNE);
                 __w.key(__a0);
-                let __bytes = __w.finish();
-                match __dest {
-                    Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_PRUNE }),
-                    None => {
-                        ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_PRUNE });
-                    }
-                }
+                if self.__port.send(ctx, LANE_PRUNE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_timer_heartbeat_t(&mut self, ctx: &mut Ctx) {
         if self.state == ScribeState::Subscribed {
             self.transitions_fired += 1;
@@ -499,13 +460,7 @@ impl Scribe {
                     let mut __w = WireWriter::new();
                     __w.u16(PROTOCOL_ID).u16(MSG_PARENT_HB);
                     __w.key(__a0);
-                    let __bytes = __w.finish();
-                    match __dest {
-                        Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_PARENT_HB }),
-                        None => {
-                            ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_PARENT_HB });
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_PARENT_HB, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
                 }
             }
             if ((self.rp_parent.len() as i64) == (0i64)) {
@@ -517,19 +472,14 @@ impl Scribe {
                     __w.u16(PROTOCOL_ID).u16(MSG_SUBSCRIBE);
                     __w.key(__a0);
                     __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                    let __bytes = __w.finish();
-                    match __dest {
-                        Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_SUBSCRIBE }),
-                        None => {
-                            ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_SUBSCRIBE });
-                        }
-                    }
+                    if self.__port.send(ctx, LANE_SUBSCRIBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
                 }
             }
             return;
         }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         if self.state == ScribeState::Subscribed {
             self.transitions_fired += 1;
@@ -543,13 +493,7 @@ impl Scribe {
                         __w.u16(PROTOCOL_ID).u16(MSG_SUBSCRIBE);
                         __w.key(__a0);
                         __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                        let __bytes = __w.finish();
-                        match __dest {
-                            Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_SUBSCRIBE }),
-                            None => {
-                                ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_SUBSCRIBE });
-                            }
-                        }
+                        if self.__port.send(ctx, LANE_SUBSCRIBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
                     }
                 } else {
                     if ((self.members.len() as i64) > (0i64)) {
@@ -561,13 +505,7 @@ impl Scribe {
                             __w.u16(PROTOCOL_ID).u16(MSG_SUBSCRIBE);
                             __w.key(__a0);
                             __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                            let __bytes = __w.finish();
-                            match __dest {
-                                Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_SUBSCRIBE }),
-                                None => {
-                                    ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_SUBSCRIBE });
-                                }
-                            }
+                            if self.__port.send(ctx, LANE_SUBSCRIBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "scribe: runtime error: null where a value is required"); return; }
                         }
                     } else {
                         ctx.trace_fsm(self.state.name(), "init");
@@ -581,125 +519,75 @@ impl Scribe {
 
 }
 
-impl Agent for Scribe {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Scribe {
+    const AGENT_NAME: &'static str = "scribe";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "scribe", proto: PROTOCOL_ID, layered: true, channels: 0, messages: 5, timers: 1 }
     }
 
-    fn name(&self) -> &'static str { "scribe" }
-
-    fn init(&mut self, ctx: &mut Ctx) {
-        ctx.timer_periodic(TIMER_HEARTBEAT_T, Duration::from_millis(4000));
-        let _ = ctx;
+    fn period_ms(&self, timer: u16) -> Option<u64> {
+        match timer {
+            TIMER_HEARTBEAT_T => Some(4000),
+            _ => None,
+        }
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
+
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("rp_parent", self.rp_parent.as_slice()), ("members", self.members.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.rp_parent);
+        f(&mut self.members);
+    }
+
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Join { group } => self.t_api_join(ctx, group),
             DownCall::Multicast { group, payload, .. } => self.t_api_multicast(ctx, group, payload),
             DownCall::Leave { group } => self.t_api_leave(ctx, group),
-            __other => ctx.down(__other),
+            __other => return Some(__other),
+        }
+        None
+    }
+
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_SUBSCRIBE => self.t_recv_subscribe(ctx, from, &dec_subscribe(r)?),
+            MSG_UNSUBSCRIBE => self.t_recv_unsubscribe(ctx, from, &dec_unsubscribe(r)?),
+            MSG_PRUNE => self.t_recv_prune(ctx, from, &dec_prune(r)?),
+            MSG_PUBLISH => self.t_recv_publish(ctx, from, &dec_publish(r)?),
+            MSG_PARENT_HB => self.t_recv_parent_hb(ctx, from, &dec_parent_hb(r)?),
+            _ => {},
+        }
+        Ok(())
+    }
+
+    fn fire_forward(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<bool, DecodeError> {
+        match id {
+            MSG_SUBSCRIBE => Ok(self.t_fwd_subscribe(ctx, from, &dec_subscribe(r)?)),
+            _ => Ok(false),
         }
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let _ = (ctx, from, msg);
-        debug_assert!(false, "layered generated agents never touch the wire");
-    }
-
-    fn upcall(&mut self, ctx: &mut Ctx, up: UpCall) {
-        match up {
-            UpCall::Deliver { src, from, payload } => {
-                let mut __r = WireReader::new(payload.clone());
-                if let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) {
-                    if __proto == PROTOCOL_ID {
-                        match __id {
-                            MSG_SUBSCRIBE => {
-                                if let Ok(__m) = dec_subscribe(&mut __r) {
-                                    self.t_recv_subscribe(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_UNSUBSCRIBE => {
-                                if let Ok(__m) = dec_unsubscribe(&mut __r) {
-                                    self.t_recv_unsubscribe(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_PRUNE => {
-                                if let Ok(__m) = dec_prune(&mut __r) {
-                                    self.t_recv_prune(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_PUBLISH => {
-                                if let Ok(__m) = dec_publish(&mut __r) {
-                                    self.t_recv_publish(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_PARENT_HB => {
-                                if let Ok(__m) = dec_parent_hb(&mut __r) {
-                                    self.t_recv_parent_hb(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                // Not ours (or malformed): continue up the stack.
-                ctx.up(UpCall::Deliver { src, from, payload });
-            }
-            __other => ctx.up(__other),
-        }
-    }
-
-    fn on_forward(&mut self, ctx: &mut Ctx, fwd: &mut ForwardInfo) {
-        let mut __r = WireReader::new(fwd.payload.clone());
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_SUBSCRIBE => {
-                if let Ok(__m) = dec_subscribe(&mut __r) {
-                    if self.t_fwd_subscribe(ctx, fwd.prev_hop, &__m) {
-                        fwd.quash = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_HEARTBEAT_T => self.t_timer_heartbeat_t(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.rp_parent.retain(|&__n| __n != peer);
-        self.members.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "scribe",
-            state: self.state.name(),
-            lists: vec![("rp_parent", self.rp_parent.as_slice()), ("members", self.members.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -19,26 +19,23 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `splitstream` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 52883;
 const MSG_STRIPE_JOIN: u16 = 0;
 const MSG_STRIPE_DATA: u16 = 1;
 const MSG_ORPHAN: u16 = 2;
-// Per-message transport priority: each declared class resolved
-// against the base (tunneling) layer's channel table at generation
-// time; -1 = default (tunnel channel 0).
-const PRIO_STRIPE_JOIN: i8 = 0;
-const PRIO_STRIPE_DATA: i8 = 0;
-const PRIO_ORPHAN: i8 = 0;
+// Each message's priority at the base layer: its declared class
+// resolved against the base (tunneling) layer's channel table at
+// generation time; -1 = default (tunnel channel 0).
+const LANE_STRIPE_JOIN: Lane = Lane::Base(0);
+const LANE_STRIPE_DATA: Lane = Lane::Base(0);
+const LANE_ORPHAN: Lane = Lane::Base(0);
 const STRIPES: i64 = 16;
 const SPARE_CAP: i64 = 4;
 
@@ -65,7 +62,7 @@ pub struct MsgStripeJoin {
     pub who: Option<NodeId>,
 }
 
-fn dec_stripe_join(r: &mut WireReader) -> Result<MsgStripeJoin, DecodeError> {
+fn dec_stripe_join(r: &mut WireRef) -> Result<MsgStripeJoin, DecodeError> {
     Ok(MsgStripeJoin {
         stripe: r.key()?,
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
@@ -79,7 +76,7 @@ pub struct MsgStripeData {
     pub body: Bytes,
 }
 
-fn dec_stripe_data(r: &mut WireReader) -> Result<MsgStripeData, DecodeError> {
+fn dec_stripe_data(r: &mut WireRef) -> Result<MsgStripeData, DecodeError> {
     Ok(MsgStripeData {
         stripe: r.key()?,
         src: r.key()?,
@@ -93,7 +90,7 @@ pub struct MsgOrphan {
     pub who: Option<NodeId>,
 }
 
-fn dec_orphan(r: &mut WireReader) -> Result<MsgOrphan, DecodeError> {
+fn dec_orphan(r: &mut WireRef) -> Result<MsgOrphan, DecodeError> {
     Ok(MsgOrphan {
         stripe: r.key()?,
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
@@ -104,6 +101,7 @@ fn dec_orphan(r: &mut WireReader) -> Result<MsgOrphan, DecodeError> {
 pub struct Splitstream {
     state: SplitstreamState,
     bootstrap: Option<NodeId>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     spare: Vec<NodeId>,
@@ -117,12 +115,14 @@ impl Splitstream {
         Splitstream {
             state: SplitstreamState::Init,
             bootstrap,
+            __port: Port::default(),
             transitions_fired: 0,
             spare: Vec::new(),
             stripes_joined: 0,
         }
     }
 
+    #[inline(never)]
     fn t_api_join(&mut self, ctx: &mut Ctx, group: MacedonKey) {
         if self.state == SplitstreamState::Init {
             self.transitions_fired += 1;
@@ -139,13 +139,7 @@ impl Splitstream {
                 __w.u16(PROTOCOL_ID).u16(MSG_STRIPE_JOIN);
                 __w.key(__a0);
                 __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-                let __bytes = __w.finish();
-                match __dest {
-                    Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_STRIPE_JOIN }),
-                    None => {
-                        ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_STRIPE_JOIN });
-                    }
-                }
+                if self.__port.send(ctx, LANE_STRIPE_JOIN, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "splitstream: runtime error: null where a value is required"); return; }
             }
             ctx.trace_fsm(self.state.name(), "striped");
             self.state = SplitstreamState::Striped;
@@ -153,6 +147,7 @@ impl Splitstream {
         }
     }
 
+    #[inline(never)]
     fn t_api_multicast(&mut self, ctx: &mut Ctx, group: MacedonKey, payload: Bytes) {
         if self.state == SplitstreamState::Striped {
             self.transitions_fired += 1;
@@ -165,6 +160,7 @@ impl Splitstream {
         }
     }
 
+    #[inline(never)]
     fn t_recv_stripe_join(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgStripeJoin) {
         self.transitions_fired += 1;
         if ((self.spare.len() as i64) < SPARE_CAP) {
@@ -177,6 +173,7 @@ impl Splitstream {
         }
     }
 
+    #[inline(never)]
     fn t_fwd_stripe_join(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgStripeJoin) -> bool {
         let mut quash = false;
         self.transitions_fired += 1;
@@ -191,6 +188,7 @@ impl Splitstream {
         quash
     }
 
+    #[inline(never)]
     fn t_recv_stripe_data(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgStripeData) {
         self.transitions_fired += 1;
         {
@@ -200,6 +198,7 @@ impl Splitstream {
         }
     }
 
+    #[inline(never)]
     fn t_recv_orphan(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgOrphan) {
         self.transitions_fired += 1;
         if let Some(__n) = m.who {
@@ -210,6 +209,7 @@ impl Splitstream {
         } else { ctx.trace(TraceLevel::Low, "splitstream: runtime error: null where a value is required"); return; }
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -220,107 +220,57 @@ impl Splitstream {
 
 }
 
-impl Agent for Splitstream {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Splitstream {
+    const AGENT_NAME: &'static str = "splitstream";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "splitstream", proto: PROTOCOL_ID, layered: true, channels: 0, messages: 3, timers: 0 }
     }
 
-    fn name(&self) -> &'static str { "splitstream" }
-
-    fn init(&mut self, ctx: &mut Ctx) {
-        let _ = ctx;
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("spare", self.spare.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.spare);
+    }
+
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Join { group } => self.t_api_join(ctx, group),
             DownCall::Multicast { group, payload, .. } => self.t_api_multicast(ctx, group, payload),
-            __other => ctx.down(__other),
+            __other => return Some(__other),
+        }
+        None
+    }
+
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_STRIPE_JOIN => self.t_recv_stripe_join(ctx, from, &dec_stripe_join(r)?),
+            MSG_STRIPE_DATA => self.t_recv_stripe_data(ctx, from, &dec_stripe_data(r)?),
+            MSG_ORPHAN => self.t_recv_orphan(ctx, from, &dec_orphan(r)?),
+            _ => {},
+        }
+        Ok(())
+    }
+
+    fn fire_forward(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<bool, DecodeError> {
+        match id {
+            MSG_STRIPE_JOIN => Ok(self.t_fwd_stripe_join(ctx, from, &dec_stripe_join(r)?)),
+            _ => Ok(false),
         }
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let _ = (ctx, from, msg);
-        debug_assert!(false, "layered generated agents never touch the wire");
-    }
-
-    fn upcall(&mut self, ctx: &mut Ctx, up: UpCall) {
-        match up {
-            UpCall::Deliver { src, from, payload } => {
-                let mut __r = WireReader::new(payload.clone());
-                if let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) {
-                    if __proto == PROTOCOL_ID {
-                        match __id {
-                            MSG_STRIPE_JOIN => {
-                                if let Ok(__m) = dec_stripe_join(&mut __r) {
-                                    self.t_recv_stripe_join(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_STRIPE_DATA => {
-                                if let Ok(__m) = dec_stripe_data(&mut __r) {
-                                    self.t_recv_stripe_data(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_ORPHAN => {
-                                if let Ok(__m) = dec_orphan(&mut __r) {
-                                    self.t_recv_orphan(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                // Not ours (or malformed): continue up the stack.
-                ctx.up(UpCall::Deliver { src, from, payload });
-            }
-            __other => ctx.up(__other),
-        }
-    }
-
-    fn on_forward(&mut self, ctx: &mut Ctx, fwd: &mut ForwardInfo) {
-        let mut __r = WireReader::new(fwd.payload.clone());
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_STRIPE_JOIN => {
-                if let Ok(__m) = dec_stripe_join(&mut __r) {
-                    if self.t_fwd_stripe_join(ctx, fwd.prev_hop, &__m) {
-                        fwd.quash = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
-        let _ = (ctx, timer);
-    }
-
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.spare.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "splitstream",
-            state: self.state.name(),
-            lists: vec![("spare", self.spare.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

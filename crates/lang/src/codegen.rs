@@ -3,14 +3,15 @@
 //!
 //! The paper's `macedon` emits C++ against its engine ("its generated
 //! C++ code is over 2500 \[lines\]" for NICE); here we emit Rust against
-//! `macedon-core`. The output is a self-contained module implementing
-//! the [`macedon_core::Agent`] trait — one typed handler per transition,
-//! the §3.2 demultiplexing functions for messages / timers / API
-//! downcalls, generated marshaling per message declaration, and the same
-//! layering behavior the interpreter has (layered sends tunnel through
-//! `route`/`routeIP` downcalls, `forward` transitions may `quash();`
-//! in-transit messages, lowest layers serve `routeIP` natively and vet
-//! payload-bearing sends through the engine's forward query).
+//! `macedon-core`. As in the paper, the translator prints only what is
+//! specific to the spec: its constants and state enum, the message
+//! structs and their decoders, one typed function per transition, and a
+//! [`macedon_core::spec::SpecBody`] impl mapping (trigger, id) to those
+//! functions — the §3.2 demultiplexers. Everything engine-facing (wire
+//! framing, the `routeIP` tunnel, `deliver` demultiplexing, forward
+//! vetting and quash, the API fallbacks, the send tail) is the one
+//! implementation in [`macedon_core::spec`], which the interpreter runs
+//! as well.
 //!
 //! The generator is a printer over the lowered spec ([`IrSpec`]): every
 //! transition body is printed from its [`IrStmt`]s and the typed trees
@@ -163,7 +164,7 @@ impl<'a> Gen<'a> {
 
     /// Priority a layered message's sends travel at: the base channel
     /// its declared class maps onto, or the default (mirrors the
-    /// interpreter's `msg_prio`).
+    /// interpreter's message lanes).
     fn msg_priority(&self, m: &IrMessage) -> i8 {
         self.base
             .zip(m.transport.as_deref())
@@ -192,14 +193,6 @@ fn test(truth: Truth, s: &str) -> String {
         Truth::Always => format!("{{ let _ = &{s}; true }}"),
         Truth::Payload => format!("(!({s}).is_empty())"),
         Truth::Never => unreachable!("the typer folds a null condition to `false`"),
-    }
-}
-
-/// The static type of a node-position expression: `null` or a node.
-fn node_ty(n: &NodeExpr) -> Ty {
-    match n {
-        NodeExpr::Null => Ty::Null,
-        _ => Ty::Node,
     }
 }
 
@@ -714,27 +707,33 @@ impl Gen<'_> {
 
     // ---- the transmission primitive -------------------------------------
 
-    /// The routing-key candidates of a send: its key-field arguments in
-    /// order, up to the first that is a key (`null` ones never route) —
-    /// the interpreter's `route_key`. Returns `(options,
-    /// first_is_terminal)`.
-    fn key_field_opts(args: &[SendArg]) -> (Vec<String>, bool) {
-        let mut opts = Vec::new();
-        for (i, a) in args.iter().enumerate() {
-            match a {
-                SendArg::Key(KeyArg::Key(_)) => {
-                    let terminal = opts.is_empty();
-                    opts.push(format!("Some(__a{i})"));
-                    // Unconditionally matches; later fields are unreachable.
-                    return (opts, terminal);
-                }
-                SendArg::Key(KeyArg::Node(n)) if node_ty(n) == Ty::Node => {
-                    opts.push(format!("__a{i}.map(|__n| MacedonKey(__n.0))"))
-                }
-                _ => {}
-            }
+    /// A send's first key field, as the shell's send tail takes it: a
+    /// layered send to `null` routes toward it, and a vetted send's
+    /// forward query names it. A null node in a key field has bailed
+    /// by the time the tail runs.
+    fn route_key(args: &[SendArg]) -> String {
+        args.iter()
+            .enumerate()
+            .find_map(|(i, a)| match a {
+                SendArg::Key(KeyArg::Key(_)) => Some(format!("Some(__a{i})")),
+                SendArg::Key(KeyArg::Node(_)) => Some(format!("Some(MacedonKey(__kn{i}.0))")),
+                _ => None,
+            })
+            .unwrap_or_else(|| "None".into())
+    }
+
+    /// A lowest-layer send's first non-empty payload field: the
+    /// upper-layer data the shell's send tail vets. (A layered send
+    /// carries none the tail reads.)
+    fn carried(&self, args: &[SendArg]) -> String {
+        let payloads = (args.iter().enumerate()).filter(|(_, a)| matches!(a, SendArg::Payload(_)));
+        let chain: String = payloads
+            .map(|(i, _)| format!("if !__a{i}.is_empty() {{ Some(__a{i}.clone()) }} else "))
+            .collect();
+        if self.ir.layered || chain.is_empty() {
+            return "None".into();
         }
-        (opts, false)
+        chain + "{ None }"
     }
 
     fn emit_send(
@@ -753,9 +752,9 @@ impl Gen<'_> {
 
         // Evaluation order is the interpreter's: destination first, then
         // every field argument, then encoding, then the dispatch decision.
-        let (ds, dty) = match dest {
-            SendDest::Node(n) => (self.node(cx, n), node_ty(n)),
-            SendDest::Key(k) => (self.key(cx, k), Ty::Key),
+        let ds = match dest {
+            SendDest::Node(n) => self.node(cx, n),
+            SendDest::Key(k) => self.key(cx, k),
         };
         let _ = writeln!(out, "{q}let __dest = {ds};");
         let mut encode = Vec::with_capacity(args.len());
@@ -808,144 +807,18 @@ impl Gen<'_> {
         for e in encode {
             let _ = writeln!(out, "{q}{e}");
         }
-        let _ = writeln!(out, "{q}let __bytes = __w.finish();");
-
-        if self.ir.layered {
-            self.emit_layered_dispatch(out, ind + 4, cx, decl, args, dty);
-        } else {
-            self.emit_wire_dispatch(out, ind + 4, cx, decl, args);
-        }
-        let _ = writeln!(out, "{p}}}");
-    }
-
-    /// Layered specs never touch the wire: a node destination is a
-    /// direct `routeIP`, `null` routes toward the message's first key
-    /// field, a key destination routes outright.
-    fn emit_layered_dispatch(
-        &self,
-        out: &mut String,
-        ind: usize,
-        cx: &Cx,
-        decl: &IrMessage,
-        args: &[SendArg],
-        dty: Ty,
-    ) {
-        let p = " ".repeat(ind);
-        let message = &decl.name;
-        let prio = format!("PRIO_{}", message.to_uppercase());
-        if dty == Ty::Key {
-            let _ = writeln!(
-                out,
-                "{p}ctx.down(DownCall::Route {{ dest: __dest, payload: __bytes, priority: \
-                 {prio} }});"
-            );
-            return;
-        }
-        let (opts, terminal) = Self::key_field_opts(args);
-        let _ = writeln!(out, "{p}match __dest {{");
+        let dest = match dest {
+            SendDest::Node(_) => "Dest::Node(__dest)",
+            SendDest::Key(_) => "Dest::Key(__dest)",
+        };
         let _ = writeln!(
             out,
-            "{p}    Some(__d) => ctx.down(DownCall::RouteIp {{ dest: __d, payload: \
-             __bytes, priority: {prio} }}),"
+            "{q}if self.__port.send(ctx, LANE_{}, {dest}, __w.finish(), {}, {}).is_err() {}",
+            decl.name.to_uppercase(),
+            Self::route_key(args),
+            self.carried(args),
+            self.bail(cx)
         );
-        let _ = writeln!(out, "{p}    None => {{");
-        if opts.is_empty() {
-            // A literal `null` destination always has a key field
-            // (the lowering rejects it otherwise).
-            let _ = writeln!(out, "{p}        {}", self.bail(cx));
-        } else if terminal {
-            let inner = opts[0].trim_start_matches("Some(").trim_end_matches(')');
-            let _ = writeln!(
-                out,
-                "{p}        ctx.down(DownCall::Route {{ dest: {inner}, payload: \
-                 __bytes, priority: {prio} }});"
-            );
-        } else {
-            let chain = opts.join(".or(");
-            let closers = ")".repeat(opts.len() - 1);
-            let _ = writeln!(out, "{p}        match {chain}{closers} {{");
-            let _ = writeln!(
-                out,
-                "{p}            Some(__k) => ctx.down(DownCall::Route {{ dest: __k, \
-                 payload: __bytes, priority: {prio} }}),"
-            );
-            let _ = writeln!(out, "{p}            None => {}", self.bail(cx));
-            let _ = writeln!(out, "{p}        }}");
-        }
-        let _ = writeln!(out, "{p}    }}");
-        let _ = writeln!(out, "{p}}}");
-    }
-
-    /// Lowest-layer dispatch: direct transmission, except that a send
-    /// carrying tunneled upper-layer data is first vetted through the
-    /// engine's forward query when layers are stacked above.
-    fn emit_wire_dispatch(
-        &self,
-        out: &mut String,
-        ind: usize,
-        cx: &Cx,
-        decl: &IrMessage,
-        args: &[SendArg],
-    ) {
-        let p = " ".repeat(ind);
-        let ch = decl.channel.0;
-        // Sending to null is a no-op (after evaluating everything).
-        let _ = writeln!(out, "{p}if let Some(__d) = __dest {{");
-        let payload_args: Vec<usize> = args
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| matches!(a, SendArg::Payload(_)))
-            .map(|(i, _)| i)
-            .collect();
-        if payload_args.is_empty() {
-            let _ = writeln!(out, "{p}    ctx.send(__d, ChannelId({ch}), __bytes);");
-            let _ = writeln!(out, "{p}}}");
-            return;
-        }
-        let mut chain = String::new();
-        for i in &payload_args {
-            let _ = write!(
-                chain,
-                "if !__a{i}.is_empty() {{ Some(__a{i}.clone()) }} else "
-            );
-        }
-        chain.push_str("{ None }");
-        let _ = writeln!(out, "{p}    let __tunneled = {chain};");
-        let _ = writeln!(out, "{p}    match __tunneled {{");
-        let _ = writeln!(out, "{p}        Some(__p) if !ctx.is_top_layer() => {{");
-        let (opts, terminal) = Self::key_field_opts(args);
-        if opts.is_empty() {
-            let _ = writeln!(out, "{p}            let __dest_key = ctx.my_key;");
-        } else if terminal {
-            let inner = opts[0].trim_start_matches("Some(").trim_end_matches(')');
-            let _ = writeln!(out, "{p}            let __dest_key = {inner};");
-        } else {
-            let chain = opts.join(".or(");
-            let closers = ")".repeat(opts.len() - 1);
-            let _ = writeln!(
-                out,
-                "{p}            let __dest_key = {chain}{closers}.unwrap_or(ctx.my_key);"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{p}            self.pending_fwd.push_back((__d, ChannelId({ch}), __bytes));"
-        );
-        let from = if cx.has_from { "from" } else { "ctx.me" };
-        let _ = writeln!(out, "{p}            ctx.forward_query(ForwardInfo {{");
-        let _ = writeln!(out, "{p}                src: ctx.my_key,");
-        let _ = writeln!(out, "{p}                dest: __dest_key,");
-        let _ = writeln!(out, "{p}                prev_hop: {from},");
-        let _ = writeln!(out, "{p}                next_hop: __d,");
-        let _ = writeln!(out, "{p}                payload: __p,");
-        let _ = writeln!(out, "{p}                quash: false,");
-        let _ = writeln!(out, "{p}            }});");
-        let _ = writeln!(out, "{p}        }}");
-        let _ = writeln!(
-            out,
-            "{p}        _ => ctx.send(__d, ChannelId({ch}), __bytes),"
-        );
-        let _ = writeln!(out, "{p}    }}");
         let _ = writeln!(out, "{p}}}");
     }
 }
@@ -987,6 +860,10 @@ impl Gen<'_> {
             ..cx
         };
         let ret_sig = if is_forward { "-> bool " } else { "" };
+        // Kept out of line: inlined into `fire_recv`, pastry's
+        // transitions made its `state_push` dispatch ~5 % slower
+        // (`benches/interp.rs`, 2-core VM).
+        let _ = writeln!(out, "    #[inline(never)]");
         let _ = writeln!(
             out,
             "    fn {fn_name}(&mut self, ctx: &mut Ctx{params}) {ret_sig}{{"
@@ -1047,17 +924,6 @@ impl Gen<'_> {
             ApiKind::Join | ApiKind::Leave | ApiKind::CreateGroup => ", group: MacedonKey",
             ApiKind::Init | ApiKind::Ext => "",
         }
-    }
-
-    /// Does this lowest-layer spec need the forward-query bookkeeping
-    /// (any message that can carry tunneled upper-layer payloads)?
-    fn needs_pending_fwd(&self) -> bool {
-        !self.ir.layered
-            && self
-                .ir
-                .messages
-                .iter()
-                .any(|m| m.fields.iter().any(|f| f.kind == FieldKind::Payload))
     }
 
     /// Declared scalars (constants and `foreach` bindings excluded).
@@ -1131,18 +997,18 @@ impl Gen<'_> {
         let _ = writeln!(w, "use macedon_core::{{");
         let _ = writeln!(
             w,
-            "    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,"
+            "    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,"
         );
         let _ = writeln!(
             w,
-            "    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,"
+            "    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,"
         );
-        let _ = writeln!(w, "    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,");
         let _ = writeln!(w, "}};");
         let _ = writeln!(w, "use macedon_core::key;");
-        let _ = writeln!(w, "use macedon_core::wire::{{read_tunnel, tunnel_frame}};");
-        let _ = writeln!(w, "use std::any::Any;");
-        let _ = writeln!(w, "use std::collections::VecDeque;");
+        let _ = writeln!(
+            w,
+            "use macedon_core::spec::{{Dest, Lane, Port, Shape, SpecBody}};"
+        );
         let _ = writeln!(w);
 
         // Well-known protocol number (derived from the protocol name, as
@@ -1159,25 +1025,17 @@ impl Gen<'_> {
         if spec.layered {
             let _ = writeln!(
                 w,
-                "// Per-message transport priority: each declared class resolved\n\
-                 // against the base (tunneling) layer's channel table at generation\n\
-                 // time; -1 = default (tunnel channel 0)."
+                "// Each message's priority at the base layer: its declared class\n\
+                 // resolved against the base (tunneling) layer's channel table at\n\
+                 // generation time; -1 = default (tunnel channel 0)."
             );
-            for m in &spec.messages {
-                let _ = writeln!(
-                    w,
-                    "const PRIO_{}: i8 = {};",
-                    m.name.to_uppercase(),
-                    self.msg_priority(m)
-                );
-            }
-        } else {
-            let _ = writeln!(
-                w,
-                "/// Declared transport channels (bounds the `priority` values the\n\
-                 /// engine-served `routeIP` tunnel honors)."
-            );
-            let _ = writeln!(w, "const NUM_CHANNELS: u16 = {};", spec.num_channels);
+        }
+        for m in &spec.messages {
+            let lane = match spec.layered {
+                true => format!("Lane::Base({})", self.msg_priority(m)),
+                false => format!("Lane::Wire(ChannelId({}))", m.channel.0),
+            };
+            let _ = writeln!(w, "const LANE_{}: Lane = {lane};", m.name.to_uppercase());
         }
         for (i, t) in spec.timers.iter().enumerate() {
             let _ = writeln!(w, "const TIMER_{}: u16 = {};", t.name.to_uppercase(), i);
@@ -1225,7 +1083,7 @@ impl Gen<'_> {
             let _ = writeln!(w);
             let _ = writeln!(
                 w,
-                "fn dec_{}(r: &mut WireReader) -> Result<{ms}, DecodeError> {{",
+                "fn dec_{}(r: &mut WireRef) -> Result<{ms}, DecodeError> {{",
                 m.name
             );
             let _ = writeln!(w, "    Ok({ms} {{");
@@ -1257,13 +1115,7 @@ impl Gen<'_> {
         let _ = writeln!(w, "pub struct {name} {{");
         let _ = writeln!(w, "    state: {senum},");
         let _ = writeln!(w, "    bootstrap: Option<NodeId>,");
-        if self.needs_pending_fwd() {
-            let _ = writeln!(
-                w,
-                "    /// Encoded sends awaiting their forward-query verdict, FIFO."
-            );
-            let _ = writeln!(w, "    pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,");
-        }
+        let _ = writeln!(w, "    __port: Port,");
         let _ = writeln!(w, "    /// Transitions fired (observability / tests).");
         let _ = writeln!(w, "    pub transitions_fired: u64,");
         for l in &spec.lists {
@@ -1276,7 +1128,7 @@ impl Gen<'_> {
         let _ = writeln!(w);
 
         self.emit_inherent_impl(w);
-        self.emit_agent_impl(w);
+        self.emit_body_impl(w);
         let _ = writeln!(w);
         let _ = writeln!(w, "}}");
         let _ = writeln!(w);
@@ -1298,9 +1150,7 @@ impl Gen<'_> {
         let _ = writeln!(w, "        {name} {{");
         let _ = writeln!(w, "            state: {senum}::Init,");
         let _ = writeln!(w, "            bootstrap,");
-        if self.needs_pending_fwd() {
-            let _ = writeln!(w, "            pending_fwd: VecDeque::new(),");
-        }
+        let _ = writeln!(w, "            __port: Port::default(),");
         let _ = writeln!(w, "            transitions_fired: 0,");
         for l in &spec.lists {
             let _ = writeln!(w, "            {}: Vec::new(),", l.name);
@@ -1364,415 +1214,192 @@ impl Gen<'_> {
 }
 
 impl Gen<'_> {
-    fn emit_agent_impl(&self, w: &mut String) {
-        let name = &self.name;
+    /// The spec's half of the agent: its facts and the map from
+    /// (trigger, id) to transition functions. The engine-facing half is
+    /// `macedon_core::spec`'s, shared with the interpreter.
+    fn emit_body_impl(&self, w: &mut String) {
         let spec = self.ir;
-        let _ = writeln!(w, "impl Agent for {name} {{");
-        let _ = writeln!(w, "    fn protocol_id(&self) -> ProtocolId {{");
-        let _ = writeln!(w, "        PROTOCOL_ID");
-        let _ = writeln!(w, "    }}");
-        let _ = writeln!(w);
-        let _ = writeln!(
+        let tables = &spec.tables;
+        let method = |w: &mut String, sig: &str, body: &[String]| {
+            let _ = writeln!(w);
+            let _ = writeln!(w, "    fn {sig} {{");
+            for line in body {
+                let _ = writeln!(w, "        {line}");
+            }
+            let _ = writeln!(w, "    }}");
+        };
+        let _ = writeln!(w, "impl SpecBody for {} {{", self.name);
+        let _ = writeln!(w, "    const AGENT_NAME: &'static str = \"{}\";", spec.name);
+        method(
             w,
-            "    fn name(&self) -> &'static str {{ \"{}\" }}",
-            spec.name
+            "shape(&self) -> Shape<'_>",
+            &[format!(
+                "Shape {{ name: \"{}\", proto: PROTOCOL_ID, layered: {}, channels: {}, messages: {}, \
+                 timers: {} }}",
+                spec.name,
+                spec.layered,
+                spec.num_channels,
+                spec.messages.len(),
+                spec.timers.len()
+            )],
         );
-        let _ = writeln!(w);
-
-        // init: arm declared-period timers, then the `API init` transition.
-        let _ = writeln!(w, "    fn init(&mut self, ctx: &mut Ctx) {{");
-        for t in &spec.timers {
-            if let Some(ms) = t.period_ms {
-                let _ = writeln!(
-                    w,
-                    "        ctx.timer_periodic(TIMER_{}, Duration::from_millis({}));",
+        let periods: Vec<String> = (spec.timers.iter())
+            .filter_map(|t| {
+                Some(format!(
+                    "    TIMER_{} => Some({}),",
                     t.name.to_uppercase(),
-                    ms.max(0)
-                );
-            }
+                    t.period_ms?.max(0)
+                ))
+            })
+            .collect();
+        if !periods.is_empty() {
+            method(
+                w,
+                "period_ms(&self, timer: u16) -> Option<u64>",
+                &match_on("timer", periods, "None"),
+            );
         }
-        if !spec.tables.api[ApiKind::Init as usize].is_empty() {
-            let _ = writeln!(w, "        self.t_api_init(ctx);");
-        } else {
-            let _ = writeln!(w, "        let _ = ctx;");
-        }
-        let _ = writeln!(w, "    }}");
-        let _ = writeln!(w);
-
-        // downcall: §3.2's API demultiplexer.
-        let _ = writeln!(
+        method(
             w,
-            "    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {{"
+            "port(&mut self) -> &mut Port",
+            &["&mut self.__port".into()],
         );
-        let _ = writeln!(w, "        match call {{");
-        let handled = self.handled_apis();
-        for &api in &handled {
-            let fn_name = Self::api_fn_name(api);
-            let arm = match api {
-                ApiKind::Init => continue, // fired from Agent::init, never a DownCall
-                ApiKind::Route => format!(
-                    "DownCall::Route {{ dest, payload, .. }} => self.{fn_name}(ctx, dest, payload),"
-                ),
-                ApiKind::RouteIp => format!(
-                    "DownCall::RouteIp {{ dest, payload, .. }} => self.{fn_name}(ctx, dest, payload),"
-                ),
-                ApiKind::Multicast => format!(
-                    "DownCall::Multicast {{ group, payload, .. }} => self.{fn_name}(ctx, group, payload),"
-                ),
-                ApiKind::Anycast => format!(
-                    "DownCall::Anycast {{ group, payload, .. }} => self.{fn_name}(ctx, group, payload),"
-                ),
-                ApiKind::Collect => format!(
-                    "DownCall::Collect {{ group, payload, .. }} => self.{fn_name}(ctx, group, payload),"
-                ),
-                ApiKind::CreateGroup => format!(
-                    "DownCall::CreateGroup {{ group }} => self.{fn_name}(ctx, group),"
-                ),
-                ApiKind::Join => format!("DownCall::Join {{ group }} => self.{fn_name}(ctx, group),"),
-                ApiKind::Leave => format!("DownCall::Leave {{ group }} => self.{fn_name}(ctx, group),"),
-                ApiKind::Ext => format!("DownCall::Ext {{ .. }} => self.{fn_name}(ctx),"),
-            };
-            let _ = writeln!(w, "            {arm}");
-        }
-        if spec.layered {
-            // Unhandled API calls fall through to the base layer.
-            let _ = writeln!(w, "            __other => ctx.down(__other),");
-        } else {
-            if !handled.contains(&ApiKind::RouteIp) {
-                // `routeIP` is an engine service on the lowest layer:
-                // tunnel the payload straight to the target host, on
-                // the channel a non-negative priority names (layered
-                // specs resolve their message classes to these).
-                let _ = writeln!(
-                    w,
-                    "            DownCall::RouteIp {{ dest, payload, priority }} => {{"
-                );
-                let _ = writeln!(
-                    w,
-                    "                let __ch = if priority >= 0 && (priority as u16) < \
-                     NUM_CHANNELS {{"
-                );
-                let _ = writeln!(w, "                    ChannelId(priority as u16)");
-                let _ = writeln!(w, "                }} else {{");
-                let _ = writeln!(w, "                    ChannelId(0)");
-                let _ = writeln!(w, "                }};");
-                let _ = writeln!(
-                    w,
-                    "                ctx.send(dest, __ch, tunnel_frame(ctx.my_key, &payload));"
-                );
-                let _ = writeln!(w, "            }}");
-            }
-            let _ = writeln!(
-                w,
-                "            __other => ctx.trace(TraceLevel::Low, format!(\"{}: unhandled \
-                 API call {{:?}}\", __other)),",
-                spec.name
-            );
-        }
-        let _ = writeln!(w, "        }}");
-        let _ = writeln!(w, "    }}");
-        let _ = writeln!(w);
-
-        // recv: wire demultiplexer (lowest layer only).
-        if spec.layered {
-            let _ = writeln!(
-                w,
-                "    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {{"
-            );
-            let _ = writeln!(w, "        let _ = (ctx, from, msg);");
-            let _ = writeln!(
-                w,
-                "        debug_assert!(false, \"layered generated agents never touch the \
-                 wire\");"
-            );
-            let _ = writeln!(w, "    }}");
-        } else {
-            let _ = writeln!(
-                w,
-                "    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {{"
-            );
-            let _ = writeln!(w, "        let mut __r = WireReader::new(msg);");
-            let _ = writeln!(
-                w,
-                "        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else {{ return \
-                 }};"
-            );
-            let _ = writeln!(w, "        if __proto == TUNNEL_PROTOCOL {{");
-            let _ = writeln!(
-                w,
-                "            // A frame tunneled for the layers above: unwrap, deliver up."
-            );
-            let _ = writeln!(
-                w,
-                "            let Ok((__src, __payload)) = read_tunnel(&mut __r) else {{ \
-                 return }};"
-            );
-            let _ = writeln!(
-                w,
-                "            ctx.up(UpCall::Deliver {{ src: __src, from, payload: __payload \
-                 }});"
-            );
-            let _ = writeln!(w, "            return;");
-            let _ = writeln!(w, "        }}");
-            let _ = writeln!(w, "        if __proto != PROTOCOL_ID {{");
-            let _ = writeln!(w, "            return;");
-            let _ = writeln!(w, "        }}");
-            let _ = writeln!(w, "        match __id {{");
-            for (m, arms) in spec.messages.iter().zip(&spec.tables.recv) {
-                let up = m.name.to_uppercase();
-                if arms.is_empty() {
-                    let _ = writeln!(
-                        w,
-                        "            MSG_{up} => {{ let _ = dec_{}(&mut __r); }} // no recv \
-                         transition",
-                        m.name
-                    );
-                } else {
-                    let _ = writeln!(
-                        w,
-                        "            MSG_{up} => match dec_{}(&mut __r) {{",
-                        m.name
-                    );
-                    let _ = writeln!(
-                        w,
-                        "                Ok(__m) => self.t_recv_{}(ctx, from, &__m),",
-                        m.name
-                    );
-                    let _ = writeln!(
-                        w,
-                        "                Err(__e) => ctx.trace(TraceLevel::Low, format!(\"{}: \
-                         decode error: {{}}\", __e)),",
-                        spec.name
-                    );
-                    let _ = writeln!(w, "            }},");
-                }
-            }
-            let _ = writeln!(w, "            _ => {{}}");
-            let _ = writeln!(w, "        }}");
-            let _ = writeln!(w, "    }}");
-        }
-        let _ = writeln!(w);
-
-        // upcall: layered specs demultiplex their own tunneled messages
-        // out of Deliver upcalls; everything else continues up.
-        if spec.layered {
-            let _ = writeln!(w, "    fn upcall(&mut self, ctx: &mut Ctx, up: UpCall) {{");
-            let _ = writeln!(w, "        match up {{");
-            let _ = writeln!(
-                w,
-                "            UpCall::Deliver {{ src, from, payload }} => {{"
-            );
-            let _ = writeln!(
-                w,
-                "                let mut __r = WireReader::new(payload.clone());"
-            );
-            let _ = writeln!(
-                w,
-                "                if let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) {{"
-            );
-            let _ = writeln!(w, "                    if __proto == PROTOCOL_ID {{");
-            let _ = writeln!(w, "                        match __id {{");
-            for (m, arms) in spec.messages.iter().zip(&spec.tables.recv) {
-                let up_name = m.name.to_uppercase();
-                let _ = writeln!(w, "                            MSG_{up_name} => {{");
-                if arms.is_empty() {
-                    let _ = writeln!(
-                        w,
-                        "                                if dec_{}(&mut __r).is_ok() {{",
-                        m.name
-                    );
-                    let _ = writeln!(
-                        w,
-                        "                                    return; // ours; no recv transition"
-                    );
-                    let _ = writeln!(w, "                                }}");
-                } else {
-                    let _ = writeln!(
-                        w,
-                        "                                if let Ok(__m) = dec_{}(&mut __r) {{",
-                        m.name
-                    );
-                    let _ = writeln!(
-                        w,
-                        "                                    self.t_recv_{}(ctx, from, &__m);",
-                        m.name
-                    );
-                    let _ = writeln!(w, "                                    return;");
-                    let _ = writeln!(w, "                                }}");
-                }
-                let _ = writeln!(w, "                            }}");
-            }
-            let _ = writeln!(w, "                            _ => {{}}");
-            let _ = writeln!(w, "                        }}");
-            let _ = writeln!(w, "                    }}");
-            let _ = writeln!(w, "                }}");
-            let _ = writeln!(
-                w,
-                "                // Not ours (or malformed): continue up the stack."
-            );
-            let _ = writeln!(
-                w,
-                "                ctx.up(UpCall::Deliver {{ src, from, payload }});"
-            );
-            let _ = writeln!(w, "            }}");
-            let _ = writeln!(w, "            __other => ctx.up(__other),");
-            let _ = writeln!(w, "        }}");
-            let _ = writeln!(w, "    }}");
-            let _ = writeln!(w);
-        }
-
-        // on_forward: in-transit messages of ours passing through the
-        // layer below fire `forward` transitions (which may quash).
-        let fwd_msgs: Vec<&IrMessage> = spec
-            .messages
-            .iter()
-            .zip(&spec.tables.forward)
-            .filter(|(_, arms)| !arms.is_empty())
-            .map(|(m, _)| m)
-            .collect();
-        if !fwd_msgs.is_empty() {
-            let _ = writeln!(
-                w,
-                "    fn on_forward(&mut self, ctx: &mut Ctx, fwd: &mut ForwardInfo) {{"
-            );
-            let _ = writeln!(
-                w,
-                "        let mut __r = WireReader::new(fwd.payload.clone());"
-            );
-            let _ = writeln!(
-                w,
-                "        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else {{ return \
-                 }};"
-            );
-            let _ = writeln!(w, "        if __proto != PROTOCOL_ID {{");
-            let _ = writeln!(w, "            return;");
-            let _ = writeln!(w, "        }}");
-            let _ = writeln!(w, "        match __id {{");
-            for m in fwd_msgs {
-                let up = m.name.to_uppercase();
-                let _ = writeln!(w, "            MSG_{up} => {{");
-                let _ = writeln!(
-                    w,
-                    "                if let Ok(__m) = dec_{}(&mut __r) {{",
-                    m.name
-                );
-                let _ = writeln!(
-                    w,
-                    "                    if self.t_fwd_{}(ctx, fwd.prev_hop, &__m) {{",
-                    m.name
-                );
-                let _ = writeln!(w, "                        fwd.quash = true;");
-                let _ = writeln!(w, "                    }}");
-                let _ = writeln!(w, "                }}");
-                let _ = writeln!(w, "            }}");
-            }
-            let _ = writeln!(w, "            _ => {{}}");
-            let _ = writeln!(w, "        }}");
-            let _ = writeln!(w, "    }}");
-            let _ = writeln!(w);
-        }
-
-        // forward_resolved: transmit vetted sends (unless quashed).
-        if self.needs_pending_fwd() {
-            let _ = writeln!(
-                w,
-                "    fn forward_resolved(&mut self, ctx: &mut Ctx, fwd: ForwardInfo) {{"
-            );
-            let _ = writeln!(
-                w,
-                "        let Some((_dest, __ch, __bytes)) = self.pending_fwd.pop_front() else {{"
-            );
-            let _ = writeln!(
-                w,
-                "            debug_assert!(false, \"forward_resolved without a pending send\");"
-            );
-            let _ = writeln!(w, "            return;");
-            let _ = writeln!(w, "        }};");
-            let _ = writeln!(w, "        if !fwd.quash {{");
-            let _ = writeln!(
-                w,
-                "            // The layers above may have redirected the hop."
-            );
-            let _ = writeln!(w, "            ctx.send(fwd.next_hop, __ch, __bytes);");
-            let _ = writeln!(w, "        }}");
-            let _ = writeln!(w, "    }}");
-            let _ = writeln!(w);
-        }
-
-        // timer demultiplexer.
-        let _ = writeln!(w, "    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {{");
-        let timer_fns: Vec<&str> = spec
-            .timers
-            .iter()
-            .zip(&spec.tables.timer)
-            .filter(|(_, arms)| !arms.is_empty())
-            .map(|(t, _)| t.name.as_str())
-            .collect();
-        if timer_fns.is_empty() {
-            let _ = writeln!(w, "        let _ = (ctx, timer);");
-        } else {
-            let _ = writeln!(w, "        match timer {{");
-            for t in timer_fns {
-                let _ = writeln!(
-                    w,
-                    "            TIMER_{} => self.t_timer_{t}(ctx),",
-                    t.to_uppercase()
-                );
-            }
-            let _ = writeln!(w, "            _ => {{}}");
-            let _ = writeln!(w, "        }}");
-        }
-        let _ = writeln!(w, "    }}");
-        let _ = writeln!(w);
-
-        // neighbor_failed: drop the peer from fail_detect lists, then
-        // fire the error transition.
-        let fd: Vec<&str> = spec
-            .lists
-            .iter()
-            .filter(|l| l.fail_detect)
-            .map(|l| l.name.as_str())
-            .collect();
-        let has_error = !spec.tables.error.is_empty();
-        if !fd.is_empty() || has_error {
-            let _ = writeln!(
-                w,
-                "    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {{"
-            );
-            for l in &fd {
-                let _ = writeln!(w, "        self.{l}.retain(|&__n| __n != peer);");
-            }
-            if has_error {
-                let _ = writeln!(w, "        self.t_error(ctx, peer);");
-            } else {
-                let _ = writeln!(w, "        let _ = ctx;");
-            }
-            let _ = writeln!(w, "    }}");
-            let _ = writeln!(w);
-        }
-
-        let _ = writeln!(w, "    fn view(&self) -> Option<AgentState<'_>> {{");
-        let _ = writeln!(w, "        Some(AgentState {{");
-        let _ = writeln!(w, "            protocol: \"{}\",", spec.name);
-        let _ = writeln!(w, "            state: self.state.name(),");
-        let lists: Vec<String> = spec
-            .lists
-            .iter()
+        method(w, "state(&self) -> &str", &["self.state.name()".into()]);
+        let lists: Vec<String> = (spec.lists.iter())
             .map(|l| format!("(\"{0}\", self.{0}.as_slice())", l.name))
             .collect();
-        let _ = writeln!(w, "            lists: vec![{}],", lists.join(", "));
-        let _ = writeln!(w, "        }})");
-        let _ = writeln!(w, "    }}");
-        let _ = writeln!(w);
-        let _ = writeln!(w, "    fn as_any(&self) -> &dyn Any {{");
-        let _ = writeln!(w, "        self");
-        let _ = writeln!(w, "    }}");
-        let _ = writeln!(w);
-        let _ = writeln!(w, "    fn as_any_mut(&mut self) -> &mut dyn Any {{");
-        let _ = writeln!(w, "        self");
-        let _ = writeln!(w, "    }}");
+        method(
+            w,
+            "lists(&self) -> Vec<(&str, &[NodeId])>",
+            &[format!("vec![{}]", lists.join(", "))],
+        );
+        let fd: Vec<String> = (spec.lists.iter())
+            .filter(|l| l.fail_detect)
+            .map(|l| format!("f(&mut self.{});", l.name))
+            .collect();
+        if !fd.is_empty() {
+            method(
+                w,
+                "fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>))",
+                &fd,
+            );
+        }
+        let handled = self.handled_apis();
+        if handled.contains(&ApiKind::Init) {
+            method(
+                w,
+                "fire_init(&mut self, ctx: &mut Ctx)",
+                &["self.t_api_init(ctx);".into()],
+            );
+        }
+
+        // §3.2's API demultiplexer (the `DownCall` variants carry the
+        // `ApiKind` names).
+        let arms: Vec<String> = (handled.iter())
+            .filter_map(|&api| {
+                let f = Self::api_fn_name(api);
+                let (pat, args) = match api {
+                    ApiKind::Init => return None, // fired by the shell's `init`
+                    ApiKind::Route | ApiKind::RouteIp => {
+                        ("{ dest, payload, .. }", ", dest, payload")
+                    }
+                    ApiKind::Multicast | ApiKind::Anycast | ApiKind::Collect => {
+                        ("{ group, payload, .. }", ", group, payload")
+                    }
+                    ApiKind::CreateGroup | ApiKind::Join | ApiKind::Leave => {
+                        ("{ group }", ", group")
+                    }
+                    ApiKind::Ext => ("{ .. }", ""),
+                };
+                Some(format!(
+                    "    DownCall::{api:?} {pat} => self.{f}(ctx{args}),"
+                ))
+            })
+            .collect();
+        let sig = "fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall>";
+        if arms.is_empty() {
+            method(w, sig, &["Some(call)".into()]);
+        } else {
+            let mut body = vec!["match call {".to_string()];
+            body.extend(arms);
+            body.push("    __other => return Some(__other),".into());
+            body.push("}".into());
+            body.push("None".into());
+            method(w, sig, &body);
+        }
+
+        // The message demultiplexers: every message decodes, whether or
+        // not a transition fires on it.
+        let recv: Vec<String> = (spec.messages.iter().zip(&tables.recv))
+            .map(|(m, arms)| {
+                let up = m.name.to_uppercase();
+                match arms.is_empty() {
+                    true => format!("    MSG_{up} => {{ dec_{}(r)?; }}", m.name),
+                    false => format!(
+                        "    MSG_{up} => self.t_recv_{0}(ctx, from, &dec_{0}(r)?),",
+                        m.name
+                    ),
+                }
+            })
+            .collect();
+        let mut body = match_on("id", recv, "{}");
+        body.push("Ok(())".into());
+        method(
+            w,
+            "fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> \
+             Result<(), DecodeError>",
+            &body,
+        );
+        let fwd: Vec<String> = (spec.messages.iter().zip(&tables.forward))
+            .filter(|(_, arms)| !arms.is_empty())
+            .map(|(m, _)| {
+                let up = m.name.to_uppercase();
+                format!(
+                    "    MSG_{up} => Ok(self.t_fwd_{0}(ctx, from, &dec_{0}(r)?)),",
+                    m.name
+                )
+            })
+            .collect();
+        if !fwd.is_empty() {
+            method(
+                w,
+                "fire_forward(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) \
+                 -> Result<bool, DecodeError>",
+                &match_on("id", fwd, "Ok(false)"),
+            );
+        }
+        let timers: Vec<String> = (spec.timers.iter().zip(&tables.timer))
+            .filter(|(_, arms)| !arms.is_empty())
+            .map(|(t, _)| {
+                let up = t.name.to_uppercase();
+                format!("    TIMER_{up} => self.t_timer_{}(ctx),", t.name)
+            })
+            .collect();
+        if !timers.is_empty() {
+            method(
+                w,
+                "fire_timer(&mut self, ctx: &mut Ctx, timer: u16)",
+                &match_on("timer", timers, "{}"),
+            );
+        }
+        if !tables.error.is_empty() {
+            method(
+                w,
+                "fire_error(&mut self, ctx: &mut Ctx, peer: NodeId)",
+                &["self.t_error(ctx, peer);".into()],
+            );
+        }
         let _ = writeln!(w, "}}");
     }
+}
+
+/// `match {on} { <arms> _ => {otherwise} }`, one line per element.
+fn match_on(on: &str, arms: Vec<String>, otherwise: &str) -> Vec<String> {
+    let mut out = vec![format!("match {on} {{")];
+    out.extend(arms);
+    out.push(format!("    _ => {otherwise},"));
+    out.push("}".into());
+    out
 }
 
 fn camel(s: &str) -> String {
@@ -1831,9 +1458,13 @@ pub fn generate_bundled_crate() -> Vec<(String, String)> {
          //! `crates/lang/tests/golden.rs` regenerates every file and fails on any\n\
          //! difference, so hand edits and stale output cannot merge.\n\
          //!\n\
-         //! Generated agents are behaviorally identical to interpreting the same\n\
-         //! spec (same RNG draws, byte-identical wire messages, same engine op\n\
-         //! order); the integration suite cross-validates that on seeded runs.\n\
+         //! Each module holds only a spec's facts and transitions: its agent\n\
+         //! implements `macedon_core::spec::SpecBody`, and the engine-facing half\n\
+         //! (framing, tunnelling, forward vetting, demultiplexing, the send tail)\n\
+         //! is `macedon_core::spec`'s, shared with the interpreter. Generated\n\
+         //! agents are behaviorally identical to interpreting the same spec (same\n\
+         //! RNG draws, byte-identical wire messages, same engine op order); the\n\
+         //! integration suite cross-validates that on seeded runs.\n\
          #![allow(clippy::all)]\n"
     );
     for name in &names {
@@ -1981,7 +1612,7 @@ mod tests {
         assert!(code.contains("const MSG_PING: u16 = 0;"));
         assert!(code.contains("const MSG_PONG: u16 = 1;"));
         assert!(
-            code.contains("MSG_PING => match dec_ping(&mut __r)"),
+            code.contains("MSG_PING => self.t_recv_ping(ctx, from, &dec_ping(r)?)"),
             "{code}"
         );
         assert!(code.contains("fn t_recv_ping"));
@@ -1999,7 +1630,8 @@ mod tests {
         let code = gen(SRC);
         assert!(code.contains("const TIMER_BEAT: u16 = 0;"));
         assert!(code.contains("TIMER_BEAT => self.t_timer_beat(ctx)"));
-        assert!(code.contains("ctx.timer_periodic(TIMER_BEAT, Duration::from_millis(500))"));
+        // The period is a fact the shell arms the timer from.
+        assert!(code.contains("TIMER_BEAT => Some(500),"));
     }
 
     #[test]
@@ -2032,7 +1664,7 @@ mod tests {
     #[test]
     fn all_bundled_specs_generate() {
         for (name, src) in crate::bundled_specs() {
-            assert!(gen(src).contains("impl Agent for"), "{name}.mac");
+            assert!(gen(src).contains("impl SpecBody for"), "{name}.mac");
         }
     }
 

@@ -42,25 +42,18 @@
 //! (`tests/integration_generated.rs`). [`Value`] survives only at the
 //! edges: variable introspection and `trace(..)` records.
 //!
-//! Interpretation covers the whole roster, layered specs included. An
-//! [`InterpretedAgent`] is a first-class citizen of the engine's
-//! multi-layer [`macedon_core::Stack`]:
-//!
-//! * A **lowest-layer** spec (no `uses`) owns the transports: message
-//!   sends go straight to the wire, `routeIP` downcalls from layers
-//!   above are served natively by tunneling the payload to the target
-//!   host, and sends that carry tunneled upper-layer data are vetted
-//!   through the engine's `forward` query so the layers above may
-//!   redirect or quash them — exactly what native routers do.
-//! * A **layered** spec (`uses base`) never touches the wire: message
-//!   sends become `route`/`routeIP` downcalls on the layer below
-//!   (destination `null` routes toward the message's first key field),
-//!   incoming messages arrive as `deliver` upcalls demultiplexed by
-//!   protocol id, `forward <msg>` transitions fire from the layer
-//!   below's forward queries (with `quash();` available to swallow the
-//!   message), and `downcall(<api>, ..)` statements invoke the base
-//!   layer's API. API calls the spec declares no transition for are
-//!   relayed down the stack unchanged.
+//! The interpreter supplies only a spec's facts and transitions: it
+//! implements [`macedon_core::spec::SpecBody`] over the IR's tables, and
+//! the engine-facing half — wire framing and the `routeIP` tunnel,
+//! `deliver` demultiplexing, forward vetting and quash, the API
+//! fallbacks, and the send tail every `send` statement ends in — is
+//! [`macedon_core::spec`]'s, the same code every generated agent runs
+//! as. So interpretation covers the whole roster, layered specs
+//! included: a **lowest-layer** spec (no `uses`) owns the transports,
+//! and a **layered** one (`uses base`) sends through `route`/`routeIP`
+//! downcalls, receives `deliver` upcalls, intercepts in-transit
+//! messages with `forward <msg>` transitions (`quash();` swallows them)
+//! and invokes the base layer's API with `downcall(<api>, ..)`.
 //!
 //! Interpreted and native agents compose freely in one stack (e.g. a
 //! native Pastry under an interpreted `scribe.mac`), because both speak
@@ -76,25 +69,15 @@ use crate::ir::{
     KeyExpr, ListExpr, NodeExpr, PayloadExpr, SendArg, SendDest, Slots, Table, Ty,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel_ref, WireRef};
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, ChannelSpec, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, TransportKind, UpCall, WireWriter,
-    DEFAULT_PRIORITY,
+    Bytes, ChannelSpec, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId, ProtocolId,
+    TraceLevel, TransportKind, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
-use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 #[cfg(test)]
 mod reference;
-
-/// Pseudo protocol id framing payloads a lowest layer tunnels on behalf
-/// of the layers above (the native engine's `macedon_routeIP` service).
-/// Re-exported from the engine: the interpreter and the generated agents
-/// share one frame format ([`macedon_core::wire::tunnel_frame`]) so they
-/// can tunnel for each other inside mixed stacks.
-pub use macedon_core::TUNNEL_PROTOCOL;
 
 /// A value of the action language, as [`InterpretedAgent::var`] reports
 /// a variable and a `trace(..)` record prints one.
@@ -267,9 +250,6 @@ pub struct InterpretedAgent {
 struct Core {
     proto: ProtocolId,
     bootstrap: Option<NodeId>,
-    /// Has a `uses` base: sends become downcalls, receives come as
-    /// `deliver` upcalls, and the wire is never touched directly.
-    layered: bool,
     /// Index into `ir.states`.
     state: u16,
     /// Typed variable slots (constants, declared scalars, `foreach`
@@ -277,17 +257,12 @@ struct Core {
     vars: Slots,
     /// Neighbor-list slots.
     lists: Vec<Vec<NodeId>>,
-    /// Number of transport channels of this spec (lowest layers only;
-    /// bounds the `priority` values the `routeIP` tunnel honors).
-    num_channels: u16,
-    /// Per-message transport priority for layered sends: the base
-    /// (tunneling) layer's channel index the message's declared class
-    /// maps onto, or [`DEFAULT_PRIORITY`] when unresolved. Populated by
-    /// [`InterpretedAgent::set_base_transports`]; indexed by message id.
-    msg_prio: Vec<i8>,
-    /// Encoded sends awaiting their forward-query verdict, FIFO (the
-    /// dispatcher resolves queries in emission order).
-    pending_fwd: VecDeque<(NodeId, ChannelId, Bytes)>,
+    /// How each message travels, by message id: a lowest layer's on
+    /// its declared channel; a layered spec's at the base layer's
+    /// priority for its declared class ([`DEFAULT_PRIORITY`] until
+    /// [`InterpretedAgent::set_base_transports`] resolves it).
+    lanes: Vec<Lane>,
+    port: Port,
     /// Recycled node-list buffers for decoded list fields, `foreach`
     /// snapshots and replaced neighbor lists (bounded; see
     /// [`NODE_POOL_MAX`]).
@@ -307,17 +282,21 @@ impl InterpretedAgent {
     /// [`crate::registry::SpecRegistry`] builds whole chains.
     pub fn new(ir: Arc<IrSpec>, bootstrap: Option<NodeId>) -> InterpretedAgent {
         let lists = vec![Vec::new(); ir.lists.len()];
+        let lanes = (ir.messages.iter())
+            .map(|m| match ir.layered {
+                true => Lane::Base(DEFAULT_PRIORITY),
+                false => Lane::Wire(m.channel),
+            })
+            .collect();
         InterpretedAgent {
             core: Core {
                 proto: ir.proto,
-                layered: ir.layered,
                 bootstrap,
                 state: 0,
                 vars: ir.slots.clone(),
                 lists,
-                num_channels: ir.num_channels,
-                msg_prio: vec![DEFAULT_PRIORITY; ir.messages.len()],
-                pending_fwd: VecDeque::new(),
+                lanes,
+                port: Port::default(),
                 node_pool: Vec::new(),
             },
             frame: Frame::default(),
@@ -349,7 +328,7 @@ impl InterpretedAgent {
             if let Some(class) = &m.transport {
                 if let Some(ch) = crate::ast::map_class_to_channel(base, class) {
                     if let Ok(p) = i8::try_from(ch) {
-                        self.core.msg_prio[i] = p;
+                        self.core.lanes[i] = Lane::Base(p);
                     }
                 }
             }
@@ -408,26 +387,6 @@ impl InterpretedAgent {
         let decl = &self.ir.messages[id as usize];
         self.frame.decode(decl, r, from, &mut self.core.node_pool)
     }
-
-    /// If `bytes` is one of this protocol's messages, decode it into the
-    /// frame and return its id; otherwise (foreign protocol, malformed,
-    /// truncated) `None`. Borrows the buffer — no clone.
-    fn decode_own(&mut self, bytes: &Bytes, from: NodeId) -> Option<u16> {
-        let mut r = WireRef::new(bytes);
-        let (Ok(proto), Ok(id)) = (r.u16(), r.u16()) else {
-            return None;
-        };
-        if proto != self.core.proto || id as usize >= self.ir.messages.len() {
-            return None;
-        }
-        self.decode(id, &mut r, from).ok().map(|()| id)
-    }
-}
-
-/// A send's evaluated destination.
-enum Dest {
-    Node(Option<NodeId>),
-    Key(MacedonKey),
 }
 
 impl Core {
@@ -572,7 +531,7 @@ impl Core {
                 l.clear();
                 self.lists[*slot as usize] = l;
             }
-            IrStmt::Send { msg, dest, args } => self.send(ir, ctx, frame, *msg, dest, args)?,
+            IrStmt::Send { msg, dest, args } => self.send(ctx, frame, *msg, dest, args)?,
             IrStmt::Quash => frame.quash = true,
             IrStmt::DownCall(down) => {
                 let call = self.downcall(ctx, frame, down)?;
@@ -719,10 +678,10 @@ impl Core {
     /// The transmission primitive. The destination is evaluated first,
     /// then each argument in order, encoded into the frame as it is
     /// produced; a null node in a key field faults only once every
-    /// argument has been evaluated.
+    /// argument has been evaluated. The frame then leaves through the
+    /// shell's send tail ([`Port::send`]).
     fn send(
         &mut self,
-        ir: &IrSpec,
         ctx: &mut Ctx,
         frame: &Frame,
         msg: u16,
@@ -736,11 +695,11 @@ impl Core {
         let mut w = WireWriter::new();
         w.u16(self.proto).u16(msg);
         let mut encode_fault = None;
-        // The first key field is the routing destination of a message
-        // that addresses a key rather than a host; the first non-empty
-        // payload field is tunneled upper-layer data.
+        // The first key field is where a layered send to `null` routes;
+        // the first non-empty payload field is upper-layer data a lowest
+        // layer carries.
         let mut route_key = None;
-        let mut tunneled = None;
+        let mut carried = None;
         for arg in args {
             match arg {
                 SendArg::Int(e) => {
@@ -763,8 +722,8 @@ impl Core {
                 },
                 SendArg::Payload(e) => match self.eval_payload(frame, e) {
                     Some(b) => {
-                        if tunneled.is_none() && !b.is_empty() {
-                            tunneled = Some(b.clone());
+                        if carried.is_none() && !b.is_empty() {
+                            carried = Some(b.clone());
                         }
                         w.bytes(b);
                     }
@@ -780,85 +739,16 @@ impl Core {
         if let Some(f) = encode_fault {
             return Err(f);
         }
-        let bytes = w.finish();
-
-        if self.layered {
-            // Layered specs never touch the wire: sends tunnel through
-            // the base layer's API. A node destination is a direct
-            // `routeIP`; `null` routes toward the message's first key
-            // field (Scribe's `subscribe(null, group, me)` idiom). The
-            // priority carries the base channel the message's declared
-            // transport class maps onto (see `set_base_transports`).
-            let priority = self.msg_prio[msg as usize];
-            let call = match dest {
-                Dest::Node(Some(n)) => DownCall::RouteIp {
-                    dest: n,
-                    payload: bytes,
-                    priority,
-                },
-                Dest::Key(k) => DownCall::Route {
-                    dest: k,
-                    payload: bytes,
-                    priority,
-                },
-                Dest::Node(None) => DownCall::Route {
-                    dest: route_key.ok_or(Fault)?,
-                    payload: bytes,
-                    priority,
-                },
-            };
-            ctx.down(call);
-            return Ok(());
-        }
-
-        let Dest::Node(dest) = dest else {
-            unreachable!("a lowest-layer send's destination is a node")
-        };
-        let Some(dest) = dest else {
-            return Ok(()); // sending to nobody is a no-op
-        };
-        let ch = ir.messages[msg as usize].channel;
-        // A send carrying tunneled upper-layer data is an in-transit
-        // forwarding decision: when layers are stacked above, vet it
-        // through the engine's forward query (they may redirect or
-        // quash) and transmit in `forward_resolved`, as native routers
-        // do. Single-layer stacks transmit directly.
-        match tunneled {
-            Some(payload) if !ctx.is_top_layer() => {
-                self.pending_fwd.push_back((dest, ch, bytes));
-                ctx.forward_query(ForwardInfo {
-                    src: ctx.my_key,
-                    dest: route_key.unwrap_or(ctx.my_key),
-                    prev_hop: frame.from.unwrap_or(ctx.me),
-                    next_hop: dest,
-                    payload,
-                    quash: false,
-                });
-            }
-            _ => ctx.send(dest, ch, bytes),
-        }
-        Ok(())
-    }
-
-    /// Serve a `routeIP` downcall from the layers above natively: frame
-    /// the payload and transmit it straight to the target host (the
-    /// engine service the paper's `macedon_routeIP` provides).
-    ///
-    /// A non-negative `priority` names one of this spec's transport
-    /// channels (the layers above resolve their message class names
-    /// against this table — see
-    /// [`InterpretedAgent::set_base_transports`]); the default priority
-    /// or an out-of-range value pins the frame to the first declared
-    /// transport (channel 0 — reliable in every bundled spec), as the
-    /// native agents do.
-    fn tunnel_send(&mut self, ctx: &mut Ctx, dest: NodeId, payload: Bytes, priority: i8) {
-        let ch = if priority >= 0 && (priority as u16) < self.num_channels {
-            ChannelId(priority as u16)
-        } else {
-            ChannelId(0)
-        };
-        let frame = macedon_core::wire::tunnel_frame(ctx.my_key, &payload);
-        ctx.send(dest, ch, frame);
+        self.port
+            .send(
+                ctx,
+                self.lanes[msg as usize],
+                dest,
+                w.finish(),
+                route_key,
+                carried,
+            )
+            .map_err(|_| Fault)
     }
 
     // ---- typed evaluation --------------------------------------------------
@@ -1177,36 +1067,55 @@ fn compare(op: CmpOp, a: i64, b: i64) -> bool {
     }
 }
 
-impl Agent for InterpretedAgent {
-    fn protocol_id(&self) -> ProtocolId {
-        self.core.proto
+/// The interpreter's half of a spec agent: the IR's facts and its
+/// transitions. Everything engine-facing is [`macedon_core::spec`]'s.
+impl SpecBody for InterpretedAgent {
+    const AGENT_NAME: &'static str = "interpreted";
+
+    fn shape(&self) -> Shape<'_> {
+        let ir = &*self.ir;
+        Shape {
+            name: &ir.name,
+            proto: ir.proto,
+            layered: ir.layered,
+            channels: ir.num_channels,
+            messages: ir.messages.len() as u16,
+            timers: ir.timers.len() as u16,
+        }
     }
 
-    fn name(&self) -> &'static str {
-        "interpreted"
+    fn period_ms(&self, timer: u16) -> Option<u64> {
+        (self.ir.timers[timer as usize].period_ms).map(|ms| ms.max(0) as u64)
     }
 
-    fn init(&mut self, ctx: &mut Ctx) {
-        // A layered spec at the bottom of a stack has nobody to tunnel
-        // its sends through — every message would be silently dropped.
-        debug_assert!(
-            !self.core.layered || ctx.layer > 0,
-            "'{}' uses '{}' and must be stacked above an agent serving that protocol \
-             (see macedon_lang::registry::SpecRegistry)",
-            self.ir.name,
-            self.ir.uses.as_deref().unwrap_or_default()
-        );
-        // Auto-arm timers that declare a period (slot = engine timer id).
-        for (id, t) in self.ir.timers.iter().enumerate() {
-            if let Some(ms) = t.period_ms {
-                ctx.timer_periodic(id as u16, Duration::from_millis(ms as u64));
+    fn port(&mut self) -> &mut Port {
+        &mut self.core.port
+    }
+
+    fn state(&self) -> &str {
+        &self.ir.states[self.core.state as usize]
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        (self.ir.lists.iter().zip(&self.core.lists))
+            .map(|(decl, list)| (decl.name.as_str(), list.as_slice()))
+            .collect()
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        for (decl, list) in self.ir.lists.iter().zip(&mut self.core.lists) {
+            if decl.fail_detect {
+                f(list);
             }
         }
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.frame.reset(None);
         self.fire(ctx, At::Api(ApiKind::Init));
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         let kind = match &call {
             DownCall::Route { .. } => ApiKind::Route,
             DownCall::RouteIp { .. } => ApiKind::RouteIp,
@@ -1218,184 +1127,73 @@ impl Agent for InterpretedAgent {
             DownCall::Leave { .. } => ApiKind::Leave,
             DownCall::Ext { .. } => ApiKind::Ext,
         };
-        if !self.ir.tables.api[kind as usize].is_empty() {
-            let f = &mut self.frame;
-            f.reset(None);
-            match call {
-                DownCall::Route { dest, payload, .. } => {
-                    f.api_key = dest;
-                    f.payload = Some(payload);
-                }
-                DownCall::RouteIp { dest, payload, .. } => {
-                    f.api_dest = Some(dest);
-                    f.payload = Some(payload);
-                }
-                DownCall::Multicast { group, payload, .. }
-                | DownCall::Anycast { group, payload, .. }
-                | DownCall::Collect { group, payload, .. } => {
-                    f.api_key = group;
-                    f.payload = Some(payload);
-                }
-                DownCall::CreateGroup { group }
-                | DownCall::Join { group }
-                | DownCall::Leave { group } => {
-                    f.api_key = group;
-                }
-                DownCall::Ext { .. } => {}
-            }
-            self.fire(ctx, At::Api(kind));
-            return;
+        if self.ir.tables.api[kind as usize].is_empty() {
+            return Some(call);
         }
-        if self.core.layered {
-            // Unhandled API calls fall through to the base layer — the
-            // stack relaying every pass-through agent performs.
-            ctx.down(call);
-            return;
-        }
-        // Lowest layer: `routeIP` is an engine service (direct
-        // transmission); everything else the spec chose not to handle.
+        let f = &mut self.frame;
+        f.reset(None);
         match call {
-            DownCall::RouteIp {
-                dest,
-                payload,
-                priority,
-            } => self.core.tunnel_send(ctx, dest, payload, priority),
-            other => {
-                if ctx.trace_on(TraceLevel::Low) {
-                    ctx.trace(
-                        TraceLevel::Low,
-                        format!("{}: unhandled API call {other:?}", self.ir.name),
-                    );
-                }
+            DownCall::Route { dest, payload, .. } => {
+                f.api_key = dest;
+                f.payload = Some(payload);
             }
-        }
-    }
-
-    fn upcall(&mut self, ctx: &mut Ctx, up: UpCall) {
-        match up {
-            UpCall::Deliver { src, from, payload } => {
-                // Demultiplex by protocol id: our own tunneled messages
-                // fire `recv` transitions, anything else continues up.
-                if let Some(id) = self.decode_own(&payload, from) {
-                    self.fire(ctx, At::Recv(id));
-                } else {
-                    ctx.up(UpCall::Deliver { src, from, payload });
-                }
+            DownCall::RouteIp { dest, payload, .. } => {
+                f.api_dest = Some(dest);
+                f.payload = Some(payload);
             }
-            other => ctx.up(other),
-        }
-    }
-
-    fn on_forward(&mut self, ctx: &mut Ctx, fwd: &mut ForwardInfo) {
-        // An in-transit message of ours passing through the layer below:
-        // fire the spec's `forward` transition, which may `quash();` it.
-        // Peek only the 4-byte header first — most messages declare no
-        // forward transition, and the common case must not pay a field
-        // decode (or drop pooled buffers).
-        let mut r = WireRef::new(&fwd.payload);
-        let (Ok(proto), Ok(id)) = (r.u16(), r.u16()) else {
-            return;
-        };
-        if proto != self.core.proto
-            || id as usize >= self.ir.messages.len()
-            || self.ir.tables.forward[id as usize].is_empty()
-        {
-            return;
-        }
-        if self.decode(id, &mut r, fwd.prev_hop).is_err() {
-            return;
-        }
-        if self.fire(ctx, At::Forward(id)) {
-            fwd.quash = true;
-        }
-    }
-
-    fn forward_resolved(&mut self, ctx: &mut Ctx, fwd: ForwardInfo) {
-        let Some((_dest, ch, bytes)) = self.core.pending_fwd.pop_front() else {
-            debug_assert!(false, "forward_resolved without a pending send");
-            return;
-        };
-        if !fwd.quash {
-            // The layers above may have redirected the hop.
-            ctx.send(fwd.next_hop, ch, bytes);
-        }
-    }
-
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        debug_assert!(
-            !self.core.layered,
-            "layered interpreted agents never touch the wire"
-        );
-        let mut r = WireRef::new(&msg);
-        let (Ok(proto), Ok(id)) = (r.u16(), r.u16()) else {
-            return;
-        };
-        if proto == TUNNEL_PROTOCOL {
-            // A `routeIP` frame tunneled on behalf of the layers above:
-            // unwrap and deliver up.
-            let Ok((src, payload)) = read_tunnel_ref(&mut r) else {
-                return;
-            };
-            ctx.up(UpCall::Deliver { src, from, payload });
-            return;
-        }
-        if proto != self.core.proto || id as usize >= self.ir.messages.len() {
-            return;
-        }
-        match self.decode(id, &mut r, from) {
-            Ok(()) => {
-                self.fire(ctx, At::Recv(id));
+            DownCall::Multicast { group, payload, .. }
+            | DownCall::Anycast { group, payload, .. }
+            | DownCall::Collect { group, payload, .. } => {
+                f.api_key = group;
+                f.payload = Some(payload);
             }
-            Err(e) => {
-                if ctx.trace_on(TraceLevel::Low) {
-                    ctx.trace(
-                        TraceLevel::Low,
-                        format!("{}: decode error: {e}", self.ir.name),
-                    );
-                }
+            DownCall::CreateGroup { group }
+            | DownCall::Join { group }
+            | DownCall::Leave { group } => {
+                f.api_key = group;
             }
+            DownCall::Ext { .. } => {}
         }
+        self.fire(ctx, At::Api(kind));
+        None
     }
 
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
-        if (timer as usize) >= self.ir.timers.len() {
-            return;
+    fn fire_recv(
+        &mut self,
+        ctx: &mut Ctx,
+        id: u16,
+        from: NodeId,
+        r: &mut WireRef<'_>,
+    ) -> Result<(), DecodeError> {
+        self.decode(id, r, from)?;
+        self.fire(ctx, At::Recv(id));
+        Ok(())
+    }
+
+    fn fire_forward(
+        &mut self,
+        ctx: &mut Ctx,
+        id: u16,
+        from: NodeId,
+        r: &mut WireRef<'_>,
+    ) -> Result<bool, DecodeError> {
+        // Most messages declare no forward transition, and those must
+        // not pay a field decode (or drop pooled buffers).
+        if self.ir.tables.forward[id as usize].is_empty() {
+            return Ok(false);
         }
+        self.decode(id, r, from)?;
+        Ok(self.fire(ctx, At::Forward(id)))
+    }
+
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         self.frame.reset(None);
         self.fire(ctx, At::Timer(timer));
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        // Engine convention: drop the peer from fail_detect lists, then
-        // fire the error transition.
-        for (slot, decl) in self.ir.lists.iter().enumerate() {
-            if decl.fail_detect {
-                self.core.lists[slot].retain(|&n| n != peer);
-            }
-        }
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.frame.reset(Some(peer));
         self.fire(ctx, At::Error);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: &self.ir.name,
-            state: &self.ir.states[self.core.state as usize],
-            lists: self
-                .ir
-                .lists
-                .iter()
-                .zip(&self.core.lists)
-                .map(|(decl, list)| (decl.name.as_str(), list.as_slice()))
-                .collect(),
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1403,7 +1201,7 @@ impl Agent for InterpretedAgent {
 mod tests {
     use super::*;
     use crate::compile;
-    use macedon_core::{Addressing, NullApp, Time, World, WorldConfig};
+    use macedon_core::{Addressing, Agent, AgentState, NullApp, Time, World, WorldConfig};
     use macedon_net::topology::{canned, LinkSpec};
 
     /// A toy protocol: everyone joins a star around the bootstrap.

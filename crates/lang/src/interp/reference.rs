@@ -8,7 +8,8 @@ use super::*;
 use crate::ast::BinOp;
 use crate::compile;
 use crate::ir::{ApiArgKind, IrExpr, IrVar, Typer};
-use macedon_core::{Addressing, NullApp, SimRng, Stack, Time};
+use macedon_core::{Addressing, Agent, NullApp, SimRng, Stack, Time};
+use std::any::Any;
 use std::collections::BTreeSet;
 
 impl Value {

@@ -19,24 +19,21 @@
 mod generated {
 
 use macedon_core::{
-    Agent, AgentState, Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration,
-    ForwardInfo, MacedonKey, NodeId, ProtocolId, TraceLevel, UpCall, WireReader,
-    WireWriter, DEFAULT_PRIORITY, TUNNEL_PROTOCOL,
+    Bytes, ChannelId, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId,
+    ProtocolId, TraceLevel, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
 use macedon_core::key;
-use macedon_core::wire::{read_tunnel, tunnel_frame};
-use std::any::Any;
-use std::collections::VecDeque;
+use macedon_core::spec::{Dest, Lane, Port, Shape, SpecBody};
 
 /// Well-known protocol id of `roundtrip` (same derivation as the interpreter).
 pub const PROTOCOL_ID: ProtocolId = 35178;
 const MSG_HELLO: u16 = 0;
 const MSG_PROBE: u16 = 1;
-// Per-message transport priority: each declared class resolved
-// against the base (tunneling) layer's channel table at generation
-// time; -1 = default (tunnel channel 0).
-const PRIO_HELLO: i8 = -1;
-const PRIO_PROBE: i8 = -1;
+// Each message's priority at the base layer: its declared class
+// resolved against the base (tunneling) layer's channel table at
+// generation time; -1 = default (tunnel channel 0).
+const LANE_HELLO: Lane = Lane::Base(-1);
+const LANE_PROBE: Lane = Lane::Base(-1);
 const TIMER_TICK: u16 = 0;
 const TIMER_RETRY: u16 = 1;
 const RETRY_MS: i64 = 250;
@@ -70,7 +67,7 @@ pub struct MsgHello {
     pub peers: Vec<NodeId>,
 }
 
-fn dec_hello(r: &mut WireReader) -> Result<MsgHello, DecodeError> {
+fn dec_hello(r: &mut WireRef) -> Result<MsgHello, DecodeError> {
     Ok(MsgHello {
         who: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
         fresh: (r.u8()? != 0),
@@ -87,7 +84,7 @@ pub struct MsgProbe {
     pub via: Option<NodeId>,
 }
 
-fn dec_probe(r: &mut WireReader) -> Result<MsgProbe, DecodeError> {
+fn dec_probe(r: &mut WireRef) -> Result<MsgProbe, DecodeError> {
     Ok(MsgProbe {
         to: r.key()?,
         via: { let __n = r.node()?; if __n == NodeId(u32::MAX) { None } else { Some(__n) } },
@@ -98,6 +95,7 @@ fn dec_probe(r: &mut WireReader) -> Result<MsgProbe, DecodeError> {
 pub struct Roundtrip {
     state: RoundtripState,
     bootstrap: Option<NodeId>,
+    __port: Port,
     /// Transitions fired (observability / tests).
     pub transitions_fired: u64,
     kids: Vec<NodeId>,
@@ -116,6 +114,7 @@ impl Roundtrip {
         Roundtrip {
             state: RoundtripState::Init,
             bootstrap,
+            __port: Port::default(),
             transitions_fired: 0,
             kids: Vec::new(),
             backup: Vec::new(),
@@ -127,6 +126,7 @@ impl Roundtrip {
         }
     }
 
+    #[inline(never)]
     fn t_api_init(&mut self, ctx: &mut Ctx) {
         if self.state == RoundtripState::Init {
             self.transitions_fired += 1;
@@ -148,6 +148,7 @@ impl Roundtrip {
         }
     }
 
+    #[inline(never)]
     fn t_api_route(&mut self, ctx: &mut Ctx, dest: MacedonKey, payload: Bytes) {
         if self.state == RoundtripState::Joined {
             self.transitions_fired += 1;
@@ -174,8 +175,7 @@ impl Roundtrip {
                 __w.key(__a3);
                 __w.bytes(&__a4);
                 __w.nodes(__a5);
-                let __bytes = __w.finish();
-                ctx.down(DownCall::Route { dest: __dest, payload: __bytes, priority: PRIO_HELLO });
+                if self.__port.send(ctx, LANE_HELLO, Dest::Key(__dest), __w.finish(), Some(__a3), None).is_err() { ctx.trace(TraceLevel::Low, "roundtrip: runtime error: null where a value is required"); return; }
             }
             {
                 let __d = dest;
@@ -186,6 +186,7 @@ impl Roundtrip {
         }
     }
 
+    #[inline(never)]
     fn t_api_routeip(&mut self, ctx: &mut Ctx, dest: NodeId, payload: Bytes) {
         self.transitions_fired += 1;
         self.cand = Some(dest);
@@ -203,13 +204,7 @@ impl Roundtrip {
             __w.u16(PROTOCOL_ID).u16(MSG_PROBE);
             __w.key(__a0);
             __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-            let __bytes = __w.finish();
-            match __dest {
-                Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_PROBE }),
-                None => {
-                    ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_PROBE });
-                }
-            }
+            if self.__port.send(ctx, LANE_PROBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "roundtrip: runtime error: null where a value is required"); return; }
         }
         {
             let __dest = None::<NodeId>;
@@ -219,16 +214,11 @@ impl Roundtrip {
             __w.u16(PROTOCOL_ID).u16(MSG_PROBE);
             __w.key(__a0);
             __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-            let __bytes = __w.finish();
-            match __dest {
-                Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_PROBE }),
-                None => {
-                    ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_PROBE });
-                }
-            }
+            if self.__port.send(ctx, LANE_PROBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "roundtrip: runtime error: null where a value is required"); return; }
         }
     }
 
+    #[inline(never)]
     fn t_api_multicast(&mut self, ctx: &mut Ctx, group: MacedonKey, payload: Bytes) {
         self.transitions_fired += 1;
         {
@@ -243,6 +233,7 @@ impl Roundtrip {
         }
     }
 
+    #[inline(never)]
     fn t_api_join(&mut self, ctx: &mut Ctx, group: MacedonKey) {
         self.transitions_fired += 1;
         {
@@ -256,6 +247,7 @@ impl Roundtrip {
         }
     }
 
+    #[inline(never)]
     fn t_api_leave(&mut self, ctx: &mut Ctx, group: MacedonKey) {
         self.transitions_fired += 1;
         {
@@ -271,6 +263,7 @@ impl Roundtrip {
         }
     }
 
+    #[inline(never)]
     fn t_recv_hello(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgHello) {
         self.transitions_fired += 1;
         if let Some(__n) = m.who {
@@ -317,16 +310,11 @@ impl Roundtrip {
             __w.u16(PROTOCOL_ID).u16(MSG_PROBE);
             __w.key(__a0);
             __w.node(__a1.unwrap_or(NodeId(u32::MAX)));
-            let __bytes = __w.finish();
-            match __dest {
-                Some(__d) => ctx.down(DownCall::RouteIp { dest: __d, payload: __bytes, priority: PRIO_PROBE }),
-                None => {
-                    ctx.down(DownCall::Route { dest: __a0, payload: __bytes, priority: PRIO_PROBE });
-                }
-            }
+            if self.__port.send(ctx, LANE_PROBE, Dest::Node(__dest), __w.finish(), Some(__a0), None).is_err() { ctx.trace(TraceLevel::Low, "roundtrip: runtime error: null where a value is required"); return; }
         }
     }
 
+    #[inline(never)]
     fn t_fwd_hello(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgHello) -> bool {
         let mut quash = false;
         self.transitions_fired += 1;
@@ -342,6 +330,7 @@ impl Roundtrip {
         quash
     }
 
+    #[inline(never)]
     fn t_recv_probe(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgProbe) {
         if self.state == RoundtripState::Joined {
             self.transitions_fired += 1;
@@ -366,18 +355,21 @@ impl Roundtrip {
         }
     }
 
+    #[inline(never)]
     fn t_timer_tick(&mut self, ctx: &mut Ctx) {
         self.transitions_fired += 1;
         ctx.trace(TraceLevel::Med, format!("roundtrip: trace Int({:?})", self.n));
         self.cand = (if self.kids.is_empty() { None } else { Some(self.kids[ctx.rng.index(self.kids.len())]) });
     }
 
+    #[inline(never)]
     fn t_timer_retry(&mut self, ctx: &mut Ctx) {
         self.transitions_fired += 1;
         ctx.timer_set(TIMER_RETRY, Duration::from_millis((RETRY_MS.wrapping_mul((2i64))).max(0) as u64));
         ctx.trace(TraceLevel::Med, format!("roundtrip: trace Bool({:?})", key::dsl_ring_between(Some(ctx.my_key), Some(self.last), (self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))));
     }
 
+    #[inline(never)]
     fn t_error(&mut self, ctx: &mut Ctx, from: NodeId) {
         self.transitions_fired += 1;
         if let Some(__n) = Some(from) {
@@ -389,109 +381,78 @@ impl Roundtrip {
 
 }
 
-impl Agent for Roundtrip {
-    fn protocol_id(&self) -> ProtocolId {
-        PROTOCOL_ID
+impl SpecBody for Roundtrip {
+    const AGENT_NAME: &'static str = "roundtrip";
+
+    fn shape(&self) -> Shape<'_> {
+        Shape { name: "roundtrip", proto: PROTOCOL_ID, layered: true, channels: 0, messages: 2, timers: 2 }
     }
 
-    fn name(&self) -> &'static str { "roundtrip" }
+    fn period_ms(&self, timer: u16) -> Option<u64> {
+        match timer {
+            TIMER_TICK => Some(1000),
+            _ => None,
+        }
+    }
 
-    fn init(&mut self, ctx: &mut Ctx) {
-        ctx.timer_periodic(TIMER_TICK, Duration::from_millis(1000));
+    fn port(&mut self) -> &mut Port {
+        &mut self.__port
+    }
+
+    fn state(&self) -> &str {
+        self.state.name()
+    }
+
+    fn lists(&self) -> Vec<(&str, &[NodeId])> {
+        vec![("kids", self.kids.as_slice()), ("backup", self.backup.as_slice())]
+    }
+
+    fn fail_detect(&mut self, mut f: impl FnMut(&mut Vec<NodeId>)) {
+        f(&mut self.kids);
+    }
+
+    fn fire_init(&mut self, ctx: &mut Ctx) {
         self.t_api_init(ctx);
     }
 
-    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+    fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
         match call {
             DownCall::Route { dest, payload, .. } => self.t_api_route(ctx, dest, payload),
             DownCall::RouteIp { dest, payload, .. } => self.t_api_routeip(ctx, dest, payload),
             DownCall::Multicast { group, payload, .. } => self.t_api_multicast(ctx, group, payload),
             DownCall::Join { group } => self.t_api_join(ctx, group),
             DownCall::Leave { group } => self.t_api_leave(ctx, group),
-            __other => ctx.down(__other),
+            __other => return Some(__other),
+        }
+        None
+    }
+
+    fn fire_recv(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<(), DecodeError> {
+        match id {
+            MSG_HELLO => self.t_recv_hello(ctx, from, &dec_hello(r)?),
+            MSG_PROBE => self.t_recv_probe(ctx, from, &dec_probe(r)?),
+            _ => {},
+        }
+        Ok(())
+    }
+
+    fn fire_forward(&mut self, ctx: &mut Ctx, id: u16, from: NodeId, r: &mut WireRef) -> Result<bool, DecodeError> {
+        match id {
+            MSG_HELLO => Ok(self.t_fwd_hello(ctx, from, &dec_hello(r)?)),
+            _ => Ok(false),
         }
     }
 
-    fn recv(&mut self, ctx: &mut Ctx, from: NodeId, msg: Bytes) {
-        let _ = (ctx, from, msg);
-        debug_assert!(false, "layered generated agents never touch the wire");
-    }
-
-    fn upcall(&mut self, ctx: &mut Ctx, up: UpCall) {
-        match up {
-            UpCall::Deliver { src, from, payload } => {
-                let mut __r = WireReader::new(payload.clone());
-                if let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) {
-                    if __proto == PROTOCOL_ID {
-                        match __id {
-                            MSG_HELLO => {
-                                if let Ok(__m) = dec_hello(&mut __r) {
-                                    self.t_recv_hello(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            MSG_PROBE => {
-                                if let Ok(__m) = dec_probe(&mut __r) {
-                                    self.t_recv_probe(ctx, from, &__m);
-                                    return;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                // Not ours (or malformed): continue up the stack.
-                ctx.up(UpCall::Deliver { src, from, payload });
-            }
-            __other => ctx.up(__other),
-        }
-    }
-
-    fn on_forward(&mut self, ctx: &mut Ctx, fwd: &mut ForwardInfo) {
-        let mut __r = WireReader::new(fwd.payload.clone());
-        let (Ok(__proto), Ok(__id)) = (__r.u16(), __r.u16()) else { return };
-        if __proto != PROTOCOL_ID {
-            return;
-        }
-        match __id {
-            MSG_HELLO => {
-                if let Ok(__m) = dec_hello(&mut __r) {
-                    if self.t_fwd_hello(ctx, fwd.prev_hop, &__m) {
-                        fwd.quash = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut Ctx, timer: u16) {
+    fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
         match timer {
             TIMER_TICK => self.t_timer_tick(ctx),
             TIMER_RETRY => self.t_timer_retry(ctx),
-            _ => {}
+            _ => {},
         }
     }
 
-    fn neighbor_failed(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.kids.retain(|&__n| __n != peer);
+    fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
         self.t_error(ctx, peer);
-    }
-
-    fn view(&self) -> Option<AgentState<'_>> {
-        Some(AgentState {
-            protocol: "roundtrip",
-            state: self.state.name(),
-            lists: vec![("kids", self.kids.as_slice()), ("backup", self.backup.as_slice())],
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -97,12 +97,15 @@ fn codegen_emits_full_agents_for_all_specs() {
         let ir = compile(src).unwrap();
         let code = codegen::generate(&ir, None);
         assert!(
-            code.contains("impl Agent for"),
-            "{name} generates an Agent impl"
+            code.contains("impl SpecBody for"),
+            "{name} generates a SpecBody impl"
         );
-        assert!(code.contains("fn recv"), "{name} has the demux function");
         assert!(
-            code.contains("fn downcall"),
+            code.contains("fn fire_recv"),
+            "{name} has the demux function"
+        );
+        assert!(
+            code.contains("fn fire_api"),
             "{name} has the API demultiplexer"
         );
         assert!(
