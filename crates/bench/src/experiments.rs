@@ -1,8 +1,8 @@
-//! The experiment implementations behind the `fig*` binaries.
+//! The experiment implementations behind the `figures` binary.
 //!
 //! Each function reproduces one figure of the paper's §4 and returns the
-//! rows/series to print; the README's "Figures" section records
-//! paper-vs-measured.
+//! rows/series to print; the README's "Figures" section is `figures`'
+//! output beside the paper's values.
 
 use crate::freepastry::{RmiModel, RmiQueue};
 use crate::lsd::{chord_registry, LSD};
@@ -11,8 +11,8 @@ use macedon_core::app::{
     shared_deliveries, CollectorApp, SharedDeliveries, StreamKind, StreamerApp,
 };
 use macedon_core::{
-    Agent, AppHandler, Bytes, ChannelSpec, DownCall, Duration, MacedonKey, NodeId, TelemetryReport,
-    Time, TraceLevel, World, WorldConfig,
+    Agent, AppHandler, Bytes, ChannelSpec, DownCall, Duration, MacedonKey, NodeId, Time,
+    TraceLevel, World, WorldConfig,
 };
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
@@ -479,6 +479,12 @@ pub struct Fig12Series {
     /// (seconds since stream start, mean per-node goodput in Kbps).
     pub no_eviction: Vec<(f64, f64)>,
     pub with_eviction: Vec<(f64, f64)>,
+    /// Overlay nodes in the from-spec run.
+    pub from_spec_nodes: usize,
+    /// A smaller streaming scenario over the fully interpreted
+    /// `splitstream.mac` → `scribe.mac` → `pastry.mac` stack, which
+    /// has no location cache.
+    pub from_spec: Vec<(f64, f64)>,
 }
 
 pub fn fig12(scale: Scale) -> Fig12Series {
@@ -540,9 +546,12 @@ pub fn fig12(scale: Scale) -> Fig12Series {
         w.run_until(Time::from_secs(converge_s + stream_s + 10));
         bin_goodput(&sink, hosts[0], converge_s, stream_s, nodes - 1)
     };
+    let (from_spec_nodes, from_spec) = fig12_from_spec(scale);
     Fig12Series {
         no_eviction: run(None),
         with_eviction: run(Some(Duration::from_secs(1))),
+        from_spec_nodes,
+        from_spec,
     }
 }
 
@@ -582,43 +591,22 @@ fn bin_goodput(
         .collect()
 }
 
-/// A [`fig12_from_spec_observed`] run's series and the observability
-/// artifacts riding along it.
-pub struct Fig12Observed {
-    /// Overlay nodes in the run.
-    pub nodes: usize,
-    pub series: Vec<(f64, f64)>,
-    /// Chrome/Perfetto trace-event JSON, when tracing was requested.
-    pub perfetto: Option<String>,
-    /// The sampled engine time series, when a sampler was requested.
-    pub telemetry: Option<TelemetryReport>,
-}
-
-/// Figure 12, from-spec mode: the same streaming scenario over the
+/// Figure 12's from-spec run: the same streaming scenario over the
 /// fully interpreted `splitstream.mac` → `scribe.mac` → `pastry.mac`
 /// stack — the whole paper roster running from specifications.
 /// `scribe.mac` builds the same rendezvous-rooted reverse-path trees as
 /// the native Scribe, but `pastry.mac` has no location cache, so the
 /// cache-lifetime contrast of the native series has no spec
 /// counterpart, and the run is smaller (16 nodes at 200 kbit/s, 64
-/// under [`Scale::Paper`]); what the mode demonstrates is the paper's
+/// under [`Scale::Paper`]); what it demonstrates is the paper's
 /// spec → running-overlay → measurement loop with zero native protocol
 /// code.
 ///
 /// The experiment itself is a scenario script (staggered joins + one
-/// multicast stream) compiled by the scenario runner, instead of a
-/// bespoke spawn/api loop.
-///
-/// The stacks run at the trace level `splitstream.mac`'s `trace_`
-/// header asks for — raised to High when `trace` is set, so the
-/// exported timeline carries the full causal span forest — and
-/// `sample_every` snapshots engine counters on that virtual-time
-/// cadence.
-pub fn fig12_from_spec_observed(
-    scale: Scale,
-    trace: bool,
-    sample_every: Option<Duration>,
-) -> Fig12Observed {
+/// multicast stream) compiled by the scenario runner, and its stacks
+/// run at the trace level `splitstream.mac`'s `trace_` header asks for.
+/// Returns the node count and the goodput series.
+fn fig12_from_spec(scale: Scale) -> (usize, Vec<(f64, f64)>) {
     let (nodes, converge_s, stream_s, rate_bps) = match scale {
         Scale::Quick => (16usize, 60u64, 60u64, 200_000u64),
         Scale::Paper => (64, 120, 120, 200_000),
@@ -641,7 +629,6 @@ pub fn fig12_from_spec_observed(
         channels: registry
             .channel_table_for("splitstream")
             .expect("bundled chain resolves"),
-        profile: trace,
         ..Default::default()
     };
     let mut runner = macedon_scenario::ScenarioRunner::new(
@@ -655,20 +642,11 @@ pub fn fig12_from_spec_observed(
         }),
     )
     .expect("fig12 scenario binds");
-    // Honor the spec's own `trace_` header (satisfying the declaration
-    // instead of a world-wide default); an explicit trace request
-    // raises it to High for the full causal timeline.
-    let header = registry
-        .trace_level_for("splitstream")
-        .expect("bundled spec registered");
-    runner.set_trace_level(if trace {
-        header.max(TraceLevel::High)
-    } else {
-        header
-    });
-    if let Some(every) = sample_every {
-        runner.enable_telemetry(every);
-    }
+    runner.set_trace_level(
+        registry
+            .trace_level_for("splitstream")
+            .expect("bundled spec registered"),
+    );
     let outcome = runner.run();
     let series = bin_goodput(
         &outcome.deliveries,
@@ -677,14 +655,7 @@ pub fn fig12_from_spec_observed(
         stream_s,
         nodes - 1,
     );
-    Fig12Observed {
-        nodes,
-        series,
-        perfetto: trace.then(|| {
-            macedon_core::perfetto_json(&outcome.world.merged_trace(), &outcome.world.profile())
-        }),
-        telemetry: outcome.report.telemetry,
-    }
+    (nodes, series)
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@
 //! closed under CI.
 //!
 //! **Do not edit anything in `src/`**: regenerate with
-//! `cargo run -p macedon-bench --bin regen`. The tier-1 test
-//! `crates/lang/tests/golden.rs` regenerates every file and fails on any
-//! difference, so hand edits and stale output cannot merge.
+//! `UPDATE_GOLDEN=1 cargo test -p macedon-lang --test golden`. Without
+//! the variable, that tier-1 test regenerates every file and fails on
+//! any difference, so hand edits and stale output cannot merge.
 //!
 //! Each module holds only a spec's facts and transitions: its agent
 //! implements `macedon_core::spec::SpecBody`, and the engine-facing half

@@ -1,6 +1,6 @@
 //! `Scribe` — generated by macedon-lang from `scribe.mac`. **Do not edit**:
-//! regenerate with `cargo run -p macedon-bench --bin regen` (CI rejects
-//! drift between this file and the spec).
+//! regenerate with `UPDATE_GOLDEN=1 cargo test -p macedon-lang --test
+//! golden` (CI rejects drift between this file and the spec).
 //!
 //! Behaviorally identical to interpreting the spec: same RNG draws,
 //! byte-identical wire messages, same engine op order.

@@ -932,6 +932,11 @@ impl Gen<'_> {
     }
 }
 
+/// The fields every generated agent struct declares ahead of the
+/// spec's lists and scalars. The lowering rejects a list or variable
+/// named like one, which would declare the field twice.
+pub(crate) const AGENT_FIELDS: [&str; 4] = ["state", "bootstrap", "__port", "transitions_fired"];
+
 /// The Rust type a value of `ty` is held in.
 fn rust_ty(ty: Ty) -> &'static str {
     match ty {
@@ -957,8 +962,8 @@ impl Gen<'_> {
         let _ = writeln!(
             w,
             "//! `{0}` — generated by macedon-lang from `{1}.mac`. **Do not edit**:\n\
-             //! regenerate with `cargo run -p macedon-bench --bin regen` (CI rejects\n\
-             //! drift between this file and the spec).",
+             //! regenerate with `UPDATE_GOLDEN=1 cargo test -p macedon-lang --test\n\
+             //! golden` (CI rejects drift between this file and the spec).",
             name, spec.name
         );
         let _ = writeln!(w, "//!");
@@ -969,7 +974,7 @@ impl Gen<'_> {
         );
         // Pre-wrapped in rustfmt's own style: everything below the module
         // attribute carries `#[rustfmt::skip]`, but these header lines are
-        // formatted, and regen output must be `cargo fmt --check`-stable.
+        // formatted, and generated output must be `cargo fmt --check`-stable.
         let _ = writeln!(w, "#![allow(");
         let lints = [
             "dead_code",
@@ -1112,12 +1117,13 @@ impl Gen<'_> {
             "/// The `{}` protocol agent, one FSM instance per node.",
             spec.name
         );
+        let [state, bootstrap, port, fired] = AGENT_FIELDS;
         let _ = writeln!(w, "pub struct {name} {{");
-        let _ = writeln!(w, "    state: {senum},");
-        let _ = writeln!(w, "    bootstrap: Option<NodeId>,");
-        let _ = writeln!(w, "    __port: Port,");
+        let _ = writeln!(w, "    {state}: {senum},");
+        let _ = writeln!(w, "    {bootstrap}: Option<NodeId>,");
+        let _ = writeln!(w, "    {port}: Port,");
         let _ = writeln!(w, "    /// Transitions fired (observability / tests).");
-        let _ = writeln!(w, "    pub transitions_fired: u64,");
+        let _ = writeln!(w, "    pub {fired}: u64,");
         for l in &spec.lists {
             let _ = writeln!(w, "    {}: Vec<NodeId>,", l.name);
         }
@@ -1148,10 +1154,11 @@ impl Gen<'_> {
         );
         let _ = writeln!(w, "    pub fn new(bootstrap: Option<NodeId>) -> {name} {{");
         let _ = writeln!(w, "        {name} {{");
-        let _ = writeln!(w, "            state: {senum}::Init,");
-        let _ = writeln!(w, "            bootstrap,");
-        let _ = writeln!(w, "            __port: Port::default(),");
-        let _ = writeln!(w, "            transitions_fired: 0,");
+        let [state, bootstrap, port, fired] = AGENT_FIELDS;
+        let _ = writeln!(w, "            {state}: {senum}::Init,");
+        let _ = writeln!(w, "            {bootstrap},");
+        let _ = writeln!(w, "            {port}: Port::default(),");
+        let _ = writeln!(w, "            {fired}: 0,");
         for l in &spec.lists {
             let _ = writeln!(w, "            {}: Vec::new(),", l.name);
         }
@@ -1421,9 +1428,9 @@ fn camel(s: &str) -> String {
 /// Generate the complete source set of the `crates/generated` crate:
 /// one module per bundled spec plus the crate root (module list, stack
 /// assembly mirroring each spec's `uses` chain, and per-protocol channel
-/// tables). Returns `(file name, contents)` pairs — the `regen` tool
-/// writes them to disk, and the `golden` test fails on any difference
-/// from the checked-in files.
+/// tables). Returns `(file name, contents)` pairs — the `golden` test
+/// fails on any difference from the checked-in files, and writes them
+/// to disk under `UPDATE_GOLDEN=1`.
 pub fn generate_bundled_crate() -> Vec<(String, String)> {
     let reg = crate::registry::SpecRegistry::bundled();
     let chain = |name: &str| {
@@ -1454,9 +1461,9 @@ pub fn generate_bundled_crate() -> Vec<(String, String)> {
          //! closed under CI.\n\
          //!\n\
          //! **Do not edit anything in `src/`**: regenerate with\n\
-         //! `cargo run -p macedon-bench --bin regen`. The tier-1 test\n\
-         //! `crates/lang/tests/golden.rs` regenerates every file and fails on any\n\
-         //! difference, so hand edits and stale output cannot merge.\n\
+         //! `UPDATE_GOLDEN=1 cargo test -p macedon-lang --test golden`. Without\n\
+         //! the variable, that tier-1 test regenerates every file and fails on\n\
+         //! any difference, so hand edits and stale output cannot merge.\n\
          //!\n\
          //! Each module holds only a spec's facts and transitions: its agent\n\
          //! implements `macedon_core::spec::SpecBody`, and the engine-facing half\n\
@@ -1565,8 +1572,8 @@ pub const ROUNDTRIP_SPEC: &str = include_str!("../tests/roundtrip/roundtrip.mac"
 pub const ROUNDTRIP_MODULE: &str = "tests/roundtrip/agent.rs";
 
 /// The round-trip spec's generated module: compile, then generate.
-/// `regen` writes it to [`ROUNDTRIP_MODULE`]; the `golden` test checks
-/// the file against it.
+/// The `golden` test checks [`ROUNDTRIP_MODULE`] against it (and writes
+/// it there under `UPDATE_GOLDEN=1`).
 pub fn generate_roundtrip() -> String {
     let ir = crate::compile(ROUNDTRIP_SPEC).expect("the round-trip spec compiles");
     generate(&ir, None)

@@ -397,6 +397,33 @@ mod tests {
     }
 
     #[test]
+    fn agent_field_names_diagnosed() {
+        for (src, name) in [
+            ("state_variables { int state; }", "state"),
+            ("state_variables { node bootstrap; }", "bootstrap"),
+            (
+                "state_variables { int transitions_fired; }",
+                "transitions_fired",
+            ),
+            ("state_variables { int __port; }", "__port"),
+            ("state_variables { kid state; }", "state"),
+            ("constants { bootstrap = 1; }", "bootstrap"),
+        ] {
+            let e = check(&format!(
+                "protocol p; addressing ip; neighbor_types {{ kid 4 {{ }} }} {src}"
+            ))
+            .unwrap_err();
+            assert_eq!(
+                e.msg,
+                format!(
+                    "identifier '{name}' is reserved for a field every generated agent declares"
+                ),
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
     fn neighbor_typed_scalar_diagnosed() {
         // The parser reads a neighbor-typed declaration as a list, so
         // only a spec built as an AST can hold a neighbor-typed scalar.

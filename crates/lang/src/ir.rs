@@ -34,6 +34,7 @@
 pub mod typed;
 
 use crate::ast::*;
+use crate::codegen::AGENT_FIELDS;
 use crate::interp::protocol_id_of;
 use crate::lexer::ParseError;
 use macedon_core::{ChannelId, ProtocolId};
@@ -660,6 +661,17 @@ impl<'s> Lowerer<'s> {
         for i in idents {
             if RUST_KEYWORDS.contains(&i.as_str()) {
                 return Err(err(format!("identifier '{i}' is a Rust keyword")));
+            }
+        }
+        let fields = lists
+            .iter()
+            .map(|l| &l.name)
+            .chain(vars.iter().map(|v| &v.name));
+        for f in fields {
+            if AGENT_FIELDS.contains(&f.as_str()) {
+                return Err(err(format!(
+                    "identifier '{f}' is reserved for a field every generated agent declares"
+                )));
             }
         }
 

@@ -5,17 +5,26 @@
 //! checked-in copy, so a codegen or spec change that alters the output
 //! shows up here as a readable diff.
 //!
-//! To refresh after an intentional codegen or spec change:
+//! To refresh after an intentional codegen or spec change, run the test
+//! in write mode; it rewrites every file that drifted and deletes the
+//! modules of renamed or removed specs:
 //!
 //! ```sh
-//! cargo run -p macedon-bench --bin regen
+//! UPDATE_GOLDEN=1 cargo test -p macedon-lang --test golden
 //! ```
+//!
+//! This crate does not depend on `macedon-generated`, so write mode
+//! works even when the checked-in agents no longer compile.
 
 use macedon_lang::codegen;
 use std::path::{Path, PathBuf};
 
 fn generated_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../generated/src")
+}
+
+fn updating() -> bool {
+    std::env::var_os("UPDATE_GOLDEN").is_some()
 }
 
 /// First differing line, for a readable failure message.
@@ -32,17 +41,25 @@ fn first_diff(want: &str, got: &str) -> String {
     )
 }
 
+/// Check `path` holds `got`; in write mode, make it.
 fn assert_fresh(path: &Path, got: &str) {
-    let want = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let want = std::fs::read_to_string(path);
+    if updating() {
+        if want.as_deref().ok() != Some(got) {
+            std::fs::write(path, got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        }
+        return;
+    }
+    let want = want.unwrap_or_else(|e| {
         panic!(
-            "{}: {e}; run cargo run -p macedon-bench --bin regen",
+            "{}: {e}; run UPDATE_GOLDEN=1 cargo test -p macedon-lang --test golden",
             path.display()
         )
     });
     assert!(
         want == got,
         "{} drifted from what codegen generates.\n{}\n\
-         If intentional: cargo run -p macedon-bench --bin regen",
+         If intentional: UPDATE_GOLDEN=1 cargo test -p macedon-lang --test golden",
         path.display(),
         first_diff(&want, got)
     );
@@ -75,5 +92,15 @@ fn golden_snapshots_cover_exactly_the_bundled_roster() {
         .map(|(n, _)| n)
         .collect();
     expected.sort();
+    if updating() {
+        // The modules of renamed or removed specs go; the test above
+        // writes the missing ones.
+        for stale in on_disk.iter().filter(|n| !expected.contains(n)) {
+            let path = generated_dir().join(stale);
+            std::fs::remove_file(&path)
+                .unwrap_or_else(|e| panic!("remove {}: {e}", path.display()));
+        }
+        return;
+    }
     assert_eq!(on_disk, expected, "stale or missing generated files");
 }

@@ -49,7 +49,8 @@ use crate::script;
 use macedon_core::{json, json_fields, Duration};
 use macedon_sim::mix64;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One named parameter axis of the grid: substituting `{name}` in the
@@ -722,6 +723,10 @@ impl SweepReport {
 /// next to a 50-node one); the merge is indexed by cell, never by
 /// completion order, which keeps [`SweepReport`] byte-identical across
 /// runs regardless of thread interleaving.
+///
+/// A cell whose `run_cell` panics fails the sweep: no further cells
+/// start, and the error names the lowest-indexed failed cell with its
+/// coordinates, derived seed and panic message.
 pub fn run_sweep<F>(spec: &SweepSpec, run_cell: F) -> Result<SweepReport, ScenarioError>
 where
     F: Fn(&SweepCell) -> MetricsReport + Sync,
@@ -736,22 +741,60 @@ where
         })
         .clamp(1, cells.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellReport>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    let failed = AtomicBool::new(false);
+    let slots: Vec<Mutex<Option<Result<CellReport, String>>>> =
+        cells.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let report = run_cell(cell);
-                *slots[i].lock().unwrap() = Some(CellReport::from_run(cell, &report));
+            scope.spawn(|| {
+                while !failed.load(Ordering::Relaxed) {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(cell) = cells.get(i) else { break };
+                    let row = catch_unwind(AssertUnwindSafe(|| {
+                        CellReport::from_run(cell, &run_cell(cell))
+                    }))
+                    .map_err(|payload| {
+                        failed.store(true, Ordering::Relaxed);
+                        panic_message(payload.as_ref())
+                    });
+                    *slots[i].lock().unwrap() = Some(row);
+                }
             });
         }
     });
-    let rows: Vec<CellReport> = slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker pool ran every cell"))
-        .collect();
+    let mut rows = Vec::with_capacity(cells.len());
+    for (cell, slot) in cells.iter().zip(slots) {
+        // Cells start in index order, so a failed cell comes before
+        // every cell the failure kept from starting.
+        match slot
+            .into_inner()
+            .unwrap()
+            .expect("a failed cell precedes every unstarted one")
+        {
+            Ok(row) => rows.push(row),
+            Err(msg) => {
+                return Err(ScenarioError::at(
+                    Span::default(),
+                    format!(
+                        "cell {} ({}, derived seed {:#018x}) panicked: {msg}",
+                        cell.index,
+                        coords(cell.nodes, &cell.params, cell.seed),
+                        cell.derived_seed
+                    ),
+                ))
+            }
+        }
+    }
     Ok(SweepReport::aggregate(spec, rows))
+}
+
+/// The text a panic carried, when it was a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 #[cfg(test)]

@@ -173,6 +173,24 @@ fn parallel_sweep_is_byte_identical() {
 }
 
 #[test]
+fn panicking_cell_fails_the_sweep_with_its_coordinates() {
+    // Cell 2 is (nodes 3, loss 0.5, seed 1); the other three succeed.
+    let spec = pin_spec();
+    let err = run_sweep(&spec, |cell: &SweepCell| {
+        assert!(cell.index != 2, "planted failure");
+        synth(cell)
+    })
+    .unwrap_err();
+    let derived = derive_seed(1, 3, &[("loss".into(), "0.5".into())]);
+    assert_eq!(
+        err.msg,
+        format!("cell 2 (nodes=3, loss=0.5, seed=1, derived seed {derived:#018x}) panicked: planted failure")
+    );
+    // The pool survives: the same spec without the fault still runs.
+    assert!(run_sweep(&spec, synth).is_ok());
+}
+
+#[test]
 fn real_stack_sweep_runs() {
     // A small end-to-end sweep over the interpreted overcast stack:
     // 2 seeds × {6, 8} nodes × one loss point, run on 2 workers. Beyond
