@@ -28,10 +28,11 @@
 //!    The curve previously dipped at 100k nodes (81k -> 50k events/sec
 //!    from 10k to 100k): per-event node-state lookups went through six
 //!    global `FxHashMap<NodeId, _>` tables whose working set fell out
-//!    of cache once the population outgrew it. The sharded engine
-//!    stores node state in one dense `Vec<Option<Box<NodeState>>>` per
-//!    shard, indexed by node id, which removes the hash walks from the
-//!    hot path; the JSON carries the measured 100k/10k ratio so the
+//!    of cache once the population outgrew it. The world's node table
+//!    is one dense `Vec<Option<Box<NodeState>>>` indexed by node id —
+//!    one boxed record per node holding its stack, transport endpoint,
+//!    timers and monitors — which removes the hash walks from the hot
+//!    path; the JSON carries the measured 100k/10k ratio so the
 //!    artifact history tracks the dip directly.
 //!
 //! All runs are seeded and deterministic.
@@ -120,9 +121,9 @@ fn main() {
         let secs = start.elapsed().as_secs_f64();
         let eps = s.events as f64 / secs;
         let peak = peak_rss_mb();
-        let m = &s.bytes_per_node;
+        let (c, per_node) = (&s.census, |bytes: usize| bytes as f64 / n as f64);
         // The share of the peak resident set the census accounts for.
-        let coverage = peak.map(|mb| m.counted * n as f64 / (mb * 1024.0 * 1024.0));
+        let coverage = peak.map(|mb| c.total() as f64 / (mb * 1024.0 * 1024.0));
         let or_dash = |v: Option<f64>, digits| v.map_or("-".into(), |v| format!("{v:.digits$}"));
         println!(
             "scale: {n} nodes, {} events, {} delivered, {} alive, \
@@ -136,15 +137,15 @@ fn main() {
             "  bytes/node: reliable conns {:.0} ({:.1} conns, {:.2} busy), conn free list {:.0}, \
              datagram reassembly {:.0}, engine maps {:.0}, measure ledger {:.0}, \
              route tables {:.0}; counted {:.0}, coverage {} of peak RSS",
-            m.reliable_conns,
-            m.conns,
-            m.busy_conns,
-            m.conn_free_list,
-            m.datagram_reassembly,
-            m.engine_maps,
-            m.measure_ledger,
-            m.route_tables,
-            m.counted,
+            per_node(c.reliable_conns),
+            per_node(c.conns),
+            per_node(c.busy_conns),
+            per_node(c.conn_free_list),
+            per_node(c.datagram_reassembly),
+            per_node(c.engine_maps),
+            per_node(c.measure_ledgers),
+            per_node(c.route_tables),
+            per_node(c.total()),
             or_dash(coverage, 3)
         );
         assert!(s.delivered > 0, "{n}-node scale run must deliver traffic");
@@ -182,17 +183,20 @@ fn main() {
             });
         });
         o.records("curve", &curve, |o, (n, s, secs, eps, peak, coverage)| {
-            let m = &s.bytes_per_node;
+            let (c, per_node) = (&s.census, |bytes: usize| bytes as f64 / *n as f64);
             json_fields!(o; nodes: n, events: s.events, delivered: s.delivered, alive: s.alive,
                 wall_secs: Fixed(*secs, 2), events_per_sec: Fixed(*eps, 0),
                 peak_rss_mb: peak.map(|mb| Fixed(mb, 1)), coverage: coverage.map(|c| Fixed(c, 3)),
-                conns_per_node: Fixed(m.conns, 2), busy_conns_per_node: Fixed(m.busy_conns, 3));
+                conns_per_node: Fixed(per_node(c.conns), 2),
+                busy_conns_per_node: Fixed(per_node(c.busy_conns), 3));
             o.object("bytes_per_node", |o| {
-                json_fields!(o; reliable_conns: Fixed(m.reliable_conns, 0),
-                    conn_free_list: Fixed(m.conn_free_list, 0),
-                    datagram_reassembly: Fixed(m.datagram_reassembly, 0),
-                    engine_maps: Fixed(m.engine_maps, 0), measure_ledger: Fixed(m.measure_ledger, 0),
-                    route_tables: Fixed(m.route_tables, 0), counted: Fixed(m.counted, 0));
+                json_fields!(o; reliable_conns: Fixed(per_node(c.reliable_conns), 0),
+                    conn_free_list: Fixed(per_node(c.conn_free_list), 0),
+                    datagram_reassembly: Fixed(per_node(c.datagram_reassembly), 0),
+                    engine_maps: Fixed(per_node(c.engine_maps), 0),
+                    measure_ledger: Fixed(per_node(c.measure_ledgers), 0),
+                    route_tables: Fixed(per_node(c.route_tables), 0),
+                    counted: Fixed(per_node(c.total()), 0));
             });
         });
         o.field("eps_ratio_100k_over_10k", dip_ratio.map(|r| Fixed(r, 2)));

@@ -696,53 +696,8 @@ pub struct ChurnRunStats {
     pub events: u64,
     /// The same total broken down by event class.
     pub breakdown: macedon_core::EventClassCounts,
-    /// Heap bytes per node at the end of the run, by owner.
-    pub bytes_per_node: BytesPerNode,
-}
-
-/// Heap bytes per node by owner, counted by capacity: what each layer
-/// holds, not what it last used (see [`macedon_core::HeapCensus`]).
-pub struct BytesPerNode {
-    /// Reliable connections.
-    pub conns: f64,
-    /// Reliable connections holding buffers (something unacknowledged,
-    /// out of order or half reassembled).
-    pub busy_conns: f64,
-    /// Reliable connections: table buckets, boxed connections, the
-    /// buffers busy ones hold.
-    pub reliable_conns: f64,
-    /// Connection buffers waiting in the free list.
-    pub conn_free_list: f64,
-    /// Datagram reassembly (zero unless a multi-fragment datagram is
-    /// partial).
-    pub datagram_reassembly: f64,
-    /// The engine's per-node record and maps (agent timers, connection
-    /// timers, monitors).
-    pub engine_maps: f64,
-    /// Per-peer measurement ledgers.
-    pub measure_ledger: f64,
-    /// Routing: component labels, core adjacency and next-hop tables.
-    pub route_tables: f64,
-    /// Every owner above together.
-    pub counted: f64,
-}
-
-impl BytesPerNode {
-    fn census(world: &macedon_core::World, hosts: &[macedon_core::NodeId]) -> BytesPerNode {
-        let c = world.heap_census();
-        let per_node = |bytes: usize| bytes as f64 / hosts.len().max(1) as f64;
-        BytesPerNode {
-            conns: per_node(c.conns),
-            busy_conns: per_node(c.busy_conns),
-            reliable_conns: per_node(c.reliable_conns),
-            conn_free_list: per_node(c.conn_free_list),
-            datagram_reassembly: per_node(c.datagram_reassembly),
-            engine_maps: per_node(c.engine_maps),
-            measure_ledger: per_node(c.measure_ledgers),
-            route_tables: per_node(c.route_tables),
-            counted: per_node(c.total()),
-        }
-    }
+    /// Heap bytes at the end of the run, by owner.
+    pub census: macedon_core::HeapCensus,
 }
 
 impl ChurnRunStats {
@@ -835,7 +790,7 @@ fn run_scenario_script_on(script: &str, nodes: usize, link: LinkSpec) -> ChurnRu
         alive: outcome.report.alive,
         events: outcome.world.events_fired(),
         breakdown: outcome.world.event_counts(),
-        bytes_per_node: BytesPerNode::census(&outcome.world, &outcome.hosts),
+        census: outcome.world.heap_census(),
     }
 }
 

@@ -1,22 +1,14 @@
 //! Chrome/Perfetto trace-event JSON export.
 //!
-//! Writes the merged causal trace as a `{"traceEvents":[...]}` document
-//! that `ui.perfetto.dev` (or `chrome://tracing`) loads directly:
-//!
-//! * **Virtual-time lanes** — pid 1, one tid per node; every trace
-//!   record becomes an instant event at its virtual microsecond, and
-//!   each application-level send opens a flow arrow (`ph:"s"`) that
-//!   closes at the matching delivery (`ph:"f"`), so a multi-hop path
-//!   reads as a connected chain across node lanes.
-//! * **Wall-clock lanes** — pid 2, one tid per shard worker; each
-//!   windowed-execution profile sample becomes a duration event placed
-//!   at the window's virtual start whose *duration* is the measured
-//!   wall nanoseconds spent draining it. Virtual instants where the
-//!   engine burned disproportionate wall time (e.g. the 100k-node
-//!   events/sec dip) stand out as long slices.
+//! Writes the causal trace as a `{"traceEvents":[...]}` document that
+//! `ui.perfetto.dev` (or `chrome://tracing`) loads directly: one process
+//! (pid 1, virtual time) with one lane (tid) per node. Every trace
+//! record becomes an instant event at its virtual microsecond, and each
+//! application-level send opens a flow arrow (`ph:"s"`) that closes at
+//! the matching delivery (`ph:"f"`), so a multi-hop path reads as a
+//! connected chain across node lanes.
 
 use crate::trace::{TraceEvent, TraceRecord};
-use crate::world::ShardProfile;
 use crate::{json, json_fields};
 
 fn event_name(e: &TraceEvent) -> &'static str {
@@ -34,23 +26,16 @@ fn event_name(e: &TraceEvent) -> &'static str {
     }
 }
 
-/// Render the merged trace (plus optional worker profiles) as a
-/// Perfetto-loadable JSON document.
-pub fn perfetto_json(records: &[&TraceRecord], profile: &[ShardProfile]) -> String {
+/// Render trace records as a Perfetto-loadable JSON document.
+pub fn perfetto_json(records: &[&TraceRecord]) -> String {
     let mut out = String::with_capacity(records.len() * 160 + 256);
     json::document(&mut out, json::COMPACT, |doc| {
         doc.lines("traceEvents", |ev| {
-            // Process labels, so lanes read as "node 3" / "shard 1".
-            let mut process = |pid: u32, name: &str| {
-                ev.record(|e| {
-                    json_fields!(e; ph: "M", pid: pid, name: "process_name");
-                    e.object("args", |a| a.field("name", name));
-                })
-            };
-            process(1, "virtual time (nodes)");
-            if profile.iter().any(|p| !p.samples.is_empty()) {
-                process(2, "wall clock (shard workers)");
-            }
+            // The process label, so lanes read as "node 3".
+            ev.record(|e| {
+                json_fields!(e; ph: "M", pid: 1, name: "process_name");
+                e.object("args", |a| a.field("name", "virtual time (nodes)"));
+            });
             for r in records {
                 let (tid, ts) = (r.node.0, r.at.as_micros());
                 ev.record(|e| {
@@ -75,17 +60,6 @@ pub fn perfetto_json(records: &[&TraceRecord], profile: &[ShardProfile]) -> Stri
                     }
                     json_fields!(e; pid: 1, tid: tid, ts: ts, id: id);
                 });
-            }
-            for (sid, p) in profile.iter().enumerate() {
-                for &(window_start_us, drain_ns) in &p.samples {
-                    ev.record(|e| {
-                        // Duration axis is wall µs plotted on the virtual
-                        // timeline: long slices mark expensive windows.
-                        json_fields!(e; name: "window drain", ph: "X", pid: 2, tid: sid,
-                            ts: window_start_us, dur: (drain_ns / 1000).max(1));
-                        e.object("args", |a| a.field("wall_ns", drain_ns));
-                    });
-                }
             }
         });
     });
@@ -134,7 +108,7 @@ mod tests {
                 bytes: 8,
             },
         );
-        let json = perfetto_json(&[&a, &b], &[]);
+        let json = perfetto_json(&[&a, &b]);
         assert!(json.contains("\"ph\":\"s\""), "{json}");
         assert!(json.contains("\"ph\":\"f\""), "{json}");
         assert!(json.contains(&format!("\"id\":{}", span.0)), "{json}");
@@ -153,7 +127,7 @@ mod tests {
                 msg: "say \"hi\"\npath\\x".to_string(),
             },
         );
-        let json = perfetto_json(&[&a], &[]);
+        let json = perfetto_json(&[&a]);
         assert!(json.contains("say \\\"hi\\\"\\npath\\\\x"), "{json}");
     }
 
@@ -162,12 +136,12 @@ mod tests {
         // The bytes `json_string` is pinned to in the scenario reports.
         let msg = "a\"b\\c\nd\u{1}".to_string();
         let a = rec(1, 0, SpanId::NONE, TraceEvent::Custom { msg });
-        let json = perfetto_json(&[&a], &[]);
+        let json = perfetto_json(&[&a]);
         assert!(json.contains(r#""details":"a\"b\\c\nd\u0001"}"#), "{json}");
     }
 
-    /// Pins every byte of the document: metadata, instant, flow and
-    /// wall-lane records, escaping, separators and the closing newline.
+    /// Pins every byte of the document: metadata, instant and flow
+    /// records, escaping, separators and the closing newline.
     #[test]
     fn perfetto_document_is_pinned() {
         let span = SpanId::mint(NodeId(1), 1);
@@ -189,37 +163,16 @@ mod tests {
             rec(250, 2, span, deliver),
             rec(300, 2, span, custom),
         );
-        let p = ShardProfile {
-            samples: vec![(400, 5_000)],
-            ..Default::default()
-        };
-        let got = perfetto_json(&[&a, &b, &c], &[p]);
+        let got = perfetto_json(&[&a, &b, &c]);
         let want = r#"{"traceEvents":[
 {"ph":"M","pid":1,"name":"process_name","args":{"name":"virtual time (nodes)"}},
-{"ph":"M","pid":2,"name":"process_name","args":{"name":"wall clock (shard workers)"}},
 {"name":"send","ph":"i","s":"t","pid":1,"tid":1,"ts":100,"args":{"layer":0,"level":"Med","ctx":"0000000000000000","details":"send span=0000000100000001 dst=n2 ch=0 b=8"}},
 {"name":"span","cat":"causal","ph":"s","pid":1,"tid":1,"ts":100,"id":4294967297},
 {"name":"deliver","ph":"i","s":"t","pid":1,"tid":2,"ts":250,"args":{"layer":0,"level":"Med","ctx":"0000000100000001","details":"deliver from=n1 b=8"}},
 {"name":"span","cat":"causal","ph":"f","bp":"e","pid":1,"tid":2,"ts":250,"id":4294967297},
-{"name":"custom","ph":"i","s":"t","pid":1,"tid":2,"ts":300,"args":{"layer":0,"level":"Med","ctx":"0000000100000001","details":"say \"hi\"\u0001"}},
-{"name":"window drain","ph":"X","pid":2,"tid":0,"ts":400,"dur":5,"args":{"wall_ns":5000}}
+{"name":"custom","ph":"i","s":"t","pid":1,"tid":2,"ts":300,"args":{"layer":0,"level":"Med","ctx":"0000000100000001","details":"say \"hi\"\u0001"}}
 ]}
 "#;
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn profile_samples_become_wall_lanes() {
-        let p = ShardProfile {
-            windows: 1,
-            drain_ns: 5_000,
-            samples: vec![(400, 5_000)],
-            ..Default::default()
-        };
-        let json = perfetto_json(&[], &[p]);
-        assert!(json.contains("\"ph\":\"X\""), "{json}");
-        assert!(json.contains("\"ts\":400"), "{json}");
-        assert!(json.contains("\"dur\":5"), "{json}");
-        assert!(json.contains("wall clock (shard workers)"), "{json}");
     }
 }

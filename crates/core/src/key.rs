@@ -38,8 +38,8 @@ const MEMO_BITS: u32 = 17;
 /// The memoised function is pure (a SHA-1 of four bytes), so which
 /// thread filled a slot, or whether a colliding id evicted it, can never
 /// change a returned key — only whether it was recomputed. That is what
-/// lets every shard, sweep worker and `World` in the process share one
-/// table without touching the determinism contracts.
+/// lets every sweep worker and `World` in the process share one table
+/// without touching the determinism contracts.
 static NODE_KEY_MEMO: [AtomicU64; 1 << MEMO_BITS] = {
     #[allow(clippy::declare_interior_mutable_const)]
     const EMPTY: AtomicU64 = AtomicU64::new(0);

@@ -52,7 +52,6 @@ pub use trace::{SpanForest, SpanId, TraceEvent, TraceLevel, TraceRecord, TraceSi
 pub use wire::{DecodeError, WireReader, WireRef, WireWriter};
 pub use world::{
     proto_header, EventClassCounts, HeapCensus, ShardProfile, World, WorldConfig, WorldEvent,
-    PROFILE_SAMPLE_CAP,
 };
 
 // Re-export the identifiers agents constantly need.

@@ -4,9 +4,9 @@
 //!
 //! Each [`TelemetrySample`] is a point-in-time read of the whole
 //! deployment — cumulative event-class counters, scheduler queue depth,
-//! network drops, per-interval link stress (mirroring
-//! `macedon_net::metrics::link_stress` but over the sampling interval
-//! and in integer milli-units), trace-ring pressure, membership, and
+//! network drops, per-interval link stress
+//! (`macedon_net::metrics::link_stress` over the sampling interval, its
+//! mean in integer milli-units), trace-ring pressure, membership, and
 //! the order-independent RTT/goodput aggregates from every alive
 //! node's measurement ledger. Sampling reads only — it never mutates
 //! simulation state, so a run with telemetry enabled produces exactly
@@ -14,6 +14,7 @@
 
 use crate::json;
 use crate::world::World;
+use macedon_net::metrics::link_stress;
 use macedon_sim::{Duration, Time};
 
 /// One snapshot of the world's counters and gauges.
@@ -31,7 +32,7 @@ pub struct TelemetrySample {
     pub events_fd_tick: u64,
     /// Cumulative fired events: scripted spawns/API calls/crashes.
     pub events_control: u64,
-    /// Scheduler queue depth across all shards at the snapshot.
+    /// Scheduler queue depth at the snapshot.
     pub pending_events: u64,
     /// Cumulative packets dropped anywhere in the network.
     pub net_drops: u64,
@@ -42,7 +43,7 @@ pub struct TelemetrySample {
     pub link_stress_mean_milli: u64,
     /// Physical links that carried traffic this interval.
     pub links_used: u64,
-    /// Trace records currently held in the bounded rings.
+    /// Trace records currently held in the bounded ring.
     pub trace_records: u64,
     /// Cumulative trace records evicted by ring overflow.
     pub trace_dropped: u64,
@@ -141,21 +142,8 @@ impl Telemetry {
     /// Snapshot the world now. Read-only: result-invariant.
     pub fn sample(&mut self, world: &World) {
         let counts = world.event_counts();
-        let link = world.link_counters();
-        // Per-interval link stress: same delta arithmetic as
-        // `macedon_net::metrics::link_stress`, in integers.
-        let mut max = 0u64;
-        let mut sum = 0u64;
-        let mut used = 0u64;
-        for (i, &(pkts, _, _)) in link.iter().enumerate() {
-            let base = self.prev_link.get(i).map(|b| b.0).unwrap_or(0);
-            let delta = pkts.saturating_sub(base);
-            if delta > 0 {
-                used += 1;
-                sum += delta;
-                max = max.max(delta);
-            }
-        }
+        let link = world.net().link_counters();
+        let stress = link_stress(&link, &self.prev_link);
         self.prev_link = link;
         let m = world.measure_summary();
         self.samples.push(TelemetrySample {
@@ -166,12 +154,14 @@ impl Telemetry {
             events_fd_tick: counts.fd_tick,
             events_control: counts.control,
             pending_events: world.pending_events() as u64,
-            net_drops: world.total_net_drops(),
-            link_stress_max: max,
-            link_stress_mean_milli: (sum * 1000).checked_div(used).unwrap_or(0),
-            links_used: used,
-            trace_records: world.trace_records_total(),
-            trace_dropped: world.trace_dropped_total(),
+            net_drops: world.net().total_drops(),
+            link_stress_max: stress.max,
+            link_stress_mean_milli: (stress.sum * 1000)
+                .checked_div(stress.links_used)
+                .unwrap_or(0),
+            links_used: stress.links_used,
+            trace_records: world.trace().len() as u64,
+            trace_dropped: world.trace().dropped,
             alive_nodes: world.alive_nodes().count() as u64,
             mean_rtt_us: m.mean_rtt_us(),
             mean_goodput_bps: m.mean_goodput_bps(),

@@ -14,9 +14,7 @@
 //! The [`TraceSink`] is a *bounded ring*: when full it drops the oldest
 //! record and counts the loss explicitly, so 100k-node traced runs
 //! cannot exhaust memory silently. Each record is stamped with a
-//! per-sink monotonic `seq`; merged multi-shard streams order by
-//! `(at, shard, seq)` — the same order cross-shard departures merge in
-//! — which makes the merged stream byte-identical across worker counts.
+//! per-sink monotonic `seq`, its position in the run's one stream.
 
 use macedon_net::{DropReason, NodeId};
 use macedon_sim::Time;
@@ -138,7 +136,7 @@ pub struct TraceRecord {
     /// Causal context active when this record was emitted: the span of
     /// the message whose dispatch we are inside, or `NONE`.
     pub span: SpanId,
-    /// Per-sink monotonic sequence number (merge tiebreaker).
+    /// Per-sink monotonic sequence number (recording order).
     pub seq: u64,
     pub event: TraceEvent,
 }
@@ -212,7 +210,7 @@ impl SpanForest {
 
 /// Default ring capacity: enough for every test/example run, small
 /// enough that a fully traced 100k-node run stays bounded (~100 MB of
-/// records per shard worst case, with the drop counter telling you how
+/// records worst case, with the drop counter telling you how
 /// much history rolled off).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 

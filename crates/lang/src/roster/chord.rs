@@ -152,8 +152,8 @@ mod tests {
         assert_eq!(sink.lock().len() as u64, lookups);
         let data = w.channel("DATA").unwrap();
         let hops = w
-            .merged_trace()
-            .iter()
+            .trace()
+            .records()
             .filter(|r| {
                 r.at >= start
                     && matches!(r.event, TraceEvent::Send { channel, bytes, .. }

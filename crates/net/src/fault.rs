@@ -108,19 +108,11 @@ impl Faults {
 
     /// Loss decision for one hop, keyed by packet/hop identity instead
     /// of drawn from a mutable RNG stream. The same `(probability, key)`
-    /// pair always yields the same verdict, no matter when or on which
-    /// shard the hop is evaluated — the property that keeps sharded
-    /// route walks bit-identical to the sequential engine. Callers
-    /// build `key` from the loss seed, the packet's send identity and
-    /// the hop index (see `pipeline`).
+    /// pair always yields the same verdict, no matter when the hop is
+    /// evaluated. Callers build `key` from the loss seed, the packet's
+    /// send identity and the hop index (see `pipeline`).
     pub fn drops_hop(&self, key: u64) -> bool {
-        Self::hop_drops_at(self.drop_probability, key)
-    }
-
-    /// The stateless core of [`Faults::drops_hop`], usable with a loss
-    /// probability captured at send time (packets in flight across a
-    /// shard boundary keep the probability they were sent under).
-    pub fn hop_drops_at(p: f64, key: u64) -> bool {
+        let p = self.drop_probability;
         if p <= 0.0 {
             return false;
         }

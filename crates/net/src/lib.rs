@@ -27,11 +27,9 @@ pub mod metrics;
 pub mod packet;
 pub mod pipeline;
 pub mod routing;
-pub mod shard;
 pub mod topology;
 
 pub use packet::{Packet, PacketArena, PacketRef};
-pub use pipeline::{Delivery, DropReason, Handoff, NetEvent, Network, NetworkConfig, Sink};
-pub use routing::{min_link_delay, Router};
-pub use shard::ShardMap;
+pub use pipeline::{Delivery, DropReason, NetEvent, Network, NetworkConfig, Sink};
+pub use routing::Router;
 pub use topology::{LinkId, NodeId, NodeKind, Topology, TopologyBuilder};

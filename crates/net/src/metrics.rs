@@ -76,40 +76,34 @@ pub fn tree_stretch<P>(
     out
 }
 
-/// Summary of link stress over the physical links an overlay used.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Link stress over the physical links an overlay used, in whole
+/// packets: callers derive the mean as `sum / links_used`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StressSummary {
+    /// Most packets any one link carried.
     pub max: u64,
-    pub mean: f64,
-    pub links_used: usize,
+    /// Packets over every link.
+    pub sum: u64,
+    /// Links that carried at least one packet.
+    pub links_used: u64,
 }
 
-/// Link stress from the emulator's per-link packet counters, relative to
-/// a baseline count captured before the measurement window (pass zeroes
-/// for a whole-run measurement).
-pub fn link_stress<P>(net: &Network<P>, baseline: &[(u64, u64, u64)]) -> StressSummary {
-    let counters = net.link_counters();
-    let mut max = 0u64;
-    let mut sum = 0u64;
-    let mut used = 0usize;
+/// Link stress from per-physical-link `(packets, bytes, drops)` counters
+/// ([`Network::link_counters`]) relative to a baseline read before the
+/// measurement window; links past the baseline's end count from zero,
+/// so an empty baseline measures the whole run.
+pub fn link_stress(counters: &[(u64, u64, u64)], baseline: &[(u64, u64, u64)]) -> StressSummary {
+    let mut s = StressSummary::default();
     for (i, &(pkts, _, _)) in counters.iter().enumerate() {
-        let base = baseline.get(i).map(|b| b.0).unwrap_or(0);
+        let base = baseline.get(i).map_or(0, |b| b.0);
         let delta = pkts.saturating_sub(base);
         if delta > 0 {
-            used += 1;
-            sum += delta;
-            max = max.max(delta);
+            s.links_used += 1;
+            s.sum += delta;
+            s.max = s.max.max(delta);
         }
     }
-    StressSummary {
-        max,
-        mean: if used == 0 {
-            0.0
-        } else {
-            sum as f64 / used as f64
-        },
-        links_used: used,
-    }
+    s
 }
 
 /// Per-packet relative delay penalty: observed overlay delivery latency
@@ -200,10 +194,13 @@ mod tests {
                 }
             }
         }
-        let s = link_stress(&net, &baseline);
-        assert_eq!(s.max, 3);
-        assert_eq!(s.links_used, 2);
-        assert_eq!(s.mean, 3.0);
+        let s = link_stress(&net.link_counters(), &baseline);
+        let want = StressSummary {
+            max: 3,
+            sum: 6,
+            links_used: 2,
+        };
+        assert_eq!(s, want);
     }
 
     #[test]

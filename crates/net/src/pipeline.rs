@@ -17,11 +17,9 @@
 use crate::fault::Faults;
 use crate::packet::{Packet, PacketArena, PacketRef};
 use crate::routing::Router;
-use crate::shard::ShardMap;
 use crate::topology::{LinkId, NodeId, Topology};
 use macedon_sim::{mix64, Duration, Time};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Events the network schedules for itself.
 ///
@@ -67,39 +65,6 @@ pub enum DropReason {
     Partitioned,
 }
 
-/// A route walk suspended at a shard boundary: the packet has been
-/// charged across every link owned by the emitting shard and must
-/// continue (or arrive) on `at_node`'s side. Handoffs accumulate in the
-/// sink during a time window and are injected into the owning shard at
-/// the next barrier, in deterministic `(sent_at, shard, seq)` order —
-/// the world layer stamps the order key.
-///
-/// `t` is the virtual time the packet reaches `at_node`; the
-/// window-safety invariant (`t` is at least one link delay after the
-/// emitting event, hence past the window end) is guaranteed by
-/// [`ShardMap::owner_of_link`]'s sender-side rule.
-#[derive(Debug)]
-pub struct Handoff<P> {
-    pub pkt: Packet<P>,
-    /// Node the walk resumes from; equal to `pkt.dst` when the walk is
-    /// complete and only the arrival event remains to be scheduled.
-    pub at_node: NodeId,
-    /// Time the packet is at `at_node`.
-    pub t: Time,
-    pub sent_at: Time,
-    /// Hops already traversed (loss-key continuity across shards).
-    pub hops: u32,
-    /// Per-packet loss key fixed at send time.
-    pub loss_key: u64,
-    /// Loss probability captured at send time; the resuming shard uses
-    /// this, not its live setting, so a loss-rate change that lands at
-    /// a barrier never re-decides hops of packets already in flight.
-    pub loss_p: f64,
-    /// Shard whose replica must resume the walk (owner of the next link,
-    /// or the destination's shard for a completed walk).
-    pub dest_shard: u16,
-}
-
 /// Output buffer filled by [`Network`] methods.
 pub struct Sink<P> {
     /// Events to insert into the caller's scheduler.
@@ -108,8 +73,6 @@ pub struct Sink<P> {
     pub delivered: Vec<Delivery<P>>,
     /// Packets dropped, with reasons (observability / tests).
     pub dropped: Vec<(DropReason, NodeId)>,
-    /// Route walks suspended at a shard boundary (empty unless sharded).
-    pub handoffs: Vec<Handoff<P>>,
 }
 
 impl<P> Sink<P> {
@@ -118,7 +81,6 @@ impl<P> Sink<P> {
             schedule: Vec::new(),
             delivered: Vec::new(),
             dropped: Vec::new(),
-            handoffs: Vec::new(),
         }
     }
 
@@ -126,7 +88,6 @@ impl<P> Sink<P> {
         self.schedule.clear();
         self.delivered.clear();
         self.dropped.clear();
-        self.handoffs.clear();
     }
 }
 
@@ -277,19 +238,11 @@ pub struct Network<P> {
     links: LinkTable,
     faults: Faults,
     /// Seed for keyed per-hop loss decisions (order-free, unlike an RNG
-    /// stream: every shard replica computes identical verdicts).
+    /// stream: a verdict depends on the packet, not on evaluation order).
     loss_seed: u64,
     /// Per-source send counter feeding the loss key. Only advanced while
-    /// loss is enabled; a node's sends are always processed by its own
-    /// shard in source-local order, so replicas agree with the
-    /// sequential engine on every counter value.
+    /// loss is enabled.
     send_seq: Vec<u64>,
-    /// When sharded: the global node/link ownership map and this
-    /// replica's shard id. `None` runs the exact sequential fast path.
-    sharding: Option<(Arc<ShardMap>, u16)>,
-    /// Cached global minimum link delay (the conservative lookahead);
-    /// invalidated by `set_phys_link`.
-    min_delay: Option<Option<Duration>>,
     /// In-flight packet storage; events carry indices into this.
     arena: PacketArena<P>,
     /// Packets dropped anywhere, for any reason (link counters only see
@@ -311,27 +264,10 @@ impl<P> Network<P> {
             faults: Faults::default(),
             loss_seed: cfg.seed,
             send_seq: Vec::new(),
-            sharding: None,
-            min_delay: None,
             arena: PacketArena::default(),
             dropped: 0,
             clock: Time::ZERO,
         }
-    }
-
-    /// Make this instance one shard's replica: route walks stop at links
-    /// owned by other shards and surface as [`Handoff`]s in the sink.
-    pub fn set_sharding(&mut self, smap: Arc<ShardMap>, me: u16) {
-        self.sharding = Some((smap, me));
-    }
-
-    /// Minimum propagation delay over all links — the conservative
-    /// lookahead for windowed parallel execution. Cached; recomputed
-    /// after [`Network::set_phys_link`].
-    pub fn min_link_delay(&mut self) -> Option<Duration> {
-        *self
-            .min_delay
-            .get_or_insert_with(|| crate::routing::min_link_delay(&self.topo))
     }
 
     /// The in-flight packet arena (capacity is the high-water mark of
@@ -368,11 +304,8 @@ impl<P> Network<P> {
             return;
         };
         self.topo.set_phys_link(phys, bandwidth_bps, delay);
-        if delay.is_some_and(|d| d != link.delay) {
-            self.min_delay = None;
-            if Router::routes_over(&self.topo, &link) {
-                self.router.invalidate();
-            }
+        if delay.is_some_and(|d| d != link.delay) && Router::routes_over(&self.topo, &link) {
+            self.router.invalidate();
         }
     }
 
@@ -442,7 +375,7 @@ impl<P> Network<P> {
             return;
         }
         let pkt = self.arena.alloc(pkt);
-        self.transit(now, src, now, pkt, now, 0, loss_key, loss_p, out);
+        self.transit(now, src, pkt, now, loss_key, out);
     }
 
     /// Per-packet loss key: a pure function of the loss seed, the send
@@ -462,30 +395,6 @@ impl<P> Network<P> {
         let mut k = mix64(self.loss_seed ^ pkt.src.0 as u64 ^ ((pkt.dst.0 as u64) << 32));
         k = mix64(k ^ now.as_micros());
         mix64(k ^ ctr)
-    }
-
-    /// Resume a route walk suspended at this shard's boundary. `now` is
-    /// the shard's clock at the barrier (its scheduler's `now()`): no
-    /// earlier than any walk this replica has charged, no later than its
-    /// next event or than `h.t`, so the charging clock stays monotone.
-    /// The walk itself continues at `h.t`.
-    pub fn resume(&mut self, now: Time, h: Handoff<P>, out: &mut Sink<P>) {
-        let done = h.at_node == h.pkt.dst;
-        let pkt = self.arena.alloc(h.pkt);
-        if done {
-            out.schedule.push((
-                h.t,
-                NetEvent::Arrive {
-                    node: h.at_node,
-                    pkt,
-                    sent_at: h.sent_at,
-                },
-            ));
-        } else {
-            self.transit(
-                now, h.at_node, h.t, pkt, h.sent_at, h.hops, h.loss_key, h.loss_p, out,
-            );
-        }
     }
 
     /// Process one of our own events.
@@ -528,7 +437,7 @@ impl<P> Network<P> {
                     } else {
                         0
                     };
-                    self.transit(now, node, now, pkt, sent_at, 0, key, loss_p, out);
+                    self.transit(now, node, pkt, sent_at, key, out);
                 }
             }
         }
@@ -540,27 +449,17 @@ impl<P> Network<P> {
     /// hop this costs a routing-table read and a couple of adds instead
     /// of a departure event plus an arrival event through the scheduler.
     ///
-    /// When sharded, the walk stops at the first link owned by another
-    /// shard (or at a destination owned by another shard) and emits a
-    /// [`Handoff`] instead — no fault checks are performed for the
-    /// foreign portion here; the owning shard runs exactly the checks
-    /// the sequential walk would, in `resume`.
-    ///
     /// `now` is the charging clock and must not decrease from one walk
     /// to the next on this `Network` (see [`Reservations::reserve`]);
-    /// the engine's event loop and barriers guarantee it, and a caller
-    /// that batches sends must batch them in time order.
-    #[allow(clippy::too_many_arguments)]
+    /// the engine's event loop guarantees it, and a caller that batches
+    /// sends must batch them in time order.
     fn transit(
         &mut self,
         now: Time,
         at: NodeId,
-        start_t: Time,
         pkt: PacketRef,
         sent_at: Time,
-        hop0: u32,
         loss_key: u64,
-        loss_p: f64,
         out: &mut Sink<P>,
     ) {
         debug_assert!(
@@ -568,18 +467,14 @@ impl<P> Network<P> {
             "charging clock ran backwards: walk at {now:?} after one at {:?}",
             self.clock
         );
-        debug_assert!(
-            now <= start_t,
-            "walk continues at {start_t:?}, before it is charged at {now:?}"
-        );
         self.clock = now;
         let (dst, wire) = {
             let p = self.arena.get(pkt);
             (p.dst, p.wire_size())
         };
         let mut node = at;
-        let mut t = start_t;
-        let mut hop = hop0;
+        let mut t = now;
+        let mut hop = 0u32;
         // Reachability, anchor and routing table are resolved once; each
         // hop below is then a slice read.
         let route = self.router.route(&self.topo, at, dst);
@@ -591,22 +486,6 @@ impl<P> Network<P> {
                 return;
             };
             let link = *self.topo.link(lid);
-            if let Some((smap, me)) = &self.sharding {
-                let owner = smap.owner_of_link(&link);
-                if owner != *me {
-                    out.handoffs.push(Handoff {
-                        pkt: self.arena.take(pkt),
-                        at_node: node,
-                        t,
-                        sent_at,
-                        hops: hop,
-                        loss_key,
-                        loss_p,
-                        dest_shard: owner,
-                    });
-                    return;
-                }
-            }
             if self.faults.link_is_down(link.phys) {
                 self.arena.release(pkt);
                 self.links.state_mut(lid).drops += 1;
@@ -614,7 +493,7 @@ impl<P> Network<P> {
                 out.dropped.push((DropReason::LinkDown, node));
                 return;
             }
-            if loss_p > 0.0 && Faults::hop_drops_at(loss_p, loss_key ^ hop as u64) {
+            if self.faults.drops_hop(loss_key ^ hop as u64) {
                 self.arena.release(pkt);
                 self.links.state_mut(lid).drops += 1;
                 self.dropped += 1;
@@ -642,24 +521,6 @@ impl<P> Network<P> {
             hop += 1;
             if node == dst {
                 break;
-            }
-        }
-        if let Some((smap, me)) = &self.sharding {
-            let owner = smap.shard_of(dst);
-            if owner != *me {
-                // Walk complete, but the arrival event belongs to the
-                // destination's shard.
-                out.handoffs.push(Handoff {
-                    pkt: self.arena.take(pkt),
-                    at_node: dst,
-                    t,
-                    sent_at,
-                    hops: hop,
-                    loss_key,
-                    loss_p,
-                    dest_shard: owner,
-                });
-                return;
             }
         }
         out.schedule.push((
@@ -995,7 +856,6 @@ mod tests {
         net.oracle_latency(a, z);
         net.oracle_latency(z, a);
         assert_eq!(net.router.cached_destinations(), 2);
-        assert_eq!(net.min_link_delay(), Some(ms(1)));
         // What the scenario grammar's `degrade` does: an access link's
         // bandwidth and delay. It is in no table.
         net.set_phys_link(access, Some(64_000), Some(ms(50)));
@@ -1008,7 +868,6 @@ mod tests {
         // An unknown cable is ignored.
         net.set_phys_link(99, Some(1), Some(ms(1)));
         assert_eq!(net.router.cached_destinations(), 2);
-        assert_eq!(net.min_link_delay(), Some(ms(1)));
     }
 
     #[test]

@@ -544,18 +544,6 @@ impl Default for Router {
     }
 }
 
-/// Minimum propagation delay over every directed link — the conservative
-/// lookahead bound for time-windowed parallel execution: no packet can
-/// influence another node in less than this, so shards may advance a full
-/// window of this length between barriers. `None` on a linkless topology.
-///
-/// This is a pure function of the current link table, so callers that
-/// cache it must re-query after [`Topology::set_phys_link`] mutations
-/// (the `Network` wrapper does exactly that).
-pub fn min_link_delay(topo: &Topology) -> Option<Duration> {
-    topo.links().iter().map(|l| l.delay).min()
-}
-
 /// Label connected components with an iterative flood fill.
 fn components(topo: &Topology) -> Vec<u32> {
     let n = topo.num_nodes();
@@ -876,44 +864,6 @@ mod tests {
         assert!(r.dist(&t, a1, z1).is_none());
         // Same-island traffic unaffected.
         assert_eq!(r.path(&t, a1, a2).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn min_link_delay_is_the_global_minimum() {
-        let mut b = TopologyBuilder::new();
-        let h1 = b.add_host();
-        let h2 = b.add_host();
-        let r = b.add_router();
-        b.add_link(
-            h1,
-            r,
-            LinkSpec::new(Duration::from_millis(5), 1_000_000, 32_000),
-        );
-        b.add_link(
-            r,
-            h2,
-            LinkSpec::new(Duration::from_millis(2), 1_000_000, 32_000),
-        );
-        let t = b.build();
-        assert_eq!(min_link_delay(&t), Some(Duration::from_millis(2)));
-        assert_eq!(min_link_delay(&TopologyBuilder::new().build()), None);
-    }
-
-    #[test]
-    fn min_link_delay_tracks_phys_link_mutation() {
-        let mut t = canned::star(4, LinkSpec::lan()); // 2 ms links? lan() delay
-        let before = min_link_delay(&t).unwrap();
-        let phys = t.link(t.outgoing(t.hosts()[0])[0]).phys;
-        let faster = Duration::from_micros(before.as_micros() / 2);
-        t.set_phys_link(phys, None, Some(faster));
-        assert_eq!(
-            min_link_delay(&t),
-            Some(faster),
-            "recomputes after mutation"
-        );
-        let slower = Duration::from_micros(before.as_micros() * 4);
-        t.set_phys_link(phys, None, Some(slower));
-        assert_eq!(min_link_delay(&t), Some(before), "other links now bound it");
     }
 
     /// Cross-check Dijkstra against Floyd-Warshall on small random graphs.

@@ -148,12 +148,10 @@ impl<'a> ScenarioRunner<'a> {
         self.group
     }
 
-    /// Worker threads for windowed parallel execution. Only effective
-    /// when the bound [`WorldConfig`] asked for `shards > 1`; the
-    /// worker count never changes results, only wall clock.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.world.set_workers(workers);
-    }
+    /// Does nothing: the engine is one sequential event loop. Kept only
+    /// because the repo benchmark's `scale-star-sharded` workload calls
+    /// it; ROADMAP item 3 retires that workload and removes this.
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// Register a convergence oracle for `assert` checkpoints.
     pub fn register_oracle(&mut self, oracle: Box<dyn ConvergenceOracle + 'a>) {
@@ -460,9 +458,9 @@ impl<'a> ScenarioRunner<'a> {
             }
             Action::Partition { side } => {
                 let set: HashSet<NodeId> = side.iter().map(|&i| self.hosts[i]).collect();
-                self.world.faults_each(|f| f.set_partition(set.clone()));
+                self.world.net_mut().faults_mut().set_partition(set);
             }
-            Action::Heal => self.world.faults_each(|f| f.heal_partition()),
+            Action::Heal => self.world.net_mut().faults_mut().heal_partition(),
             Action::Degrade {
                 idx,
                 bandwidth_bps,
@@ -480,20 +478,22 @@ impl<'a> ScenarioRunner<'a> {
                         .phys_link_props(p)
                         .expect("phys link exists");
                     self.originals.entry(p).or_insert(orig);
-                    self.world.set_phys_link(p, bandwidth_bps, delay);
+                    self.world.net_mut().set_phys_link(p, bandwidth_bps, delay);
                 }
             }
             Action::Restore { idx } => {
                 let host = self.hosts[idx];
                 for p in self.world.net().topology().phys_links_of(host) {
                     if let Some(&(delay, bw)) = self.originals.get(&p) {
-                        self.world.set_phys_link(p, Some(bw), Some(delay));
+                        self.world.net_mut().set_phys_link(p, Some(bw), Some(delay));
                     }
                 }
             }
             Action::Drop { probability } => self
                 .world
-                .faults_each(|f| f.set_drop_probability(probability)),
+                .net_mut()
+                .faults_mut()
+                .set_drop_probability(probability),
             Action::OracleCheck { .. } => unreachable!("handled in run()"),
         }
     }
@@ -622,7 +622,7 @@ impl<'a> ScenarioRunner<'a> {
             scenario: self.scenario.name.clone(),
             end: self.scenario.end,
             alive: self.world.alive_nodes().count(),
-            net_drops: self.world.total_net_drops(),
+            net_drops: self.world.net().total_drops(),
             total_delivered,
             total_bytes,
             latency: LatencySummary::from_samples_us(&lat_samples),

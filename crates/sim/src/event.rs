@@ -169,9 +169,9 @@ impl<E> Scheduler<E> {
     pub fn new() -> Scheduler<E> {
         Scheduler {
             // Room for the first 64 keys. Measured, not derived: without
-            // this block, repeating a two-shard world's set-up (as
-            // `benchmark/` does for `setup_s`) made glibc trim and
-            // re-fault ~250 KiB of heap on every repetition.
+            // this block, repeating a world's set-up (as `benchmark/`
+            // does for `setup_s`) made glibc trim and re-fault
+            // ~250 KiB of heap on every repetition.
             heap: MinHeap {
                 v: Vec::with_capacity(64),
             },
@@ -268,12 +268,6 @@ impl<E> Scheduler<E> {
             }
             _ => false,
         }
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        self.settle();
-        self.heap.peek().map(Entry::at)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -497,23 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled_head() {
-        let mut s = Scheduler::new();
-        let a = s.schedule(t(5), "a");
-        s.schedule(t(9), "b");
-        s.cancel(a);
-        assert_eq!(s.peek_time(), Some(t(9)));
-    }
-
-    #[test]
-    fn peek_sees_earliest_across_classes() {
-        let mut s = Scheduler::new();
-        s.schedule(t(9), "pkt");
-        s.schedule(t(5), "tmr");
-        assert_eq!(s.peek_time(), Some(t(5)));
-    }
-
-    #[test]
     fn slab_slots_recycle() {
         let mut s = Scheduler::new();
         for round in 0..50u64 {
@@ -551,8 +528,9 @@ mod tests {
             s.cancel(a);
             s.cancel(b);
             if round % 7 == 0 {
-                // Pops amortize the stale-key cleanup.
-                let _ = s.peek_time();
+                // Pops amortize the stale-key cleanup (this one
+                // settles the heap and fires nothing).
+                let _ = s.pop_before(Time::ZERO);
             }
         }
         assert_eq!(s.pending(), 1);

@@ -18,7 +18,7 @@ pub struct SimRng {
 /// hash for *order-free* stochastic decisions (e.g. per-hop packet loss
 /// keyed by packet identity instead of drawn from a stream, so the
 /// outcome does not depend on the order in which the engine evaluates
-/// hops — a requirement for sharded execution).
+/// hops).
 #[inline]
 pub fn mix64(x: u64) -> u64 {
     let mut state = x;

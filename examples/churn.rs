@@ -8,9 +8,7 @@
 //!
 //! Pass `--json` (optionally `--json path.json`) to emit the report as
 //! machine-readable JSON instead of the text table, or `--csv path.csv`
-//! to write the per-node rows as CSV alongside either. `--workers N`
-//! runs the world sharded N ways on the windowed parallel engine and
-//! prints events/sec alongside wall time.
+//! to write the per-node rows as CSV alongside either.
 //!
 //! Observability: `--trace-out trace.json` runs the stacks at trace
 //! level High and writes the causal trace as Chrome/Perfetto trace
@@ -92,9 +90,6 @@ fn run_single(argv: &[String]) {
     let json_mode = argv.iter().position(|a| a == "--json");
     let json_path = json_mode.and_then(|i| argv.get(i + 1)).cloned();
     let csv_path = arg_value(argv, "--csv");
-    let workers: usize = arg_value(argv, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let trace_out = arg_value(argv, "--trace-out");
     let sample_every_ms: Option<u64> = arg_value(argv, "--sample-every")
         .map(|v| v.parse().expect("--sample-every takes milliseconds"));
@@ -118,9 +113,6 @@ fn run_single(argv: &[String]) {
         channels: reg.channel_table_for("splitstream").unwrap(),
         fd_g: Duration::from_secs(2),
         fd_f: Duration::from_secs(6),
-        shards: workers,
-        // Wall-clock shard lanes for the Perfetto export.
-        profile: trace_out.is_some(),
         ..Default::default()
     };
     let mut runner = ScenarioRunner::new(
@@ -130,7 +122,6 @@ fn run_single(argv: &[String]) {
         Box::new(|_idx, _host, bootstrap| reg.build_stack("splitstream", bootstrap).unwrap()),
     )
     .expect("runner binds");
-    runner.set_workers(workers);
     // Every stack runs at the level `splitstream.mac`'s `trace_` header
     // declares; an explicit `--trace-out` raises it to High so the
     // exported timeline carries the full causal span forest.
@@ -147,18 +138,17 @@ fn run_single(argv: &[String]) {
     let secs = start.elapsed().as_secs_f64();
     let events = outcome.world.events_fired();
     println!(
-        "ran in {secs:.2}s wall on {workers} worker(s) \
-         ({events} events, {:.0} events/sec)",
+        "ran in {secs:.2}s wall ({events} events, {:.0} events/sec)",
         events as f64 / secs
     );
     if let Some(path) = trace_out {
-        let trace = outcome.world.merged_trace();
-        let json = macedon::core::perfetto_json(&trace, &outcome.world.profile());
+        let trace: Vec<_> = outcome.world.trace().records().collect();
+        let json = macedon::core::perfetto_json(&trace);
         std::fs::write(&path, json).expect("write perfetto trace");
         println!(
             "wrote {path} ({} trace records, {} dropped; open it at https://ui.perfetto.dev)",
             trace.len(),
-            outcome.world.trace_dropped_total(),
+            outcome.world.trace().dropped,
         );
     }
     if sample_every_ms.is_some() {

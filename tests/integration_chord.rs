@@ -72,8 +72,8 @@ fn lookups_land_on_owners_with_log_hops() {
     }
     let data = w.channel("DATA").unwrap();
     let hops = w
-        .merged_trace()
-        .iter()
+        .trace()
+        .records()
         .filter(|r| {
             r.at >= start
                 && matches!(r.event, TraceEvent::Send { channel, bytes, .. }

@@ -95,7 +95,7 @@ fn randtree_multicast_link_stress_bounded_by_fanout() {
     // most a handful of copies on any physical link (heartbeats share
     // the access links, so allow headroom — but the bound must stay far
     // below a naive unicast-to-all's n copies).
-    let stress = link_stress(w.net(), &baseline);
+    let stress = link_stress(&w.net().link_counters(), &baseline);
     assert!(stress.max > 0);
     assert!(
         stress.max <= 12,
