@@ -13,27 +13,23 @@
 //! 2. **Scaling curve** — one seeded run of the `bench-scale` scenario
 //!    (staggered full-population join, random-route stream, crash wave)
 //!    at 1k/10k/100k nodes, reporting events fired, events/sec, wall
-//!    time, the process's peak resident set (`VmHWM`, reset before
-//!    each point) and heap bytes per node by owner at the end of the
-//!    run (reliable connections and their free list, datagram
-//!    reassembly, the engine's per-node record and maps, measurement
-//!    ledgers, route tables), with `coverage`: the counted bytes over
-//!    the peak resident set.
+//!    time, the point's peak resident set and heap bytes per node by
+//!    owner at the end of the run (reliable connections and their free
+//!    list, datagram reassembly, the engine's per-node record and maps,
+//!    measurement ledgers, route tables), with `coverage`: the counted
+//!    bytes over the peak resident set.
 //!    The stream is `route`-shaped so deliveries stay O(1) in node count
 //!    and the curve isolates scheduler cost. The 10k run must stay under
 //!    a peak resident set ceiling (twice its measured reading) — a
 //!    regression tripwire, not a tight bound. Wall time is recorded for
 //!    the events/sec curve only; `benchmark/` is what times a change.
 //!
-//!    The curve previously dipped at 100k nodes (81k -> 50k events/sec
-//!    from 10k to 100k): per-event node-state lookups went through six
-//!    global `FxHashMap<NodeId, _>` tables whose working set fell out
-//!    of cache once the population outgrew it. The world's node table
-//!    is one dense `Vec<Option<Box<NodeState>>>` indexed by node id —
-//!    one boxed record per node holding its stack, transport endpoint,
-//!    timers and monitors — which removes the hash walks from the hot
-//!    path; the JSON carries the measured 100k/10k ratio so the
-//!    artifact history tracks the dip directly.
+//!    The JSON carries the 100k/10k events/sec ratio, which a
+//!    scheduler cost that grows with the population pulls below 1.
+//!
+//!    The peak is the process's `VmHWM`, never reset. Points run in
+//!    ascending size (`--sizes` is sorted), so a point that outgrows the
+//!    churn run reads its own peak.
 //!
 //! All runs are seeded and deterministic.
 //!
@@ -65,14 +61,6 @@ fn arg_value(name: &str) -> Option<String> {
     None
 }
 
-/// Restart the kernel's resident-set high-water mark at the current
-/// resident set, so the next [`peak_rss_mb`] is this curve point's own.
-/// Where the kernel refuses, the mark stays the process's, which is
-/// still the point's while sizes ascend.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
 /// `VmHWM` in MiB; `None` off Linux.
 fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -82,13 +70,15 @@ fn peak_rss_mb() -> Option<f64> {
 }
 
 fn main() {
-    let sizes: Vec<usize> = arg_value("--sizes")
+    let mut sizes: Vec<usize> = arg_value("--sizes")
         .map(|v| {
             v.split(',')
                 .map(|s| s.trim().parse().expect("--sizes takes n,n,n"))
                 .collect()
         })
         .unwrap_or_else(|| vec![1_000, 10_000, 100_000]);
+    // Ascending, so each point's `VmHWM` reading is its own peak.
+    sizes.sort_unstable();
     let out = arg_value("--out").unwrap_or_else(|| "BENCH_scale.json".to_string());
 
     // -- efficiency: events per delivered packet on the churn run -----------
@@ -115,7 +105,6 @@ fn main() {
     // -- scaling curve: events/sec at each population -----------------------
     let mut curve = Vec::new();
     for &n in &sizes {
-        reset_peak_rss();
         let start = Instant::now();
         let s = scenario_scale_run(n);
         let secs = start.elapsed().as_secs_f64();

@@ -3,6 +3,14 @@
 //! Each function reproduces one figure of the paper's §4 and returns the
 //! rows/series to print; the README's "Figures" section is `figures`'
 //! output beside the paper's values.
+//!
+//! A figure run is three parts: a scenario script (joins, streams), a
+//! stack factory, and a reducer over the run's
+//! [`macedon_scenario::ScenarioOutcome`] or a probe's samples
+//! ([`ScenarioRunner::sample_every`]). Every run goes through
+//! [`scenario_runner`], as do the `bench_scale` runs. Only fig12's
+//! native pair builds its world by hand: its group is created at 5 s
+//! and joined from 6 s, which no script verb says yet.
 
 use crate::freepastry::{RmiModel, RmiQueue};
 use crate::lsd::{chord_registry, LSD};
@@ -15,13 +23,14 @@ use macedon_core::{
     TraceLevel, World, WorldConfig,
 };
 use macedon_lang::SpecRegistry;
-use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
+use macedon_net::topology::{canned, LinkSpec};
 use macedon_net::Topology;
 use macedon_overlays::nice::Nice;
 use macedon_overlays::pastry::{Pastry, PastryConfig};
 use macedon_overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon_overlays::splitstream::{SplitStream, SplitStreamConfig};
-use macedon_overlays::testutil::{collect_ring, correct_owner};
+use macedon_overlays::testutil::{collect_ring, correct_owner, inet_topology};
+use macedon_scenario::ScenarioRunner;
 use macedon_sim::SimRng;
 use std::sync::OnceLock;
 
@@ -69,6 +78,46 @@ pub fn seeded(seed: u64) -> WorldConfig {
         seed,
         ..Default::default()
     }
+}
+
+/// The one way an experiment here runs a scenario: `script` bound to
+/// `topo` and a world built from `cfg`, every node running the stack
+/// `build(bootstrap)` returns.
+pub fn scenario_runner<'a>(
+    script: &str,
+    topo: Topology,
+    cfg: WorldConfig,
+    mut build: impl FnMut(Option<NodeId>) -> Vec<Box<dyn Agent>> + 'a,
+) -> ScenarioRunner<'a> {
+    let scenario = macedon_scenario::script::parse(script).expect("scenario validates");
+    ScenarioRunner::new(
+        scenario,
+        topo,
+        cfg,
+        Box::new(move |_idx, _host, bootstrap| build(bootstrap)),
+    )
+    .expect("scenario binds")
+}
+
+/// [`scenario_runner`] running `proto`'s interpreted stack from
+/// `registry`, in a world built from `cfg` with the stack's channel
+/// table.
+pub fn spec_runner<'a>(
+    script: &str,
+    topo: Topology,
+    cfg: WorldConfig,
+    registry: &'a SpecRegistry,
+    proto: &'a str,
+) -> ScenarioRunner<'a> {
+    let cfg = WorldConfig {
+        channels: registry.channel_table_for(proto).expect("chain resolves"),
+        ..cfg
+    };
+    scenario_runner(script, topo, cfg, move |bootstrap| {
+        registry
+            .build_stack(proto, bootstrap)
+            .expect("stack builds")
+    })
 }
 
 /// The two back ends a bundled protocol runs on: its spec interpreted
@@ -224,35 +273,27 @@ pub fn fig8_9(scale: Scale) -> Vec<NiceSiteRow> {
     };
     let lat = nice_site_latencies();
     let sites = lat.len();
+    let n = sites * members_per_site;
     let topo = canned::sites(&lat, members_per_site, LinkSpec::lan());
-    let (mut w, hosts, sink) =
-        stack_world(topo, seeded(8), Duration::from_millis(400), |rendezvous| {
-            vec![Box::new(Nice::new(rendezvous))]
-        });
-    w.run_until(Time::from_secs(converge_s));
-
-    // Stream 40 packets at 10/s from the first member.
+    // Joins 400 ms apart, then 40 packets at 10/s from the first member.
+    let script = format!(
+        "scenario fig8-9\nnodes {n}\nend {end}s\n\
+         at 0s join 0..{n} over {stagger}ms\n\
+         at {converge_s}s stream 0 rate 80kbps size 1000 for 4s multicast\n",
+        end = converge_s + 60,
+        stagger = 400 * n,
+    );
+    let mut out = scenario_runner(&script, topo, seeded(8), |rendezvous| {
+        vec![Box::new(Nice::new(rendezvous))]
+    })
+    .run();
+    let hosts = &out.hosts;
     let base = Time::from_secs(converge_s);
-    let npkts = 40u64;
-    for i in 0..npkts {
-        let mut p = vec![0u8; 1000];
-        p[..8].copy_from_slice(&i.to_be_bytes());
-        w.api_at(
-            base + Duration::from_millis(i * 100),
-            hosts[0],
-            DownCall::Multicast {
-                group: MacedonKey(0),
-                payload: Bytes::from(p),
-                priority: -1,
-            },
-        );
-    }
-    w.run_until(base + Duration::from_secs(60));
 
     // Per-site stretch and latency.
     let paper8: [f64; 8] = [1.6, 1.8, 2.0, 2.3, 2.6, 2.2, 3.0, 4.2];
     let paper9: [f64; 8] = [8.0, 12.0, 15.0, 20.0, 25.0, 22.0, 30.0, 41.0];
-    let log = sink.lock();
+    let log = out.deliveries.lock();
     (0..sites)
         .map(|site| {
             let mut stretches = Vec::new();
@@ -265,7 +306,8 @@ pub fn fig8_9(scale: Scale) -> Vec<NiceSiteRow> {
                 let Some(seq) = rec.seqno else { continue };
                 let sent = base + Duration::from_millis(seq * 100);
                 let lat_s = rec.at.saturating_since(sent).as_secs_f64();
-                let direct = w
+                let direct = out
+                    .world
                     .net_mut()
                     .oracle_latency(hosts[0], rec.node)
                     .map(|d| d.as_secs_f64())
@@ -286,7 +328,7 @@ pub fn fig8_9(scale: Scale) -> Vec<NiceSiteRow> {
         .collect()
 }
 
-fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -325,6 +367,33 @@ pub fn correct_fingers(w: &World, hosts: &[NodeId]) -> usize {
         .sum()
 }
 
+/// `chord.mac` under `constants` on every host of `topo`, joining
+/// `stagger_ms` apart, to `run_s`: the average correct finger entries
+/// per host ([`correct_fingers`]) at 0, 2, 4, … s and at `run_s` — the
+/// paper's "routing tables every two seconds" against global knowledge.
+pub fn finger_series(
+    topo: Topology,
+    constants: &[(&str, i64)],
+    stagger_ms: u64,
+    run_s: u64,
+    seed: u64,
+) -> Vec<(f64, f64)> {
+    let nodes = topo.hosts().len();
+    let script = format!(
+        "scenario fig10\nnodes {nodes}\nend {run_s}s\nat 0s join 0..{nodes} over {over}ms\n",
+        over = stagger_ms * nodes as u64,
+    );
+    let registry = chord_registry(constants);
+    let mut series = Vec::new();
+    let mut runner = spec_runner(&script, topo, seeded(seed), &registry, "chord");
+    runner.sample_every(Duration::from_secs(2), |t, w, hosts| {
+        let avg = correct_fingers(w, hosts) as f64 / hosts.len() as f64;
+        series.push((t.as_secs_f64(), avg));
+    });
+    runner.run();
+    series
+}
+
 /// The three flavors are one spec, `chord.mac`, under three constant
 /// sets: static 1 s and 20 s `fix_fingers` periods, and lsd's adaptive
 /// policy ([`LSD`]).
@@ -334,30 +403,11 @@ pub fn fig10(scale: Scale) -> Fig10Series {
         Scale::Paper => (20_000, 1_000, 120),
     };
     let run = |constants: &[(&str, i64)]| -> Vec<(f64, f64)> {
-        let mut rng = SimRng::new(10);
-        let topo = inet(
-            &InetParams {
-                routers,
-                clients,
-                ..Default::default()
-            },
-            &mut rng,
-        );
+        let topo = inet_topology(routers, clients, 10);
         // Staggered joins across the first third of the run, as in the
         // paper ("routing tables converge steadily as nodes join").
-        let stagger = Duration::from_millis(run_s * 1000 / 3 / clients as u64);
-        let registry = chord_registry(constants);
-        let (mut w, hosts, _sink) = spec_world(&registry, "chord", topo, seeded(10), stagger);
-        // Dump "routing tables every two seconds" and count correct
-        // entries against global knowledge.
-        (0..=run_s)
-            .step_by(2)
-            .map(|t| {
-                w.run_until(Time::from_secs(t));
-                let avg = correct_fingers(&w, &hosts) as f64 / hosts.len() as f64;
-                (t as f64, avg)
-            })
-            .collect()
+        let stagger_ms = run_s * 1000 / 3 / clients as u64;
+        finger_series(topo, constants, stagger_ms, run_s, 10)
     };
     // The three flavors are independent worlds: sweep them in parallel
     // (the harness equivalent of the paper farming runs across machines).
@@ -402,63 +452,53 @@ pub fn fig11(scale: Scale) -> Vec<Fig11Row> {
     sizes
         .into_iter()
         .map(|n| {
-            let macedon_s = fig11_run(routers, n, converge_s, stream_s, false);
-            let freepastry_s =
-                (n <= cap).then(|| fig11_run(routers, n, converge_s, stream_s, true));
+            let latency = |rmi| {
+                let topo = inet_topology(routers, n, 11);
+                mean(&route_latencies(topo, converge_s, stream_s, rmi))
+            };
             Fig11Row {
                 nodes: n,
-                macedon_s,
-                freepastry_s,
+                macedon_s: latency(false),
+                freepastry_s: (n <= cap).then(|| latency(true)),
             }
         })
         .collect()
 }
 
-fn fig11_run(routers: usize, n: usize, converge_s: u64, stream_s: u64, rmi: bool) -> f64 {
-    let mut rng = SimRng::new(11);
-    let topo = inet(
-        &InetParams {
-            routers,
-            clients: n,
-            ..Default::default()
-        },
-        &mut rng,
+/// Each delivered packet's delay (s), in delivery order, with
+/// `pastry.mac` on every host of `topo`, each agent behind the
+/// FreePastry [`RmiQueue`] when `rmi` is set.
+/// Joins 50 ms apart; "we allowed routing tables to converge for 300
+/// seconds before streaming data": then every node routes 1000-byte
+/// packets at 10 Kbps to random keys for `stream_s`.
+pub fn route_latencies(topo: Topology, converge_s: u64, stream_s: u64, rmi: bool) -> Vec<f64> {
+    let n = topo.hosts().len();
+    let mut script = format!(
+        "scenario fig11\nnodes {n}\nend {end}s\nat 0s join 0..{n} over {stagger}ms\n",
+        end = converge_s + stream_s + 10,
+        stagger = 50 * n,
     );
-    let registry = SpecRegistry::bundled();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 11,
-            channels: registry.channel_table_for("pastry").expect("bundled"),
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    w.spawn_each(Duration::from_millis(50), |_, bootstrap| {
-        let mut stack = registry
-            .build_stack("pastry", bootstrap)
-            .expect("bundled stack builds");
+    for i in 0..n {
+        script +=
+            &format!("at {converge_s}s stream {i} rate 10kbps size 1000 for {stream_s}s route\n");
+    }
+    let cfg = WorldConfig {
+        channels: Backend::Interpreted.channel_table("pastry"),
+        ..seeded(11)
+    };
+    let outcome = scenario_runner(&script, topo, cfg, |bootstrap| {
+        let mut stack = Backend::Interpreted.build_stack("pastry", bootstrap);
         if rmi {
             let pastry = stack.pop().expect("pastry is one layer");
             stack.push(Box::new(RmiQueue::new(pastry, RmiModel::default())));
         }
-        // "we allowed routing tables to converge for 300 seconds before
-        // streaming data": the streamer app starts after convergence.
-        let app = StreamerApp::new(
-            StreamKind::RandomRoute,
-            10_000, // 10 Kbps
-            1_000,  // 1000-byte packets
-            Time::from_secs(converge_s),
-            Time::from_secs(converge_s + stream_s),
-            sink.clone(),
-        );
-        (stack, Box::new(app))
-    });
-    w.run_until(Time::from_secs(converge_s + stream_s + 10));
-    // Average per-packet delay. Send times are reconstructed from each
-    // streamer's fixed 0.8 s interval; since every node streams at the
-    // same phase, delay = delivery minus the seq's slot start.
-    let log = sink.lock();
+        stack
+    })
+    .run();
+    // Send times are reconstructed from each streamer's fixed 0.8 s
+    // interval; since every node streams at the same phase, delay =
+    // delivery minus the seq's slot start.
+    let log = outcome.deliveries.lock();
     let interval_us = 1_000u64 * 8 * 1_000_000 / 10_000; // 0.8 s
     let mut lats = Vec::new();
     for rec in log.iter() {
@@ -468,7 +508,7 @@ fn fig11_run(routers: usize, n: usize, converge_s: u64, stream_s: u64, rmi: bool
             lats.push(rec.at.saturating_since(sent).as_secs_f64());
         }
     }
-    mean(&lats)
+    lats
 }
 
 // ---------------------------------------------------------------------------
@@ -492,60 +532,7 @@ pub fn fig12(scale: Scale) -> Fig12Series {
         Scale::Quick => (32usize, 60u64, 90u64, 600_000u64),
         Scale::Paper => (300, 300, 300, 600_000),
     };
-    let run = |cache_lifetime: Option<Duration>| -> Vec<(f64, f64)> {
-        // Paper-era constrained access links: the stream plus forwarding
-        // load runs close to capacity, so the extra bandwidth consumed
-        // re-establishing evicted cache entries costs real goodput.
-        let topo = canned::star(
-            nodes,
-            LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-        );
-        let mut w = World::new(topo, seeded(12));
-        let sink = shared_deliveries();
-        let group = MacedonKey::of_name("fig12-stream");
-        let hosts = w.spawn_each(Duration::from_millis(100), |i, bootstrap| {
-            let pastry = Pastry::new(PastryConfig {
-                bootstrap,
-                cache_lifetime,
-            });
-            let scribe = Scribe::new(ScribeConfig {
-                data_path: DataPath::LocationCache,
-                max_children: Some(8),
-            });
-            let split = SplitStream::new(SplitStreamConfig::default());
-            let stack: Vec<Box<dyn Agent>> =
-                vec![Box::new(pastry), Box::new(scribe), Box::new(split)];
-            let app: Box<dyn AppHandler> = if i == 0 {
-                // The source streams after convergence.
-                Box::new(StreamerApp::new(
-                    StreamKind::Multicast { group },
-                    rate_bps,
-                    1_000,
-                    Time::from_secs(converge_s),
-                    Time::from_secs(converge_s + stream_s),
-                    sink.clone(),
-                ))
-            } else {
-                Box::new(CollectorApp::new(sink.clone()))
-            };
-            (stack, app)
-        });
-        // "all other nodes join the multicast session as receivers".
-        w.api_at(
-            Time::from_secs(5),
-            hosts[0],
-            DownCall::CreateGroup { group },
-        );
-        for (i, &h) in hosts.iter().enumerate().skip(1) {
-            w.api_at(
-                Time::from_secs(6) + Duration::from_millis(i as u64 * 100),
-                h,
-                DownCall::Join { group },
-            );
-        }
-        w.run_until(Time::from_secs(converge_s + stream_s + 10));
-        bin_goodput(&sink, hosts[0], converge_s, stream_s, nodes - 1)
-    };
+    let run = |lifetime| native_splitstream(nodes, converge_s, stream_s, rate_bps, lifetime);
     let (from_spec_nodes, from_spec) = fig12_from_spec(scale);
     Fig12Series {
         no_eviction: run(None),
@@ -553,6 +540,71 @@ pub fn fig12(scale: Scale) -> Fig12Series {
         from_spec_nodes,
         from_spec,
     }
+}
+
+/// Figure 12's native run: native SplitStream over Scribe's location
+/// cache over Pastry, whose cache entries live `cache_lifetime`, on
+/// `nodes` hosts; host 0 creates the group at 5 s and streams at
+/// `rate_bps` from `converge_s` for `stream_s`, the others join from
+/// 6 s, 100 ms apart. Returns the per-5 s goodput series.
+pub fn native_splitstream(
+    nodes: usize,
+    converge_s: u64,
+    stream_s: u64,
+    rate_bps: u64,
+    cache_lifetime: Option<Duration>,
+) -> Vec<(f64, f64)> {
+    // Paper-era constrained access links: the stream plus forwarding
+    // load runs close to capacity, so the extra bandwidth consumed
+    // re-establishing evicted cache entries costs real goodput.
+    let topo = canned::star(
+        nodes,
+        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
+    );
+    let mut w = World::new(topo, seeded(12));
+    let sink = shared_deliveries();
+    let group = MacedonKey::of_name("fig12-stream");
+    let hosts = w.spawn_each(Duration::from_millis(100), |i, bootstrap| {
+        let pastry = Pastry::new(PastryConfig {
+            bootstrap,
+            cache_lifetime,
+        });
+        let scribe = Scribe::new(ScribeConfig {
+            data_path: DataPath::LocationCache,
+            max_children: Some(8),
+        });
+        let split = SplitStream::new(SplitStreamConfig::default());
+        let stack: Vec<Box<dyn Agent>> = vec![Box::new(pastry), Box::new(scribe), Box::new(split)];
+        let app: Box<dyn AppHandler> = if i == 0 {
+            // The source streams after convergence.
+            Box::new(StreamerApp::new(
+                StreamKind::Multicast { group },
+                rate_bps,
+                1_000,
+                Time::from_secs(converge_s),
+                Time::from_secs(converge_s + stream_s),
+                sink.clone(),
+            ))
+        } else {
+            Box::new(CollectorApp::new(sink.clone()))
+        };
+        (stack, app)
+    });
+    // "all other nodes join the multicast session as receivers".
+    w.api_at(
+        Time::from_secs(5),
+        hosts[0],
+        DownCall::CreateGroup { group },
+    );
+    for (i, &h) in hosts.iter().enumerate().skip(1) {
+        w.api_at(
+            Time::from_secs(6) + Duration::from_millis(i as u64 * 100),
+            h,
+            DownCall::Join { group },
+        );
+    }
+    w.run_until(Time::from_secs(converge_s + stream_s + 10));
+    bin_goodput(&sink, hosts[0], converge_s, stream_s, nodes - 1)
 }
 
 /// Per-5s-bin mean per-receiver goodput (Kbps) from a delivery log.
@@ -611,37 +663,19 @@ fn fig12_from_spec(scale: Scale) -> (usize, Vec<(f64, f64)>) {
         Scale::Quick => (16usize, 60u64, 60u64, 200_000u64),
         Scale::Paper => (64, 120, 120, 200_000),
     };
-    let registry = macedon_lang::SpecRegistry::bundled();
-    let scenario = macedon_scenario::script::parse(&format!(
+    let registry = bundled();
+    let script = format!(
         "scenario fig12-from-spec\nnodes {nodes}\nend {end}s\n\
          at 0s join 0..{nodes} over {stagger}ms\n\
          at {converge_s}s stream 0 rate {rate_bps}bps size 1000 for {stream_s}s multicast\n",
         end = converge_s + stream_s + 10,
         stagger = nodes * 100,
-    ))
-    .expect("fig12 scenario validates");
+    );
     let topo = canned::star(
         nodes,
         LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
     );
-    let cfg = WorldConfig {
-        seed: 12,
-        channels: registry
-            .channel_table_for("splitstream")
-            .expect("bundled chain resolves"),
-        ..Default::default()
-    };
-    let mut runner = macedon_scenario::ScenarioRunner::new(
-        scenario,
-        topo,
-        cfg,
-        Box::new(|_idx, _host, bootstrap| {
-            registry
-                .build_stack("splitstream", bootstrap)
-                .expect("bundled stack builds")
-        }),
-    )
-    .expect("fig12 scenario binds");
+    let mut runner = spec_runner(&script, topo, seeded(12), registry, "splitstream");
     runner.set_trace_level(
         registry
             .trace_level_for("splitstream")
@@ -761,30 +795,13 @@ pub fn scenario_scale_run(nodes: usize) -> ChurnRunStats {
 }
 
 fn run_scenario_script_on(script: &str, nodes: usize, link: LinkSpec) -> ChurnRunStats {
-    let registry = macedon_lang::SpecRegistry::bundled();
-    let scenario = macedon_scenario::script::parse(script).expect("script parses");
-    let topo = canned::star(nodes, link);
     let cfg = WorldConfig {
-        seed: 77,
-        channels: registry
-            .channel_table_for("splitstream")
-            .expect("bundled chain resolves"),
         fd_g: Duration::from_secs(2),
         fd_f: Duration::from_secs(6),
-        ..Default::default()
+        ..seeded(77)
     };
-    let outcome = macedon_scenario::ScenarioRunner::new(
-        scenario,
-        topo,
-        cfg,
-        Box::new(|_idx, _host, bootstrap| {
-            registry
-                .build_stack("splitstream", bootstrap)
-                .expect("bundled stack builds")
-        }),
-    )
-    .expect("scenario binds")
-    .run();
+    let topo = canned::star(nodes, link);
+    let outcome = spec_runner(script, topo, cfg, bundled(), "splitstream").run();
     ChurnRunStats {
         delivered: outcome.report.total_delivered as usize,
         alive: outcome.report.alive,

@@ -139,77 +139,29 @@ impl Agent for RmiQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::stack_world;
-    use macedon_core::app::SharedDeliveries;
-    use macedon_core::{MacedonKey, Time, World, WorldConfig};
-    use macedon_lang::SpecRegistry;
+    use crate::experiments::{mean, route_latencies};
     use macedon_net::topology::{canned, LinkSpec};
 
-    /// An `n`-node `pastry.mac` mesh on a star LAN, each agent behind
-    /// the RMI queue when `rmi` is set.
-    fn mesh(n: usize, rmi: bool, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries) {
-        let registry = SpecRegistry::bundled();
-        let cfg = WorldConfig {
-            seed,
-            channels: registry.channel_table_for("pastry").unwrap(),
-            ..Default::default()
-        };
-        let topo = canned::star(n, LinkSpec::lan());
-        stack_world(topo, cfg, Duration::from_millis(100), |bootstrap| {
-            let pastry = registry.build_stack("pastry", bootstrap).unwrap();
-            if !rmi {
-                return pastry;
-            }
-            let queue = RmiQueue::new(pastry.into_iter().next().unwrap(), RmiModel::default());
-            vec![Box::new(queue)]
-        })
-    }
-
-    fn run_workload(w: &mut World, hosts: &[NodeId], sink: &SharedDeliveries) -> f64 {
-        w.run_until(Time::from_secs(60));
-        for i in 0..30u64 {
-            let mut p = vec![0u8; 1000];
-            p[..8].copy_from_slice(&i.to_be_bytes());
-            w.api_at(
-                Time::from_secs(60) + Duration::from_millis(i * 50),
-                hosts[(i % hosts.len() as u64) as usize],
-                DownCall::Route {
-                    dest: MacedonKey((i as u32).wrapping_mul(0x9E37_79B9)),
-                    payload: Bytes::from(p),
-                    priority: -1,
-                },
-            );
-        }
-        w.run_until(Time::from_secs(120));
-        let log = sink.lock();
-        assert_eq!(log.len(), 30, "all packets delivered");
-        // Mean delivery latency: delivery time minus injection time.
-        let total: f64 = log
-            .iter()
-            .map(|r| {
-                let seq = r.seqno.unwrap();
-                let sent = Time::from_secs(60) + Duration::from_millis(seq * 50);
-                r.at.saturating_since(sent).as_secs_f64()
-            })
-            .sum();
-        total / log.len() as f64
+    /// Fig 11's run on an `n`-node star LAN, each agent behind the RMI
+    /// queue when `rmi` is set: every packet's delay.
+    fn latencies(n: usize, rmi: bool) -> Vec<f64> {
+        route_latencies(canned::star(n, LinkSpec::lan()), 60, 20, rmi)
     }
 
     #[test]
     fn rmi_model_still_delivers() {
-        let (mut w, hosts, sink) = mesh(10, true, 7);
-        let lat = run_workload(&mut w, &hosts, &sink);
-        assert!(lat > 0.0);
+        // 10 streamers, one packet every 0.8 s for 20 s each.
+        assert_eq!(latencies(10, true).len(), 10 * 25, "every packet delivered");
     }
 
     /// The Fig 11 headline: MACEDON Pastry's latency is far below the
-    /// RMI-modelled FreePastry.
+    /// RMI-modelled FreePastry, with every packet delivered in both.
     #[test]
     fn macedon_latency_well_below_freepastry() {
-        let (mut w1, h1, s1) = mesh(16, false, 9);
-        let native = run_workload(&mut w1, &h1, &s1);
-        let (mut w2, h2, s2) = mesh(16, true, 9);
-        let rmi = run_workload(&mut w2, &h2, &s2);
+        let (native, rmi) = (latencies(16, false), latencies(16, true));
+        assert_eq!(native.len(), 16 * 25, "every native packet delivered");
+        assert_eq!(rmi.len(), 16 * 25, "every RMI packet delivered");
+        let (native, rmi) = (mean(&native), mean(&rmi));
         assert!(
             rmi > native * 2.0,
             "RMI model should dominate latency: macedon={native:.6}s rmi={rmi:.6}s"

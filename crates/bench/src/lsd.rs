@@ -37,25 +37,18 @@ pub fn chord_registry(constants: &[(&str, i64)]) -> SpecRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{correct_fingers, seeded, spec_world};
-    use macedon_core::{Duration, NodeId, Time, World};
+    use crate::experiments::{finger_series, seeded, spec_world};
+    use macedon_core::{Duration, Time};
     use macedon_net::topology::{canned, LinkSpec};
     use macedon_scenario::{ChordOracle, ConvergenceOracle, Snapshot};
 
-    fn ring(constants: &[(&str, i64)], n: usize, seed: u64) -> (World, Vec<NodeId>) {
-        let topo = canned::star(n, LinkSpec::lan());
-        let registry = chord_registry(constants);
-        let stagger = Duration::from_millis(100);
-        let (w, hosts, _sink) = spec_world(&registry, "chord", topo, seeded(seed), stagger);
-        (w, hosts)
-    }
-
     #[test]
     fn lsd_ring_converges() {
-        let (mut w, hosts) = ring(&LSD, 12, 3);
+        let (topo, registry) = (canned::star(12, LinkSpec::lan()), chord_registry(&LSD));
+        let stagger = Duration::from_millis(100);
+        let (mut w, hosts, _sink) = spec_world(&registry, "chord", topo, seeded(3), stagger);
         w.run_until(Time::from_secs(90));
-        let snap = Snapshot::of(&w, &hosts);
-        let violations = ChordOracle.check(&snap);
+        let violations = ChordOracle.check(&Snapshot::of(&w, &hosts));
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -63,13 +56,14 @@ mod tests {
     /// than lsd-dynamic early in the run.
     #[test]
     fn static_1s_beats_lsd_early() {
-        let count_correct = |constants: &[(&str, i64)]| {
-            let (mut w, hosts) = ring(constants, 16, 11);
-            w.run_until(Time::from_secs(30));
-            correct_fingers(&w, &hosts)
+        let at_30s = |constants: &[(&str, i64)]| {
+            let topo = canned::star(16, LinkSpec::lan());
+            let &(t, correct) = finger_series(topo, constants, 100, 30, 11).last().unwrap();
+            assert_eq!(t, 30.0, "the last sample is at t = 30 s");
+            correct
         };
-        let static_1s = count_correct(&[("FIX_FINGERS_MS", 1_000)]);
-        let lsd = count_correct(&LSD);
+        let static_1s = at_30s(&[("FIX_FINGERS_MS", 1_000)]);
+        let lsd = at_30s(&LSD);
         assert!(
             static_1s > lsd,
             "static 1s ({static_1s}) should beat lsd-dynamic ({lsd}) at t=30s"

@@ -10,8 +10,8 @@
 //!
 //! Every run is seeded, so each outcome is deterministic.
 
-use macedon_bench::experiments::{correct_fingers, seeded, spec_world};
-use macedon_bench::lsd::{chord_registry, LSD};
+use macedon_bench::experiments::{finger_series, seeded, spec_world};
+use macedon_bench::lsd::LSD;
 use macedon_core::{Duration, NodeId, Time, World, WorldConfig};
 use macedon_lang::{bundled_specs, compile, SpecRegistry};
 use macedon_net::topology::{canned, LinkSpec};
@@ -129,20 +129,15 @@ fn failure_detector_heal_time_grows_with_f() {
 
 /// At t = 40 s on a 12-node star, the static 1 s fix-fingers period
 /// holds more correct finger entries than lsd's adaptive policy or the
-/// static 20 s period (384 against 335 and 329 at seed 5).
+/// static 20 s period.
 #[test]
 fn one_second_fix_fingers_beats_lsd_and_twenty_seconds() {
     let correct = |constants: &[(&str, i64)]| {
-        let registry = chord_registry(constants);
-        let (mut w, hosts, _sink) = spec_world(
-            &registry,
-            "chord",
-            canned::star(12, LinkSpec::lan()),
-            seeded(5),
-            STAGGER,
-        );
-        w.run_until(Time::from_secs(40));
-        correct_fingers(&w, &hosts)
+        let topo = canned::star(12, LinkSpec::lan());
+        let series = finger_series(topo, constants, STAGGER.as_millis(), 40, 5);
+        let &(t, correct) = series.last().unwrap();
+        assert_eq!(t, 40.0, "the last sample is at the end of the run");
+        correct
     };
     let one_s = correct(&[("FIX_FINGERS_MS", 1_000)]);
     let lsd = correct(&LSD);

@@ -80,7 +80,6 @@ mod tests {
             layer: 0,
             level: TraceLevel::Med,
             span,
-            seq: 0,
             event,
         }
     }

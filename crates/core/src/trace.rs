@@ -13,8 +13,8 @@
 //!
 //! The [`TraceSink`] is a *bounded ring*: when full it drops the oldest
 //! record and counts the loss explicitly, so 100k-node traced runs
-//! cannot exhaust memory silently. Each record is stamped with a
-//! per-sink monotonic `seq`, its position in the run's one stream.
+//! cannot exhaust memory silently. The ring holds records in recording
+//! order, the run's one stream.
 
 use macedon_net::{DropReason, NodeId};
 use macedon_sim::Time;
@@ -136,8 +136,6 @@ pub struct TraceRecord {
     /// Causal context active when this record was emitted: the span of
     /// the message whose dispatch we are inside, or `NONE`.
     pub span: SpanId,
-    /// Per-sink monotonic sequence number (recording order).
-    pub seq: u64,
     pub event: TraceEvent,
 }
 
@@ -220,7 +218,6 @@ pub struct TraceSink {
     level: TraceLevel,
     capacity: usize,
     records: VecDeque<TraceRecord>,
-    next_seq: u64,
     /// Records evicted because the ring was full.
     pub dropped: u64,
     /// (read-locked, write-locked) transitions executed.
@@ -236,7 +233,6 @@ impl Default for TraceSink {
             level: TraceLevel::Off,
             capacity: DEFAULT_TRACE_CAPACITY,
             records: VecDeque::new(),
-            next_seq: 0,
             dropped: 0,
             read_transitions: 0,
             write_transitions: 0,
@@ -292,15 +288,12 @@ impl TraceSink {
             self.records.pop_front();
             self.dropped += 1;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.records.push_back(TraceRecord {
             at,
             node,
             layer,
             level,
             span,
-            seq,
             event,
         });
     }
@@ -397,9 +390,9 @@ mod tests {
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped, 2);
-        // Oldest evicted first; seq numbers keep counting.
-        let seqs: Vec<u64> = t.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
+        // Oldest evicted first: m2..m4 remain, in recording order.
+        let kept: Vec<&TraceEvent> = t.records().map(|r| &r.event).collect();
+        assert_eq!(kept, [&custom("m2"), &custom("m3"), &custom("m4")]);
         // Shrinking evicts immediately.
         t.set_capacity(1);
         assert_eq!(t.len(), 1);
@@ -424,7 +417,6 @@ mod tests {
             layer: 1,
             level: TraceLevel::Med,
             span: SpanId::mint(NodeId(2), 9),
-            seq: 0,
             event: TraceEvent::Send {
                 span: SpanId::mint(NodeId(3), 1),
                 dst: NodeId(4),
@@ -446,7 +438,6 @@ mod tests {
             layer: 0,
             level: TraceLevel::High,
             span,
-            seq: 0,
             event,
         }
     }

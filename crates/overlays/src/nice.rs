@@ -484,11 +484,10 @@ impl Agent for Nice {
                 self.mark_seen(src, &payload);
                 self.forward_data(ctx, src, &payload, ctx.me, None);
             }
-            DownCall::Join { .. } => {
-                if !self.joined {
-                    self.start_join(ctx);
-                }
-            }
+            // NICE joins from `init` and re-joins by itself on leader
+            // loss; an application `Join` must not restart a join that
+            // is still descending the hierarchy.
+            DownCall::Join { .. } => {}
             other => {
                 ctx.trace(TraceLevel::Low, format!("nice: unsupported {other:?}"));
             }
@@ -824,22 +823,40 @@ mod tests {
         assert!(total_splits >= 1, "hierarchy formed via splits");
     }
 
-    #[test]
-    fn multicast_reaches_most_members() {
-        let (mut w, hosts, sink) = nice_world(3, 4, 5);
-        w.run_until(Time::from_secs(180));
+    /// `nice_world(sites, per_site, 5)` to 200 s, with one multicast
+    /// from the RP at 180 s and, when `joins` is set, a `DownCall::Join`
+    /// to every member 1 s after its spawn (what the scenario runner
+    /// issues whenever a script streams multicast).
+    fn multicast_run(
+        sites: usize,
+        per_site: usize,
+        joins: bool,
+    ) -> (World, Vec<NodeId>, SharedDeliveries) {
+        let (mut w, hosts, sink) = nice_world(sites, per_site, 5);
+        let group = MacedonKey(0);
+        for (i, &h) in hosts.iter().enumerate().filter(|_| joins) {
+            w.api_at(
+                Time::from_millis(300 * i as u64 + 1_000),
+                h,
+                DownCall::Join { group },
+            );
+        }
         let mut payload = vec![0u8; 64];
         payload[..8].copy_from_slice(&5u64.to_be_bytes());
-        w.api_at(
-            Time::from_secs(180),
-            hosts[0],
-            DownCall::Multicast {
-                group: MacedonKey(0),
-                payload: Bytes::from(payload),
-                priority: -1,
-            },
-        );
+        let (payload, priority) = (Bytes::from(payload), -1);
+        let call = DownCall::Multicast {
+            group,
+            payload,
+            priority,
+        };
+        w.api_at(Time::from_secs(180), hosts[0], call);
         w.run_until(Time::from_secs(200));
+        (w, hosts, sink)
+    }
+
+    #[test]
+    fn multicast_reaches_most_members() {
+        let (_w, hosts, sink) = multicast_run(3, 4, false);
         let log = sink.lock();
         let got: std::collections::HashSet<NodeId> = log
             .iter()
@@ -854,6 +871,19 @@ mod tests {
             got.len(),
             hosts.len() - 1
         );
+    }
+
+    #[test]
+    fn join_downcall_leaves_the_run_unchanged() {
+        // 25 members: some are still descending the hierarchy 1 s in.
+        let run = |joins| {
+            let (w, hosts, sink) = multicast_run(5, 5, joins);
+            let clusters: Vec<_> = hosts.iter().map(|&h| &nice_of(&w, h).clusters).collect();
+            (format!("{:?}", sink.lock()), format!("{clusters:?}"))
+        };
+        let (log, clusters) = run(false);
+        assert!(log.contains("seqno: Some(5)"), "the multicast arrived");
+        assert_eq!(run(true), (log, clusters));
     }
 
     #[test]

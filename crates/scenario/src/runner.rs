@@ -12,6 +12,11 @@
 //! delivery log the metrics derive from. At an `assert` checkpoint the
 //! runner hands the registered oracle a [`Snapshot::of`] the world,
 //! which reads every spec layer on either back end.
+//!
+//! A caller that needs more than the report (a figure's time series of
+//! routing-table state, say) registers a read-only probe
+//! ([`ScenarioRunner::sample_every`]); one slicing loop pauses the run
+//! at each probe and telemetry instant.
 
 use crate::model::{Event, Scenario, ScenarioError, Span, StreamShape};
 use crate::oracle::{ConvergenceOracle, Snapshot};
@@ -34,6 +39,10 @@ use std::collections::HashSet;
 /// designated root) and node 0's host otherwise.
 pub type StackFactory<'a> =
     Box<dyn FnMut(usize, NodeId, Option<NodeId>) -> Vec<Box<dyn Agent>> + 'a>;
+
+/// A read-only look at the world at one sampling instant:
+/// `(now, world, the scenario's hosts)`.
+type Probe<'a> = Box<dyn FnMut(Time, &World, &[NodeId]) + 'a>;
 
 /// Delay between a node's spawn and its group join (multicast streams).
 const JOIN_DELAY: Duration = Duration(1_000_000);
@@ -105,6 +114,9 @@ pub struct ScenarioRunner<'a> {
     /// Trace level every spawned node's stack runs at
     /// ([`Self::set_trace_level`]); `None` keeps the world default.
     trace_level: Option<TraceLevel>,
+    /// The caller's probe, its period and its next instant
+    /// ([`Self::sample_every`]).
+    probe: Option<(Probe<'a>, Duration, Time)>,
 }
 
 impl<'a> ScenarioRunner<'a> {
@@ -140,6 +152,7 @@ impl<'a> ScenarioRunner<'a> {
             oracles: Vec::new(),
             telemetry: None,
             trace_level: None,
+            probe: None,
         })
     }
 
@@ -172,17 +185,45 @@ impl<'a> ScenarioRunner<'a> {
         self.trace_level = Some(level);
     }
 
-    /// Advance the world to `to`, pausing at every telemetry sampling
-    /// boundary on the way. With no sampler this is `run_until`.
+    /// Call `probe` at 0, `every`, `2·every`, … and at the scenario's
+    /// end (once, also when `every` does not divide it), each time after
+    /// the world has run every event due by then and before the scripted
+    /// actions of that instant. The probe only reads, so the outcome is
+    /// the same with or without it.
+    pub fn sample_every(
+        &mut self,
+        every: Duration,
+        probe: impl FnMut(Time, &World, &[NodeId]) + 'a,
+    ) {
+        assert!(every > Duration::ZERO, "probe interval must be nonzero");
+        self.probe = Some((Box::new(probe), every, Time::ZERO));
+    }
+
+    /// Advance the world to `to`, pausing on the way at every telemetry
+    /// and probe instant due by then. With neither this is `run_until`.
     fn advance(&mut self, to: Time) {
-        if let Some(tel) = &mut self.telemetry {
-            loop {
-                let due = tel.next_due(Time::ZERO);
-                if due > to {
-                    break;
-                }
-                self.world.run_until(due);
-                tel.sample(&self.world);
+        loop {
+            let tel_due = self.telemetry.as_ref().map(|t| t.next_due(Time::ZERO));
+            let probe_due = self.probe.as_ref().map(|&(_, _, next)| next);
+            let Some(due) = tel_due.into_iter().chain(probe_due).min() else {
+                break;
+            };
+            if due > to {
+                break;
+            }
+            self.world.run_until(due);
+            if tel_due == Some(due) {
+                self.telemetry.as_mut().expect("due").sample(&self.world);
+            }
+            if probe_due == Some(due) {
+                let (probe, every, next) = self.probe.as_mut().expect("due");
+                probe(due, &self.world, &self.hosts[..self.scenario.nodes]);
+                let end = self.scenario.end;
+                *next = if due < end {
+                    end.min(due + *every)
+                } else {
+                    due + *every
+                };
             }
         }
         self.world.run_until(to);
@@ -190,74 +231,64 @@ impl<'a> ScenarioRunner<'a> {
 
     /// Expand the scenario into `(time, Action)` pairs, stable-sorted.
     fn compile(&self) -> Vec<(Time, Action)> {
-        let mut seq = 0u64;
-        let mut out: Vec<(Time, u64, Action)> = Vec::new();
-        let mut push = |t: Time, a: Action, seq: &mut u64| {
-            out.push((t, *seq, a));
-            *seq += 1;
-        };
+        let mut out: Vec<(Time, Action)> = Vec::new();
         for te in &self.scenario.events {
+            let at = te.at;
             match &te.event {
                 Event::Join { nodes, over } | Event::Rejoin { nodes, over } => {
                     let fresh = matches!(te.event, Event::Join { .. });
                     let n = nodes.len() as u64;
                     for (i, &idx) in nodes.iter().enumerate() {
                         let offset = Duration(over.as_micros() * i as u64 / n.max(1));
-                        push(te.at + offset, Action::Spawn { idx, fresh }, &mut seq);
+                        out.push((at + offset, Action::Spawn { idx, fresh }));
                     }
                 }
                 Event::Crash { nodes } => {
-                    for &idx in nodes {
-                        push(te.at, Action::Crash { idx }, &mut seq);
-                    }
+                    out.extend(nodes.iter().map(|&idx| (at, Action::Crash { idx })));
                 }
                 Event::Partition { side, .. } => {
-                    push(te.at, Action::Partition { side: side.clone() }, &mut seq);
+                    out.push((at, Action::Partition { side: side.clone() }));
                 }
-                Event::Heal { .. } => push(te.at, Action::Heal, &mut seq),
+                Event::Heal { .. } => out.push((at, Action::Heal)),
                 Event::Degrade {
                     nodes,
                     bandwidth_bps,
                     delay,
                 } => {
+                    let (bandwidth_bps, delay) = (*bandwidth_bps, *delay);
                     for &idx in nodes {
-                        push(
-                            te.at,
-                            Action::Degrade {
-                                idx,
-                                bandwidth_bps: *bandwidth_bps,
-                                delay: *delay,
-                            },
-                            &mut seq,
-                        );
+                        let degrade = Action::Degrade {
+                            idx,
+                            bandwidth_bps,
+                            delay,
+                        };
+                        out.push((at, degrade));
                     }
                 }
                 Event::Restore { nodes } => {
-                    for &idx in nodes {
-                        push(te.at, Action::Restore { idx }, &mut seq);
-                    }
+                    out.extend(nodes.iter().map(|&idx| (at, Action::Restore { idx })));
                 }
-                Event::Drop { probability } => push(
-                    te.at,
-                    Action::Drop {
-                        probability: *probability,
-                    },
-                    &mut seq,
-                ),
+                Event::Drop { probability } => {
+                    out.push((
+                        at,
+                        Action::Drop {
+                            probability: *probability,
+                        },
+                    ));
+                }
                 Event::Stream { .. } => {} // installed at spawn time
-                Event::Assert { oracle, converged } => push(
-                    te.at,
+                Event::Assert { oracle, converged } => out.push((
+                    at,
                     Action::OracleCheck {
                         oracle: oracle.clone(),
                         expect_converged: *converged,
                     },
-                    &mut seq,
-                ),
+                )),
             }
         }
-        let mut out: Vec<(Time, u64, Action)> = out;
-        out.sort_by_key(|&(t, s, _)| (t, s));
-        out.into_iter().map(|(t, _, a)| (t, a)).collect()
+        // Stable: same-instant actions keep their script order.
+        out.sort_by_key(|&(t, _)| t);
+        out
     }
 
     /// Stream plans per node index.
@@ -293,51 +324,40 @@ impl<'a> ScenarioRunner<'a> {
         let plans = self.stream_plans();
         let multicast_anywhere = plans.values().any(|p| p.shape == StreamShape::Multicast);
         let actions = self.compile();
-        let group = self.group;
 
-        // Perturbation bookkeeping: convergence is "last membership
-        // change observed before the next perturbation (or run end),
-        // relative to the perturbation instant".
+        // Perturbation bookkeeping: a perturbation's convergence is the
+        // last membership change observed before the next perturbation
+        // (or run end), relative to its instant.
         let mut perturbations: Vec<PerturbationReport> = Vec::new();
-        let mut open_perturbation: Option<usize> = None;
-        fn close_open(
-            world: &World,
-            perturbations: &mut [PerturbationReport],
-            open: &mut Option<usize>,
-        ) {
-            if let Some(i) = open.take() {
-                let p = &mut perturbations[i];
+        let close_last = |world: &World, ps: &mut Vec<PerturbationReport>| {
+            if let Some(p) = ps.last_mut() {
                 let last = world.last_membership_change();
                 p.convergence = (last > p.at).then(|| last.saturating_since(p.at));
             }
-        }
-        let perturbation_times: Vec<(Time, String)> = self
+        };
+        let mut pending = self
             .scenario
             .events
             .iter()
             .filter(|te| te.event.is_perturbation())
             .map(|te| (te.at, te.event.label()))
-            .collect();
-        let mut next_perturbation = 0usize;
+            .collect::<Vec<_>>()
+            .into_iter()
+            .peekable();
         let mut checks: Vec<OracleCheckReport> = Vec::new();
 
         for (at, action) in actions {
             self.advance(at);
-            // Close any perturbation window that ends at or before this
-            // instant.
-            while next_perturbation < perturbation_times.len()
-                && perturbation_times[next_perturbation].0 <= at
-            {
-                close_open(&self.world, &mut perturbations, &mut open_perturbation);
-                let (pat, label) = perturbation_times[next_perturbation].clone();
+            // Open every perturbation window that starts by this instant,
+            // closing the one before it.
+            while let Some((at, what)) = pending.next_if(|p| p.0 <= at) {
+                close_last(&self.world, &mut perturbations);
                 perturbations.push(PerturbationReport {
-                    at: pat,
-                    what: label,
+                    at,
+                    what,
                     convergence: None,
                     deliveries_during: 0,
                 });
-                open_perturbation = Some(perturbations.len() - 1);
-                next_perturbation += 1;
             }
             if let Action::OracleCheck {
                 oracle,
@@ -346,11 +366,11 @@ impl<'a> ScenarioRunner<'a> {
             {
                 checks.push(self.oracle_check(at, oracle, expect_converged));
             } else {
-                self.apply(at, action, &sink, &plans, multicast_anywhere, group);
+                self.apply(at, action, &sink, &plans, multicast_anywhere);
             }
         }
         self.advance(self.scenario.end);
-        close_open(&self.world, &mut perturbations, &mut open_perturbation);
+        close_last(&self.world, &mut perturbations);
 
         // Deliveries per perturbation window (until the next one / end).
         {
@@ -378,24 +398,14 @@ impl<'a> ScenarioRunner<'a> {
     /// Evaluate one `assert` checkpoint against a fresh snapshot. An
     /// unregistered oracle name is a failed check, never a silent pass.
     fn oracle_check(&self, at: Time, oracle: String, expect_converged: bool) -> OracleCheckReport {
-        let Some(o) = self.oracles.iter().find(|o| o.name() == oracle) else {
-            return OracleCheckReport {
-                at,
-                oracle: oracle.clone(),
-                expect_converged,
-                converged: false,
-                violations: vec![format!("no oracle registered under the name '{oracle}'")],
-                passed: false,
-            };
+        let found = self.oracles.iter().find(|o| o.name() == oracle);
+        let violations: Vec<String> = match found {
+            Some(o) => {
+                let snapshot = Snapshot::of(&self.world, &self.hosts[..self.scenario.nodes]);
+                o.check(&snapshot).iter().map(|v| v.to_string()).collect()
+            }
+            None => vec![format!("no oracle registered under the name '{oracle}'")],
         };
-        let violations: Vec<String> = o
-            .check(&Snapshot::of(
-                &self.world,
-                &self.hosts[..self.scenario.nodes],
-            ))
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
         let converged = violations.is_empty();
         OracleCheckReport {
             at,
@@ -403,7 +413,7 @@ impl<'a> ScenarioRunner<'a> {
             expect_converged,
             converged,
             violations,
-            passed: converged == expect_converged,
+            passed: found.is_some() && converged == expect_converged,
         }
     }
 
@@ -414,8 +424,8 @@ impl<'a> ScenarioRunner<'a> {
         sink: &SharedDeliveries,
         plans: &FxHashMap<usize, StreamPlan>,
         multicast_anywhere: bool,
-        group: MacedonKey,
     ) {
+        let group = self.group;
         match action {
             Action::Spawn { idx, fresh } => {
                 let host = self.hosts[idx];

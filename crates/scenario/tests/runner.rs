@@ -161,3 +161,36 @@ fn too_small_topology_diagnosed() {
     .unwrap();
     assert!(e.msg.contains("4 hosts"), "{e}");
 }
+
+#[test]
+fn probe_fires_on_its_grid_and_changes_nothing() {
+    let reg = SpecRegistry::bundled();
+    // Telemetry every 3 s and the probe every `every_s`: the one slicing
+    // loop pauses at both grids.
+    let report = |every_s: Option<u64>| {
+        let mut seen = Vec::new();
+        let mut runner = runner_for(&reg, script::parse(CHURN).unwrap(), 10, 7);
+        runner.enable_telemetry(Duration::from_secs(3));
+        if let Some(every_s) = every_s {
+            runner.sample_every(Duration::from_secs(every_s), |t, w, hosts| {
+                assert_eq!(w.now(), t, "the world has run to the probe instant");
+                seen.push((t.as_micros() / 1_000_000, hosts.len()));
+            });
+        }
+        let json = runner.run().report.to_json();
+        (json, seen)
+    };
+    let (plain, none) = report(None);
+    assert!(none.is_empty());
+    // The churn script ends at 90 s: a 10 s grid reaches it, a 4 s grid
+    // stops at 88 s and the probe fires once more at the end.
+    for (every_s, want) in [
+        (10, (0..=90).step_by(10).collect::<Vec<u64>>()),
+        (4, (0..=88).step_by(4).chain([90]).collect()),
+    ] {
+        let (probed, seen) = report(Some(every_s));
+        assert_eq!(probed, plain, "a probe never changes the report");
+        let want: Vec<(u64, usize)> = want.into_iter().map(|t| (t, 10)).collect();
+        assert_eq!(seen, want, "at 0, every {every_s} s, and at the end");
+    }
+}

@@ -17,7 +17,7 @@ mod common;
 use common::{assert_matches_golden, star};
 use macedon::prelude::*;
 use macedon::scenario::script;
-use macedon_bench::experiments::Backend;
+use macedon_bench::experiments::{scenario_runner, Backend};
 
 /// Run `scenario_src` with an all-interpreted or all-generated `proto`
 /// stack on every node, and the oracles `oracles(group)` builds for the
@@ -29,8 +29,7 @@ fn run(
     seed: u64,
     oracles: impl FnOnce(MacedonKey) -> Vec<Box<dyn ConvergenceOracle>>,
 ) -> ScenarioOutcome {
-    let scenario = script::parse(scenario_src).expect("scenario parses");
-    let topo = star(scenario.nodes);
+    let topo = star(script::parse(scenario_src).expect("scenario parses").nodes);
     let cfg = WorldConfig {
         seed,
         channels: backend.channel_table(proto),
@@ -38,13 +37,9 @@ fn run(
         fd_f: Duration::from_secs(6),
         ..Default::default()
     };
-    let mut runner = ScenarioRunner::new(
-        scenario,
-        topo,
-        cfg,
-        Box::new(move |_idx, _host, bootstrap| backend.build_stack(proto, bootstrap)),
-    )
-    .expect("runner binds");
+    let mut runner = scenario_runner(scenario_src, topo, cfg, move |bootstrap| {
+        backend.build_stack(proto, bootstrap)
+    });
     for oracle in oracles(runner.group()) {
         runner.register_oracle(oracle);
     }

@@ -9,14 +9,13 @@ mod common;
 use common::{assert_matches_golden, star};
 use macedon::prelude::*;
 use macedon::scenario::script;
-use macedon_bench::experiments::Backend;
+use macedon_bench::experiments::{scenario_runner, Backend};
 
 /// Run `scenario_src` with an all-interpreted or all-generated overcast
 /// stack on every node (fast failure detection so churn aftermath fits
 /// the scripted windows).
 fn run_overcast(backend: Backend, scenario_src: &str, seed: u64) -> ScenarioOutcome {
-    let scenario = script::parse(scenario_src).expect("scenario parses");
-    let topo = star(scenario.nodes);
+    let topo = star(script::parse(scenario_src).expect("scenario parses").nodes);
     let cfg = WorldConfig {
         seed,
         channels: backend.channel_table("overcast"),
@@ -24,14 +23,10 @@ fn run_overcast(backend: Backend, scenario_src: &str, seed: u64) -> ScenarioOutc
         fd_f: Duration::from_secs(6),
         ..Default::default()
     };
-    let runner = ScenarioRunner::new(
-        scenario,
-        topo,
-        cfg,
-        Box::new(move |_idx, _host, bootstrap| backend.build_stack("overcast", bootstrap)),
-    )
-    .expect("runner binds");
-    runner.run()
+    scenario_runner(scenario_src, topo, cfg, move |bootstrap| {
+        backend.build_stack("overcast", bootstrap)
+    })
+    .run()
 }
 
 /// `(state, papa, kids)` per node, either back end.

@@ -9,10 +9,10 @@
 //!    only because the repo benchmark still sets them; a run that sets
 //!    them is the run that does not, byte for byte.
 
+use macedon_bench::experiments::scenario_runner;
 use macedon_core::{SpanId, TraceEvent, TraceLevel, WorldConfig};
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{LinkSpec, TopologyBuilder};
-use macedon_scenario::ScenarioRunner;
 use macedon_sim::Duration;
 
 /// The property tests' spokes: delays all distinct (2ms + 137µs·i) on
@@ -95,17 +95,10 @@ fn span_parentage_is_a_forest_across_scenarios() {
     ] {
         for seed in [7u64, 77] {
             let registry = SpecRegistry::bundled();
-            let scenario = macedon_scenario::script::parse(&script).expect("script parses");
             let topo = star(nodes, jittered_link);
-            let mut runner = ScenarioRunner::new(
-                scenario,
-                topo,
-                config(&registry, seed),
-                Box::new(|_idx, _host, bootstrap| {
-                    registry.build_stack("splitstream", bootstrap).unwrap()
-                }),
-            )
-            .expect("scenario binds");
+            let mut runner = scenario_runner(&script, topo, config(&registry, seed), |bootstrap| {
+                registry.build_stack("splitstream", bootstrap).unwrap()
+            });
             runner.set_trace_level(TraceLevel::High);
             let outcome = runner.run();
 
@@ -141,17 +134,10 @@ fn benchmark_shard_knobs_are_inert() {
     let registry = SpecRegistry::bundled();
     let script = macedon_bench::experiments::scenario_scale_script(12);
     let run = |cfg: WorldConfig, workers: Option<usize>| {
-        let scenario = macedon_scenario::script::parse(&script).expect("script parses");
         let topo = star(12, jittered_link);
-        let mut runner = ScenarioRunner::new(
-            scenario,
-            topo,
-            cfg,
-            Box::new(|_idx, _host, bootstrap| {
-                registry.build_stack("splitstream", bootstrap).unwrap()
-            }),
-        )
-        .expect("scenario binds");
+        let mut runner = scenario_runner(&script, topo, cfg, |bootstrap| {
+            registry.build_stack("splitstream", bootstrap).unwrap()
+        });
         if let Some(n) = workers {
             runner.set_workers(n);
         }
