@@ -833,13 +833,21 @@ mod tests {
         let mut net: Network<u32> = Network::new(t, NetworkConfig::default());
         assert_eq!(net.oracle_latency(a, z), Some(ms(8)));
         assert_eq!(net.router.hop_count(&net.topo, a, z), Some(4));
-        assert_eq!(net.router.cached_destinations(), 1);
+        // The first miss built both host anchors' tables, `ra`'s and
+        // `rz`'s; a walk to `via`, which no host hangs off, adds its own.
+        assert_eq!(net.router.cached_destinations(), 2);
+        let via = NodeId(4);
+        assert_eq!(net.router.dist(&net.topo, a, via), Some(ms(4)));
+        assert_eq!(net.router.cached_destinations(), 3);
         // The direct cable gets faster than the detour: tables drop and
         // the next walk takes it.
         net.set_phys_link(2, None, Some(ms(1)));
         assert_eq!(net.router.cached_destinations(), 0);
         assert_eq!(net.oracle_latency(a, z), Some(ms(3)));
         assert_eq!(net.router.hop_count(&net.topo, a, z), Some(3));
+        assert_eq!(net.router.cached_destinations(), 2);
+        assert_eq!(net.router.dist(&net.topo, a, via), Some(ms(4)));
+        assert_eq!(net.router.cached_destinations(), 3);
         let mut out = Sink::new();
         net.send(Time::ZERO, Packet::new(a, z, 100, 1), &mut out);
         let counters = net.link_counters();

@@ -37,12 +37,29 @@
 //! walk labels connected components (so the leaf shortcut can never
 //! bounce a packet destined to another component). The first walk that
 //! crosses a core node other than its anchor builds the `Core` — the
-//! node → core index, the hub ranks, a packed core-to-core adjacency and
-//! the Dijkstra scratch — and from then on each new anchor costs one
-//! Dijkstra over the packed adjacency with that scratch reused, then one
+//! node → core index, the hub ranks and a packed core-to-core adjacency
+//! — with a Dijkstra scratch, and, in the same call, the tree of every
+//! **host anchor**: each distinct anchor of [`Topology::hosts`], since
+//! only those can end a host-to-host walk. That batch is split into
+//! contiguous chunks across [`std::thread::available_parallelism`]
+//! scoped threads, never more threads than trees and none for less than
+//! `MIN_SETTLES` node settlings of work, so a small graph's batch stays
+//! on the calling thread. The calling thread allocates every table and
+//! every worker's scratch, and builds its own chunk with its own
+//! scratch; a tree is a pure function of the topology, so no thread
+//! count or order can change a table. Any other anchor (a walk to a
+//! router that no host hangs off) is built alone on its first miss: one
+//! Dijkstra over the packed adjacency with the scratch reused, then one
 //! pass packing its `u16` next hops into nibbles. A walk resolves
 //! reachability, anchor and table **once** (`Router::route`) and then
 //! follows the slice.
+//!
+//! Why a batch: a 300-client run on the 20,000-router INET graph needs
+//! 300 trees at ~1.75 ms each. Built one at a time on the simulation
+//! thread they were ~0.55 s of a ~1.1 s run; with them prebuilt outside
+//! the timed run, the run itself took 0.56 s. In one batch on two
+//! threads they take ~0.29 s, and the run ~0.77 s where it took ~1.05 s
+//! (2-core Xeon VM).
 //!
 //! **The tie-break invariant.** Core delays are whole milliseconds, so
 //! equal-cost paths are the norm, and which one a packet takes decides
@@ -66,6 +83,8 @@ use crate::topology::{Link, LinkId, NodeId, Topology};
 use macedon_sim::Duration;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroUsize;
+use std::thread;
 
 /// "No entry" in the `u32` tables: not a core node, not reached, not a
 /// hub.
@@ -75,17 +94,35 @@ const NO_HOP: u16 = u16::MAX;
 /// The nibble that defers to a hub's side entry, and at a non-hub means
 /// no next hop. Positions below it are stored as they are.
 const ESCAPE: u8 = 15;
+/// Node settlings (trees × core nodes) a thread of a batch must have
+/// ahead of it to be spawned: 2^16 is ~6 ms of Dijkstra at ~90 ns a
+/// settling on the 20,000-router INET graph, against 20–35 µs to spawn
+/// and join a scoped thread (2-core Xeon VM).
+const MIN_SETTLES: usize = 1 << 16;
 
 /// Hop-by-hop router with lazy per-anchor next-hop tables.
 pub struct Router {
     /// Connected-component label per node, built lazily (None = stale).
     comps: Option<Vec<u32>>,
     /// Everything tree-shaped, built on the first tree miss.
-    core: Option<Box<Core>>,
+    tables: Option<Box<Tables>>,
 }
 
-/// The core graph (nodes of degree ≥ 2), its next-hop tables and the
-/// scratch they are built with.
+/// The core graph, the next-hop tables built over it and the calling
+/// thread's Dijkstra scratch.
+struct Tables {
+    core: Core,
+    /// Anchor's core index → 1 + position in `trees` (0 = not built),
+    /// the `pipeline::LinkTable` idiom.
+    tree_of: Vec<u32>,
+    /// Per anchor: every core node's next hop toward it, packed by
+    /// [`Core::pack`] and read by [`Core::entry`].
+    trees: Vec<Box<[u8]>>,
+    scratch: Scratch,
+}
+
+/// The core graph (nodes of degree ≥ 2). Read-only once built: every
+/// thread of a batch shares it.
 struct Core {
     /// Node → core index ([`NONE`] for degree ≤ 1). Ascends with node id.
     of_node: Vec<u32>,
@@ -93,19 +130,18 @@ struct Core {
     /// in a table's side array ([`NONE`] for a non-hub).
     hub_of: Vec<u32>,
     hubs: usize,
-    /// Anchor's core index → 1 + position in `trees` (0 = not built),
-    /// the `pipeline::LinkTable` idiom.
-    tree_of: Vec<u32>,
-    /// Per anchor: every core node's next hop toward it, packed by
-    /// [`Core::pack`] and read by [`Core::entry`].
-    trees: Vec<Box<[u8]>>,
     /// Packed core-to-core adjacency, CSR: core node `c`'s half-links are
     /// `half[off[c]..off[c + 1]]`, in the topology's order.
     off: Vec<u32>,
     half: Vec<Half>,
-    /// Dijkstra scratch, reused across trees: distances, and each core
-    /// node's next hop as a position in its `Topology::outgoing`
-    /// ([`NO_HOP`] at the root and where unreachable).
+    /// The largest `Half::delay`, which sizes a [`Queue`]'s bands.
+    max_delay: u32,
+}
+
+/// One thread's Dijkstra scratch, reused across trees: distances, and
+/// each core node's next hop as a position in its `Topology::outgoing`
+/// ([`NO_HOP`] at the root and where unreachable).
+struct Scratch {
     dist: Vec<u32>,
     hop: Vec<u16>,
     queue: Queue,
@@ -159,6 +195,26 @@ impl Queue {
         }
     }
 
+    /// Grow every band's buffer to the largest one's, and return an
+    /// empty queue whose buffers start as large. The circle wraps at a
+    /// band width unrelated to the delays, so over a batch every slot
+    /// meets the densest distances: on the 20,000-router INET graph 22
+    /// of the 64 buffers reach 1,024 keys in the first tree, and all 64
+    /// by the 151st. One allocation each replaces a doubling chain.
+    fn fork(&mut self) -> Queue {
+        let most = self.bands.iter().map(Vec::capacity).max().unwrap_or(0);
+        for band in &mut self.bands {
+            band.reserve_exact(most - band.len());
+        }
+        Queue {
+            bands: (0..Self::BANDS).map(|_| Vec::with_capacity(most)).collect(),
+            heap: BinaryHeap::with_capacity(self.heap.capacity()),
+            width: self.width,
+            cur: 0,
+            len: 0,
+        }
+    }
+
     fn push(&mut self, dist: u32, core: u32) {
         let key = (dist as u64) << 32 | !core as u64;
         let band = (dist / self.width) as usize % Self::BANDS;
@@ -193,6 +249,26 @@ impl Queue {
             };
             let key = key.expect("a head was seen");
             return Some(((key >> 32) as u32, !(key as u32)));
+        }
+    }
+}
+
+impl Scratch {
+    fn new(core: &Core) -> Scratch {
+        let cores = core.hub_of.len();
+        Scratch {
+            dist: vec![NONE; cores],
+            hop: vec![NO_HOP; cores],
+            queue: Queue::new(core.max_delay),
+        }
+    }
+
+    /// Another thread's scratch, allocated here (see [`Queue::fork`]).
+    fn fork(&mut self) -> Scratch {
+        Scratch {
+            dist: vec![NONE; self.dist.len()],
+            hop: vec![NO_HOP; self.hop.len()],
+            queue: self.queue.fork(),
         }
     }
 }
@@ -263,28 +339,44 @@ impl Core {
             of_node,
             hub_of,
             hubs: hubs as usize,
-            tree_of: vec![0; cores as usize],
-            trees: Vec::new(),
             off,
             half,
-            dist: vec![NONE; cores as usize],
-            hop: vec![NO_HOP; cores as usize],
-            queue: Queue::new(max_delay),
+            max_delay,
         }
     }
 
-    /// Dijkstra rooted at core node `root`: because every link is
-    /// materialized in both directions with equal delay, relaxing over
-    /// *outgoing* links from the root yields distances valid in both
-    /// directions; the next hop at `v` is the reverse half-link of the
-    /// tree edge that relaxed `v`.
-    fn dijkstra_to(&mut self, root: u32) -> Box<[u8]> {
-        self.dist.fill(NONE);
-        self.hop.fill(NO_HOP);
-        self.dist[root as usize] = 0;
-        self.queue.push(0, root);
-        while let Some((d, u)) = self.queue.pop() {
-            if d > self.dist[u as usize] {
+    /// The core index of every distinct host anchor, ascending: the only
+    /// anchors a host-to-host walk can end at.
+    fn host_roots(&self, topo: &Topology) -> Vec<u32> {
+        let mut roots: Vec<u32> = topo
+            .hosts()
+            .iter()
+            .filter_map(|&h| Router::anchor(topo, h))
+            .map(|(anchor, _)| self.of_node[anchor.index()])
+            .filter(|&c| c != NONE)
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots
+    }
+
+    /// Bytes in one table: a nibble per core node, a `u16` per hub.
+    fn table_len(&self) -> usize {
+        self.hub_of.len().div_ceil(2) + 2 * self.hubs
+    }
+
+    /// Dijkstra rooted at core node `root`, packed into `table`: because
+    /// every link is materialized in both directions with equal delay,
+    /// relaxing over *outgoing* links from the root yields distances
+    /// valid in both directions; the next hop at `v` is the reverse
+    /// half-link of the tree edge that relaxed `v`.
+    fn build(&self, s: &mut Scratch, root: u32, table: &mut [u8]) {
+        s.dist.fill(NONE);
+        s.hop.fill(NO_HOP);
+        s.dist[root as usize] = 0;
+        s.queue.push(0, root);
+        while let Some((d, u)) = s.queue.pop() {
+            if d > s.dist[u as usize] {
                 continue;
             }
             let links = self.off[u as usize] as usize..self.off[u as usize + 1] as usize;
@@ -292,33 +384,37 @@ impl Core {
                 // A sum past the key width fails this test against even
                 // the NONE sentinel: never wrapped, never relaxed.
                 let nd = d as u64 + h.delay as u64;
-                if nd < self.dist[h.to as usize] as u64 {
-                    self.dist[h.to as usize] = nd as u32;
-                    self.hop[h.to as usize] = h.rev;
-                    self.queue.push(nd as u32, h.to);
+                if nd < s.dist[h.to as usize] as u64 {
+                    s.dist[h.to as usize] = nd as u32;
+                    s.hop[h.to as usize] = h.rev;
+                    s.queue.push(nd as u32, h.to);
                 }
             }
         }
-        self.pack()
+        self.pack(&s.hop, table);
+    }
+
+    /// Build each of `roots` into the table beside it, in order.
+    fn build_all(&self, s: &mut Scratch, roots: &[u32], tables: &mut [Box<[u8]>]) {
+        for (&root, table) in roots.iter().zip(tables) {
+            self.build(s, root, table);
+        }
     }
 
     /// The tree in `hop` as a table: a nibble per core node, the low one
     /// first, then a little-endian `u16` per hub in rank order.
-    fn pack(&self) -> Box<[u8]> {
-        let nibbles = self.hop.len().div_ceil(2);
-        let mut table = vec![0; nibbles + 2 * self.hubs].into_boxed_slice();
-        let (packed, side) = table.split_at_mut(nibbles);
+    fn pack(&self, hop: &[u16], table: &mut [u8]) {
+        let (packed, side) = table.split_at_mut(hop.len().div_ceil(2));
         let nibble = |hop: u16| hop.min(ESCAPE as u16) as u8;
-        for (byte, pair) in packed.iter_mut().zip(self.hop.chunks(2)) {
+        for (byte, pair) in packed.iter_mut().zip(hop.chunks(2)) {
             *byte = pair.iter().rev().fold(0, |b, &hop| b << 4 | nibble(hop));
         }
-        for (&hop, &hub) in self.hop.iter().zip(&self.hub_of) {
+        for (&hop, &hub) in hop.iter().zip(&self.hub_of) {
             if hub != NONE {
                 let at = 2 * hub as usize;
                 side[at..at + 2].copy_from_slice(&hop.to_le_bytes());
             }
         }
-        table
     }
 
     /// Core node `c`'s next hop in `table`, as a position in its
@@ -345,6 +441,77 @@ impl Core {
         let hop = u16::from_le_bytes([table[at], table[at + 1]]);
         (hop != NO_HOP).then_some(hop as usize)
     }
+}
+
+impl Tables {
+    /// No table yet.
+    fn new(core: Core) -> Tables {
+        Tables {
+            tree_of: vec![0; core.hub_of.len()],
+            trees: Vec::new(),
+            scratch: Scratch::new(&core),
+            core,
+        }
+    }
+
+    /// The core of `topo` and the tree of every host anchor.
+    fn with_host_trees(topo: &Topology) -> Tables {
+        let mut tables = Tables::new(Core::new(topo));
+        let roots = tables.core.host_roots(topo);
+        tables.build(&roots, workers(roots.len(), tables.tree_of.len()));
+        tables
+    }
+
+    /// Build the trees rooted at `roots`, none of them built yet, on at
+    /// most `workers` threads. This thread allocates every table, builds
+    /// the first tree alone, then forks each worker's scratch from its
+    /// own; the other roots split into contiguous chunks, one a thread,
+    /// this thread taking the first.
+    fn build(&mut self, roots: &[u32], workers: usize) {
+        let first = self.trees.len();
+        let len = self.core.table_len();
+        self.trees.reserve(roots.len());
+        for &root in roots {
+            self.trees.push(vec![0; len].into_boxed_slice());
+            self.tree_of[root as usize] = self.trees.len() as u32;
+        }
+        let Some((&head, rest)) = roots.split_first() else {
+            return;
+        };
+        let (head_table, rest_tables) = self.trees[first..]
+            .split_first_mut()
+            .expect("a table per root");
+        let core = &self.core;
+        core.build(&mut self.scratch, head, head_table);
+        let chunk = rest.len().div_ceil(workers.max(1)).max(1);
+        let mut jobs = rest.chunks(chunk).zip(rest_tables.chunks_mut(chunk));
+        let Some((my_roots, my_tables)) = jobs.next() else {
+            return;
+        };
+        let mut spawned: Vec<_> = jobs.map(|job| (job, self.scratch.fork())).collect();
+        if spawned.is_empty() {
+            return core.build_all(&mut self.scratch, my_roots, my_tables);
+        }
+        thread::scope(|s| {
+            for ((roots, tables), scratch) in &mut spawned {
+                s.spawn(move || core.build_all(scratch, roots, tables));
+            }
+            core.build_all(&mut self.scratch, my_roots, my_tables);
+        });
+    }
+}
+
+/// Threads for a batch of `trees` trees over `cores` core nodes: one a
+/// CPU, but never more than trees, nor more than one a [`MIN_SETTLES`]
+/// node settlings.
+fn workers(trees: usize, cores: usize) -> usize {
+    let cap = (trees.saturating_mul(cores) / MIN_SETTLES).min(trees);
+    if cap < 2 {
+        return 1;
+    }
+    thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(cap)
 }
 
 /// A walk toward one destination with everything resolved: follow it
@@ -379,7 +546,7 @@ impl Router {
     pub fn new() -> Router {
         Router {
             comps: None,
-            core: None,
+            tables: None,
         }
     }
 
@@ -405,7 +572,7 @@ impl Router {
     /// make (already there, or another component). The anchor's table is
     /// fetched — built, on a miss — only if the walk will read it: a
     /// walk that begins at the anchor, or at a leaf hanging off it,
-    /// never does.
+    /// never does. The first miss builds every host anchor's table.
     pub(crate) fn route(&mut self, topo: &Topology, at: NodeId, dst: NodeId) -> Option<Route<'_>> {
         if at == dst || !self.connected(topo, at, dst) {
             return None;
@@ -420,15 +587,15 @@ impl Router {
         } else {
             // The anchor is core: were it a leaf, its component would be
             // it and `dst` alone, and `at` one of the two.
-            let core = self.core.get_or_insert_with(|| Box::new(Core::new(topo)));
-            let a = core.of_node[anchor.index()];
-            if core.tree_of[a as usize] == 0 {
-                let tree = core.dijkstra_to(a);
-                core.trees.push(tree);
-                core.tree_of[a as usize] = core.trees.len() as u32;
+            let tables = self
+                .tables
+                .get_or_insert_with(|| Box::new(Tables::with_host_trees(topo)));
+            let a = tables.core.of_node[anchor.index()];
+            if tables.tree_of[a as usize] == 0 {
+                tables.build(&[a], 1);
             }
-            let tree = &core.trees[core.tree_of[a as usize] as usize - 1];
-            Some((&**core, &tree[..]))
+            let tree = &tables.trees[tables.tree_of[a as usize] as usize - 1];
+            Some((&tables.core, &tree[..]))
         };
         Some(Route {
             anchor,
@@ -497,40 +664,41 @@ impl Router {
         topo.degree(link.from) >= 2 && topo.degree(link.to) >= 2
     }
 
-    /// Drop all cached tables and the core they index (call after a
-    /// core link's delay changes).
+    /// Drop every table and the core they index (call after a core
+    /// link's delay changes): the next miss rebuilds the core and every
+    /// host anchor's tree, in one batch as on the first.
     pub fn invalidate(&mut self) {
-        self.core = None;
+        self.tables = None;
         self.comps = None;
     }
 
     pub fn cached_destinations(&self) -> usize {
-        self.core.as_ref().map_or(0, |c| c.trees.len())
+        self.tables.as_ref().map_or(0, |t| t.trees.len())
     }
 
     /// Heap bytes held: component labels, the core index, hub ranks and
-    /// adjacency, every built table and the Dijkstra scratch, by
-    /// capacity.
+    /// adjacency, every built table and this thread's Dijkstra scratch,
+    /// by capacity. A batch's worker scratch is freed when it ends.
     pub fn table_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
         self.comps.as_ref().map_or(0, bytes)
-            + self.core.as_ref().map_or(0, |c| {
-                let q = &c.queue;
-                std::mem::size_of::<Core>()
+            + self.tables.as_ref().map_or(0, |t| {
+                let (c, s, q) = (&t.core, &t.scratch, &t.scratch.queue);
+                std::mem::size_of::<Tables>()
                     + bytes(&c.of_node)
                     + bytes(&c.hub_of)
-                    + bytes(&c.tree_of)
-                    + bytes(&c.trees)
-                    + c.trees
+                    + bytes(&t.tree_of)
+                    + bytes(&t.trees)
+                    + t.trees
                         .iter()
                         .map(|t| std::mem::size_of_val(&**t))
                         .sum::<usize>()
                     + bytes(&c.off)
                     + bytes(&c.half)
-                    + bytes(&c.dist)
-                    + bytes(&c.hop)
+                    + bytes(&s.dist)
+                    + bytes(&s.hop)
                     + q.heap.capacity() * std::mem::size_of::<u64>()
                     + bytes(&q.bands)
                     + q.bands.iter().map(bytes).sum::<usize>()
@@ -602,6 +770,14 @@ mod tests {
         next
     }
 
+    /// The tree rooted at core node `root`, built alone with fresh
+    /// scratch.
+    fn tree(core: &Core, root: u32) -> Box<[u8]> {
+        let mut table = vec![0; core.table_len()].into_boxed_slice();
+        core.build(&mut Scratch::new(core), root, &mut table);
+        table
+    }
+
     /// The link a packed tree entry names at node `v`.
     fn entry_link(t: &Topology, core: &Core, tree: &[u8], v: NodeId) -> Option<LinkId> {
         core.entry(tree, core.of_node[v.index()])
@@ -640,9 +816,9 @@ mod tests {
             b.add_link(h, x, ms(1));
         }
         let t = b.build();
-        let mut core = Core::new(&t);
+        let core = Core::new(&t);
         for &anchor in &r {
-            let tree = core.dijkstra_to(core.of_node[anchor.index()]);
+            let tree = tree(&core, core.of_node[anchor.index()]);
             let dense = dense_next_hops(&t, anchor);
             for &v in &r {
                 let got = entry_link(&t, &core, &tree, v);
@@ -675,9 +851,9 @@ mod tests {
         // Positions 0..=65,534: the last is the largest entry that is
         // not `NO_HOP`.
         let t = hub_with_core_halves(65_535);
-        let mut core = Core::new(&t);
+        let core = Core::new(&t);
         let far = NodeId(t.num_nodes() as u32 - 1);
-        let tree = core.dijkstra_to(core.of_node[far.index()]);
+        let tree = tree(&core, core.of_node[far.index()]);
         let hop = entry_link(&t, &core, &tree, NodeId(0)).expect("hub reaches the spoke");
         assert_eq!(t.link(hop).to, far);
         assert_eq!(Some(hop), dense_next_hops(&t, far)[0]);
@@ -704,12 +880,33 @@ mod tests {
             let heap = (q.heap.as_slice().as_ptr().cast(), q.heap.capacity());
             bands.chain([heap]).collect()
         };
-        let mut core = Core::new(&t);
-        let first = core.dijkstra_to(0);
-        let grown = buffers(&core.queue);
+        let core = Core::new(&t);
+        let mut scratch = Scratch::new(&core);
+        let mut first = vec![0; core.table_len()];
+        core.build(&mut scratch, 0, &mut first);
+        let grown = buffers(&scratch.queue);
         assert!(grown.iter().filter(|b| b.1 > 0).count() > 2, "{grown:?}");
-        assert_eq!(core.dijkstra_to(0), first);
-        assert_eq!(buffers(&core.queue), grown);
+        let mut again = vec![0; core.table_len()];
+        core.build(&mut scratch, 0, &mut again);
+        assert_eq!(again, first);
+        assert_eq!(buffers(&scratch.queue), grown);
+        // A fork grows every buffer of both to the largest, and builds
+        // the same tree without growing any.
+        let most = grown.iter().map(|b| b.1).max().unwrap();
+        let mut worker = scratch.fork();
+        let widened = buffers(&scratch.queue);
+        assert!(
+            widened[..Queue::BANDS].iter().all(|b| b.1 == most),
+            "{widened:?}"
+        );
+        let forked = buffers(&worker.queue);
+        core.build(&mut worker, 0, &mut again);
+        assert_eq!(again, first);
+        assert_eq!(buffers(&worker.queue), forked);
+        assert!(
+            forked[..Queue::BANDS].iter().all(|b| b.1 == most),
+            "{forked:?}"
+        );
     }
 
     #[test]
@@ -811,22 +1008,150 @@ mod tests {
 
     #[test]
     fn cache_grows_lazily_and_invalidates() {
-        let t = canned::dumbbell(2, LinkSpec::lan(), LinkSpec::wan(Duration::from_millis(5)));
+        // A dumbbell with a router between its two gateways: two hosts
+        // on `left`, two on `right`, none on `mid`.
+        let mut b = TopologyBuilder::new();
+        let (left, mid, right) = (b.add_router(), b.add_router(), b.add_router());
+        b.add_link(left, mid, ms(5));
+        b.add_link(mid, right, ms(5));
+        for gateway in [left, left, right, right] {
+            let h = b.add_host();
+            b.add_link(h, gateway, LinkSpec::lan());
+        }
+        let t = b.build();
         let mut r = Router::new();
         assert_eq!(r.cached_destinations(), 0);
         let hs = t.hosts().to_vec(); // two left, then two right
         r.dist(&t, hs[0], hs[1]);
         assert_eq!(r.cached_destinations(), 0, "same gateway: no table");
+        // The first miss builds both host anchors' tables at once.
         r.dist(&t, hs[0], hs[2]);
-        assert_eq!(r.cached_destinations(), 1);
-        // Every leaf destination resolves to the same gateway anchor —
-        // the cache must NOT grow per host.
+        assert_eq!(r.cached_destinations(), 2);
+        // Every leaf destination resolves to its gateway anchor — the
+        // cache must NOT grow per host.
         r.dist(&t, hs[0], hs[3]);
-        assert_eq!(r.cached_destinations(), 1);
         r.dist(&t, hs[2], hs[0]);
         assert_eq!(r.cached_destinations(), 2);
+        // A router no host hangs off is built alone, once.
+        r.dist(&t, hs[0], mid);
+        assert_eq!(r.cached_destinations(), 3);
+        r.dist(&t, hs[3], mid);
+        assert_eq!(r.cached_destinations(), 3);
         r.invalidate();
         assert_eq!(r.cached_destinations(), 0);
+        // After an invalidation the next miss is a first miss again.
+        r.dist(&t, hs[2], mid);
+        assert_eq!(r.cached_destinations(), 3);
+    }
+
+    /// Every core node's tree built in one batch on 1, 2 and 3 threads,
+    /// after one tree built alone, against each tree built alone with
+    /// fresh scratch: equal tables in equal slots.
+    fn assert_batches_match_trees_built_alone(t: &Topology) {
+        let core = Core::new(t);
+        let roots: Vec<u32> = (0..core.hub_of.len() as u32).collect();
+        let alone: Vec<Box<[u8]>> = roots.iter().map(|&r| tree(&core, r)).collect();
+        for workers in 1..=3 {
+            let mut tables = Tables::new(Core::new(t));
+            if let Some((&last, others)) = roots.split_last() {
+                tables.build(&[last], 1);
+                tables.build(others, workers);
+            }
+            for (&root, want) in roots.iter().zip(&alone) {
+                let slot = tables.tree_of[root as usize] as usize;
+                assert_eq!(
+                    &tables.trees[slot - 1],
+                    want,
+                    "root {root}, {workers} threads"
+                );
+            }
+            assert_eq!(tables.trees.len(), roots.len());
+        }
+    }
+
+    /// A random multigraph with zero-delay links everywhere, as in
+    /// `tests/prop.rs`: hosts and routers of any degree, parallel
+    /// cables, several components, delays of 0–2 ms.
+    fn tangle(rng: &mut SimRng) -> Topology {
+        let mut b = TopologyBuilder::new();
+        let n = 2 + rng.gen_range(14) as usize;
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|_| match rng.gen_range(3) {
+                0 => b.add_host(),
+                _ => b.add_router(),
+            })
+            .collect();
+        for _ in 0..rng.gen_range(2 * n as u64 + 1) {
+            let (x, y) = (*rng.choose(&nodes), *rng.choose(&nodes));
+            if x != y {
+                b.add_link(x, y, LinkSpec::wan(Duration::from_millis(rng.gen_range(3))));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_batch_builds_the_same_tables_on_any_number_of_threads() {
+        let inet = crate::topology::inet(
+            &crate::topology::InetParams::test_scale(40),
+            &mut SimRng::new(2004),
+        );
+        assert_batches_match_trees_built_alone(&inet);
+        for seed in 0..40 {
+            assert_batches_match_trees_built_alone(&tangle(&mut SimRng::new(seed)));
+        }
+    }
+
+    #[test]
+    fn the_first_miss_builds_every_host_anchor_and_nothing_else() {
+        let t = crate::topology::inet(
+            &crate::topology::InetParams::test_scale(40),
+            &mut SimRng::new(2004),
+        );
+        let hosts = t.hosts();
+        let mut r = Router::new();
+        r.dist(&t, hosts[0], hosts[1]);
+        let tables = r.tables.as_ref().expect("a miss");
+        let anchors: std::collections::BTreeSet<u32> = hosts
+            .iter()
+            .map(|&h| tables.core.of_node[t.link(t.outgoing(h)[0]).to.index()])
+            .collect();
+        assert_eq!(tables.core.host_roots(&t), Vec::from_iter(anchors.clone()));
+        assert!(
+            anchors.len() > 20 && anchors.len() < hosts.len(),
+            "{anchors:?}"
+        );
+        assert_eq!(r.cached_destinations(), anchors.len());
+        // Below the spawn floor: built on this thread alone.
+        assert_eq!(workers(anchors.len(), tables.tree_of.len()), 1);
+        for &h in hosts {
+            r.dist(&t, h, hosts[0]);
+        }
+        assert_eq!(r.cached_destinations(), anchors.len());
+    }
+
+    /// The benchmark's graph: all 300 clients' anchors in one batch on
+    /// 1, 2 and 3 threads. Seconds in release, minutes unoptimised — CI
+    /// runs it with `cargo test --release -p macedon-net -- --ignored`.
+    #[test]
+    #[ignore = "full scale: run in release"]
+    fn full_scale_batches_are_identical_on_any_number_of_threads() {
+        let params = crate::topology::InetParams {
+            routers: 20_000,
+            clients: 300,
+            ..Default::default()
+        };
+        let t = crate::topology::inet(&params, &mut SimRng::new(2004));
+        let batch = |workers| {
+            let mut tables = Tables::new(Core::new(&t));
+            let roots = tables.core.host_roots(&t);
+            tables.build(&roots, workers);
+            tables.trees
+        };
+        let one = batch(1);
+        assert!(one.len() > 250, "{} anchors", one.len());
+        assert!(one == batch(2), "2 threads");
+        assert!(one == batch(3), "3 threads");
     }
 
     #[test]
