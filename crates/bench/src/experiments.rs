@@ -4,23 +4,20 @@
 //! rows/series to print; the README's "Figures" section is `figures`'
 //! output beside the paper's values.
 //!
-//! A figure run is three parts: a scenario script (joins, streams), a
-//! stack factory, and a reducer over the run's
-//! [`macedon_scenario::ScenarioOutcome`] or a probe's samples
+//! A figure run is three parts: a scenario script (joins, group
+//! membership, streams), a stack factory, and a reducer over the run's
+//! [`ScenarioOutcome`] or a probe's samples
 //! ([`ScenarioRunner::sample_every`]). Every run goes through
-//! [`scenario_runner`], as do the `bench_scale` runs. Only fig12's
-//! native pair builds its world by hand: its group is created at 5 s
-//! and joined from 6 s, which no script verb says yet.
+//! [`scenario_runner`], as do the `bench_scale` runs, and [`figures`]
+//! runs every figure's independent runs as cells of one worker pool
+//! ([`macedon_scenario::pool`], the pool sweeps run on).
 
 use crate::freepastry::{RmiModel, RmiQueue};
 use crate::lsd::{chord_registry, LSD};
 use crate::Scale;
-use macedon_core::app::{
-    shared_deliveries, CollectorApp, SharedDeliveries, StreamKind, StreamerApp,
-};
+use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
 use macedon_core::{
-    Agent, AppHandler, Bytes, ChannelSpec, DownCall, Duration, MacedonKey, NodeId, Time,
-    TraceLevel, World, WorldConfig,
+    Agent, Bytes, ChannelSpec, Duration, MacedonKey, NodeId, Time, TraceLevel, World, WorldConfig,
 };
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, LinkSpec};
@@ -30,7 +27,7 @@ use macedon_overlays::pastry::{Pastry, PastryConfig};
 use macedon_overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon_overlays::splitstream::{SplitStream, SplitStreamConfig};
 use macedon_overlays::testutil::{collect_ring, correct_owner, inet_topology};
-use macedon_scenario::ScenarioRunner;
+use macedon_scenario::{pool, ScenarioOutcome, ScenarioRunner};
 use macedon_sim::SimRng;
 use std::sync::OnceLock;
 
@@ -319,8 +316,8 @@ pub fn fig8_9(scale: Scale) -> Vec<NiceSiteRow> {
             }
             NiceSiteRow {
                 site,
-                mean_stretch: mean(&stretches),
-                mean_latency_ms: mean(&lats),
+                mean_stretch: mean(stretches),
+                mean_latency_ms: mean(lats),
                 paper_stretch: paper8[site],
                 paper_latency_ms: paper9[site],
             }
@@ -328,11 +325,15 @@ pub fn fig8_9(scale: Scale) -> Vec<NiceSiteRow> {
         .collect()
 }
 
-pub(crate) fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
+/// The mean of `xs` (0 when there are none): the one statistics helper
+/// behind every figure.
+pub fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut n = 0usize;
+    let sum: f64 = xs.into_iter().inspect(|_| n += 1).sum();
+    if n == 0 {
         0.0
     } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
+        sum / n as f64
     }
 }
 
@@ -394,41 +395,26 @@ pub fn finger_series(
     series
 }
 
-/// The three flavors are one spec, `chord.mac`, under three constant
+/// fig10's three flavors, one spec, `chord.mac`, under three constant
 /// sets: static 1 s and 20 s `fix_fingers` periods, and lsd's adaptive
 /// policy ([`LSD`]).
-pub fn fig10(scale: Scale) -> Fig10Series {
+const FIG10_FLAVORS: [&[(&str, i64)]; 3] = [
+    &[("FIX_FINGERS_MS", 1_000)],
+    &LSD,
+    &[("FIX_FINGERS_MS", 20_000)],
+];
+
+/// fig10 under `flavor`: the finger series of `chord.mac` on an INET
+/// graph, joins staggered across the first third of the run, as in the
+/// paper ("routing tables converge steadily as nodes join").
+fn fig10_run(scale: Scale, flavor: &[(&str, i64)]) -> Vec<(f64, f64)> {
     let (routers, clients, run_s) = match scale {
         Scale::Quick => (200, 48, 120),
         Scale::Paper => (20_000, 1_000, 120),
     };
-    let run = |constants: &[(&str, i64)]| -> Vec<(f64, f64)> {
-        let topo = inet_topology(routers, clients, 10);
-        // Staggered joins across the first third of the run, as in the
-        // paper ("routing tables converge steadily as nodes join").
-        let stagger_ms = run_s * 1000 / 3 / clients as u64;
-        finger_series(topo, constants, stagger_ms, run_s, 10)
-    };
-    // The three flavors are independent worlds: sweep them in parallel
-    // (the harness equivalent of the paper farming runs across machines).
-    let flavors: [&[(&str, i64)]; 3] = [
-        &[("FIX_FINGERS_MS", 1_000)],
-        &LSD,
-        &[("FIX_FINGERS_MS", 20_000)],
-    ];
-    let [macedon_1s, lsd, macedon_20s] = std::thread::scope(|scope| {
-        flavors
-            .map(|constants| {
-                let run = &run;
-                scope.spawn(move || run(constants))
-            })
-            .map(|h| h.join().expect("flavor run"))
-    });
-    Fig10Series {
-        macedon_1s,
-        lsd,
-        macedon_20s,
-    }
+    let topo = inet_topology(routers, clients, 10);
+    let stagger_ms = run_s * 1000 / 3 / clients as u64;
+    finger_series(topo, flavor, stagger_ms, run_s, 10)
 }
 
 // ---------------------------------------------------------------------------
@@ -443,26 +429,24 @@ pub struct Fig11Row {
     pub freepastry_s: Option<f64>,
 }
 
-pub fn fig11(scale: Scale) -> Vec<Fig11Row> {
-    let (routers, sizes, converge_s, stream_s): (usize, Vec<usize>, u64, u64) = match scale {
-        Scale::Quick => (200, vec![8, 16, 32, 64], 60, 40),
-        Scale::Paper => (20_000, vec![4, 10, 25, 50, 100, 150, 200, 250], 300, 120),
+/// fig11's node counts, each run with and without the RMI queue (the
+/// latter only up to the RMI model's memory cap).
+fn fig11_sizes(scale: Scale) -> Vec<usize> {
+    match scale {
+        Scale::Quick => vec![8, 16, 32, 64],
+        Scale::Paper => vec![4, 10, 25, 50, 100, 150, 200, 250],
+    }
+}
+
+/// fig11 on `nodes` hosts: the mean packet latency of
+/// [`route_latencies`], behind the RMI queue when `rmi` is set.
+fn fig11_run(scale: Scale, nodes: usize, rmi: bool) -> f64 {
+    let (routers, converge_s, stream_s) = match scale {
+        Scale::Quick => (200, 60, 40),
+        Scale::Paper => (20_000, 300, 120),
     };
-    let cap = RmiModel::default().max_nodes;
-    sizes
-        .into_iter()
-        .map(|n| {
-            let latency = |rmi| {
-                let topo = inet_topology(routers, n, 11);
-                mean(&route_latencies(topo, converge_s, stream_s, rmi))
-            };
-            Fig11Row {
-                nodes: n,
-                macedon_s: latency(false),
-                freepastry_s: (n <= cap).then(|| latency(true)),
-            }
-        })
-        .collect()
+    let topo = inet_topology(routers, nodes, 11);
+    mean(route_latencies(topo, converge_s, stream_s, rmi))
 }
 
 /// Each delivered packet's delay (s), in delivery order, with
@@ -527,44 +511,24 @@ pub struct Fig12Series {
     pub from_spec: Vec<(f64, f64)>,
 }
 
-pub fn fig12(scale: Scale) -> Fig12Series {
-    let (nodes, converge_s, stream_s, rate_bps) = match scale {
-        Scale::Quick => (32usize, 60u64, 90u64, 600_000u64),
-        Scale::Paper => (300, 300, 300, 600_000),
-    };
-    let run = |lifetime| native_splitstream(nodes, converge_s, stream_s, rate_bps, lifetime);
-    let (from_spec_nodes, from_spec) = fig12_from_spec(scale);
-    Fig12Series {
-        no_eviction: run(None),
-        with_eviction: run(Some(Duration::from_secs(1))),
-        from_spec_nodes,
-        from_spec,
-    }
-}
-
-/// Figure 12's native run: native SplitStream over Scribe's location
-/// cache over Pastry, whose cache entries live `cache_lifetime`, on
-/// `nodes` hosts; host 0 creates the group at 5 s and streams at
-/// `rate_bps` from `converge_s` for `stream_s`, the others join from
-/// 6 s, 100 ms apart. Returns the per-5 s goodput series.
-pub fn native_splitstream(
-    nodes: usize,
-    converge_s: u64,
-    stream_s: u64,
-    rate_bps: u64,
-    cache_lifetime: Option<Duration>,
-) -> Vec<(f64, f64)> {
-    // Paper-era constrained access links: the stream plus forwarding
-    // load runs close to capacity, so the extra bandwidth consumed
-    // re-establishing evicted cache entries costs real goodput.
-    let topo = canned::star(
+/// Figure 12's star: paper-era constrained access links (2 ms, 2 Mbps,
+/// 64 KiB queues). The stream plus forwarding load runs close to
+/// capacity, so the extra bandwidth consumed re-establishing evicted
+/// cache entries costs real goodput.
+pub fn fig12_topology(nodes: usize) -> Topology {
+    canned::star(
         nodes,
         LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-    );
-    let mut w = World::new(topo, seeded(12));
-    let sink = shared_deliveries();
-    let group = MacedonKey::of_name("fig12-stream");
-    let hosts = w.spawn_each(Duration::from_millis(100), |i, bootstrap| {
+    )
+}
+
+/// Figure 12's native stack: SplitStream over Scribe's location cache
+/// (at most 8 children) over Pastry, whose cache entries live
+/// `cache_lifetime`.
+pub fn fig12_stack(
+    cache_lifetime: Option<Duration>,
+) -> impl FnMut(Option<NodeId>) -> Vec<Box<dyn Agent>> {
+    move |bootstrap| {
         let pastry = Pastry::new(PastryConfig {
             bootstrap,
             cache_lifetime,
@@ -574,54 +538,51 @@ pub fn native_splitstream(
             max_children: Some(8),
         });
         let split = SplitStream::new(SplitStreamConfig::default());
-        let stack: Vec<Box<dyn Agent>> = vec![Box::new(pastry), Box::new(scribe), Box::new(split)];
-        let app: Box<dyn AppHandler> = if i == 0 {
-            // The source streams after convergence.
-            Box::new(StreamerApp::new(
-                StreamKind::Multicast { group },
-                rate_bps,
-                1_000,
-                Time::from_secs(converge_s),
-                Time::from_secs(converge_s + stream_s),
-                sink.clone(),
-            ))
-        } else {
-            Box::new(CollectorApp::new(sink.clone()))
-        };
-        (stack, app)
-    });
-    // "all other nodes join the multicast session as receivers".
-    w.api_at(
-        Time::from_secs(5),
-        hosts[0],
-        DownCall::CreateGroup { group },
-    );
-    for (i, &h) in hosts.iter().enumerate().skip(1) {
-        w.api_at(
-            Time::from_secs(6) + Duration::from_millis(i as u64 * 100),
-            h,
-            DownCall::Join { group },
-        );
+        vec![Box::new(pastry), Box::new(scribe), Box::new(split)]
     }
-    w.run_until(Time::from_secs(converge_s + stream_s + 10));
-    bin_goodput(&sink, hosts[0], converge_s, stream_s, nodes - 1)
 }
 
-/// Per-5s-bin mean per-receiver goodput (Kbps) from a delivery log.
-fn bin_goodput(
-    sink: &macedon_core::app::SharedDeliveries,
-    source: macedon_core::NodeId,
+/// Figure 12's native run: [`fig12_stack`] on [`fig12_topology`],
+/// nodes joining 100 ms apart. Node 0 creates the group at 5 s and
+/// streams 1000-byte packets at 600 kbit/s after convergence; "all other
+/// nodes join the multicast session as receivers", from 6 s, 100 ms
+/// apart. Returns the per-5 s goodput series.
+fn fig12_run(scale: Scale, cache_lifetime: Option<Duration>) -> Vec<(f64, f64)> {
+    let (nodes, converge_s, stream_s) = match scale {
+        Scale::Quick => (32usize, 60u64, 90u64),
+        Scale::Paper => (300, 300, 300),
+    };
+    let script = format!(
+        "scenario fig12\nnodes {nodes}\nend {end}s\n\
+         at 0s join 0..{nodes} over {stagger}ms\n\
+         at 5s create 0\n\
+         at 6100ms subscribe 1..{nodes} over {subscribe}ms\n\
+         at {converge_s}s stream 0 rate 600kbps size 1000 for {stream_s}s multicast\n",
+        end = converge_s + stream_s + 10,
+        stagger = nodes * 100,
+        subscribe = (nodes - 1) * 100,
+    );
+    let topo = fig12_topology(nodes);
+    let outcome = scenario_runner(&script, topo, seeded(12), fig12_stack(cache_lifetime)).run();
+    goodput_series(&outcome, converge_s, stream_s)
+}
+
+/// Per-5 s-bin mean per-receiver goodput (Kbps) of a run whose node 0
+/// streams from `converge_s` for `stream_s`; every other scenario node
+/// is a receiver.
+pub fn goodput_series(
+    outcome: &ScenarioOutcome,
     converge_s: u64,
     stream_s: u64,
-    receivers: usize,
 ) -> Vec<(f64, f64)> {
     let bin = 5.0f64;
     let nbins = (stream_s as f64 / bin) as usize;
+    let receivers = outcome.report.nodes.len() - 1;
     let mut bytes_per_bin = vec![0u64; nbins];
-    let log = sink.lock();
+    let log = outcome.deliveries.lock();
     let t0 = converge_s as f64;
     for rec in log.iter() {
-        if rec.node == source {
+        if rec.node == outcome.hosts[0] {
             continue;
         }
         let t = rec.at.as_secs_f64() - t0;
@@ -643,6 +604,14 @@ fn bin_goodput(
         .collect()
 }
 
+/// Nodes, convergence and stream seconds of fig12's from-spec run.
+fn fig12_from_spec_scale(scale: Scale) -> (usize, u64, u64) {
+    match scale {
+        Scale::Quick => (16, 60, 60),
+        Scale::Paper => (64, 120, 120),
+    }
+}
+
 /// Figure 12's from-spec run: the same streaming scenario over the
 /// fully interpreted `splitstream.mac` → `scribe.mac` → `pastry.mac`
 /// stack — the whole paper roster running from specifications.
@@ -654,42 +623,169 @@ fn bin_goodput(
 /// spec → running-overlay → measurement loop with zero native protocol
 /// code.
 ///
-/// The experiment itself is a scenario script (staggered joins + one
-/// multicast stream) compiled by the scenario runner, and its stacks
-/// run at the trace level `splitstream.mac`'s `trace_` header asks for.
-/// Returns the node count and the goodput series.
-fn fig12_from_spec(scale: Scale) -> (usize, Vec<(f64, f64)>) {
-    let (nodes, converge_s, stream_s, rate_bps) = match scale {
-        Scale::Quick => (16usize, 60u64, 60u64, 200_000u64),
-        Scale::Paper => (64, 120, 120, 200_000),
-    };
+/// The script names no membership, so every node joins the group 1 s
+/// after it spawns, and the stacks run at the trace level
+/// `splitstream.mac`'s `trace_` header asks for. Returns the goodput
+/// series.
+fn fig12_from_spec(scale: Scale) -> Vec<(f64, f64)> {
+    let (nodes, converge_s, stream_s) = fig12_from_spec_scale(scale);
     let registry = bundled();
     let script = format!(
         "scenario fig12-from-spec\nnodes {nodes}\nend {end}s\n\
          at 0s join 0..{nodes} over {stagger}ms\n\
-         at {converge_s}s stream 0 rate {rate_bps}bps size 1000 for {stream_s}s multicast\n",
+         at {converge_s}s stream 0 rate 200000bps size 1000 for {stream_s}s multicast\n",
         end = converge_s + stream_s + 10,
         stagger = nodes * 100,
     );
-    let topo = canned::star(
-        nodes,
-        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
+    let mut runner = spec_runner(
+        &script,
+        fig12_topology(nodes),
+        seeded(12),
+        registry,
+        "splitstream",
     );
-    let mut runner = spec_runner(&script, topo, seeded(12), registry, "splitstream");
     runner.set_trace_level(
         registry
             .trace_level_for("splitstream")
             .expect("bundled spec registered"),
     );
-    let outcome = runner.run();
-    let series = bin_goodput(
-        &outcome.deliveries,
-        outcome.hosts[0],
-        converge_s,
-        stream_s,
-        nodes - 1,
-    );
-    (nodes, series)
+    goodput_series(&runner.run(), converge_s, stream_s)
+}
+
+// ---------------------------------------------------------------------------
+// Every figure, on one pool
+// ---------------------------------------------------------------------------
+
+/// Every figure at one scale: what the `figures` binary prints.
+pub struct Figures {
+    pub fig7: Vec<Fig7Row>,
+    pub fig8_9: Vec<NiceSiteRow>,
+    pub fig10: Fig10Series,
+    pub fig11: Vec<Fig11Row>,
+    pub fig12: Fig12Series,
+}
+
+/// One independent simulation behind a figure: a cell of [`figures`]'
+/// pool.
+#[derive(Clone, Copy, Debug)]
+enum Run {
+    Fig8_9,
+    /// fig10 under the `i`-th of [`FIG10_FLAVORS`].
+    Fig10(usize),
+    Fig11 {
+        nodes: usize,
+        rmi: bool,
+    },
+    /// fig12's native run, with the 1 s cache lifetime when `evict`.
+    Fig12 {
+        evict: bool,
+    },
+    Fig12FromSpec,
+}
+
+/// What one [`Run`] yields.
+enum Ran {
+    Fig8_9(Vec<NiceSiteRow>),
+    Series(Vec<(f64, f64)>),
+    Latency(f64),
+}
+
+impl Run {
+    fn run(self, scale: Scale) -> Ran {
+        match self {
+            Run::Fig8_9 => Ran::Fig8_9(fig8_9(scale)),
+            Run::Fig10(i) => Ran::Series(fig10_run(scale, FIG10_FLAVORS[i])),
+            Run::Fig11 { nodes, rmi } => Ran::Latency(fig11_run(scale, nodes, rmi)),
+            Run::Fig12 { evict } => {
+                Ran::Series(fig12_run(scale, evict.then(|| Duration::from_secs(1))))
+            }
+            Run::Fig12FromSpec => Ran::Series(fig12_from_spec(scale)),
+        }
+    }
+}
+
+/// Every figure at `scale`, its independent runs the cells of one pool
+/// of `workers` threads (`None` = all cores). The figures are the same
+/// for any worker count: each run is seeded on its own, and the pool
+/// hands results back in cell order.
+pub fn figures(scale: Scale, workers: Option<usize>) -> Figures {
+    let cap = RmiModel::default().max_nodes;
+    let sizes = fig11_sizes(scale);
+    // Costliest first, so that no long run starts last.
+    let mut runs = vec![
+        Run::Fig10(0),
+        Run::Fig12 { evict: false },
+        Run::Fig12 { evict: true },
+        Run::Fig10(1),
+        Run::Fig10(2),
+        Run::Fig12FromSpec,
+    ];
+    for &nodes in sizes.iter().rev() {
+        runs.push(Run::Fig11 { nodes, rmi: false });
+        if nodes <= cap {
+            runs.push(Run::Fig11 { nodes, rmi: true });
+        }
+    }
+    runs.push(Run::Fig8_9);
+    let ran = pool(&runs, workers, |run| run.run(scale)).unwrap_or_else(|failed| {
+        panic!(
+            "figure run {:?} panicked: {}",
+            runs[failed.index], failed.message
+        )
+    });
+
+    let mut figs = Figures {
+        fig7: fig7(),
+        fig8_9: Vec::new(),
+        fig10: Fig10Series {
+            macedon_1s: Vec::new(),
+            lsd: Vec::new(),
+            macedon_20s: Vec::new(),
+        },
+        fig11: sizes
+            .iter()
+            .map(|&nodes| Fig11Row {
+                nodes,
+                macedon_s: 0.0,
+                freepastry_s: None,
+            })
+            .collect(),
+        fig12: Fig12Series {
+            no_eviction: Vec::new(),
+            with_eviction: Vec::new(),
+            from_spec_nodes: fig12_from_spec_scale(scale).0,
+            from_spec: Vec::new(),
+        },
+    };
+    for (run, ran) in runs.into_iter().zip(ran) {
+        match (run, ran) {
+            (Run::Fig8_9, Ran::Fig8_9(rows)) => figs.fig8_9 = rows,
+            (Run::Fig10(i), Ran::Series(s)) => {
+                let f = &mut figs.fig10;
+                *[&mut f.macedon_1s, &mut f.lsd, &mut f.macedon_20s][i] = s;
+            }
+            (Run::Fig11 { nodes, rmi }, Ran::Latency(l)) => {
+                let row = figs.fig11.iter_mut().find(|r| r.nodes == nodes);
+                let row = row.expect("a row per size");
+                if rmi {
+                    row.freepastry_s = Some(l);
+                } else {
+                    row.macedon_s = l;
+                }
+            }
+            (Run::Fig12 { evict }, Ran::Series(s)) => {
+                let f = &mut figs.fig12;
+                *if evict {
+                    &mut f.with_eviction
+                } else {
+                    &mut f.no_eviction
+                } = s;
+            }
+            (Run::Fig12FromSpec, Ran::Series(s)) => figs.fig12.from_spec = s,
+            (run, _) => unreachable!("{run:?} yields its own kind"),
+        }
+    }
+    figs
 }
 
 // ---------------------------------------------------------------------------
@@ -903,8 +999,8 @@ mod tests {
 
     #[test]
     fn mean_helper() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
+        assert_eq!(mean([]), 0.0);
+        assert_eq!(mean([2.0, 4.0]), 3.0);
     }
 
     #[test]

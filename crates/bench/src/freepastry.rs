@@ -161,7 +161,7 @@ mod tests {
         let (native, rmi) = (latencies(16, false), latencies(16, true));
         assert_eq!(native.len(), 16 * 25, "every native packet delivered");
         assert_eq!(rmi.len(), 16 * 25, "every RMI packet delivered");
-        let (native, rmi) = (mean(&native), mean(&rmi));
+        let (native, rmi) = (mean(native), mean(rmi));
         assert!(
             rmi > native * 2.0,
             "RMI model should dominate latency: macedon={native:.6}s rmi={rmi:.6}s"

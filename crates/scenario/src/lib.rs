@@ -66,4 +66,4 @@ pub use report::{
 };
 pub use runner::{ScenarioOutcome, ScenarioRunner, StackFactory};
 pub use script::parse;
-pub use sweep::{run_sweep, GridAxis, SweepCell, SweepReport, SweepSpec};
+pub use sweep::{pool, run_sweep, CellPanic, GridAxis, SweepCell, SweepReport, SweepSpec};

@@ -49,8 +49,8 @@ impl std::error::Error for ScenarioError {}
 /// Workload shape of a scripted stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StreamShape {
-    /// Multicast to the scenario's group (joins are issued for every
-    /// node shortly after it spawns).
+    /// Multicast to the scenario's group (who joins it: see
+    /// [`crate::script`]'s membership rule).
     Multicast,
     /// Route each packet toward a uniformly random key.
     RandomRoute,
@@ -91,6 +91,11 @@ pub enum Event {
         duration: Duration,
         shape: StreamShape,
     },
+    /// Issue the scenario group's `CreateGroup` on this node.
+    Create { node: usize },
+    /// Issue the scenario group's `Join` on these nodes, staggered
+    /// across `over` exactly like [`Event::Join`].
+    Subscribe { nodes: Vec<usize>, over: Duration },
     /// Checkpoint: evaluate the named convergence oracle against an
     /// engine snapshot. `converged` asserts no violations; `!converged`
     /// asserts at least one (the perturbation-instant check of a
@@ -124,6 +129,8 @@ impl Event {
             Event::Restore { nodes } => format!("restore {nodes:?}"),
             Event::Drop { probability } => format!("drop p={probability}"),
             Event::Stream { node, rate_bps, .. } => format!("stream n{node} @{rate_bps}bps"),
+            Event::Create { node } => format!("create n{node}"),
+            Event::Subscribe { nodes, .. } => format!("subscribe x{}", nodes.len()),
             Event::Assert { oracle, converged } => format!(
                 "assert {} {oracle}",
                 if *converged { "converged" } else { "diverged" }
@@ -132,14 +139,43 @@ impl Event {
     }
 
     /// Is this a perturbation the metrics report tracks convergence
-    /// for? (Joins and streams are workload, asserts are observations —
-    /// neither perturbs the overlay.)
+    /// for? (Joins, group membership and streams are workload, asserts
+    /// are observations — neither perturbs the overlay.)
     pub fn is_perturbation(&self) -> bool {
         !matches!(
             self,
-            Event::Join { .. } | Event::Stream { .. } | Event::Assert { .. }
+            Event::Join { .. }
+                | Event::Create { .. }
+                | Event::Subscribe { .. }
+                | Event::Stream { .. }
+                | Event::Assert { .. }
         )
     }
+}
+
+/// The instant each of `nodes` acts when an event at `at` is staggered
+/// evenly across `over`: the `i`-th of `n` nodes at `at + ⌊over·i/n⌋`.
+/// Validation walks every staggered node, so the offset advances by
+/// quotient and remainder instead of dividing once per node.
+pub(crate) fn staggered(
+    at: Time,
+    over: Duration,
+    nodes: &[usize],
+) -> impl Iterator<Item = (Time, usize)> + '_ {
+    let n = nodes.len().max(1) as u64;
+    let (step, rem) = (over.as_micros() / n, over.as_micros() % n);
+    // Invariant: `over·i = n·offset + carry`, with `carry < n`.
+    let (mut offset, mut carry) = (0, 0);
+    nodes.iter().map(move |&idx| {
+        let t = at + Duration(offset);
+        offset += step;
+        carry += rem;
+        if carry >= n {
+            offset += 1;
+            carry -= n;
+        }
+        (t, idx)
+    })
 }
 
 /// An event pinned to a virtual instant, carrying its script position.
@@ -200,6 +236,14 @@ impl Scenario {
             ));
         }
         let mut phase = vec![Phase::Never; self.nodes];
+        // When each node's current incarnation spawns, and its latest
+        // membership call: a staggered join or subscribe acts on its
+        // nodes after the event instant, so a later event can fall
+        // between the two. Only membership calls need these instants,
+        // so a script without them skips the per-node bookkeeping.
+        let timed = self.names_membership();
+        let mut spawned = vec![Time::ZERO; if timed { self.nodes } else { 0 }];
+        let mut last_call = spawned.clone();
         let mut open_partition: Option<&str> = None;
         let mut streams: Vec<(usize, Time, Time)> = Vec::new();
         for te in &self.events {
@@ -242,6 +286,17 @@ impl Scenario {
                 }
                 Ok(())
             };
+            // The world drops an API call on a node that is not live,
+            // so a script that makes one is wrong.
+            let check_live = |at: Time, n: usize, what: &str| {
+                if phase[n] != Phase::Alive || at < spawned[n] {
+                    return err(format!(
+                        "node {n} {what} at {}s but is not live then",
+                        at.as_secs_f64()
+                    ));
+                }
+                Ok(())
+            };
             match &te.event {
                 Event::Join { nodes, over } => {
                     check_nodes(nodes)?;
@@ -255,12 +310,27 @@ impl Scenario {
                             }
                         }
                     }
+                    if timed {
+                        staggered(te.at, *over, nodes).for_each(|(t, n)| spawned[n] = t);
+                    }
                 }
                 Event::Crash { nodes } => {
                     check_nodes(nodes)?;
                     for &n in nodes {
                         if phase[n] != Phase::Alive {
                             return err(format!("node {n} crashes but is not alive"));
+                        }
+                        let pending = match timed {
+                            true => spawned[n].max(last_call[n]),
+                            false => Time::ZERO,
+                        };
+                        if te.at < pending {
+                            return err(format!(
+                                "node {n} crashes at {}s, before its staggered spawn or \
+                                 membership call at {}s",
+                                te.at.as_secs_f64(),
+                                pending.as_secs_f64()
+                            ));
                         }
                         if streams
                             .iter()
@@ -279,6 +349,22 @@ impl Scenario {
                             return err(format!("node {n} rejoins but never crashed"));
                         }
                         phase[n] = Phase::Alive;
+                    }
+                    if timed {
+                        staggered(te.at, *over, nodes).for_each(|(t, n)| spawned[n] = t);
+                    }
+                }
+                Event::Create { node } => {
+                    check_nodes(std::slice::from_ref(node))?;
+                    check_live(te.at, *node, "creates the group")?;
+                    last_call[*node] = te.at;
+                }
+                Event::Subscribe { nodes, over } => {
+                    check_nodes(nodes)?;
+                    check_extent(*over, "staggered subscribe")?;
+                    for (t, n) in staggered(te.at, *over, nodes) {
+                        check_live(t, n, "subscribes")?;
+                        last_call[n] = last_call[n].max(t);
                     }
                 }
                 Event::Partition { name, side } => {
@@ -365,15 +451,14 @@ impl Scenario {
         Ok(())
     }
 
-    /// Node indices with a `Stream` event, with the stream parameters.
-    pub fn streams(&self) -> Vec<(usize, Time, &Event)> {
+    /// Does the script name group membership (`create`/`subscribe`)?
+    /// The runner issues exactly the membership calls such a script
+    /// names; a script that names none, but streams multicast, has
+    /// every node join the group 1 s after it spawns.
+    pub(crate) fn names_membership(&self) -> bool {
         self.events
             .iter()
-            .filter_map(|te| match &te.event {
-                Event::Stream { node, .. } => Some((*node, te.at, &te.event)),
-                _ => None,
-            })
-            .collect()
+            .any(|te| matches!(te.event, Event::Create { .. } | Event::Subscribe { .. }))
     }
 }
 
@@ -459,6 +544,62 @@ mod tests {
              at 20s stream 0 rate 100kbps size 1000 for 5s multicast\n",
         );
         assert!(e.contains("streams twice"), "{e}");
+    }
+
+    #[test]
+    fn stagger_offsets_are_exact() {
+        for (over_us, n) in [(0, 3), (10, 3), (8_000_000, 750), (1_999_999, 7), (5, 9)] {
+            let nodes: Vec<usize> = (0..n).collect();
+            let got: Vec<Time> = staggered(s(1), Duration(over_us), &nodes)
+                .map(|(t, _)| t)
+                .collect();
+            let want: Vec<Time> = (0..n as u64)
+                .map(|i| s(1) + Duration(over_us * i / n as u64))
+                .collect();
+            assert_eq!(got, want, "over {over_us} us across {n} nodes");
+        }
+    }
+
+    #[test]
+    fn membership_calls_need_a_live_node() {
+        let head = "nodes 4\nend 60s\nat 0s join 0..3\n";
+        // Never joined.
+        let e = rejects(&format!("{head}at 5s create 3\n"));
+        assert!(
+            e.contains("node 3 creates the group at 5s but is not live"),
+            "{e}"
+        );
+        let e = rejects(&format!("{head}at 5s subscribe 1..4\n"));
+        assert!(e.contains("node 3 subscribes at 5s but is not live"), "{e}");
+        // Crashed and not rejoined.
+        let e = rejects(&format!("{head}at 5s crash 2\nat 9s subscribe 2\n"));
+        assert!(e.contains("node 2 subscribes at 9s"), "{e}");
+        assert!(crate::script::parse(&format!(
+            "{head}at 5s crash 2\nat 7s rejoin 2\nat 9s subscribe 2\nat 9s create 0\n"
+        ))
+        .is_ok());
+        // Joined by a staggered join, but not yet spawned: node 2 of
+        // `join 0..4 over 4s` spawns at 2 s.
+        let staggered = "nodes 4\nend 60s\nat 0s join 0..4 over 4s\n";
+        let e = rejects(&format!("{staggered}at 1s subscribe 2\n"));
+        assert!(e.contains("node 2 subscribes at 1s"), "{e}");
+        assert!(crate::script::parse(&format!("{staggered}at 2s subscribe 2\n")).is_ok());
+        // A staggered subscribe checks each node at its own instant:
+        // node 1 subscribes at 1 s, when it spawns, but node 2 at 1.5 s,
+        // before it spawns at 2 s.
+        let e = rejects(&format!("{staggered}at 1s subscribe 1..4 over 1500ms\n"));
+        assert!(e.contains("node 2 subscribes at 1.5s"), "{e}");
+        // Same instant: the script order decides.
+        let e = rejects("nodes 2\nend 60s\nat 0s subscribe 0\nat 0s join 0..2\n");
+        assert!(e.contains("node 0 subscribes at 0s"), "{e}");
+        // A crash may not fall between a staggered call and its event:
+        // node 3's subscribe comes at 4 s, node 3's spawn at 3 s.
+        let e = rejects(&format!(
+            "{staggered}at 3s subscribe 2..4 over 2s\nat 3500ms crash 3\n"
+        ));
+        assert!(e.contains("node 3 crashes at 3.5s, before"), "{e}");
+        let e = rejects(&format!("{staggered}at 1s create 0\nat 2500ms crash 3\n"));
+        assert!(e.contains("node 3 crashes at 2.5s, before"), "{e}");
     }
 
     #[test]

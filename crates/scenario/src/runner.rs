@@ -9,16 +9,20 @@
 //! runner's: stream sources get a
 //! [`macedon_core::app::StreamerApp`], everyone else a
 //! [`macedon_core::app::CollectorApp`], so every run produces one
-//! delivery log the metrics derive from. At an `assert` checkpoint the
-//! runner hands the registered oracle a [`Snapshot::of`] the world,
-//! which reads every spec layer on either back end.
+//! delivery log the metrics derive from. Group membership follows one
+//! rule: a script that names `create`/`subscribe` gets exactly the
+//! calls it names; one that names none, but streams multicast, has
+//! every node join the group 1 s after it spawns. At an `assert`
+//! checkpoint the runner hands the registered oracle a
+//! [`Snapshot::of`] the world, which reads every spec layer on either
+//! back end.
 //!
 //! A caller that needs more than the report (a figure's time series of
 //! routing-table state, say) registers a read-only probe
 //! ([`ScenarioRunner::sample_every`]); one slicing loop pauses the run
 //! at each probe and telemetry instant.
 
-use crate::model::{Event, Scenario, ScenarioError, Span, StreamShape};
+use crate::model::{staggered, Event, Scenario, ScenarioError, Span, StreamShape};
 use crate::oracle::{ConvergenceOracle, Snapshot};
 use crate::report::{
     ChannelReport, LatencySummary, MetricsReport, NodeMetrics, OracleCheckReport,
@@ -44,7 +48,8 @@ pub type StackFactory<'a> =
 /// `(now, world, the scenario's hosts)`.
 type Probe<'a> = Box<dyn FnMut(Time, &World, &[NodeId]) + 'a>;
 
-/// Delay between a node's spawn and its group join (multicast streams).
+/// Delay between a node's spawn and its group join, in a multicast
+/// script that names no membership.
 const JOIN_DELAY: Duration = Duration(1_000_000);
 
 /// Everything a finished run hands back: the world (for state
@@ -77,6 +82,11 @@ enum Action {
     },
     Restore {
         idx: usize,
+    },
+    /// The group's `CreateGroup` (`create`) or `Join` on one node.
+    Member {
+        idx: usize,
+        create: bool,
     },
     Drop {
         probability: f64,
@@ -156,7 +166,8 @@ impl<'a> ScenarioRunner<'a> {
         })
     }
 
-    /// The multicast group scripted streams publish to.
+    /// The multicast group scripted streams publish to, and that
+    /// `create`/`subscribe` create and join: `scenario-<name>`.
     pub fn group(&self) -> MacedonKey {
         self.group
     }
@@ -237,10 +248,22 @@ impl<'a> ScenarioRunner<'a> {
             match &te.event {
                 Event::Join { nodes, over } | Event::Rejoin { nodes, over } => {
                     let fresh = matches!(te.event, Event::Join { .. });
-                    let n = nodes.len() as u64;
-                    for (i, &idx) in nodes.iter().enumerate() {
-                        let offset = Duration(over.as_micros() * i as u64 / n.max(1));
-                        out.push((at + offset, Action::Spawn { idx, fresh }));
+                    for (t, idx) in staggered(at, *over, nodes) {
+                        out.push((t, Action::Spawn { idx, fresh }));
+                    }
+                }
+                Event::Create { node } => {
+                    out.push((
+                        at,
+                        Action::Member {
+                            idx: *node,
+                            create: true,
+                        },
+                    ));
+                }
+                Event::Subscribe { nodes, over } => {
+                    for (t, idx) in staggered(at, *over, nodes) {
+                        out.push((t, Action::Member { idx, create: false }));
                     }
                 }
                 Event::Crash { nodes } => {
@@ -322,7 +345,8 @@ impl<'a> ScenarioRunner<'a> {
     pub fn run(mut self) -> ScenarioOutcome {
         let sink = shared_deliveries();
         let plans = self.stream_plans();
-        let multicast_anywhere = plans.values().any(|p| p.shape == StreamShape::Multicast);
+        let join_on_spawn = !self.scenario.names_membership()
+            && plans.values().any(|p| p.shape == StreamShape::Multicast);
         let actions = self.compile();
 
         // Perturbation bookkeeping: a perturbation's convergence is the
@@ -366,7 +390,7 @@ impl<'a> ScenarioRunner<'a> {
             {
                 checks.push(self.oracle_check(at, oracle, expect_converged));
             } else {
-                self.apply(at, action, &sink, &plans, multicast_anywhere);
+                self.apply(at, action, &sink, &plans, join_on_spawn);
             }
         }
         self.advance(self.scenario.end);
@@ -423,7 +447,7 @@ impl<'a> ScenarioRunner<'a> {
         action: Action,
         sink: &SharedDeliveries,
         plans: &FxHashMap<usize, StreamPlan>,
-        multicast_anywhere: bool,
+        join_on_spawn: bool,
     ) {
         let group = self.group;
         match action {
@@ -455,12 +479,18 @@ impl<'a> ScenarioRunner<'a> {
                     Some(level) => self.world.spawn_at_traced(now, host, stack, app, level),
                     None => self.world.spawn_at(now, host, stack, app),
                 }
-                if multicast_anywhere {
-                    // Group membership for the scripted multicast
-                    // streams: every node joins shortly after spawning.
+                if join_on_spawn {
                     self.world
                         .api_at(now + JOIN_DELAY, host, DownCall::Join { group });
                 }
+            }
+            Action::Member { idx, create } => {
+                let call = if create {
+                    DownCall::CreateGroup { group }
+                } else {
+                    DownCall::Join { group }
+                };
+                self.world.api_at(now, self.hosts[idx], call);
             }
             Action::Crash { idx } => {
                 let host = self.hosts[idx];

@@ -9,6 +9,8 @@
 //!
 //! at 0s    join 0..10
 //! at 5s    join 10..50 over 10s       # staggered flash crowd
+//! at 16s   create 0                   # the group's CreateGroup
+//! at 17s   subscribe 1..50 over 2s    # Joins, staggered like join
 //! at 20s   stream 0 rate 200kbps size 1000 for 80s multicast
 //! at 30s   crash 3 5 7
 //! at 45s   rejoin 3
@@ -23,6 +25,11 @@
 //! * **rates** take a unit: `bps`, `kbps`, `mbps`.
 //! * **node sets** are space-separated indices and `a..b` ranges.
 //! * `#` starts a comment; blank lines are ignored.
+//! * **group membership**: `create <node>` and `subscribe <nodes>
+//!   [over <d>]` issue the scenario group's `CreateGroup` and `Join`
+//!   calls. A script that names membership gets exactly the calls it
+//!   names; one that names none, but streams multicast, has every node
+//!   join the group 1 s after it spawns.
 //!
 //! Errors are spanned (`line:col`) and never panic — see the property
 //! tests. Parsing produces the [`Scenario`] model, which then runs
@@ -238,6 +245,18 @@ fn parse_nodes(c: &mut Cursor) -> Result<Vec<usize>, ScenarioError> {
     Ok(out)
 }
 
+/// One node index (`stream`'s source, `create`'s node).
+fn parse_node(c: &mut Cursor) -> Result<usize, ScenarioError> {
+    let t = c.expect("a node index")?;
+    let (text, col) = (t.text, t.col);
+    text.parse().map_err(|_| {
+        ScenarioError::at(
+            Span { line: c.line, col },
+            format!("bad node index '{text}'"),
+        )
+    })
+}
+
 /// Optional trailing `over <duration>` clause.
 fn parse_over(c: &mut Cursor) -> Result<Duration, ScenarioError> {
     if c.eat_word("over") {
@@ -313,7 +332,8 @@ pub fn parse(source: &str) -> Result<Scenario, ScenarioError> {
                 };
                 let at = Time::ZERO + parse_duration(&c, &tok)?;
                 let verb = c.expect(
-                    "an event (join/crash/rejoin/partition/heal/degrade/restore/drop/stream/assert)",
+                    "an event (join/crash/rejoin/partition/heal/degrade/restore/drop/\
+                     create/subscribe/stream/assert)",
                 )?;
                 let (verb_text, verb_col) = (verb.text, verb.col);
                 let verb_span = Span {
@@ -388,16 +408,16 @@ pub fn parse(source: &str) -> Result<Scenario, ScenarioError> {
                         })?;
                         Event::Drop { probability: p }
                     }
+                    "create" => Event::Create {
+                        node: parse_node(&mut c)?,
+                    },
+                    "subscribe" => {
+                        let nodes = parse_nodes(&mut c)?;
+                        let over = parse_over(&mut c)?;
+                        Event::Subscribe { nodes, over }
+                    }
                     "stream" => {
-                        let t = c.expect("a node index")?;
-                        let text = t.text;
-                        let col = t.col;
-                        let node: usize = text.parse().map_err(|_| {
-                            ScenarioError::at(
-                                Span { line: c.line, col },
-                                format!("bad node index '{text}'"),
-                            )
-                        })?;
+                        let node = parse_node(&mut c)?;
                         let mut rate = None;
                         let mut size = None;
                         let mut dur = None;
@@ -517,6 +537,8 @@ end 120s
 
 at 0s    join 0..10
 at 5s    join 10..50 over 10s
+at 16s   create 0
+at 17s   subscribe 1..50 over 2s
 at 20s   stream 0 rate 200kbps size 1000 for 80s multicast
 at 30s   crash 3 5 7
 at 45s   rejoin 3
@@ -533,17 +555,26 @@ at 90s   drop 0.01
         assert_eq!(s.name, "churn-demo");
         assert_eq!(s.nodes, 50);
         assert_eq!(s.end, Time::from_secs(120));
-        assert_eq!(s.events.len(), 10);
+        assert_eq!(s.events.len(), 12);
         let Event::Join { nodes, over } = &s.events[1].event else {
             panic!("{:?}", s.events[1].event);
         };
         assert_eq!(nodes.len(), 40);
         assert_eq!(*over, macedon_sim::Duration::from_secs(10));
+        assert_eq!(s.events[2].event, Event::Create { node: 0 });
+        let Event::Subscribe { nodes, over } = &s.events[3].event else {
+            panic!("{:?}", s.events[3].event);
+        };
+        assert_eq!(
+            (nodes.len(), *over),
+            (49, macedon_sim::Duration::from_secs(2))
+        );
+        assert!(s.names_membership());
         let Event::Degrade {
             bandwidth_bps,
             delay,
             ..
-        } = &s.events[7].event
+        } = &s.events[9].event
         else {
             panic!();
         };
@@ -622,6 +653,33 @@ at 90s   drop 0.01
         let e =
             parse("nodes 4\nend 30s\nat 0s join 0..4\nat 10s assert sideways chord\n").unwrap_err();
         assert!(e.msg.contains("'converged' or 'diverged'"), "{e}");
+    }
+
+    #[test]
+    fn malformed_membership_verbs_are_spanned() {
+        let head = "nodes 4\nend 30s\nat 0s join 0..4\n";
+        for (line, msg, col) in [
+            ("at 5s create", "expected a node index", 7),
+            ("at 5s create x", "bad node index 'x'", 14),
+            ("at 5s create 0 1", "unexpected trailing token '1'", 16),
+            ("at 5s create 0..2", "bad node index '0..2'", 14),
+            ("at 5s subscribe", "expected at least one node index", 7),
+            (
+                "at 5s subscribe 1..3 over",
+                "expected a duration after 'over'",
+                22,
+            ),
+            (
+                "at 5s subscribe 1..3 over 2parsecs",
+                "unknown time unit",
+                27,
+            ),
+            ("at 5s subscribe 3..1", "empty range '3..1'", 17),
+        ] {
+            let e = parse(&format!("{head}{line}\n")).unwrap_err();
+            assert!(e.msg.contains(msg), "{line}: {e}");
+            assert_eq!((e.line, e.col), (4, col), "{line}: {e}");
+        }
     }
 
     #[test]

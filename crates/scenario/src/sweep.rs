@@ -712,28 +712,68 @@ impl SweepReport {
 // Parallel execution
 // ---------------------------------------------------------------------------
 
-/// Run every cell of the sweep on a fixed-size worker pool and merge
-/// the results in cell order.
+/// Run every cell of the sweep on the worker [`pool`] and merge the
+/// results in cell order.
 ///
 /// `run_cell` executes one cell — build a topology and world seeded
 /// with [`SweepCell::derived_seed`], run `cell.scenario`, return the
 /// [`MetricsReport`] — and must be `Sync`: workers call it
-/// concurrently. Cells are pulled off a shared atomic queue, so the
-/// pool stays busy even when cell costs are skewed (a 200-node cell
-/// next to a 50-node one); the merge is indexed by cell, never by
-/// completion order, which keeps [`SweepReport`] byte-identical across
-/// runs regardless of thread interleaving.
+/// concurrently. The merge is indexed by cell, never by completion
+/// order, which keeps [`SweepReport`] byte-identical across runs
+/// regardless of thread interleaving.
 ///
-/// A cell whose `run_cell` panics fails the sweep: no further cells
-/// start, and the error names the lowest-indexed failed cell with its
-/// coordinates, derived seed and panic message.
+/// A cell whose `run_cell` panics fails the sweep with an error that
+/// names the cell's coordinates, derived seed and panic message.
 pub fn run_sweep<F>(spec: &SweepSpec, run_cell: F) -> Result<SweepReport, ScenarioError>
 where
     F: Fn(&SweepCell) -> MetricsReport + Sync,
 {
     let cells = spec.expand()?;
-    let workers = spec
-        .workers
+    let rows = pool(&cells, spec.workers, |cell| {
+        CellReport::from_run(cell, &run_cell(cell))
+    })
+    .map_err(|failed| {
+        let cell = &cells[failed.index];
+        ScenarioError::at(
+            Span::default(),
+            format!(
+                "cell {} ({}, derived seed {:#018x}) panicked: {}",
+                cell.index,
+                coords(cell.nodes, &cell.params, cell.seed),
+                cell.derived_seed,
+                failed.message
+            ),
+        )
+    })?;
+    Ok(SweepReport::aggregate(spec, rows))
+}
+
+/// The cell a [`pool`] run failed on: its index and its panic message.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct CellPanic {
+    pub index: usize,
+    pub message: String,
+}
+
+/// Run `job` on every cell on a pool of `workers` threads (`None` = all
+/// cores, never more threads than cells) and return the results in cell
+/// order — the one worker pool behind both [`run_sweep`] and the
+/// `figures` binary.
+///
+/// Workers pull cells off a shared atomic queue in index order, so the
+/// pool stays busy when cell costs are skewed; listing the costliest
+/// cells first shortens the whole run. The results are indexed by cell,
+/// never by completion order, so they are the same for any worker count.
+///
+/// A cell whose `job` panics fails the pool: no further cells start,
+/// and the error names the lowest-indexed failed cell.
+pub fn pool<T, R, F>(cells: &[T], workers: Option<usize>, job: F) -> Result<Vec<R>, CellPanic>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -742,7 +782,7 @@ where
         .clamp(1, cells.len().max(1));
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<CellReport, String>>>> =
+    let slots: Vec<Mutex<Option<Result<R, String>>>> =
         cells.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -750,43 +790,32 @@ where
                 while !failed.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
-                    let row = catch_unwind(AssertUnwindSafe(|| {
-                        CellReport::from_run(cell, &run_cell(cell))
-                    }))
-                    .map_err(|payload| {
+                    let out = catch_unwind(AssertUnwindSafe(|| job(cell))).map_err(|payload| {
                         failed.store(true, Ordering::Relaxed);
                         panic_message(payload.as_ref())
                     });
-                    *slots[i].lock().unwrap() = Some(row);
+                    *slots[i].lock().expect(UNPOISONED) = Some(out);
                 }
             });
         }
     });
-    let mut rows = Vec::with_capacity(cells.len());
-    for (cell, slot) in cells.iter().zip(slots) {
-        // Cells start in index order, so a failed cell comes before
-        // every cell the failure kept from starting.
-        match slot
-            .into_inner()
-            .unwrap()
-            .expect("a failed cell precedes every unstarted one")
-        {
-            Ok(row) => rows.push(row),
-            Err(msg) => {
-                return Err(ScenarioError::at(
-                    Span::default(),
-                    format!(
-                        "cell {} ({}, derived seed {:#018x}) panicked: {msg}",
-                        cell.index,
-                        coords(cell.nodes, &cell.params, cell.seed),
-                        cell.derived_seed
-                    ),
-                ))
-            }
-        }
-    }
-    Ok(SweepReport::aggregate(spec, rows))
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(index, slot)| {
+            // Cells start in index order, so a failed cell comes before
+            // every cell the failure kept from starting.
+            slot.into_inner()
+                .expect(UNPOISONED)
+                .expect("a failed cell precedes every unstarted one")
+                .map_err(|message| CellPanic { index, message })
+        })
+        .collect()
 }
+
+/// A slot is locked only to store a result `catch_unwind` already
+/// holds, so no panic can poison it.
+const UNPOISONED: &str = "no panic while a slot is locked";
 
 /// The text a panic carried, when it was a string.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

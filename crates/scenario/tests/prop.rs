@@ -28,9 +28,9 @@ proptest! {
 
     /// References to undeclared nodes are rejected, whatever the verb.
     #[test]
-    fn unknown_nodes_rejected(n in 1usize..32, extra in 0usize..100, verb_i in 0usize..3) {
+    fn unknown_nodes_rejected(n in 1usize..32, extra in 0usize..100, verb_i in 0usize..5) {
         let bad = n + extra; // >= n, always out of range
-        let verb = ["join", "crash", "degrade"][verb_i];
+        let verb = ["join", "crash", "degrade", "create", "subscribe"][verb_i];
         let tail = if verb == "degrade" { " bw 1kbps" } else { "" };
         let src = format!(
             "nodes {n}\nend 100s\nat 0s join 0..{n}\nat 5s {verb} {bad}{tail}\n"

@@ -2,11 +2,13 @@
 //! partition, degradation and rejoin all compile onto the world and
 //! produce engine-measured metrics.
 
-use macedon_core::WorldConfig;
+use macedon_core::{Agent, Bytes, Ctx, DownCall, NodeId, ProtocolId, WorldConfig};
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, LinkSpec};
 use macedon_scenario::{script, ScenarioRunner};
 use macedon_sim::Duration;
+use std::any::Any;
+use std::sync::{Arc, Mutex};
 
 fn runner_for<'a>(
     reg: &'a SpecRegistry,
@@ -193,4 +195,87 @@ fn probe_fires_on_its_grid_and_changes_nothing() {
         let want: Vec<(u64, usize)> = want.into_iter().map(|t| (t, 10)).collect();
         assert_eq!(seen, want, "at 0, every {every_s} s, and at the end");
     }
+}
+
+/// Membership calls as `(ms, node, "create" | "join")`.
+type Calls = Arc<Mutex<Vec<(u64, NodeId, &'static str)>>>;
+
+/// A one-layer stack that records each group-membership call its node
+/// receives.
+struct MembershipLog(Calls);
+
+impl Agent for MembershipLog {
+    fn protocol_id(&self) -> ProtocolId {
+        99
+    }
+    fn name(&self) -> &'static str {
+        "membership-log"
+    }
+    fn init(&mut self, _ctx: &mut Ctx) {}
+    fn downcall(&mut self, ctx: &mut Ctx, call: DownCall) {
+        let what = match call {
+            DownCall::CreateGroup { .. } => "create",
+            DownCall::Join { .. } => "join",
+            _ => return,
+        };
+        let ms = ctx.now.as_micros() / 1_000;
+        self.0.lock().unwrap().push((ms, ctx.me, what));
+    }
+    fn recv(&mut self, _ctx: &mut Ctx, _from: NodeId, _msg: Bytes) {}
+    fn timer(&mut self, _ctx: &mut Ctx, _timer: u16) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// One membership rule: a script that names `create`/`subscribe` gets
+/// exactly those calls; a multicast script that names none has every
+/// node join 1 s after it spawns.
+#[test]
+fn membership_calls_are_exactly_the_scripted_ones() {
+    let calls = |body: &str| -> Vec<(u64, usize, &'static str)> {
+        let src = format!("scenario members\nnodes 4\nend 20s\nat 0s join 0..4 over 2s\n{body}");
+        let log = Calls::default();
+        let sink = log.clone();
+        let outcome = ScenarioRunner::new(
+            script::parse(&src).unwrap(),
+            canned::star(4, LinkSpec::lan()),
+            WorldConfig::default(),
+            Box::new(move |_idx, _host, _bootstrap| {
+                vec![Box::new(MembershipLog(sink.clone())) as Box<dyn Agent>]
+            }),
+        )
+        .unwrap()
+        .run();
+        let idx = |node| outcome.hosts.iter().position(|&h| h == node).unwrap();
+        let log = log.lock().unwrap();
+        log.iter()
+            .map(|&(ms, node, what)| (ms, idx(node), what))
+            .collect()
+    };
+    let stream = "at 10s stream 0 rate 8kbps size 100 for 1s multicast\n";
+    // Nodes spawn at 0, 0.5, 1 and 1.5 s; each joins 1 s later.
+    assert_eq!(
+        calls(stream),
+        vec![
+            (1000, 0, "join"),
+            (1500, 1, "join"),
+            (2000, 2, "join"),
+            (2500, 3, "join")
+        ]
+    );
+    // Named membership: exactly the named calls, staggered like `join`.
+    let named = format!("at 3s create 0\nat 4s subscribe 2..4 over 1s\n{stream}");
+    assert_eq!(
+        calls(&named),
+        vec![(3000, 0, "create"), (4000, 2, "join"), (4500, 3, "join")]
+    );
+    // A route-only script joins nobody by default.
+    assert_eq!(
+        calls("at 10s stream 0 rate 8kbps size 100 for 1s route\n"),
+        vec![]
+    );
 }

@@ -10,10 +10,18 @@
 //! ```
 
 use macedon::lang::{bundled_specs, compile, SpecRegistry};
-use macedon::prelude::*;
+use macedon_bench::experiments::{seeded, spec_runner};
 use std::sync::Arc;
 
-fn run(dht: &str) -> usize {
+/// Twelve nodes join 100 ms apart; every node but 0 subscribes once the
+/// DHT has converged, and node 1 multicasts five 256-byte packets
+/// 200 ms apart.
+const SCRIPT: &str = "scenario scribe-switch\nnodes 12\nend 90s\n\
+                      at 0s join 0..12 over 1200ms\n\
+                      at 40s subscribe 1..12\n\
+                      at 70s stream 1 rate 10240bps size 256 for 1s multicast\n";
+
+fn run(dht: &str) -> u64 {
     // The single line: `protocol scribe uses pastry;` → `uses <dht>;`.
     let (_, scribe) = bundled_specs()
         .into_iter()
@@ -27,43 +35,13 @@ fn run(dht: &str) -> usize {
     registry.insert(Arc::new(compile(&scribe).unwrap()));
 
     let topo = macedon::net::topology::canned::star(12, macedon::net::topology::LinkSpec::lan());
-    let cfg = WorldConfig {
-        seed: 7,
-        channels: registry.channel_table_for("scribe").unwrap(),
-        ..Default::default()
-    };
-    let mut world = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    let group = MacedonKey::of_name("demo-group");
-    let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
-        let stack = registry.build_stack("scribe", bootstrap).unwrap();
-        (stack, Box::new(CollectorApp::new(sink.clone())))
-    });
-
-    // Everyone joins; the source multicasts after convergence.
-    world.run_until(Time::from_secs(40));
-    for &h in &hosts[1..] {
-        world.api_at(Time::from_secs(40), h, DownCall::Join { group });
-    }
-    world.run_until(Time::from_secs(70));
-    for i in 0..5u64 {
-        let mut p = vec![0u8; 256];
-        p[..8].copy_from_slice(&i.to_be_bytes());
-        world.api_at(
-            Time::from_secs(70) + Duration::from_millis(i * 200),
-            hosts[1],
-            DownCall::Multicast {
-                group,
-                payload: Bytes::from(p),
-                priority: -1,
-            },
-        );
-    }
-    world.run_until(Time::from_secs(90));
-    let n = sink.lock().len();
+    let report = spec_runner(SCRIPT, topo, seeded(7), &registry, "scribe")
+        .run()
+        .report;
+    let n = report.total_delivered;
     println!(
         "scribe.mac over {dht}: {n} deliveries across {} receivers",
-        hosts.len() - 1
+        report.nodes.len() - 1
     );
     n
 }

@@ -1,19 +1,38 @@
 //! Video-style streaming over a SplitStream forest (SplitStream over
 //! Scribe over Pastry), the full Figure 2 stack — with the two location
-//! cache policies of Figure 12 side by side, on Figure 12's native run
-//! at 20 nodes.
+//! cache policies of Figure 12 side by side, on Figure 12's native
+//! stack at 20 nodes. The experiment is a scenario script: node 0
+//! creates the group, the others subscribe, node 0 streams.
 //!
 //! ```sh
 //! cargo run --release -p macedon --example splitstream_video
 //! ```
 
 use macedon::prelude::*;
-use macedon_bench::experiments::native_splitstream;
+use macedon_bench::experiments::{
+    fig12_stack, fig12_topology, goodput_series, mean, scenario_runner, seeded,
+};
 
-/// Mean per-receiver goodput (Kbps) over a minute of 600 Kbps streaming.
+const SCRIPT: &str = "scenario video\nnodes 20\nend 110s\n\
+                      at 0s join 0..20 over 2s\n\
+                      at 5s create 0\n\
+                      at 6100ms subscribe 1..20 over 1900ms\n\
+                      at 40s stream 0 rate 600kbps size 1000 for 60s multicast\n";
+
+/// Mean per-receiver goodput (Kbps) over the minute of streaming.
 fn run(cache_lifetime: Option<Duration>) -> f64 {
-    let series = native_splitstream(20, 40, 60, 600_000, cache_lifetime);
-    series.iter().map(|&(_, kbps)| kbps).sum::<f64>() / series.len() as f64
+    let outcome = scenario_runner(
+        SCRIPT,
+        fig12_topology(20),
+        seeded(12),
+        fig12_stack(cache_lifetime),
+    )
+    .run();
+    mean(
+        goodput_series(&outcome, 40, 60)
+            .iter()
+            .map(|&(_, kbps)| kbps),
+    )
 }
 
 fn main() {

@@ -1,5 +1,8 @@
 //! Cross-crate integration: application-layer multicast — Scribe over
 //! both DHTs (the paper's layering switch) and SplitStream striping.
+//! The multicast runs are scenario scripts (`subscribe`, then a
+//! multicast `stream`); the anycast and leave runs issue their calls by
+//! hand, since no script verb says anycast or leave.
 
 mod common;
 
@@ -8,53 +11,62 @@ use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon::overlays::splitstream::{stripe_key, SplitStream, SplitStreamConfig};
 use macedon::prelude::*;
-use macedon_bench::experiments::{seeded, spec_world, stack_world};
+use macedon::scenario::{ScenarioOutcome, ScenarioRunner};
+use macedon_bench::experiments::{scenario_runner, seeded, spec_runner, stack_world};
 use std::sync::Arc;
 
 /// Joins start this far apart.
 const STAGGER: Duration = Duration::from_millis(100);
 
-fn scribe_world(n: usize, seed: u64) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    stack_world(common::star(n), seeded(seed), STAGGER, |bootstrap| {
-        let pastry = Pastry::new(PastryConfig {
-            bootstrap,
-            ..Default::default()
-        });
-        vec![
-            Box::new(pastry),
-            Box::new(Scribe::new(ScribeConfig::default())),
-        ]
-    })
+/// Native Scribe over native Pastry.
+fn scribe_stack(bootstrap: Option<NodeId>) -> Vec<Box<dyn Agent>> {
+    let pastry = Pastry::new(PastryConfig {
+        bootstrap,
+        ..Default::default()
+    });
+    vec![
+        Box::new(pastry),
+        Box::new(Scribe::new(ScribeConfig::default())),
+    ]
 }
 
-fn run_multicast(w: &mut World, hosts: &[NodeId], group: MacedonKey, n_pkts: u64) {
-    w.run_until(Time::from_secs(40));
-    for &h in &hosts[1..] {
-        w.api_at(Time::from_secs(40), h, DownCall::Join { group });
-    }
-    w.run_until(Time::from_secs(80));
-    for i in 0..n_pkts {
-        let mut p = vec![0u8; 128];
-        p[..8].copy_from_slice(&i.to_be_bytes());
-        w.api_at(
-            Time::from_secs(80) + Duration::from_millis(i * 100),
-            hosts[1],
-            DownCall::Multicast {
-                group,
-                payload: Bytes::from(p),
-                priority: -1,
-            },
-        );
-    }
-    w.run_until(Time::from_secs(110));
+fn scribe_world(n: usize, seed: u64) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
+    stack_world(common::star(n), seeded(seed), STAGGER, scribe_stack)
+}
+
+/// `n` nodes join `STAGGER` apart; at 40 s every node but 0 subscribes
+/// to the scenario's group, and from `stream_s` node 1 multicasts
+/// `packets` packets of `size` bytes, `gap_ms` apart, each stamped with
+/// its sequence number; the run ends 30 s after the stream starts.
+fn multicast_script(n: usize, stream_s: u64, packets: u64, size: usize, gap_ms: u64) -> String {
+    format!(
+        "scenario multicast\nnodes {n}\nend {end}s\n\
+         at 0s join 0..{n} over {over}ms\n\
+         at 40s subscribe 1..{n}\n\
+         at {stream_s}s stream 1 rate {rate}bps size {size} for {dur}ms multicast\n",
+        end = stream_s + 30,
+        over = n as u64 * STAGGER.as_millis(),
+        rate = size as u64 * 8 * 1_000 / gap_ms,
+        dur = packets * gap_ms,
+    )
+}
+
+/// Run `runner` to its end; its group comes back with the outcome.
+fn run(runner: ScenarioRunner<'_>) -> (ScenarioOutcome, MacedonKey) {
+    let group = runner.group();
+    (runner.run(), group)
 }
 
 #[test]
 fn scribe_over_pastry_reaches_all_members() {
-    let (mut w, hosts, sink) = scribe_world(12, 1);
-    let group = MacedonKey::of_name("g1");
-    run_multicast(&mut w, &hosts, group, 5);
-    let log = sink.lock();
+    let script = multicast_script(12, 80, 5, 128, 100);
+    let (out, _) = run(scenario_runner(
+        &script,
+        common::star(12),
+        seeded(1),
+        scribe_stack,
+    ));
+    let (hosts, log) = (&out.hosts, out.deliveries.lock());
     for i in 0..5u64 {
         let got: std::collections::HashSet<NodeId> = log
             .iter()
@@ -86,11 +98,10 @@ fn scribe_over_chord_reaches_all_members() {
     );
     let mut registry = SpecRegistry::bundled();
     registry.insert(Arc::new(compile(&src).expect("scribe over chord compiles")));
-    let (mut w, hosts, sink) =
-        spec_world(&registry, "scribe", common::star(12), seeded(2), STAGGER);
-    let group = MacedonKey::of_name("g2");
-    run_multicast(&mut w, &hosts, group, 5);
-    let log = sink.lock();
+    let script = multicast_script(12, 80, 5, 128, 100);
+    let runner = spec_runner(&script, common::star(12), seeded(2), &registry, "scribe");
+    let (out, _) = run(runner);
+    let (hosts, log) = (&out.hosts, out.deliveries.lock());
     for i in 0..5u64 {
         let got: std::collections::HashSet<NodeId> = log
             .iter()
@@ -108,9 +119,14 @@ fn scribe_over_chord_reaches_all_members() {
 
 #[test]
 fn scribe_trees_are_rooted_at_group_owner() {
-    let (mut w, hosts, _sink) = scribe_world(10, 3);
-    let group = MacedonKey::of_name("g3");
-    run_multicast(&mut w, &hosts, group, 1);
+    let script = multicast_script(10, 80, 1, 128, 100);
+    let (out, group) = run(scenario_runner(
+        &script,
+        common::star(10),
+        seeded(3),
+        scribe_stack,
+    ));
+    let (w, hosts) = (&out.world, &out.hosts);
     // Exactly one root, and it is the Pastry owner of the group key.
     let owner = hosts
         .iter()
@@ -121,7 +137,7 @@ fn scribe_trees_are_rooted_at_group_owner() {
         })
         .unwrap();
     let mut roots = 0;
-    for &h in &hosts {
+    for &h in hosts {
         let s: &Scribe = w
             .stack(h)
             .unwrap()
@@ -139,7 +155,9 @@ fn scribe_trees_are_rooted_at_group_owner() {
 
 #[test]
 fn splitstream_stripes_spread_over_distinct_trees() {
-    let (mut w, hosts, sink) = stack_world(common::star(16), seeded(4), STAGGER, |bootstrap| {
+    // 16 packets round-robin over 8 stripes.
+    let script = multicast_script(16, 100, 16, 256, 50);
+    let runner = scenario_runner(&script, common::star(16), seeded(4), |bootstrap| {
         let pastry = Pastry::new(PastryConfig {
             bootstrap,
             ..Default::default()
@@ -151,28 +169,9 @@ fn splitstream_stripes_spread_over_distinct_trees() {
         let split = SplitStream::new(SplitStreamConfig { stripes: 8 });
         vec![Box::new(pastry), Box::new(scribe), Box::new(split)]
     });
-    let group = MacedonKey::of_name("forest");
-    w.run_until(Time::from_secs(40));
-    for &h in &hosts[1..] {
-        w.api_at(Time::from_secs(40), h, DownCall::Join { group });
-    }
-    w.run_until(Time::from_secs(100));
-    // 16 packets round-robin over 8 stripes.
-    for i in 0..16u64 {
-        let mut p = vec![0u8; 256];
-        p[..8].copy_from_slice(&i.to_be_bytes());
-        w.api_at(
-            Time::from_secs(100) + Duration::from_millis(i * 50),
-            hosts[1],
-            DownCall::Multicast {
-                group,
-                payload: Bytes::from(p),
-                priority: -1,
-            },
-        );
-    }
-    w.run_until(Time::from_secs(130));
-    let log = sink.lock();
+    let (out, group) = run(runner);
+    let (w, hosts) = (&out.world, &out.hosts);
+    let log = out.deliveries.lock();
     // Every packet reaches (almost) every member despite striping.
     for i in 0..16u64 {
         let got: std::collections::HashSet<NodeId> = log
