@@ -15,67 +15,21 @@
 use crate::freepastry::{RmiModel, RmiQueue};
 use crate::lsd::{chord_registry, LSD};
 use crate::Scale;
-use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
+use macedon_core::app::SharedDeliveries;
 use macedon_core::{
-    Agent, Bytes, ChannelSpec, Duration, MacedonKey, NodeId, Time, TraceLevel, World, WorldConfig,
+    Agent, Bytes, ChannelSpec, Duration, MacedonKey, NodeId, Ring, Time, TraceLevel, World,
+    WorldConfig,
 };
 use macedon_lang::SpecRegistry;
-use macedon_net::topology::{canned, LinkSpec};
+use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
 use macedon_net::Topology;
 use macedon_overlays::nice::Nice;
 use macedon_overlays::pastry::{Pastry, PastryConfig};
 use macedon_overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon_overlays::splitstream::{SplitStream, SplitStreamConfig};
-use macedon_overlays::testutil::{collect_ring, correct_owner, inet_topology};
 use macedon_scenario::{pool, ScenarioOutcome, ScenarioRunner};
 use macedon_sim::SimRng;
 use std::sync::OnceLock;
-
-/// A world over `topo`, built from `cfg`, whose every host runs the
-/// stack `build(bootstrap)` returns — joins `stagger` apart through the
-/// first host ([`World::spawn_each`]) — with every app collecting into
-/// one sink.
-pub fn stack_world(
-    topo: Topology,
-    cfg: WorldConfig,
-    stagger: Duration,
-    mut build: impl FnMut(Option<NodeId>) -> Vec<Box<dyn Agent>>,
-) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let mut w = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    let hosts = w.spawn_each(stagger, |_, bootstrap| {
-        (build(bootstrap), Box::new(CollectorApp::new(sink.clone())))
-    });
-    (w, hosts, sink)
-}
-
-/// [`stack_world`] running `proto`'s interpreted stack from `registry`,
-/// in a world built from `cfg` with the stack's channel table.
-pub fn spec_world(
-    registry: &SpecRegistry,
-    proto: &str,
-    topo: Topology,
-    cfg: WorldConfig,
-    stagger: Duration,
-) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let cfg = WorldConfig {
-        channels: registry.channel_table_for(proto).expect("chain resolves"),
-        ..cfg
-    };
-    stack_world(topo, cfg, stagger, |bootstrap| {
-        registry
-            .build_stack(proto, bootstrap)
-            .expect("stack builds")
-    })
-}
-
-/// The default world configuration with `seed`.
-pub fn seeded(seed: u64) -> WorldConfig {
-    WorldConfig {
-        seed,
-        ..Default::default()
-    }
-}
 
 /// The one way an experiment here runs a scenario: `script` bound to
 /// `topo` and a world built from `cfg`, every node running the stack
@@ -146,8 +100,9 @@ impl Backend {
         }
     }
 
-    /// [`stack_world`] running `proto` on this back end, in a world built
-    /// from `cfg` with the stack's channel table.
+    /// `proto` on this back end on every host of `topo`, in a world
+    /// built from `cfg` with the stack's channel table
+    /// ([`World::spawn_each`]).
     pub fn world(
         self,
         proto: &str,
@@ -159,9 +114,9 @@ impl Backend {
             channels: self.channel_table(proto),
             ..cfg
         };
-        stack_world(topo, cfg, stagger, |bootstrap| {
-            self.build_stack(proto, bootstrap)
-        })
+        let mut w = World::new(topo, cfg);
+        let (hosts, sink) = w.spawn_each(stagger, |bootstrap| self.build_stack(proto, bootstrap));
+        (w, hosts, sink)
     }
 }
 
@@ -280,7 +235,7 @@ pub fn fig8_9(scale: Scale) -> Vec<NiceSiteRow> {
         end = converge_s + 60,
         stagger = 400 * n,
     );
-    let mut out = scenario_runner(&script, topo, seeded(8), |rendezvous| {
+    let mut out = scenario_runner(&script, topo, WorldConfig::seeded(8), |rendezvous| {
         vec![Box::new(Nice::new(rendezvous))]
     })
     .run();
@@ -337,6 +292,17 @@ pub fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
+/// A seeded INET graph of `routers` routers with `clients` hosts, the
+/// paper's topology generator (figs 10 and 11).
+fn inet_graph(routers: usize, clients: usize, seed: u64) -> Topology {
+    let params = InetParams {
+        routers,
+        clients,
+        ..Default::default()
+    };
+    inet(&params, &mut SimRng::new(seed))
+}
+
 // ---------------------------------------------------------------------------
 // Figure 10 — Chord routing-table convergence
 // ---------------------------------------------------------------------------
@@ -353,7 +319,7 @@ pub struct Fig10Series {
 /// `n` is correct when the owner of `key(n) + 2^i` — global knowledge
 /// over `hosts` — is among `n`'s fingers.
 pub fn correct_fingers(w: &World, hosts: &[NodeId]) -> usize {
-    let ring = collect_ring(w, hosts);
+    let ring = Ring::new(hosts, w.config().addressing);
     hosts
         .iter()
         .filter_map(|&h| {
@@ -361,7 +327,7 @@ pub fn correct_fingers(w: &World, hosts: &[NodeId]) -> usize {
             let me = w.key_of(h);
             Some(
                 (0..32)
-                    .filter(|&i| fingers.contains(&correct_owner(&ring, me.plus_pow2(i))))
+                    .filter(|&i| fingers.contains(&ring.owner(me.plus_pow2(i))))
                     .count(),
             )
         })
@@ -386,7 +352,7 @@ pub fn finger_series(
     );
     let registry = chord_registry(constants);
     let mut series = Vec::new();
-    let mut runner = spec_runner(&script, topo, seeded(seed), &registry, "chord");
+    let mut runner = spec_runner(&script, topo, WorldConfig::seeded(seed), &registry, "chord");
     runner.sample_every(Duration::from_secs(2), |t, w, hosts| {
         let avg = correct_fingers(w, hosts) as f64 / hosts.len() as f64;
         series.push((t.as_secs_f64(), avg));
@@ -412,7 +378,7 @@ fn fig10_run(scale: Scale, flavor: &[(&str, i64)]) -> Vec<(f64, f64)> {
         Scale::Quick => (200, 48, 120),
         Scale::Paper => (20_000, 1_000, 120),
     };
-    let topo = inet_topology(routers, clients, 10);
+    let topo = inet_graph(routers, clients, 10);
     let stagger_ms = run_s * 1000 / 3 / clients as u64;
     finger_series(topo, flavor, stagger_ms, run_s, 10)
 }
@@ -445,7 +411,7 @@ fn fig11_run(scale: Scale, nodes: usize, rmi: bool) -> f64 {
         Scale::Quick => (200, 60, 40),
         Scale::Paper => (20_000, 300, 120),
     };
-    let topo = inet_topology(routers, nodes, 11);
+    let topo = inet_graph(routers, nodes, 11);
     mean(route_latencies(topo, converge_s, stream_s, rmi))
 }
 
@@ -468,7 +434,7 @@ pub fn route_latencies(topo: Topology, converge_s: u64, stream_s: u64, rmi: bool
     }
     let cfg = WorldConfig {
         channels: Backend::Interpreted.channel_table("pastry"),
-        ..seeded(11)
+        ..WorldConfig::seeded(11)
     };
     let outcome = scenario_runner(&script, topo, cfg, |bootstrap| {
         let mut stack = Backend::Interpreted.build_stack("pastry", bootstrap);
@@ -563,7 +529,13 @@ fn fig12_run(scale: Scale, cache_lifetime: Option<Duration>) -> Vec<(f64, f64)> 
         subscribe = (nodes - 1) * 100,
     );
     let topo = fig12_topology(nodes);
-    let outcome = scenario_runner(&script, topo, seeded(12), fig12_stack(cache_lifetime)).run();
+    let outcome = scenario_runner(
+        &script,
+        topo,
+        WorldConfig::seeded(12),
+        fig12_stack(cache_lifetime),
+    )
+    .run();
     goodput_series(&outcome, converge_s, stream_s)
 }
 
@@ -637,19 +609,14 @@ fn fig12_from_spec(scale: Scale) -> Vec<(f64, f64)> {
         end = converge_s + stream_s + 10,
         stagger = nodes * 100,
     );
-    let mut runner = spec_runner(
-        &script,
-        fig12_topology(nodes),
-        seeded(12),
-        registry,
-        "splitstream",
-    );
-    runner.set_trace_level(
-        registry
+    let cfg = WorldConfig {
+        trace_level: registry
             .trace_level_for("splitstream")
             .expect("bundled spec registered"),
-    );
-    goodput_series(&runner.run(), converge_s, stream_s)
+        ..WorldConfig::seeded(12)
+    };
+    let outcome = spec_runner(&script, fig12_topology(nodes), cfg, registry, "splitstream").run();
+    goodput_series(&outcome, converge_s, stream_s)
 }
 
 // ---------------------------------------------------------------------------
@@ -894,7 +861,7 @@ fn run_scenario_script_on(script: &str, nodes: usize, link: LinkSpec) -> ChurnRu
     let cfg = WorldConfig {
         fd_g: Duration::from_secs(2),
         fd_f: Duration::from_secs(6),
-        ..seeded(77)
+        ..WorldConfig::seeded(77)
     };
     let topo = canned::star(nodes, link);
     let outcome = spec_runner(script, topo, cfg, bundled(), "splitstream").run();

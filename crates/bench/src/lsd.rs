@@ -37,8 +37,8 @@ pub fn chord_registry(constants: &[(&str, i64)]) -> SpecRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{finger_series, seeded, spec_world};
-    use macedon_core::{Duration, Time};
+    use crate::experiments::finger_series;
+    use macedon_core::{Duration, Time, WorldConfig};
     use macedon_net::topology::{canned, LinkSpec};
     use macedon_scenario::{ChordOracle, ConvergenceOracle, Snapshot};
 
@@ -46,7 +46,9 @@ mod tests {
     fn lsd_ring_converges() {
         let (topo, registry) = (canned::star(12, LinkSpec::lan()), chord_registry(&LSD));
         let stagger = Duration::from_millis(100);
-        let (mut w, hosts, _sink) = spec_world(&registry, "chord", topo, seeded(3), stagger);
+        let (mut w, hosts, _sink) = registry
+            .world("chord", topo, WorldConfig::seeded(3), stagger)
+            .unwrap();
         w.run_until(Time::from_secs(90));
         let violations = ChordOracle.check(&Snapshot::of(&w, &hosts));
         assert!(violations.is_empty(), "{violations:?}");

@@ -10,7 +10,7 @@
 //!
 //! Every run is seeded, so each outcome is deterministic.
 
-use macedon_bench::experiments::{finger_series, seeded, spec_world};
+use macedon_bench::experiments::finger_series;
 use macedon_bench::lsd::LSD;
 use macedon_core::{Duration, NodeId, Time, World, WorldConfig};
 use macedon_lang::{bundled_specs, compile, SpecRegistry};
@@ -50,13 +50,10 @@ fn locking_read_classification_changes_no_behaviour() {
         })
     });
     let run = |registry: &SpecRegistry| {
-        let (mut w, _hosts, _sink) = spec_world(
-            registry,
-            "chord",
-            canned::star(10, LinkSpec::lan()),
-            seeded(7),
-            STAGGER,
-        );
+        let topo = canned::star(10, LinkSpec::lan());
+        let (mut w, _hosts, _sink) = registry
+            .world("chord", topo, WorldConfig::seeded(7), STAGGER)
+            .unwrap();
         w.run_until(Time::from_secs(40));
         let (reads, writes) = w.transition_counts();
         (reads, writes, w.events_fired())
@@ -104,18 +101,12 @@ fn failure_detector_heal_time_grows_with_f() {
         .into_iter()
         .map(|(g_s, f_s)| {
             let cfg = WorldConfig {
-                seed: 8,
                 fd_g: Duration::from_secs(g_s),
                 fd_f: Duration::from_secs(f_s),
-                ..Default::default()
+                ..WorldConfig::seeded(8)
             };
-            let (mut w, hosts, _sink) = spec_world(
-                &registry,
-                "chord",
-                canned::star(6, LinkSpec::lan()),
-                cfg,
-                STAGGER,
-            );
+            let topo = canned::star(6, LinkSpec::lan());
+            let (mut w, hosts, _sink) = registry.world("chord", topo, cfg, STAGGER).unwrap();
             heal_time(&mut w, &hosts, hosts[3], 30, 30 + 4 * f_s + 20)
                 .unwrap_or_else(|| panic!("g/f = {g_s}/{f_s} s: the ring heals"))
         })

@@ -212,6 +212,35 @@ pub fn dsl_owner_of(key: Option<MacedonKey>, list: &[NodeId], mode: Addressing) 
         .min_by_key(|&n| (key.distance_to(MacedonKey::of_node(n, mode)), n.0))
 }
 
+/// Nodes in key order, from global knowledge: the ring Chord's tests
+/// and Figure 10 score routing state against. Equal keys order by node
+/// id, so [`Ring::owner`] answers what [`dsl_owner_of`] would over the
+/// same nodes, in O(log n).
+pub struct Ring(Vec<(MacedonKey, NodeId)>);
+
+impl Ring {
+    pub fn new(nodes: &[NodeId], mode: Addressing) -> Ring {
+        let mut ring: Vec<_> = nodes
+            .iter()
+            .map(|&n| (MacedonKey::of_node(n, mode), n))
+            .collect();
+        ring.sort_unstable();
+        Ring(ring)
+    }
+
+    /// The nodes in ring order.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.0.iter().map(|&(_, n)| n)
+    }
+
+    /// The owner of `key`: the first node clockwise at or after it.
+    /// Panics on an empty ring.
+    pub fn owner(&self, key: MacedonKey) -> NodeId {
+        let i = self.0.partition_point(|&(k, _)| k < key);
+        self.0.get(i).unwrap_or(&self.0[0]).1
+    }
+}
+
 impl fmt::Debug for MacedonKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "k{:08x}", self.0)
@@ -405,5 +434,34 @@ mod tests {
         // Wraps past the top of the ring back to the smallest id.
         assert_eq!(own(21), Some(NodeId(5)));
         assert_eq!(own(u32::MAX), Some(NodeId(5)));
+    }
+
+    #[test]
+    fn ring_order_is_sorted_and_complete() {
+        let nodes: Vec<NodeId> = (0..5).map(NodeId).collect();
+        let ring: Vec<NodeId> = Ring::new(&nodes, Addressing::Hash).nodes().collect();
+        assert_eq!(ring.len(), 5);
+        for pair in ring.windows(2) {
+            assert!(
+                MacedonKey::of_node(pair[0], Addressing::Hash)
+                    < MacedonKey::of_node(pair[1], Addressing::Hash)
+            );
+        }
+    }
+
+    #[test]
+    fn ring_owner_is_clockwise_successor() {
+        let ring = Ring::new(&[NodeId(300), NodeId(100), NodeId(200)], Addressing::Ip);
+        assert_eq!(ring.owner(MacedonKey(150)), NodeId(200));
+        assert_eq!(ring.owner(MacedonKey(200)), NodeId(200));
+        assert_eq!(ring.owner(MacedonKey(350)), NodeId(100)); // wraps
+
+        // The same answer as the DSL's `owner_of` over the same nodes.
+        let nodes: Vec<NodeId> = (0..40).map(NodeId).collect();
+        let ring = Ring::new(&nodes, Addressing::Hash);
+        for k in (0..64u32).map(|i| MacedonKey(i.wrapping_mul(0x9E37_79B9))) {
+            let want = dsl_owner_of(Some(k), &nodes, Addressing::Hash);
+            assert_eq!(Some(ring.owner(k)), want, "{k:?}");
+        }
     }
 }

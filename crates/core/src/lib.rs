@@ -44,7 +44,7 @@ pub mod world;
 pub use agent::{Agent, AgentState, AppHandler, Ctx, Locking, NullApp};
 pub use api::{DownCall, ForwardInfo, ProtocolId, UpCall, DEFAULT_PRIORITY, TUNNEL_PROTOCOL};
 pub use export::perfetto_json;
-pub use key::{Addressing, MacedonKey};
+pub use key::{Addressing, MacedonKey, Ring};
 pub use measure::{MeasureLedger, MeasureSummary};
 pub use stack::{Stack, StackEffect};
 pub use telemetry::{Telemetry, TelemetryReport, TelemetrySample, TELEMETRY_COLUMNS};

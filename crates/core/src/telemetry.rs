@@ -55,9 +55,8 @@ pub struct TelemetrySample {
     pub mean_goodput_bps: u64,
 }
 
-/// The schema-pinned column order shared by [`TelemetryReport::to_csv`]
-/// and [`TelemetryReport::to_jsonl`] — append-only by convention; tests
-/// pin it.
+/// The schema-pinned column order of [`TelemetryReport::to_jsonl`] —
+/// append-only by convention; tests pin it.
 pub const TELEMETRY_COLUMNS: [&str; 16] = [
     "at_us",
     "events_net",
@@ -198,16 +197,6 @@ impl TelemetryReport {
         }
         out
     }
-
-    /// CSV with the [`TELEMETRY_COLUMNS`] header.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        json::csv_row(&mut out, |r| r.cells(TELEMETRY_COLUMNS));
-        for s in &self.samples {
-            json::csv_row(&mut out, |r| r.cells(s.values()));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +204,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jsonl_and_csv_schemas_are_pinned() {
+    fn jsonl_schema_is_pinned() {
         let report = TelemetryReport {
             every_us: 1000,
             samples: vec![TelemetrySample {
@@ -226,14 +215,6 @@ mod tests {
                 ..Default::default()
             }],
         };
-        assert_eq!(
-            report.to_csv(),
-            "at_us,events_net,events_conn_timer,events_agent_timer,events_fd_tick,\
-             events_control,pending_events,net_drops,link_stress_max,\
-             link_stress_mean_milli,links_used,trace_records,trace_dropped,\
-             alive_nodes,mean_rtt_us,mean_goodput_bps\n\
-             1000,2,0,0,0,0,3,0,0,0,0,0,0,4,0,0\n"
-        );
         assert_eq!(
             report.to_jsonl(),
             "{\"at_us\":1000,\"events_net\":2,\"events_conn_timer\":0,\

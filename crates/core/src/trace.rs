@@ -212,49 +212,28 @@ impl SpanForest {
 /// much history rolled off).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
-/// Central trace collector with transition accounting: a bounded ring
-/// that drops the *oldest* record when full and counts every loss.
+/// Central trace collector: a bounded ring that drops the *oldest*
+/// record when full and counts every loss.
 pub struct TraceSink {
     level: TraceLevel,
     capacity: usize,
     records: VecDeque<TraceRecord>,
     /// Records evicted because the ring was full.
     pub dropped: u64,
-    /// (read-locked, write-locked) transitions executed.
-    pub read_transitions: u64,
-    pub write_transitions: u64,
-    /// Total stack transitions dispatched.
-    pub transitions: u64,
-}
-
-impl Default for TraceSink {
-    fn default() -> TraceSink {
-        TraceSink {
-            level: TraceLevel::Off,
-            capacity: DEFAULT_TRACE_CAPACITY,
-            records: VecDeque::new(),
-            dropped: 0,
-            read_transitions: 0,
-            write_transitions: 0,
-            transitions: 0,
-        }
-    }
 }
 
 impl TraceSink {
     pub fn new(level: TraceLevel) -> TraceSink {
         TraceSink {
             level,
-            ..Default::default()
+            capacity: DEFAULT_TRACE_CAPACITY,
+            records: VecDeque::new(),
+            dropped: 0,
         }
     }
 
     pub fn level(&self) -> TraceLevel {
         self.level
-    }
-
-    pub fn set_level(&mut self, level: TraceLevel) {
-        self.level = level;
     }
 
     pub fn capacity(&self) -> usize {

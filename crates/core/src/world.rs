@@ -21,6 +21,7 @@
 
 use crate::agent::{Agent, AppHandler};
 use crate::api::{DownCall, ProtocolId, ENGINE_PROTOCOL};
+use crate::app::{shared_deliveries, CollectorApp, SharedDeliveries};
 use crate::key::{Addressing, MacedonKey};
 use crate::measure::MeasureSummary;
 use crate::stack::{Stack, StackEffect};
@@ -54,6 +55,8 @@ pub struct WorldConfig {
     /// ([`World::channels`]) appends an engine-internal UDP heartbeat
     /// channel.
     pub channels: Vec<ChannelSpec>,
+    /// The run's one trace level: the sink opens at it when the world
+    /// is built, and every stack runs at it.
     pub trace_level: TraceLevel,
     /// Silence threshold before soliciting a heartbeat (`g`).
     pub fd_g: Duration,
@@ -66,6 +69,16 @@ pub struct WorldConfig {
     /// Ignored, like [`WorldConfig::shards`], and removed with it
     /// (ROADMAP item 3).
     pub profile: bool,
+}
+
+impl WorldConfig {
+    /// The default configuration with `seed`.
+    pub fn seeded(seed: u64) -> WorldConfig {
+        WorldConfig {
+            seed,
+            ..Default::default()
+        }
+    }
 }
 
 impl Default for WorldConfig {
@@ -305,21 +318,6 @@ impl World {
         agents: Vec<Box<dyn Agent>>,
         app: Box<dyn AppHandler>,
     ) {
-        let level = self.cfg.trace_level;
-        self.spawn_at_traced(at, node, agents, app, level);
-    }
-
-    /// [`World::spawn_at`] with a per-node trace level — how spec
-    /// `trace_` headers land on individual stacks without forcing the
-    /// whole world to the same verbosity.
-    pub fn spawn_at_traced(
-        &mut self,
-        at: Time,
-        node: NodeId,
-        agents: Vec<Box<dyn Agent>>,
-        app: Box<dyn AppHandler>,
-        trace_level: TraceLevel,
-    ) {
         assert!(
             self.net.topology().is_host(node),
             "spawn on non-host {node:?}"
@@ -336,14 +334,8 @@ impl World {
         }
         // Agents may skip building trace records the sink would filter
         // out anyway (Ctx::trace_on).
-        stack.set_trace_level(trace_level);
+        stack.set_trace_level(self.cfg.trace_level);
         stack.set_addressing(self.cfg.addressing);
-        // A node more verbose than the world default needs the sink
-        // opened up; quieter nodes already self-filter at the stack, so
-        // this never amplifies anyone else.
-        if trace_level > self.trace.level() {
-            self.trace.set_level(trace_level);
-        }
         let ns = NodeState {
             stack,
             endpoint: Endpoint::new(node, self.channels.clone()),
@@ -358,20 +350,22 @@ impl World {
 
     /// Put a stack on every host, in host order: host `i` starts at
     /// `i × stagger`, and every host after the first joins through the
-    /// first. `build(i, bootstrap)` returns host `i`'s layers and app.
-    /// Returns the hosts.
+    /// first. `build(bootstrap)` returns a host's layers, lowest first;
+    /// every host's application is a [`CollectorApp`] on one sink, as
+    /// in a scenario run. Returns the hosts and that delivery log.
     pub fn spawn_each(
         &mut self,
         stagger: Duration,
-        mut build: impl FnMut(usize, Option<NodeId>) -> (Vec<Box<dyn Agent>>, Box<dyn AppHandler>),
-    ) -> Vec<NodeId> {
+        mut build: impl FnMut(Option<NodeId>) -> Vec<Box<dyn Agent>>,
+    ) -> (Vec<NodeId>, SharedDeliveries) {
+        let sink = shared_deliveries();
         let hosts = self.net.topology().hosts().to_vec();
         for (i, &h) in hosts.iter().enumerate() {
-            let (agents, app) = build(i, (i > 0).then(|| hosts[0]));
+            let stack = build((i > 0).then(|| hosts[0]));
             let at = Time::from_micros(i as u64 * stagger.as_micros());
-            self.spawn_at(at, h, agents, app);
+            self.spawn_at(at, h, stack, Box::new(CollectorApp::new(sink.clone())));
         }
-        hosts
+        (hosts, sink)
     }
 
     /// Schedule an application-level API call on a node.

@@ -1247,9 +1247,8 @@ mod tests {
             ..Default::default()
         };
         let mut w = World::new(canned::star(n, LinkSpec::lan()), cfg);
-        let hosts = w.spawn_each(Duration::from_millis(10), |_, bootstrap| {
-            let agent = InterpretedAgent::new(spec.clone(), bootstrap);
-            (vec![Box::new(agent)], Box::new(NullApp))
+        let (hosts, _sink) = w.spawn_each(Duration::from_millis(10), |bootstrap| {
+            vec![Box::new(InterpretedAgent::new(spec.clone(), bootstrap))]
         });
         (w, hosts, spec)
     }
@@ -1390,12 +1389,11 @@ mod tests {
             ..Default::default()
         };
         let mut w = World::new(canned::star(5, LinkSpec::lan()), cfg);
-        let hosts = w.spawn_each(Duration::from_millis(10), |_, boot| {
-            let stack: Vec<Box<dyn Agent>> = vec![
+        let (hosts, _sink) = w.spawn_each(Duration::from_millis(10), |boot| {
+            vec![
                 Box::new(InterpretedAgent::new(base.clone(), boot)),
                 Box::new(InterpretedAgent::new(upper.clone(), boot)),
-            ];
-            (stack, Box::new(NullApp))
+            ]
         });
         w.run_until(Time::from_secs(10));
         for &h in &hosts {
@@ -1650,9 +1648,8 @@ mod tests {
             ..Default::default()
         };
         let mut w = World::new(canned::star(3, LinkSpec::lan()), cfg);
-        let hosts = w.spawn_each(Duration::ZERO, |_, bootstrap| {
-            let agent = InterpretedAgent::new(spec.clone(), bootstrap);
-            (vec![Box::new(agent)], Box::new(NullApp))
+        let (hosts, _sink) = w.spawn_each(Duration::ZERO, |bootstrap| {
+            vec![Box::new(InterpretedAgent::new(spec.clone(), bootstrap))]
         });
         w.run_until(Time::from_secs(1));
 

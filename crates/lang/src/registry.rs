@@ -19,7 +19,9 @@ use crate::ast::{Spec, StateVar, TraceMode};
 use crate::interp::{channel_table, InterpretedAgent};
 use crate::ir::IrSpec;
 use crate::lexer::ParseError;
-use macedon_core::{Agent, ChannelSpec, NodeId, TraceLevel};
+use macedon_core::app::SharedDeliveries;
+use macedon_core::{Agent, ChannelSpec, Duration, NodeId, TraceLevel, World, WorldConfig};
+use macedon_net::Topology;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -263,6 +265,30 @@ impl SpecRegistry {
         Ok(channel_table(&chain[0]))
     }
 
+    /// A world over `topo`, built from `cfg` with `name`'s channel
+    /// table, whose every host runs `name`'s interpreted stack, joining
+    /// `stagger` apart through the first host
+    /// ([`World::spawn_each`]). Returns the world, its hosts and their
+    /// delivery log.
+    pub fn world(
+        &self,
+        name: &str,
+        topo: Topology,
+        cfg: WorldConfig,
+        stagger: Duration,
+    ) -> Result<(World, Vec<NodeId>, SharedDeliveries), ChainError> {
+        let cfg = WorldConfig {
+            channels: self.channel_table_for(name)?,
+            ..cfg
+        };
+        let mut w = World::new(topo, cfg);
+        let (hosts, sink) = w.spawn_each(stagger, |bootstrap| {
+            self.build_stack(name, bootstrap)
+                .expect("the chain resolved above")
+        });
+        Ok((w, hosts, sink))
+    }
+
     /// The engine trace level the spec's `trace_` header asks for —
     /// the **top** spec of the chain decides (it names the deployment;
     /// its bases keep whatever verbosity the stack runs at).
@@ -468,21 +494,14 @@ mod tests {
     #[test]
     fn overridden_fix_fingers_period_drives_the_timer() {
         use crate::interp::Value;
-        use macedon_core::{Duration, NullApp, Time, World, WorldConfig};
+        use macedon_core::Time;
         use macedon_net::topology::{canned, LinkSpec};
         // `finger_step` doubles on every `fix_fingers` firing.
         let step_at = |r: &SpecRegistry, ms: u64| {
-            let cfg = WorldConfig {
-                channels: r.channel_table_for("chord").unwrap(),
-                ..Default::default()
-            };
-            let mut w = World::new(canned::star(2, LinkSpec::lan()), cfg);
-            let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
-                (
-                    r.build_stack("chord", bootstrap).unwrap(),
-                    Box::new(NullApp),
-                )
-            });
+            let (topo, stagger) = (canned::star(2, LinkSpec::lan()), Duration::from_millis(100));
+            let (mut w, hosts, _sink) = r
+                .world("chord", topo, WorldConfig::default(), stagger)
+                .unwrap();
             w.run_until(Time::from_millis(ms));
             let root: &InterpretedAgent = w
                 .stack(hosts[0])

@@ -1,10 +1,9 @@
 //! `ammo.mac`, interpreted: the degree-bounded tree, multicast over it,
 //! and parent swaps that keep the tree acyclic.
 
-use crate::roster::testworld::{roster_world, seeded};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
-use macedon_core::{NodeId, World};
+use macedon_core::{Duration, NodeId, World, WorldConfig};
 use macedon_net::topology::{canned, LinkSpec};
 
 /// An `n`-node AMMO tree on a star LAN with degree at most 3, joins
@@ -13,13 +12,14 @@ pub(crate) fn tree(n: usize, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries
     let mut r = SpecRegistry::bundled();
     r.set_constants("ammo", &[("MAXDEG", 3)])
         .expect("ammo declares MAXDEG");
-    roster_world(
-        &r,
+    let topo = canned::star(n, LinkSpec::lan());
+    r.world(
         "ammo",
-        canned::star(n, LinkSpec::lan()),
-        seeded(seed),
-        100,
+        topo,
+        WorldConfig::seeded(seed),
+        Duration::from_millis(100),
     )
+    .expect("chain resolves")
 }
 
 #[cfg(test)]

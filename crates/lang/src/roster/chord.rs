@@ -2,10 +2,10 @@
 //! repair, key routing to the owner in O(log n) hops, `routeIP`, and
 //! crash repair.
 
-use crate::roster::testworld::{list, only, roster_world, seeded, view};
+use crate::roster::testworld::{list, only, view};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
-use macedon_core::{MacedonKey, NodeId, World, WorldConfig};
+use macedon_core::{Duration, MacedonKey, NodeId, Ring, World, WorldConfig};
 use macedon_net::topology::{canned, LinkSpec};
 use macedon_scenario::{ChordOracle, ConvergenceOracle, Snapshot};
 
@@ -16,7 +16,7 @@ pub(crate) fn ring(
     seed: u64,
     fix_fingers_ms: i64,
 ) -> (World, Vec<NodeId>, SharedDeliveries) {
-    ring_in(n, seeded(seed), fix_fingers_ms)
+    ring_in(n, WorldConfig::seeded(seed), fix_fingers_ms)
 }
 
 fn ring_in(
@@ -27,23 +27,9 @@ fn ring_in(
     let mut r = SpecRegistry::bundled();
     r.set_constants("chord", &[("FIX_FINGERS_MS", fix_fingers_ms)])
         .expect("chord declares FIX_FINGERS_MS");
-    roster_world(&r, "chord", canned::star(n, LinkSpec::lan()), cfg, 100)
-}
-
-/// `nodes` in ring (key) order: global knowledge.
-pub(crate) fn ring_order(w: &World, nodes: &[NodeId]) -> Vec<NodeId> {
-    let mut ring = nodes.to_vec();
-    ring.sort_by_key(|&h| w.key_of(h));
-    ring
-}
-
-/// The owner of `key` among `ring`: the first node clockwise at or
-/// after it.
-pub(crate) fn owner(w: &World, ring: &[NodeId], key: MacedonKey) -> NodeId {
-    *ring
-        .iter()
-        .min_by_key(|&&h| key.distance_to(w.key_of(h)))
-        .expect("non-empty ring")
+    let topo = canned::star(n, LinkSpec::lan());
+    r.world("chord", topo, cfg, Duration::from_millis(100))
+        .expect("chain resolves")
 }
 
 /// The ring over `hosts` is correct: the [`ChordOracle`] finds no
@@ -57,7 +43,7 @@ pub(crate) fn assert_ring_closed(w: &World, hosts: &[NodeId]) {
 mod tests {
     use super::*;
     use crate::roster::testworld::stamped;
-    use macedon_core::{Bytes, DownCall, Duration, Time, TraceEvent, TraceLevel};
+    use macedon_core::{Bytes, DownCall, Time, TraceEvent, TraceLevel};
 
     fn route(w: &mut World, at: Time, from: NodeId, dest: MacedonKey, seq: u64, len: usize) {
         w.api_at(
@@ -94,7 +80,7 @@ mod tests {
     fn predecessors_converge_too() {
         let (mut w, hosts, _sink) = ring(10, 9, 1000);
         w.run_until(Time::from_secs(60));
-        let ring = ring_order(&w, &hosts);
+        let ring: Vec<NodeId> = Ring::new(&hosts, w.config().addressing).nodes().collect();
         for (i, &node) in ring.iter().enumerate() {
             let pred = only(&w, node, "pred");
             assert_eq!(
@@ -109,7 +95,7 @@ mod tests {
     fn route_delivers_to_key_owner() {
         let (mut w, hosts, sink) = ring(12, 21, 1000);
         w.run_until(Time::from_secs(60));
-        let ring = ring_order(&w, &hosts);
+        let ring = Ring::new(&hosts, w.config().addressing);
         let key = |i: u64| MacedonKey((i as u32).wrapping_mul(0x9E37_79B9));
         for i in 0..20u64 {
             let at = Time::from_secs(60) + Duration::from_millis(i * 10);
@@ -120,7 +106,7 @@ mod tests {
         assert_eq!(log.len(), 20, "all routed packets delivered");
         for rec in log.iter() {
             let seq = rec.seqno.unwrap();
-            assert_eq!(rec.node, owner(&w, &ring, key(seq)), "packet {seq}");
+            assert_eq!(rec.node, ring.owner(key(seq)), "packet {seq}");
         }
     }
 
@@ -130,7 +116,7 @@ mod tests {
     fn lookup_hops_logarithmic() {
         let cfg = WorldConfig {
             trace_level: TraceLevel::Med,
-            ..seeded(3)
+            ..WorldConfig::seeded(3)
         };
         let (mut w, hosts, sink) = ring_in(32, cfg, 500);
         w.run_until(Time::from_secs(120));
@@ -169,7 +155,10 @@ mod tests {
     fn ring_heals_after_crash() {
         let (mut w, hosts, _sink) = ring(8, 13, 1000);
         w.run_until(Time::from_secs(60));
-        let victim = ring_order(&w, &hosts)[3];
+        let victim = Ring::new(&hosts, w.config().addressing)
+            .nodes()
+            .nth(3)
+            .unwrap();
         assert_ne!(victim, hosts[0]);
         w.crash_at(Time::from_secs(61), victim);
         w.run_until(Time::from_secs(140));
@@ -182,12 +171,12 @@ mod tests {
     fn fingers_converge_toward_correct_entries() {
         let (mut w, hosts, _sink) = ring(16, 5, 500);
         w.run_until(Time::from_secs(120));
-        let ring = ring_order(&w, &hosts);
+        let ring = Ring::new(&hosts, w.config().addressing);
         let mut good = 0usize;
         for &h in &hosts {
             let fingers = list(&w, h, "fingers");
             good += (0..32)
-                .filter(|&i| fingers.contains(&owner(&w, &ring, w.key_of(h).plus_pow2(i))))
+                .filter(|&i| fingers.contains(&ring.owner(w.key_of(h).plus_pow2(i))))
                 .count();
         }
         let frac = good as f64 / (32 * hosts.len()) as f64;

@@ -2,10 +2,9 @@
 //! fan-out-capped tree, root-flooded multicast, goodput-driven
 //! relocation and orphan rejoin through the grandparent.
 
-use crate::roster::testworld::{roster_world, seeded};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
-use macedon_core::{NodeId, World};
+use macedon_core::{Duration, NodeId, World, WorldConfig};
 use macedon_net::topology::{canned, LinkSpec};
 
 /// An `n`-node Overcast tree on a star LAN with at most 3 children per
@@ -14,13 +13,14 @@ pub(crate) fn tree(n: usize, seed: u64) -> (World, Vec<NodeId>, SharedDeliveries
     let mut r = SpecRegistry::bundled();
     r.set_constants("overcast", &[("MAXKIDS", 3)])
         .expect("overcast declares MAXKIDS");
-    roster_world(
-        &r,
+    let topo = canned::star(n, LinkSpec::lan());
+    r.world(
         "overcast",
-        canned::star(n, LinkSpec::lan()),
-        seeded(seed),
-        100,
+        topo,
+        WorldConfig::seeded(seed),
+        Duration::from_millis(100),
     )
+    .expect("chain resolves")
 }
 
 #[cfg(test)]
@@ -94,7 +94,14 @@ mod tests {
         b.add_link(x, hub, LinkSpec::access(100_000_000));
         let mut r = SpecRegistry::bundled();
         r.set_constants("overcast", &[("PINT", 5000)]).unwrap();
-        let (mut w, _hosts, _s) = roster_world(&r, "overcast", b.build(), seeded(11), 100);
+        let (mut w, _hosts, _s) = r
+            .world(
+                "overcast",
+                b.build(),
+                WorldConfig::seeded(11),
+                Duration::from_millis(100),
+            )
+            .unwrap();
         w.run_until(Time::from_secs(120));
         assert_eq!(
             only(&w, x, "papa"),

@@ -1,10 +1,9 @@
 //! `randtree.mac`, interpreted: one tree rooted at the bootstrap with
 //! the fan-out cap held, floods from any member, and orphan rejoin.
 
-use crate::roster::testworld::{roster_world, seeded};
 use crate::SpecRegistry;
 use macedon_core::app::SharedDeliveries;
-use macedon_core::{NodeId, World};
+use macedon_core::{Duration, NodeId, World, WorldConfig};
 use macedon_net::topology::{canned, LinkSpec};
 
 /// An `n`-node tree on a star LAN with at most `max_kids` children per
@@ -13,13 +12,14 @@ pub(crate) fn tree(n: usize, max_kids: i64, seed: u64) -> (World, Vec<NodeId>, S
     let mut r = SpecRegistry::bundled();
     r.set_constants("randtree", &[("MAXKIDS", max_kids)])
         .expect("randtree declares MAXKIDS");
-    roster_world(
-        &r,
+    let topo = canned::star(n, LinkSpec::lan());
+    r.world(
         "randtree",
-        canned::star(n, LinkSpec::lan()),
-        seeded(seed),
-        50,
+        topo,
+        WorldConfig::seeded(seed),
+        Duration::from_millis(50),
     )
+    .expect("chain resolves")
 }
 
 #[cfg(test)]

@@ -1,47 +1,9 @@
-//! Seeded worlds running one registered spec, interpreted, on every host
-//! of a topology: the fixture of the per-protocol behaviour tests.
+//! State readers and API helpers shared by the per-protocol behaviour tests,
+//! whose worlds come from [`crate::SpecRegistry::world`].
 
-use crate::SpecRegistry;
-use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
-use macedon_core::{
-    AgentState, Bytes, DownCall, Duration, MacedonKey, NodeId, Time, World, WorldConfig,
-};
-use macedon_net::Topology;
+use macedon_core::app::SharedDeliveries;
+use macedon_core::{AgentState, Bytes, DownCall, MacedonKey, NodeId, Time, World};
 use std::collections::HashSet;
-
-/// `proto`'s stack from `registry` on every host of `topo`, in a world
-/// built from `cfg` with the stack's channel table; joins start
-/// `stagger_ms` apart through the first host, and every app collects
-/// into one sink.
-pub(crate) fn roster_world(
-    registry: &SpecRegistry,
-    proto: &str,
-    topo: Topology,
-    cfg: WorldConfig,
-    stagger_ms: u64,
-) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let cfg = WorldConfig {
-        channels: registry.channel_table_for(proto).expect("chain resolves"),
-        ..cfg
-    };
-    let mut w = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    let hosts = w.spawn_each(Duration::from_millis(stagger_ms), |_, bootstrap| {
-        let stack = registry
-            .build_stack(proto, bootstrap)
-            .expect("stack builds");
-        (stack, Box::new(CollectorApp::new(sink.clone())))
-    });
-    (w, hosts, sink)
-}
-
-/// The default world configuration with `seed`.
-pub(crate) fn seeded(seed: u64) -> WorldConfig {
-    WorldConfig {
-        seed,
-        ..Default::default()
-    }
-}
 
 /// The state of the spec agent at layer 0 of `node`'s stack.
 pub(crate) fn view(w: &World, node: NodeId) -> AgentState<'_> {

@@ -8,22 +8,19 @@
 //! ```
 //! use macedon::prelude::*;
 //!
-//! // Build a small emulated network and run the bundled Chord spec on it.
+//! // Build a small emulated network and run the bundled Chord spec on
+//! // it: every host runs the stack, joining 100 ms after the previous
+//! // one through the first host, in a world with the channels the spec
+//! // declares. `sink` logs what the hosts deliver.
 //! let registry = SpecRegistry::bundled();
 //! let topo = macedon::net::topology::canned::star(8, macedon::net::topology::LinkSpec::lan());
-//! let cfg = WorldConfig {
-//!     channels: registry.channel_table_for("chord").unwrap(),
-//!     ..Default::default()
-//! };
-//! let mut world = World::new(topo, cfg);
-//! // Every host runs the stack, joining 100 ms after the previous one
-//! // through the first host.
-//! let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
-//!     let stack = registry.build_stack("chord", bootstrap).unwrap();
-//!     (stack, Box::new(NullApp))
-//! });
+//! let stagger = Duration::from_millis(100);
+//! let (mut world, hosts, sink) = registry
+//!     .world("chord", topo, WorldConfig::default(), stagger)
+//!     .unwrap();
 //! world.run_until(Time::from_secs(30));
 //! assert!(hosts.iter().all(|&h| world.stack(h).is_some()));
+//! assert!(sink.lock().is_empty(), "nothing was sent to deliver");
 //! ```
 
 pub use macedon_core as core;

@@ -26,7 +26,6 @@ pub mod nice;
 pub mod pastry;
 pub mod scribe;
 pub mod splitstream;
-pub mod testutil;
 
 pub use bullet::{Bullet, BulletConfig};
 pub use nice::Nice;

@@ -746,7 +746,7 @@ impl Agent for Nice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
+    use macedon_core::app::SharedDeliveries;
     use macedon_core::{Time, World, WorldConfig};
     use macedon_net::topology::{canned, LinkSpec};
 
@@ -769,19 +769,9 @@ mod tests {
             })
             .collect();
         let topo = canned::sites(&lat, per_site, LinkSpec::lan());
-        let mut w = World::new(
-            topo,
-            WorldConfig {
-                seed,
-                ..Default::default()
-            },
-        );
-        let sink = shared_deliveries();
-        let hosts = w.spawn_each(Duration::from_millis(300), |_, rendezvous| {
-            (
-                vec![Box::new(Nice::new(rendezvous))],
-                Box::new(CollectorApp::new(sink.clone())),
-            )
+        let mut w = World::new(topo, WorldConfig::seeded(seed));
+        let (hosts, sink) = w.spawn_each(Duration::from_millis(300), |rendezvous| {
+            vec![Box::new(Nice::new(rendezvous))]
         });
         (w, hosts, sink)
     }

@@ -561,8 +561,27 @@ impl Agent for Pastry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::pastry_mesh;
-    use macedon_core::{Time, WireWriter, World};
+    use macedon_core::app::SharedDeliveries;
+    use macedon_core::{Time, WireWriter, World, WorldConfig};
+    use macedon_net::topology::{canned, LinkSpec};
+
+    /// `n` Pastry nodes on a star LAN, joining `stagger_ms` apart, whose
+    /// location-cache entries live `cache_lifetime`.
+    fn mesh(
+        n: usize,
+        seed: u64,
+        stagger_ms: u64,
+        cache_lifetime: Option<Duration>,
+    ) -> (World, Vec<NodeId>, SharedDeliveries) {
+        let mut w = World::new(canned::star(n, LinkSpec::lan()), WorldConfig::seeded(seed));
+        let (hosts, sink) = w.spawn_each(Duration::from_millis(stagger_ms), |bootstrap| {
+            vec![Box::new(Pastry::new(PastryConfig {
+                bootstrap,
+                cache_lifetime,
+            }))]
+        });
+        (w, hosts, sink)
+    }
 
     fn pastry_of(w: &World, n: NodeId) -> &Pastry {
         w.stack(n)
@@ -587,7 +606,7 @@ mod tests {
 
     #[test]
     fn all_nodes_join() {
-        let (mut w, hosts, _sink) = pastry_mesh(12, 5);
+        let (mut w, hosts, _sink) = mesh(12, 5, 100, None);
         w.run_until(Time::from_secs(30));
         for &h in &hosts {
             assert!(pastry_of(&w, h).is_joined(), "{h:?} joined");
@@ -596,7 +615,7 @@ mod tests {
 
     #[test]
     fn leaf_sets_hold_true_neighbors() {
-        let (mut w, hosts, _sink) = pastry_mesh(12, 11);
+        let (mut w, hosts, _sink) = mesh(12, 11, 100, None);
         w.run_until(Time::from_secs(60));
         // For each node, its clockwise-nearest peer globally must be in
         // its leaf set.
@@ -618,7 +637,7 @@ mod tests {
 
     #[test]
     fn route_delivers_at_numerically_closest() {
-        let (mut w, hosts, sink) = pastry_mesh(16, 23);
+        let (mut w, hosts, sink) = mesh(16, 23, 100, None);
         w.run_until(Time::from_secs(60));
         for i in 0..25u64 {
             let dest = MacedonKey((i as u32).wrapping_mul(0xC2B2_AE35).rotate_left(7));
@@ -646,7 +665,7 @@ mod tests {
 
     #[test]
     fn prefix_routing_hops_are_logarithmic() {
-        let (mut w, hosts, sink) = pastry_mesh(32, 31);
+        let (mut w, hosts, sink) = mesh(32, 31, 100, None);
         w.run_until(Time::from_secs(90));
         let before: u64 = hosts.iter().map(|&h| pastry_of(&w, h).forwarded).sum();
         for i in 0..40u64 {
@@ -673,7 +692,7 @@ mod tests {
 
     #[test]
     fn location_cache_hit_after_miss() {
-        let (mut w, hosts, sink) = pastry_mesh(8, 41);
+        let (mut w, hosts, sink) = mesh(8, 41, 100, None);
         w.run_until(Time::from_secs(30));
         let target_key = w.key_of(hosts[5]);
         let send_direct = |w: &mut World, at: Time, seq: u64| {
@@ -710,24 +729,7 @@ mod tests {
 
     #[test]
     fn cache_lifetime_evicts() {
-        let mut w = World::new(
-            macedon_net::topology::canned::star(6, macedon_net::topology::LinkSpec::lan()),
-            macedon_core::WorldConfig {
-                seed: 77,
-                ..Default::default()
-            },
-        );
-        let sink = macedon_core::app::shared_deliveries();
-        let hosts = w.spawn_each(Duration::from_millis(50), |_, bootstrap| {
-            let cfg = PastryConfig {
-                bootstrap,
-                cache_lifetime: Some(Duration::from_secs(2)),
-            };
-            (
-                vec![Box::new(Pastry::new(cfg))],
-                Box::new(macedon_core::app::CollectorApp::new(sink.clone())),
-            )
-        });
+        let (mut w, hosts, _sink) = mesh(6, 77, 50, Some(Duration::from_secs(2)));
         w.run_until(Time::from_secs(20));
         let target_key = w.key_of(hosts[3]);
         let mut pw = WireWriter::new();
@@ -765,7 +767,7 @@ mod tests {
 
     #[test]
     fn failed_leaf_is_pruned() {
-        let (mut w, hosts, _sink) = pastry_mesh(8, 51);
+        let (mut w, hosts, _sink) = mesh(8, 51, 100, None);
         w.run_until(Time::from_secs(30));
         let victim = hosts[4];
         w.crash_at(Time::from_secs(31), victim);

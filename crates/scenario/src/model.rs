@@ -9,7 +9,7 @@
 //! and funnel through [`Scenario::validate`], so a malformed experiment
 //! is a spanned diagnostic, never a mid-run panic.
 
-use macedon_sim::{Duration, Time};
+use macedon_sim::{Duration, FxHashMap, Time};
 use std::fmt;
 
 /// Source position of an event (line/column in a script; `0:0` for a
@@ -155,27 +155,22 @@ impl Event {
 
 /// The instant each of `nodes` acts when an event at `at` is staggered
 /// evenly across `over`: the `i`-th of `n` nodes at `at + ⌊over·i/n⌋`.
-/// Validation walks every staggered node, so the offset advances by
-/// quotient and remainder instead of dividing once per node.
 pub(crate) fn staggered(
     at: Time,
     over: Duration,
     nodes: &[usize],
 ) -> impl Iterator<Item = (Time, usize)> + '_ {
-    let n = nodes.len().max(1) as u64;
-    let (step, rem) = (over.as_micros() / n, over.as_micros() % n);
-    // Invariant: `over·i = n·offset + carry`, with `carry < n`.
-    let (mut offset, mut carry) = (0, 0);
-    nodes.iter().map(move |&idx| {
-        let t = at + Duration(offset);
-        offset += step;
-        carry += rem;
-        if carry >= n {
-            offset += 1;
-            carry -= n;
-        }
-        (t, idx)
-    })
+    let n = nodes.len();
+    nodes
+        .iter()
+        .enumerate()
+        .map(move |(i, &idx)| (at + stagger_offset(over, i, n), idx))
+}
+
+/// The offset of the `i`-th of `n` nodes staggered across `over`,
+/// `⌊over·i/n⌋`.
+fn stagger_offset(over: Duration, i: usize, n: usize) -> Duration {
+    Duration((over.as_micros() as u128 * i as u128 / n.max(1) as u128) as u64)
 }
 
 /// An event pinned to a virtual instant, carrying its script position.
@@ -207,6 +202,14 @@ enum Phase {
     Crashed,
 }
 
+/// A node as validation tracks it: its lifecycle phase, and whether a
+/// crash or membership call names it, so that its spawn instant is kept.
+#[derive(Clone, Copy)]
+struct Track {
+    phase: Phase,
+    named: bool,
+}
+
 impl Scenario {
     /// Semantic validation: every event references known nodes, the
     /// join/crash/rejoin lifecycle is consistent, partitions never
@@ -235,15 +238,30 @@ impl Scenario {
                 ),
             ));
         }
-        let mut phase = vec![Phase::Never; self.nodes];
-        // When each node's current incarnation spawns, and its latest
-        // membership call: a staggered join or subscribe acts on its
-        // nodes after the event instant, so a later event can fall
-        // between the two. Only membership calls need these instants,
-        // so a script without them skips the per-node bookkeeping.
-        let timed = self.names_membership();
-        let mut spawned = vec![Time::ZERO; if timed { self.nodes } else { 0 }];
-        let mut last_call = spawned.clone();
+        // A staggered join, rejoin or subscribe acts on its nodes after
+        // the event instant, so a later event can fall between the two.
+        // Only the nodes a crash or membership call names need those
+        // instants: when their current incarnation spawned, and their
+        // latest membership call.
+        let never = Track {
+            phase: Phase::Never,
+            named: false,
+        };
+        let mut track = vec![never; self.nodes];
+        for te in &self.events {
+            let ns = match &te.event {
+                Event::Crash { nodes } | Event::Subscribe { nodes, .. } => nodes,
+                Event::Create { node } => std::slice::from_ref(node),
+                _ => continue,
+            };
+            for &n in ns {
+                if let Some(t) = track.get_mut(n) {
+                    t.named = true;
+                }
+            }
+        }
+        let mut spawned: FxHashMap<usize, Time> = FxHashMap::default();
+        let mut last_call: FxHashMap<usize, Time> = FxHashMap::default();
         let mut open_partition: Option<&str> = None;
         let mut streams: Vec<(usize, Time, Time)> = Vec::new();
         for te in &self.events {
@@ -289,7 +307,7 @@ impl Scenario {
             // The world drops an API call on a node that is not live,
             // so a script that makes one is wrong.
             let check_live = |at: Time, n: usize, what: &str| {
-                if phase[n] != Phase::Alive || at < spawned[n] {
+                if track[n].phase != Phase::Alive || at < spawned[&n] {
                     return err(format!(
                         "node {n} {what} at {}s but is not live then",
                         at.as_secs_f64()
@@ -301,29 +319,28 @@ impl Scenario {
                 Event::Join { nodes, over } => {
                     check_nodes(nodes)?;
                     check_extent(*over, "staggered join")?;
-                    for &n in nodes {
-                        match phase[n] {
-                            Phase::Never => phase[n] = Phase::Alive,
+                    for (pos, &n) in nodes.iter().enumerate() {
+                        let t = &mut track[n];
+                        match t.phase {
+                            Phase::Never => t.phase = Phase::Alive,
                             Phase::Alive => return err(format!("node {n} joins twice")),
                             Phase::Crashed => {
                                 return err(format!("node {n} is crashed; use rejoin"))
                             }
                         }
-                    }
-                    if timed {
-                        staggered(te.at, *over, nodes).for_each(|(t, n)| spawned[n] = t);
+                        if t.named {
+                            spawned.insert(n, te.at + stagger_offset(*over, pos, nodes.len()));
+                        }
                     }
                 }
                 Event::Crash { nodes } => {
                     check_nodes(nodes)?;
                     for &n in nodes {
-                        if phase[n] != Phase::Alive {
+                        if track[n].phase != Phase::Alive {
                             return err(format!("node {n} crashes but is not alive"));
                         }
-                        let pending = match timed {
-                            true => spawned[n].max(last_call[n]),
-                            false => Time::ZERO,
-                        };
+                        let pending =
+                            spawned[&n].max(last_call.get(&n).copied().unwrap_or_default());
                         if te.at < pending {
                             return err(format!(
                                 "node {n} crashes at {}s, before its staggered spawn or \
@@ -338,33 +355,35 @@ impl Scenario {
                         {
                             return err(format!("node {n} crashes during its own stream"));
                         }
-                        phase[n] = Phase::Crashed;
+                        track[n].phase = Phase::Crashed;
                     }
                 }
                 Event::Rejoin { nodes, over } => {
                     check_nodes(nodes)?;
                     check_extent(*over, "staggered rejoin")?;
-                    for &n in nodes {
-                        if phase[n] != Phase::Crashed {
+                    for (pos, &n) in nodes.iter().enumerate() {
+                        let t = &mut track[n];
+                        if t.phase != Phase::Crashed {
                             return err(format!("node {n} rejoins but never crashed"));
                         }
-                        phase[n] = Phase::Alive;
-                    }
-                    if timed {
-                        staggered(te.at, *over, nodes).for_each(|(t, n)| spawned[n] = t);
+                        t.phase = Phase::Alive;
+                        if t.named {
+                            spawned.insert(n, te.at + stagger_offset(*over, pos, nodes.len()));
+                        }
                     }
                 }
                 Event::Create { node } => {
                     check_nodes(std::slice::from_ref(node))?;
                     check_live(te.at, *node, "creates the group")?;
-                    last_call[*node] = te.at;
+                    last_call.insert(*node, te.at);
                 }
                 Event::Subscribe { nodes, over } => {
                     check_nodes(nodes)?;
                     check_extent(*over, "staggered subscribe")?;
                     for (t, n) in staggered(te.at, *over, nodes) {
                         check_live(t, n, "subscribes")?;
-                        last_call[n] = last_call[n].max(t);
+                        let last = last_call.entry(n).or_default();
+                        *last = (*last).max(t);
                     }
                 }
                 Event::Partition { name, side } => {
@@ -426,7 +445,7 @@ impl Scenario {
                     if streams.iter().any(|&(s, _, _)| s == *node) {
                         return err(format!("node {node} streams twice (one stream per node)"));
                     }
-                    if phase[*node] != Phase::Alive {
+                    if track[*node].phase != Phase::Alive {
                         return err(format!("node {node} streams before joining"));
                     }
                     if *rate_bps == 0 {
@@ -483,6 +502,17 @@ mod tests {
         assert!(e.contains("joins twice"), "{e}");
         let e = rejects("nodes 4\nend 10s\nat 0s join 0..4\nat 2s rejoin 1\n");
         assert!(e.contains("never crashed"), "{e}");
+        // A crash before the node's own staggered spawn or respawn:
+        // node 3 of `join 0..4 over 4s` spawns at 3 s, and of
+        // `rejoin 2 3 over 2s` at 7 s.
+        let staggered = "nodes 4\nend 60s\nat 0s join 0..4 over 4s\n";
+        let e = rejects(&format!("{staggered}at 2500ms crash 3\n"));
+        assert!(e.contains("node 3 crashes at 2.5s, before"), "{e}");
+        assert!(crate::script::parse(&format!("{staggered}at 3s crash 3\n")).is_ok());
+        let e = rejects(&format!(
+            "{staggered}at 5s crash 2 3\nat 6s rejoin 2 3 over 2s\nat 6500ms crash 3\n"
+        ));
+        assert!(e.contains("node 3 crashes at 6.5s, before"), "{e}");
     }
 
     #[test]

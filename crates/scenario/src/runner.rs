@@ -31,9 +31,7 @@ use crate::report::{
 use macedon_core::app::{
     shared_deliveries, CollectorApp, SharedDeliveries, StreamKind, StreamerApp,
 };
-use macedon_core::{
-    Agent, DownCall, MacedonKey, NodeId, Telemetry, Time, TraceLevel, World, WorldConfig,
-};
+use macedon_core::{Agent, DownCall, MacedonKey, NodeId, Telemetry, Time, World, WorldConfig};
 use macedon_net::Topology;
 use macedon_sim::{Duration, FxHashMap};
 use std::collections::HashSet;
@@ -121,9 +119,6 @@ pub struct ScenarioRunner<'a> {
     /// Engine-wide time-series sampler ([`Self::enable_telemetry`]);
     /// `run` slices the world's advance at its sampling boundaries.
     telemetry: Option<Telemetry>,
-    /// Trace level every spawned node's stack runs at
-    /// ([`Self::set_trace_level`]); `None` keeps the world default.
-    trace_level: Option<TraceLevel>,
     /// The caller's probe, its period and its next instant
     /// ([`Self::sample_every`]).
     probe: Option<(Probe<'a>, Duration, Time)>,
@@ -161,7 +156,6 @@ impl<'a> ScenarioRunner<'a> {
             originals: FxHashMap::default(),
             oracles: Vec::new(),
             telemetry: None,
-            trace_level: None,
             probe: None,
         })
     }
@@ -187,13 +181,6 @@ impl<'a> ScenarioRunner<'a> {
     /// read-only, so enabling it never changes run results.
     pub fn enable_telemetry(&mut self, every: Duration) {
         self.telemetry = Some(Telemetry::new(every));
-    }
-
-    /// Run every spawned stack at `level` (instead of the bound
-    /// [`WorldConfig`]'s default) — e.g. the level a spec's `trace_`
-    /// header asks for, via `SpecRegistry::trace_level_for`.
-    pub fn set_trace_level(&mut self, level: TraceLevel) {
-        self.trace_level = Some(level);
     }
 
     /// Call `probe` at 0, `every`, `2·every`, … and at the scenario's
@@ -475,10 +462,7 @@ impl<'a> ScenarioRunner<'a> {
                     }
                     None => Box::new(CollectorApp::new(sink.clone())),
                 };
-                match self.trace_level {
-                    Some(level) => self.world.spawn_at_traced(now, host, stack, app, level),
-                    None => self.world.spawn_at(now, host, stack, app),
-                }
+                self.world.spawn_at(now, host, stack, app);
                 if join_on_spawn {
                     self.world
                         .api_at(now + JOIN_DELAY, host, DownCall::Join { group });

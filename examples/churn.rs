@@ -108,9 +108,16 @@ fn run_single(argv: &[String]) {
         scenario.nodes,
         macedon::net::topology::LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
     );
+    // Every stack runs at the level `splitstream.mac`'s `trace_` header
+    // declares; an explicit `--trace-out` raises it to High so the
+    // exported timeline carries the full causal span forest.
     let cfg = WorldConfig {
         seed: 50,
         channels: reg.channel_table_for("splitstream").unwrap(),
+        trace_level: match &trace_out {
+            Some(_) => TraceLevel::High,
+            None => reg.trace_level_for("splitstream").unwrap(),
+        },
         fd_g: Duration::from_secs(2),
         fd_f: Duration::from_secs(6),
         ..Default::default()
@@ -122,13 +129,6 @@ fn run_single(argv: &[String]) {
         Box::new(|_idx, _host, bootstrap| reg.build_stack("splitstream", bootstrap).unwrap()),
     )
     .expect("runner binds");
-    // Every stack runs at the level `splitstream.mac`'s `trace_` header
-    // declares; an explicit `--trace-out` raises it to High so the
-    // exported timeline carries the full causal span forest.
-    runner.set_trace_level(match &trace_out {
-        Some(_) => TraceLevel::High,
-        None => reg.trace_level_for("splitstream").unwrap(),
-    });
     if let Some(ms) = sample_every_ms {
         runner.enable_telemetry(Duration::from_millis(ms));
     }

@@ -50,27 +50,31 @@ impl AppHandler for Aggregator {
 
 fn main() {
     let topo = macedon::net::topology::canned::star(10, macedon::net::topology::LinkSpec::lan());
-    let mut world = World::new(
-        topo,
-        WorldConfig {
-            seed: 3,
-            ..Default::default()
-        },
-    );
+    let hosts = topo.hosts().to_vec();
+    let mut world = World::new(topo, WorldConfig::seeded(3));
     let group = MacedonKey::of_name("sensors");
     let observed = Arc::new(Mutex::new(Vec::new()));
 
-    let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
+    // Every host runs Scribe over Pastry under the aggregating
+    // application, joining 100 ms after the previous one through the
+    // first host.
+    for (i, &h) in hosts.iter().enumerate() {
         let pastry = Pastry::new(PastryConfig {
-            bootstrap,
+            bootstrap: (i > 0).then(|| hosts[0]),
             ..Default::default()
         });
         let scribe = Scribe::new(ScribeConfig::default());
         let app = Aggregator {
             observed: observed.clone(),
         };
-        (vec![Box::new(pastry), Box::new(scribe)], Box::new(app))
-    });
+        let at = Time::from_millis(i as u64 * 100);
+        world.spawn_at(
+            at,
+            h,
+            vec![Box::new(pastry), Box::new(scribe)],
+            Box::new(app),
+        );
+    }
 
     // Build the tree, then every member reports a reading via collect.
     world.run_until(Time::from_secs(30));

@@ -39,14 +39,12 @@ fn main() {
     // 3. Interpretation: run the very same spec as live agents.
     let topo = macedon::net::topology::canned::star(10, macedon::net::topology::LinkSpec::lan());
     let cfg = WorldConfig {
-        seed: 5,
         channels: channel_table(&ir),
-        ..Default::default()
+        ..WorldConfig::seeded(5)
     };
     let mut world = World::new(topo, cfg);
-    let hosts = world.spawn_each(Duration::from_millis(150), |_, bootstrap| {
-        let agent = InterpretedAgent::new(ir.clone(), bootstrap);
-        (vec![Box::new(agent)], Box::new(NullApp))
+    let (hosts, _sink) = world.spawn_each(Duration::from_millis(150), |bootstrap| {
+        vec![Box::new(InterpretedAgent::new(ir.clone(), bootstrap))]
     });
     world.run_until(Time::from_secs(60));
 
@@ -76,17 +74,10 @@ fn main() {
             .join(" <- ")
     );
     let topo = macedon::net::topology::canned::star(8, macedon::net::topology::LinkSpec::lan());
-    let cfg = WorldConfig {
-        seed: 6,
-        channels: registry.channel_table_for("splitstream").unwrap(),
-        ..Default::default()
-    };
-    let mut world = World::new(topo, cfg);
-    let sink = shared_deliveries();
-    let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
-        let stack = registry.build_stack("splitstream", bootstrap).unwrap();
-        (stack, Box::new(CollectorApp::new(sink.clone())))
-    });
+    let stagger = Duration::from_millis(100);
+    let (mut world, hosts, sink) = registry
+        .world("splitstream", topo, WorldConfig::seeded(6), stagger)
+        .unwrap();
     let group = MacedonKey::of_name("demo");
     world.run_until(Time::from_secs(30));
     for &h in &hosts {

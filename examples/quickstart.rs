@@ -25,24 +25,17 @@ fn main() {
     );
 
     // 2. The spec roster, and a world (deterministic event loop +
-    //    transports + engine) with the channels chord.mac declares.
+    //    transports + engine) with the channels chord.mac declares,
+    //    whose every host runs one interpreted Chord agent, each
+    //    joining 100 ms after the previous one through the first host.
+    //    `sink` logs what the hosts deliver.
     let registry = SpecRegistry::bundled();
-    let cfg = WorldConfig {
-        channels: registry.channel_table_for("chord").unwrap(),
-        ..Default::default()
-    };
-    let mut world = World::new(topo, cfg);
+    let stagger = Duration::from_millis(100);
+    let (mut world, hosts, sink) = registry
+        .world("chord", topo, WorldConfig::default(), stagger)
+        .unwrap();
 
-    // 3. One interpreted Chord agent per host, each joining 100 ms
-    //    after the previous one through the first host, with a
-    //    delivery-collecting application on top.
-    let sink = shared_deliveries();
-    let hosts = world.spawn_each(Duration::from_millis(100), |_, bootstrap| {
-        let stack = registry.build_stack("chord", bootstrap).unwrap();
-        (stack, Box::new(CollectorApp::new(sink.clone())))
-    });
-
-    // 4. Let the ring converge, then route ten messages to random keys.
+    // 3. Let the ring converge, then route ten messages to random keys.
     world.run_until(Time::from_secs(60));
     for i in 0..10u64 {
         let mut payload = vec![0u8; 64];
@@ -59,7 +52,7 @@ fn main() {
     }
     world.run_until(Time::from_secs(90));
 
-    // 5. Inspect results: who owns what, in how many virtual seconds.
+    // 4. Inspect results: who owns what, in how many virtual seconds.
     println!(
         "virtual time: {}s, events: {}",
         world.now(),

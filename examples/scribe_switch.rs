@@ -9,8 +9,9 @@
 //! cargo run --release -p macedon --example scribe_switch
 //! ```
 
+use macedon::core::WorldConfig;
 use macedon::lang::{bundled_specs, compile, SpecRegistry};
-use macedon_bench::experiments::{seeded, spec_runner};
+use macedon_bench::experiments::spec_runner;
 use std::sync::Arc;
 
 /// Twelve nodes join 100 ms apart; every node but 0 subscribes once the
@@ -35,7 +36,7 @@ fn run(dht: &str) -> u64 {
     registry.insert(Arc::new(compile(&scribe).unwrap()));
 
     let topo = macedon::net::topology::canned::star(12, macedon::net::topology::LinkSpec::lan());
-    let report = spec_runner(SCRIPT, topo, seeded(7), &registry, "scribe")
+    let report = spec_runner(SCRIPT, topo, WorldConfig::seeded(7), &registry, "scribe")
         .run()
         .report;
     let n = report.total_delivered;
@@ -49,6 +50,10 @@ fn run(dht: &str) -> u64 {
 fn main() {
     let over_pastry = run("pastry");
     let over_chord = run("chord");
+    // Eleven receivers × five packets is 55; allow a few losses.
+    for (dht, n) in [("pastry", over_pastry), ("chord", over_chord)] {
+        assert!(n >= 50, "scribe.mac over {dht} delivered only {n} packets");
+    }
     println!(
         "\nSame Scribe spec, two DHTs: pastry={over_pastry} chord={over_chord} deliveries — \
          the MACEDON API makes the substrate interchangeable."

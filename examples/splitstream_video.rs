@@ -10,7 +10,7 @@
 
 use macedon::prelude::*;
 use macedon_bench::experiments::{
-    fig12_stack, fig12_topology, goodput_series, mean, scenario_runner, seeded,
+    fig12_stack, fig12_topology, goodput_series, mean, scenario_runner,
 };
 
 const SCRIPT: &str = "scenario video\nnodes 20\nend 110s\n\
@@ -24,7 +24,7 @@ fn run(cache_lifetime: Option<Duration>) -> f64 {
     let outcome = scenario_runner(
         SCRIPT,
         fig12_topology(20),
-        seeded(12),
+        WorldConfig::seeded(12),
         fig12_stack(cache_lifetime),
     )
     .run();
@@ -41,5 +41,5 @@ fn main() {
     println!("SplitStream mean per-node goodput over 60 s of streaming:");
     println!("  location cache, no eviction : {no_evict:.0} Kbps");
     println!("  location cache, 1 s lifetime: {evict:.0} Kbps");
-    println!("(Figure 12's shape: eviction costs goodput to cache re-establishment.)");
+    println!("For Figure 12's series: cargo run --release -p macedon-bench --bin figures");
 }

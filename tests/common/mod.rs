@@ -1,6 +1,7 @@
 //! Helpers shared by the workspace integration tests: a star LAN, a
 //! reader of the agents' state, payloads, and the golden-file check.
-//! Worlds come from `macedon_bench::experiments`.
+//! Worlds come from `World::spawn_each`, `SpecRegistry::world` and
+//! `macedon_bench::experiments::Backend::world`.
 #![allow(dead_code)]
 
 use macedon::core::app::SharedDeliveries;

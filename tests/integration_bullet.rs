@@ -7,7 +7,6 @@
 use macedon::lang::SpecRegistry;
 use macedon::overlays::bullet::{Bullet, BulletConfig};
 use macedon::prelude::*;
-use macedon_bench::experiments::{seeded, stack_world};
 
 /// An `n`-host star LAN whose nodes run `randtree.mac` with at most
 /// `max_kids` children, Bullet on top when `bullet` is given, joining
@@ -25,15 +24,17 @@ fn tree_world(
     let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
     let cfg = WorldConfig {
         channels: registry.channel_table_for("randtree").unwrap(),
-        ..seeded(seed)
+        ..WorldConfig::seeded(seed)
     };
-    stack_world(topo, cfg, Duration::from_millis(100), |bootstrap| {
+    let mut w = World::new(topo, cfg);
+    let (hosts, sink) = w.spawn_each(Duration::from_millis(100), |bootstrap| {
         let mut stack = registry.build_stack("randtree", bootstrap).unwrap();
         if let Some(cfg) = &bullet {
             stack.push(Box::new(Bullet::new(cfg.clone())));
         }
         stack
-    })
+    });
+    (w, hosts, sink)
 }
 
 /// Build a RandTree world, optionally with Bullet layered on top, on a

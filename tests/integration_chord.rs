@@ -6,24 +6,30 @@
 mod common;
 
 use common::{assert_ring_closed, stamped};
-use macedon::core::TraceEvent;
+use macedon::core::{Ring, SimRng, TraceEvent};
 use macedon::lang::SpecRegistry;
-use macedon::overlays::testutil::{collect_ring, correct_owner, inet_topology};
+use macedon::net::topology::{inet, InetParams};
 use macedon::prelude::*;
-use macedon_bench::experiments::{seeded, spec_world};
 
 fn chord_world(
     clients: usize,
     seed: u64,
     trace_level: TraceLevel,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    let topo = inet_topology(150, clients, seed);
+    let params = InetParams {
+        routers: 150,
+        clients,
+        ..Default::default()
+    };
+    let topo = inet(&params, &mut SimRng::new(seed));
     let cfg = WorldConfig {
         trace_level,
-        ..seeded(seed)
+        ..WorldConfig::seeded(seed)
     };
     let stagger = Duration::from_millis(200);
-    spec_world(&SpecRegistry::bundled(), "chord", topo, cfg, stagger)
+    SpecRegistry::bundled()
+        .world("chord", topo, cfg, stagger)
+        .unwrap()
 }
 
 fn route(w: &mut World, at: Time, from: NodeId, dest: MacedonKey, seq: u64, len: usize) {
@@ -51,7 +57,7 @@ fn ring_converges_on_realistic_topology() {
 fn lookups_land_on_owners_with_log_hops() {
     let (mut w, hosts, sink) = chord_world(24, 3, TraceLevel::Med);
     w.run_until(Time::from_secs(150));
-    let ring = collect_ring(&w, &hosts);
+    let ring = Ring::new(&hosts, w.config().addressing);
     let start = Time::from_secs(150);
     let n = 40u64;
     let key = |i: u64| MacedonKey((i as u32).wrapping_mul(0x85EB_CA6B));
@@ -64,11 +70,7 @@ fn lookups_land_on_owners_with_log_hops() {
     assert_eq!(log.len() as u64, n, "every lookup delivered");
     for rec in log.iter() {
         let seq = rec.seqno.unwrap();
-        assert_eq!(
-            rec.node,
-            correct_owner(&ring, key(seq)),
-            "lookup {seq} owner"
-        );
+        assert_eq!(rec.node, ring.owner(key(seq)), "lookup {seq} owner");
     }
     let data = w.channel("DATA").unwrap();
     let hops = w

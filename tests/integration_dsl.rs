@@ -29,9 +29,8 @@ fn interpreted_randtree_forms_a_tree() {
         ..Default::default()
     };
     let mut w = World::new(star(12), cfg);
-    let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
-        let a = InterpretedAgent::new(spec.clone(), bootstrap);
-        (vec![Box::new(a)], Box::new(NullApp))
+    let (hosts, _sink) = w.spawn_each(Duration::from_millis(100), |bootstrap| {
+        vec![Box::new(InterpretedAgent::new(spec.clone(), bootstrap))]
     });
     w.run_until(Time::from_secs(60));
     // Everyone joined; parent pointers reach the root without cycles.
@@ -60,9 +59,8 @@ fn interpreted_overcast_follows_the_figure_1_fsm() {
         ..Default::default()
     };
     let mut w = World::new(star(8), cfg);
-    let hosts = w.spawn_each(Duration::from_millis(100), |_, bootstrap| {
-        let a = InterpretedAgent::new(spec.clone(), bootstrap);
-        (vec![Box::new(a)], Box::new(NullApp))
+    let (hosts, _sink) = w.spawn_each(Duration::from_millis(100), |bootstrap| {
+        vec![Box::new(InterpretedAgent::new(spec.clone(), bootstrap))]
     });
     w.run_until(Time::from_secs(90));
     // All nodes cycle back to joined (probe epochs pass through

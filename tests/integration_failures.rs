@@ -5,18 +5,18 @@
 mod common;
 
 use common::{assert_ring_closed, stamped, star};
+use macedon::core::Ring;
 use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{Scribe, ScribeConfig};
-use macedon::overlays::testutil::{collect_ring, correct_owner};
 use macedon::prelude::*;
-use macedon_bench::experiments::{seeded, stack_world, Backend};
+use macedon_bench::experiments::Backend;
 
 /// Joins start this far apart.
 const STAGGER: Duration = Duration::from_millis(100);
 
 /// An `n`-node `chord.mac` ring on a star LAN, joins 100 ms apart.
 fn chord_ring(n: usize, seed: u64) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    Backend::Interpreted.world("chord", star(n), seeded(seed), STAGGER)
+    Backend::Interpreted.world("chord", star(n), WorldConfig::seeded(seed), STAGGER)
 }
 
 #[test]
@@ -40,7 +40,7 @@ fn chord_routes_correctly_after_heal() {
     w.crash_at(Time::from_secs(60), victim);
     w.run_until(Time::from_secs(150));
     let alive: Vec<NodeId> = hosts.iter().copied().filter(|&h| h != victim).collect();
-    let ring = collect_ring(&w, &alive);
+    let ring = Ring::new(&alive, w.config().addressing);
     let key = |i: u64| MacedonKey((i as u32).wrapping_mul(0x9E37_79B9));
     for i in 0..15u64 {
         w.api_at(
@@ -62,13 +62,14 @@ fn chord_routes_correctly_after_heal() {
     assert_eq!(delivered.len(), 15, "all post-heal lookups delivered");
     for rec in &delivered {
         assert_ne!(rec.node, victim, "nothing delivered at the dead node");
-        assert_eq!(rec.node, correct_owner(&ring, key(rec.seqno.unwrap())));
+        assert_eq!(rec.node, ring.owner(key(rec.seqno.unwrap())));
     }
 }
 
 #[test]
 fn scribe_tree_repairs_after_forwarder_crash() {
-    let (mut w, hosts, sink) = stack_world(star(12), seeded(5), STAGGER, |bootstrap| {
+    let mut w = World::new(star(12), WorldConfig::seeded(5));
+    let (hosts, sink) = w.spawn_each(STAGGER, |bootstrap| {
         let pastry = Pastry::new(PastryConfig {
             bootstrap,
             ..Default::default()

@@ -14,7 +14,7 @@ use common::star;
 use macedon::lang::interp::InterpretedAgent;
 use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
-use macedon_bench::experiments::{seeded, stack_world, Backend};
+use macedon_bench::experiments::Backend;
 use macedon_generated as gen;
 
 /// Joins start this far apart.
@@ -29,17 +29,6 @@ fn log_of(sink: &macedon::core::app::SharedDeliveries) -> Log {
         .iter()
         .map(|r| (r.at, r.node, r.src.0, r.from, r.bytes, r.seqno))
         .collect()
-}
-
-/// `proto` on `backend` on an `n`-host star — everything else
-/// (topology, seed, channels, spawn schedule, app) identical.
-fn world_of(
-    backend: Backend,
-    proto: &str,
-    n: usize,
-    seed: u64,
-) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    backend.world(proto, star(n), seeded(seed), STAGGER)
 }
 
 /// Stream `n_pkts` multicast packets from `hosts[1]` after a join+settle
@@ -98,8 +87,9 @@ fn run_twins(
     seed: u64,
     drive: impl Fn(&mut World, &[NodeId]),
 ) -> ((World, Log), (World, Log)) {
-    let run = |backend| {
-        let (mut w, hosts, sink) = world_of(backend, proto, n, seed);
+    let run = |backend: Backend| {
+        let (mut w, hosts, sink) =
+            backend.world(proto, star(n), WorldConfig::seeded(seed), STAGGER);
         drive(&mut w, &hosts);
         (w, log_of(&sink))
     };
@@ -225,9 +215,10 @@ fn generated_pastry_interoperates_under_interpreted_scribe() {
     for mixed in [false, true] {
         let cfg = WorldConfig {
             channels: reg.channel_table_for("scribe").expect("chain resolves"),
-            ..seeded(seed)
+            ..WorldConfig::seeded(seed)
         };
-        let (mut w, hosts, sink) = stack_world(star(n), cfg, STAGGER, |bootstrap| {
+        let mut w = World::new(star(n), cfg);
+        let (hosts, sink) = w.spawn_each(STAGGER, |bootstrap| {
             let lowest: Box<dyn Agent> = if mixed {
                 Box::new(gen::pastry::Pastry::new(bootstrap))
             } else {
@@ -254,7 +245,8 @@ fn all_nine_generated_stacks_instantiate_and_run() {
     // fires transitions without wedging the world (the spec_roster.rs
     // analogue for the generated artifact).
     for proto in gen::PROTOCOLS {
-        let (mut w, hosts, _sink) = world_of(Backend::Generated, proto, 6, 21);
+        let (mut w, hosts, _sink) =
+            Backend::Generated.world(proto, star(6), WorldConfig::seeded(21), STAGGER);
         w.run_until(Time::from_secs(30));
         for &h in &hosts {
             let stack = w.stack(h).unwrap();

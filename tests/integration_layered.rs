@@ -14,7 +14,7 @@ use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{Scribe, ScribeConfig};
 use macedon::overlays::splitstream::{SplitStream, SplitStreamConfig};
 use macedon::prelude::*;
-use macedon_bench::experiments::{seeded, stack_world, Backend};
+use macedon_bench::experiments::Backend;
 use std::collections::HashSet;
 
 /// Joins start this far apart.
@@ -62,7 +62,7 @@ fn interpreted_world(
     n: usize,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    Backend::Interpreted.world(proto, star(n), seeded(seed), STAGGER)
+    Backend::Interpreted.world(proto, star(n), WorldConfig::seeded(seed), STAGGER)
 }
 
 fn native_world(
@@ -70,7 +70,8 @@ fn native_world(
     n: usize,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    stack_world(star(n), seeded(seed), STAGGER, |bootstrap| {
+    let mut w = World::new(star(n), WorldConfig::seeded(seed));
+    let (hosts, sink) = w.spawn_each(STAGGER, |bootstrap| {
         let mut stack: Vec<Box<dyn Agent>> = vec![
             Box::new(Pastry::new(PastryConfig {
                 bootstrap,
@@ -82,7 +83,8 @@ fn native_world(
             stack.push(Box::new(SplitStream::new(SplitStreamConfig::default())));
         }
         stack
-    })
+    });
+    (w, hosts, sink)
 }
 
 #[test]
@@ -152,7 +154,8 @@ fn mixed_stack_native_pastry_under_interpreted_scribe() {
     let scribe_spec = chain[1].clone();
 
     let n = 12;
-    let (mut w, hosts, sink) = stack_world(star(n), seeded(9), STAGGER, |bootstrap| {
+    let mut w = World::new(star(n), WorldConfig::seeded(9));
+    let (hosts, sink) = w.spawn_each(STAGGER, |bootstrap| {
         vec![
             Box::new(Pastry::new(PastryConfig {
                 bootstrap,
@@ -291,7 +294,8 @@ fn route_transition_honors_declared_transport_class() {
     // bytes there immediately. Asserted for both translator back ends.
     for backend in [Backend::Interpreted, Backend::Generated] {
         let run = |routes: bool| {
-            let (mut w, hosts, sink) = backend.world("chord", star(10), seeded(27), STAGGER);
+            let (mut w, hosts, sink) =
+                backend.world("chord", star(10), WorldConfig::seeded(27), STAGGER);
             let ctrl = w.channel("CTRL").unwrap();
             w.run_until(Time::from_secs(60));
             if routes {

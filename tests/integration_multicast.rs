@@ -12,7 +12,7 @@ use macedon::overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon::overlays::splitstream::{stripe_key, SplitStream, SplitStreamConfig};
 use macedon::prelude::*;
 use macedon::scenario::{ScenarioOutcome, ScenarioRunner};
-use macedon_bench::experiments::{scenario_runner, seeded, spec_runner, stack_world};
+use macedon_bench::experiments::{scenario_runner, spec_runner};
 use std::sync::Arc;
 
 /// Joins start this far apart.
@@ -31,7 +31,9 @@ fn scribe_stack(bootstrap: Option<NodeId>) -> Vec<Box<dyn Agent>> {
 }
 
 fn scribe_world(n: usize, seed: u64) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    stack_world(common::star(n), seeded(seed), STAGGER, scribe_stack)
+    let mut w = World::new(common::star(n), WorldConfig::seeded(seed));
+    let (hosts, sink) = w.spawn_each(STAGGER, scribe_stack);
+    (w, hosts, sink)
 }
 
 /// `n` nodes join `STAGGER` apart; at 40 s every node but 0 subscribes
@@ -63,7 +65,7 @@ fn scribe_over_pastry_reaches_all_members() {
     let (out, _) = run(scenario_runner(
         &script,
         common::star(12),
-        seeded(1),
+        WorldConfig::seeded(1),
         scribe_stack,
     ));
     let (hosts, log) = (&out.hosts, out.deliveries.lock());
@@ -99,7 +101,8 @@ fn scribe_over_chord_reaches_all_members() {
     let mut registry = SpecRegistry::bundled();
     registry.insert(Arc::new(compile(&src).expect("scribe over chord compiles")));
     let script = multicast_script(12, 80, 5, 128, 100);
-    let runner = spec_runner(&script, common::star(12), seeded(2), &registry, "scribe");
+    let cfg = WorldConfig::seeded(2);
+    let runner = spec_runner(&script, common::star(12), cfg, &registry, "scribe");
     let (out, _) = run(runner);
     let (hosts, log) = (&out.hosts, out.deliveries.lock());
     for i in 0..5u64 {
@@ -123,7 +126,7 @@ fn scribe_trees_are_rooted_at_group_owner() {
     let (out, group) = run(scenario_runner(
         &script,
         common::star(10),
-        seeded(3),
+        WorldConfig::seeded(3),
         scribe_stack,
     ));
     let (w, hosts) = (&out.world, &out.hosts);
@@ -157,7 +160,8 @@ fn scribe_trees_are_rooted_at_group_owner() {
 fn splitstream_stripes_spread_over_distinct_trees() {
     // 16 packets round-robin over 8 stripes.
     let script = multicast_script(16, 100, 16, 256, 50);
-    let runner = scenario_runner(&script, common::star(16), seeded(4), |bootstrap| {
+    let cfg = WorldConfig::seeded(4);
+    let runner = scenario_runner(&script, common::star(16), cfg, |bootstrap| {
         let pastry = Pastry::new(PastryConfig {
             bootstrap,
             ..Default::default()

@@ -6,7 +6,6 @@ use macedon::net::topology::{inet, InetParams};
 use macedon::overlays::pastry::{Pastry, PastryConfig, EXT_ROUTE_DIRECT};
 use macedon::prelude::*;
 use macedon::sim::SimRng;
-use macedon_bench::experiments::{seeded, stack_world};
 
 fn pastry_world(
     clients: usize,
@@ -22,17 +21,14 @@ fn pastry_world(
         },
         &mut rng,
     );
-    stack_world(
-        topo,
-        seeded(seed),
-        Duration::from_millis(150),
-        |bootstrap| {
-            vec![Box::new(Pastry::new(PastryConfig {
-                bootstrap,
-                cache_lifetime,
-            }))]
-        },
-    )
+    let mut w = World::new(topo, WorldConfig::seeded(seed));
+    let (hosts, sink) = w.spawn_each(Duration::from_millis(150), |bootstrap| {
+        vec![Box::new(Pastry::new(PastryConfig {
+            bootstrap,
+            cache_lifetime,
+        }))]
+    });
+    (w, hosts, sink)
 }
 
 fn pastry_of(w: &World, h: NodeId) -> &Pastry {

@@ -7,12 +7,12 @@
 mod common;
 
 use common::{only, receivers, stamped};
+use macedon::core::SimRng;
 use macedon::lang::SpecRegistry;
 use macedon::net::metrics::{link_stress, tree_stretch};
+use macedon::net::topology::{inet, InetParams};
 use macedon::overlays::nice::Nice;
-use macedon::overlays::testutil::inet_topology;
 use macedon::prelude::*;
-use macedon_bench::experiments::{seeded, spec_world, stack_world};
 use std::collections::HashMap;
 
 /// `proto` from the bundled roster with `constants` overridden, on a
@@ -24,11 +24,18 @@ fn inet_tree(
     seed: u64,
     stagger_ms: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    let topo = inet_topology(120, clients, seed);
+    let params = InetParams {
+        routers: 120,
+        clients,
+        ..Default::default()
+    };
+    let topo = inet(&params, &mut SimRng::new(seed));
     let mut registry = SpecRegistry::bundled();
     registry.set_constants(proto, constants).unwrap();
     let stagger = Duration::from_millis(stagger_ms);
-    spec_world(&registry, proto, topo, seeded(seed), stagger)
+    registry
+        .world(proto, topo, WorldConfig::seeded(seed), stagger)
+        .unwrap()
 }
 
 /// Every non-root host's `papa`, asserting each one reaches the root.
@@ -135,10 +142,10 @@ fn nice_clusters_respect_latency_locality() {
     ];
     let topo =
         macedon::net::topology::canned::sites(&lat, 3, macedon::net::topology::LinkSpec::lan());
-    let (mut w, hosts, _sink) =
-        stack_world(topo, seeded(7), Duration::from_millis(400), |rendezvous| {
-            vec![Box::new(Nice::new(rendezvous))]
-        });
+    let mut w = World::new(topo, WorldConfig::seeded(7));
+    let (hosts, _sink) = w.spawn_each(Duration::from_millis(400), |rendezvous| {
+        vec![Box::new(Nice::new(rendezvous))]
+    });
     w.run_until(Time::from_secs(240));
     // Count cross-island L0 cluster edges; locality should dominate.
     let island = |n: NodeId| hosts.iter().position(|&h| h == n).unwrap() / 6; // 2 sites/island

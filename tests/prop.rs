@@ -96,11 +96,14 @@ fn span_parentage_is_a_forest_across_scenarios() {
         for seed in [7u64, 77] {
             let registry = SpecRegistry::bundled();
             let topo = star(nodes, jittered_link);
-            let mut runner = scenario_runner(&script, topo, config(&registry, seed), |bootstrap| {
+            let cfg = WorldConfig {
+                trace_level: TraceLevel::High,
+                ..config(&registry, seed)
+            };
+            let outcome = scenario_runner(&script, topo, cfg, |bootstrap| {
                 registry.build_stack("splitstream", bootstrap).unwrap()
-            });
-            runner.set_trace_level(TraceLevel::High);
-            let outcome = runner.run();
+            })
+            .run();
 
             let mut minted = std::collections::HashSet::new();
             let mut sends = 0u64;

@@ -87,14 +87,10 @@ fn every_spec_stack_spawns_in_a_world() {
     let reg = SpecRegistry::bundled();
     for &(name, _) in ROSTER {
         let topo = macedon::net::topology::canned::star(2, macedon::net::topology::LinkSpec::lan());
-        let cfg = WorldConfig {
-            channels: reg.channel_table_for(name).unwrap(),
-            ..Default::default()
-        };
-        let mut w = World::new(topo, cfg);
-        let hosts = w.spawn_each(Duration::from_millis(10), |_, bootstrap| {
-            (reg.build_stack(name, bootstrap).unwrap(), Box::new(NullApp))
-        });
+        let stagger = Duration::from_millis(10);
+        let (mut w, hosts, _sink) = reg
+            .world(name, topo, WorldConfig::default(), stagger)
+            .unwrap();
         w.run_until(Time::from_secs(5));
         for &h in &hosts {
             let s = w.stack(h).unwrap();
