@@ -19,6 +19,7 @@
 //!   and transitions.
 //! * [`stack`] — per-node protocol layering (Figure 2/5) with the effect
 //!   dispatcher.
+//! * [`scratch`] — this thread's pools of per-dispatch working buffers.
 //! * [`trace`] — the four-level tracing subsystem and locking-class
 //!   accounting.
 //! * [`app`] — reusable workload applications (streamers, collectors).
@@ -33,6 +34,7 @@ pub mod export;
 pub mod json;
 pub mod key;
 pub mod measure;
+pub mod scratch;
 pub mod sha1;
 pub mod spec;
 pub mod stack;

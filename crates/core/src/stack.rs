@@ -7,17 +7,19 @@
 //! dispatcher here drains them in FIFO order, invoking neighbor layers
 //! until the queue settles. Effects that escape the stack (sends, timers,
 //! failure-detector registrations, traces) are returned to the world.
+//! The queue is not the node's: each dispatch borrows one from this
+//! thread's pool and hands it back drained ([`crate::scratch`]).
 
 use crate::agent::{Agent, AppHandler, Ctx, Locking, Op};
 use crate::api::{DownCall, UpCall};
 use crate::key::{Addressing, MacedonKey};
 use crate::measure::MeasureLedger;
+use crate::scratch::{self, OpQueue};
 use crate::trace::{SpanId, TraceEvent, TraceLevel};
 use bytes::Bytes;
 use macedon_net::NodeId;
 use macedon_sim::{Duration, SimRng, Time};
 use macedon_transport::ChannelId;
-use std::collections::VecDeque;
 
 /// Cap on ops processed per external event — a runaway upcall/downcall
 /// cycle trips this instead of hanging the simulation.
@@ -61,7 +63,10 @@ pub enum StackEffect {
     },
 }
 
-/// One node's protocol stack.
+/// One node's protocol stack: its layers, application, RNG and
+/// measurement ledger. The op queue a dispatch drains is borrowed from
+/// this thread's pool for that dispatch ([`crate::scratch`]), so an idle
+/// stack holds no working buffers.
 pub struct Stack {
     node: NodeId,
     key: MacedonKey,
@@ -82,10 +87,6 @@ pub struct Stack {
     current_span: SpanId,
     /// Per-stack send counter; the low 32 bits of every minted span.
     sends_minted: u32,
-    /// Scratch op queue reused across events (drained empty between
-    /// dispatches; kept for its capacity). Transitions push into it
-    /// directly through [`Ctx`].
-    queue: VecDeque<(usize, Op)>,
     /// Engine measurements for this node (per-peer smoothed RTT and
     /// inbound goodput), fed by the world from transport observations
     /// and read by transitions through [`Ctx::rtt_ms`] /
@@ -119,7 +120,6 @@ impl Stack {
             trace_level: TraceLevel::High,
             current_span: SpanId::NONE,
             sends_minted: 0,
-            queue: VecDeque::new(),
             measures: MeasureLedger::new(),
             read_transitions: 0,
             write_transitions: 0,
@@ -209,13 +209,12 @@ impl Stack {
             TraceLevel::Med,
             TraceEvent::ApiCall { call: "init" },
         );
-        let mut queue = std::mem::take(&mut self.queue);
-        for layer in 0..self.agents.len() {
-            self.step_agent(now, layer, &mut queue, fx, |a, ctx| a.init(ctx));
-        }
-        self.step_app(now, &mut queue, fx, |app, ctx| app.start(ctx));
-        self.drain(now, &mut queue, fx);
-        self.queue = queue;
+        self.dispatch(now, fx, |s, queue, fx| {
+            for layer in 0..s.agents.len() {
+                s.step_agent(now, layer, queue, fx, |a, ctx| a.init(ctx));
+            }
+            s.step_app(now, queue, fx, |app, ctx| app.start(ctx));
+        });
     }
 
     /// A transport message arrived for the lowest layer; `span` is the
@@ -238,10 +237,9 @@ impl Stack {
                 bytes: msg.len(),
             },
         );
-        let mut queue = std::mem::take(&mut self.queue);
-        self.step_agent(now, 0, &mut queue, fx, |a, ctx| a.recv(ctx, from, msg));
-        self.drain(now, &mut queue, fx);
-        self.queue = queue;
+        self.dispatch(now, fx, |s, queue, fx| {
+            s.step_agent(now, 0, queue, fx, |a, ctx| a.recv(ctx, from, msg));
+        });
     }
 
     /// A named timer fired for `layer` (or the app when
@@ -249,14 +247,13 @@ impl Stack {
     pub fn timer(&mut self, now: Time, layer: usize, timer: u16, fx: &mut Vec<StackEffect>) {
         self.current_span = SpanId::NONE;
         self.emit(fx, layer, TraceLevel::High, TraceEvent::TimerFire { timer });
-        let mut queue = std::mem::take(&mut self.queue);
-        if layer == self.agents.len() {
-            self.step_app(now, &mut queue, fx, |app, ctx| app.on_timer(ctx, timer));
-        } else {
-            self.step_agent(now, layer, &mut queue, fx, |a, ctx| a.timer(ctx, timer));
-        }
-        self.drain(now, &mut queue, fx);
-        self.queue = queue;
+        self.dispatch(now, fx, |s, queue, fx| {
+            if layer == s.agents.len() {
+                s.step_app(now, queue, fx, |app, ctx| app.on_timer(ctx, timer));
+            } else {
+                s.step_agent(now, layer, queue, fx, |a, ctx| a.timer(ctx, timer));
+            }
+        });
     }
 
     /// The application invokes the top layer's API.
@@ -268,10 +265,9 @@ impl Stack {
             TraceLevel::Med,
             TraceEvent::ApiCall { call: call.name() },
         );
-        let mut queue = std::mem::take(&mut self.queue);
-        queue.push_back((self.agents.len(), Op::Down(call)));
-        self.drain(now, &mut queue, fx);
-        self.queue = queue;
+        self.dispatch(now, fx, |s, queue, _| {
+            queue.push_back((s.agents.len(), Op::Down(call)));
+        });
     }
 
     /// The engine failure detector declared `peer` dead for `layer`.
@@ -289,19 +285,31 @@ impl Stack {
             TraceLevel::Med,
             TraceEvent::ApiCall { call: "error" },
         );
-        let mut queue = std::mem::take(&mut self.queue);
-        if layer < self.agents.len() {
-            self.step_agent(now, layer, &mut queue, fx, |a, ctx| {
-                a.neighbor_failed(ctx, peer)
-            });
-        }
-        self.drain(now, &mut queue, fx);
-        self.queue = queue;
+        self.dispatch(now, fx, |s, queue, fx| {
+            if layer < s.agents.len() {
+                s.step_agent(now, layer, queue, fx, |a, ctx| a.neighbor_failed(ctx, peer));
+            }
+        });
     }
 
     // -- dispatcher internals ------------------------------------------------
 
-    fn drain(&mut self, now: Time, queue: &mut VecDeque<(usize, Op)>, fx: &mut Vec<StackEffect>) {
+    /// One dispatch: borrow an op queue from this thread's pool, let
+    /// `enter` run the event's first transitions into it, drain it, and
+    /// hand it back empty.
+    fn dispatch(
+        &mut self,
+        now: Time,
+        fx: &mut Vec<StackEffect>,
+        enter: impl FnOnce(&mut Stack, &mut OpQueue, &mut Vec<StackEffect>),
+    ) {
+        let mut queue = scratch::take_ops();
+        enter(self, &mut queue, fx);
+        self.drain(now, &mut queue, fx);
+        scratch::give_ops(queue);
+    }
+
+    fn drain(&mut self, now: Time, queue: &mut OpQueue, fx: &mut Vec<StackEffect>) {
         let mut budget = OP_BUDGET;
         while let Some((origin, op)) = queue.pop_front() {
             budget = budget.checked_sub(1).unwrap_or_else(|| {
@@ -449,7 +457,7 @@ impl Stack {
         &mut self,
         now: Time,
         layer: usize,
-        queue: &mut VecDeque<(usize, Op)>,
+        queue: &mut OpQueue,
         _fx: &mut Vec<StackEffect>,
         f: impl FnOnce(&mut dyn Agent, &mut Ctx),
     ) {
@@ -476,7 +484,7 @@ impl Stack {
     fn step_app(
         &mut self,
         now: Time,
-        queue: &mut VecDeque<(usize, Op)>,
+        queue: &mut OpQueue,
         _fx: &mut Vec<StackEffect>,
         f: impl FnOnce(&mut dyn AppHandler, &mut Ctx),
     ) {

@@ -33,6 +33,7 @@ use macedon_sim::{table_bytes, Duration, EventId, FxHashMap, Scheduler, SimRng, 
 use macedon_transport::{
     ChannelId, ChannelSpec, Endpoint, Segment, TimerKey, TimerKind, TransportKind, TransportSink,
 };
+use std::mem::{size_of, size_of_val};
 use std::sync::Arc;
 
 /// Map key for the one live scheduler entry a connection timer class may
@@ -162,40 +163,110 @@ struct TimerSlot {
     event: EventId,
 }
 
-#[derive(Clone, Copy)]
-struct MonitorState {
-    last_heard: Time,
-    hb_pending: bool,
+/// The layers watching one peer, in registration order: a failure is
+/// reported to them in that order. Up to six layers numbered below 256
+/// — every roster stack, application included — sit inline; a deeper
+/// stack spills to the heap.
+enum Watchers {
+    Inline { len: u8, layers: [u8; 6] },
+    Spilled(Box<[usize]>),
 }
 
-/// Everything the engine tracks for one spawned node, boxed and stored
-/// densely by node index. One pointer chase reaches the stack, the
-/// transport endpoint and every timer/monitor table — at 100k nodes
-/// this replaces six global hash maps whose per-event probe misses
-/// dominated the sequential profile.
+impl Watchers {
+    const EMPTY: Watchers = Watchers::Inline {
+        len: 0,
+        layers: [0; 6],
+    };
+
+    fn layers(&self) -> impl Iterator<Item = usize> + '_ {
+        let (inline, spilled): (&[u8], &[usize]) = match self {
+            Watchers::Inline { len, layers } => (&layers[..*len as usize], &[]),
+            Watchers::Spilled(v) => (&[], &v[..]),
+        };
+        inline
+            .iter()
+            .map(|&l| l as usize)
+            .chain(spilled.iter().copied())
+    }
+
+    /// Add `layer` last, unless it is already watching.
+    fn add(&mut self, layer: usize) {
+        if self.layers().any(|l| l == layer) {
+            return;
+        }
+        match self {
+            Watchers::Inline { len, layers } if (*len as usize) < layers.len() && layer < 256 => {
+                layers[*len as usize] = layer as u8;
+                *len += 1;
+            }
+            _ => *self = Watchers::Spilled(self.layers().chain([layer]).collect()),
+        }
+    }
+
+    /// Remove `layer`, keeping the others' order; true once none is
+    /// left.
+    fn remove(&mut self, layer: usize) -> bool {
+        match self {
+            Watchers::Inline { len, layers } => {
+                let mut kept = 0;
+                for i in 0..*len as usize {
+                    if layers[i] as usize != layer {
+                        layers[kept] = layers[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+                kept == 0
+            }
+            Watchers::Spilled(v) => {
+                *v = v.iter().copied().filter(|&l| l != layer).collect();
+                v.is_empty()
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Watchers::Inline { .. } => 0,
+            Watchers::Spilled(v) => size_of_val(&**v),
+        }
+    }
+}
+
+/// The failure detector's view of one monitored peer.
+struct Monitor {
+    last_heard: Time,
+    hb_pending: bool,
+    watchers: Watchers,
+}
+
+/// What the engine tracks for one spawned node, boxed and stored densely
+/// by node index: its protocol stack, its transport endpoint, and its
+/// agent-timer and failure-detector tables, one pointer chase away (at
+/// 100k nodes this replaced six global hash maps whose per-event probe
+/// misses dominated the sequential profile). A node holds no working
+/// buffers (dispatches borrow them from the thread's pools, see
+/// [`crate::scratch`]) and no connection timers (the world keeps one
+/// table of those, keyed by node).
 struct NodeState {
     stack: Stack,
     endpoint: Endpoint,
     alive: bool,
     timers: FxHashMap<(u16, u16), TimerSlot>,
-    /// Live scheduler entry per connection timer class. A re-arm
-    /// cancels the superseded entry: its payload is freed at once, and
-    /// its key stays in the queue until it reaches the head.
-    conn_timers: FxHashMap<ConnTimerSlot, EventId>,
-    /// peer → (monitoring layers, state)
-    monitors: FxHashMap<NodeId, (Vec<usize>, MonitorState)>,
+    /// Monitored peers.
+    monitors: FxHashMap<NodeId, Monitor>,
 }
 
 impl NodeState {
     /// The boxed record itself (stack and endpoint inline) and the
     /// engine's per-node maps.
     fn engine_bytes(&self) -> usize {
-        let layers: usize = self.monitors.values().map(|(l, _)| l.capacity()).sum();
-        std::mem::size_of::<NodeState>()
-            + table_bytes(&self.timers)
-            + table_bytes(&self.conn_timers)
-            + table_bytes(&self.monitors)
-            + layers * std::mem::size_of::<usize>()
+        let spilled: usize = self
+            .monitors
+            .values()
+            .map(|m| m.watchers.heap_bytes())
+            .sum();
+        size_of::<NodeState>() + table_bytes(&self.timers) + table_bytes(&self.monitors) + spilled
     }
 }
 
@@ -219,13 +290,17 @@ pub struct HeapCensus {
     /// partial).
     pub datagram_reassembly: usize,
     /// Each node's boxed engine record (stack and endpoint inline) and
-    /// its maps: agent timers, connection timers, failure-detector
-    /// monitors.
+    /// its maps (agent timers, failure-detector monitors), and the
+    /// world's connection-timer table.
     pub engine_maps: usize,
     /// Per-peer measurement ledgers.
     pub measure_ledgers: usize,
     /// Routing: component labels, core adjacency and next-hop tables.
     pub route_tables: usize,
+    /// Working buffers dispatches borrow, waiting in this thread's pools:
+    /// op queues, connection-output buffers, interpreter frames (see
+    /// [`crate::scratch`]).
+    pub scratch: usize,
 }
 
 impl HeapCensus {
@@ -237,6 +312,7 @@ impl HeapCensus {
             + self.engine_maps
             + self.measure_ledgers
             + self.route_tables
+            + self.scratch
     }
 }
 
@@ -251,6 +327,11 @@ pub struct World {
     net: Network<Segment>,
     /// Dense by node index; `Some` exactly for spawned nodes.
     nodes: Vec<Option<Box<NodeState>>>,
+    /// Live scheduler entry per connection timer class, over every
+    /// node. A re-arm cancels the superseded entry: its payload is freed
+    /// at once, and its key stays in the queue until it reaches the
+    /// head.
+    conn_timers: FxHashMap<ConnTimerSlot, EventId>,
     trace: TraceSink,
     rng: SimRng,
     /// Instant of the last failure-detector registration change
@@ -293,6 +374,7 @@ impl World {
             sched: Scheduler::new(),
             net: Network::new(topo, net_cfg),
             nodes: (0..num_nodes).map(|_| None).collect(),
+            conn_timers: FxHashMap::default(),
             trace: TraceSink::new(cfg.trace_level),
             rng: SimRng::new(cfg.seed),
             last_membership_change: Time::ZERO,
@@ -341,7 +423,6 @@ impl World {
             endpoint: Endpoint::new(node, self.channels.clone()),
             alive: false,
             timers: FxHashMap::default(),
-            conn_timers: FxHashMap::default(),
             monitors: FxHashMap::default(),
         };
         self.nodes[node.index()] = Some(Box::new(ns));
@@ -420,11 +501,14 @@ impl World {
     }
 
     /// Heap bytes held by the engine, by owner, over every spawned
-    /// node; the connection free list is the calling thread's.
+    /// node; the connection free list and the scratch pools are the
+    /// calling thread's.
     pub fn heap_census(&self) -> HeapCensus {
         let mut c = HeapCensus {
             conn_free_list: macedon_transport::pooled_bytes(),
+            engine_maps: table_bytes(&self.conn_timers),
             route_tables: self.net.route_table_bytes(),
+            scratch: crate::scratch::pooled_bytes(),
             ..HeapCensus::default()
         };
         for ns in self.nodes.iter().flatten() {
@@ -592,14 +676,8 @@ impl World {
             WorldEvent::ConnTimer(key) => {
                 // The entry just fired; drop it from the live-timer map
                 // whether or not the node is still alive.
-                let alive = match self.nodes.get_mut(key.node.index()) {
-                    Some(Some(ns)) => {
-                        ns.conn_timers.remove(&key.slot());
-                        ns.alive
-                    }
-                    _ => return,
-                };
-                if !alive {
+                self.conn_timers.remove(&key.slot());
+                if !self.is_alive(key.node) {
                     return;
                 }
                 let mut tsink = self.take_tsink();
@@ -692,11 +770,13 @@ impl World {
     /// after a crash supersedes them by generation).
     fn cancel_node_timers(&mut self, node: NodeId) {
         let sched = &mut self.sched;
-        if let Some(Some(ns)) = self.nodes.get_mut(node.index()) {
-            ns.conn_timers.retain(|_, &mut ev| {
+        self.conn_timers.retain(|&(owner, ..), &mut ev| {
+            if owner == node {
                 sched.cancel(ev);
-                false
-            });
+            }
+            owner != node
+        });
+        if let Some(Some(ns)) = self.nodes.get_mut(node.index()) {
             for slot in ns.timers.values_mut() {
                 sched.cancel(slot.event);
                 slot.period = None;
@@ -787,23 +867,17 @@ impl World {
         for pkt in tsink.packets.drain(..) {
             self.net.send(now, pkt, &mut nsink);
         }
-        {
-            let sched = &mut self.sched;
-            if let Some(Some(ns)) = self.nodes.get_mut(node.index()) {
-                for key in tsink.cancel_timers.drain(..) {
-                    if let Some(ev) = ns.conn_timers.remove(&key.slot()) {
-                        sched.cancel(ev);
-                    }
-                }
-                for (at, key) in tsink.timers.drain(..) {
-                    let slot = key.slot();
-                    let ev = sched.schedule(at, WorldEvent::ConnTimer(key));
-                    if let Some(old) = ns.conn_timers.insert(slot, ev) {
-                        // Re-arm: the superseded entry dies here instead
-                        // of tombstoning the queue.
-                        sched.cancel(old);
-                    }
-                }
+        for key in tsink.cancel_timers.drain(..) {
+            if let Some(ev) = self.conn_timers.remove(&key.slot()) {
+                self.sched.cancel(ev);
+            }
+        }
+        for (at, key) in tsink.timers.drain(..) {
+            let ev = self.sched.schedule(at, WorldEvent::ConnTimer(key));
+            if let Some(old) = self.conn_timers.insert(key.slot(), ev) {
+                // Re-arm: the superseded entry dies here instead of
+                // tombstoning the queue.
+                self.sched.cancel(old);
             }
         }
         // Net absorption precedes message delivery (event-order contract
@@ -827,9 +901,9 @@ impl World {
     ) {
         // Any traffic from a peer counts as liveness evidence.
         if let Some(ns) = self.ns_mut(to) {
-            if let Some((_, st)) = ns.monitors.get_mut(&from) {
-                st.last_heard = now;
-                st.hb_pending = false;
+            if let Some(m) = ns.monitors.get_mut(&from) {
+                m.last_heard = now;
+                m.hb_pending = false;
             }
         }
         // Engine-internal messages (header peeked in place, no clone).
@@ -919,24 +993,19 @@ impl World {
                 StackEffect::Monitor { layer, peer } => {
                     self.last_membership_change = now;
                     if let Some(ns) = self.ns_mut(node) {
-                        let entry = ns.monitors.entry(peer).or_insert((
-                            Vec::new(),
-                            MonitorState {
-                                last_heard: now,
-                                hb_pending: false,
-                            },
-                        ));
-                        if !entry.0.contains(&layer) {
-                            entry.0.push(layer);
-                        }
+                        let m = ns.monitors.entry(peer).or_insert(Monitor {
+                            last_heard: now,
+                            hb_pending: false,
+                            watchers: Watchers::EMPTY,
+                        });
+                        m.watchers.add(layer);
                     }
                 }
                 StackEffect::Unmonitor { layer, peer } => {
                     self.last_membership_change = now;
                     if let Some(ns) = self.ns_mut(node) {
-                        if let Some(entry) = ns.monitors.get_mut(&peer) {
-                            entry.0.retain(|&l| l != layer);
-                            if entry.0.is_empty() {
+                        if let Some(m) = ns.monitors.get_mut(&peer) {
+                            if m.watchers.remove(layer) {
                                 ns.monitors.remove(&peer);
                             }
                         }
@@ -973,7 +1042,7 @@ impl World {
         if !self.ns(node).is_some_and(|ns| ns.alive) {
             return;
         }
-        let mut failed: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        let mut failed: Vec<(NodeId, Watchers)> = Vec::new();
         let mut peers = std::mem::take(&mut self.fd_peers);
         let mut probe = std::mem::take(&mut self.fd_probe);
         let mon = &mut self.ns_mut(node).expect("alive above").monitors;
@@ -983,13 +1052,13 @@ impl World {
         peers.extend(mon.keys().copied());
         peers.sort_unstable_by_key(|p| p.0);
         for peer in peers.drain(..) {
-            let st = &mut mon.get_mut(&peer).expect("collected above").1;
-            let silent = now.saturating_since(st.last_heard);
+            let m = mon.get_mut(&peer).expect("collected above");
+            let silent = now.saturating_since(m.last_heard);
             if silent >= f {
-                let (layers, _) = mon.remove(&peer).expect("collected above");
-                failed.push((peer, layers));
-            } else if silent >= g && !st.hb_pending {
-                st.hb_pending = true;
+                let m = mon.remove(&peer).expect("collected above");
+                failed.push((peer, m.watchers));
+            } else if silent >= g && !m.hb_pending {
+                m.hb_pending = true;
                 probe.push(peer);
             }
         }
@@ -998,13 +1067,13 @@ impl World {
             self.send_engine(now, node, peer, HB_REQ);
         }
         self.fd_probe = probe;
-        for (peer, layers) in failed {
+        for (peer, watchers) in failed {
             // The peer's measurements describe a dead incarnation.
             if let Some(ns) = self.ns_mut(node) {
                 ns.stack.measures_mut().forget(peer);
             }
             self.last_membership_change = now;
-            for layer in layers {
+            for layer in watchers.layers() {
                 let mut fx = self.take_fx();
                 if let Some(ns) = self.ns_mut(node) {
                     ns.stack.peer_failed(now, layer, peer, &mut fx);
@@ -1397,6 +1466,34 @@ mod tests {
             w.events_fired()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn watchers_keep_registration_order_inline_and_spilled() {
+        let order = |w: &Watchers| w.layers().collect::<Vec<_>>();
+        let mut w = Watchers::EMPTY;
+        for layer in [2, 0, 1, 0] {
+            w.add(layer);
+        }
+        assert_eq!(order(&w), [2, 0, 1]);
+        assert!(matches!(w, Watchers::Inline { .. }) && w.heap_bytes() == 0);
+        assert!(!w.remove(0));
+        assert_eq!(order(&w), [2, 1]);
+        for layer in [3, 4, 5, 300, 6] {
+            w.add(layer);
+        }
+        assert!(matches!(w, Watchers::Spilled(_)));
+        assert_eq!(order(&w), [2, 1, 3, 4, 5, 300, 6]);
+        for layer in [1, 300, 2, 3, 4, 5] {
+            assert!(!w.remove(layer));
+        }
+        assert_eq!(order(&w), [6]);
+        assert!(w.remove(6), "the last watcher leaves");
+        assert!(
+            size_of::<Monitor>() <= 32,
+            "{} B a monitor",
+            size_of::<Monitor>()
+        );
     }
 
     #[test]

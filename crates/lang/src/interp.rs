@@ -74,6 +74,8 @@ use macedon_core::{
     Bytes, ChannelSpec, Ctx, DecodeError, DownCall, Duration, MacedonKey, NodeId, ProtocolId,
     TraceLevel, TransportKind, UpCall, WireRef, WireWriter, DEFAULT_PRIORITY,
 };
+use std::cell::RefCell;
+use std::mem::size_of;
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -115,9 +117,11 @@ impl Fault {
     const TEXT: &'static str = "null where a value is required";
 }
 
-/// Per-transition bindings: the decoded message fields, `from`,
-/// `payload`, and the API arguments. Each agent keeps one and refills
-/// it in place for every event, so its storage is reused.
+/// Per-transition bindings — the decoded message fields, `from`,
+/// `payload`, and the API arguments — and the node-list buffers a
+/// transition works in. No agent keeps one: every event borrows a frame
+/// from this thread's pool ([`with_frame`]) and hands it back drained,
+/// so its storage is reused across every agent the thread runs.
 #[derive(Default)]
 struct Frame {
     /// Scalar fields, by slot ([`crate::ir::IrField::at`]).
@@ -133,6 +137,54 @@ struct Frame {
     api_dest: Option<NodeId>,
     /// Set by `quash();` inside a `forward` transition.
     quash: bool,
+    /// Empty node-list buffers for decoded list fields, `foreach`
+    /// snapshots and replaced neighbor lists (at most
+    /// [`NODE_POOL_MAX`]).
+    nodes: Vec<Vec<NodeId>>,
+}
+
+/// Cap on the node-list buffers a frame keeps.
+const NODE_POOL_MAX: usize = 8;
+
+thread_local! {
+    /// Frames handed back drained: one per interpreted transition this
+    /// thread ever had running at once. Boxed, so a frame moves between
+    /// the pool and a dispatch without being copied. Counted in the
+    /// engine's census from the first use on a thread.
+    #[allow(clippy::vec_box)]
+    static FRAMES: RefCell<Vec<Box<Frame>>> = {
+        macedon_core::scratch::count_pool(frame_bytes);
+        RefCell::new(Vec::new())
+    };
+}
+
+/// Run `f` on a frame from this thread's pool, readied for an event from
+/// `from`, and hand the frame back drained.
+fn with_frame<R>(from: Option<NodeId>, f: impl FnOnce(&mut Frame) -> R) -> R {
+    let mut frame = FRAMES.with_borrow_mut(Vec::pop).unwrap_or_default();
+    frame.reset(from);
+    let r = f(&mut frame);
+    frame.drain();
+    FRAMES.with_borrow_mut(|frames| frames.push(frame));
+    r
+}
+
+/// Heap bytes in this thread's pool of frames.
+fn frame_bytes() -> usize {
+    let lists = |ls: &Vec<Vec<NodeId>>| {
+        ls.capacity() * size_of::<Vec<NodeId>>()
+            + ls.iter()
+                .map(|l| l.capacity() * size_of::<NodeId>())
+                .sum::<usize>()
+    };
+    FRAMES.with_borrow(|frames| {
+        frames.capacity() * size_of::<Box<Frame>>()
+            + (frames.iter())
+                .map(|f| {
+                    size_of::<Frame>() + f.fields.heap_bytes() + lists(&f.lists) + lists(&f.nodes)
+                })
+                .sum::<usize>()
+    })
 }
 
 impl Frame {
@@ -145,6 +197,29 @@ impl Frame {
         self.quash = false;
     }
 
+    /// Empty every binding, keeping the buffers, for the frame's next
+    /// event — whichever agent it is.
+    fn drain(&mut self) {
+        self.reset(None);
+        self.api_key = MacedonKey::default();
+        for l in &mut self.lists {
+            l.clear();
+        }
+    }
+
+    /// An empty node-list buffer.
+    fn take_nodes(&mut self) -> Vec<NodeId> {
+        self.nodes.pop().unwrap_or_default()
+    }
+
+    /// Keep `l`'s buffer for reuse, while there is room.
+    fn pool_nodes(&mut self, mut l: Vec<NodeId>) {
+        if self.nodes.len() < NODE_POOL_MAX && l.capacity() > 0 {
+            l.clear();
+            self.nodes.push(l);
+        }
+    }
+
     /// Decode one message's fields, in declaration order, for an event
     /// from `from`.
     fn decode(
@@ -152,7 +227,6 @@ impl Frame {
         decl: &IrMessage,
         r: &mut WireRef,
         from: NodeId,
-        node_pool: &mut Vec<Vec<NodeId>>,
     ) -> Result<(), DecodeError> {
         self.reset(Some(from));
         let mut lists = 0;
@@ -168,7 +242,8 @@ impl Frame {
                 FieldKind::Payload => self.fields.push_payload(r.bytes()?),
                 FieldKind::Nodes => {
                     if self.lists.len() == lists {
-                        self.lists.push(node_pool.pop().unwrap_or_default());
+                        let l = self.take_nodes();
+                        self.lists.push(l);
                     }
                     let l = &mut self.lists[lists];
                     l.clear();
@@ -241,7 +316,6 @@ pub fn protocol_id_of(name: &str) -> ProtocolId {
 pub struct InterpretedAgent {
     ir: Arc<IrSpec>,
     core: Core,
-    frame: Frame,
     /// Transitions fired, per trigger kind (observability / tests).
     pub transitions_fired: u64,
 }
@@ -263,14 +337,7 @@ struct Core {
     /// [`InterpretedAgent::set_base_transports`] resolves it).
     lanes: Vec<Lane>,
     port: Port,
-    /// Recycled node-list buffers for decoded list fields, `foreach`
-    /// snapshots and replaced neighbor lists (bounded; see
-    /// [`NODE_POOL_MAX`]).
-    node_pool: Vec<Vec<NodeId>>,
 }
-
-/// Cap on pooled node-list buffers per agent.
-const NODE_POOL_MAX: usize = 8;
 
 impl InterpretedAgent {
     /// Instantiate a compiled spec as one layer of a stack, sharing the
@@ -297,9 +364,7 @@ impl InterpretedAgent {
                 lists,
                 lanes,
                 port: Port::default(),
-                node_pool: Vec::new(),
             },
-            frame: Frame::default(),
             transitions_fired: 0,
             ir,
         }
@@ -354,7 +419,7 @@ impl InterpretedAgent {
     /// Fire the transition matching the dispatch point in the current
     /// state, if any, over the prepared frame; returns the frame's quash
     /// flag (only `forward` transitions set it).
-    fn fire(&mut self, ctx: &mut Ctx, at: At) -> bool {
+    fn fire(&mut self, ctx: &mut Ctx, frame: &mut Frame, at: At) -> bool {
         let ir = &*self.ir;
         let core = &mut self.core;
         let hit = table_of(ir, at)
@@ -371,32 +436,33 @@ impl InterpretedAgent {
             ctx.locking_read();
         }
         self.transitions_fired += 1;
-        if core.exec_block(ir, ctx, &mut self.frame, &t.body).is_err()
-            && ctx.trace_on(TraceLevel::Low)
-        {
+        if core.exec_block(ir, ctx, frame, &t.body).is_err() && ctx.trace_on(TraceLevel::Low) {
             ctx.trace(
                 TraceLevel::Low,
                 format!("{}: runtime error: {}", ir.name, Fault::TEXT),
             );
         }
-        self.frame.quash
+        frame.quash
     }
 
-    /// Decode message `id`'s fields from `r` into the frame.
-    fn decode(&mut self, id: u16, r: &mut WireRef, from: NodeId) -> Result<(), DecodeError> {
-        let decl = &self.ir.messages[id as usize];
-        self.frame.decode(decl, r, from, &mut self.core.node_pool)
+    /// Decode message `id`'s fields from `r` into a frame and fire its
+    /// `at` transition over it.
+    fn decode_and_fire(
+        &mut self,
+        ctx: &mut Ctx,
+        id: u16,
+        from: NodeId,
+        r: &mut WireRef,
+        at: At,
+    ) -> Result<bool, DecodeError> {
+        with_frame(Some(from), |frame| {
+            frame.decode(&self.ir.messages[id as usize], r, from)?;
+            Ok(self.fire(ctx, frame, at))
+        })
     }
 }
 
 impl Core {
-    fn pool_nodes(&mut self, mut l: Vec<NodeId>) {
-        if self.node_pool.len() < NODE_POOL_MAX && l.capacity() > 0 {
-            l.clear();
-            self.node_pool.push(l);
-        }
-    }
-
     fn exec_block(
         &mut self,
         ir: &IrSpec,
@@ -480,7 +546,7 @@ impl Core {
         // Snapshot (into a pooled buffer) so the body may mutate the
         // list; the loop variable owns a dedicated slot, so no
         // save/restore.
-        let mut snapshot = self.node_pool.pop().unwrap_or_default();
+        let mut snapshot = frame.take_nodes();
         snapshot.extend_from_slice(&self.lists[list as usize]);
         let mut flow = Ok(Flow::Continue);
         for &n in &snapshot {
@@ -490,7 +556,7 @@ impl Core {
                 break;
             }
         }
-        self.pool_nodes(snapshot);
+        frame.pool_nodes(snapshot);
         flow
     }
 
@@ -563,10 +629,10 @@ impl Core {
                 self.vars.set_payload(*slot, v);
             }
             IrStmt::AssignList(slot, e) => {
-                let mut ns = self.node_pool.pop().unwrap_or_default();
+                let mut ns = frame.take_nodes();
                 ns.extend_from_slice(self.eval_list(frame, e));
                 let old = self.assign_list(ir, ctx, *slot, ns);
-                self.pool_nodes(old);
+                frame.pool_nodes(old);
             }
             IrStmt::AssignListTakeField(slot, at) => {
                 // The replaced list's buffer takes the field's place, for
@@ -1111,8 +1177,7 @@ impl SpecBody for InterpretedAgent {
     }
 
     fn fire_init(&mut self, ctx: &mut Ctx) {
-        self.frame.reset(None);
-        self.fire(ctx, At::Api(ApiKind::Init));
+        with_frame(None, |frame| self.fire(ctx, frame, At::Api(ApiKind::Init)));
     }
 
     fn fire_api(&mut self, ctx: &mut Ctx, call: DownCall) -> Option<DownCall> {
@@ -1130,31 +1195,31 @@ impl SpecBody for InterpretedAgent {
         if self.ir.tables.api[kind as usize].is_empty() {
             return Some(call);
         }
-        let f = &mut self.frame;
-        f.reset(None);
-        match call {
-            DownCall::Route { dest, payload, .. } => {
-                f.api_key = dest;
-                f.payload = Some(payload);
+        with_frame(None, |f| {
+            match call {
+                DownCall::Route { dest, payload, .. } => {
+                    f.api_key = dest;
+                    f.payload = Some(payload);
+                }
+                DownCall::RouteIp { dest, payload, .. } => {
+                    f.api_dest = Some(dest);
+                    f.payload = Some(payload);
+                }
+                DownCall::Multicast { group, payload, .. }
+                | DownCall::Anycast { group, payload, .. }
+                | DownCall::Collect { group, payload, .. } => {
+                    f.api_key = group;
+                    f.payload = Some(payload);
+                }
+                DownCall::CreateGroup { group }
+                | DownCall::Join { group }
+                | DownCall::Leave { group } => {
+                    f.api_key = group;
+                }
+                DownCall::Ext { .. } => {}
             }
-            DownCall::RouteIp { dest, payload, .. } => {
-                f.api_dest = Some(dest);
-                f.payload = Some(payload);
-            }
-            DownCall::Multicast { group, payload, .. }
-            | DownCall::Anycast { group, payload, .. }
-            | DownCall::Collect { group, payload, .. } => {
-                f.api_key = group;
-                f.payload = Some(payload);
-            }
-            DownCall::CreateGroup { group }
-            | DownCall::Join { group }
-            | DownCall::Leave { group } => {
-                f.api_key = group;
-            }
-            DownCall::Ext { .. } => {}
-        }
-        self.fire(ctx, At::Api(kind));
+            self.fire(ctx, f, At::Api(kind));
+        });
         None
     }
 
@@ -1165,8 +1230,7 @@ impl SpecBody for InterpretedAgent {
         from: NodeId,
         r: &mut WireRef<'_>,
     ) -> Result<(), DecodeError> {
-        self.decode(id, r, from)?;
-        self.fire(ctx, At::Recv(id));
+        self.decode_and_fire(ctx, id, from, r, At::Recv(id))?;
         Ok(())
     }
 
@@ -1182,18 +1246,15 @@ impl SpecBody for InterpretedAgent {
         if self.ir.tables.forward[id as usize].is_empty() {
             return Ok(false);
         }
-        self.decode(id, r, from)?;
-        Ok(self.fire(ctx, At::Forward(id)))
+        self.decode_and_fire(ctx, id, from, r, At::Forward(id))
     }
 
     fn fire_timer(&mut self, ctx: &mut Ctx, timer: u16) {
-        self.frame.reset(None);
-        self.fire(ctx, At::Timer(timer));
+        with_frame(None, |frame| self.fire(ctx, frame, At::Timer(timer)));
     }
 
     fn fire_error(&mut self, ctx: &mut Ctx, peer: NodeId) {
-        self.frame.reset(Some(peer));
-        self.fire(ctx, At::Error);
+        with_frame(Some(peer), |frame| self.fire(ctx, frame, At::Error));
     }
 }
 

@@ -986,4 +986,10 @@ impl Slots {
         self.words.clear();
         self.payloads.clear();
     }
+
+    /// Heap bytes of the storage, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+            + self.payloads.capacity() * std::mem::size_of::<Bytes>()
+    }
 }

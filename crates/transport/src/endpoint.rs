@@ -13,6 +13,8 @@ use crate::udp::{self, Reassembly};
 use bytes::Bytes;
 use macedon_net::{NodeId, Packet};
 use macedon_sim::{table_bytes, Duration, FxHashMap, Time};
+use std::cell::RefCell;
+use std::mem::size_of;
 use std::sync::Arc;
 
 pub use crate::segment::ChannelId;
@@ -114,7 +116,31 @@ impl TransportSink {
     }
 }
 
-/// Per-host transport state.
+thread_local! {
+    /// Connection-output buffers handed back drained, capacity kept: one
+    /// per endpoint operation this thread ever had running at once.
+    static OUTS: RefCell<Vec<ConnOut>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on an empty connection-output buffer borrowed from this
+/// thread's pool; `f` leaves it drained, and it goes back to the pool.
+fn with_conn_out<R>(f: impl FnOnce(&mut ConnOut) -> R) -> R {
+    let mut co = OUTS.with_borrow_mut(Vec::pop).unwrap_or_default();
+    let r = f(&mut co);
+    OUTS.with_borrow_mut(|outs| outs.push(co));
+    r
+}
+
+/// Heap bytes in this thread's pool of connection-output buffers.
+pub fn scratch_bytes() -> usize {
+    OUTS.with_borrow(|outs| {
+        outs.capacity() * size_of::<ConnOut>() + outs.iter().map(ConnOut::heap_bytes).sum::<usize>()
+    })
+}
+
+/// Per-host transport state. Its operations borrow their
+/// connection-output buffer from this thread's pool (see
+/// [`scratch_bytes`]), so an endpoint holds only connection state.
 pub struct Endpoint {
     node: NodeId,
     /// The world's channel table, shared by every endpoint.
@@ -131,10 +157,6 @@ pub struct Endpoint {
     reassembly: Reassembly,
     /// Id of the next datagram sent, to any peer on any channel.
     next_datagram: u64,
-    /// Reusable connection-output buffer (cleared between operations;
-    /// kept for its capacity so the per-segment hot path never
-    /// allocates).
-    scratch: ConnOut,
 }
 
 impl Endpoint {
@@ -150,7 +172,6 @@ impl Endpoint {
             conns: FxHashMap::default(),
             reassembly: Reassembly::default(),
             next_datagram: 0,
-            scratch: ConnOut::default(),
         }
     }
 
@@ -187,10 +208,10 @@ impl Endpoint {
             });
             return;
         };
-        let mut co = std::mem::take(&mut self.scratch);
-        self.conn(dst, ch, policy).send(now, msg, span, &mut co);
-        self.flush_conn_out(dst, ch, &mut co, out);
-        self.scratch = co;
+        with_conn_out(|co| {
+            self.conn(dst, ch, policy).send(now, msg, span, co);
+            self.flush_conn_out(dst, ch, co, out);
+        });
     }
 
     /// Handle a segment delivered by the network from `from`.
@@ -217,23 +238,23 @@ impl Endpoint {
             }
             return;
         };
-        let mut co = std::mem::take(&mut self.scratch);
-        match seg.kind {
-            SegKind::Data {
-                seq,
-                msg,
-                frag,
-                frags,
-                bytes,
-            } => {
-                let conn = self.conn(from, ch, policy);
-                conn.on_data(now, seq, msg, frag, frags, bytes, seg.span, &mut co);
+        with_conn_out(|co| {
+            match seg.kind {
+                SegKind::Data {
+                    seq,
+                    msg,
+                    frag,
+                    frags,
+                    bytes,
+                } => {
+                    let conn = self.conn(from, ch, policy);
+                    conn.on_data(now, seq, msg, frag, frags, bytes, seg.span, co);
+                }
+                SegKind::Ack { cum } => self.conn(from, ch, policy).on_ack(now, cum, co),
+                SegKind::Datagram { .. } => {}
             }
-            SegKind::Ack { cum } => self.conn(from, ch, policy).on_ack(now, cum, &mut co),
-            SegKind::Datagram { .. } => {}
-        }
-        self.flush_conn_out(from, ch, &mut co, out);
-        self.scratch = co;
+            self.flush_conn_out(from, ch, co, out);
+        });
     }
 
     /// Drop all transport state toward `peer` (sequence numbers,
@@ -251,15 +272,15 @@ impl Endpoint {
     /// [`TransportSink::timers`].
     pub fn on_timer(&mut self, now: Time, key: TimerKey, out: &mut TransportSink) {
         debug_assert_eq!(key.node, self.node);
-        let mut co = std::mem::take(&mut self.scratch);
-        if let Some(r) = self.conns.get_mut(&(key.peer, key.channel)) {
-            match key.kind {
-                TimerKind::Rto => r.on_rto(now, key.gen, &mut co),
-                TimerKind::DelayedAck => r.on_ack_timeout(&mut co),
+        with_conn_out(|co| {
+            if let Some(r) = self.conns.get_mut(&(key.peer, key.channel)) {
+                match key.kind {
+                    TimerKind::Rto => r.on_rto(now, key.gen, co),
+                    TimerKind::DelayedAck => r.on_ack_timeout(co),
+                }
+                self.flush_conn_out(key.peer, key.channel, co, out);
             }
-            self.flush_conn_out(key.peer, key.channel, &mut co, out);
-        }
-        self.scratch = co;
+        });
     }
 
     /// Aggregate reliable-connection stats across peers of one channel.
@@ -286,13 +307,12 @@ impl Endpoint {
     }
 
     /// Heap bytes held by reliable connections: the table, each boxed
-    /// connection, the buffers the busy ones hold, and the reusable
-    /// output buffer. Buffers idle connections gave back are the
-    /// thread's, not the endpoint's: see [`crate::reliable::pooled_bytes`].
+    /// connection and the buffers the busy ones hold. Buffers idle
+    /// connections gave back, and the output buffers operations borrow,
+    /// are the thread's, not the endpoint's: see
+    /// [`crate::reliable::pooled_bytes`] and [`scratch_bytes`].
     pub fn conn_bytes(&self) -> usize {
-        table_bytes(&self.conns)
-            + self.conns.values().map(|r| r.heap_bytes()).sum::<usize>()
-            + self.scratch.heap_bytes()
+        table_bytes(&self.conns) + self.conns.values().map(|r| r.heap_bytes()).sum::<usize>()
     }
 
     /// Reliable connections, idle or busy.

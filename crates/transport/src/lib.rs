@@ -40,7 +40,8 @@ pub mod segment;
 pub mod udp;
 
 pub use endpoint::{
-    ChannelId, ChannelSpec, Endpoint, TimerKey, TimerKind, TransportKind, TransportSink,
+    scratch_bytes, ChannelId, ChannelSpec, Endpoint, TimerKey, TimerKind, TransportKind,
+    TransportSink,
 };
 pub use reliable::pooled_bytes;
 pub use segment::{SegKind, Segment};

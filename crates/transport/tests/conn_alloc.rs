@@ -1,5 +1,6 @@
 //! Census guard for reliable connections: `Endpoint::conn_bytes` plus
-//! the thread's free list (`pooled_bytes`) is every heap byte an
+//! the thread's free list (`pooled_bytes`) and its pool of
+//! connection-output buffers (`scratch_bytes`) is every heap byte an
 //! endpoint's connections hold, as the allocator sees it; an idle
 //! connection costs its box and its table slot, nothing more; and a
 //! drained connection sends again without allocating.
@@ -12,7 +13,7 @@ use bytes::Bytes;
 use macedon_net::NodeId;
 use macedon_sim::{Duration, Time};
 use macedon_transport::{
-    pooled_bytes, ChannelId, ChannelSpec, Endpoint, TransportKind, TransportSink,
+    pooled_bytes, scratch_bytes, ChannelId, ChannelSpec, Endpoint, TransportKind, TransportSink,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,6 +68,12 @@ fn live() -> isize {
 
 fn requested() -> usize {
     REQUESTED.with(Cell::get)
+}
+
+/// This thread's pooled bytes: the connection-buffer free list and the
+/// connection-output buffers.
+fn thread_pools() -> usize {
+    pooled_bytes() + scratch_bytes()
 }
 
 /// A lowest layer's transports: reliable control, best-effort data.
@@ -126,7 +133,7 @@ fn exchange(
 /// each peer's endpoint living only for its exchange, and the census
 /// must match the allocator while each message is in flight and after
 /// each exchange. Returns node 0's endpoint, the warm sinks and the
-/// live bytes measured from (free list excluded).
+/// live bytes measured from (the thread's pools excluded).
 fn one_message_to_each_peer(table: &Arc<[ChannelSpec]>, msg: &Bytes) -> (Endpoint, Sinks, isize) {
     // Warm the sinks on a pair that is gone before the count starts.
     let mut sinks = Sinks::default();
@@ -135,10 +142,10 @@ fn one_message_to_each_peer(table: &Arc<[ChannelSpec]>, msg: &Bytes) -> (Endpoin
     exchange(&mut x, &mut y, 1, Time::ZERO, msg, &mut sinks, |_| ());
     drop((x, y));
 
-    let base = live() - pooled_bytes() as isize;
+    let base = live() - thread_pools() as isize;
     let census = |a: &Endpoint, peer: u32, when: &str| {
         assert_eq!(
-            (a.conn_bytes() + pooled_bytes()) as isize,
+            (a.conn_bytes() + thread_pools()) as isize,
             live() - base,
             "census {when} peer {peer}"
         );
@@ -169,7 +176,7 @@ fn conn_bytes_and_free_list_are_what_the_allocator_sees() {
     );
     drop(a);
     assert_eq!(
-        pooled_bytes() as isize,
+        thread_pools() as isize,
         live() - base,
         "the endpoint freed everything"
     );
