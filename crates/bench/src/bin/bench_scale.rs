@@ -32,15 +32,22 @@
 //!    ascending size (`--sizes` is sorted), so a point that outgrows the
 //!    churn run reads its own peak.
 //!
-//! All runs are seeded and deterministic.
+//! All runs are seeded and deterministic: the interpreted splitstream
+//! stack through `Backend::runner` under `WorldConfig::scripted_churn`,
+//! the churn run on a thin star and the curve on a fat one, each point
+//! read straight off its `ScenarioOutcome`.
 //!
 //! Usage: `cargo run --release -p macedon-bench --bin bench_scale`
 //! (`--sizes 1000,10000,100000` overrides the curve, `--out PATH` the
 //! output file).
 
-use macedon_bench::experiments::{scenario_churn_run, scenario_scale_run};
+use macedon_bench::experiments::{
+    fat_star, scenario_churn_script, scenario_scale_script, thin_star, Backend,
+};
 use macedon_core::json::{self, Fixed};
-use macedon_core::json_fields;
+use macedon_core::{json_fields, WorldConfig};
+use macedon_net::Topology;
+use macedon_scenario::ScenarioOutcome;
 use std::time::Instant;
 
 /// Seed-measured efficiency on the 200-node churn run, fixed at the
@@ -70,6 +77,15 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
+/// `script` on `topo`, every node running the interpreted splitstream
+/// stack, seeded 77.
+fn run(script: &str, topo: Topology) -> ScenarioOutcome {
+    let cfg = WorldConfig::scripted_churn(77);
+    Backend::Interpreted
+        .runner("splitstream", script, topo, cfg)
+        .run()
+}
+
 fn main() {
     let mut sizes: Vec<usize> = arg_value("--sizes")
         .map(|v| {
@@ -83,20 +99,21 @@ fn main() {
     let out = arg_value("--out").unwrap_or_else(|| "BENCH_scale.json".to_string());
 
     // -- efficiency: events per delivered packet on the churn run -----------
-    let stats = scenario_churn_run(200);
-    let epd = stats.events_per_delivered();
+    let churn = run(&scenario_churn_script(200), thin_star(200));
+    let (events, b) = (churn.world.events_fired(), churn.world.event_counts());
+    let delivered = churn.report.total_delivered;
+    drop(churn);
+    let epd = events as f64 / delivered as f64;
     let reduction = BASELINE_EVENTS_PER_DELIVERED / epd;
-    let b = &stats.breakdown;
     println!(
-        "efficiency: 200-node churn, {} events / {} delivered = {epd:.2} events/delivered \
-         ({reduction:.2}x vs seed {BASELINE_EVENTS_PER_DELIVERED})",
-        stats.events, stats.delivered
+        "efficiency: 200-node churn, {events} events / {delivered} delivered = {epd:.2} \
+         events/delivered ({reduction:.2}x vs seed {BASELINE_EVENTS_PER_DELIVERED})"
     );
     println!(
         "  breakdown: net {} | conn timers {} | agent timers {} | fd ticks {} | control {}",
         b.net, b.conn_timer, b.agent_timer, b.fd_tick, b.control
     );
-    assert!(stats.delivered > 0, "churn run must deliver real traffic");
+    assert!(delivered > 0, "churn run must deliver real traffic");
     assert!(
         reduction >= REQUIRED_REDUCTION,
         "events/delivered regressed: {epd:.2} needs >= {REQUIRED_REDUCTION}x \
@@ -107,20 +124,20 @@ fn main() {
     let mut curve = Vec::new();
     for &n in &sizes {
         let start = Instant::now();
-        let s = scenario_scale_run(n);
+        let s = run(&scenario_scale_script(n), fat_star(n));
         let secs = start.elapsed().as_secs_f64();
-        let eps = s.events as f64 / secs;
+        let (events, c) = (s.world.events_fired(), s.world.heap_census());
+        let (delivered, alive) = (s.report.total_delivered, s.report.alive);
+        drop(s);
+        let eps = events as f64 / secs;
         let peak = peak_rss_mb();
-        let (c, per_node) = (&s.census, |bytes: usize| bytes as f64 / n as f64);
+        let per_node = |bytes: usize| bytes as f64 / n as f64;
         // The share of the peak resident set the census accounts for.
         let coverage = peak.map(|mb| c.total() as f64 / (mb * 1024.0 * 1024.0));
         let or_dash = |v: Option<f64>, digits| v.map_or("-".into(), |v| format!("{v:.digits$}"));
         println!(
-            "scale: {n} nodes, {} events, {} delivered, {} alive, \
+            "scale: {n} nodes, {events} events, {delivered} delivered, {alive} alive, \
              {secs:.2} s wall, {eps:.0} events/sec, peak RSS {} MiB",
-            s.events,
-            s.delivered,
-            s.alive,
             or_dash(peak, 1)
         );
         println!(
@@ -139,14 +156,14 @@ fn main() {
             per_node(c.total()),
             or_dash(coverage, 3)
         );
-        assert!(s.delivered > 0, "{n}-node scale run must deliver traffic");
+        assert!(delivered > 0, "{n}-node scale run must deliver traffic");
         if let (10_000, Some(mb)) = (n, peak) {
             assert!(
                 mb < CEILING_10K_RSS_MB,
                 "10k-node run peaked at {mb:.1} MiB, ceiling is {CEILING_10K_RSS_MB} MiB"
             );
         }
-        curve.push((n, s, secs, eps, peak, coverage));
+        curve.push((n, (events, delivered, alive, c), secs, eps, peak, coverage));
     }
     // The dip tracker: events/sec at 100k over events/sec at 10k. Flat
     // scheduler cost keeps this near 1.0; the pre-dense-state engine
@@ -164,7 +181,7 @@ fn main() {
     json::document(&mut json, json::DOCUMENT, |o| {
         o.field("bench", "scale");
         o.object("efficiency", |o| {
-            json_fields!(o; nodes: 200, events: stats.events, delivered: stats.delivered,
+            json_fields!(o; nodes: 200, events: events, delivered: delivered,
                 events_per_delivered: Fixed(epd, 2),
                 baseline_events_per_delivered: Fixed(BASELINE_EVENTS_PER_DELIVERED, 2),
                 reduction: Fixed(reduction, 2));
@@ -174,8 +191,8 @@ fn main() {
             });
         });
         o.records("curve", &curve, |o, (n, s, secs, eps, peak, coverage)| {
-            let (c, per_node) = (&s.census, |bytes: usize| bytes as f64 / *n as f64);
-            json_fields!(o; nodes: n, events: s.events, delivered: s.delivered, alive: s.alive,
+            let ((events, delivered, alive, c), per_node) = (s, |b: usize| b as f64 / *n as f64);
+            json_fields!(o; nodes: n, events: events, delivered: delivered, alive: alive,
                 wall_secs: Fixed(*secs, 2), events_per_sec: Fixed(*eps, 0),
                 peak_rss_mb: peak.map(|mb| Fixed(mb, 1)), coverage: coverage.map(|c| Fixed(c, 3)),
                 conns_per_node: Fixed(per_node(c.conns), 2),

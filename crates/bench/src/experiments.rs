@@ -8,9 +8,11 @@
 //! membership, streams), a stack factory, and a reducer over the run's
 //! [`ScenarioOutcome`] or a probe's samples
 //! ([`ScenarioRunner::sample_every`]). Every run goes through
-//! [`scenario_runner`], as do the `bench_scale` runs, and [`figures`]
-//! runs every figure's independent runs as cells of one worker pool
-//! ([`macedon_scenario::pool`], the pool sweeps run on).
+//! [`scenario_runner`]: a bundled protocol's through
+//! [`Backend::runner`], as do the `bench_scale` runs and the `churn`
+//! example, and a registry the caller built through [`spec_runner`].
+//! [`figures`] runs every figure's independent runs as cells of one
+//! worker pool ([`macedon_scenario::pool`], the pool sweeps run on).
 
 use crate::freepastry::{RmiModel, RmiQueue};
 use crate::lsd::{chord_registry, LSD};
@@ -52,7 +54,8 @@ pub fn scenario_runner<'a>(
 
 /// [`scenario_runner`] running `proto`'s interpreted stack from
 /// `registry`, in a world built from `cfg` with the stack's channel
-/// table.
+/// table. For a registry the caller built; a bundled protocol runs
+/// through [`Backend::runner`].
 pub fn spec_runner<'a>(
     script: &str,
     topo: Topology,
@@ -118,10 +121,51 @@ impl Backend {
         let (hosts, sink) = w.spawn_each(stagger, |bootstrap| self.build_stack(proto, bootstrap));
         (w, hosts, sink)
     }
+
+    /// `script` run through [`scenario_runner`] with `proto` on this
+    /// back end on every node, in a world built from `cfg` with the
+    /// stack's channel table.
+    pub fn runner<'a>(
+        self,
+        proto: &'a str,
+        script: &str,
+        topo: Topology,
+        cfg: WorldConfig,
+    ) -> ScenarioRunner<'a> {
+        let cfg = WorldConfig {
+            channels: self.channel_table(proto),
+            ..cfg
+        };
+        scenario_runner(script, topo, cfg, move |bootstrap| {
+            self.build_stack(proto, bootstrap)
+        })
+    }
 }
 
-/// The bundled roster, compiled once per process.
-fn bundled() -> &'static SpecRegistry {
+/// A star of paper-era constrained access links (2 ms, 2 Mbps, 64 KiB
+/// queues): fig12's topology, and the churn runs'.
+pub fn thin_star(nodes: usize) -> Topology {
+    canned::star(
+        nodes,
+        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
+    )
+}
+
+/// A star of fat access links (2 ms, 100 Mbps, 1 MiB queues): the
+/// scale curve's topology. At 10k+ nodes a [`thin_star`]'s hub would
+/// collapse under the join storm and the overlay would never converge;
+/// the curve measures the scheduler under population growth, not hub
+/// congestion.
+pub fn fat_star(nodes: usize) -> Topology {
+    canned::star(
+        nodes,
+        LinkSpec::new(Duration::from_millis(2), 100_000_000, 1024 * 1024),
+    )
+}
+
+/// The bundled roster, compiled once per process: what
+/// [`Backend::Interpreted`] runs.
+pub fn bundled() -> &'static SpecRegistry {
     static BUNDLED: OnceLock<SpecRegistry> = OnceLock::new();
     BUNDLED.get_or_init(SpecRegistry::bundled)
 }
@@ -477,17 +521,6 @@ pub struct Fig12Series {
     pub from_spec: Vec<(f64, f64)>,
 }
 
-/// Figure 12's star: paper-era constrained access links (2 ms, 2 Mbps,
-/// 64 KiB queues). The stream plus forwarding load runs close to
-/// capacity, so the extra bandwidth consumed re-establishing evicted
-/// cache entries costs real goodput.
-pub fn fig12_topology(nodes: usize) -> Topology {
-    canned::star(
-        nodes,
-        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-    )
-}
-
 /// Figure 12's native stack: SplitStream over Scribe's location cache
 /// (at most 8 children) over Pastry, whose cache entries live
 /// `cache_lifetime`.
@@ -508,11 +541,14 @@ pub fn fig12_stack(
     }
 }
 
-/// Figure 12's native run: [`fig12_stack`] on [`fig12_topology`],
-/// nodes joining 100 ms apart. Node 0 creates the group at 5 s and
-/// streams 1000-byte packets at 600 kbit/s after convergence; "all other
-/// nodes join the multicast session as receivers", from 6 s, 100 ms
-/// apart. Returns the per-5 s goodput series.
+/// Figure 12's native run: [`fig12_stack`] on a [`thin_star`], nodes
+/// joining 100 ms apart. The stream plus forwarding load runs close to
+/// the links' capacity, so the extra bandwidth consumed re-establishing
+/// evicted cache entries costs real goodput. Node 0 creates the group
+/// at 5 s and streams 1000-byte packets at 600 kbit/s after
+/// convergence; "all other nodes join the multicast session as
+/// receivers", from 6 s, 100 ms apart. Returns the per-5 s goodput
+/// series.
 fn fig12_run(scale: Scale, cache_lifetime: Option<Duration>) -> Vec<(f64, f64)> {
     let (nodes, converge_s, stream_s) = match scale {
         Scale::Quick => (32usize, 60u64, 90u64),
@@ -528,10 +564,9 @@ fn fig12_run(scale: Scale, cache_lifetime: Option<Duration>) -> Vec<(f64, f64)> 
         stagger = nodes * 100,
         subscribe = (nodes - 1) * 100,
     );
-    let topo = fig12_topology(nodes);
     let outcome = scenario_runner(
         &script,
-        topo,
+        thin_star(nodes),
         WorldConfig::seeded(12),
         fig12_stack(cache_lifetime),
     )
@@ -601,7 +636,6 @@ fn fig12_from_spec_scale(scale: Scale) -> (usize, u64, u64) {
 /// series.
 fn fig12_from_spec(scale: Scale) -> Vec<(f64, f64)> {
     let (nodes, converge_s, stream_s) = fig12_from_spec_scale(scale);
-    let registry = bundled();
     let script = format!(
         "scenario fig12-from-spec\nnodes {nodes}\nend {end}s\n\
          at 0s join 0..{nodes} over {stagger}ms\n\
@@ -610,12 +644,14 @@ fn fig12_from_spec(scale: Scale) -> Vec<(f64, f64)> {
         stagger = nodes * 100,
     );
     let cfg = WorldConfig {
-        trace_level: registry
+        trace_level: bundled()
             .trace_level_for("splitstream")
             .expect("bundled spec registered"),
         ..WorldConfig::seeded(12)
     };
-    let outcome = spec_runner(&script, fig12_topology(nodes), cfg, registry, "splitstream").run();
+    let outcome = Backend::Interpreted
+        .runner("splitstream", &script, thin_star(nodes), cfg)
+        .run();
     goodput_series(&outcome, converge_s, stream_s)
 }
 
@@ -756,7 +792,7 @@ pub fn figures(scale: Scale, workers: Option<usize>) -> Figures {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario harness (bin/bench_scale)
+// Scenario scripts (bin/bench_scale)
 // ---------------------------------------------------------------------------
 
 /// The benchmark churn script: staggered joins, one multicast stream,
@@ -780,47 +816,6 @@ pub fn scenario_churn_script(nodes: usize) -> String {
     )
 }
 
-/// Engine-level counters from one scenario run: what the run delivered
-/// and what the scheduler had to do to deliver it, so benchmarks can
-/// report per-event and per-packet cost rather than wall time alone.
-pub struct ChurnRunStats {
-    /// Application-level deliveries observed across all nodes.
-    pub delivered: usize,
-    /// Nodes alive at scenario end.
-    pub alive: usize,
-    /// Total scheduler events fired over the run (packet motion and
-    /// timers combined).
-    pub events: u64,
-    /// The same total broken down by event class.
-    pub breakdown: macedon_core::EventClassCounts,
-    /// Heap bytes at the end of the run, by owner.
-    pub census: macedon_core::HeapCensus,
-}
-
-impl ChurnRunStats {
-    /// Scheduler events fired per delivered application packet — the
-    /// headline efficiency number of the event-machinery rework.
-    pub fn events_per_delivered(&self) -> f64 {
-        if self.delivered == 0 {
-            f64::INFINITY
-        } else {
-            self.events as f64 / self.delivered as f64
-        }
-    }
-}
-
-/// One seeded churn-scenario run over the from-spec splitstream stack.
-/// Returns delivered/alive/events-fired so callers can sanity-check
-/// real work happened and report per-event cost; wall-clock is the
-/// caller's to measure.
-pub fn scenario_churn_run(nodes: usize) -> ChurnRunStats {
-    run_scenario_script_on(
-        &scenario_churn_script(nodes),
-        nodes,
-        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-    )
-}
-
 /// The `bench_scale` scenario: staggered joins of every node, a
 /// fixed-total-rate *random-route* stream, and a small crash wave with
 /// rejoin. Unlike [`scenario_churn_script`]'s multicast stream — whose
@@ -841,37 +836,6 @@ pub fn scenario_scale_script(nodes: usize) -> String {
         c1 = nodes / 3,
         c2 = nodes / 2,
     )
-}
-
-/// One seeded scale-scenario run (see [`scenario_scale_script`]).
-///
-/// Unlike the churn run, the links are fat (100 Mbps, 1 MiB queues):
-/// at 10k+ nodes the star hub would otherwise collapse under the join
-/// storm and the overlay would never converge. The curve is meant to
-/// measure the *scheduler* under population growth, not hub congestion.
-pub fn scenario_scale_run(nodes: usize) -> ChurnRunStats {
-    run_scenario_script_on(
-        &scenario_scale_script(nodes),
-        nodes,
-        LinkSpec::new(Duration::from_millis(2), 100_000_000, 1024 * 1024),
-    )
-}
-
-fn run_scenario_script_on(script: &str, nodes: usize, link: LinkSpec) -> ChurnRunStats {
-    let cfg = WorldConfig {
-        fd_g: Duration::from_secs(2),
-        fd_f: Duration::from_secs(6),
-        ..WorldConfig::seeded(77)
-    };
-    let topo = canned::star(nodes, link);
-    let outcome = spec_runner(script, topo, cfg, bundled(), "splitstream").run();
-    ChurnRunStats {
-        delivered: outcome.report.total_delivered as usize,
-        alive: outcome.report.alive,
-        events: outcome.world.events_fired(),
-        breakdown: outcome.world.event_counts(),
-        census: outcome.world.heap_census(),
-    }
 }
 
 // ---------------------------------------------------------------------------

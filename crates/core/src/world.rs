@@ -80,6 +80,17 @@ impl WorldConfig {
             ..Default::default()
         }
     }
+
+    /// [`WorldConfig::seeded`] with the fast failure detector every
+    /// scripted churn run uses (`g` 2 s, `f` 6 s), so a crash's
+    /// aftermath falls inside the scenario's perturbation windows.
+    pub fn scripted_churn(seed: u64) -> WorldConfig {
+        WorldConfig {
+            fd_g: Duration::from_secs(2),
+            fd_f: Duration::from_secs(6),
+            ..WorldConfig::seeded(seed)
+        }
+    }
 }
 
 impl Default for WorldConfig {

@@ -159,14 +159,31 @@ thread_local! {
 }
 
 /// Run `f` on a frame from this thread's pool, readied for an event from
-/// `from`, and hand the frame back drained.
+/// `from`, and hand the frame back drained (debug builds check each
+/// frame a dispatch takes: a leftover binding would leak into another
+/// agent's event).
 fn with_frame<R>(from: Option<NodeId>, f: impl FnOnce(&mut Frame) -> R) -> R {
     let mut frame = FRAMES.with_borrow_mut(Vec::pop).unwrap_or_default();
+    debug_assert!(frame.is_drained(), "a frame comes back drained");
     frame.reset(from);
     let r = f(&mut frame);
     frame.drain();
     FRAMES.with_borrow_mut(|frames| frames.push(frame));
     r
+}
+
+/// Hand this thread's frame pool a frame whose drain left `quash` set,
+/// then take it for an event: the leftover the pool's debug-build check
+/// must catch, so this panics in a debug build.
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn give_back_quashed_frame() {
+    let frame = Box::new(Frame {
+        quash: true,
+        ..Frame::default()
+    });
+    FRAMES.with_borrow_mut(|frames| frames.push(frame));
+    with_frame(None, |_| ());
 }
 
 /// Heap bytes in this thread's pool of frames.
@@ -205,6 +222,27 @@ impl Frame {
         for l in &mut self.lists {
             l.clear();
         }
+    }
+
+    /// Every binding empty, as [`Frame::drain`] leaves it.
+    fn is_drained(&self) -> bool {
+        let Frame {
+            fields,
+            lists,
+            from,
+            payload,
+            api_key,
+            api_dest,
+            quash,
+            nodes,
+        } = self;
+        *fields == Slots::default()
+            && lists.iter().chain(nodes).all(Vec::is_empty)
+            && from.is_none()
+            && payload.is_none()
+            && *api_key == MacedonKey::default()
+            && api_dest.is_none()
+            && !quash
     }
 
     /// An empty node-list buffer.

@@ -18,13 +18,8 @@ fn runner_for<'a>(
 ) -> ScenarioRunner<'a> {
     let topo = canned::star(nodes, LinkSpec::lan());
     let cfg = WorldConfig {
-        seed,
         channels: reg.channel_table_for("overcast").unwrap(),
-        // Fast failure detection so crash aftermath falls inside the
-        // scenario's perturbation windows.
-        fd_g: Duration::from_secs(2),
-        fd_f: Duration::from_secs(6),
-        ..Default::default()
+        ..WorldConfig::scripted_churn(seed)
     };
     ScenarioRunner::new(
         scenario,

@@ -214,11 +214,8 @@ fn real_stack_sweep_runs() {
         let reg = SpecRegistry::bundled();
         let topo = canned::star(cell.nodes, LinkSpec::lan());
         let cfg = WorldConfig {
-            seed: cell.derived_seed,
             channels: reg.channel_table_for("overcast").unwrap(),
-            fd_g: Duration::from_secs(2),
-            fd_f: Duration::from_secs(6),
-            ..Default::default()
+            ..WorldConfig::scripted_churn(cell.derived_seed)
         };
         ScenarioRunner::new(
             cell.scenario.clone(),

@@ -123,10 +123,16 @@ thread_local! {
 }
 
 /// Run `f` on an empty connection-output buffer borrowed from this
-/// thread's pool; `f` leaves it drained, and it goes back to the pool.
-fn with_conn_out<R>(f: impl FnOnce(&mut ConnOut) -> R) -> R {
+/// thread's pool; `f` must leave it drained (debug builds check: a flag
+/// left set would re-arm or cancel a timer of the next connection to
+/// borrow the buffer), and it goes back to the pool.
+pub fn with_conn_out<R>(f: impl FnOnce(&mut ConnOut) -> R) -> R {
     let mut co = OUTS.with_borrow_mut(Vec::pop).unwrap_or_default();
     let r = f(&mut co);
+    debug_assert!(
+        co.is_drained(),
+        "a connection-output buffer comes back drained"
+    );
     OUTS.with_borrow_mut(|outs| outs.push(co));
     r
 }

@@ -178,6 +178,26 @@ pub struct ConnOut {
 }
 
 impl ConnOut {
+    /// Nothing left for the endpoint to act on.
+    pub(crate) fn is_drained(&self) -> bool {
+        let ConnOut {
+            tx,
+            delivered,
+            arm_timer,
+            cancel_rto,
+            arm_ack_timer,
+            cancel_ack_timer,
+            ack_rtt,
+        } = self;
+        tx.is_empty()
+            && delivered.is_empty()
+            && arm_timer.is_none()
+            && !cancel_rto
+            && arm_ack_timer.is_none()
+            && !cancel_ack_timer
+            && ack_rtt.is_none()
+    }
+
     /// Capacity of the output buffers.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.tx.capacity() * size_of::<Segment>()

@@ -28,9 +28,9 @@
 //!     --json sweep.json --csv sweep.csv
 //! ```
 
-use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
-use macedon::scenario::{script, ScenarioRunner};
+use macedon::scenario::script;
+use macedon_bench::experiments::{bundled, thin_star, Backend};
 
 const SCRIPT: &str = "
 scenario fifty-node-churn
@@ -103,32 +103,18 @@ fn run_single(argv: &[String]) {
         scenario.end.as_secs_f64()
     );
 
-    let reg = SpecRegistry::bundled();
-    let topo = macedon::net::topology::canned::star(
-        scenario.nodes,
-        macedon::net::topology::LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-    );
     // Every stack runs at the level `splitstream.mac`'s `trace_` header
     // declares; an explicit `--trace-out` raises it to High so the
     // exported timeline carries the full causal span forest.
     let cfg = WorldConfig {
-        seed: 50,
-        channels: reg.channel_table_for("splitstream").unwrap(),
         trace_level: match &trace_out {
             Some(_) => TraceLevel::High,
-            None => reg.trace_level_for("splitstream").unwrap(),
+            None => bundled().trace_level_for("splitstream").unwrap(),
         },
-        fd_g: Duration::from_secs(2),
-        fd_f: Duration::from_secs(6),
-        ..Default::default()
+        ..WorldConfig::scripted_churn(50)
     };
-    let mut runner = ScenarioRunner::new(
-        scenario,
-        topo,
-        cfg,
-        Box::new(|_idx, _host, bootstrap| reg.build_stack("splitstream", bootstrap).unwrap()),
-    )
-    .expect("runner binds");
+    let topo = thin_star(scenario.nodes);
+    let mut runner = Backend::Interpreted.runner("splitstream", SCRIPT, topo, cfg);
     if let Some(ms) = sample_every_ms {
         runner.enable_telemetry(Duration::from_millis(ms));
     }
@@ -200,27 +186,11 @@ fn run_sweep_cmd(argv: &[String]) {
 
     let start = std::time::Instant::now();
     let report = run_sweep(&spec, |cell| {
-        let reg = SpecRegistry::bundled();
-        let topo = macedon::net::topology::canned::star(
-            cell.nodes,
-            macedon::net::topology::LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-        );
-        let cfg = WorldConfig {
-            seed: cell.derived_seed,
-            channels: reg.channel_table_for("splitstream").unwrap(),
-            fd_g: Duration::from_secs(2),
-            fd_f: Duration::from_secs(6),
-            ..Default::default()
-        };
-        ScenarioRunner::new(
-            cell.scenario.clone(),
-            topo,
-            cfg,
-            Box::new(|_idx, _host, bootstrap| reg.build_stack("splitstream", bootstrap).unwrap()),
-        )
-        .expect("cell binds")
-        .run()
-        .report
+        let cfg = WorldConfig::scripted_churn(cell.derived_seed);
+        Backend::Interpreted
+            .runner("splitstream", &cell.script, thin_star(cell.nodes), cfg)
+            .run()
+            .report
     })
     .expect("sweep runs");
     println!("ran in {:.2}s wall", start.elapsed().as_secs_f64());

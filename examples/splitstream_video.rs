@@ -9,9 +9,7 @@
 //! ```
 
 use macedon::prelude::*;
-use macedon_bench::experiments::{
-    fig12_stack, fig12_topology, goodput_series, mean, scenario_runner,
-};
+use macedon_bench::experiments::{fig12_stack, goodput_series, mean, scenario_runner, thin_star};
 
 const SCRIPT: &str = "scenario video\nnodes 20\nend 110s\n\
                       at 0s join 0..20 over 2s\n\
@@ -23,7 +21,7 @@ const SCRIPT: &str = "scenario video\nnodes 20\nend 110s\n\
 fn run(cache_lifetime: Option<Duration>) -> f64 {
     let outcome = scenario_runner(
         SCRIPT,
-        fig12_topology(20),
+        thin_star(20),
         WorldConfig::seeded(12),
         fig12_stack(cache_lifetime),
     )

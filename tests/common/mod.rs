@@ -1,5 +1,6 @@
 //! Helpers shared by the workspace integration tests: a star LAN, a
-//! reader of the agents' state, payloads, and the golden-file check.
+//! reader of the agents' state, payloads, the multicast schedule, and
+//! the golden-file check.
 //! Worlds come from `World::spawn_each`, `SpecRegistry::world` and
 //! `macedon_bench::experiments::Backend::world`.
 #![allow(dead_code)]
@@ -34,6 +35,40 @@ pub(crate) fn stamped(seq: u64, len: usize) -> Bytes {
     let mut p = vec![0u8; len.max(8)];
     p[..8].copy_from_slice(&seq.to_be_bytes());
     Bytes::from(p)
+}
+
+/// The multicast schedule the suites share: at 40 s every host but
+/// `hosts[0]` joins `group` (unless `join` is off, for an overlay that
+/// builds its tree by itself), then from 80 s `hosts[1]` multicasts
+/// `n_pkts` 128-byte packets [`stamped`] 0, 1, … 200 ms apart; the world
+/// runs to `end_s`.
+pub(crate) fn drive_multicast(
+    w: &mut World,
+    hosts: &[NodeId],
+    group: MacedonKey,
+    join: bool,
+    n_pkts: u64,
+    end_s: u64,
+) {
+    w.run_until(Time::from_secs(40));
+    if join {
+        for &h in &hosts[1..] {
+            w.api_at(Time::from_secs(40), h, DownCall::Join { group });
+        }
+    }
+    w.run_until(Time::from_secs(80));
+    for i in 0..n_pkts {
+        w.api_at(
+            Time::from_secs(80) + Duration::from_millis(i * 200),
+            hosts[1],
+            DownCall::Multicast {
+                group,
+                payload: stamped(i, 128),
+                priority: -1,
+            },
+        );
+    }
+    w.run_until(Time::from_secs(end_s));
 }
 
 /// Nodes that delivered packet `seq`.

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::star;
+use common::{drive_multicast, star};
 use macedon::lang::interp::InterpretedAgent;
 use macedon::lang::SpecRegistry;
 use macedon::prelude::*;
@@ -29,33 +29,6 @@ fn log_of(sink: &macedon::core::app::SharedDeliveries) -> Log {
         .iter()
         .map(|r| (r.at, r.node, r.src.0, r.from, r.bytes, r.seqno))
         .collect()
-}
-
-/// Stream `n_pkts` multicast packets from `hosts[1]` after a join+settle
-/// phase (the schedule the layered integration suite uses).
-fn drive_multicast(w: &mut World, hosts: &[NodeId], n_pkts: u64, join: bool) {
-    let group = MacedonKey::of_name("xval");
-    w.run_until(Time::from_secs(40));
-    if join {
-        for &h in &hosts[1..] {
-            w.api_at(Time::from_secs(40), h, DownCall::Join { group });
-        }
-    }
-    w.run_until(Time::from_secs(80));
-    for i in 0..n_pkts {
-        let mut p = vec![0u8; 128];
-        p[..8].copy_from_slice(&i.to_be_bytes());
-        w.api_at(
-            Time::from_secs(80) + Duration::from_millis(i * 200),
-            hosts[1],
-            DownCall::Multicast {
-                group,
-                payload: Bytes::from(p),
-                priority: -1,
-            },
-        );
-    }
-    w.run_until(Time::from_secs(120));
 }
 
 /// Issue `n_pkts` key-routed packets from rotating origins after a
@@ -118,8 +91,9 @@ fn assert_state_eq(iw: &World, gw: &World) {
 
 #[test]
 fn generated_overcast_matches_interpreted_exactly() {
-    let ((iw, ilog), (gw, glog)) =
-        run_twins("overcast", 10, 11, |w, h| drive_multicast(w, h, 5, false));
+    let ((iw, ilog), (gw, glog)) = run_twins("overcast", 10, 11, |w, h| {
+        drive_multicast(w, h, MacedonKey::of_name("xval"), false, 5, 120)
+    });
     assert!(!ilog.is_empty(), "interpreted overcast delivered packets");
     assert_eq!(ilog, glog, "delivery logs diverged (overcast)");
     assert_state_eq(&iw, &gw);
@@ -127,8 +101,9 @@ fn generated_overcast_matches_interpreted_exactly() {
 
 #[test]
 fn generated_randtree_matches_interpreted_exactly() {
-    let ((iw, ilog), (gw, glog)) =
-        run_twins("randtree", 10, 12, |w, h| drive_multicast(w, h, 5, false));
+    let ((iw, ilog), (gw, glog)) = run_twins("randtree", 10, 12, |w, h| {
+        drive_multicast(w, h, MacedonKey::of_name("xval"), false, 5, 120)
+    });
     assert!(!ilog.is_empty(), "interpreted randtree delivered packets");
     assert_eq!(ilog, glog, "delivery logs diverged (randtree)");
     assert_state_eq(&iw, &gw);
@@ -164,8 +139,9 @@ fn generated_splitstream_stack_matches_interpreted_exactly() {
     // The acceptance scenario: splitstream → scribe → pastry, all three
     // layers generated, versus the same stack interpreted — identical
     // seeded runs must produce identical delivery logs.
-    let ((iw, ilog), (gw, glog)) =
-        run_twins("splitstream", 12, 13, |w, h| drive_multicast(w, h, 5, true));
+    let ((iw, ilog), (gw, glog)) = run_twins("splitstream", 12, 13, |w, h| {
+        drive_multicast(w, h, MacedonKey::of_name("xval"), true, 5, 120)
+    });
     assert!(
         !ilog.is_empty(),
         "interpreted splitstream stack delivered packets"
@@ -176,8 +152,9 @@ fn generated_splitstream_stack_matches_interpreted_exactly() {
 
 #[test]
 fn generated_scribe_stack_matches_interpreted_exactly() {
-    let ((iw, ilog), (gw, glog)) =
-        run_twins("scribe", 12, 14, |w, h| drive_multicast(w, h, 5, true));
+    let ((iw, ilog), (gw, glog)) = run_twins("scribe", 12, 14, |w, h| {
+        drive_multicast(w, h, MacedonKey::of_name("xval"), true, 5, 120)
+    });
     assert!(
         !ilog.is_empty(),
         "interpreted scribe stack delivered packets"
@@ -194,8 +171,9 @@ fn every_roster_spec_ends_in_equal_state_on_every_layer() {
     // `mdata` to its peers with no duplicate check, so one packet
     // multiplies without end.
     for proto in gen::PROTOCOLS {
-        let ((iw, ilog), (gw, glog)) =
-            run_twins(proto, 8, 22, |w, h| drive_multicast(w, h, 0, true));
+        let ((iw, ilog), (gw, glog)) = run_twins(proto, 8, 22, |w, h| {
+            drive_multicast(w, h, MacedonKey::of_name("xval"), true, 0, 120)
+        });
         assert_eq!(ilog, glog, "delivery logs diverged ({proto})");
         assert_state_eq(&iw, &gw);
     }
@@ -232,7 +210,7 @@ fn generated_pastry_interoperates_under_interpreted_scribe() {
                 Box::new(InterpretedAgent::new(scribe_spec.clone(), bootstrap)),
             ]
         });
-        drive_multicast(&mut w, &hosts, 5, true);
+        drive_multicast(&mut w, &hosts, MacedonKey::of_name("xval"), true, 5, 120);
         logs.push(log_of(&sink));
     }
     assert!(!logs[0].is_empty(), "baseline stack delivered packets");

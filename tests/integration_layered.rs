@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{assert_matches_golden, star, view};
+use common::{assert_matches_golden, drive_multicast, star, view};
 use macedon::lang::interp::InterpretedAgent;
 use macedon::lang::SpecRegistry;
 use macedon::overlays::pastry::{Pastry, PastryConfig};
@@ -19,30 +19,6 @@ use std::collections::HashSet;
 
 /// Joins start this far apart.
 const STAGGER: Duration = Duration::from_millis(100);
-
-/// Join everyone at t=40s, stream `n_pkts` from `hosts[1]` from t=80s,
-/// run to t=120s — the same schedule the native multicast suite uses.
-fn drive_multicast(w: &mut World, hosts: &[NodeId], group: MacedonKey, n_pkts: u64) {
-    w.run_until(Time::from_secs(40));
-    for &h in &hosts[1..] {
-        w.api_at(Time::from_secs(40), h, DownCall::Join { group });
-    }
-    w.run_until(Time::from_secs(80));
-    for i in 0..n_pkts {
-        let mut p = vec![0u8; 128];
-        p[..8].copy_from_slice(&i.to_be_bytes());
-        w.api_at(
-            Time::from_secs(80) + Duration::from_millis(i * 200),
-            hosts[1],
-            DownCall::Multicast {
-                group,
-                payload: Bytes::from(p),
-                priority: -1,
-            },
-        );
-    }
-    w.run_until(Time::from_secs(120));
-}
 
 /// Per-packet sets of member nodes that delivered it.
 fn coverage(sink: &macedon::core::app::SharedDeliveries, n_pkts: u64) -> Vec<HashSet<NodeId>> {
@@ -91,7 +67,7 @@ fn native_world(
 fn interpreted_scribe_on_pastry_stack_multicasts() {
     let (mut w, hosts, sink) = interpreted_world("scribe", 12, 7);
     let group = MacedonKey::of_name("lg1");
-    drive_multicast(&mut w, &hosts, group, 5);
+    drive_multicast(&mut w, &hosts, group, true, 5, 120);
     let cov = coverage(&sink, 5);
     for (i, got) in cov.iter().enumerate() {
         assert!(
@@ -114,11 +90,11 @@ fn interpreted_splitstream_stack_cross_validates_against_native() {
     let group = MacedonKey::of_name("lg2");
 
     let (mut iw, ihosts, isink) = interpreted_world("splitstream", n, 8);
-    drive_multicast(&mut iw, &ihosts, group, n_pkts);
+    drive_multicast(&mut iw, &ihosts, group, true, n_pkts, 120);
     let interp_cov = coverage(&isink, n_pkts);
 
     let (mut nw, nhosts, nsink) = native_world(3, n, 8);
-    drive_multicast(&mut nw, &nhosts, group, n_pkts);
+    drive_multicast(&mut nw, &nhosts, group, true, n_pkts, 120);
     let native_cov = coverage(&nsink, n_pkts);
 
     for i in 0..n_pkts as usize {
@@ -165,7 +141,7 @@ fn mixed_stack_native_pastry_under_interpreted_scribe() {
         ]
     });
     let group = MacedonKey::of_name("lg3");
-    drive_multicast(&mut w, &hosts, group, 3);
+    drive_multicast(&mut w, &hosts, group, true, 3, 120);
     let cov = coverage(&sink, 3);
     for (i, got) in cov.iter().enumerate() {
         assert!(
@@ -252,7 +228,7 @@ fn golden_single_layer(proto: &str, seed: u64) {
 fn golden_layered(proto: &str, seed: u64) {
     let (mut w, hosts, sink) = interpreted_world(proto, 12, seed);
     let group = MacedonKey::of_name("golden");
-    drive_multicast(&mut w, &hosts, group, 5);
+    drive_multicast(&mut w, &hosts, group, true, 5, 120);
     let rendered = render_run(&w, &hosts, &sink);
     assert!(
         rendered.lines().any(|l| l.starts_with('d')),

@@ -17,7 +17,7 @@ mod common;
 use common::{assert_matches_golden, star};
 use macedon::prelude::*;
 use macedon::scenario::script;
-use macedon_bench::experiments::{scenario_runner, Backend};
+use macedon_bench::experiments::Backend;
 
 /// Run `scenario_src` with an all-interpreted or all-generated `proto`
 /// stack on every node, and the oracles `oracles(group)` builds for the
@@ -30,16 +30,8 @@ fn run(
     oracles: impl FnOnce(MacedonKey) -> Vec<Box<dyn ConvergenceOracle>>,
 ) -> ScenarioOutcome {
     let topo = star(script::parse(scenario_src).expect("scenario parses").nodes);
-    let cfg = WorldConfig {
-        seed,
-        channels: backend.channel_table(proto),
-        fd_g: Duration::from_secs(2),
-        fd_f: Duration::from_secs(6),
-        ..Default::default()
-    };
-    let mut runner = scenario_runner(scenario_src, topo, cfg, move |bootstrap| {
-        backend.build_stack(proto, bootstrap)
-    });
+    let cfg = WorldConfig::scripted_churn(seed);
+    let mut runner = backend.runner(proto, scenario_src, topo, cfg);
     for oracle in oracles(runner.group()) {
         runner.register_oracle(oracle);
     }

@@ -9,24 +9,14 @@ mod common;
 use common::{assert_matches_golden, star};
 use macedon::prelude::*;
 use macedon::scenario::script;
-use macedon_bench::experiments::{scenario_runner, Backend};
+use macedon_bench::experiments::Backend;
 
 /// Run `scenario_src` with an all-interpreted or all-generated overcast
-/// stack on every node (fast failure detection so churn aftermath fits
-/// the scripted windows).
+/// stack on every node.
 fn run_overcast(backend: Backend, scenario_src: &str, seed: u64) -> ScenarioOutcome {
     let topo = star(script::parse(scenario_src).expect("scenario parses").nodes);
-    let cfg = WorldConfig {
-        seed,
-        channels: backend.channel_table("overcast"),
-        fd_g: Duration::from_secs(2),
-        fd_f: Duration::from_secs(6),
-        ..Default::default()
-    };
-    scenario_runner(scenario_src, topo, cfg, move |bootstrap| {
-        backend.build_stack("overcast", bootstrap)
-    })
-    .run()
+    let cfg = WorldConfig::scripted_churn(seed);
+    backend.runner("overcast", scenario_src, topo, cfg).run()
 }
 
 /// `(state, papa, kids)` per node, either back end.

@@ -9,61 +9,25 @@
 //!    only because the repo benchmark still sets them; a run that sets
 //!    them is the run that does not, byte for byte.
 
-use macedon_bench::experiments::scenario_runner;
+use macedon_bench::experiments::{scenario_scale_script, Backend};
 use macedon_core::{SpanId, TraceEvent, TraceLevel, WorldConfig};
-use macedon_lang::SpecRegistry;
 use macedon_net::topology::{LinkSpec, TopologyBuilder};
+use macedon_scenario::ScenarioRunner;
 use macedon_sim::Duration;
 
-/// The property tests' spokes: delays all distinct (2ms + 137µs·i) on
+/// `script` with the interpreted splitstream stack on every node of a
+/// star whose spokes' delays are all distinct (2ms + 137µs·i) on
 /// 10 Mbps links, so no two failure-detector fan-outs collide in the
 /// same microsecond on a monitor's downlink.
-fn jittered_link(i: usize) -> LinkSpec {
-    LinkSpec::new(
-        Duration::from_micros(2_000 + 137 * i as u64),
-        10_000_000,
-        256 * 1024,
-    )
-}
-
-/// A star whose spoke `i` is `link(i)`.
-fn star(nodes: usize, link: fn(usize) -> LinkSpec) -> macedon_net::topology::Topology {
+fn runner(script: &str, nodes: usize, cfg: WorldConfig) -> ScenarioRunner<'static> {
     let mut b = TopologyBuilder::new();
     let hub = b.add_router();
     for i in 0..nodes {
         let h = b.add_host();
-        b.add_link(h, hub, link(i));
+        let delay = Duration::from_micros(2_000 + 137 * i as u64);
+        b.add_link(h, hub, LinkSpec::new(delay, 10_000_000, 256 * 1024));
     }
-    b.build()
-}
-
-/// The configuration every property run binds with.
-fn config(registry: &SpecRegistry, seed: u64) -> WorldConfig {
-    WorldConfig {
-        seed,
-        channels: registry
-            .channel_table_for("splitstream")
-            .expect("bundled chain resolves"),
-        fd_g: Duration::from_secs(2),
-        fd_f: Duration::from_secs(6),
-        ..Default::default()
-    }
-}
-
-/// Staggered joins, a route stream, a crash wave and a rejoin — the
-/// `bench_scale` shape scaled down.
-fn scale_script(nodes: usize) -> String {
-    format!(
-        "scenario prop-scale\nnodes {nodes}\nend 30s\n\
-         at 0s join 0..{first} over 2s\n\
-         at 3s join {first}..{nodes} over 4s\n\
-         at 12s stream 0 rate 100kbps size 800 for 10s route\n\
-         at 15s crash {c1} {c2}\n\
-         at 20s rejoin {c1}\n",
-        first = nodes / 4,
-        c1 = nodes / 3,
-        c2 = nodes / 2,
-    )
+    Backend::Interpreted.runner("splitstream", script, b.build(), cfg)
 }
 
 /// Despawn/rejoin *under* a partition that splits the host range in
@@ -89,21 +53,13 @@ fn span_parentage_is_a_forest_across_scenarios() {
     // span is minted twice. Crashes and partitions must not orphan
     // contexts — a span delivered after its origin crashed still
     // resolves to the historical mint.
-    for (script, nodes) in [
-        (scale_script(12), 12usize),
-        (partition_rejoin_script(12), 12),
-    ] {
+    for script in [scenario_scale_script(12), partition_rejoin_script(12)] {
         for seed in [7u64, 77] {
-            let registry = SpecRegistry::bundled();
-            let topo = star(nodes, jittered_link);
             let cfg = WorldConfig {
                 trace_level: TraceLevel::High,
-                ..config(&registry, seed)
+                ..WorldConfig::scripted_churn(seed)
             };
-            let outcome = scenario_runner(&script, topo, cfg, |bootstrap| {
-                registry.build_stack("splitstream", bootstrap).unwrap()
-            })
-            .run();
+            let outcome = runner(&script, 12, cfg).run();
 
             let mut minted = std::collections::HashSet::new();
             let mut sends = 0u64;
@@ -134,13 +90,9 @@ fn span_parentage_is_a_forest_across_scenarios() {
 /// run as `scale-star-interp`.
 #[test]
 fn benchmark_shard_knobs_are_inert() {
-    let registry = SpecRegistry::bundled();
-    let script = macedon_bench::experiments::scenario_scale_script(12);
+    let script = scenario_scale_script(12);
     let run = |cfg: WorldConfig, workers: Option<usize>| {
-        let topo = star(12, jittered_link);
-        let mut runner = scenario_runner(&script, topo, cfg, |bootstrap| {
-            registry.build_stack("splitstream", bootstrap).unwrap()
-        });
+        let mut runner = runner(&script, 12, cfg);
         if let Some(n) = workers {
             runner.set_workers(n);
         }
@@ -155,11 +107,11 @@ fn benchmark_shard_knobs_are_inert() {
             counts,
         )
     };
-    let plain = run(config(&registry, 77), None);
+    let plain = run(WorldConfig::scripted_churn(77), None);
     let knobs = WorldConfig {
         shards: 2,
         profile: true,
-        ..config(&registry, 77)
+        ..WorldConfig::scripted_churn(77)
     };
     assert_eq!(run(knobs, Some(2)), plain);
 }

@@ -6,9 +6,11 @@
 //! different protocol, then the same seeded churn script runs twice on
 //! that thread, once on a fresh one and once interleaved with another
 //! world on one thread, and all four runs must report and trace
-//! byte-identically.
+//! byte-identically. In a debug build every pool also checks that what
+//! comes back is drained; the last two tests plant a leftover in each
+//! pool outside core and see that check fire.
 
-use macedon_bench::experiments::{scenario_churn_script, spec_runner};
+use macedon_bench::experiments::{scenario_churn_script, thin_star, Backend};
 use macedon_core::{scratch, TraceLevel, World, WorldConfig};
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, LinkSpec};
@@ -40,13 +42,9 @@ fn chord_world() -> World {
 /// interpreted churn run. With `beside`, that world runs on the same
 /// thread in half-second steps interleaved with the run's own.
 fn churn_run(beside: Option<World>) -> (String, u64, usize) {
-    let registry = SpecRegistry::bundled();
-    let topo = canned::star(
-        NODES,
-        LinkSpec::new(Duration::from_millis(2), 2_000_000, 64 * 1024),
-    );
     let script = scenario_churn_script(NODES);
-    let mut runner = spec_runner(&script, topo, traced(11), &registry, "splitstream");
+    let topo = thin_star(NODES);
+    let mut runner = Backend::Interpreted.runner("splitstream", &script, topo, traced(11));
     if let Some(mut other) = beside {
         runner.sample_every(Duration::from_millis(500), move |t, _, _| {
             other.run_until(t + Duration::from_millis(500));
@@ -83,4 +81,22 @@ fn runs_do_not_depend_on_what_the_thread_ran_before() {
         first == interleaved,
         "a run interleaved with another world differs"
     );
+}
+
+/// A connection-output buffer that still held a flag would re-arm or
+/// cancel a timer of the next connection to borrow it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "comes back drained")]
+fn a_conn_out_handed_back_with_a_flag_set_is_caught() {
+    macedon::transport::endpoint::with_conn_out(|co| co.cancel_rto = true);
+}
+
+/// A frame that still held `quash` would drop the next forwarded
+/// message its pool lends it to.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "comes back drained")]
+fn a_frame_handed_back_quashed_is_caught() {
+    macedon::lang::interp::give_back_quashed_frame();
 }

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::star;
+use common::{drive_multicast, star};
 use macedon::core::{perfetto_json, SpanForest, TraceEvent, TraceRecord};
 use macedon::prelude::*;
 use macedon_bench::experiments::Backend;
@@ -34,30 +34,6 @@ fn traced_world(backend: Backend, n: usize, seed: u64, level: TraceLevel) -> (Wo
     let stagger = Duration::from_millis(100);
     let (w, hosts, _sink) = backend.world("splitstream", star(n), cfg, stagger);
     (w, hosts)
-}
-
-/// The multicast schedule the cross-validation suite uses: join, settle,
-/// stream five packets from `hosts[1]`.
-fn drive(w: &mut World, hosts: &[NodeId], group: MacedonKey) {
-    w.run_until(Time::from_secs(40));
-    for &h in &hosts[1..] {
-        w.api_at(Time::from_secs(40), h, DownCall::Join { group });
-    }
-    w.run_until(Time::from_secs(80));
-    for i in 0..5u64 {
-        let mut p = vec![0u8; 128];
-        p[..8].copy_from_slice(&i.to_be_bytes());
-        w.api_at(
-            Time::from_secs(80) + Duration::from_millis(i * 200),
-            hosts[1],
-            DownCall::Multicast {
-                group,
-                payload: Bytes::from(p),
-                priority: -1,
-            },
-        );
-    }
-    w.run_until(Time::from_secs(100));
 }
 
 /// The byte-equality surface: every record's canonical render, from a
@@ -88,10 +64,10 @@ fn assert_export_carries_every_record(records: &[&TraceRecord]) {
 fn trace_stream_identical_across_backends() {
     let group = MacedonKey::of_name("xval");
     let (mut iw, ihosts) = traced_world(Backend::Interpreted, 10, 13, TraceLevel::High);
-    drive(&mut iw, &ihosts, group);
+    drive_multicast(&mut iw, &ihosts, group, true, 5, 100);
     let (mut gw, ghosts) = traced_world(Backend::Generated, 10, 13, TraceLevel::High);
     assert_eq!(ihosts, ghosts);
-    drive(&mut gw, &ghosts, group);
+    drive_multicast(&mut gw, &ghosts, group, true, 5, 100);
 
     let want = trace_stream(&iw);
     let got = trace_stream(&gw);
@@ -112,7 +88,7 @@ fn trace_stream_identical_across_backends() {
 fn span_parentage_forms_a_forest() {
     let group = MacedonKey::of_name("xval");
     let (mut w, hosts) = traced_world(Backend::Interpreted, 10, 13, TraceLevel::High);
-    drive(&mut w, &hosts, group);
+    drive_multicast(&mut w, &hosts, group, true, 5, 100);
     span_forest(&w);
     let records = records(&w);
     let sends = records
@@ -134,7 +110,7 @@ fn tracing_is_pure_observation() {
     let mut logs = Vec::new();
     for level in [TraceLevel::Off, TraceLevel::High] {
         let (mut w, hosts) = traced_world(Backend::Interpreted, 10, 13, level);
-        drive(&mut w, &hosts, group);
+        drive_multicast(&mut w, &hosts, group, true, 5, 100);
         logs.push((w.events_fired(), w.net().total_drops()));
         if level == TraceLevel::Off {
             assert_eq!(w.trace().len(), 0, "Off records nothing");
@@ -172,7 +148,7 @@ fn trace_stream_at_200_nodes() {
     let run = |backend| {
         let (mut w, hosts) = traced_world(backend, 200, 42, TraceLevel::High);
         w.set_trace_capacity(1 << 22);
-        drive(&mut w, &hosts, group);
+        drive_multicast(&mut w, &hosts, group, true, 5, 100);
         w
     };
     let interp = run(Backend::Interpreted);
